@@ -51,7 +51,7 @@ var (
 	flagPc       = flag.Int("pc", 0, "main grid columns (0 = -pr, i.e. square; rectangular grids like -pr 4 -pc 2 give P=8 distributed runs)")
 	flag46       = flag.Bool("table1paper", false, "Table I on the paper's literal 46x46 grid via the analytic volume model (no engine run)")
 	flagWork     = flag.Int("workers", 0, "dense-kernel worker pool size (0 = GOMAXPROCS)")
-	flagChaos    = flag.Uint64("chaos-seed", 0, "non-zero: run every engine measurement under the seeded chaos adversary (adversarial message reordering; volumes unchanged, numerics forced deterministic)")
+	flagChaos    = flag.Uint64("chaos-seed", 0, "non-zero: run every engine measurement under the seeded chaos adversary (adversarial message reordering; volumes and numerics unchanged)")
 	flagObs      = flag.Bool("obs", false, "re-run the main measurement with the communication substrate instrumented: JSON reports, merged Chrome traces, and measured forwarding chains per scheme. With -transport=tcp each rank is a real OS process: the per-rank snapshots are streamed back, clock-aligned onto rank 0 and merged into one report whose matrices are conservation-checked against the workers' counters")
 	flagObsOut   = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
 	flagObsRing  = flag.Int("obs-ring", 0, "per-rank observability event-ring capacity for -obs runs (0 = default 16384; oversized values are clamped)")
@@ -123,7 +123,7 @@ func main() {
 	}
 	fmt.Printf("dense kernel workers: %d\n", dense.SetWorkers(*flagWork))
 	if *flagChaos != 0 {
-		fmt.Printf("chaos adversary active (seed %d): message delivery adversarially reordered, deterministic reductions on\n", *flagChaos)
+		fmt.Printf("chaos adversary active (seed %d): message delivery adversarially reordered\n", *flagChaos)
 	}
 	if *flagAll {
 		*flagTable1, *flagTable2 = true, true
@@ -207,7 +207,7 @@ func main() {
 				TimeoutSec:   flagTimeout.Seconds(),
 			}
 			if *flagChaos != 0 {
-				spec.ChaosEnabled, spec.ChaosSeed, spec.Deterministic = true, *flagChaos, true
+				spec.ChaosEnabled, spec.ChaosSeed = true, *flagChaos
 			}
 			ms, err := distrun.MeasureObs(audikw, spec, schemeList(), nil)
 			check(err)
@@ -362,7 +362,7 @@ func measure(gen *sparse.Generated, pipe *exp.Pipeline, grid *procgrid.Grid, sch
 			TimeoutSec:   flagTimeout.Seconds(),
 		}
 		if *flagChaos != 0 {
-			spec.ChaosEnabled, spec.ChaosSeed, spec.Deterministic = true, *flagChaos, true
+			spec.ChaosEnabled, spec.ChaosSeed = true, *flagChaos
 		}
 		return distrun.MeasureVolumes(gen, spec, schemes, nil)
 	}

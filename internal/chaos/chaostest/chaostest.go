@@ -1,5 +1,5 @@
 // Package chaostest is the chaos sweep runner: it executes an engine once
-// unperturbed to establish a deterministic baseline, then once per seed
+// unperturbed to establish the plan's baseline, then once per seed
 // under a chaos adversary, asserting that every perturbed run reproduces
 // the baseline bit for bit and conserves communication volume. A failing
 // seed is reported with the full deadlock snapshot so it reproduces from
@@ -69,17 +69,17 @@ func compareExact(base map[blockmat.Key][]float64, res *pselinv.RunResult) strin
 }
 
 // Sweep runs eng once unperturbed (twice, actually: the baseline is rerun
-// to prove the deterministic mode really is scheduling-independent before
-// any adversary is blamed), then once per seed under the cfg adversary.
-// Every world — baseline and perturbed — must pass CheckConservation, and
-// every perturbed result must equal the baseline element-exactly. cfg.Seed
-// is overwritten by each sweep seed. The engine's Deterministic flag is
-// forced on and its Chaos field is left untouched.
+// to prove the engine really is scheduling-independent before any adversary
+// is blamed), then once per seed under the cfg adversary. Every world —
+// baseline and perturbed — must pass CheckConservation, and every perturbed
+// result must equal the baseline element-exactly. cfg.Seed is overwritten
+// by each sweep seed; the engine's own Chaos field is ignored and left
+// untouched.
 func Sweep(tb TB, eng *pselinv.Engine, cfg chaos.Config, seeds []uint64, timeout time.Duration) {
 	tb.Helper()
-	savedDet, savedChaos := eng.Deterministic, eng.Chaos
-	eng.Deterministic, eng.Chaos = true, nil
-	defer func() { eng.Deterministic, eng.Chaos = savedDet, savedChaos }()
+	savedChaos := eng.Chaos
+	eng.Chaos = nil
+	defer func() { eng.Chaos = savedChaos }()
 
 	runOnce := func(label string, adv *chaos.Config) (map[blockmat.Key][]float64, *simmpi.World) {
 		world := simmpi.NewWorld(eng.Plan.Grid.Size())
@@ -104,7 +104,7 @@ func Sweep(tb TB, eng *pselinv.Engine, cfg chaos.Config, seeds []uint64, timeout
 	base, _ := runOnce("baseline", nil)
 	rerun, _ := runOnce("baseline-rerun", nil)
 	if diff := diffSnaps(base, rerun); diff != "" {
-		tb.Fatalf("chaos sweep: deterministic mode is not scheduling-independent; baseline rerun differs: %s", diff)
+		tb.Fatalf("chaos sweep: the engine is not scheduling-independent; baseline rerun differs: %s", diff)
 	}
 
 	for _, seed := range seeds {

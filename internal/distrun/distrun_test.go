@@ -16,6 +16,7 @@ import (
 	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/sparse"
+	"pselinv/internal/stats"
 	"pselinv/internal/zselinv"
 )
 
@@ -70,6 +71,30 @@ func renderVolumes(ms []*exp.VolumeMeasurement) string {
 	return b.String()
 }
 
+// requireRowReduceIsPlan pins measured Row-Reduce volumes to the plan's
+// one-block-per-edge count, so neither backend (nor a regenerated golden)
+// can drift to shipping anything but one partial sum per tree edge.
+func requireRowReduceIsPlan(t *testing.T, pipe *exp.Pipeline, spec distrun.Spec, ms []*exp.VolumeMeasurement) {
+	t.Helper()
+	bal := core.CyclicBalancer
+	if spec.Balancer != "" {
+		var err error
+		if bal, err = core.ParseBalancer(spec.Balancer); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, m := range ms {
+		plan := core.NewPlanConfig(pipe.An.BP, procgrid.New(spec.PR, spec.PC), core.PlanConfig{
+			Scheme: m.Scheme, Seed: spec.Seed, Symmetric: true, Balancer: bal,
+			Topo: core.Topology{CoresPerNode: spec.CoresPerNode},
+		})
+		if want := stats.BytesToMB(plan.PerRankRecv(core.OpRowReduce)); !reflect.DeepEqual(m.RowReduceRecv, want) {
+			t.Errorf("%v: Row-Reduce recv is not the plan's one block per edge:\n  measured: %v\n  plan:     %v",
+				m.Scheme, m.RowReduceRecv, want)
+		}
+	}
+}
+
 // TestCrossBackendVolumeEquivalence: the per-rank, per-class volume
 // matrices of a P=4 run must be byte-identical whether the four ranks
 // share a process (goroutine mailboxes) or live in four OS processes
@@ -108,6 +133,8 @@ func TestCrossBackendVolumeEquivalence(t *testing.T) {
 				scheme, local[i].TotalSent, remote[i].TotalSent)
 		}
 	}
+
+	requireRowReduceIsPlan(t, pipe, spec, remote)
 
 	got := renderVolumes(remote)
 	goldenPath := filepath.Join("testdata", "commvol-p4.golden")
@@ -165,6 +192,8 @@ func TestCrossBackendTopoSchemeEquivalence(t *testing.T) {
 		}
 	}
 
+	requireRowReduceIsPlan(t, pipe, spec, remote)
+
 	got := renderVolumes(remote)
 	goldenPath := filepath.Join("testdata", "commvol-topo-p4.golden")
 	if os.Getenv("PSELINV_UPDATE_GOLDEN") != "" {
@@ -198,7 +227,6 @@ func TestDistributedChaosMatchesInProcess(t *testing.T) {
 	spec.PR, spec.PC = 2, 2 // square grid: row-reduce traffic is nonzero
 	spec.ChaosEnabled = true
 	spec.ChaosSeed = 7
-	spec.Deterministic = true
 	schemes := []core.Scheme{core.BinaryTree}
 
 	pipe, err := exp.Prepare(gen, spec.Relax, spec.MaxWidth)
@@ -220,14 +248,14 @@ func TestDistributedChaosMatchesInProcess(t *testing.T) {
 		t.Errorf("chaos run diverges across backends:\n  in-process: %v / %v\n  tcp:        %v / %v",
 			local[0].ColBcastSent, local[0].TotalSent, remote[0].ColBcastSent, remote[0].TotalSent)
 	}
+	requireRowReduceIsPlan(t, pipe, spec, remote)
 }
 
 // TestCrossBackendBalancerEquivalence: a non-default supernode→process
 // balancer is a pure function of (pattern, grid), so four OS processes
 // re-deriving the work-greedy owner map independently must route exactly
-// the bytes the in-process backend routes. Runs deterministic on both
-// sides (the parity mode whose reductions forward canonical slots), so
-// the comparison pins the balancer end to end over a real TCP mesh.
+// the bytes the in-process backend routes, which pins the balancer end to
+// end over a real TCP mesh.
 func TestCrossBackendBalancerEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 4 worker processes")
@@ -235,7 +263,6 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 	gen, spec := testProblem()
 	spec.PR, spec.PC = 2, 2 // square grid: row-reduce traffic is nonzero
 	spec.Balancer = "work"
-	spec.Deterministic = true
 	schemes := []core.Scheme{core.ShiftedBinaryTree}
 
 	pipe, err := exp.Prepare(gen, spec.Relax, spec.MaxWidth)
@@ -243,7 +270,7 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	local, err := exp.MeasureVolumesOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
-		60*time.Second, exp.RunOpts{Balancer: core.WorkBalancer, Deterministic: true})
+		60*time.Second, exp.RunOpts{Balancer: core.WorkBalancer})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,6 +284,7 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 		t.Errorf("work-balancer run diverges across backends:\n  in-process: %v / %v\n  tcp:        %v / %v",
 			local[0].ColBcastSent, local[0].TotalSent, remote[0].ColBcastSent, remote[0].TotalSent)
 	}
+	requireRowReduceIsPlan(t, pipe, spec, remote)
 }
 
 // TestDistributedRejectsUnknownBalancer: an invalid balancer slug must
@@ -304,13 +332,14 @@ func (w testWriter) Write(p []byte) (int, error) {
 }
 
 // TestDistributedComplexParityTCP: a complex-shift selected inversion on
-// four OS processes meshed over TCP must be bit-identical to the serial
-// zselinv reference. Workers discard their A⁻¹ shares after the run, so
-// the check is distributed too: every rank recomputes the serial
-// reference locally and verifies each block it owns word-for-word
-// (Spec.SelfCheck); the launcher then checks the shares cover the whole
-// selected inverse — together that is full bitwise parity over a real
-// TCP mesh.
+// four OS processes meshed over TCP must be bit-identical to the
+// in-process run of the same plan. Workers discard their A⁻¹ shares after
+// the run, so the check is distributed too: every rank re-runs the plan
+// on the in-process transport and verifies each block it owns
+// word-for-word (Spec.SelfCheck); the launcher then checks the shares
+// cover the whole selected inverse — together that is full bitwise parity
+// across transports (the in-process engine is pinned to the serial
+// reference by internal/pselinv's complex parity suite).
 func TestDistributedComplexParityTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 8 worker processes")

@@ -193,9 +193,13 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	// A worker whose local build failed exits without reading the map; its
+	// result line carries the reason, so a failed write is reported only
+	// when phase 3 finds no worker to blame.
+	var sendErr error
 	for r, w := range workers {
-		if _, err := fmt.Fprintf(w.stdin, "%s\n", addrLine); err != nil {
-			return nil, fmt.Errorf("distrun: sending address map to rank %d: %w", r, err)
+		if _, err := fmt.Fprintf(w.stdin, "%s\n", addrLine); err != nil && sendErr == nil {
+			sendErr = fmt.Errorf("distrun: sending address map to rank %d: %w", r, err)
 		}
 		w.stdin.Close()
 	}
@@ -251,6 +255,9 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 	}
 	if len(failures) > 0 {
 		return outcome, fmt.Errorf("distrun: %d of %d ranks failed:\n%s", len(failures), p, strings.Join(failures, "\n"))
+	}
+	if sendErr != nil {
+		return outcome, sendErr
 	}
 	if err := outcome.checkConservation(); err != nil {
 		return outcome, err

@@ -3,6 +3,7 @@ package distrun_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"pselinv/internal/distrun"
 	"pselinv/internal/exp"
 	"pselinv/internal/procgrid"
+	"pselinv/internal/simmpi"
 )
 
 // TestDistributedObservability runs an observed 4-process TCP launch and
@@ -27,7 +29,6 @@ func TestDistributedObservability(t *testing.T) {
 	}
 	gen, spec := testProblem()
 	spec.PR, spec.PC = 2, 2
-	spec.Deterministic = true
 	schemes := []core.Scheme{core.BinaryTree}
 
 	ms, err := distrun.MeasureObs(gen, spec, schemes, &distrun.Options{Stderr: testWriter{t}})
@@ -90,8 +91,7 @@ func TestDistributedObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureObsOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
-		60*time.Second, exp.RunOpts{Deterministic: true})
+	local, err := exp.MeasureObs(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,6 +108,37 @@ func TestDistributedObservability(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("stripped merged report diverges from in-process report:\n--- tcp ---\n%s\n--- in-process ---\n%s", got, want)
+	}
+
+	// The reduce-class traffic matrices must marginalize to the plan's
+	// one-block-per-edge counts, so the golden cannot record anything but
+	// one partial sum per tree edge.
+	plan := core.NewPlanConfig(pipe.An.BP, procgrid.New(spec.PR, spec.PC), core.PlanConfig{
+		Scheme: schemes[0], Seed: spec.Seed, Symmetric: true,
+	})
+	for class, kind := range map[string]core.OpKind{
+		simmpi.ClassRowReduce.String():  core.OpRowReduce,
+		simmpi.ClassDiagReduce.String(): core.OpDiagReduce,
+		simmpi.ClassColReduce.String():  core.OpColReduce,
+	} {
+		rowSum, colSum := make([]int64, p), make([]int64, p)
+		for _, cr := range rep.Classes {
+			if cr.Class != class {
+				continue
+			}
+			for src := 0; src < p; src++ {
+				for dst := 0; dst < p; dst++ {
+					rowSum[src] += cr.Matrix[src*p+dst]
+					colSum[dst] += cr.Matrix[src*p+dst]
+				}
+			}
+		}
+		if want := plan.PerRankSent(kind); !reflect.DeepEqual(rowSum, want) {
+			t.Errorf("%s matrix row sums %v, plan sends %v", class, rowSum, want)
+		}
+		if want := plan.PerRankRecv(kind); !reflect.DeepEqual(colSum, want) {
+			t.Errorf("%s matrix column sums %v, plan receives %v", class, colSum, want)
+		}
 	}
 
 	goldenPath := filepath.Join("testdata", "obs-p4.golden.json")

@@ -67,22 +67,20 @@ type Spec struct {
 
 	// Complex switches the run to the complex-shift kernel: the staged
 	// matrix is factorized as A − zI with z = ZRe + i·ZIm on a general
-	// (asymmetric-path) plan. The engine forces canonical-slot
-	// deterministic reductions for complex element types, so the result is
-	// bit-identical to the serial zselinv reference on every transport.
+	// (asymmetric-path) plan. The engine's reductions fold in a fixed
+	// per-plan order, so the result is bit-identical to an in-process run
+	// of the same plan and agrees with the serial zselinv reference to
+	// rounding.
 	Complex bool    `json:"complex,omitempty"`
 	ZRe     float64 `json:"z_re,omitempty"`
 	ZIm     float64 `json:"z_im,omitempty"`
 	// SelfCheck makes every worker verify each result block it owns
-	// bitwise against a locally recomputed serial reference before
-	// reporting (complex runs only). Workers discard their A⁻¹ shares, so
-	// this is how a multi-process run certifies numerical parity: each
+	// bitwise against a local in-process run of the same plan before
+	// reporting. Workers discard their A⁻¹ shares, so this is how a
+	// multi-process run certifies that the transport changed no bit: each
 	// rank checks its own share, and the launcher sums the counts.
 	SelfCheck bool `json:"self_check,omitempty"`
 
-	// Deterministic forces slot-based reductions (bit-exact results
-	// independent of delivery order).
-	Deterministic bool `json:"deterministic,omitempty"`
 	// ChaosEnabled installs the seeded chaos adversary (ChaosSeed) on
 	// every worker's world. The adversary's decisions are pure functions
 	// of (seed, src, dst, link serial), so the perturbation is the same
@@ -208,7 +206,5 @@ func (s *Spec) Build() (*exp.Pipeline, *core.Plan, *pselinv.Engine, error) {
 		Balancer: bal,
 		Topo:     core.Topology{CoresPerNode: s.CoresPerNode},
 	})
-	eng := pselinv.NewEngine(plan, pipe.LU)
-	eng.Deterministic = s.Deterministic
-	return pipe, plan, eng, nil
+	return pipe, plan, pselinv.NewEngine(plan, pipe.LU), nil
 }

@@ -14,13 +14,11 @@ import (
 	"pselinv/internal/chaos"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
-	"pselinv/internal/exp"
 	"pselinv/internal/obs"
 	"pselinv/internal/pselinv"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/tcptransport"
 	"pselinv/internal/trace"
-	"pselinv/internal/zselinv"
 )
 
 // Environment variables that switch a binary into worker mode. The
@@ -69,9 +67,9 @@ type Result struct {
 	// DialRetries counts mesh-setup dial attempts that had to back off.
 	DialRetries int64 `json:"dial_retries,omitempty"`
 	// CheckedBlocks is the number of result blocks this worker verified
-	// bitwise against its local serial reference (Spec.SelfCheck).
+	// bitwise against its local in-process reference run (Spec.SelfCheck).
 	CheckedBlocks int64 `json:"checked_blocks,omitempty"`
-	ElapsedNS   int64 `json:"elapsed_ns"`
+	ElapsedNS     int64 `json:"elapsed_ns"`
 	// Error carries the failure, including the chaos-style in-flight
 	// snapshot for timeouts, so the launcher can surface which ranks were
 	// stuck where even though the worlds live in separate processes.
@@ -231,8 +229,8 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 		return fail(fmt.Errorf("%w\n%s", err, msg))
 	}
 	if runRes != nil {
-		if spec.SelfCheck && spec.Complex {
-			n, err := selfCheckComplex(rank, spec, pipe, runRes)
+		if spec.SelfCheck {
+			n, err := selfCheck(rank, spec, eng, runRes)
 			if err != nil {
 				runRes.Release()
 				return fail(err)
@@ -247,13 +245,17 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	return res
 }
 
-// selfCheckComplex recomputes the serial zselinv reference from this
-// worker's own factorization and compares every result block the rank
-// gathered word-for-word (math.Float64bits). On a distributed transport
-// the gathered result holds exactly this rank's share, so the union of
-// all workers' checks covers the full selected inverse.
-func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, runRes *pselinv.RunResult) (int64, error) {
-	ref := zselinv.SelInvFromLU(pipe.LU, complex(spec.ZRe, spec.ZIm))
+// selfCheck re-runs the worker's engine — same plan, same factorization —
+// on the in-process transport and compares every result block the rank
+// gathered word-for-word (math.Float64bits): the reductions fold in a fixed
+// per-plan order, so the transport must not change a bit. On a distributed
+// transport the gathered result holds exactly this rank's share, so the
+// union of all workers' checks covers the full selected inverse.
+func selfCheck(rank int, spec *Spec, eng *pselinv.Engine, runRes *pselinv.RunResult) (int64, error) {
+	ref, err := eng.Rebind(eng.LU).Run(spec.Timeout())
+	if err != nil {
+		return 0, fmt.Errorf("rank %d: in-process reference run: %w", rank, err)
+	}
 	defer ref.Release()
 	var checked int64
 	var checkErr error
@@ -261,18 +263,18 @@ func selfCheckComplex(rank int, spec *Spec, pipe *exp.Pipeline, runRes *pselinv.
 		if checkErr != nil {
 			return
 		}
-		want, ok := ref.Block(key.I, key.J)
+		want, ok := ref.Ainv.Get(key.I, key.J)
 		if !ok {
-			checkErr = fmt.Errorf("rank %d: block (%d,%d) absent from the serial reference", rank, key.I, key.J)
+			checkErr = fmt.Errorf("rank %d: block (%d,%d) absent from the in-process reference", rank, key.I, key.J)
 			return
 		}
-		if got.Elem != dense.Complex || want.Elem != dense.Complex || len(got.Data) != len(want.Data) {
-			checkErr = fmt.Errorf("rank %d: block (%d,%d) shape/element mismatch vs serial reference", rank, key.I, key.J)
+		if got.Elem != want.Elem || len(got.Data) != len(want.Data) {
+			checkErr = fmt.Errorf("rank %d: block (%d,%d) shape/element mismatch vs in-process reference", rank, key.I, key.J)
 			return
 		}
 		for w := range got.Data {
 			if math.Float64bits(got.Data[w]) != math.Float64bits(want.Data[w]) {
-				checkErr = fmt.Errorf("rank %d: block (%d,%d) word %d differs from serial reference: %x vs %x",
+				checkErr = fmt.Errorf("rank %d: block (%d,%d) word %d differs from in-process reference: %x vs %x",
 					rank, key.I, key.J, w, math.Float64bits(got.Data[w]), math.Float64bits(want.Data[w]))
 				return
 			}

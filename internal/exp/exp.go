@@ -110,16 +110,10 @@ func (m *VolumeMeasurement) RowReduceSummary() stats.Summary { return stats.Summ
 // link-latency decoration of the in-process transport (the netsim latency
 // geometry imposed on a live run instead of simulated).
 type RunOpts struct {
-	// Chaos, when non-nil, installs the seeded delivery adversary and
-	// forces deterministic reductions so the numerics stay bit-identical
-	// to an unperturbed run.
+	// Chaos, when non-nil, installs the seeded delivery adversary. The
+	// numerics and the volumes stay bit-identical to an unperturbed run of
+	// the same plan.
 	Chaos *chaos.Config
-	// Deterministic forces slot-based canonical reductions even without a
-	// chaos adversary — the baseline a chaos or cross-balancer run is
-	// compared against must itself be deterministic, since the
-	// deterministic path ships reduce contributions unsummed and its wire
-	// volumes differ from the default accumulate-and-forward path.
-	Deterministic bool
 	// MailboxCap, when positive, bounds every rank's mailbox.
 	MailboxCap int
 	// LatencyScale, when positive, wraps the transport with
@@ -129,8 +123,8 @@ type RunOpts struct {
 	LatencyParams *netsim.Params
 	// DAG enables intra-rank task-DAG execution: supernode updates are
 	// scheduled onto the dense kernel worker pool and overlapped with the
-	// tree collectives. Implies deterministic reductions, so volumes and
-	// numerics stay identical to a sequential deterministic run.
+	// tree collectives. Volumes and numerics stay identical to a
+	// sequential run of the same plan.
 	DAG bool
 	// CoresPerNode, when positive, sets the rank→node placement consumed
 	// by the topology-aware schemes (core.TopoShiftedTree, core.BineTree)
@@ -187,8 +181,7 @@ func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 // MeasureVolumesChaos is MeasureVolumes under an optional chaos adversary
 // (nil cc means unperturbed). The adversary reorders and skews message
 // delivery but neither adds nor removes traffic, so the measured volumes
-// stay meaningful; deterministic reductions are forced so the numerics are
-// bit-identical to an unperturbed run.
+// equal an unperturbed run's, and so do the numerics, bit for bit.
 func MeasureVolumesChaos(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, cc *chaos.Config) ([]*VolumeMeasurement, error) {
 	return MeasureVolumesOpts(p, grid, schemes, seed, timeout, RunOpts{Chaos: cc})
 }
@@ -200,11 +193,7 @@ func MeasureVolumesOpts(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme,
 	for _, scheme := range schemes {
 		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(scheme, seed))
 		eng := pselinv.NewEngine(plan, p.LU)
-		if opts.Chaos != nil {
-			eng.Chaos = opts.Chaos
-			eng.Deterministic = true
-		}
-		eng.Deterministic = eng.Deterministic || opts.Deterministic
+		eng.Chaos = opts.Chaos
 		eng.DAG = opts.DAG
 		eng.Transport = opts.transport()
 		res, err := eng.Run(timeout)
@@ -275,11 +264,7 @@ func MeasureObsOpts(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 		}
 		eng.Observer = col
 		eng.Trace = trace.NewRecorder()
-		if opts.Chaos != nil {
-			eng.Chaos = opts.Chaos
-			eng.Deterministic = true
-		}
-		eng.Deterministic = eng.Deterministic || opts.Deterministic
+		eng.Chaos = opts.Chaos
 		eng.DAG = opts.DAG
 		eng.Transport = opts.transport()
 		res, err := eng.Run(timeout)
@@ -422,8 +407,8 @@ func WriteObsArtifacts(dir string, ms []*ObsMeasurement) ([]string, error) {
 
 // VerifyChaos is the chaos preflight of the cmd tools: it runs the real
 // engine on a small fixed problem twice — once unperturbed and once under
-// the seeded adversary — in deterministic mode, and fails unless the two
-// results agree bit for bit and both worlds conserve bytes. The scaling
+// the seeded adversary — and fails unless the two results agree bit for bit
+// and both worlds conserve bytes. The scaling
 // experiments themselves go through the timing simulator (no live
 // messages), so this is how a -chaos-seed run establishes that the engine
 // the model stands in for survives that adversarial schedule. With dag set
@@ -449,7 +434,6 @@ func VerifyChaosBalanced(chaosSeed uint64, dag bool, balancer core.Balancer, tim
 			Balancer: balancer,
 		})
 		eng := pselinv.NewEngine(plan, p.LU)
-		eng.Deterministic = true
 		eng.DAG = dag
 		eng.Chaos = cc
 		res, err := eng.Run(timeout)

@@ -46,12 +46,7 @@ func TestMeasureVolumesChaosMatchesUnperturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := procgrid.New(3, 3)
-	// The baseline must itself run deterministic reductions: chaos forces
-	// them on, and the deterministic path's reduce payloads (unsummed
-	// canonical slots) are larger than the default accumulate-and-forward
-	// payloads, so a default-mode baseline would not be comparable.
-	base, err := MeasureVolumesOpts(p, grid, []core.Scheme{core.ShiftedBinaryTree}, 1,
-		time.Minute, RunOpts{Deterministic: true})
+	base, err := MeasureVolumes(p, grid, []core.Scheme{core.ShiftedBinaryTree}, 1, time.Minute)
 	if err != nil {
 		t.Fatal(err)
 	}

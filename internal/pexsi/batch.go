@@ -76,7 +76,7 @@ type facJob struct {
 
 // RunBatch evaluates the truncated Fermi-operator expansion for all poles
 // through one shared engine template. The per-pole results are exactly
-// RunComplex's (the engine is bit-identical to the serial reference); only
+// RunComplex's for the same configuration (one plan, one fold order); only
 // the wall-clock and allocation behavior differ.
 func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 	if len(cfg.Poles) == 0 {
@@ -141,9 +141,9 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		}
 		t0 := time.Now()
 		if cfg.Procs == 1 && !cfg.DAG {
-			// Single-rank groups skip the engine's wire serialization and
-			// run the serial canonical kernel — bit-identical to the
-			// engine by the complex parity suite.
+			// Single-rank groups skip the engine and run the serial
+			// kernel — bit-identical to a one-rank engine run by the
+			// complex parity suite.
 			zr := zselinv.SelInvFromLU(job.lu, pole.Z)
 			for orig := 0; orig < n; orig++ {
 				p := an.PermTotal[orig]

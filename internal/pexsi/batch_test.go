@@ -25,6 +25,21 @@ func sameBits(t *testing.T, want, got []float64, label string) {
 	}
 }
 
+// nearDensity asserts two density vectors agree within the parity
+// tolerance: runs on different process counts fold their reductions in a
+// different bracketing, so they agree to rounding, not to the bit.
+func nearDensity(t *testing.T, want, got []float64, label string) {
+	t.Helper()
+	if len(want) != len(got) {
+		t.Fatalf("%s: length %d vs %d", label, len(want), len(got))
+	}
+	for i := range want {
+		if d := math.Abs(want[i] - got[i]); !(d <= 1e-9) {
+			t.Fatalf("%s: density[%d] off by %g (%g vs %g)", label, i, d, want[i], got[i])
+		}
+	}
+}
+
 func TestBatchMatchesRunComplexSerial(t *testing.T) {
 	h := sparse.Grid2D(10, 10, 3)
 	poles := mustPoles(t, 6, 2.0, 50.0)
@@ -64,30 +79,38 @@ func TestBatchMatchesRunComplexDistributed(t *testing.T) {
 	}
 	sameBits(t, single.Density, batch.Density, "distributed batch vs RunComplex")
 
-	// The distributed engine is bit-identical to the serial reference, so
-	// Procs=4 batch must also match the Procs=1 batch exactly.
+	// Against the serial reference the four ranks agree to rounding.
 	serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameBits(t, serial.Density, batch.Density, "distributed batch vs serial batch")
+	nearDensity(t, serial.Density, batch.Density, "distributed batch vs serial batch")
 }
 
-func TestBatchDagMatchesSerial(t *testing.T) {
+// TestBatchDagMatchesSequential: the DAG scheduler must not move a bit of
+// the same plan's sequential batch, and both agree with the serial batch.
+func TestBatchDagMatchesSequential(t *testing.T) {
 	h := sparse.Grid2D(8, 8, 11)
 	poles := mustPoles(t, 3, 2.0, 50.0)
+	cfg := BatchConfig{
+		Poles: poles, Relax: 4, MaxWidth: 16,
+		Procs: 4, Scheme: core.BinaryTree, Seed: 3,
+	}
+	seq, err := RunBatch(h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.DAG = true
+	dag, err := RunBatch(h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, seq.Density, dag.Density, "DAG batch vs sequential batch")
 	serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dag, err := RunBatch(h, BatchConfig{
-		Poles: poles, Relax: 4, MaxWidth: 16,
-		Procs: 4, Scheme: core.BinaryTree, DAG: true, Seed: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, serial.Density, dag.Density, "DAG batch vs serial batch")
+	nearDensity(t, serial.Density, dag.Density, "DAG batch vs serial batch")
 }
 
 // TestBatchAllocFlat pins the arena-recycling property: pole 0 pays for

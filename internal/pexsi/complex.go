@@ -58,10 +58,10 @@ type ComplexConfig struct {
 	MaxWidth int
 	Parallel bool // run poles concurrently
 	// Procs > 1 evaluates each pole on the distributed engine (general
-	// plan, canonical-slot deterministic reductions) instead of the serial
-	// kernel; the engine is bit-identical to the serial reference, so the
-	// density is the same either way. The remaining knobs configure the
-	// engine and are ignored for Procs ≤ 1.
+	// plan) instead of the serial kernel; the engine agrees with the
+	// serial reference to rounding and is bit-reproducible for one plan,
+	// so the density is the same either way within 1e-9. The remaining
+	// knobs configure the engine and are ignored for Procs ≤ 1.
 	Procs    int
 	Scheme   core.Scheme
 	Balancer core.Balancer

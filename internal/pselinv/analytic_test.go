@@ -1,82 +1,37 @@
 package pselinv
 
 import (
+	"fmt"
 	"testing"
 
 	"pselinv/internal/core"
 	"pselinv/internal/etree"
 	"pselinv/internal/procgrid"
-	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 )
 
 // TestAnalyticPerRankVolumesMatchEngine validates the analytic volume
-// model rank-by-rank against the executed engine, for both the symmetric
-// and general paths: the plan IS the traffic.
+// model rank-by-rank against the executed engine in every mode — the
+// symmetric and general paths, real and complex elements, sequential and
+// DAG execution: the plan IS the traffic.
 func TestAnalyticPerRankVolumesMatchEngine(t *testing.T) {
+	withPoolWorkers(t, 4)
 	g := sparse.Grid2D(8, 8, 4)
 	an, lu, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
 	grid := procgrid.New(4, 4)
-	for _, symmetric := range []bool{true, false} {
-		plan := core.NewPlanFull(an.BP, grid, core.ShiftedBinaryTree, 13,
-			core.DefaultHybridThreshold, symmetric)
-		res, err := NewEngine(plan, lu).Run(testTimeout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for kind, class := range classOf {
-			wantSent := plan.PerRankSent(kind)
-			wantRecv := plan.PerRankRecv(kind)
-			if kind == core.OpDiagBcast {
-				// The engine accounts the pass-1 row broadcast (general
-				// path) under the same class as the column broadcast.
-				rowSent := plan.PerRankSent(core.OpDiagBcastRow)
-				rowRecv := plan.PerRankRecv(core.OpDiagBcastRow)
-				for r := range wantSent {
-					wantSent[r] += rowSent[r]
-					wantRecv[r] += rowRecv[r]
-				}
+	for _, mode := range volumeModes(t, an, lu) {
+		for _, dag := range []bool{false, true} {
+			label := fmt.Sprintf("%s dag=%v", mode.name, dag)
+			plan := core.NewPlanFull(an.BP, grid, core.ShiftedBinaryTree, 13,
+				core.DefaultHybridThreshold, mode.symmetric)
+			eng := NewEngine(plan, mode.lu)
+			eng.DAG = dag
+			res, err := eng.Run(testTimeout)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if kind == core.OpCrossSend {
-				// Likewise Û cross-sends share ClassCrossSend.
-				uSent := plan.PerRankSent(core.OpCrossSendU)
-				uRecv := plan.PerRankRecv(core.OpCrossSendU)
-				for r := range wantSent {
-					wantSent[r] += uSent[r]
-					wantRecv[r] += uRecv[r]
-				}
-			}
-			for r := 0; r < res.World.P; r++ {
-				if got := res.World.SentBytes(r, class); got != wantSent[r] {
-					t.Fatalf("sym=%v kind %v rank %d: sent %d, analytic %d",
-						symmetric, kind, r, got, wantSent[r])
-				}
-				if got := res.World.RecvBytes(r, class); got != wantRecv[r] {
-					t.Fatalf("sym=%v kind %v rank %d: recv %d, analytic %d",
-						symmetric, kind, r, got, wantRecv[r])
-				}
-			}
-		}
-		// Asymmetric-only classes on the general path.
-		if !symmetric {
-			for kind, class := range map[core.OpKind]simmpi.Class{
-				core.OpRowBcast:  simmpi.ClassRowBcast,
-				core.OpColReduce: simmpi.ClassColReduce,
-			} {
-				want := plan.PerRankSent(kind)
-				for r := 0; r < res.World.P; r++ {
-					if got := res.World.SentBytes(r, class); got != want[r] {
-						t.Fatalf("kind %v rank %d: sent %d, analytic %d", kind, r, got, want[r])
-					}
-				}
-			}
-		}
-		// Total sent: engine's all-class counter vs analytic sum.
-		total := plan.PerRankTotalSent()
-		for r := 0; r < res.World.P; r++ {
-			if got := res.World.TotalSent(r); got != total[r] {
-				t.Fatalf("sym=%v rank %d: total sent %d, analytic %d", symmetric, r, got, total[r])
-			}
+			requireVolumesMatchPlan(t, label, plan, res.World, mode.lu.Elem.Width())
+			res.Release()
 		}
 	}
 }

@@ -1,9 +1,11 @@
 // Complex parity suite: the distributed engine running a complex-shifted
-// factorization must be BIT-identical to the serial zselinv reference —
-// not merely close. Complex runs force deterministic canonical-slot
-// reductions inside the engine, and both sides share the factorization
-// and the element-generic dense kernels, so every scheme, balancer, DAG
-// setting and process count must reproduce the reference exactly. The
+// factorization against the serial zselinv reference. Both sides share the
+// factorization and the element-generic dense kernels, and a reduction's
+// fold order is a property of the plan alone, so for one plan the result
+// is BIT-identical whatever the DAG setting, delivery order or transport.
+// Across plans (scheme, balancer, process count) the bracketing of the
+// reductions differs: a single rank folds in the reference's own order and
+// stays bit-identical to it, several ranks agree with it within 1e-9. The
 // file lives in the external test package so it can import
 // internal/zselinv (which has no dependency back on pselinv).
 package pselinv_test
@@ -12,6 +14,7 @@ import (
 	"math"
 	"testing"
 
+	"pselinv/internal/blockmat"
 	"pselinv/internal/chaos"
 	"pselinv/internal/chaos/chaostest"
 	"pselinv/internal/core"
@@ -40,12 +43,10 @@ func prepComplex(t testing.TB, g *sparse.Generated, opt etree.Options,
 	return an, lu, zselinv.SelInvFromLU(lu, z)
 }
 
-// runComplexAndCompareBits runs the parallel engine and requires every
-// block to be bit-identical (math.Float64bits on the interleaved storage)
-// to the serial reference.
-func runComplexAndCompareBits(t testing.TB, an *etree.Analysis, lu *factor.LU,
-	ref *zselinv.Result, grid *procgrid.Grid, scheme core.Scheme,
-	balancer core.Balancer, dag bool) {
+// runComplex runs the parallel engine on one plan and snapshots its blocks
+// (the interleaved complex storage).
+func runComplex(t testing.TB, an *etree.Analysis, lu *factor.LU, grid *procgrid.Grid,
+	scheme core.Scheme, balancer core.Balancer, dag bool) map[blockmat.Key][]float64 {
 	t.Helper()
 	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{
 		Scheme: scheme, Seed: 1, Symmetric: false, Balancer: balancer,
@@ -60,61 +61,102 @@ func runComplexAndCompareBits(t testing.TB, an *etree.Analysis, lu *factor.LU,
 	if cerr := res.World.CheckConservation(); cerr != nil {
 		t.Fatalf("grid %v scheme %v: %v", grid, scheme, cerr)
 	}
-	if got, want := res.Ainv.NumBlocks(), len(ref.Ainv); got != want {
-		t.Fatalf("grid %v scheme %v: %d blocks computed, want %d", grid, scheme, got, want)
+	out := map[blockmat.Key][]float64{}
+	res.Ainv.Range(func(key blockmat.Key, b *dense.Matrix) {
+		if b.Elem != dense.Complex {
+			t.Fatalf("block (%d,%d) is %v, want Complex", key.I, key.J, b.Elem)
+		}
+		out[key] = append([]float64(nil), b.Data...)
+	})
+	return out
+}
+
+// requireComplexParity compares a run snapshot with the serial reference:
+// word for word on bits when exact, within 1e-9 otherwise.
+func requireComplexParity(t testing.TB, label string, ref *zselinv.Result,
+	got map[blockmat.Key][]float64, exact bool) {
+	t.Helper()
+	if len(got) != len(ref.Ainv) {
+		t.Fatalf("%s: %d blocks computed, want %d", label, len(got), len(ref.Ainv))
 	}
-	for key, want := range ref.Ainv {
-		got, ok := res.Ainv.Get(key.I, key.J)
+	for key := range got {
+		want, ok := ref.Block(key.I, key.J)
 		if !ok {
-			t.Fatalf("grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
+			t.Fatalf("%s: block (%d,%d) absent from the reference", label, key.I, key.J)
 		}
-		if got.Elem != dense.Complex {
-			t.Fatalf("block (%d,%d) is %v, want Complex", key.I, key.J, got.Elem)
-		}
-		if len(got.Data) != len(want.Data) {
-			t.Fatalf("block (%d,%d): payload %d words, want %d", key.I, key.J, len(got.Data), len(want.Data))
+		g := got[key]
+		if len(g) != len(want.Data) {
+			t.Fatalf("%s: block (%d,%d): payload %d words, want %d", label, key.I, key.J, len(g), len(want.Data))
 		}
 		for x := range want.Data {
-			if math.Float64bits(got.Data[x]) != math.Float64bits(want.Data[x]) {
-				t.Fatalf("grid %v scheme %v balancer %v dag %v: block (%d,%d) word %d: %x != %x — not bit-identical",
-					grid, scheme, balancer, dag, key.I, key.J, x,
-					math.Float64bits(got.Data[x]), math.Float64bits(want.Data[x]))
+			if exact && math.Float64bits(g[x]) != math.Float64bits(want.Data[x]) {
+				t.Fatalf("%s: block (%d,%d) word %d: %x != %x — not bit-identical",
+					label, key.I, key.J, x, math.Float64bits(g[x]), math.Float64bits(want.Data[x]))
+			}
+			if d := math.Abs(g[x] - want.Data[x]); !(d <= 1e-9) {
+				t.Fatalf("%s: block (%d,%d) word %d off by %g", label, key.I, key.J, x, d)
 			}
 		}
 	}
 }
 
-// TestComplexParallelBitIdenticalToSerial is the headline parity matrix:
-// P ∈ {1, 4} × {flat, binary, shifted} × {cyclic, work}.
-func TestComplexParallelBitIdenticalToSerial(t *testing.T) {
+// requireSameBits asserts two run snapshots of one plan are bit-identical.
+func requireSameBits(t testing.TB, label string, a, b map[blockmat.Key][]float64) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d blocks vs %d", label, len(a), len(b))
+	}
+	for key, av := range a {
+		bv := b[key]
+		if len(av) != len(bv) {
+			t.Fatalf("%s: block (%d,%d) sizes differ", label, key.I, key.J)
+		}
+		for x := range av {
+			if math.Float64bits(av[x]) != math.Float64bits(bv[x]) {
+				t.Fatalf("%s: block (%d,%d) word %d not bit-identical", label, key.I, key.J, x)
+			}
+		}
+	}
+}
+
+// TestComplexParallelMatchesSerial is the headline parity matrix:
+// P ∈ {1, 4} × {flat, binary, shifted} × {cyclic, work}, bit-exact on one
+// rank and within tolerance on four.
+func TestComplexParallelMatchesSerial(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 3)
 	an, lu, ref := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(0.5, 1.5))
 	for _, dims := range [][2]int{{1, 1}, {2, 2}} {
 		grid := procgrid.New(dims[0], dims[1])
 		for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
 			for _, bal := range []core.Balancer{core.CyclicBalancer, core.WorkBalancer} {
-				runComplexAndCompareBits(t, an, lu, ref, grid, scheme, bal, false)
+				got := runComplex(t, an, lu, grid, scheme, bal, false)
+				requireComplexParity(t, grid.String()+" "+scheme.Slug()+" "+bal.Slug(), ref, got, grid.Size() == 1)
 			}
 		}
 	}
 }
 
-// TestComplexParallelDagBitIdentical repeats the parity check with the
-// task-DAG scheduler enabled and the worker pool genuinely concurrent.
+// TestComplexParallelDagBitIdentical repeats the check with the task-DAG
+// scheduler enabled and the worker pool genuinely concurrent: the DAG run
+// must equal the sequential run of the same plan bit for bit.
 func TestComplexParallelDagBitIdentical(t *testing.T) {
 	dense.SetWorkers(4)
 	defer dense.SetWorkers(0)
 	g := sparse.Grid2D(6, 6, 4)
 	an, lu, ref := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(-0.25, 2))
 	for _, dims := range [][2]int{{1, 1}, {2, 2}} {
+		grid := procgrid.New(dims[0], dims[1])
 		for _, bal := range []core.Balancer{core.CyclicBalancer, core.WorkBalancer} {
-			runComplexAndCompareBits(t, an, lu, ref, procgrid.New(dims[0], dims[1]),
-				core.ShiftedBinaryTree, bal, true)
+			label := grid.String() + " " + bal.Slug()
+			seq := runComplex(t, an, lu, grid, core.ShiftedBinaryTree, bal, false)
+			dag := runComplex(t, an, lu, grid, core.ShiftedBinaryTree, bal, true)
+			requireSameBits(t, label+" dag vs sequential", seq, dag)
+			requireComplexParity(t, label+" dag", ref, dag, grid.Size() == 1)
 		}
 	}
 }
 
-// TestComplexMatrixZoo runs the bit-parity check across matrix families
+// TestComplexMatrixZoo runs the parity check across matrix families
 // (banded, 3-D grid, random symmetric pattern, DG) on the 2×2 grid.
 func TestComplexMatrixZoo(t *testing.T) {
 	for _, g := range []*sparse.Generated{
@@ -124,14 +166,14 @@ func TestComplexMatrixZoo(t *testing.T) {
 		sparse.DG2D(3, 3, 3, 4),
 	} {
 		an, lu, ref := prepComplex(t, g, etree.Options{Relax: 1, MaxWidth: 8}, complex(1, 2))
-		runComplexAndCompareBits(t, an, lu, ref, procgrid.New(2, 2), core.ShiftedBinaryTree,
-			core.CyclicBalancer, false)
+		got := runComplex(t, an, lu, procgrid.New(2, 2), core.ShiftedBinaryTree, core.CyclicBalancer, false)
+		requireComplexParity(t, g.Name, ref, got, false)
 	}
 }
 
 // TestComplexChaosSweep runs the seeded delivery adversary against a
-// complex engine: deterministic mode is forced for complex runs, so every
-// seed must reproduce the unperturbed baseline bit for bit.
+// complex engine: every seed must reproduce the unperturbed baseline bit
+// for bit.
 func TestComplexChaosSweep(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 3)
 	an, lu, _ := prepComplex(t, g, etree.Options{Relax: 2, MaxWidth: 6}, complex(0.5, 1))

@@ -8,17 +8,18 @@
 // goroutine, so simmpi delivery order, the chaos adversary's decisions and
 // the conservation counters are identical to sequential mode.
 //
-// Determinism: DAG mode forces the engine's deterministic reductions
-// (Engine.deterministic), so every concurrent task writes a private
-// canonical slot and the slots are combined in a fixed order on the rank
-// goroutine. The floating-point result is therefore byte-identical to
-// sequential deterministic mode under any pool schedule — the property
+// Determinism: every reduction folds in a fixed order (see redState): a
+// task writes either the reduction's sum — the rank's lowest slot, which
+// nothing else touches until it is done — or a private scratch matrix, and
+// the rank goroutine adds the scratches in ascending slot order as their
+// turn comes. The floating-point result is therefore byte-identical to a
+// sequential run of the same plan under any pool schedule — the property
 // the DAG golden and chaos tests pin.
 //
 // Scheduler invariants:
 //   - task.run is pure compute into memory no other task aliases (a
-//     private slot matrix, a fresh L̂/Û/A⁻¹ block); it may run on any
-//     goroutine.
+//     reduction's sum or scratch matrix, a fresh L̂/Û/A⁻¹ block); it may
+//     run on any goroutine.
 //   - task.done runs on the rank goroutine only: it decrements reduction
 //     counters, finalizes blocks, sends messages and submits new tasks.
 //   - completions hand over via a channel sized past the pool's slot
@@ -101,8 +102,8 @@ func (h taskHeap) Less(i, j int) bool {
 	}
 	return h[i].seq < h[j].seq
 }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*dagTask)) }
+func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*dagTask)) }
 func (h *taskHeap) Pop() any {
 	old := *h
 	n := len(old)

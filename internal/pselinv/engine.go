@@ -20,6 +20,7 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"pselinv/internal/blockmat"
@@ -35,11 +36,11 @@ import (
 type blockKey struct{ I, J int }
 
 // gemmDesc is one local matrix product A⁻¹_{J,I}·L̂_{I,K} assigned to a rank.
-// Slot is the task's canonical position among ALL contributions to its
-// reduction — the index of its broadcast operand's block row within the
-// supernode structure C — used by deterministic mode to fold reductions in
-// an order every rank (and every supernode→process mapping) agrees on.
-type gemmDesc struct{ K, I, J, Slot int }
+// Pos is the task's fold position among THIS rank's contributions to its
+// reduction: the rank's contributions are numbered in ascending canonical
+// slot (the index of the broadcast operand's block row within the supernode
+// structure C), the order every reduction folds them in.
+type gemmDesc struct{ K, I, J, Pos int }
 
 // rankProgram is the immutable per-rank role description derived centrally
 // from the communication plan (so that setup cost is proportional to the
@@ -57,8 +58,9 @@ type rankProgram struct {
 	byKI    map[blockKey][]int // (K, I) -> task indices waiting on that broadcast
 	byBlock map[blockKey][]int // (J, I) -> task indices waiting on that A⁻¹ block
 
-	rowLocal  map[blockKey]int // (K, J) -> local GEMM contributions to Row-Reduce
-	diagLocal map[int]int      // K -> local contributions to Diag-Reduce
+	// (K, J) -> local GEMM contributions to Row-Reduce. The local
+	// contributions to Diag-Reduce K are the blocks of trsmByK[K].
+	rowLocal map[blockKey]int
 
 	// Asymmetric (general) path only:
 	trsmUByK   map[int][]int      // K -> block cols I of owned U blocks to normalize
@@ -90,26 +92,11 @@ type Engine struct {
 	// Chaos, when non-nil, installs a seeded delivery adversary
 	// (internal/chaos) on each run's world.
 	Chaos *chaos.Config
-	// Deterministic makes the floating-point result independent of message
-	// delivery order, tree scheme AND supernode→process mapping: every
-	// reduction contribution is identified by a globally canonical slot
-	// (its block-row index within the supernode structure), non-root tree
-	// nodes forward their held slots verbatim — no partial summation — and
-	// the root folds the complete slot set in ascending order. Runs with
-	// the same inputs are then bit-exact regardless of scheduling, and two
-	// runs that differ only in balancer, scheme or grid produce identical
-	// bytes — the property the chaos sweep and the cross-balancer parity
-	// tests compare against. Costs one scratch matrix per in-flight
-	// contribution instead of one per reduction, and reduce messages carry
-	// slot payloads instead of partial sums (larger on the wire: a testing
-	// mode, not the measured configuration).
-	Deterministic bool
 	// DAG schedules each rank's TRSM/GEMM-sized compute as a task DAG on
 	// the shared dense worker pool (see dag.go), overlapping it with the
-	// tree collectives that stay on the rank goroutine. DAG mode implies
-	// deterministic reductions — concurrent tasks each write a private
-	// canonical slot — so its result is byte-identical to a sequential
-	// run with Deterministic set.
+	// tree collectives that stay on the rank goroutine. The reductions fold
+	// in the same fixed order either way (see redState), so a DAG run is
+	// byte-identical to a sequential run of the same plan.
 	DAG bool
 	// Transport, when non-nil, supplies the communication substrate for
 	// each Run (the default is the in-process goroutine transport). The
@@ -126,15 +113,14 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 	progs := make([]*rankProgram, p)
 	for r := range progs {
 		progs[r] = &rankProgram{
-			trsmByK:   map[int][]int{},
-			byKI:      map[blockKey][]int{},
-			byBlock:   map[blockKey][]int{},
-			rowLocal:  map[blockKey]int{},
-			diagLocal: map[int]int{},
-			trsmUByK:  map[int][]int{},
-			byKIU:     map[blockKey][]int{},
-			byBlockU:  map[blockKey][]int{},
-			colLocal:  map[blockKey]int{},
+			trsmByK:  map[int][]int{},
+			byKI:     map[blockKey][]int{},
+			byBlock:  map[blockKey][]int{},
+			rowLocal: map[blockKey]int{},
+			trsmUByK: map[int][]int{},
+			byKIU:    map[blockKey][]int{},
+			byBlockU: map[blockKey][]int{},
+			colLocal: map[blockKey]int{},
 		}
 	}
 	grid := plan.Owners
@@ -185,24 +171,19 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 		for _, part := range tr.Participants() {
 			progs[part].expect2 += len(tr.Children(part))
 		}
-		// GEMM tasks and local reduce contribution counts. A task's Slot is
-		// the canonical index of its broadcast operand's block row within C —
-		// a GLOBAL identity shared by every rank, not a per-rank counter —
-		// so the deterministic fold order is a property of the pattern alone,
-		// independent of which balancer distributed the work.
-		for ci, i := range sp.C {
+		// GEMM tasks and local reduce contribution counts. I ascends, so the
+		// running per-rank count of a reduction's tasks is each task's fold
+		// position.
+		for _, i := range sp.C {
 			for _, j := range sp.C {
 				owner := grid.OwnerOfBlock(j, i)
 				pr := progs[owner]
 				ti := len(pr.tasks)
-				pr.tasks = append(pr.tasks, gemmDesc{K: k, I: i, J: j, Slot: ci})
+				pr.tasks = append(pr.tasks, gemmDesc{K: k, I: i, J: j, Pos: pr.rowLocal[blockKey{k, j}]})
 				pr.byKI[blockKey{k, i}] = append(pr.byKI[blockKey{k, i}], ti)
 				pr.byBlock[blockKey{j, i}] = append(pr.byBlock[blockKey{j, i}], ti)
 				pr.rowLocal[blockKey{k, j}]++
 			}
-		}
-		for _, j := range sp.C {
-			progs[grid.OwnerOfBlock(j, k)].diagLocal[k]++
 		}
 		if !plan.Symmetric {
 			// Pass 1: row broadcast of the diagonal factor and Û TRSMs.
@@ -235,12 +216,12 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 					progs[part].expect2 += len(tr.Children(part))
 				}
 			}
-			for ci, i := range sp.C {
+			for _, i := range sp.C {
 				for _, j := range sp.C {
 					owner := grid.OwnerOfBlock(i, j)
 					pr := progs[owner]
 					ti := len(pr.tasksU)
-					pr.tasksU = append(pr.tasksU, gemmDesc{K: k, I: i, J: j, Slot: ci})
+					pr.tasksU = append(pr.tasksU, gemmDesc{K: k, I: i, J: j, Pos: pr.colLocal[blockKey{k, j}]})
 					pr.byKIU[blockKey{k, i}] = append(pr.byKIU[blockKey{k, i}], ti)
 					pr.byBlockU[blockKey{i, j}] = append(pr.byBlockU[blockKey{i, j}], ti)
 					pr.colLocal[blockKey{k, j}]++
@@ -251,16 +232,8 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 	return &Engine{Plan: plan, LU: lu, programs: progs, heights: core.SnodeHeights(plan.BP.SnParent)}
 }
 
-// deterministic reports whether this run uses canonical-slot reductions:
-// requested explicitly, or forced by DAG mode, whose concurrent tasks
-// rely on private slots for both race-freedom and bit-exactness.
-func (e *Engine) deterministic() bool { return e.Deterministic || e.DAG || e.elem() == dense.Complex }
-
 // elem returns the element type of the bound factorization (Real for an
-// unbound plan template). Complex runs always use canonical-slot
-// reductions: the parity contract against the serial reference demands
-// delivery-order independence, and every rank derives the same answer from
-// its own LU, so the wire format stays consistent across processes.
+// unbound plan template).
 func (e *Engine) elem() dense.Elem {
 	if e.LU != nil {
 		return e.LU.Elem
@@ -274,8 +247,8 @@ func (e *Engine) elem() dense.Elem {
 // receiver; they are immutable during runs, so rebound engines may run
 // concurrently with each other and with the original. This is the warm path
 // of a plan cache: same sparsity pattern, new values. Trace, Observer,
-// Chaos, Deterministic and DAG are reset on the copy so per-run
-// instrumentation and execution modes never leak between requests.
+// Chaos and DAG are reset on the copy so per-run instrumentation and
+// execution modes never leak between requests.
 func (e *Engine) Rebind(lu *factor.LU) *Engine {
 	return &Engine{Plan: e.Plan, LU: lu, programs: e.programs, heights: e.heights}
 }
@@ -336,9 +309,10 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 }
 
 // RunWorld executes the two passes on a caller-supplied world (with any
-// adversary already installed) and gathers the result. On error the world
-// is NOT closed, so the caller can take a chaos.Snapshot of the stuck ranks
-// and in-flight messages before closing it.
+// adversary already installed) and gathers the result. On a timeout the
+// world is NOT closed, so the caller can take a chaos.Snapshot of the stuck
+// ranks and in-flight messages before closing it. A malformed reduce message
+// (see reduceError) closes the world and fails the run at once.
 //
 // With a distributed transport underneath the world (one rank per
 // process), only the world's local ranks execute and the result gathers
@@ -352,8 +326,21 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	}
 	states := make([]*rankState, world.P)
 	scheme := e.Plan.Scheme.String()
+	// A malformed reduce message fails the run with the detecting rank's
+	// reduceError: that rank closes the world, which unblocks its peers,
+	// whose own unwinding is then not a second failure.
+	var bad atomic.Pointer[reduceError]
 	start := time.Now()
 	err := world.Run(timeout, func(r *simmpi.Rank) {
+		defer func() {
+			p := recover()
+			if re, ok := p.(*reduceError); ok && bad.CompareAndSwap(nil, re) {
+				world.Close()
+			}
+			if p != nil && bad.Load() == nil {
+				panic(p)
+			}
+		}()
 		// Label the rank goroutine so CPU profiles (pselinvd -pprof)
 		// attribute samples to simulated ranks and tree schemes.
 		labels := pprof.Labels("pselinv_rank", strconv.Itoa(r.ID), "pselinv_scheme", scheme)
@@ -366,6 +353,9 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 		})
 	})
 	elapsed := time.Since(start)
+	if re := bad.Load(); re != nil {
+		return nil, re
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -391,115 +381,122 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	return &RunResult{Ainv: gathered, World: world, Elapsed: elapsed, Dag: dag}, nil
 }
 
-// redState tracks one in-flight reduction at one rank. sum is arena-backed
-// and becomes nil at completion: ownership moves to the parent's mailbox
-// (non-root), to the finalized ainv block (row/col root), or back to the
-// arena (diag root).
+// redState tracks one in-flight reduction at one rank. Every participant
+// folds the same way: its own contributions in ascending canonical slot
+// (fold positions [0, nlocal)), then its children's partial sums in
+// Tree.Children order (positions [nlocal, n)), and sends the one resulting
+// block to its parent. The bracketing is a property of the plan alone, so
+// the result is bit-identical under any delivery order, chaos seed, DAG pool
+// schedule and transport.
 //
-// In deterministic mode sum stays nil until completion: the slot array has
-// one entry per contribution to the WHOLE reduction (|C| of them, indexed
-// by the contributor's block-row position in the supernode structure), of
-// which this rank holds its local contributions plus whatever its subtree
-// delivered. Non-root ranks forward their held slots verbatim — no
-// floating-point work — and the root, which ends up holding the complete
-// set, folds the slots in ascending index order. The fold bracketing is
-// therefore a property of the pattern alone: independent of arrival order,
-// tree shape, and the supernode→process mapping.
+// A contribution that finishes ahead of its turn waits in parts — a local
+// one in the private scratch matrix its GEMM wrote (the race-freedom
+// concurrent DAG tasks need), a child's payload by reference — and the
+// in-order prefix is folded eagerly. The lowest local slot computes straight
+// into sum, so a rank with a single contribution holds no scratch at all.
+//
+// sum is arena-backed and becomes nil at completion: ownership moves to the
+// parent's mailbox (non-root), to the finalized ainv block (row/col root),
+// or back to the arena (diag root).
 type redState struct {
-	sum          *dense.Matrix
-	slots        []*dense.Matrix // deterministic mode only, sized |C|
-	localPending int
-	childPending int
-	done         bool
+	sum       *dense.Matrix
+	nlocal, n int
+	next      int         // first fold position not yet in sum
+	parts     [][]float64 // by fold position; made on the first out-of-turn arrival
+	done      bool
 }
 
-// slotFor returns the matrix a local contribution with canonical slot si
-// accumulates into: the shared sum normally, a fresh zeroed slot matrix in
-// deterministic mode.
-func (st *rankState) slotFor(red *redState, si, rows, cols int) *dense.Matrix {
-	if !st.e.deterministic() {
-		return red.sum
-	}
-	if red.slots[si] != nil {
-		panic(fmt.Sprintf("pselinv: reduction slot %d filled twice", si))
-	}
-	m := dense.GetMatrixElem(rows, cols, st.elem)
-	red.slots[si] = m
-	return m
+// newRedState builds a reduction's tracking state for a rank with nlocal
+// own contributions and the given number of reduce-tree children.
+func (st *rankState) newRedState(rows, cols, nlocal, children int) *redState {
+	return &redState{sum: dense.GetMatrixElem(rows, cols, st.elem), nlocal: nlocal, n: nlocal + children}
 }
 
-// childArrived merges a child's reduce message. Reduce payloads transfer
-// buffer ownership to the receiver and are recycled here. The default path
-// accumulates the child's partial sum; deterministic mode unpacks the
-// child's slot payload — [count, slot indices..., slot blocks...] — into
-// this rank's slot array, untouched by floating-point arithmetic.
-func (st *rankState) childArrived(red *redState, rows, cols int, data []float64) {
-	if st.e.deterministic() {
-		count := int(data[0])
-		blk := rows * cols * st.ew
-		off := 1 + count
-		for x := 0; x < count; x++ {
-			si := int(data[1+x])
-			if red.slots[si] != nil {
-				panic(fmt.Sprintf("pselinv: reduction slot %d filled twice", si))
-			}
-			m := dense.GetMatrixUninitElem(rows, cols, st.elem)
-			copy(m.Data, data[off:off+blk])
-			red.slots[si] = m
-			off += blk
+// fold takes the finished contribution at fold position pos — nil for the
+// lowest local slot, which is sum itself — and adds it, with any successors
+// already waiting, to sum when its turn has come. It owns data from here on.
+func (red *redState) fold(pos int, data []float64) {
+	if pos != red.next {
+		if red.parts == nil {
+			red.parts = make([][]float64, red.n)
 		}
-		dense.PutBuf(data)
-	} else {
-		addPayload(red.sum, data)
-		dense.PutBuf(data)
-	}
-	red.childPending--
-}
-
-// forwardSlots (deterministic mode, non-root) serializes the held slots —
-// ascending index, no summation — and sends them to the reduce-tree
-// parent: [count, slot indices..., slot blocks...].
-func (st *rankState) forwardSlots(red *redState, parent int, key uint64, class simmpi.Class, rows, cols int) {
-	count := 0
-	for _, m := range red.slots {
-		if m != nil {
-			count++
-		}
-	}
-	blk := rows * cols * st.ew
-	buf := dense.GetBuf(1 + count + count*blk)
-	buf[0] = float64(count)
-	w, off := 1, 1+count
-	for si, m := range red.slots {
-		if m == nil {
-			continue
-		}
-		buf[w] = float64(si)
-		w++
-		copy(buf[off:off+blk], m.Data)
-		off += blk
-		dense.PutBuf(m.Data)
-	}
-	red.slots = nil
-	st.r.Send(parent, key, class, buf)
-}
-
-// combineSlots (deterministic mode, root only) folds the complete slot set
-// in ascending index order into a fresh sum and recycles the slot buffers.
-// No-op otherwise.
-func (st *rankState) combineSlots(red *redState, rows, cols int) {
-	if !st.e.deterministic() {
+		red.parts[pos] = data
 		return
 	}
-	red.sum = dense.GetMatrixElem(rows, cols, st.elem)
-	for si, m := range red.slots {
-		if m == nil {
-			panic(fmt.Sprintf("pselinv: reduction completed with empty slot %d", si))
+	for {
+		if data != nil {
+			addPayload(red.sum, data)
+			dense.PutBuf(data)
 		}
-		addPayload(red.sum, m.Data)
-		dense.PutBuf(m.Data)
+		red.next++
+		if red.parts == nil || red.next == red.n || red.parts[red.next] == nil {
+			return
+		}
+		data, red.parts[red.next] = red.parts[red.next], nil
 	}
-	red.slots = nil
+}
+
+// localOut returns the matrix the local contribution at fold position pos
+// accumulates into: sum for the lowest slot, a zeroed scratch otherwise.
+func (red *redState) localOut(pos int) *dense.Matrix {
+	if pos == 0 {
+		return red.sum
+	}
+	return dense.GetMatrixElem(red.sum.Rows, red.sum.Cols, red.sum.Elem)
+}
+
+// localDone folds a finished local contribution written into out (obtained
+// from localOut for the same pos).
+func (red *redState) localDone(pos int, out *dense.Matrix) {
+	if pos == 0 {
+		red.fold(0, nil)
+		return
+	}
+	data := out.Data
+	out.Data = nil
+	dense.PutMatrix(out) // the header only; fold recycles the buffer
+	red.fold(pos, data)
+}
+
+// reduceError reports a reduce message that cannot belong to the collective
+// its tag names. It fails the run instead of corrupting the fold.
+type reduceError struct {
+	Kind      core.OpKind
+	K, Blk    int
+	Src, Rank int
+	Reason    string
+}
+
+func (e *reduceError) Error() string {
+	return fmt.Sprintf("pselinv: %v K=%d blk=%d: bad payload from rank %d at rank %d: %s",
+		e.Kind, e.K, e.Blk, e.Src, e.Rank, e.Reason)
+}
+
+// childArrived folds a child's partial sum of reduction op. Reduce payloads
+// transfer buffer ownership to the receiver; fold recycles them. The sender
+// must be a child of this rank in op's tree that has not delivered yet, and
+// the payload one block.
+func (st *rankState) childArrived(red *redState, op *core.CollOp, msg simmpi.Message) {
+	pos := -1
+	for x, c := range op.Tree.Children(st.r.ID) {
+		if c == msg.Src {
+			pos = red.nlocal + x
+			break
+		}
+	}
+	var bad string
+	switch {
+	case pos < 0:
+		bad = "sender is not a child of the receiver in the collective's tree"
+	case pos < red.next || red.parts != nil && red.parts[pos] != nil:
+		bad = "second payload from this child"
+	case len(msg.Data) != len(red.sum.Data):
+		bad = fmt.Sprintf("%d words, want a %dx%d %s block", len(msg.Data), red.sum.Rows, red.sum.Cols, st.elem)
+	}
+	if bad != "" {
+		panic(&reduceError{Kind: op.Kind, K: op.K, Blk: op.Blk, Src: msg.Src, Rank: st.r.ID, Reason: bad})
+	}
+	red.fold(pos, msg.Data)
 }
 
 // rankState is the mutable per-rank runtime state.
@@ -527,16 +524,15 @@ type rankState struct {
 	// through the worker-pool task scheduler (see dag.go).
 	sched *dagSched
 
-	// elem/ew cache the factorization's element type and per-entry word
-	// count: every payload and arena request below is sized rows*cols*ew.
+	// elem caches the factorization's element type: every payload and
+	// arena request below is a rows×cols block of it.
 	elem dense.Elem
-	ew   int
 }
 
 func newRankState(e *Engine, r *simmpi.Rank) *rankState {
 	st := &rankState{
 		e: e, r: r, prog: e.programs[r.ID],
-		elem: e.elem(), ew: e.elem().Width(),
+		elem:      e.elem(),
 		lhat:      map[blockKey]*dense.Matrix{},
 		diagFact:  map[int]*dense.Matrix{},
 		ainv:      map[blockKey]*dense.Matrix{},
@@ -804,15 +800,13 @@ func (st *rankState) handle(msg simmpi.Message) {
 		end()
 		st.bcastArrived(k, i, lh)
 	case core.OpRowReduce:
-		// A child's partial sum: accumulate it, then recycle the payload —
-		// reduce sends transfer ownership of their buffer to the receiver.
 		j := blk
 		red := st.getRowRed(k, j)
-		st.childArrived(red, st.width(j), st.width(k), msg.Data)
+		st.childArrived(red, &sp.RowReduces[cIndex(sp.C, j)], msg)
 		st.maybeCompleteRow(k, j, red)
 	case core.OpDiagReduce:
 		red := st.getDiagRed(k)
-		st.childArrived(red, st.width(k), st.width(k), msg.Data)
+		st.childArrived(red, sp.DiagReduce, msg)
 		st.maybeCompleteDiag(k, red)
 	case core.OpSymmSend:
 		// Finalized A⁻¹_{J,K} arrives at the owner of (K, J); mirror it.
@@ -850,7 +844,7 @@ func (st *rankState) handle(msg simmpi.Message) {
 	case core.OpColReduce:
 		j := blk
 		red := st.getColRed(k, j)
-		st.childArrived(red, st.width(k), st.width(j), msg.Data)
+		st.childArrived(red, &sp.ColReduces[cIndex(sp.C, j)], msg)
 		st.maybeCompleteCol(k, j, red)
 	default:
 		panic(fmt.Sprintf("pselinv: unexpected %v message in pass 2", kind))
@@ -883,37 +877,23 @@ func (st *rankState) tryRunU(ti int) {
 	}
 	st.taskUDone[ti] = true
 	red := st.getColRed(t.K, t.J)
+	out := red.localOut(t.Pos)
 	if st.sched != nil {
-		out := st.slotFor(red, t.Slot, st.width(t.K), st.width(t.J))
 		st.sched.submit(t.K, "gemm-u",
 			st.sched.depf("bcast-u(%d,%d) ainv(%d,%d)", t.K, t.I, t.I, t.J),
 			func() {
 				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
 			}, func() {
-				red.localPending--
+				red.localDone(t.Pos, out)
 				st.maybeCompleteCol(t.K, t.J, red)
 			})
 		return
 	}
 	end := st.e.Trace.Span(st.r.ID, "gemm-u", t.K)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1,
-		st.slotFor(red, t.Slot, st.width(t.K), st.width(t.J)))
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
 	end()
-	red.localPending--
+	red.localDone(t.Pos, out)
 	st.maybeCompleteCol(t.K, t.J, red)
-}
-
-// newRedState builds a reduction's tracking state: the shared sum in the
-// default mode, the empty canonical slot array — one entry per global
-// contribution — in deterministic mode.
-func (st *rankState) newRedState(rows, cols, local, children, nslots int) *redState {
-	red := &redState{localPending: local, childPending: children}
-	if st.e.deterministic() {
-		red.slots = make([]*dense.Matrix, nslots)
-	} else {
-		red.sum = dense.GetMatrixElem(rows, cols, st.elem)
-	}
-	return red
 }
 
 func (st *rankState) getColRed(k, j int) *redState {
@@ -923,7 +903,7 @@ func (st *rankState) getColRed(k, j int) *redState {
 	}
 	sp := st.e.Plan.Snodes[k]
 	tr := sp.ColReduces[cIndex(sp.C, j)].Tree
-	red := st.newRedState(st.width(k), st.width(j), st.prog.colLocal[key], len(tr.Children(st.r.ID)), len(sp.C))
+	red := st.newRedState(st.width(k), st.width(j), st.prog.colLocal[key], len(tr.Children(st.r.ID)))
 	st.colRed[key] = red
 	return red
 }
@@ -931,7 +911,7 @@ func (st *rankState) getColRed(k, j int) *redState {
 // maybeCompleteCol sends a finished upper partial sum up the reduce tree,
 // or — at the root, the owner of (K,J) — finalizes A⁻¹_{K,J} = −Σ.
 func (st *rankState) maybeCompleteCol(k, j int, red *redState) {
-	if red.done || red.localPending > 0 || red.childPending > 0 {
+	if red.done || red.next < red.n {
 		return
 	}
 	red.done = true
@@ -940,18 +920,12 @@ func (st *rankState) maybeCompleteCol(k, j int, red *redState) {
 	end := st.collSpan("col-reduce", k, op.Tree)
 	me := st.r.ID
 	if me != op.Tree.Root {
-		if st.e.deterministic() {
-			st.forwardSlots(red, op.Tree.Parent(me), op.Key(), simmpi.ClassColReduce,
-				st.width(k), st.width(j))
-		} else {
-			// The buffer travels up the tree; the parent recycles it.
-			st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassColReduce, red.sum.Data)
-			red.sum = nil
-		}
+		// The buffer travels up the tree; the parent recycles it.
+		st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassColReduce, red.sum.Data)
+		red.sum = nil
 		end()
 		return
 	}
-	st.combineSlots(red, st.width(k), st.width(j))
 	m := red.sum
 	red.sum = nil // ownership moves to ainv (released via RunResult.Release)
 	m.Scale(-1)
@@ -977,26 +951,29 @@ func (st *rankState) tryDiagContribAsym(k, j int) {
 		return
 	}
 	st.diagTDone[key] = true
-	sp := st.e.Plan.Snodes[k]
-	slot := cIndex(sp.C, j)
 	red := st.getDiagRed(k)
+	pos := st.diagPos(k, j)
+	out := red.localOut(pos)
 	if st.sched != nil {
-		out := st.slotFor(red, slot, st.width(k), st.width(k))
 		st.sched.submit(k, "gemm",
 			st.sched.depf("bcast-u(%d,%d) ainv(%d,%d)", k, j, j, k),
 			func() {
 				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
 			}, func() {
-				red.localPending--
+				red.localDone(pos, out)
 				st.maybeCompleteDiag(k, red)
 			})
 		return
 	}
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1,
-		st.slotFor(red, slot, st.width(k), st.width(k)))
-	red.localPending--
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
+	red.localDone(pos, out)
 	st.maybeCompleteDiag(k, red)
 }
+
+// diagPos returns the fold position of this rank's Diag-Reduce
+// contribution for block row j of supernode k: the rank contributes once
+// per owned block (J,K), and trsmByK lists those ascending.
+func (st *rankState) diagPos(k, j int) int { return cIndex(st.prog.trsmByK[k], j) }
 
 // bcastArrived records L̂_{I,K} and fires any GEMM whose A⁻¹ operand is
 // already final.
@@ -1037,23 +1014,22 @@ func (st *rankState) tryRun(ti int) {
 	}
 	st.taskDone[ti] = true
 	red := st.getRowRed(t.K, t.J)
+	out := red.localOut(t.Pos)
 	if st.sched != nil {
-		out := st.slotFor(red, t.Slot, st.width(t.J), st.width(t.K))
 		st.sched.submit(t.K, "gemm",
 			st.sched.depf("bcast(%d,%d) ainv(%d,%d)", t.K, t.I, t.J, t.I),
 			func() {
 				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1, out)
 			}, func() {
-				red.localPending--
+				red.localDone(t.Pos, out)
 				st.maybeCompleteRow(t.K, t.J, red)
 			})
 		return
 	}
 	end := st.e.Trace.Span(st.r.ID, "gemm", t.K)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1,
-		st.slotFor(red, t.Slot, st.width(t.J), st.width(t.K)))
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1, out)
 	end()
-	red.localPending--
+	red.localDone(t.Pos, out)
 	st.maybeCompleteRow(t.K, t.J, red)
 }
 
@@ -1064,7 +1040,7 @@ func (st *rankState) getRowRed(k, j int) *redState {
 	}
 	sp := st.e.Plan.Snodes[k]
 	tr := sp.RowReduces[cIndex(sp.C, j)].Tree
-	red := st.newRedState(st.width(j), st.width(k), st.prog.rowLocal[key], len(tr.Children(st.r.ID)), len(sp.C))
+	red := st.newRedState(st.width(j), st.width(k), st.prog.rowLocal[key], len(tr.Children(st.r.ID)))
 	st.rowRed[key] = red
 	return red
 }
@@ -1073,9 +1049,8 @@ func (st *rankState) getDiagRed(k int) *redState {
 	if red, ok := st.diagRed[k]; ok {
 		return red
 	}
-	sp := st.e.Plan.Snodes[k]
-	tr := sp.DiagReduce.Tree
-	red := st.newRedState(st.width(k), st.width(k), st.prog.diagLocal[k], len(tr.Children(st.r.ID)), len(sp.C))
+	tr := st.e.Plan.Snodes[k].DiagReduce.Tree
+	red := st.newRedState(st.width(k), st.width(k), len(st.prog.trsmByK[k]), len(tr.Children(st.r.ID)))
 	st.diagRed[k] = red
 	return red
 }
@@ -1084,7 +1059,7 @@ func (st *rankState) getDiagRed(k int) *redState {
 // the root — finalizes A⁻¹_{J,K} and triggers the mirror send and the
 // diagonal contribution.
 func (st *rankState) maybeCompleteRow(k, j int, red *redState) {
-	if red.done || red.localPending > 0 || red.childPending > 0 {
+	if red.done || red.next < red.n {
 		return
 	}
 	red.done = true
@@ -1093,19 +1068,13 @@ func (st *rankState) maybeCompleteRow(k, j int, red *redState) {
 	end := st.collSpan("row-reduce", k, op.Tree)
 	me := st.r.ID
 	if me != op.Tree.Root {
-		if st.e.deterministic() {
-			st.forwardSlots(red, op.Tree.Parent(me), op.Key(), simmpi.ClassRowReduce,
-				st.width(j), st.width(k))
-		} else {
-			// The buffer travels up the tree; the parent recycles it.
-			st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassRowReduce, red.sum.Data)
-			red.sum = nil
-		}
+		// The buffer travels up the tree; the parent recycles it.
+		st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassRowReduce, red.sum.Data)
+		red.sum = nil
 		end()
 		return
 	}
 	// Root: A⁻¹_{J,K} = −(accumulated sum).
-	st.combineSlots(red, st.width(j), st.width(k))
 	m := red.sum
 	red.sum = nil // ownership moves to ainv (released via RunResult.Release)
 	m.Scale(-1)
@@ -1128,30 +1097,29 @@ func (st *rankState) maybeCompleteRow(k, j int, red *redState) {
 	if !ok {
 		panic(fmt.Sprintf("pselinv: row-reduce root %d lacks L̂(%d,%d)", me, j, k))
 	}
-	slot := cIndex(sp.C, j)
 	dred := st.getDiagRed(k)
+	pos := st.diagPos(k, j)
+	out := dred.localOut(pos)
 	if st.sched != nil {
-		out := st.slotFor(dred, slot, st.width(k), st.width(k))
 		st.sched.submit(k, "gemm",
 			st.sched.depf("lhat(%d,%d) rowred(%d,%d)", j, k, k, j),
 			func() {
 				dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1, out)
 			}, func() {
-				dred.localPending--
+				dred.localDone(pos, out)
 				st.maybeCompleteDiag(k, dred)
 			})
 		return
 	}
-	dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1,
-		st.slotFor(dred, slot, st.width(k), st.width(k)))
-	dred.localPending--
+	dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1, out)
+	dred.localDone(pos, out)
 	st.maybeCompleteDiag(k, dred)
 }
 
 // maybeCompleteDiag sends a finished diagonal partial sum up the tree, or —
 // at the root — finalizes A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
 func (st *rankState) maybeCompleteDiag(k int, red *redState) {
-	if red.done || red.localPending > 0 || red.childPending > 0 {
+	if red.done || red.next < red.n {
 		return
 	}
 	red.done = true
@@ -1159,18 +1127,12 @@ func (st *rankState) maybeCompleteDiag(k int, red *redState) {
 	endColl := st.collSpan("diag-reduce", k, op.Tree)
 	me := st.r.ID
 	if me != op.Tree.Root {
-		if st.e.deterministic() {
-			st.forwardSlots(red, op.Tree.Parent(me), op.Key(), simmpi.ClassDiagReduce,
-				st.width(k), st.width(k))
-		} else {
-			// The buffer travels up the tree; the parent recycles it.
-			st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassDiagReduce, red.sum.Data)
-			red.sum = nil
-		}
+		// The buffer travels up the tree; the parent recycles it.
+		st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassDiagReduce, red.sum.Data)
+		red.sum = nil
 		endColl()
 		return
 	}
-	st.combineSlots(red, st.width(k), st.width(k))
 	endColl()
 	if st.sched != nil {
 		sum := red.sum

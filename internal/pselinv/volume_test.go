@@ -1,49 +1,130 @@
 package pselinv
 
 import (
+	"fmt"
 	"testing"
 
 	"pselinv/internal/core"
 	"pselinv/internal/etree"
+	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 )
 
-// classOf maps plan op kinds to the engine's accounting classes.
+// classOf maps every plan op kind to the engine's accounting class. The
+// general path's pass-1 row broadcast is accounted with the column
+// broadcast, and its Û cross-sends with the L̂ ones.
 var classOf = map[core.OpKind]simmpi.Class{
-	core.OpDiagBcast:  simmpi.ClassDiagBcast,
-	core.OpCrossSend:  simmpi.ClassCrossSend,
-	core.OpColBcast:   simmpi.ClassColBcast,
-	core.OpRowReduce:  simmpi.ClassRowReduce,
-	core.OpDiagReduce: simmpi.ClassDiagReduce,
-	core.OpSymmSend:   simmpi.ClassSymmSend,
+	core.OpDiagBcast:    simmpi.ClassDiagBcast,
+	core.OpDiagBcastRow: simmpi.ClassDiagBcast,
+	core.OpCrossSend:    simmpi.ClassCrossSend,
+	core.OpCrossSendU:   simmpi.ClassCrossSend,
+	core.OpColBcast:     simmpi.ClassColBcast,
+	core.OpRowBcast:     simmpi.ClassRowBcast,
+	core.OpRowReduce:    simmpi.ClassRowReduce,
+	core.OpColReduce:    simmpi.ClassColReduce,
+	core.OpDiagReduce:   simmpi.ClassDiagReduce,
+	core.OpSymmSend:     simmpi.ClassSymmSend,
+}
+
+// requireVolumesMatchPlan asserts that the executed traffic IS the plan:
+// for every class and every rank, bytes sent and bytes received equal the
+// plan's one-block-per-edge count over the op kinds of that class, scaled
+// by the element width ew (the plan counts real words).
+func requireVolumesMatchPlan(t *testing.T, label string, plan *core.Plan, w *simmpi.World, ew int) {
+	t.Helper()
+	wantSent := map[simmpi.Class][]int64{}
+	wantRecv := map[simmpi.Class][]int64{}
+	for kind, class := range classOf {
+		if wantSent[class] == nil {
+			wantSent[class] = make([]int64, w.P)
+			wantRecv[class] = make([]int64, w.P)
+		}
+		sent, recv := plan.PerRankSent(kind), plan.PerRankRecv(kind)
+		for r := 0; r < w.P; r++ {
+			wantSent[class][r] += sent[r] * int64(ew)
+			wantRecv[class][r] += recv[r] * int64(ew)
+		}
+	}
+	for _, class := range simmpi.Classes() {
+		for r := 0; r < w.P; r++ {
+			var ws, wr int64
+			if wantSent[class] != nil {
+				ws, wr = wantSent[class][r], wantRecv[class][r]
+			}
+			if got := w.SentBytes(r, class); got != ws {
+				t.Errorf("%s class %v rank %d: sent %d bytes, plan predicts %d", label, class, r, got, ws)
+			}
+			if got := w.RecvBytes(r, class); got != wr {
+				t.Errorf("%s class %v rank %d: received %d bytes, plan predicts %d", label, class, r, got, wr)
+			}
+		}
+	}
+	// The engine's all-class counter against the analytic sum.
+	for r, total := range plan.PerRankTotalSent() {
+		if got := w.TotalSent(r); got != total*int64(ew) {
+			t.Errorf("%s rank %d: total sent %d, plan predicts %d", label, r, got, total*int64(ew))
+		}
+	}
+	if err := w.CheckConservation(); err != nil {
+		t.Errorf("%s: %v", label, err)
+	}
+}
+
+// volumeMode is one (path, element type) combination of the engine.
+type volumeMode struct {
+	name      string
+	symmetric bool
+	lu        *factor.LU
+}
+
+// volumeModes returns the real symmetric, real general and complex general
+// modes over one analysis.
+func volumeModes(t *testing.T, an *etree.Analysis, lu *factor.LU) []volumeMode {
+	t.Helper()
+	zlu, err := factor.FactorizeShifted(an.A, complex(0.5, 1.5), an.BP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []volumeMode{
+		{"real-symmetric", true, lu},
+		{"real-general", false, lu},
+		{"complex-general", false, zlu},
+	}
 }
 
 // TestMeasuredVolumesMatchPlanExactly cross-validates the executed traffic
-// against the analytic plan: for every operation class, the bytes the
-// engine actually sent between distinct ranks must equal the plan's
-// ExpectedBytes — on several grids and schemes.
+// against the analytic plan on several grids and schemes, in every engine
+// mode: {sequential, DAG} × {real symmetric, real general, complex general}.
 func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
+	withPoolWorkers(t, 4)
 	g := sparse.Grid2D(9, 8, 6)
 	an, lu, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
-	for _, dims := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {5, 3}} {
-		grid := procgrid.New(dims[0], dims[1])
-		for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
-			plan := core.NewPlan(an.BP, grid, scheme, 9)
-			res, err := NewEngine(plan, lu).Run(testTimeout)
-			if err != nil {
-				t.Fatalf("grid %v scheme %v: %v", grid, scheme, err)
-			}
-			for kind, class := range classOf {
-				want := plan.ExpectedBytes(kind)
-				var got int64
-				for r := 0; r < res.World.P; r++ {
-					got += res.World.SentBytes(r, class)
-				}
-				if got != want {
-					t.Errorf("grid %v scheme %v class %v: engine sent %d bytes, plan predicts %d",
-						grid, scheme, class, got, want)
+	for _, mode := range volumeModes(t, an, lu) {
+		for _, dims := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {5, 3}} {
+			grid := procgrid.New(dims[0], dims[1])
+			for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
+				for _, dag := range []bool{false, true} {
+					label := fmt.Sprintf("%s grid %v scheme %v dag=%v", mode.name, grid, scheme, dag)
+					plan := core.NewPlanFull(an.BP, grid, scheme, 9, core.DefaultHybridThreshold, mode.symmetric)
+					eng := NewEngine(plan, mode.lu)
+					eng.DAG = dag
+					res, err := eng.Run(testTimeout)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					requireVolumesMatchPlan(t, label, plan, res.World, mode.lu.Elem.Width())
+					for kind := range classOf {
+						var got int64
+						for _, v := range plan.PerRankSent(kind) {
+							got += v
+						}
+						if want := plan.ExpectedBytes(kind); got != want {
+							t.Errorf("%s kind %v: per-rank sum %d != ExpectedBytes %d", label, kind, got, want)
+						}
+					}
+					res.Release()
 				}
 			}
 		}

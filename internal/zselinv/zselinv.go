@@ -9,12 +9,13 @@
 // The implementation is the serial REFERENCE for the distributed complex
 // engine: it shares the numeric factorization (factor.FactorizeShifted)
 // and the element-generic dense kernels with internal/pselinv, and its
-// second pass reproduces the engine's canonical-slot reduction bracketing
-// exactly — each contribution is computed into its own zeroed slot with a
-// beta=1 GEMM, the slots are folded in ascending structure order, and the
-// fold is negated (off-diagonal) or subtracted from the diagonal inverse —
-// so a deterministic parallel run is bit-identical to this reference for
-// every scheme, balancer and transport.
+// second pass brackets every reduction the way a single engine rank does —
+// each contribution is computed into its own zeroed slot with a beta=1
+// GEMM, the slots are folded in ascending structure order, and the fold is
+// negated (off-diagonal) or subtracted from the diagonal inverse — so a
+// one-rank parallel run is bit-identical to this reference, and a run on
+// several ranks, which brackets the same sums along its reduce trees,
+// agrees with it to rounding.
 package zselinv
 
 import (
@@ -111,9 +112,9 @@ func SelInvFromLU(lu *factor.LU, z complex128) *Result {
 		}
 	}
 
-	// Pass 2, in the engine's canonical bracketing: every contribution
-	// lands in a zeroed slot via a beta=1 GEMM; the root fold adds the
-	// slots in ascending structure order into a zeroed sum.
+	// Pass 2, in a single engine rank's bracketing: every contribution
+	// lands in a zeroed slot via a beta=1 GEMM; the fold adds the slots in
+	// ascending structure order into a zeroed sum.
 	res := &Result{BP: bp, Z: z, Ainv: map[blockKey]*dense.Matrix{}, lu: lu}
 	ainv := res.Ainv
 	for k := ns - 1; k >= 0; k-- {

@@ -245,15 +245,14 @@ type Options struct {
 	// ChaosSeed, when non-zero, installs the deterministic chaos adversary
 	// on every parallel run: per-link message delivery is adversarially
 	// reordered and skewed as a pure function of this seed, so a failing
-	// schedule reproduces exactly from the seed alone. Deterministic
-	// (canonical-order) reductions are forced so the result stays
-	// bit-identical to an unperturbed run.
+	// schedule reproduces exactly from the seed alone. The result stays
+	// bit-identical to an unperturbed run of the same plan.
 	ChaosSeed uint64
 	// DAG enables intra-rank task-DAG execution on parallel runs: each
 	// rank's TRSM/GEMM-sized updates are scheduled onto the shared dense
 	// kernel worker pool and overlapped with the tree collectives, which
-	// stay on the rank goroutine. Deterministic reductions are implied, so
-	// the result is byte-identical to a sequential deterministic run.
+	// stay on the rank goroutine. The result is byte-identical to a
+	// sequential run of the same plan.
 	DAG bool
 	// CoresPerNode is the rank→node packing consumed by the
 	// topology-aware schemes (TopoShiftedTree, BineTree); 0 uses the
@@ -839,7 +838,6 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, rec *trace.
 	}
 	if s.opt.ChaosSeed != 0 {
 		eng.Chaos = &chaos.Config{Seed: s.opt.ChaosSeed}
-		eng.Deterministic = true
 	}
 	eng.DAG = s.opt.DAG
 	res, err := eng.Run(s.opt.Timeout)

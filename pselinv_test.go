@@ -3,6 +3,7 @@ package pselinv
 import (
 	"bytes"
 	"math"
+	"sort"
 	"testing"
 
 	"pselinv/internal/dense"
@@ -111,31 +112,98 @@ func TestParallelMatchesSequentialPublicAPI(t *testing.T) {
 }
 
 // TestChaosSeedOptionPublicAPI checks the chaos wiring end to end through
-// the public API: a run under the seeded adversary must still match the
-// sequential reference (deterministic-reduction mode is forced, so the
-// numerics are schedule-independent).
+// the public API on the default path (real, symmetric, no DAG): the
+// unperturbed run matches the sequential reference, and a run under each
+// of 8 adversary seeds reproduces the unperturbed run bit for bit — a
+// reduction's fold order is a property of the plan, not of delivery.
 func TestChaosSeedOptionPublicAPI(t *testing.T) {
-	m := Grid2D(7, 6, 4)
-	sys, err := NewSystem(m, Options{ChaosSeed: 77})
+	// Narrow supernodes give reductions of three and more contributions
+	// per rank, where the order of the additions shows in the last bit.
+	m := Grid2D(12, 12, 4)
+	sys, err := NewSystem(m, Options{MaxWidth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	seq, _ := sys.SelInv()
-	par, err := sys.ParallelSelInv(9, ShiftedBinaryTree, 5)
+	base, err := sys.ParallelSelInv(9, ShiftedBinaryTree, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := m.gen.A
-	for j := 0; j < a.N; j++ {
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			i := a.RowIdx[k]
-			sv, _ := seq.Entry(i, j)
-			pv, ok := par.Entry(i, j)
-			if !ok || math.Abs(sv-pv) > 1e-9 {
-				t.Fatalf("entry (%d,%d) chaos %g vs sequential %g", i, j, pv, sv)
+	// eachEntry visits the pattern of A, which the selected inverse covers.
+	eachEntry := func(f func(i, j int)) {
+		a := m.gen.A
+		for j := 0; j < a.N; j++ {
+			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+				f(a.RowIdx[k], j)
 			}
 		}
 	}
+	eachEntry(func(i, j int) {
+		sv, _ := seq.Entry(i, j)
+		bv, ok := base.Entry(i, j)
+		if !ok || math.Abs(sv-bv) > 1e-9 {
+			t.Fatalf("entry (%d,%d) parallel %g vs sequential %g", i, j, bv, sv)
+		}
+	})
+	for seed := uint64(70); seed < 78; seed++ {
+		sys.SetChaosSeed(seed)
+		par, err := sys.ParallelSelInv(9, ShiftedBinaryTree, 5)
+		if err != nil {
+			t.Fatalf("chaos seed %d: %v", seed, err)
+		}
+		eachEntry(func(i, j int) {
+			bv, _ := base.Entry(i, j)
+			pv, ok := par.Entry(i, j)
+			if !ok || math.Float64bits(pv) != math.Float64bits(bv) {
+				t.Fatalf("chaos seed %d: entry (%d,%d) = %g, unperturbed run has %g — not bit-identical", seed, i, j, pv, bv)
+			}
+		})
+	}
+}
+
+// TestFlagshipComplexDagVolumes runs one pole of the flagship PEXSI
+// configuration (DG2D 16×16×4, P=16, shifted trees, complex shift, DAG
+// scheduler — the benchmark's pexsi_z16_p16 plan) through the public API and
+// pins what its reductions put on the wire: one block per tree edge, so the
+// heaviest Row-Reduce receiver gets exactly the plan's 303,360 bytes (a
+// tree gather of unsummed contributions would deliver 454,264). With -v it
+// prints the per-class volume table of EXPERIMENTS.md "One block per edge".
+func TestFlagshipComplexDagVolumes(t *testing.T) {
+	m := DG2D(16, 16, 4, 1)
+	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sym.FactorizeShifted(m, complex(0, 0.3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetDAG(true)
+	res, _, rep, err := sys.ParallelSelInvObserved(16, ShiftedBinaryTree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	maxRecv := 0.0
+	for _, v := range res.RowReduceRecvMB() {
+		maxRecv = math.Max(maxRecv, v)
+	}
+	if maxRecv != 0.303360 {
+		t.Errorf("max per-rank Row-Reduce received %.6f MB, want the plan's 0.303360", maxRecv)
+	}
+	classes := rep.ClassSentBytes()
+	names := make([]string, 0, len(classes))
+	var total int64
+	for name, b := range classes {
+		names = append(names, name)
+		total += b
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		t.Logf("%-12s %9.6f MB", name, float64(classes[name])/1e6)
+	}
+	t.Logf("%-12s %9.6f MB, heaviest sender %.6f MB, heaviest Row-Reduce receiver %.6f MB",
+		"total", float64(total)/1e6, res.MaxSentMB(), maxRecv)
 }
 
 func TestParallelVolumesExposed(t *testing.T) {
