@@ -3,11 +3,11 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 bench bench-gemm bench-baseline bench-gate \
-	serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke tcp-obs \
-	balancer-smoke pexsi-batch clean
+.PHONY: all build test tier1 bench bench-smoke bench-gemm bench-baseline \
+	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
+	tcp-obs balancer-smoke pexsi-batch surface clean
 
-all: build test
+all: build test bench-smoke
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,20 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own module (see BENCHMARK.json), so `go build ./...` and
+# `go test ./...` from the root neither compile nor test it; this does.
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The ROADMAP's size metric (aim 2), for PRs to cite before and after:
+# non-test Go lines outside bench/, package count, and exported top-level
+# funcs, methods and types in non-test files.
+SURFACE_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.bench_build/*'
+surface:
+	@echo "non-test Go lines:    $$($(SURFACE_FILES) | xargs cat | wc -l)"
+	@echo "packages:             $$($(GO) list ./... | wc -l)"
+	@echo "exported identifiers: $$($(SURFACE_FILES) | xargs grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' | wc -l)"
 
 # Seeded adversarial-scheduling sweep: every chaos seed must reproduce the
 # unperturbed result bit for bit. SEEDS widens the sweep (default 16).

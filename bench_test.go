@@ -59,7 +59,7 @@ func benchVolume(b *testing.B, scheme core.Scheme) *exp.VolumeMeasurement {
 	grid := procgrid.New(12, 12)
 	var last *exp.VolumeMeasurement
 	for i := 0; i < b.N; i++ {
-		ms, err := exp.MeasureVolumes(p, grid, []core.Scheme{scheme}, uint64(i), 5*time.Minute)
+		ms, err := exp.MeasureVolumes(p, grid, []core.Scheme{scheme}, uint64(i), 5*time.Minute, exp.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func BenchmarkTableII_RowReduceSuite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"dg", "audikw"} {
 			p := pipelineFor(b, name)
-			ms, err := exp.MeasureVolumes(p, grid, core.Schemes(), uint64(i), 5*time.Minute)
+			ms, err := exp.MeasureVolumes(p, grid, core.Schemes(), uint64(i), 5*time.Minute, exp.RunOpts{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func BenchmarkFig4_Histograms(b *testing.B) {
 func benchVolumeOnce(b *testing.B) *exp.VolumeMeasurement {
 	b.Helper()
 	p := pipelineFor(b, "audikw")
-	ms, err := exp.MeasureVolumes(p, procgrid.New(12, 12), []core.Scheme{core.ShiftedBinaryTree}, 1, 5*time.Minute)
+	ms, err := exp.MeasureVolumes(p, procgrid.New(12, 12), []core.Scheme{core.ShiftedBinaryTree}, 1, 5*time.Minute, exp.RunOpts{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func BenchmarkFig5_HeatMaps(b *testing.B) {
 func BenchmarkFig6_SmallGridImbalance(b *testing.B) {
 	p := pipelineFor(b, "audikw")
 	for i := 0; i < b.N; i++ {
-		ms, err := exp.MeasureVolumes(p, procgrid.New(6, 6), []core.Scheme{core.FlatTree}, uint64(i), 5*time.Minute)
+		ms, err := exp.MeasureVolumes(p, procgrid.New(6, 6), []core.Scheme{core.FlatTree}, uint64(i), 5*time.Minute, exp.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func BenchmarkFig7_RowReduceHeatMaps(b *testing.B) {
 	p := pipelineFor(b, "audikw")
 	for i := 0; i < b.N; i++ {
 		ms, err := exp.MeasureVolumes(p, procgrid.New(12, 12),
-			[]core.Scheme{core.FlatTree, core.ShiftedBinaryTree}, uint64(i), 5*time.Minute)
+			[]core.Scheme{core.FlatTree, core.ShiftedBinaryTree}, uint64(i), 5*time.Minute, exp.RunOpts{})
 		if err != nil {
 			b.Fatal(err)
 		}

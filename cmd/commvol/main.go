@@ -223,7 +223,7 @@ func main() {
 			check(err)
 		} else {
 			fmt.Printf("== Observability: instrumented runs on %v (reports + merged traces in %s) ==\n", grid, *flagObsOut)
-			ms, err := exp.MeasureObsOpts(pipe, grid, schemeList(), uint64(*flagSeed), 20*time.Minute,
+			ms, err := exp.MeasureObs(pipe, grid, schemeList(), uint64(*flagSeed), 20*time.Minute,
 				exp.RunOpts{Chaos: chaosCfg(), CoresPerNode: *flagCPN, Balancer: balancerChoice(), ObsRingCap: *flagObsRing})
 			check(err)
 			for _, m := range ms {
@@ -366,7 +366,7 @@ func measure(gen *sparse.Generated, pipe *exp.Pipeline, grid *procgrid.Grid, sch
 		}
 		return distrun.MeasureVolumes(gen, spec, schemes, nil)
 	}
-	return exp.MeasureVolumesOpts(pipe, grid, schemes, uint64(*flagSeed), *flagTimeout,
+	return exp.MeasureVolumes(pipe, grid, schemes, uint64(*flagSeed), *flagTimeout,
 		exp.RunOpts{Chaos: chaosCfg(), MailboxCap: *flagMailCap, LatencyScale: *flagLatScale,
 			CoresPerNode: *flagCPN, Balancer: balancerChoice()})
 }

@@ -114,7 +114,7 @@ func main() {
 			mode = ", task-DAG mode"
 		}
 		fmt.Printf("chaos preflight (seed %d%s): running the engine under the adversary ... ", *flagChaos, mode)
-		if err := exp.VerifyChaosBalanced(*flagChaos, *flagDag, parseBalancer(), 5*time.Minute); err != nil {
+		if err := exp.VerifyChaos(*flagChaos, *flagDag, parseBalancer(), 5*time.Minute); err != nil {
 			fmt.Println("FAILED")
 			fmt.Fprintln(os.Stderr, "scaling:", err)
 			os.Exit(1)
@@ -248,7 +248,8 @@ func main() {
 		fmt.Println("\nhybrid flat/shifted threshold sweep at P=2116:")
 		grid := procgrid.Squarish(2116)
 		for _, thr := range []int{0, 8, 24, 64, 1 << 30} {
-			plan := core.NewPlanThreshold(pipe.An.BP, grid, core.Hybrid, 1, thr)
+			plan := core.NewPlanConfig(pipe.An.BP, grid, core.PlanConfig{
+				Scheme: core.Hybrid, Seed: 1, HybridThreshold: thr, Symmetric: true})
 			dag := netsim.BuildDAG(plan)
 			times := make([]float64, 0, len(seeds))
 			for _, sd := range seeds {
@@ -282,7 +283,7 @@ func runTCPPreflight() error {
 	if err != nil {
 		return err
 	}
-	local, err := exp.MeasureVolumes(pipe, grid, schemes, 1, 5*time.Minute)
+	local, err := exp.MeasureVolumes(pipe, grid, schemes, 1, 5*time.Minute, exp.RunOpts{})
 	if err != nil {
 		return err
 	}
@@ -324,7 +325,7 @@ func runObs(dir string, seed uint64, dag bool) error {
 		return err
 	}
 	fmt.Printf("== Observability: measured forwarding chains and traffic matrices on %v ==\n", grid)
-	ms, err := exp.MeasureObsOpts(p, grid, parseSchemes(core.Schemes()), seed, 5*time.Minute,
+	ms, err := exp.MeasureObs(p, grid, parseSchemes(core.Schemes()), seed, 5*time.Minute,
 		exp.RunOpts{DAG: dag, Balancer: parseBalancer(), ObsRingCap: *flagObsRing})
 	if err != nil {
 		return err
@@ -475,8 +476,8 @@ func runAsymSection(seeds []uint64, params netsim.Params) {
 	for _, p := range []int{64, 576, 2116} {
 		grid := procgrid.Squarish(p)
 		mean := func(symmetric bool) float64 {
-			plan := core.NewPlanFull(pipe.An.BP, grid, core.ShiftedBinaryTree, 1,
-				core.DefaultHybridThreshold, symmetric)
+			plan := core.NewPlanConfig(pipe.An.BP, grid, core.PlanConfig{
+				Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: symmetric})
 			dag := netsim.BuildDAG(plan)
 			s := 0.0
 			for _, sd := range seeds {

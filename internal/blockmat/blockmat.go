@@ -108,6 +108,17 @@ func (m *BlockMatrix) Range(fn func(Key, *dense.Matrix)) {
 	}
 }
 
+// Release returns every stored block to the dense arena and empties the
+// matrix; blocks obtained from it must not be used afterwards. Callers that
+// extract what they need per inversion (the pole-expansion diagonal
+// readout) release each result so the next one reuses the storage.
+func (m *BlockMatrix) Release() {
+	for k, b := range m.blocks {
+		dense.PutMatrix(b)
+		delete(m.blocks, k)
+	}
+}
+
 // Clone returns a deep copy.
 func (m *BlockMatrix) Clone() *BlockMatrix {
 	c := NewElem(m.Part, m.Elem)

@@ -232,12 +232,6 @@ func (a *Adversary) Delivered(dst int, msg *simmpi.Message) {
 	}
 }
 
-// DeliveredCount returns how many messages rank dst has received through
-// the adversary.
-func (a *Adversary) DeliveredCount(dst int) int64 {
-	return atomic.LoadInt64(&a.dst[dst].delivered)
-}
-
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9

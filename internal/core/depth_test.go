@@ -50,7 +50,7 @@ func TestQuickPerRankVolumesSumToTotals(t *testing.T) {
 	bp := testPattern(t)
 	f := func(seed uint64, symmetric bool) bool {
 		grid := gridForSeed(seed)
-		plan := NewPlanFull(bp, grid, ShiftedBinaryTree, seed, DefaultHybridThreshold, symmetric)
+		plan := NewPlanConfig(bp, grid, PlanConfig{Scheme: ShiftedBinaryTree, Seed: seed, Symmetric: symmetric})
 		for _, kind := range []OpKind{OpDiagBcast, OpCrossSend, OpColBcast, OpRowReduce,
 			OpDiagReduce, OpSymmSend, OpDiagBcastRow, OpCrossSendU, OpRowBcast, OpColReduce} {
 			var sent, recv int64

@@ -2,15 +2,11 @@ package dense
 
 import "fmt"
 
-// Scalar constrains the element types the dense layer supports. The
-// storage itself stays []float64 — complex matrices interleave (re, im)
-// pairs in the same column-major buffer — so message payloads, the arena
-// and the wire framing are element-type agnostic; Scalar exists so callers
-// can write element-generic helpers over the packed storage.
-type Scalar interface{ float64 | complex128 }
-
-// Elem tags a Matrix with its element type. The zero value is Real, so
-// every existing construction site keeps its meaning.
+// Elem tags a Matrix with its element type. The storage itself stays
+// []float64 — complex matrices interleave (re, im) pairs in the same
+// column-major buffer — so message payloads, the arena and the wire
+// framing are element-type agnostic. The zero value is Real, so every
+// existing construction site keeps its meaning.
 type Elem uint8
 
 const (
@@ -40,15 +36,6 @@ func (e Elem) String() string {
 	return fmt.Sprintf("Elem(%d)", uint8(e))
 }
 
-// ElemOf returns the Elem tag for a Scalar type.
-func ElemOf[T Scalar]() Elem {
-	var z T
-	if _, ok := any(z).(complex128); ok {
-		return Complex
-	}
-	return Real
-}
-
 // Width returns the per-entry float64 word count of the matrix.
 func (a *Matrix) Width() int { return a.Elem.Width() }
 
@@ -60,9 +47,6 @@ func NewMatrixElem(rows, cols int, elem Elem) *Matrix {
 	}
 	return &Matrix{Rows: rows, Cols: cols, Elem: elem, Data: make([]float64, rows*cols*elem.Width())}
 }
-
-// NewComplexMatrix returns a zero-initialized Rows×Cols complex matrix.
-func NewComplexMatrix(rows, cols int) *Matrix { return NewMatrixElem(rows, cols, Complex) }
 
 // ZAt returns complex entry (i, j). The matrix must be Complex.
 func (a *Matrix) ZAt(i, j int) complex128 {

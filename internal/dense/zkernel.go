@@ -14,7 +14,7 @@ import (
 
 // zGemm4MThreshold is the m·n·k volume at or above which a complex product
 // is routed through the blocked real kernels via the 4M split; below it
-// the direct interleaved loop wins (same crossover as internal/zdense).
+// the direct interleaved loop wins.
 const zGemm4MThreshold = 32 * 32 * 32
 
 // zGemm computes c = alpha*a*b + beta*c on complex matrices. Transposed

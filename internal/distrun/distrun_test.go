@@ -15,9 +15,9 @@ import (
 	"pselinv/internal/exp"
 	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
+	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
 	"pselinv/internal/stats"
-	"pselinv/internal/zselinv"
 )
 
 // TestMain installs the worker hook: when the launcher re-executes this
@@ -110,7 +110,7 @@ func TestCrossBackendVolumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureVolumes(pipe, procgrid.New(spec.PR, spec.PC), testSchemes, spec.Seed, 60*time.Second)
+	local, err := exp.MeasureVolumes(pipe, procgrid.New(spec.PR, spec.PC), testSchemes, spec.Seed, 60*time.Second, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestCrossBackendTopoSchemeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureVolumesOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
+	local, err := exp.MeasureVolumes(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
 		60*time.Second, exp.RunOpts{CoresPerNode: spec.CoresPerNode})
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestDistributedChaosMatchesInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureVolumesOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
+	local, err := exp.MeasureVolumes(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
 		60*time.Second, exp.RunOpts{Chaos: &chaos.Config{Seed: spec.ChaosSeed}})
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureVolumesOpts(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
+	local, err := exp.MeasureVolumes(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed,
 		60*time.Second, exp.RunOpts{Balancer: core.WorkBalancer})
 	if err != nil {
 		t.Fatal(err)
@@ -356,9 +356,7 @@ func TestDistributedComplexParityTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := zselinv.SelInvFromLU(lu, complex(spec.ZRe, spec.ZIm))
-	wantBlocks := int64(len(ref.Ainv))
-	ref.Release()
+	wantBlocks := int64(selinv.SelInv(lu).NumBlocks())
 
 	dir := t.TempDir()
 	staged, err := distrun.StageMatrix(dir, gen)

@@ -91,7 +91,7 @@ func TestDistributedObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureObs(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed, 60*time.Second)
+	local, err := exp.MeasureObs(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed, 60*time.Second, exp.RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

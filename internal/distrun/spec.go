@@ -69,7 +69,7 @@ type Spec struct {
 	// matrix is factorized as A − zI with z = ZRe + i·ZIm on a general
 	// (asymmetric-path) plan. The engine's reductions fold in a fixed
 	// per-plan order, so the result is bit-identical to an in-process run
-	// of the same plan and agrees with the serial zselinv reference to
+	// of the same plan and agrees with the serial reference (internal/selinv) to
 	// rounding.
 	Complex bool    `json:"complex,omitempty"`
 	ZRe     float64 `json:"z_re,omitempty"`

@@ -135,7 +135,7 @@ type RunOpts struct {
 	// is the block-cyclic default).
 	Balancer core.Balancer
 	// ObsRingCap overrides the observability collector's per-rank event-ring
-	// capacity (0 = obs.DefaultRingCap). Only MeasureObsOpts consumes it.
+	// capacity (0 = obs.DefaultRingCap). Only MeasureObs consumes it.
 	ObsRingCap int
 }
 
@@ -171,24 +171,13 @@ func (o *RunOpts) transport() func(p int) simmpi.Transport {
 }
 
 // MeasureVolumes runs the real parallel engine once per scheme on the given
-// grid and collects the per-rank communication volumes. The numerics are
-// identical across schemes (verified by the engine's tests); only the
-// message routing differs.
-func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration) ([]*VolumeMeasurement, error) {
-	return MeasureVolumesOpts(p, grid, schemes, seed, timeout, RunOpts{})
-}
-
-// MeasureVolumesChaos is MeasureVolumes under an optional chaos adversary
-// (nil cc means unperturbed). The adversary reorders and skews message
-// delivery but neither adds nor removes traffic, so the measured volumes
-// equal an unperturbed run's, and so do the numerics, bit for bit.
-func MeasureVolumesChaos(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, cc *chaos.Config) ([]*VolumeMeasurement, error) {
-	return MeasureVolumesOpts(p, grid, schemes, seed, timeout, RunOpts{Chaos: cc})
-}
-
-// MeasureVolumesOpts is the general form of MeasureVolumes: one engine run
-// per scheme with the substrate options applied.
-func MeasureVolumesOpts(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*VolumeMeasurement, error) {
+// grid, with the substrate options applied, and collects the per-rank
+// communication volumes. The numerics are identical across schemes
+// (verified by the engine's tests); only the message routing differs. A
+// chaos adversary reorders and skews message delivery but neither adds nor
+// removes traffic, so the measured volumes equal an unperturbed run's, and
+// so do the numerics, bit for bit.
+func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*VolumeMeasurement, error) {
 	out := make([]*VolumeMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
 		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(scheme, seed))
@@ -245,23 +234,12 @@ type ObsMeasurement struct {
 // seed across schemes makes the traffic matrices directly comparable to a
 // cmd/commvol run with that seed (the byte counters are identical; only
 // the routing differs per scheme).
-func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration) ([]*ObsMeasurement, error) {
-	return MeasureObsOpts(p, grid, schemes, seed, timeout, RunOpts{})
-}
-
-// MeasureObsOpts is MeasureObs with substrate options. With a mailbox
-// capacity installed, the per-rank blocked-send counters are attached to
-// each report (omitted when no send ever blocked, keeping unbounded-run
-// reports golden-stable).
-func MeasureObsOpts(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*ObsMeasurement, error) {
+func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*ObsMeasurement, error) {
 	out := make([]*ObsMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
 		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(scheme, seed))
 		eng := pselinv.NewEngine(plan, p.LU)
 		col := obs.NewCollectorCap(grid.Size(), obs.ClampRingCap(opts.ObsRingCap))
-		if opts.CoresPerNode > 0 {
-			col.SetTopology(opts.CoresPerNode)
-		}
 		eng.Observer = col
 		eng.Trace = trace.NewRecorder()
 		eng.Chaos = opts.Chaos
@@ -272,26 +250,9 @@ func MeasureObsOpts(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 			return nil, fmt.Errorf("exp: obs %v on %v: %w", scheme, grid, err)
 		}
 		res.Release()
-		rep := col.Report(scheme.String())
-		rep.SetBlockedSends(res.World.BlockedSendsVector())
-		rep.SetDagStats(DagReportStats(res.Dag))
-		load := LoadSection(plan, eng.Trace)
-		rep.SetLoad(load)
-		// Straggler attribution: all ranks share the process, so each one's
-		// wall is the run's elapsed time; busy comes from the traced spans
-		// and the prediction from the balancer's flop charges.
-		wall := make([]int64, grid.Size())
-		busy := make([]int64, grid.Size())
-		flops := make([]int64, grid.Size())
-		for r, rl := range load.Ranks {
-			wall[r] = res.Elapsed.Nanoseconds()
-			busy[r] = rl.BusyNS
-			flops[r] = rl.Flops
-		}
-		rep.AttachStraggler(wall, busy, flops, 0)
 		out = append(out, &ObsMeasurement{
 			Scheme:  scheme,
-			Report:  rep,
+			Report:  ObsReport(col, eng.Trace, res, plan, opts.CoresPerNode),
 			Trace:   eng.Trace,
 			World:   res.World,
 			Elapsed: res.Elapsed,
@@ -300,49 +261,52 @@ func MeasureObsOpts(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 	return out, nil
 }
 
-// LoadSection builds the obs per-rank load section from the plan's work
-// tallies — charged by the same cost walk the balancers optimize — plus
-// the traced per-rank busy wall (nil recorder leaves busy out).
-func LoadSection(plan *core.Plan, rec *trace.Recorder) *obs.LoadReport {
+// ObsReport assembles the report of one in-process observed run from the
+// collector and trace recorder that were installed on the engine, the run's
+// result and the plan it executed. On top of the collector's traffic
+// matrices and chain analysis it attaches: the cross-node chain columns
+// when coresPerNode is positive (zero leaves the report topology-free);
+// the per-rank blocked-send counters when a bounded mailbox ever pushed
+// back; the task-DAG scheduler counters of a DAG run; the plan's per-rank
+// load section; and the straggler section. Sections that do not apply are
+// omitted, so reports of plain runs stay byte-identical.
+func ObsReport(col *obs.Collector, rec *trace.Recorder, res *pselinv.RunResult, plan *core.Plan, coresPerNode int) *obs.Report {
+	if coresPerNode > 0 {
+		col.SetTopology(coresPerNode)
+	}
+	rep := col.Report(plan.Scheme.String())
+	rep.SetBlockedSends(res.World.BlockedSendsVector())
+	if len(res.Dag) > 0 {
+		rep.Dag = make([]*obs.DagRankStats, len(res.Dag))
+		for i, d := range res.Dag {
+			rep.Dag[i] = &obs.DagRankStats{
+				Rank:        d.Rank,
+				Tasks:       d.Tasks,
+				Offloaded:   d.Offloaded,
+				MaxWidth:    d.MaxWidth,
+				MaxInflight: d.MaxInflight,
+				BusyNS:      d.BusyNS,
+				WallNS:      d.WallNS,
+				Occupancy:   d.Occupancy(),
+			}
+		}
+	}
+	// Load and straggler sections: the plan's per-rank work tallies —
+	// charged by the same cost walk the balancers optimize — next to the
+	// traced busy time. All ranks share the process, so each one's wall is
+	// the run's elapsed time.
 	loads := plan.RankLoads()
-	flops := make([]int64, len(loads))
-	nnz := make([]int64, len(loads))
+	summary := rec.Summarize()
+	p := len(loads)
+	flops, nnz, busy, wall := make([]int64, p), make([]int64, p), make([]int64, p), make([]int64, p)
 	for r, l := range loads {
-		flops[r] = l.Flops
-		nnz[r] = l.NNZ
+		flops[r], nnz[r] = l.Flops, l.NNZ
+		busy[r] = int64(summary.BusyByRank[r])
+		wall[r] = res.Elapsed.Nanoseconds()
 	}
-	var busy []int64
-	if rec != nil {
-		s := rec.Summarize()
-		busy = make([]int64, len(loads))
-		for r := range busy {
-			busy[r] = int64(s.BusyByRank[r])
-		}
-	}
-	return obs.NewLoadReport(plan.Balancer.Slug(), flops, nnz, busy)
-}
-
-// DagReportStats converts the engine's per-rank task-DAG scheduler
-// counters into the observability report's serializable form (nil in → nil
-// out, so sequential-mode reports stay byte-identical).
-func DagReportStats(stats []pselinv.DagRankStats) []*obs.DagRankStats {
-	if len(stats) == 0 {
-		return nil
-	}
-	out := make([]*obs.DagRankStats, len(stats))
-	for i, d := range stats {
-		out[i] = &obs.DagRankStats{
-			Rank:        d.Rank,
-			Tasks:       d.Tasks,
-			Offloaded:   d.Offloaded,
-			MaxWidth:    d.MaxWidth,
-			MaxInflight: d.MaxInflight,
-			BusyNS:      d.BusyNS,
-			WallNS:      d.WallNS,
-			Occupancy:   d.Occupancy(),
-		}
-	}
-	return out
+	rep.Load = obs.NewLoadReport(plan.Balancer.Slug(), flops, nnz, busy)
+	rep.AttachStraggler(wall, busy, flops, 0)
+	return rep
 }
 
 // ObsProblem prepares the small fixed problem behind `-obs` runs and the
@@ -408,21 +372,15 @@ func WriteObsArtifacts(dir string, ms []*ObsMeasurement) ([]string, error) {
 // VerifyChaos is the chaos preflight of the cmd tools: it runs the real
 // engine on a small fixed problem twice — once unperturbed and once under
 // the seeded adversary — and fails unless the two results agree bit for bit
-// and both worlds conserve bytes. The scaling
-// experiments themselves go through the timing simulator (no live
-// messages), so this is how a -chaos-seed run establishes that the engine
-// the model stands in for survives that adversarial schedule. With dag set
-// the runs additionally detour compute through the task-DAG scheduler, so
-// the preflight also pins DAG determinism under the adversary.
-func VerifyChaos(chaosSeed uint64, dag bool, timeout time.Duration) error {
-	return VerifyChaosBalanced(chaosSeed, dag, core.CyclicBalancer, timeout)
-}
-
-// VerifyChaosBalanced is VerifyChaos under an explicit supernode→process
-// balancer, so a -balancer run preflights the owner map it will actually
-// use (the parity invariant says the bits must not change; the adversary
-// stresses that the message schedule the map induces doesn't either).
-func VerifyChaosBalanced(chaosSeed uint64, dag bool, balancer core.Balancer, timeout time.Duration) error {
+// and both worlds conserve bytes. The scaling experiments themselves go
+// through the timing simulator (no live messages), so this is how a
+// -chaos-seed run establishes that the engine the model stands in for
+// survives that adversarial schedule. With dag set the runs additionally
+// detour compute through the task-DAG scheduler, so the preflight also
+// pins DAG determinism under the adversary; balancer is the
+// supernode→process map the run will actually use, whose message schedule
+// is what the adversary stresses.
+func VerifyChaos(chaosSeed uint64, dag bool, balancer core.Balancer, timeout time.Duration) error {
 	p, err := Prepare(sparse.Grid2D(8, 8, 2), 2, 6)
 	if err != nil {
 		return err

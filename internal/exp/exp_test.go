@@ -18,7 +18,7 @@ func TestMeasureVolumesSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := MeasureVolumes(p, procgrid.New(4, 4), core.Schemes(), 1, time.Minute)
+	ms, err := MeasureVolumes(p, procgrid.New(4, 4), core.Schemes(), 1, time.Minute, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,12 +46,12 @@ func TestMeasureVolumesChaosMatchesUnperturbed(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := procgrid.New(3, 3)
-	base, err := MeasureVolumes(p, grid, []core.Scheme{core.ShiftedBinaryTree}, 1, time.Minute)
+	base, err := MeasureVolumes(p, grid, []core.Scheme{core.ShiftedBinaryTree}, 1, time.Minute, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	perturbed, err := MeasureVolumesChaos(p, grid, []core.Scheme{core.ShiftedBinaryTree}, 1,
-		time.Minute, &chaos.Config{Seed: 13, DupDetect: true})
+	perturbed, err := MeasureVolumes(p, grid, []core.Scheme{core.ShiftedBinaryTree}, 1,
+		time.Minute, RunOpts{Chaos: &chaos.Config{Seed: 13, DupDetect: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestMeasureVolumesChaosMatchesUnperturbed(t *testing.T) {
 }
 
 func TestVerifyChaos(t *testing.T) {
-	if err := VerifyChaos(21, false, time.Minute); err != nil {
+	if err := VerifyChaos(21, false, core.CyclicBalancer, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,7 +75,7 @@ func TestVerifyChaos(t *testing.T) {
 func TestVerifyChaosDag(t *testing.T) {
 	dense.SetWorkers(4)
 	defer dense.SetWorkers(0)
-	if err := VerifyChaos(21, true, time.Minute); err != nil {
+	if err := VerifyChaos(21, true, core.WorkBalancer, time.Minute); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -92,14 +92,14 @@ func TestMeasureObsDagAttachesStats(t *testing.T) {
 	}
 	grid := procgrid.New(2, 2)
 	schemes := []core.Scheme{core.ShiftedBinaryTree}
-	seqMs, err := MeasureObsOpts(p, grid, schemes, 1, time.Minute, RunOpts{})
+	seqMs, err := MeasureObs(p, grid, schemes, 1, time.Minute, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if seqMs[0].Report.Dag != nil {
 		t.Fatal("sequential run attached dag stats")
 	}
-	dagMs, err := MeasureObsOpts(p, grid, schemes, 1, time.Minute, RunOpts{DAG: true})
+	dagMs, err := MeasureObs(p, grid, schemes, 1, time.Minute, RunOpts{DAG: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func TestObsAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := MeasureObs(p, grid, core.Schemes(), 1, 60*time.Second)
+	ms, err := MeasureObs(p, grid, core.Schemes(), 1, 60*time.Second, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -94,7 +94,7 @@ func TestObsCrossNodeColumns(t *testing.T) {
 	// schemes tie at the spanning-tree floor.)
 	opts := RunOpts{CoresPerNode: 8}
 	schemes := []core.Scheme{core.ShiftedBinaryTree, core.TopoShiftedTree, core.BineTree}
-	ms, err := MeasureObsOpts(p, grid, schemes, 1, 30*time.Second, opts)
+	ms, err := MeasureObs(p, grid, schemes, 1, 30*time.Second, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -212,15 +212,8 @@ func (lu *LU) LogDet() complex128 {
 	return s
 }
 
-// DiagInverse returns (A_KK)⁻¹ = U_KK⁻¹ · L_KK⁻¹ computed from the packed
-// diagonal factor of supernode k.
-func (lu *LU) DiagInverse(k int) *dense.Matrix {
-	inv := dense.NewMatrixElem(lu.Diag[k].Rows, lu.Diag[k].Rows, lu.Elem)
-	lu.DiagInverseTo(k, inv)
-	return inv
-}
-
-// DiagInverseTo computes (A_KK)⁻¹ into inv, overwriting its contents; inv
+// DiagInverseTo computes (A_KK)⁻¹ = U_KK⁻¹ · L_KK⁻¹ from the packed
+// diagonal factor of supernode k into inv, overwriting its contents; inv
 // must already have the supernode's square shape and element type. Pair it
 // with the dense arena (GetMatrixUninitElem) to compute diagonal inverses
 // without allocating.

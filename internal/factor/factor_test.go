@@ -72,7 +72,8 @@ func TestDiagInverse(t *testing.T) {
 	// trailing block of A⁻¹.
 	ns := an.BP.NumSnodes()
 	k := ns - 1
-	inv := lu.DiagInverse(k)
+	inv := dense.NewMatrix(an.BP.Part.Width(k), an.BP.Part.Width(k))
+	lu.DiagInverseTo(k, inv)
 	ad, err := dense.Inverse(an.A.ToDense())
 	if err != nil {
 		t.Fatal(err)

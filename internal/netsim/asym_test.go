@@ -10,7 +10,7 @@ import (
 func TestAsymmetricPlanSimulates(t *testing.T) {
 	bp := realPattern(t)
 	for _, scheme := range core.Schemes() {
-		plan := core.NewPlanAsym(bp, procgrid.New(4, 4), scheme, 1)
+		plan := core.NewPlanConfig(bp, procgrid.New(4, 4), core.PlanConfig{Scheme: scheme, Seed: 1})
 		res := Simulate(plan, DefaultParams())
 		if res.Makespan <= 0 || res.MsgCount <= 0 {
 			t.Fatalf("%v: degenerate asym simulation", scheme)
@@ -26,7 +26,7 @@ func TestAsymmetricCostsMoreThanSymmetric(t *testing.T) {
 	grid := procgrid.New(4, 4)
 	p := DefaultParams()
 	sym := Simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p)
-	asym := Simulate(core.NewPlanAsym(bp, grid, core.ShiftedBinaryTree, 1), p)
+	asym := Simulate(core.NewPlanConfig(bp, grid, core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1}), p)
 	if asym.BytesMoved <= sym.BytesMoved {
 		t.Fatalf("asym moved %d bytes, symmetric %d", asym.BytesMoved, sym.BytesMoved)
 	}
@@ -37,7 +37,7 @@ func TestAsymmetricCostsMoreThanSymmetric(t *testing.T) {
 
 func TestAsymmetricDeterministic(t *testing.T) {
 	bp := realPattern(t)
-	plan := core.NewPlanAsym(bp, procgrid.New(3, 3), core.BinaryTree, 5)
+	plan := core.NewPlanConfig(bp, procgrid.New(3, 3), core.PlanConfig{Scheme: core.BinaryTree, Seed: 5})
 	dag := BuildDAG(plan)
 	p := DefaultParams()
 	if SimulateDAG(dag, p).Makespan != SimulateDAG(dag, p).Makespan {

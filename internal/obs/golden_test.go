@@ -58,7 +58,7 @@ func goldenReport(t *testing.T, scheme core.Scheme) *obs.Report {
 			goldenErr = err
 			return
 		}
-		ms, err := exp.MeasureObs(p, grid, core.Schemes(), 1, 60*time.Second)
+		ms, err := exp.MeasureObs(p, grid, core.Schemes(), 1, 60*time.Second, exp.RunOpts{})
 		if err != nil {
 			goldenErr = err
 			return
@@ -100,7 +100,7 @@ func goldenTopoReport(t *testing.T, scheme core.Scheme) *obs.Report {
 			goldenTopoErr = err
 			return
 		}
-		ms, err := exp.MeasureObsOpts(p, grid, topoGoldenSchemes(), 1, 60*time.Second,
+		ms, err := exp.MeasureObs(p, grid, topoGoldenSchemes(), 1, 60*time.Second,
 			exp.RunOpts{CoresPerNode: 8})
 		if err != nil {
 			goldenTopoErr = err

@@ -79,14 +79,14 @@ type Report struct {
 	BlockedSends []int64 `json:"blocked_sends,omitempty"`
 
 	// Dag, when present, holds the per-rank task-DAG scheduler statistics
-	// of a run with DAG execution enabled: attached by SetDagStats after
+	// of a run with DAG execution enabled: attached after
 	// the run and omitted entirely for sequential runs, so reports from
 	// non-DAG runs (including the goldens) stay byte-identical.
 	Dag []*DagRankStats `json:"dag,omitempty"`
 
 	// Load, when present, holds the per-rank planned-work distribution of
 	// the supernode→process map (flops, factor nonzeros, measured busy
-	// wall) with its imbalance factors: attached by SetLoad after the run
+	// wall) with its imbalance factors: attached after the run
 	// and omitted when the caller never measured loads, so pre-balancer
 	// reports stay byte-identical.
 	Load *LoadReport `json:"load,omitempty"`
@@ -169,24 +169,6 @@ func NewLoadReport(balancer string, flops, nnz, busyNS []int64) *LoadReport {
 	l.FlopImbalance = imbalance(flops)
 	l.NNZImbalance = imbalance(nnz)
 	return l
-}
-
-// SetLoad attaches the per-rank load section. A nil load leaves the report
-// untouched, keeping reports from callers that never measure loads
-// byte-identical.
-func (r *Report) SetLoad(l *LoadReport) {
-	if l != nil {
-		r.Load = l
-	}
-}
-
-// SetDagStats attaches per-rank task-DAG scheduler statistics to the
-// report. A nil or empty slice leaves the report untouched, keeping
-// sequential-run reports byte-identical to pre-DAG ones.
-func (r *Report) SetDagStats(stats []*DagRankStats) {
-	if len(stats) > 0 {
-		r.Dag = stats
-	}
 }
 
 // SetBlockedSends attaches the per-rank blocked-send counters (from

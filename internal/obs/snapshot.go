@@ -377,7 +377,7 @@ func clampEdges(byRank []*Snapshot) (clamped int, minEdge int64) {
 func (m *Merged) Report(label string) *Report {
 	rep := m.Collector.Report(label)
 	rep.SetClock(m.Clock)
-	rep.SetLoad(NewLoadReport(m.balancer, m.planFlops, m.planNNZ, m.busy))
+	rep.Load = NewLoadReport(m.balancer, m.planFlops, m.planNNZ, m.busy)
 	rep.AttachStraggler(m.wall, m.busy, m.planFlops, 0)
 	return rep
 }

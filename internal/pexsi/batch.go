@@ -1,11 +1,11 @@
 // Multi-pole batch engine: the PEXSI inner loop evaluates tens of
 // selected inversions that differ only in the complex shift zₗ, so almost
-// everything is shareable. RunBatch performs the symbolic analysis ONCE,
-// builds ONE engine template (communication plan + per-rank programs) and
-// rebinds it per pole, pipelines the numeric factorization of pole l+1
-// with the selected inversion of pole l, and recycles every engine buffer
-// through the dense arena pole-to-pole — so steady-state allocations stay
-// flat no matter how many poles are evaluated.
+// everything is shareable. Like the other drivers RunBatch analyzes once
+// and rebinds one engine template per pole; what it adds is the pipeline —
+// pole l+1 is factorized while pole l is inverted — and, because the poles
+// are inverted one at a time and each returns its buffers to the dense
+// arena before the next starts, steady-state allocations that stay flat no
+// matter how many poles are evaluated.
 package pexsi
 
 import (
@@ -14,13 +14,8 @@ import (
 	"time"
 
 	"pselinv/internal/core"
-	"pselinv/internal/etree"
 	"pselinv/internal/factor"
-	"pselinv/internal/ordering"
-	"pselinv/internal/procgrid"
-	"pselinv/internal/pselinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // BatchConfig controls a multi-pole batch run.
@@ -36,11 +31,6 @@ type BatchConfig struct {
 	Seed     uint64
 	// Timeout bounds each pole's engine run (0 = 5 minutes).
 	Timeout time.Duration
-	// Lookahead is the number of completed factorizations allowed to queue
-	// ahead of the inversion stage (default 1: factorize pole l+1 while
-	// inverting pole l). Higher values only help when factorization times
-	// vary between poles; memory grows with each queued factor.
-	Lookahead int
 }
 
 // BatchPoleStats records one pole's contribution to a batch run.
@@ -82,35 +72,23 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 	if len(cfg.Poles) == 0 {
 		return nil, fmt.Errorf("pexsi: no poles configured")
 	}
-	if cfg.Procs <= 0 {
-		cfg.Procs = 1
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 5 * time.Minute
-	}
-	if cfg.Lookahead <= 0 {
-		cfg.Lookahead = 1
-	}
 	start := time.Now()
-	perm := ordering.Compute(ordering.NestedDissection, h.A, h.Geom)
-	an := etree.Analyze(h.A.Permute(perm), perm,
-		etree.Options{Relax: cfg.Relax, MaxWidth: cfg.MaxWidth})
-	plan := core.NewPlanConfig(an.BP, procgrid.Squarish(cfg.Procs), core.PlanConfig{
+	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
 		Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: false, Balancer: cfg.Balancer,
-	})
-	tmpl := pselinv.NewEngine(plan, nil)
+	}, cfg.DAG, cfg.Timeout)
 
-	// Producer: numeric factorizations, in pole order, at most Lookahead
-	// queued beyond the one the consumer holds. The done channel unblocks
-	// the producer when the consumer aborts early.
-	jobs := make(chan facJob, cfg.Lookahead)
+	// Producer: numeric factorizations, in pole order, one queued beyond
+	// the one the consumer holds (pole l+1 is factorized while pole l is
+	// inverted; a deeper queue only grows memory). The done channel
+	// unblocks the producer when the consumer aborts early.
+	jobs := make(chan facJob, 1)
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
 		defer close(jobs)
 		for l, p := range cfg.Poles {
 			t0 := time.Now()
-			lu, err := factor.FactorizeShifted(an.A, p.Z, an.BP)
+			lu, err := factor.FactorizeShifted(s.an.A, p.Z, s.an.BP)
 			j := facJob{l: l, lu: lu, elapsed: time.Since(t0), err: err}
 			select {
 			case jobs <- j:
@@ -123,9 +101,8 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		}
 	}()
 
-	n := h.A.N
 	res := &BatchResult{
-		Density: make([]float64, n),
+		Density: make([]float64, h.A.N),
 		Stats:   make([]BatchPoleStats, len(cfg.Poles)),
 	}
 	for i := range res.Density {
@@ -136,38 +113,13 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 	lastAlloc := ms.TotalAlloc
 	for job := range jobs {
 		pole := cfg.Poles[job.l]
-		if job.err != nil {
-			return nil, fmt.Errorf("pexsi: pole %d (z=%v): %w", job.l, pole.Z, job.err)
-		}
 		t0 := time.Now()
-		if cfg.Procs == 1 && !cfg.DAG {
-			// Single-rank groups skip the engine and run the serial
-			// kernel — bit-identical to a one-rank engine run by the
-			// complex parity suite.
-			zr := zselinv.SelInvFromLU(job.lu, pole.Z)
-			for orig := 0; orig < n; orig++ {
-				p := an.PermTotal[orig]
-				v, ok := zr.Entry(p, p)
-				if !ok {
-					return nil, fmt.Errorf("pexsi: pole %d: diagonal entry %d missing", job.l, orig)
-				}
-				res.Density[orig] += real(pole.Weight * v)
-			}
-			zr.Release()
-		} else {
-			eng := tmpl.Rebind(job.lu)
-			eng.DAG = cfg.DAG
-			run, err := eng.Run(cfg.Timeout)
-			if err != nil {
-				return nil, fmt.Errorf("pexsi: pole %d (z=%v): %w", job.l, pole.Z, err)
-			}
-			for orig := 0; orig < n; orig++ {
-				p := an.PermTotal[orig]
-				res.Density[orig] += real(pole.Weight * run.Ainv.ZAt(p, p))
-			}
-			// Return every engine buffer to the arena before the next pole
-			// so the steady state reuses rather than reallocates.
-			run.Release()
+		err := job.err
+		if err == nil {
+			_, _, err = s.accumulate(job.lu, pole.Weight, res.Density)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("pexsi: pole %d (z=%v): %w", job.l, pole.Z, err)
 		}
 		st := &res.Stats[job.l]
 		st.Z = pole.Z

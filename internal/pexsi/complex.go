@@ -3,17 +3,11 @@ package pexsi
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"pselinv/internal/core"
-	"pselinv/internal/etree"
 	"pselinv/internal/factor"
-	"pselinv/internal/ordering"
-	"pselinv/internal/procgrid"
-	"pselinv/internal/pselinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // ComplexPole is one term of a complex pole expansion: the density
@@ -82,104 +76,36 @@ type ComplexResult struct {
 }
 
 // RunComplex evaluates the truncated Fermi-operator expansion using the
-// complex-shift selected inversion. The analysis is performed once — all
-// shifted systems share H's sparsity pattern — and each pole reuses it.
-// For multi-pole throughput prefer RunBatch, which additionally shares one
-// engine template across poles and pipelines factorization with inversion.
+// complex-shift selected inversion, the poles one after the other or (with
+// Parallel) all at once. For multi-pole throughput prefer RunBatch, which
+// pipelines factorization with inversion and keeps memory flat.
 func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) {
 	if len(cfg.Poles) == 0 {
 		return nil, fmt.Errorf("pexsi: no poles configured")
 	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 5 * time.Minute
-	}
 	start := time.Now()
-	perm := ordering.Compute(ordering.NestedDissection, h.A, h.Geom)
-	an := etree.Analyze(h.A.Permute(perm), perm,
-		etree.Options{Relax: cfg.Relax, MaxWidth: cfg.MaxWidth})
-	n := h.A.N
-	res := &ComplexResult{Density: make([]float64, n), LogDets: make([]complex128, len(cfg.Poles))}
+	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
+		Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: false, Balancer: cfg.Balancer,
+	}, cfg.DAG, cfg.Timeout)
+	res := &ComplexResult{LogDets: make([]complex128, len(cfg.Poles))}
 	contribs := make([][]float64, len(cfg.Poles))
-
-	// One engine template serves every pole when running distributed: the
-	// plan and per-rank programs depend only on the pattern.
-	var tmpl *pselinv.Engine
-	if cfg.Procs > 1 {
-		plan := core.NewPlanConfig(an.BP, procgrid.Squarish(cfg.Procs), core.PlanConfig{
-			Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: false, Balancer: cfg.Balancer,
-		})
-		tmpl = pselinv.NewEngine(plan, nil)
-	}
-
-	runPole := func(l int) error {
+	err := forEachPole(len(cfg.Poles), cfg.Parallel, func(l int) error {
 		pole := cfg.Poles[l]
-		d := make([]float64, n)
-		if tmpl != nil {
-			lu, err := factor.FactorizeShifted(an.A, pole.Z, an.BP)
-			if err != nil {
-				return fmt.Errorf("pexsi: pole %d (z=%v): %w", l, pole.Z, err)
-			}
-			eng := tmpl.Rebind(lu)
-			eng.DAG = cfg.DAG
-			run, err := eng.Run(cfg.Timeout)
-			if err != nil {
-				return fmt.Errorf("pexsi: pole %d (z=%v): %w", l, pole.Z, err)
-			}
+		contribs[l] = make([]float64, h.A.N)
+		lu, err := factor.FactorizeShifted(s.an.A, pole.Z, s.an.BP)
+		if err == nil {
 			res.LogDets[l] = lu.LogDet()
-			for orig := 0; orig < n; orig++ {
-				p := an.PermTotal[orig]
-				d[orig] = real(pole.Weight * run.Ainv.ZAt(p, p))
-			}
-			run.Release()
-		} else {
-			zr, err := zselinv.SelInvShifted(an, pole.Z)
-			if err != nil {
-				return fmt.Errorf("pexsi: pole %d (z=%v): %w", l, pole.Z, err)
-			}
-			res.LogDets[l] = zr.LogDet()
-			for orig := 0; orig < n; orig++ {
-				p := an.PermTotal[orig]
-				v, ok := zr.Entry(p, p)
-				if !ok {
-					return fmt.Errorf("pexsi: pole %d: diagonal entry %d missing", l, orig)
-				}
-				d[orig] = real(pole.Weight * v)
-			}
-			zr.Release()
+			_, _, err = s.accumulate(lu, pole.Weight, contribs[l])
 		}
-		contribs[l] = d
+		if err != nil {
+			return fmt.Errorf("pexsi: pole %d (z=%v): %w", l, pole.Z, err)
+		}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		errs := make([]error, len(cfg.Poles))
-		for l := range cfg.Poles {
-			wg.Add(1)
-			go func(l int) {
-				defer wg.Done()
-				errs[l] = runPole(l)
-			}(l)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for l := range cfg.Poles {
-			if err := runPole(l); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		res.Density[i] = 0.5
-		for l := range cfg.Poles {
-			res.Density[i] += contribs[l][i]
-		}
-	}
+	res.Density = sumPoles(0.5, h.A.N, contribs)
 	res.Elapsed = time.Since(start)
 	return res, nil
 }

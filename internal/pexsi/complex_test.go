@@ -5,8 +5,8 @@ import (
 	"math/cmplx"
 	"testing"
 
+	"pselinv/internal/dense"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zdense"
 )
 
 // mustPoles builds a Matsubara pole set, failing the test on bad input.
@@ -45,30 +45,41 @@ func TestMatsubaraPolesErrors(t *testing.T) {
 	}
 }
 
+// denseShiftedInverse returns (A − zI)⁻¹ as a lookup, computed as the
+// pivoted real inverse of the 2n×2n embedding [[Re, −Im], [Im, Re]] — an
+// oracle that shares no complex kernel with the code under test.
+func denseShiftedInverse(t *testing.T, a *sparse.CSC, z complex128) func(i, j int) complex128 {
+	t.Helper()
+	n := a.N
+	m := dense.NewMatrix(2*n, 2*n)
+	for j := 0; j < n; j++ {
+		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+			m.Set(a.RowIdx[k], j, a.Val[k])
+			m.Set(n+a.RowIdx[k], n+j, a.Val[k])
+		}
+		m.Add(j, j, -real(z))
+		m.Add(n+j, n+j, -real(z))
+		m.Set(j, n+j, imag(z))
+		m.Set(n+j, j, -imag(z))
+	}
+	inv, err := dense.Inverse(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(i, j int) complex128 { return complex(inv.At(i, j), inv.At(n+i, j)) }
+}
+
 // denseTruncatedFermi computes the same truncated expansion densely.
 func denseTruncatedFermi(t *testing.T, a *sparse.CSC, poles []ComplexPole) []float64 {
 	t.Helper()
-	n := a.N
-	out := make([]float64, n)
+	out := make([]float64, a.N)
 	for i := range out {
 		out[i] = 0.5
 	}
 	for _, p := range poles {
-		d := zdense.NewMatrix(n, n)
-		for j := 0; j < n; j++ {
-			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-				d.Set(a.RowIdx[k], j, complex(a.Val[k], 0))
-			}
-		}
-		for i := 0; i < n; i++ {
-			d.Add(i, i, -p.Z)
-		}
-		inv, err := zdense.Inverse(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < n; i++ {
-			out[i] += real(p.Weight * inv.At(i, i))
+		inv := denseShiftedInverse(t, a, p.Z)
+		for i := range out {
+			out[i] += real(p.Weight * inv(i, i))
 		}
 	}
 	return out

@@ -8,14 +8,15 @@
 // with the selected inversions for different poles carried out
 // simultaneously on independent processor subgroups (§V: "multiple
 // selected inversions are carried out simultaneously on different
-// subgroups of processors"). This package runs one simulated PSelInv world
-// per pole, optionally concurrently, and accumulates the density estimate.
+// subgroups of processors").
 //
-// The true PEXSI method uses complex poles from a rational approximation
-// of the Fermi–Dirac function; this repository is real-arithmetic only, so
-// poles are real positive shifts (the matrices stay diagonally dominant),
-// which exercises exactly the same computational and communication
-// structure per pole.
+// Three drivers share one analysis per run and one per-pole body (invert on
+// the serial reference or the engine, read the weighted diagonal, release)
+// and differ only in pole type and scheduling: Run takes real positive
+// shifts (the matrices stay diagonally dominant) and RunComplex the complex
+// poles of a rational approximation of the Fermi–Dirac function, both one
+// pole after the other or one goroutine per pole; RunBatch pipelines the
+// factorization of complex pole l+1 with the inversion of pole l.
 package pexsi
 
 import (
@@ -24,10 +25,12 @@ import (
 	"sync"
 	"time"
 
+	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
+	"pselinv/internal/dense"
 	"pselinv/internal/etree"
+	"pselinv/internal/exp"
 	"pselinv/internal/factor"
-	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
 	"pselinv/internal/selinv"
@@ -95,105 +98,133 @@ type Result struct {
 	Elapsed time.Duration
 }
 
+// poleSolver is what the poles of one expansion share: every shifted
+// system has H's sparsity pattern, so the analysis is done once, and runs
+// on more than one rank use one engine template (plan and per-rank
+// programs) that each pole rebinds to its own factorization.
+type poleSolver struct {
+	an      *etree.Analysis
+	tmpl    *pselinv.Engine // nil: the serial reference inverts
+	dag     bool
+	timeout time.Duration
+}
+
+func newPoleSolver(h *sparse.Generated, relax, maxWidth, procs int, pc core.PlanConfig, dag bool, timeout time.Duration) *poleSolver {
+	if timeout == 0 {
+		timeout = 5 * time.Minute
+	}
+	s := &poleSolver{an: exp.PrepareSymbolic(h, relax, maxWidth).An, dag: dag, timeout: timeout}
+	if procs > 1 {
+		s.tmpl = pselinv.NewEngine(core.NewPlanConfig(s.an.BP, procgrid.Squarish(procs), pc), nil)
+	}
+	return s
+}
+
+// accumulate inverts one factorized pole — on the engine template, or on
+// the serial reference a one-rank engine run is bit-identical to — adds
+// weight × the inverse's diagonal to acc in the original ordering, and
+// returns the inverse's storage to the arena, so the next pole reuses it.
+func (s *poleSolver) accumulate(lu *factor.LU, weight complex128, acc []float64) (maxSentMB float64, elapsed time.Duration, err error) {
+	var ainv *blockmat.BlockMatrix
+	if s.tmpl == nil {
+		t0 := time.Now()
+		ainv = selinv.SelInv(lu)
+		elapsed = time.Since(t0)
+	} else {
+		eng := s.tmpl.Rebind(lu)
+		eng.DAG = s.dag
+		run, err := eng.Run(s.timeout)
+		if err != nil {
+			return 0, 0, err
+		}
+		ainv, elapsed = run.Ainv, run.Elapsed
+		for r := 0; r < run.World.P; r++ {
+			maxSentMB = max(maxSentMB, float64(run.World.TotalSent(r))/1e6)
+		}
+	}
+	for orig, p := range s.an.PermTotal {
+		if lu.Elem == dense.Complex {
+			acc[orig] += real(weight * ainv.ZAt(p, p))
+		} else {
+			acc[orig] += real(weight) * ainv.At(p, p)
+		}
+	}
+	ainv.Release()
+	return maxSentMB, elapsed, nil
+}
+
+// forEachPole calls fn for every pole index, concurrently when parallel is
+// set (one goroutine per pole, as PEXSI's processor subgroups), and
+// returns the error of the lowest failing pole.
+func forEachPole(n int, parallel bool, fn func(l int) error) error {
+	if !parallel {
+		for l := 0; l < n; l++ {
+			if err := fn(l); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for l := 0; l < n; l++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[l] = fn(l)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// sumPoles returns base + Σₗ contribs[l], adding in pole order so the
+// result does not depend on the order the poles finished in.
+func sumPoles(base float64, n int, contribs [][]float64) []float64 {
+	out := make([]float64, n)
+	for i := range out {
+		out[i] = base
+		for _, c := range contribs {
+			out[i] += c[i]
+		}
+	}
+	return out
+}
+
 // Run executes the pole expansion for the Hamiltonian h.
 func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 	if len(cfg.Poles) == 0 {
 		return nil, fmt.Errorf("pexsi: no poles configured")
 	}
-	if cfg.ProcsPerPole <= 0 {
-		cfg.ProcsPerPole = 1
-	}
-	if cfg.Timeout == 0 {
-		cfg.Timeout = 5 * time.Minute
-	}
 	start := time.Now()
-	n := h.A.N
-	res := &Result{Density: make([]float64, n), Stats: make([]PoleStats, len(cfg.Poles))}
-	densities := make([][]float64, len(cfg.Poles))
-
-	runPole := func(l int) error {
+	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.ProcsPerPole, core.PlanConfig{
+		Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: true, Balancer: cfg.Balancer,
+	}, cfg.DAG, cfg.Timeout)
+	res := &Result{Stats: make([]PoleStats, len(cfg.Poles))}
+	contribs := make([][]float64, len(cfg.Poles))
+	err := forEachPole(len(cfg.Poles), cfg.Parallel, func(l int) error {
 		pole := cfg.Poles[l]
-		shifted := &sparse.Generated{A: h.A.AddDiagonal(pole.Shift), Name: h.Name, Geom: h.Geom}
-		perm := ordering.Compute(ordering.NestedDissection, shifted.A, shifted.Geom)
-		an := etree.Analyze(shifted.A.Permute(perm), perm,
-			etree.Options{Relax: cfg.Relax, MaxWidth: cfg.MaxWidth})
-		lu, err := factor.Factorize(an.A, an.BP)
+		st := &res.Stats[l]
+		st.Pole = pole
+		contribs[l] = make([]float64, h.A.N)
+		lu, err := factor.Factorize(s.an.A.AddDiagonal(pole.Shift), s.an.BP)
+		if err == nil {
+			st.MaxSentMB, st.Elapsed, err = s.accumulate(lu, complex(pole.Weight, 0), contribs[l])
+		}
 		if err != nil {
 			return fmt.Errorf("pexsi: pole %d (σ=%g): %w", l, pole.Shift, err)
 		}
-		grid := procgrid.Squarish(cfg.ProcsPerPole)
-		var diag []float64
-		var maxSent float64
-		var elapsed time.Duration
-		if cfg.ProcsPerPole == 1 {
-			// Single-rank pole groups fall back to the sequential kernel.
-			t0 := time.Now()
-			sr := selinv.SelInv(lu)
-			elapsed = time.Since(t0)
-			diag = diagonalOf(an, sr.Ainv.At)
-		} else {
-			plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{
-				Scheme: cfg.Scheme, Seed: cfg.Seed + uint64(l),
-				Symmetric: true, Balancer: cfg.Balancer,
-			})
-			eng := pselinv.NewEngine(plan, lu)
-			eng.DAG = cfg.DAG
-			run, err := eng.Run(cfg.Timeout)
-			if err != nil {
-				return fmt.Errorf("pexsi: pole %d (σ=%g): %w", l, pole.Shift, err)
-			}
-			elapsed = run.Elapsed
-			diag = diagonalOf(an, run.Ainv.At)
-			for r := 0; r < run.World.P; r++ {
-				if v := float64(run.World.TotalSent(r)) / 1e6; v > maxSent {
-					maxSent = v
-				}
-			}
-		}
-		densities[l] = diag
-		res.Stats[l] = PoleStats{Pole: pole, MaxSentMB: maxSent, Elapsed: elapsed}
 		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	if cfg.Parallel {
-		var wg sync.WaitGroup
-		errs := make([]error, len(cfg.Poles))
-		for l := range cfg.Poles {
-			wg.Add(1)
-			go func(l int) {
-				defer wg.Done()
-				errs[l] = runPole(l)
-			}(l)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		for l := range cfg.Poles {
-			if err := runPole(l); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for l, pole := range cfg.Poles {
-		for i := 0; i < n; i++ {
-			res.Density[i] += pole.Weight * densities[l][i]
-		}
-	}
+	res.Density = sumPoles(0, h.A.N, contribs)
 	res.Elapsed = time.Since(start)
 	return res, nil
-}
-
-// diagonalOf maps the permuted diagonal back to the original ordering.
-func diagonalOf(an *etree.Analysis, at func(i, j int) float64) []float64 {
-	n := len(an.PermTotal)
-	d := make([]float64, n)
-	for orig := 0; orig < n; orig++ {
-		p := an.PermTotal[orig]
-		d[orig] = at(p, p)
-	}
-	return d
 }

@@ -22,8 +22,7 @@ func TestAnalyticPerRankVolumesMatchEngine(t *testing.T) {
 	for _, mode := range volumeModes(t, an, lu) {
 		for _, dag := range []bool{false, true} {
 			label := fmt.Sprintf("%s dag=%v", mode.name, dag)
-			plan := core.NewPlanFull(an.BP, grid, core.ShiftedBinaryTree, 13,
-				core.DefaultHybridThreshold, mode.symmetric)
+			plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 13, Symmetric: mode.symmetric})
 			eng := NewEngine(plan, mode.lu)
 			eng.DAG = dag
 			res, err := eng.Run(testTimeout)

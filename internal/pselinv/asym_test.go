@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -17,7 +18,7 @@ import (
 )
 
 // prepAsym builds the pipeline for an asymmetric-valued matrix.
-func prepAsym(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis, *factor.LU, *selinv.Result) {
+func prepAsym(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis, *factor.LU, *blockmat.BlockMatrix) {
 	t.Helper()
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, opt)
@@ -28,21 +29,21 @@ func prepAsym(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Anal
 	return an, lu, selinv.SelInv(lu)
 }
 
-func runAsymAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *selinv.Result,
+func runAsymAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *blockmat.BlockMatrix,
 	grid *procgrid.Grid, scheme core.Scheme, seed uint64) *RunResult {
 	t.Helper()
-	plan := core.NewPlanAsym(an.BP, grid, scheme, seed)
+	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: scheme, Seed: seed})
 	res, err := NewEngine(plan, lu).Run(testTimeout)
 	if err != nil {
 		t.Fatalf("asym grid %v scheme %v: %v", grid, scheme, err)
 	}
-	refKeys := ref.Ainv.Keys()
+	refKeys := ref.Keys()
 	gotKeys := res.Ainv.Keys()
 	if len(refKeys) != len(gotKeys) {
 		t.Fatalf("asym grid %v scheme %v: %d blocks, want %d", grid, scheme, len(gotKeys), len(refKeys))
 	}
 	for _, key := range refKeys {
-		want := ref.Ainv.MustGet(key.I, key.J)
+		want := ref.MustGet(key.I, key.J)
 		got, ok := res.Ainv.Get(key.I, key.J)
 		if !ok {
 			t.Fatalf("asym grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
@@ -83,8 +84,8 @@ func TestAsymmetricSequentialMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := an.BP.Part
-	for _, key := range ref.Ainv.Keys() {
-		b := ref.Ainv.MustGet(key.I, key.J)
+	for _, key := range ref.Keys() {
+		b := ref.MustGet(key.I, key.J)
 		r0, c0 := part.Start[key.I], part.Start[key.J]
 		for c := 0; c < b.Cols; c++ {
 			for r := 0; r < b.Rows; r++ {
@@ -125,7 +126,7 @@ func TestAsymmetricVolumesMatchPlan(t *testing.T) {
 	g := sparse.Asymmetrize(sparse.Grid2D(8, 7, 5), 3, 0.5)
 	an, lu, _ := prepAsym(t, g, etree.Options{Relax: 1, MaxWidth: 6})
 	grid := procgrid.New(4, 3)
-	plan := core.NewPlanAsym(an.BP, grid, core.ShiftedBinaryTree, 7)
+	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 7})
 	res, err := NewEngine(plan, lu).Run(testTimeout)
 	if err != nil {
 		t.Fatal(err)
@@ -183,14 +184,14 @@ func TestQuickAsymmetricParallel(t *testing.T) {
 		ref := selinv.SelInv(lu)
 		grid := procgrid.New(1+rng.Intn(4), 1+rng.Intn(4))
 		scheme := []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree}[rng.Intn(3)]
-		plan := core.NewPlanAsym(an.BP, grid, scheme, rng.Uint64())
+		plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: scheme, Seed: rng.Uint64()})
 		res, err := NewEngine(plan, lu).Run(testTimeout)
 		if err != nil {
 			return false
 		}
-		for _, key := range ref.Ainv.Keys() {
+		for _, key := range ref.Keys() {
 			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.Ainv.MustGet(key.I, key.J)) > 1e-8 {
+			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-8 {
 				return false
 			}
 		}

@@ -8,20 +8,19 @@ import (
 	"pselinv/internal/core"
 	"pselinv/internal/etree"
 	"pselinv/internal/procgrid"
-	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
 )
 
 // requireNearReference asserts a run snapshot agrees with the serial
 // reference block for block within the parity tolerance.
-func requireNearReference(t *testing.T, label string, ref *selinv.Result, got map[blockmat.Key][]float64) {
+func requireNearReference(t *testing.T, label string, ref *blockmat.BlockMatrix, got map[blockmat.Key][]float64) {
 	t.Helper()
-	keys := ref.Ainv.Keys()
+	keys := ref.Keys()
 	if len(keys) != len(got) {
 		t.Fatalf("%s: %d blocks computed, want %d", label, len(got), len(keys))
 	}
 	for _, key := range keys {
-		want := ref.Ainv.MustGet(key.I, key.J)
+		want := ref.MustGet(key.I, key.J)
 		g := got[blockmat.Key{I: key.I, J: key.J}]
 		if len(g) != len(want.Data) {
 			t.Fatalf("%s: block (%d,%d) has %d words, want %d", label, key.I, key.J, len(g), len(want.Data))

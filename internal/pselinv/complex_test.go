@@ -1,13 +1,13 @@
 // Complex parity suite: the distributed engine running a complex-shifted
-// factorization against the serial zselinv reference. Both sides share the
+// factorization against the serial reference (internal/selinv). Both sides share the
 // factorization and the element-generic dense kernels, and a reduction's
 // fold order is a property of the plan alone, so for one plan the result
 // is BIT-identical whatever the DAG setting, delivery order or transport.
 // Across plans (scheme, balancer, process count) the bracketing of the
 // reductions differs: a single rank folds in the reference's own order and
 // stays bit-identical to it, several ranks agree with it within 1e-9. The
-// file lives in the external test package so it can import
-// internal/zselinv (which has no dependency back on pselinv).
+// file lives in the external test package, next to the other suites that
+// drive the engine only through its exported surface.
 package pselinv_test
 
 import (
@@ -24,15 +24,15 @@ import (
 	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
+	"pselinv/internal/selinv"
 	"pselinv/internal/sparse"
-	"pselinv/internal/zselinv"
 )
 
 // prepComplex analyzes g, factorizes A − zI once, and runs the serial
 // reference over that same factorization — the engine under test consumes
 // the identical LU object, so any bit difference is the engine's own.
 func prepComplex(t testing.TB, g *sparse.Generated, opt etree.Options,
-	z complex128) (*etree.Analysis, *factor.LU, *zselinv.Result) {
+	z complex128) (*etree.Analysis, *factor.LU, *blockmat.BlockMatrix) {
 	t.Helper()
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, opt)
@@ -40,7 +40,7 @@ func prepComplex(t testing.TB, g *sparse.Generated, opt etree.Options,
 	if err != nil {
 		t.Fatalf("%s: %v", g.Name, err)
 	}
-	return an, lu, zselinv.SelInvFromLU(lu, z)
+	return an, lu, selinv.SelInv(lu)
 }
 
 // runComplex runs the parallel engine on one plan and snapshots its blocks
@@ -73,14 +73,14 @@ func runComplex(t testing.TB, an *etree.Analysis, lu *factor.LU, grid *procgrid.
 
 // requireComplexParity compares a run snapshot with the serial reference:
 // word for word on bits when exact, within 1e-9 otherwise.
-func requireComplexParity(t testing.TB, label string, ref *zselinv.Result,
+func requireComplexParity(t testing.TB, label string, ref *blockmat.BlockMatrix,
 	got map[blockmat.Key][]float64, exact bool) {
 	t.Helper()
-	if len(got) != len(ref.Ainv) {
-		t.Fatalf("%s: %d blocks computed, want %d", label, len(got), len(ref.Ainv))
+	if len(got) != ref.NumBlocks() {
+		t.Fatalf("%s: %d blocks computed, want %d", label, len(got), ref.NumBlocks())
 	}
 	for key := range got {
-		want, ok := ref.Block(key.I, key.J)
+		want, ok := ref.Get(key.I, key.J)
 		if !ok {
 			t.Fatalf("%s: block (%d,%d) absent from the reference", label, key.I, key.J)
 		}

@@ -91,14 +91,14 @@ func TestParallelHybridThresholdExtremes(t *testing.T) {
 	an, lu, ref := prep(t, g, etree.Options{MaxWidth: 6})
 	grid := procgrid.New(4, 3)
 	for _, thr := range []int{0, 1, 1 << 20} {
-		plan := core.NewPlanThreshold(an.BP, grid, core.Hybrid, 5, thr)
+		plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: core.Hybrid, Seed: 5, HybridThreshold: thr, Symmetric: true})
 		res, err := NewEngine(plan, lu).Run(testTimeout)
 		if err != nil {
 			t.Fatalf("threshold %d: %v", thr, err)
 		}
-		for _, key := range ref.Ainv.Keys() {
+		for _, key := range ref.Keys() {
 			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.Ainv.MustGet(key.I, key.J)) > 1e-9 {
+			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-9 {
 				t.Fatalf("threshold %d: block (%d,%d) wrong", thr, key.I, key.J)
 			}
 		}

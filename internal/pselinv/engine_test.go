@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -20,7 +21,7 @@ import (
 const testTimeout = 60 * time.Second
 
 // prep builds the full pipeline up to the factorization.
-func prep(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis, *factor.LU, *selinv.Result) {
+func prep(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis, *factor.LU, *blockmat.BlockMatrix) {
 	t.Helper()
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, opt)
@@ -33,7 +34,7 @@ func prep(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis
 
 // runAndCompare runs the parallel engine and compares block-for-block with
 // the sequential reference.
-func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *selinv.Result,
+func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *blockmat.BlockMatrix,
 	grid *procgrid.Grid, scheme core.Scheme, seed uint64) *RunResult {
 	t.Helper()
 	plan := core.NewPlan(an.BP, grid, scheme, seed)
@@ -44,14 +45,14 @@ func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *selinv.
 	if cerr := res.World.CheckConservation(); cerr != nil {
 		t.Fatalf("grid %v scheme %v: %v", grid, scheme, cerr)
 	}
-	refKeys := ref.Ainv.Keys()
+	refKeys := ref.Keys()
 	gotKeys := res.Ainv.Keys()
 	if len(refKeys) != len(gotKeys) {
 		t.Fatalf("grid %v scheme %v: %d blocks computed, want %d",
 			grid, scheme, len(gotKeys), len(refKeys))
 	}
 	for _, key := range refKeys {
-		want := ref.Ainv.MustGet(key.I, key.J)
+		want := ref.MustGet(key.I, key.J)
 		got, ok := res.Ainv.Get(key.I, key.J)
 		if !ok {
 			t.Fatalf("grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
@@ -207,9 +208,9 @@ func TestQuickParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, key := range ref.Ainv.Keys() {
+		for _, key := range ref.Keys() {
 			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.Ainv.MustGet(key.I, key.J)) > 1e-8 {
+			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-8 {
 				return false
 			}
 		}

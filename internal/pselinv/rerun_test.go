@@ -23,9 +23,9 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		for _, key := range ref.Ainv.Keys() {
+		for _, key := range ref.Keys() {
 			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.Ainv.MustGet(key.I, key.J)) > 1e-9 {
+			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-9 {
 				t.Fatalf("run %d: block (%d,%d) wrong", run, key.I, key.J)
 			}
 		}
@@ -52,7 +52,7 @@ func TestHybridPlanMixesTreeShapes(t *testing.T) {
 	an, _, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
 	grid := procgrid.New(8, 8)
 	thr := 4
-	plan := core.NewPlanThreshold(an.BP, grid, core.Hybrid, 1, thr)
+	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: core.Hybrid, Seed: 1, HybridThreshold: thr, Symmetric: true})
 	sawFlat, sawBinary := false, false
 	for _, sp := range plan.Snodes {
 		for x := range sp.ColBcasts {

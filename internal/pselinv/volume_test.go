@@ -107,7 +107,7 @@ func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
 			for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
 				for _, dag := range []bool{false, true} {
 					label := fmt.Sprintf("%s grid %v scheme %v dag=%v", mode.name, grid, scheme, dag)
-					plan := core.NewPlanFull(an.BP, grid, scheme, 9, core.DefaultHybridThreshold, mode.symmetric)
+					plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: scheme, Seed: 9, Symmetric: mode.symmetric})
 					eng := NewEngine(plan, mode.lu)
 					eng.DAG = dag
 					res, err := eng.Run(testTimeout)

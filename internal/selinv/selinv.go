@@ -1,142 +1,102 @@
 // Package selinv implements the sequential selected inversion algorithm
-// (Algorithm 1 of the paper) on the supernodal block storage. It serves as
-// the correctness reference for the distributed implementation in
-// internal/pselinv, and as the building block of the public API's
-// single-process path.
+// (Algorithm 1 of the paper) on the supernodal block storage, for either
+// element type: a real factorization (factor.Factorize) of symmetric or
+// general values, or the complex factorization of A − zI
+// (factor.FactorizeShifted) that pole expansion inverts once per pole. It
+// is the correctness reference for the distributed implementation in
+// internal/pselinv, and the single-process path of the public API.
+//
+// The second pass brackets every reduction the way a single engine rank
+// does — each contribution is computed into its own zeroed slot with a
+// beta=1 GEMM, the slots are folded in ascending structure order, and the
+// fold is negated (off-diagonal) or subtracted from the diagonal inverse —
+// so a one-rank run of the general plan is bit-identical to this
+// reference, and a run on several ranks, which brackets the same sums along
+// its reduce trees, agrees with it to rounding (as does the symmetric plan,
+// which uses L̂ᵀ in place of Û).
 package selinv
 
 import (
 	"pselinv/internal/blockmat"
 	"pselinv/internal/dense"
-	"pselinv/internal/etree"
 	"pselinv/internal/factor"
 )
 
-// Result holds the outcome of selected inversion.
-type Result struct {
-	BP *etree.BlockPattern
-	// Ainv stores the selected blocks of A⁻¹: all diagonal blocks, all
-	// lower-pattern blocks (I, K), and their upper mirrors (K, I).
-	Ainv *blockmat.BlockMatrix
-	// Lhat stores L̂_{I,K} = L_{I,K} L_KK⁻¹ (pass 1 output, lower blocks).
-	Lhat *blockmat.BlockMatrix
-	// Uhat stores Û_{K,I} = U_KK⁻¹ U_{K,I} (pass 1 output, upper blocks).
-	Uhat *blockmat.BlockMatrix
-	// SelInvFlops counts floating-point operations of both passes; the
-	// timing simulator uses it for computation costs.
-	SelInvFlops int64
-}
-
-// Pass1 computes the normalized factors L̂ and Û from a block LU
-// factorization (the first loop of Algorithm 1). The returned block
-// matrices hold (I, K) and (K, I) blocks respectively.
-func Pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix, flops int64) {
+// pass1 computes the normalized factors of the first loop of Algorithm 1:
+// L̂_{I,K} = L_{I,K}·L_KK⁻¹ stored at (I, K) and Û_{K,I} = U_KK⁻¹·U_{K,I}
+// stored at (K, I). The copies live on the dense arena.
+func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
 	bp := lu.BP
-	part := bp.Part
-	lhat = blockmat.New(part)
-	uhat = blockmat.New(part)
+	lhat = blockmat.NewElem(bp.Part, lu.Elem)
+	uhat = blockmat.NewElem(bp.Part, lu.Elem)
 	for k := bp.NumSnodes() - 1; k >= 0; k-- {
 		dk := lu.Diag[k]
-		w := part.Width(k)
 		for _, i := range bp.Struct(k) {
-			if lb, ok := lu.LBlock(i, k); ok {
-				x := lb.Clone()
-				// L̂_{I,K} = L_{I,K} L_KK⁻¹  (right solve, unit lower).
-				dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
-				lhat.Set(i, k, x)
-				flops += dense.TrsmFlops(w, x.Rows)
-			}
-			if ub, ok := lu.UBlock(k, i); ok {
-				x := ub.Clone()
-				// Û_{K,I} = U_KK⁻¹ U_{K,I}  (left solve, non-unit upper).
-				dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, x)
-				uhat.Set(k, i, x)
-				flops += dense.TrsmFlops(w, x.Cols)
-			}
+			x := dense.GetMatrixCopy(lu.F.MustGet(i, k))
+			dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
+			lhat.Set(i, k, x)
+			y := dense.GetMatrixCopy(lu.F.MustGet(k, i))
+			dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, y)
+			uhat.Set(k, i, y)
 		}
 	}
-	return lhat, uhat, flops
+	return lhat, uhat
 }
 
-// SelInv runs both passes of Algorithm 1 and returns the selected inverse.
-func SelInv(lu *factor.LU) *Result {
+// addProduct adds a·b to sum through a zeroed slot of its own.
+func addProduct(sum, a, b *dense.Matrix) {
+	slot := dense.GetMatrixElem(sum.Rows, sum.Cols, sum.Elem)
+	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, a, b, 1, slot)
+	sum.AddScaled(1, slot)
+	dense.PutMatrix(slot)
+}
+
+// SelInv runs both passes of Algorithm 1 over a block LU factorization and
+// returns the selected blocks of the inverse: all diagonal blocks, all
+// lower-pattern blocks (I, K) and their upper mirrors (K, I), with the
+// factorization's element type. The blocks are arena-backed
+// (see blockmat.BlockMatrix.Release).
+func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 	bp := lu.BP
 	part := bp.Part
-	res := &Result{BP: bp, Ainv: blockmat.New(part)}
-	var f1 int64
-	res.Lhat, res.Uhat, f1 = Pass1(lu)
-	res.SelInvFlops = f1
-	ainv := res.Ainv
+	lhat, uhat := pass1(lu)
+	defer lhat.Release()
+	defer uhat.Release()
+	ainv := blockmat.NewElem(part, lu.Elem)
 	// Pass 2: supernodes in descending order (top-down elimination tree
 	// traversal). When processing K, every block A⁻¹_{J,I} with I, J ∈ C(K)
 	// has already been finalized by iterations I, J > K.
 	for k := bp.NumSnodes() - 1; k >= 0; k-- {
 		c := bp.Struct(k)
-		w := part.Width(k)
-		// A⁻¹_{J,K} = -Σ_{I∈C} A⁻¹_{J,I} L̂_{I,K}   (step 3)
+		wk := part.Width(k)
+		// A⁻¹_{J,K} = −Σ_{I∈C} A⁻¹_{J,I}·L̂_{I,K}   (step 3)
 		for _, j := range c {
-			target := ainv.EnsureZero(j, k)
+			sum := dense.GetMatrixElem(part.Width(j), wk, lu.Elem)
 			for _, i := range c {
-				lb, ok := res.Lhat.Get(i, k)
-				if !ok {
-					continue
-				}
-				aji := mustAinv(ainv, j, i)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, aji, lb, 1, target)
-				res.SelInvFlops += dense.GemmFlops(aji.Rows, lb.Cols, lb.Rows)
+				addProduct(sum, ainv.MustGet(j, i), lhat.MustGet(i, k))
 			}
+			sum.Scale(-1)
+			ainv.Set(j, k, sum)
 		}
-		// A⁻¹_{K,J} = -Σ_{I∈C} Û_{K,I} A⁻¹_{I,J}   (step 5)
+		// A⁻¹_{K,J} = −Σ_{I∈C} Û_{K,I}·A⁻¹_{I,J}   (step 5)
 		for _, j := range c {
-			target := ainv.EnsureZero(k, j)
+			sum := dense.GetMatrixElem(wk, part.Width(j), lu.Elem)
 			for _, i := range c {
-				ub, ok := res.Uhat.Get(k, i)
-				if !ok {
-					continue
-				}
-				aij := mustAinv(ainv, i, j)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, ub, aij, 1, target)
-				res.SelInvFlops += dense.GemmFlops(ub.Rows, aij.Cols, ub.Cols)
+				addProduct(sum, uhat.MustGet(k, i), ainv.MustGet(i, j))
 			}
+			sum.Scale(-1)
+			ainv.Set(k, j, sum)
 		}
-		// A⁻¹_{K,K} = U_KK⁻¹ L_KK⁻¹ − Û_{K,C} A⁻¹_{C,K}   (step 4)
-		diag := lu.DiagInverse(k)
-		res.SelInvFlops += 2 * int64(w) * int64(w) * int64(w)
-		for _, i := range c {
-			ub, ok := res.Uhat.Get(k, i)
-			if !ok {
-				continue
-			}
-			aik := ainv.MustGet(i, k)
-			dense.Gemm(dense.NoTrans, dense.NoTrans, -1, ub, aik, 1, diag)
-			res.SelInvFlops += dense.GemmFlops(ub.Rows, aik.Cols, ub.Cols)
+		// A⁻¹_{K,K} = U_KK⁻¹·L_KK⁻¹ − Σ_{J∈C} Û_{K,J}·A⁻¹_{J,K}   (step 4)
+		dsum := dense.GetMatrixElem(wk, wk, lu.Elem)
+		for _, j := range c {
+			addProduct(dsum, uhat.MustGet(k, j), ainv.MustGet(j, k))
 		}
-		ainv.Set(k, k, diag)
+		d := dense.GetMatrixElem(wk, wk, lu.Elem)
+		lu.DiagInverseTo(k, d)
+		d.AddScaled(-1, dsum)
+		dense.PutMatrix(dsum)
+		ainv.Set(k, k, d)
 	}
-	return res
-}
-
-// mustAinv fetches A⁻¹_{I,J} from either triangle; the closed block pattern
-// guarantees presence, so absence is a bug.
-func mustAinv(ainv *blockmat.BlockMatrix, i, j int) *dense.Matrix {
-	return ainv.MustGet(i, j)
-}
-
-// SymmetryCheck returns the maximum of |Û_{K,I} − L̂_{I,K}ᵀ| over all
-// off-diagonal blocks — the identity the distributed symmetric
-// implementation relies on (§II-B of the paper). Zero (to rounding) for
-// matrices with symmetric values.
-func (r *Result) SymmetryCheck() float64 {
-	worst := 0.0
-	for _, key := range r.Lhat.Keys() {
-		lb := r.Lhat.MustGet(key.I, key.J)
-		ub, ok := r.Uhat.Get(key.J, key.I)
-		if !ok {
-			continue
-		}
-		if d := ub.MaxAbsDiff(lb.Transpose()); d > worst {
-			worst = d
-		}
-	}
-	return worst
+	return ainv
 }

@@ -1,10 +1,14 @@
 package selinv
 
 import (
+	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"pselinv/internal/blockmat"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
@@ -12,34 +16,89 @@ import (
 	"pselinv/internal/sparse"
 )
 
-func pipeline(t *testing.T, g *sparse.Generated, method ordering.Method, opt etree.Options) (*etree.Analysis, *factor.LU, *Result) {
-	t.Helper()
+func analyze(g *sparse.Generated, method ordering.Method, opt etree.Options) *etree.Analysis {
 	perm := ordering.Compute(method, g.A, g.Geom)
-	an := etree.Analyze(g.A.Permute(perm), perm, opt)
-	lu, err := factor.Factorize(an.A, an.BP)
-	if err != nil {
-		t.Fatalf("%s: %v", g.Name, err)
-	}
-	return an, lu, SelInv(lu)
+	return etree.Analyze(g.A.Permute(perm), perm, opt)
 }
 
-// checkAgainstDense verifies every stored block of the selected inverse
-// against the dense inverse of the analyzed matrix.
-func checkAgainstDense(t *testing.T, an *etree.Analysis, res *Result, tol float64) {
+// factorize builds the factorization under test: the real LU of A, or the
+// complex LU of A − zI.
+func factorize(t testing.TB, an *etree.Analysis, elem dense.Elem, z complex128) *factor.LU {
 	t.Helper()
-	want, err := dense.Inverse(an.A.ToDense())
+	var lu *factor.LU
+	var err error
+	if elem == dense.Complex {
+		lu, err = factor.FactorizeShifted(an.A, z, an.BP)
+	} else {
+		lu, err = factor.Factorize(an.A, an.BP)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
+	return lu
+}
+
+// denseOracle inverts the analyzed matrix densely with partial pivoting —
+// sharing neither the supernodal structure nor, for complex elements, any
+// complex kernel with the code under test. Real: dense.Inverse of A.
+// Complex: dense.Inverse of the real 2n×2n embedding [[Re, −Im], [Im, Re]]
+// of A − zI, whose inverse is the embedding of (A − zI)⁻¹ and whose
+// determinant is |det(A − zI)|². It returns the inverse as a lookup and
+// log|det|.
+func denseOracle(t testing.TB, a *sparse.CSC, elem dense.Elem, z complex128) (inv func(i, j int) complex128, logAbsDet float64) {
+	t.Helper()
+	n := a.N
+	m := a.ToDense()
+	if elem == dense.Complex {
+		m = dense.NewMatrix(2*n, 2*n)
+		for j := 0; j < n; j++ {
+			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+				m.Set(a.RowIdx[k], j, a.Val[k])
+				m.Set(n+a.RowIdx[k], n+j, a.Val[k])
+			}
+			m.Add(j, j, -real(z))
+			m.Add(n+j, n+j, -real(z))
+			m.Set(j, n+j, imag(z))
+			m.Set(n+j, j, -imag(z))
+		}
+	}
+	x, err := dense.Inverse(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := m.Clone()
+	if _, err := dense.LUPartialPivot(f); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < f.Rows; i++ {
+		logAbsDet += math.Log(math.Abs(f.At(i, i)))
+	}
+	if elem == dense.Complex {
+		return func(i, j int) complex128 { return complex(x.At(i, j), x.At(n+i, j)) }, logAbsDet / 2
+	}
+	return func(i, j int) complex128 { return complex(x.At(i, j), 0) }, logAbsDet
+}
+
+// entry reads one scalar of a block of either element type.
+func entry(b *dense.Matrix, r, c int) complex128 {
+	if b.Elem == dense.Complex {
+		return b.ZAt(r, c)
+	}
+	return complex(b.At(r, c), 0)
+}
+
+// checkAgainstDense verifies every stored block of the selected inverse
+// against the dense oracle.
+func checkAgainstDense(t testing.TB, an *etree.Analysis, ainv *blockmat.BlockMatrix, want func(i, j int) complex128, tol float64) {
+	t.Helper()
 	part := an.BP.Part
-	for _, key := range res.Ainv.Keys() {
-		b := res.Ainv.MustGet(key.I, key.J)
+	for _, key := range ainv.Keys() {
+		b := ainv.MustGet(key.I, key.J)
 		r0, c0 := part.Start[key.I], part.Start[key.J]
 		for c := 0; c < b.Cols; c++ {
 			for r := 0; r < b.Rows; r++ {
-				got, exp := b.At(r, c), want.At(r0+r, c0+c)
-				if d := got - exp; d > tol || d < -tol {
-					t.Fatalf("A⁻¹ block (%d,%d) entry (%d,%d): got %g want %g",
+				if got, exp := entry(b, r, c), want(r0+r, c0+c); !(cmplx.Abs(got-exp) <= tol) {
+					t.Fatalf("A⁻¹ block (%d,%d) entry (%d,%d): got %v want %v",
 						key.I, key.J, r, c, got, exp)
 				}
 			}
@@ -47,18 +106,109 @@ func checkAgainstDense(t *testing.T, an *etree.Analysis, res *Result, tol float6
 	}
 }
 
-func TestSelInvSmallMatrices(t *testing.T) {
-	for _, g := range []*sparse.Generated{
-		sparse.Banded(10, 1, 1),
-		sparse.Banded(14, 3, 2),
-		sparse.Grid2D(4, 4, 3),
-		sparse.Grid2D(6, 5, 4),
-		sparse.RandomSym(25, 3, 5),
-		sparse.DG2D(3, 3, 2, 6),
-	} {
-		an, _, res := pipeline(t, g, ordering.NestedDissection, etree.Options{})
-		checkAgainstDense(t, an, res, 1e-8)
+// TestSelInvReference drives the one reference over both element types,
+// symmetric and asymmetric values and the matrix zoo, and checks on every
+// case: each stored block against the dense oracle, the scalar entry
+// lookup on the diagonal, log|det| against the pivoted dense LU, that every
+// block of A's pattern is computed and has its mirror, and — for symmetric
+// values, where (A − zI)⁻¹ is symmetric too — that the mirrors are
+// transposes of each other.
+func TestSelInvReference(t *testing.T) {
+	zoo := []func() *sparse.Generated{
+		func() *sparse.Generated { return sparse.Banded(10, 1, 1) },
+		func() *sparse.Generated { return sparse.Banded(14, 3, 2) },
+		func() *sparse.Generated { return sparse.Banded(15, 2, 1) },
+		func() *sparse.Generated { return sparse.Grid2D(4, 4, 3) },
+		func() *sparse.Generated { return sparse.Grid2D(6, 5, 4) },
+		func() *sparse.Generated { return sparse.Grid2D(6, 6, 3) },
+		func() *sparse.Generated { return sparse.RandomSym(25, 3, 5) },
+		func() *sparse.Generated { return sparse.RandomSym(30, 4, 2) },
+		func() *sparse.Generated { return sparse.DG2D(3, 3, 2, 6) },
+		func() *sparse.Generated { return sparse.DG2D(3, 3, 3, 5) },
 	}
+	shifts := []complex128{complex(0, 1), complex(2, 3), complex(-1, 0.5), complex(0.5, -2), complex(1, 2)}
+	for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
+		for _, symmetric := range []bool{true, false} {
+			for gi, gen := range zoo {
+				g := gen()
+				if !symmetric {
+					g = sparse.Asymmetrize(g, int64(gi)+20, 0.8)
+				}
+				z := shifts[gi%len(shifts)]
+				t.Run(fmt.Sprintf("%v/symmetric=%v/%s", elem, symmetric, g.Name), func(t *testing.T) {
+					an := analyze(g, ordering.NestedDissection, etree.Options{Relax: gi % 3, MaxWidth: 6})
+					lu := factorize(t, an, elem, z)
+					ainv := SelInv(lu)
+					want, wantLogAbsDet := denseOracle(t, an.A, elem, z)
+					checkAgainstDense(t, an, ainv, want, 1e-8)
+
+					part := an.BP.Part
+					for i := 0; i < an.A.N; i++ {
+						if _, ok := ainv.Get(part.SnodeOf[i], part.SnodeOf[i]); !ok {
+							t.Fatalf("diagonal entry %d missing", i)
+						}
+						got := complex(ainv.At(i, i), 0)
+						if elem == dense.Complex {
+							got = ainv.ZAt(i, i)
+						}
+						if cmplx.Abs(got-want(i, i)) > 1e-9 {
+							t.Fatalf("entry %d: %v want %v", i, got, want(i, i))
+						}
+					}
+
+					// The imaginary part of the complex log det is
+					// branch-dependent through the pivot product; the real
+					// part is log|det| for both element types.
+					gotLogAbsDet := lu.LogAbsDet()
+					if elem == dense.Complex {
+						if d := real(lu.LogDet()) - gotLogAbsDet; math.Abs(d) > 1e-12 {
+							t.Fatalf("Re(LogDet) and LogAbsDet differ by %g", d)
+						}
+					}
+					if d := gotLogAbsDet - wantLogAbsDet; math.Abs(d) > 1e-8 {
+						t.Fatalf("log|det| = %g, want %g", gotLogAbsDet, wantLogAbsDet)
+					}
+
+					// Every nonzero block of A has its A⁻¹ block (Eq. 1).
+					a := an.A
+					for j := 0; j < a.N; j++ {
+						for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+							if _, ok := ainv.Get(part.SnodeOf[a.RowIdx[p]], part.SnodeOf[j]); !ok {
+								t.Fatalf("selected block (%d,%d) missing from A⁻¹", part.SnodeOf[a.RowIdx[p]], part.SnodeOf[j])
+							}
+						}
+					}
+					for _, key := range ainv.Keys() {
+						b := ainv.MustGet(key.I, key.J)
+						mirror, ok := ainv.Get(key.J, key.I)
+						if !ok {
+							t.Fatalf("mirror of block (%d,%d) missing", key.I, key.J)
+						}
+						if b.Elem != elem {
+							t.Fatalf("block (%d,%d) is %v, want %v", key.I, key.J, b.Elem, elem)
+						}
+						if !symmetric {
+							continue
+						}
+						for c := 0; c < b.Cols; c++ {
+							for r := 0; r < b.Rows; r++ {
+								if cmplx.Abs(entry(b, r, c)-entry(mirror, c, r)) > 1e-9 {
+									t.Fatalf("inverse not symmetric at block (%d,%d)", key.I, key.J)
+								}
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// realOracle is denseOracle for a real analysis.
+func realOracle(t testing.TB, an *etree.Analysis) func(i, j int) complex128 {
+	t.Helper()
+	want, _ := denseOracle(t, an.A, dense.Real, 0)
+	return want
 }
 
 func TestSelInvAllOrderings(t *testing.T) {
@@ -66,8 +216,8 @@ func TestSelInvAllOrderings(t *testing.T) {
 	for _, m := range []ordering.Method{
 		ordering.Natural, ordering.RCM, ordering.NestedDissection, ordering.MinimumDegree,
 	} {
-		an, _, res := pipeline(t, g, m, etree.Options{})
-		checkAgainstDense(t, an, res, 1e-8)
+		an := analyze(g, m, etree.Options{})
+		checkAgainstDense(t, an, SelInv(factorize(t, an, dense.Real, 0)), realOracle(t, an), 1e-8)
 	}
 }
 
@@ -76,23 +226,21 @@ func TestSelInvRelaxedSupernodes(t *testing.T) {
 	for _, opt := range []etree.Options{
 		{Relax: 2}, {MaxWidth: 2}, {Relax: 3, MaxWidth: 6},
 	} {
-		an, _, res := pipeline(t, g, ordering.NestedDissection, opt)
-		checkAgainstDense(t, an, res, 1e-8)
+		an := analyze(g, ordering.NestedDissection, opt)
+		checkAgainstDense(t, an, SelInv(factorize(t, an, dense.Real, 0)), realOracle(t, an), 1e-8)
 	}
 }
 
 func TestSelInvGrid3D(t *testing.T) {
-	g := sparse.Grid3D(3, 3, 3, 9)
-	an, _, res := pipeline(t, g, ordering.NestedDissection, etree.Options{Relax: 2})
-	checkAgainstDense(t, an, res, 1e-8)
+	an := analyze(sparse.Grid3D(3, 3, 3, 9), ordering.NestedDissection, etree.Options{Relax: 2})
+	checkAgainstDense(t, an, SelInv(factorize(t, an, dense.Real, 0)), realOracle(t, an), 1e-8)
 }
 
 func TestSelInvScalarSupernodes(t *testing.T) {
 	// Force all-singleton supernodes: the block algorithm degenerates to
 	// the scalar algorithm and must still be exact.
-	g := sparse.Banded(12, 2, 10)
-	an, _, res := pipeline(t, g, ordering.Natural, etree.Options{MaxWidth: 1})
-	checkAgainstDense(t, an, res, 1e-8)
+	an := analyze(sparse.Banded(12, 2, 10), ordering.Natural, etree.Options{MaxWidth: 1})
+	checkAgainstDense(t, an, SelInv(factorize(t, an, dense.Real, 0)), realOracle(t, an), 1e-8)
 }
 
 func TestSymmetryUhatEqualsLhatTransposed(t *testing.T) {
@@ -101,57 +249,17 @@ func TestSymmetryUhatEqualsLhatTransposed(t *testing.T) {
 	for _, g := range []*sparse.Generated{
 		sparse.Grid2D(6, 6, 11), sparse.RandomSym(40, 4, 12),
 	} {
-		_, _, res := pipeline(t, g, ordering.NestedDissection, etree.Options{Relax: 2})
-		if d := res.SymmetryCheck(); d > 1e-9 {
-			t.Errorf("%s: max |Û - L̂ᵀ| = %g", g.Name, d)
+		an := analyze(g, ordering.NestedDissection, etree.Options{Relax: 2})
+		lhat, uhat := pass1(factorize(t, an, dense.Real, 0))
+		if lhat.NumBlocks() == 0 {
+			t.Fatalf("%s: pass 1 produced no blocks", g.Name)
 		}
-	}
-}
-
-func TestSelInvInverseIsSymmetric(t *testing.T) {
-	g := sparse.Grid2D(5, 6, 13)
-	an, _, res := pipeline(t, g, ordering.NestedDissection, etree.Options{})
-	part := an.BP.Part
-	for _, key := range res.Ainv.Keys() {
-		if key.I < key.J {
-			continue
-		}
-		lower := res.Ainv.MustGet(key.I, key.J)
-		upper, ok := res.Ainv.Get(key.J, key.I)
-		if !ok {
-			t.Fatalf("mirror block (%d,%d) missing", key.J, key.I)
-		}
-		if d := upper.MaxAbsDiff(lower.Transpose()); d > 1e-9 {
-			r0, c0 := part.Start[key.I], part.Start[key.J]
-			t.Fatalf("A⁻¹ not symmetric at block (%d,%d) [rows %d cols %d]: %g",
-				key.I, key.J, r0, c0, d)
-		}
-	}
-}
-
-func TestSelInvCoversRequestedPattern(t *testing.T) {
-	// Every nonzero block of A must have its A⁻¹ block computed (Eq. 1).
-	g := sparse.Grid2D(6, 5, 14)
-	an, _, res := pipeline(t, g, ordering.NestedDissection, etree.Options{})
-	part := an.BP.Part
-	a := an.A
-	for j := 0; j < a.N; j++ {
-		kj := part.SnodeOf[j]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			ki := part.SnodeOf[a.RowIdx[p]]
-			if _, ok := res.Ainv.Get(ki, kj); !ok {
-				t.Fatalf("selected block (%d,%d) missing from A⁻¹", ki, kj)
+		for _, key := range lhat.Keys() {
+			lb := lhat.MustGet(key.I, key.J)
+			if d := uhat.MustGet(key.J, key.I).MaxAbsDiff(lb.Transpose()); d > 1e-9 {
+				t.Errorf("%s: |Û - L̂ᵀ| = %g at block (%d,%d)", g.Name, d, key.I, key.J)
 			}
 		}
-	}
-}
-
-func TestPass1Flops(t *testing.T) {
-	g := sparse.Grid2D(5, 5, 15)
-	_, lu, res := pipeline(t, g, ordering.NestedDissection, etree.Options{})
-	_, _, f := Pass1(lu)
-	if f <= 0 || res.SelInvFlops <= f {
-		t.Fatalf("flop accounting wrong: pass1=%d total=%d", f, res.SelInvFlops)
 	}
 }
 
@@ -176,8 +284,8 @@ func TestQuickSelInvMatchesDense(t *testing.T) {
 			return false
 		}
 		part := an.BP.Part
-		for _, key := range res.Ainv.Keys() {
-			b := res.Ainv.MustGet(key.I, key.J)
+		for _, key := range res.Keys() {
+			b := res.MustGet(key.I, key.J)
 			r0, c0 := part.Start[key.I], part.Start[key.J]
 			for c := 0; c < b.Cols; c++ {
 				for rr := 0; rr < b.Rows; rr++ {
@@ -196,16 +304,19 @@ func TestQuickSelInvMatchesDense(t *testing.T) {
 }
 
 func BenchmarkSelInvGrid2D12(b *testing.B) {
-	g := sparse.Grid2D(12, 12, 1)
-	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
-	an := etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: 4, MaxWidth: 24})
-	lu, err := factor.Factorize(an.A, an.BP)
-	if err != nil {
-		b.Fatal(err)
-	}
+	an := analyze(sparse.Grid2D(12, 12, 1), ordering.NestedDissection, etree.Options{Relax: 4, MaxWidth: 24})
+	lu := factorize(b, an, dense.Real, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SelInv(lu)
+		SelInv(lu).Release()
+	}
+}
+
+func BenchmarkComplexSelInvGrid8(b *testing.B) {
+	an := analyze(sparse.Grid2D(8, 8, 1), ordering.NestedDissection, etree.Options{Relax: 2, MaxWidth: 8})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		SelInv(factorize(b, an, dense.Complex, complex(0.5, 1))).Release()
 	}
 }

@@ -123,3 +123,55 @@ func TestObsEndpoint(t *testing.T) {
 		t.Fatalf("obs index %v, want [%s]", ids, resp.ID)
 	}
 }
+
+// TestObsEndpointTopology: an observed request that declares a rank→node
+// packing gets the cross-node chain columns in its report — the same ones
+// `commvol -obs -cores-per-node` and the TCP workers emit.
+func TestObsEndpointTopology(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	req := &Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 12, NY: 12, Seed: 1}, Procs: 16,
+		Scheme: "toposhifted", CoresPerNode: 8, Obs: true}
+	hr, resp := postJSON(t, ts.URL, req)
+	if resp == nil {
+		t.Fatalf("status %d", hr.StatusCode)
+	}
+	or, err := http.Get(ts.URL + resp.ObsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer or.Body.Close()
+	var rep struct {
+		CoresPerNode int `json:"cores_per_node"`
+		Collectives  []struct {
+			Class    string `json:"class"`
+			NodesMax int    `json:"nodes_max"`
+			CrossMax int    `json:"cross_max"`
+			CrossSum int    `json:"cross_sum"`
+		} `json:"collectives"`
+		TopChains []struct {
+			Nodes     int `json:"nodes"`
+			CrossHops int `json:"cross_hops"`
+		} `json:"top_chains"`
+	}
+	if err := json.NewDecoder(or.Body).Decode(&rep); err != nil {
+		t.Fatalf("obs report is not valid JSON: %v", err)
+	}
+	if rep.CoresPerNode != 8 {
+		t.Fatalf("report cores_per_node = %d, want 8", rep.CoresPerNode)
+	}
+	// 16 ranks at 8 per node span two nodes, so some collective crosses.
+	spread, crossed := 0, 0
+	for _, cs := range rep.Collectives {
+		spread = max(spread, cs.NodesMax)
+		crossed += cs.CrossSum
+		if cs.CrossMax > cs.CrossSum {
+			t.Fatalf("class %s: cross_max %d > cross_sum %d", cs.Class, cs.CrossMax, cs.CrossSum)
+		}
+	}
+	if spread != 2 || crossed == 0 {
+		t.Fatalf("collectives lack the cross-node columns: nodes_max %d, cross_sum %d", spread, crossed)
+	}
+	if len(rep.TopChains) == 0 || rep.TopChains[0].Nodes == 0 {
+		t.Fatalf("top chains lack the nodes column: %+v", rep.TopChains)
+	}
+}

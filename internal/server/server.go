@@ -213,9 +213,10 @@ type Request struct {
 	// PEXSI problem) and the selected inverse is complex — the diagonal
 	// comes back as diagonal_re/diagonal_im and the response carries
 	// log det(A − zI). Complex runs always use the general communication
-	// path with canonical deterministic reductions, so the result is
-	// bit-identical to the serial complex reference at any procs, scheme
-	// and balancer. A pole on the real axis (z_re set, z_im zero) is
+	// path. Their reductions fold in an order fixed by the plan, so a run
+	// is bit-reproducible for one (procs, scheme, balancer, seed); on one
+	// rank it is bit-identical to the serial reference, on several it
+	// agrees with it within 1e-9. A pole on the real axis (z_re set, z_im zero) is
 	// rejected: the shifted system could be singular there — use "shift"
 	// for real diagonal shifts.
 	ZRe float64 `json:"z_re,omitempty"`
@@ -263,8 +264,8 @@ type Request struct {
 	// supernode updates are scheduled onto the shared dense kernel worker
 	// pool (sized by the -kernel-workers flag, reported in
 	// pselinvd_build_info) and overlapped with the tree collectives. The
-	// result is byte-identical to a sequential deterministic run; the
-	// response reports the scheduler's mean occupancy.
+	// result is byte-identical to a sequential (non-DAG) run of the same
+	// plan; the response reports the scheduler's mean occupancy.
 	Dag bool `json:"dag,omitempty"`
 }
 

@@ -54,7 +54,6 @@ import (
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 	"pselinv/internal/trace"
-	"pselinv/internal/zselinv"
 )
 
 // Matrix is a sparse symmetric matrix accepted by the solver pipeline.
@@ -387,9 +386,10 @@ func (sy *Symbolic) Factorize(m *Matrix) (*System, error) {
 // inverses are complex — the per-pole kernel of the PEXSI workload. The
 // matrix must share the pattern the analysis was built from (the shift
 // only touches the diagonal, so the pattern is unchanged). Complex systems
-// always use the general (asymmetric) communication path and canonical
-// deterministic reductions: every parallel run is bit-identical to the
-// serial complex reference.
+// always use the general (asymmetric) communication path. A parallel run
+// is bit-reproducible for one plan (grid, scheme, balancer, seed); on one
+// rank it is bit-identical to SelInv, on several it agrees with it within
+// 1e-9.
 func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
 	if got := m.Fingerprint(); got != sy.fp {
 		return nil, fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
@@ -574,20 +574,12 @@ func (inv *Inverse) Diagonal() []float64 {
 	return d
 }
 
-// SelInv computes the selected inverse sequentially — the reference
-// Algorithm 1 for real systems, the canonical complex reference (the one
-// parallel complex runs are bit-identical to) for shifted systems.
+// SelInv computes the selected inverse sequentially with the reference
+// Algorithm 1, for real and for complex (shifted) systems alike. A
+// general-path parallel run on one rank is bit-identical to it; runs on
+// several ranks, and the symmetric path, agree with it to rounding.
 func (s *System) SelInv() (*Inverse, error) {
-	if s.lu.Elem == dense.Complex {
-		zr := zselinv.SelInvFromLU(s.lu, 0)
-		bm := blockmat.NewElem(s.an.BP.Part, dense.Complex)
-		for key, b := range zr.Ainv {
-			bm.Set(key.I, key.J, b)
-		}
-		return &Inverse{an: s.an, ainv: bm}, nil
-	}
-	res := selinv.SelInv(s.lu)
-	return &Inverse{an: s.an, ainv: res.Ainv}, nil
+	return &Inverse{an: s.an, ainv: selinv.SelInv(s.lu)}, nil
 }
 
 // LogDet returns log det(A − zI) of a complex (FactorizeShifted) system —
@@ -605,9 +597,8 @@ func (s *System) LogDet() (complex128, error) {
 // built on.
 type ParallelResult struct {
 	*Inverse
-	world *simmpi.World
-	grid  *procgrid.Grid
-	dag   []pselinv.DagRankStats
+	run  *pselinv.RunResult
+	grid *procgrid.Grid
 	// Elapsed is the wall-clock time of the parallel section.
 	Elapsed time.Duration
 }
@@ -618,20 +609,17 @@ type DagRankStats = pselinv.DagRankStats
 
 // DagStats returns the per-rank task-DAG scheduler counters of the run,
 // or nil when the run executed in sequential (non-DAG) mode.
-func (r *ParallelResult) DagStats() []DagRankStats { return r.dag }
+func (r *ParallelResult) DagStats() []DagRankStats { return r.run.Dag }
 
 // Procs returns the number of simulated ranks.
-func (r *ParallelResult) Procs() int { return r.world.P }
+func (r *ParallelResult) Procs() int { return r.run.World.P }
 
 // Release returns the inverse's block storage to the dense kernel arena so
 // repeated runs recycle their matrices instead of churning the garbage
 // collector. The embedded Inverse must not be used afterwards; the
 // communication-volume accessors remain valid.
 func (r *ParallelResult) Release() {
-	if r.Inverse == nil || r.Inverse.ainv == nil {
-		return
-	}
-	r.Inverse.ainv.Range(func(_ blockmat.Key, b *dense.Matrix) { dense.PutMatrix(b) })
+	r.run.Release()
 	r.Inverse = nil
 }
 
@@ -641,20 +629,20 @@ func (r *ParallelResult) GridDims() (pr, pc int) { return r.grid.Pr, r.grid.Pc }
 // ColBcastSentMB returns the per-rank volume (MB) sent during Col-Bcast —
 // the metric of Table I and Figures 4–6.
 func (r *ParallelResult) ColBcastSentMB() []float64 {
-	return toMB(r.world.VolumeVector(simmpi.ClassColBcast, true))
+	return toMB(r.run.World.VolumeVector(simmpi.ClassColBcast, true))
 }
 
 // RowReduceRecvMB returns the per-rank volume (MB) received during
 // Row-Reduce — the metric of Table II and Figure 7.
 func (r *ParallelResult) RowReduceRecvMB() []float64 {
-	return toMB(r.world.VolumeVector(simmpi.ClassRowReduce, false))
+	return toMB(r.run.World.VolumeVector(simmpi.ClassRowReduce, false))
 }
 
 // TotalSentMB returns the per-rank total sent volume in MB.
 func (r *ParallelResult) TotalSentMB() []float64 {
-	out := make([]float64, r.world.P)
+	out := make([]float64, r.run.World.P)
 	for i := range out {
-		out[i] = float64(r.world.TotalSent(i)) / 1e6
+		out[i] = float64(r.run.World.TotalSent(i)) / 1e6
 	}
 	return out
 }
@@ -681,8 +669,10 @@ func toMB(bs []int64) []float64 {
 
 // ParallelSelInv runs the distributed engine on procs simulated ranks
 // (arranged on the most square grid) with the given tree scheme and shift
-// seed. The result is bit-identical to SelInv up to floating-point
-// summation order.
+// seed. The result is bit-reproducible for one (procs, scheme, seed) under
+// any message delivery order, and agrees with SelInv to rounding: the
+// reductions are summed along the trees, and the symmetric path uses L̂ᵀ
+// where SelInv computes Û.
 func (s *System) ParallelSelInv(procs int, scheme Scheme, seed uint64) (*ParallelResult, error) {
 	g := procgrid.Squarish(procs)
 	return s.ParallelSelInvOnGrid(g.Pr, g.Pc, scheme, seed)
@@ -690,8 +680,7 @@ func (s *System) ParallelSelInv(procs int, scheme Scheme, seed uint64) (*Paralle
 
 // ParallelSelInvOnGrid is ParallelSelInv with an explicit Pr×Pc grid.
 func (s *System) ParallelSelInvOnGrid(pr, pc int, scheme Scheme, seed uint64) (*ParallelResult, error) {
-	res, _, err := s.parallelRun(pr, pc, scheme, seed, nil, nil)
-	return res, err
+	return s.parallelRun(pr, pc, scheme, seed, nil, nil)
 }
 
 // TraceReport gives access to the per-rank execution timeline of a traced
@@ -712,7 +701,7 @@ func (t *TraceReport) WriteChromeTrace(w io.Writer) error { return t.rec.WriteCh
 func (s *System) ParallelSelInvTraced(procs int, scheme Scheme, seed uint64) (*ParallelResult, *TraceReport, error) {
 	g := procgrid.Squarish(procs)
 	rec := trace.NewRecorder()
-	res, _, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, nil)
+	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -778,56 +767,18 @@ func (s *System) ParallelSelInvObservedCap(procs int, scheme Scheme, seed uint64
 	g := procgrid.Squarish(procs)
 	rec := trace.NewRecorder()
 	col := obs.NewCollectorCap(g.Size(), obs.ClampRingCap(ringCap))
-	res, _, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, col)
+	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, col)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rep := col.Report(scheme.String())
-	rep.SetDagStats(obsDagStats(res.dag))
 	// The engine template is cached, so this lookup reuses the plan the
 	// run just executed.
-	eng := s.sym.engineTemplate(g.Pr, g.Pc, scheme, seed, s.symmetric)
-	load := exp.LoadSection(eng.Plan, rec)
-	rep.SetLoad(load)
-	// Straggler attribution: every simulated rank shares the process, so each
-	// one's wall is the run's elapsed time; busy comes from the traced spans
-	// and the prediction from the balancer's flop charges.
-	wall := make([]int64, g.Size())
-	busy := make([]int64, g.Size())
-	flops := make([]int64, g.Size())
-	for r, rl := range load.Ranks {
-		wall[r] = res.Elapsed.Nanoseconds()
-		busy[r] = rl.BusyNS
-		flops[r] = rl.Flops
-	}
-	rep.AttachStraggler(wall, busy, flops, 0)
+	plan := s.sym.engineTemplate(g.Pr, g.Pc, scheme, seed, s.symmetric).Plan
+	rep := exp.ObsReport(col, rec, res.run, plan, s.opt.CoresPerNode)
 	return res, &TraceReport{rec: rec}, &ObsReport{rep: rep}, nil
 }
 
-// obsDagStats converts the engine's per-rank scheduler counters into the
-// observability report's serializable form.
-func obsDagStats(stats []pselinv.DagRankStats) []*obs.DagRankStats {
-	if len(stats) == 0 {
-		return nil
-	}
-	out := make([]*obs.DagRankStats, len(stats))
-	for i, d := range stats {
-		out[i] = &obs.DagRankStats{
-			Rank:        d.Rank,
-			Tasks:       d.Tasks,
-			Offloaded:   d.Offloaded,
-			MaxWidth:    d.MaxWidth,
-			MaxInflight: d.MaxInflight,
-			BusyNS:      d.BusyNS,
-			WallNS:      d.WallNS,
-			Occupancy:   d.Occupancy(),
-		}
-	}
-	return out
-}
-
-func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, rec *trace.Recorder, col *obs.Collector) (*ParallelResult, *trace.Recorder, error) {
-	grid := procgrid.New(pr, pc)
+func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, rec *trace.Recorder, col *obs.Collector) (*ParallelResult, error) {
 	// The plan and per-rank programs come from the Symbolic's cache (built
 	// on first use); Rebind attaches this System's numeric factor without
 	// copying them, so warm same-pattern runs skip plan construction.
@@ -840,17 +791,16 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, rec *trace.
 		eng.Chaos = &chaos.Config{Seed: s.opt.ChaosSeed}
 	}
 	eng.DAG = s.opt.DAG
-	res, err := eng.Run(s.opt.Timeout)
+	run, err := eng.Run(s.opt.Timeout)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	return &ParallelResult{
-		Inverse: &Inverse{an: s.an, ainv: res.Ainv},
-		world:   res.World,
-		grid:    grid,
-		dag:     res.Dag,
-		Elapsed: res.Elapsed,
-	}, rec, nil
+		Inverse: &Inverse{an: s.an, ainv: run.Ainv},
+		run:     run,
+		grid:    procgrid.New(pr, pc),
+		Elapsed: run.Elapsed,
+	}, nil
 }
 
 // SimParams is the cost model of the timing simulator; the zero value
