@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test tier1 bench bench-smoke bench-gemm bench-baseline \
 	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
-	tcp-obs balancer-smoke pexsi-batch surface clean
+	tcp-obs balancer-smoke pexsi-batch surface fmt-check clean
 
 all: build test bench-smoke
 
@@ -23,6 +23,12 @@ tier1: vet
 
 vet:
 	$(GO) vet ./...
+
+# Any Go file gofmt would rewrite fails the target (and the CI step beside
+# go vet) by name.
+fmt-check:
+	@out="$$(gofmt -l . )"; \
+		if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -50,8 +56,9 @@ SEEDS ?= 16
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/pselinv/ -chaos-seeds $(SEEDS)
 
-# Short coverage-guided fuzz runs of the tree constructions (one target per
-# invocation, as the fuzz engine requires).
+# Short coverage-guided fuzz runs of the tree constructions and the
+# untrusted-input decoders (one target per invocation, as the fuzz engine
+# requires).
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzBinaryTree -fuzztime $(FUZZTIME)
@@ -60,6 +67,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzTopoShiftedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzBineTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcptransport/ -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sparse/ -fuzz FuzzReadMatrixMarket -fuzztime $(FUZZTIME)
 
 # Multi-process smoke: the cross-backend equivalence tests (launcher
 # re-execs the test binary, one OS process per rank) plus a real commvol
@@ -119,7 +127,9 @@ bench:
 # ---- Bench-regression gate -------------------------------------------------
 # The CI gate re-runs a small, representative benchmark set (two real GEMM
 # shapes, the 4M complex GEMM at 512, the 16-rank end-to-end inversion,
-# the 4-rank sequential/DAG end-to-end pair, and the 16-pole PEXSI batch)
+# the 4-rank sequential/DAG end-to-end pair, the 16-pole PEXSI batch, the
+# warm refactorize loop — sparse front end + factorization + engine — and
+# the MatrixMarket parse)
 # and compares it against the committed baseline with cmd/benchgate
 # (medians + Mann-Whitney U test). A significant slowdown beyond
 # BENCH_TOLERANCE fails CI.
@@ -135,7 +145,7 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt

@@ -18,6 +18,7 @@ package pselinv
 //	BenchmarkRandomPerm  — rejected fully-random-permutation ablation
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -320,5 +321,60 @@ func BenchmarkEndToEndParallel16Obs(b *testing.B) {
 			b.Fatal(err)
 		}
 		res.Release()
+	}
+}
+
+// warmRefactorize is one op of the benchmark's warm_dg2d_p16 workload (the
+// PEXSI loop on a warm Symbolic): shift, factorize against the analysis,
+// invert on 16 ranks, read the diagonal, release.
+func warmRefactorize(sym *Symbolic, m *Matrix, sigma float64) error {
+	sh, err := m.Shifted(sigma)
+	if err != nil {
+		return err
+	}
+	sys, err := sym.Factorize(sh)
+	if err != nil {
+		return err
+	}
+	res, err := sys.ParallelSelInv(16, ShiftedBinaryTree, 1)
+	if err != nil {
+		return err
+	}
+	res.Diagonal()
+	res.Release()
+	return nil
+}
+
+// BenchmarkWarmRefactorize gates the per-matrix cost of the warm loop:
+// the sparse front end, the numeric factorization and the engine run.
+func BenchmarkWarmRefactorize(b *testing.B) {
+	m := DG2D(24, 24, 4, 1)
+	sym, err := AnalyzePattern(m, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := warmRefactorize(sym, m, 0.5+float64(i%8)/8); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadMatrixMarket gates the parse of an uploaded matrix (the
+// daemon's and the TCP workers' first step).
+func BenchmarkReadMatrixMarket(b *testing.B) {
+	var mm bytes.Buffer
+	if err := DG2D(16, 16, 4, 1).WriteMatrixMarket(&mm); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(mm.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FromMatrixMarket(bytes.NewReader(mm.Bytes()), "bench"); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -46,7 +46,7 @@ type ClockReport struct {
 	ClampedEdges int `json:"clamped_edges,omitempty"`
 	// MinEdgeNS is the smallest offset-corrected send→recv latency over
 	// every matched edge after repair; the merge guarantees it is >= 0.
-	MinEdgeNS int64  `json:"min_edge_ns"`
+	MinEdgeNS int64        `json:"min_edge_ns"`
 	Ranks     []*ClockRank `json:"ranks"`
 }
 

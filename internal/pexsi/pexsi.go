@@ -212,7 +212,11 @@ func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 		st := &res.Stats[l]
 		st.Pole = pole
 		contribs[l] = make([]float64, h.A.N)
-		lu, err := factor.Factorize(s.an.A.AddDiagonal(pole.Shift), s.an.BP)
+		var lu *factor.LU
+		shifted, err := s.an.A.ShiftDiagonal(pole.Shift)
+		if err == nil {
+			lu, err = factor.Factorize(shifted, s.an.BP)
+		}
 		if err == nil {
 			st.MaxSentMB, st.Elapsed, err = s.accumulate(lu, complex(pole.Weight, 0), contribs[l])
 		}

@@ -45,7 +45,11 @@ func densityReference(t *testing.T, a *sparse.CSC, poles []Pole) []float64 {
 	t.Helper()
 	out := make([]float64, a.N)
 	for _, p := range poles {
-		inv, err := dense.Inverse(a.AddDiagonal(p.Shift).ToDense())
+		shifted, err := a.ShiftDiagonal(p.Shift)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := dense.Inverse(shifted.ToDense())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -270,13 +270,13 @@ func TestServeBatchMatsubara(t *testing.T) {
 func TestServeBatchValidation(t *testing.T) {
 	_, ts := testServer(t, Config{MaxBatchPoles: 2})
 	cases := []BatchRequest{
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}},                                   // no poles at all
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, NumPoles: 2},                      // matsubara without beta
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZRe: 1}}},      // pole on the real axis
+		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}},                                                    // no poles at all
+		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, NumPoles: 2},                                       // matsubara without beta
+		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZRe: 1}}},                       // pole on the real axis
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZIm: 1}}, NumPoles: 2, Beta: 2}, // both forms
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5},
 			Poles: []PoleSpec{{ZIm: 1}, {ZIm: 2}, {ZIm: 3}}}, // exceeds MaxBatchPoles
-		{Matrix: MatrixSpec{Kind: "nope"}, Poles: []PoleSpec{{ZIm: 1}}},               // bad matrix
+		{Matrix: MatrixSpec{Kind: "nope"}, Poles: []PoleSpec{{ZIm: 1}}},                                      // bad matrix
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Poles: []PoleSpec{{ZIm: 1}}, Scheme: "fibonacci"}, // bad scheme
 	}
 	for i, req := range cases {

@@ -293,8 +293,8 @@ type Response struct {
 	LogDetIm   float64   `json:"logdet_im,omitempty"`
 	DiagonalRe []float64 `json:"diagonal_re,omitempty"`
 	DiagonalIm []float64 `json:"diagonal_im,omitempty"`
-	TracePath string             `json:"trace,omitempty"`
-	ObsPath   string             `json:"obs,omitempty"`
+	TracePath  string    `json:"trace,omitempty"`
+	ObsPath    string    `json:"obs,omitempty"`
 	// VolImbalance is max/mean per-rank sent bytes (observed runs only).
 	VolImbalance float64 `json:"vol_imbalance,omitempty"`
 	// DagTasks and DagOccupancy summarize the task-DAG scheduler of a

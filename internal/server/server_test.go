@@ -121,6 +121,30 @@ func TestServeMatrixMarketRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeMatrixMarketHostileSizeLine posts uploads whose size line
+// declares far more than the body holds. The parser used to trust it —
+// a 4·10¹²-entry capacity request ended the process with an unrecoverable
+// out-of-memory fault — so the assertion is a 400 each time and a daemon
+// that still serves the next request.
+func TestServeMatrixMarketHostileSizeLine(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const hdr = "%%MatrixMarket matrix coordinate real general\n"
+	for _, data := range []string{
+		hdr + "2000000 2000000 4000000000000\n",        // entries the body cannot hold
+		hdr + "1000000000000 1000000000000 1\n1 1 1\n", // a dimension it cannot fill
+		hdr + "-5 -5 -1\n",
+	} {
+		hr, resp := postJSON(t, ts.URL, &Request{Matrix: MatrixSpec{Kind: "matrixmarket", Data: data}})
+		if resp != nil || hr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%q: status %d, want 400", data, hr.StatusCode)
+		}
+	}
+	hr, resp := postJSON(t, ts.URL, &Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 4, NY: 4}, Diagonal: true})
+	if resp == nil || len(resp.Diagonal) != 16 {
+		t.Fatalf("daemon did not serve the request after the hostile uploads: status %d", hr.StatusCode)
+	}
+}
+
 // TestServeTopoSchemes runs the topology-aware schemes through the
 // service with an explicit packing and checks they produce the same
 // inverse as the default scheme (the tree shape never changes values,

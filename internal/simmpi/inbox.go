@@ -17,13 +17,13 @@ import (
 // Push blocks while the box is full (except for self-sends) and counts
 // each blocking episode.
 type Inbox struct {
-	mu      sync.Mutex
+	mu       sync.Mutex
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
-	buf     []Message
-	head    int // index of the oldest message
-	count   int
-	closed  bool
+	buf      []Message
+	head     int // index of the oldest message
+	count    int
+	closed   bool
 
 	// capacity, when positive, bounds count; blocked counts Push calls
 	// that had to wait for a slot (atomic, readable mid-run).

@@ -71,8 +71,8 @@ func TestObserverHook(t *testing.T) {
 	w.SetObserver(rec)
 	err := w.Run(10*time.Second, func(r *Rank) {
 		if r.ID == 0 {
-			r.Send(0, 1, ClassOther, []float64{1})     // self-send
-			r.Send(0, 2, ClassColBcast, []float64{2})  // queue depth 2
+			r.Send(0, 1, ClassOther, []float64{1})    // self-send
+			r.Send(0, 2, ClassColBcast, []float64{2}) // queue depth 2
 			r.Recv()
 			r.Recv()
 			r.Send(1, 3, ClassColBcast, []float64{1, 2, 3})

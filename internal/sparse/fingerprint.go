@@ -17,20 +17,24 @@ import (
 // values changing.
 func (a *CSC) PatternFingerprint() string {
 	h := sha256.New()
-	var buf [8]byte
-	put := func(v int) {
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		h.Write(buf[:])
+	// The digest is of the little-endian uint64 stream N, ColPtr...,
+	// RowIdx...; the buffer only batches the writes into the hash.
+	buf := make([]byte, 0, 4096)
+	put := func(vs ...int) {
+		for _, v := range vs {
+			if len(buf) == cap(buf) {
+				h.Write(buf)
+				buf = buf[:0]
+			}
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
+		}
 	}
 	put(a.N)
 	// Column pointers are monotone, so hashing them fixes the per-column
 	// nnz split; the row indices then pin the full pattern.
-	for _, p := range a.ColPtr {
-		put(p)
-	}
-	for _, r := range a.RowIdx {
-		put(r)
-	}
+	put(a.ColPtr...)
+	put(a.RowIdx...)
+	h.Write(buf)
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -43,17 +47,11 @@ func (a *CSC) PatternFingerprint() string {
 func (a *CSC) ShiftDiagonal(sigma float64) (*CSC, error) {
 	out := a.Clone()
 	for j := 0; j < out.N; j++ {
-		found := false
-		for p := out.ColPtr[j]; p < out.ColPtr[j+1]; p++ {
-			if out.RowIdx[p] == j {
-				out.Val[p] += sigma
-				found = true
-				break
-			}
-		}
-		if !found {
+		k := out.pos(j, j)
+		if k < 0 {
 			return nil, fmt.Errorf("sparse: diagonal entry (%d,%d) is structurally absent; cannot shift", j, j)
 		}
+		out.Val[k] += sigma
 	}
 	return out, nil
 }

@@ -66,3 +66,19 @@ func TestShiftDiagonalMissingDiagonal(t *testing.T) {
 		t.Fatal("expected error for structurally absent diagonal")
 	}
 }
+
+// The digest is a cache key that outlives a process (plan caches, staged
+// specs), so how the hash is fed may change but the digest may not.
+func TestPatternFingerprintPinned(t *testing.T) {
+	for _, c := range []struct {
+		g    *Generated
+		want string
+	}{
+		{Grid2D(8, 8, 1), "ba29f2ab1dcb12890450682cb0ab04562da02f968766121c6350a18f1c904166"},
+		{DG2D(4, 4, 3, 2), "7a8cc3c9cde4bc27dcfe88f35fa770b03aed44e6351639ba0cae0a81194ccc45"},
+	} {
+		if got := c.g.A.PatternFingerprint(); got != c.want {
+			t.Errorf("%s: fingerprint %s, want %s", c.g.Name, got, c.want)
+		}
+	}
+}

@@ -45,14 +45,11 @@ func symmetricRandomize(a *CSC, rng *rand.Rand, scale float64) {
 }
 
 func setEntry(a *CSC, i, j int, v float64) {
-	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-	for k := lo; k < hi; k++ {
-		if a.RowIdx[k] == i {
-			a.Val[k] = v
-			return
-		}
+	k := a.pos(i, j)
+	if k < 0 {
+		panic(fmt.Sprintf("sparse: setEntry (%d,%d) not in pattern", i, j))
 	}
-	panic(fmt.Sprintf("sparse: setEntry (%d,%d) not in pattern", i, j))
+	a.Val[k] = v
 }
 
 // stencilMatrix assembles a grid matrix: every node carries dofs unknowns;

@@ -34,47 +34,82 @@ type Triplet struct {
 }
 
 // FromTriplets assembles an n×n CSC matrix from triplets, summing
-// duplicates. Panics on out-of-range indices.
+// duplicates in input order. Panics on out-of-range indices. Two stable
+// counting passes — by row into an index scratch, then by column into the
+// result — leave every column row-sorted with duplicates adjacent; ts is
+// not modified.
 func FromTriplets(n int, ts []Triplet) *CSC {
+	rowPtr := make([]int, n+1)
+	colPtr := make([]int, n+1)
 	for _, t := range ts {
 		if t.Row < 0 || t.Row >= n || t.Col < 0 || t.Col >= n {
 			panic(fmt.Sprintf("sparse: triplet (%d,%d) out of range n=%d", t.Row, t.Col, n))
 		}
+		rowPtr[t.Row+1]++
+		colPtr[t.Col+1]++
 	}
-	sort.Slice(ts, func(i, j int) bool {
-		if ts[i].Col != ts[j].Col {
-			return ts[i].Col < ts[j].Col
-		}
-		return ts[i].Row < ts[j].Row
-	})
-	a := &CSC{N: n, ColPtr: make([]int, n+1)}
-	for k := 0; k < len(ts); {
-		j := ts[k].Col
-		r := ts[k].Row
-		v := ts[k].Val
-		k++
-		for k < len(ts) && ts[k].Col == j && ts[k].Row == r {
-			v += ts[k].Val
-			k++
-		}
-		a.RowIdx = append(a.RowIdx, r)
-		a.Val = append(a.Val, v)
-		a.ColPtr[j+1]++
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+		colPtr[i+1] += colPtr[i]
 	}
+	byRow := make([]int, len(ts))
+	for k, t := range ts {
+		byRow[rowPtr[t.Row]] = k
+		rowPtr[t.Row]++
+	}
+	// colPtr[j] is column j's write cursor during the scatter and ends at
+	// column j's end; the compaction below rebuilds the starts.
+	rowIdx := make([]int, len(ts))
+	val := make([]float64, len(ts))
+	for _, k := range byRow {
+		t := ts[k]
+		p := colPtr[t.Col]
+		rowIdx[p], val[p] = t.Row, t.Val
+		colPtr[t.Col] = p + 1
+	}
+	w, lo := 0, 0
 	for j := 0; j < n; j++ {
-		a.ColPtr[j+1] += a.ColPtr[j]
+		hi := colPtr[j]
+		colPtr[j] = w
+		for p := lo; p < hi; p++ {
+			if p > lo && rowIdx[p] == rowIdx[w-1] {
+				val[w-1] += val[p]
+				continue
+			}
+			rowIdx[w], val[w] = rowIdx[p], val[p]
+			w++
+		}
+		lo = hi
 	}
-	return a
+	colPtr[n] = w
+	return &CSC{N: n, ColPtr: colPtr, RowIdx: rowIdx[:w], Val: val[:w]}
 }
 
 // At returns entry (i, j), 0 when not stored. O(log column nnz).
 func (a *CSC) At(i, j int) float64 {
-	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
-	k := lo + sort.SearchInts(a.RowIdx[lo:hi], i)
-	if k < hi && a.RowIdx[k] == i {
+	if k := a.pos(i, j); k >= 0 {
 		return a.Val[k]
 	}
 	return 0
+}
+
+// pos returns the storage position of entry (i, j), or -1 when it is
+// structurally absent.
+func (a *CSC) pos(i, j int) int {
+	lo, hi := a.ColPtr[j], a.ColPtr[j+1]
+	if k := lo + sort.SearchInts(a.RowIdx[lo:hi], i); k < hi && a.RowIdx[k] == i {
+		return k
+	}
+	return -1
+}
+
+// mustDiag is pos(j, j) for callers whose pattern must hold the diagonal.
+func (a *CSC) mustDiag(j int) int {
+	k := a.pos(j, j)
+	if k < 0 {
+		panic(fmt.Sprintf("sparse: missing diagonal at column %d", j))
+	}
+	return k
 }
 
 // Clone returns a deep copy.
@@ -101,74 +136,84 @@ func (a *CSC) ToDense() *dense.Matrix {
 
 // IsStructurallySymmetric reports whether the pattern of a equals the
 // pattern of aᵀ.
-func (a *CSC) IsStructurallySymmetric() bool {
-	t := a.Transpose()
-	if len(t.RowIdx) != len(a.RowIdx) {
-		return false
-	}
-	for i := range a.RowIdx {
-		if a.RowIdx[i] != t.RowIdx[i] {
-			return false
-		}
-	}
-	for j := 0; j <= a.N; j++ {
-		if a.ColPtr[j] != t.ColPtr[j] {
-			return false
-		}
-	}
-	return true
-}
+func (a *CSC) IsStructurallySymmetric() bool { return a.mirrored(false, 0) }
 
-// IsSymmetric reports whether values are symmetric within tol.
-func (a *CSC) IsSymmetric(tol float64) bool {
-	t := a.Transpose()
-	if !a.IsStructurallySymmetric() {
-		return false
-	}
-	for i := range a.Val {
-		if math.Abs(a.Val[i]-t.Val[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
+// IsSymmetric reports whether the pattern is symmetric and the values are
+// symmetric within tol.
+func (a *CSC) IsSymmetric(tol float64) bool { return a.mirrored(true, tol) }
 
-// Transpose returns aᵀ.
-func (a *CSC) Transpose() *CSC {
-	n := a.N
-	t := &CSC{N: n, ColPtr: make([]int, n+1),
-		RowIdx: make([]int, a.NNZ()), Val: make([]float64, a.NNZ())}
-	for _, r := range a.RowIdx {
-		t.ColPtr[r+1]++
-	}
-	for j := 0; j < n; j++ {
-		t.ColPtr[j+1] += t.ColPtr[j]
-	}
-	next := append([]int(nil), t.ColPtr...)
-	for j := 0; j < n; j++ {
+// mirrored matches every entry (i, j) with its mirror (j, i) in one sweep
+// over the columns. next[i] is the first entry of column i not yet claimed
+// as a mirror; columns are visited in ascending j and rows are sorted, so
+// column i's entries are claimed in storage order and the mirror of (i, j),
+// if stored, is exactly the entry next[i] points at. Each of the nnz
+// entries claims one distinct entry, so when no claim fails none is left
+// over.
+func (a *CSC) mirrored(values bool, tol float64) bool {
+	next := append([]int(nil), a.ColPtr[:a.N]...)
+	for j := 0; j < a.N; j++ {
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
 			i := a.RowIdx[k]
-			t.RowIdx[next[i]] = j
-			t.Val[next[i]] = a.Val[k]
-			next[i]++
+			p := next[i]
+			if p == a.ColPtr[i+1] || a.RowIdx[p] != j {
+				return false
+			}
+			if values && math.Abs(a.Val[k]-a.Val[p]) > tol {
+				return false
+			}
+			next[i] = p + 1
 		}
 	}
-	return t
+	return true
 }
 
 // Permute returns P A Pᵀ where perm maps old index -> new index, i.e. entry
-// (i, j) of a moves to (perm[i], perm[j]).
+// (i, j) of a moves to (perm[i], perm[j]). Two bucket passes: the entries
+// are first grouped by new row, then dealt out to their new columns in
+// ascending row order, which leaves every column sorted.
 func (a *CSC) Permute(perm []int) *CSC {
 	if len(perm) != a.N {
 		panic("sparse: permutation length mismatch")
 	}
-	ts := make([]Triplet, 0, a.NNZ())
-	for j := 0; j < a.N; j++ {
+	n, nnz := a.N, a.NNZ()
+	rowPtr := make([]int, n+1)
+	for _, i := range a.RowIdx {
+		rowPtr[perm[i]+1]++
+	}
+	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i]
+	}
+	type colVal struct {
+		col int
+		val float64
+	}
+	byRow := make([]colVal, nnz)
+	b := &CSC{N: n, ColPtr: make([]int, n+1), RowIdx: make([]int, nnz), Val: make([]float64, nnz)}
+	for j := 0; j < n; j++ {
+		c := perm[j]
+		b.ColPtr[c+1] = a.ColPtr[j+1] - a.ColPtr[j]
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			ts = append(ts, Triplet{Row: perm[a.RowIdx[k]], Col: perm[j], Val: a.Val[k]})
+			r := perm[a.RowIdx[k]]
+			byRow[rowPtr[r]] = colVal{c, a.Val[k]}
+			rowPtr[r]++
 		}
 	}
-	return FromTriplets(a.N, ts)
+	for j := 0; j < n; j++ {
+		b.ColPtr[j+1] += b.ColPtr[j]
+	}
+	// rowPtr[r] now marks the end of row r's bucket, and ColPtr[c] is
+	// column c's write cursor until the shift below restores the starts.
+	for r, p := 0, 0; r < n; r++ {
+		for ; p < rowPtr[r]; p++ {
+			e := byRow[p]
+			q := b.ColPtr[e.col]
+			b.RowIdx[q], b.Val[q] = r, e.val
+			b.ColPtr[e.col] = q + 1
+		}
+	}
+	copy(b.ColPtr[1:], b.ColPtr[:n])
+	b.ColPtr[0] = 0
+	return b
 }
 
 // MulVec computes y = A*x.
@@ -203,39 +248,8 @@ func (a *CSC) MakeDiagonallyDominant(margin float64) {
 		}
 	}
 	for j := 0; j < a.N; j++ {
-		found := false
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			if a.RowIdx[k] == j {
-				a.Val[k] = rowSum[j] + margin
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("sparse: missing diagonal at column %d", j))
-		}
+		a.Val[a.mustDiag(j)] = rowSum[j] + margin
 	}
-}
-
-// AddDiagonal returns a copy of a with sigma added to every diagonal
-// entry (the pattern must include the full diagonal). Pole expansion uses
-// it to form the shifted matrices A + σₗI.
-func (a *CSC) AddDiagonal(sigma float64) *CSC {
-	b := a.Clone()
-	for j := 0; j < b.N; j++ {
-		found := false
-		for k := b.ColPtr[j]; k < b.ColPtr[j+1]; k++ {
-			if b.RowIdx[k] == j {
-				b.Val[k] += sigma
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("sparse: missing diagonal at column %d", j))
-		}
-	}
-	return b
 }
 
 // MakeDoublyDominant adds to each diagonal entry so that it strictly
@@ -255,21 +269,7 @@ func (a *CSC) MakeDoublyDominant(margin float64) {
 		}
 	}
 	for j := 0; j < a.N; j++ {
-		found := false
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			if a.RowIdx[k] == j {
-				d := rowSum[j]
-				if colSum[j] > d {
-					d = colSum[j]
-				}
-				a.Val[k] = d + margin
-				found = true
-				break
-			}
-		}
-		if !found {
-			panic(fmt.Sprintf("sparse: missing diagonal at column %d", j))
-		}
+		a.Val[a.mustDiag(j)] = math.Max(rowSum[j], colSum[j]) + margin
 	}
 }
 

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pselinv/internal/blockmat"
@@ -56,9 +57,12 @@ import (
 	"pselinv/internal/trace"
 )
 
-// Matrix is a sparse symmetric matrix accepted by the solver pipeline.
+// Matrix is a sparse symmetric matrix accepted by the solver pipeline. Its
+// sparsity pattern never changes after construction (Asymmetrize rewrites
+// values only), which is what lets the fingerprint be computed once.
 type Matrix struct {
 	gen *sparse.Generated
+	fp  atomic.Pointer[string] // memoized Fingerprint
 }
 
 // N returns the matrix dimension.
@@ -126,13 +130,22 @@ func (m *Matrix) Shifted(sigma float64) (*Matrix, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pselinv: %s: %w", m.Name(), err)
 	}
-	return &Matrix{gen: &sparse.Generated{A: a, Name: m.gen.Name, Geom: m.gen.Geom}}, nil
+	sh := &Matrix{gen: &sparse.Generated{A: a, Name: m.gen.Name, Geom: m.gen.Geom}}
+	sh.fp.Store(m.fp.Load())
+	return sh, nil
 }
 
 // Fingerprint returns a stable digest of the sparsity pattern (structure
 // only, not values). Matrices with equal fingerprints can share one
-// Symbolic analysis.
-func (m *Matrix) Fingerprint() string { return m.gen.A.PatternFingerprint() }
+// Symbolic analysis. The pattern is hashed on the first call only.
+func (m *Matrix) Fingerprint() string {
+	if fp := m.fp.Load(); fp != nil {
+		return *fp
+	}
+	fp := m.gen.A.PatternFingerprint()
+	m.fp.Store(&fp)
+	return fp
+}
 
 // IsSymmetric reports whether the matrix has symmetric values.
 func (m *Matrix) IsSymmetric() bool { return m.gen.A.IsSymmetric(0) }
@@ -365,13 +378,28 @@ func (sy *Symbolic) FactorNNZ() int64 { return sy.an.BP.NNZScalars() }
 // the shared state is read-only during runs (the plan cache is internally
 // locked), and each System owns its numeric factor.
 func (sy *Symbolic) Factorize(m *Matrix) (*System, error) {
-	if got := m.Fingerprint(); got != sy.fp {
-		return nil, fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
-			m.Name(), got, sy.fp)
+	if err := sy.checkPattern(m); err != nil {
+		return nil, err
 	}
 	// PermTotal (fill ordering composed with the analysis postorder), not
 	// the fill ordering alone, is what the block pattern is expressed in.
-	lu, err := factor.Factorize(m.gen.A.Permute(sy.an.PermTotal), sy.an.BP)
+	return sy.factorize(m, m.gen.A.Permute(sy.an.PermTotal))
+}
+
+// checkPattern rejects a matrix whose sparsity pattern is not the one this
+// analysis was built from.
+func (sy *Symbolic) checkPattern(m *Matrix) error {
+	if got := m.Fingerprint(); got != sy.fp {
+		return fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
+			m.Name(), got, sy.fp)
+	}
+	return nil
+}
+
+// factorize is Factorize given pa, m's matrix already permuted by
+// PermTotal.
+func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC) (*System, error) {
+	lu, err := factor.Factorize(pa, sy.an.BP)
 	if err != nil {
 		return nil, fmt.Errorf("pselinv: factorization of %s failed: %w", m.Name(), err)
 	}
@@ -391,9 +419,8 @@ func (sy *Symbolic) Factorize(m *Matrix) (*System, error) {
 // rank it is bit-identical to SelInv, on several it agrees with it within
 // 1e-9.
 func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
-	if got := m.Fingerprint(); got != sy.fp {
-		return nil, fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
-			m.Name(), got, sy.fp)
+	if err := sy.checkPattern(m); err != nil {
+		return nil, err
 	}
 	lu, err := factor.FactorizeShifted(m.gen.A.Permute(sy.an.PermTotal), z, sy.an.BP)
 	if err != nil {
@@ -454,7 +481,9 @@ func NewSystem(m *Matrix, opt Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	return sy.Factorize(m)
+	// The analysis was built from m itself, so its permuted matrix carries
+	// m's values: no pattern check and no second permutation.
+	return sy.factorize(m, sy.an.A)
 }
 
 // Symbolic returns the shareable value-independent analysis of this

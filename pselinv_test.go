@@ -377,7 +377,10 @@ func TestPoleExpansionDensityPublicAPI(t *testing.T) {
 	// Reference via dense inversion of each shifted system.
 	want := make([]float64, m.N())
 	for _, p := range poles {
-		shifted := m.gen.A.AddDiagonal(p.Shift)
+		shifted, err := m.gen.A.ShiftDiagonal(p.Shift)
+		if err != nil {
+			t.Fatal(err)
+		}
 		inv, err := dense.Inverse(shifted.ToDense())
 		if err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package pselinv
 
 import (
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -184,3 +185,56 @@ var (
 type errNew string
 
 func (e errNew) Error() string { return string(e) }
+
+// The memoized fingerprint a Shifted copy inherits must be the digest a
+// fresh hash of the shifted matrix gives, whether or not the original had
+// been hashed before the copy was made.
+func TestShiftedFingerprintMatchesFreshHash(t *testing.T) {
+	for _, hashFirst := range []bool{true, false} {
+		m := DG2D(5, 4, 3, 2)
+		if hashFirst {
+			m.Fingerprint()
+		}
+		sh, err := m.Shifted(0.75)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sh.Fingerprint(), sh.gen.A.PatternFingerprint(); got != want {
+			t.Fatalf("hashFirst=%v: Shifted(σ).Fingerprint() = %s, fresh hash %s", hashFirst, got, want)
+		}
+		if sh.Fingerprint() != m.Fingerprint() {
+			t.Fatalf("hashFirst=%v: shift changed the fingerprint", hashFirst)
+		}
+	}
+}
+
+// TestWarmRefactorizeAllocBudget holds the benchmark's warm_dg2d_p16 op to
+// an allocation budget: on a warm Symbolic the sparse front end may cost
+// one clone and one permutation of the matrix, not a sort and two
+// transposes (19.4 MB/op before the counting-pass rewrite, ≈10.7 after).
+func TestWarmRefactorizeAllocBudget(t *testing.T) {
+	const budgetMB = 12.5
+	m := DG2D(24, 24, 4, 1)
+	sym, err := AnalyzePattern(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := func(i int) {
+		if err := warmRefactorize(sym, m, 0.5+float64(i)/8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	op(0) // builds and caches the engine template
+	const ops = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i <= ops; i++ {
+		op(i)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / ops / 1e6; mb > budgetMB {
+		t.Fatalf("warm refactorize allocates %.2f MB/op, budget %.1f", mb, budgetMB)
+	} else {
+		t.Logf("warm refactorize: %.2f MB/op", mb)
+	}
+}
