@@ -54,14 +54,11 @@ var (
 	flagChaos    = flag.Uint64("chaos-seed", 0, "non-zero: run every engine measurement under the seeded chaos adversary (adversarial message reordering; volumes and numerics unchanged)")
 	flagObs      = flag.Bool("obs", false, "re-run the main measurement with the communication substrate instrumented: JSON reports, merged Chrome traces, and measured forwarding chains per scheme. With -transport=tcp each rank is a real OS process: the per-rank snapshots are streamed back, clock-aligned onto rank 0 and merged into one report whose matrices are conservation-checked against the workers' counters")
 	flagObsOut   = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
-	flagObsRing  = flag.Int("obs-ring", 0, "per-rank observability event-ring capacity for -obs runs (0 = default 16384; oversized values are clamped)")
 	flagSchemes  = flag.String("schemes", "", "comma-separated tree schemes to measure (empty = the paper's flat,binary,shifted; valid: "+strings.Join(core.SchemeSlugs(), "|")+")")
 	flagBalancer = flag.String("balancer", "cyclic", "supernode→process balancer: "+strings.Join(core.BalancerSlugs(), "|"))
 	flagCPN      = flag.Int("cores-per-node", 0, "ranks per node consumed by the topology-aware schemes (0 = Edison default 24)")
 
 	flagTransport = flag.String("transport", "inproc", "communication substrate: inproc (goroutine mailboxes, one process) or tcp (one OS process per rank on localhost; byte counters are transport-invariant, so volumes match inproc exactly)")
-	flagMailCap   = flag.Int("mailbox-cap", 0, "non-zero: bound every rank's mailbox to this many queued messages (bounded-buffer backpressure); per-rank blocked-send counts are reported. Caps far below a rank's peak fan-in can deadlock the engine — the run then times out with a snapshot of the send-blocked ranks")
-	flagLatScale  = flag.Float64("latency-scale", 0, "non-zero: impose the netsim link-latency geometry on the live in-process run, scaled by this factor (inproc only)")
 	flagTimeout   = flag.Duration("timeout", 20*time.Minute, "per-measurement engine deadline; on expiry the error includes a snapshot of where every rank was blocked")
 )
 
@@ -115,10 +112,6 @@ func main() {
 	case "inproc", "tcp":
 	default:
 		fmt.Fprintf(os.Stderr, "commvol: unknown -transport %q (want inproc or tcp)\n", *flagTransport)
-		os.Exit(2)
-	}
-	if *flagTransport == "tcp" && *flagLatScale != 0 {
-		fmt.Fprintln(os.Stderr, "commvol: -latency-scale decorates the in-process transport only (TCP links have real latency); drop -transport=tcp")
 		os.Exit(2)
 	}
 	fmt.Printf("dense kernel workers: %d\n", dense.SetWorkers(*flagWork))
@@ -187,7 +180,6 @@ func main() {
 		var err error
 		mainMs, err = measure(audikw, pipe, grid, schemeList())
 		check(err)
-		printBlocked(mainMs)
 	}
 
 	if *flagObs {
@@ -202,8 +194,6 @@ func main() {
 				Seed:         uint64(*flagSeed),
 				CoresPerNode: *flagCPN,
 				Balancer:     balancerSlug(),
-				MailboxCap:   *flagMailCap,
-				ObsRingCap:   *flagObsRing,
 				TimeoutSec:   flagTimeout.Seconds(),
 			}
 			if *flagChaos != 0 {
@@ -224,7 +214,7 @@ func main() {
 		} else {
 			fmt.Printf("== Observability: instrumented runs on %v (reports + merged traces in %s) ==\n", grid, *flagObsOut)
 			ms, err := exp.MeasureObs(pipe, grid, schemeList(), uint64(*flagSeed), 20*time.Minute,
-				exp.RunOpts{Chaos: chaosCfg(), CoresPerNode: *flagCPN, Balancer: balancerChoice(), ObsRingCap: *flagObsRing})
+				exp.RunOpts{Chaos: chaosCfg(), CoresPerNode: *flagCPN, Balancer: balancerChoice()})
 			check(err)
 			for _, m := range ms {
 				fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
@@ -332,7 +322,6 @@ func main() {
 			fmt.Printf("%s\n  n=%d nnz(A)=%d nnz(L+U)=%d\n", g.Name, g.A.N, g.A.NNZ(), 2*p.An.BP.NNZScalars())
 			ms, err := measure(g, p, grid, schemeList())
 			check(err)
-			printBlocked(ms)
 			fmt.Printf("  %-22s %10s %10s %10s %10s\n", "Communication tree", "Min", "Max", "Median", "Std.dev")
 			for _, m := range ms {
 				fmt.Printf("  %-22s %s\n", m.Scheme, m.RowReduceSummary().Row())
@@ -343,8 +332,7 @@ func main() {
 }
 
 // measure runs the volume measurement on the substrate selected by
-// -transport: the in-process goroutine-mailbox world (optionally with
-// chaos, bounded mailboxes or imposed link latency) or one OS process per
+// -transport: the in-process goroutine-mailbox world or one OS process per
 // rank over localhost TCP via distrun. Byte counters are transport-
 // invariant, so the two substrates report identical volumes for the same
 // matrix, grid and seed (pinned by internal/distrun's golden test).
@@ -358,7 +346,6 @@ func measure(gen *sparse.Generated, pipe *exp.Pipeline, grid *procgrid.Grid, sch
 			Seed:         uint64(*flagSeed),
 			CoresPerNode: *flagCPN,
 			Balancer:     balancerSlug(),
-			MailboxCap:   *flagMailCap,
 			TimeoutSec:   flagTimeout.Seconds(),
 		}
 		if *flagChaos != 0 {
@@ -367,28 +354,7 @@ func measure(gen *sparse.Generated, pipe *exp.Pipeline, grid *procgrid.Grid, sch
 		return distrun.MeasureVolumes(gen, spec, schemes, nil)
 	}
 	return exp.MeasureVolumes(pipe, grid, schemes, uint64(*flagSeed), *flagTimeout,
-		exp.RunOpts{Chaos: chaosCfg(), MailboxCap: *flagMailCap, LatencyScale: *flagLatScale,
-			CoresPerNode: *flagCPN, Balancer: balancerChoice()})
-}
-
-// printBlocked reports the bounded-mailbox backpressure counters when
-// -mailbox-cap is active.
-func printBlocked(ms []*exp.VolumeMeasurement) {
-	if *flagMailCap <= 0 {
-		return
-	}
-	for _, m := range ms {
-		var total, max int64
-		for _, b := range m.BlockedSends {
-			total += b
-			if b > max {
-				max = b
-			}
-		}
-		fmt.Printf("# %v: mailbox cap %d: %d sends blocked (max %d at one rank)\n",
-			m.Scheme, *flagMailCap, total, max)
-	}
-	fmt.Println()
+		exp.RunOpts{Chaos: chaosCfg(), CoresPerNode: *flagCPN, Balancer: balancerChoice()})
 }
 
 // table1Paper reproduces Table I on the paper's literal 46×46 grid using

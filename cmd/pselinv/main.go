@@ -43,7 +43,6 @@ var (
 	flagTrace    = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the parallel run to this file")
 	flagObs      = flag.Bool("obs", false, "instrument the parallel run's communication substrate: print the telemetry summary (traffic totals, imbalance, measured forwarding chains, straggler attribution) and write the JSON report + merged Chrome trace to -obs-out")
 	flagObsOut   = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
-	flagObsRing  = flag.Int("obs-ring", 0, "per-rank observability event-ring capacity for -obs runs (0 = default 16384; oversized values are clamped)")
 	flagDag      = flag.Bool("dag", false, "intra-rank task-DAG execution: schedule supernode updates on the kernel worker pool, overlapped with the tree collectives (result stays byte-identical)")
 	flagWork     = flag.Int("workers", 0, "dense-kernel worker pool size (0 = GOMAXPROCS)")
 )
@@ -144,7 +143,7 @@ func main() {
 	if *flagObs {
 		var trep *pselinv.TraceReport
 		var orep *pselinv.ObsReport
-		par, trep, orep, err = sys.ParallelSelInvObservedCap(*flagProcs, sch, uint64(*flagSeed), *flagObsRing)
+		par, trep, orep, err = sys.ParallelSelInvObserved(*flagProcs, sch, uint64(*flagSeed))
 		check(err)
 		fmt.Printf("%s", orep.Summary())
 		check(writeObsArtifacts(*flagObsOut, sch, trep, orep))

@@ -35,20 +35,19 @@ import (
 )
 
 var (
-	flagFig8    = flag.Bool("fig8", false, "reproduce Figure 8 strong scaling")
-	flagFig9    = flag.Bool("fig9", false, "reproduce Figure 9 time breakdown")
-	flagHybrid  = flag.Bool("hybrid", false, "run the hybrid / random-permutation ablation")
-	flagAsym    = flag.Bool("asym", false, "compare the symmetric path against the general (asymmetric-value) path")
-	flagAll     = flag.Bool("all", false, "run everything")
-	flagQuick   = flag.Bool("quick", false, "fewer processor counts and seeds")
-	flagSeeds   = flag.Int("seeds", 6, "placement seeds per point (paper: 6 runs)")
-	flagWork    = flag.Int("workers", 0, "dense-kernel worker pool size (0 = GOMAXPROCS)")
-	flagChaos   = flag.Uint64("chaos-seed", 0, "non-zero: preflight the real engine under the seeded chaos adversary before simulating (the scaling sweeps themselves are timing-model replays with no live messages)")
-	flagObs     = flag.Bool("obs", false, "run the fixed observability problem (real engine, 4x4 grid) per scheme and write JSON reports + merged Chrome traces; with -transport=tcp the observed run instead spans 4 OS processes on a 2x2 grid and the artifacts are the clock-aligned merged report and offset-corrected trace")
-	flagObsOut  = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
-	flagObsSd   = flag.Uint64("obs-seed", 1, "tree-shift seed for -obs runs")
-	flagObsRing = flag.Int("obs-ring", 0, "per-rank observability event-ring capacity for -obs runs (0 = default 16384; oversized values are clamped)")
-	flagDag     = flag.Bool("dag", false, "run the live-engine sections (-obs, -chaos-seed preflight) in intra-rank task-DAG mode: supernode updates scheduled on the kernel worker pool, overlapped with the tree collectives")
+	flagFig8   = flag.Bool("fig8", false, "reproduce Figure 8 strong scaling")
+	flagFig9   = flag.Bool("fig9", false, "reproduce Figure 9 time breakdown")
+	flagHybrid = flag.Bool("hybrid", false, "run the hybrid / random-permutation ablation")
+	flagAsym   = flag.Bool("asym", false, "compare the symmetric path against the general (asymmetric-value) path")
+	flagAll    = flag.Bool("all", false, "run everything")
+	flagQuick  = flag.Bool("quick", false, "fewer processor counts and seeds")
+	flagSeeds  = flag.Int("seeds", 6, "placement seeds per point (paper: 6 runs)")
+	flagWork   = flag.Int("workers", 0, "dense-kernel worker pool size (0 = GOMAXPROCS)")
+	flagChaos  = flag.Uint64("chaos-seed", 0, "non-zero: preflight the real engine under the seeded chaos adversary before simulating (the scaling sweeps themselves are timing-model replays with no live messages)")
+	flagObs    = flag.Bool("obs", false, "run the fixed observability problem (real engine, 4x4 grid) per scheme and write JSON reports + merged Chrome traces; with -transport=tcp the observed run instead spans 4 OS processes on a 2x2 grid and the artifacts are the clock-aligned merged report and offset-corrected trace")
+	flagObsOut = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
+	flagObsSd  = flag.Uint64("obs-seed", 1, "tree-shift seed for -obs runs")
+	flagDag    = flag.Bool("dag", false, "run the live-engine sections (-obs, -chaos-seed preflight) in intra-rank task-DAG mode: supernode updates scheduled on the kernel worker pool, overlapped with the tree collectives")
 
 	flagTransport = flag.String("transport", "inproc", "communication substrate for the live preflight: inproc, or tcp to validate the real engine across 4 OS processes on localhost (byte-identical volumes to inproc) before the simulated sweeps")
 
@@ -326,7 +325,7 @@ func runObs(dir string, seed uint64, dag bool) error {
 	}
 	fmt.Printf("== Observability: measured forwarding chains and traffic matrices on %v ==\n", grid)
 	ms, err := exp.MeasureObs(p, grid, parseSchemes(core.Schemes()), seed, 5*time.Minute,
-		exp.RunOpts{DAG: dag, Balancer: parseBalancer(), ObsRingCap: *flagObsRing})
+		exp.RunOpts{DAG: dag, Balancer: parseBalancer()})
 	if err != nil {
 		return err
 	}
@@ -358,7 +357,6 @@ func runObsTCP(dir string, seed uint64) error {
 		Relax: 2, MaxWidth: 8,
 		PR: grid.Pr, PC: grid.Pc, Seed: seed,
 		Balancer:   parseBalancer().Slug(),
-		ObsRingCap: *flagObsRing,
 		TimeoutSec: (5 * time.Minute).Seconds(),
 	}
 	ms, err := distrun.MeasureObs(sparse.Grid2D(16, 16, 1), spec, parseSchemes(core.Schemes()), nil)

@@ -54,7 +54,7 @@ func Snapshot(w *simmpi.World, plan *core.Plan, err error) *Report {
 	} else {
 		for r := 0; r < w.P; r++ {
 			switch rep.States[r] {
-			case simmpi.StateRecvWait, simmpi.StateBarrierWait, simmpi.StateSendWait, simmpi.StateRunning:
+			case simmpi.StateRecvWait, simmpi.StateBarrierWait, simmpi.StateRunning:
 				rep.Stuck = append(rep.Stuck, r)
 			}
 		}

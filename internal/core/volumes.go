@@ -8,33 +8,51 @@ package core
 // the cheap way to evaluate load balance at grids far larger than the
 // numeric path can run (e.g. the paper's literal 46×46 audikw_1 grid).
 
+// allKinds lists every operation kind a plan can hold.
+var allKinds = []OpKind{OpDiagBcast, OpCrossSend, OpColBcast, OpRowReduce,
+	OpDiagReduce, OpSymmSend, OpDiagBcastRow, OpCrossSendU, OpRowBcast, OpColReduce}
+
 // PerRankSent returns bytes sent by each rank for one operation kind
 // (self-sends excluded, as in the engine's accounting).
 func (p *Plan) PerRankSent(kind OpKind) []int64 {
 	out := make([]int64, p.Grid.Size())
-	p.accumulate(kind, out, true)
+	p.eachMessage(kind, func(src, _ int, bytes int64) { out[src] += bytes })
 	return out
 }
 
 // PerRankRecv returns bytes received by each rank for one operation kind.
 func (p *Plan) PerRankRecv(kind OpKind) []int64 {
 	out := make([]int64, p.Grid.Size())
-	p.accumulate(kind, out, false)
+	p.eachMessage(kind, func(_, dst int, bytes int64) { out[dst] += bytes })
 	return out
 }
 
 // PerRankTotalSent sums sent bytes over all operation kinds.
 func (p *Plan) PerRankTotalSent() []int64 {
 	out := make([]int64, p.Grid.Size())
-	for _, kind := range []OpKind{OpDiagBcast, OpCrossSend, OpColBcast, OpRowReduce,
-		OpDiagReduce, OpSymmSend, OpDiagBcastRow, OpCrossSendU, OpRowBcast, OpColReduce} {
-		p.accumulate(kind, out, true)
+	for _, kind := range allKinds {
+		p.eachMessage(kind, func(src, _ int, bytes int64) { out[src] += bytes })
 	}
 	return out
 }
 
-// accumulate adds the per-rank byte counts of one kind into out.
-func (p *Plan) accumulate(kind OpKind, out []int64, sent bool) {
+// PerRankMsgs returns, per rank, how many messages the plan has it send
+// plus receive over all operation kinds (self-sends excluded). The world's
+// measured SentMsgs + RecvMsgs match it exactly, which makes it the size
+// of the event stream an observed run records on that rank.
+func (p *Plan) PerRankMsgs() []int {
+	out := make([]int, p.Grid.Size())
+	for _, kind := range allKinds {
+		p.eachMessage(kind, func(src, dst int, _ int64) {
+			out[src]++
+			out[dst]++
+		})
+	}
+	return out
+}
+
+// eachMessage calls visit once per inter-rank message of one kind.
+func (p *Plan) eachMessage(kind OpKind, visit func(src, dst int, bytes int64)) {
 	coll := func(op *CollOp) {
 		// Broadcast: every non-root participant receives one payload from
 		// its parent; reduction trees carry the same edge set upward, so
@@ -44,27 +62,16 @@ func (p *Plan) accumulate(kind OpKind, out []int64, sent bool) {
 			if r == op.Tree.Root {
 				continue
 			}
-			parent := op.Tree.Parent(r)
-			// Edge parent->r (broadcast) or r->parent (reduce).
-			src, dst := parent, r
-			if reduces {
-				src, dst = r, parent
-			}
-			if sent {
-				out[src] += op.Bytes
+			if parent := op.Tree.Parent(r); reduces {
+				visit(r, parent, op.Bytes)
 			} else {
-				out[dst] += op.Bytes
+				visit(parent, r, op.Bytes)
 			}
 		}
 	}
 	point := func(op *PointOp) {
-		if op.Src == op.Dst {
-			return
-		}
-		if sent {
-			out[op.Src] += op.Bytes
-		} else {
-			out[op.Dst] += op.Bytes
+		if op.Src != op.Dst {
+			visit(op.Src, op.Dst, op.Bytes)
 		}
 	}
 	for _, sp := range p.Snodes {

@@ -88,15 +88,6 @@ func (o *Outcome) RecvBytes(class simmpi.Class) []int64 {
 	return out
 }
 
-// BlockedSends assembles the per-rank blocked-send vector.
-func (o *Outcome) BlockedSends() []int64 {
-	out := make([]int64, len(o.Results))
-	for r, res := range o.Results {
-		out[r] = res.BlockedSends
-	}
-	return out
-}
-
 // TotalSent sums one rank's sent bytes across classes.
 func (o *Outcome) TotalSent(rank int) int64 {
 	var total int64
@@ -330,7 +321,7 @@ func spawnWorker(argv []string, specPath string, rank int, errSink io.Writer) (*
 // MeasureVolumes is the multi-process analogue of exp.MeasureVolumes: it
 // stages gen on disk, runs one distributed launch per scheme (base
 // supplies everything but the scheme: grid, seeds, amalgamation, timeout,
-// chaos/capacity options), and reduces the workers' counters to the same
+// chaos options), and reduces the workers' counters to the same
 // per-rank MB measurements the in-process path produces. Byte counting is
 // transport-invariant, so for a given matrix, grid and seed the vectors
 // match the in-process ones exactly.
@@ -363,9 +354,6 @@ func MeasureVolumes(gen *sparse.Generated, base Spec, schemes []core.Scheme, opt
 			ColBcastSent:  stats.BytesToMB(outcome.SentBytes(simmpi.ClassColBcast)),
 			RowReduceRecv: stats.BytesToMB(outcome.RecvBytes(simmpi.ClassRowReduce)),
 			Elapsed:       outcome.Elapsed,
-		}
-		if spec.MailboxCap > 0 {
-			m.BlockedSends = outcome.BlockedSends()
 		}
 		total := make([]float64, spec.P())
 		for r := range total {

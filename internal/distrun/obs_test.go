@@ -10,8 +10,11 @@ import (
 	"pselinv/internal/core"
 	"pselinv/internal/distrun"
 	"pselinv/internal/exp"
+	"pselinv/internal/obs"
 	"pselinv/internal/procgrid"
+	"pselinv/internal/pselinv"
 	"pselinv/internal/simmpi"
+	"pselinv/internal/trace"
 )
 
 // TestDistributedObservability runs an observed 4-process TCP launch and
@@ -22,7 +25,9 @@ import (
 // straggler sections. The schedule-stripped merged report must match the
 // checked-in golden AND be byte-identical to the in-process observed report
 // of the same problem — the cross-backend equivalence the telemetry pipeline
-// promises.
+// promises. Every worker sized its event ring from the plan it rebuilt, so
+// each retains exactly the messages it moved and the merged chains are
+// complete; an in-process run with rings at obs.MaxRingCap reports the same.
 func TestDistributedObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 4 worker processes")
@@ -110,12 +115,47 @@ func TestDistributedObservability(t *testing.T) {
 		t.Errorf("stripped merged report diverges from in-process report:\n--- tcp ---\n%s\n--- in-process ---\n%s", got, want)
 	}
 
-	// The reduce-class traffic matrices must marginalize to the plan's
-	// one-block-per-edge counts, so the golden cannot record anything but
-	// one partial sum per tree edge.
 	plan := core.NewPlanConfig(pipe.An.BP, procgrid.New(spec.PR, spec.PC), core.PlanConfig{
 		Scheme: schemes[0], Seed: spec.Seed, Symmetric: true,
 	})
+
+	// Plan-sized rings: each worker retained exactly its plan's message
+	// count, which is what its world counted, and nothing was dropped.
+	for r, want := range plan.PerRankMsgs() {
+		var moved int64
+		for c := range simmpi.Classes() {
+			moved += m.Outcome.Results[r].SentMsgs[c] + m.Outcome.Results[r].RecvMsgs[c]
+		}
+		s := m.Outcome.Snapshots[r]
+		if moved != int64(want) || s.RingLen != int64(want) || len(s.Events) != want {
+			t.Errorf("rank %d: moved %d messages, ring saw %d and retained %d; plan counts %d",
+				r, moved, s.RingLen, len(s.Events), want)
+		}
+	}
+	if !rep.ChainsOK {
+		t.Error("merged chain analysis incomplete with plan-sized rings")
+	}
+	bound := make([]int, p)
+	for r := range bound {
+		bound[r] = obs.MaxRingCap
+	}
+	eng := pselinv.NewEngine(plan, pipe.LU)
+	col := obs.NewCollector(bound, time.Now())
+	eng.Observer, eng.Trace = col, trace.NewRecorder()
+	res, err := eng.Run(60 * time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+	boundRep := exp.ObsReport(col, eng.Trace, res, plan, 0)
+	boundRep.StripSchedule()
+	if js, err := boundRep.JSON(); err != nil || string(js) != string(got) {
+		t.Errorf("stripped merged report diverges from an in-process one with MaxRingCap rings (%v):\n--- tcp ---\n%s\n--- bound ---\n%s", err, got, js)
+	}
+
+	// The reduce-class traffic matrices must marginalize to the plan's
+	// one-block-per-edge counts, so the golden cannot record anything but
+	// one partial sum per tree edge.
 	for class, kind := range map[string]core.OpKind{
 		simmpi.ClassRowReduce.String():  core.OpRowReduce,
 		simmpi.ClassDiagReduce.String(): core.OpDiagReduce,
@@ -158,51 +198,5 @@ func TestDistributedObservability(t *testing.T) {
 	}
 	if string(got) != string(wantGolden) {
 		t.Errorf("merged report drifted from golden %s:\n--- got ---\n%s\n--- want ---\n%s", goldenPath, got, wantGolden)
-	}
-}
-
-// TestDistributedObsRingCap: the spec-level ring-capacity override must
-// bound every worker's retained event stream, with the overflow visible as
-// dropped events in the snapshot rather than silently absorbed.
-func TestDistributedObsRingCap(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns 4 worker processes")
-	}
-	gen, spec := testProblem()
-	spec.PR, spec.PC = 2, 2
-	spec.ObsRingCap = 4
-	ms, err := distrun.MeasureObs(gen, spec, []core.Scheme{core.FlatTree}, &distrun.Options{Stderr: testWriter{t}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for r, s := range ms[0].Outcome.Snapshots {
-		if len(s.Events) > 4 {
-			t.Errorf("rank %d retained %d events, ring cap is 4", r, len(s.Events))
-		}
-		if s.RingLen <= 4 {
-			t.Errorf("rank %d only ever appended %d events; problem too small to overflow?", r, s.RingLen)
-		}
-	}
-	// Overflowed rings make the chain analysis incomplete — honestly
-	// degraded, exactly like in-process ring overflow.
-	if ms[0].Report.ChainsOK {
-		t.Error("report claims complete chains despite overflowed rings")
-	}
-}
-
-// TestSpecObsRingCapClamped pins the validation/clamping rules shared by
-// the launcher spec and the pselinvd request path.
-func TestSpecObsRingCapClamped(t *testing.T) {
-	for in, want := range map[int]int{
-		0:                         1 << 14, // obs.DefaultRingCap
-		-5:                        1 << 14,
-		64:                        64,
-		distrun.MaxObsRingCap:     distrun.MaxObsRingCap,
-		distrun.MaxObsRingCap * 2: distrun.MaxObsRingCap,
-	} {
-		s := distrun.Spec{ObsRingCap: in}
-		if got := s.ObsRingCapClamped(); got != want {
-			t.Errorf("ObsRingCapClamped(%d) = %d, want %d", in, got, want)
-		}
 	}
 }

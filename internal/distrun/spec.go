@@ -23,7 +23,6 @@ import (
 	"pselinv/internal/core"
 	"pselinv/internal/exp"
 	"pselinv/internal/factor"
-	"pselinv/internal/obs"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
 	"pselinv/internal/sparse"
@@ -87,31 +86,17 @@ type Spec struct {
 	// deterministic one the in-process backend applies.
 	ChaosEnabled bool   `json:"chaos_enabled,omitempty"`
 	ChaosSeed    uint64 `json:"chaos_seed,omitempty"`
-	// MailboxCap, when positive, bounds every worker's inbox (blocked
-	// sends surface in the worker results).
-	MailboxCap int `json:"mailbox_cap,omitempty"`
 
 	// Obs turns on full observability in every worker: an obs collector and
 	// trace recorder on a shared process-local clock epoch, handshake clock
 	// sync on the mesh, and a trimmed telemetry snapshot streamed back to
-	// the launcher ahead of the result line (see Outcome.Snapshots).
+	// the launcher ahead of the result line (see Outcome.Snapshots). Each
+	// worker sizes its event ring from the plan it rebuilt.
 	Obs bool `json:"obs,omitempty"`
-	// ObsRingCap overrides the per-rank event-ring capacity of the workers'
-	// collectors (0 = obs.DefaultRingCap; clamped to MaxObsRingCap).
-	ObsRingCap int `json:"obs_ring_cap,omitempty"`
 
 	// TimeoutSec bounds each worker's engine run.
 	TimeoutSec float64 `json:"timeout_sec"`
 }
-
-// MaxObsRingCap bounds the per-rank event-ring capacity a spec (or a
-// pselinvd request) may ask for, so one request cannot pin unbounded memory
-// per rank.
-const MaxObsRingCap = obs.MaxRingCap
-
-// ObsRingCapClamped resolves the spec's ring-capacity override to the value
-// the workers actually use.
-func (s *Spec) ObsRingCapClamped() int { return obs.ClampRingCap(s.ObsRingCap) }
 
 // P returns the world size.
 func (s *Spec) P() int { return s.PR * s.PC }

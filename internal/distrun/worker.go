@@ -61,9 +61,6 @@ type Result struct {
 	RecvBytes []int64 `json:"recv_bytes"`
 	SentMsgs  []int64 `json:"sent_msgs"`
 	RecvMsgs  []int64 `json:"recv_msgs"`
-	// BlockedSends counts sends into this rank's mailbox that stalled on
-	// the capacity bound (0 unless the spec sets MailboxCap).
-	BlockedSends int64 `json:"blocked_sends,omitempty"`
 	// DialRetries counts mesh-setup dial attempts that had to back off.
 	DialRetries int64 `json:"dial_retries,omitempty"`
 	// CheckedBlocks is the number of result blocks this worker verified
@@ -169,15 +166,12 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	// The hello carries the factorization's element tag, so a world whose
 	// processes disagree about real-vs-complex (divergent specs) dies at
 	// the handshake instead of mixing payload arithmetic.
-	cfg := tcptransport.Config{
-		Rank: rank, Addrs: addrs, Capacity: spec.MailboxCap,
-		Elem: byte(pipe.LU.Elem),
-	}
+	cfg := tcptransport.Config{Rank: rank, Addrs: addrs, Elem: byte(pipe.LU.Elem)}
 	var col *obs.Collector
 	var rec *trace.Recorder
 	if spec.Obs {
 		epoch := time.Now()
-		col = obs.NewCollectorCapAt(p, spec.ObsRingCapClamped(), epoch)
+		col = obs.NewCollector(plan.PerRankMsgs(), epoch)
 		if spec.CoresPerNode > 0 {
 			col.SetTopology(spec.CoresPerNode)
 		}
@@ -214,7 +208,6 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 		res.SentMsgs[i] = world.SentMsgs(rank, c)
 		res.RecvMsgs[i] = world.RecvMsgs(rank, c)
 	}
-	res.BlockedSends = world.BlockedSends(rank)
 	res.DialRetries = tr.DialRetries()
 	if err != nil {
 		// Attach the in-flight snapshot (rank states, pending queue

@@ -94,33 +94,19 @@ type VolumeMeasurement struct {
 	RowReduceRecv []float64
 	// TotalSent is the per-rank total sent volume in MB.
 	TotalSent []float64
-	// BlockedSends is the per-rank count of sends that blocked on a full
-	// bounded mailbox; nil unless the run used RunOpts.MailboxCap.
-	BlockedSends []int64
-	Elapsed      time.Duration
+	Elapsed   time.Duration
 }
 
 // Summary helpers for the table rows.
 func (m *VolumeMeasurement) ColBcastSummary() stats.Summary  { return stats.Summarize(m.ColBcastSent) }
 func (m *VolumeMeasurement) RowReduceSummary() stats.Summary { return stats.Summarize(m.RowReduceRecv) }
 
-// RunOpts selects the substrate options of a measurement run: an optional
-// chaos adversary, an optional per-rank mailbox capacity (bounded-buffer
-// backpressure, measured via blocked-send counters), and an optional
-// link-latency decoration of the in-process transport (the netsim latency
-// geometry imposed on a live run instead of simulated).
+// RunOpts selects the plan and engine options of a measurement run.
 type RunOpts struct {
 	// Chaos, when non-nil, installs the seeded delivery adversary. The
 	// numerics and the volumes stay bit-identical to an unperturbed run of
 	// the same plan.
 	Chaos *chaos.Config
-	// MailboxCap, when positive, bounds every rank's mailbox.
-	MailboxCap int
-	// LatencyScale, when positive, wraps the transport with
-	// netsim.NewLatencyTransport at that scale, using LatencyParams (or
-	// ScaledEdisonParams when nil).
-	LatencyScale  float64
-	LatencyParams *netsim.Params
 	// DAG enables intra-rank task-DAG execution: supernode updates are
 	// scheduled onto the dense kernel worker pool and overlapped with the
 	// tree collectives. Volumes and numerics stay identical to a
@@ -134,9 +120,6 @@ type RunOpts struct {
 	// Balancer selects the supernode→process mapping strategy (zero value
 	// is the block-cyclic default).
 	Balancer core.Balancer
-	// ObsRingCap overrides the observability collector's per-rank event-ring
-	// capacity (0 = obs.DefaultRingCap). Only MeasureObs consumes it.
-	ObsRingCap int
 }
 
 // planConfig translates the options into the plan knobs for one scheme.
@@ -144,30 +127,6 @@ func (o *RunOpts) planConfig(scheme core.Scheme, seed uint64) core.PlanConfig {
 	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: true,
 		Balancer: o.Balancer,
 		Topo:     core.Topology{CoresPerNode: o.CoresPerNode}}
-}
-
-// transport builds the engine transport factory for the options, or nil
-// when the default in-process transport needs no decoration.
-func (o *RunOpts) transport() func(p int) simmpi.Transport {
-	if o.MailboxCap <= 0 && o.LatencyScale <= 0 {
-		return nil
-	}
-	return func(p int) simmpi.Transport {
-		inner := simmpi.NewInProc(p)
-		if o.MailboxCap > 0 {
-			inner.SetMailboxCapacity(o.MailboxCap)
-		}
-		var tr simmpi.Transport = inner
-		if o.LatencyScale > 0 {
-			params := o.LatencyParams
-			if params == nil {
-				pp := ScaledEdisonParams()
-				params = &pp
-			}
-			tr = netsim.NewLatencyTransport(tr, params, o.LatencyScale)
-		}
-		return tr
-	}
 }
 
 // MeasureVolumes runs the real parallel engine once per scheme on the given
@@ -184,7 +143,6 @@ func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 		eng := pselinv.NewEngine(plan, p.LU)
 		eng.Chaos = opts.Chaos
 		eng.DAG = opts.DAG
-		eng.Transport = opts.transport()
 		res, err := eng.Run(timeout)
 		if err != nil {
 			return nil, fmt.Errorf("exp: %v on %v: %w", scheme, grid, err)
@@ -199,9 +157,6 @@ func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 			ColBcastSent:  stats.BytesToMB(res.World.VolumeVector(simmpi.ClassColBcast, true)),
 			RowReduceRecv: stats.BytesToMB(res.World.VolumeVector(simmpi.ClassRowReduce, false)),
 			Elapsed:       res.Elapsed,
-		}
-		if opts.MailboxCap > 0 {
-			m.BlockedSends = res.World.BlockedSendsVector()
 		}
 		total := make([]float64, res.World.P)
 		for r := 0; r < res.World.P; r++ {
@@ -239,12 +194,11 @@ func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed ui
 	for _, scheme := range schemes {
 		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(scheme, seed))
 		eng := pselinv.NewEngine(plan, p.LU)
-		col := obs.NewCollectorCap(grid.Size(), obs.ClampRingCap(opts.ObsRingCap))
+		col := obs.NewCollector(plan.PerRankMsgs(), time.Now())
 		eng.Observer = col
 		eng.Trace = trace.NewRecorder()
 		eng.Chaos = opts.Chaos
 		eng.DAG = opts.DAG
-		eng.Transport = opts.transport()
 		res, err := eng.Run(timeout)
 		if err != nil {
 			return nil, fmt.Errorf("exp: obs %v on %v: %w", scheme, grid, err)
@@ -266,8 +220,7 @@ func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed ui
 // result and the plan it executed. On top of the collector's traffic
 // matrices and chain analysis it attaches: the cross-node chain columns
 // when coresPerNode is positive (zero leaves the report topology-free);
-// the per-rank blocked-send counters when a bounded mailbox ever pushed
-// back; the task-DAG scheduler counters of a DAG run; the plan's per-rank
+// the task-DAG scheduler counters of a DAG run; the plan's per-rank
 // load section; and the straggler section. Sections that do not apply are
 // omitted, so reports of plain runs stay byte-identical.
 func ObsReport(col *obs.Collector, rec *trace.Recorder, res *pselinv.RunResult, plan *core.Plan, coresPerNode int) *obs.Report {
@@ -275,7 +228,6 @@ func ObsReport(col *obs.Collector, rec *trace.Recorder, res *pselinv.RunResult, 
 		col.SetTopology(coresPerNode)
 	}
 	rep := col.Report(plan.Scheme.String())
-	rep.SetBlockedSends(res.World.BlockedSendsVector())
 	if len(res.Dag) > 0 {
 		rep.Dag = make([]*obs.DagRankStats, len(res.Dag))
 		for i, d := range res.Dag {

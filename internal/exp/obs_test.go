@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"pselinv/internal/core"
+	"pselinv/internal/procgrid"
 	"pselinv/internal/simmpi"
+	"pselinv/internal/sparse"
 )
 
 // TestObsAcceptance is the observability acceptance check: one MeasureObs
@@ -97,4 +99,27 @@ func TestObsAcceptance(t *testing.T) {
 		}
 	}
 	t.Logf("measured bcast chain sums: %v", chainSum)
+}
+
+// TestObsChainsCompleteWithoutCapacity: the ring is sized from the plan, so
+// problems an order of magnitude past ObsProblem analyze complete chains
+// with no capacity given anywhere — here the two P=16 benchmark-sized ones
+// (1,065 and 7,311 messages through the busiest rank).
+func TestObsChainsCompleteWithoutCapacity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("factorizes a 96x96 grid")
+	}
+	for _, g := range []*sparse.Generated{sparse.DG2D(24, 24, 4, 1), sparse.Grid2D(96, 96, 1)} {
+		p, err := Prepare(g, DefaultRelax, DefaultMaxWidth)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := MeasureObs(p, procgrid.New(4, 4), []core.Scheme{core.ShiftedBinaryTree}, 1, 60*time.Second, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := ms[0].Report; !rep.ChainsOK || rep.DroppedEvents != 0 {
+			t.Errorf("%s: chains complete=%v, %d events dropped", g.Name, rep.ChainsOK, rep.DroppedEvents)
+		}
+	}
 }

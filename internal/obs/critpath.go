@@ -132,7 +132,7 @@ func (c *Collector) analyze() (chains []*CollectiveChain, crit *CriticalPath, co
 	complete = true
 	perRank := make([][]Event, c.p)
 	for r := range c.ranks {
-		evs, dropped := c.ranks[r].events(c.ringCap)
+		evs, dropped := c.ranks[r].events()
 		perRank[r] = evs
 		if dropped > 0 {
 			complete = false

@@ -35,7 +35,7 @@ const (
 // Event is one communication event on a rank's ring, in the rank's program
 // order (the ring index is the per-rank sequence number). The JSON tags are
 // the snapshot wire format (see Snapshot); they are deliberately short —
-// a worker ships up to ringCap of these per run.
+// a worker ships its whole ring of these per run.
 type Event struct {
 	T     time.Duration `json:"t"`           // since collector creation
 	Wait  time.Duration `json:"w,omitempty"` // blocked wait; zero for TryRecv
@@ -59,6 +59,7 @@ type rankObs struct {
 	sentN, recvN [][]int64
 
 	ring    []Event
+	ringCap int   // ring capacity; the ring is allocated on the first event
 	ringLen int64 // total events appended, including overwritten ones
 	// linear marks a ring reconstructed by Decode: already oldest-first,
 	// with ringLen - len(ring) events dropped before serialization.
@@ -68,43 +69,20 @@ type rankObs struct {
 	waitMax   time.Duration
 	waitCount int64
 
-	sendWaitTotal time.Duration
-	sendWaitMax   time.Duration
-
 	hwm atomic.Int64 // mailbox queue-depth high-watermark
 }
 
-// DefaultRingCap is the per-rank event-ring capacity: enough to retain the
-// full message stream of the experiment-sized runs the analyzer targets,
-// small enough that a large world does not balloon (rings are allocated
-// lazily, on a rank's first event).
-const DefaultRingCap = 1 << 14
-
-// MaxRingCap bounds the ring capacity an external override (CLI flag,
-// distrun spec, pselinvd request) may ask for, so one request cannot pin
-// unbounded memory per rank.
+// MaxRingCap bounds a rank's event ring, so one oversized plan cannot pin
+// unbounded memory per rank; past it the oldest events are overwritten.
 const MaxRingCap = 1 << 20
-
-// ClampRingCap resolves an external ring-capacity override: non-positive
-// values fall back to DefaultRingCap, oversized ones clamp to MaxRingCap.
-func ClampRingCap(n int) int {
-	switch {
-	case n <= 0:
-		return DefaultRingCap
-	case n > MaxRingCap:
-		return MaxRingCap
-	}
-	return n
-}
 
 // Collector implements simmpi.Observer. Create one per run, install it
 // with World.SetObserver (or Engine.Observer) before the run, and call
 // Report after the run completes; the collector must not be shared across
 // worlds.
 type Collector struct {
-	start   time.Time
-	p       int
-	ringCap int
+	start time.Time
+	p     int
 	// coresPerNode, when positive, is the rank→node packing used to
 	// annotate chains with cross-node hop counts (see SetTopology).
 	coresPerNode int
@@ -118,31 +96,26 @@ type Collector struct {
 // keeps reports byte-identical to topology-free runs.
 func (c *Collector) SetTopology(coresPerNode int) { c.coresPerNode = coresPerNode }
 
-// NewCollector returns a collector for a p-rank world with the default
-// per-rank ring capacity.
-func NewCollector(p int) *Collector { return NewCollectorCap(p, DefaultRingCap) }
-
-// NewCollectorCap is NewCollector with an explicit per-rank event-ring
-// capacity. When a rank's stream exceeds the capacity the oldest events are
-// overwritten; the report then marks its chain analysis incomplete while
-// the traffic matrices (plain counters, not ring-bound) stay exact.
-func NewCollectorCap(p, ringCap int) *Collector {
-	return NewCollectorCapAt(p, ringCap, time.Now())
-}
-
-// NewCollectorCapAt is NewCollectorCap with an explicit clock epoch. A
+// NewCollector returns a collector for a len(ringCaps)-rank world. Rank r's
+// event ring holds ringCaps[r] events (clamped to [1, MaxRingCap]); callers
+// pass the plan's per-rank message counts (core.Plan.PerRankMsgs), which is
+// exactly what a run records. Should a rank's stream still exceed its ring,
+// the oldest events are overwritten and the report marks its chain analysis
+// incomplete while the traffic matrices (plain counters, not ring-bound)
+// stay exact. start is the clock epoch of the event timestamps: a
 // distributed worker passes one shared epoch to its collector, trace
-// recorder, and transport clock sync so every local timestamp lives on the
+// recorder and transport clock sync so every local timestamp lives on the
 // same process clock and the launcher-side merge can shift whole processes
 // by a single estimated offset.
-func NewCollectorCapAt(p, ringCap int, start time.Time) *Collector {
-	if p <= 0 {
-		panic("obs: non-positive world size")
+func NewCollector(ringCaps []int, start time.Time) *Collector {
+	if len(ringCaps) == 0 {
+		panic("obs: empty world")
 	}
-	if ringCap < 1 {
-		ringCap = 1
+	c := &Collector{start: start, p: len(ringCaps), ranks: make([]rankObs, len(ringCaps))}
+	for r, n := range ringCaps {
+		c.ranks[r].ringCap = min(max(n, 1), MaxRingCap)
 	}
-	return &Collector{start: start, p: p, ringCap: ringCap, ranks: make([]rankObs, p)}
+	return c
 }
 
 // P returns the world size the collector was built for.
@@ -160,26 +133,26 @@ func (ro *rankObs) row(rows *[][]int64, class simmpi.Class, p int) []int64 {
 	return r
 }
 
-func (ro *rankObs) appendEvent(e Event, cap int) {
+func (ro *rankObs) appendEvent(e Event) {
 	if ro.ring == nil {
-		ro.ring = make([]Event, 0, cap)
+		ro.ring = make([]Event, 0, ro.ringCap)
 	}
-	if len(ro.ring) < cap {
+	if len(ro.ring) < ro.ringCap {
 		ro.ring = append(ro.ring, e)
 	} else {
-		ro.ring[ro.ringLen%int64(cap)] = e
+		ro.ring[ro.ringLen%int64(ro.ringCap)] = e
 	}
 	ro.ringLen++
 }
 
 // events returns the retained events oldest-first plus the dropped count.
-func (ro *rankObs) events(cap int) ([]Event, int64) {
+func (ro *rankObs) events() ([]Event, int64) {
 	if ro.linear || ro.ringLen <= int64(len(ro.ring)) {
 		return ro.ring, ro.ringLen - int64(len(ro.ring))
 	}
 	// The ring wrapped: linearize from the oldest retained slot.
 	out := make([]Event, len(ro.ring))
-	head := int(ro.ringLen % int64(cap))
+	head := int(ro.ringLen % int64(len(ro.ring)))
 	n := copy(out, ro.ring[head:])
 	copy(out[n:], ro.ring[:head])
 	return out, ro.ringLen - int64(len(ro.ring))
@@ -189,7 +162,7 @@ func (ro *rankObs) events(cap int) ([]Event, int64) {
 // in the class matrix and appends a send event to src's ring. Self-sends
 // update only the destination queue-depth watermark, matching the volume
 // counters which exclude intra-rank bytes.
-func (c *Collector) RecordSend(src, dst int, class simmpi.Class, tag uint64, bytes int64, depth int, wait time.Duration) {
+func (c *Collector) RecordSend(src, dst int, class simmpi.Class, tag uint64, bytes int64, depth int) {
 	d := &c.ranks[dst]
 	for {
 		old := d.hwm.Load()
@@ -201,16 +174,12 @@ func (c *Collector) RecordSend(src, dst int, class simmpi.Class, tag uint64, byt
 		return
 	}
 	s := &c.ranks[src]
-	s.sendWaitTotal += wait
-	if wait > s.sendWaitMax {
-		s.sendWaitMax = wait
-	}
 	s.row(&s.sentB, class, c.p)[dst] += bytes
 	s.row(&s.sentN, class, c.p)[dst]++
 	s.appendEvent(Event{
-		T: time.Since(c.start), Wait: wait, Tag: tag, Bytes: bytes,
+		T: time.Since(c.start), Tag: tag, Bytes: bytes,
 		Peer: int32(dst), Class: class, Dir: DirSend,
-	}, c.ringCap)
+	})
 }
 
 // RecordRecv implements simmpi.Observer: it charges the receive side of
@@ -232,7 +201,7 @@ func (c *Collector) RecordRecv(src, dst int, class simmpi.Class, tag uint64, byt
 	d.appendEvent(Event{
 		T: time.Since(c.start), Wait: wait, Tag: tag, Bytes: bytes,
 		Peer: int32(src), Class: class, Dir: DirRecv,
-	}, c.ringCap)
+	})
 }
 
 // LinkBytes returns the bytes sent from src to dst in class, as recorded

@@ -45,11 +45,6 @@ type RankReport struct {
 	QueueHWM      int   `json:"queue_hwm"`
 	RecvWaitNS    int64 `json:"recv_wait_ns"`
 	RecvWaitMaxNS int64 `json:"recv_wait_max_ns"`
-	// SendWaitNS is the total time the rank spent blocked in Send on a
-	// full bounded mailbox; omitted on unbounded runs (always zero there)
-	// so pre-existing reports stay byte-identical.
-	SendWaitNS    int64 `json:"send_wait_ns,omitempty"`
-	SendWaitMaxNS int64 `json:"send_wait_max_ns,omitempty"`
 	Recvs         int64 `json:"recvs"`
 	Events        int64 `json:"events"`
 	Dropped       int64 `json:"dropped"`
@@ -72,12 +67,6 @@ type Report struct {
 	VolImbalance  float64 `json:"volume_imbalance"` // max/mean per-rank sent bytes
 	WaitImbalance float64 `json:"wait_imbalance"`   // max/mean per-rank blocked-recv wait
 
-	// BlockedSends, when present, holds the per-rank count of sends that
-	// blocked on a full bounded mailbox (simmpi.CapacityLimiter); it is
-	// attached by SetBlockedSends after the run and omitted entirely when
-	// no send ever blocked, so unbounded-run reports are unchanged.
-	BlockedSends []int64 `json:"blocked_sends,omitempty"`
-
 	// Dag, when present, holds the per-rank task-DAG scheduler statistics
 	// of a run with DAG execution enabled: attached after
 	// the run and omitted entirely for sequential runs, so reports from
@@ -99,7 +88,7 @@ type Report struct {
 	Clock *ClockReport `json:"clock,omitempty"`
 
 	// Straggler, when present, decomposes each rank's wall time into
-	// busy/send-wait/recv-wait/idle and diffs the measured busy share
+	// busy/recv-wait/idle and diffs the measured busy share
 	// against the balancer's predicted flop share, flagging ranks whose
 	// measured/predicted ratio exceeds the threshold. Attached by
 	// AttachStraggler; omitted when never measured.
@@ -171,19 +160,6 @@ func NewLoadReport(balancer string, flops, nnz, busyNS []int64) *LoadReport {
 	return l
 }
 
-// SetBlockedSends attaches the per-rank blocked-send counters (from
-// simmpi.World.BlockedSendsVector) when any rank's mailbox ever exerted
-// backpressure; an all-zero vector is dropped so reports from unbounded
-// runs stay byte-identical to before capacities existed.
-func (r *Report) SetBlockedSends(v []int64) {
-	for _, x := range v {
-		if x != 0 {
-			r.BlockedSends = v
-			return
-		}
-	}
-}
-
 // Report drains the collector into a report. Call it once, after the run
 // completes (World.Run returning is the synchronization point that makes
 // the rank-local counters safe to read). label tags the report, typically
@@ -241,8 +217,6 @@ func (c *Collector) Report(label string) *Report {
 			QueueHWM:      int(ro.hwm.Load()),
 			RecvWaitNS:    int64(ro.waitTotal),
 			RecvWaitMaxNS: int64(ro.waitMax),
-			SendWaitNS:    int64(ro.sendWaitTotal),
-			SendWaitMaxNS: int64(ro.sendWaitMax),
 			Recvs:         ro.waitCount,
 			Events:        ro.ringLen,
 		}
@@ -425,8 +399,6 @@ func (r *Report) StripSchedule() {
 		rr.QueueHWM = 0
 		rr.RecvWaitNS = 0
 		rr.RecvWaitMaxNS = 0
-		rr.SendWaitNS = 0
-		rr.SendWaitMaxNS = 0
 	}
 	for _, cs := range r.Collectives {
 		if cs.Kind == KindReduce.String() {
@@ -460,7 +432,6 @@ func (r *Report) StripSchedule() {
 		for _, rs := range r.Straggler.Ranks {
 			rs.WallNS = 0
 			rs.BusyNS = 0
-			rs.SendWaitNS = 0
 			rs.RecvWaitNS = 0
 			rs.IdleNS = 0
 			rs.BusyShare = 0
@@ -520,14 +491,6 @@ func (r *Report) Summary() string {
 		label, r.P, stats.MB(r.TotalBytes), r.TotalMsgs, r.VolImbalance, r.WaitImbalance)
 	if r.DroppedEvents > 0 {
 		fmt.Fprintf(&b, "  WARNING: %d events dropped (ring overflow); chain analysis skipped\n", r.DroppedEvents)
-	}
-	if len(r.BlockedSends) > 0 {
-		var total int64
-		for _, x := range r.BlockedSends {
-			total += x
-		}
-		fmt.Fprintf(&b, "  backpressure: %d sends blocked on full mailboxes (per-rank imbalance %.2f)\n",
-			total, imbalance(r.BlockedSends))
 	}
 	if r.Load != nil {
 		fmt.Fprintf(&b, "  load[%s]: flop imbalance %.2f, nnz imbalance %.2f over %d ranks\n",

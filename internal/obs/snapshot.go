@@ -19,11 +19,10 @@ import (
 
 // Snapshot is one rank's telemetry in wire form. All times are nanoseconds
 // on the owning process's clock (a shared per-process epoch: see
-// NewCollectorCapAt); the merge shifts them onto rank 0's clock.
+// NewCollector); the merge shifts them onto rank 0's clock.
 type Snapshot struct {
 	P            int `json:"p"`
 	Rank         int `json:"rank"`
-	RingCap      int `json:"ring_cap"`
 	CoresPerNode int `json:"cores_per_node,omitempty"`
 
 	// Per-class traffic-matrix rows of the owning rank: SentB[class][dst]
@@ -43,8 +42,6 @@ type Snapshot struct {
 	RecvWaitNS    int64 `json:"recv_wait_ns,omitempty"`
 	RecvWaitMaxNS int64 `json:"recv_wait_max_ns,omitempty"`
 	RecvWaitCount int64 `json:"recv_wait_count,omitempty"`
-	SendWaitNS    int64 `json:"send_wait_ns,omitempty"`
-	SendWaitMaxNS int64 `json:"send_wait_max_ns,omitempty"`
 	QueueHWM      int64 `json:"queue_hwm,omitempty"`
 
 	// WallNS is the worker's run wall time; PlanFlops/PlanNNZ the planned
@@ -69,11 +66,10 @@ type Snapshot struct {
 // whole process's telemetry. Safe to call only after the run completed.
 func (c *Collector) EncodeRank(rank int) *Snapshot {
 	ro := &c.ranks[rank]
-	events, _ := ro.events(c.ringCap)
+	events, _ := ro.events()
 	return &Snapshot{
 		P:             c.p,
 		Rank:          rank,
-		RingCap:       c.ringCap,
 		CoresPerNode:  c.coresPerNode,
 		SentB:         ro.sentB,
 		RecvB:         ro.recvB,
@@ -84,8 +80,6 @@ func (c *Collector) EncodeRank(rank int) *Snapshot {
 		RecvWaitNS:    int64(ro.waitTotal),
 		RecvWaitMaxNS: int64(ro.waitMax),
 		RecvWaitCount: ro.waitCount,
-		SendWaitNS:    int64(ro.sendWaitTotal),
-		SendWaitMaxNS: int64(ro.sendWaitMax),
 		QueueHWM:      ro.hwm.Load(),
 	}
 }
@@ -144,9 +138,9 @@ type Merged struct {
 	// built via Report.
 	Clock *ClockReport
 
-	wall, sendWait, recvWait, busy []int64
-	planFlops, planNNZ             []int64
-	balancer                       string
+	wall, busy         []int64
+	planFlops, planNNZ []int64
+	balancer           string
 }
 
 // Merge combines one snapshot per rank (any order; exactly ranks 0..P-1 of
@@ -161,7 +155,6 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 	}
 	p := snaps[0].P
 	byRank := make([]*Snapshot, p)
-	ringCap := 1
 	for _, s := range snaps {
 		if s.P != p {
 			return nil, fmt.Errorf("obs: merge: world size mismatch (%d vs %d)", s.P, p)
@@ -173,9 +166,6 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 			return nil, fmt.Errorf("obs: merge: duplicate snapshot for rank %d", s.Rank)
 		}
 		byRank[s.Rank] = s
-		if s.RingCap > ringCap {
-			ringCap = s.RingCap
-		}
 		for _, rows := range [][][]int64{s.SentB, s.RecvB, s.SentN, s.RecvN} {
 			if rows != nil && len(rows) != numClasses {
 				return nil, fmt.Errorf("obs: merge: rank %d snapshot has %d classes, want %d", s.Rank, len(rows), numClasses)
@@ -198,14 +188,14 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 	off, unc := combineOffsets(p, meas)
 	rounds := relaxOffsets(off, edgeSlacks(byRank))
 
-	col := NewCollectorCapAt(p, ringCap, time.Time{})
+	// The merged rings arrive linearized and are only read, never appended
+	// to, so their capacities are moot.
+	col := NewCollector(make([]int, p), time.Time{})
 	col.coresPerNode = byRank[0].CoresPerNode
 
 	m := &Merged{
 		Collector: col,
 		wall:      make([]int64, p),
-		sendWait:  make([]int64, p),
-		recvWait:  make([]int64, p),
 		busy:      make([]int64, p),
 		planFlops: make([]int64, p),
 		planNNZ:   make([]int64, p),
@@ -250,8 +240,6 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 		ro.waitTotal = time.Duration(s.RecvWaitNS)
 		ro.waitMax = time.Duration(s.RecvWaitMaxNS)
 		ro.waitCount = s.RecvWaitCount
-		ro.sendWaitTotal = time.Duration(s.SendWaitNS)
-		ro.sendWaitMax = time.Duration(s.SendWaitMaxNS)
 		ro.hwm.Store(s.QueueHWM)
 		if haveBase && base != 0 {
 			for i := range ro.ring {
@@ -260,8 +248,6 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 		}
 
 		m.wall[r] = s.WallNS
-		m.sendWait[r] = s.SendWaitNS
-		m.recvWait[r] = s.RecvWaitNS
 		m.planFlops[r] = s.PlanFlops
 		m.planNNZ[r] = s.PlanNNZ
 		for _, sp := range s.Spans {

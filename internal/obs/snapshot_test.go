@@ -14,9 +14,9 @@ import (
 // TestSnapshotRoundTrip records through a live collector, encodes rank 0's
 // slice, and checks the wire round trip preserves everything bit-for-bit.
 func TestSnapshotRoundTrip(t *testing.T) {
-	col := obs.NewCollectorCap(3, 8)
-	col.RecordSend(0, 1, simmpi.ClassDiagBcast, 0xbeef, 800, 2, 3*time.Microsecond)
-	col.RecordSend(0, 2, simmpi.ClassOther, 0xcafe, 160, 1, 0)
+	col := obs.NewCollector([]int{8, 8, 8}, time.Now())
+	col.RecordSend(0, 1, simmpi.ClassDiagBcast, 0xbeef, 800, 2)
+	col.RecordSend(0, 2, simmpi.ClassOther, 0xcafe, 160, 1)
 	col.RecordRecv(1, 0, simmpi.ClassCrossSend, 0xf00d, 320, 5*time.Microsecond)
 	col.RecordRecv(0, 0, simmpi.ClassOther, 1, 8, time.Microsecond) // self: wait only
 
@@ -42,7 +42,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.RingLen != 3 || len(got.Events) != 3 {
 		t.Fatalf("ring: got len=%d retained=%d, want 3/3 (self-recv excluded)", got.RingLen, len(got.Events))
 	}
-	if got.RecvWaitCount != 2 || got.SendWaitNS != int64(3*time.Microsecond) {
+	if got.RecvWaitCount != 2 || got.RecvWaitNS != int64(6*time.Microsecond) {
 		t.Fatalf("wait stats lost: %+v", got)
 	}
 }
@@ -57,7 +57,7 @@ func skewedWorld(t *testing.T, skew []int64, clockErr int64, unc int64) []*obs.S
 	nc := len(simmpi.Classes())
 	snaps := make([]*obs.Snapshot, p)
 	for r := range snaps {
-		snaps[r] = &obs.Snapshot{P: p, Rank: r, RingCap: 64, Balancer: "nnz",
+		snaps[r] = &obs.Snapshot{P: p, Rank: r, Balancer: "nnz",
 			WallNS: 1_000_000, PlanFlops: int64(100 * (r + 1)), PlanNNZ: int64(10 * (r + 1))}
 	}
 	row := func(rows *[][]int64) []int64 {
@@ -240,13 +240,13 @@ func TestMergeClampsNegativeCycles(t *testing.T) {
 			Peer: int32(peer), Class: simmpi.ClassOther, Dir: dir}
 	}
 	snaps := []*obs.Snapshot{
-		{P: 2, Rank: 0, RingCap: 8, RingLen: 2,
+		{P: 2, Rank: 0, RingLen: 2,
 			SentB: mat(1, 8), SentN: mat(1, 1), RecvB: mat(1, 8), RecvN: mat(1, 1),
 			Events: []obs.Event{
 				ev(1000, 1, 1, obs.DirSend), // recv'd at 500 on rank 1: backward
 				ev(500, 2, 1, obs.DirRecv),  // sent at 1000 by rank 1: backward
 			}},
-		{P: 2, Rank: 1, RingCap: 8, RingLen: 2,
+		{P: 2, Rank: 1, RingLen: 2,
 			SentB: mat(0, 8), SentN: mat(0, 1), RecvB: mat(0, 8), RecvN: mat(0, 1),
 			Events: []obs.Event{
 				ev(500, 1, 0, obs.DirRecv),
@@ -285,9 +285,9 @@ func TestMergeValidation(t *testing.T) {
 // until the encoding fits, matrices stay exact, and the merged report sees
 // the trim as ordinary ring drop.
 func TestTrimToSize(t *testing.T) {
-	col := obs.NewCollectorCap(2, 4096)
+	col := obs.NewCollector([]int{4096, 4096}, time.Now())
 	for i := 0; i < 2000; i++ {
-		col.RecordSend(0, 1, simmpi.ClassOther, uint64(i), 64, 1, 0)
+		col.RecordSend(0, 1, simmpi.ClassOther, uint64(i), 64, 1)
 	}
 	snap := col.EncodeRank(0)
 	const max = 4096
@@ -319,8 +319,8 @@ func TestTrimToSize(t *testing.T) {
 
 // TestTailString covers the crashed-worker post-mortem rendering.
 func TestTailString(t *testing.T) {
-	col := obs.NewCollectorCap(2, 8)
-	col.RecordSend(0, 1, simmpi.ClassDiagBcast, 42, 128, 1, 0)
+	col := obs.NewCollector([]int{8, 8}, time.Now())
+	col.RecordSend(0, 1, simmpi.ClassDiagBcast, 42, 128, 1)
 	col.RecordRecv(1, 0, simmpi.ClassOther, 43, 256, time.Millisecond)
 	s := col.EncodeRank(0)
 	out := s.TailString(10)
@@ -340,7 +340,7 @@ func TestStragglerReport(t *testing.T) {
 	wall := []int64{1000, 1000, 1000, 1000}
 	busy := []int64{100, 600, 100, 200}
 	pred := []int64{25, 25, 25, 25}
-	s := obs.NewStragglerReport(4, wall, busy, nil, nil, pred, 0)
+	s := obs.NewStragglerReport(4, wall, busy, nil, pred, 0)
 	if s.Threshold != obs.DefaultStragglerThreshold {
 		t.Errorf("threshold %v, want default %v", s.Threshold, obs.DefaultStragglerThreshold)
 	}
@@ -358,7 +358,7 @@ func TestStragglerReport(t *testing.T) {
 		t.Errorf("rank 0 idle %d, want 900", idle)
 	}
 	// Zero-work plans must not divide by zero or flag anyone.
-	z := obs.NewStragglerReport(2, wall, busy, nil, nil, nil, 2.0)
+	z := obs.NewStragglerReport(2, wall, busy, nil, nil, 2.0)
 	if z.MaxRatio != 0 || len(z.FlaggedRanks) != 0 {
 		t.Errorf("zero-plan report flagged: %+v", z)
 	}

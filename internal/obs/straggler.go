@@ -1,5 +1,5 @@
 // Straggler attribution: decompose each rank's wall time into busy /
-// send-wait / recv-wait / idle and diff the measured busy share against the
+// recv-wait / idle and diff the measured busy share against the
 // balancer's predicted per-rank flop share (core.Plan.RankLoads). A rank
 // whose measured/predicted ratio exceeds the threshold is flagged — the
 // balancer thought it gave that rank its fair slice but the hardware or the
@@ -24,7 +24,9 @@ type RankStraggler struct {
 	// Blocked-recv wait inside a collective span counts as busy here and is
 	// broken out separately in RecvWaitNS, so the columns overlap rather
 	// than partition exactly.
-	BusyNS     int64 `json:"busy_ns"`
+	BusyNS int64 `json:"busy_ns"`
+	// SendWaitNS is always 0: sends never block (the MPI_Isend
+	// discipline). The column stays for readers of the report schema.
 	SendWaitNS int64 `json:"send_wait_ns"`
 	RecvWaitNS int64 `json:"recv_wait_ns"`
 	// IdleNS is max(0, wall - busy): time outside every traced span.
@@ -53,7 +55,7 @@ type StragglerReport struct {
 // measurement slices may be nil (treated as all-zero: e.g. busy when the run
 // was not traced); short slices are read as zero-padded. threshold <= 0
 // uses DefaultStragglerThreshold.
-func NewStragglerReport(p int, wall, busy, sendWait, recvWait, predFlops []int64, threshold float64) *StragglerReport {
+func NewStragglerReport(p int, wall, busy, recvWait, predFlops []int64, threshold float64) *StragglerReport {
 	if threshold <= 0 {
 		threshold = DefaultStragglerThreshold
 	}
@@ -74,7 +76,6 @@ func NewStragglerReport(p int, wall, busy, sendWait, recvWait, predFlops []int64
 			Rank:       r,
 			WallNS:     at(wall, r),
 			BusyNS:     at(busy, r),
-			SendWaitNS: at(sendWait, r),
 			RecvWaitNS: at(recvWait, r),
 			PredFlops:  at(predFlops, r),
 		}
@@ -118,11 +119,9 @@ func (r *Report) AttachStraggler(wall, busy, predFlops []int64, threshold float6
 	if len(r.Ranks) == 0 {
 		return
 	}
-	sendWait := make([]int64, len(r.Ranks))
 	recvWait := make([]int64, len(r.Ranks))
 	for i, rr := range r.Ranks {
-		sendWait[i] = rr.SendWaitNS
 		recvWait[i] = rr.RecvWaitNS
 	}
-	r.Straggler = NewStragglerReport(len(r.Ranks), wall, busy, sendWait, recvWait, predFlops, threshold)
+	r.Straggler = NewStragglerReport(len(r.Ranks), wall, busy, recvWait, predFlops, threshold)
 }

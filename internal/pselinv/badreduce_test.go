@@ -109,13 +109,12 @@ func TestBadReduceMessageFailsRun(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/dag=%v", f.name, dag), func(t *testing.T) {
 				eng := NewEngine(plan, lu)
 				eng.DAG = dag
-				eng.Transport = func(p int) simmpi.Transport {
-					tt := &tamperTransport{InProc: simmpi.NewInProc(p)}
-					f.hook(tt)
-					return tt
-				}
+				tt := &tamperTransport{InProc: simmpi.NewInProc(plan.Grid.Size())}
+				f.hook(tt)
+				world := simmpi.NewWorldOn(tt)
+				defer world.Close()
 				start := time.Now()
-				res, err := eng.Run(testTimeout)
+				res, err := eng.RunWorld(world, testTimeout)
 				if err == nil {
 					res.Release()
 					t.Fatal("the malformed reduce message did not fail the run")

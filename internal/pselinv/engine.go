@@ -98,13 +98,6 @@ type Engine struct {
 	// in the same fixed order either way (see redState), so a DAG run is
 	// byte-identical to a sequential run of the same plan.
 	DAG bool
-	// Transport, when non-nil, supplies the communication substrate for
-	// each Run (the default is the in-process goroutine transport). The
-	// factory receives the grid size; internal/netsim uses this to wrap
-	// the in-process transport with a link-latency model. For one-rank-
-	// per-process backends use RunWorld directly with a world built on the
-	// process's transport.
-	Transport func(p int) simmpi.Transport
 }
 
 // NewEngine derives the per-rank programs from the plan.
@@ -279,16 +272,12 @@ func (rr *RunResult) Release() {
 	rr.Ainv = nil
 }
 
-// Run executes the two passes on a fresh world and gathers the result.
-// With Chaos set, the world gets a seeded delivery adversary. On error the
+// Run executes the two passes on a fresh in-process world and gathers the
+// result (for any other transport, build the world with simmpi.NewWorldOn
+// and use RunWorld). With Chaos set, the world gets a seeded delivery adversary. On error the
 // world is closed; use RunWorld to snapshot a deadlocked world first.
 func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
-	var world *simmpi.World
-	if e.Transport != nil {
-		world = simmpi.NewWorldOn(e.Transport(e.Plan.Grid.Size()))
-	} else {
-		world = simmpi.NewWorld(e.Plan.Grid.Size())
-	}
+	world := simmpi.NewWorld(e.Plan.Grid.Size())
 	if e.Chaos != nil {
 		chaos.Install(*e.Chaos, world)
 	}

@@ -3,10 +3,12 @@ package pselinv
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"pselinv/internal/core"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
+	"pselinv/internal/obs"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
@@ -187,5 +189,91 @@ func TestShiftSeedRedistributesVolume(t *testing.T) {
 	}
 	if !changed {
 		t.Fatal("shift seed never changed the per-rank distribution")
+	}
+}
+
+// observedReport runs plan once with a collector whose rings hold ringCaps
+// events per rank and returns the run's world, the collector's report and
+// the report's schedule-stripped JSON.
+func observedReport(t *testing.T, label string, plan *core.Plan, lu *factor.LU, ringCaps []int) (*simmpi.World, *obs.Report, string) {
+	t.Helper()
+	eng := NewEngine(plan, lu)
+	col := obs.NewCollector(ringCaps, time.Now())
+	eng.Observer = col
+	res, err := eng.Run(testTimeout)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	res.Release()
+	rep := col.Report(plan.Scheme.String())
+	rep.StripSchedule()
+	js, err := rep.JSON()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	return res.World, rep, string(js)
+}
+
+// TestPlanMessageCountsSizeObsRing pins the derivation the observed runs
+// size their event rings by: on every rank the plan's message count is
+// exactly what the world measures (sent + received, all classes), an
+// observed run with plan-sized rings retains exactly that many events and
+// analyzes complete chains, and its report is byte-identical to one taken
+// with rings at the MaxRingCap bound (compared once per matrix, grid and
+// path, on the shifted tree). An undersized ring still degrades
+// the way ring overflow always has: drops counted, chains marked incomplete.
+func TestPlanMessageCountsSizeObsRing(t *testing.T) {
+	for _, g := range []*sparse.Generated{
+		sparse.Banded(20, 2, 1),
+		sparse.Grid3D(3, 3, 3, 2),
+		sparse.RandomSym(40, 4, 3),
+		sparse.DG2D(3, 3, 3, 4),
+	} {
+		_, lu, _ := prep(t, g, etree.Options{Relax: 1, MaxWidth: 8})
+		for _, dims := range [][2]int{{2, 2}, {4, 4}} {
+			grid := procgrid.New(dims[0], dims[1])
+			for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
+				for _, symmetric := range []bool{true, false} {
+					label := fmt.Sprintf("%s grid %v scheme %v symmetric=%v", g.Name, grid, scheme, symmetric)
+					plan := core.NewPlanConfig(lu.BP, grid, core.PlanConfig{Scheme: scheme, Seed: 9, Symmetric: symmetric})
+					msgs := plan.PerRankMsgs()
+
+					w, rep, sized := observedReport(t, label, plan, lu, msgs)
+					for r, want := range msgs {
+						var got int64
+						for _, c := range simmpi.Classes() {
+							got += w.SentMsgs(r, c) + w.RecvMsgs(r, c)
+						}
+						if got != int64(want) {
+							t.Errorf("%s rank %d: world moved %d messages, plan counts %d", label, r, got, want)
+						}
+						if rr := rep.Ranks[r]; rr.Events != int64(want) || rr.Dropped != 0 {
+							t.Errorf("%s rank %d: ring saw %d events and dropped %d, want %d and 0", label, r, rr.Events, rr.Dropped, want)
+						}
+					}
+					if !rep.ChainsOK {
+						t.Errorf("%s: chain analysis incomplete with plan-sized rings", label)
+					}
+
+					if scheme != core.ShiftedBinaryTree {
+						continue
+					}
+					bound := make([]int, len(msgs))
+					for r := range bound {
+						bound[r] = obs.MaxRingCap
+					}
+					if _, _, full := observedReport(t, label, plan, lu, bound); full != sized {
+						t.Errorf("%s: report with plan-sized rings differs from the MaxRingCap one:\n--- sized ---\n%s\n--- bound ---\n%s", label, sized, full)
+					}
+				}
+			}
+		}
+	}
+
+	_, lu, _ := prep(t, sparse.Grid2D(7, 7, 2), etree.Options{MaxWidth: 6})
+	plan := core.NewPlan(lu.BP, procgrid.New(2, 2), core.FlatTree, 1)
+	_, rep, _ := observedReport(t, "undersized", plan, lu, make([]int, 4))
+	if rep.ChainsOK || rep.DroppedEvents == 0 {
+		t.Errorf("one-event rings: chains complete=%v with %d drops, want incomplete chains and counted drops", rep.ChainsOK, rep.DroppedEvents)
 	}
 }

@@ -120,64 +120,60 @@ func splitComplex(d []complex128) (re, im []float64) {
 	return re, im
 }
 
-// resolveBatchPoles validates the request's pole specification and returns
-// the effective pole list.
-func (s *Server) resolveBatchPoles(req *BatchRequest) ([]PoleSpec, *httpError) {
-	if len(req.Poles) > 0 && req.NumPoles > 0 {
-		return nil, badRequest("specify either poles or num_poles (with beta, mu), not both")
+func (r *BatchRequest) knobs() knobs {
+	return knobs{r.Matrix, r.Shift, r.Procs, r.Scheme, r.CoresPerNode, r.Balancer, r.Ordering, r.Seed, r.TimeoutMS}
+}
+
+// validate checks the request's pole specification and leaves the
+// effective pole list in r.Poles (the num_poles form is expanded there).
+func (r *BatchRequest) validate(s *Server) *httpError {
+	if len(r.Poles) > 0 && r.NumPoles > 0 {
+		return badRequest("specify either poles or num_poles (with beta, mu), not both")
 	}
-	poles := req.Poles
-	if len(poles) == 0 {
-		if req.NumPoles <= 0 {
-			return nil, badRequest("batch needs poles or num_poles >= 1")
+	if n := max(len(r.Poles), r.NumPoles); n > s.cfg.MaxBatchPoles {
+		return badRequest("batch of %d poles exceeds server limit %d", n, s.cfg.MaxBatchPoles)
+	}
+	if len(r.Poles) == 0 {
+		if r.NumPoles <= 0 {
+			return badRequest("batch needs poles or num_poles >= 1")
 		}
-		gen, err := pexsi.MatsubaraPoles(req.NumPoles, req.Beta, req.Mu)
+		gen, err := pexsi.MatsubaraPoles(r.NumPoles, r.Beta, r.Mu)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return badRequest("%v", err)
 		}
-		poles = make([]PoleSpec, len(gen))
+		r.Poles = make([]PoleSpec, len(gen))
 		for i, p := range gen {
-			poles[i] = PoleSpec{
+			r.Poles[i] = PoleSpec{
 				ZRe: real(p.Z), ZIm: imag(p.Z),
 				WRe: real(p.Weight), WIm: imag(p.Weight),
 			}
 		}
 	}
-	if len(poles) > s.cfg.MaxBatchPoles {
-		return nil, badRequest("batch of %d poles exceeds server limit %d", len(poles), s.cfg.MaxBatchPoles)
-	}
-	for i, p := range poles {
+	for i, p := range r.Poles {
 		if p.ZIm == 0 {
-			return nil, badRequest("pole %d lies on the real axis (z_im == 0); the shifted system could be singular there", i)
+			return badRequest("pole %d lies on the real axis (z_im == 0); the shifted system could be singular there", i)
 		}
 	}
-	return poles, nil
+	return nil
 }
 
 func (s *Server) handleSelInvBatch(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		s.metrics.countRequest("bad_request")
-		return
-	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		s.metrics.countRequest("bad_request")
-		return
+	adm, herr := s.front(w, r, &req)
+	var status string
+	if herr == nil {
+		// One slot for the whole batch: the K poles run through a shared
+		// analysis sequentially (factorization pipelined), so they occupy
+		// one engine's worth of the machine — admitting them as one unit
+		// keeps a batch from monopolizing the pool.
+		herr = s.admitted(r.Context(), adm, func() *httpError {
+			status = s.serveBatch(w, r, &req, adm)
+			return nil
+		})
 	}
-	status, herr := s.serveBatch(w, r, &req)
 	if herr != nil {
 		// Nothing streamed yet: report as a regular HTTP error.
-		if herr.status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-			s.metrics.countRequest("rejected")
-		} else if herr.status == http.StatusBadRequest {
-			s.metrics.countRequest("bad_request")
-		} else {
-			s.metrics.countRequest("error")
-		}
-		http.Error(w, herr.msg, herr.status)
+		s.fail(w, herr)
 		return
 	}
 	s.metrics.countRequest(status)
@@ -191,87 +187,12 @@ type poleJob struct {
 	err     error
 }
 
-// serveBatch runs one batch end to end, streaming NDJSON records as poles
-// complete. It returns the request-counter status ("ok"/"error") once the
-// stream has begun, or an *httpError while a plain HTTP error is still
-// possible.
-func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRequest) (string, *httpError) {
-	poles, herr := s.resolveBatchPoles(req)
-	if herr != nil {
-		return "", herr
-	}
-	scheme, herr := parseScheme(req.Scheme)
-	if herr != nil {
-		return "", herr
-	}
-	balancer, herr := parseBalancer(req.Balancer)
-	if herr != nil {
-		return "", herr
-	}
-	ordMethod, ordName, herr := parseOrdering(req.Ordering)
-	if herr != nil {
-		return "", herr
-	}
-	procs := req.Procs
-	if procs == 0 {
-		procs = 16
-	}
-	if procs < 1 || procs > s.cfg.MaxProcs {
-		return "", badRequest("procs %d outside [1, %d]", procs, s.cfg.MaxProcs)
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
+// serveBatch runs one admitted batch end to end, streaming NDJSON records
+// as poles complete; every failure from here on is an in-band record. It
+// returns the request-counter status ("ok"/"error").
+func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRequest, adm *admission) string {
+	poles, m, sym := req.Poles, adm.m, adm.sym
 
-	// One slot for the whole batch: the K poles run through a shared
-	// analysis sequentially (factorization pipelined), so they occupy one
-	// engine's worth of the machine — admitting them as one unit keeps a
-	// batch from monopolizing the pool.
-	if err := s.acquire(r.Context()); err != nil {
-		if err == ErrSaturated {
-			return "", &httpError{status: http.StatusServiceUnavailable, msg: "server saturated; retry later"}
-		}
-		return "", &httpError{status: http.StatusRequestTimeout, msg: "client went away while queued"}
-	}
-	defer s.release()
-	if s.testSlowdown != nil {
-		s.testSlowdown()
-	}
-
-	t0 := time.Now()
-	m, merr := s.buildMatrix(req.Matrix, req.Shift)
-	if merr != nil {
-		if he, ok := merr.(*httpError); ok {
-			return "", he
-		}
-		return "", badRequest("%v", merr)
-	}
-	// Same cache key as /v1/selinv: a batch warms the cache for subsequent
-	// single-pole requests of the same family and vice versa.
-	key := fmt.Sprintf("%s/%s/r%d/w%d/c%d/b%s", m.Fingerprint(), ordName, s.cfg.Relax, s.cfg.MaxWidth,
-		req.CoresPerNode, balancer.Slug())
-	sym, outcome, berr := s.cache.getOrBuild(key, func() (*pselinv.Symbolic, error) {
-		return pselinv.AnalyzePattern(m, pselinv.Options{
-			Ordering:     ordMethod,
-			Relax:        s.cfg.Relax,
-			MaxWidth:     s.cfg.MaxWidth,
-			CoresPerNode: req.CoresPerNode,
-			Balancer:     balancer.Slug(),
-		})
-	})
-	if berr != nil {
-		return "", badRequest("analysis: %v", berr)
-	}
-
-	// The stream begins: from here failures are in-band records.
 	id := fmt.Sprintf("r%06d", s.reqID.Add(1))
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -284,8 +205,8 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 	emit(&BatchHeader{
 		Type: "header", ID: id,
 		N: m.N(), NNZ: m.NNZ(), Snodes: sym.NumSupernodes(),
-		Cache: string(outcome), Procs: procs,
-		Scheme: scheme.Slug(), Balancer: balancer.Slug(), Ordering: ordName,
+		Cache: string(adm.outcome), Procs: adm.procs,
+		Scheme: adm.scheme.Slug(), Balancer: adm.balancer.Slug(), Ordering: adm.ordName,
 		Poles: len(poles),
 	})
 
@@ -322,21 +243,21 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 	completed := 0
 	for job := range jobs {
 		if err := r.Context().Err(); err != nil {
-			return "error", nil // client went away mid-stream
+			return "error" // client went away mid-stream
 		}
 		p := poles[job.l]
 		if job.err != nil {
 			emit(&BatchStreamError{Type: "error", Index: job.l, Error: "factorization: " + job.err.Error()})
-			return "error", nil
+			return "error"
 		}
 		sys := job.sys
-		sys.SetTimeout(timeout)
+		sys.SetTimeout(adm.timeout)
 		sys.SetDAG(req.Dag)
 		tInv := time.Now()
-		res, err := sys.ParallelSelInv(procs, scheme, seed)
+		res, err := sys.ParallelSelInv(adm.procs, adm.scheme, adm.seed)
 		if err != nil {
 			emit(&BatchStreamError{Type: "error", Index: job.l, Error: "inversion: " + err.Error()})
-			return "error", nil
+			return "error"
 		}
 		invDur := time.Since(tInv)
 		rec := &BatchPoleResult{
@@ -370,7 +291,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 	s.metrics.recordBatch(completed)
 	emit(&BatchTrailer{
 		Type: "done", Poles: completed, Density: density,
-		ElapsedMS: time.Since(t0).Seconds() * 1e3,
+		ElapsedMS: time.Since(adm.t0).Seconds() * 1e3,
 	})
-	return "ok", nil
+	return "ok"
 }

@@ -1,0 +1,146 @@
+package server
+
+import (
+	"bytes"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestGeneratorDimensionCheckedBeforeBuild: every generator kind's
+// dimension follows from its parameters, so the MaxN limit is applied
+// before anything is generated — including when the product overflows.
+func TestGeneratorDimensionCheckedBeforeBuild(t *testing.T) {
+	s := New(Config{MaxN: 1000})
+	const big = math.MaxInt/2 + 1 // big*big wraps to 0, big*2 to a negative
+	cases := []struct {
+		fits  MatrixSpec
+		n     int
+		over  MatrixSpec
+		wraps MatrixSpec
+	}{
+		{MatrixSpec{Kind: "grid2d", NX: 4, NY: 5}, 20,
+			MatrixSpec{Kind: "grid2d", NX: 100000, NY: 100000}, MatrixSpec{Kind: "grid2d", NX: big, NY: big}},
+		{MatrixSpec{Kind: "grid3d", NX: 2, NY: 3, NZ: 4}, 24,
+			MatrixSpec{Kind: "grid3d", NX: 11, NY: 10, NZ: 10}, MatrixSpec{Kind: "grid3d", NX: big, NY: 2, NZ: big}},
+		{MatrixSpec{Kind: "dg2d", NX: 3, NY: 3, Dofs: 2}, 18,
+			MatrixSpec{Kind: "dg2d", NX: 10, NY: 10, Dofs: 11}, MatrixSpec{Kind: "dg2d", NX: 2, NY: big, Dofs: big}},
+		{MatrixSpec{Kind: "fe3d", NX: 2, NY: 2, NZ: 2, Dofs: 3}, 24,
+			MatrixSpec{Kind: "fe3d", NX: 10, NY: 10, NZ: 10, Dofs: 2}, MatrixSpec{Kind: "fe3d", NX: big, NY: big, NZ: big, Dofs: big}},
+		{MatrixSpec{Kind: "banded", N: 30, BW: 2}, 30,
+			MatrixSpec{Kind: "banded", N: 1001, BW: 2}, MatrixSpec{Kind: "banded", N: math.MaxInt, BW: 2}},
+		{MatrixSpec{Kind: "randomsym", N: 30, Deg: 3}, 30,
+			MatrixSpec{Kind: "randomsym", N: 1001, Deg: 3}, MatrixSpec{Kind: "randomsym", N: math.MaxInt, Deg: 3}},
+		{MatrixSpec{Kind: "randomasym", N: 30, Deg: 3}, 30,
+			MatrixSpec{Kind: "randomasym", N: 1001, Deg: 3}, MatrixSpec{Kind: "randomasym", N: math.MaxInt, Deg: 3}},
+	}
+	for _, c := range cases {
+		gen, herr := s.matrixSource(c.fits)
+		if herr != nil {
+			t.Errorf("%s: %v", c.fits.Kind, herr)
+			continue
+		}
+		if m, herr := gen(); herr != nil || m.N() != c.n {
+			t.Errorf("%s: generated n=%d (%v), spec says %d", c.fits.Kind, m.N(), herr, c.n)
+		}
+		for _, spec := range []MatrixSpec{c.over, c.wraps} {
+			if gen, herr := s.matrixSource(spec); herr == nil || herr.status != http.StatusBadRequest || gen != nil {
+				t.Errorf("%+v: got %v, want a 400 and nothing to generate", spec, herr)
+			}
+		}
+	}
+
+	// The 60-byte request from the wild: refused at the door, not after a
+	// 10^10-row Laplacian was generated.
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	start := time.Now()
+	for _, path := range []string{"/v1/selinv", "/v1/selinv/batch"} {
+		hr, err := http.Post(ts.URL+path, "application/json",
+			strings.NewReader(`{"matrix":{"kind":"grid2d","nx":100000,"ny":100000},"poles":[{"z_im":1}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", path, hr.StatusCode)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("refusing the oversized generator took %v", d)
+	}
+}
+
+// repeat is an endless stream of one byte.
+type repeat byte
+
+func (b repeat) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyRejected: both endpoints stop reading at maxBodyBytes,
+// answer 413 and count the request as bad.
+func TestOversizedBodyRejected(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	for _, path := range []string{"/v1/selinv", "/v1/selinv/batch"} {
+		// A syntactically fine prefix, then a string that never ends.
+		body := io.MultiReader(strings.NewReader(`{"matrix":{"kind":"matrixmarket","data":"`),
+			io.LimitReader(repeat('1'), maxBodyBytes))
+		hr, err := http.Post(ts.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %d, want 413", path, hr.StatusCode)
+		}
+	}
+	var b bytes.Buffer
+	s.metrics.write(&b, s.cache.stats(), gauges{})
+	if want := `pselinvd_requests_total{status="bad_request"} 2`; !strings.Contains(b.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+}
+
+// FuzzRequestJSON drives arbitrary bytes through the front door — decode,
+// endpoint validation, knob resolution — as either request type. Whatever
+// the bytes, it must not panic, and it ends in a 4xx or in an admission
+// whose every knob is inside the server's limits.
+func FuzzRequestJSON(f *testing.F) {
+	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":8,"ny":8},"procs":4,"diagonal":true}`))
+	f.Add([]byte(`{"matrix":{"kind":"fe3d","nx":2,"ny":2,"nz":2,"dofs":3},"z_re":0.5,"z_im":1,"scheme":"bine","balancer":"work","ordering":"rcm","timeout_ms":50}`))
+	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":5,"ny":5},"poles":[{"z_re":0.1,"z_im":1,"w_re":-1}],"density":true}`))
+	f.Add([]byte(`{"matrix":{"kind":"banded","n":30,"bw":2},"num_poles":4,"beta":2,"mu":0.5,"seed":7}`))
+	f.Add([]byte(`{"matrix":{"kind":"matrixmarket","data":"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2\n"}}`))
+	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":100000,"ny":100000}}`))
+	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":4,"ny":4},"num_poles":1000000000000,"beta":1}`))
+	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":4,"ny":4},"timeout_ms":9223372036854775807}`))
+	f.Add([]byte(`{"procs":-1}`))
+	f.Add([]byte(`[1,2`))
+	s := New(Config{MaxN: 4096, MaxProcs: 64, MaxBatchPoles: 8})
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, req := range []request{&Request{}, &BatchRequest{}} {
+			adm, herr := s.front(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(body)), req)
+			if herr != nil {
+				if herr.status < 400 || herr.status > 499 {
+					t.Fatalf("%T refused with status %d, want a 4xx", req, herr.status)
+				}
+				continue
+			}
+			if adm.procs < 1 || adm.procs > s.cfg.MaxProcs || adm.seed == 0 ||
+				adm.timeout <= 0 || adm.timeout > s.cfg.MaxTimeout || adm.ordName == "" || adm.generate == nil {
+				t.Fatalf("%T admitted outside the limits: %+v", req, adm)
+			}
+			if br, isBatch := req.(*BatchRequest); isBatch && (len(br.Poles) < 1 || len(br.Poles) > s.cfg.MaxBatchPoles) {
+				t.Fatalf("batch admitted with %d poles", len(br.Poles))
+			}
+		}
+	})
+}

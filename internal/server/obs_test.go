@@ -15,7 +15,7 @@ import (
 // pselinvd_obs_* series.
 func TestObsEndpoint(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	req := &Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 8, NY: 8, Seed: 1}, Procs: 4, Obs: true, ObsRingCap: 256}
+	req := &Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 8, NY: 8, Seed: 1}, Procs: 4, Obs: true}
 	hr, resp := postJSON(t, ts.URL, req)
 	if resp == nil {
 		t.Fatalf("status %d", hr.StatusCode)

@@ -253,11 +253,6 @@ type Request struct {
 	// trace path carries the merged compute+collective timeline, and the
 	// run's aggregates feed the pselinvd_obs_* metrics.
 	Obs bool `json:"obs,omitempty"`
-	// ObsRingCap overrides the per-rank event-ring capacity of an observed
-	// run (0 = the obs package default). Negative values are rejected;
-	// oversized ones are clamped server-side so one request cannot pin
-	// unbounded memory per rank. Only meaningful with "obs": true.
-	ObsRingCap int `json:"obs_ring_cap,omitempty"`
 	// TimeoutMS bounds the engine run (0 = server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Dag runs the inversion in intra-rank task-DAG mode: each rank's
@@ -315,92 +310,129 @@ func badRequest(format string, args ...any) *httpError {
 	return &httpError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
-// buildMatrix realizes a spec (plus shift) into a Matrix.
-func (s *Server) buildMatrix(spec MatrixSpec, shift float64) (*pselinv.Matrix, error) {
-	var m *pselinv.Matrix
-	var err error
-	switch strings.ToLower(spec.Kind) {
+// maxBodyBytes bounds a request body: room for an inline MatrixMarket
+// upload at the default MaxN (about a million entries), and the most one
+// request can make the decoder buffer. Past it the answer is 413.
+const maxBodyBytes = 32 << 20
+
+// knobs are the run parameters /v1/selinv and /v1/selinv/batch share; each
+// request type hands them over field for field.
+type knobs struct {
+	Matrix       MatrixSpec
+	Shift        float64
+	Procs        int
+	Scheme       string
+	CoresPerNode int
+	Balancer     string
+	Ordering     string
+	Seed         uint64
+	TimeoutMS    int
+}
+
+// request is what the front door needs from either endpoint's body.
+type request interface {
+	knobs() knobs
+	// validate runs the endpoint's own checks (pole placement).
+	validate(s *Server) *httpError
+}
+
+func (r *Request) knobs() knobs {
+	return knobs{r.Matrix, r.Shift, r.Procs, r.Scheme, r.CoresPerNode, r.Balancer, r.Ordering, r.Seed, r.TimeoutMS}
+}
+
+func (r *Request) validate(*Server) *httpError {
+	if r.ZRe != 0 && r.ZIm == 0 {
+		return badRequest("complex pole must lie off the real axis (z_im != 0); use \"shift\" for real diagonal shifts")
+	}
+	return nil
+}
+
+// admission is a request on its way through the front door: front fills
+// the resolved knobs — parsed, defaulted and checked against the server's
+// limits, nothing built yet — and admitted, holding an engine slot, fills
+// the matrix and its cached analysis.
+type admission struct {
+	generate     func() (*pselinv.Matrix, *httpError)
+	shift        float64
+	coresPerNode int
+	scheme       pselinv.Scheme
+	balancer     pselinv.Balancer
+	ordMethod    pselinv.OrderingMethod
+	ordName      string
+	procs        int
+	seed         uint64
+	timeout      time.Duration
+
+	t0         time.Time
+	m          *pselinv.Matrix
+	sym        *pselinv.Symbolic
+	outcome    CacheOutcome
+	analyzeDur time.Duration
+}
+
+// matrixSource validates a spec without building anything — a generator's
+// dimension follows from its parameters, so an oversized one is refused
+// here — and returns the function that realizes it.
+func (s *Server) matrixSource(spec MatrixSpec) (func() (*pselinv.Matrix, *httpError), *httpError) {
+	kind := strings.ToLower(spec.Kind)
+	// dims multiply to the matrix dimension; extra is the kind's other
+	// must-be-positive parameter (1 when it has none).
+	var dims []int
+	extra := 1
+	var params string
+	var gen func() *pselinv.Matrix
+	switch kind {
 	case "grid2d":
-		if spec.NX < 1 || spec.NY < 1 {
-			return nil, badRequest("grid2d requires nx, ny >= 1")
-		}
-		m = pselinv.Grid2D(spec.NX, spec.NY, spec.Seed)
+		params, dims = "nx, ny", []int{spec.NX, spec.NY}
+		gen = func() *pselinv.Matrix { return pselinv.Grid2D(spec.NX, spec.NY, spec.Seed) }
 	case "grid3d":
-		if spec.NX < 1 || spec.NY < 1 || spec.NZ < 1 {
-			return nil, badRequest("grid3d requires nx, ny, nz >= 1")
-		}
-		m = pselinv.Grid3D(spec.NX, spec.NY, spec.NZ, spec.Seed)
+		params, dims = "nx, ny, nz", []int{spec.NX, spec.NY, spec.NZ}
+		gen = func() *pselinv.Matrix { return pselinv.Grid3D(spec.NX, spec.NY, spec.NZ, spec.Seed) }
 	case "dg2d":
-		if spec.NX < 1 || spec.NY < 1 || spec.Dofs < 1 {
-			return nil, badRequest("dg2d requires nx, ny, dofs >= 1")
-		}
-		m = pselinv.DG2D(spec.NX, spec.NY, spec.Dofs, spec.Seed)
+		params, dims = "nx, ny, dofs", []int{spec.NX, spec.NY, spec.Dofs}
+		gen = func() *pselinv.Matrix { return pselinv.DG2D(spec.NX, spec.NY, spec.Dofs, spec.Seed) }
 	case "fe3d":
-		if spec.NX < 1 || spec.NY < 1 || spec.NZ < 1 || spec.Dofs < 1 {
-			return nil, badRequest("fe3d requires nx, ny, nz, dofs >= 1")
-		}
-		m = pselinv.FE3D(spec.NX, spec.NY, spec.NZ, spec.Dofs, spec.Seed)
+		params, dims = "nx, ny, nz, dofs", []int{spec.NX, spec.NY, spec.NZ, spec.Dofs}
+		gen = func() *pselinv.Matrix { return pselinv.FE3D(spec.NX, spec.NY, spec.NZ, spec.Dofs, spec.Seed) }
 	case "banded":
-		if spec.N < 1 || spec.BW < 1 {
-			return nil, badRequest("banded requires n, bw >= 1")
-		}
-		m = pselinv.Banded(spec.N, spec.BW, spec.Seed)
+		params, dims, extra = "n, bw", []int{spec.N}, spec.BW
+		gen = func() *pselinv.Matrix { return pselinv.Banded(spec.N, spec.BW, spec.Seed) }
 	case "randomsym":
-		if spec.N < 1 || spec.Deg < 1 {
-			return nil, badRequest("randomsym requires n, deg >= 1")
-		}
-		m = pselinv.RandomSym(spec.N, spec.Deg, spec.Seed)
+		params, dims, extra = "n, deg", []int{spec.N}, spec.Deg
+		gen = func() *pselinv.Matrix { return pselinv.RandomSym(spec.N, spec.Deg, spec.Seed) }
 	case "randomasym":
-		if spec.N < 1 || spec.Deg < 1 {
-			return nil, badRequest("randomasym requires n, deg >= 1")
-		}
-		m = pselinv.RandomAsym(spec.N, spec.Deg, spec.Seed)
+		params, dims, extra = "n, deg", []int{spec.N}, spec.Deg
+		gen = func() *pselinv.Matrix { return pselinv.RandomAsym(spec.N, spec.Deg, spec.Seed) }
 	case "matrixmarket":
+		// Bounded by maxBodyBytes on the way in and by MaxN once parsed.
 		if spec.Data == "" {
 			return nil, badRequest("matrixmarket requires data")
 		}
-		m, err = pselinv.FromMatrixMarket(strings.NewReader(spec.Data), "request-matrix")
-		if err != nil {
-			return nil, badRequest("matrixmarket: %v", err)
-		}
+		return func() (*pselinv.Matrix, *httpError) {
+			m, err := pselinv.FromMatrixMarket(strings.NewReader(spec.Data), "request-matrix")
+			if err != nil {
+				return nil, badRequest("matrixmarket: %v", err)
+			}
+			return m, nil
+		}, nil
 	default:
 		return nil, badRequest("unknown matrix kind %q", spec.Kind)
 	}
-	if m.N() > s.cfg.MaxN {
-		return nil, badRequest("matrix dimension %d exceeds server limit %d", m.N(), s.cfg.MaxN)
-	}
-	if shift != 0 {
-		if m, err = m.Shifted(shift); err != nil {
-			return nil, badRequest("shift: %v", err)
+	n := 1
+	for _, d := range append(dims, extra) {
+		if d < 1 {
+			return nil, badRequest("%s requires %s >= 1", kind, params)
 		}
 	}
-	return m, nil
-}
-
-func parseScheme(s string) (pselinv.Scheme, *httpError) {
-	if s == "" {
-		return pselinv.ShiftedBinaryTree, nil
+	for _, d := range dims {
+		// n <= MaxN and d >= 1, so neither the quotient nor the product
+		// below can overflow, whatever the request asked for.
+		if d > s.cfg.MaxN/n {
+			return nil, badRequest("%s: matrix dimension exceeds server limit %d", kind, s.cfg.MaxN)
+		}
+		n *= d
 	}
-	scheme, err := pselinv.ParseScheme(s)
-	if err != nil {
-		return 0, badRequest("%v", err)
-	}
-	return scheme, nil
-}
-
-// parseBalancer validates the request's balancer slug; the 400 lists the
-// valid slugs (same contract as parseScheme). The slug itself is what the
-// analysis consumes — validation here keeps bad requests out of the
-// symbolic cache.
-func parseBalancer(s string) (pselinv.Balancer, *httpError) {
-	if s == "" {
-		return pselinv.CyclicBalancer, nil
-	}
-	b, err := pselinv.ParseBalancer(s)
-	if err != nil {
-		return 0, badRequest("%v", err)
-	}
-	return b, nil
+	return func() (*pselinv.Matrix, *httpError) { return gen(), nil }, nil
 }
 
 // parseOrdering maps the request field to an ordering method plus its
@@ -422,29 +454,158 @@ func parseOrdering(s string) (pselinv.OrderingMethod, string, *httpError) {
 	return 0, "", badRequest("unknown ordering %q", s)
 }
 
-func (s *Server) handleSelInv(w http.ResponseWriter, r *http.Request) {
+// fail answers a request that ends in an HTTP error and counts it.
+func (s *Server) fail(w http.ResponseWriter, herr *httpError) {
+	switch herr.status {
+	case http.StatusServiceUnavailable:
+		w.Header().Set("Retry-After", "1")
+		s.metrics.countRequest("rejected")
+	case http.StatusBadRequest, http.StatusMethodNotAllowed, http.StatusRequestEntityTooLarge:
+		s.metrics.countRequest("bad_request")
+	default:
+		s.metrics.countRequest("error")
+	}
+	http.Error(w, herr.msg, herr.status)
+}
+
+// front is the one door both POST endpoints enter through: method, bounded
+// body, JSON, the endpoint's own validation, then every shared knob
+// resolved — each default and limit applied here and nowhere else. Nothing
+// heavy happens yet.
+func (s *Server) front(w http.ResponseWriter, r *http.Request, req request) (*admission, *httpError) {
 	if r.Method != http.MethodPost {
-		http.Error(w, "POST only", http.StatusMethodNotAllowed)
-		s.metrics.countRequest("bad_request")
-		return
+		return nil, &httpError{status: http.StatusMethodNotAllowed, msg: "POST only"}
 	}
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad JSON: "+err.Error(), http.StatusBadRequest)
-		s.metrics.countRequest("bad_request")
-		return
-	}
-	resp, herr := s.serve(r.Context(), &req)
-	if herr != nil {
-		if herr.status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-			s.metrics.countRequest("rejected")
-		} else if herr.status == http.StatusBadRequest {
-			s.metrics.countRequest("bad_request")
-		} else {
-			s.metrics.countRequest("error")
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
+				msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
 		}
-		http.Error(w, herr.msg, herr.status)
+		return nil, badRequest("bad JSON: %v", err)
+	}
+	if herr := req.validate(s); herr != nil {
+		return nil, herr
+	}
+	k := req.knobs()
+	adm := &admission{
+		shift:        k.Shift,
+		coresPerNode: k.CoresPerNode,
+		scheme:       pselinv.ShiftedBinaryTree,
+		balancer:     pselinv.CyclicBalancer,
+		procs:        16,
+		seed:         1,
+		timeout:      s.cfg.DefaultTimeout,
+	}
+	var err error
+	if k.Scheme != "" {
+		if adm.scheme, err = pselinv.ParseScheme(k.Scheme); err != nil {
+			return nil, badRequest("%v", err)
+		}
+	}
+	// The slug is what the analysis consumes; validating it here keeps bad
+	// requests out of the symbolic cache.
+	if k.Balancer != "" {
+		if adm.balancer, err = pselinv.ParseBalancer(k.Balancer); err != nil {
+			return nil, badRequest("%v", err)
+		}
+	}
+	var herr *httpError
+	if adm.ordMethod, adm.ordName, herr = parseOrdering(k.Ordering); herr != nil {
+		return nil, herr
+	}
+	if k.Procs != 0 {
+		adm.procs = k.Procs
+	}
+	if adm.procs < 1 || adm.procs > s.cfg.MaxProcs {
+		return nil, badRequest("procs %d outside [1, %d]", adm.procs, s.cfg.MaxProcs)
+	}
+	if k.TimeoutMS > 0 {
+		// Compared in milliseconds: the product could overflow a Duration.
+		adm.timeout = s.cfg.MaxTimeout
+		if ms := time.Duration(k.TimeoutMS); ms < s.cfg.MaxTimeout/time.Millisecond {
+			adm.timeout = ms * time.Millisecond
+		}
+	}
+	if k.Seed != 0 {
+		adm.seed = k.Seed
+	}
+	if adm.generate, herr = s.matrixSource(k.Matrix); herr != nil {
+		return nil, herr
+	}
+	return adm, nil
+}
+
+// admitted runs body holding an engine slot — admission control guards
+// the whole heavy section: matrix realization, analysis, factorization and
+// the engine runs — with adm's matrix built and its analysis fetched or
+// computed.
+func (s *Server) admitted(ctx context.Context, adm *admission, body func() *httpError) *httpError {
+	if err := s.acquire(ctx); err != nil {
+		if errors.Is(err, ErrSaturated) {
+			return &httpError{status: http.StatusServiceUnavailable, msg: "server saturated; retry later"}
+		}
+		return &httpError{status: http.StatusRequestTimeout, msg: "client went away while queued"}
+	}
+	defer s.release()
+	if s.testSlowdown != nil {
+		s.testSlowdown()
+	}
+
+	adm.t0 = time.Now()
+	m, herr := adm.generate()
+	if herr != nil {
+		return herr
+	}
+	if m.N() > s.cfg.MaxN {
+		return badRequest("matrix dimension %d exceeds server limit %d", m.N(), s.cfg.MaxN)
+	}
+	var err error
+	if adm.shift != 0 {
+		if m, err = m.Shifted(adm.shift); err != nil {
+			return badRequest("shift: %v", err)
+		}
+	}
+	adm.m = m
+
+	// Cache key: pattern fingerprint + the analysis options that change
+	// its symbolic outcome. CoresPerNode is baked into the Symbolic's
+	// engine templates, so it is part of the key (a non-default packing
+	// must not reuse default plans), and so is the balancer — a different
+	// supernode→process map is a different plan. Both endpoints share the
+	// key: a batch warms the cache for single-pole requests of the same
+	// family and vice versa.
+	key := fmt.Sprintf("%s/%s/r%d/w%d/c%d/b%s", m.Fingerprint(), adm.ordName, s.cfg.Relax, s.cfg.MaxWidth,
+		adm.coresPerNode, adm.balancer.Slug())
+	tCache := time.Now()
+	adm.sym, adm.outcome, err = s.cache.getOrBuild(key, func() (*pselinv.Symbolic, error) {
+		return pselinv.AnalyzePattern(m, pselinv.Options{
+			Ordering:     adm.ordMethod,
+			Relax:        s.cfg.Relax,
+			MaxWidth:     s.cfg.MaxWidth,
+			CoresPerNode: adm.coresPerNode,
+			Balancer:     adm.balancer.Slug(),
+		})
+	})
+	if err != nil {
+		return badRequest("analysis: %v", err)
+	}
+	adm.analyzeDur = time.Since(tCache)
+	return body()
+}
+
+func (s *Server) handleSelInv(w http.ResponseWriter, r *http.Request) {
+	var req Request
+	adm, herr := s.front(w, r, &req)
+	var resp *Response
+	if herr == nil {
+		herr = s.admitted(r.Context(), adm, func() (herr *httpError) {
+			resp, herr = s.serve(&req, adm)
+			return herr
+		})
+	}
+	if herr != nil {
+		s.fail(w, herr)
 		return
 	}
 	s.metrics.countRequest("ok")
@@ -455,93 +616,9 @@ func (s *Server) handleSelInv(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serve runs one inversion request end to end.
-func (s *Server) serve(ctx context.Context, req *Request) (*Response, *httpError) {
-	scheme, herr := parseScheme(req.Scheme)
-	if herr != nil {
-		return nil, herr
-	}
-	balancer, herr := parseBalancer(req.Balancer)
-	if herr != nil {
-		return nil, herr
-	}
-	ordMethod, ordName, herr := parseOrdering(req.Ordering)
-	if herr != nil {
-		return nil, herr
-	}
-	procs := req.Procs
-	if procs == 0 {
-		procs = 16
-	}
-	if procs < 1 || procs > s.cfg.MaxProcs {
-		return nil, badRequest("procs %d outside [1, %d]", procs, s.cfg.MaxProcs)
-	}
-	timeout := s.cfg.DefaultTimeout
-	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
-		if timeout > s.cfg.MaxTimeout {
-			timeout = s.cfg.MaxTimeout
-		}
-	}
-	seed := req.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	if req.ObsRingCap < 0 {
-		return nil, badRequest("obs_ring_cap %d is negative", req.ObsRingCap)
-	}
-	if req.ObsRingCap > 0 && !req.Obs {
-		return nil, badRequest("obs_ring_cap requires \"obs\": true")
-	}
-	if req.ZRe != 0 && req.ZIm == 0 {
-		return nil, badRequest("complex pole must lie off the real axis (z_im != 0); use \"shift\" for real diagonal shifts")
-	}
-
-	// Admission control guards the whole heavy section: matrix
-	// realization, analysis, factorization and the engine run.
-	if err := s.acquire(ctx); err != nil {
-		if errors.Is(err, ErrSaturated) {
-			return nil, &httpError{status: http.StatusServiceUnavailable, msg: "server saturated; retry later"}
-		}
-		return nil, &httpError{status: http.StatusRequestTimeout, msg: "client went away while queued"}
-	}
-	defer s.release()
-	if s.testSlowdown != nil {
-		s.testSlowdown()
-	}
-
-	t0 := time.Now()
-	m, merr := s.buildMatrix(req.Matrix, req.Shift)
-	if merr != nil {
-		var he *httpError
-		if errors.As(merr, &he) {
-			return nil, he
-		}
-		return nil, badRequest("%v", merr)
-	}
-
-	// Cache key: pattern fingerprint + the analysis options that change
-	// its symbolic outcome.
-	// CoresPerNode is baked into the Symbolic's engine templates, so it is
-	// part of the key (a non-default packing must not reuse default plans),
-	// and so is the balancer — a different supernode→process map is a
-	// different plan.
-	key := fmt.Sprintf("%s/%s/r%d/w%d/c%d/b%s", m.Fingerprint(), ordName, s.cfg.Relax, s.cfg.MaxWidth,
-		req.CoresPerNode, balancer.Slug())
-	tCache := time.Now()
-	sym, outcome, berr := s.cache.getOrBuild(key, func() (*pselinv.Symbolic, error) {
-		return pselinv.AnalyzePattern(m, pselinv.Options{
-			Ordering:     ordMethod,
-			Relax:        s.cfg.Relax,
-			MaxWidth:     s.cfg.MaxWidth,
-			CoresPerNode: req.CoresPerNode,
-			Balancer:     balancer.Slug(),
-		})
-	})
-	if berr != nil {
-		return nil, badRequest("analysis: %v", berr)
-	}
-	analyzeDur := time.Since(tCache)
+// serve runs one admitted inversion request end to end.
+func (s *Server) serve(req *Request, adm *admission) (*Response, *httpError) {
+	m, sym := adm.m, adm.sym
 
 	tFac := time.Now()
 	var sys *pselinv.System
@@ -554,7 +631,7 @@ func (s *Server) serve(ctx context.Context, req *Request) (*Response, *httpError
 	if ferr != nil {
 		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: "factorization: " + ferr.Error()}
 	}
-	sys.SetTimeout(timeout)
+	sys.SetTimeout(adm.timeout)
 	sys.SetDAG(req.Dag)
 	facDur := time.Since(tFac)
 
@@ -566,17 +643,18 @@ func (s *Server) serve(ctx context.Context, req *Request) (*Response, *httpError
 	if req.Obs {
 		// Observed runs always carry the merged trace: the collective
 		// spans are half the point of the instrumentation.
-		res, tr, orep, err = sys.ParallelSelInvObservedCap(procs, scheme, seed, req.ObsRingCap)
+		res, tr, orep, err = sys.ParallelSelInvObserved(adm.procs, adm.scheme, adm.seed)
 	} else if req.Trace {
-		res, tr, err = sys.ParallelSelInvTraced(procs, scheme, seed)
+		res, tr, err = sys.ParallelSelInvTraced(adm.procs, adm.scheme, adm.seed)
 	} else {
-		res, err = sys.ParallelSelInv(procs, scheme, seed)
+		res, err = sys.ParallelSelInv(adm.procs, adm.scheme, adm.seed)
 	}
 	if err != nil {
 		return nil, &httpError{status: http.StatusUnprocessableEntity, msg: "inversion: " + err.Error()}
 	}
 	invDur := time.Since(tInv)
-	total := time.Since(t0)
+	analyzeDur, outcome := adm.analyzeDur, adm.outcome
+	total := time.Since(adm.t0)
 
 	id := fmt.Sprintf("r%06d", s.reqID.Add(1))
 	resp := &Response{
@@ -586,9 +664,9 @@ func (s *Server) serve(ctx context.Context, req *Request) (*Response, *httpError
 		Snodes:    sym.NumSupernodes(),
 		Cache:     string(outcome),
 		Procs:     res.Procs(),
-		Scheme:    scheme.Slug(),
-		Balancer:  balancer.Slug(),
-		Ordering:  ordName,
+		Scheme:    adm.scheme.Slug(),
+		Balancer:  adm.balancer.Slug(),
+		Ordering:  adm.ordName,
 		Symmetric: sys.Symmetric(),
 		LogAbsDet: sys.LogAbsDet(),
 		MaxSentMB: res.MaxSentMB(),

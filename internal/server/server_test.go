@@ -269,8 +269,6 @@ func TestServeValidation(t *testing.T) {
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Ordering: "random"},   // unknown ordering
 		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Balancer: "zigzag"},   // unknown balancer
 		{Matrix: MatrixSpec{Kind: "matrixmarket", Data: "%%MatrixMarket\njunk"}}, // parse error
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Obs: true, ObsRingCap: -1},
-		{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, ObsRingCap: 64}, // ring cap without obs
 	}
 	for i, req := range cases {
 		hr, resp := postJSON(t, ts.URL, &req)

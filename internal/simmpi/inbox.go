@@ -1,34 +1,22 @@
 package simmpi
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Inbox is an FIFO of messages backed by a growable ring buffer:
 // steady-state push/pop traffic reuses the same slots instead of appending
 // to (and abandoning prefixes of) a slice, so a long run's message churn
 // stops feeding the garbage collector. It is the per-rank delivery queue
 // shared by every transport backend — the TCP backend pushes decoded
-// frames into the same structure — so adversary-perturbed delivery and
-// capacity backpressure behave identically across backends.
-//
-// An Inbox is unbounded by default; SetCapacity bounds it, after which
-// Push blocks while the box is full (except for self-sends) and counts
-// each blocking episode.
+// frames into the same structure — so adversary-perturbed delivery
+// behaves identically across backends. It is unbounded: Push never blocks
+// (the MPI_Isend discipline).
 type Inbox struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
-	notFull  *sync.Cond
 	buf      []Message
 	head     int // index of the oldest message
 	count    int
 	closed   bool
-
-	// capacity, when positive, bounds count; blocked counts Push calls
-	// that had to wait for a slot (atomic, readable mid-run).
-	capacity int
-	blocked  int64
 
 	// dst is the owning rank; adv, when non-nil, chooses which pending
 	// message each pop delivers (set via SetAdversary before traffic).
@@ -41,24 +29,7 @@ type Inbox struct {
 func NewInbox(dst int) *Inbox {
 	in := &Inbox{dst: dst}
 	in.notEmpty = sync.NewCond(&in.mu)
-	in.notFull = sync.NewCond(&in.mu)
 	return in
-}
-
-// SetCapacity bounds the box to n queued messages (n <= 0 restores
-// unbounded). Call before traffic starts.
-func (in *Inbox) SetCapacity(n int) {
-	in.mu.Lock()
-	in.capacity = n
-	in.mu.Unlock()
-	in.notFull.Broadcast()
-}
-
-// Capacity returns the current bound (0 when unbounded).
-func (in *Inbox) Capacity() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.capacity
 }
 
 // SetAdversary installs (or removes, with nil) the delivery adversary.
@@ -67,10 +38,6 @@ func (in *Inbox) SetAdversary(a Adversary) {
 	in.adv = a
 	in.mu.Unlock()
 }
-
-// BlockedSends returns how many Push calls have blocked on a full box so
-// far. Safe to call concurrently with traffic.
-func (in *Inbox) BlockedSends() int64 { return atomic.LoadInt64(&in.blocked) }
 
 // pushLocked appends msg, growing (and linearizing) the ring when full.
 func (in *Inbox) pushLocked(msg Message) {
@@ -98,17 +65,9 @@ func (in *Inbox) popLocked() Message {
 
 // Push enqueues msg and returns the queue depth just after the insert (the
 // observer's queue-depth high-watermark input; callers without an observer
-// ignore it). With a capacity installed, Push blocks while the box is full
-// unless msg is a self-send — a rank waiting on its own full mailbox could
-// never drain it — or the box is closed.
+// ignore it).
 func (in *Inbox) Push(msg Message) int {
 	in.mu.Lock()
-	if in.capacity > 0 && msg.Src != in.dst && in.count >= in.capacity && !in.closed {
-		atomic.AddInt64(&in.blocked, 1)
-		for in.count >= in.capacity && in.capacity > 0 && !in.closed {
-			in.notFull.Wait()
-		}
-	}
 	in.pushLocked(msg)
 	depth := in.count
 	in.mu.Unlock()
@@ -143,14 +102,6 @@ func (in *Inbox) pendingLocked() []Message {
 	return s
 }
 
-// signalSlotLocked wakes one capacity-blocked Push after a removal. The
-// branch keeps the unbounded hot path free of notify-list traffic.
-func (in *Inbox) signalSlotLocked() {
-	if in.capacity > 0 {
-		in.notFull.Signal()
-	}
-}
-
 // Pop blocks until a message arrives or the box is closed. With an
 // adversary installed, the adversary picks which pending message is
 // delivered (and may drop it entirely).
@@ -166,13 +117,11 @@ func (in *Inbox) Pop() (Message, bool) {
 		}
 		if in.adv == nil {
 			msg := in.popLocked()
-			in.signalSlotLocked()
 			in.mu.Unlock()
 			return msg, true
 		}
 		idx, drop := in.adv.Pick(in.dst, in.pendingLocked())
 		msg := in.popAtLocked(idx)
-		in.signalSlotLocked()
 		if drop {
 			continue
 		}
@@ -193,13 +142,11 @@ func (in *Inbox) TryPop() (Message, bool) {
 		}
 		if in.adv == nil {
 			msg := in.popLocked()
-			in.signalSlotLocked()
 			in.mu.Unlock()
 			return msg, true
 		}
 		idx, drop := in.adv.Pick(in.dst, in.pendingLocked())
 		msg := in.popAtLocked(idx)
-		in.signalSlotLocked()
 		if drop {
 			continue
 		}
@@ -223,12 +170,11 @@ func (in *Inbox) Pending() []Message {
 	return out
 }
 
-// Close wakes any blocked Pop (ok = false) and any capacity-blocked Push.
+// Close wakes any blocked Pop (ok = false).
 // Already-queued messages remain deliverable.
 func (in *Inbox) Close() {
 	in.mu.Lock()
 	in.closed = true
 	in.mu.Unlock()
 	in.notEmpty.Broadcast()
-	in.notFull.Broadcast()
 }

@@ -1,9 +1,6 @@
 package simmpi
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // InProc is the in-process transport: every rank is a goroutine in this
 // process and messages move between in-memory Inboxes. It is the default
@@ -14,7 +11,6 @@ type InProc struct {
 	p       int
 	inboxes []*Inbox
 	local   []int
-	cap     atomic.Int64
 
 	barrierMu   sync.Mutex
 	barrierCond *sync.Cond
@@ -22,10 +18,7 @@ type InProc struct {
 	barrierGen  int
 }
 
-var (
-	_ Transport       = (*InProc)(nil)
-	_ CapacityLimiter = (*InProc)(nil)
-)
+var _ Transport = (*InProc)(nil)
 
 // NewInProc creates an in-process transport with p ranks.
 func NewInProc(p int) *InProc {
@@ -70,23 +63,6 @@ func (t *InProc) SetAdversary(a Adversary) {
 		in.SetAdversary(a)
 	}
 }
-
-// SetMailboxCapacity bounds every inbox to n queued messages.
-func (t *InProc) SetMailboxCapacity(n int) {
-	if n < 0 {
-		n = 0
-	}
-	t.cap.Store(int64(n))
-	for _, in := range t.inboxes {
-		in.SetCapacity(n)
-	}
-}
-
-// MailboxCapacity returns the installed bound (0 when unbounded).
-func (t *InProc) MailboxCapacity() int { return int(t.cap.Load()) }
-
-// BlockedSends returns how many sends have blocked on rank's full inbox.
-func (t *InProc) BlockedSends(rank int) int64 { return t.inboxes[rank].BlockedSends() }
 
 // Barrier blocks until every rank has entered it (generation-counted
 // condition variable; the rank argument is unused in-process).

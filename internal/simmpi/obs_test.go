@@ -47,7 +47,7 @@ type recordingObserver struct {
 	bytes        int64
 }
 
-func (o *recordingObserver) RecordSend(src, dst int, class Class, tag uint64, bytes int64, depth int, wait time.Duration) {
+func (o *recordingObserver) RecordSend(src, dst int, class Class, tag uint64, bytes int64, depth int) {
 	o.sends++
 	o.lastDepth = depth
 	o.lastClass = class

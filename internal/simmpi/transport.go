@@ -9,16 +9,12 @@ package simmpi
 //
 // Two backends live in the tree: InProc (this package) runs every rank as
 // a goroutine with in-memory mailboxes, and internal/tcptransport runs one
-// rank per OS process exchanging length-prefixed frames over TCP. A
-// decorator may wrap a Transport to add behavior between the Rank API and
-// delivery (internal/netsim wraps InProc with a link-latency model).
+// rank per OS process exchanging length-prefixed frames over TCP.
 //
 // Contract:
 //
-//   - Send must not block indefinitely on a correct program (the
-//     MPI_Isend discipline): delivery is buffered. A backend with bounded
-//     buffering (see CapacityLimiter) may block while the destination
-//     mailbox is full, which is measurable backpressure, not failure.
+//   - Send must not block (the MPI_Isend discipline): delivery is
+//     buffered without bound.
 //   - Send returns the destination queue depth just after insert when it
 //     is known locally, else the local outbound queue depth. Observers use
 //     it as a congestion signal; correctness never depends on it.
@@ -58,24 +54,4 @@ type Transport interface {
 	Barrier(rank int)
 	// Close releases the transport. Idempotent.
 	Close()
-}
-
-// CapacityLimiter is implemented by transports whose local mailboxes can
-// be bounded. With a capacity installed, a Send to a full mailbox blocks
-// until a slot frees (self-sends are exempt — a rank blocking on its own
-// full mailbox could never drain it), and each blocking episode increments
-// a per-mailbox counter so backpressure is measurable instead of silent
-// memory growth.
-type CapacityLimiter interface {
-	// SetMailboxCapacity bounds every local mailbox to n queued messages
-	// (n <= 0 restores unbounded). Call before traffic starts.
-	SetMailboxCapacity(n int)
-	// MailboxCapacity returns the currently installed bound (0 when
-	// unbounded). The World reads it at construction so a transport
-	// configured with a capacity before being wrapped still gets
-	// StateSendWait tracking on blocking sends.
-	MailboxCapacity() int
-	// BlockedSends returns how many sends have blocked on rank's full
-	// mailbox so far.
-	BlockedSends(rank int) int64
 }

@@ -6,118 +6,6 @@ import (
 	"time"
 )
 
-// TestMailboxCapacityBackpressure checks the bounded-mailbox contract: a
-// send to a full mailbox blocks until the receiver drains a slot, and each
-// blocking episode is counted.
-func TestMailboxCapacityBackpressure(t *testing.T) {
-	w := NewWorld(2)
-	if !w.SetMailboxCapacity(2) {
-		t.Fatal("in-process transport should support capacities")
-	}
-	release := make(chan struct{})
-	sent := make(chan struct{})
-	err := w.Run(10*time.Second, func(r *Rank) {
-		switch r.ID {
-		case 0:
-			r.Send(1, 1, ClassOther, []float64{1})
-			r.Send(1, 2, ClassOther, []float64{2})
-			close(sent)
-			r.Send(1, 3, ClassOther, []float64{3}) // box full: blocks here
-		case 1:
-			<-sent
-			// Give the third send time to hit the full box and block.
-			deadline := time.Now().Add(5 * time.Second)
-			for w.BlockedSends(1) == 0 && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			// While the sender is stalled on the full box its state must
-			// read send-wait, so capacity deadlocks are attributable in
-			// timeout snapshots.
-			if st := w.RankStateOf(0); st != StateSendWait {
-				t.Errorf("blocked sender state = %v, want %v", st, StateSendWait)
-			}
-			close(release)
-			for i := 0; i < 3; i++ {
-				if _, ok := r.Recv(); !ok {
-					t.Error("recv failed")
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	<-release
-	if got := w.BlockedSends(1); got != 1 {
-		t.Errorf("BlockedSends(1) = %d, want 1", got)
-	}
-	if got := w.BlockedSends(0); got != 0 {
-		t.Errorf("BlockedSends(0) = %d, want 0", got)
-	}
-	vec := w.BlockedSendsVector()
-	if vec[0] != 0 || vec[1] != 1 {
-		t.Errorf("BlockedSendsVector = %v, want [0 1]", vec)
-	}
-	if err := w.CheckConservation(); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestMailboxCapacitySelfSendExempt: a rank pushing to its own full
-// mailbox must not deadlock against itself — self-sends bypass the bound.
-func TestMailboxCapacitySelfSendExempt(t *testing.T) {
-	w := NewWorld(1)
-	w.SetMailboxCapacity(1)
-	err := w.Run(5*time.Second, func(r *Rank) {
-		for i := 0; i < 4; i++ { // would deadlock on the second send if counted
-			r.Send(0, uint64(i), ClassOther, []float64{float64(i)})
-		}
-		for i := 0; i < 4; i++ {
-			if _, ok := r.Recv(); !ok {
-				t.Error("recv failed")
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := w.BlockedSends(0); got != 0 {
-		t.Errorf("self-sends counted as blocked: %d", got)
-	}
-}
-
-// TestInboxCloseUnblocksCapacityWait: Close must wake a Push blocked on a
-// full box (shutdown while producers are stalled must not hang).
-func TestInboxCloseUnblocksCapacityWait(t *testing.T) {
-	in := NewInbox(1)
-	in.SetCapacity(1)
-	in.Push(Message{Src: 0, Dst: 1, Data: []float64{1}})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		in.Push(Message{Src: 0, Dst: 1, Data: []float64{2}}) // blocks until Close
-	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for in.BlockedSends() == 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if in.BlockedSends() != 1 {
-		t.Fatal("second push never blocked")
-	}
-	in.Close()
-	wg.Wait() // must return promptly
-	// Queued messages stay deliverable after Close.
-	for i := 0; i < 2; i++ {
-		if _, ok := in.TryPop(); !ok {
-			t.Fatalf("message %d lost at close", i)
-		}
-	}
-	if _, ok := in.Pop(); ok {
-		t.Error("pop on drained closed box returned a message")
-	}
-}
-
 // chanTransport is a minimal third-party Transport used to prove the World
 // layer is backend-agnostic: counters, observer hooks, and rank states
 // must behave identically over a transport simmpi knows nothing about.
@@ -181,13 +69,6 @@ func TestWorldOverCustomTransport(t *testing.T) {
 		if got := w.SentBytes(rank, ClassColBcast); got != 16 {
 			t.Errorf("rank %d sent %d bytes, want 16", rank, got)
 		}
-	}
-	// No capacity support on this transport: the world degrades gracefully.
-	if w.SetMailboxCapacity(4) {
-		t.Error("chanTransport does not implement CapacityLimiter")
-	}
-	if got := w.BlockedSends(0); got != 0 {
-		t.Errorf("BlockedSends over non-limiting transport = %d, want 0", got)
 	}
 	w.Close()
 }

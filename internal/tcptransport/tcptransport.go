@@ -4,10 +4,10 @@
 // per-link writer goroutine draining an outbound queue and a per-link
 // reader goroutine pushing decoded frames into the rank's local
 // simmpi.Inbox. Because delivery lands in the same Inbox structure the
-// in-process backend uses, the chaos adversary, mailbox capacities, and
-// the volume counters layered above the Transport interface behave
-// identically across backends — that equivalence is pinned by the golden
-// cross-backend test in internal/distrun.
+// in-process backend uses, the chaos adversary and the volume counters
+// layered above the Transport interface behave identically across
+// backends — that equivalence is pinned by the golden cross-backend test
+// in internal/distrun.
 //
 // Setup is two-phase to avoid port races: every rank first binds an
 // ephemeral port (Listen), the launcher gathers and redistributes the
@@ -41,11 +41,6 @@ type Config struct {
 	// SetupTimeout bounds the whole mesh construction — dial retries and
 	// inbound accepts. Defaults to 30s.
 	SetupTimeout time.Duration
-	// Capacity, when positive, bounds the local inbox (see
-	// simmpi.CapacityLimiter). With a bound installed, a slow rank
-	// propagates backpressure to its TCP peers through the kernel socket
-	// buffers once its inbox fills.
-	Capacity int
 	// ClockSyncPings, when positive, runs that many ping/pong round trips
 	// on every dialed connection during the handshake (clamped to 255 —
 	// the hello announces the count in one byte) and records an NTP-style
@@ -242,7 +237,7 @@ func (b *barrier) fail() {
 }
 
 // Transport is the TCP backend for one rank. It implements
-// simmpi.Transport and simmpi.CapacityLimiter.
+// simmpi.Transport.
 type Transport struct {
 	rank  int
 	p     int
@@ -273,10 +268,7 @@ type Transport struct {
 	clockOff []ClockMeasurement
 }
 
-var (
-	_ simmpi.Transport       = (*Transport)(nil)
-	_ simmpi.CapacityLimiter = (*Transport)(nil)
-)
+var _ simmpi.Transport = (*Transport)(nil)
 
 // New is the single-call convenience: bind cfg.Addrs[cfg.Rank] and build
 // the mesh. It requires the address list to be fully known up front (fixed
@@ -334,9 +326,6 @@ func (l *Listener) Connect(cfg Config) (*Transport, error) {
 	}
 	t.local[0] = cfg.Rank
 	t.barrier.init()
-	if cfg.Capacity > 0 {
-		t.inbox.SetCapacity(cfg.Capacity)
-	}
 
 	// Accept the P-1 inbound connections concurrently with our own dials
 	// (two ranks dialing each other must not deadlock).
@@ -692,21 +681,6 @@ func (t *Transport) Pending(rank int) []simmpi.Message {
 // per-(src,dst,serial) decision functions this composes into the same
 // deterministic global perturbation the in-process backend applies.
 func (t *Transport) SetAdversary(a simmpi.Adversary) { t.inbox.SetAdversary(a) }
-
-// SetMailboxCapacity bounds the local inbox.
-func (t *Transport) SetMailboxCapacity(n int) { t.inbox.SetCapacity(n) }
-
-// MailboxCapacity returns the local inbox's bound (0 when unbounded).
-func (t *Transport) MailboxCapacity() int { return t.inbox.Capacity() }
-
-// BlockedSends reports blocking on the local inbox (pushes by link readers
-// and self-sends); other ranks' counters live in their processes.
-func (t *Transport) BlockedSends(rank int) int64 {
-	if rank != t.rank {
-		return 0
-	}
-	return t.inbox.BlockedSends()
-}
 
 // Barrier blocks until every rank in the job has entered it. Rank 0
 // coordinates: it collects one arrive frame per peer, then broadcasts a

@@ -12,7 +12,7 @@ import (
 
 // newMesh builds a P-rank localhost mesh inside one test process (each
 // Transport plays one "process"). Cleanup closes every endpoint.
-func newMesh(t *testing.T, p int, capacity int) []*Transport {
+func newMesh(t *testing.T, p int) []*Transport {
 	t.Helper()
 	listeners := make([]*Listener, p)
 	addrs := make([]string, p)
@@ -32,7 +32,7 @@ func newMesh(t *testing.T, p int, capacity int) []*Transport {
 		go func(rank int) {
 			defer wg.Done()
 			trs[rank], errs[rank] = listeners[rank].Connect(Config{
-				Rank: rank, Addrs: addrs, SetupTimeout: 20 * time.Second, Capacity: capacity,
+				Rank: rank, Addrs: addrs, SetupTimeout: 20 * time.Second,
 			})
 		}(i)
 	}
@@ -95,7 +95,7 @@ func aggregateConservation(t *testing.T, worlds []*simmpi.World) {
 // and receives P-1 messages; volumes must conserve globally.
 func TestMeshAllToAll(t *testing.T) {
 	const p = 4
-	trs := newMesh(t, p, 0)
+	trs := newMesh(t, p)
 	worlds := runMesh(t, trs, 20*time.Second, func(r *simmpi.Rank) {
 		for dst := 0; dst < p; dst++ {
 			if dst == r.ID {
@@ -128,7 +128,7 @@ func TestMeshAllToAll(t *testing.T) {
 // TestMeshSelfSend: self-sends short-circuit through the local inbox and
 // stay out of the volume counters, exactly like in-process.
 func TestMeshSelfSend(t *testing.T) {
-	trs := newMesh(t, 2, 0)
+	trs := newMesh(t, 2)
 	worlds := runMesh(t, trs, 10*time.Second, func(r *simmpi.Rank) {
 		r.Send(r.ID, 42, simmpi.ClassOther, []float64{1, 2, 3})
 		msg, ok := r.Recv()
@@ -148,7 +148,7 @@ func TestMeshSelfSend(t *testing.T) {
 func TestMeshBarrier(t *testing.T) {
 	const p = 4
 	const rounds = 25
-	trs := newMesh(t, p, 0)
+	trs := newMesh(t, p)
 	var phase [p]int64
 	var mu sync.Mutex
 	runMesh(t, trs, 30*time.Second, func(r *simmpi.Rank) {
@@ -173,7 +173,7 @@ func TestMeshBarrier(t *testing.T) {
 // batching.
 func TestMeshFIFOPerLink(t *testing.T) {
 	const n = 500
-	trs := newMesh(t, 2, 0)
+	trs := newMesh(t, 2)
 	runMesh(t, trs, 20*time.Second, func(r *simmpi.Rank) {
 		if r.ID == 0 {
 			for i := 0; i < n; i++ {
@@ -207,7 +207,7 @@ func (dropOdd) Delivered(int, *simmpi.Message) {}
 // accounting reports the dropped bytes.
 func TestMeshAdversary(t *testing.T) {
 	const n = 10
-	trs := newMesh(t, 2, 0)
+	trs := newMesh(t, 2)
 	worlds := make([]*simmpi.World, 2)
 	for i, tr := range trs {
 		worlds[i] = simmpi.NewWorldOn(tr)
@@ -247,31 +247,6 @@ func TestMeshAdversary(t *testing.T) {
 	if sent != int64(n*8) || recv != int64(n/2*8) {
 		t.Errorf("sent %d recv %d, want %d and %d (drops visible to accounting)", sent, recv, n*8, n/2*8)
 	}
-}
-
-// TestMeshCapacityBackpressure: a bounded inbox on the receiving process
-// blocks the link reader, and the blocked episodes are counted there.
-func TestMeshCapacityBackpressure(t *testing.T) {
-	const n = 64
-	trs := newMesh(t, 2, 2)
-	worlds := runMesh(t, trs, 30*time.Second, func(r *simmpi.Rank) {
-		if r.ID == 0 {
-			for i := 0; i < n; i++ {
-				r.Send(1, uint64(i), simmpi.ClassOther, []float64{float64(i)})
-			}
-			return
-		}
-		time.Sleep(50 * time.Millisecond) // let the sender run ahead
-		for i := 0; i < n; i++ {
-			if _, ok := r.Recv(); !ok {
-				t.Fatal("closed early")
-			}
-		}
-	})
-	if got := worlds[1].BlockedSends(1); got == 0 {
-		t.Error("no blocked sends recorded despite a capacity-2 inbox and a fast sender")
-	}
-	aggregateConservation(t, worlds)
 }
 
 // TestDialRetryBackoff: a refused address is retried until the deadline,

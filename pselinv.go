@@ -276,11 +276,6 @@ type Options struct {
 	// rank owns which supernode — and therefore the communication plan —
 	// but not the computed values.
 	Balancer string
-	// ObsRingCap overrides the per-rank event-ring capacity observed runs
-	// retain (0 = the obs package default; oversized values are clamped).
-	// Larger rings keep the chain analysis complete on bigger problems at
-	// the cost of memory per rank.
-	ObsRingCap int
 }
 
 func (o Options) withDefaults() Options {
@@ -780,29 +775,18 @@ func (o *ObsReport) ClassSentBytes() map[string]int64 {
 // ParallelSelInvObserved is ParallelSelInv with full observability: the
 // run is traced (compute + collective spans merged in one timeline) and
 // the communication substrate is instrumented, yielding the ObsReport.
+// Each rank's event ring is sized from the plan's message count for that
+// rank, so the chain analysis is complete without a capacity to tune.
 func (s *System) ParallelSelInvObserved(procs int, scheme Scheme, seed uint64) (*ParallelResult, *TraceReport, *ObsReport, error) {
-	return s.ParallelSelInvObservedCap(procs, scheme, seed, 0)
-}
-
-// ParallelSelInvObservedCap is ParallelSelInvObserved with an explicit
-// per-rank event-ring capacity override for this run (0 falls back to
-// Options.ObsRingCap, then the obs default; oversized values are clamped).
-// Request-scoped callers (pselinvd) use it so one request's capacity never
-// leaks into the shared System's options.
-func (s *System) ParallelSelInvObservedCap(procs int, scheme Scheme, seed uint64, ringCap int) (*ParallelResult, *TraceReport, *ObsReport, error) {
-	if ringCap <= 0 {
-		ringCap = s.opt.ObsRingCap
-	}
 	g := procgrid.Squarish(procs)
 	rec := trace.NewRecorder()
-	col := obs.NewCollectorCap(g.Size(), obs.ClampRingCap(ringCap))
+	// The engine template is cached, so the run below reuses this plan.
+	plan := s.sym.engineTemplate(g.Pr, g.Pc, scheme, seed, s.symmetric).Plan
+	col := obs.NewCollector(plan.PerRankMsgs(), time.Now())
 	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, col)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	// The engine template is cached, so this lookup reuses the plan the
-	// run just executed.
-	plan := s.sym.engineTemplate(g.Pr, g.Pc, scheme, seed, s.symmetric).Plan
 	rep := exp.ObsReport(col, rec, res.run, plan, s.opt.CoresPerNode)
 	return res, &TraceReport{rec: rec}, &ObsReport{rep: rep}, nil
 }
