@@ -131,7 +131,8 @@ bench:
 
 # ---- Bench-regression gate -------------------------------------------------
 # The CI gate re-runs a small, representative benchmark set (two real GEMM
-# shapes, the 4M complex GEMM at 512, the 16-rank end-to-end inversion,
+# shapes, the 4M complex GEMM at 512 and — plain and with a transposed
+# operand — at the engine's median shape, the 16-rank end-to-end inversion,
 # the 4-rank sequential/DAG end-to-end pair, the 16-pole PEXSI batch, the
 # warm refactorize loop — sparse front end + factorization + engine — and
 # the MatrixMarket parse)
@@ -150,7 +151,7 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt

@@ -14,7 +14,9 @@
 //	               template across all poles and pipelines factorization
 //	               with inversion.
 //
-// Both modes honor -scheme, -balancer and -dag.
+// Both modes honor -scheme, -balancer and -dag, and print the path that
+// inverted the poles: serial, or the engine's symmetric or general plan as
+// the Hamiltonian's values select (a diagonal shift keeps their symmetry).
 //
 // Examples:
 //
@@ -77,8 +79,8 @@ func main() {
 			})
 			check(err)
 			lo, hi, tr := summarize(res.Density)
-			fmt.Printf("complex Matsubara batch: %d poles × %d ranks, %v\n",
-				len(poles), *flagProcs, res.Elapsed.Round(1e6))
+			fmt.Printf("complex Matsubara batch: %d poles × %d ranks (%s path), %v\n",
+				len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
 			fmt.Printf("density diag: min %.4f max %.4f, electron count (trace) %.3f of %d states\n",
 				lo, hi, tr, h.A.N)
 			for l, st := range res.Stats {
@@ -95,12 +97,8 @@ func main() {
 		})
 		check(err)
 		lo, hi, tr := summarize(res.Density)
-		kernel := "serial kernel"
-		if *flagProcs > 1 {
-			kernel = fmt.Sprintf("distributed engine × %d ranks", *flagProcs)
-		}
-		fmt.Printf("complex Matsubara expansion: %d poles (%s), %v\n",
-			len(poles), kernel, res.Elapsed.Round(1e6))
+		fmt.Printf("complex Matsubara expansion: %d poles × %d ranks (%s path), %v\n",
+			len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
 		fmt.Printf("density diag: min %.4f max %.4f, electron count (trace) %.3f of %d states\n",
 			lo, hi, tr, h.A.N)
 		fmt.Printf("log|det(H - z_0)| = %.4f\n", real(res.LogDets[0]))
@@ -113,8 +111,8 @@ func main() {
 		})
 		check(err)
 		lo, hi, tr := summarize(res.Density)
-		fmt.Printf("real-shift expansion: %d poles × %d ranks each, %v\n",
-			len(poles), *flagProcs, res.Elapsed.Round(1e6))
+		fmt.Printf("real-shift expansion: %d poles × %d ranks each (%s path), %v\n",
+			len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
 		fmt.Printf("density estimate: min %.4f max %.4f trace %.3f\n", lo, hi, tr)
 		for l, st := range res.Stats {
 			fmt.Printf("  pole %2d (σ=%6.2f): max %.3f MB sent/rank, %v\n",

@@ -465,8 +465,35 @@ func runBalancers(out string) error {
 
 // runAsymSection compares the symmetric fast path against the general
 // asymmetric-value path (§V extension): the general path pays for the
-// extra Û broadcasts and upper-triangle reductions.
+// extra Û broadcasts and upper-triangle reductions. First as exact traffic
+// counts for complex values (two words per entry) on the benchmark's two DG
+// problems at 4×4 — a PEXSI pole A − zI on the plan its values select and on
+// the general one; the engine moves exactly the plan's bytes
+// (TestMeasuredVolumesMatchPlanExactly) — then as simulated makespans.
 func runAsymSection(seeds []uint64, params netsim.Params) {
+	fmt.Println("== Complex values (A − zI): plan traffic, 4x4 grid, shifted, seed 1 ==")
+	fmt.Printf("%-14s %-10s %12s %15s %10s\n", "matrix", "plan", "total (MB)", "max sent (MB)", "messages")
+	for _, nx := range []int{16, 24} {
+		g := sparse.DG2D(nx, nx, 4, 1)
+		bp := exp.PrepareSymbolic(g, 4, 48).An.BP
+		for _, symmetric := range []bool{true, false} {
+			plan := core.NewPlanConfig(bp, procgrid.New(4, 4), core.PlanConfig{
+				Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: symmetric})
+			var total, maxSent int64
+			for _, b := range plan.PerRankTotalSent() {
+				total += 2 * b
+				maxSent = max(maxSent, 2*b)
+			}
+			msgs := 0 // sends + receives: every message twice
+			for _, n := range plan.PerRankMsgs() {
+				msgs += n
+			}
+			fmt.Printf("%-14s %-10s %12.6f %15.6f %10d\n", g.Name, map[bool]string{true: "symmetric", false: "general"}[symmetric],
+				stats.MB(total), stats.MB(maxSent), msgs/2)
+		}
+	}
+	fmt.Println()
+
 	g, relax, mw := exp.ScalingPNFStandin(2)
 	pipe := exp.PrepareSymbolic(g, relax, mw)
 	fmt.Println("== Ablation: symmetric path vs general (asymmetric-value) path ==")

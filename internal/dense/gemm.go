@@ -80,10 +80,12 @@ func (v view) rows(i0, i1 int) view {
 // Large products run through the cache-blocked register-tiled kernel and,
 // above parallelGemmFlops, are split across the package worker pool (see
 // SetWorkers); small products use the naive reference loops directly.
+// Complex operands (all three) take the same conventions with a plain,
+// never conjugating transpose — the one under which A − zI is symmetric.
 func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	if c.Elem == Complex || a.Elem == Complex || b.Elem == Complex {
-		zGemm(ta, tb, alpha, a, b, beta, c)
-		return
+	isComplex := c.Elem == Complex || a.Elem == Complex || b.Elem == Complex
+	if isComplex {
+		checkElem("Gemm", a, b, c)
 	}
 	am, ak := a.Rows, a.Cols
 	if ta == DoTrans {
@@ -105,6 +107,14 @@ func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 		}
 	}
 	if alpha == 0 || am == 0 || bn == 0 || ak == 0 {
+		return
+	}
+	if isComplex {
+		if int64(am)*int64(bn)*int64(ak) >= zGemm4MThreshold {
+			zGemm4M(ta, tb, alpha, a, b, c)
+		} else {
+			zGemmNaive(ta, tb, alpha, a, b, c)
+		}
 		return
 	}
 	flops := 2 * int64(am) * int64(bn) * int64(ak)

@@ -12,49 +12,46 @@ import (
 // Scale/AddScaled — so the engine's reduction arithmetic is element-type
 // blind.
 
-// zGemm4MThreshold is the m·n·k volume at or above which a complex product
-// is routed through the blocked real kernels via the 4M split; below it
-// the direct interleaved loop wins.
+// zGemm4MThreshold is the m·n·k volume at or above which Gemm routes a
+// complex product through the blocked real kernels via the 4M split; below
+// it the direct interleaved loop wins.
 const zGemm4MThreshold = 32 * 32 * 32
 
-// zGemm computes c = alpha*a*b + beta*c on complex matrices. Transposed
-// operands are not supported: the complex path always runs the general
-// (asymmetric) engine program, whose products are all op-free.
-func zGemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	if ta == DoTrans || tb == DoTrans {
-		panic("dense: complex Gemm does not support transposed operands")
+// zGemmNaive accumulates c += alpha*op(a)*op(b) with the direct interleaved
+// complex triple loop. op(b) is read through a pair of strides; op(a) picks
+// the loop nest that walks a's columns contiguously: axpy updates of c's
+// column for a as stored, dot products with op(b)'s for a transposed.
+func zGemmNaive(ta, tb Trans, alpha float64, a, b, c *Matrix) {
+	m, n := c.Rows, c.Cols
+	// op(b)(p, j) is the complex element at b.Data[2*(p*bp+j*bj)].
+	bp, bj := 1, b.Rows
+	if tb == DoTrans {
+		bp, bj = b.Rows, 1
 	}
-	checkElem("Gemm", a, b, c)
-	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("dense: Gemm shape mismatch a=%dx%d b=%dx%d c=%dx%d",
-			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
-	}
-	if beta != 1 {
-		if beta == 0 {
-			c.Zero()
-		} else {
-			c.Scale(beta)
+	if ta == DoTrans {
+		k := a.Rows
+		for j := 0; j < n; j++ {
+			cj := c.Data[2*j*m : 2*(j+1)*m]
+			for i := 0; i < m; i++ {
+				ai := a.Data[2*i*k : 2*(i+1)*k]
+				var sr, si float64
+				for p, bx := 0, 2*j*bj; p < k; p, bx = p+1, bx+2*bp {
+					ar, aim := ai[2*p], ai[2*p+1]
+					br, bi := b.Data[bx], b.Data[bx+1]
+					sr += ar*br - aim*bi
+					si += ar*bi + aim*br
+				}
+				cj[2*i] += alpha * sr
+				cj[2*i+1] += alpha * si
+			}
 		}
-	}
-	if alpha == 0 || a.Rows == 0 || b.Cols == 0 || a.Cols == 0 {
 		return
 	}
-	if int64(a.Rows)*int64(a.Cols)*int64(b.Cols) >= zGemm4MThreshold {
-		zGemm4M(alpha, a, b, c)
-		return
-	}
-	zGemmNaive(alpha, a, b, c)
-}
-
-// zGemmNaive accumulates c += alpha*a*b with the direct interleaved
-// complex triple loop (beta already applied by zGemm).
-func zGemmNaive(alpha float64, a, b, c *Matrix) {
-	m := a.Rows
-	for j := 0; j < b.Cols; j++ {
+	for j := 0; j < n; j++ {
 		cj := c.Data[2*j*m : 2*(j+1)*m]
 		for p := 0; p < a.Cols; p++ {
-			br := alpha * b.Data[2*(p+j*b.Rows)]
-			bi := alpha * b.Data[2*(p+j*b.Rows)+1]
+			br := alpha * b.Data[2*(p*bp+j*bj)]
+			bi := alpha * b.Data[2*(p*bp+j*bj)+1]
 			if br == 0 && bi == 0 {
 				continue
 			}
@@ -80,21 +77,21 @@ func zSplit(a *Matrix) (re, im *Matrix) {
 	return re, im
 }
 
-// zGemm4M accumulates c += alpha*a*b through the blocked real kernels via
-// the 4M split: Re(AB) = ArBr − AiBi, Im(AB) = ArBi + AiBr. The split
-// parts and the two accumulators are arena-backed, and the accumulators
-// are zeroed before the beta=1 real GEMMs so uninitialized arena words
-// never mix in.
-func zGemm4M(alpha float64, a, b, c *Matrix) {
+// zGemm4M accumulates c += alpha*op(a)*op(b) through the blocked real
+// kernels via the 4M split: Re(AB) = ArBr − AiBi, Im(AB) = ArBi + AiBr. The
+// parts are split as stored (the transposes ride on the real kernel's own)
+// and, like the two accumulators, arena-backed; the accumulators are zeroed
+// before the beta=1 real GEMMs so uninitialized arena words never mix in.
+func zGemm4M(ta, tb Trans, alpha float64, a, b, c *Matrix) {
 	ar, ai := zSplit(a)
 	br, bi := zSplit(b)
 	m, n := c.Rows, c.Cols
 	tr := GetMatrix(m, n)
 	ti := GetMatrix(m, n)
-	Gemm(NoTrans, NoTrans, 1, ar, br, 1, tr)
-	Gemm(NoTrans, NoTrans, -1, ai, bi, 1, tr)
-	Gemm(NoTrans, NoTrans, 1, ar, bi, 1, ti)
-	Gemm(NoTrans, NoTrans, 1, ai, br, 1, ti)
+	Gemm(ta, tb, 1, ar, br, 1, tr)
+	Gemm(ta, tb, -1, ai, bi, 1, tr)
+	Gemm(ta, tb, 1, ar, bi, 1, ti)
+	Gemm(ta, tb, 1, ai, br, 1, ti)
 	for e := 0; e < m*n; e++ {
 		c.Data[2*e] += alpha * tr.Data[e]
 		c.Data[2*e+1] += alpha * ti.Data[e]
@@ -107,8 +104,9 @@ func zGemm4M(alpha float64, a, b, c *Matrix) {
 	PutMatrix(ar)
 }
 
-// zTrsm solves op-free complex triangular systems in place, mirroring the
-// real Trsm conventions (Left: op(T)X = B, Right: X·op(T) = B).
+// zTrsm solves complex triangular systems in place, mirroring the real Trsm
+// conventions (Left: TX = B, Right: XT = B), against the factor as stored:
+// no engine program solves against a transposed one.
 func zTrsm(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix) {
 	if tt == DoTrans {
 		panic("dense: complex Trsm does not support transposed operands")
@@ -121,79 +119,52 @@ func zTrsm(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix) {
 	if side == Left && b.Rows != n || side == Right && b.Cols != n {
 		panic("dense: Trsm shape mismatch")
 	}
+	// Both sides walk the unknowns in dependency order: position x is index
+	// x, depending on [0, x), for a forward sweep (Left/Lower, Right/Upper)
+	// and index n-1-x, depending on [n-x, n), for a backward one.
 	if side == Left {
 		for j := 0; j < b.Cols; j++ {
-			if uplo == Lower {
-				for i := 0; i < n; i++ {
-					s := b.ZAt(i, j)
-					for k := 0; k < i; k++ {
-						s -= t.ZAt(i, k) * b.ZAt(k, j)
-					}
-					if diag == NonUnit {
-						s /= t.ZAt(i, i)
-					}
-					b.ZSet(i, j, s)
+			for x := 0; x < n; x++ {
+				i, k0, k1 := x, 0, x
+				if uplo == Upper {
+					i, k0, k1 = n-1-x, n-x, n
 				}
-			} else {
-				for i := n - 1; i >= 0; i-- {
-					s := b.ZAt(i, j)
-					for k := i + 1; k < n; k++ {
-						s -= t.ZAt(i, k) * b.ZAt(k, j)
-					}
-					if diag == NonUnit {
-						s /= t.ZAt(i, i)
-					}
-					b.ZSet(i, j, s)
+				s := b.ZAt(i, j)
+				for k := k0; k < k1; k++ {
+					s -= t.ZAt(i, k) * b.ZAt(k, j)
 				}
+				if diag == NonUnit {
+					s /= t.ZAt(i, i)
+				}
+				b.ZSet(i, j, s)
 			}
 		}
 		return
 	}
 	m := b.Rows
-	if uplo == Lower {
-		for j := n - 1; j >= 0; j-- {
-			xj := b.Data[2*j*m : 2*(j+1)*m]
-			for k := j + 1; k < n; k++ {
-				tr, ti := real(t.ZAt(k, j)), imag(t.ZAt(k, j))
-				if tr == 0 && ti == 0 {
-					continue
-				}
-				xk := b.Data[2*k*m : 2*(k+1)*m]
-				for i := 0; i < m; i++ {
-					vr, vi := xk[2*i], xk[2*i+1]
-					xj[2*i] -= tr*vr - ti*vi
-					xj[2*i+1] -= tr*vi + ti*vr
-				}
+	for x := 0; x < n; x++ {
+		j, k0, k1 := x, 0, x
+		if uplo == Lower {
+			j, k0, k1 = n-1-x, n-x, n
+		}
+		xj := b.Data[2*j*m : 2*(j+1)*m]
+		for k := k0; k < k1; k++ {
+			tr, ti := real(t.ZAt(k, j)), imag(t.ZAt(k, j))
+			if tr == 0 && ti == 0 {
+				continue
 			}
-			if diag == NonUnit {
-				d := t.ZAt(j, j)
-				for i := 0; i < m; i++ {
-					v := complex(xj[2*i], xj[2*i+1]) / d
-					xj[2*i], xj[2*i+1] = real(v), imag(v)
-				}
+			xk := b.Data[2*k*m : 2*(k+1)*m]
+			for i := 0; i < m; i++ {
+				vr, vi := xk[2*i], xk[2*i+1]
+				xj[2*i] -= tr*vr - ti*vi
+				xj[2*i+1] -= tr*vi + ti*vr
 			}
 		}
-	} else {
-		for j := 0; j < n; j++ {
-			xj := b.Data[2*j*m : 2*(j+1)*m]
-			for k := 0; k < j; k++ {
-				tr, ti := real(t.ZAt(k, j)), imag(t.ZAt(k, j))
-				if tr == 0 && ti == 0 {
-					continue
-				}
-				xk := b.Data[2*k*m : 2*(k+1)*m]
-				for i := 0; i < m; i++ {
-					vr, vi := xk[2*i], xk[2*i+1]
-					xj[2*i] -= tr*vr - ti*vi
-					xj[2*i+1] -= tr*vi + ti*vr
-				}
-			}
-			if diag == NonUnit {
-				d := t.ZAt(j, j)
-				for i := 0; i < m; i++ {
-					v := complex(xj[2*i], xj[2*i+1]) / d
-					xj[2*i], xj[2*i+1] = real(v), imag(v)
-				}
+		if diag == NonUnit {
+			d := t.ZAt(j, j)
+			for i := 0; i < m; i++ {
+				v := complex(xj[2*i], xj[2*i+1]) / d
+				xj[2*i], xj[2*i+1] = real(v), imag(v)
 			}
 		}
 	}

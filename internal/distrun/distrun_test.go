@@ -16,6 +16,7 @@ import (
 	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/selinv"
+	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 	"pselinv/internal/stats"
 )
@@ -331,41 +332,50 @@ func (w testWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestDistributedComplexParityTCP: a complex-shift selected inversion on
-// four OS processes meshed over TCP must be bit-identical to the
-// in-process run of the same plan. Workers discard their A⁻¹ shares after
-// the run, so the check is distributed too: every rank re-runs the plan
-// on the in-process transport and verifies each block it owns
-// word-for-word (Spec.SelfCheck); the launcher then checks the shares
-// cover the whole selected inverse — together that is full bitwise parity
-// across transports (the in-process engine is pinned to the serial
-// reference by internal/pselinv's complex parity suite).
-func TestDistributedComplexParityTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns 8 worker processes")
-	}
-	gen, spec := testProblem()
-	spec.PR, spec.PC = 2, 2
-	spec.Complex = true
-	spec.ZRe, spec.ZIm = 0.5, 1.5
-	spec.SelfCheck = true
-	spec.Balancer = "work"
-
-	pipe := exp.PrepareSymbolic(gen, spec.Relax, spec.MaxWidth)
-	lu, err := factor.FactorizeShifted(pipe.An.A, complex(spec.ZRe, spec.ZIm), pipe.An.BP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantBlocks := int64(selinv.SelInv(lu).NumBlocks())
-
+// requireTCPMatchesReference launches spec's problem on OS processes meshed
+// over TCP and ties the result to the serial reference in two links. In
+// this process, Spec.Build — the function every worker runs — must select
+// the plan gen's values call for, and that plan's in-process run must agree
+// with selinv.SelInv within 1e-9. Over TCP, every rank re-runs the plan on
+// the in-process transport and verifies each block it owns word-for-word
+// (Spec.SelfCheck; workers discard their A⁻¹ shares, so the check is
+// distributed too), the shares must cover the whole selected inverse, and
+// the traffic must be the selected plan's: mirror sends on the symmetric
+// path, row broadcasts on the general one, never both.
+func requireTCPMatchesReference(t *testing.T, gen *sparse.Generated, spec distrun.Spec, schemes []core.Scheme) {
+	t.Helper()
+	wantSymmetric := gen.A.IsSymmetric(factor.SymTol)
 	dir := t.TempDir()
 	staged, err := distrun.StageMatrix(dir, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.MatrixFile, spec.MatrixName, spec.Geom = staged.MatrixFile, staged.MatrixName, staged.Geom
-	for _, scheme := range []core.Scheme{core.FlatTree, core.ShiftedBinaryTree} {
+	spec.SelfCheck = true
+	for _, scheme := range schemes {
 		spec.Scheme = scheme
+		pipe, plan, eng, err := spec.Build()
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if plan.Symmetric != wantSymmetric {
+			t.Fatalf("%v: Build selected Symmetric=%v for %s, whose values say %v", scheme, plan.Symmetric, gen.Name, wantSymmetric)
+		}
+		ref := selinv.SelInv(pipe.LU)
+		local, err := eng.Run(spec.Timeout())
+		if err != nil {
+			t.Fatalf("%v: %v", scheme, err)
+		}
+		if local.Ainv.NumBlocks() != ref.NumBlocks() {
+			t.Fatalf("%v: %d blocks computed, reference has %d", scheme, local.Ainv.NumBlocks(), ref.NumBlocks())
+		}
+		for _, key := range ref.Keys() {
+			if d := local.Ainv.MustGet(key.I, key.J).MaxAbsDiff(ref.MustGet(key.I, key.J)); !(d <= 1e-9) {
+				t.Fatalf("%v: block (%d,%d) of Build's plan is off the serial reference by %g", scheme, key.I, key.J, d)
+			}
+		}
+		local.Release()
+
 		specPath, err := distrun.WriteSpec(dir, &spec)
 		if err != nil {
 			t.Fatal(err)
@@ -374,13 +384,54 @@ func TestDistributedComplexParityTCP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
 		}
-		var checked int64
+		var checked, mirrored, rowBcast int64
 		for _, res := range outcome.Results {
 			checked += res.CheckedBlocks
+			mirrored += res.SentBytes[simmpi.ClassSymmSend]
+			rowBcast += res.SentBytes[simmpi.ClassRowBcast]
 		}
-		if checked != wantBlocks {
+		if checked != int64(ref.NumBlocks()) {
 			t.Errorf("%v: workers verified %d blocks, selected inverse has %d — shares do not cover the result",
-				scheme, checked, wantBlocks)
+				scheme, checked, ref.NumBlocks())
 		}
+		if (mirrored > 0) != wantSymmetric || (rowBcast > 0) == wantSymmetric {
+			t.Errorf("%v: workers sent %d mirror bytes and %d Row-Bcast bytes; values symmetric=%v",
+				scheme, mirrored, rowBcast, wantSymmetric)
+		}
+		ref.Release()
 	}
+}
+
+// TestDistributedComplexParityTCP: a complex-shift selected inversion on
+// four OS processes meshed over TCP must be bit-identical to the
+// in-process run of the same plan — the symmetric plan for symmetric
+// staged values, the general plan for Asymmetrize'd ones.
+func TestDistributedComplexParityTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns 16 worker processes")
+	}
+	for _, asym := range []bool{false, true} {
+		gen, spec := testProblem()
+		if asym {
+			gen = sparse.Asymmetrize(gen, 5, 0.4)
+		}
+		spec.PR, spec.PC = 2, 2
+		spec.Complex = true
+		spec.ZRe, spec.ZIm = 0.5, 1.5
+		spec.Balancer = "work"
+		requireTCPMatchesReference(t, gen, spec, []core.Scheme{core.FlatTree, core.ShiftedBinaryTree})
+	}
+}
+
+// TestDistributedAsymmetricValuesTCP: a REAL staged matrix with asymmetric
+// values must run the general plan at P=4 and match the serial reference.
+// Spec.Build used to pin the symmetric plan on every real matrix, and
+// SelfCheck compared the wrong inverse with the same wrong plan's.
+func TestDistributedAsymmetricValuesTCP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns 4 worker processes")
+	}
+	gen, spec := testProblem()
+	spec.PR, spec.PC = 2, 2
+	requireTCPMatchesReference(t, sparse.Asymmetrize(gen, 5, 0.4), spec, []core.Scheme{core.ShiftedBinaryTree})
 }

@@ -122,9 +122,10 @@ type RunOpts struct {
 	Balancer core.Balancer
 }
 
-// planConfig translates the options into the plan knobs for one scheme.
-func (o *RunOpts) planConfig(scheme core.Scheme, seed uint64) core.PlanConfig {
-	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: true,
+// planConfig translates the options into the plan knobs for one scheme on
+// the path p's factorized values select.
+func (o *RunOpts) planConfig(p *Pipeline, scheme core.Scheme, seed uint64) core.PlanConfig {
+	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: p.LU.Symmetric,
 		Balancer: o.Balancer,
 		Topo:     core.Topology{CoresPerNode: o.CoresPerNode}}
 }
@@ -139,7 +140,7 @@ func (o *RunOpts) planConfig(scheme core.Scheme, seed uint64) core.PlanConfig {
 func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*VolumeMeasurement, error) {
 	out := make([]*VolumeMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
-		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(scheme, seed))
+		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
 		eng := pselinv.NewEngine(plan, p.LU)
 		eng.Chaos = opts.Chaos
 		eng.DAG = opts.DAG
@@ -192,7 +193,7 @@ type ObsMeasurement struct {
 func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*ObsMeasurement, error) {
 	out := make([]*ObsMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
-		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(scheme, seed))
+		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
 		eng := pselinv.NewEngine(plan, p.LU)
 		col := obs.NewCollector(plan.PerRankMsgs(), time.Now())
 		eng.Observer = col

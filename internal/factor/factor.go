@@ -35,6 +35,10 @@ type LU struct {
 	// Elem is the element type of every factor block: Real for Factorize,
 	// Complex for FactorizeShifted.
 	Elem dense.Elem
+	// Symmetric records that the input's values are symmetric within SymTol
+	// (plain transpose: A − zI is when A is), so Û = L̂ᵀ and a symmetric plan
+	// may run on the factorization. Callers select the plan by it.
+	Symmetric bool
 	// FactorFlops is the floating-point operation count of the numeric
 	// factorization, used as the SuperLU_DIST cost reference by the timing
 	// simulator.
@@ -61,7 +65,7 @@ func (lu *LU) UBlock(k, j int) (*dense.Matrix, bool) {
 // permuted to the ordering the block pattern was computed for).
 func Factorize(a *sparse.CSC, bp *etree.BlockPattern) (*LU, error) {
 	work := blockmat.FromCSC(bp.Part, a)
-	return factorize(work, bp, dense.Real)
+	return factorize(work, bp, dense.Real, a.IsSymmetric(SymTol))
 }
 
 // FactorizeShifted computes the block LU factorization of A − zI over the
@@ -88,12 +92,16 @@ func FactorizeShifted(a *sparse.CSC, z complex128, bp *etree.BlockPattern) (*LU,
 		jc := j - part.Start[kj]
 		work.EnsureZero(kj, kj).ZAdd(jc, jc, -z)
 	}
-	return factorize(work, bp, dense.Complex)
+	return factorize(work, bp, dense.Complex, a.IsSymmetric(SymTol))
 }
 
+// SymTol is the value-symmetry tolerance: a matrix with
+// |a(i,j) − a(j,i)| ≤ SymTol everywhere takes the symmetric path.
+const SymTol = 1e-14
+
 // factorize runs the right-looking numeric loop over an assembled block
-// matrix of either element type.
-func factorize(work *blockmat.BlockMatrix, bp *etree.BlockPattern, elem dense.Elem) (*LU, error) {
+// matrix of either element type; symmetric is the input's value symmetry.
+func factorize(work *blockmat.BlockMatrix, bp *etree.BlockPattern, elem dense.Elem, symmetric bool) (*LU, error) {
 	part := bp.Part
 	ns := bp.NumSnodes()
 	work.Elem = elem
@@ -107,7 +115,7 @@ func factorize(work *blockmat.BlockMatrix, bp *etree.BlockPattern, elem dense.El
 			}
 		}
 	}
-	lu := &LU{BP: bp, Diag: make([]*dense.Matrix, ns), F: work, Elem: elem}
+	lu := &LU{BP: bp, Diag: make([]*dense.Matrix, ns), F: work, Elem: elem, Symmetric: symmetric}
 	for k := 0; k < ns; k++ {
 		dk := work.MustGet(k, k)
 		if err := dense.LU(dk); err != nil {

@@ -54,6 +54,7 @@ type BatchResult struct {
 	Density []float64
 	Stats   []BatchPoleStats
 	Elapsed time.Duration
+	Path    string // as Result.Path
 }
 
 // facJob carries one pole's factorization through the pipeline.
@@ -74,7 +75,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 	}
 	start := time.Now()
 	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
-		Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: false, Balancer: cfg.Balancer,
+		Scheme: cfg.Scheme, Seed: cfg.Seed, Balancer: cfg.Balancer,
 	}, cfg.DAG, cfg.Timeout)
 
 	// Producer: numeric factorizations, in pole order, one queued beyond
@@ -104,6 +105,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 	res := &BatchResult{
 		Density: make([]float64, h.A.N),
 		Stats:   make([]BatchPoleStats, len(cfg.Poles)),
+		Path:    s.path,
 	}
 	for i := range res.Density {
 		res.Density[i] = 0.5

@@ -59,32 +59,46 @@ func TestBatchMatchesRunComplexSerial(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesRunComplexDistributed: on four ranks RunBatch reproduces
+// RunComplex bit for bit — one plan, one fold order — on the symmetric plan
+// a symmetric H selects and on the general plan an Asymmetrize'd H does,
+// and both agree with the serial batch and the dense expansion to rounding.
 func TestBatchMatchesRunComplexDistributed(t *testing.T) {
-	h := sparse.Grid2D(8, 8, 5)
 	poles := mustPoles(t, 4, 2.0, 50.0)
-	cc := ComplexConfig{
-		Poles: poles, Relax: 4, MaxWidth: 16,
-		Procs: 4, Scheme: core.ShiftedBinaryTree, Balancer: core.WorkBalancer, Seed: 7,
-	}
-	single, err := RunComplex(h, cc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := RunBatch(h, BatchConfig{
-		Poles: poles, Relax: 4, MaxWidth: 16,
-		Procs: 4, Scheme: core.ShiftedBinaryTree, Balancer: core.WorkBalancer, Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameBits(t, single.Density, batch.Density, "distributed batch vs RunComplex")
+	for _, symmetric := range []bool{true, false} {
+		h := sparse.Grid2D(8, 8, 5)
+		if !symmetric {
+			h = sparse.Asymmetrize(h, 9, 0.5)
+		}
+		pc := core.PlanConfig{Scheme: core.ShiftedBinaryTree, Balancer: core.WorkBalancer, Seed: 7}
+		if got := newPoleSolver(h, 4, 16, 4, pc, false, 0).tmpl.Plan.Symmetric; got != symmetric {
+			t.Fatalf("%s: pole solver planned Symmetric=%v", h.Name, got)
+		}
+		cc := ComplexConfig{
+			Poles: poles, Relax: 4, MaxWidth: 16,
+			Procs: 4, Scheme: pc.Scheme, Balancer: pc.Balancer, Seed: pc.Seed,
+		}
+		single, err := RunComplex(h, cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := RunBatch(h, BatchConfig{
+			Poles: poles, Relax: 4, MaxWidth: 16,
+			Procs: 4, Scheme: pc.Scheme, Balancer: pc.Balancer, Seed: pc.Seed,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, single.Density, batch.Density, h.Name+": distributed batch vs RunComplex")
 
-	// Against the serial reference the four ranks agree to rounding.
-	serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
-	if err != nil {
-		t.Fatal(err)
+		// Against the serial reference the four ranks agree to rounding.
+		serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nearDensity(t, serial.Density, batch.Density, h.Name+": distributed batch vs serial batch")
+		nearDensity(t, denseTruncatedFermi(t, h.A, poles), batch.Density, h.Name+": distributed batch vs dense expansion")
 	}
-	nearDensity(t, serial.Density, batch.Density, "distributed batch vs serial batch")
 }
 
 // TestBatchDagMatchesSequential: the DAG scheduler must not move a bit of

@@ -51,11 +51,12 @@ type ComplexConfig struct {
 	Relax    int
 	MaxWidth int
 	Parallel bool // run poles concurrently
-	// Procs > 1 evaluates each pole on the distributed engine (general
-	// plan) instead of the serial kernel; the engine agrees with the
-	// serial reference to rounding and is bit-reproducible for one plan,
-	// so the density is the same either way within 1e-9. The remaining
-	// knobs configure the engine and are ignored for Procs ≤ 1.
+	// Procs > 1 evaluates each pole on the distributed engine instead of
+	// the serial kernel, on the plan H's values select (H − zI is complex
+	// symmetric when H is symmetric); the engine agrees with the serial
+	// reference to rounding and is bit-reproducible for one plan, so the
+	// density is the same either way within 1e-9. The remaining knobs
+	// configure the engine and are ignored for Procs ≤ 1.
 	Procs    int
 	Scheme   core.Scheme
 	Balancer core.Balancer
@@ -73,6 +74,7 @@ type ComplexResult struct {
 	// chemical-potential searches).
 	LogDets []complex128
 	Elapsed time.Duration
+	Path    string // as Result.Path
 }
 
 // RunComplex evaluates the truncated Fermi-operator expansion using the
@@ -85,9 +87,9 @@ func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) 
 	}
 	start := time.Now()
 	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
-		Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: false, Balancer: cfg.Balancer,
+		Scheme: cfg.Scheme, Seed: cfg.Seed, Balancer: cfg.Balancer,
 	}, cfg.DAG, cfg.Timeout)
-	res := &ComplexResult{LogDets: make([]complex128, len(cfg.Poles))}
+	res := &ComplexResult{LogDets: make([]complex128, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
 	err := forEachPole(len(cfg.Poles), cfg.Parallel, func(l int) error {
 		pole := cfg.Poles[l]

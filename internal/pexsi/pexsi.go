@@ -96,6 +96,9 @@ type Result struct {
 	Density []float64
 	Stats   []PoleStats
 	Elapsed time.Duration
+	// Path names what inverted the poles: "serial", or the engine plan the
+	// Hamiltonian's values selected, "symmetric" or "general".
+	Path string
 }
 
 // poleSolver is what the poles of one expansion share: every shifted
@@ -105,23 +108,28 @@ type Result struct {
 type poleSolver struct {
 	an      *etree.Analysis
 	tmpl    *pselinv.Engine // nil: the serial reference inverts
+	path    string          // the results' Path
 	dag     bool
 	timeout time.Duration
 }
 
+// newPoleSolver analyzes h and, for procs > 1, builds the engine template on
+// the plan h's values select: a diagonal shift keeps their symmetry.
 func newPoleSolver(h *sparse.Generated, relax, maxWidth, procs int, pc core.PlanConfig, dag bool, timeout time.Duration) *poleSolver {
 	if timeout == 0 {
 		timeout = 5 * time.Minute
 	}
-	s := &poleSolver{an: exp.PrepareSymbolic(h, relax, maxWidth).An, dag: dag, timeout: timeout}
+	s := &poleSolver{an: exp.PrepareSymbolic(h, relax, maxWidth).An, path: "serial", dag: dag, timeout: timeout}
 	if procs > 1 {
+		pc.Symmetric = h.A.IsSymmetric(factor.SymTol)
+		s.path = map[bool]string{true: "symmetric", false: "general"}[pc.Symmetric]
 		s.tmpl = pselinv.NewEngine(core.NewPlanConfig(s.an.BP, procgrid.Squarish(procs), pc), nil)
 	}
 	return s
 }
 
 // accumulate inverts one factorized pole — on the engine template, or on
-// the serial reference a one-rank engine run is bit-identical to — adds
+// the serial reference the engine agrees with to rounding — adds
 // weight × the inverse's diagonal to acc in the original ordering, and
 // returns the inverse's storage to the arena, so the next pole reuses it.
 func (s *poleSolver) accumulate(lu *factor.LU, weight complex128, acc []float64) (maxSentMB float64, elapsed time.Duration, err error) {
@@ -203,9 +211,9 @@ func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 	}
 	start := time.Now()
 	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.ProcsPerPole, core.PlanConfig{
-		Scheme: cfg.Scheme, Seed: cfg.Seed, Symmetric: true, Balancer: cfg.Balancer,
+		Scheme: cfg.Scheme, Seed: cfg.Seed, Balancer: cfg.Balancer,
 	}, cfg.DAG, cfg.Timeout)
-	res := &Result{Stats: make([]PoleStats, len(cfg.Poles))}
+	res := &Result{Stats: make([]PoleStats, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
 	err := forEachPole(len(cfg.Poles), cfg.Parallel, func(l int) error {
 		pole := cfg.Poles[l]

@@ -125,20 +125,23 @@ func TestRunErrorsWithoutPoles(t *testing.T) {
 	}
 }
 
+// TestRunAsymmetricHamiltonian: an asymmetric H must take the general path
+// on several ranks per pole as well as the serial one on a single rank (Run
+// used to pin the symmetric plan without looking at H, and returned the
+// mirrored inverse's density).
 func TestRunAsymmetricHamiltonian(t *testing.T) {
 	h := sparse.RandomAsym(25, 3, 7)
 	poles := FermiPoles(2, 1, 2)
-	// Asymmetric Hamiltonians run through the sequential per-pole path
-	// here (ProcsPerPole 1) — the general parallel path is covered by the
-	// engine's own tests.
-	res, err := Run(h, Config{Poles: poles, ProcsPerPole: 1, MaxWidth: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := densityReference(t, h.A, poles)
-	for i := range want {
-		if math.Abs(res.Density[i]-want[i]) > 1e-8 {
-			t.Fatalf("asym density[%d] wrong", i)
+	for _, procs := range []int{1, 4} {
+		res, err := Run(h, Config{Poles: poles, ProcsPerPole: procs, MaxWidth: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Abs(res.Density[i]-want[i]) > 1e-8 {
+				t.Fatalf("procs %d: asym density[%d] wrong", procs, i)
+			}
 		}
 	}
 }

@@ -1,9 +1,12 @@
 package pselinv
 
 import (
+	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
@@ -15,6 +18,7 @@ import (
 	"pselinv/internal/selinv"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
+	"pselinv/internal/tcptransport"
 )
 
 // prepAsym builds the pipeline for an asymmetric-valued matrix.
@@ -199,5 +203,51 @@ func TestQuickAsymmetricParallel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSymmetricPlanOnAsymmetricValuesRejected pins the guard that replaced
+// the element-type refusal: the symmetric program mirrors A⁻¹_{J,K} into
+// (K,J) and uses L̂ᵀ for Û, so on asymmetric values it would return a wrong
+// inverse with every conservation check green. Binding one to the other
+// must fail with a symmetryError for real and complex factorizations, on
+// the in-process world and on a TCP world alike, before a message is sent;
+// the general plan on the same factorizations is what the tests above run.
+func TestSymmetricPlanOnAsymmetricValuesRejected(t *testing.T) {
+	g := sparse.Asymmetrize(sparse.Grid2D(5, 5, 2), 3, 0.5)
+	an, lu, _ := prepAsym(t, g, etree.Options{MaxWidth: 5})
+	zlu, err := factor.FactorizeShifted(an.A, complex(0, 1), an.BP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireRejected := func(label string, elem dense.Elem, err error) {
+		t.Helper()
+		var se symmetryError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: error is %T (%v), want a symmetryError", label, err, err)
+		}
+		if !strings.Contains(se.Error(), elem.String()+" factorization") {
+			t.Fatalf("%s: error %q does not name the %v factorization", label, se, elem)
+		}
+	}
+	for _, f := range []*factor.LU{lu, zlu} {
+		if f.Symmetric {
+			t.Fatalf("%v factorization of %s recorded symmetric values", f.Elem, g.Name)
+		}
+		_, err := NewEngine(core.NewPlan(an.BP, procgrid.New(2, 2), core.ShiftedBinaryTree, 1), f).Run(testTimeout)
+		requireRejected("in-process", f.Elem, err)
+
+		l, err := tcptransport.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := l.Connect(tcptransport.Config{Rank: 0, Addrs: []string{l.Addr()}, SetupTimeout: 20 * time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		world := simmpi.NewWorldOn(tr)
+		_, err = NewEngine(core.NewPlan(an.BP, procgrid.New(1, 1), core.ShiftedBinaryTree, 1), f).RunWorld(world, testTimeout)
+		world.Close()
+		requireRejected("tcp", f.Elem, err)
 	}
 }

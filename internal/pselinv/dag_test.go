@@ -142,20 +142,26 @@ func TestDagByteIdenticalTopoSchemes(t *testing.T) {
 }
 
 // DAG runs must also be reproducible against themselves across repeated
-// runs (fresh pool schedules each time) and on the asymmetric path.
+// runs (fresh pool schedules each time) and on the asymmetric path. (Until
+// the engine refused a symmetric plan on asymmetric values this test ran
+// one through core.NewPlan and compared garbage with garbage.)
 func TestDagReproducibleAcrossRunsAsymmetric(t *testing.T) {
 	withPoolWorkers(t, 4)
 	g := sparse.RandomAsym(60, 5, 2)
-	an, lu, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 6})
-	grid := procgrid.New(2, 2)
-	base := runMode(t, an, lu, grid, core.ShiftedBinaryTree, 9, true)
-	seq := runMode(t, an, lu, grid, core.ShiftedBinaryTree, 9, false)
-	if msg := diffBits(base, seq); msg != "" {
+	an, lu, ref := prep(t, g, etree.Options{Relax: 2, MaxWidth: 6})
+	plan := core.NewPlanConfig(an.BP, procgrid.New(2, 2), core.PlanConfig{
+		Scheme: core.ShiftedBinaryTree, Seed: 9, Symmetric: lu.Symmetric,
+	})
+	if plan.Symmetric {
+		t.Fatal("RandomAsym factorization recorded symmetric values")
+	}
+	base := runPlan(t, plan, lu, true)
+	requireNearReference(t, "asymmetric dag", ref, base)
+	if msg := diffBits(base, runPlan(t, plan, lu, false)); msg != "" {
 		t.Fatalf("asymmetric dag vs sequential: %s", msg)
 	}
 	for rep := 0; rep < 3; rep++ {
-		again := runMode(t, an, lu, grid, core.ShiftedBinaryTree, 9, true)
-		if msg := diffBits(base, again); msg != "" {
+		if msg := diffBits(base, runPlan(t, plan, lu, true)); msg != "" {
 			t.Fatalf("asymmetric dag rerun %d: %s", rep, msg)
 		}
 	}

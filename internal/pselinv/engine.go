@@ -225,15 +225,6 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 	return &Engine{Plan: plan, LU: lu, programs: progs, heights: core.SnodeHeights(plan.BP.SnParent)}
 }
 
-// elem returns the element type of the bound factorization (Real for an
-// unbound plan template).
-func (e *Engine) elem() dense.Elem {
-	if e.LU != nil {
-		return e.LU.Elem
-	}
-	return dense.Real
-}
-
 // Rebind returns a copy of the engine bound to a different numeric
 // factorization. The plan-derived per-rank programs — the expensive part of
 // NewEngine, proportional to the total task count — are shared with the
@@ -308,10 +299,14 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 // only their A⁻¹ blocks; volume conservation is then a cross-process
 // property the launcher checks after aggregating worker counters (see
 // internal/distrun), so the local check is skipped.
+//
+// A symmetric plan needs symmetric values, real or complex (A − zI is
+// symmetric under the plain transpose): on asymmetric ones the run fails
+// with a symmetryError before a message is sent. The general plan is
+// correct for either, at ×1.7 the bytes.
 func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResult, error) {
-	if e.elem() == dense.Complex && e.Plan.Symmetric {
-		return nil, fmt.Errorf("pselinv: complex factorization requires a general (non-symmetric) plan — " +
-			"the symmetric path's transpose mirror has no op-free complex kernel")
+	if e.Plan.Symmetric && !e.LU.Symmetric {
+		return nil, symmetryError{fmt.Errorf("pselinv: symmetric plan bound to a %s factorization of asymmetric values (plan with Symmetric = LU.Symmetric)", e.LU.Elem)}
 	}
 	states := make([]*rankState, world.P)
 	scheme := e.Plan.Scheme.String()
@@ -447,6 +442,11 @@ func (red *redState) localDone(pos int, out *dense.Matrix) {
 	red.fold(pos, data)
 }
 
+// symmetryError reports a symmetric plan bound to a factorization of
+// asymmetric values: the symmetric program mirrors A⁻¹_{J,K} into (K,J) and
+// uses L̂ᵀ for Û, so it would return a wrong inverse with no other symptom.
+type symmetryError struct{ error }
+
 // reduceError reports a reduce message that cannot belong to the collective
 // its tag names. It fails the run instead of corrupting the fold.
 type reduceError struct {
@@ -521,7 +521,7 @@ type rankState struct {
 func newRankState(e *Engine, r *simmpi.Rank) *rankState {
 	st := &rankState{
 		e: e, r: r, prog: e.programs[r.ID],
-		elem:      e.elem(),
+		elem:      e.LU.Elem,
 		lhat:      map[blockKey]*dense.Matrix{},
 		diagFact:  map[int]*dense.Matrix{},
 		ainv:      map[blockKey]*dense.Matrix{},
@@ -602,23 +602,14 @@ func (st *rankState) release() {
 // --- Pass 1: diagonal broadcast + TRSM normalization -----------------------
 
 func (st *rankState) runPass1() {
-	me := st.r.ID
 	for _, k := range st.prog.diagRoots {
 		dk := st.e.LU.Diag[k]
 		st.diagFact[k] = dk
 		sp := st.e.Plan.Snodes[k]
-		end := st.collSpan("diag-bcast", k, sp.DiagBcast.Tree)
-		for _, c := range sp.DiagBcast.Tree.Children(me) {
-			st.r.Send(c, sp.DiagBcast.Key(), simmpi.ClassDiagBcast, dk.Data)
-		}
-		end()
+		st.forwardDiag(sp.DiagBcast, dk)
 		st.doTrsms(k)
 		if !st.e.Plan.Symmetric {
-			end := st.collSpan("diag-bcast", k, sp.DiagBcastRow.Tree)
-			for _, c := range sp.DiagBcastRow.Tree.Children(me) {
-				st.r.Send(c, sp.DiagBcastRow.Key(), simmpi.ClassDiagBcast, dk.Data)
-			}
-			end()
+			st.forwardDiag(sp.DiagBcastRow, dk)
 			st.doTrsmsU(k)
 		}
 	}
@@ -627,25 +618,17 @@ func (st *rankState) runPass1() {
 		if !ok {
 			panic("pselinv: world closed during pass 1")
 		}
-		kind, k, _ := decodeKey(msg.Tag)
+		kind, k, _ := core.DecodeOpKey(msg.Tag)
 		w := st.width(k)
 		dk := matFromData(w, w, st.elem, msg.Data)
 		st.diagFact[k] = dk
 		sp := st.e.Plan.Snodes[k]
 		switch kind {
 		case core.OpDiagBcast:
-			end := st.collSpan("diag-bcast", k, sp.DiagBcast.Tree)
-			for _, c := range sp.DiagBcast.Tree.Children(me) {
-				st.r.Send(c, sp.DiagBcast.Key(), simmpi.ClassDiagBcast, dk.Data)
-			}
-			end()
+			st.forwardDiag(sp.DiagBcast, dk)
 			st.doTrsms(k)
 		case core.OpDiagBcastRow:
-			end := st.collSpan("diag-bcast", k, sp.DiagBcastRow.Tree)
-			for _, c := range sp.DiagBcastRow.Tree.Children(me) {
-				st.r.Send(c, sp.DiagBcastRow.Key(), simmpi.ClassDiagBcast, dk.Data)
-			}
-			end()
+			st.forwardDiag(sp.DiagBcastRow, dk)
 			st.doTrsmsU(k)
 		default:
 			panic(fmt.Sprintf("pselinv: unexpected %v message in pass 1", kind))
@@ -658,6 +641,17 @@ func (st *rankState) runPass1() {
 		// waits above.
 		st.sched.drain()
 	}
+}
+
+// forwardDiag sends the packed diagonal factor dk to this rank's children in
+// the pass-1 broadcast op (down the column, or along the row on the general
+// path).
+func (st *rankState) forwardDiag(op *core.CollOp, dk *dense.Matrix) {
+	end := st.collSpan("diag-bcast", op.K, op.Tree)
+	for _, c := range op.Tree.Children(st.r.ID) {
+		st.r.Send(c, op.Key(), simmpi.ClassDiagBcast, dk.Data)
+	}
+	end()
 }
 
 // doTrsms normalizes every owned L block in column k:
@@ -748,10 +742,6 @@ func (st *rankState) runPass2() {
 	}
 }
 
-func decodeKey(tag uint64) (kind core.OpKind, k, blk int) {
-	return core.DecodeOpKey(tag)
-}
-
 // cIndex locates blk within the sorted C of a supernode plan.
 func cIndex(c []int, blk int) int {
 	x := sort.SearchInts(c, blk)
@@ -762,23 +752,14 @@ func cIndex(c []int, blk int) int {
 }
 
 func (st *rankState) handle(msg simmpi.Message) {
-	kind, k, blk := decodeKey(msg.Tag)
+	kind, k, blk := core.DecodeOpKey(msg.Tag)
 	sp := st.e.Plan.Snodes[k]
 	me := st.r.ID
 	switch kind {
-	case core.OpCrossSend:
-		// I'm the owner of (K, I): the broadcast root. Store L̂_{I,K} and
-		// start the Col-Bcast down processor column I.
-		i := blk
-		lh := matFromData(st.width(i), st.width(k), st.elem, msg.Data)
-		cb := &sp.ColBcasts[cIndex(sp.C, i)]
-		end := st.collSpan("col-bcast", k, cb.Tree)
-		for _, c := range cb.Tree.Children(me) {
-			st.r.Send(c, cb.Key(), simmpi.ClassColBcast, lh.Data)
-		}
-		end()
-		st.bcastArrived(k, i, lh)
-	case core.OpColBcast:
+	case core.OpCrossSend, core.OpColBcast:
+		// L̂_{I,K} arrives — by cross-send at the owner of (K, I), the
+		// broadcast root, else from the tree parent: store it and forward it
+		// down processor column I.
 		i := blk
 		lh := matFromData(st.width(i), st.width(k), st.elem, msg.Data)
 		cb := &sp.ColBcasts[cIndex(sp.C, i)]
@@ -805,11 +786,11 @@ func (st *rankState) handle(msg simmpi.Message) {
 		up := dense.GetMatrixUninitElem(low.Cols, low.Rows, low.Elem)
 		low.TransposeInto(up)
 		st.finalize(blockKey{k, j}, up)
-	case core.OpCrossSendU:
-		// I'm the owner of (I, K): the row-broadcast root. Store Û_{K,I},
-		// start the Row-Bcast, and — since I'm also the Row-Reduce root
-		// for block (I,K) — check whether the diagonal contribution for
-		// this block can now fire.
+	case core.OpCrossSendU, core.OpRowBcast:
+		// Û_{K,I} arrives — by cross-send at the owner of (I, K), the
+		// row-broadcast root, else from the tree parent: store it and forward
+		// it along processor row I. The root is also the Row-Reduce root for
+		// block (I,K), so the diagonal contribution for it may now fire.
 		i := blk
 		uh := matFromData(st.width(k), st.width(i), st.elem, msg.Data)
 		rb := &sp.RowBcasts[cIndex(sp.C, i)]
@@ -819,17 +800,9 @@ func (st *rankState) handle(msg simmpi.Message) {
 		}
 		end()
 		st.bcastUArrived(k, i, uh)
-		st.tryDiagContribAsym(k, i)
-	case core.OpRowBcast:
-		i := blk
-		uh := matFromData(st.width(k), st.width(i), st.elem, msg.Data)
-		rb := &sp.RowBcasts[cIndex(sp.C, i)]
-		end := st.collSpan("row-bcast", k, rb.Tree)
-		for _, c := range rb.Tree.Children(me) {
-			st.r.Send(c, rb.Key(), simmpi.ClassRowBcast, uh.Data)
+		if kind == core.OpCrossSendU {
+			st.tryDiagContribAsym(k, i)
 		}
-		end()
-		st.bcastUArrived(k, i, uh)
 	case core.OpColReduce:
 		j := blk
 		red := st.getColRed(k, j)

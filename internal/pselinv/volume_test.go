@@ -81,8 +81,8 @@ type volumeMode struct {
 	lu        *factor.LU
 }
 
-// volumeModes returns the real symmetric, real general and complex general
-// modes over one analysis.
+// volumeModes returns the real and complex × symmetric and general modes
+// over one analysis of symmetric values (on which either plan is valid).
 func volumeModes(t *testing.T, an *etree.Analysis, lu *factor.LU) []volumeMode {
 	t.Helper()
 	zlu, err := factor.FactorizeShifted(an.A, complex(0.5, 1.5), an.BP)
@@ -92,13 +92,14 @@ func volumeModes(t *testing.T, an *etree.Analysis, lu *factor.LU) []volumeMode {
 	return []volumeMode{
 		{"real-symmetric", true, lu},
 		{"real-general", false, lu},
+		{"complex-symmetric", true, zlu},
 		{"complex-general", false, zlu},
 	}
 }
 
 // TestMeasuredVolumesMatchPlanExactly cross-validates the executed traffic
 // against the analytic plan on several grids and schemes, in every engine
-// mode: {sequential, DAG} × {real symmetric, real general, complex general}.
+// mode: {sequential, DAG} × {real, complex} × {symmetric, general}.
 func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
 	withPoolWorkers(t, 4)
 	g := sparse.Grid2D(9, 8, 6)

@@ -76,56 +76,72 @@ func postBatch(t *testing.T, url string, req *BatchRequest) (status int, hdr *Ba
 }
 
 // TestServeComplexPole pins the single-pole complex path of /v1/selinv
-// against the library's serial complex reference: the four-rank engine
-// brackets its reductions differently from the serial loop, so the two
-// agree within the 1e-9 parity tolerance.
+// against the library's serial complex reference, on an upload of symmetric
+// values (which must run, and report, the symmetric path) and on the same
+// pattern Asymmetrize'd (the general path): the four-rank engine brackets
+// its reductions differently from the serial loop, so the two agree within
+// the 1e-9 parity tolerance.
 func TestServeComplexPole(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	req := &Request{
-		Matrix:   MatrixSpec{Kind: "grid2d", NX: 8, NY: 8, Seed: 5},
-		ZRe:      0.7,
-		ZIm:      1.3,
-		Procs:    4,
-		Diagonal: true,
-	}
-	hr, resp := postJSON(t, ts.URL, req)
-	if resp == nil {
-		t.Fatalf("status %d", hr.StatusCode)
-	}
-	if !resp.Complex || resp.Symmetric {
-		t.Fatalf("complex run flags: complex=%v symmetric=%v", resp.Complex, resp.Symmetric)
-	}
-	if len(resp.Diagonal) != 0 {
-		t.Fatal("complex response carries a real diagonal")
-	}
-	m := pselinv.Grid2D(8, 8, 5)
-	sym, err := pselinv.AnalyzePattern(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys, err := sym.FactorizeShifted(m, complex(0.7, 1.3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	inv, err := sys.SelInv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := inv.DiagonalComplex()
-	if len(resp.DiagonalRe) != len(want) || len(resp.DiagonalIm) != len(want) {
-		t.Fatalf("diagonal lengths %d/%d, want %d", len(resp.DiagonalRe), len(resp.DiagonalIm), len(want))
-	}
-	for i, v := range want {
-		if !(math.Abs(resp.DiagonalRe[i]-real(v)) <= 1e-9 && math.Abs(resp.DiagonalIm[i]-imag(v)) <= 1e-9) {
-			t.Fatalf("diagonal[%d] = (%g, %g), want %v", i, resp.DiagonalRe[i], resp.DiagonalIm[i], v)
+	for _, symmetric := range []bool{true, false} {
+		gen := pselinv.Grid2D(8, 8, 5)
+		if !symmetric {
+			gen.Asymmetrize(11, 0.5)
 		}
-	}
-	ld, err := sys.LogDet()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.LogDetRe != real(ld) || resp.LogDetIm != imag(ld) {
-		t.Fatalf("logdet (%g, %g), want %v", resp.LogDetRe, resp.LogDetIm, ld)
+		var mm strings.Builder
+		if err := gen.WriteMatrixMarket(&mm); err != nil {
+			t.Fatal(err)
+		}
+		// The reference analyzes the upload as the daemon does: no geometry.
+		m, err := pselinv.FromMatrixMarket(strings.NewReader(mm.String()), "upload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := &Request{
+			Matrix:   MatrixSpec{Kind: "matrixmarket", Data: mm.String()},
+			ZRe:      0.7,
+			ZIm:      1.3,
+			Procs:    4,
+			Diagonal: true,
+		}
+		hr, resp := postJSON(t, ts.URL, req)
+		if resp == nil {
+			t.Fatalf("status %d", hr.StatusCode)
+		}
+		if !resp.Complex || resp.Symmetric != symmetric {
+			t.Fatalf("complex run flags on a symmetric=%v upload: complex=%v symmetric=%v", symmetric, resp.Complex, resp.Symmetric)
+		}
+		if len(resp.Diagonal) != 0 {
+			t.Fatal("complex response carries a real diagonal")
+		}
+		sym, err := pselinv.AnalyzePattern(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := sym.FactorizeShifted(m, complex(0.7, 1.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		inv, err := sys.SelInv()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := inv.DiagonalComplex()
+		if len(resp.DiagonalRe) != len(want) || len(resp.DiagonalIm) != len(want) {
+			t.Fatalf("diagonal lengths %d/%d, want %d", len(resp.DiagonalRe), len(resp.DiagonalIm), len(want))
+		}
+		for i, v := range want {
+			if !(math.Abs(resp.DiagonalRe[i]-real(v)) <= 1e-9 && math.Abs(resp.DiagonalIm[i]-imag(v)) <= 1e-9) {
+				t.Fatalf("symmetric=%v: diagonal[%d] = (%g, %g), want %v", symmetric, i, resp.DiagonalRe[i], resp.DiagonalIm[i], v)
+			}
+		}
+		ld, err := sys.LogDet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.LogDetRe != real(ld) || resp.LogDetIm != imag(ld) {
+			t.Fatalf("logdet (%g, %g), want %v", resp.LogDetRe, resp.LogDetIm, ld)
+		}
 	}
 	// A real pole off the shift field is rejected.
 	bad := &Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, ZRe: 2.0}

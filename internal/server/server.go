@@ -212,11 +212,12 @@ type Request struct {
 	// system is factorized as A − zI with z = z_re + i·z_im (the per-pole
 	// PEXSI problem) and the selected inverse is complex — the diagonal
 	// comes back as diagonal_re/diagonal_im and the response carries
-	// log det(A − zI). Complex runs always use the general communication
-	// path. Their reductions fold in an order fixed by the plan, so a run
-	// is bit-reproducible for one (procs, scheme, balancer, seed); on one
-	// rank it is bit-identical to the serial reference, on several it
-	// agrees with it within 1e-9. A pole on the real axis (z_re set, z_im zero) is
+	// log det(A − zI). The shift keeps the matrix's value symmetry, which
+	// selects the communication path as for real requests (the response's
+	// "symmetric" says which). Reductions fold in an order fixed by the
+	// plan, so a run is bit-reproducible for one (procs, scheme, balancer,
+	// seed) and within 1e-9 of the serial reference at every rank count.
+	// A pole on the real axis (z_re set, z_im zero) is
 	// rejected: the shifted system could be singular there — use "shift"
 	// for real diagonal shifts.
 	ZRe float64 `json:"z_re,omitempty"`

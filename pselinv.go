@@ -398,21 +398,20 @@ func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pselinv: factorization of %s failed: %w", m.Name(), err)
 	}
-	return &System{
-		m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu,
-		symmetric: m.gen.A.IsSymmetric(1e-14),
-	}, nil
+	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
 }
 
 // FactorizeShifted numerically factorizes A − zI for a complex shift z
 // against this symbolic analysis, returning a System whose selected
 // inverses are complex — the per-pole kernel of the PEXSI workload. The
 // matrix must share the pattern the analysis was built from (the shift
-// only touches the diagonal, so the pattern is unchanged). Complex systems
-// always use the general (asymmetric) communication path. A parallel run
-// is bit-reproducible for one plan (grid, scheme, balancer, seed); on one
-// rank it is bit-identical to SelInv, on several it agrees with it within
-// 1e-9.
+// only touches the diagonal, so the pattern is unchanged). It also keeps
+// m's value symmetry — A − zI is complex symmetric (plain transpose) when A
+// is symmetric — so, as for Factorize, symmetric values take the paper's
+// symmetric communication path (Û = L̂ᵀ) and asymmetric ones the general
+// path. A parallel run is bit-reproducible for one plan (grid, scheme,
+// balancer, seed) and agrees with SelInv within 1e-9 at every rank count;
+// a one-rank run of the general plan is bit-identical to it.
 func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
 	if err := sy.checkPattern(m); err != nil {
 		return nil, err
@@ -421,8 +420,7 @@ func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pselinv: complex factorization of %s failed: %w", m.Name(), err)
 	}
-	// symmetric=false: the complex engine requires the general plan.
-	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: false}, nil
+	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
 }
 
 // engineTemplate returns the cached engine template (communication plan +

@@ -166,8 +166,12 @@ func TestChaosSeedOptionPublicAPI(t *testing.T) {
 // scheduler — the benchmark's pexsi_z16_p16 plan) through the public API and
 // pins what its reductions put on the wire: one block per tree edge, so the
 // heaviest Row-Reduce receiver gets exactly the plan's 303,360 bytes (a
-// tree gather of unsummed contributions would deliver 454,264). With -v it
-// prints the per-class volume table of EXPERIMENTS.md "One block per edge".
+// tree gather of unsummed contributions would deliver 454,264). The DG
+// matrix is symmetric, so A − zI is complex symmetric and the pole runs the
+// paper's symmetric path: 7,279,104 bytes in all and 818,688 from the
+// heaviest sender (the general plan it used to be pinned to moves
+// 12,295,424 and 1,235,968). With -v it prints the per-class volume table
+// of EXPERIMENTS.md "One block per edge".
 func TestFlagshipComplexDagVolumes(t *testing.T) {
 	m := DG2D(16, 16, 4, 1)
 	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
@@ -177,6 +181,9 @@ func TestFlagshipComplexDagVolumes(t *testing.T) {
 	sys, err := sym.FactorizeShifted(m, complex(0, 0.3))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !sys.Symmetric() {
+		t.Fatal("shifted system of a symmetric matrix does not take the symmetric path")
 	}
 	sys.SetDAG(true)
 	res, _, rep, err := sys.ParallelSelInvObserved(16, ShiftedBinaryTree, 1)
@@ -204,6 +211,9 @@ func TestFlagshipComplexDagVolumes(t *testing.T) {
 	}
 	t.Logf("%-12s %9.6f MB, heaviest sender %.6f MB, heaviest Row-Reduce receiver %.6f MB",
 		"total", float64(total)/1e6, res.MaxSentMB(), maxRecv)
+	if total != 7279104 || res.MaxSentMB() != 0.818688 {
+		t.Errorf("run moved %d bytes, %.6f MB from the heaviest sender; the symmetric plan moves 7279104 and 0.818688", total, res.MaxSentMB())
+	}
 }
 
 func TestParallelVolumesExposed(t *testing.T) {
