@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test tier1 bench bench-smoke bench-gemm bench-baseline \
 	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
-	tcp-obs balancer-smoke pexsi-batch surface fmt-check clean
+	tcp-obs balancer-smoke pexsi-batch surface surface-gate fmt-check clean
 
 all: build test bench-smoke
 
@@ -52,6 +52,18 @@ surface:
 	@echo "exported identifiers: $$($(SURFACE_FILES) | xargs grep -hE '^func (\([^)]*\) )?[A-Z]|^type [A-Z]' | wc -l)"
 	@echo "cmd flag declarations: $$(grep -rhoE 'flag\.(Bool|Duration|Float64|Int|Int64|String|Uint|Uint64)(Var)?\(' cmd | wc -l)"
 
+# CI's check that the size metric does not creep: fails, naming the number,
+# when non-test lines, exported identifiers or cmd flag declarations exceed
+# the committed baseline (the package count is printed, not gated). A PR that
+# lowers a number commits the new baseline: `make surface > .github/surface-baseline.txt`.
+surface-gate:
+	@$(MAKE) -s surface | awk -F': *' ' \
+		NR == FNR { base[$$1] = $$2; next } \
+		{ print } \
+		$$1 != "packages" && $$2 + 0 > base[$$1] + 0 { \
+			printf "surface-gate: %s rose to %d, baseline %d\n", $$1, $$2, base[$$1]; bad = 1 } \
+		END { exit bad }' .github/surface-baseline.txt -
+
 # Seeded adversarial-scheduling sweep: every chaos seed must reproduce the
 # unperturbed result bit for bit. SEEDS widens the sweep (default 16).
 SEEDS ?= 16
@@ -61,8 +73,8 @@ chaos:
 # Short coverage-guided fuzz runs of the tree constructions and the
 # untrusted-input decoders (one target per invocation, as the fuzz engine
 # requires). The server target skips its package's tests (they include the
-# timed plan-cache SLO) and caps corpus minimization, which otherwise eats
-# the whole budget on JSON-sized inputs.
+# timed plan-cache SLO); it and the snapshot target cap corpus minimization,
+# which otherwise eats the whole budget on JSON-sized inputs.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzBinaryTree -fuzztime $(FUZZTIME)
@@ -72,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzBineTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcptransport/ -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sparse/ -fuzz FuzzReadMatrixMarket -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRequestJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Multi-process smoke: the cross-backend equivalence tests (launcher

@@ -81,45 +81,16 @@ func Snapshot(w *simmpi.World, plan *core.Plan, err error) *Report {
 
 // opTree finds the collective tree for (kind, k, blk) in plan, or nil for
 // point-to-point kinds and unknown ops.
-func opTree(plan *core.Plan, kind core.OpKind, k, blk int) *core.Tree {
-	if plan == nil || k < 0 || k >= len(plan.Snodes) {
+func opTree(plan *core.Plan, kind core.OpKind, k, blk int) (tr *core.Tree) {
+	if plan == nil || k < 0 || k >= len(plan.Snodes) || plan.Snodes[k] == nil {
 		return nil
 	}
-	sp := plan.Snodes[k]
-	if sp == nil {
-		return nil
-	}
-	pickBlk := func(ops []core.CollOp) *core.Tree {
-		for i := range ops {
-			if ops[i].Blk == blk {
-				return ops[i].Tree
-			}
+	plan.Snodes[k].EachOp(func(op *core.CollOp) {
+		if op.Kind == kind && op.Blk == blk {
+			tr = op.Tree
 		}
-		return nil
-	}
-	switch kind {
-	case core.OpDiagBcast:
-		if sp.DiagBcast != nil {
-			return sp.DiagBcast.Tree
-		}
-	case core.OpDiagBcastRow:
-		if sp.DiagBcastRow != nil {
-			return sp.DiagBcastRow.Tree
-		}
-	case core.OpDiagReduce:
-		if sp.DiagReduce != nil {
-			return sp.DiagReduce.Tree
-		}
-	case core.OpColBcast:
-		return pickBlk(sp.ColBcasts)
-	case core.OpRowReduce:
-		return pickBlk(sp.RowReduces)
-	case core.OpRowBcast:
-		return pickBlk(sp.RowBcasts)
-	case core.OpColReduce:
-		return pickBlk(sp.ColReduces)
-	}
-	return nil
+	}, func(*core.PointOp) {})
+	return tr
 }
 
 // String renders the report: blocked-state snapshot, per-class in-flight

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"pselinv/internal/etree"
@@ -144,11 +145,76 @@ func TestPlanManyCollectives(t *testing.T) {
 	// than MPI communicator capacity would allow to pre-create.
 	bp := testPattern(t)
 	p := NewPlan(bp, procgrid.New(4, 4), ShiftedBinaryTree, 1)
-	if p.TotalCollectives() < bp.NumSnodes() {
-		t.Fatalf("suspiciously few collectives: %d", p.TotalCollectives())
+	collectives, groups := 0, map[string]bool{}
+	for _, sp := range p.Snodes {
+		sp.EachOp(func(op *CollOp) {
+			collectives++
+			groups[fmt.Sprint(op.Tree.Participants())] = true
+		}, func(*PointOp) {})
 	}
-	if p.DistinctGroups() < 2 {
-		t.Fatalf("expected multiple distinct groups, got %d", p.DistinctGroups())
+	if collectives < bp.NumSnodes() {
+		t.Fatalf("suspiciously few collectives: %d", collectives)
+	}
+	if len(groups) < 2 {
+		t.Fatalf("expected multiple distinct groups, got %d", len(groups))
+	}
+}
+
+// TestEachOpVisitsEveryOpOnce: the walker reaches every op a supernode holds
+// exactly once, on both plan variants — through the pinned field names, so a
+// field the walker forgot shows up here.
+func TestEachOpVisitsEveryOpOnce(t *testing.T) {
+	bp := testPattern(t)
+	for _, symmetric := range []bool{true, false} {
+		p := NewPlanConfig(bp, procgrid.New(3, 4), PlanConfig{Scheme: BinaryTree, Seed: 2, Symmetric: symmetric})
+		for _, sp := range p.Snodes {
+			want := len(sp.Cross) + len(sp.ColBcasts) + len(sp.RowReduces) + len(sp.SymmSends) +
+				len(sp.CrossU) + len(sp.RowBcasts) + len(sp.ColReduces)
+			for _, op := range []*CollOp{sp.DiagBcast, sp.DiagReduce, sp.DiagBcastRow} {
+				if op != nil {
+					want++
+				}
+			}
+			seen := map[uint64]int{}
+			sp.EachOp(func(op *CollOp) { seen[op.Key()]++ }, func(op *PointOp) { seen[op.Key()]++ })
+			if len(seen) != want {
+				t.Fatalf("symmetric=%v K=%d: walker visited %d distinct ops, supernode holds %d", symmetric, sp.K, len(seen), want)
+			}
+			for key, n := range seen {
+				if n != 1 {
+					t.Fatalf("symmetric=%v K=%d: op %#x visited %d times", symmetric, sp.K, key, n)
+				}
+			}
+		}
+	}
+}
+
+// TestUpperSideMirrorsLower: the upper side is the lower side's program with
+// rows and columns exchanged, so on a square grid under the cyclic map (where
+// owner(i,k) and owner(k,i) are transposes of each other) each upper kind
+// moves exactly the bytes of its lower counterpart. On a 2×8 grid the
+// exchange changes the collectives' participant sets and the totals part.
+func TestUpperSideMirrorsLower(t *testing.T) {
+	bp := testPattern(t)
+	pairs := [][2]OpKind{{OpRowBcast, OpColBcast}, {OpColReduce, OpRowReduce},
+		{OpCrossSendU, OpCrossSend}, {OpDiagBcastRow, OpDiagBcast}}
+	mirrored := func(grid *procgrid.Grid) bool {
+		p := NewPlanConfig(bp, grid, PlanConfig{Scheme: ShiftedBinaryTree, Seed: 5})
+		all := true
+		for _, pr := range pairs {
+			up, low := p.ExpectedBytes(pr[0]), p.ExpectedBytes(pr[1])
+			if up == 0 || low == 0 {
+				t.Fatalf("%v/%v: no traffic (%d, %d)", pr[0], pr[1], up, low)
+			}
+			all = all && up == low
+		}
+		return all
+	}
+	if !mirrored(procgrid.New(4, 4)) {
+		t.Fatal("4x4 cyclic: an upper kind's bytes differ from its lower counterpart's")
+	}
+	if mirrored(procgrid.New(2, 8)) {
+		t.Fatal("2x8: upper and lower totals all equal — the sides are not oriented by the grid")
 	}
 }
 

@@ -243,19 +243,12 @@ func splitmix64(x uint64) uint64 {
 // shift of ShiftedBinaryTree deterministically, so every rank constructs
 // the identical tree independently.
 func NewTree(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64) *Tree {
-	return NewTreeThreshold(scheme, root, ranks, seed, opKey, DefaultHybridThreshold)
+	return NewTreeTopo(scheme, root, ranks, seed, opKey, DefaultHybridThreshold, DefaultTopology())
 }
 
-// NewTreeThreshold is NewTree with an explicit Hybrid flat/shifted
-// threshold. The topology-aware schemes get the default Edison-style
-// placement; use NewTreeTopo to supply one.
-func NewTreeThreshold(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, hybridThreshold int) *Tree {
-	return NewTreeTopo(scheme, root, ranks, seed, opKey, hybridThreshold, DefaultTopology())
-}
-
-// NewTreeTopo is the full constructor: NewTreeThreshold plus an explicit
-// rank→node Topology consumed by TopoShiftedTree and BineTree (the other
-// schemes ignore it).
+// NewTreeTopo is the full constructor: NewTree plus an explicit Hybrid
+// flat/shifted threshold and the rank→node Topology consumed by
+// TopoShiftedTree and BineTree (the other schemes ignore it).
 func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, hybridThreshold int, topo Topology) *Tree {
 	sorted := append([]int(nil), ranks...)
 	sort.Ints(sorted)

@@ -8,31 +8,33 @@ package core
 // the cheap way to evaluate load balance at grids far larger than the
 // numeric path can run (e.g. the paper's literal 46×46 audikw_1 grid).
 
-// allKinds lists every operation kind a plan can hold.
-var allKinds = []OpKind{OpDiagBcast, OpCrossSend, OpColBcast, OpRowReduce,
-	OpDiagReduce, OpSymmSend, OpDiagBcastRow, OpCrossSendU, OpRowBcast, OpColReduce}
-
 // PerRankSent returns bytes sent by each rank for one operation kind
 // (self-sends excluded, as in the engine's accounting).
 func (p *Plan) PerRankSent(kind OpKind) []int64 {
 	out := make([]int64, p.Grid.Size())
-	p.eachMessage(kind, func(src, _ int, bytes int64) { out[src] += bytes })
+	p.eachMessage(func(k OpKind, src, _ int, bytes int64) {
+		if k == kind {
+			out[src] += bytes
+		}
+	})
 	return out
 }
 
 // PerRankRecv returns bytes received by each rank for one operation kind.
 func (p *Plan) PerRankRecv(kind OpKind) []int64 {
 	out := make([]int64, p.Grid.Size())
-	p.eachMessage(kind, func(_, dst int, bytes int64) { out[dst] += bytes })
+	p.eachMessage(func(k OpKind, _, dst int, bytes int64) {
+		if k == kind {
+			out[dst] += bytes
+		}
+	})
 	return out
 }
 
 // PerRankTotalSent sums sent bytes over all operation kinds.
 func (p *Plan) PerRankTotalSent() []int64 {
 	out := make([]int64, p.Grid.Size())
-	for _, kind := range allKinds {
-		p.eachMessage(kind, func(src, _ int, bytes int64) { out[src] += bytes })
-	}
+	p.eachMessage(func(_ OpKind, src, _ int, bytes int64) { out[src] += bytes })
 	return out
 }
 
@@ -42,80 +44,35 @@ func (p *Plan) PerRankTotalSent() []int64 {
 // of the event stream an observed run records on that rank.
 func (p *Plan) PerRankMsgs() []int {
 	out := make([]int, p.Grid.Size())
-	for _, kind := range allKinds {
-		p.eachMessage(kind, func(src, dst int, _ int64) {
-			out[src]++
-			out[dst]++
-		})
-	}
+	p.eachMessage(func(_ OpKind, src, dst int, _ int64) {
+		out[src]++
+		out[dst]++
+	})
 	return out
 }
 
-// eachMessage calls visit once per inter-rank message of one kind.
-func (p *Plan) eachMessage(kind OpKind, visit func(src, dst int, bytes int64)) {
-	coll := func(op *CollOp) {
-		// Broadcast: every non-root participant receives one payload from
-		// its parent; reduction trees carry the same edge set upward, so
-		// byte counts per edge are identical — only the direction flips.
-		reduces := op.Kind == OpRowReduce || op.Kind == OpDiagReduce || op.Kind == OpColReduce
-		for _, r := range op.Tree.Participants() {
-			if r == op.Tree.Root {
-				continue
-			}
-			if parent := op.Tree.Parent(r); reduces {
-				visit(r, parent, op.Bytes)
-			} else {
-				visit(parent, r, op.Bytes)
-			}
-		}
-	}
-	point := func(op *PointOp) {
-		if op.Src != op.Dst {
-			visit(op.Src, op.Dst, op.Bytes)
-		}
-	}
+// eachMessage calls visit once per inter-rank message of the plan.
+func (p *Plan) eachMessage(visit func(kind OpKind, src, dst int, bytes int64)) {
 	for _, sp := range p.Snodes {
-		switch kind {
-		case OpDiagBcast:
-			if sp.DiagBcast != nil {
-				coll(sp.DiagBcast)
+		sp.EachOp(func(op *CollOp) {
+			// Broadcast: every non-root participant receives one payload from
+			// its parent; reduction trees carry the same edge set upward, so
+			// byte counts per edge are identical — only the direction flips.
+			reduces := op.Kind == OpRowReduce || op.Kind == OpDiagReduce || op.Kind == OpColReduce
+			for _, r := range op.Tree.Participants() {
+				if r == op.Tree.Root {
+					continue
+				}
+				if parent := op.Tree.Parent(r); reduces {
+					visit(op.Kind, r, parent, op.Bytes)
+				} else {
+					visit(op.Kind, parent, r, op.Bytes)
+				}
 			}
-		case OpCrossSend:
-			for i := range sp.Cross {
-				point(&sp.Cross[i])
+		}, func(op *PointOp) {
+			if op.Src != op.Dst {
+				visit(op.Kind, op.Src, op.Dst, op.Bytes)
 			}
-		case OpColBcast:
-			for i := range sp.ColBcasts {
-				coll(&sp.ColBcasts[i])
-			}
-		case OpRowReduce:
-			for i := range sp.RowReduces {
-				coll(&sp.RowReduces[i])
-			}
-		case OpDiagReduce:
-			if sp.DiagReduce != nil {
-				coll(sp.DiagReduce)
-			}
-		case OpSymmSend:
-			for i := range sp.SymmSends {
-				point(&sp.SymmSends[i])
-			}
-		case OpDiagBcastRow:
-			if sp.DiagBcastRow != nil {
-				coll(sp.DiagBcastRow)
-			}
-		case OpCrossSendU:
-			for i := range sp.CrossU {
-				point(&sp.CrossU[i])
-			}
-		case OpRowBcast:
-			for i := range sp.RowBcasts {
-				coll(&sp.RowBcasts[i])
-			}
-		case OpColReduce:
-			for i := range sp.ColReduces {
-				coll(&sp.ColReduces[i])
-			}
-		}
+		})
 	}
 }

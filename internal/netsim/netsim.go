@@ -210,12 +210,14 @@ func (d *deliveries) get(rank int) int32 {
 	return d.nodes[i]
 }
 
-// buildDAG mirrors internal/pselinv's two passes over the plan.
+// buildDAG mirrors internal/pselinv's two passes over the plan: per supernode,
+// each side the plan runs contributes the same block of nodes (pass-1
+// broadcast and TRSMs, cross-sends, broadcasts, GEMMs, reductions), read with
+// rows and columns exchanged on the upper side (core.Side.Block).
 func buildDAG(plan *core.Plan) *builder {
 	b := &builder{}
 	part := plan.BP.Part
-	grid := plan.Owners
-	w := func(k int) int64 { return int64(part.Width(k)) }
+	cube := func(k int) int64 { w := int64(part.Width(k)); return 2 * w * w * w }
 
 	barrier := b.virtual(1 << 30)
 	fin := map[int64]int32{}
@@ -228,206 +230,111 @@ func buildDAG(plan *core.Plan) *builder {
 		fin[key] = id
 		return id
 	}
+	// bcastTree adds the messages of broadcast op, whose root holds the
+	// payload after node ready (-1: from the start), and returns the node
+	// after which each participant holds it. Every message also feeds sink
+	// when sink >= 0.
+	bcastTree := func(op *core.CollOp, ready, sink int32) *deliveries {
+		d := newDeliveries(op.Tree.Participants())
+		d.set(op.Tree.Root, ready)
+		var walk func(rank int, after int32)
+		walk = func(rank int, after int32) {
+			for _, c := range op.Tree.Children(rank) {
+				m := b.msg(rank, c, op.Bytes, int32(op.K))
+				if after >= 0 {
+					b.edge(after, m)
+				}
+				d.set(c, m)
+				if sink >= 0 {
+					b.edge(m, sink)
+				}
+				walk(c, m)
+			}
+		}
+		walk(op.Tree.Root, ready)
+		return d
+	}
+	// reduceTree adds one completion node per participant of reduction op and
+	// the messages that carry each partial sum to its parent's completion.
+	reduceTree := func(op *core.CollOp) *deliveries {
+		d := newDeliveries(op.Tree.Participants())
+		for i := range d.nodes {
+			d.nodes[i] = b.virtual(int32(op.K))
+		}
+		for _, r := range d.ranks {
+			if r != op.Tree.Root {
+				m := b.msg(r, op.Tree.Parent(r), op.Bytes, int32(op.K))
+				b.edge(d.get(r), m)
+				b.edge(m, d.get(op.Tree.Parent(r)))
+			}
+		}
+		return d
+	}
 
 	for _, sp := range plan.Snodes {
 		k := sp.K
 		prio := int32(k)
-		diagOwner := grid.OwnerOfBlock(k, k)
 		if len(sp.C) == 0 {
-			t := b.compute(diagOwner, 2*w(k)*w(k)*w(k), prio)
+			t := b.compute(plan.Owners.OwnerOfBlock(k, k), cube(k), prio)
 			b.edge(barrier, t)
 			b.edge(t, finOf(k, k))
 			continue
 		}
-		// ---- Pass 1: diagonal broadcast then TRSMs; all feed the barrier.
-		tr := sp.DiagBcast.Tree
-		avail := newDeliveries(tr.Participants())
-		var walk func(rank int, readyAfter int32)
-		walk = func(rank int, readyAfter int32) {
-			for _, c := range tr.Children(rank) {
-				m := b.msg(rank, c, sp.DiagBcast.Bytes, prio)
-				if readyAfter >= 0 {
-					b.edge(readyAfter, m)
-				}
-				avail.set(c, m)
-				b.edge(m, barrier)
-				walk(c, m)
-			}
-		}
-		avail.set(tr.Root, -1)
-		walk(tr.Root, -1)
-		for _, i := range sp.C {
-			o := grid.OwnerOfBlock(i, k)
-			t := b.compute(o, dense.TrsmFlops(part.Width(k), part.Width(i)), prio)
-			if dep := avail.get(o); dep >= 0 {
-				b.edge(dep, t)
-			}
-			b.edge(t, barrier)
-		}
-		// Asymmetric path, pass 1: the diagonal factor also travels along
-		// processor row K, followed by the Û TRSMs.
-		if !plan.Symmetric {
-			rt := sp.DiagBcastRow.Tree
-			ravail := newDeliveries(rt.Participants())
-			var rwalk func(rank int, readyAfter int32)
-			rwalk = func(rank int, readyAfter int32) {
-				for _, c := range rt.Children(rank) {
-					m := b.msg(rank, c, sp.DiagBcastRow.Bytes, prio)
-					if readyAfter >= 0 {
-						b.edge(readyAfter, m)
-					}
-					ravail.set(c, m)
-					b.edge(m, barrier)
-					rwalk(c, m)
-				}
-			}
-			ravail.set(rt.Root, -1)
-			rwalk(rt.Root, -1)
+		ddone := reduceTree(sp.DiagReduce)
+		// crossed[s][x] is the node after which side s's normalized block
+		// sp.C[x] is present at its broadcast root.
+		var crossed [2][]int32
+		for _, s := range plan.Sides() {
+			ops := sp.Side(s)
+			owner := func(i, j int) int { return plan.Owners.OwnerOfBlock(s.Block(i, j)) }
+			finAt := func(i, j int) int32 { return finOf(s.Block(i, j)) }
+			// ---- Pass 1: diagonal broadcast then TRSMs; all feed the barrier.
+			avail := bcastTree(ops.DiagBcast, -1, barrier)
 			for _, i := range sp.C {
-				o := grid.OwnerOfBlock(k, i)
+				o := owner(i, k)
 				t := b.compute(o, dense.TrsmFlops(part.Width(k), part.Width(i)), prio)
-				if dep := ravail.get(o); dep >= 0 {
+				if dep := avail.get(o); dep >= 0 {
 					b.edge(dep, t)
 				}
 				b.edge(t, barrier)
 			}
-		}
-
-		// ---- Pass 2.
-		// Per Col-Bcast delivery points: bcast[x].get(rank) = node after
-		// which L̂_{I,K} (I = sp.C[x]) is present at rank.
-		bcast := make([]*deliveries, len(sp.C))
-		for x := range sp.C {
-			po := &sp.Cross[x]
-			var uhatReady int32
-			if po.Src == po.Dst {
-				uhatReady = b.virtual(prio)
-				b.edge(barrier, uhatReady)
-			} else {
-				m := b.msg(po.Src, po.Dst, po.Bytes, prio)
-				b.edge(barrier, m)
-				uhatReady = m
-			}
-			cb := &sp.ColBcasts[x]
-			d := newDeliveries(cb.Tree.Participants())
-			d.set(po.Dst, uhatReady)
-			bcast[x] = d
-			var walk2 func(rank int, readyAfter int32)
-			walk2 = func(rank int, readyAfter int32) {
-				for _, c := range cb.Tree.Children(rank) {
-					m := b.msg(rank, c, cb.Bytes, prio)
-					b.edge(readyAfter, m)
-					d.set(c, m)
-					walk2(c, m)
-				}
-			}
-			walk2(cb.Tree.Root, uhatReady)
-		}
-		// Reduce completion nodes per participant.
-		rdone := make([]*deliveries, len(sp.C))
-		for x := range sp.C {
-			rt := sp.RowReduces[x].Tree
-			d := newDeliveries(rt.Participants())
-			for i, r := range d.ranks {
-				_ = r
-				d.nodes[i] = b.virtual(prio)
-			}
-			rdone[x] = d
-		}
-		// GEMM tasks.
-		for xi, i := range sp.C {
-			for xj, j := range sp.C {
-				owner := grid.OwnerOfBlock(j, i)
-				g := b.compute(owner, dense.GemmFlops(part.Width(j), part.Width(k), part.Width(i)), prio)
-				b.edge(bcast[xi].get(owner), g)
-				b.edge(finOf(j, i), g)
-				b.edge(g, rdone[xj].get(owner))
-			}
-		}
-		dt := sp.DiagReduce.Tree
-		ddone := newDeliveries(dt.Participants())
-		for i := range ddone.nodes {
-			ddone.nodes[i] = b.virtual(prio)
-		}
-		// Asymmetric path, pass 2: Û cross sends, row broadcasts, upper
-		// GEMMs and column reductions.
-		var bcastU []*deliveries
-		var crossUArr []int32
-		if !plan.Symmetric {
-			bcastU = make([]*deliveries, len(sp.C))
-			crossUArr = make([]int32, len(sp.C))
+			// ---- Pass 2. The cross-send (a hand-off when both ends are one
+			// rank) roots the broadcast of block sp.C[x].
+			bcast := make([]*deliveries, len(sp.C))
+			crossed[s] = make([]int32, len(sp.C))
 			for x := range sp.C {
-				po := &sp.CrossU[x]
+				po := &ops.Cross[x]
 				var ready int32
 				if po.Src == po.Dst {
 					ready = b.virtual(prio)
-					b.edge(barrier, ready)
 				} else {
-					m := b.msg(po.Src, po.Dst, po.Bytes, prio)
-					b.edge(barrier, m)
-					ready = m
+					ready = b.msg(po.Src, po.Dst, po.Bytes, prio)
 				}
-				crossUArr[x] = ready
-				rb := &sp.RowBcasts[x]
-				d := newDeliveries(rb.Tree.Participants())
-				d.set(po.Dst, ready)
-				bcastU[x] = d
-				var walk3 func(rank int, readyAfter int32)
-				walk3 = func(rank int, readyAfter int32) {
-					for _, c := range rb.Tree.Children(rank) {
-						m := b.msg(rank, c, rb.Bytes, prio)
-						b.edge(readyAfter, m)
-						d.set(c, m)
-						walk3(c, m)
-					}
-				}
-				walk3(rb.Tree.Root, ready)
+				b.edge(barrier, ready)
+				crossed[s][x] = ready
+				bcast[x] = bcastTree(&ops.Bcasts[x], ready, -1)
 			}
-			cdone := make([]*deliveries, len(sp.C))
+			// GEMMs feed the reduction of their block row (lower) / column
+			// (upper), whose root finalizes A⁻¹ at (J,K).
+			red := make([]*deliveries, len(sp.C))
 			for x := range sp.C {
-				ct := sp.ColReduces[x].Tree
-				d := newDeliveries(ct.Participants())
-				for i := range d.nodes {
-					d.nodes[i] = b.virtual(prio)
-				}
-				cdone[x] = d
+				red[x] = reduceTree(&ops.Reduces[x])
 			}
 			for xi, i := range sp.C {
 				for xj, j := range sp.C {
-					owner := grid.OwnerOfBlock(i, j)
-					g := b.compute(owner, dense.GemmFlops(part.Width(k), part.Width(j), part.Width(i)), prio)
-					b.edge(bcastU[xi].get(owner), g)
-					b.edge(finOf(i, j), g)
-					b.edge(g, cdone[xj].get(owner))
+					o := owner(j, i)
+					g := b.compute(o, dense.GemmFlops(part.Width(j), part.Width(k), part.Width(i)), prio)
+					b.edge(bcast[xi].get(o), g)
+					b.edge(finAt(j, i), g)
+					b.edge(g, red[xj].get(o))
 				}
 			}
 			for x, j := range sp.C {
-				ct := sp.ColReduces[x].Tree
-				for _, part2 := range ct.Participants() {
-					if part2 == ct.Root {
-						continue
-					}
-					m := b.msg(part2, ct.Parent(part2), sp.ColReduces[x].Bytes, prio)
-					b.edge(cdone[x].get(part2), m)
-					b.edge(m, cdone[x].get(ct.Parent(part2)))
-				}
-				b.edge(cdone[x].get(ct.Root), finOf(k, j))
+				b.edge(red[x].get(ops.Reduces[x].Tree.Root), finAt(j, k))
 			}
 		}
-		// Row-reduce message flow and root completion.
 		for x, j := range sp.C {
-			rt := sp.RowReduces[x].Tree
-			for _, part2 := range rt.Participants() {
-				if part2 == rt.Root {
-					continue
-				}
-				m := b.msg(part2, rt.Parent(part2), sp.RowReduces[x].Bytes, prio)
-				b.edge(rdone[x].get(part2), m)
-				b.edge(m, rdone[x].get(rt.Parent(part2)))
-			}
-			root := rt.Root
 			fjk := finOf(j, k)
-			b.edge(rdone[x].get(root), fjk)
 			if plan.Symmetric {
 				// Mirror send to the upper triangle.
 				so := &sp.SymmSends[x]
@@ -439,35 +346,20 @@ func buildDAG(plan *core.Plan) *builder {
 					b.edge(m, finOf(k, j))
 				}
 			}
-			// Diagonal contribution Û_{K,J}·A⁻¹_{J,K} at the row-reduce
+			// Diagonal contribution Û_{K,J}·A⁻¹_{J,K} at the lower reduction's
 			// root (for the symmetric path Û is the locally held L̂ᵀ; for
 			// the general path it must also wait for the Û cross-send).
+			root := sp.RowReduces[x].Tree.Root
 			t := b.compute(root, dense.GemmFlops(part.Width(k), part.Width(k), part.Width(j)), prio)
 			b.edge(fjk, t)
 			if !plan.Symmetric {
-				b.edge(crossUArr[x], t)
+				b.edge(crossed[core.Upper][x], t)
 			}
 			b.edge(t, ddone.get(root))
 		}
-		// Diag-reduce message flow and final diagonal block.
-		for _, part2 := range dt.Participants() {
-			if part2 == dt.Root {
-				continue
-			}
-			m := b.msg(part2, dt.Parent(part2), sp.DiagReduce.Bytes, prio)
-			b.edge(ddone.get(part2), m)
-			b.edge(m, ddone.get(dt.Parent(part2)))
-		}
-		inv := b.compute(dt.Root, 2*w(k)*w(k)*w(k), prio)
-		b.edge(ddone.get(dt.Root), inv)
+		inv := b.compute(sp.DiagReduce.Tree.Root, cube(k), prio)
+		b.edge(ddone.get(sp.DiagReduce.Tree.Root), inv)
 		b.edge(inv, finOf(k, k))
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
 	}
 	return b
 }

@@ -200,17 +200,6 @@ func TestFactorizationReference(t *testing.T) {
 	}
 }
 
-func TestRunSeeds(t *testing.T) {
-	calls := []uint64{}
-	times := RunSeeds(func(seed uint64) float64 {
-		calls = append(calls, seed)
-		return float64(seed) * 2
-	}, []uint64{3, 5, 9})
-	if len(times) != 3 || times[0] != 6 || times[2] != 18 {
-		t.Fatalf("RunSeeds wrong: %v (calls %v)", times, calls)
-	}
-}
-
 func BenchmarkSimulateGrid12P64(b *testing.B) {
 	bp := realPattern(b)
 	plan := core.NewPlan(bp, procgrid.New(8, 8), core.ShiftedBinaryTree, 1)

@@ -2,18 +2,6 @@ package netsim
 
 import "math"
 
-// RunSeeds simulates the same plan under several placement seeds and
-// returns the makespans — the paper's 6-runs-per-point methodology for
-// Figure 8's error bars (run-to-run variation stems from placement and
-// network inhomogeneity, which the seed controls).
-func RunSeeds(simulate func(seed uint64) float64, seeds []uint64) []float64 {
-	out := make([]float64, len(seeds))
-	for i, s := range seeds {
-		out[i] = simulate(s)
-	}
-	return out
-}
-
 // FactorizationReference models the SuperLU_DIST factorization wall time
 // used as the reference line in Figure 8: perfectly parallel flops at 70%
 // efficiency plus a per-supernode panel-broadcast latency term that grows

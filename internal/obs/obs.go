@@ -204,14 +204,4 @@ func (c *Collector) RecordRecv(src, dst int, class simmpi.Class, tag uint64, byt
 	})
 }
 
-// LinkBytes returns the bytes sent from src to dst in class, as recorded
-// by the traffic matrix (exact regardless of ring overflow).
-func (c *Collector) LinkBytes(class simmpi.Class, src, dst int) int64 {
-	rows := c.ranks[src].sentB
-	if rows == nil || rows[class] == nil {
-		return 0
-	}
-	return rows[class][dst]
-}
-
 var _ simmpi.Observer = (*Collector)(nil)

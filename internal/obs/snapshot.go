@@ -153,7 +153,12 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("obs: merge of zero snapshots")
 	}
+	// One snapshot per rank, so the slice bounds the world size a (possibly
+	// hostile) snapshot declares before anything is sized by it.
 	p := snaps[0].P
+	if p != len(snaps) {
+		return nil, fmt.Errorf("obs: merge: %d snapshots for a world of %d ranks", len(snaps), p)
+	}
 	byRank := make([]*Snapshot, p)
 	for _, s := range snaps {
 		if s.P != p {
@@ -169,6 +174,11 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 		for _, rows := range [][][]int64{s.SentB, s.RecvB, s.SentN, s.RecvN} {
 			if rows != nil && len(rows) != numClasses {
 				return nil, fmt.Errorf("obs: merge: rank %d snapshot has %d classes, want %d", s.Rank, len(rows), numClasses)
+			}
+			for _, row := range rows {
+				if row != nil && len(row) != p {
+					return nil, fmt.Errorf("obs: merge: rank %d snapshot has a traffic row of %d peers, want %d", s.Rank, len(row), p)
+				}
 			}
 		}
 	}

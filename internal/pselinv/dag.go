@@ -17,18 +17,19 @@
 // the DAG golden and chaos tests pin.
 //
 // Scheduler invariants:
-//   - task.run is pure compute into memory no other task aliases (a
-//     reduction's sum or scratch matrix, a fresh L̂/Û/A⁻¹ block); it may
-//     run on any goroutine.
-//   - task.done runs on the rank goroutine only: it decrements reduction
-//     counters, finalizes blocks, sends messages and submits new tasks.
+//   - a task's compute half (rankState.compute) is pure compute into memory
+//     no other task aliases (a reduction's sum or scratch matrix, a fresh
+//     L̂/Û/A⁻¹ block); it may run on any goroutine.
+//   - its bookkeeping half (rankState.finish) runs on the rank goroutine
+//     only: it folds reductions, finalizes blocks, sends messages and
+//     submits new tasks.
 //   - completions hand over via a channel sized past the pool's slot
 //     count, so a worker never blocks returning a result.
 //   - the rank goroutine blocks on the completion channel only while
 //     tasks are in flight (a completion is then guaranteed), and on
 //     Recv only when it has no runnable or in-flight work, so a rank
-//     whose pending sends hide behind an unfinished task cannot deadlock
-//     its peers.
+//     whose pending sends hide behind an unfinished task's finish cannot
+//     deadlock its peers.
 //   - ready tasks dispatch highest critical-path height first
 //     (core.SnodeHeights), submission order breaking ties, so the
 //     schedule shape is reproducible run-to-run.
@@ -40,9 +41,7 @@ import (
 	"runtime/debug"
 	"time"
 
-	"pselinv/internal/core"
 	"pselinv/internal/dense"
-	"pselinv/internal/simmpi"
 )
 
 // DagRankStats reports one rank's task-DAG scheduler counters for a run
@@ -77,15 +76,13 @@ func (d DagRankStats) Occupancy() float64 {
 	return float64(d.BusyNS) / float64(d.WallNS)
 }
 
-// dagTask is one schedulable unit of compute.
+// dagTask is one scheduled task: the engine's value task plus the
+// scheduler's bookkeeping.
 type dagTask struct {
+	task
 	prio int    // critical-path height of the supernode; higher runs first
 	seq  int    // submission order; deterministic tiebreak
-	kind string // trace span kind ("trsm", "gemm", "diag-inverse", ...)
-	k    int    // supernode
 	dep  string // dependency annotation for the trace ("" when untraced)
-	run  func() // pure compute; safe on any goroutine
-	done func() // completion bookkeeping; rank goroutine only, may be nil
 
 	dur       time.Duration
 	recovered any    // panic value captured on a worker, re-raised on the rank
@@ -114,7 +111,8 @@ func (h *taskHeap) Pop() any {
 }
 
 // dagSched drives one rank's task DAG. All methods run on the rank
-// goroutine; only the closure wrapped around task.run executes elsewhere.
+// goroutine; only the closure wrap builds — a task's compute half —
+// executes elsewhere.
 type dagSched struct {
 	st       *rankState
 	ready    taskHeap
@@ -137,22 +135,16 @@ func newDagSched(st *rankState) *dagSched {
 	}
 }
 
-// depf formats a dependency annotation, skipping the allocation when the
-// run is untraced.
-func (s *dagSched) depf(format string, args ...any) string {
-	if s.st.e.Trace == nil {
-		return ""
-	}
-	return fmt.Sprintf(format, args...)
-}
-
 // submit queues a task and immediately tries to push ready work onto the
 // pool.
-func (s *dagSched) submit(k int, kind, dep string, run, done func()) {
-	t := &dagTask{prio: s.st.e.heights[k], seq: s.seq, kind: kind, k: k, dep: dep, run: run, done: done}
+func (s *dagSched) submit(t task) {
+	dt := &dagTask{task: t, prio: s.st.e.heights[t.k], seq: s.seq}
+	if s.st.e.Trace != nil {
+		dt.dep = t.deps()
+	}
 	s.seq++
 	s.stats.Tasks++
-	heap.Push(&s.ready, t)
+	heap.Push(&s.ready, dt)
 	if w := len(s.ready) + s.inflight; w > s.stats.MaxWidth {
 		s.stats.MaxWidth = w
 	}
@@ -176,37 +168,29 @@ func (s *dagSched) dispatch() {
 	}
 }
 
-// wrap builds the worker-side closure: run the compute under a task span,
-// capture any panic, and hand the task back on the completion channel.
+// wrap builds the worker-side closure: run the compute half, capture any
+// panic, and hand the task back on the completion channel.
 func (s *dagSched) wrap(t *dagTask) func() {
-	tr := s.st.e.Trace
-	me := s.st.r.ID
 	return func() {
-		end := tr.SpanTask(me, t.kind, t.k, t.dep)
 		t0 := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
 				t.recovered, t.stack = r, debug.Stack()
 			}
 			t.dur = time.Since(t0)
-			end()
 			s.comp <- t
 		}()
-		t.run()
+		s.st.compute(&t.task, t.dep)
 	}
 }
 
 // runInline executes a task on the rank goroutine (pool saturated, or the
 // degenerate single-worker configuration where TrySubmit never succeeds).
 func (s *dagSched) runInline(t *dagTask) {
-	end := s.st.e.Trace.SpanTask(s.st.r.ID, t.kind, t.k, t.dep)
 	t0 := time.Now()
-	t.run()
-	end()
+	s.st.compute(&t.task, t.dep)
 	s.stats.BusyNS += int64(time.Since(t0))
-	if t.done != nil {
-		t.done()
-	}
+	s.st.finish(&t.task)
 }
 
 // complete applies a finished task's bookkeeping on the rank goroutine,
@@ -216,11 +200,9 @@ func (s *dagSched) complete(t *dagTask) {
 	s.stats.BusyNS += int64(t.dur)
 	if t.recovered != nil {
 		panic(fmt.Sprintf("pselinv: dag task %s K=%d panicked on a pool worker: %v\n%s",
-			t.kind, t.k, t.recovered, t.stack))
+			t.span, t.k, t.recovered, t.stack))
 	}
-	if t.done != nil {
-		t.done()
-	}
+	s.st.finish(&t.task)
 }
 
 // drainCompletions applies every already-finished task without blocking.
@@ -237,58 +219,21 @@ func (s *dagSched) drainCompletions() bool {
 	}
 }
 
-// drain runs every queued and in-flight task to completion, the rank
-// goroutine helping with tasks the pool refuses. Pass 1 calls it before
-// the barrier so the normalized L̂/Û blocks are final before any pass-2
-// message aliases their storage.
-func (s *dagSched) drain() {
-	for len(s.ready) > 0 || s.inflight > 0 {
-		s.dispatch()
-		if len(s.ready) > 0 {
-			s.runInline(heap.Pop(&s.ready).(*dagTask))
-			continue
-		}
-		if s.inflight > 0 {
-			s.complete(<-s.comp)
-		}
-	}
-}
-
-// runPass2Dag is the DAG-mode pass-2 event loop. Structurally it receives
-// the same expect2 messages as the sequential loop and performs the same
-// sends from the same handlers; the difference is that GEMM-sized compute
-// detours through the scheduler, and the loop interleaves three progress
-// sources — task completions, arrived messages, ready tasks — blocking
-// only when none can advance.
-func (st *rankState) runPass2Dag() {
-	s := st.sched
-	for _, k := range st.prog.leafDiags {
-		k := k
-		w := st.width(k)
-		inv := dense.GetMatrixUninitElem(w, w, st.elem)
-		s.submit(k, "diag-inverse", s.depf("ready"), func() {
-			st.e.LU.DiagInverseTo(k, inv)
-		}, func() {
-			st.finalize(blockKey{k, k}, inv)
-		})
-	}
-	for _, bk := range st.prog.crossSrcs {
-		i, k := bk.I, bk.J
-		dst := st.e.Plan.Owners.OwnerOfBlock(k, i)
-		st.r.Send(dst, core.OpKey(core.OpCrossSend, k, i), simmpi.ClassCrossSend,
-			st.lhat[blockKey{i, k}].Data)
-	}
-	for _, bk := range st.prog.crossUSrcs {
-		k, i := bk.I, bk.J
-		dst := st.e.Plan.Owners.OwnerOfBlock(i, k)
-		st.r.Send(dst, core.OpKey(core.OpCrossSendU, k, i), simmpi.ClassCrossSend,
-			st.uhat[blockKey{k, i}].Data)
-	}
+// loop is the DAG-mode event loop of either pass. Structurally it receives
+// the same n messages as the sequential loop and performs the same sends
+// from the same handlers; the difference is that GEMM-sized compute detours
+// through the scheduler, and the loop interleaves three progress sources —
+// task completions, arrived messages, ready tasks — blocking only when none
+// can advance. It returns once every message is handled and every task has
+// finished (pass 1 relies on that: the normalized L̂/Û blocks are final before
+// any pass-2 message aliases their storage).
+func (s *dagSched) loop(n int) {
+	st := s.st
 	got := 0
-	for got < st.prog.expect2 || s.inflight > 0 || len(s.ready) > 0 {
+	for got < n || s.inflight > 0 || len(s.ready) > 0 {
 		s.dispatch()
 		progressed := s.drainCompletions()
-		for got < st.prog.expect2 {
+		for got < n {
 			msg, ok := st.r.TryRecv()
 			if !ok {
 				break
@@ -303,18 +248,14 @@ func (st *rankState) runPass2Dag() {
 		switch {
 		case s.inflight > 0:
 			// Blocking here is safe: a worker always finishes. Blocking
-			// on Recv here would not be — this task's done() may carry
+			// on Recv here would not be — this task's finish may carry
 			// the send a peer is waiting for.
 			s.complete(<-s.comp)
 		case len(s.ready) > 0:
 			// Pool saturated and nothing else to do: help out.
 			s.runInline(heap.Pop(&s.ready).(*dagTask))
 		default:
-			msg, ok := st.r.Recv()
-			if !ok {
-				panic("pselinv: world closed during pass 2")
-			}
-			st.handle(msg)
+			st.handle(st.recv())
 			got++
 		}
 	}

@@ -2,6 +2,7 @@ package pselinv
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"pselinv/internal/blockmat"
@@ -11,6 +12,7 @@ import (
 	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/sparse"
+	"pselinv/internal/trace"
 )
 
 // withPoolWorkers raises the kernel pool degree so TrySubmit actually
@@ -192,6 +194,70 @@ func TestDagToggleOnOneEngine(t *testing.T) {
 			base = got
 		} else if msg := diffBits(base, got); msg != "" {
 			t.Fatalf("dag=%v differs from the first sequential run: %s", dag, msg)
+		}
+	}
+}
+
+// TestComputeSpanCountsArePlanDetermined: every compute task carries exactly
+// one trace span in either execution mode — also the diagonal-contribution
+// GEMMs, which the sequential mode used to run bare, so its traces
+// under-reported busy time relative to DAG runs. Per kind the count equals
+// the plan-determined task count; on the benchmark's warm problem
+// (DG2D(24,24,4) at 4×4, relax 4 / maxWidth 48) that is 5,276 tasks on the
+// symmetric plan.
+func TestComputeSpanCountsArePlanDetermined(t *testing.T) {
+	withPoolWorkers(t, 4)
+	g := sparse.DG2D(24, 24, 4, 1)
+	an, lu, ref := prep(t, g, etree.Options{Relax: 4, MaxWidth: 48})
+	ref.Release()
+	var blocks, products int // Σ|C| and Σ|C|² over the supernodes
+	for k := 0; k < an.BP.NumSnodes(); k++ {
+		c := len(an.BP.Struct(k))
+		blocks += c
+		products += c * c
+	}
+	for _, symmetric := range []bool{true, false} {
+		// One TRSM per factor block, one GEMM per product plus one diagonal
+		// contribution per lower block, one diagonal inverse per supernode;
+		// the general plan repeats the TRSMs and products on the upper side.
+		want := map[string]int{"trsm": blocks, "gemm": products + blocks, "diag-inverse": an.BP.NumSnodes()}
+		total := 2*blocks + products + an.BP.NumSnodes()
+		if symmetric {
+			if total != 5276 {
+				t.Fatalf("symmetric plan has %d compute tasks, the issue counted 5276", total)
+			}
+		} else {
+			want["trsm-u"], want["gemm-u"] = blocks, products
+			total += blocks + products
+		}
+		plan := core.NewPlanConfig(an.BP, procgrid.New(4, 4),
+			core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: symmetric})
+		for _, dag := range []bool{false, true} {
+			eng := NewEngine(plan, lu)
+			eng.DAG, eng.Trace = dag, trace.NewRecorder()
+			res, err := eng.Run(testTimeout)
+			if err != nil {
+				t.Fatalf("symmetric=%v dag=%v: %v", symmetric, dag, err)
+			}
+			got := map[string]int{}
+			for _, ev := range eng.Trace.Events() {
+				if ev.Role == "" { // compute spans; collective spans carry a tree role
+					got[ev.Kind]++
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("symmetric=%v dag=%v: compute spans per kind %v, want %v", symmetric, dag, got, want)
+			}
+			if dag {
+				tasks := 0
+				for _, d := range res.Dag {
+					tasks += d.Tasks
+				}
+				if tasks != total {
+					t.Errorf("symmetric=%v: scheduler ran %d tasks, plan has %d", symmetric, tasks, total)
+				}
+			}
+			res.Release()
 		}
 	}
 }

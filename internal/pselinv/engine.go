@@ -35,12 +35,26 @@ import (
 // blockKey identifies a block (I, J) in per-rank maps.
 type blockKey struct{ I, J int }
 
-// gemmDesc is one local matrix product A⁻¹_{J,I}·L̂_{I,K} assigned to a rank.
-// Pos is the task's fold position among THIS rank's contributions to its
-// reduction: the rank's contributions are numbered in ascending canonical
-// slot (the index of the broadcast operand's block row within the supernode
-// structure C), the order every reduction folds them in.
+// gemmDesc is one local matrix product assigned to a rank: A⁻¹_{J,I}·L̂_{I,K}
+// on the lower side, Û_{K,I}·A⁻¹_{I,J} on the upper. Pos is the task's fold
+// position among THIS rank's contributions to its reduction: the rank's
+// contributions are numbered in ascending canonical slot (the index of the
+// broadcast operand's block within the supernode structure C), the order
+// every reduction folds them in.
 type gemmDesc struct{ K, I, J, Pos int }
+
+// sideProgram is a rank's role on one side of the second loop (core.Side).
+// Keys of the form (K, I) name the side's factor block I of supernode K:
+// L_{I,K} on the lower side, U_{K,I} on the upper.
+type sideProgram struct {
+	trsmByK   map[int][]int   // K -> blocks I of owned factor blocks to normalize
+	crossSrcs []*core.PointOp // owned normalized blocks to cross-send at pass-2 start
+
+	tasks   []gemmDesc
+	byBcast map[blockKey][]int // (K, I) -> task indices waiting on that broadcast
+	byBlock map[blockKey][]int // A⁻¹ block (row, col) -> task indices waiting on it
+	nlocal  map[blockKey]int   // (K, J) -> local GEMM contributions to that reduction
+}
 
 // rankProgram is the immutable per-rank role description derived centrally
 // from the communication plan (so that setup cost is proportional to the
@@ -49,26 +63,12 @@ type rankProgram struct {
 	expect1 int // messages this rank receives in pass 1
 	expect2 int // messages this rank receives in pass 2
 
-	diagRoots []int         // supernodes whose diagonal block this rank owns (C non-empty)
-	trsmByK   map[int][]int // K -> block rows I of owned L blocks to normalize
-	crossSrcs []blockKey    // (I, K): owned L̂ blocks to cross-send at pass-2 start
-	leafDiags []int         // supernodes with empty C whose diagonal this rank owns
+	diagRoots []int // supernodes whose diagonal block this rank owns (C non-empty)
+	leafDiags []int // supernodes with empty C whose diagonal this rank owns
 
-	tasks   []gemmDesc
-	byKI    map[blockKey][]int // (K, I) -> task indices waiting on that broadcast
-	byBlock map[blockKey][]int // (J, I) -> task indices waiting on that A⁻¹ block
-
-	// (K, J) -> local GEMM contributions to Row-Reduce. The local
-	// contributions to Diag-Reduce K are the blocks of trsmByK[K].
-	rowLocal map[blockKey]int
-
-	// Asymmetric (general) path only:
-	trsmUByK   map[int][]int      // K -> block cols I of owned U blocks to normalize
-	crossUSrcs []blockKey         // (K, I): owned Û blocks to cross-send at pass-2 start
-	tasksU     []gemmDesc         // Û_{K,I}·A⁻¹_{I,J} products owned by this rank
-	byKIU      map[blockKey][]int // (K, I) -> U-task indices waiting on that row broadcast
-	byBlockU   map[blockKey][]int // (I, J) -> U-task indices waiting on that A⁻¹ block
-	colLocal   map[blockKey]int   // (K, J) -> local U-GEMM contributions to Col-Reduce
+	// The upper side stays empty on a symmetric plan. The local contributions
+	// to Diag-Reduce K are the blocks of side[core.Lower].trsmByK[K].
+	side [2]sideProgram
 }
 
 // Engine executes parallel selected inversion for one (plan, factorization)
@@ -102,127 +102,87 @@ type Engine struct {
 
 // NewEngine derives the per-rank programs from the plan.
 func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
-	p := plan.Grid.Size()
-	progs := make([]*rankProgram, p)
+	progs := make([]*rankProgram, plan.Grid.Size())
 	for r := range progs {
-		progs[r] = &rankProgram{
-			trsmByK:  map[int][]int{},
-			byKI:     map[blockKey][]int{},
-			byBlock:  map[blockKey][]int{},
-			rowLocal: map[blockKey]int{},
-			trsmUByK: map[int][]int{},
-			byKIU:    map[blockKey][]int{},
-			byBlockU: map[blockKey][]int{},
-			colLocal: map[blockKey]int{},
+		progs[r] = &rankProgram{}
+		for _, s := range plan.Sides() {
+			progs[r].side[s] = sideProgram{trsmByK: map[int][]int{},
+				byBcast: map[blockKey][]int{}, byBlock: map[blockKey][]int{}, nlocal: map[blockKey]int{}}
 		}
 	}
-	grid := plan.Owners
+	// Every non-root participant of a broadcast receives one message; every
+	// participant of a reduction one per child.
+	bcastRecvs := func(op *core.CollOp, pass1 bool) {
+		for _, part := range op.Tree.Participants() {
+			if part == op.Tree.Root {
+				continue
+			}
+			if pass1 {
+				progs[part].expect1++
+			} else {
+				progs[part].expect2++
+			}
+		}
+	}
+	reduceRecvs := func(op *core.CollOp) {
+		for _, part := range op.Tree.Participants() {
+			progs[part].expect2 += len(op.Tree.Children(part))
+		}
+	}
 	for _, sp := range plan.Snodes {
 		k := sp.K
-		diagOwner := grid.OwnerOfBlock(k, k)
+		diagOwner := plan.Owners.OwnerOfBlock(k, k)
 		if len(sp.C) == 0 {
 			progs[diagOwner].leafDiags = append(progs[diagOwner].leafDiags, k)
 			continue
 		}
 		progs[diagOwner].diagRoots = append(progs[diagOwner].diagRoots, k)
-		// Pass 1: diagonal broadcast receives and local TRSMs.
-		for _, part := range sp.DiagBcast.Tree.Participants() {
-			if part != sp.DiagBcast.Tree.Root {
-				progs[part].expect1++
+		for _, s := range plan.Sides() {
+			ops := sp.Side(s)
+			owner := func(i, j int) *sideProgram {
+				return &progs[plan.Owners.OwnerOfBlock(s.Block(i, j))].side[s]
 			}
-		}
-		for _, i := range sp.C {
-			o := grid.OwnerOfBlock(i, k)
-			progs[o].trsmByK[k] = append(progs[o].trsmByK[k], i)
-		}
-		// Pass 2 point ops.
-		for x := range sp.Cross {
-			po := &sp.Cross[x]
-			progs[po.Src].crossSrcs = append(progs[po.Src].crossSrcs, blockKey{po.Blk, k})
-			progs[po.Dst].expect2++
+			// Pass 1: diagonal broadcast receives and local TRSMs.
+			bcastRecvs(ops.DiagBcast, true)
+			for _, i := range sp.C {
+				ps := owner(i, k)
+				ps.trsmByK[k] = append(ps.trsmByK[k], i)
+			}
+			// Pass 2: cross sends, broadcasts, reductions.
+			for x := range ops.Cross {
+				po := &ops.Cross[x]
+				progs[po.Src].side[s].crossSrcs = append(progs[po.Src].side[s].crossSrcs, po)
+				progs[po.Dst].expect2++
+				bcastRecvs(&ops.Bcasts[x], false)
+				reduceRecvs(&ops.Reduces[x])
+			}
+			// GEMM tasks and local reduce contribution counts. I ascends, so the
+			// running per-rank count of a reduction's tasks is each task's fold
+			// position.
+			for _, i := range sp.C {
+				for _, j := range sp.C {
+					ps := owner(j, i)
+					ti := len(ps.tasks)
+					ps.tasks = append(ps.tasks, gemmDesc{K: k, I: i, J: j, Pos: ps.nlocal[blockKey{k, j}]})
+					ps.byBcast[blockKey{k, i}] = append(ps.byBcast[blockKey{k, i}], ti)
+					ps.byBlock[ablock(s, j, i)] = append(ps.byBlock[ablock(s, j, i)], ti)
+					ps.nlocal[blockKey{k, j}]++
+				}
+			}
 		}
 		for x := range sp.SymmSends {
 			progs[sp.SymmSends[x].Dst].expect2++
 		}
-		// Broadcast trees: every non-root participant receives one message.
-		for x := range sp.ColBcasts {
-			tr := sp.ColBcasts[x].Tree
-			for _, part := range tr.Participants() {
-				if part != tr.Root {
-					progs[part].expect2++
-				}
-			}
-		}
-		// Reduce trees: every node receives one message per child.
-		for x := range sp.RowReduces {
-			tr := sp.RowReduces[x].Tree
-			for _, part := range tr.Participants() {
-				progs[part].expect2 += len(tr.Children(part))
-			}
-		}
-		tr := sp.DiagReduce.Tree
-		for _, part := range tr.Participants() {
-			progs[part].expect2 += len(tr.Children(part))
-		}
-		// GEMM tasks and local reduce contribution counts. I ascends, so the
-		// running per-rank count of a reduction's tasks is each task's fold
-		// position.
-		for _, i := range sp.C {
-			for _, j := range sp.C {
-				owner := grid.OwnerOfBlock(j, i)
-				pr := progs[owner]
-				ti := len(pr.tasks)
-				pr.tasks = append(pr.tasks, gemmDesc{K: k, I: i, J: j, Pos: pr.rowLocal[blockKey{k, j}]})
-				pr.byKI[blockKey{k, i}] = append(pr.byKI[blockKey{k, i}], ti)
-				pr.byBlock[blockKey{j, i}] = append(pr.byBlock[blockKey{j, i}], ti)
-				pr.rowLocal[blockKey{k, j}]++
-			}
-		}
-		if !plan.Symmetric {
-			// Pass 1: row broadcast of the diagonal factor and Û TRSMs.
-			for _, part := range sp.DiagBcastRow.Tree.Participants() {
-				if part != sp.DiagBcastRow.Tree.Root {
-					progs[part].expect1++
-				}
-			}
-			for _, i := range sp.C {
-				o := grid.OwnerOfBlock(k, i)
-				progs[o].trsmUByK[k] = append(progs[o].trsmUByK[k], i)
-			}
-			// Pass 2: Û cross sends, row broadcasts, column reduces.
-			for x := range sp.CrossU {
-				po := &sp.CrossU[x]
-				progs[po.Src].crossUSrcs = append(progs[po.Src].crossUSrcs, blockKey{k, po.Blk})
-				progs[po.Dst].expect2++
-			}
-			for x := range sp.RowBcasts {
-				tr := sp.RowBcasts[x].Tree
-				for _, part := range tr.Participants() {
-					if part != tr.Root {
-						progs[part].expect2++
-					}
-				}
-			}
-			for x := range sp.ColReduces {
-				tr := sp.ColReduces[x].Tree
-				for _, part := range tr.Participants() {
-					progs[part].expect2 += len(tr.Children(part))
-				}
-			}
-			for _, i := range sp.C {
-				for _, j := range sp.C {
-					owner := grid.OwnerOfBlock(i, j)
-					pr := progs[owner]
-					ti := len(pr.tasksU)
-					pr.tasksU = append(pr.tasksU, gemmDesc{K: k, I: i, J: j, Pos: pr.colLocal[blockKey{k, j}]})
-					pr.byKIU[blockKey{k, i}] = append(pr.byKIU[blockKey{k, i}], ti)
-					pr.byBlockU[blockKey{i, j}] = append(pr.byBlockU[blockKey{i, j}], ti)
-					pr.colLocal[blockKey{k, j}]++
-				}
-			}
-		}
+		reduceRecvs(sp.DiagReduce)
 	}
 	return &Engine{Plan: plan, LU: lu, programs: progs, heights: core.SnodeHeights(plan.BP.SnParent)}
+}
+
+// ablock names the A⁻¹ block at side-relative position (i, j): (I,J) itself
+// on the lower side, its mirror (J,I) on the upper (core.Side.Block).
+func ablock(s core.Side, i, j int) blockKey {
+	r, c := s.Block(i, j)
+	return blockKey{r, c}
 }
 
 // Rebind returns a copy of the engine bound to a different numeric
@@ -383,17 +343,12 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 // parent's mailbox (non-root), to the finalized ainv block (row/col root),
 // or back to the arena (diag root).
 type redState struct {
+	op        *core.CollOp // the plan's reduction this state belongs to
 	sum       *dense.Matrix
 	nlocal, n int
 	next      int         // first fold position not yet in sum
 	parts     [][]float64 // by fold position; made on the first out-of-turn arrival
 	done      bool
-}
-
-// newRedState builds a reduction's tracking state for a rank with nlocal
-// own contributions and the given number of reduce-tree children.
-func (st *rankState) newRedState(rows, cols, nlocal, children int) *redState {
-	return &redState{sum: dense.GetMatrixElem(rows, cols, st.elem), nlocal: nlocal, n: nlocal + children}
 }
 
 // fold takes the finished contribution at fold position pos — nil for the
@@ -461,13 +416,13 @@ func (e *reduceError) Error() string {
 		e.Kind, e.K, e.Blk, e.Src, e.Rank, e.Reason)
 }
 
-// childArrived folds a child's partial sum of reduction op. Reduce payloads
+// childArrived folds a child's partial sum into red. Reduce payloads
 // transfer buffer ownership to the receiver; fold recycles them. The sender
-// must be a child of this rank in op's tree that has not delivered yet, and
-// the payload one block.
-func (st *rankState) childArrived(red *redState, op *core.CollOp, msg simmpi.Message) {
+// must be a child of this rank in the reduction's tree that has not
+// delivered yet, and the payload one block.
+func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
 	pos := -1
-	for x, c := range op.Tree.Children(st.r.ID) {
+	for x, c := range red.op.Tree.Children(st.r.ID) {
 		if c == msg.Src {
 			pos = red.nlocal + x
 			break
@@ -483,9 +438,48 @@ func (st *rankState) childArrived(red *redState, op *core.CollOp, msg simmpi.Mes
 		bad = fmt.Sprintf("%d words, want a %dx%d %s block", len(msg.Data), red.sum.Rows, red.sum.Cols, st.elem)
 	}
 	if bad != "" {
-		panic(&reduceError{Kind: op.Kind, K: op.K, Blk: op.Blk, Src: msg.Src, Rank: st.r.ID, Reason: bad})
+		panic(&reduceError{Kind: red.op.Kind, K: red.op.K, Blk: red.op.Blk, Src: msg.Src, Rank: st.r.ID, Reason: bad})
 	}
 	red.fold(pos, msg.Data)
+}
+
+// wire says how each plan op kind appears outside the engine — its accounting
+// class and the trace span its tree forwarding runs under — and which side of
+// the second loop it belongs to. The general path's pass-1 row broadcast is
+// accounted with the column broadcast, and its Û cross-sends with the L̂ ones.
+var wire = [...]struct {
+	class simmpi.Class
+	span  string
+	side  core.Side
+}{
+	core.OpDiagBcast:    {simmpi.ClassDiagBcast, "diag-bcast", core.Lower},
+	core.OpCrossSend:    {simmpi.ClassCrossSend, "", core.Lower},
+	core.OpColBcast:     {simmpi.ClassColBcast, "col-bcast", core.Lower},
+	core.OpRowReduce:    {simmpi.ClassRowReduce, "row-reduce", core.Lower},
+	core.OpDiagReduce:   {simmpi.ClassDiagReduce, "diag-reduce", core.Lower},
+	core.OpSymmSend:     {simmpi.ClassSymmSend, "", core.Lower},
+	core.OpDiagBcastRow: {simmpi.ClassDiagBcast, "diag-bcast", core.Upper},
+	core.OpCrossSendU:   {simmpi.ClassCrossSend, "", core.Upper},
+	core.OpRowBcast:     {simmpi.ClassRowBcast, "row-bcast", core.Upper},
+	core.OpColReduce:    {simmpi.ClassColReduce, "col-reduce", core.Upper},
+}
+
+// sideNames holds what the two sides call the same thing: the reduction kind,
+// the compute span kinds and the dependency annotations of DAG task spans.
+var sideNames = [2]struct {
+	reduce                     core.OpKind
+	trsm, gemm, diagDep, bcDep string
+}{
+	core.Lower: {core.OpRowReduce, "trsm", "gemm", "diag-bcast", "bcast"},
+	core.Upper: {core.OpColReduce, "trsm-u", "gemm-u", "diag-bcast-row", "bcast-u"},
+}
+
+// sideState is a rank's mutable state on one side. Keys are (K, I) as in
+// sideProgram.
+type sideState struct {
+	hat      map[blockKey]*dense.Matrix // owned normalized blocks L̂_{I,K} | Û_{K,I} (pass 1 output)
+	bcast    map[blockKey]*dense.Matrix // the same blocks as received by cross-send or broadcast
+	taskDone []bool
 }
 
 // rankState is the mutable per-rank runtime state.
@@ -494,20 +488,9 @@ type rankState struct {
 	r    *simmpi.Rank
 	prog *rankProgram
 
-	lhat     map[blockKey]*dense.Matrix // owned L̂ blocks (pass 1 output)
-	diagFact map[int]*dense.Matrix      // packed diagonal factors (owned or received)
-	ainv     map[blockKey]*dense.Matrix // finalized owned A⁻¹ blocks
-	bcastL   map[blockKey]*dense.Matrix // (K, I) -> L̂_{I,K} received via Col-Bcast
-	taskDone []bool
-	rowRed   map[blockKey]*redState // (K, J)
-	diagRed  map[int]*redState
-
-	// Asymmetric path state:
-	uhat      map[blockKey]*dense.Matrix // owned Û blocks, keyed (K, I)
-	bcastU    map[blockKey]*dense.Matrix // (K, I) -> Û_{K,I} received via Row-Bcast
-	taskUDone []bool
-	colRed    map[blockKey]*redState // (K, J)
-	diagTDone map[blockKey]bool      // (K, J) diagonal contributions already applied
+	side [2]sideState
+	ainv map[blockKey]*dense.Matrix // finalized owned A⁻¹ blocks
+	red  map[uint64]*redState       // in-flight reductions by op key
 
 	// sched, non-nil iff Engine.DAG, detours TRSM/GEMM-sized compute
 	// through the worker-pool task scheduler (see dag.go).
@@ -521,19 +504,16 @@ type rankState struct {
 func newRankState(e *Engine, r *simmpi.Rank) *rankState {
 	st := &rankState{
 		e: e, r: r, prog: e.programs[r.ID],
-		elem:      e.LU.Elem,
-		lhat:      map[blockKey]*dense.Matrix{},
-		diagFact:  map[int]*dense.Matrix{},
-		ainv:      map[blockKey]*dense.Matrix{},
-		bcastL:    map[blockKey]*dense.Matrix{},
-		taskDone:  make([]bool, len(e.programs[r.ID].tasks)),
-		rowRed:    map[blockKey]*redState{},
-		diagRed:   map[int]*redState{},
-		uhat:      map[blockKey]*dense.Matrix{},
-		bcastU:    map[blockKey]*dense.Matrix{},
-		taskUDone: make([]bool, len(e.programs[r.ID].tasksU)),
-		colRed:    map[blockKey]*redState{},
-		diagTDone: map[blockKey]bool{},
+		elem: e.LU.Elem,
+		ainv: map[blockKey]*dense.Matrix{},
+		red:  map[uint64]*redState{},
+	}
+	for _, s := range e.Plan.Sides() {
+		st.side[s] = sideState{
+			hat:      map[blockKey]*dense.Matrix{},
+			bcast:    map[blockKey]*dense.Matrix{},
+			taskDone: make([]bool, len(st.prog.side[s].tasks)),
+		}
 	}
 	if e.DAG {
 		st.sched = newDagSched(st)
@@ -542,27 +522,6 @@ func newRankState(e *Engine, r *simmpi.Rank) *rankState {
 }
 
 func (st *rankState) width(k int) int { return st.e.Plan.BP.Part.Width(k) }
-
-// collSpan opens a collective-communication span for supernode k, tagged
-// with this rank's role in the collective's tree, so the Chrome trace
-// merges communication spans with the compute spans on one timeline. The
-// span should cover only the message handling (forwarding sends, reduce
-// combines), not the compute it unblocks — the GEMM/TRSM spans stand on
-// their own.
-func (st *rankState) collSpan(kind string, k int, tr *core.Tree) func() {
-	if st.e.Trace == nil {
-		return func() {}
-	}
-	me := st.r.ID
-	role := "leaf"
-	switch {
-	case me == tr.Root:
-		role = "root"
-	case len(tr.Children(me)) > 0:
-		role = "forwarder"
-	}
-	return st.e.Trace.SpanRole(me, kind, k, role)
-}
 
 func matFromData(rows, cols int, elem dense.Elem, data []float64) *dense.Matrix {
 	if len(data) != rows*cols*elem.Width() {
@@ -587,159 +546,207 @@ func addPayload(sum *dense.Matrix, data []float64) {
 // release returns this rank's engine-owned scratch — the normalized L̂/Û
 // copies made in pass 1 — to the kernel arena. It must run only after every
 // rank has finished: broadcast maps on other ranks alias these buffers
-// zero-copy. bcastL/bcastU/diagFact are aliases (of a peer's L̂/Û or of the
-// factorization's diagonal blocks) and are deliberately not released;
-// finalized A⁻¹ blocks are owned by the RunResult.
+// zero-copy. The bcast maps are aliases of a peer's L̂/Û and are deliberately
+// not released; finalized A⁻¹ blocks are owned by the RunResult.
 func (st *rankState) release() {
-	for _, m := range st.lhat {
-		dense.PutMatrix(m)
-	}
-	for _, m := range st.uhat {
-		dense.PutMatrix(m)
+	for _, ss := range st.side {
+		for _, m := range ss.hat {
+			dense.PutMatrix(m)
+		}
 	}
 }
 
-// --- Pass 1: diagonal broadcast + TRSM normalization -----------------------
+// --- Compute: value tasks, one site per kernel -----------------------------
 
-func (st *rankState) runPass1() {
-	for _, k := range st.prog.diagRoots {
-		dk := st.e.LU.Diag[k]
-		st.diagFact[k] = dk
-		sp := st.e.Plan.Snodes[k]
-		st.forwardDiag(sp.DiagBcast, dk)
-		st.doTrsms(k)
-		if !st.e.Plan.Symmetric {
-			st.forwardDiag(sp.DiagBcastRow, dk)
-			st.doTrsmsU(k)
-		}
-	}
-	for got := 0; got < st.prog.expect1; got++ {
-		msg, ok := st.r.Recv()
-		if !ok {
-			panic("pselinv: world closed during pass 1")
-		}
-		kind, k, _ := core.DecodeOpKey(msg.Tag)
-		w := st.width(k)
-		dk := matFromData(w, w, st.elem, msg.Data)
-		st.diagFact[k] = dk
-		sp := st.e.Plan.Snodes[k]
-		switch kind {
-		case core.OpDiagBcast:
-			st.forwardDiag(sp.DiagBcast, dk)
-			st.doTrsms(k)
-		case core.OpDiagBcastRow:
-			st.forwardDiag(sp.DiagBcastRow, dk)
-			st.doTrsmsU(k)
-		default:
-			panic(fmt.Sprintf("pselinv: unexpected %v message in pass 1", kind))
-		}
-	}
+type kernel uint8
+
+const (
+	kTrsm        kernel = iota // out = the side's normalization of out against a
+	kGemm                      // out += op(a)·b, a contribution to reduction red
+	kDiagInverse               // out = U_KK⁻¹L_KK⁻¹ − a (a may be nil)
+)
+
+// task describes one unit of TRSM/GEMM-sized compute by value: the kernel,
+// its operands and output, and what completes when it has run. exec either
+// runs it on the spot or hands it to the DAG scheduler, so every kernel call
+// is written once (compute) and its bookkeeping once (finish). A value, not
+// closures: a sequential run executes tens of thousands of these per
+// inversion without allocating for any of them.
+type task struct {
+	kernel kernel
+	ta     dense.Trans // kGemm: transpose a
+	side   core.Side   // kTrsm: the variant; kGemm: orients the annotation
+	span   string      // trace span kind
+	k      int         // supernode: trace label and DAG priority
+	i, j   int         // kGemm: broadcast block and A⁻¹ position, for the annotation
+
+	a, b, out *dense.Matrix
+	red       *redState // kGemm: the reduction out contributes to, at fold position pos
+	pos       int
+}
+
+// exec runs t: inline on the rank goroutine, or — the one place the engine
+// asks which mode it is in — through the DAG scheduler.
+func (st *rankState) exec(t task) {
 	if st.sched != nil {
-		// Join the TRSM tasks before the barrier: pass 2 sends L̂/Û
-		// buffers zero-copy, so they must be final first. The TRSMs of
-		// late-arriving diagonal broadcasts still overlapped the Recv
-		// waits above.
-		st.sched.drain()
+		st.sched.submit(t)
+		return
 	}
+	st.compute(&t, "")
+	st.finish(&t)
 }
 
-// forwardDiag sends the packed diagonal factor dk to this rank's children in
-// the pass-1 broadcast op (down the column, or along the row on the general
-// path).
-func (st *rankState) forwardDiag(op *core.CollOp, dk *dense.Matrix) {
-	end := st.collSpan("diag-bcast", op.K, op.Tree)
-	for _, c := range op.Tree.Children(st.r.ID) {
-		st.r.Send(c, op.Key(), simmpi.ClassDiagBcast, dk.Data)
+// compute is the pure-compute half of a task: it touches only the task's
+// output, which nothing else aliases until finish, so it may run on any
+// goroutine. deps annotates the span of a scheduled task ("" inline).
+func (st *rankState) compute(t *task, deps string) {
+	end := st.e.Trace.SpanTask(st.r.ID, t.span, t.k, deps)
+	switch t.kernel {
+	case kTrsm:
+		if t.side == core.Lower {
+			// L̂_{I,K} = L_{I,K}·L_KK⁻¹: right solve against the unit lower factor.
+			dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, t.a, t.out)
+		} else {
+			// Û_{K,I} = U_KK⁻¹·U_{K,I}: left solve against the upper factor.
+			dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, t.a, t.out)
+		}
+	case kGemm:
+		dense.Gemm(t.ta, dense.NoTrans, 1, t.a, t.b, 1, t.out)
+	case kDiagInverse:
+		st.e.LU.DiagInverseTo(t.k, t.out)
+		if t.a != nil {
+			t.out.AddScaled(-1, t.a)
+		}
 	}
 	end()
 }
 
-// doTrsms normalizes every owned L block in column k:
-// L̂_{I,K} = L_{I,K} L_KK⁻¹ (right solve against the unit lower factor).
-func (st *rankState) doTrsms(k int) {
-	dk := st.diagFact[k]
-	for _, i := range st.prog.trsmByK[k] {
-		lb, ok := st.e.LU.LBlock(i, k)
-		if !ok {
-			panic(fmt.Sprintf("pselinv: plan references missing L block (%d,%d)", i, k))
+// finish is the bookkeeping half, on the rank goroutine only: it folds
+// reductions, finalizes blocks, sends messages and fires further tasks.
+func (st *rankState) finish(t *task) {
+	switch t.kernel {
+	case kGemm:
+		t.red.localDone(t.pos, t.out)
+		st.maybeComplete(t.red)
+	case kDiagInverse:
+		if t.a != nil {
+			dense.PutMatrix(t.a)
 		}
-		if st.sched != nil {
-			// The map insert happens here so pass 2 finds the block; the
-			// solve fills it on a worker, joined before the barrier.
-			x := dense.GetMatrixCopy(lb)
-			st.lhat[blockKey{i, k}] = x
-			st.sched.submit(k, "trsm", st.sched.depf("diag-bcast(%d)", k), func() {
-				dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
-			}, nil)
-			continue
-		}
-		end := st.e.Trace.Span(st.r.ID, "trsm", k)
-		x := dense.GetMatrixCopy(lb)
-		dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
-		st.lhat[blockKey{i, k}] = x
-		end()
+		st.finalize(blockKey{t.k, t.k}, t.out)
 	}
 }
 
-// doTrsmsU normalizes every owned U block in row k (asymmetric path):
-// Û_{K,I} = U_KK⁻¹ U_{K,I} (left solve against the upper factor).
-func (st *rankState) doTrsmsU(k int) {
-	dk := st.diagFact[k]
-	for _, i := range st.prog.trsmUByK[k] {
-		ub, ok := st.e.LU.UBlock(k, i)
-		if !ok {
-			panic(fmt.Sprintf("pselinv: plan references missing U block (%d,%d)", k, i))
-		}
-		if st.sched != nil {
-			x := dense.GetMatrixCopy(ub)
-			st.uhat[blockKey{k, i}] = x
-			st.sched.submit(k, "trsm-u", st.sched.depf("diag-bcast-row(%d)", k), func() {
-				dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, x)
-			}, nil)
-			continue
-		}
-		end := st.e.Trace.Span(st.r.ID, "trsm-u", k)
-		x := dense.GetMatrixCopy(ub)
-		dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, x)
-		st.uhat[blockKey{k, i}] = x
-		end()
+// deps renders the operands a task waited on, for DAG task spans.
+func (t *task) deps() string {
+	switch {
+	case t.kernel == kTrsm:
+		return fmt.Sprintf("%s(%d)", sideNames[t.side].diagDep, t.k)
+	case t.kernel == kGemm && t.ta == dense.DoTrans:
+		return fmt.Sprintf("lhat(%d,%d) rowred(%d,%d)", t.i, t.k, t.k, t.i)
+	case t.kernel == kGemm:
+		av := ablock(t.side, t.j, t.i)
+		return fmt.Sprintf("%s(%d,%d) ainv(%d,%d)", sideNames[t.side].bcDep, t.k, t.i, av.I, av.J)
+	case t.a != nil:
+		return fmt.Sprintf("diag-reduce(%d)", t.k)
 	}
+	return "ready"
 }
 
-// --- Pass 2: asynchronous selected inversion -------------------------------
+// --- The two passes ---------------------------------------------------------
 
-func (st *rankState) runPass2() {
+// recvAll receives and handles n messages: sequentially a blocking-Recv
+// loop, in DAG mode the scheduler's three-source loop, which also runs every
+// task to completion before it returns.
+func (st *rankState) recvAll(n int) {
 	if st.sched != nil {
-		st.runPass2Dag()
+		st.sched.loop(n)
 		return
 	}
-	// Initial local actions: leaf diagonals and cross-sends of ready L̂.
-	for _, k := range st.prog.leafDiags {
-		end := st.e.Trace.Span(st.r.ID, "diag-inverse", k)
-		inv := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
-		st.e.LU.DiagInverseTo(k, inv)
-		end()
-		st.finalize(blockKey{k, k}, inv)
+	for got := 0; got < n; got++ {
+		st.handle(st.recv())
 	}
-	for _, bk := range st.prog.crossSrcs {
-		i, k := bk.I, bk.J
-		dst := st.e.Plan.Owners.OwnerOfBlock(k, i)
-		st.r.Send(dst, core.OpKey(core.OpCrossSend, k, i), simmpi.ClassCrossSend,
-			st.lhat[blockKey{i, k}].Data)
+}
+
+func (st *rankState) recv() simmpi.Message {
+	msg, ok := st.r.Recv()
+	if !ok {
+		panic("pselinv: world closed mid-run")
 	}
-	for _, bk := range st.prog.crossUSrcs {
-		k, i := bk.I, bk.J
-		dst := st.e.Plan.Owners.OwnerOfBlock(i, k)
-		st.r.Send(dst, core.OpKey(core.OpCrossSendU, k, i), simmpi.ClassCrossSend,
-			st.uhat[blockKey{k, i}].Data)
-	}
-	for got := 0; got < st.prog.expect2; got++ {
-		msg, ok := st.r.Recv()
-		if !ok {
-			panic("pselinv: world closed during pass 2")
+	return msg
+}
+
+// runPass1 broadcasts each diagonal factor and normalizes the factor blocks
+// against it. Every TRSM has completed when it returns — in DAG mode too,
+// where the solves of late-arriving broadcasts overlapped the receive waits:
+// pass 2 sends L̂/Û buffers zero-copy, so they must be final first.
+func (st *rankState) runPass1() {
+	for _, k := range st.prog.diagRoots {
+		for _, s := range st.e.Plan.Sides() {
+			st.diagArrived(s, k, st.e.LU.Diag[k])
 		}
-		st.handle(msg)
 	}
+	st.recvAll(st.prog.expect1)
+}
+
+// diagArrived forwards the packed diagonal factor dk of supernode k down side
+// s's pass-1 broadcast (the column on the lower side, the row on the upper)
+// and normalizes every factor block this rank owns there.
+func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
+	st.forward(st.e.Plan.Snodes[k].Side(s).DiagBcast, dk)
+	for _, i := range st.prog.side[s].trsmByK[k] {
+		fb, ok := st.e.LU.F.Get(s.Block(i, k))
+		if !ok {
+			panic(fmt.Sprintf("pselinv: plan references missing factor block %v", ablock(s, i, k)))
+		}
+		// The map insert happens here so pass 2 finds the block even when the
+		// solve fills it on a worker.
+		x := dense.GetMatrixCopy(fb)
+		st.side[s].hat[blockKey{k, i}] = x
+		st.exec(task{kernel: kTrsm, side: s, span: sideNames[s].trsm, k: k, a: dk, out: x})
+	}
+}
+
+// forward sends payload m to this rank's children in broadcast op, under a
+// collective-communication span tagged with the rank's role in the tree, so
+// the Chrome trace merges communication spans with the compute spans on one
+// timeline. The span covers only the message handling, not the compute it
+// unblocks — the GEMM/TRSM spans stand on their own.
+func (st *rankState) forward(op *core.CollOp, m *dense.Matrix) {
+	end := st.collSpan(op)
+	for _, c := range op.Tree.Children(st.r.ID) {
+		st.r.Send(c, op.Key(), wire[op.Kind].class, m.Data)
+	}
+	end()
+}
+
+func (st *rankState) collSpan(op *core.CollOp) func() {
+	if st.e.Trace == nil {
+		return func() {}
+	}
+	me := st.r.ID
+	role := "leaf"
+	switch {
+	case me == op.Tree.Root:
+		role = "root"
+	case len(op.Tree.Children(me)) > 0:
+		role = "forwarder"
+	}
+	return st.e.Trace.SpanRole(me, wire[op.Kind].span, op.K, role)
+}
+
+// runPass2 is the asynchronous selected inversion proper. Its initial local
+// actions are the leaf diagonals and the cross-sends of the ready L̂/Û.
+func (st *rankState) runPass2() {
+	for _, k := range st.prog.leafDiags {
+		inv := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
+		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, out: inv})
+	}
+	for _, s := range st.e.Plan.Sides() {
+		for _, po := range st.prog.side[s].crossSrcs {
+			st.r.Send(po.Dst, po.Key(), wire[po.Kind].class, st.side[s].hat[blockKey{po.K, po.Blk}].Data)
+		}
+	}
+	st.recvAll(st.prog.expect2)
 }
 
 // cIndex locates blk within the sorted C of a supernode plan.
@@ -754,195 +761,40 @@ func cIndex(c []int, blk int) int {
 func (st *rankState) handle(msg simmpi.Message) {
 	kind, k, blk := core.DecodeOpKey(msg.Tag)
 	sp := st.e.Plan.Snodes[k]
-	me := st.r.ID
 	switch kind {
-	case core.OpCrossSend, core.OpColBcast:
-		// L̂_{I,K} arrives — by cross-send at the owner of (K, I), the
-		// broadcast root, else from the tree parent: store it and forward it
-		// down processor column I.
-		i := blk
-		lh := matFromData(st.width(i), st.width(k), st.elem, msg.Data)
-		cb := &sp.ColBcasts[cIndex(sp.C, i)]
-		end := st.collSpan("col-bcast", k, cb.Tree)
-		for _, c := range cb.Tree.Children(me) {
-			st.r.Send(c, cb.Key(), simmpi.ClassColBcast, lh.Data)
+	case core.OpDiagBcast, core.OpDiagBcastRow:
+		st.diagArrived(wire[kind].side, k, matFromData(st.width(k), st.width(k), st.elem, msg.Data))
+	case core.OpCrossSend, core.OpColBcast, core.OpCrossSendU, core.OpRowBcast:
+		// The normalized block L̂_{I,K} | Û_{K,I} arrives — by cross-send at
+		// its broadcast root, else from the tree parent: forward it down the
+		// tree (processor column I | row I), store it and fire the products
+		// whose A⁻¹ operand is already final.
+		s := wire[kind].side
+		rows, cols := s.Block(st.width(blk), st.width(k))
+		h := matFromData(rows, cols, st.elem, msg.Data)
+		st.forward(&sp.Side(s).Bcasts[cIndex(sp.C, blk)], h)
+		st.side[s].bcast[blockKey{k, blk}] = h
+		for _, ti := range st.prog.side[s].byBcast[blockKey{k, blk}] {
+			st.tryRun(s, ti)
 		}
-		end()
-		st.bcastArrived(k, i, lh)
-	case core.OpRowReduce:
-		j := blk
-		red := st.getRowRed(k, j)
-		st.childArrived(red, &sp.RowReduces[cIndex(sp.C, j)], msg)
-		st.maybeCompleteRow(k, j, red)
-	case core.OpDiagReduce:
-		red := st.getDiagRed(k)
-		st.childArrived(red, sp.DiagReduce, msg)
-		st.maybeCompleteDiag(k, red)
+		if kind == core.OpCrossSendU {
+			// The row-broadcast root is also the Row-Reduce root for block
+			// (I,K), so the diagonal contribution for it may now fire.
+			st.tryDiagContrib(k, blk)
+		}
+	case core.OpRowReduce, core.OpColReduce, core.OpDiagReduce:
+		red := st.reduction(kind, k, blk)
+		st.childArrived(red, msg)
+		st.maybeComplete(red)
 	case core.OpSymmSend:
 		// Finalized A⁻¹_{J,K} arrives at the owner of (K, J); mirror it.
 		// The payload is the sender's finalized block (not ours to recycle).
-		j := blk
-		low := matFromData(st.width(j), st.width(k), st.elem, msg.Data)
+		low := matFromData(st.width(blk), st.width(k), st.elem, msg.Data)
 		up := dense.GetMatrixUninitElem(low.Cols, low.Rows, low.Elem)
 		low.TransposeInto(up)
-		st.finalize(blockKey{k, j}, up)
-	case core.OpCrossSendU, core.OpRowBcast:
-		// Û_{K,I} arrives — by cross-send at the owner of (I, K), the
-		// row-broadcast root, else from the tree parent: store it and forward
-		// it along processor row I. The root is also the Row-Reduce root for
-		// block (I,K), so the diagonal contribution for it may now fire.
-		i := blk
-		uh := matFromData(st.width(k), st.width(i), st.elem, msg.Data)
-		rb := &sp.RowBcasts[cIndex(sp.C, i)]
-		end := st.collSpan("row-bcast", k, rb.Tree)
-		for _, c := range rb.Tree.Children(me) {
-			st.r.Send(c, rb.Key(), simmpi.ClassRowBcast, uh.Data)
-		}
-		end()
-		st.bcastUArrived(k, i, uh)
-		if kind == core.OpCrossSendU {
-			st.tryDiagContribAsym(k, i)
-		}
-	case core.OpColReduce:
-		j := blk
-		red := st.getColRed(k, j)
-		st.childArrived(red, &sp.ColReduces[cIndex(sp.C, j)], msg)
-		st.maybeCompleteCol(k, j, red)
+		st.finalize(blockKey{k, blk}, up)
 	default:
-		panic(fmt.Sprintf("pselinv: unexpected %v message in pass 2", kind))
-	}
-}
-
-// bcastUArrived records Û_{K,I} and fires any upper GEMM whose A⁻¹ operand
-// is already final.
-func (st *rankState) bcastUArrived(k, i int, uh *dense.Matrix) {
-	st.bcastU[blockKey{k, i}] = uh
-	for _, ti := range st.prog.byKIU[blockKey{k, i}] {
-		st.tryRunU(ti)
-	}
-}
-
-// tryRunU executes upper GEMM task ti (Û_{K,I}·A⁻¹_{I,J}) when both
-// operands are available, accumulating into the Col-Reduce sum for (K,J).
-func (st *rankState) tryRunU(ti int) {
-	if st.taskUDone[ti] {
-		return
-	}
-	t := st.prog.tasksU[ti]
-	uh, ok := st.bcastU[blockKey{t.K, t.I}]
-	if !ok {
-		return
-	}
-	av, ok := st.ainv[blockKey{t.I, t.J}]
-	if !ok {
-		return
-	}
-	st.taskUDone[ti] = true
-	red := st.getColRed(t.K, t.J)
-	out := red.localOut(t.Pos)
-	if st.sched != nil {
-		st.sched.submit(t.K, "gemm-u",
-			st.sched.depf("bcast-u(%d,%d) ainv(%d,%d)", t.K, t.I, t.I, t.J),
-			func() {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
-			}, func() {
-				red.localDone(t.Pos, out)
-				st.maybeCompleteCol(t.K, t.J, red)
-			})
-		return
-	}
-	end := st.e.Trace.Span(st.r.ID, "gemm-u", t.K)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
-	end()
-	red.localDone(t.Pos, out)
-	st.maybeCompleteCol(t.K, t.J, red)
-}
-
-func (st *rankState) getColRed(k, j int) *redState {
-	key := blockKey{k, j}
-	if red, ok := st.colRed[key]; ok {
-		return red
-	}
-	sp := st.e.Plan.Snodes[k]
-	tr := sp.ColReduces[cIndex(sp.C, j)].Tree
-	red := st.newRedState(st.width(k), st.width(j), st.prog.colLocal[key], len(tr.Children(st.r.ID)))
-	st.colRed[key] = red
-	return red
-}
-
-// maybeCompleteCol sends a finished upper partial sum up the reduce tree,
-// or — at the root, the owner of (K,J) — finalizes A⁻¹_{K,J} = −Σ.
-func (st *rankState) maybeCompleteCol(k, j int, red *redState) {
-	if red.done || red.next < red.n {
-		return
-	}
-	red.done = true
-	sp := st.e.Plan.Snodes[k]
-	op := &sp.ColReduces[cIndex(sp.C, j)]
-	end := st.collSpan("col-reduce", k, op.Tree)
-	me := st.r.ID
-	if me != op.Tree.Root {
-		// The buffer travels up the tree; the parent recycles it.
-		st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassColReduce, red.sum.Data)
-		red.sum = nil
-		end()
-		return
-	}
-	m := red.sum
-	red.sum = nil // ownership moves to ainv (released via RunResult.Release)
-	m.Scale(-1)
-	end()
-	st.finalize(blockKey{k, j}, m)
-}
-
-// tryDiagContribAsym fires the diagonal contribution Û_{K,J}·A⁻¹_{J,K} at
-// the owner of (J,K) once both operands exist. Two asynchronous events can
-// complete the pair — the Û cross-send arrival and the local Row-Reduce
-// finalization — so both handlers call in here.
-func (st *rankState) tryDiagContribAsym(k, j int) {
-	key := blockKey{k, j}
-	if st.diagTDone[key] {
-		return
-	}
-	uh, ok := st.bcastU[key]
-	if !ok {
-		return
-	}
-	av, ok := st.ainv[blockKey{j, k}]
-	if !ok {
-		return
-	}
-	st.diagTDone[key] = true
-	red := st.getDiagRed(k)
-	pos := st.diagPos(k, j)
-	out := red.localOut(pos)
-	if st.sched != nil {
-		st.sched.submit(k, "gemm",
-			st.sched.depf("bcast-u(%d,%d) ainv(%d,%d)", k, j, j, k),
-			func() {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
-			}, func() {
-				red.localDone(pos, out)
-				st.maybeCompleteDiag(k, red)
-			})
-		return
-	}
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, uh, av, 1, out)
-	red.localDone(pos, out)
-	st.maybeCompleteDiag(k, red)
-}
-
-// diagPos returns the fold position of this rank's Diag-Reduce
-// contribution for block row j of supernode k: the rank contributes once
-// per owned block (J,K), and trsmByK lists those ascending.
-func (st *rankState) diagPos(k, j int) int { return cIndex(st.prog.trsmByK[k], j) }
-
-// bcastArrived records L̂_{I,K} and fires any GEMM whose A⁻¹ operand is
-// already final.
-func (st *rankState) bcastArrived(k, i int, lh *dense.Matrix) {
-	st.bcastL[blockKey{k, i}] = lh
-	for _, ti := range st.prog.byKI[blockKey{k, i}] {
-		st.tryRun(ti)
+		panic(fmt.Sprintf("pselinv: unexpected %v message", kind))
 	}
 }
 
@@ -952,170 +804,126 @@ func (st *rankState) finalize(key blockKey, m *dense.Matrix) {
 		panic(fmt.Sprintf("pselinv: block (%d,%d) finalized twice", key.I, key.J))
 	}
 	st.ainv[key] = m
-	for _, ti := range st.prog.byBlock[key] {
-		st.tryRun(ti)
-	}
-	for _, ti := range st.prog.byBlockU[key] {
-		st.tryRunU(ti)
+	for _, s := range st.e.Plan.Sides() {
+		for _, ti := range st.prog.side[s].byBlock[key] {
+			st.tryRun(s, ti)
+		}
 	}
 }
 
-// tryRun executes GEMM task ti when both operands are available.
-func (st *rankState) tryRun(ti int) {
-	if st.taskDone[ti] {
+// tryRun executes side s's GEMM task ti when both operands are available,
+// accumulating into the reduction for (K,J): A⁻¹_{J,I}·L̂_{I,K} into
+// Row-Reduce on the lower side, Û_{K,I}·A⁻¹_{I,J} into Col-Reduce on the
+// upper.
+func (st *rankState) tryRun(s core.Side, ti int) {
+	ss := &st.side[s]
+	if ss.taskDone[ti] {
 		return
 	}
-	t := st.prog.tasks[ti]
-	lh, ok := st.bcastL[blockKey{t.K, t.I}]
+	t := st.prog.side[s].tasks[ti]
+	h, ok := ss.bcast[blockKey{t.K, t.I}]
 	if !ok {
 		return
 	}
-	av, ok := st.ainv[blockKey{t.J, t.I}]
+	av, ok := st.ainv[ablock(s, t.J, t.I)]
 	if !ok {
 		return
 	}
-	st.taskDone[ti] = true
-	red := st.getRowRed(t.K, t.J)
-	out := red.localOut(t.Pos)
-	if st.sched != nil {
-		st.sched.submit(t.K, "gemm",
-			st.sched.depf("bcast(%d,%d) ainv(%d,%d)", t.K, t.I, t.J, t.I),
-			func() {
-				dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1, out)
-			}, func() {
-				red.localDone(t.Pos, out)
-				st.maybeCompleteRow(t.K, t.J, red)
-			})
-		return
+	ss.taskDone[ti] = true
+	a, b := av, h
+	if s == core.Upper {
+		a, b = h, av
 	}
-	end := st.e.Trace.Span(st.r.ID, "gemm", t.K)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, av, lh, 1, out)
-	end()
-	red.localDone(t.Pos, out)
-	st.maybeCompleteRow(t.K, t.J, red)
+	red := st.reduction(sideNames[s].reduce, t.K, t.J)
+	st.exec(task{kernel: kGemm, side: s, span: sideNames[s].gemm, k: t.K, i: t.I, j: t.J,
+		a: a, b: b, out: red.localOut(t.Pos), red: red, pos: t.Pos})
 }
 
-func (st *rankState) getRowRed(k, j int) *redState {
-	key := blockKey{k, j}
-	if red, ok := st.rowRed[key]; ok {
+// tryDiagContrib fires the diagonal contribution Û_{K,J}·A⁻¹_{J,K} at the
+// owner of (J,K) into the Diag-Reduce sum, once both operands exist. On the
+// symmetric plan Û_{K,J} is the rank's own L̂_{J,K} transposed and the
+// Row-Reduce finalization of A⁻¹_{J,K} is the only caller. On the general
+// plan it is the block the Û cross-send delivers here, so two asynchronous
+// events complete the pair and both handlers call in; the later one fires.
+func (st *rankState) tryDiagContrib(k, j int) {
+	u, ta := st.side[core.Lower].hat[blockKey{k, j}], dense.DoTrans
+	if !st.e.Plan.Symmetric {
+		u, ta = st.side[core.Upper].bcast[blockKey{k, j}], dense.NoTrans
+	}
+	av := st.ainv[blockKey{j, k}]
+	if u == nil || av == nil {
+		return
+	}
+	red := st.reduction(core.OpDiagReduce, k, k)
+	// The rank contributes once per owned block (J,K); trsmByK lists those
+	// ascending, which makes the index the fold position.
+	pos := cIndex(st.prog.side[core.Lower].trsmByK[k], j)
+	st.exec(task{kernel: kGemm, ta: ta, side: core.Upper, span: "gemm", k: k, i: j, j: k,
+		a: u, b: av, out: red.localOut(pos), red: red, pos: pos})
+}
+
+// reduction returns this rank's state of the reduction (kind, k, blk),
+// created by whichever comes first, a local contribution or a child's
+// partial sum.
+func (st *rankState) reduction(kind core.OpKind, k, blk int) *redState {
+	key := core.OpKey(kind, k, blk)
+	if red, ok := st.red[key]; ok {
 		return red
 	}
 	sp := st.e.Plan.Snodes[k]
-	tr := sp.RowReduces[cIndex(sp.C, j)].Tree
-	red := st.newRedState(st.width(j), st.width(k), st.prog.rowLocal[key], len(tr.Children(st.r.ID)))
-	st.rowRed[key] = red
-	return red
-}
-
-func (st *rankState) getDiagRed(k int) *redState {
-	if red, ok := st.diagRed[k]; ok {
-		return red
+	w := st.width(k)
+	op, rows, cols, nlocal := sp.DiagReduce, w, w, len(st.prog.side[core.Lower].trsmByK[k])
+	if kind != core.OpDiagReduce {
+		s := wire[kind].side
+		op = &sp.Side(s).Reduces[cIndex(sp.C, blk)]
+		rows, cols = s.Block(st.width(blk), w)
+		nlocal = st.prog.side[s].nlocal[blockKey{k, blk}]
 	}
-	tr := st.e.Plan.Snodes[k].DiagReduce.Tree
-	red := st.newRedState(st.width(k), st.width(k), len(st.prog.trsmByK[k]), len(tr.Children(st.r.ID)))
-	st.diagRed[k] = red
+	red := &redState{op: op, sum: dense.GetMatrixElem(rows, cols, st.elem),
+		nlocal: nlocal, n: nlocal + len(op.Tree.Children(st.r.ID))}
+	st.red[key] = red
 	return red
 }
 
-// maybeCompleteRow sends a finished partial sum up the reduce tree, or — at
-// the root — finalizes A⁻¹_{J,K} and triggers the mirror send and the
-// diagonal contribution.
-func (st *rankState) maybeCompleteRow(k, j int, red *redState) {
+// maybeComplete sends a finished partial sum up the reduce tree, or — at the
+// root — finalizes the block the reduction computes.
+func (st *rankState) maybeComplete(red *redState) {
 	if red.done || red.next < red.n {
 		return
 	}
 	red.done = true
-	sp := st.e.Plan.Snodes[k]
-	op := &sp.RowReduces[cIndex(sp.C, j)]
-	end := st.collSpan("row-reduce", k, op.Tree)
-	me := st.r.ID
+	op, me := red.op, st.r.ID
+	k, j := op.K, op.Blk
+	end := st.collSpan(op)
+	m := red.sum
+	red.sum = nil // ownership moves on: see redState
 	if me != op.Tree.Root {
 		// The buffer travels up the tree; the parent recycles it.
-		st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassRowReduce, red.sum.Data)
-		red.sum = nil
+		st.r.Send(op.Tree.Parent(me), op.Key(), wire[op.Kind].class, m.Data)
 		end()
 		return
 	}
-	// Root: A⁻¹_{J,K} = −(accumulated sum).
-	m := red.sum
-	red.sum = nil // ownership moves to ainv (released via RunResult.Release)
+	if op.Kind == core.OpDiagReduce {
+		// A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
+		end()
+		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
+		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, a: m, out: diag})
+		return
+	}
+	// A⁻¹_{J,K} | A⁻¹_{K,J} = −Σ, released via RunResult.Release.
 	m.Scale(-1)
 	end()
-	st.finalize(blockKey{j, k}, m)
-	if !st.e.Plan.Symmetric {
-		// General path: the upper triangle is computed by its own
-		// reductions; the diagonal contribution needs the broadcast Û,
-		// which may not have arrived yet.
-		st.tryDiagContribAsym(k, j)
+	s := wire[op.Kind].side
+	st.finalize(ablock(s, j, k), m)
+	if s == core.Upper {
 		return
 	}
-	// Symmetric path: mirror to the upper triangle.
-	dst := st.e.Plan.Owners.OwnerOfBlock(k, j)
-	st.r.Send(dst, core.OpKey(core.OpSymmSend, k, j), simmpi.ClassSymmSend, m.Data)
-	// Local contribution to the diagonal update:
-	// L̂_{J,K}ᵀ · A⁻¹_{J,K} = Û_{K,J} · A⁻¹_{J,K}, accumulated into the
-	// Diag-Reduce sum.
-	lhjk, ok := st.lhat[blockKey{j, k}]
-	if !ok {
-		panic(fmt.Sprintf("pselinv: row-reduce root %d lacks L̂(%d,%d)", me, j, k))
+	if st.e.Plan.Symmetric {
+		// Mirror to the upper triangle, which the general plan computes by
+		// its own reductions instead.
+		sp := st.e.Plan.Snodes[k]
+		so := &sp.SymmSends[cIndex(sp.C, j)]
+		st.r.Send(so.Dst, so.Key(), wire[so.Kind].class, m.Data)
 	}
-	dred := st.getDiagRed(k)
-	pos := st.diagPos(k, j)
-	out := dred.localOut(pos)
-	if st.sched != nil {
-		st.sched.submit(k, "gemm",
-			st.sched.depf("lhat(%d,%d) rowred(%d,%d)", j, k, k, j),
-			func() {
-				dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1, out)
-			}, func() {
-				dred.localDone(pos, out)
-				st.maybeCompleteDiag(k, dred)
-			})
-		return
-	}
-	dense.Gemm(dense.DoTrans, dense.NoTrans, 1, lhjk, m, 1, out)
-	dred.localDone(pos, out)
-	st.maybeCompleteDiag(k, dred)
-}
-
-// maybeCompleteDiag sends a finished diagonal partial sum up the tree, or —
-// at the root — finalizes A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
-func (st *rankState) maybeCompleteDiag(k int, red *redState) {
-	if red.done || red.next < red.n {
-		return
-	}
-	red.done = true
-	op := st.e.Plan.Snodes[k].DiagReduce
-	endColl := st.collSpan("diag-reduce", k, op.Tree)
-	me := st.r.ID
-	if me != op.Tree.Root {
-		// The buffer travels up the tree; the parent recycles it.
-		st.r.Send(op.Tree.Parent(me), op.Key(), simmpi.ClassDiagReduce, red.sum.Data)
-		red.sum = nil
-		endColl()
-		return
-	}
-	endColl()
-	if st.sched != nil {
-		sum := red.sum
-		red.sum = nil
-		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
-		st.sched.submit(k, "diag-inverse", st.sched.depf("diag-reduce(%d)", k),
-			func() {
-				st.e.LU.DiagInverseTo(k, diag)
-				diag.AddScaled(-1, sum)
-			}, func() {
-				dense.PutMatrix(sum)
-				st.finalize(blockKey{k, k}, diag)
-			})
-		return
-	}
-	end := st.e.Trace.Span(st.r.ID, "diag-inverse", k)
-	diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
-	st.e.LU.DiagInverseTo(k, diag)
-	diag.AddScaled(-1, red.sum)
-	end()
-	dense.PutMatrix(red.sum)
-	red.sum = nil
-	st.finalize(blockKey{k, k}, diag)
+	st.tryDiagContrib(k, j)
 }

@@ -243,12 +243,6 @@ func AudikwStandin(seed int64) *Generated {
 	return renamed(FE3D(14, 14, 14, 3, seed), "audikw_1_standin")
 }
 
-// PNFStandin returns the stand-in for DG_PNF14000 used in the scaling
-// experiments (Figs 8, 9).
-func PNFStandin(seed int64) *Generated {
-	return renamed(DG2DRadius(20, 20, 6, 2, seed), "DG_PNF14000_standin")
-}
-
 func renamed(g *Generated, name string) *Generated {
 	g.Name = name
 	return g
