@@ -147,8 +147,9 @@ bench:
 # shapes, the 4M complex GEMM at 512 and — plain and with a transposed
 # operand — at the engine's median shape, the 16-rank end-to-end inversion,
 # the 4-rank sequential/DAG end-to-end pair, the 16-pole PEXSI batch, the
-# warm refactorize loop — sparse front end + factorization + engine — and
-# the MatrixMarket parse)
+# in-place numeric refactorization at the benchmark's DG2D shape, real and
+# complex, the warm refactorize loop — sparse front end + factorization +
+# engine — and the MatrixMarket parse)
 # and compares it against the committed baseline with cmd/benchgate
 # (medians + Mann-Whitney U test). A significant slowdown beyond
 # BENCH_TOLERANCE fails CI.
@@ -164,18 +165,18 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkRefactorize$$/^(real|complex)$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt
 
 bench-baseline:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -count=$(BENCH_COUNT) \
-		-benchtime 300ms ./internal/dense/ ./internal/pexsi/ . | tee .github/bench-baseline.txt
+		-benchtime 300ms ./internal/dense/ ./internal/factor/ ./internal/pexsi/ . | tee .github/bench-baseline.txt
 
 bench-gate:
 	$(GO) test -run '^$$' -bench '$(BENCH_GATE_PATTERN)' -count=$(BENCH_COUNT) \
-		-benchtime 300ms ./internal/dense/ ./internal/pexsi/ . | tee $(BENCH_OUT)
+		-benchtime 300ms ./internal/dense/ ./internal/factor/ ./internal/pexsi/ . | tee $(BENCH_OUT)
 	$(GO) run ./cmd/benchgate -baseline .github/bench-baseline.txt \
 		-new $(BENCH_OUT) -tolerance $(BENCH_TOLERANCE)
 

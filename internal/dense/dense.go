@@ -257,8 +257,8 @@ const (
 
 // LU factors a in place without pivoting: on return the strict lower
 // triangle holds L (unit diagonal implicit) and the upper triangle holds U.
-// Returns an error when a zero (or denormal-tiny) pivot is met; callers feed
-// diagonally dominant matrices so this indicates a caller bug.
+// Returns an error when a zero (or denormal-tiny) or non-finite pivot is met:
+// an uploaded matrix need not be diagonally dominant as the generators' are.
 func LU(a *Matrix) error {
 	n := a.Rows
 	if a.Cols != n {
@@ -269,8 +269,8 @@ func LU(a *Matrix) error {
 	}
 	for k := 0; k < n; k++ {
 		p := a.At(k, k)
-		if math.Abs(p) < 1e-300 {
-			return fmt.Errorf("dense: zero pivot at %d", k)
+		if badPivot(math.Abs(p)) {
+			return fmt.Errorf("dense: zero or non-finite pivot %g at %d", p, k)
 		}
 		for i := k + 1; i < n; i++ {
 			a.Set(i, k, a.At(i, k)/p)
@@ -289,6 +289,10 @@ func LU(a *Matrix) error {
 	}
 	return nil
 }
+
+// badPivot reports whether a pivot of the given modulus cannot be divided
+// by: below the tiny threshold, infinite, or NaN (which compares false).
+func badPivot(abs float64) bool { return !(abs >= 1e-300) || math.IsInf(abs, 0) }
 
 // LUPartialPivot factors a in place with partial (row) pivoting and returns
 // the pivot permutation: row i of the factored matrix corresponds to row

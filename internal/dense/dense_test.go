@@ -195,6 +195,29 @@ func TestLUZeroPivot(t *testing.T) {
 	}
 }
 
+// TestLUNonFinitePivot: NaN and ±Inf pivots take the zero-pivot error path,
+// real and complex, whether they are in the input or arise in a later column.
+func TestLUNonFinitePivot(t *testing.T) {
+	for _, p := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if err := LU(FromRowMajor([][]float64{{p, 1}, {1, 2}})); err == nil {
+			t.Errorf("real LU accepted pivot %g", p)
+		}
+		if err := LU(FromRowMajor([][]float64{{2, 1}, {p, 2}})); err == nil {
+			t.Errorf("real LU accepted a second pivot poisoned by %g", p)
+		}
+		for _, z := range []complex128{complex(p, 1), complex(1, p)} {
+			a := NewMatrixElem(2, 2, Complex)
+			a.ZSet(0, 0, z)
+			a.ZSet(0, 1, 1)
+			a.ZSet(1, 0, 1)
+			a.ZSet(1, 1, 2)
+			if err := LU(a); err == nil {
+				t.Errorf("complex LU accepted pivot %v", z)
+			}
+		}
+	}
+}
+
 func TestLUPartialPivot(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for n := 1; n <= 10; n++ {

@@ -60,13 +60,6 @@ func (a *Matrix) ZSet(i, j int, v complex128) {
 	a.Data[p], a.Data[p+1] = real(v), imag(v)
 }
 
-// ZAdd adds v to complex entry (i, j). The matrix must be Complex.
-func (a *Matrix) ZAdd(i, j int, v complex128) {
-	p := 2 * (i + j*a.Rows)
-	a.Data[p] += real(v)
-	a.Data[p+1] += imag(v)
-}
-
 // checkElem panics unless every operand shares the element type.
 func checkElem(op string, ms ...*Matrix) Elem {
 	e := ms[0].Elem

@@ -177,8 +177,8 @@ func zLU(a *Matrix) error {
 	n := a.Rows
 	for k := 0; k < n; k++ {
 		p := a.ZAt(k, k)
-		if cmplx.Abs(p) < 1e-300 {
-			return fmt.Errorf("dense: zero pivot at %d", k)
+		if badPivot(cmplx.Abs(p)) {
+			return fmt.Errorf("dense: zero or non-finite pivot %v at %d", p, k)
 		}
 		for i := k + 1; i < n; i++ {
 			a.ZSet(i, k, a.ZAt(i, k)/p)

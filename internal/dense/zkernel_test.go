@@ -124,7 +124,7 @@ func TestZTrsmAllVariants(t *testing.T) {
 				packed := randZMat(rng, n, n)
 				tri := NewMatrixElem(n, n, Complex)
 				for j := 0; j < n; j++ {
-					packed.ZAdd(j, j, complex(float64(n), 0))
+					packed.ZSet(j, j, packed.ZAt(j, j)+complex(float64(n), 0))
 					for i := 0; i < n; i++ {
 						switch {
 						case i == j && diag == Unit:

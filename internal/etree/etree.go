@@ -215,6 +215,10 @@ type BlockPattern struct {
 	// SnParent is the supernodal elimination tree: the first off-diagonal
 	// block row, or -1 for roots.
 	SnParent []int
+
+	// The factor layout, immutable once NewBlockPattern has built it:
+	// rowPtr[K] is K's first BlockID, off[id] the slab offset of lower block id.
+	rowPtr, off []int
 }
 
 // NumSnodes returns the number of supernodes.
@@ -228,19 +232,37 @@ func (bp *BlockPattern) HasBlock(i, k int) bool {
 	return p < len(rows) && rows[p] == i
 }
 
+// BlockID returns the factor-layout id of block (i, k), i >= k, which its
+// upper mirror (k, i) shares: rowPtr[k] plus the position of i in RowsOf[k],
+// so supernode k's ids run on from BlockID(k, k) and all of them fill
+// [0, NNZBlocks()). The boolean is false for a structural zero.
+func (bp *BlockPattern) BlockID(i, k int) (int, bool) {
+	rows := bp.RowsOf[k]
+	p := sort.SearchInts(rows, i)
+	return bp.rowPtr[k] + p, p < len(rows) && rows[p] == i
+}
+
+// FactorOffsets returns where block (RowsOf[k][p], k) and, for p > 0, its
+// upper mirror sit in a factor slab, in scalars. The slab holds, supernode
+// after supernode, the diagonal block, then the L_{·,K} blocks, then the
+// U_{K,·} blocks — column-major, in RowsOf order, without a gap.
+func (bp *BlockPattern) FactorOffsets(k, p int) (lower, upper int) {
+	first, w := bp.rowPtr[k], bp.Part.Width(k)
+	// K's segment is its diagonal block plus two equal halves, L and U.
+	half := (bp.off[bp.rowPtr[k+1]] - bp.off[first] - w*w) / 2
+	return bp.off[first+p], bp.off[first+p] + half
+}
+
+// FactorSize returns the scalar length of a factor slab on this pattern.
+func (bp *BlockPattern) FactorSize() int { return bp.off[len(bp.off)-1] }
+
 // Struct returns the off-diagonal block rows of supernode k: the set C(K)
 // of the paper's Algorithm 1.
 func (bp *BlockPattern) Struct(k int) []int { return bp.RowsOf[k][1:] }
 
 // NNZBlocks returns the total number of stored lower-triangular blocks
 // (including diagonal blocks).
-func (bp *BlockPattern) NNZBlocks() int {
-	t := 0
-	for _, r := range bp.RowsOf {
-		t += len(r)
-	}
-	return t
-}
+func (bp *BlockPattern) NNZBlocks() int { return bp.rowPtr[len(bp.rowPtr)-1] }
 
 // FactorFlops estimates the flop count of a right-looking block LU on this
 // pattern (diagonal factorizations, panel solves, Schur updates) — used by
@@ -324,6 +346,15 @@ func NewBlockPattern(a *sparse.CSC, part *Partition) *BlockPattern {
 		} else {
 			bp.SnParent[k] = -1
 		}
+	}
+	bp.rowPtr, bp.off = make([]int, ns+1), []int{0}
+	for k, rows := range bp.RowsOf {
+		bp.rowPtr[k+1] = bp.rowPtr[k] + len(rows)
+		for _, i := range rows {
+			bp.off = append(bp.off, bp.off[len(bp.off)-1]+part.Width(k)*part.Width(i))
+		}
+		// Skip the U blocks, which mirror the L blocks behind the diagonal.
+		bp.off[len(bp.off)-1] += bp.off[len(bp.off)-1] - bp.off[bp.rowPtr[k]+1]
 	}
 	return bp
 }

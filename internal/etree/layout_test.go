@@ -1,0 +1,113 @@
+package etree
+
+import (
+	"math/rand"
+	"testing"
+
+	"pselinv/internal/ordering"
+	"pselinv/internal/sparse"
+)
+
+// checkLayout asserts the factor layout's contract on one pattern: the ids
+// are the dense range [0, NNZBlocks()) in (K, RowsOf[K]) order, BlockID hits
+// exactly the closed pattern (agreeing with HasBlock on every block pair), and
+// walking the supernodes in order — diagonal block, L blocks, U blocks —
+// meets every block exactly where the previous one ended, from 0 to
+// FactorSize(): the blocks tile the slab, disjoint and without a gap.
+func checkLayout(t *testing.T, name string, bp *BlockPattern) {
+	t.Helper()
+	ns, part := bp.NumSnodes(), bp.Part
+	nextID, at := 0, 0
+	for k := 0; k < ns; k++ {
+		for i := k; i < ns; i++ {
+			id, ok := bp.BlockID(i, k)
+			if ok != bp.HasBlock(i, k) {
+				t.Fatalf("%s: BlockID(%d,%d) ok=%v, HasBlock=%v", name, i, k, ok, !ok)
+			}
+			if !ok {
+				continue
+			}
+			if id != nextID {
+				t.Fatalf("%s: block (%d,%d) has id %d, want the next id %d", name, i, k, id, nextID)
+			}
+			nextID++
+		}
+		w := part.Width(k)
+		for p, i := range bp.RowsOf[k] {
+			if lower, _ := bp.FactorOffsets(k, p); lower != at {
+				t.Fatalf("%s: block (%d,%d) at %d, previous block ended at %d", name, i, k, lower, at)
+			}
+			at += w * part.Width(i)
+		}
+		for p, i := range bp.RowsOf[k][1:] {
+			if _, upper := bp.FactorOffsets(k, p+1); upper != at {
+				t.Fatalf("%s: block (%d,%d) at %d, previous block ended at %d", name, k, i, upper, at)
+			}
+			at += w * part.Width(i)
+		}
+	}
+	if nextID != bp.NNZBlocks() {
+		t.Fatalf("%s: %d ids handed out, NNZBlocks %d", name, nextID, bp.NNZBlocks())
+	}
+	if at != bp.FactorSize() {
+		t.Fatalf("%s: blocks end at %d, FactorSize %d", name, at, bp.FactorSize())
+	}
+	if want := 2*int(bp.NNZScalars()) - sumSquares(part); at != want {
+		t.Fatalf("%s: Σ block sizes %d, want 2·NNZScalars − Σw² = %d", name, at, want)
+	}
+}
+
+func sumSquares(part *Partition) int {
+	s := 0
+	for k := 0; k < part.NumSnodes(); k++ {
+		s += part.Width(k) * part.Width(k)
+	}
+	return s
+}
+
+func TestFactorLayoutGenerators(t *testing.T) {
+	for _, g := range []*sparse.Generated{
+		sparse.Banded(12, 2, 1),
+		sparse.Grid2D(9, 7, 2),
+		sparse.Grid3D(4, 4, 3, 7),
+		sparse.DG2D(6, 6, 3, 4),
+		sparse.RandomSym(80, 4, 3),
+		sparse.Asymmetrize(sparse.Grid2D(6, 6, 5), 9, 0.5),
+	} {
+		for _, opt := range []Options{{}, {Relax: 4, MaxWidth: 48}, {MaxWidth: 1}} {
+			perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
+			checkLayout(t, g.Name, Analyze(g.A.Permute(perm), perm, opt).BP)
+		}
+	}
+}
+
+func TestFactorLayoutRandomPatterns(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	for trial := 0; trial < 60; trial++ {
+		n := 1 + r.Intn(60)
+		g := sparse.RandomSym(n, 1+r.Intn(5), int64(trial))
+		opt := Options{Relax: r.Intn(5), MaxWidth: r.Intn(9)}
+		checkLayout(t, g.Name, Analyze(g.A, ordering.Identity(n), opt).BP)
+	}
+}
+
+func TestBlockIDAbsent(t *testing.T) {
+	// Block-diagonal matrix: no off-diagonal block is in the pattern.
+	a := sparse.FromTriplets(4, []sparse.Triplet{
+		{Row: 0, Col: 0, Val: 1}, {Row: 1, Col: 1, Val: 1}, {Row: 2, Col: 2, Val: 1}, {Row: 3, Col: 3, Val: 1},
+	})
+	bp := NewBlockPattern(a, FromStarts([]int{0, 1, 2, 3, 4}, 4))
+	for k := 0; k < 4; k++ {
+		if id, ok := bp.BlockID(k, k); !ok || id != k {
+			t.Fatalf("BlockID(%d,%d) = %d, %v", k, k, id, ok)
+		}
+		for i := k + 1; i < 4; i++ {
+			if _, ok := bp.BlockID(i, k); ok {
+				t.Fatalf("BlockID(%d,%d) reports a block of a block-diagonal pattern", i, k)
+			}
+		}
+	}
+	if bp.FactorSize() != 4 {
+		t.Fatalf("FactorSize = %d, want 4", bp.FactorSize())
+	}
+}

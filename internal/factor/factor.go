@@ -5,8 +5,14 @@
 //
 // The factorization is unpivoted: the matrices produced by internal/sparse
 // generators are strictly diagonally dominant, for which unpivoted LU is
-// backward stable. (The paper likewise treats the factorization as a given
+// backward stable; a zero, tiny or non-finite pivot is an error naming the
+// supernode. (The paper likewise treats the factorization as a given
 // preprocessing step.)
+//
+// The factor's shape — which blocks exist and where each lives in one
+// buffer — is the block pattern's factor layout, computed once per analysis;
+// its values are one routine, Refactorize, for either element type, into a
+// new LU or in place, which is how a pole loop runs (internal/pexsi).
 package factor
 
 import (
@@ -14,24 +20,23 @@ import (
 	"math"
 	"math/cmplx"
 
-	"pselinv/internal/blockmat"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
 	"pselinv/internal/sparse"
 )
 
-// LU is a supernodal block LU factorization A = L·U.
+// LU is a supernodal block LU factorization A = L·U on one slab:
 //
-//   - Diag[K] holds the dense in-place LU of the K-th diagonal block: its
+//   - Diag(K) is the dense in-place LU of the K-th diagonal block: its
 //     strict lower triangle is L_KK (unit diagonal implied) and its upper
 //     triangle is U_KK.
-//   - F stores off-diagonal factor blocks: (I, K) with I > K is
-//     L_{I,K} = A'_{I,K} U_KK⁻¹ and (K, I) is U_{K,I} = L_KK⁻¹ A'_{K,I},
-//     where A' is the partially eliminated matrix.
+//   - LBlock(I, K), I > K, is L_{I,K} = A'_{I,K} U_KK⁻¹ and UBlock(K, I) is
+//     U_{K,I} = L_KK⁻¹ A'_{K,I}, where A' is the partially eliminated matrix.
+//
+// The blocks are views of the slab, valid until the next Refactorize;
+// consumers neither write them nor hand them to the dense arena.
 type LU struct {
-	BP   *etree.BlockPattern
-	Diag []*dense.Matrix
-	F    *blockmat.BlockMatrix
+	BP *etree.BlockPattern
 	// Elem is the element type of every factor block: Real for Factorize,
 	// Complex for FactorizeShifted.
 	Elem dense.Elem
@@ -39,18 +44,55 @@ type LU struct {
 	// (plain transpose: A − zI is when A is), so Û = L̂ᵀ and a symmetric plan
 	// may run on the factorization. Callers select the plan by it.
 	Symmetric bool
-	// FactorFlops is the floating-point operation count of the numeric
-	// factorization, used as the SuperLU_DIST cost reference by the timing
-	// simulator.
-	FactorFlops int64
+
+	slab []float64
+	// blocks[id] is lower block id (etree.BlockPattern.BlockID) and
+	// blocks[len/2+id] its upper mirror, both views of slab.
+	blocks []dense.Matrix
 }
+
+// New lays an all-zero LU out on bp, ready for Refactorize: one slab in the
+// pattern's factor layout and one header array, whatever the block count.
+func New(bp *etree.BlockPattern, elem dense.Elem) *LU {
+	nb, ew := bp.NNZBlocks(), elem.Width()
+	lu := &LU{BP: bp, Elem: elem, slab: make([]float64, bp.FactorSize()*ew), blocks: make([]dense.Matrix, 2*nb)}
+	for k, rows := range bp.RowsOf {
+		for p, i := range rows {
+			id, _ := bp.BlockID(i, k)
+			w, wi := bp.Part.Width(k), bp.Part.Width(i)
+			lower, upper := bp.FactorOffsets(k, p)
+			n := w * wi * ew
+			lu.blocks[id] = dense.Matrix{Rows: wi, Cols: w, Elem: elem, Data: lu.slab[lower*ew:][:n:n]}
+			if p > 0 {
+				lu.blocks[nb+id] = dense.Matrix{Rows: w, Cols: wi, Elem: elem, Data: lu.slab[upper*ew:][:n:n]}
+			}
+		}
+	}
+	return lu
+}
+
+// block returns block (i, j) of either triangle, nil for a structural zero.
+func (lu *LU) block(i, j int) *dense.Matrix {
+	half := 0
+	if i < j {
+		i, j, half = j, i, len(lu.blocks)/2
+	}
+	if id, ok := lu.BP.BlockID(i, j); ok {
+		return &lu.blocks[half+id]
+	}
+	return nil
+}
+
+// Diag returns the packed LU of the k-th diagonal block.
+func (lu *LU) Diag(k int) *dense.Matrix { return lu.block(k, k) }
 
 // LBlock returns L_{I,K} (I > K); the boolean is false for structural zeros.
 func (lu *LU) LBlock(i, k int) (*dense.Matrix, bool) {
 	if i <= k {
 		panic(fmt.Sprintf("factor: LBlock(%d,%d) not strictly below diagonal", i, k))
 	}
-	return lu.F.Get(i, k)
+	b := lu.block(i, k)
+	return b, b != nil
 }
 
 // UBlock returns U_{K,J} (J > K).
@@ -58,14 +100,15 @@ func (lu *LU) UBlock(k, j int) (*dense.Matrix, bool) {
 	if j <= k {
 		panic(fmt.Sprintf("factor: UBlock(%d,%d) not strictly right of diagonal", k, j))
 	}
-	return lu.F.Get(k, j)
+	b := lu.block(k, j)
+	return b, b != nil
 }
 
 // Factorize computes the block LU factorization of a (which must already be
 // permuted to the ordering the block pattern was computed for).
 func Factorize(a *sparse.CSC, bp *etree.BlockPattern) (*LU, error) {
-	work := blockmat.FromCSC(bp.Part, a)
-	return factorize(work, bp, dense.Real, a.IsSymmetric(SymTol))
+	lu := New(bp, dense.Real)
+	return lu, lu.Refactorize(a, 0)
 }
 
 // FactorizeShifted computes the block LU factorization of A − zI over the
@@ -75,132 +118,94 @@ func Factorize(a *sparse.CSC, bp *etree.BlockPattern) (*LU, error) {
 // (interleaved storage), and the numeric loop is exactly the loop
 // Factorize runs — the dense kernels dispatch on the element type.
 func FactorizeShifted(a *sparse.CSC, z complex128, bp *etree.BlockPattern) (*LU, error) {
-	part := bp.Part
-	work := blockmat.NewElem(part, dense.Complex)
-	for j := 0; j < a.N; j++ {
-		kj := part.SnodeOf[j]
-		jc := j - part.Start[kj]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			ki := part.SnodeOf[i]
-			b := work.EnsureZero(ki, kj)
-			b.ZSet(i-part.Start[ki], jc, complex(a.Val[p], 0))
-		}
-	}
-	for j := 0; j < a.N; j++ {
-		kj := part.SnodeOf[j]
-		jc := j - part.Start[kj]
-		work.EnsureZero(kj, kj).ZAdd(jc, jc, -z)
-	}
-	return factorize(work, bp, dense.Complex, a.IsSymmetric(SymTol))
+	lu := New(bp, dense.Complex)
+	return lu, lu.Refactorize(a, z)
 }
 
 // SymTol is the value-symmetry tolerance: a matrix with
 // |a(i,j) − a(j,i)| ≤ SymTol everywhere takes the symmetric path.
 const SymTol = 1e-14
 
-// factorize runs the right-looking numeric loop over an assembled block
-// matrix of either element type; symmetric is the input's value symmetry.
-func factorize(work *blockmat.BlockMatrix, bp *etree.BlockPattern, elem dense.Elem, symmetric bool) (*LU, error) {
-	part := bp.Part
-	ns := bp.NumSnodes()
-	work.Elem = elem
-	// Pre-create every block of the closed pattern (lower, upper, diagonal)
-	// so fill lands in existing zero blocks.
-	for k := 0; k < ns; k++ {
-		for _, i := range bp.RowsOf[k] {
-			work.EnsureZero(i, k)
-			if i > k {
-				work.EnsureZero(k, i)
+// Refactorize overwrites lu with the factorization of A − zI, in lu's
+// element type (a real LU takes a real z) and storage, bit for bit what
+// Factorize or FactorizeShifted returns. a must have the sparsity the block
+// pattern was computed for, and nothing may still be reading the previous
+// factorization. After an error lu holds none, and can be refactorized again.
+func (lu *LU) Refactorize(a *sparse.CSC, z complex128) error {
+	lu.assemble(a, z)
+	lu.Symmetric = a.IsSymmetric(SymTol)
+	return lu.eliminate()
+}
+
+// assemble zeroes the slab and scatters A − zI into it: one sweep down each
+// column, one block lookup per run of its sorted rows that share a block.
+func (lu *LU) assemble(a *sparse.CSC, z complex128) {
+	part, ew := lu.BP.Part, lu.Elem.Width()
+	if lu.Elem == dense.Real && imag(z) != 0 {
+		panic(fmt.Sprintf("factor: complex shift %v on a real LU", z))
+	}
+	if part.Start[len(part.Start)-1] != a.N {
+		panic("factor: block pattern does not match matrix dimension")
+	}
+	clear(lu.slab)
+	for j := 0; j < a.N; j++ {
+		kj := part.SnodeOf[j]
+		jc := j - part.Start[kj]
+		cur := -1
+		var blk *dense.Matrix
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			i := a.RowIdx[p]
+			if ki := part.SnodeOf[i]; ki != cur {
+				if cur, blk = ki, lu.block(ki, kj); blk == nil {
+					panic(fmt.Sprintf("factor: entry (%d,%d) lies outside the block pattern", i, j))
+				}
 			}
+			blk.Data[(i-part.Start[cur]+jc*blk.Rows)*ew] = a.Val[p]
+		}
+		d := lu.Diag(kj).Data[(jc+jc*part.Width(kj))*ew:]
+		d[0] += -real(z)
+		if ew == 2 {
+			d[1] += -imag(z)
 		}
 	}
-	lu := &LU{BP: bp, Diag: make([]*dense.Matrix, ns), F: work, Elem: elem, Symmetric: symmetric}
-	for k := 0; k < ns; k++ {
-		dk := work.MustGet(k, k)
+}
+
+// eliminate runs the right-looking numeric loop over the assembled slab.
+func (lu *LU) eliminate() error {
+	bp, nb := lu.BP, len(lu.blocks)/2
+	for k, rows := range bp.RowsOf {
+		first, _ := bp.BlockID(k, k) // the ids of K's blocks run on from its diagonal's
+		dk := &lu.blocks[first]
 		if err := dense.LU(dk); err != nil {
-			return nil, fmt.Errorf("factor: supernode %d: %w", k, err)
+			return fmt.Errorf("factor: supernode %d: %w", k, err)
 		}
-		lu.Diag[k] = dk
-		w := part.Width(k)
-		lu.FactorFlops += 2 * int64(w) * int64(w) * int64(w) / 3
-		c := bp.Struct(k)
-		for _, i := range c {
-			lb := work.MustGet(i, k)
+		for p := 1; p < len(rows); p++ {
+			lb, ub := &lu.blocks[first+p], &lu.blocks[nb+first+p]
 			dense.Trsm(dense.Right, dense.Upper, dense.NoTrans, dense.NonUnit, dk, lb)
-			ub := work.MustGet(k, i)
 			dense.Trsm(dense.Left, dense.Lower, dense.NoTrans, dense.Unit, dk, ub)
-			lu.FactorFlops += dense.TrsmFlops(w, lb.Rows) + dense.TrsmFlops(w, ub.Cols)
 		}
 		// Schur complement update: A'_{I,J} -= L_{I,K} U_{K,J} for all
 		// I, J in C(K). Closure guarantees the target blocks exist.
-		for _, i := range c {
-			lb := work.MustGet(i, k)
-			for _, j := range c {
-				ub := work.MustGet(k, j)
-				target := work.MustGet(i, j)
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, lb, ub, 1, target)
-				lu.FactorFlops += dense.GemmFlops(lb.Rows, ub.Cols, w)
+		for x := 1; x < len(rows); x++ {
+			for y := 1; y < len(rows); y++ {
+				lb, ub := &lu.blocks[first+x], &lu.blocks[nb+first+y]
+				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, lb, ub, 1, lu.block(rows[x], rows[y]))
 			}
 		}
 	}
-	return lu, nil
-}
-
-// ReconstructDense multiplies the factors back into a dense matrix — a
-// testing aid for validating ‖LU − A‖.
-func (lu *LU) ReconstructDense() *dense.Matrix {
-	part := lu.BP.Part
-	n := part.Start[len(part.Start)-1]
-	ns := lu.BP.NumSnodes()
-	l := dense.NewMatrix(n, n)
-	u := dense.NewMatrix(n, n)
-	for k := 0; k < ns; k++ {
-		r0 := part.Start[k]
-		dk := lu.Diag[k]
-		for j := 0; j < dk.Cols; j++ {
-			l.Set(r0+j, r0+j, 1)
-			for i := 0; i < dk.Rows; i++ {
-				if i > j {
-					l.Set(r0+i, r0+j, dk.At(i, j))
-				} else {
-					u.Set(r0+i, r0+j, dk.At(i, j))
-				}
-			}
-		}
-		for _, i := range lu.BP.Struct(k) {
-			i0 := part.Start[i]
-			if lb, ok := lu.LBlock(i, k); ok {
-				for c := 0; c < lb.Cols; c++ {
-					for r := 0; r < lb.Rows; r++ {
-						l.Set(i0+r, r0+c, lb.At(r, c))
-					}
-				}
-			}
-			if ub, ok := lu.UBlock(k, i); ok {
-				for c := 0; c < ub.Cols; c++ {
-					for r := 0; r < ub.Rows; r++ {
-						u.Set(r0+r, i0+c, ub.At(r, c))
-					}
-				}
-			}
-		}
-	}
-	return dense.Mul(dense.NoTrans, dense.NoTrans, l, u)
+	return nil
 }
 
 // LogAbsDet returns log|det A| = Σ log|U_kk,ii| over all diagonal factor
 // entries — the selected-inversion byproduct PEXSI uses for chemical
 // potential bisection.
 func (lu *LU) LogAbsDet() float64 {
+	if lu.Elem == dense.Complex {
+		return real(lu.LogDet()) // Re log z = log|z|
+	}
 	var s float64
-	for _, dk := range lu.Diag {
-		if dk.Elem == dense.Complex {
-			for i := 0; i < dk.Rows; i++ {
-				s += math.Log(cmplx.Abs(dk.ZAt(i, i)))
-			}
-			continue
-		}
+	for k := range lu.BP.RowsOf {
+		dk := lu.Diag(k)
 		for i := 0; i < dk.Rows; i++ {
 			s += math.Log(math.Abs(dk.At(i, i)))
 		}
@@ -212,7 +217,8 @@ func (lu *LU) LogAbsDet() float64 {
 // the byproduct pole expansion uses to track the analytic branch.
 func (lu *LU) LogDet() complex128 {
 	var s complex128
-	for _, dk := range lu.Diag {
+	for k := range lu.BP.RowsOf {
+		dk := lu.Diag(k)
 		for i := 0; i < dk.Rows; i++ {
 			s += cmplx.Log(dk.ZAt(i, i))
 		}
@@ -226,20 +232,14 @@ func (lu *LU) LogDet() complex128 {
 // with the dense arena (GetMatrixUninitElem) to compute diagonal inverses
 // without allocating.
 func (lu *LU) DiagInverseTo(k int, inv *dense.Matrix) {
-	dk := lu.Diag[k]
+	dk := lu.Diag(k)
 	if inv.Rows != dk.Rows || inv.Cols != dk.Rows {
 		panic(fmt.Sprintf("factor: DiagInverseTo target %dx%d, want %dx%d",
 			inv.Rows, inv.Cols, dk.Rows, dk.Rows))
 	}
 	inv.Zero()
-	if dk.Elem == dense.Complex {
-		for i := 0; i < dk.Rows; i++ {
-			inv.ZSet(i, i, 1)
-		}
-	} else {
-		for i := 0; i < dk.Rows; i++ {
-			inv.Set(i, i, 1)
-		}
+	for i, ew := 0, dk.Width(); i < dk.Rows; i++ {
+		inv.Data[(i+i*dk.Rows)*ew] = 1
 	}
 	dense.Trsm(dense.Left, dense.Lower, dense.NoTrans, dense.Unit, dk, inv)
 	dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, inv)

@@ -2,10 +2,10 @@
 // selected inversions that differ only in the complex shift zₗ, so almost
 // everything is shareable. Like the other drivers RunBatch analyzes once
 // and rebinds one engine template per pole; what it adds is the pipeline —
-// pole l+1 is factorized while pole l is inverted — and, because the poles
-// are inverted one at a time and each returns its buffers to the dense
-// arena before the next starts, steady-state allocations that stay flat no
-// matter how many poles are evaluated.
+// pole l+1 is factorized while pole l is inverted — over three LUs: an
+// inverted pole's goes back to the producer, which refactorizes a later pole
+// into it, so from then on a pole allocates only what its inversion does
+// (blocks the dense arena lost to a GC, the engine's per-run state).
 package pexsi
 
 import (
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"pselinv/internal/core"
+	"pselinv/internal/dense"
 	"pselinv/internal/factor"
 	"pselinv/internal/sparse"
 )
@@ -42,9 +43,9 @@ type BatchPoleStats struct {
 	FactorElapsed time.Duration
 	InvertElapsed time.Duration
 	// AllocBytes is the heap allocated while this pole was being inverted
-	// (including the overlapped factorization of its successor). With the
-	// template shared and arena recycling in effect this is flat from the
-	// second pole on — the property the batch allocation test pins.
+	// (including the overlapped factorization of a successor: one of the
+	// batch's three LUs for the first poles, nothing afterwards — the
+	// property the batch allocation test pins).
 	AllocBytes uint64
 }
 
@@ -80,16 +81,26 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 
 	// Producer: numeric factorizations, in pole order, one queued beyond
 	// the one the consumer holds (pole l+1 is factorized while pole l is
-	// inverted; a deeper queue only grows memory). The done channel
+	// inverted; a deeper queue only grows memory). So at most three LUs
+	// exist — being inverted, queued, being factorized. The consumer hands
+	// each back on spent once its inversion has returned and keeps that of
+	// a failed run, whose ranks may still be reading it. The done channel
 	// unblocks the producer when the consumer aborts early.
 	jobs := make(chan facJob, 1)
+	spent := make(chan *factor.LU, 3)
 	done := make(chan struct{})
 	defer close(done)
 	go func() {
 		defer close(jobs)
 		for l, p := range cfg.Poles {
 			t0 := time.Now()
-			lu, err := factor.FactorizeShifted(s.an.A, p.Z, s.an.BP)
+			var lu *factor.LU
+			select {
+			case lu = <-spent:
+			default:
+				lu = factor.New(s.an.BP, dense.Complex)
+			}
+			err := lu.Refactorize(s.an.A, p.Z)
 			j := facJob{l: l, lu: lu, elapsed: time.Since(t0), err: err}
 			select {
 			case jobs <- j:
@@ -128,6 +139,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		st.LogDet = job.lu.LogDet()
 		st.FactorElapsed = job.elapsed
 		st.InvertElapsed = time.Since(t0)
+		spent <- job.lu
 		runtime.ReadMemStats(&ms)
 		st.AllocBytes = ms.TotalAlloc - lastAlloc
 		lastAlloc = ms.TotalAlloc

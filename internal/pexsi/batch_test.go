@@ -2,7 +2,7 @@ package pexsi
 
 import (
 	"math"
-	"runtime/debug"
+	"strings"
 	"testing"
 	"time"
 
@@ -127,23 +127,23 @@ func TestBatchDagMatchesSequential(t *testing.T) {
 	nearDensity(t, serial.Density, dag.Density, "DAG batch vs serial batch")
 }
 
-// TestBatchAllocFlat pins the arena-recycling property: pole 0 pays for
-// the plan, template and arena warm-up; every later pole reuses that
-// storage, so steady-state allocation stays flat no matter how many poles
-// run. Two measurement artifacts are deliberately factored out: GC is
-// disabled because a collection clears the arena's sync.Pool victim cache
-// and re-charges a later pole for re-warming it, and the assertion uses
-// the MEAN and MINIMUM over the later poles because the pipelined
-// factorization of pole l+1 lands in whichever pole's measurement window
-// happens to be open. The budgets are absolute for this fixed problem:
-// without recycling every pole re-allocates its L̂/Û copies, result blocks
-// and LU (≳3 MB here); recycled steady state is ~1 MB mean and near-zero
-// minimum.
+// TestBatchAllocFlat pins what a pole of a batch may allocate, with the
+// collector running as it does in production. Pole 0 pays for the analysis
+// and warms the dense arena, and the first poles pay for the batch's three
+// LUs; after that no factorization allocates (the consumer hands each spent
+// LU back and the producer refactorizes into it — an explicit handoff, which
+// a GC cannot undo the way it empties the arena's sync.Pool), so a pole costs
+// only its inversion: block-matrix maps and headers, plus whatever share of
+// the L̂/Û copies and result blocks the arena lost to the last collection.
+// For this fixed problem one LU is 0.66 MB of slab and 0.1 MB of headers;
+// per-block LUs dropped after every pole measured 1.0–1.1 MB per pole here,
+// the handoff 0.39–0.42 MB mean and 0.27 MB minimum (0.51 / 0.47 at GOGC=1).
+// The mean and the minimum are asserted, not each pole: the pipelined
+// factorization of a later pole lands in whichever pole's window is open.
 func TestBatchAllocFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop items at random, defeating the arena this test pins")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	h := sparse.RandomSym(400, 4, 3)
 	poles := mustPoles(t, 8, 2.0, 50.0)
 	res, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 24})
@@ -164,11 +164,11 @@ func TestBatchAllocFlat(t *testing.T) {
 	}
 	mean := total / uint64(len(res.Stats)-1)
 	t.Logf("steady state: mean %.2f MB, min %.2f MB per pole", float64(mean)/1e6, float64(min)/1e6)
-	if mean > 2<<20 {
-		t.Errorf("steady-state mean %.2f MB/pole exceeds the 2 MB budget — recycling broke", float64(mean)/1e6)
+	if mean > 768<<10 {
+		t.Errorf("steady-state mean %.2f MB/pole exceeds the 0.75 MB budget — a pole allocates a factorization again", float64(mean)/1e6)
 	}
-	if min > 512<<10 {
-		t.Errorf("steady-state minimum %.2f MB/pole exceeds the 0.5 MB budget — recycling broke", float64(min)/1e6)
+	if min > 384<<10 {
+		t.Errorf("steady-state minimum %.2f MB/pole exceeds the 0.375 MB budget — recycling broke", float64(min)/1e6)
 	}
 }
 
@@ -201,6 +201,64 @@ func TestBatchBeatsIndependentRuns(t *testing.T) {
 	t.Logf("batch=%v singles(16)=%v ratio=%.2f", batch, singles, ratio)
 	if ratio < 1.3 {
 		t.Errorf("batch engine only %.2fx faster than independent runs (floor 1.3x)", ratio)
+	}
+}
+
+// TestBatchHandoffRace drives the LU handoff for the race detector (make
+// pexsi-batch): many poles over the batch's three LUs on a four-rank DAG
+// engine, so every LU is refactorized several times right after an engine
+// read it, and the result must still be RunComplex's, whose sequential loop
+// refactorizes one LU for every pole.
+func TestBatchHandoffRace(t *testing.T) {
+	h := sparse.Grid2D(8, 8, 5)
+	poles := mustPoles(t, 12, 2.0, 50.0)
+	cfg := BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16, Procs: 4, Scheme: core.ShiftedBinaryTree, DAG: true, Seed: 7}
+	batch, err := RunBatch(h, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, err := RunComplex(h, ComplexConfig{
+		Poles: poles, Relax: 4, MaxWidth: 16, Procs: 4, Scheme: cfg.Scheme, DAG: true, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, single.Density, batch.Density, "handoff batch vs RunComplex")
+	fresh, err := RunComplex(h, ComplexConfig{
+		Poles: poles, Relax: 4, MaxWidth: 16, Procs: 4, Scheme: cfg.Scheme, DAG: true, Seed: 7, Parallel: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits(t, fresh.Density, batch.Density, "handoff batch vs one fresh LU per pole")
+}
+
+// TestBatchAbortKeepsLU: when the consumer aborts, the LU of the failed
+// inversion is not handed back — its ranks may still be reading it — and the
+// producer, possibly mid-refactorization of another LU, is released. Two ways
+// to abort: an engine run that times out with its ranks still going, and a
+// pole that cannot be factorized into a recycled LU (a NaN shift, which the
+// pivot guard turns into an error).
+func TestBatchAbortKeepsLU(t *testing.T) {
+	h := sparse.Grid2D(10, 10, 5)
+	poles := mustPoles(t, 8, 2.0, 50.0)
+	cfg := BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16, Procs: 4, Scheme: core.BinaryTree, DAG: true, Seed: 3}
+
+	cfg.Timeout = time.Nanosecond
+	if _, err := RunBatch(h, cfg); err == nil {
+		t.Fatal("a 1 ns engine timeout did not abort the batch")
+	}
+
+	cfg.Timeout = 0
+	bad := append([]ComplexPole(nil), poles...)
+	bad[5].Z = complex(math.NaN(), 1)
+	_, err := RunBatch(h, BatchConfig{Poles: bad, Relax: 4, MaxWidth: 16, Procs: 4, Scheme: core.BinaryTree, DAG: true, Seed: 3})
+	if err == nil || !strings.Contains(err.Error(), "pole 5") {
+		t.Fatalf("NaN pole: got %v, want an error naming pole 5", err)
+	}
+	// The arena and the engine template survive an aborted batch.
+	if _, err := RunBatch(h, cfg); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pselinv/internal/core"
+	"pselinv/internal/dense"
 	"pselinv/internal/factor"
 	"pselinv/internal/sparse"
 )
@@ -91,10 +92,10 @@ func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) 
 	}, cfg.DAG, cfg.Timeout)
 	res := &ComplexResult{LogDets: make([]complex128, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
-	err := forEachPole(len(cfg.Poles), cfg.Parallel, func(l int) error {
+	err := s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Complex, func(l int, lu *factor.LU) error {
 		pole := cfg.Poles[l]
 		contribs[l] = make([]float64, h.A.N)
-		lu, err := factor.FactorizeShifted(s.an.A, pole.Z, s.an.BP)
+		err := lu.Refactorize(s.an.A, pole.Z)
 		if err == nil {
 			res.LogDets[l] = lu.LogDet()
 			_, _, err = s.accumulate(lu, pole.Weight, contribs[l])

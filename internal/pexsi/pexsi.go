@@ -161,13 +161,15 @@ func (s *poleSolver) accumulate(lu *factor.LU, weight complex128, acc []float64)
 	return maxSentMB, elapsed, nil
 }
 
-// forEachPole calls fn for every pole index, concurrently when parallel is
-// set (one goroutine per pole, as PEXSI's processor subgroups), and
-// returns the error of the lowest failing pole.
-func forEachPole(n int, parallel bool, fn func(l int) error) error {
+// forEachPole calls fn for every pole index with an LU to refactorize the
+// pole into: one for the whole sequential loop or, when parallel is set, one
+// goroutine and LU per pole, as PEXSI's processor subgroups. It returns the
+// error of the lowest failing pole.
+func (s *poleSolver) forEachPole(n int, parallel bool, elem dense.Elem, fn func(l int, lu *factor.LU) error) error {
 	if !parallel {
+		lu := factor.New(s.an.BP, elem)
 		for l := 0; l < n; l++ {
-			if err := fn(l); err != nil {
+			if err := fn(l, lu); err != nil {
 				return err
 			}
 		}
@@ -179,7 +181,7 @@ func forEachPole(n int, parallel bool, fn func(l int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[l] = fn(l)
+			errs[l] = fn(l, factor.New(s.an.BP, elem))
 		}()
 	}
 	wg.Wait()
@@ -215,16 +217,12 @@ func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 	}, cfg.DAG, cfg.Timeout)
 	res := &Result{Stats: make([]PoleStats, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
-	err := forEachPole(len(cfg.Poles), cfg.Parallel, func(l int) error {
+	err := s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Real, func(l int, lu *factor.LU) error {
 		pole := cfg.Poles[l]
 		st := &res.Stats[l]
 		st.Pole = pole
 		contribs[l] = make([]float64, h.A.N)
-		var lu *factor.LU
-		shifted, err := s.an.A.ShiftDiagonal(pole.Shift)
-		if err == nil {
-			lu, err = factor.Factorize(shifted, s.an.BP)
-		}
+		err := lu.Refactorize(s.an.A, complex(-pole.Shift, 0)) // H + σI
 		if err == nil {
 			st.MaxSentMB, st.Elapsed, err = s.accumulate(lu, complex(pole.Weight, 0), contribs[l])
 		}

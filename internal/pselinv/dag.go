@@ -77,7 +77,7 @@ func (d DagRankStats) Occupancy() float64 {
 }
 
 // dagTask is one scheduled task: the engine's value task plus the
-// scheduler's bookkeeping.
+// scheduler's bookkeeping, recycled through the rank's free list.
 type dagTask struct {
 	task
 	prio int    // critical-path height of the supernode; higher runs first
@@ -87,6 +87,8 @@ type dagTask struct {
 	dur       time.Duration
 	recovered any    // panic value captured on a worker, re-raised on the rank
 	stack     []byte // worker stack at the recover site
+
+	run func() // the worker-side half, built once per object (newTask)
 }
 
 // taskHeap is a max-heap on (prio, -seq).
@@ -111,11 +113,12 @@ func (h *taskHeap) Pop() any {
 }
 
 // dagSched drives one rank's task DAG. All methods run on the rank
-// goroutine; only the closure wrap builds — a task's compute half —
-// executes elsewhere.
+// goroutine; only a task's run closure — its compute half — executes
+// elsewhere.
 type dagSched struct {
 	st       *rankState
 	ready    taskHeap
+	free     []*dagTask // finished task objects, reused by submit
 	comp     chan *dagTask
 	inflight int
 	seq      int
@@ -138,7 +141,8 @@ func newDagSched(st *rankState) *dagSched {
 // submit queues a task and immediately tries to push ready work onto the
 // pool.
 func (s *dagSched) submit(t task) {
-	dt := &dagTask{task: t, prio: s.st.e.heights[t.k], seq: s.seq}
+	dt := s.newTask()
+	dt.task, dt.prio, dt.seq = t, s.st.e.heights[t.k], s.seq
 	if s.st.e.Trace != nil {
 		dt.dep = t.deps()
 	}
@@ -155,8 +159,7 @@ func (s *dagSched) submit(t task) {
 // until the pool refuses a slot.
 func (s *dagSched) dispatch() {
 	for len(s.ready) > 0 {
-		t := s.ready[0]
-		if !dense.TrySubmit(s.wrap(t)) {
+		if !dense.TrySubmit(s.ready[0].run) {
 			return
 		}
 		heap.Pop(&s.ready)
@@ -168,10 +171,17 @@ func (s *dagSched) dispatch() {
 	}
 }
 
-// wrap builds the worker-side closure: run the compute half, capture any
-// panic, and hand the task back on the completion channel.
-func (s *dagSched) wrap(t *dagTask) func() {
-	return func() {
+// newTask returns a task object off the free list, or a new one with its
+// worker closure: run the compute half, capture any panic, and hand the task
+// back on the completion channel.
+func (s *dagSched) newTask() *dagTask {
+	if n := len(s.free); n > 0 {
+		t := s.free[n-1]
+		s.free = s.free[:n-1]
+		return t
+	}
+	t := &dagTask{}
+	t.run = func() {
 		t0 := time.Now()
 		defer func() {
 			if r := recover(); r != nil {
@@ -182,6 +192,15 @@ func (s *dagSched) wrap(t *dagTask) func() {
 		}()
 		s.st.compute(&t.task, t.dep)
 	}
+	return t
+}
+
+// finish applies a computed task's bookkeeping and only then, since that
+// submits further tasks, recycles the object.
+func (s *dagSched) finish(t *dagTask) {
+	s.st.finish(&t.task)
+	t.task, t.dep = task{}, "" // drop the operand references
+	s.free = append(s.free, t)
 }
 
 // runInline executes a task on the rank goroutine (pool saturated, or the
@@ -190,7 +209,7 @@ func (s *dagSched) runInline(t *dagTask) {
 	t0 := time.Now()
 	s.st.compute(&t.task, t.dep)
 	s.stats.BusyNS += int64(time.Since(t0))
-	s.st.finish(&t.task)
+	s.finish(t)
 }
 
 // complete applies a finished task's bookkeeping on the rank goroutine,
@@ -202,7 +221,7 @@ func (s *dagSched) complete(t *dagTask) {
 		panic(fmt.Sprintf("pselinv: dag task %s K=%d panicked on a pool worker: %v\n%s",
 			t.span, t.k, t.recovered, t.stack))
 	}
-	s.st.finish(&t.task)
+	s.finish(t)
 }
 
 // drainCompletions applies every already-finished task without blocking.

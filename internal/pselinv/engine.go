@@ -682,7 +682,7 @@ func (st *rankState) recv() simmpi.Message {
 func (st *rankState) runPass1() {
 	for _, k := range st.prog.diagRoots {
 		for _, s := range st.e.Plan.Sides() {
-			st.diagArrived(s, k, st.e.LU.Diag[k])
+			st.diagArrived(s, k, st.e.LU.Diag(k))
 		}
 	}
 	st.recvAll(st.prog.expect1)
@@ -694,7 +694,10 @@ func (st *rankState) runPass1() {
 func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
 	st.forward(st.e.Plan.Snodes[k].Side(s).DiagBcast, dk)
 	for _, i := range st.prog.side[s].trsmByK[k] {
-		fb, ok := st.e.LU.F.Get(s.Block(i, k))
+		fb, ok := st.e.LU.LBlock(i, k)
+		if s == core.Upper {
+			fb, ok = st.e.LU.UBlock(k, i)
+		}
 		if !ok {
 			panic(fmt.Sprintf("pselinv: plan references missing factor block %v", ablock(s, i, k)))
 		}

@@ -27,15 +27,17 @@ import (
 // stored at (K, I). The copies live on the dense arena.
 func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
 	bp := lu.BP
-	lhat = blockmat.NewElem(bp.Part, lu.Elem)
-	uhat = blockmat.NewElem(bp.Part, lu.Elem)
+	lhat = blockmat.New(bp.Part)
+	uhat = blockmat.New(bp.Part)
 	for k := bp.NumSnodes() - 1; k >= 0; k-- {
-		dk := lu.Diag[k]
+		dk := lu.Diag(k)
 		for _, i := range bp.Struct(k) {
-			x := dense.GetMatrixCopy(lu.F.MustGet(i, k))
+			lb, _ := lu.LBlock(i, k)
+			x := dense.GetMatrixCopy(lb)
 			dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
 			lhat.Set(i, k, x)
-			y := dense.GetMatrixCopy(lu.F.MustGet(k, i))
+			ub, _ := lu.UBlock(k, i)
+			y := dense.GetMatrixCopy(ub)
 			dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, y)
 			uhat.Set(k, i, y)
 		}
@@ -62,7 +64,7 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 	lhat, uhat := pass1(lu)
 	defer lhat.Release()
 	defer uhat.Release()
-	ainv := blockmat.NewElem(part, lu.Elem)
+	ainv := blockmat.New(part)
 	// Pass 2: supernodes in descending order (top-down elimination tree
 	// traversal). When processing K, every block A⁻¹_{J,I} with I, J ∈ C(K)
 	// has already been finalized by iterations I, J > K.

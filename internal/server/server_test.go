@@ -145,6 +145,23 @@ func TestServeMatrixMarketHostileSizeLine(t *testing.T) {
 	}
 }
 
+// TestServeNonFinitePivotIs422: finite uploaded values whose elimination
+// overflows — the second pivot becomes −Inf — are a factorization error, not
+// a 200 carrying NaNs (the pivot guard compared |p| < tiny, which is false
+// for NaN and ±Inf), and the daemon serves the next request.
+func TestServeNonFinitePivotIs422(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	data := "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 1 1e-200\n2 1 1e200\n1 2 1e200\n2 2 1\n"
+	hr, resp := postJSON(t, ts.URL, &Request{Matrix: MatrixSpec{Kind: "matrixmarket", Data: data}, Diagonal: true})
+	if resp != nil || hr.StatusCode != http.StatusUnprocessableEntity {
+		t.Fatalf("overflowing upload: status %d, want 422", hr.StatusCode)
+	}
+	hr, resp = postJSON(t, ts.URL, &Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 4, NY: 4}, Diagonal: true})
+	if resp == nil || len(resp.Diagonal) != 16 {
+		t.Fatalf("daemon did not serve the request after the 422: status %d", hr.StatusCode)
+	}
+}
+
 // TestServeTopoSchemes runs the topology-aware schemes through the
 // service with an explicit packing and checks they produce the same
 // inverse as the default scheme (the tree shape never changes values,

@@ -378,7 +378,7 @@ func (sy *Symbolic) Factorize(m *Matrix) (*System, error) {
 	}
 	// PermTotal (fill ordering composed with the analysis postorder), not
 	// the fill ordering alone, is what the block pattern is expressed in.
-	return sy.factorize(m, m.gen.A.Permute(sy.an.PermTotal))
+	return sy.factorize(m, m.gen.A.Permute(sy.an.PermTotal), dense.Real, 0)
 }
 
 // checkPattern rejects a matrix whose sparsity pattern is not the one this
@@ -391,12 +391,12 @@ func (sy *Symbolic) checkPattern(m *Matrix) error {
 	return nil
 }
 
-// factorize is Factorize given pa, m's matrix already permuted by
-// PermTotal.
-func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC) (*System, error) {
-	lu, err := factor.Factorize(pa, sy.an.BP)
-	if err != nil {
-		return nil, fmt.Errorf("pselinv: factorization of %s failed: %w", m.Name(), err)
+// factorize factorizes pa − zI in the given arithmetic, pa being m's matrix
+// already permuted by PermTotal.
+func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC, elem dense.Elem, z complex128) (*System, error) {
+	lu := factor.New(sy.an.BP, elem)
+	if err := lu.Refactorize(pa, z); err != nil {
+		return nil, fmt.Errorf("pselinv: %s factorization of %s failed: %w", elem, m.Name(), err)
 	}
 	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
 }
@@ -416,11 +416,7 @@ func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
 	if err := sy.checkPattern(m); err != nil {
 		return nil, err
 	}
-	lu, err := factor.FactorizeShifted(m.gen.A.Permute(sy.an.PermTotal), z, sy.an.BP)
-	if err != nil {
-		return nil, fmt.Errorf("pselinv: complex factorization of %s failed: %w", m.Name(), err)
-	}
-	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
+	return sy.factorize(m, m.gen.A.Permute(sy.an.PermTotal), dense.Complex, z)
 }
 
 // engineTemplate returns the cached engine template (communication plan +
@@ -476,7 +472,7 @@ func NewSystem(m *Matrix, opt Options) (*System, error) {
 	}
 	// The analysis was built from m itself, so its permuted matrix carries
 	// m's values: no pattern check and no second permutation.
-	return sy.factorize(m, sy.an.A)
+	return sy.factorize(m, sy.an.A, dense.Real, 0)
 }
 
 // Symbolic returns the shareable value-independent analysis of this

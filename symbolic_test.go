@@ -3,6 +3,7 @@ package pselinv
 import (
 	"math"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -236,5 +237,34 @@ func TestWarmRefactorizeAllocBudget(t *testing.T) {
 		t.Fatalf("warm refactorize allocates %.2f MB/op, budget %.1f", mb, budgetMB)
 	} else {
 		t.Logf("warm refactorize: %.2f MB/op", mb)
+	}
+}
+
+// TestFactorizeRejectsNonFinitePivot: a NaN or Inf that reaches a pivot is a
+// factorization error naming the supernode, not a System whose inverse is
+// garbage (NaN compares false against the tiny-pivot threshold, so the old
+// guard let it through and the daemon answered 200).
+func TestFactorizeRejectsNonFinitePivot(t *testing.T) {
+	m := Grid2D(6, 6, 1)
+	sym, err := AnalyzePattern(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sigma := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad, err := m.Shifted(sigma)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sym.Factorize(bad); err == nil || !strings.Contains(err.Error(), "supernode") {
+			t.Errorf("Factorize(A + %gI) = %v, want a pivot error naming the supernode", sigma, err)
+		}
+	}
+	for _, z := range []complex128{complex(math.NaN(), 1), complex(0, math.NaN()), complex(math.Inf(1), 1)} {
+		if _, err := sym.FactorizeShifted(m, z); err == nil || !strings.Contains(err.Error(), "supernode") {
+			t.Errorf("FactorizeShifted(A − %vI) = %v, want a pivot error naming the supernode", z, err)
+		}
+	}
+	if _, err := sym.Factorize(m); err != nil {
+		t.Fatalf("the clean matrix no longer factorizes: %v", err)
 	}
 }
