@@ -105,7 +105,7 @@ tcp-smoke:
 # observability".
 TCP_OBS_OUT ?= obs-tcp
 tcp-obs:
-	$(GO) test -race -count=1 -run 'Obs|Clock|Snapshot|Merge|Straggler|Trim|Tail' \
+	$(GO) test -race -count=1 -run 'Obs|Clock|Snapshot|Merge|Straggler|Trim|Tail|Span' \
 		./internal/obs/ ./internal/tcptransport/ ./internal/distrun/
 	$(GO) run -race ./cmd/commvol -obs -quick -pr 2 -transport=tcp \
 		-schemes flat,binary,shifted -obs-out $(TCP_OBS_OUT)

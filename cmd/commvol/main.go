@@ -183,51 +183,33 @@ func main() {
 	}
 
 	if *flagObs {
-		var paths []string
+		// In-process and TCP runs differ in how they are launched; what comes
+		// back is the same merged record either way.
+		var ms []*exp.ObsMeasurement
+		var err error
 		if *flagTransport == "tcp" {
 			fmt.Printf("== Observability: distributed runs on %v, one OS process per rank (merged reports + offset-corrected traces in %s) ==\n", grid, *flagObsOut)
-			spec := distrun.Spec{
-				Relax:        exp.DefaultRelax,
-				MaxWidth:     exp.DefaultMaxWidth,
-				PR:           grid.Pr,
-				PC:           grid.Pc,
-				Seed:         uint64(*flagSeed),
-				CoresPerNode: *flagCPN,
-				Balancer:     balancerSlug(),
-				TimeoutSec:   flagTimeout.Seconds(),
-			}
-			if *flagChaos != 0 {
-				spec.ChaosEnabled, spec.ChaosSeed = true, *flagChaos
-			}
-			ms, err := distrun.MeasureObs(audikw, spec, schemeList(), nil)
-			check(err)
-			for _, m := range ms {
-				fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
-				if hm := m.Report.RenderMatrix("Col-Bcast"); hm != "" {
-					fmt.Print(hm)
-					fmt.Println()
-				}
-				fmt.Println("conservation: merged traffic-matrix marginals equal the workers' volume counters")
-			}
-			paths, err = distrun.WriteObsArtifacts(*flagObsOut, ms)
-			check(err)
+			ms, err = distrun.MeasureObs(audikw, tcpSpec(grid), schemeList(), nil)
 		} else {
 			fmt.Printf("== Observability: instrumented runs on %v (reports + merged traces in %s) ==\n", grid, *flagObsOut)
-			ms, err := exp.MeasureObs(pipe, grid, schemeList(), uint64(*flagSeed), 20*time.Minute,
+			ms, err = exp.MeasureObs(pipe, grid, schemeList(), uint64(*flagSeed), 20*time.Minute,
 				exp.RunOpts{Chaos: chaosCfg(), CoresPerNode: *flagCPN, Balancer: balancerChoice()})
-			check(err)
-			for _, m := range ms {
-				fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
-				// The measured Col-Bcast traffic matrix is the per-link version
-				// of the Figure 5 per-rank heat maps (embedded up to 64 ranks).
-				if hm := m.Report.RenderMatrix("Col-Bcast"); hm != "" {
-					fmt.Print(hm)
-					fmt.Println()
-				}
-			}
-			paths, err = exp.WriteObsArtifacts(*flagObsOut, ms)
-			check(err)
 		}
+		check(err)
+		for _, m := range ms {
+			fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
+			// The measured Col-Bcast traffic matrix is the per-link version
+			// of the Figure 5 per-rank heat maps (embedded up to 64 ranks).
+			if hm := m.Report.RenderMatrix("Col-Bcast"); hm != "" {
+				fmt.Print(hm)
+				fmt.Println()
+			}
+			if *flagTransport == "tcp" {
+				fmt.Println("conservation: merged traffic-matrix marginals equal the workers' volume counters")
+			}
+		}
+		paths, err := exp.WriteObsArtifacts(*flagObsOut, ms)
+		check(err)
 		fmt.Println("artifacts:")
 		for _, p := range paths {
 			fmt.Println("  " + p)
@@ -331,6 +313,25 @@ func main() {
 	}
 }
 
+// tcpSpec is the -transport=tcp run description: the flags' plan knobs on
+// grid, for the volume and the observed measurement alike.
+func tcpSpec(grid *procgrid.Grid) distrun.Spec {
+	spec := distrun.Spec{
+		Relax:        exp.DefaultRelax,
+		MaxWidth:     exp.DefaultMaxWidth,
+		PR:           grid.Pr,
+		PC:           grid.Pc,
+		Seed:         uint64(*flagSeed),
+		CoresPerNode: *flagCPN,
+		Balancer:     balancerSlug(),
+		TimeoutSec:   flagTimeout.Seconds(),
+	}
+	if *flagChaos != 0 {
+		spec.ChaosEnabled, spec.ChaosSeed = true, *flagChaos
+	}
+	return spec
+}
+
 // measure runs the volume measurement on the substrate selected by
 // -transport: the in-process goroutine-mailbox world or one OS process per
 // rank over localhost TCP via distrun. Byte counters are transport-
@@ -338,20 +339,7 @@ func main() {
 // matrix, grid and seed (pinned by internal/distrun's golden test).
 func measure(gen *sparse.Generated, pipe *exp.Pipeline, grid *procgrid.Grid, schemes []core.Scheme) ([]*exp.VolumeMeasurement, error) {
 	if *flagTransport == "tcp" {
-		spec := distrun.Spec{
-			Relax:        exp.DefaultRelax,
-			MaxWidth:     exp.DefaultMaxWidth,
-			PR:           grid.Pr,
-			PC:           grid.Pc,
-			Seed:         uint64(*flagSeed),
-			CoresPerNode: *flagCPN,
-			Balancer:     balancerSlug(),
-			TimeoutSec:   flagTimeout.Seconds(),
-		}
-		if *flagChaos != 0 {
-			spec.ChaosEnabled, spec.ChaosSeed = true, *flagChaos
-		}
-		return distrun.MeasureVolumes(gen, spec, schemes, nil)
+		return distrun.MeasureVolumes(gen, tcpSpec(grid), schemes, nil)
 	}
 	return exp.MeasureVolumes(pipe, grid, schemes, uint64(*flagSeed), *flagTimeout,
 		exp.RunOpts{Chaos: chaosCfg(), CoresPerNode: *flagCPN, Balancer: balancerChoice()})

@@ -15,7 +15,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -140,13 +139,20 @@ func main() {
 
 	sch := scheme(*flagScheme)
 	var par *pselinv.ParallelResult
-	if *flagObs {
+	if *flagObs || *flagTrace != "" {
+		// -trace alone is an observed run that keeps only the timeline.
 		var trep *pselinv.TraceReport
 		var orep *pselinv.ObsReport
 		par, trep, orep, err = sys.ParallelSelInvObserved(*flagProcs, sch, uint64(*flagSeed))
 		check(err)
-		fmt.Printf("%s", orep.Summary())
-		check(writeObsArtifacts(*flagObsOut, sch, trep, orep))
+		if *flagObs {
+			fmt.Printf("%s", orep.Summary())
+			paths, werr := orep.WriteArtifacts(*flagObsOut, trep)
+			check(werr)
+			fmt.Printf("obs artifacts:\n  %s\n", strings.Join(paths, "\n  "))
+		} else {
+			fmt.Printf("%s", trep.Summary())
+		}
 		if *flagTrace != "" {
 			f, ferr := os.Create(*flagTrace)
 			check(ferr)
@@ -154,16 +160,6 @@ func main() {
 			check(f.Close())
 			fmt.Printf("trace written to %s (open in chrome://tracing)\n", *flagTrace)
 		}
-	} else if *flagTrace != "" {
-		var rep *pselinv.TraceReport
-		par, rep, err = sys.ParallelSelInvTraced(*flagProcs, sch, uint64(*flagSeed))
-		check(err)
-		f, ferr := os.Create(*flagTrace)
-		check(ferr)
-		check(rep.WriteChromeTrace(f))
-		check(f.Close())
-		fmt.Printf("%s", rep.Summary())
-		fmt.Printf("trace written to %s (open in chrome://tracing)\n", *flagTrace)
 	} else {
 		par, err = sys.ParallelSelInv(*flagProcs, sch, uint64(*flagSeed))
 		check(err)
@@ -188,7 +184,7 @@ func main() {
 			if s.MaxWidth > maxWidth {
 				maxWidth = s.MaxWidth
 			}
-			occ += s.Occupancy()
+			occ += s.Occupancy
 		}
 		fmt.Printf("task DAG: %d tasks (%d offloaded to pool workers), peak width %d, mean occupancy %.2f\n",
 			tasks, offloaded, maxWidth, occ/float64(len(ds)))
@@ -226,43 +222,6 @@ func main() {
 			*flagProcs, tr.Seconds, tr.ComputeSeconds, tr.CommSeconds,
 			tr.Messages, float64(tr.Bytes)/1e6)
 	}
-}
-
-// writeObsArtifacts writes the observed run's JSON report and merged
-// compute+collective Chrome trace into dir as obs-<scheme>.json and
-// trace-<scheme>.json — the same layout cmd/scaling and cmd/commvol use,
-// so downstream tooling reads all three the same way.
-func writeObsArtifacts(dir string, sch pselinv.Scheme, trep *pselinv.TraceReport, orep *pselinv.ObsReport) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	slug := strings.ToLower(strings.ReplaceAll(sch.String(), " ", "-"))
-	rp := filepath.Join(dir, "obs-"+slug+".json")
-	rf, err := os.Create(rp)
-	if err != nil {
-		return err
-	}
-	if err := orep.WriteJSON(rf); err != nil {
-		rf.Close()
-		return err
-	}
-	if err := rf.Close(); err != nil {
-		return err
-	}
-	tp := filepath.Join(dir, "trace-"+slug+".json")
-	tf, err := os.Create(tp)
-	if err != nil {
-		return err
-	}
-	if err := trep.WriteChromeTrace(tf); err != nil {
-		tf.Close()
-		return err
-	}
-	if err := tf.Close(); err != nil {
-		return err
-	}
-	fmt.Printf("obs artifacts:\n  %s\n  %s\n", rp, tp)
-	return nil
 }
 
 func check(err error) {

@@ -52,8 +52,7 @@ var (
 	flagQueue     = flag.Int("queue", 8, "max requests waiting for a slot before 503")
 	flagQueueWait = flag.Duration("queue-wait", 2*time.Second, "max time a request waits for a slot")
 	flagCache     = flag.Int("cache", 32, "symbolic-analysis cache entries (LRU)")
-	flagTraceRing = flag.Int("trace-ring", 16, "retained per-request Chrome traces")
-	flagObsRing   = flag.Int("obs-ring", 16, "retained per-request observability reports")
+	flagTraceRing = flag.Int("trace-ring", 16, "retained records of observed requests (each a Chrome trace plus, for \"obs\" requests, the report)")
 	flagTimeout   = flag.Duration("timeout", 60*time.Second, "default per-request engine timeout")
 	flagMaxN      = flag.Int("max-n", 20000, "largest accepted matrix dimension")
 	flagMaxProcs  = flag.Int("max-procs", 256, "largest accepted simulated rank count")
@@ -95,7 +94,6 @@ func main() {
 		QueueWait:      *flagQueueWait,
 		CacheSize:      *flagCache,
 		TraceRing:      *flagTraceRing,
-		ObsRing:        *flagObsRing,
 		DefaultTimeout: *flagTimeout,
 		MaxN:           *flagMaxN,
 		MaxProcs:       *flagMaxProcs,

@@ -47,7 +47,7 @@ var (
 	flagObs    = flag.Bool("obs", false, "run the fixed observability problem (real engine, 4x4 grid) per scheme and write JSON reports + merged Chrome traces; with -transport=tcp the observed run instead spans 4 OS processes on a 2x2 grid and the artifacts are the clock-aligned merged report and offset-corrected trace")
 	flagObsOut = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
 	flagObsSd  = flag.Uint64("obs-seed", 1, "tree-shift seed for -obs runs")
-	flagDag    = flag.Bool("dag", false, "run the live-engine sections (-obs, -chaos-seed preflight) in intra-rank task-DAG mode: supernode updates scheduled on the kernel worker pool, overlapped with the tree collectives")
+	flagDag    = flag.Bool("dag", false, "run the live-engine sections (-obs, -chaos-seed preflight) in intra-rank task-DAG mode: supernode updates scheduled on the kernel worker pool, overlapped with the tree collectives; the multi-process workers have no task-DAG mode, so -obs -dag -transport=tcp is refused")
 
 	flagTransport = flag.String("transport", "inproc", "communication substrate for the live preflight: inproc, or tcp to validate the real engine across 4 OS processes on localhost (byte-identical volumes to inproc) before the simulated sweeps")
 
@@ -93,6 +93,10 @@ func main() {
 	distrun.MaybeWorker() // re-exec hook: with -transport=tcp this binary is its own worker
 	flag.Parse()
 	fmt.Printf("dense kernel workers: %d\n", dense.SetWorkers(*flagWork))
+	if *flagObs && *flagDag && *flagTransport == "tcp" {
+		fmt.Fprintln(os.Stderr, "scaling: -obs -dag -transport=tcp: the multi-process workers run sequentially (drop -dag, or use -transport=inproc)")
+		os.Exit(2)
+	}
 	switch *flagTransport {
 	case "inproc":
 	case "tcp":
@@ -121,13 +125,7 @@ func main() {
 		fmt.Println("ok (bit-identical to unperturbed run, bytes conserved)")
 	}
 	if *flagObs {
-		var err error
-		if *flagTransport == "tcp" {
-			err = runObsTCP(*flagObsOut, *flagObsSd)
-		} else {
-			err = runObs(*flagObsOut, *flagObsSd, *flagDag)
-		}
-		if err != nil {
+		if err := runObs(*flagObsOut, *flagObsSd, *flagDag, *flagTransport == "tcp"); err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)
 			os.Exit(1)
 		}
@@ -318,56 +316,45 @@ func runTCPPreflight() error {
 // execute in task-DAG mode, so the reports additionally carry per-rank
 // occupancy/width stats and the traces show task spans interleaved with
 // the collective spans.
-func runObs(dir string, seed uint64, dag bool) error {
-	p, grid, err := exp.ObsProblem()
-	if err != nil {
-		return err
+//
+// With tcp set the same problem's matrix runs across real OS processes
+// instead: a 2×2 grid, one worker process per rank meshed over localhost
+// TCP. Each worker streams its telemetry snapshot back to the launcher; the
+// merged report's traffic matrices are conservation-checked against the
+// workers' volume counters before anything is written, so a successful run
+// certifies the distributed telemetry path end to end.
+func runObs(dir string, seed uint64, dag, tcp bool) error {
+	var ms []*exp.ObsMeasurement
+	var err error
+	if tcp {
+		grid := procgrid.New(2, 2)
+		fmt.Printf("== Observability: distributed runs on %v, one OS process per rank ==\n", grid)
+		spec := distrun.Spec{
+			Relax: 2, MaxWidth: 8,
+			PR: grid.Pr, PC: grid.Pc, Seed: seed,
+			Balancer:   parseBalancer().Slug(),
+			TimeoutSec: (5 * time.Minute).Seconds(),
+		}
+		ms, err = distrun.MeasureObs(sparse.Grid2D(16, 16, 1), spec, parseSchemes(core.Schemes()), nil)
+	} else {
+		p, grid, perr := exp.ObsProblem()
+		if perr != nil {
+			return perr
+		}
+		fmt.Printf("== Observability: measured forwarding chains and traffic matrices on %v ==\n", grid)
+		ms, err = exp.MeasureObs(p, grid, parseSchemes(core.Schemes()), seed, 5*time.Minute,
+			exp.RunOpts{DAG: dag, Balancer: parseBalancer()})
 	}
-	fmt.Printf("== Observability: measured forwarding chains and traffic matrices on %v ==\n", grid)
-	ms, err := exp.MeasureObs(p, grid, parseSchemes(core.Schemes()), seed, 5*time.Minute,
-		exp.RunOpts{DAG: dag, Balancer: parseBalancer()})
 	if err != nil {
 		return err
 	}
 	for _, m := range ms {
 		fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
+	}
+	if tcp {
+		fmt.Println("conservation: merged traffic-matrix marginals equal the workers' volume counters")
 	}
 	paths, err := exp.WriteObsArtifacts(dir, ms)
-	if err != nil {
-		return err
-	}
-	fmt.Println("artifacts:")
-	for _, p := range paths {
-		fmt.Println("  " + p)
-	}
-	fmt.Println()
-	return nil
-}
-
-// runObsTCP is runObs across real OS processes: the same observability
-// problem's matrix on a 2×2 grid, one worker process per rank meshed over
-// localhost TCP. Each worker streams a telemetry snapshot back to the
-// launcher; the merged report's traffic matrices are conservation-checked
-// against the workers' volume counters before anything is written, so a
-// successful run certifies the distributed telemetry path end to end.
-func runObsTCP(dir string, seed uint64) error {
-	grid := procgrid.New(2, 2)
-	fmt.Printf("== Observability: distributed runs on %v, one OS process per rank ==\n", grid)
-	spec := distrun.Spec{
-		Relax: 2, MaxWidth: 8,
-		PR: grid.Pr, PC: grid.Pc, Seed: seed,
-		Balancer:   parseBalancer().Slug(),
-		TimeoutSec: (5 * time.Minute).Seconds(),
-	}
-	ms, err := distrun.MeasureObs(sparse.Grid2D(16, 16, 1), spec, parseSchemes(core.Schemes()), nil)
-	if err != nil {
-		return err
-	}
-	for _, m := range ms {
-		fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
-	}
-	fmt.Println("conservation: merged traffic-matrix marginals equal the workers' volume counters")
-	paths, err := distrun.WriteObsArtifacts(dir, ms)
 	if err != nil {
 		return err
 	}

@@ -7,15 +7,12 @@ package distrun
 import (
 	"fmt"
 	"os"
-	"path/filepath"
-	"time"
 
 	"pselinv/internal/core"
 	"pselinv/internal/exp"
 	"pselinv/internal/obs"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
-	"pselinv/internal/trace"
 )
 
 // MergeObs merges the outcome's per-rank snapshots into one clock-aligned
@@ -62,27 +59,12 @@ func (o *Outcome) MergeObs() (*obs.Merged, error) {
 	return m, nil
 }
 
-// ObsMeasurement is one fully observed distributed run for one scheme: the
-// merged cross-process report (traffic matrices, chains, clock alignment,
-// straggler attribution), the merged offset-corrected span timeline, and the
-// raw outcome for callers that want the per-rank results.
-type ObsMeasurement struct {
-	Scheme  core.Scheme
-	Report  *obs.Report
-	Merged  *obs.Merged
-	Outcome *Outcome
-	Elapsed time.Duration
-}
-
-// Spans returns the merged, offset-corrected, canonically sorted timeline.
-func (m *ObsMeasurement) Spans() []trace.Event { return m.Merged.Spans }
-
 // MeasureObs is the multi-process analogue of exp.MeasureObs: it stages gen
 // on disk, runs one observed distributed launch per scheme, merges each
 // run's per-rank snapshots onto rank 0's clock and returns the per-scheme
 // merged reports. Every merge is conservation-checked against the workers'
 // volume counters before it is returned.
-func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*ObsMeasurement, error) {
+func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*exp.ObsMeasurement, error) {
 	dir, err := os.MkdirTemp("", "distrun-")
 	if err != nil {
 		return nil, err
@@ -95,7 +77,7 @@ func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *O
 	base.MatrixFile, base.MatrixName, base.Geom = staged.MatrixFile, staged.MatrixName, staged.Geom
 	base.Obs = true
 
-	out := make([]*ObsMeasurement, 0, len(schemes))
+	out := make([]*exp.ObsMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
 		spec := base
 		spec.Scheme = scheme
@@ -111,55 +93,7 @@ func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *O
 		if err != nil {
 			return nil, fmt.Errorf("distrun: obs %v on %dx%d: %w", scheme, spec.PR, spec.PC, err)
 		}
-		out = append(out, &ObsMeasurement{
-			Scheme:  scheme,
-			Report:  merged.Report(scheme.String()),
-			Merged:  merged,
-			Outcome: outcome,
-			Elapsed: outcome.Elapsed,
-		})
+		out = append(out, &exp.ObsMeasurement{Scheme: scheme, Report: merged.Report(scheme.String()), Spans: merged.Spans})
 	}
 	return out, nil
-}
-
-// WriteObsArtifacts is the distributed analogue of exp.WriteObsArtifacts: it
-// writes each measurement's merged JSON report and offset-corrected Chrome
-// trace into dir (created if needed) as obs-<scheme>.json and
-// trace-<scheme>.json, returning the written paths. The trace spans carry
-// every worker's compute and collective timeline shifted onto rank 0's clock,
-// so cross-process send→recv edges line up in chrome://tracing.
-func WriteObsArtifacts(dir string, ms []*ObsMeasurement) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var paths []string
-	for _, m := range ms {
-		slug := exp.SchemeSlug(m.Scheme)
-		rp := filepath.Join(dir, "obs-"+slug+".json")
-		rf, err := os.Create(rp)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Report.WriteJSON(rf); err != nil {
-			rf.Close()
-			return nil, err
-		}
-		if err := rf.Close(); err != nil {
-			return nil, err
-		}
-		tp := filepath.Join(dir, "trace-"+slug+".json")
-		tf, err := os.Create(tp)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.WriteChromeTraceEvents(tf, m.Spans()); err != nil {
-			tf.Close()
-			return nil, err
-		}
-		if err := tf.Close(); err != nil {
-			return nil, err
-		}
-		paths = append(paths, rp, tp)
-	}
-	return paths, nil
 }

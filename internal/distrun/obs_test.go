@@ -14,8 +14,24 @@ import (
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
 	"pselinv/internal/simmpi"
-	"pselinv/internal/trace"
 )
+
+// spanKey is what the two backends' timelines must agree on span for span:
+// everything about a span but when it ran.
+type spanKey struct {
+	Rank      int
+	Kind      string
+	Supernode int
+	Role      string
+}
+
+func spanMultiset(spans []obs.Span) map[spanKey]int {
+	out := map[spanKey]int{}
+	for _, sp := range spans {
+		out[spanKey{sp.Rank, sp.Kind, sp.Supernode, sp.Role}]++
+	}
+	return out
+}
 
 // TestDistributedObservability runs an observed 4-process TCP launch and
 // checks the end-to-end acceptance properties: every rank streamed a
@@ -24,10 +40,11 @@ import (
 // non-negative latency, and the merged report carries the clock and
 // straggler sections. The schedule-stripped merged report must match the
 // checked-in golden AND be byte-identical to the in-process observed report
-// of the same problem — the cross-backend equivalence the telemetry pipeline
-// promises. Every worker sized its event ring from the plan it rebuilt, so
-// each retains exactly the messages it moved and the merged chains are
-// complete; an in-process run with rings at obs.MaxRingCap reports the same.
+// of the same problem, and the two timelines must hold the same spans — the
+// cross-backend equivalence the telemetry pipeline promises. Every worker
+// sized its event ring from the plan it rebuilt, so each retains exactly the
+// messages it moved and the merged chains are complete; an in-process run
+// with rings at obs.MaxRingCap reports the same.
 func TestDistributedObservability(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns 4 worker processes")
@@ -36,17 +53,28 @@ func TestDistributedObservability(t *testing.T) {
 	spec.PR, spec.PC = 2, 2
 	schemes := []core.Scheme{core.BinaryTree}
 
-	ms, err := distrun.MeasureObs(gen, spec, schemes, &distrun.Options{Stderr: testWriter{t}})
+	// MeasureObs step by step, to keep hold of the outcome it merges.
+	dir := t.TempDir()
+	staged, err := distrun.StageMatrix(dir, gen)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := ms[0]
+	spec.MatrixFile, spec.MatrixName, spec.Geom = staged.MatrixFile, staged.MatrixName, staged.Geom
+	spec.Scheme, spec.Obs = schemes[0], true
+	specPath, err := distrun.WriteSpec(dir, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome, err := distrun.Launch(specPath, &spec, &distrun.Options{Stderr: testWriter{t}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	p := spec.P()
 
-	if len(m.Outcome.Snapshots) != p {
-		t.Fatalf("%d snapshots, want %d", len(m.Outcome.Snapshots), p)
+	if len(outcome.Snapshots) != p {
+		t.Fatalf("%d snapshots, want %d", len(outcome.Snapshots), p)
 	}
-	for r, s := range m.Outcome.Snapshots {
+	for r, s := range outcome.Snapshots {
 		if s == nil {
 			t.Fatalf("rank %d snapshot missing", r)
 		}
@@ -58,19 +86,23 @@ func TestDistributedObservability(t *testing.T) {
 		}
 	}
 
-	if lat := m.Merged.MinEdgeLatencyNS(); lat < 0 {
+	merged, err := outcome.MergeObs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat := merged.MinEdgeLatencyNS(); lat < 0 {
 		t.Errorf("min offset-corrected edge latency %d, want >= 0", lat)
 	}
-	if len(m.Spans()) == 0 {
+	if len(merged.Spans) == 0 {
 		t.Error("merged run has no trace spans")
 	}
-	for i, sp := range m.Spans() {
+	for i, sp := range merged.Spans {
 		if sp.End < sp.Start {
 			t.Fatalf("merged span %d ends before it starts: %+v", i, sp)
 		}
 	}
 
-	rep := m.Report
+	rep := merged.Report(schemes[0].String())
 	if rep.Clock == nil || len(rep.Clock.Ranks) != p {
 		t.Fatalf("merged report clock section: %+v", rep.Clock)
 	}
@@ -100,6 +132,12 @@ func TestDistributedObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if local[0].Report.Clock != nil {
+		t.Error("in-process report carries a clock section")
+	}
+	if got, want := spanMultiset(merged.Spans), spanMultiset(local[0].Spans); !reflect.DeepEqual(got, want) {
+		t.Errorf("the backends' span multisets (rank, kind, supernode, role) differ:\n--- tcp ---\n%v\n--- in-process ---\n%v", got, want)
+	}
 	rep.StripSchedule()
 	localRep := local[0].Report
 	localRep.StripSchedule()
@@ -124,9 +162,9 @@ func TestDistributedObservability(t *testing.T) {
 	for r, want := range plan.PerRankMsgs() {
 		var moved int64
 		for c := range simmpi.Classes() {
-			moved += m.Outcome.Results[r].SentMsgs[c] + m.Outcome.Results[r].RecvMsgs[c]
+			moved += outcome.Results[r].SentMsgs[c] + outcome.Results[r].RecvMsgs[c]
 		}
-		s := m.Outcome.Snapshots[r]
+		s := outcome.Snapshots[r]
 		if moved != int64(want) || s.RingLen != int64(want) || len(s.Events) != want {
 			t.Errorf("rank %d: moved %d messages, ring saw %d and retained %d; plan counts %d",
 				r, moved, s.RingLen, len(s.Events), want)
@@ -140,14 +178,17 @@ func TestDistributedObservability(t *testing.T) {
 		bound[r] = obs.MaxRingCap
 	}
 	eng := pselinv.NewEngine(plan, pipe.LU)
-	col := obs.NewCollector(bound, time.Now())
-	eng.Observer, eng.Trace = col, trace.NewRecorder()
+	eng.Obs = obs.NewCollector(bound, time.Now())
 	res, err := eng.Run(60 * time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res.Release()
-	boundRep := exp.ObsReport(col, eng.Trace, res, plan, 0)
+	boundMerged, err := obs.Merge(res.Snapshots)
+	if err != nil {
+		t.Fatal(err)
+	}
+	boundRep := boundMerged.Report(schemes[0].String())
 	boundRep.StripSchedule()
 	if js, err := boundRep.JSON(); err != nil || string(js) != string(got) {
 		t.Errorf("stripped merged report diverges from an in-process one with MaxRingCap rings (%v):\n--- tcp ---\n%s\n--- bound ---\n%s", err, got, js)

@@ -87,10 +87,10 @@ type Spec struct {
 	ChaosEnabled bool   `json:"chaos_enabled,omitempty"`
 	ChaosSeed    uint64 `json:"chaos_seed,omitempty"`
 
-	// Obs turns on full observability in every worker: an obs collector and
-	// trace recorder on a shared process-local clock epoch, handshake clock
-	// sync on the mesh, and a trimmed telemetry snapshot streamed back to
-	// the launcher ahead of the result line (see Outcome.Snapshots). Each
+	// Obs turns on full observability in every worker: an obs collector on
+	// the engine whose epoch the mesh's handshake clock sync shares, and the
+	// engine's snapshot — clock measurements added, trimmed — streamed back
+	// to the launcher ahead of the result line (see Outcome.Snapshots). Each
 	// worker sizes its event ring from the plan it rebuilt.
 	Obs bool `json:"obs,omitempty"`
 

@@ -12,13 +12,11 @@ import (
 
 	"pselinv/internal/blockmat"
 	"pselinv/internal/chaos"
-	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/obs"
 	"pselinv/internal/pselinv"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/tcptransport"
-	"pselinv/internal/trace"
 )
 
 // Environment variables that switch a binary into worker mode. The
@@ -159,24 +157,18 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 		return fail(fmt.Errorf("address map has %d entries, world size is %d", len(addrs), p))
 	}
 
-	// Observability: collector, trace recorder and the transport clock sync
-	// all share one epoch, so every local timestamp lives on the same
-	// process clock and the launcher can shift this whole process by a
-	// single estimated offset when merging.
 	// The hello carries the factorization's element tag, so a world whose
 	// processes disagree about real-vs-complex (divergent specs) dies at
 	// the handshake instead of mixing payload arithmetic.
 	cfg := tcptransport.Config{Rank: rank, Addrs: addrs, Elem: byte(pipe.LU.Elem)}
-	var col *obs.Collector
-	var rec *trace.Recorder
+	// Observability: the collector and the transport clock sync share one
+	// epoch, so every local timestamp lives on the same process clock and
+	// the launcher can shift this whole process by a single estimated offset
+	// when merging.
 	if spec.Obs {
 		epoch := time.Now()
-		col = obs.NewCollector(plan.PerRankMsgs(), epoch)
-		if spec.CoresPerNode > 0 {
-			col.SetTopology(spec.CoresPerNode)
-		}
-		rec = trace.NewRecorderAt(epoch)
-		eng.Trace = rec
+		eng.Obs = obs.NewCollector(plan.PerRankMsgs(), epoch)
+		eng.Obs.SetTopology(spec.CoresPerNode)
 		cfg.ClockSyncPings = workerClockPings
 		cfg.ClockEpoch = epoch
 	}
@@ -189,9 +181,6 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	defer world.Close()
 	if spec.ChaosEnabled {
 		chaos.Install(chaos.Config{Seed: spec.ChaosSeed, DupDetect: true}, world)
-	}
-	if col != nil {
-		world.SetObserver(col)
 	}
 
 	start := time.Now()
@@ -216,8 +205,8 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 		// of its event ring: the last messages this rank actually saw.
 		rep := chaos.Snapshot(world, plan, err)
 		msg := rep.String()
-		if col != nil {
-			msg += "\n" + col.EncodeRank(rank).TailString(16)
+		if eng.Obs != nil {
+			msg += "\n" + eng.Obs.EncodeRank(rank).TailString(16)
 		}
 		return fail(fmt.Errorf("%w\n%s", err, msg))
 	}
@@ -231,9 +220,9 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 			res.CheckedBlocks = n
 		}
 		runRes.Release()
-	}
-	if col != nil {
-		emitSnapshot(stdout, rank, spec, plan, tr, col, rec, res.ElapsedNS)
+		if eng.Obs != nil {
+			emitSnapshot(stdout, runRes.Snapshots[0], tr)
+		}
 	}
 	return res
 }
@@ -277,20 +266,12 @@ func selfCheck(rank int, spec *Spec, eng *pselinv.Engine, runRes *pselinv.RunRes
 	return checked, checkErr
 }
 
-// emitSnapshot assembles this rank's telemetry snapshot and streams it to
-// the launcher as one bounded stdout line, ahead of the result line. A
-// snapshot that fails to encode is dropped (telemetry must not fail the
-// run); the launcher then reports the missing rank at merge time.
-func emitSnapshot(stdout io.Writer, rank int, spec *Spec, plan *core.Plan, tr *tcptransport.Transport, col *obs.Collector, rec *trace.Recorder, elapsedNS int64) {
-	snap := col.EncodeRank(rank)
-	snap.WallNS = elapsedNS
-	loads := plan.RankLoads()
-	snap.PlanFlops = loads[rank].Flops
-	snap.PlanNNZ = loads[rank].NNZ
-	snap.Balancer = plan.Balancer.Slug()
-	if rec != nil {
-		snap.Spans = rec.Events()
-	}
+// emitSnapshot adds this process's clock measurements to the snapshot the
+// engine emitted for its one local rank and streams it to the launcher as
+// one bounded stdout line, ahead of the result line. A snapshot that fails
+// to encode is dropped (telemetry must not fail the run); the launcher then
+// reports the missing rank at merge time.
+func emitSnapshot(stdout io.Writer, snap *obs.Snapshot, tr *tcptransport.Transport) {
 	for _, m := range tr.ClockOffsets() {
 		snap.Clock = append(snap.Clock, obs.ClockMeasurement{
 			Peer: m.Peer, OffsetNS: m.OffsetNS, UncNS: m.UncNS, RTTNS: m.RTTNS,

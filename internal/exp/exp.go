@@ -8,8 +8,6 @@ package exp
 import (
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -27,7 +25,6 @@ import (
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 	"pselinv/internal/stats"
-	"pselinv/internal/trace"
 )
 
 // Pipeline carries a fully prepared problem: matrix, analysis,
@@ -172,94 +169,55 @@ func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, see
 	return out, nil
 }
 
-// ObsMeasurement is one fully observed engine run for one scheme: the
-// telemetry report (traffic matrices, chains, imbalance) plus the trace
-// recorder holding the merged compute+collective timeline, and the world
-// whose volume counters the report's matrices must marginalize to.
+// ObsMeasurement is one fully observed engine run for one scheme, however
+// it was launched: the report built from the merged per-rank record
+// (traffic matrices, chains, imbalance, load and straggler sections) and
+// the record's compute+collective timeline on one clock.
 type ObsMeasurement struct {
-	Scheme  core.Scheme
-	Report  *obs.Report
-	Trace   *trace.Recorder
-	World   *simmpi.World
-	Elapsed time.Duration
+	Scheme core.Scheme
+	Report *obs.Report
+	Spans  []obs.Span
 }
 
-// MeasureObs runs the real engine once per scheme with full observability
-// installed — an obs.Collector on the communication substrate and a trace
-// recorder on the engine — and returns the per-scheme reports. The same
-// seed across schemes makes the traffic matrices directly comparable to a
-// cmd/commvol run with that seed (the byte counters are identical; only
-// the routing differs per scheme).
+// MeasureObs runs the real engine once per scheme with an obs.Collector
+// installed and returns the per-scheme reports. The same seed across schemes
+// makes the traffic matrices directly comparable to a cmd/commvol run with
+// that seed (the byte counters are identical; only the routing differs per
+// scheme).
 func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*ObsMeasurement, error) {
 	out := make([]*ObsMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
-		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
-		eng := pselinv.NewEngine(plan, p.LU)
-		col := obs.NewCollector(plan.PerRankMsgs(), time.Now())
-		eng.Observer = col
-		eng.Trace = trace.NewRecorder()
-		eng.Chaos = opts.Chaos
-		eng.DAG = opts.DAG
-		res, err := eng.Run(timeout)
+		m, res, err := observe(p, grid, scheme, seed, timeout, opts)
 		if err != nil {
 			return nil, fmt.Errorf("exp: obs %v on %v: %w", scheme, grid, err)
 		}
 		res.Release()
-		out = append(out, &ObsMeasurement{
-			Scheme:  scheme,
-			Report:  ObsReport(col, eng.Trace, res, plan, opts.CoresPerNode),
-			Trace:   eng.Trace,
-			World:   res.World,
-			Elapsed: res.Elapsed,
-		})
+		out = append(out, m)
 	}
 	return out, nil
 }
 
-// ObsReport assembles the report of one in-process observed run from the
-// collector and trace recorder that were installed on the engine, the run's
-// result and the plan it executed. On top of the collector's traffic
-// matrices and chain analysis it attaches: the cross-node chain columns
-// when coresPerNode is positive (zero leaves the report topology-free);
-// the task-DAG scheduler counters of a DAG run; the plan's per-rank
-// load section; and the straggler section. Sections that do not apply are
-// omitted, so reports of plain runs stay byte-identical.
-func ObsReport(col *obs.Collector, rec *trace.Recorder, res *pselinv.RunResult, plan *core.Plan, coresPerNode int) *obs.Report {
-	if coresPerNode > 0 {
-		col.SetTopology(coresPerNode)
+// observe is one observed in-process run: the engine emits a snapshot per
+// rank and obs.Merge assembles them, exactly as a launcher does with the
+// snapshots its worker processes send back. A positive opts.CoresPerNode
+// adds the cross-node chain columns (zero leaves the report topology-free).
+func observe(p *Pipeline, grid *procgrid.Grid, scheme core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) (*ObsMeasurement, *pselinv.RunResult, error) {
+	plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
+	eng := pselinv.NewEngine(plan, p.LU)
+	eng.Obs = obs.NewCollector(plan.PerRankMsgs(), time.Now())
+	eng.Obs.SetTopology(opts.CoresPerNode)
+	eng.Chaos = opts.Chaos
+	eng.DAG = opts.DAG
+	res, err := eng.Run(timeout)
+	if err != nil {
+		return nil, nil, err
 	}
-	rep := col.Report(plan.Scheme.String())
-	if len(res.Dag) > 0 {
-		rep.Dag = make([]*obs.DagRankStats, len(res.Dag))
-		for i, d := range res.Dag {
-			rep.Dag[i] = &obs.DagRankStats{
-				Rank:        d.Rank,
-				Tasks:       d.Tasks,
-				Offloaded:   d.Offloaded,
-				MaxWidth:    d.MaxWidth,
-				MaxInflight: d.MaxInflight,
-				BusyNS:      d.BusyNS,
-				WallNS:      d.WallNS,
-				Occupancy:   d.Occupancy(),
-			}
-		}
+	merged, err := obs.Merge(res.Snapshots)
+	if err != nil {
+		res.Release()
+		return nil, nil, err
 	}
-	// Load and straggler sections: the plan's per-rank work tallies —
-	// charged by the same cost walk the balancers optimize — next to the
-	// traced busy time. All ranks share the process, so each one's wall is
-	// the run's elapsed time.
-	loads := plan.RankLoads()
-	summary := rec.Summarize()
-	p := len(loads)
-	flops, nnz, busy, wall := make([]int64, p), make([]int64, p), make([]int64, p), make([]int64, p)
-	for r, l := range loads {
-		flops[r], nnz[r] = l.Flops, l.NNZ
-		busy[r] = int64(summary.BusyByRank[r])
-		wall[r] = res.Elapsed.Nanoseconds()
-	}
-	rep.Load = obs.NewLoadReport(plan.Balancer.Slug(), flops, nnz, busy)
-	rep.AttachStraggler(wall, busy, flops, 0)
-	return rep
+	return &ObsMeasurement{Scheme: scheme, Report: merged.Report(scheme.String()), Spans: merged.Spans}, res, nil
 }
 
 // ObsProblem prepares the small fixed problem behind `-obs` runs and the
@@ -281,43 +239,19 @@ func SchemeSlug(s core.Scheme) string {
 	return strings.ToLower(strings.ReplaceAll(s.String(), " ", "-"))
 }
 
-// WriteObsArtifacts writes each measurement's JSON report and merged
-// Chrome trace into dir (created if needed) as obs-<scheme>.json and
-// trace-<scheme>.json, returning the written paths. Both files are
-// byte-for-byte deterministic for a fixed problem and seed, except for
-// the report's schedule-dependent telemetry (waits, queue depths).
+// WriteObsArtifacts writes each measurement's JSON report and Chrome trace
+// into dir (created if needed) as obs-<scheme>.json and trace-<scheme>.json,
+// returning the written paths. Both files are byte-for-byte deterministic
+// for a fixed problem and seed, except for the schedule-dependent telemetry
+// (waits, queue depths, times).
 func WriteObsArtifacts(dir string, ms []*ObsMeasurement) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
 	var paths []string
 	for _, m := range ms {
-		slug := SchemeSlug(m.Scheme)
-		rp := filepath.Join(dir, "obs-"+slug+".json")
-		rf, err := os.Create(rp)
+		written, err := obs.WriteArtifacts(dir, SchemeSlug(m.Scheme), m.Report, m.Spans)
 		if err != nil {
 			return nil, err
 		}
-		if err := m.Report.WriteJSON(rf); err != nil {
-			rf.Close()
-			return nil, err
-		}
-		if err := rf.Close(); err != nil {
-			return nil, err
-		}
-		tp := filepath.Join(dir, "trace-"+slug+".json")
-		tf, err := os.Create(tp)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Trace.WriteChromeTrace(tf); err != nil {
-			tf.Close()
-			return nil, err
-		}
-		if err := tf.Close(); err != nil {
-			return nil, err
-		}
-		paths = append(paths, rp, tp)
+		paths = append(paths, written...)
 	}
 	return paths, nil
 }

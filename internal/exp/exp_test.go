@@ -81,8 +81,10 @@ func TestVerifyChaosDag(t *testing.T) {
 }
 
 // TestMeasureObsDagAttachesStats pins the -dag observability wiring: a DAG
-// run's report must carry per-rank scheduler stats with a plan-determined
-// task count, and a sequential run's report must carry none.
+// run's report — assembled, like every report, by obs.Merge from the
+// engine's per-rank snapshots — must carry per-rank scheduler stats in rank
+// order with the plan-determined task count, and a sequential run's report
+// must carry none.
 func TestMeasureObsDagAttachesStats(t *testing.T) {
 	dense.SetWorkers(4)
 	defer dense.SetWorkers(0)
@@ -108,14 +110,37 @@ func TestMeasureObsDagAttachesStats(t *testing.T) {
 		t.Fatalf("got dag stats for %d ranks, want %d", len(stats), grid.Size())
 	}
 	total := 0
-	for _, s := range stats {
+	for r, s := range stats {
+		if s.Rank != r {
+			t.Fatalf("dag stats out of rank order: entry %d is rank %d", r, s.Rank)
+		}
 		total += s.Tasks
 		if s.Occupancy < 0 {
 			t.Fatalf("negative occupancy: %+v", s)
 		}
 	}
-	if total == 0 {
-		t.Fatal("dag run reported zero tasks")
+	// One TRSM per factor block, one GEMM per product plus one diagonal
+	// contribution per lower block, one diagonal inverse per supernode (the
+	// count TestComputeSpanCountsArePlanDetermined derives): a property of the
+	// plan, so it survives StripSchedule, which zeroes the rest.
+	want := p.An.BP.NumSnodes()
+	for k := 0; k < p.An.BP.NumSnodes(); k++ {
+		c := len(p.An.BP.Struct(k))
+		want += 2*c + c*c
+	}
+	if total != want {
+		t.Fatalf("dag run reported %d tasks, the plan has %d", total, want)
+	}
+	dagMs[0].Report.StripSchedule()
+	stripped := 0
+	for _, s := range dagMs[0].Report.Dag {
+		stripped += s.Tasks
+		if s.Offloaded != 0 || s.BusyNS != 0 || s.WallNS != 0 || s.Occupancy != 0 {
+			t.Fatalf("StripSchedule left scheduling in the dag section: %+v", s)
+		}
+	}
+	if stripped != want {
+		t.Fatalf("stripped report counts %d tasks, want %d", stripped, want)
 	}
 	if !strings.Contains(dagMs[0].Report.Summary(), "task-DAG") {
 		t.Fatal("report summary does not mention the task DAG")

@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"pselinv/internal/core"
+	"pselinv/internal/obs"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 )
 
-// TestObsAcceptance is the observability acceptance check: one MeasureObs
-// sweep on the 4×4 grid must yield (a) a merged Chrome trace containing
+// TestObsAcceptance is the observability acceptance check: one observed run
+// per scheme on the 4×4 grid must yield (a) a merged Chrome trace containing
 // both compute and collective spans, (b) per-class traffic matrices whose
 // marginals equal the world's volume counters (the numbers cmd/commvol
 // prints for the same seed), and (c) measured broadcast forwarding chains
@@ -22,18 +23,21 @@ func TestObsAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := MeasureObs(p, grid, core.Schemes(), 1, 60*time.Second, RunOpts{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	chainSum := map[core.Scheme]int{}
-	for _, m := range ms {
+	for _, scheme := range core.Schemes() {
+		// observe is MeasureObs's body; it also hands back the run, whose
+		// world holds the volume counters (b) compares against.
+		m, res, err := observe(p, grid, scheme, 1, 60*time.Second, RunOpts{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
 		rep := m.Report
 
 		// (a) Merged trace: compute spans and role-tagged collective spans
-		// on one recorder.
+		// on one timeline.
 		var b strings.Builder
-		if err := m.Trace.WriteChromeTrace(&b); err != nil {
+		if err := obs.WriteChromeTrace(&b, m.Spans); err != nil {
 			t.Fatal(err)
 		}
 		tr := b.String()
@@ -69,11 +73,11 @@ func TestObsAcceptance(t *testing.T) {
 					row += cr.Matrix[r*rep.P+x]
 					col += cr.Matrix[x*rep.P+r]
 				}
-				if want := m.World.SentBytes(r, class); row != want {
+				if want := res.World.SentBytes(r, class); row != want {
 					t.Errorf("%v: %s rank %d: matrix row sum %d, counter %d",
 						m.Scheme, cr.Class, r, row, want)
 				}
-				if want := m.World.RecvBytes(r, class); col != want {
+				if want := res.World.RecvBytes(r, class); col != want {
 					t.Errorf("%v: %s rank %d: matrix col sum %d, counter %d",
 						m.Scheme, cr.Class, r, col, want)
 				}

@@ -50,14 +50,6 @@ type ClockReport struct {
 	Ranks     []*ClockRank `json:"ranks"`
 }
 
-// SetClock attaches the clock-alignment section; nil leaves the report
-// untouched so in-process reports stay byte-identical.
-func (r *Report) SetClock(c *ClockReport) {
-	if c != nil {
-		r.Clock = c
-	}
-}
-
 // combineOffsets folds the per-process pairwise measurements into one
 // offset per rank relative to rank 0. meas[r] holds rank r's measurements
 // toward its peers (meas[r][i].OffsetNS estimates clock_peer − clock_r).

@@ -17,16 +17,16 @@ import (
 // arbitrary bytes in place of one rank's line. The launcher parses these
 // from worker stdout, so nothing in them may panic it or make it allocate
 // by a size the line merely declares; a rejected line is an error. Seeded
-// with the four EncodeRank lines of a real P=4 run.
+// with the four snapshot lines of a real P=4 DAG run (spans and scheduler
+// statistics included).
 func FuzzUnmarshalSnapshot(f *testing.F) {
 	p, err := exp.Prepare(sparse.Grid2D(8, 8, 1), 2, 8)
 	if err != nil {
 		f.Fatal(err)
 	}
 	plan := core.NewPlan(p.An.BP, procgrid.New(2, 2), core.ShiftedBinaryTree, 1)
-	col := obs.NewCollector(plan.PerRankMsgs(), time.Now())
 	eng := pselinv.NewEngine(plan, p.LU)
-	eng.Observer = col
+	eng.Obs, eng.DAG = obs.NewCollector(plan.PerRankMsgs(), time.Now()), true
 	res, err := eng.Run(60 * time.Second)
 	if err != nil {
 		f.Fatal(err)
@@ -34,7 +34,10 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 	res.Release()
 	lines := make([][]byte, plan.Grid.Size())
 	for r := range lines {
-		if lines[r], err = obs.MarshalSnapshot(col.EncodeRank(r)); err != nil {
+		if res.Snapshots[r].Dag == nil || len(res.Snapshots[r].Spans) == 0 {
+			f.Fatalf("rank %d seed snapshot lacks dag stats or spans", r)
+		}
+		if lines[r], err = obs.MarshalSnapshot(res.Snapshots[r]); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(lines[r])
@@ -66,8 +69,10 @@ func FuzzUnmarshalSnapshot(f *testing.F) {
 				snaps = append(snaps, peer)
 			}
 		}
-		if m, err := obs.Merge(snaps); err == nil && len(m.Clock.Ranks) != len(snaps) {
-			t.Fatalf("merged %d snapshots into %d ranks", len(snaps), len(m.Clock.Ranks))
+		if m, err := obs.Merge(snaps); err == nil {
+			if rep := m.Report("fuzz"); rep.P != len(snaps) || len(rep.Ranks) != len(snaps) {
+				t.Fatalf("merged %d snapshots into a report of %d ranks", len(snaps), len(rep.Ranks))
+			}
 		}
 	})
 }

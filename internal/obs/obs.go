@@ -1,8 +1,11 @@
-// Package obs is the communication-observability layer: a simmpi.Observer
-// that records per-link traffic matrices, per-rank ring-buffered event
-// streams, mailbox queue-depth high-watermarks and blocked-receive wait
-// durations, plus a post-run analyzer that replays the event graph into
-// measured per-collective critical paths and imbalance scores.
+// Package obs is the observability layer and the one record of an observed
+// run: a simmpi.Observer that records per-link traffic matrices, per-rank
+// ring-buffered event streams, mailbox queue-depth high-watermarks and
+// blocked-receive wait durations, the per-rank span timeline the engine
+// appends to it, plus a post-run analyzer that replays the event graph into
+// measured per-collective critical paths and imbalance scores. Every report
+// is assembled the same way — one Snapshot per rank, Merge, Merged.Report —
+// whether the ranks shared a process or not.
 //
 // The paper's central claim is observational — a flat broadcast tree
 // serializes p-1 sends at the root while a binary tree bounds the chain by
@@ -46,8 +49,8 @@ type Event struct {
 	Dir   Dir           `json:"d"`
 }
 
-// rankObs is the per-rank slice of the collector. The matrix rows, ring
-// and wait statistics are written only by the owning rank's goroutine
+// rankObs is the per-rank slice of the collector. The matrix rows, ring,
+// spans and wait statistics are written only by the owning rank's goroutine
 // (sends touch the source rank, receives the destination rank), so they
 // need no locks; the queue-depth high-watermark is written by arbitrary
 // sender goroutines and is atomic.
@@ -65,6 +68,8 @@ type rankObs struct {
 	// with ringLen - len(ring) events dropped before serialization.
 	linear bool
 
+	spans []Span // the rank's timeline, in append order (see Collector.Span)
+
 	waitTotal time.Duration
 	waitMax   time.Duration
 	waitCount int64
@@ -76,10 +81,10 @@ type rankObs struct {
 // unbounded memory per rank; past it the oldest events are overwritten.
 const MaxRingCap = 1 << 20
 
-// Collector implements simmpi.Observer. Create one per run, install it
-// with World.SetObserver (or Engine.Observer) before the run, and call
-// Report after the run completes; the collector must not be shared across
-// worlds.
+// Collector implements simmpi.Observer and holds the span timelines. Create
+// one per run and hand it to the engine (Engine.Obs) before the run; the
+// run's result then carries one Snapshot per local rank. The collector must
+// not be shared across worlds.
 type Collector struct {
 	start time.Time
 	p     int
@@ -93,8 +98,8 @@ type Collector struct {
 // packing, coresPerNode ranks per node). Once set, the report's chain
 // analysis counts cross-node hops per collective and adds the
 // nodes-1 analytic reference next to the flat/log ones. Leaving it unset
-// keeps reports byte-identical to topology-free runs.
-func (c *Collector) SetTopology(coresPerNode int) { c.coresPerNode = coresPerNode }
+// (or non-positive) keeps reports byte-identical to topology-free runs.
+func (c *Collector) SetTopology(coresPerNode int) { c.coresPerNode = max(coresPerNode, 0) }
 
 // NewCollector returns a collector for a len(ringCaps)-rank world. Rank r's
 // event ring holds ringCaps[r] events (clamped to [1, MaxRingCap]); callers
@@ -102,11 +107,11 @@ func (c *Collector) SetTopology(coresPerNode int) { c.coresPerNode = coresPerNod
 // exactly what a run records. Should a rank's stream still exceed its ring,
 // the oldest events are overwritten and the report marks its chain analysis
 // incomplete while the traffic matrices (plain counters, not ring-bound)
-// stay exact. start is the clock epoch of the event timestamps: a
-// distributed worker passes one shared epoch to its collector, trace
-// recorder and transport clock sync so every local timestamp lives on the
-// same process clock and the launcher-side merge can shift whole processes
-// by a single estimated offset.
+// stay exact. start is the clock epoch of the event and span timestamps: a
+// distributed worker passes one shared epoch to its collector and the
+// transport clock sync so every local timestamp lives on the same process
+// clock and the launcher-side merge can shift whole processes by a single
+// estimated offset.
 func NewCollector(ringCaps []int, start time.Time) *Collector {
 	if len(ringCaps) == 0 {
 		panic("obs: empty world")
@@ -117,9 +122,6 @@ func NewCollector(ringCaps []int, start time.Time) *Collector {
 	}
 	return c
 }
-
-// P returns the world size the collector was built for.
-func (c *Collector) P() int { return c.p }
 
 func (ro *rankObs) row(rows *[][]int64, class simmpi.Class, p int) []int64 {
 	if *rows == nil {

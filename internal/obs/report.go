@@ -9,6 +9,8 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 	"time"
@@ -68,16 +70,15 @@ type Report struct {
 	WaitImbalance float64 `json:"wait_imbalance"`   // max/mean per-rank blocked-recv wait
 
 	// Dag, when present, holds the per-rank task-DAG scheduler statistics
-	// of a run with DAG execution enabled: attached after
-	// the run and omitted entirely for sequential runs, so reports from
-	// non-DAG runs (including the goldens) stay byte-identical.
+	// of a run with DAG execution enabled: omitted entirely for sequential
+	// runs, so reports from non-DAG runs (including the goldens) stay
+	// byte-identical.
 	Dag []*DagRankStats `json:"dag,omitempty"`
 
 	// Load, when present, holds the per-rank planned-work distribution of
 	// the supernode→process map (flops, factor nonzeros, measured busy
-	// wall) with its imbalance factors: attached after the run
-	// and omitted when the caller never measured loads, so pre-balancer
-	// reports stay byte-identical.
+	// wall) with its imbalance factors. Merged.Report builds it; a bare
+	// Collector.Report has none.
 	Load *LoadReport `json:"load,omitempty"`
 
 	// Clock, when present, records the per-process clock-offset estimation
@@ -90,8 +91,8 @@ type Report struct {
 	// Straggler, when present, decomposes each rank's wall time into
 	// busy/recv-wait/idle and diffs the measured busy share
 	// against the balancer's predicted flop share, flagging ranks whose
-	// measured/predicted ratio exceeds the threshold. Attached by
-	// AttachStraggler; omitted when never measured.
+	// measured/predicted ratio exceeds the threshold. Built by
+	// Merged.Report, next to the load section.
 	Straggler *StragglerReport `json:"straggler,omitempty"`
 
 	Classes     []*ClassReport     `json:"classes"`
@@ -101,20 +102,30 @@ type Report struct {
 	Critical    *CriticalPath      `json:"critical_path,omitempty"`
 }
 
-// DagRankStats mirrors the engine's per-rank task-DAG scheduler counters
-// (obs cannot import the engine package): how many tasks ran, how many
-// were offloaded to pool workers, the peak runnable width and in-flight
-// depth, and the busy/wall occupancy ratio — above 1 means task compute
-// genuinely overlapped the rank's communication loop.
+// DagRankStats is one rank's task-DAG scheduler counters, filled in by the
+// engine's scheduler.
 type DagRankStats struct {
-	Rank        int     `json:"rank"`
-	Tasks       int     `json:"tasks"`
-	Offloaded   int     `json:"offloaded"`
-	MaxWidth    int     `json:"max_width"`
-	MaxInflight int     `json:"max_inflight"`
-	BusyNS      int64   `json:"busy_ns"`
-	WallNS      int64   `json:"wall_ns"`
-	Occupancy   float64 `json:"occupancy"`
+	Rank int `json:"rank"`
+	// Tasks is the number of DAG tasks executed; it is plan-determined
+	// (independent of scheduling).
+	Tasks int `json:"tasks"`
+	// Offloaded counts tasks that ran on a pool worker; the rest ran
+	// inline on the rank goroutine when the pool had no free slot.
+	Offloaded int `json:"offloaded"`
+	// MaxWidth is the peak number of simultaneously runnable or running
+	// tasks — the exploitable intra-rank parallelism the DAG exposed.
+	MaxWidth int `json:"max_width"`
+	// MaxInflight is the peak number of this rank's tasks concurrently
+	// out on pool workers.
+	MaxInflight int `json:"max_inflight"`
+	// BusyNS sums task execution time wherever each task ran; WallNS is
+	// the rank body's wall-clock time. Occupancy is their ratio, the mean
+	// number of this rank's tasks executing at any instant (0 when the
+	// rank did no timed work): above 1 means compute genuinely overlapped
+	// the rank's communication loop.
+	BusyNS    int64   `json:"busy_ns"`
+	WallNS    int64   `json:"wall_ns"`
+	Occupancy float64 `json:"occupancy"`
 }
 
 // RankLoad is one rank's share of the planned work: the estimated
@@ -141,29 +152,11 @@ type LoadReport struct {
 	NNZImbalance  float64     `json:"nnz_imbalance"`
 }
 
-// NewLoadReport assembles the load section from per-rank flop and nnz
-// tallies (index = rank) and optional per-rank busy wall times (nil when
-// the run was not traced).
-func NewLoadReport(balancer string, flops, nnz, busyNS []int64) *LoadReport {
-	l := &LoadReport{Balancer: balancer, Ranks: make([]*RankLoad, len(flops))}
-	for r := range flops {
-		rl := &RankLoad{Rank: r, Flops: flops[r], NNZ: nnz[r]}
-		if r < len(busyNS) {
-			rl.BusyNS = busyNS[r]
-		}
-		l.Ranks[r] = rl
-		l.TotalFlops += flops[r]
-		l.TotalNNZ += nnz[r]
-	}
-	l.FlopImbalance = imbalance(flops)
-	l.NNZImbalance = imbalance(nnz)
-	return l
-}
-
-// Report drains the collector into a report. Call it once, after the run
-// completes (World.Run returning is the synchronization point that makes
-// the rank-local counters safe to read). label tags the report, typically
-// with the tree scheme.
+// Report drains the collector's counters and rings into a report: traffic
+// matrices, per-rank telemetry and the chain analysis. The sections that
+// need more than the collector saw (clock, dag, load, straggler) are added
+// by Merged.Report, which is how every run's report is built. label tags
+// the report, typically with the tree scheme.
 func (c *Collector) Report(label string) *Report {
 	rep := &Report{P: c.p, Label: label, CoresPerNode: c.coresPerNode}
 
@@ -457,6 +450,33 @@ func (r *Report) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return []byte(b.String()), nil
+}
+
+// WriteArtifacts writes an observed run's two files into dir (created if
+// needed): the report as obs-<slug>.json and the timeline as a Chrome trace,
+// trace-<slug>.json. It returns the two paths.
+func WriteArtifacts(dir, slug string, rep *Report, spans []Span) ([]string, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	paths := []string{filepath.Join(dir, "obs-"+slug+".json"), filepath.Join(dir, "trace-"+slug+".json")}
+	for i, write := range []func(io.Writer) error{
+		rep.WriteJSON,
+		func(w io.Writer) error { return WriteChromeTrace(w, spans) },
+	} {
+		f, err := os.Create(paths[i])
+		if err != nil {
+			return nil, err
+		}
+		if err := write(f); err != nil {
+			f.Close()
+			return nil, err
+		}
+		if err := f.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return paths, nil
 }
 
 // RenderMatrix renders the class's P×P traffic matrix as an ASCII heat map

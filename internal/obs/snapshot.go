@@ -1,10 +1,10 @@
-// Snapshot is the serializable per-process slice of a distributed run's
-// telemetry: the worker encodes its rank's collector state (traffic-matrix
-// rows, event ring, wait statistics), its trace spans, its planned load and
-// the clock-offset measurements from the transport handshake; the launcher
-// decodes one snapshot per rank and merges them into a single Report and a
-// single offset-corrected span timeline, as if the whole run had happened
-// inside one process.
+// Snapshot is the per-rank record of an observed run: the rank's collector
+// state (traffic-matrix rows, event ring, wait statistics, spans), its
+// planned load and scheduler statistics and — when the rank had a process of
+// its own — the clock-offset measurements from the transport handshake. The
+// engine emits one per local rank; a distributed worker serializes its own
+// and the launcher decodes them. Either way one snapshot per rank is merged
+// into a single Report and a single span timeline on one clock.
 package obs
 
 import (
@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"pselinv/internal/simmpi"
-	"pselinv/internal/trace"
 )
 
 // Snapshot is one rank's telemetry in wire form. All times are nanoseconds
@@ -44,26 +43,31 @@ type Snapshot struct {
 	RecvWaitCount int64 `json:"recv_wait_count,omitempty"`
 	QueueHWM      int64 `json:"queue_hwm,omitempty"`
 
-	// WallNS is the worker's run wall time; PlanFlops/PlanNNZ the planned
-	// load the balancer charged to this rank, Balancer its slug — shipped
-	// per-rank so the launcher can assemble the load and straggler
-	// sections without rebuilding the plan.
+	// WallNS is the run's wall time as this rank's process measured it;
+	// PlanFlops/PlanNNZ the planned load the balancer charged to this rank,
+	// Balancer its slug — carried per-rank so the merge can assemble the
+	// load and straggler sections without the plan.
 	WallNS    int64  `json:"wall_ns,omitempty"`
 	PlanFlops int64  `json:"plan_flops,omitempty"`
 	PlanNNZ   int64  `json:"plan_nnz,omitempty"`
 	Balancer  string `json:"balancer,omitempty"`
 
-	// Spans is the worker's trace-recorder timeline (same clock).
-	Spans []trace.Event `json:"spans,omitempty"`
+	// Dag holds the rank's task-DAG scheduler statistics; nil for a run
+	// that executed sequentially.
+	Dag *DagRankStats `json:"dag,omitempty"`
+
+	// Spans is the rank's timeline in append order (same clock as Events).
+	Spans []Span `json:"spans,omitempty"`
 
 	// Clock holds the handshake clock-offset measurements this process
-	// made toward its peers (one per ordered pair it dialed).
+	// made toward its peers (one per ordered pair it dialed). Ranks that
+	// shared a process have none.
 	Clock []ClockMeasurement `json:"clock,omitempty"`
 }
 
-// EncodeRank serializes one rank's slice of the collector. In a distributed
-// worker the world hosts exactly that one rank, so the snapshot carries the
-// whole process's telemetry. Safe to call only after the run completed.
+// EncodeRank returns one rank's slice of the collector; the engine fills in
+// what the collector does not see (wall, plan load, scheduler statistics).
+// Safe to call only after the run completed.
 func (c *Collector) EncodeRank(rank int) *Snapshot {
 	ro := &c.ranks[rank]
 	events, _ := ro.events()
@@ -81,6 +85,7 @@ func (c *Collector) EncodeRank(rank int) *Snapshot {
 		RecvWaitMaxNS: int64(ro.waitMax),
 		RecvWaitCount: ro.waitCount,
 		QueueHWM:      ro.hwm.Load(),
+		Spans:         ro.spans,
 	}
 }
 
@@ -126,29 +131,29 @@ func (s *Snapshot) TrimToSize(maxBytes int) ([]byte, error) {
 	return data, nil
 }
 
-// Merged is the launcher-side combination of one snapshot per rank: a
-// unified collector whose Report sees the run exactly as an in-process
-// observed run would, the offset-corrected merged span timeline, and the
-// clock section documenting the correction.
+// Merged is the combination of one snapshot per rank: the whole run's
+// traffic matrices and event rings, the merged span timeline, and — when the
+// ranks lived on different clocks — the clock section documenting the
+// correction.
 type Merged struct {
-	Collector *Collector
-	// Spans is the merged, offset-corrected, canonically sorted timeline.
-	Spans []trace.Event
-	// Clock documents the per-rank corrections; also attached to reports
-	// built via Report.
+	// Spans is the merged, canonically sorted timeline on one clock.
+	Spans []Span
+	// Clock documents the per-rank corrections and is attached to reports
+	// built via Report; nil when the snapshots shared a clock.
 	Clock *ClockReport
 
-	wall, busy         []int64
-	planFlops, planNNZ []int64
-	balancer           string
+	col    *Collector // the whole run's matrices and rings, for Report
+	byRank []*Snapshot
 }
 
 // Merge combines one snapshot per rank (any order; exactly ranks 0..P-1 of
-// a common world size) into a Merged run. Timestamps are shifted onto rank
-// 0's clock using the handshake offset estimates, then repaired so every
-// matched send→recv edge is non-negative: first by constraint relaxation of
-// the per-rank offsets (bounded by the offsets' uncertainty in practice),
-// then by clamping any residual edge, counting both in the clock section.
+// a common world size) into a Merged run. Snapshots that carry handshake
+// clock measurements come from different processes and are aligned first
+// (see alignClocks). Snapshots without any were taken on one clock — the
+// ranks shared a process — so their times are kept as they are and the
+// merged run has no clock section: that is read off the snapshots, not
+// configured. The snapshots are aliased (and, when aligned, shifted in
+// place), so decode them afresh to merge twice.
 func Merge(snaps []*Snapshot) (*Merged, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("obs: merge of zero snapshots")
@@ -188,6 +193,50 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 		}
 	}
 
+	m := &Merged{byRank: byRank}
+	for _, s := range byRank {
+		if len(s.Clock) > 0 {
+			m.Clock = alignClocks(byRank)
+			break
+		}
+	}
+
+	// The merged rings arrive linearized and are only read, never appended
+	// to, so their capacities are moot.
+	m.col = NewCollector(make([]int, p), time.Time{})
+	m.col.coresPerNode = byRank[0].CoresPerNode
+	nspans := 0
+	for _, s := range byRank {
+		nspans += len(s.Spans)
+	}
+	m.Spans = make([]Span, 0, nspans)
+	for r, s := range byRank {
+		ro := &m.col.ranks[r]
+		ro.sentB, ro.recvB = s.SentB, s.RecvB
+		ro.sentN, ro.recvN = s.SentN, s.RecvN
+		ro.ring = s.Events
+		ro.ringLen = s.RingLen
+		ro.linear = true
+		ro.waitTotal = time.Duration(s.RecvWaitNS)
+		ro.waitMax = time.Duration(s.RecvWaitMaxNS)
+		ro.waitCount = s.RecvWaitCount
+		ro.hwm.Store(s.QueueHWM)
+		m.Spans = append(m.Spans, s.Spans...)
+	}
+	SortSpans(m.Spans)
+	return m, nil
+}
+
+// alignClocks moves the event and span times of snapshots taken in different
+// processes onto rank 0's clock, in place: shifted by the handshake offset
+// estimates, then repaired so every matched send→recv edge is non-negative —
+// first by constraint relaxation of the per-rank offsets (bounded by the
+// offsets' uncertainty in practice), then by clamping any residual edge,
+// counting both in the returned clock section. A final uniform shift moves
+// the earliest timestamp to zero so the timeline starts where a one-process
+// one would.
+func alignClocks(byRank []*Snapshot) *ClockReport {
+	p := len(byRank)
 	// Per-rank clock corrections: pairwise midpoint estimates combined and
 	// anchored at rank 0, then relaxed against the causality constraints
 	// observed in the event stream itself.
@@ -198,80 +247,42 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 	off, unc := combineOffsets(p, meas)
 	rounds := relaxOffsets(off, edgeSlacks(byRank))
 
-	// The merged rings arrive linearized and are only read, never appended
-	// to, so their capacities are moot.
-	col := NewCollector(make([]int, p), time.Time{})
-	col.coresPerNode = byRank[0].CoresPerNode
-
-	m := &Merged{
-		Collector: col,
-		wall:      make([]int64, p),
-		busy:      make([]int64, p),
-		planFlops: make([]int64, p),
-		planNNZ:   make([]int64, p),
-		balancer:  byRank[0].Balancer,
+	shift := func(s *Snapshot, d time.Duration) {
+		for i := range s.Events {
+			s.Events[i].T -= d
+		}
+		for i := range s.Spans {
+			s.Spans[i].Start -= d
+			s.Spans[i].End -= d
+		}
 	}
-
-	// Place every rank's slice into the unified collector, shifting event
-	// and span times by the rank's correction. A uniform post-shift then
-	// moves the earliest timestamp to zero so the merged timeline starts
-	// where an in-process one would.
-	var base int64
+	var base time.Duration
 	haveBase := false
-	seeBase := func(t int64) {
+	seeBase := func(t time.Duration) {
 		if !haveBase || t < base {
 			base, haveBase = t, true
 		}
 	}
 	for r, s := range byRank {
-		for i := range s.Events {
-			s.Events[i].T -= time.Duration(off[r])
-			seeBase(int64(s.Events[i].T))
+		shift(s, time.Duration(off[r]))
+		for _, e := range s.Events {
+			seeBase(e.T)
 		}
-		for i := range s.Spans {
-			s.Spans[i].Start -= time.Duration(off[r])
-			s.Spans[i].End -= time.Duration(off[r])
-			seeBase(int64(s.Spans[i].Start))
+		for _, sp := range s.Spans {
+			seeBase(sp.Start)
 		}
 	}
 
 	// Residual causality violations (negative constraint cycles from
 	// estimator noise) are clamped per edge: the recv timestamp is lifted
-	// to the send timestamp.
+	// to the send timestamp. The uniform base shift that follows cancels in
+	// every edge latency, so minEdge needs no adjustment.
 	clamped, minEdge := clampEdges(byRank)
-
-	for r, s := range byRank {
-		ro := &col.ranks[r]
-		ro.sentB, ro.recvB = s.SentB, s.RecvB
-		ro.sentN, ro.recvN = s.SentN, s.RecvN
-		ro.ring = s.Events
-		ro.ringLen = s.RingLen
-		ro.linear = true
-		ro.waitTotal = time.Duration(s.RecvWaitNS)
-		ro.waitMax = time.Duration(s.RecvWaitMaxNS)
-		ro.waitCount = s.RecvWaitCount
-		ro.hwm.Store(s.QueueHWM)
-		if haveBase && base != 0 {
-			for i := range ro.ring {
-				ro.ring[i].T -= time.Duration(base)
-			}
-		}
-
-		m.wall[r] = s.WallNS
-		m.planFlops[r] = s.PlanFlops
-		m.planNNZ[r] = s.PlanNNZ
-		for _, sp := range s.Spans {
-			if haveBase && base != 0 {
-				sp.Start -= time.Duration(base)
-				sp.End -= time.Duration(base)
-			}
-			m.busy[r] += int64(sp.End - sp.Start)
-			m.Spans = append(m.Spans, sp)
+	if base != 0 {
+		for _, s := range byRank {
+			shift(s, base)
 		}
 	}
-	// Note the uniform base shift cancels in every edge latency, so minEdge
-	// needs no adjustment.
-	trace.SortEvents(m.Spans)
 
 	clock := &ClockReport{
 		RelaxRounds:  rounds,
@@ -285,8 +296,7 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 			clock.MaxUncNS = unc[r]
 		}
 	}
-	m.Clock = clock
-	return m, nil
+	return clock
 }
 
 // edgeKey identifies a matched message: the engine sends at most one
@@ -366,15 +376,38 @@ func clampEdges(byRank []*Snapshot) (clamped int, minEdge int64) {
 	return clamped, minEdge
 }
 
-// Report assembles the merged report: the unified collector's traffic
-// matrices and chain analysis, the clock section, the per-rank load section
-// (from the workers' shipped plan charges) and the straggler section
-// diffing measured busy against the balancer's prediction.
+// Report assembles the run's report, the one place it is done: the unified
+// collector's traffic matrices and chain analysis, the clock section of an
+// aligned merge, the scheduler statistics of a DAG run, the per-rank load
+// section (the plan charges each snapshot carries, next to the busy time its
+// spans sum to) and the straggler section diffing that measured busy against
+// the balancer's prediction. Sections that do not apply are omitted, so
+// reports of plain runs stay byte-identical.
 func (m *Merged) Report(label string) *Report {
-	rep := m.Collector.Report(label)
-	rep.SetClock(m.Clock)
-	rep.Load = NewLoadReport(m.balancer, m.planFlops, m.planNNZ, m.busy)
-	rep.AttachStraggler(m.wall, m.busy, m.planFlops, 0)
+	rep := m.col.Report(label)
+	rep.Clock = m.Clock
+
+	p := len(m.byRank)
+	wall, busy, recvWait := make([]int64, p), make([]int64, p), make([]int64, p)
+	flops, nnz := make([]int64, p), make([]int64, p)
+	load := &LoadReport{Balancer: m.byRank[0].Balancer, Ranks: make([]*RankLoad, p)}
+	for r, s := range m.byRank {
+		if s.Dag != nil {
+			rep.Dag = append(rep.Dag, s.Dag)
+		}
+		for _, sp := range s.Spans {
+			busy[r] += int64(sp.Dur())
+		}
+		wall[r], recvWait[r] = s.WallNS, s.RecvWaitNS
+		flops[r], nnz[r] = s.PlanFlops, s.PlanNNZ
+		load.Ranks[r] = &RankLoad{Rank: r, Flops: flops[r], NNZ: nnz[r], BusyNS: busy[r]}
+		load.TotalFlops += flops[r]
+		load.TotalNNZ += nnz[r]
+	}
+	load.FlopImbalance = imbalance(flops)
+	load.NNZImbalance = imbalance(nnz)
+	rep.Load = load
+	rep.Straggler = NewStragglerReport(p, wall, busy, recvWait, flops)
 	return rep
 }
 
@@ -394,7 +427,7 @@ func (m *Merged) MinEdgeLatencyNS() int64 {
 // the column sums recvBytes/recvMsgs. A mismatch means telemetry was lost
 // or double-counted in flight.
 func (m *Merged) CheckConservation(sentBytes, recvBytes, sentMsgs, recvMsgs func(class simmpi.Class) int64) error {
-	c := m.Collector
+	c := m.col
 	var errs []string
 	for _, class := range simmpi.Classes() {
 		var sb, rb, sn, rn int64

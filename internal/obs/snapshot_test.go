@@ -8,7 +8,6 @@ import (
 
 	"pselinv/internal/obs"
 	"pselinv/internal/simmpi"
-	"pselinv/internal/trace"
 )
 
 // TestSnapshotRoundTrip records through a live collector, encodes rank 0's
@@ -25,7 +24,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	snap.PlanFlops = 999
 	snap.PlanNNZ = 77
 	snap.Balancer = "work"
-	snap.Spans = []trace.Event{{Rank: 0, Kind: "update", Supernode: 4, Start: 10, End: 30}}
+	snap.Dag = &obs.DagRankStats{Rank: 0, Tasks: 12, Offloaded: 5, MaxWidth: 3, MaxInflight: 2,
+		BusyNS: 900, WallNS: 1200, Occupancy: 0.75}
+	snap.Spans = []obs.Span{{Rank: 0, Kind: "update", Supernode: 4, Start: 10, End: 30}}
 	snap.Clock = []obs.ClockMeasurement{{Peer: 1, OffsetNS: -42, UncNS: 7, RTTNS: 14}}
 
 	data, err := obs.MarshalSnapshot(snap)
@@ -94,7 +95,7 @@ func skewedWorld(t *testing.T, skew []int64, clockErr int64, unc int64) []*obs.S
 	}
 	// Each rank also carries one traced span on its own clock.
 	for r, s := range snaps {
-		s.Spans = []trace.Event{{
+		s.Spans = []obs.Span{{
 			Rank: r, Kind: "update", Supernode: r,
 			Start: time.Duration(int64(500) + skew[r]),
 			End:   time.Duration(int64(500+2000*(r+1)) + skew[r]),
@@ -239,14 +240,16 @@ func TestMergeClampsNegativeCycles(t *testing.T) {
 		return obs.Event{T: time.Duration(tns), Tag: tag, Bytes: 8,
 			Peer: int32(peer), Class: simmpi.ClassOther, Dir: dir}
 	}
+	// The two ranks measured each other's clocks as equal, which makes them
+	// two processes to the merge; the timestamps contradict that both ways.
 	snaps := []*obs.Snapshot{
-		{P: 2, Rank: 0, RingLen: 2,
+		{P: 2, Rank: 0, RingLen: 2, Clock: []obs.ClockMeasurement{{Peer: 1}},
 			SentB: mat(1, 8), SentN: mat(1, 1), RecvB: mat(1, 8), RecvN: mat(1, 1),
 			Events: []obs.Event{
 				ev(1000, 1, 1, obs.DirSend), // recv'd at 500 on rank 1: backward
 				ev(500, 2, 1, obs.DirRecv),  // sent at 1000 by rank 1: backward
 			}},
-		{P: 2, Rank: 1, RingLen: 2,
+		{P: 2, Rank: 1, RingLen: 2, Clock: []obs.ClockMeasurement{{Peer: 0}},
 			SentB: mat(0, 8), SentN: mat(0, 1), RecvB: mat(0, 8), RecvN: mat(0, 1),
 			Events: []obs.Event{
 				ev(500, 1, 0, obs.DirRecv),
@@ -278,6 +281,77 @@ func TestMergeValidation(t *testing.T) {
 		if _, err := obs.Merge(snaps); err == nil {
 			t.Errorf("%s: merge accepted invalid snapshot set", name)
 		}
+	}
+}
+
+// TestMergeOneClock: snapshots without clock measurements were taken on one
+// clock — the ranks shared a process — and the merge reads that off them:
+// no clock section, no offsets, no relax/clamp edge scan (the backward edge
+// below stays as recorded) and event and span times exactly as they came in.
+// The structural guards still apply.
+func TestMergeOneClock(t *testing.T) {
+	snaps := skewedWorld(t, []int64{0, 0, 0}, 0, 0)
+	// A recv stamped before its send: alignment would have clamped it.
+	snaps[1].Events[0].T = 5
+	for _, s := range snaps {
+		s.Clock = nil
+	}
+	want := make([][]byte, len(snaps))
+	for r, s := range snaps {
+		var err error
+		if want[r], err = obs.MarshalSnapshot(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m, err := obs.Merge(snaps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Clock != nil || m.MinEdgeLatencyNS() != 0 {
+		t.Fatalf("one-clock merge aligned clocks: %+v", m.Clock)
+	}
+	for r, s := range snaps {
+		got, err := obs.MarshalSnapshot(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want[r]) {
+			t.Errorf("rank %d: merge changed the snapshot:\n got %s\nwant %s", r, got, want[r])
+		}
+	}
+	var spans []obs.Span
+	for _, s := range snaps {
+		spans = append(spans, s.Spans...)
+	}
+	obs.SortSpans(spans)
+	if !reflect.DeepEqual(m.Spans, spans) {
+		t.Errorf("merged spans %+v, want the inputs' %+v", m.Spans, spans)
+	}
+	rep := m.Report("one-clock")
+	if rep.Clock != nil {
+		t.Error("one-clock report carries a clock section")
+	}
+	if js, _ := rep.JSON(); strings.Contains(string(js), `"clock"`) {
+		t.Error("one-clock report JSON mentions a clock section")
+	}
+	if rep.Load == nil || rep.Straggler == nil || rep.Dag != nil {
+		t.Errorf("sections: load=%v straggler=%v dag=%v, want load and straggler only",
+			rep.Load != nil, rep.Straggler != nil, rep.Dag != nil)
+	}
+
+	// Hostile sizes are rejected exactly as on the aligned path.
+	hostile := skewedWorld(t, []int64{0, 0, 0}, 0, 0)
+	for _, s := range hostile {
+		s.Clock = nil
+	}
+	hostile[2].SentB = [][]int64{{1}}
+	if _, err := obs.Merge(hostile); err == nil {
+		t.Error("one-clock merge accepted a snapshot with a wrong class count")
+	}
+	hostile[2].SentB = nil
+	hostile[2].P = 1 << 40
+	if _, err := obs.Merge(hostile); err == nil {
+		t.Error("one-clock merge accepted a snapshot declaring a huge world")
 	}
 }
 
@@ -340,9 +414,9 @@ func TestStragglerReport(t *testing.T) {
 	wall := []int64{1000, 1000, 1000, 1000}
 	busy := []int64{100, 600, 100, 200}
 	pred := []int64{25, 25, 25, 25}
-	s := obs.NewStragglerReport(4, wall, busy, nil, pred, 0)
-	if s.Threshold != obs.DefaultStragglerThreshold {
-		t.Errorf("threshold %v, want default %v", s.Threshold, obs.DefaultStragglerThreshold)
+	s := obs.NewStragglerReport(4, wall, busy, nil, pred)
+	if s.Threshold != obs.DefaultStragglerThreshold || obs.DefaultStragglerThreshold != 1.5 {
+		t.Errorf("threshold %v, want the constant %v = 1.5", s.Threshold, obs.DefaultStragglerThreshold)
 	}
 	if len(s.FlaggedRanks) != 1 || s.FlaggedRanks[0] != 1 {
 		t.Fatalf("flagged %v, want [1]", s.FlaggedRanks)
@@ -358,7 +432,7 @@ func TestStragglerReport(t *testing.T) {
 		t.Errorf("rank 0 idle %d, want 900", idle)
 	}
 	// Zero-work plans must not divide by zero or flag anyone.
-	z := obs.NewStragglerReport(2, wall, busy, nil, nil, 2.0)
+	z := obs.NewStragglerReport(2, wall, busy, nil, nil)
 	if z.MaxRatio != 0 || len(z.FlaggedRanks) != 0 {
 		t.Errorf("zero-plan report flagged: %+v", z)
 	}

@@ -52,13 +52,9 @@ type StragglerReport struct {
 }
 
 // NewStragglerReport builds the straggler section for p ranks. Any of the
-// measurement slices may be nil (treated as all-zero: e.g. busy when the run
-// was not traced); short slices are read as zero-padded. threshold <= 0
-// uses DefaultStragglerThreshold.
-func NewStragglerReport(p int, wall, busy, recvWait, predFlops []int64, threshold float64) *StragglerReport {
-	if threshold <= 0 {
-		threshold = DefaultStragglerThreshold
-	}
+// measurement slices may be nil (treated as all-zero); short slices are read
+// as zero-padded.
+func NewStragglerReport(p int, wall, busy, recvWait, predFlops []int64) *StragglerReport {
 	at := func(xs []int64, i int) int64 {
 		if i < len(xs) {
 			return xs[i]
@@ -70,7 +66,7 @@ func NewStragglerReport(p int, wall, busy, recvWait, predFlops []int64, threshol
 		totalBusy += at(busy, r)
 		totalFlops += at(predFlops, r)
 	}
-	s := &StragglerReport{Threshold: threshold, Ranks: make([]*RankStraggler, p)}
+	s := &StragglerReport{Threshold: DefaultStragglerThreshold, Ranks: make([]*RankStraggler, p)}
 	for r := 0; r < p; r++ {
 		rs := &RankStraggler{
 			Rank:       r,
@@ -96,7 +92,7 @@ func NewStragglerReport(p int, wall, busy, recvWait, predFlops []int64, threshol
 		if rs.Ratio > s.MaxRatio {
 			s.MaxRatio = rs.Ratio
 		}
-		if rs.Ratio > threshold {
+		if rs.Ratio > DefaultStragglerThreshold {
 			rs.Flagged = true
 			s.FlaggedRanks = append(s.FlaggedRanks, r)
 		}
@@ -109,19 +105,4 @@ func NewStragglerReport(p int, wall, busy, recvWait, predFlops []int64, threshol
 // noise cannot perturb golden files.
 func round4(x float64) float64 {
 	return float64(int64(x*10000+0.5)) / 10000
-}
-
-// AttachStraggler builds and attaches the straggler section from the
-// report's own per-rank wait columns plus externally supplied wall times,
-// traced busy times and the balancer's predicted flop charges. threshold
-// <= 0 uses the default; a report without rank rows is left untouched.
-func (r *Report) AttachStraggler(wall, busy, predFlops []int64, threshold float64) {
-	if len(r.Ranks) == 0 {
-		return
-	}
-	recvWait := make([]int64, len(r.Ranks))
-	for i, rr := range r.Ranks {
-		recvWait[i] = rr.RecvWaitNS
-	}
-	r.Straggler = NewStragglerReport(len(r.Ranks), wall, busy, recvWait, predFlops, threshold)
 }

@@ -42,48 +42,19 @@ import (
 	"time"
 
 	"pselinv/internal/dense"
+	"pselinv/internal/obs"
 )
-
-// DagRankStats reports one rank's task-DAG scheduler counters for a run
-// with Engine.DAG set.
-type DagRankStats struct {
-	Rank int
-	// Tasks is the number of DAG tasks executed; it is plan-determined
-	// (independent of scheduling).
-	Tasks int
-	// Offloaded counts tasks that ran on a pool worker; the rest ran
-	// inline on the rank goroutine when the pool had no free slot.
-	Offloaded int
-	// MaxWidth is the peak number of simultaneously runnable or running
-	// tasks — the exploitable intra-rank parallelism the DAG exposed.
-	MaxWidth int
-	// MaxInflight is the peak number of this rank's tasks concurrently
-	// out on pool workers.
-	MaxInflight int
-	// BusyNS sums task execution time wherever each task ran; WallNS is
-	// the rank body's wall-clock time. Their ratio is the occupancy:
-	// above 1 means compute genuinely overlapped with the rank loop.
-	BusyNS int64
-	WallNS int64
-}
-
-// Occupancy returns BusyNS/WallNS, the mean number of this rank's tasks
-// executing at any instant (0 when the rank did no timed work).
-func (d DagRankStats) Occupancy() float64 {
-	if d.WallNS <= 0 {
-		return 0
-	}
-	return float64(d.BusyNS) / float64(d.WallNS)
-}
 
 // dagTask is one scheduled task: the engine's value task plus the
 // scheduler's bookkeeping, recycled through the rank's free list.
 type dagTask struct {
 	task
-	prio int    // critical-path height of the supernode; higher runs first
-	seq  int    // submission order; deterministic tiebreak
-	dep  string // dependency annotation for the trace ("" when untraced)
+	prio int // critical-path height of the supernode; higher runs first
+	seq  int // submission order; deterministic tiebreak
 
+	// The one clock reading of the task's compute half, wherever it ran:
+	// the scheduler's busy time and the task's span both come from it.
+	t0        time.Time
 	dur       time.Duration
 	recovered any    // panic value captured on a worker, re-raised on the rank
 	stack     []byte // worker stack at the recover site
@@ -123,7 +94,7 @@ type dagSched struct {
 	inflight int
 	seq      int
 	started  time.Time
-	stats    DagRankStats
+	stats    obs.DagRankStats
 }
 
 func newDagSched(st *rankState) *dagSched {
@@ -143,9 +114,6 @@ func newDagSched(st *rankState) *dagSched {
 func (s *dagSched) submit(t task) {
 	dt := s.newTask()
 	dt.task, dt.prio, dt.seq = t, s.st.e.heights[t.k], s.seq
-	if s.st.e.Trace != nil {
-		dt.dep = t.deps()
-	}
 	s.seq++
 	s.stats.Tasks++
 	heap.Push(&s.ready, dt)
@@ -182,33 +150,38 @@ func (s *dagSched) newTask() *dagTask {
 	}
 	t := &dagTask{}
 	t.run = func() {
-		t0 := time.Now()
+		t.t0 = time.Now()
 		defer func() {
 			if r := recover(); r != nil {
 				t.recovered, t.stack = r, debug.Stack()
 			}
-			t.dur = time.Since(t0)
+			t.dur = time.Since(t.t0)
 			s.comp <- t
 		}()
-		s.st.compute(&t.task, t.dep)
+		s.st.compute(&t.task)
 	}
 	return t
 }
 
-// finish applies a computed task's bookkeeping and only then, since that
-// submits further tasks, recycles the object.
+// finish accounts a computed task's timing — busy time and, on an observed
+// run, its span with the operands it waited on — applies its bookkeeping and
+// only then, since that submits further tasks, recycles the object.
 func (s *dagSched) finish(t *dagTask) {
+	s.stats.BusyNS += int64(t.dur)
+	if c := s.st.e.Obs; c != nil {
+		c.Span(s.st.r.ID, t.span, t.k, "", t.deps(), t.t0, t.dur)
+	}
 	s.st.finish(&t.task)
-	t.task, t.dep = task{}, "" // drop the operand references
+	t.task = task{} // drop the operand references
 	s.free = append(s.free, t)
 }
 
 // runInline executes a task on the rank goroutine (pool saturated, or the
 // degenerate single-worker configuration where TrySubmit never succeeds).
 func (s *dagSched) runInline(t *dagTask) {
-	t0 := time.Now()
-	s.st.compute(&t.task, t.dep)
-	s.stats.BusyNS += int64(time.Since(t0))
+	t.t0 = time.Now()
+	s.st.compute(&t.task)
+	t.dur = time.Since(t.t0)
 	s.finish(t)
 }
 
@@ -216,7 +189,6 @@ func (s *dagSched) runInline(t *dagTask) {
 // re-raising any panic the worker captured.
 func (s *dagSched) complete(t *dagTask) {
 	s.inflight--
-	s.stats.BusyNS += int64(t.dur)
 	if t.recovered != nil {
 		panic(fmt.Sprintf("pselinv: dag task %s K=%d panicked on a pool worker: %v\n%s",
 			t.span, t.k, t.recovered, t.stack))
@@ -280,4 +252,7 @@ func (s *dagSched) loop(n int) {
 	}
 	s.stats.Rank = st.r.ID
 	s.stats.WallNS = int64(time.Since(s.started))
+	if s.stats.WallNS > 0 {
+		s.stats.Occupancy = float64(s.stats.BusyNS) / float64(s.stats.WallNS)
+	}
 }

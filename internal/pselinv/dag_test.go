@@ -4,15 +4,17 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
+	"pselinv/internal/obs"
 	"pselinv/internal/procgrid"
+	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
-	"pselinv/internal/trace"
 )
 
 // withPoolWorkers raises the kernel pool degree so TrySubmit actually
@@ -234,15 +236,17 @@ func TestComputeSpanCountsArePlanDetermined(t *testing.T) {
 			core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: symmetric})
 		for _, dag := range []bool{false, true} {
 			eng := NewEngine(plan, lu)
-			eng.DAG, eng.Trace = dag, trace.NewRecorder()
+			eng.DAG, eng.Obs = dag, obs.NewCollector(plan.PerRankMsgs(), time.Now())
 			res, err := eng.Run(testTimeout)
 			if err != nil {
 				t.Fatalf("symmetric=%v dag=%v: %v", symmetric, dag, err)
 			}
 			got := map[string]int{}
-			for _, ev := range eng.Trace.Events() {
-				if ev.Role == "" { // compute spans; collective spans carry a tree role
-					got[ev.Kind]++
+			for _, snap := range res.Snapshots {
+				for _, sp := range snap.Spans {
+					if sp.Role == "" { // compute spans; collective spans carry a tree role
+						got[sp.Kind]++
+					}
 				}
 			}
 			if !reflect.DeepEqual(got, want) {
@@ -258,6 +262,84 @@ func TestComputeSpanCountsArePlanDetermined(t *testing.T) {
 				}
 			}
 			res.Release()
+		}
+	}
+}
+
+// TestExecNilObsZeroAlloc: an unobserved run pays one nil check per span
+// site. A task's compute + span path — exec, inline — and a collective's span
+// bracket allocate nothing and read no clock with Obs == nil; the same calls
+// on an observed engine append the spans.
+func TestExecNilObsZeroAlloc(t *testing.T) {
+	diag := dense.GetMatrixElem(8, 8, dense.Real)
+	x := dense.GetMatrixElem(8, 8, dense.Real)
+	for i := 0; i < 8; i++ {
+		diag.Set(i, i, 1)
+		x.Set(i, i, 2)
+	}
+	tree := core.NewTree(core.FlatTree, 0, []int{0}, 1, 0)
+	op := &core.CollOp{Kind: core.OpColBcast, K: 3, Tree: tree}
+	tk := task{kernel: kTrsm, side: core.Lower, span: "trsm", k: 3, a: diag, out: x}
+	st := &rankState{e: &Engine{}, r: &simmpi.Rank{ID: 0}}
+	run := func() {
+		st.exec(tk)
+		t0 := st.spanStart()
+		if st.e.Obs == nil && !t0.IsZero() {
+			t.Error("unobserved span site read the clock")
+		}
+		st.collSpanEnd(op, t0)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Errorf("compute + span path with nil Obs allocates %.2f/op, want 0", allocs)
+	}
+
+	st.e.Obs = obs.NewCollector([]int{1}, time.Now())
+	run()
+	spans := st.e.Obs.EncodeRank(0).Spans
+	if len(spans) != 2 || spans[0].Kind != "trsm" || spans[0].Supernode != 3 || spans[0].Role != "" ||
+		spans[1].Kind != "col-bcast" || spans[1].Role != "root" {
+		t.Errorf("observed run appended %+v, want a trsm compute span and a col-bcast root span", spans)
+	}
+}
+
+// TestDagObservedSpansRace is the race-detector witness (tier1, the DAG CI
+// job) for the collector's lock-free timelines: sixteen rank goroutines with
+// four kernel workers under them, every compute task offloadable, and the
+// only writers of a rank's span slice are that rank's goroutine — a DAG
+// task's span is appended when the rank applies its completion. The spans'
+// busy time is the scheduler's, read off the same clock.
+func TestDagObservedSpansRace(t *testing.T) {
+	withPoolWorkers(t, 4)
+	_, lu, _ := prep(t, sparse.Grid2D(12, 12, 1), etree.Options{Relax: 2, MaxWidth: 8})
+	plan := core.NewPlan(lu.BP, procgrid.New(4, 4), core.ShiftedBinaryTree, 1)
+	eng := NewEngine(plan, lu)
+	eng.DAG, eng.Obs = true, obs.NewCollector(plan.PerRankMsgs(), time.Now())
+	res, err := eng.Run(testTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer res.Release()
+	if len(res.Snapshots) != 16 {
+		t.Fatalf("%d snapshots, want 16", len(res.Snapshots))
+	}
+	for r, snap := range res.Snapshots {
+		if snap.Rank != r || snap.Dag == nil {
+			t.Fatalf("snapshot %d: rank %d, dag stats %v", r, snap.Rank, snap.Dag)
+		}
+		tasks, busy := 0, int64(0)
+		for _, sp := range snap.Spans {
+			if sp.Rank != r {
+				t.Fatalf("rank %d's timeline holds a span of rank %d", r, sp.Rank)
+			}
+			if sp.Deps != "" {
+				tasks++
+				busy += int64(sp.Dur())
+			}
+		}
+		if tasks != snap.Dag.Tasks || busy != snap.Dag.BusyNS {
+			t.Errorf("rank %d: %d task spans summing to %d ns, scheduler ran %d tasks busy %d ns",
+				r, tasks, busy, snap.Dag.Tasks, snap.Dag.BusyNS)
 		}
 	}
 }

@@ -28,8 +28,8 @@ import (
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/factor"
+	"pselinv/internal/obs"
 	"pselinv/internal/simmpi"
-	"pselinv/internal/trace"
 )
 
 // blockKey identifies a block (I, J) in per-rank maps.
@@ -81,14 +81,13 @@ type Engine struct {
 	// critical-path dispatch priority of DAG mode (immutable, shared by
 	// Rebind like the programs).
 	heights []int
-	// Trace, when non-nil, records a per-rank execution timeline of the
-	// run (see internal/trace); set it before calling Run.
-	Trace *trace.Recorder
-	// Observer, when non-nil, is installed on each run's world and receives
-	// per-message telemetry (internal/obs provides the collecting
-	// implementation); set it before calling Run. Observer state is
-	// per-run: use a fresh instance for every run.
-	Observer simmpi.Observer
+	// Obs, when non-nil, observes the run: it is installed on the run's
+	// world for per-message telemetry, the rank goroutines append their
+	// compute and collective spans to it, and the result carries one
+	// snapshot per local rank (RunResult.Snapshots). Set it before calling
+	// Run; its state is per-run, so use a fresh collector for every run.
+	// Nil costs the hot path one pointer check per span site.
+	Obs *obs.Collector
 	// Chaos, when non-nil, installs a seeded delivery adversary
 	// (internal/chaos) on each run's world.
 	Chaos *chaos.Config
@@ -190,9 +189,9 @@ func ablock(s core.Side, i, j int) blockKey {
 // NewEngine, proportional to the total task count — are shared with the
 // receiver; they are immutable during runs, so rebound engines may run
 // concurrently with each other and with the original. This is the warm path
-// of a plan cache: same sparsity pattern, new values. Trace, Observer,
-// Chaos and DAG are reset on the copy so per-run instrumentation and
-// execution modes never leak between requests.
+// of a plan cache: same sparsity pattern, new values. Obs, Chaos and DAG
+// are reset on the copy so per-run instrumentation and execution modes
+// never leak between requests.
 func (e *Engine) Rebind(lu *factor.LU) *Engine {
 	return &Engine{Plan: e.Plan, LU: lu, programs: e.programs, heights: e.heights}
 }
@@ -210,7 +209,11 @@ type RunResult struct {
 	// Dag holds the per-rank task-DAG scheduler statistics of a run with
 	// Engine.DAG set, ordered by rank (nil otherwise, and nil for ranks
 	// hosted in other processes on a distributed transport).
-	Dag []DagRankStats
+	Dag []obs.DagRankStats
+	// Snapshots is the record of a run with Engine.Obs set: one complete
+	// snapshot per local rank, ordered by rank, ready for obs.Merge (a
+	// distributed worker adds its clock measurements first).
+	Snapshots []*obs.Snapshot
 }
 
 // Release returns the gathered A⁻¹ blocks to the dense kernel arena. The
@@ -232,9 +235,6 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 	if e.Chaos != nil {
 		chaos.Install(*e.Chaos, world)
 	}
-	if e.Observer != nil {
-		world.SetObserver(e.Observer)
-	}
 	res, err := e.RunWorld(world, timeout)
 	if err != nil {
 		if _, ok := err.(*simmpi.TimeoutError); ok {
@@ -249,7 +249,8 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 }
 
 // RunWorld executes the two passes on a caller-supplied world (with any
-// adversary already installed) and gathers the result. On a timeout the
+// adversary already installed; Obs is installed here) and gathers the
+// result. On a timeout the
 // world is NOT closed, so the caller can take a chaos.Snapshot of the stuck
 // ranks and in-flight messages before closing it. A malformed reduce message
 // (see reduceError) closes the world and fails the run at once.
@@ -267,6 +268,9 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResult, error) {
 	if e.Plan.Symmetric && !e.LU.Symmetric {
 		return nil, symmetryError{fmt.Errorf("pselinv: symmetric plan bound to a %s factorization of asymmetric values (plan with Symmetric = LU.Symmetric)", e.LU.Elem)}
+	}
+	if e.Obs != nil {
+		world.SetObserver(e.Obs)
 	}
 	states := make([]*rankState, world.P)
 	scheme := e.Plan.Scheme.String()
@@ -308,21 +312,35 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			return nil, cerr
 		}
 	}
-	gathered := blockmat.New(e.Plan.BP.Part)
-	var dag []DagRankStats
-	for _, st := range states {
+	res := &RunResult{Ainv: blockmat.New(e.Plan.BP.Part), World: world, Elapsed: elapsed}
+	var loads []core.RankLoad
+	if e.Obs != nil {
+		loads = e.Plan.RankLoads()
+	}
+	for r, st := range states {
 		if st == nil { // non-local rank on a distributed transport
 			continue
 		}
 		for key, m := range st.ainv {
-			gathered.Set(key.I, key.J, m)
+			res.Ainv.Set(key.I, key.J, m)
 		}
 		if st.sched != nil {
-			dag = append(dag, st.sched.stats)
+			res.Dag = append(res.Dag, st.sched.stats)
+		}
+		if e.Obs != nil {
+			snap := e.Obs.EncodeRank(r)
+			snap.WallNS = elapsed.Nanoseconds()
+			snap.PlanFlops, snap.PlanNNZ = loads[r].Flops, loads[r].NNZ
+			snap.Balancer = e.Plan.Balancer.Slug()
+			if st.sched != nil {
+				d := st.sched.stats
+				snap.Dag = &d
+			}
+			res.Snapshots = append(res.Snapshots, snap)
 		}
 		st.release()
 	}
-	return &RunResult{Ainv: gathered, World: world, Elapsed: elapsed, Dag: dag}, nil
+	return res, nil
 }
 
 // redState tracks one in-flight reduction at one rank. Every participant
@@ -444,7 +462,7 @@ func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
 }
 
 // wire says how each plan op kind appears outside the engine — its accounting
-// class and the trace span its tree forwarding runs under — and which side of
+// class and the span its tree forwarding runs under — and which side of
 // the second loop it belongs to. The general path's pass-1 row broadcast is
 // accounted with the column broadcast, and its Û cross-sends with the L̂ ones.
 var wire = [...]struct {
@@ -576,8 +594,8 @@ type task struct {
 	kernel kernel
 	ta     dense.Trans // kGemm: transpose a
 	side   core.Side   // kTrsm: the variant; kGemm: orients the annotation
-	span   string      // trace span kind
-	k      int         // supernode: trace label and DAG priority
+	span   string      // span kind
+	k      int         // supernode: span label and DAG priority
 	i, j   int         // kGemm: broadcast block and A⁻¹ position, for the annotation
 
 	a, b, out *dense.Matrix
@@ -592,15 +610,33 @@ func (st *rankState) exec(t task) {
 		st.sched.submit(t)
 		return
 	}
-	st.compute(&t, "")
+	t0 := st.spanStart()
+	st.compute(&t)
+	st.spanEnd(t.span, t.k, "", t0)
 	st.finish(&t)
+}
+
+// spanStart reads the clock for a span the rank goroutine is about to run
+// inline; an unobserved run reads nothing.
+func (st *rankState) spanStart() (t0 time.Time) {
+	if st.e.Obs != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+// spanEnd appends the span begun at t0 (an inline one: no dependency
+// annotation) to this rank's timeline.
+func (st *rankState) spanEnd(kind string, k int, role string, t0 time.Time) {
+	if st.e.Obs != nil {
+		st.e.Obs.Span(st.r.ID, kind, k, role, "", t0, time.Since(t0))
+	}
 }
 
 // compute is the pure-compute half of a task: it touches only the task's
 // output, which nothing else aliases until finish, so it may run on any
-// goroutine. deps annotates the span of a scheduled task ("" inline).
-func (st *rankState) compute(t *task, deps string) {
-	end := st.e.Trace.SpanTask(st.r.ID, t.span, t.k, deps)
+// goroutine.
+func (st *rankState) compute(t *task) {
 	switch t.kernel {
 	case kTrsm:
 		if t.side == core.Lower {
@@ -618,7 +654,6 @@ func (st *rankState) compute(t *task, deps string) {
 			t.out.AddScaled(-1, t.a)
 		}
 	}
-	end()
 }
 
 // finish is the bookkeeping half, on the rank goroutine only: it folds
@@ -715,16 +750,17 @@ func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
 // timeline. The span covers only the message handling, not the compute it
 // unblocks — the GEMM/TRSM spans stand on their own.
 func (st *rankState) forward(op *core.CollOp, m *dense.Matrix) {
-	end := st.collSpan(op)
+	t0 := st.spanStart()
 	for _, c := range op.Tree.Children(st.r.ID) {
 		st.r.Send(c, op.Key(), wire[op.Kind].class, m.Data)
 	}
-	end()
+	st.collSpanEnd(op, t0)
 }
 
-func (st *rankState) collSpan(op *core.CollOp) func() {
-	if st.e.Trace == nil {
-		return func() {}
+// collSpanEnd closes the span of this rank's part in collective op.
+func (st *rankState) collSpanEnd(op *core.CollOp, t0 time.Time) {
+	if st.e.Obs == nil {
+		return
 	}
 	me := st.r.ID
 	role := "leaf"
@@ -734,7 +770,7 @@ func (st *rankState) collSpan(op *core.CollOp) func() {
 	case len(op.Tree.Children(me)) > 0:
 		role = "forwarder"
 	}
-	return st.e.Trace.SpanRole(me, wire[op.Kind].span, op.K, role)
+	st.spanEnd(wire[op.Kind].span, op.K, role, t0)
 }
 
 // runPass2 is the asynchronous selected inversion proper. Its initial local
@@ -897,25 +933,25 @@ func (st *rankState) maybeComplete(red *redState) {
 	red.done = true
 	op, me := red.op, st.r.ID
 	k, j := op.K, op.Blk
-	end := st.collSpan(op)
+	t0 := st.spanStart()
 	m := red.sum
 	red.sum = nil // ownership moves on: see redState
 	if me != op.Tree.Root {
 		// The buffer travels up the tree; the parent recycles it.
 		st.r.Send(op.Tree.Parent(me), op.Key(), wire[op.Kind].class, m.Data)
-		end()
+		st.collSpanEnd(op, t0)
 		return
 	}
 	if op.Kind == core.OpDiagReduce {
 		// A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
-		end()
+		st.collSpanEnd(op, t0)
 		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, a: m, out: diag})
 		return
 	}
 	// A⁻¹_{J,K} | A⁻¹_{K,J} = −Σ, released via RunResult.Release.
 	m.Scale(-1)
-	end()
+	st.collSpanEnd(op, t0)
 	s := wire[op.Kind].side
 	st.finalize(ablock(s, j, k), m)
 	if s == core.Upper {

@@ -194,19 +194,22 @@ func TestShiftSeedRedistributesVolume(t *testing.T) {
 }
 
 // observedReport runs plan once with a collector whose rings hold ringCaps
-// events per rank and returns the run's world, the collector's report and
-// the report's schedule-stripped JSON.
+// events per rank and returns the run's world, the run's report and the
+// report's schedule-stripped JSON.
 func observedReport(t *testing.T, label string, plan *core.Plan, lu *factor.LU, ringCaps []int) (*simmpi.World, *obs.Report, string) {
 	t.Helper()
 	eng := NewEngine(plan, lu)
-	col := obs.NewCollector(ringCaps, time.Now())
-	eng.Observer = col
+	eng.Obs = obs.NewCollector(ringCaps, time.Now())
 	res, err := eng.Run(testTimeout)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
 	res.Release()
-	rep := col.Report(plan.Scheme.String())
+	m, err := obs.Merge(res.Snapshots)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	rep := m.Report(plan.Scheme.String())
 	rep.StripSchedule()
 	js, err := rep.JSON()
 	if err != nil {

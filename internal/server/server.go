@@ -11,6 +11,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -41,10 +42,9 @@ type Config struct {
 	QueueWait time.Duration
 	// CacheSize bounds the symbolic-plan cache (patterns). Default 32.
 	CacheSize int
-	// TraceRing bounds retained per-request Chrome traces. Default 16.
+	// TraceRing bounds the retained records of observed requests — each a
+	// Chrome trace and, for "obs" requests, the report. Default 16.
 	TraceRing int
-	// ObsRing bounds retained per-request observability reports. Default 16.
-	ObsRing int
 	// MaxN and MaxProcs cap request size. Defaults 20000 and 256.
 	MaxN     int
 	MaxProcs int
@@ -80,9 +80,6 @@ func (c Config) withDefaults() Config {
 	if c.TraceRing <= 0 {
 		c.TraceRing = 16
 	}
-	if c.ObsRing <= 0 {
-		c.ObsRing = 16
-	}
 	if c.MaxN <= 0 {
 		c.MaxN = 20000
 	}
@@ -110,7 +107,6 @@ type Server struct {
 	waiting atomic.Int64
 	reqID   atomic.Uint64
 	traces  *traceRing
-	reports *traceRing // observability JSON reports, same retention policy
 
 	// testSlowdown, when non-nil, runs while a slot is held — test hook to
 	// make saturation deterministic.
@@ -126,7 +122,6 @@ func New(cfg Config) *Server {
 		metrics: newMetrics(),
 		slots:   make(chan struct{}, cfg.Workers),
 		traces:  newTraceRing(cfg.TraceRing),
-		reports: newTraceRing(cfg.ObsRing),
 	}
 }
 
@@ -641,12 +636,14 @@ func (s *Server) serve(req *Request, adm *admission) (*Response, *httpError) {
 	var tr *pselinv.TraceReport
 	var orep *pselinv.ObsReport
 	var err error
-	if req.Obs {
-		// Observed runs always carry the merged trace: the collective
-		// spans are half the point of the instrumentation.
+	if req.Obs || req.Trace {
+		// One observed run serves both: an "obs" request keeps the report
+		// and the trace (the collective spans are half the point of the
+		// instrumentation), a "trace" request the trace alone.
 		res, tr, orep, err = sys.ParallelSelInvObserved(adm.procs, adm.scheme, adm.seed)
-	} else if req.Trace {
-		res, tr, err = sys.ParallelSelInvTraced(adm.procs, adm.scheme, adm.seed)
+		if !req.Obs {
+			orep = nil
+		}
 	} else {
 		res, err = sys.ParallelSelInv(adm.procs, adm.scheme, adm.seed)
 	}
@@ -695,26 +692,28 @@ func (s *Server) serve(req *Request, adm *admission) (*Response, *httpError) {
 		occ := 0.0
 		for _, st := range ds {
 			resp.DagTasks += st.Tasks
-			occ += st.Occupancy()
+			occ += st.Occupancy
 		}
 		resp.DagOccupancy = occ / float64(len(ds))
 	}
 	res.Release()
 	if tr != nil {
-		var b strings.Builder
+		var rec record
+		var b bytes.Buffer
 		if err := tr.WriteChromeTrace(&b); err == nil {
-			s.traces.put(id, []byte(b.String()))
+			rec.trace = b.Bytes()
 			resp.TracePath = "/debug/trace/" + id
 		}
-	}
-	if orep != nil {
-		if b, jerr := orep.JSON(); jerr == nil {
-			s.reports.put(id, b)
-			resp.ObsPath = "/debug/obs/" + id
+		if orep != nil {
+			if js, jerr := orep.JSON(); jerr == nil {
+				rec.report = js
+				resp.ObsPath = "/debug/obs/" + id
+			}
+			resp.VolImbalance = orep.VolumeImbalance()
+			s.metrics.recordObs(orep.ClassSentBytes(), orep.VolumeImbalance(),
+				orep.MaxQueueDepth(), orep.TotalRecvWait())
 		}
-		resp.VolImbalance = orep.VolumeImbalance()
-		s.metrics.recordObs(orep.ClassSentBytes(), orep.VolumeImbalance(),
-			orep.MaxQueueDepth(), orep.TotalRecvWait())
+		s.traces.put(id, rec)
 	}
 
 	s.metrics.observe("analyze", analyzeDur)
@@ -743,37 +742,28 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleObs(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/debug/obs/")
-	if id == "" {
-		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.reports.ids()); err != nil {
-			return
-		}
-		return
-	}
-	data, ok := s.reports.get(id)
-	if !ok {
-		http.Error(w, "no obs report retained for "+id+" (request it with \"obs\": true; the ring keeps the most recent reports)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if _, err := w.Write(data); err != nil {
-		return
-	}
+	s.serveRecord(w, r, "/debug/obs/", "obs report", "obs", func(rec record) []byte { return rec.report })
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := strings.TrimPrefix(r.URL.Path, "/debug/trace/")
+	s.serveRecord(w, r, "/debug/trace/", "trace", "trace", func(rec record) []byte { return rec.trace })
+}
+
+// serveRecord serves one part of a retained record under prefix: the ids
+// that have the part at the bare prefix, the part itself at prefix+id.
+func (s *Server) serveRecord(w http.ResponseWriter, r *http.Request, prefix, what, flag string, part func(record) []byte) {
+	id := strings.TrimPrefix(r.URL.Path, prefix)
 	if id == "" {
 		w.Header().Set("Content-Type", "application/json")
-		if err := json.NewEncoder(w).Encode(s.traces.ids()); err != nil {
+		if err := json.NewEncoder(w).Encode(s.traces.ids(part)); err != nil {
 			return
 		}
 		return
 	}
-	data, ok := s.traces.get(id)
-	if !ok {
-		http.Error(w, "no trace retained for "+id+" (request it with \"trace\": true; the ring keeps the most recent traces)", http.StatusNotFound)
+	rec, _ := s.traces.get(id)
+	data := part(rec)
+	if data == nil {
+		http.Error(w, fmt.Sprintf("no %s retained for %s (request it with %q: true; the ring keeps the most recent %ss)", what, id, flag, what), http.StatusNotFound)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -782,19 +772,25 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// traceRing retains the Chrome traces of the most recent traced requests.
+// record is what the server retains of one observed request: the Chrome
+// trace, and the obs report when the request asked for it.
+type record struct {
+	trace, report []byte
+}
+
+// traceRing retains the records of the most recent observed requests.
 type traceRing struct {
 	mu    sync.Mutex
 	cap   int
 	order []string
-	data  map[string][]byte
+	data  map[string]record
 }
 
 func newTraceRing(capacity int) *traceRing {
-	return &traceRing{cap: capacity, data: map[string][]byte{}}
+	return &traceRing{cap: capacity, data: map[string]record{}}
 }
 
-func (t *traceRing) put(id string, b []byte) {
+func (t *traceRing) put(id string, rec record) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, exists := t.data[id]; !exists {
@@ -804,20 +800,27 @@ func (t *traceRing) put(id string, b []byte) {
 			t.order = t.order[1:]
 		}
 	}
-	t.data[id] = b
+	t.data[id] = rec
 }
 
-func (t *traceRing) get(id string) ([]byte, bool) {
+func (t *traceRing) get(id string) (record, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	b, ok := t.data[id]
-	return b, ok
+	rec, ok := t.data[id]
+	return rec, ok
 }
 
-func (t *traceRing) ids() []string {
+// ids lists, oldest first, the retained ids whose record has the part.
+func (t *traceRing) ids(part func(record) []byte) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]string(nil), t.order...)
+	var out []string
+	for _, id := range t.order {
+		if part(t.data[id]) != nil {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func (t *traceRing) len() int {

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -389,6 +390,16 @@ func TestTraceEndpoint(t *testing.T) {
 	if resp.TracePath == "" {
 		t.Fatal("traced request returned no trace path")
 	}
+	// A trace-only request is an observed run that keeps the timeline alone:
+	// no obs path, and nothing under /debug/obs for its id.
+	if resp.ObsPath != "" || resp.VolImbalance != 0 {
+		t.Fatalf("trace-only request answered with obs fields: %+v", resp)
+	}
+	if or, err := http.Get(ts.URL + "/debug/obs/" + resp.ID); err != nil {
+		t.Fatal(err)
+	} else if or.Body.Close(); or.StatusCode != http.StatusNotFound {
+		t.Fatalf("obs fetch of a trace-only request: status %d, want 404", or.StatusCode)
+	}
 	tr, err := http.Get(ts.URL + resp.TracePath)
 	if err != nil {
 		t.Fatal(err)
@@ -435,9 +446,9 @@ func TestTraceEndpoint(t *testing.T) {
 
 func TestTraceRingEviction(t *testing.T) {
 	r := newTraceRing(2)
-	r.put("a", []byte("1"))
-	r.put("b", []byte("2"))
-	r.put("c", []byte("3"))
+	r.put("a", record{trace: []byte("1")})
+	r.put("b", record{trace: []byte("2"), report: []byte("{}")})
+	r.put("c", record{trace: []byte("3")})
 	if _, ok := r.get("a"); ok {
 		t.Fatal("oldest trace survived ring overflow")
 	}
@@ -446,6 +457,12 @@ func TestTraceRingEviction(t *testing.T) {
 	}
 	if r.len() != 2 {
 		t.Fatalf("ring holds %d traces, want 2", r.len())
+	}
+	// One ring, two indexes: every record has a trace, "b" alone a report.
+	traces := r.ids(func(rec record) []byte { return rec.trace })
+	reports := r.ids(func(rec record) []byte { return rec.report })
+	if !reflect.DeepEqual(traces, []string{"b", "c"}) || !reflect.DeepEqual(reports, []string{"b"}) {
+		t.Fatalf("indexes: traces %v, reports %v", traces, reports)
 	}
 }
 

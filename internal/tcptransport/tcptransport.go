@@ -48,9 +48,9 @@ type Config struct {
 	// ClockOffsets. Zero keeps the handshake as before.
 	ClockSyncPings int
 	// ClockEpoch is the instant local clock readings are measured from;
-	// the observability layer passes the same epoch to its collector and
-	// trace recorder so offsets translate its timestamps directly. Zero
-	// means "now" (at Connect).
+	// the observability layer passes the same epoch to its collector so
+	// offsets translate its timestamps directly. Zero means "now" (at
+	// Connect).
 	ClockEpoch time.Time
 	// Elem is the element tag of the run's payloads (dense.Elem numbering:
 	// 0 real, 1 complex). Announced in the hello; a peer announcing a

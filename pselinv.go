@@ -54,7 +54,6 @@ import (
 	"pselinv/internal/selinv"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
-	"pselinv/internal/trace"
 )
 
 // Matrix is a sparse symmetric matrix accepted by the solver pipeline. Its
@@ -623,7 +622,7 @@ type ParallelResult struct {
 
 // DagRankStats reports one rank's task-DAG scheduler counters for a run
 // with DAG execution enabled (see Options.DAG).
-type DagRankStats = pselinv.DagRankStats
+type DagRankStats = obs.DagRankStats
 
 // DagStats returns the per-rank task-DAG scheduler counters of the run,
 // or nil when the run executed in sequential (non-DAG) mode.
@@ -698,40 +697,29 @@ func (s *System) ParallelSelInv(procs int, scheme Scheme, seed uint64) (*Paralle
 
 // ParallelSelInvOnGrid is ParallelSelInv with an explicit Pr×Pc grid.
 func (s *System) ParallelSelInvOnGrid(pr, pc int, scheme Scheme, seed uint64) (*ParallelResult, error) {
-	return s.parallelRun(pr, pc, scheme, seed, nil, nil)
+	return s.parallelRun(pr, pc, scheme, seed, false)
 }
 
-// TraceReport gives access to the per-rank execution timeline of a traced
-// parallel run.
+// TraceReport gives access to the per-rank execution timeline of an
+// observed parallel run.
 type TraceReport struct {
-	rec *trace.Recorder
+	spans []obs.Span
 }
 
 // Summary renders per-kind span counts, totals and mean rank utilization.
-func (t *TraceReport) Summary() string { return t.rec.Summarize().String() }
+func (t *TraceReport) Summary() string { return obs.SummarizeSpans(t.spans).String() }
 
 // WriteChromeTrace emits the timeline in Chrome trace-event JSON (open in
 // chrome://tracing or Perfetto).
-func (t *TraceReport) WriteChromeTrace(w io.Writer) error { return t.rec.WriteChromeTrace(w) }
-
-// ParallelSelInvTraced is ParallelSelInv with timeline recording: it
-// additionally returns the execution trace of the run.
-func (s *System) ParallelSelInvTraced(procs int, scheme Scheme, seed uint64) (*ParallelResult, *TraceReport, error) {
-	g := procgrid.Squarish(procs)
-	rec := trace.NewRecorder()
-	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &TraceReport{rec: rec}, nil
-}
+func (t *TraceReport) WriteChromeTrace(w io.Writer) error { return obs.WriteChromeTrace(w, t.spans) }
 
 // ObsReport is the communication-observability report of an observed
 // parallel run: per-class P×P traffic matrices, per-rank queue and wait
 // telemetry, and the measured per-collective critical paths (see
 // internal/obs for the event model).
 type ObsReport struct {
-	rep *obs.Report
+	rep  *obs.Report
+	slug string // the scheme's file-name form
 }
 
 // Summary renders totals, imbalance scores and the measured-vs-analytic
@@ -747,6 +735,13 @@ func (o *ObsReport) JSON() ([]byte, error) { return o.rep.JSON() }
 // RenderMatrix renders one class's traffic matrix as an ASCII heat map
 // (class names as in the paper: "Col-Bcast", "Row-Reduce", ...).
 func (o *ObsReport) RenderMatrix(class string) string { return o.rep.RenderMatrix(class) }
+
+// WriteArtifacts writes the report and the run's timeline t into dir as
+// obs-<scheme>.json and trace-<scheme>.json (the layout every -obs tool
+// uses) and returns the two paths.
+func (o *ObsReport) WriteArtifacts(dir string, t *TraceReport) ([]string, error) {
+	return obs.WriteArtifacts(dir, o.slug, o.rep, t.spans)
+}
 
 // VolumeImbalance returns max/mean per-rank sent bytes (1.0 = balanced).
 func (o *ObsReport) VolumeImbalance() float64 { return o.rep.VolImbalance }
@@ -767,32 +762,33 @@ func (o *ObsReport) ClassSentBytes() map[string]int64 {
 }
 
 // ParallelSelInvObserved is ParallelSelInv with full observability: the
-// run is traced (compute + collective spans merged in one timeline) and
-// the communication substrate is instrumented, yielding the ObsReport.
-// Each rank's event ring is sized from the plan's message count for that
-// rank, so the chain analysis is complete without a capacity to tune.
+// ranks record their compute and collective spans on one timeline and the
+// communication substrate is instrumented, yielding the TraceReport and the
+// ObsReport. Each rank's event ring is sized from the plan's message count
+// for that rank, so the chain analysis is complete without a capacity to
+// tune.
 func (s *System) ParallelSelInvObserved(procs int, scheme Scheme, seed uint64) (*ParallelResult, *TraceReport, *ObsReport, error) {
 	g := procgrid.Squarish(procs)
-	rec := trace.NewRecorder()
-	// The engine template is cached, so the run below reuses this plan.
-	plan := s.sym.engineTemplate(g.Pr, g.Pc, scheme, seed, s.symmetric).Plan
-	col := obs.NewCollector(plan.PerRankMsgs(), time.Now())
-	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, rec, col)
+	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	rep := exp.ObsReport(col, rec, res.run, plan, s.opt.CoresPerNode)
-	return res, &TraceReport{rec: rec}, &ObsReport{rep: rep}, nil
+	merged, err := obs.Merge(res.run.Snapshots)
+	if err != nil {
+		res.Release()
+		return nil, nil, nil, err
+	}
+	return res, &TraceReport{spans: merged.Spans}, &ObsReport{rep: merged.Report(scheme.String()), slug: exp.SchemeSlug(scheme)}, nil
 }
 
-func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, rec *trace.Recorder, col *obs.Collector) (*ParallelResult, error) {
+func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bool) (*ParallelResult, error) {
 	// The plan and per-rank programs come from the Symbolic's cache (built
 	// on first use); Rebind attaches this System's numeric factor without
 	// copying them, so warm same-pattern runs skip plan construction.
 	eng := s.sym.engineTemplate(pr, pc, scheme, seed, s.symmetric).Rebind(s.lu)
-	eng.Trace = rec
-	if col != nil {
-		eng.Observer = col
+	if observed {
+		eng.Obs = obs.NewCollector(eng.Plan.PerRankMsgs(), time.Now())
+		eng.Obs.SetTopology(s.opt.CoresPerNode)
 	}
 	if s.opt.ChaosSeed != 0 {
 		eng.Chaos = &chaos.Config{Seed: s.opt.ChaosSeed}

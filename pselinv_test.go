@@ -3,6 +3,8 @@ package pselinv
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 
@@ -412,12 +414,26 @@ func TestTracedRunPublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, rep, err := sys.ParallelSelInvTraced(9, ShiftedBinaryTree, 1)
+	par, rep, orep, err := sys.ParallelSelInvObserved(9, ShiftedBinaryTree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if par.Procs() != 9 {
 		t.Fatalf("procs %d", par.Procs())
+	}
+	// The observed run's two artifacts land under the scheme's file name.
+	paths, err := orep.WriteArtifacts(t.TempDir(), rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) != 2 || filepath.Base(paths[0]) != "obs-shifted-binary-tree.json" ||
+		filepath.Base(paths[1]) != "trace-shifted-binary-tree.json" {
+		t.Fatalf("artifacts %v", paths)
+	}
+	for _, p := range paths {
+		if st, err := os.Stat(p); err != nil || st.Size() < 10 {
+			t.Fatalf("artifact %s: %v", p, err)
+		}
 	}
 	var buf bytes.Buffer
 	if err := rep.WriteChromeTrace(&buf); err != nil {

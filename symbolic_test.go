@@ -144,7 +144,7 @@ func TestSymbolicConcurrentRuns(t *testing.T) {
 				sys := systems[i]
 				var diag []float64
 				if rep == 0 {
-					res, tr, err := sys.ParallelSelInvTraced(9, schemes[i%len(schemes)], uint64(i+1))
+					res, tr, _, err := sys.ParallelSelInvObserved(9, schemes[i%len(schemes)], uint64(i+1))
 					if err != nil {
 						errs <- err
 						return
