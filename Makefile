@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test tier1 bench bench-smoke bench-gemm bench-baseline \
 	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
-	tcp-obs balancer-smoke pexsi-batch surface surface-gate fmt-check clean
+	tcp-obs balancer-smoke pexsi-batch tables surface surface-gate fmt-check clean
 
 all: build test bench-smoke
 
@@ -88,12 +88,13 @@ fuzz-smoke:
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRequestJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Multi-process smoke: the cross-backend equivalence tests (launcher
-# re-execs the test binary, one OS process per rank) plus a real commvol
-# run over the TCP transport at P=4. See EXPERIMENTS.md "Multi-process
-# runs over TCP".
+# re-execs the test binary, one OS process per rank; what every rank counted
+# must be the plan's vectors) plus a real observed commvol run over the TCP
+# transport at P=4. See EXPERIMENTS.md "Multi-process runs over TCP".
+TCP_OBS_OUT ?= obs-tcp
 tcp-smoke:
 	$(GO) test -race -count=1 ./internal/distrun/ ./internal/tcptransport/
-	$(GO) run ./cmd/commvol -table1 -quick -pr 2 -transport=tcp
+	$(GO) run ./cmd/commvol -obs -quick -pr 2 -transport=tcp -obs-out $(TCP_OBS_OUT)
 
 # Distributed observability smoke: the snapshot/merge/clock-sync test
 # surface under the race detector, then a real 4-process observed commvol
@@ -103,7 +104,6 @@ tcp-smoke:
 # sent/received counters exactly, so a green run IS the end-to-end
 # telemetry conservation assertion. See EXPERIMENTS.md "Distributed
 # observability".
-TCP_OBS_OUT ?= obs-tcp
 tcp-obs:
 	$(GO) test -race -count=1 -run 'Obs|Clock|Snapshot|Merge|Straggler|Trim|Tail|Span' \
 		./internal/obs/ ./internal/tcptransport/ ./internal/distrun/
@@ -119,7 +119,7 @@ balancer-smoke:
 	$(GO) test -race -count=1 -run Balancer \
 		./internal/core/ ./internal/pselinv/ ./internal/server/
 	for b in cyclic nnz work subtree; do \
-		$(GO) run ./cmd/scaling -obs -obs-out $(BALANCER_OBS_OUT)/$$b \
+		$(GO) run ./cmd/commvol -obs -quick -pr 4 -obs-out $(BALANCER_OBS_OUT)/$$b \
 			-balancer $$b -schemes shifted || exit 1; \
 	done
 
@@ -132,6 +132,14 @@ pexsi-batch:
 		./internal/pexsi/ ./internal/server/
 	$(GO) run ./cmd/pexsi -mode complex -batch -nx 10 -ny 10 -poles 16 \
 		-procs 4 -balancer work
+
+# The §IV-A tables and figures of EXPERIMENTS.md — Tables I–II and Figs. 4,
+# 5, 7 on the paper's 46×46 grid, Fig. 6 on 16×16 — read off the plan of a
+# symbolic-only pipeline (≈30 s, ≈2.5 GB peak on 2 vCPUs). QUICK=1 is CI's
+# smoke: the -quick run must reproduce the committed golden, whose rows were
+# engine-measured, byte for byte.
+tables:
+	$(GO) run ./cmd/commvol -all $(if $(QUICK),-quick | diff cmd/commvol/testdata/all-quick.golden -)
 
 # The kernel throughput sweep recorded in BENCH_gemm.json (BenchmarkZGemm's
 # numbers land in BENCH_pexsi.json).

@@ -1,17 +1,12 @@
 package pselinv
 
-// Benchmarks regenerating each experiment of the paper's evaluation
-// section. Each benchmark runs a scaled-down configuration of the
-// corresponding experiment so that `go test -bench=.` completes in
-// minutes; the cmd/commvol and cmd/scaling tools run the full-scale
-// versions and print the tables/figures themselves.
+// Benchmarks of the simulated experiments (§IV-B) and of the end-to-end
+// pipeline. Each Fig8/Fig9/ablation benchmark runs a scaled-down
+// configuration of the corresponding cmd/scaling experiment. The §IV-A
+// volume tables and figures have no benchmark: cmd/commvol reads them off
+// the plan, and the engine runs that prove the plan are tests
+// (internal/pselinv's TestMeasuredVolumesMatchPlanExactly).
 //
-//	BenchmarkTableI_*    — Col-Bcast sent-volume measurement per scheme
-//	BenchmarkTableII_*   — Row-Reduce received-volume suite (two matrices)
-//	BenchmarkFig4        — volume histogram construction
-//	BenchmarkFig5        — heat-map rendering from measured volumes
-//	BenchmarkFig6        — small-grid Flat-Tree imbalance measurement
-//	BenchmarkFig7        — Row-Reduce heat maps
 //	BenchmarkFig8_*      — strong-scaling simulation per scheme
 //	BenchmarkFig9        — computation/communication breakdown
 //	BenchmarkHybrid      — §IV-B hybrid-scheme ablation
@@ -19,140 +14,23 @@ package pselinv
 
 import (
 	"bytes"
+	"sync"
 	"testing"
-	"time"
 
 	"pselinv/internal/core"
 	"pselinv/internal/exp"
-	"pselinv/internal/procgrid"
 	"pselinv/internal/sparse"
-	"pselinv/internal/stats"
 )
 
-// benchPipeline caches the prepared problem across benchmarks.
-var benchPipelines = map[string]*exp.Pipeline{}
-
-func pipelineFor(b *testing.B, name string) *exp.Pipeline {
-	b.Helper()
-	if p, ok := benchPipelines[name]; ok {
-		return p
-	}
-	var gen *sparse.Generated
-	switch name {
-	case "audikw":
-		gen = sparse.FE3D(9, 9, 9, 3, 1) // bench-sized audikw stand-in
-	case "dg":
-		gen = sparse.DG2DRadius(16, 16, 8, 2, 2) // bench-sized DG stand-in
-	default:
-		b.Fatalf("unknown pipeline %q", name)
-	}
-	p, err := exp.Prepare(gen, exp.DefaultRelax, exp.DefaultMaxWidth)
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchPipelines[name] = p
-	return p
-}
-
-func benchVolume(b *testing.B, scheme core.Scheme) *exp.VolumeMeasurement {
-	b.Helper()
-	p := pipelineFor(b, "audikw")
-	grid := procgrid.New(12, 12)
-	var last *exp.VolumeMeasurement
-	for i := 0; i < b.N; i++ {
-		ms, err := exp.MeasureVolumes(p, grid, []core.Scheme{scheme}, uint64(i), 5*time.Minute, exp.RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = ms[0]
-	}
-	s := last.ColBcastSummary()
-	b.ReportMetric(s.Max, "maxMB")
-	b.ReportMetric(s.Std, "stdMB")
-	return last
-}
-
-func BenchmarkTableI_FlatTree(b *testing.B)    { benchVolume(b, core.FlatTree) }
-func BenchmarkTableI_BinaryTree(b *testing.B)  { benchVolume(b, core.BinaryTree) }
-func BenchmarkTableI_ShiftedTree(b *testing.B) { benchVolume(b, core.ShiftedBinaryTree) }
-
-func BenchmarkTableII_RowReduceSuite(b *testing.B) {
-	grid := procgrid.New(12, 12)
-	for i := 0; i < b.N; i++ {
-		for _, name := range []string{"dg", "audikw"} {
-			p := pipelineFor(b, name)
-			ms, err := exp.MeasureVolumes(p, grid, core.Schemes(), uint64(i), 5*time.Minute, exp.RunOpts{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// The paper's Table II reports the Row-Reduce receive summary.
-			for _, m := range ms {
-				_ = m.RowReduceSummary()
-			}
-		}
-	}
-}
-
-func BenchmarkFig4_Histograms(b *testing.B) {
-	m := benchVolumeOnce(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, vec := range [][]float64{m.ColBcastSent, m.RowReduceRecv} {
-			h := stats.NewHistogram(vec, 12)
-			_ = h.Render(50)
-		}
-	}
-}
-
-func benchVolumeOnce(b *testing.B) *exp.VolumeMeasurement {
-	b.Helper()
-	p := pipelineFor(b, "audikw")
-	ms, err := exp.MeasureVolumes(p, procgrid.New(12, 12), []core.Scheme{core.ShiftedBinaryTree}, 1, 5*time.Minute, exp.RunOpts{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return ms[0]
-}
-
-func BenchmarkFig5_HeatMaps(b *testing.B) {
-	m := benchVolumeOnce(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hm := stats.NewHeatMap(12, 12, m.ColBcastSent)
-		_ = hm.Render()
-		_ = hm.CSV()
-	}
-}
-
-func BenchmarkFig6_SmallGridImbalance(b *testing.B) {
-	p := pipelineFor(b, "audikw")
-	for i := 0; i < b.N; i++ {
-		ms, err := exp.MeasureVolumes(p, procgrid.New(6, 6), []core.Scheme{core.FlatTree}, uint64(i), 5*time.Minute, exp.RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		s := ms[0].ColBcastSummary()
-		b.ReportMetric(100*s.Std/s.Mean, "std%ofMean")
-	}
-}
-
-func BenchmarkFig7_RowReduceHeatMaps(b *testing.B) {
-	p := pipelineFor(b, "audikw")
-	for i := 0; i < b.N; i++ {
-		ms, err := exp.MeasureVolumes(p, procgrid.New(12, 12),
-			[]core.Scheme{core.FlatTree, core.ShiftedBinaryTree}, uint64(i), 5*time.Minute, exp.RunOpts{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, m := range ms {
-			_ = stats.NewHeatMap(12, 12, m.RowReduceRecv).Render()
-		}
-	}
-}
+// scalingPipeline is the bench-sized DG stand-in's symbolic analysis, shared
+// by the simulation benchmarks.
+var scalingPipeline = sync.OnceValue(func() *exp.Pipeline {
+	return exp.PrepareSymbolic(sparse.DG2DRadius(16, 16, 8, 2, 2), exp.DefaultRelax, exp.DefaultMaxWidth)
+})
 
 func benchScaling(b *testing.B, scheme core.Scheme) {
 	b.Helper()
-	p := pipelineFor(b, "dg")
+	p := scalingPipeline()
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		pts := exp.MeasureScaling(p, []int{64, 576}, []core.Scheme{scheme},
@@ -166,7 +44,7 @@ func BenchmarkFig8_BinaryTree(b *testing.B)  { benchScaling(b, core.BinaryTree) 
 func BenchmarkFig8_ShiftedTree(b *testing.B) { benchScaling(b, core.ShiftedBinaryTree) }
 
 func BenchmarkFig9_Breakdown(b *testing.B) {
-	p := pipelineFor(b, "dg")
+	p := scalingPipeline()
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []core.Scheme{core.FlatTree, core.ShiftedBinaryTree} {
@@ -177,7 +55,7 @@ func BenchmarkFig9_Breakdown(b *testing.B) {
 }
 
 func BenchmarkHybrid_Ablation(b *testing.B) {
-	p := pipelineFor(b, "dg")
+	p := scalingPipeline()
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		pts := exp.MeasureScaling(p, []int{576},
@@ -187,7 +65,7 @@ func BenchmarkHybrid_Ablation(b *testing.B) {
 }
 
 func BenchmarkRandomPerm_Ablation(b *testing.B) {
-	p := pipelineFor(b, "dg")
+	p := scalingPipeline()
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		pts := exp.MeasureScaling(p, []int{576},

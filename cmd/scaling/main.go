@@ -15,6 +15,11 @@
 // Cray); the stand-in matrices are ~28× smaller than the paper's, so the
 // processor axis is scaled down accordingly (EXPERIMENTS.md discusses the
 // mapping). The reproduced result is the relative behaviour of the schemes.
+//
+// Every mode replays plans of a symbolic-only pipeline through the
+// simulator; nothing here factorizes or runs the engine. The observed engine
+// runs are `cmd/commvol -obs` (in process or -transport=tcp, optionally
+// under -chaos-seed) and `cmd/pselinv -obs [-dag]`.
 package main
 
 import (
@@ -22,11 +27,8 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"pselinv/internal/core"
-	"pselinv/internal/dense"
-	"pselinv/internal/distrun"
 	"pselinv/internal/exp"
 	"pselinv/internal/netsim"
 	"pselinv/internal/procgrid"
@@ -42,34 +44,14 @@ var (
 	flagAll    = flag.Bool("all", false, "run everything")
 	flagQuick  = flag.Bool("quick", false, "fewer processor counts and seeds")
 	flagSeeds  = flag.Int("seeds", 6, "placement seeds per point (paper: 6 runs)")
-	flagWork   = flag.Int("workers", 0, "dense-kernel worker pool size (0 = GOMAXPROCS)")
-	flagChaos  = flag.Uint64("chaos-seed", 0, "non-zero: preflight the real engine under the seeded chaos adversary before simulating (the scaling sweeps themselves are timing-model replays with no live messages)")
-	flagObs    = flag.Bool("obs", false, "run the fixed observability problem (real engine, 4x4 grid) per scheme and write JSON reports + merged Chrome traces; with -transport=tcp the observed run instead spans 4 OS processes on a 2x2 grid and the artifacts are the clock-aligned merged report and offset-corrected trace")
-	flagObsOut = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
-	flagObsSd  = flag.Uint64("obs-seed", 1, "tree-shift seed for -obs runs")
-	flagDag    = flag.Bool("dag", false, "run the live-engine sections (-obs, -chaos-seed preflight) in intra-rank task-DAG mode: supernode updates scheduled on the kernel worker pool, overlapped with the tree collectives; the multi-process workers have no task-DAG mode, so -obs -dag -transport=tcp is refused")
-
-	flagTransport = flag.String("transport", "inproc", "communication substrate for the live preflight: inproc, or tcp to validate the real engine across 4 OS processes on localhost (byte-identical volumes to inproc) before the simulated sweeps")
 
 	flagTrees    = flag.Bool("trees", false, "run the tree-scheme comparison on the hierarchical topology (cross-node traffic + measured critical path per scheme) and write the artifact")
 	flagTreesOut = flag.String("trees-out", "BENCH_trees.json", "artifact path for -trees")
-	flagSchemes  = flag.String("schemes", "", "comma-separated tree schemes for -trees and -obs (empty = shifted,toposhifted,bine for -trees, the paper's three for -obs; valid: "+strings.Join(core.SchemeSlugs(), "|")+")")
+	flagSchemes  = flag.String("schemes", "", "comma-separated tree schemes for -trees and -balancers (empty = shifted,toposhifted,bine for -trees, shifted for -balancers; valid: "+strings.Join(core.SchemeSlugs(), "|")+")")
 
-	flagBalancer     = flag.String("balancer", "cyclic", "supernode→process balancer for the live sections (-obs, chaos preflight): "+strings.Join(core.BalancerSlugs(), "|"))
 	flagBalancers    = flag.Bool("balancers", false, "run the balancer comparison (per-rank load imbalance + simulated makespan for every balancer × scheme) and write the artifact")
 	flagBalancersOut = flag.String("balancers-out", "BENCH_balancers.json", "artifact path for -balancers")
 )
-
-// parseBalancer resolves -balancer; an unknown slug is a hard error naming
-// the valid set.
-func parseBalancer() core.Balancer {
-	b, err := core.ParseBalancer(*flagBalancer)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scaling:", err)
-		os.Exit(2)
-	}
-	return b
-}
 
 // parseSchemes resolves -schemes, or returns def when the flag is empty;
 // an unknown slug is a hard error naming the valid set.
@@ -90,46 +72,7 @@ func parseSchemes(def []core.Scheme) []core.Scheme {
 }
 
 func main() {
-	distrun.MaybeWorker() // re-exec hook: with -transport=tcp this binary is its own worker
 	flag.Parse()
-	fmt.Printf("dense kernel workers: %d\n", dense.SetWorkers(*flagWork))
-	if *flagObs && *flagDag && *flagTransport == "tcp" {
-		fmt.Fprintln(os.Stderr, "scaling: -obs -dag -transport=tcp: the multi-process workers run sequentially (drop -dag, or use -transport=inproc)")
-		os.Exit(2)
-	}
-	switch *flagTransport {
-	case "inproc":
-	case "tcp":
-		fmt.Print("tcp preflight: live engine across 4 OS processes on localhost ... ")
-		if err := runTCPPreflight(); err != nil {
-			fmt.Println("FAILED")
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			os.Exit(1)
-		}
-		fmt.Println("ok (volume matrices byte-identical to the in-process backend)")
-	default:
-		fmt.Fprintf(os.Stderr, "scaling: unknown -transport %q (want inproc or tcp)\n", *flagTransport)
-		os.Exit(2)
-	}
-	if *flagChaos != 0 {
-		mode := ""
-		if *flagDag {
-			mode = ", task-DAG mode"
-		}
-		fmt.Printf("chaos preflight (seed %d%s): running the engine under the adversary ... ", *flagChaos, mode)
-		if err := exp.VerifyChaos(*flagChaos, *flagDag, parseBalancer(), 5*time.Minute); err != nil {
-			fmt.Println("FAILED")
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			os.Exit(1)
-		}
-		fmt.Println("ok (bit-identical to unperturbed run, bytes conserved)")
-	}
-	if *flagObs {
-		if err := runObs(*flagObsOut, *flagObsSd, *flagDag, *flagTransport == "tcp"); err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			os.Exit(1)
-		}
-	}
 	if *flagTrees {
 		if err := runTrees(*flagTreesOut); err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)
@@ -146,7 +89,7 @@ func main() {
 		*flagFig8, *flagFig9, *flagHybrid, *flagAsym = true, true, true, true
 	}
 	if !(*flagFig8 || *flagFig9 || *flagHybrid || *flagAsym) {
-		if *flagObs || *flagTrees || *flagBalancers || *flagTransport == "tcp" {
+		if *flagTrees || *flagBalancers {
 			return
 		}
 		flag.Usage()
@@ -264,106 +207,6 @@ func main() {
 			fmt.Printf("  threshold %-18s %10.4f±%.4f s\n", label, s.Mean, s.Std)
 		}
 	}
-}
-
-// runTCPPreflight runs the real engine at P=4 twice — once on the
-// in-process goroutine-mailbox world, once as four OS processes meshed
-// over localhost TCP via distrun — and fails unless the per-rank volume
-// measurements agree exactly for all three tree schemes. The simulated
-// sweeps that follow stay in-process; the preflight certifies that the
-// engine the simulator models runs unchanged on a real wire.
-func runTCPPreflight() error {
-	gen := sparse.Grid2D(12, 12, 3)
-	grid := procgrid.New(2, 2)
-	schemes := core.Schemes()
-	pipe, err := exp.Prepare(gen, exp.DefaultRelax, exp.DefaultMaxWidth)
-	if err != nil {
-		return err
-	}
-	local, err := exp.MeasureVolumes(pipe, grid, schemes, 1, 5*time.Minute, exp.RunOpts{})
-	if err != nil {
-		return err
-	}
-	spec := distrun.Spec{
-		Relax: exp.DefaultRelax, MaxWidth: exp.DefaultMaxWidth,
-		PR: grid.Pr, PC: grid.Pc, Seed: 1,
-		TimeoutSec: (5 * time.Minute).Seconds(),
-	}
-	remote, err := distrun.MeasureVolumes(gen, spec, schemes, nil)
-	if err != nil {
-		return err
-	}
-	for i, scheme := range schemes {
-		for r := range local[i].TotalSent {
-			if local[i].ColBcastSent[r] != remote[i].ColBcastSent[r] ||
-				local[i].RowReduceRecv[r] != remote[i].RowReduceRecv[r] ||
-				local[i].TotalSent[r] != remote[i].TotalSent[r] {
-				return fmt.Errorf("tcp preflight: %v rank %d volumes diverge across backends: inproc (%.6f, %.6f, %.6f) MB vs tcp (%.6f, %.6f, %.6f) MB",
-					scheme, r, local[i].ColBcastSent[r], local[i].RowReduceRecv[r], local[i].TotalSent[r],
-					remote[i].ColBcastSent[r], remote[i].RowReduceRecv[r], remote[i].TotalSent[r])
-			}
-		}
-	}
-	return nil
-}
-
-// runObs runs the fixed observability problem once per scheme with the
-// communication substrate fully instrumented, prints each scheme's
-// measured-chain summary, and writes the JSON reports and merged
-// compute+collective Chrome traces (chrome://tracing / ui.perfetto.dev)
-// into dir. The measured broadcast chains are the empirical check of the
-// paper's p-1 vs 2·⌈log p⌉ critical-path argument. With dag set the runs
-// execute in task-DAG mode, so the reports additionally carry per-rank
-// occupancy/width stats and the traces show task spans interleaved with
-// the collective spans.
-//
-// With tcp set the same problem's matrix runs across real OS processes
-// instead: a 2×2 grid, one worker process per rank meshed over localhost
-// TCP. Each worker streams its telemetry snapshot back to the launcher; the
-// merged report's traffic matrices are conservation-checked against the
-// workers' volume counters before anything is written, so a successful run
-// certifies the distributed telemetry path end to end.
-func runObs(dir string, seed uint64, dag, tcp bool) error {
-	var ms []*exp.ObsMeasurement
-	var err error
-	if tcp {
-		grid := procgrid.New(2, 2)
-		fmt.Printf("== Observability: distributed runs on %v, one OS process per rank ==\n", grid)
-		spec := distrun.Spec{
-			Relax: 2, MaxWidth: 8,
-			PR: grid.Pr, PC: grid.Pc, Seed: seed,
-			Balancer:   parseBalancer().Slug(),
-			TimeoutSec: (5 * time.Minute).Seconds(),
-		}
-		ms, err = distrun.MeasureObs(sparse.Grid2D(16, 16, 1), spec, parseSchemes(core.Schemes()), nil)
-	} else {
-		p, grid, perr := exp.ObsProblem()
-		if perr != nil {
-			return perr
-		}
-		fmt.Printf("== Observability: measured forwarding chains and traffic matrices on %v ==\n", grid)
-		ms, err = exp.MeasureObs(p, grid, parseSchemes(core.Schemes()), seed, 5*time.Minute,
-			exp.RunOpts{DAG: dag, Balancer: parseBalancer()})
-	}
-	if err != nil {
-		return err
-	}
-	for _, m := range ms {
-		fmt.Printf("-- %v --\n%s\n", m.Scheme, m.Report.Summary())
-	}
-	if tcp {
-		fmt.Println("conservation: merged traffic-matrix marginals equal the workers' volume counters")
-	}
-	paths, err := exp.WriteObsArtifacts(dir, ms)
-	if err != nil {
-		return err
-	}
-	fmt.Println("artifacts:")
-	for _, p := range paths {
-		fmt.Println("  " + p)
-	}
-	fmt.Println()
-	return nil
 }
 
 // runTrees runs the tree-scheme comparison on the hierarchical topology

@@ -4,9 +4,10 @@ package core
 // fully determined by the plan — every tree edge carries exactly one block
 // payload — so the per-rank sent/received byte vectors can be computed
 // without executing anything. The engine's measured counters match these
-// exactly (cross-validated in internal/pselinv's tests), which makes this
-// the cheap way to evaluate load balance at grids far larger than the
-// numeric path can run (e.g. the paper's literal 46×46 audikw_1 grid).
+// exactly, per rank and per class (internal/pselinv's
+// TestMeasuredVolumesMatchPlanExactly), so these vectors are what
+// cmd/commvol summarizes into the paper's §IV-A tables and figures on its
+// 46×46 grid, from a symbolic analysis alone.
 
 // PerRankSent returns bytes sent by each rank for one operation kind
 // (self-sends excluded, as in the engine's accounting).

@@ -20,27 +20,12 @@ import (
 
 // Options tunes how the launcher spawns workers.
 type Options struct {
-	// WorkerCmd is the argv prefix of the worker command. Default:
-	// {os.Executable()} — re-execute the current binary, relying on its
-	// MaybeWorker hook.
-	WorkerCmd []string
 	// Stderr receives the workers' stderr and any unrecognized stdout
 	// lines. Default os.Stderr.
 	Stderr io.Writer
 	// SetupTimeout bounds the address-exchange phase (spawn → every rank
 	// published its listen address). Default 60s.
 	SetupTimeout time.Duration
-}
-
-func (o *Options) workerCmd() ([]string, error) {
-	if o != nil && len(o.WorkerCmd) > 0 {
-		return o.WorkerCmd, nil
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, fmt.Errorf("distrun: resolving worker binary: %w", err)
-	}
-	return []string{exe}, nil
 }
 
 func (o *Options) stderr() io.Writer {
@@ -130,8 +115,8 @@ type launchedWorker struct {
 
 // Launch runs the spec across P() worker processes on localhost and
 // aggregates their results. The spec (and the matrix it references) must
-// already be on disk; use StageMatrix/WriteSpec or see MeasureVolumes for
-// the end-to-end convenience path. On worker failure the returned error
+// already be on disk; use StageMatrix/WriteSpec, or MeasureVolumes /
+// MeasureObs for the end-to-end convenience path. On worker failure the returned error
 // includes every failing rank's message — for timeouts that embeds the
 // worker's in-flight snapshot.
 func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
@@ -139,9 +124,11 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("distrun: empty world (%dx%d grid)", spec.PR, spec.PC)
 	}
-	argv, err := opts.workerCmd()
+	// Every worker is a re-execution of the current binary, whose main (or
+	// TestMain) starts with MaybeWorker.
+	exe, err := os.Executable()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("distrun: resolving worker binary: %w", err)
 	}
 	errSink := opts.stderr()
 
@@ -156,7 +143,7 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 		}
 	}()
 	for r := 0; r < p; r++ {
-		w, err := spawnWorker(argv, specPath, r, errSink)
+		w, err := spawnWorker(exe, specPath, r, errSink)
 		if err != nil {
 			return nil, fmt.Errorf("distrun: spawning rank %d: %w", r, err)
 		}
@@ -257,8 +244,8 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 }
 
 // spawnWorker starts one rank's process and its stdout demultiplexer.
-func spawnWorker(argv []string, specPath string, rank int, errSink io.Writer) (*launchedWorker, error) {
-	cmd := exec.Command(argv[0], argv[1:]...)
+func spawnWorker(exe, specPath string, rank int, errSink io.Writer) (*launchedWorker, error) {
+	cmd := exec.Command(exe)
 	cmd.Env = append(os.Environ(),
 		EnvSpec+"="+specPath,
 		fmt.Sprintf("%s=%d", EnvRank, rank),
@@ -318,49 +305,57 @@ func spawnWorker(argv []string, specPath string, rank int, errSink io.Writer) (*
 	return w, nil
 }
 
-// MeasureVolumes is the multi-process analogue of exp.MeasureVolumes: it
-// stages gen on disk, runs one distributed launch per scheme (base
-// supplies everything but the scheme: grid, seeds, amalgamation, timeout,
-// chaos options), and reduces the workers' counters to the same
-// per-rank MB measurements the in-process path produces. Byte counting is
-// transport-invariant, so for a given matrix, grid and seed the vectors
-// match the in-process ones exactly.
-func MeasureVolumes(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*exp.VolumeMeasurement, error) {
+// launchPerScheme stages gen on disk and runs one distributed launch per
+// scheme (base supplies everything but the scheme: grid, seeds,
+// amalgamation, timeout, chaos and obs options), handing each outcome to
+// each.
+func launchPerScheme(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options, each func(core.Scheme, *Outcome) error) error {
 	dir, err := os.MkdirTemp("", "distrun-")
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer os.RemoveAll(dir)
 	staged, err := StageMatrix(dir, gen)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	base.MatrixFile, base.MatrixName, base.Geom = staged.MatrixFile, staged.MatrixName, staged.Geom
-
-	out := make([]*exp.VolumeMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
 		spec := base
 		spec.Scheme = scheme
 		specPath, err := WriteSpec(dir, &spec)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		outcome, err := Launch(specPath, &spec, opts)
+		if err == nil {
+			err = each(scheme, outcome)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("distrun: %v on %dx%d: %w", scheme, spec.PR, spec.PC, err)
+			return fmt.Errorf("distrun: %v on %dx%d: %w", scheme, spec.PR, spec.PC, err)
 		}
-		m := &exp.VolumeMeasurement{
-			Scheme:        scheme,
-			ColBcastSent:  stats.BytesToMB(outcome.SentBytes(simmpi.ClassColBcast)),
-			RowReduceRecv: stats.BytesToMB(outcome.RecvBytes(simmpi.ClassRowReduce)),
-			Elapsed:       outcome.Elapsed,
-		}
-		total := make([]float64, spec.P())
-		for r := range total {
-			total[r] = stats.MB(outcome.TotalSent(r))
-		}
-		m.TotalSent = total
-		out = append(out, m)
 	}
-	return out, nil
+	return nil
+}
+
+// MeasureVolumes runs base once per scheme across OS processes and reduces
+// the workers' counters to the per-rank MB vectors exp.PlanVolumes derives
+// from the plan. Byte counting is transport-invariant, so for a given
+// matrix, grid and seed the two agree exactly (the cross-backend goldens).
+func MeasureVolumes(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*exp.VolumeMeasurement, error) {
+	out := make([]*exp.VolumeMeasurement, 0, len(schemes))
+	err := launchPerScheme(gen, base, schemes, opts, func(scheme core.Scheme, o *Outcome) error {
+		total := make([]float64, len(o.Results))
+		for r := range total {
+			total[r] = stats.MB(o.TotalSent(r))
+		}
+		out = append(out, &exp.VolumeMeasurement{
+			Scheme:        scheme,
+			ColBcastSent:  stats.BytesToMB(o.SentBytes(simmpi.ClassColBcast)),
+			RowReduceRecv: stats.BytesToMB(o.RecvBytes(simmpi.ClassRowReduce)),
+			TotalSent:     total,
+		})
+		return nil
+	})
+	return out, err
 }

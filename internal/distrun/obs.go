@@ -6,7 +6,6 @@ package distrun
 
 import (
 	"fmt"
-	"os"
 
 	"pselinv/internal/core"
 	"pselinv/internal/exp"
@@ -59,41 +58,21 @@ func (o *Outcome) MergeObs() (*obs.Merged, error) {
 	return m, nil
 }
 
-// MeasureObs is the multi-process analogue of exp.MeasureObs: it stages gen
-// on disk, runs one observed distributed launch per scheme, merges each
-// run's per-rank snapshots onto rank 0's clock and returns the per-scheme
-// merged reports. Every merge is conservation-checked against the workers'
-// volume counters before it is returned.
+// MeasureObs is the multi-process analogue of exp.MeasureObs: one observed
+// distributed launch per scheme, each run's per-rank snapshots merged onto
+// rank 0's clock into the per-scheme report. Every merge is
+// conservation-checked against the workers' volume counters before it is
+// returned.
 func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*exp.ObsMeasurement, error) {
-	dir, err := os.MkdirTemp("", "distrun-")
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(dir)
-	staged, err := StageMatrix(dir, gen)
-	if err != nil {
-		return nil, err
-	}
-	base.MatrixFile, base.MatrixName, base.Geom = staged.MatrixFile, staged.MatrixName, staged.Geom
 	base.Obs = true
-
 	out := make([]*exp.ObsMeasurement, 0, len(schemes))
-	for _, scheme := range schemes {
-		spec := base
-		spec.Scheme = scheme
-		specPath, err := WriteSpec(dir, &spec)
+	err := launchPerScheme(gen, base, schemes, opts, func(scheme core.Scheme, o *Outcome) error {
+		merged, err := o.MergeObs()
 		if err != nil {
-			return nil, err
-		}
-		outcome, err := Launch(specPath, &spec, opts)
-		if err != nil {
-			return nil, fmt.Errorf("distrun: obs %v on %dx%d: %w", scheme, spec.PR, spec.PC, err)
-		}
-		merged, err := outcome.MergeObs()
-		if err != nil {
-			return nil, fmt.Errorf("distrun: obs %v on %dx%d: %w", scheme, spec.PR, spec.PC, err)
+			return err
 		}
 		out = append(out, &exp.ObsMeasurement{Scheme: scheme, Report: merged.Report(scheme.String()), Spans: merged.Spans})
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }

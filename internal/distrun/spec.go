@@ -2,10 +2,10 @@
 // localhost: a launcher process stages the problem on disk, spawns one
 // worker process per rank, brokers the TCP address exchange for
 // internal/tcptransport's two-phase mesh setup, and aggregates each
-// worker's per-class volume counters into the same measurements the
-// in-process harness produces — including the global byte-conservation
-// check, which becomes a cross-process property once each world only
-// holds one rank's share of the counters.
+// worker's per-class volume counters into the per-rank vectors the plan
+// predicts — including the global byte-conservation check, which becomes
+// a cross-process property once each world only holds one rank's share of
+// the counters.
 //
 // The worker re-exec pattern: any binary that may serve as a worker calls
 // MaybeWorker() first thing in main. The launcher re-executes the current

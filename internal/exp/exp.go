@@ -1,20 +1,21 @@
-// Package exp is the experiment harness: it wires generators, ordering,
-// symbolic analysis, factorization, the parallel engine and the timing
-// simulator into the concrete experiments of the paper's evaluation
-// section, one entry point per table/figure. The cmd/ tools and the
-// top-level benchmarks are thin wrappers around this package.
+// Package exp is the experiment harness behind the cmd/ tools. The paper's
+// communication-volume tables and figures (§IV-A) are read off the plan of a
+// symbolic-only pipeline — generator, ordering, symbolic analysis,
+// core.NewPlanConfig (PlanVolumes): no values are factorized and no engine
+// runs, because the engine moves exactly the plan's bytes, per rank and per
+// class (internal/pselinv's TestMeasuredVolumesMatchPlanExactly). The
+// scaling figures (§IV-B) replay the same plans through the timing
+// simulator (MeasureScaling), and the one experiment that runs the engine is
+// the observed run (MeasureObs), which needs the numeric pipeline (Prepare).
 package exp
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"time"
 
-	"pselinv/internal/blockmat"
 	"pselinv/internal/chaos"
 	"pselinv/internal/core"
-	"pselinv/internal/dense"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
 	"pselinv/internal/netsim"
@@ -22,7 +23,6 @@ import (
 	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/pselinv"
-	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
 	"pselinv/internal/stats"
 )
@@ -80,7 +80,9 @@ const (
 	DefaultMaxWidth = 24
 )
 
-// VolumeMeasurement is the outcome of one engine run for one scheme.
+// VolumeMeasurement holds one scheme's per-rank communication volumes: the
+// plan's byte vectors (PlanVolumes), or the counters of a multi-process run
+// of that plan (distrun.MeasureVolumes), which equal them.
 type VolumeMeasurement struct {
 	Scheme core.Scheme
 	// ColBcastSent is the per-rank volume sent during Col-Bcast in MB
@@ -91,14 +93,14 @@ type VolumeMeasurement struct {
 	RowReduceRecv []float64
 	// TotalSent is the per-rank total sent volume in MB.
 	TotalSent []float64
-	Elapsed   time.Duration
 }
 
 // Summary helpers for the table rows.
 func (m *VolumeMeasurement) ColBcastSummary() stats.Summary  { return stats.Summarize(m.ColBcastSent) }
 func (m *VolumeMeasurement) RowReduceSummary() stats.Summary { return stats.Summarize(m.RowReduceRecv) }
 
-// RunOpts selects the plan and engine options of a measurement run.
+// RunOpts selects the plan and engine options of an experiment. PlanVolumes
+// reads the plan knobs (CoresPerNode, Balancer) only.
 type RunOpts struct {
 	// Chaos, when non-nil, installs the seeded delivery adversary. The
 	// numerics and the volumes stay bit-identical to an unperturbed run of
@@ -120,53 +122,41 @@ type RunOpts struct {
 }
 
 // planConfig translates the options into the plan knobs for one scheme on
-// the path p's factorized values select.
+// the path p's values select: the symmetry its factorization recorded, or,
+// for a symbolic-only pipeline, the same test (factor.SymTol) applied to the
+// analyzed matrix.
 func (o *RunOpts) planConfig(p *Pipeline, scheme core.Scheme, seed uint64) core.PlanConfig {
-	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: p.LU.Symmetric,
+	var symmetric bool
+	if p.LU != nil {
+		symmetric = p.LU.Symmetric
+	} else {
+		symmetric = p.An.A.IsSymmetric(factor.SymTol)
+	}
+	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: symmetric,
 		Balancer: o.Balancer,
 		Topo:     core.Topology{CoresPerNode: o.CoresPerNode}}
 }
 
-// MeasureVolumes runs the real parallel engine once per scheme on the given
-// grid, with the substrate options applied, and collects the per-rank
-// communication volumes. The numerics are identical across schemes
-// (verified by the engine's tests); only the message routing differs. A
-// chaos adversary reorders and skews message delivery but neither adds nor
-// removes traffic, so the measured volumes equal an unperturbed run's, and
-// so do the numerics, bit for bit.
-func MeasureVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*VolumeMeasurement, error) {
+// PlanVolumes reads each scheme's per-rank communication volumes on grid
+// off the plan: every tree edge carries exactly one block, so the byte
+// vectors are a function of the block structure, the grid and the tree
+// shapes alone, and p needs no factorization (PrepareSymbolic suffices). The
+// engine's counters equal these vectors on every rank and class, in every
+// mode and on both transports — internal/pselinv's
+// TestMeasuredVolumesMatchPlanExactly and internal/distrun's cross-backend
+// goldens are the proof.
+func PlanVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, opts RunOpts) []*VolumeMeasurement {
 	out := make([]*VolumeMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
 		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
-		eng := pselinv.NewEngine(plan, p.LU)
-		eng.Chaos = opts.Chaos
-		eng.DAG = opts.DAG
-		res, err := eng.Run(timeout)
-		if err != nil {
-			return nil, fmt.Errorf("exp: %v on %v: %w", scheme, grid, err)
-		}
-		if opts.Chaos != nil {
-			if cerr := res.World.CheckConservation(); cerr != nil {
-				return nil, fmt.Errorf("exp: %v on %v: %w", scheme, grid, cerr)
-			}
-		}
-		m := &VolumeMeasurement{
+		out = append(out, &VolumeMeasurement{
 			Scheme:        scheme,
-			ColBcastSent:  stats.BytesToMB(res.World.VolumeVector(simmpi.ClassColBcast, true)),
-			RowReduceRecv: stats.BytesToMB(res.World.VolumeVector(simmpi.ClassRowReduce, false)),
-			Elapsed:       res.Elapsed,
-		}
-		total := make([]float64, res.World.P)
-		for r := 0; r < res.World.P; r++ {
-			total[r] = stats.MB(res.World.TotalSent(r))
-		}
-		m.TotalSent = total
-		// Only the volume counters are kept; recycle the inverse's blocks
-		// so the per-scheme runs reuse each other's storage.
-		res.Release()
-		out = append(out, m)
+			ColBcastSent:  stats.BytesToMB(plan.PerRankSent(core.OpColBcast)),
+			RowReduceRecv: stats.BytesToMB(plan.PerRankRecv(core.OpRowReduce)),
+			TotalSent:     stats.BytesToMB(plan.PerRankTotalSent()),
+		})
 	}
-	return out, nil
+	return out
 }
 
 // ObsMeasurement is one fully observed engine run for one scheme, however
@@ -180,10 +170,9 @@ type ObsMeasurement struct {
 }
 
 // MeasureObs runs the real engine once per scheme with an obs.Collector
-// installed and returns the per-scheme reports. The same seed across schemes
-// makes the traffic matrices directly comparable to a cmd/commvol run with
-// that seed (the byte counters are identical; only the routing differs per
-// scheme).
+// installed and returns the per-scheme reports. The traffic matrices
+// marginalize to the vectors PlanVolumes returns for the same grid, seed and
+// options.
 func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*ObsMeasurement, error) {
 	out := make([]*ObsMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
@@ -220,8 +209,8 @@ func observe(p *Pipeline, grid *procgrid.Grid, scheme core.Scheme, seed uint64, 
 	return &ObsMeasurement{Scheme: scheme, Report: merged.Report(scheme.String()), Spans: merged.Spans}, res, nil
 }
 
-// ObsProblem prepares the small fixed problem behind `-obs` runs and the
-// observability acceptance test: a 16×16 grid Laplacian inverted on a 4×4
+// ObsProblem prepares the small fixed problem behind the observability
+// acceptance test and the obs goldens: a 16×16 grid Laplacian inverted on a 4×4
 // processor grid — big enough that column/row trees reach the full
 // 4-participant fan-out where flat and binary chains separate, small
 // enough to run in well under a second.
@@ -254,69 +243,6 @@ func WriteObsArtifacts(dir string, ms []*ObsMeasurement) ([]string, error) {
 		paths = append(paths, written...)
 	}
 	return paths, nil
-}
-
-// VerifyChaos is the chaos preflight of the cmd tools: it runs the real
-// engine on a small fixed problem twice — once unperturbed and once under
-// the seeded adversary — and fails unless the two results agree bit for bit
-// and both worlds conserve bytes. The scaling experiments themselves go
-// through the timing simulator (no live messages), so this is how a
-// -chaos-seed run establishes that the engine the model stands in for
-// survives that adversarial schedule. With dag set the runs additionally
-// detour compute through the task-DAG scheduler, so the preflight also
-// pins DAG determinism under the adversary; balancer is the
-// supernode→process map the run will actually use, whose message schedule
-// is what the adversary stresses.
-func VerifyChaos(chaosSeed uint64, dag bool, balancer core.Balancer, timeout time.Duration) error {
-	p, err := Prepare(sparse.Grid2D(8, 8, 2), 2, 6)
-	if err != nil {
-		return err
-	}
-	grid := procgrid.New(4, 4)
-	run := func(cc *chaos.Config) (map[[2]int][]float64, error) {
-		plan := core.NewPlanConfig(p.An.BP, grid, core.PlanConfig{
-			Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: true,
-			Balancer: balancer,
-		})
-		eng := pselinv.NewEngine(plan, p.LU)
-		eng.DAG = dag
-		eng.Chaos = cc
-		res, err := eng.Run(timeout)
-		if err != nil {
-			return nil, err
-		}
-		if cerr := res.World.CheckConservation(); cerr != nil {
-			return nil, cerr
-		}
-		snap := map[[2]int][]float64{}
-		res.Ainv.Range(func(key blockmat.Key, b *dense.Matrix) {
-			snap[[2]int{key.I, key.J}] = append([]float64(nil), b.Data...)
-		})
-		res.Release()
-		return snap, nil
-	}
-	base, err := run(nil)
-	if err != nil {
-		return fmt.Errorf("exp: chaos preflight baseline: %w", err)
-	}
-	perturbed, err := run(&chaos.Config{Seed: chaosSeed, DupDetect: true})
-	if err != nil {
-		return fmt.Errorf("exp: chaos preflight seed %d: %w", chaosSeed, err)
-	}
-	if len(base) != len(perturbed) {
-		return fmt.Errorf("exp: chaos seed %d: %d blocks vs %d in baseline",
-			chaosSeed, len(perturbed), len(base))
-	}
-	for key, want := range base {
-		got := perturbed[key]
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				return fmt.Errorf("exp: chaos seed %d: block (%d,%d) entry %d differs from unperturbed run",
-					chaosSeed, key[0], key[1], i)
-			}
-		}
-	}
-	return nil
 }
 
 // ScalingPoint is one (matrix, P, scheme) strong-scaling measurement over

@@ -47,7 +47,7 @@ var (
 )
 
 // goldenReport runs the fixed observability problem once per scheme
-// (seed 1, the same configuration cmd/scaling -obs uses) and strips the
+// (exp.ObsProblem, seed 1) and strips the
 // schedule-dependent telemetry, leaving a report that is a deterministic
 // function of the plan — reproducible byte for byte on any machine.
 func goldenReport(t *testing.T, scheme core.Scheme) *obs.Report {

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pselinv/internal/chaos"
 	"pselinv/internal/core"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
@@ -98,39 +99,78 @@ func volumeModes(t *testing.T, an *etree.Analysis, lu *factor.LU) []volumeMode {
 }
 
 // TestMeasuredVolumesMatchPlanExactly cross-validates the executed traffic
-// against the analytic plan on several grids and schemes, in every engine
-// mode: {sequential, DAG} × {real, complex} × {symmetric, general}.
+// against the analytic plan — the premise cmd/commvol's tables rest on, which
+// read the plan and run nothing. Two families of inputs: every engine mode
+// ({sequential, DAG} × {real, complex} × {symmetric, general}) on several
+// grids under the paper's three schemes, and every plan knob the tables
+// accept (core.AllSchemes × core.AllBalancers × rank→node packing ×
+// {symmetric, general}) on two grids; then one run under the chaos
+// adversary, which reorders deliveries but may neither add nor remove a byte.
 func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
 	withPoolWorkers(t, 4)
 	g := sparse.Grid2D(9, 8, 6)
 	an, lu, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
-	for _, mode := range volumeModes(t, an, lu) {
+	modes := volumeModes(t, an, lu)
+
+	type volumeCase struct {
+		mode  volumeMode
+		dims  [2]int
+		cfg   core.PlanConfig // Symmetric comes from mode
+		dag   bool
+		chaos *chaos.Config
+	}
+	var cases []volumeCase
+	for _, mode := range modes {
 		for _, dims := range [][2]int{{1, 1}, {2, 3}, {4, 4}, {5, 3}} {
-			grid := procgrid.New(dims[0], dims[1])
-			for _, scheme := range []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree} {
+			for _, scheme := range core.Schemes() {
 				for _, dag := range []bool{false, true} {
-					label := fmt.Sprintf("%s grid %v scheme %v dag=%v", mode.name, grid, scheme, dag)
-					plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: scheme, Seed: 9, Symmetric: mode.symmetric})
-					eng := NewEngine(plan, mode.lu)
-					eng.DAG = dag
-					res, err := eng.Run(testTimeout)
-					if err != nil {
-						t.Fatalf("%s: %v", label, err)
-					}
-					requireVolumesMatchPlan(t, label, plan, res.World, mode.lu.Elem.Width())
-					for kind := range classOf {
-						var got int64
-						for _, v := range plan.PerRankSent(kind) {
-							got += v
-						}
-						if want := plan.ExpectedBytes(kind); got != want {
-							t.Errorf("%s kind %v: per-rank sum %d != ExpectedBytes %d", label, kind, got, want)
-						}
-					}
-					res.Release()
+					cases = append(cases, volumeCase{mode: mode, dims: dims, dag: dag,
+						cfg: core.PlanConfig{Scheme: scheme, Seed: 9}})
 				}
 			}
 		}
+	}
+	for _, mode := range modes[:2] { // real-symmetric, real-general
+		for _, dims := range [][2]int{{2, 3}, {4, 4}} {
+			for _, scheme := range core.AllSchemes() {
+				for _, bal := range core.AllBalancers() {
+					for _, cpn := range []int{0, 4} {
+						cases = append(cases, volumeCase{mode: mode, dims: dims,
+							cfg: core.PlanConfig{Scheme: scheme, Seed: 9, Balancer: bal,
+								Topo: core.Topology{CoresPerNode: cpn}}})
+					}
+				}
+			}
+		}
+	}
+	cases = append(cases, volumeCase{mode: modes[0], dims: [2]int{3, 3},
+		cfg:   core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1},
+		chaos: &chaos.Config{Seed: 13, DupDetect: true}})
+
+	for _, c := range cases {
+		grid := procgrid.New(c.dims[0], c.dims[1])
+		c.cfg.Symmetric = c.mode.symmetric
+		label := fmt.Sprintf("%s grid %v scheme %v balancer %v cores/node %d dag=%v chaos=%v",
+			c.mode.name, grid, c.cfg.Scheme, c.cfg.Balancer, c.cfg.Topo.CoresPerNode, c.dag, c.chaos != nil)
+		plan := core.NewPlanConfig(an.BP, grid, c.cfg)
+		eng := NewEngine(plan, c.mode.lu)
+		eng.DAG = c.dag
+		eng.Chaos = c.chaos
+		res, err := eng.Run(testTimeout)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		requireVolumesMatchPlan(t, label, plan, res.World, c.mode.lu.Elem.Width())
+		for kind := range classOf {
+			var got int64
+			for _, v := range plan.PerRankSent(kind) {
+				got += v
+			}
+			if want := plan.ExpectedBytes(kind); got != want {
+				t.Errorf("%s kind %v: per-rank sum %d != ExpectedBytes %d", label, kind, got, want)
+			}
+		}
+		res.Release()
 	}
 }
 

@@ -220,27 +220,28 @@ func RandomAsym(n, avgDeg int, seed int64) *Generated {
 	return Asymmetrize(RandomSym(n, avgDeg, seed), seed+1, 0.8)
 }
 
-// Standins returns the laptop-scale stand-in suite for the paper's test
-// matrices, in the order of Table II. Each stand-in keeps the dimensional
-// character (2D-dense DG vs 3D FE) of its counterpart while being small
-// enough to factor and selected-invert in seconds. EXPERIMENTS.md records
-// the scale factors.
+// Standins returns the stand-in suite for the paper's test matrices, in the
+// order of Table II. Each stand-in keeps the dimensional character (2D-dense
+// DG vs 3D FE) of its counterpart and is sized for the paper's 46×46 grid:
+// large enough that all 2,116 ranks carry traffic, small enough that
+// ordering and symbolic analysis take seconds. They are analyzed, never
+// factorized (cmd/commvol reads the volumes off the plan); EXPERIMENTS.md
+// records each N beside the paper's.
 func Standins(seed int64) []*Generated {
-	gs := []*Generated{
-		renamed(DG2DRadius(24, 24, 6, 2, seed+1), "DG_Graphene_32768_standin"), // large 2D DG
-		renamed(DG2DRadius(20, 20, 6, 2, seed+2), "DG_PNF14000_standin"),       // 2D DG, dense
-		renamed(DG2DRadius(12, 12, 5, 2, seed+3), "DG_Water_12888_standin"),    // small DG
-		renamed(DG2DRadius(16, 16, 5, 2, seed+4), "LU_C_BN_C_4by2_standin"),    // mid 2D DG
-		renamed(FE3D(14, 14, 14, 3, seed+5), "audikw_1_standin"),               // 3D FE, 3 dofs
-		renamed(Grid3D(20, 20, 20, seed+6), "Flan_1565_standin"),               // 3D, sparser
+	return []*Generated{
+		renamed(DG2DRadius(44, 44, 6, 2, seed+1), "DG_Graphene_32768_standin"), // large 2D DG
+		renamed(DG2DRadius(48, 48, 8, 2, seed+2), "DG_PNF14000_standin"),       // 2D DG, dense
+		renamed(DG2DRadius(36, 36, 5, 2, seed+3), "DG_Water_12888_standin"),    // small DG
+		renamed(DG2DRadius(40, 40, 5, 2, seed+4), "LU_C_BN_C_4by2_standin"),    // mid 2D DG
+		AudikwStandin(seed), // 3D FE, 3 dofs
+		renamed(Grid3D(40, 40, 40, seed+6), "Flan_1565_standin"), // 3D, sparser
 	}
-	return gs
 }
 
 // AudikwStandin returns the stand-in used for the audikw_1-based
-// communication-volume experiments (Table I, Figs 4–7).
+// communication-volume experiments (Table I, Figs 4–7): N = 65,856.
 func AudikwStandin(seed int64) *Generated {
-	return renamed(FE3D(14, 14, 14, 3, seed), "audikw_1_standin")
+	return renamed(FE3D(28, 28, 28, 3, seed), "audikw_1_standin")
 }
 
 func renamed(g *Generated, name string) *Generated {
