@@ -156,7 +156,8 @@ bench:
 # operand — at the engine's median shape, the 16-rank end-to-end inversion,
 # the 4-rank sequential/DAG end-to-end pair, the 16-pole PEXSI batch, the
 # in-place numeric refactorization at the benchmark's DG2D shape, real and
-# complex, the warm refactorize loop — sparse front end + factorization +
+# complex, lower-only (symmetric values) and through the general loop, the
+# warm refactorize loop — sparse front end + factorization +
 # engine — and the MatrixMarket parse)
 # and compares it against the committed baseline with cmd/benchgate
 # (medians + Mann-Whitney U test). A significant slowdown beyond
@@ -173,7 +174,7 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkRefactorize$$/^(real|complex)$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkWarmRefactorize$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt

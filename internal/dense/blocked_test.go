@@ -253,17 +253,6 @@ func TestTransposeInto(t *testing.T) {
 	}
 }
 
-func TestNormInfInPlace(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := randMat(rng, 17, 23)
-	if got, want := a.NormInf(), a.Transpose().Norm1(); got != want {
-		t.Fatalf("NormInf %g, transpose Norm1 %g", got, want)
-	}
-	if NewMatrix(0, 3).NormInf() != 0 {
-		t.Fatal("NormInf of empty matrix not 0")
-	}
-}
-
 // BenchmarkGemm sweeps square and skinny shapes through the public kernel,
 // reporting achieved GFLOP/s; BenchmarkGemmNaive is the retained reference
 // kernel at one size for before/after comparison.

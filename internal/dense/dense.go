@@ -32,25 +32,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// FromRowMajor builds a Matrix from a row-major [][]float64.
-func FromRowMajor(rows [][]float64) *Matrix {
-	m := len(rows)
-	n := 0
-	if m > 0 {
-		n = len(rows[0])
-	}
-	a := NewMatrix(m, n)
-	for i := 0; i < m; i++ {
-		if len(rows[i]) != n {
-			panic("dense: ragged rows in FromRowMajor")
-		}
-		for j := 0; j < n; j++ {
-			a.Set(i, j, rows[i][j])
-		}
-	}
-	return a
-}
-
 // At returns entry (i, j).
 func (a *Matrix) At(i, j int) float64 { return a.Data[i+j*a.Rows] }
 
@@ -143,48 +124,6 @@ func (a *Matrix) MaxAbsDiff(b *Matrix) float64 {
 		}
 	}
 	return d
-}
-
-// Norm1 returns the maximum absolute column sum.
-func (a *Matrix) Norm1() float64 {
-	best := 0.0
-	for j := 0; j < a.Cols; j++ {
-		s := 0.0
-		for i := 0; i < a.Rows; i++ {
-			s += math.Abs(a.At(i, j))
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// NormInf returns the maximum absolute row sum, accumulated in place
-// (no transposed copy): row sums build up column by column so the sweep
-// stays contiguous in the column-major data.
-func (a *Matrix) NormInf() float64 {
-	if a.Rows == 0 || a.Cols == 0 {
-		return 0
-	}
-	sums := GetBuf(a.Rows)
-	for i := range sums {
-		sums[i] = 0
-	}
-	for j := 0; j < a.Cols; j++ {
-		col := a.Data[j*a.Rows : (j+1)*a.Rows]
-		for i, v := range col {
-			sums[i] += math.Abs(v)
-		}
-	}
-	best := 0.0
-	for _, s := range sums {
-		if s > best {
-			best = s
-		}
-	}
-	PutBuf(sums)
-	return best
 }
 
 // MaxAbs returns max |a_ij|, or 0 for an empty matrix.
@@ -344,18 +283,6 @@ func LUPartialPivot(a *Matrix) ([]int, error) {
 	return perm, nil
 }
 
-// TriInverse returns the inverse of the triangular matrix t (with the given
-// triangle and diagonal convention) as a fresh matrix.
-func TriInverse(uplo UpLo, diag Diag, t *Matrix) *Matrix {
-	n := t.Rows
-	if t.Cols != n {
-		panic("dense: TriInverse of non-square matrix")
-	}
-	inv := Eye(n)
-	Trsm(Left, uplo, NoTrans, diag, t, inv)
-	return inv
-}
-
 // Inverse returns a⁻¹ computed via partially pivoted LU. The input is not
 // modified.
 func Inverse(a *Matrix) (*Matrix, error) {
@@ -381,24 +308,6 @@ func Inverse(a *Matrix) (*Matrix, error) {
 	Trsm(Left, Lower, NoTrans, Unit, f, x)
 	Trsm(Left, Upper, NoTrans, NonUnit, f, x)
 	return x, nil
-}
-
-// SplitLU unpacks an in-place LU factorization into explicit unit-lower L
-// and upper U factors.
-func SplitLU(f *Matrix) (l, u *Matrix) {
-	n := f.Rows
-	l = Eye(n)
-	u = NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		for i := 0; i < n; i++ {
-			if i > j {
-				l.Set(i, j, f.At(i, j))
-			} else {
-				u.Set(i, j, f.At(i, j))
-			}
-		}
-	}
-	return l, u
 }
 
 // IsSymmetric reports whether a is symmetric within tol.

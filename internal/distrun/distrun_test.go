@@ -11,7 +11,6 @@ import (
 	"pselinv/internal/core"
 	"pselinv/internal/distrun"
 	"pselinv/internal/exp"
-	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/selinv"
 	"pselinv/internal/simmpi"
@@ -282,7 +281,7 @@ func (w testWriter) Write(p []byte) (int, error) {
 // path, row broadcasts on the general one, never both.
 func requireTCPMatchesReference(t *testing.T, gen *sparse.Generated, spec distrun.Spec, schemes []core.Scheme) {
 	t.Helper()
-	wantSymmetric := gen.A.IsSymmetric(factor.SymTol)
+	wantSymmetric := gen.A.IsSymmetric(0)
 	dir := t.TempDir()
 	staged, err := distrun.StageMatrix(dir, gen)
 	if err != nil {

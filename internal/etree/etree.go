@@ -217,8 +217,10 @@ type BlockPattern struct {
 	SnParent []int
 
 	// The factor layout, immutable once NewBlockPattern has built it:
-	// rowPtr[K] is K's first BlockID, off[id] the slab offset of lower block id.
-	rowPtr, off []int
+	// rowPtr[K] is K's first BlockID; off[id] is the slab offset of lower block
+	// id, a prefix sum ending in the lower half's size; uoff[K] is the offset of
+	// K's first U block within the upper half, a prefix sum ending in its size.
+	rowPtr, off, uoff []int
 }
 
 // NumSnodes returns the number of supernodes.
@@ -242,19 +244,29 @@ func (bp *BlockPattern) BlockID(i, k int) (int, bool) {
 	return bp.rowPtr[k] + p, p < len(rows) && rows[p] == i
 }
 
-// FactorOffsets returns where block (RowsOf[k][p], k) and, for p > 0, its
-// upper mirror sit in a factor slab, in scalars. The slab holds, supernode
-// after supernode, the diagonal block, then the L_{·,K} blocks, then the
-// U_{K,·} blocks — column-major, in RowsOf order, without a gap.
-func (bp *BlockPattern) FactorOffsets(k, p int) (lower, upper int) {
-	first, w := bp.rowPtr[k], bp.Part.Width(k)
-	// K's segment is its diagonal block plus two equal halves, L and U.
-	half := (bp.off[bp.rowPtr[k+1]] - bp.off[first] - w*w) / 2
-	return bp.off[first+p], bp.off[first+p] + half
+// FactorOffset returns where block (RowsOf[k][p], k) or, with upper set and
+// p > 0, its mirror (k, RowsOf[k][p]) sits in a factor slab, in scalars. The
+// slab holds the lower half — supernode after supernode its diagonal block,
+// then its L_{·,K} blocks — and behind it the upper half, supernode after
+// supernode the U_{K,·} blocks; column-major, in RowsOf order, without a gap.
+// The lower half is all a factorization of symmetric values stores.
+func (bp *BlockPattern) FactorOffset(k, p int, upper bool) int {
+	first := bp.rowPtr[k]
+	if upper {
+		return bp.FactorSize(false) + bp.uoff[k] + bp.off[first+p] - bp.off[first+1]
+	}
+	return bp.off[first+p]
 }
 
-// FactorSize returns the scalar length of a factor slab on this pattern.
-func (bp *BlockPattern) FactorSize() int { return bp.off[len(bp.off)-1] }
+// FactorSize returns the scalar length of a factor slab on this pattern: the
+// lower half, which is NNZScalars(), and with upper set the upper half too.
+func (bp *BlockPattern) FactorSize(upper bool) int {
+	n := bp.off[len(bp.off)-1]
+	if upper {
+		n += bp.uoff[len(bp.uoff)-1]
+	}
+	return n
+}
 
 // Struct returns the off-diagonal block rows of supernode k: the set C(K)
 // of the paper's Algorithm 1.
@@ -347,14 +359,14 @@ func NewBlockPattern(a *sparse.CSC, part *Partition) *BlockPattern {
 			bp.SnParent[k] = -1
 		}
 	}
-	bp.rowPtr, bp.off = make([]int, ns+1), []int{0}
+	bp.rowPtr, bp.off, bp.uoff = make([]int, ns+1), []int{0}, make([]int, ns+1)
 	for k, rows := range bp.RowsOf {
 		bp.rowPtr[k+1] = bp.rowPtr[k] + len(rows)
 		for _, i := range rows {
 			bp.off = append(bp.off, bp.off[len(bp.off)-1]+part.Width(k)*part.Width(i))
 		}
-		// Skip the U blocks, which mirror the L blocks behind the diagonal.
-		bp.off[len(bp.off)-1] += bp.off[len(bp.off)-1] - bp.off[bp.rowPtr[k]+1]
+		// K's U blocks are as large as its L blocks, which end where off does now.
+		bp.uoff[k+1] = bp.uoff[k] + bp.off[len(bp.off)-1] - bp.off[bp.rowPtr[k]+1]
 	}
 	return bp
 }

@@ -11,13 +11,15 @@ import (
 // checkLayout asserts the factor layout's contract on one pattern: the ids
 // are the dense range [0, NNZBlocks()) in (K, RowsOf[K]) order, BlockID hits
 // exactly the closed pattern (agreeing with HasBlock on every block pair), and
-// walking the supernodes in order — diagonal block, L blocks, U blocks —
-// meets every block exactly where the previous one ended, from 0 to
-// FactorSize(): the blocks tile the slab, disjoint and without a gap.
+// the blocks tile the slab in two halves, each without a gap: walking the
+// supernodes in order, every diagonal and L block starts where the previous
+// one ended, from 0 to the lower size — NNZScalars(), all a symmetric
+// factorization stores — and every U block likewise from there to the full
+// size, so the halves are disjoint.
 func checkLayout(t *testing.T, name string, bp *BlockPattern) {
 	t.Helper()
 	ns, part := bp.NumSnodes(), bp.Part
-	nextID, at := 0, 0
+	nextID, at, uat := 0, 0, bp.FactorSize(false)
 	for k := 0; k < ns; k++ {
 		for i := k; i < ns; i++ {
 			id, ok := bp.BlockID(i, k)
@@ -34,26 +36,30 @@ func checkLayout(t *testing.T, name string, bp *BlockPattern) {
 		}
 		w := part.Width(k)
 		for p, i := range bp.RowsOf[k] {
-			if lower, _ := bp.FactorOffsets(k, p); lower != at {
+			if lower := bp.FactorOffset(k, p, false); lower != at {
 				t.Fatalf("%s: block (%d,%d) at %d, previous block ended at %d", name, i, k, lower, at)
 			}
 			at += w * part.Width(i)
-		}
-		for p, i := range bp.RowsOf[k][1:] {
-			if _, upper := bp.FactorOffsets(k, p+1); upper != at {
-				t.Fatalf("%s: block (%d,%d) at %d, previous block ended at %d", name, k, i, upper, at)
+			if p == 0 {
+				continue
 			}
-			at += w * part.Width(i)
+			if upper := bp.FactorOffset(k, p, true); upper != uat {
+				t.Fatalf("%s: block (%d,%d) at %d, previous block ended at %d", name, k, i, upper, uat)
+			}
+			uat += w * part.Width(i)
 		}
 	}
 	if nextID != bp.NNZBlocks() {
 		t.Fatalf("%s: %d ids handed out, NNZBlocks %d", name, nextID, bp.NNZBlocks())
 	}
-	if at != bp.FactorSize() {
-		t.Fatalf("%s: blocks end at %d, FactorSize %d", name, at, bp.FactorSize())
+	if at != bp.FactorSize(false) || at != int(bp.NNZScalars()) {
+		t.Fatalf("%s: lower blocks end at %d, lower size %d, NNZScalars %d", name, at, bp.FactorSize(false), bp.NNZScalars())
 	}
-	if want := 2*int(bp.NNZScalars()) - sumSquares(part); at != want {
-		t.Fatalf("%s: Σ block sizes %d, want 2·NNZScalars − Σw² = %d", name, at, want)
+	if uat != bp.FactorSize(true) {
+		t.Fatalf("%s: upper blocks end at %d, FactorSize %d", name, uat, bp.FactorSize(true))
+	}
+	if want := 2*int(bp.NNZScalars()) - sumSquares(part); uat != want {
+		t.Fatalf("%s: Σ block sizes %d, want 2·NNZScalars − Σw² = %d", name, uat, want)
 	}
 }
 
@@ -107,7 +113,7 @@ func TestBlockIDAbsent(t *testing.T) {
 			}
 		}
 	}
-	if bp.FactorSize() != 4 {
-		t.Fatalf("FactorSize = %d, want 4", bp.FactorSize())
+	if bp.FactorSize(false) != 4 || bp.FactorSize(true) != 4 {
+		t.Fatalf("FactorSize = %d lower, %d full, want 4 and 4", bp.FactorSize(false), bp.FactorSize(true))
 	}
 }

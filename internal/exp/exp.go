@@ -123,14 +123,14 @@ type RunOpts struct {
 
 // planConfig translates the options into the plan knobs for one scheme on
 // the path p's values select: the symmetry its factorization recorded, or,
-// for a symbolic-only pipeline, the same test (factor.SymTol) applied to the
-// analyzed matrix.
+// for a symbolic-only pipeline, the same exact test applied to the analyzed
+// matrix.
 func (o *RunOpts) planConfig(p *Pipeline, scheme core.Scheme, seed uint64) core.PlanConfig {
 	var symmetric bool
 	if p.LU != nil {
 		symmetric = p.LU.Symmetric
 	} else {
-		symmetric = p.An.A.IsSymmetric(factor.SymTol)
+		symmetric = p.An.A.IsSymmetric(0)
 	}
 	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: symmetric,
 		Balancer: o.Balancer,

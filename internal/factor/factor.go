@@ -12,7 +12,10 @@
 // The factor's shape — which blocks exist and where each lives in one
 // buffer — is the block pattern's factor layout, computed once per analysis;
 // its values are one routine, Refactorize, for either element type, into a
-// new LU or in place, which is how a pole loop runs (internal/pexsi).
+// new LU or in place, which is how a pole loop runs (internal/pexsi), and
+// for symmetric values — the paper's case — over the lower half of the
+// layout only: half the slab, one triangular solve per block, half the
+// Schur updates.
 package factor
 
 import (
@@ -30,8 +33,13 @@ import (
 //   - Diag(K) is the dense in-place LU of the K-th diagonal block: its
 //     strict lower triangle is L_KK (unit diagonal implied) and its upper
 //     triangle is U_KK.
-//   - LBlock(I, K), I > K, is L_{I,K} = A'_{I,K} U_KK⁻¹ and UBlock(K, I) is
-//     U_{K,I} = L_KK⁻¹ A'_{K,I}, where A' is the partially eliminated matrix.
+//   - LBlock(I, K), I > K, is L_{I,K} = A'_{I,K} U_KK⁻¹ and U_{K,I} =
+//     L_KK⁻¹ A'_{K,I}, where A' is the partially eliminated matrix.
+//
+// For symmetric values U_{K,I} = D_K·L_{I,K}ᵀ, D_K the diagonal of U_KK, so
+// only the lower half of the layout — diagonal and L blocks — is eliminated
+// and stored; for general values the upper half holds the U blocks. Either
+// way UCopy is how a consumer reads one.
 //
 // The blocks are views of the slab, valid until the next Refactorize;
 // consumers neither write them nor hand them to the dense arena.
@@ -40,42 +48,57 @@ type LU struct {
 	// Elem is the element type of every factor block: Real for Factorize,
 	// Complex for FactorizeShifted.
 	Elem dense.Elem
-	// Symmetric records that the input's values are symmetric within SymTol
-	// (plain transpose: A − zI is when A is), so Û = L̂ᵀ and a symmetric plan
-	// may run on the factorization. Callers select the plan by it.
+	// Symmetric records that the input's values are exactly symmetric (plain
+	// transpose: A − zI is when A is), so Û = L̂ᵀ and a symmetric plan may
+	// run on the factorization. Callers select the plan by it.
 	Symmetric bool
 
 	slab []float64
-	// blocks[id] is lower block id (etree.BlockPattern.BlockID) and
-	// blocks[len/2+id] its upper mirror, both views of slab.
+	// blocks[id] is lower block id (etree.BlockPattern.BlockID) and, where
+	// the slab has an upper half, blocks[NNZBlocks()+id] its upper mirror;
+	// all are views of slab.
 	blocks []dense.Matrix
 }
 
-// New lays an all-zero LU out on bp, ready for Refactorize: one slab in the
-// pattern's factor layout and one header array, whatever the block count.
-func New(bp *etree.BlockPattern, elem dense.Elem) *LU {
-	nb, ew := bp.NNZBlocks(), elem.Width()
-	lu := &LU{BP: bp, Elem: elem, slab: make([]float64, bp.FactorSize()*ew), blocks: make([]dense.Matrix, 2*nb)}
+// New returns an empty LU on bp, ready for Refactorize, which sizes its
+// storage.
+func New(bp *etree.BlockPattern, elem dense.Elem) *LU { return &LU{BP: bp, Elem: elem} }
+
+// reset zeroes the part of the slab a factorization of the current symmetry
+// uses, first making the slab — in the pattern's factor layout — and the
+// headers if it is too small: on first use, and when general values follow
+// symmetric ones.
+func (lu *LU) reset() {
+	bp, ew := lu.BP, lu.Elem.Width()
+	size := bp.FactorSize(!lu.Symmetric) * ew
+	if len(lu.slab) >= size {
+		clear(lu.slab[:size])
+		return
+	}
+	nb, headers := bp.NNZBlocks(), bp.NNZBlocks()
+	if !lu.Symmetric {
+		headers += nb
+	}
+	lu.slab, lu.blocks = make([]float64, size), make([]dense.Matrix, headers)
 	for k, rows := range bp.RowsOf {
+		first, _ := bp.BlockID(k, k)
 		for p, i := range rows {
-			id, _ := bp.BlockID(i, k)
 			w, wi := bp.Part.Width(k), bp.Part.Width(i)
-			lower, upper := bp.FactorOffsets(k, p)
 			n := w * wi * ew
-			lu.blocks[id] = dense.Matrix{Rows: wi, Cols: w, Elem: elem, Data: lu.slab[lower*ew:][:n:n]}
-			if p > 0 {
-				lu.blocks[nb+id] = dense.Matrix{Rows: w, Cols: wi, Elem: elem, Data: lu.slab[upper*ew:][:n:n]}
+			lu.blocks[first+p] = dense.Matrix{Rows: wi, Cols: w, Elem: lu.Elem, Data: lu.slab[bp.FactorOffset(k, p, false)*ew:][:n:n]}
+			if p > 0 && !lu.Symmetric {
+				lu.blocks[nb+first+p] = dense.Matrix{Rows: w, Cols: wi, Elem: lu.Elem, Data: lu.slab[bp.FactorOffset(k, p, true)*ew:][:n:n]}
 			}
 		}
 	}
-	return lu
 }
 
-// block returns block (i, j) of either triangle, nil for a structural zero.
+// block returns stored block (i, j) of either triangle, nil for a structural
+// zero.
 func (lu *LU) block(i, j int) *dense.Matrix {
 	half := 0
 	if i < j {
-		i, j, half = j, i, len(lu.blocks)/2
+		i, j, half = j, i, lu.BP.NNZBlocks()
 	}
 	if id, ok := lu.BP.BlockID(i, j); ok {
 		return &lu.blocks[half+id]
@@ -95,13 +118,34 @@ func (lu *LU) LBlock(i, k int) (*dense.Matrix, bool) {
 	return b, b != nil
 }
 
-// UBlock returns U_{K,J} (J > K).
-func (lu *LU) UBlock(k, j int) (*dense.Matrix, bool) {
+// UCopy returns U_{K,J} (J > K) as a matrix of the dense arena, the caller's
+// to overwrite and release: a copy of the stored block, or for a symmetric
+// factorization D_K·L_{J,K}ᵀ, formed here. It returns nil for a structural zero.
+func (lu *LU) UCopy(k, j int) *dense.Matrix {
 	if j <= k {
-		panic(fmt.Sprintf("factor: UBlock(%d,%d) not strictly right of diagonal", k, j))
+		panic(fmt.Sprintf("factor: UCopy(%d,%d) not strictly right of diagonal", k, j))
 	}
-	b := lu.block(k, j)
-	return b, b != nil
+	if !lu.Symmetric {
+		if b := lu.block(k, j); b != nil {
+			return dense.GetMatrixCopy(b)
+		}
+		return nil
+	}
+	l, dk := lu.block(j, k), lu.Diag(k)
+	if l == nil {
+		return nil
+	}
+	u := dense.GetMatrixUninitElem(l.Cols, l.Rows, lu.Elem)
+	for r := 0; r < u.Rows; r++ { // down column r of L: contiguous reads
+		for c := 0; c < u.Cols; c++ {
+			if lu.Elem == dense.Complex {
+				u.ZSet(r, c, dk.ZAt(r, r)*l.ZAt(c, r))
+			} else {
+				u.Set(r, c, dk.At(r, r)*l.At(c, r))
+			}
+		}
+	}
+	return u
 }
 
 // Factorize computes the block LU factorization of a (which must already be
@@ -122,23 +166,23 @@ func FactorizeShifted(a *sparse.CSC, z complex128, bp *etree.BlockPattern) (*LU,
 	return lu, lu.Refactorize(a, z)
 }
 
-// SymTol is the value-symmetry tolerance: a matrix with
-// |a(i,j) − a(j,i)| ≤ SymTol everywhere takes the symmetric path.
-const SymTol = 1e-14
-
 // Refactorize overwrites lu with the factorization of A − zI, in lu's
-// element type (a real LU takes a real z) and storage, bit for bit what
-// Factorize or FactorizeShifted returns. a must have the sparsity the block
-// pattern was computed for, and nothing may still be reading the previous
-// factorization. After an error lu holds none, and can be refactorized again.
+// element type (a real LU takes a real z), bit for bit what Factorize or
+// FactorizeShifted returns. The values' symmetry is read first, exactly —
+// a(i,j) == a(j,i) — and decides how much is assembled, eliminated and
+// stored. a must have the sparsity the block pattern was computed for, and
+// nothing may still be reading the previous factorization. After an error lu
+// holds none, and can be refactorized again.
 func (lu *LU) Refactorize(a *sparse.CSC, z complex128) error {
+	lu.Symmetric = a.IsSymmetric(0)
+	lu.reset()
 	lu.assemble(a, z)
-	lu.Symmetric = a.IsSymmetric(SymTol)
 	return lu.eliminate()
 }
 
-// assemble zeroes the slab and scatters A − zI into it: one sweep down each
-// column, one block lookup per run of its sorted rows that share a block.
+// assemble scatters A − zI into the zeroed slab — for symmetric values its
+// lower triangle and diagonal blocks only: one sweep down each column, one
+// block lookup per run of its sorted rows that share a block.
 func (lu *LU) assemble(a *sparse.CSC, z complex128) {
 	part, ew := lu.BP.Part, lu.Elem.Width()
 	if lu.Elem == dense.Real && imag(z) != 0 {
@@ -147,7 +191,6 @@ func (lu *LU) assemble(a *sparse.CSC, z complex128) {
 	if part.Start[len(part.Start)-1] != a.N {
 		panic("factor: block pattern does not match matrix dimension")
 	}
-	clear(lu.slab)
 	for j := 0; j < a.N; j++ {
 		kj := part.SnodeOf[j]
 		jc := j - part.Start[kj]
@@ -155,7 +198,11 @@ func (lu *LU) assemble(a *sparse.CSC, z complex128) {
 		var blk *dense.Matrix
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
 			i := a.RowIdx[p]
-			if ki := part.SnodeOf[i]; ki != cur {
+			ki := part.SnodeOf[i]
+			if ki < kj && lu.Symmetric {
+				continue
+			}
+			if ki != cur {
 				if cur, blk = ki, lu.block(ki, kj); blk == nil {
 					panic(fmt.Sprintf("factor: entry (%d,%d) lies outside the block pattern", i, j))
 				}
@@ -170,9 +217,13 @@ func (lu *LU) assemble(a *sparse.CSC, z complex128) {
 	}
 }
 
-// eliminate runs the right-looking numeric loop over the assembled slab.
+// eliminate runs the right-looking numeric loop over the assembled slab. The
+// Schur update of supernode K is A'_{x,y} −= L_x·W_y over K's block rows,
+// W_y being U_{K,y}: for general values the stored block, solved like L_y,
+// and every x; for symmetric values D_K·L_yᵀ in a scratch buffer, and x ≥ y
+// only, the lower triangle being all that is kept.
 func (lu *LU) eliminate() error {
-	bp, nb := lu.BP, len(lu.blocks)/2
+	bp, nb := lu.BP, lu.BP.NNZBlocks()
 	for k, rows := range bp.RowsOf {
 		first, _ := bp.BlockID(k, k) // the ids of K's blocks run on from its diagonal's
 		dk := &lu.blocks[first]
@@ -180,16 +231,24 @@ func (lu *LU) eliminate() error {
 			return fmt.Errorf("factor: supernode %d: %w", k, err)
 		}
 		for p := 1; p < len(rows); p++ {
-			lb, ub := &lu.blocks[first+p], &lu.blocks[nb+first+p]
-			dense.Trsm(dense.Right, dense.Upper, dense.NoTrans, dense.NonUnit, dk, lb)
-			dense.Trsm(dense.Left, dense.Lower, dense.NoTrans, dense.Unit, dk, ub)
+			dense.Trsm(dense.Right, dense.Upper, dense.NoTrans, dense.NonUnit, dk, &lu.blocks[first+p])
+			if !lu.Symmetric {
+				dense.Trsm(dense.Left, dense.Lower, dense.NoTrans, dense.Unit, dk, &lu.blocks[nb+first+p])
+			}
 		}
-		// Schur complement update: A'_{I,J} -= L_{I,K} U_{K,J} for all
-		// I, J in C(K). Closure guarantees the target blocks exist.
-		for x := 1; x < len(rows); x++ {
-			for y := 1; y < len(rows); y++ {
-				lb, ub := &lu.blocks[first+x], &lu.blocks[nb+first+y]
-				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, lb, ub, 1, lu.block(rows[x], rows[y]))
+		// Closure guarantees the target blocks exist.
+		for y := 1; y < len(rows); y++ {
+			x, wy := 1, (*dense.Matrix)(nil)
+			if lu.Symmetric {
+				x, wy = y, lu.UCopy(k, rows[y])
+			} else {
+				wy = &lu.blocks[nb+first+y]
+			}
+			for ; x < len(rows); x++ {
+				dense.Gemm(dense.NoTrans, dense.NoTrans, -1, &lu.blocks[first+x], wy, 1, lu.block(rows[x], rows[y]))
+			}
+			if lu.Symmetric {
+				dense.PutMatrix(wy)
 			}
 		}
 	}

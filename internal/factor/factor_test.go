@@ -2,6 +2,7 @@ package factor
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -17,46 +18,76 @@ func analyze(g *sparse.Generated, opt etree.Options) *etree.Analysis {
 	return etree.Analyze(g.A.Permute(perm), perm, opt)
 }
 
-// reconstructDense multiplies the factors back into a dense matrix, for
-// validating ‖LU − A‖.
-func reconstructDense(lu *LU) *dense.Matrix {
-	part := lu.BP.Part
-	n := part.Start[len(part.Start)-1]
-	ns := lu.BP.NumSnodes()
-	l := dense.NewMatrix(n, n)
-	u := dense.NewMatrix(n, n)
-	for k := 0; k < ns; k++ {
-		r0 := part.Start[k]
-		dk := lu.Diag(k)
-		for j := 0; j < dk.Cols; j++ {
-			l.Set(r0+j, r0+j, 1)
-			for i := 0; i < dk.Rows; i++ {
-				if i > j {
-					l.Set(r0+i, r0+j, dk.At(i, j))
-				} else {
-					u.Set(r0+i, r0+j, dk.At(i, j))
-				}
+// nudged returns a copy of a with one strictly-lower entry moved by one ulp:
+// the same matrix to rounding, but not exactly symmetric, so detection picks
+// the general loop and the full layout.
+func nudged(a *sparse.CSC) *sparse.CSC {
+	b := a.Clone()
+	for j := 0; j < b.N; j++ {
+		for p := b.ColPtr[j]; p < b.ColPtr[j+1]; p++ {
+			if b.RowIdx[p] > j {
+				b.Val[p] = math.Nextafter(b.Val[p], math.Inf(1))
+				return b
 			}
 		}
-		for _, i := range lu.BP.Struct(k) {
-			i0 := part.Start[i]
-			if lb, ok := lu.LBlock(i, k); ok {
-				for c := 0; c < lb.Cols; c++ {
-					for r := 0; r < lb.Rows; r++ {
-						l.Set(i0+r, r0+c, lb.At(r, c))
-					}
-				}
-			}
-			if ub, ok := lu.UBlock(k, i); ok {
-				for c := 0; c < ub.Cols; c++ {
-					for r := 0; r < ub.Rows; r++ {
-						u.Set(r0+r, i0+c, ub.At(r, c))
-					}
+	}
+	panic("nudged: diagonal matrix")
+}
+
+// zat reads one scalar of a block of either element type.
+func zat(b *dense.Matrix, r, c int) complex128 {
+	if b.Elem == dense.Complex {
+		return b.ZAt(r, c)
+	}
+	return complex(b.At(r, c), 0)
+}
+
+// factorResidual multiplies the factors back — U through UCopy, which for a
+// symmetric LU is the only place an upper block exists — and returns
+// ‖L·U − (A − zI)‖_max relative to 1 + ‖A − zI‖_max.
+func factorResidual(lu *LU, a *sparse.CSC, z complex128) float64 {
+	part := lu.BP.Part
+	n := a.N
+	l, u := make([]complex128, n*n), make([]complex128, n*n)
+	put := func(m []complex128, b *dense.Matrix, r0, c0 int, keep func(r, c int) bool) {
+		for c := 0; c < b.Cols; c++ {
+			for r := 0; r < b.Rows; r++ {
+				if keep(r, c) {
+					m[r0+r+(c0+c)*n] = zat(b, r, c)
 				}
 			}
 		}
 	}
-	return dense.Mul(dense.NoTrans, dense.NoTrans, l, u)
+	for k := 0; k < lu.BP.NumSnodes(); k++ {
+		k0 := part.Start[k]
+		put(l, lu.Diag(k), k0, k0, func(r, c int) bool { return r > c })
+		put(u, lu.Diag(k), k0, k0, func(r, c int) bool { return r <= c })
+		for i := k0; i < part.Start[k+1]; i++ {
+			l[i+i*n] = 1
+		}
+		for _, i := range lu.BP.Struct(k) {
+			lb, _ := lu.LBlock(i, k)
+			put(l, lb, part.Start[i], k0, func(int, int) bool { return true })
+			ub := lu.UCopy(k, i)
+			put(u, ub, k0, part.Start[i], func(int, int) bool { return true })
+			dense.PutMatrix(ub)
+		}
+	}
+	var worst, scale float64
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			want := complex(a.At(i, j), 0)
+			if i == j {
+				want -= z
+			}
+			var got complex128
+			for k := 0; k <= min(i, j); k++ {
+				got += l[i+k*n] * u[k+j*n]
+			}
+			worst, scale = max(worst, cmplx.Abs(got-want)), max(scale, cmplx.Abs(want))
+		}
+	}
+	return worst / (1 + scale)
 }
 
 func residual(t *testing.T, g *sparse.Generated, opt etree.Options) float64 {
@@ -66,9 +97,7 @@ func residual(t *testing.T, g *sparse.Generated, opt etree.Options) float64 {
 	if err != nil {
 		t.Fatalf("%s: %v", g.Name, err)
 	}
-	back := reconstructDense(lu)
-	want := an.A.ToDense()
-	return back.MaxAbsDiff(want) / (1 + want.MaxAbs())
+	return factorResidual(lu, an.A, 0)
 }
 
 func TestFactorizeResidualSmall(t *testing.T) {
@@ -141,7 +170,7 @@ func TestLBlockUBlockPanicsOnWrongTriangle(t *testing.T) {
 	}
 	for _, f := range []func(){
 		func() { lu.LBlock(0, 0) },
-		func() { lu.UBlock(1, 1) },
+		func() { lu.UCopy(1, 1) },
 	} {
 		func() {
 			defer func() {
@@ -192,8 +221,7 @@ func TestQuickFactorizeResidual(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := an.A.ToDense()
-		return reconstructDense(lu).MaxAbsDiff(want) <= 1e-9*(1+want.MaxAbs())
+		return factorResidual(lu, an.A, 0) <= 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -241,6 +269,9 @@ func sameLU(t *testing.T, label string, want, got *LU) {
 	t.Helper()
 	if want.Elem != got.Elem || want.Symmetric != got.Symmetric {
 		t.Fatalf("%s: (elem, symmetric) = (%v, %v), want (%v, %v)", label, got.Elem, got.Symmetric, want.Elem, want.Symmetric)
+	}
+	if len(got.slab) < len(want.slab) {
+		t.Fatalf("%s: slab of %d words, want at least %d", label, len(got.slab), len(want.slab))
 	}
 	for i := range want.slab {
 		if math.Float64bits(want.slab[i]) != math.Float64bits(got.slab[i]) {
@@ -311,6 +342,80 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 			t.Fatalf("%s: NaN diagonal factorized", tc.name)
 		}
 		step("after a failed factorization", an.A, want)
+
+		// Symmetric → general → symmetric: the lower-only slab grows to the
+		// full layout once and is kept, the symmetric factor being its prefix.
+		if lu, err = tc.fresh(an.A, tc.z+2); err != nil {
+			t.Fatal(err)
+		}
+		ew := lu.Elem.Width()
+		if got, want := len(lu.slab), int(an.BP.NNZScalars())*ew; got != want {
+			t.Fatalf("%s: symmetric slab holds %d words, want NNZScalars × width = %d", tc.name, got, want)
+		}
+		step("symmetric again", an.A, want)
+		step("general after symmetric", other, wantOther)
+		if got, want := len(lu.slab), an.BP.FactorSize(true)*ew; got != want || len(wantOther.slab) != want {
+			t.Fatalf("%s: general slabs hold %d and %d words, want %d", tc.name, got, len(wantOther.slab), want)
+		}
+		grown := &lu.slab[0]
+		step("symmetric after general", an.A, want)
+		step("general once more", other, wantOther)
+		if &lu.slab[0] != grown {
+			t.Fatalf("%s: slab reallocated after it had grown to the full layout", tc.name)
+		}
+	}
+}
+
+// TestTwoStorageForms: one matrix factorized lower-only (its values are
+// exactly symmetric) and through the general loop (one entry nudged by an
+// ulp) gives the same factorization to rounding: both multiply back to A − zI,
+// the upper blocks UCopy forms from L agree with the stored ones, and the
+// log-determinants agree.
+func TestTwoStorageForms(t *testing.T) {
+	for _, g := range []*sparse.Generated{
+		sparse.Banded(14, 3, 2), sparse.Grid2D(6, 5, 4), sparse.RandomSym(30, 4, 2), sparse.DG2D(3, 3, 3, 5),
+	} {
+		an := analyze(g, etree.Options{Relax: 2, MaxWidth: 6})
+		general := nudged(an.A)
+		for _, z := range []complex128{0, complex(0.5, -2)} {
+			lo, gen := New(an.BP, dense.Real), New(an.BP, dense.Real)
+			if z != 0 {
+				lo, gen = New(an.BP, dense.Complex), New(an.BP, dense.Complex)
+			}
+			if err := lo.Refactorize(an.A, z); err != nil {
+				t.Fatal(err)
+			}
+			if err := gen.Refactorize(general, z); err != nil {
+				t.Fatal(err)
+			}
+			if !lo.Symmetric || gen.Symmetric {
+				t.Fatalf("%s: Symmetric = %v and %v, want true and false", g.Name, lo.Symmetric, gen.Symmetric)
+			}
+			if r := factorResidual(lo, an.A, z); r > 1e-10 {
+				t.Errorf("%s %v: lower-only residual %g", g.Name, lo.Elem, r)
+			}
+			if r := factorResidual(gen, general, z); r > 1e-10 {
+				t.Errorf("%s %v: general residual %g", g.Name, lo.Elem, r)
+			}
+			for k := 0; k < an.BP.NumSnodes(); k++ {
+				for _, i := range an.BP.Struct(k) {
+					formed, stored := lo.UCopy(k, i), gen.UCopy(k, i)
+					if d := formed.MaxAbsDiff(stored); d > 1e-9 {
+						t.Errorf("%s %v: U(%d,%d) formed from L is %g off the stored block", g.Name, lo.Elem, k, i, d)
+					}
+					dense.PutMatrix(formed)
+					dense.PutMatrix(stored)
+				}
+			}
+			if d := math.Abs(lo.LogAbsDet() - gen.LogAbsDet()); d > 1e-9 {
+				t.Errorf("%s %v: LogAbsDet differs by %g", g.Name, lo.Elem, d)
+			}
+			if lo.Elem == dense.Complex {
+				if d := cmplx.Abs(lo.LogDet() - gen.LogDet()); d > 1e-9 {
+					t.Errorf("%s: LogDet differs by %g", g.Name, d)
+				}
+			}
+		}
 	}
 }
 
@@ -337,43 +442,38 @@ func TestRefactorizeAllocs(t *testing.T) {
 }
 
 // TestAssembleRoundTrip: assembly alone puts every stored entry of A − zI,
-// and nothing else, where the block accessors find it.
+// and nothing else, where the block accessors find it — for symmetric values
+// the lower triangle and the diagonal blocks, in a slab with no upper half.
 func TestAssembleRoundTrip(t *testing.T) {
-	g := sparse.Asymmetrize(sparse.Grid2D(5, 4, 1), 3, 0.5)
-	an := analyze(g, etree.Options{MaxWidth: 3})
-	part := an.BP.Part
-	for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
-		z := complex(0.25, 0)
-		if elem == dense.Complex {
-			z = complex(0.25, -1.5)
-		}
-		lu := New(an.BP, elem)
-		lu.assemble(an.A, z)
-		for j := 0; j < an.A.N; j++ {
-			for i := 0; i < an.A.N; i++ {
-				want := complex(an.A.At(i, j), 0)
-				if i == j {
-					want -= z
-				}
-				ki, kj := part.SnodeOf[i], part.SnodeOf[j]
-				var b *dense.Matrix
-				ok := true
-				switch {
-				case ki == kj:
-					b = lu.Diag(ki)
-				case ki > kj:
-					b, ok = lu.LBlock(ki, kj)
-				default:
-					b, ok = lu.UBlock(ki, kj)
-				}
-				var got complex128
-				if ok && elem == dense.Complex {
-					got = b.ZAt(i-part.Start[ki], j-part.Start[kj])
-				} else if ok {
-					got = complex(b.At(i-part.Start[ki], j-part.Start[kj]), 0)
-				}
-				if got != want {
-					t.Fatalf("%s: assembled (%d,%d) = %v, want %v", elem, i, j, got, want)
+	for _, g := range []*sparse.Generated{sparse.Asymmetrize(sparse.Grid2D(5, 4, 1), 3, 0.5), sparse.Grid2D(5, 4, 1)} {
+		an := analyze(g, etree.Options{MaxWidth: 3})
+		part := an.BP.Part
+		for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
+			z := complex(0.25, 0)
+			if elem == dense.Complex {
+				z = complex(0.25, -1.5)
+			}
+			lu := New(an.BP, elem)
+			lu.Symmetric = an.A.IsSymmetric(0)
+			lu.reset()
+			lu.assemble(an.A, z)
+			for j := 0; j < an.A.N; j++ {
+				for i := 0; i < an.A.N; i++ {
+					want := complex(an.A.At(i, j), 0)
+					if i == j {
+						want -= z
+					}
+					ki, kj := part.SnodeOf[i], part.SnodeOf[j]
+					if ki < kj && lu.Symmetric {
+						continue
+					}
+					var got complex128
+					if b := lu.block(ki, kj); b != nil {
+						got = zat(b, i-part.Start[ki], j-part.Start[kj])
+					}
+					if got != want {
+						t.Fatalf("%s %s: assembled (%d,%d) = %v, want %v", g.Name, elem, i, j, got, want)
+					}
 				}
 			}
 		}
@@ -394,20 +494,26 @@ func TestAssembleRejectsEntryOutsidePattern(t *testing.T) {
 
 // BenchmarkRefactorize is the per-pole numeric factorization at the
 // benchmark's DG2D shapes (warm_dg2d_p16 real, pexsi_z16_p16 complex), in
-// place: what a pole costs once the LU exists. Tracked by the bench gate.
+// place: what a pole costs once the LU exists — lower-only for the generated,
+// symmetric values, and through the general loop (the same values, one entry
+// nudged by an ulp) for asymmetric users. Tracked by the bench gate.
 func BenchmarkRefactorize(b *testing.B) {
 	an := analyze(sparse.DG2D(16, 16, 4, 1), etree.Options{Relax: 4, MaxWidth: 48})
 	for _, bc := range []struct {
 		name string
+		a    *sparse.CSC
 		elem dense.Elem
 		z    complex128
-	}{{"real", dense.Real, 0}, {"complex", dense.Complex, complex(0, 0.3)}} {
+	}{
+		{"real", an.A, dense.Real, 0}, {"complex", an.A, dense.Complex, complex(0, 0.3)},
+		{"real-general", nudged(an.A), dense.Real, 0}, {"complex-general", nudged(an.A), dense.Complex, complex(0, 0.3)},
+	} {
 		b.Run(bc.name, func(b *testing.B) {
 			lu := New(an.BP, bc.elem)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := lu.Refactorize(an.A, bc.z); err != nil {
+				if err := lu.Refactorize(bc.a, bc.z); err != nil {
 					b.Fatal(err)
 				}
 			}

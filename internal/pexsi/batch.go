@@ -44,8 +44,9 @@ type BatchPoleStats struct {
 	InvertElapsed time.Duration
 	// AllocBytes is the heap allocated while this pole was being inverted
 	// (including the overlapped factorization of a successor: one of the
-	// batch's three LUs for the first poles, nothing afterwards — the
-	// property the batch allocation test pins).
+	// batch's three LUs for the first poles — the lower half of the factor
+	// layout when H is symmetric — nothing afterwards, the property the batch
+	// allocation test pins).
 	AllocBytes uint64
 }
 

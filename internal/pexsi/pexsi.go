@@ -121,7 +121,7 @@ func newPoleSolver(h *sparse.Generated, relax, maxWidth, procs int, pc core.Plan
 	}
 	s := &poleSolver{an: exp.PrepareSymbolic(h, relax, maxWidth).An, path: "serial", dag: dag, timeout: timeout}
 	if procs > 1 {
-		pc.Symmetric = h.A.IsSymmetric(factor.SymTol)
+		pc.Symmetric = h.A.IsSymmetric(0)
 		s.path = map[bool]string{true: "symmetric", false: "general"}[pc.Symmetric]
 		s.tmpl = pselinv.NewEngine(core.NewPlanConfig(s.an.BP, procgrid.Squarish(procs), pc), nil)
 	}

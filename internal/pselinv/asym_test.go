@@ -2,6 +2,7 @@ package pselinv
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -170,6 +171,85 @@ func TestAsymmetricPlanOnSymmetricValuesStillCorrect(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 8)
 	an, lu, ref := prepAsym(t, g, etree.Options{MaxWidth: 5})
 	runAsymAndCompare(t, an, lu, ref, procgrid.New(3, 3), core.ShiftedBinaryTree, 3)
+}
+
+// bothElems factorizes A (real) and A − zI (complex) on one analysis.
+func bothElems(t testing.TB, g *sparse.Generated, opt etree.Options) (*etree.Analysis, []*factor.LU) {
+	t.Helper()
+	an, lu, ref := prepAsym(t, g, opt)
+	ref.Release()
+	zlu, err := factor.FactorizeShifted(an.A, complex(0.5, 1.5), an.BP)
+	if err != nil {
+		t.Fatalf("%s: %v", g.Name, err)
+	}
+	return an, []*factor.LU{lu, zlu}
+}
+
+// TestGeneralPlanOnLowerOnlyFactor: a factorization of symmetric values
+// stores no U block, and the general plan still runs correctly on it — pass 1
+// forms each Û's source from L (factor.LU.UCopy) — for both element types,
+// P ∈ {1, 4, 16}, sequential and DAG, within 1e-9 of the reference. (The
+// benchmark's traced PEXSI pass binds exactly this pair.)
+func TestGeneralPlanOnLowerOnlyFactor(t *testing.T) {
+	an, lus := bothElems(t, sparse.DG2D(4, 4, 3, 2), etree.Options{Relax: 2, MaxWidth: 8})
+	for _, lu := range lus {
+		if !lu.Symmetric {
+			t.Fatalf("%s factorization of generated values is not lower-only", lu.Elem)
+		}
+		ref := selinv.SelInv(lu)
+		for _, procs := range []int{1, 4, 16} {
+			for _, dag := range []bool{false, true} {
+				plan := core.NewPlanConfig(an.BP, procgrid.Squarish(procs), core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 3})
+				eng := NewEngine(plan, lu)
+				eng.DAG = dag
+				res, err := eng.Run(testTimeout)
+				if err != nil {
+					t.Fatalf("%s P=%d dag=%v: %v", lu.Elem, procs, dag, err)
+				}
+				if got, want := res.Ainv.NumBlocks(), ref.NumBlocks(); got != want {
+					t.Fatalf("%s P=%d dag=%v: %d blocks, want %d", lu.Elem, procs, dag, got, want)
+				}
+				for _, key := range ref.Keys() {
+					if d := res.Ainv.MustGet(key.I, key.J).MaxAbsDiff(ref.MustGet(key.I, key.J)); !(d <= 1e-9) {
+						t.Fatalf("%s P=%d dag=%v: block (%d,%d) differs by %g", lu.Elem, procs, dag, key.I, key.J, d)
+					}
+				}
+				res.Release()
+			}
+		}
+		ref.Release()
+	}
+}
+
+// TestOneRankBitContract pins what is bit-equal to the serial reference: a
+// one-rank run of the plan the values select — the general plan on general
+// values, where both compute Û from the stored U, and the symmetric plan on
+// symmetric values, where both read L̂ᵀ for it and mirror A⁻¹_{J,K} — for both
+// element types. (The general plan on symmetric values solves for Û where the
+// reference transposes L̂, and agrees to rounding only: the test above.)
+func TestOneRankBitContract(t *testing.T) {
+	for _, g := range []*sparse.Generated{sparse.Grid2D(6, 6, 3), sparse.Asymmetrize(sparse.Grid2D(6, 6, 3), 7, 0.4)} {
+		an, lus := bothElems(t, g, etree.Options{Relax: 2, MaxWidth: 6})
+		for _, lu := range lus {
+			ref := selinv.SelInv(lu)
+			plan := core.NewPlanConfig(an.BP, procgrid.New(1, 1), core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: lu.Symmetric})
+			res, err := NewEngine(plan, lu).Run(testTimeout)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, key := range ref.Keys() {
+				got, want := res.Ainv.MustGet(key.I, key.J).Data, ref.MustGet(key.I, key.J).Data
+				for x := range want {
+					if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
+						t.Fatalf("%s %s (symmetric=%v): block (%d,%d) word %d: %x != %x", g.Name, lu.Elem, lu.Symmetric,
+							key.I, key.J, x, math.Float64bits(got[x]), math.Float64bits(want[x]))
+					}
+				}
+			}
+			res.Release()
+			ref.Release()
+		}
+	}
 }
 
 // Property: asymmetric parallel == sequential over random matrices, grids,

@@ -729,16 +729,17 @@ func (st *rankState) runPass1() {
 func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
 	st.forward(st.e.Plan.Snodes[k].Side(s).DiagBcast, dk)
 	for _, i := range st.prog.side[s].trsmByK[k] {
-		fb, ok := st.e.LU.LBlock(i, k)
+		var x *dense.Matrix
 		if s == core.Upper {
-			fb, ok = st.e.LU.UBlock(k, i)
+			x = st.e.LU.UCopy(k, i) // formed from L_{I,K} when the values are symmetric
+		} else if fb, ok := st.e.LU.LBlock(i, k); ok {
+			x = dense.GetMatrixCopy(fb)
 		}
-		if !ok {
+		if x == nil {
 			panic(fmt.Sprintf("pselinv: plan references missing factor block %v", ablock(s, i, k)))
 		}
 		// The map insert happens here so pass 2 finds the block even when the
 		// solve fills it on a worker.
-		x := dense.GetMatrixCopy(fb)
 		st.side[s].hat[blockKey{k, i}] = x
 		st.exec(task{kernel: kTrsm, side: s, span: sideNames[s].trsm, k: k, a: dk, out: x})
 	}

@@ -10,10 +10,13 @@
 // does — each contribution is computed into its own zeroed slot with a
 // beta=1 GEMM, the slots are folded in ascending structure order, and the
 // fold is negated (off-diagonal) or subtracted from the diagonal inverse —
-// so a one-rank run of the general plan is bit-identical to this
-// reference, and a run on several ranks, which brackets the same sums along
-// its reduce trees, agrees with it to rounding (as does the symmetric plan,
-// which uses L̂ᵀ in place of Û).
+// and takes the form of the plan the values select: two-sided for general
+// values, and for symmetric ones, whose factorization stores no U, the
+// symmetric plan's (Û_{K,I} read as L̂_{I,K}ᵀ, A⁻¹_{K,J} mirrored from
+// A⁻¹_{J,K}). So a one-rank run of that plan is bit-identical to this
+// reference; a run on several ranks, which brackets the same sums along its
+// reduce trees, and the general plan on symmetric values, which forms U from
+// L, agree with it to rounding.
 package selinv
 
 import (
@@ -23,8 +26,9 @@ import (
 )
 
 // pass1 computes the normalized factors of the first loop of Algorithm 1:
-// L̂_{I,K} = L_{I,K}·L_KK⁻¹ stored at (I, K) and Û_{K,I} = U_KK⁻¹·U_{K,I}
-// stored at (K, I). The copies live on the dense arena.
+// L̂_{I,K} = L_{I,K}·L_KK⁻¹ stored at (I, K) and, for general values,
+// Û_{K,I} = U_KK⁻¹·U_{K,I} stored at (K, I) — for symmetric ones Û_{K,I} is
+// L̂_{I,K}ᵀ and uhat stays empty. The copies live on the dense arena.
 func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
 	bp := lu.BP
 	lhat = blockmat.New(bp.Part)
@@ -36,8 +40,10 @@ func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
 			x := dense.GetMatrixCopy(lb)
 			dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
 			lhat.Set(i, k, x)
-			ub, _ := lu.UBlock(k, i)
-			y := dense.GetMatrixCopy(ub)
+			if lu.Symmetric {
+				continue
+			}
+			y := lu.UCopy(k, i)
 			dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, y)
 			uhat.Set(k, i, y)
 		}
@@ -45,10 +51,10 @@ func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
 	return lhat, uhat
 }
 
-// addProduct adds a·b to sum through a zeroed slot of its own.
-func addProduct(sum, a, b *dense.Matrix) {
+// addProduct adds op(a)·b to sum through a zeroed slot of its own.
+func addProduct(sum *dense.Matrix, ta dense.Trans, a, b *dense.Matrix) {
 	slot := dense.GetMatrixElem(sum.Rows, sum.Cols, sum.Elem)
-	dense.Gemm(dense.NoTrans, dense.NoTrans, 1, a, b, 1, slot)
+	dense.Gemm(ta, dense.NoTrans, 1, a, b, 1, slot)
 	sum.AddScaled(1, slot)
 	dense.PutMatrix(slot)
 }
@@ -75,16 +81,23 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 		for _, j := range c {
 			sum := dense.GetMatrixElem(part.Width(j), wk, lu.Elem)
 			for _, i := range c {
-				addProduct(sum, ainv.MustGet(j, i), lhat.MustGet(i, k))
+				addProduct(sum, dense.NoTrans, ainv.MustGet(j, i), lhat.MustGet(i, k))
 			}
 			sum.Scale(-1)
 			ainv.Set(j, k, sum)
 		}
-		// A⁻¹_{K,J} = −Σ_{I∈C} Û_{K,I}·A⁻¹_{I,J}   (step 5)
+		// A⁻¹_{K,J} = −Σ_{I∈C} Û_{K,I}·A⁻¹_{I,J}   (step 5), which for
+		// symmetric values is (A⁻¹_{J,K})ᵀ.
 		for _, j := range c {
+			if lu.Symmetric {
+				up := dense.GetMatrixUninitElem(wk, part.Width(j), lu.Elem)
+				ainv.MustGet(j, k).TransposeInto(up)
+				ainv.Set(k, j, up)
+				continue
+			}
 			sum := dense.GetMatrixElem(wk, part.Width(j), lu.Elem)
 			for _, i := range c {
-				addProduct(sum, uhat.MustGet(k, i), ainv.MustGet(i, j))
+				addProduct(sum, dense.NoTrans, uhat.MustGet(k, i), ainv.MustGet(i, j))
 			}
 			sum.Scale(-1)
 			ainv.Set(k, j, sum)
@@ -92,7 +105,11 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 		// A⁻¹_{K,K} = U_KK⁻¹·L_KK⁻¹ − Σ_{J∈C} Û_{K,J}·A⁻¹_{J,K}   (step 4)
 		dsum := dense.GetMatrixElem(wk, wk, lu.Elem)
 		for _, j := range c {
-			addProduct(dsum, uhat.MustGet(k, j), ainv.MustGet(j, k))
+			ta, u := dense.DoTrans, lhat.MustGet(j, k) // Û_{K,J} of symmetric values
+			if !lu.Symmetric {
+				ta, u = dense.NoTrans, uhat.MustGet(k, j)
+			}
+			addProduct(dsum, ta, u, ainv.MustGet(j, k))
 		}
 		d := dense.GetMatrixElem(wk, wk, lu.Elem)
 		lu.DiagInverseTo(k, d)

@@ -106,6 +106,21 @@ func checkAgainstDense(t testing.TB, an *etree.Analysis, ainv *blockmat.BlockMat
 	}
 }
 
+var zoo = []func() *sparse.Generated{
+	func() *sparse.Generated { return sparse.Banded(10, 1, 1) },
+	func() *sparse.Generated { return sparse.Banded(14, 3, 2) },
+	func() *sparse.Generated { return sparse.Banded(15, 2, 1) },
+	func() *sparse.Generated { return sparse.Grid2D(4, 4, 3) },
+	func() *sparse.Generated { return sparse.Grid2D(6, 5, 4) },
+	func() *sparse.Generated { return sparse.Grid2D(6, 6, 3) },
+	func() *sparse.Generated { return sparse.RandomSym(25, 3, 5) },
+	func() *sparse.Generated { return sparse.RandomSym(30, 4, 2) },
+	func() *sparse.Generated { return sparse.DG2D(3, 3, 2, 6) },
+	func() *sparse.Generated { return sparse.DG2D(3, 3, 3, 5) },
+}
+
+var shifts = []complex128{complex(0, 1), complex(2, 3), complex(-1, 0.5), complex(0.5, -2), complex(1, 2)}
+
 // TestSelInvReference drives the one reference over both element types,
 // symmetric and asymmetric values and the matrix zoo, and checks on every
 // case: each stored block against the dense oracle, the scalar entry
@@ -114,19 +129,6 @@ func checkAgainstDense(t testing.TB, an *etree.Analysis, ainv *blockmat.BlockMat
 // values, where (A − zI)⁻¹ is symmetric too — that the mirrors are
 // transposes of each other.
 func TestSelInvReference(t *testing.T) {
-	zoo := []func() *sparse.Generated{
-		func() *sparse.Generated { return sparse.Banded(10, 1, 1) },
-		func() *sparse.Generated { return sparse.Banded(14, 3, 2) },
-		func() *sparse.Generated { return sparse.Banded(15, 2, 1) },
-		func() *sparse.Generated { return sparse.Grid2D(4, 4, 3) },
-		func() *sparse.Generated { return sparse.Grid2D(6, 5, 4) },
-		func() *sparse.Generated { return sparse.Grid2D(6, 6, 3) },
-		func() *sparse.Generated { return sparse.RandomSym(25, 3, 5) },
-		func() *sparse.Generated { return sparse.RandomSym(30, 4, 2) },
-		func() *sparse.Generated { return sparse.DG2D(3, 3, 2, 6) },
-		func() *sparse.Generated { return sparse.DG2D(3, 3, 3, 5) },
-	}
-	shifts := []complex128{complex(0, 1), complex(2, 3), complex(-1, 0.5), complex(0.5, -2), complex(1, 2)}
 	for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
 		for _, symmetric := range []bool{true, false} {
 			for gi, gen := range zoo {
@@ -243,14 +245,37 @@ func TestSelInvScalarSupernodes(t *testing.T) {
 	checkAgainstDense(t, an, SelInv(factorize(t, an, dense.Real, 0)), realOracle(t, an), 1e-8)
 }
 
+// nudged returns a copy of a with one strictly-lower entry moved by one ulp:
+// the same matrix to rounding, but not exactly symmetric, so the factorization
+// takes the general loop and the reference its two-sided form.
+func nudged(a *sparse.CSC) *sparse.CSC {
+	b := a.Clone()
+	for j := 0; j < b.N; j++ {
+		for p := b.ColPtr[j]; p < b.ColPtr[j+1]; p++ {
+			if b.RowIdx[p] > j {
+				b.Val[p] = math.Nextafter(b.Val[p], math.Inf(1))
+				return b
+			}
+		}
+	}
+	panic("nudged: diagonal matrix")
+}
+
 func TestSymmetryUhatEqualsLhatTransposed(t *testing.T) {
-	// For symmetric-valued A, Û_{K,I} == L̂_{I,K}ᵀ (§II-B) — the identity
-	// the distributed symmetric code path depends on.
+	// For symmetric-valued A, Û_{K,I} == L̂_{I,K}ᵀ (§II-B) — the identity the
+	// distributed symmetric code path and the lower-only factorization depend
+	// on — checked where Û is still computed on its own: the general loop, on
+	// values an ulp from symmetric.
 	for _, g := range []*sparse.Generated{
 		sparse.Grid2D(6, 6, 11), sparse.RandomSym(40, 4, 12),
 	} {
 		an := analyze(g, ordering.NestedDissection, etree.Options{Relax: 2})
-		lhat, uhat := pass1(factorize(t, an, dense.Real, 0))
+		an.A = nudged(an.A)
+		lu := factorize(t, an, dense.Real, 0)
+		if lu.Symmetric {
+			t.Fatalf("%s: nudged values still took the symmetric loop", g.Name)
+		}
+		lhat, uhat := pass1(lu)
 		if lhat.NumBlocks() == 0 {
 			t.Fatalf("%s: pass 1 produced no blocks", g.Name)
 		}
@@ -259,6 +284,71 @@ func TestSymmetryUhatEqualsLhatTransposed(t *testing.T) {
 			if d := uhat.MustGet(key.J, key.I).MaxAbsDiff(lb.Transpose()); d > 1e-9 {
 				t.Errorf("%s: |Û - L̂ᵀ| = %g at block (%d,%d)", g.Name, d, key.I, key.J)
 			}
+		}
+	}
+}
+
+// TestBadlyScaledAsymmetricTakesGeneralPath: value symmetry is exact, not a
+// tolerance — an asymmetric matrix whose entries are all ≈1e-15 (below the
+// absolute 1e-14 the rule once allowed) is factorized with both triangles and
+// inverted correctly; the symmetric path would discard its upper values.
+func TestBadlyScaledAsymmetricTakesGeneralPath(t *testing.T) {
+	g := sparse.RandomAsym(40, 4, 3)
+	for p := range g.A.Val {
+		g.A.Val[p] *= 1e-15
+	}
+	if g.A.IsSymmetric(0) {
+		t.Fatal("the scaled matrix is still asymmetric")
+	}
+	an := analyze(g, ordering.NestedDissection, etree.Options{Relax: 2, MaxWidth: 6})
+	lu := factorize(t, an, dense.Real, 0)
+	if lu.Symmetric {
+		t.Fatal("asymmetric values of magnitude 1e-15 recorded as symmetric")
+	}
+	want, err := dense.Inverse(an.A.ToDense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstDense(t, an, SelInv(lu), func(i, j int) complex128 { return complex(want.At(i, j), 0) }, 1e-9*want.MaxAbs())
+}
+
+// TestSelInvTwoStorageForms: over the zoo and both element types, the
+// lower-only factorization of exactly symmetric values under the reference's
+// one-sided form, and the general factorization of the same values nudged by
+// an ulp under its two-sided form, give the same selected inverse and
+// log-determinants within 1e-9.
+func TestSelInvTwoStorageForms(t *testing.T) {
+	for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
+		for gi, gen := range zoo {
+			g := gen()
+			an := analyze(g, ordering.NestedDissection, etree.Options{Relax: gi % 3, MaxWidth: 6})
+			z := shifts[gi%len(shifts)]
+			lo := factorize(t, an, elem, z)
+			gan := *an
+			gan.A = nudged(an.A)
+			general := factorize(t, &gan, elem, z)
+			if !lo.Symmetric || general.Symmetric {
+				t.Fatalf("%s: Symmetric = %v and %v, want true and false", g.Name, lo.Symmetric, general.Symmetric)
+			}
+			a, b := SelInv(lo), SelInv(general)
+			if a.NumBlocks() != b.NumBlocks() {
+				t.Fatalf("%s %v: %d blocks vs %d", g.Name, elem, a.NumBlocks(), b.NumBlocks())
+			}
+			for _, key := range a.Keys() {
+				if d := a.MustGet(key.I, key.J).MaxAbsDiff(b.MustGet(key.I, key.J)); d > 1e-9 {
+					t.Errorf("%s %v: block (%d,%d) differs by %g between the storage forms", g.Name, elem, key.I, key.J, d)
+				}
+			}
+			if d := math.Abs(lo.LogAbsDet() - general.LogAbsDet()); d > 1e-9 {
+				t.Errorf("%s %v: LogAbsDet differs by %g", g.Name, elem, d)
+			}
+			if elem == dense.Complex {
+				if d := cmplx.Abs(lo.LogDet() - general.LogDet()); d > 1e-9 {
+					t.Errorf("%s: LogDet differs by %g", g.Name, d)
+				}
+			}
+			a.Release()
+			b.Release()
 		}
 	}
 }

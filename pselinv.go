@@ -407,10 +407,10 @@ func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC, elem dense.Elem, z comp
 // only touches the diagonal, so the pattern is unchanged). It also keeps
 // m's value symmetry — A − zI is complex symmetric (plain transpose) when A
 // is symmetric — so, as for Factorize, symmetric values take the paper's
-// symmetric communication path (Û = L̂ᵀ) and asymmetric ones the general
-// path. A parallel run is bit-reproducible for one plan (grid, scheme,
-// balancer, seed) and agrees with SelInv within 1e-9 at every rank count;
-// a one-rank run of the general plan is bit-identical to it.
+// symmetric communication path (Û = L̂ᵀ) and a lower-only factorization,
+// asymmetric ones the general path. A parallel run is bit-reproducible for
+// one plan (grid, scheme, balancer, seed) and agrees with SelInv within 1e-9
+// at every rank count; a one-rank run is bit-identical to it.
 func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
 	if err := sy.checkPattern(m); err != nil {
 		return nil, err
@@ -513,52 +513,50 @@ func (s *System) FactorNNZ() int64 { return s.an.BP.NNZScalars() }
 type Inverse struct {
 	an   *etree.Analysis
 	ainv *blockmat.BlockMatrix
+	elem dense.Elem // of every block of ainv: the factorization's
 }
 
-// Entry returns (A⁻¹)ᵢⱼ for original indices, with ok reporting whether
-// the entry is part of the computed selected set.
-func (inv *Inverse) Entry(i, j int) (v float64, ok bool) {
+// locate finds original entry (i, j) in the selected inverse: its block and
+// the position in it, or ok false outside the computed selected set.
+func (inv *Inverse) locate(i, j int) (b *dense.Matrix, r, c int, ok bool) {
 	n := len(inv.an.PermTotal)
 	if i < 0 || i >= n || j < 0 || j >= n {
-		return 0, false
+		return nil, 0, 0, false
 	}
 	pi, pj := inv.an.PermTotal[i], inv.an.PermTotal[j]
 	part := inv.an.BP.Part
 	bi, bj := part.SnodeOf[pi], part.SnodeOf[pj]
-	b, present := inv.ainv.Get(bi, bj)
-	if !present {
+	b, ok = inv.ainv.Get(bi, bj)
+	return b, pi - part.Start[bi], pj - part.Start[bj], ok
+}
+
+// Entry returns (A⁻¹)ᵢⱼ for original indices, with ok reporting whether
+// the entry is part of the computed selected set — never for a complex
+// inverse, whose entries EntryComplex returns.
+func (inv *Inverse) Entry(i, j int) (v float64, ok bool) {
+	b, r, c, ok := inv.locate(i, j)
+	if !ok || inv.elem == dense.Complex {
 		return 0, false
 	}
-	return b.At(pi-part.Start[bi], pj-part.Start[bj]), true
+	return b.At(r, c), true
 }
 
 // Complex reports whether the inverse holds complex entries (the system
 // was built by FactorizeShifted); use the *Complex accessors then.
-func (inv *Inverse) Complex() bool {
-	c := false
-	inv.ainv.Range(func(_ blockmat.Key, b *dense.Matrix) {
-		if b.Elem == dense.Complex {
-			c = true
-		}
-	})
-	return c
-}
+func (inv *Inverse) Complex() bool { return inv.elem == dense.Complex }
 
-// EntryComplex returns ((A−zI)⁻¹)ᵢⱼ of a complex system for original
-// indices, with ok reporting membership in the selected set.
+// EntryComplex returns ((A−zI)⁻¹)ᵢⱼ for original indices — of a real system
+// too, with a zero imaginary part — with ok reporting membership in the
+// selected set.
 func (inv *Inverse) EntryComplex(i, j int) (v complex128, ok bool) {
-	n := len(inv.an.PermTotal)
-	if i < 0 || i >= n || j < 0 || j >= n {
+	b, r, c, ok := inv.locate(i, j)
+	switch {
+	case !ok:
 		return 0, false
+	case inv.elem == dense.Complex:
+		return b.ZAt(r, c), true
 	}
-	pi, pj := inv.an.PermTotal[i], inv.an.PermTotal[j]
-	part := inv.an.BP.Part
-	bi, bj := part.SnodeOf[pi], part.SnodeOf[pj]
-	b, present := inv.ainv.Get(bi, bj)
-	if !present {
-		return 0, false
-	}
-	return b.ZAt(pi-part.Start[bi], pj-part.Start[bj]), true
+	return complex(b.At(r, c), 0), true
 }
 
 // DiagonalComplex returns diag((A−zI)⁻¹) of a complex system in the
@@ -576,9 +574,12 @@ func (inv *Inverse) DiagonalComplex() []complex128 {
 	return d
 }
 
-// Diagonal returns diag(A⁻¹) in the original ordering — the quantity PEXSI
-// consumes.
+// Diagonal returns diag(A⁻¹) of a real system in the original ordering — the
+// quantity PEXSI consumes. A complex inverse has DiagonalComplex.
 func (inv *Inverse) Diagonal() []float64 {
+	if inv.elem == dense.Complex {
+		panic("pselinv: Diagonal of a complex inverse; use DiagonalComplex")
+	}
 	n := len(inv.an.PermTotal)
 	d := make([]float64, n)
 	for i := 0; i < n; i++ {
@@ -592,11 +593,11 @@ func (inv *Inverse) Diagonal() []float64 {
 }
 
 // SelInv computes the selected inverse sequentially with the reference
-// Algorithm 1, for real and for complex (shifted) systems alike. A
-// general-path parallel run on one rank is bit-identical to it; runs on
-// several ranks, and the symmetric path, agree with it to rounding.
+// Algorithm 1, for real and for complex (shifted) systems alike, in the form
+// of the path the values select. A parallel run on one rank is bit-identical
+// to it; runs on several ranks agree with it to rounding.
 func (s *System) SelInv() (*Inverse, error) {
-	return &Inverse{an: s.an, ainv: selinv.SelInv(s.lu)}, nil
+	return &Inverse{an: s.an, ainv: selinv.SelInv(s.lu), elem: s.lu.Elem}, nil
 }
 
 // LogDet returns log det(A − zI) of a complex (FactorizeShifted) system —
@@ -687,9 +688,8 @@ func toMB(bs []int64) []float64 {
 // ParallelSelInv runs the distributed engine on procs simulated ranks
 // (arranged on the most square grid) with the given tree scheme and shift
 // seed. The result is bit-reproducible for one (procs, scheme, seed) under
-// any message delivery order, and agrees with SelInv to rounding: the
-// reductions are summed along the trees, and the symmetric path uses L̂ᵀ
-// where SelInv computes Û.
+// any message delivery order, and agrees with SelInv to rounding (bit for
+// bit on one rank): the reductions are summed along the trees.
 func (s *System) ParallelSelInv(procs int, scheme Scheme, seed uint64) (*ParallelResult, error) {
 	g := procgrid.Squarish(procs)
 	return s.ParallelSelInvOnGrid(g.Pr, g.Pc, scheme, seed)
@@ -799,7 +799,7 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bo
 		return nil, err
 	}
 	return &ParallelResult{
-		Inverse: &Inverse{an: s.an, ainv: run.Ainv},
+		Inverse: &Inverse{an: s.an, ainv: run.Ainv, elem: s.lu.Elem},
 		run:     run,
 		grid:    procgrid.New(pr, pc),
 		Elapsed: run.Elapsed,

@@ -2,10 +2,12 @@ package pselinv
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"pselinv/internal/dense"
@@ -60,6 +62,53 @@ func TestEntryMatchesDenseInverse(t *testing.T) {
 			if math.Abs(got-want.At(i, j)) > 1e-8 {
 				t.Fatalf("entry (%d,%d): got %g want %g", i, j, got, want.At(i, j))
 			}
+		}
+	}
+}
+
+// TestEntryAccessorsFollowElementType: the real accessors refuse a complex
+// inverse (they used to read its interleaved storage as real numbers) and
+// the complex ones serve a real inverse with a zero imaginary part.
+func TestEntryAccessorsFollowElementType(t *testing.T) {
+	m := DG2D(6, 6, 2, 1)
+	sy, err := AnalyzePattern(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zsys, err := sy.FactorizeShifted(m, complex(0.1, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	zinv, _ := zsys.SelInv()
+	if v, ok := zinv.Entry(1, 1); ok || v != 0 {
+		t.Fatalf("Entry(1,1) of a complex inverse = %g, ok=%v; want 0, false", v, ok)
+	}
+	if v, ok := zinv.EntryComplex(1, 1); !ok || imag(v) == 0 {
+		t.Fatalf("EntryComplex(1,1) = %v, ok=%v", v, ok)
+	}
+	if !zinv.Complex() {
+		t.Fatal("Complex() = false on a shifted system's inverse")
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "DiagonalComplex") {
+				t.Fatalf("Diagonal of a complex inverse: recovered %v, want a panic naming DiagonalComplex", r)
+			}
+		}()
+		zinv.Diagonal()
+	}()
+
+	sys, err := sy.Factorize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inv, _ := sys.SelInv()
+	if inv.Complex() {
+		t.Fatal("Complex() = true on a real inverse")
+	}
+	for i, want := range inv.Diagonal() {
+		if got, ok := inv.EntryComplex(i, i); !ok || got != complex(want, 0) {
+			t.Fatalf("EntryComplex(%d,%d) of a real inverse = %v, ok=%v; want %g", i, i, got, ok, want)
 		}
 	}
 }
