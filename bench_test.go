@@ -225,9 +225,17 @@ func warmRefactorize(sym *Symbolic, m *Matrix, sigma float64) error {
 
 // BenchmarkWarmRefactorize gates the per-matrix cost of the warm loop:
 // the sparse front end, the numeric factorization and the engine run.
-func BenchmarkWarmRefactorize(b *testing.B) {
+func BenchmarkWarmRefactorize(b *testing.B) { benchWarmRefactorize(b, Options{}) }
+
+// BenchmarkWarmRefactorizeND is the same loop under the ordering users (and
+// bench/'s warm_dg2d_p16 op) take: hundreds of small supernodes, not a band.
+func BenchmarkWarmRefactorizeND(b *testing.B) {
+	benchWarmRefactorize(b, Options{Ordering: OrderNestedDissection})
+}
+
+func benchWarmRefactorize(b *testing.B, opts Options) {
 	m := DG2D(24, 24, 4, 1)
-	sym, err := AnalyzePattern(m, Options{})
+	sym, err := AnalyzePattern(m, opts)
 	if err != nil {
 		b.Fatal(err)
 	}

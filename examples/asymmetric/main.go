@@ -21,7 +21,7 @@ func main() {
 	fmt.Printf("matrix %s: n=%d nnz=%d symmetric=%v\n",
 		m.Name(), m.N(), m.NNZ(), m.IsSymmetric())
 
-	sys, err := pselinv.NewSystem(m, pselinv.Options{})
+	sys, err := pselinv.NewSystem(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
 	if err != nil {
 		log.Fatal(err)
 	}

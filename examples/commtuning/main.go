@@ -16,7 +16,7 @@ func main() {
 	// A 3D FE-like problem (the audikw_1 character from the paper).
 	m := pselinv.FE3D(8, 8, 8, 2, 3)
 	fmt.Printf("matrix %s: n=%d nnz=%d\n\n", m.Name(), m.N(), m.NNZ())
-	sys, err := pselinv.NewSystem(m, pselinv.Options{})
+	sys, err := pselinv.NewSystem(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	densityPar := make([]float64, n)
 	for l, sigma := range shifts {
 		m := shiftedHamiltonian(nx, ny, dofs, sigma)
-		sys, err := pselinv.NewSystem(m, pselinv.Options{})
+		sys, err := pselinv.NewSystem(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
 		if err != nil {
 			log.Fatalf("pole %d: %v", l, err)
 		}

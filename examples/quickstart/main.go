@@ -16,7 +16,7 @@ func main() {
 	fmt.Printf("matrix %s: n=%d, nnz=%d\n", m.Name(), m.N(), m.NNZ())
 
 	// Order, analyze, factorize.
-	sys, err := pselinv.NewSystem(m, pselinv.Options{})
+	sys, err := pselinv.NewSystem(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
 	if err != nil {
 		log.Fatal(err)
 	}

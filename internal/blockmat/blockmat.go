@@ -23,9 +23,9 @@ type BlockMatrix struct {
 	blocks map[Key]*dense.Matrix
 }
 
-// New returns an empty block matrix over the partition.
-func New(part *etree.Partition) *BlockMatrix {
-	return &BlockMatrix{Part: part, blocks: make(map[Key]*dense.Matrix)}
+// New returns an empty block matrix over the partition, sized for n blocks.
+func New(part *etree.Partition, n int) *BlockMatrix {
+	return &BlockMatrix{Part: part, blocks: make(map[Key]*dense.Matrix, n)}
 }
 
 // Get returns block (i, j) when stored.
@@ -50,16 +50,6 @@ func (m *BlockMatrix) Set(i, j int, b *dense.Matrix) {
 		panic(fmt.Sprintf("blockmat: block (%d,%d) dims %dx%d, want %dx%d", i, j, b.Rows, b.Cols, r, c))
 	}
 	m.blocks[Key{i, j}] = b
-}
-
-// EnsureZero returns block (i, j), allocating a real zero block when absent.
-func (m *BlockMatrix) EnsureZero(i, j int) *dense.Matrix {
-	b, ok := m.blocks[Key{i, j}]
-	if !ok {
-		b = dense.NewMatrix(m.Part.Width(i), m.Part.Width(j))
-		m.blocks[Key{i, j}] = b
-	}
-	return b
 }
 
 // NumBlocks returns the number of stored blocks.

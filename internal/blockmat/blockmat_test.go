@@ -15,7 +15,7 @@ func testPartition(n int, starts []int) *etree.Partition {
 
 // fromCSC scatters the stored entries of a into zero-padded blocks.
 func fromCSC(part *etree.Partition, a *sparse.CSC) *BlockMatrix {
-	m := New(part)
+	m := New(part, 0)
 	for j := 0; j < a.N; j++ {
 		kj := part.SnodeOf[j]
 		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
@@ -46,7 +46,7 @@ func TestAtMatchesCSC(t *testing.T) {
 
 func TestSetValidatesDims(t *testing.T) {
 	p := testPartition(5, []int{0, 2, 5})
-	m := New(p)
+	m := New(p, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on wrong dims")
@@ -57,7 +57,7 @@ func TestSetValidatesDims(t *testing.T) {
 
 func TestEnsureZeroIdempotent(t *testing.T) {
 	p := testPartition(5, []int{0, 2, 5})
-	m := New(p)
+	m := New(p, 0)
 	b1 := m.EnsureZero(1, 0)
 	b1.Set(0, 0, 42)
 	b2 := m.EnsureZero(1, 0)
@@ -71,7 +71,7 @@ func TestEnsureZeroIdempotent(t *testing.T) {
 
 func TestMustGetPanicsOnMissing(t *testing.T) {
 	p := testPartition(4, []int{0, 4})
-	m := New(p)
+	m := New(p, 0)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
@@ -82,7 +82,7 @@ func TestMustGetPanicsOnMissing(t *testing.T) {
 
 func TestKeysSorted(t *testing.T) {
 	p := testPartition(6, []int{0, 2, 4, 6})
-	m := New(p)
+	m := New(p, 0)
 	m.EnsureZero(2, 1)
 	m.EnsureZero(0, 0)
 	m.EnsureZero(1, 1)
@@ -97,4 +97,14 @@ func TestKeysSorted(t *testing.T) {
 			t.Fatalf("Keys() = %v, want %v", ks, want)
 		}
 	}
+}
+
+// EnsureZero returns block (i, j), allocating a real zero block when absent.
+func (m *BlockMatrix) EnsureZero(i, j int) *dense.Matrix {
+	b, ok := m.blocks[Key{i, j}]
+	if !ok {
+		b = dense.NewMatrix(m.Part.Width(i), m.Part.Width(j))
+		m.blocks[Key{i, j}] = b
+	}
+	return b
 }

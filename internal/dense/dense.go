@@ -55,15 +55,6 @@ func (a *Matrix) Zero() {
 	}
 }
 
-// Eye returns the n×n identity matrix.
-func Eye(n int) *Matrix {
-	a := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, i, 1)
-	}
-	return a
-}
-
 // Transpose returns aᵀ as a new matrix.
 func (a *Matrix) Transpose() *Matrix {
 	t := NewMatrixElem(a.Cols, a.Rows, a.Elem)

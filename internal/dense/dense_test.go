@@ -457,3 +457,27 @@ func BenchmarkTrsm64(b *testing.B) {
 		Trsm(Left, Lower, NoTrans, NonUnit, tri, x)
 	}
 }
+
+// Eye returns the n×n identity matrix.
+func Eye(n int) *Matrix {
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		a.Set(i, i, 1)
+	}
+	return a
+}
+
+// Mul returns op(a)*op(b) as a fresh matrix.
+func Mul(ta, tb Trans, a, b *Matrix) *Matrix {
+	am := a.Rows
+	if ta == DoTrans {
+		am = a.Cols
+	}
+	bn := b.Cols
+	if tb == DoTrans {
+		bn = b.Rows
+	}
+	c := NewMatrix(am, bn)
+	Gemm(ta, tb, 1, a, b, 0, c)
+	return c
+}

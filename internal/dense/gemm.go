@@ -254,18 +254,3 @@ func packB(v view, p0, kc, j0, nc int, dst []float64) {
 		}
 	}
 }
-
-// Mul returns op(a)*op(b) as a fresh matrix.
-func Mul(ta, tb Trans, a, b *Matrix) *Matrix {
-	am := a.Rows
-	if ta == DoTrans {
-		am = a.Cols
-	}
-	bn := b.Cols
-	if tb == DoTrans {
-		bn = b.Rows
-	}
-	c := NewMatrix(am, bn)
-	Gemm(ta, tb, 1, a, b, 0, c)
-	return c
-}

@@ -7,7 +7,6 @@
 package etree
 
 import (
-	"fmt"
 	"sort"
 
 	"pselinv/internal/sparse"
@@ -79,20 +78,6 @@ func Postorder(parent []int) []int {
 		panic("etree: postorder did not reach all vertices (cycle in parent array?)")
 	}
 	return perm
-}
-
-// RelabelParents rewrites a parent array under a vertex permutation
-// old->new.
-func RelabelParents(parent, perm []int) []int {
-	out := make([]int, len(parent))
-	for v, p := range parent {
-		if p < 0 {
-			out[perm[v]] = -1
-		} else {
-			out[perm[v]] = perm[p]
-		}
-	}
-	return out
 }
 
 // ColPatterns performs a scalar symbolic factorization and returns, for
@@ -369,23 +354,6 @@ func NewBlockPattern(a *sparse.CSC, part *Partition) *BlockPattern {
 		bp.uoff[k+1] = bp.uoff[k] + bp.off[len(bp.off)-1] - bp.off[bp.rowPtr[k]+1]
 	}
 	return bp
-}
-
-// CheckClosure verifies the selected-inversion invariant: for every K and
-// every pair I <= J in Struct(K), block (J, I) is present. Returns an error
-// naming the first violation. Used by tests and as a cheap sanity check.
-func (bp *BlockPattern) CheckClosure() error {
-	for k := 0; k < bp.NumSnodes(); k++ {
-		c := bp.Struct(k)
-		for x := 0; x < len(c); x++ {
-			for y := x; y < len(c); y++ {
-				if !bp.HasBlock(c[y], c[x]) {
-					return fmt.Errorf("etree: closure violated: K=%d needs block (%d,%d)", k, c[y], c[x])
-				}
-			}
-		}
-	}
-	return nil
 }
 
 // Analysis bundles the outcome of the full symbolic phase.

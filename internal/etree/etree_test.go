@@ -1,6 +1,7 @@
 package etree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -310,4 +311,35 @@ func BenchmarkAnalyzeAudikwStandin(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Analyze(ap, perm, Options{Relax: 4, MaxWidth: 48})
 	}
+}
+
+// CheckClosure verifies the selected-inversion invariant: for every K and
+// every pair I <= J in Struct(K), block (J, I) is present. Returns an error
+// naming the first violation. Used by tests and as a cheap sanity check.
+func (bp *BlockPattern) CheckClosure() error {
+	for k := 0; k < bp.NumSnodes(); k++ {
+		c := bp.Struct(k)
+		for x := 0; x < len(c); x++ {
+			for y := x; y < len(c); y++ {
+				if !bp.HasBlock(c[y], c[x]) {
+					return fmt.Errorf("etree: closure violated: K=%d needs block (%d,%d)", k, c[y], c[x])
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// RelabelParents rewrites a parent array under a vertex permutation
+// old->new.
+func RelabelParents(parent, perm []int) []int {
+	out := make([]int, len(parent))
+	for v, p := range parent {
+		if p < 0 {
+			out[perm[v]] = -1
+		} else {
+			out[perm[v]] = perm[p]
+		}
+	}
+	return out
 }

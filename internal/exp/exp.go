@@ -329,20 +329,3 @@ func MeasureScaling(p *Pipeline, ps []int, schemes []core.Scheme, seeds []uint64
 	}
 	return out
 }
-
-// SelInvFlops estimates the selected-inversion flop count of the pipeline
-// (used to report work alongside scaling results).
-func SelInvFlops(p *Pipeline) int64 {
-	var flops int64
-	part := p.An.BP.Part
-	for k := 0; k < p.An.BP.NumSnodes(); k++ {
-		w := int64(part.Width(k))
-		c := p.An.BP.Struct(k)
-		for _, i := range c {
-			for _, j := range c {
-				flops += 2 * int64(part.Width(j)) * w * int64(part.Width(i))
-			}
-		}
-	}
-	return flops
-}

@@ -133,13 +133,16 @@ func TestBatchDagMatchesSequential(t *testing.T) {
 // LUs; after that no factorization allocates (the consumer hands each spent
 // LU back and the producer refactorizes into it — an explicit handoff, which
 // a GC cannot undo the way it empties the arena's sync.Pool), so a pole costs
-// only its inversion: block-matrix maps and headers, plus whatever share of
-// the L̂/Û copies and result blocks the arena lost to the last collection.
-// For this fixed problem one LU is 0.35 MB of slab — the lower half of the
-// factor layout, all that the symmetric Hamiltonian's factorization stores;
-// 0.66 MB with the upper half — and 0.05 MB of headers, so a pole that
-// allocated its factorization again would read 0.4 MB more than the handoff's
-// 0.34–0.39 MB mean and 0.22 MB minimum (0.39 / 0.28 at GOGC=1).
+// only its inversion: block-matrix maps (sized once: they doubled their way up
+// before, 0.35–0.39 MB mean and 0.22 MB minimum) and headers, plus whatever
+// share of the L̂/Û copies and result blocks the arena lost to the last
+// collection. For this fixed problem one LU is 0.35 MB of slab — the lower
+// half of the factor layout, all that the symmetric Hamiltonian's
+// factorization stores; 0.66 MB with the upper half — and 0.05 MB of headers,
+// so a pole that allocated its factorization again would read 0.4 MB more
+// than the handoff's 0.26–0.33 MB mean and 0.16–0.17 MB minimum (0.35 / 0.23
+// with the rest of the test suite loading the machine, which is what the
+// budgets leave room for).
 // The mean and the minimum are asserted, not each pole: the pipelined
 // factorization of a later pole lands in whichever pole's window is open.
 func TestBatchAllocFlat(t *testing.T) {
@@ -166,11 +169,11 @@ func TestBatchAllocFlat(t *testing.T) {
 	}
 	mean := total / uint64(len(res.Stats)-1)
 	t.Logf("steady state: mean %.2f MB, min %.2f MB per pole", float64(mean)/1e6, float64(min)/1e6)
-	if mean > 600<<10 {
-		t.Errorf("steady-state mean %.2f MB/pole exceeds the 0.61 MB budget — a pole allocates a factorization again", float64(mean)/1e6)
+	if mean > 490<<10 {
+		t.Errorf("steady-state mean %.2f MB/pole exceeds the 0.50 MB budget — a pole allocates a factorization again", float64(mean)/1e6)
 	}
-	if min > 320<<10 {
-		t.Errorf("steady-state minimum %.2f MB/pole exceeds the 0.33 MB budget — recycling broke", float64(min)/1e6)
+	if min > 265<<10 {
+		t.Errorf("steady-state minimum %.2f MB/pole exceeds the 0.27 MB budget — recycling broke", float64(min)/1e6)
 	}
 }
 
@@ -284,6 +287,28 @@ func BenchmarkPexsiBatch16(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 24}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkPexsiBatchP16 is bench/'s pexsi_z16_p16 op: the 16-pole complex
+// batch on the engine — DG2D(16,16,4), β=10 μ=0, 16 ranks, shifted trees,
+// DAG on, relax 4 / width 48 — where BenchmarkPexsiBatch16 (no Procs) times
+// the serial reference. One template per batch: poles 2…16 run on the
+// recycled slot state.
+func BenchmarkPexsiBatchP16(b *testing.B) {
+	h := sparse.DG2D(16, 16, 4, 1)
+	poles, err := MatsubaraPoles(16, 10, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := BatchConfig{Poles: poles, Relax: 4, MaxWidth: 48, Procs: 16,
+		Scheme: core.ShiftedBinaryTree, DAG: true, Seed: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunBatch(h, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -65,25 +65,5 @@ func (g *Grid) OwnerOfBlock(i, j int) int {
 	return g.RankOf(g.ProcRowOfBlock(i), g.ProcColOfBlock(j))
 }
 
-// RowGroup returns the ranks of grid row `row` in column order — the
-// paper's "processor row" communication group.
-func (g *Grid) RowGroup(row int) []int {
-	out := make([]int, g.Pc)
-	for c := 0; c < g.Pc; c++ {
-		out[c] = g.RankOf(row, c)
-	}
-	return out
-}
-
-// ColGroup returns the ranks of grid column `col` in row order — the
-// paper's "processor column" communication group.
-func (g *Grid) ColGroup(col int) []int {
-	out := make([]int, g.Pr)
-	for r := 0; r < g.Pr; r++ {
-		out[r] = g.RankOf(r, col)
-	}
-	return out
-}
-
 // String describes the grid.
 func (g *Grid) String() string { return fmt.Sprintf("%dx%d", g.Pr, g.Pc) }

@@ -101,3 +101,23 @@ func TestQuickOwnerConsistent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// RowGroup returns the ranks of grid row `row` in column order — the
+// paper's "processor row" communication group.
+func (g *Grid) RowGroup(row int) []int {
+	out := make([]int, g.Pc)
+	for c := 0; c < g.Pc; c++ {
+		out[c] = g.RankOf(row, c)
+	}
+	return out
+}
+
+// ColGroup returns the ranks of grid column `col` in row order — the
+// paper's "processor column" communication group.
+func (g *Grid) ColGroup(col int) []int {
+	out := make([]int, g.Pr)
+	for r := 0; r < g.Pr; r++ {
+		out[r] = g.RankOf(r, col)
+	}
+	return out
+}

@@ -1,38 +1,15 @@
 // Task-DAG execution mode: instead of running every TRSM/GEMM inline on
-// the rank goroutine, each rank derives a dependency graph from its
-// program (the in-degree counters the event loop already maintains:
-// broadcast arrivals, finalized A⁻¹ operands, reduction pending counts)
-// and hands ready compute tasks to the shared internal/dense worker pool,
-// overlapping them with the tree collectives that stay on the rank
-// goroutine. Message sends and receives never move off the rank
-// goroutine, so simmpi delivery order, the chaos adversary's decisions and
-// the conservation counters are identical to sequential mode.
-//
-// Determinism: every reduction folds in a fixed order (see redState): a
-// task writes either the reduction's sum — the rank's lowest slot, which
-// nothing else touches until it is done — or a private scratch matrix, and
-// the rank goroutine adds the scratches in ascending slot order as their
-// turn comes. The floating-point result is therefore byte-identical to a
-// sequential run of the same plan under any pool schedule — the property
-// the DAG golden and chaos tests pin.
-//
-// Scheduler invariants:
-//   - a task's compute half (rankState.compute) is pure compute into memory
-//     no other task aliases (a reduction's sum or scratch matrix, a fresh
-//     L̂/Û/A⁻¹ block); it may run on any goroutine.
-//   - its bookkeeping half (rankState.finish) runs on the rank goroutine
-//     only: it folds reductions, finalizes blocks, sends messages and
-//     submits new tasks.
-//   - completions hand over via a channel sized past the pool's slot
-//     count, so a worker never blocks returning a result.
-//   - the rank goroutine blocks on the completion channel only while
-//     tasks are in flight (a completion is then guaranteed), and on
-//     Recv only when it has no runnable or in-flight work, so a rank
-//     whose pending sends hide behind an unfinished task's finish cannot
-//     deadlock its peers.
-//   - ready tasks dispatch highest critical-path height first
-//     (core.SnodeHeights), submission order breaking ties, so the
-//     schedule shape is reproducible run-to-run.
+// the rank goroutine, each rank hands ready compute tasks (rankState.exec) to
+// the shared internal/dense worker pool, overlapping them with the tree
+// collectives. Sends and receives never move off the rank goroutine, so simmpi
+// delivery order, the chaos adversary's decisions and the conservation
+// counters are those of sequential mode, and every reduction folds in its
+// fixed order (see redState): the result is byte-identical to a sequential
+// run under any pool schedule. DESIGN.md §5i lists the scheduler invariants:
+// a task's compute half may run anywhere, its finish half on the rank
+// goroutine only; workers never block handing back a completion; the rank
+// blocks on Recv only with no runnable or in-flight work; ready tasks
+// dispatch highest critical-path height first, submission order breaking ties.
 package pselinv
 
 import (
@@ -85,7 +62,8 @@ func (h *taskHeap) Pop() any {
 
 // dagSched drives one rank's task DAG. All methods run on the rank
 // goroutine; only a task's run closure — its compute half — executes
-// elsewhere.
+// elsewhere. It stays with the rank's state from run to run, and its task
+// objects and heap storage with it.
 type dagSched struct {
 	st       *rankState
 	ready    taskHeap
@@ -97,23 +75,27 @@ type dagSched struct {
 	stats    obs.DagRankStats
 }
 
-func newDagSched(st *rankState) *dagSched {
-	return &dagSched{
-		st: st,
-		// A rank can have at most the pool's slot count of tasks in
-		// flight, so this buffer guarantees workers never block handing
-		// back a completion — even a rank parked in Recv cannot starve
-		// the pool.
-		comp:    make(chan *dagTask, dense.Workers()+1),
-		started: time.Now(),
+// dagSched returns the rank's scheduler, reset for a new run.
+func (st *rankState) dagSched() *dagSched {
+	if st.dag == nil {
+		st.dag = &dagSched{st: st}
 	}
+	s := st.dag
+	// A rank can have at most the pool's slot count of tasks in flight, so
+	// this buffer guarantees workers never block handing back a completion —
+	// even a rank parked in Recv cannot starve the pool.
+	if cap(s.comp) <= dense.Workers() {
+		s.comp = make(chan *dagTask, dense.Workers()+1)
+	}
+	s.seq, s.started, s.stats = 0, time.Now(), obs.DagRankStats{}
+	return s
 }
 
 // submit queues a task and immediately tries to push ready work onto the
 // pool.
 func (s *dagSched) submit(t task) {
 	dt := s.newTask()
-	dt.task, dt.prio, dt.seq = t, s.st.e.heights[t.k], s.seq
+	dt.task, dt.prio, dt.seq = t, s.st.e.tmpl.heights[t.k], s.seq
 	s.seq++
 	s.stats.Tasks++
 	heap.Push(&s.ready, dt)

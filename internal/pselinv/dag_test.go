@@ -278,7 +278,7 @@ func TestExecNilObsZeroAlloc(t *testing.T) {
 		x.Set(i, i, 2)
 	}
 	tree := core.NewTree(core.FlatTree, 0, []int{0}, 1, 0)
-	op := &core.CollOp{Kind: core.OpColBcast, K: 3, Tree: tree}
+	op := newCollRole(&core.CollOp{Kind: core.OpColBcast, K: 3, Tree: tree}, 0, 0, 0)
 	tk := task{kernel: kTrsm, side: core.Lower, span: "trsm", k: 3, a: diag, out: x}
 	st := &rankState{e: &Engine{}, r: &simmpi.Rank{ID: 0}}
 	run := func() {
@@ -287,7 +287,7 @@ func TestExecNilObsZeroAlloc(t *testing.T) {
 		if st.e.Obs == nil && !t0.IsZero() {
 			t.Error("unobserved span site read the clock")
 		}
-		st.collSpanEnd(op, t0)
+		st.collSpanEnd(&op, t0)
 	}
 	run()
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {

@@ -12,14 +12,19 @@
 // finalized A⁻¹ block) are available, and finalizes blocks it owns.
 // Supernodes on disjoint critical paths of the elimination tree therefore
 // proceed concurrently and pipeline.
+//
+// Nothing is looked up by name during a run: NewEngine numbers what a rank
+// touches into dense per-rank slots, and the run state is flat arrays over
+// them, kept on the template and recycled across runs (DESIGN.md §5p).
 package pselinv
 
 import (
 	"context"
 	"fmt"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -32,33 +37,55 @@ import (
 	"pselinv/internal/simmpi"
 )
 
-// blockKey identifies a block (I, J) in per-rank maps.
-type blockKey struct{ I, J int }
-
 // gemmDesc is one local matrix product assigned to a rank: A⁻¹_{J,I}·L̂_{I,K}
-// on the lower side, Û_{K,I}·A⁻¹_{I,J} on the upper. Pos is the task's fold
-// position among THIS rank's contributions to its reduction: the rank's
-// contributions are numbered in ascending canonical slot (the index of the
-// broadcast operand's block within the supernode structure C), the order
-// every reduction folds them in.
-type gemmDesc struct{ K, I, J, Pos int }
+// on the lower side, Û_{K,I}·A⁻¹_{I,J} on the upper, with this rank's slots of
+// the broadcast operand (bc), the A⁻¹ operand (av) and the reduction it
+// contributes to (red). pos is its fold position among THIS rank's
+// contributions to that reduction: ascending index of the broadcast block
+// within the supernode structure C. next chains the tasks waiting on one A⁻¹
+// slot (rankProgram.waiters).
+type gemmDesc struct{ k, i, j, bc, av, red, pos, next int32 }
 
-// sideProgram is a rank's role on one side of the second loop (core.Side).
-// Keys of the form (K, I) name the side's factor block I of supernode K:
-// L_{I,K} on the lower side, U_{K,I} on the upper.
+// collRole is a rank's part in one collective of the plan, resolved once so
+// that no message handler asks the tree: its neighbours, the block and, for a
+// reduction, how many local products it folds ahead of its children's sums.
+type collRole struct {
+	op     *core.CollOp
+	kids   []int // op.Tree.Children(rank), the tree's own storage
+	parent int32 // op.Tree.Parent(rank): -1 at the root
+	nlocal int32
+	id     int32 // block id (template.first) of (op.Blk, op.K)
+}
+
+func newCollRole(op *core.CollOp, rank int, id, nlocal int32) collRole {
+	return collRole{op: op, kids: op.Tree.Children(rank), parent: int32(op.Tree.Parent(rank)), nlocal: nlocal, id: id}
+}
+
+// sideRole is a rank's share of one supernode K on one side (core.Side). The
+// owner map is factored (procgrid.Map), so it is a product: own blocks of C
+// lie on the rank's grid line along the side's own axis (its grid row on the
+// lower side, column on the upper), bc blocks on its line along the other,
+// the broadcast axis. It takes part in own reductions, bc broadcasts and
+// bc×own products, and owns the own factor blocks when it sits on K's line
+// (diag ≥ 0) — each numbered from a first slot by the block's position among
+// the blocks of C on the same line (template.pos). The product of broadcast
+// block b and reduction o is task + b·own + o, at fold position b.
+type sideRole struct {
+	own, bc               int32
+	hat, bcast, red, task int32
+	diag                  int32 // broadcast slot of K's pass-1 diagonal broadcast, -1 when not in it
+}
+
+// sideProgram is a rank's role on one side of the second loop, by slot.
 type sideProgram struct {
-	trsmByK   map[int][]int   // K -> blocks I of owned factor blocks to normalize
-	crossSrcs []*core.PointOp // owned normalized blocks to cross-send at pass-2 start
-
-	tasks   []gemmDesc
-	byBcast map[blockKey][]int // (K, I) -> task indices waiting on that broadcast
-	byBlock map[blockKey][]int // A⁻¹ block (row, col) -> task indices waiting on it
-	nlocal  map[blockKey]int   // (K, J) -> local GEMM contributions to that reduction
+	roles  []sideRole      // by rankProgram.snode
+	cross  []*core.PointOp // by hat slot: the pass-2 cross-send of owned block L_{I,K} | U_{K,I}
+	bcasts []collRole      // by broadcast slot
+	tasks  []gemmDesc
 }
 
 // rankProgram is the immutable per-rank role description derived centrally
-// from the communication plan (so that setup cost is proportional to the
-// plan size, not plan size × ranks).
+// from the plan (setup cost proportional to the plan, not plan × ranks).
 type rankProgram struct {
 	expect1 int // messages this rank receives in pass 1
 	expect2 int // messages this rank receives in pass 2
@@ -66,134 +93,240 @@ type rankProgram struct {
 	diagRoots []int // supernodes whose diagonal block this rank owns (C non-empty)
 	leafDiags []int // supernodes with empty C whose diagonal this rank owns
 
-	// The upper side stays empty on a symmetric plan. The local contributions
-	// to Diag-Reduce K are the blocks of side[core.Lower].trsmByK[K].
-	side [2]sideProgram
+	// snode maps a supernode to the index of this rank's role in it, -1 for
+	// none: the one table sized by the pattern, not by what the rank touches.
+	snode   []int32
+	diagRed []int32        // by role index: the Diag-Reduce slot in reds, -1 when not in it
+	side    [2]sideProgram // the upper side stays empty on a symmetric plan
+	reds    []collRole     // by reduction slot
+	ainvKey []blockmat.Key // by A⁻¹ slot: the owned block
+	// waiters heads, by A⁻¹ slot, the chain of tasks waiting on the block:
+	// 1 + (task index<<1 | side), ascending, the lower side's first; 0 ends it.
+	waiters []int32
 }
 
-// Engine executes parallel selected inversion for one (plan, factorization)
-// pair. It is safe to Run multiple times; each run gets fresh state.
-type Engine struct {
-	Plan     *core.Plan
-	LU       *factor.LU
+// template is what NewEngine derives from the plan and Rebind shares: the
+// programs, the block-indexed tables through which a message tag (kind, K,
+// blk) reaches its receiver's slot, and the run states of finished runs.
+type template struct {
 	programs []*rankProgram
-	// heights holds each supernode's elimination-tree height, the
-	// critical-path dispatch priority of DAG mode (immutable, shared by
-	// Rebind like the programs).
-	heights []int
+	heights  []int   // elimination-tree height per supernode: the DAG dispatch priority
+	first    []int32 // BlockID(K, K): block (C[x], K) and its mirror have id first[K]+1+x
+	// pos[0|1][id] counts the earlier blocks of C on the block's grid row |
+	// column; ainv[side][id] is the owner's A⁻¹ slot of the lower block | its mirror.
+	pos, ainv [2][]int32
+
+	mu   sync.Mutex
+	idle [][]*rankState // cleared state sets of successful runs, at most maxIdleStates
+}
+
+const maxIdleStates = 4
+
+// Engine executes parallel selected inversion for one (plan, factorization)
+// pair. It is safe to Run multiple times, also concurrently: each run has its
+// own state, an earlier run's when there is one.
+type Engine struct {
+	Plan *core.Plan
+	LU   *factor.LU
+	tmpl *template // immutable apart from its free list; shared by Rebind
 	// Obs, when non-nil, observes the run: it is installed on the run's
 	// world for per-message telemetry, the rank goroutines append their
-	// compute and collective spans to it, and the result carries one
-	// snapshot per local rank (RunResult.Snapshots). Set it before calling
-	// Run; its state is per-run, so use a fresh collector for every run.
-	// Nil costs the hot path one pointer check per span site.
+	// spans to it, and the result carries one snapshot per local rank. Its
+	// state is per-run: set a fresh collector before every Run. Nil costs
+	// the hot path one pointer check per span site.
 	Obs *obs.Collector
 	// Chaos, when non-nil, installs a seeded delivery adversary
 	// (internal/chaos) on each run's world.
 	Chaos *chaos.Config
 	// DAG schedules each rank's TRSM/GEMM-sized compute as a task DAG on
 	// the shared dense worker pool (see dag.go), overlapping it with the
-	// tree collectives that stay on the rank goroutine. The reductions fold
-	// in the same fixed order either way (see redState), so a DAG run is
-	// byte-identical to a sequential run of the same plan.
+	// collectives, which stay on the rank goroutine. Reductions fold in the
+	// same fixed order either way (see redState): byte-identical results.
 	DAG bool
 }
 
-// NewEngine derives the per-rank programs from the plan.
+// NewEngine derives the per-rank programs and the slot tables from the plan.
 func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
-	progs := make([]*rankProgram, plan.Grid.Size())
+	bp, own, grid := plan.BP, plan.Owners, plan.Grid
+	ns, nb := bp.NumSnodes(), bp.NNZBlocks()
+	tm := &template{programs: make([]*rankProgram, grid.Size()), first: make([]int32, ns),
+		heights: core.SnodeHeights(bp.SnParent)}
+	progs := tm.programs
 	for r := range progs {
-		progs[r] = &rankProgram{}
-		for _, s := range plan.Sides() {
-			progs[r].side[s] = sideProgram{trsmByK: map[int][]int{},
-				byBcast: map[blockKey][]int{}, byBlock: map[blockKey][]int{}, nlocal: map[blockKey]int{}}
+		progs[r] = &rankProgram{snode: make([]int32, ns)}
+		for k := range progs[r].snode {
+			progs[r].snode[k] = -1
 		}
 	}
-	// Every non-root participant of a broadcast receives one message; every
-	// participant of a reduction one per child.
-	bcastRecvs := func(op *core.CollOp, pass1 bool) {
-		for _, part := range op.Tree.Participants() {
-			if part == op.Tree.Root {
+	for x := range tm.pos {
+		tm.pos[x], tm.ainv[x] = make([]int32, nb), make([]int32, nb)
+	}
+	slot := func(i, j int) int32 {
+		p := progs[own.OwnerOfBlock(i, j)]
+		p.ainvKey = append(p.ainvKey, blockmat.Key{I: i, J: j})
+		return int32(len(p.ainvKey) - 1)
+	}
+	// First the slots a rank's state is laid out by, so that every slot array
+	// is allocated once, at its final size: each A⁻¹ block's at its owner, each
+	// block's position along both grid axes and, for every rank on a grid row
+	// and a grid column that C ∪ {K} reaches — exactly the participants — its
+	// role: counts and first slots.
+	type counts struct {
+		red  int32
+		side [2]struct{ hat, bcast, task int32 }
+	}
+	n := make([]counts, len(progs))
+	lineCnt := [2][]int32{make([]int32, grid.Pr), make([]int32, grid.Pc)}
+	for k := 0; k < ns; k++ {
+		id, _ := bp.BlockID(k, k)
+		tm.first[k] = int32(id)
+		clear(lineCnt[0])
+		clear(lineCnt[1])
+		for x, i := range bp.RowsOf[k] {
+			tm.ainv[core.Lower][id+x] = slot(i, k)
+			if x == 0 {
 				continue
 			}
-			if pass1 {
-				progs[part].expect1++
-			} else {
-				progs[part].expect2++
+			tm.ainv[core.Upper][id+x] = slot(k, i)
+			for ax, line := range [2]int{own.RowOf[i], own.ColOf[i]} {
+				tm.pos[ax][id+x] = lineCnt[ax][line]
+				lineCnt[ax][line]++
+			}
+		}
+		if len(bp.RowsOf[k]) == 1 {
+			continue
+		}
+		for pr, nr := range lineCnt[0] {
+			for pc, nc := range lineCnt[1] {
+				onK := [2]bool{pc == own.ColOf[k], pr == own.RowOf[k]} // on K's line along the side's own axis
+				if nr == 0 && !onK[1] || nc == 0 && !onK[0] {
+					continue
+				}
+				r, cnt := grid.RankOf(pr, pc), [2]int32{nr, nc}
+				p, c := progs[r], &n[r]
+				p.snode[k] = int32(len(p.diagRed))
+				for _, s := range plan.Sides() {
+					cs := &c.side[s]
+					ro := sideRole{own: cnt[s], bc: cnt[1-s], hat: cs.hat, bcast: cs.bcast, red: c.red, task: cs.task, diag: -1}
+					cs.bcast, c.red, cs.task = cs.bcast+ro.bc, c.red+ro.own, cs.task+ro.bc*ro.own
+					if onK[s] { // in the pass-1 diagonal broadcast: owns the side's own factor blocks
+						ro.diag, cs.bcast, cs.hat = cs.bcast, cs.bcast+1, cs.hat+ro.own
+					}
+					p.side[s].roles = append(p.side[s].roles, ro)
+				}
+				if p.diagRed = append(p.diagRed, -1); onK[core.Lower] { // in Diag-Reduce K
+					p.diagRed[p.snode[k]], c.red = c.red, c.red+1
+				}
 			}
 		}
 	}
-	reduceRecvs := func(op *core.CollOp) {
-		for _, part := range op.Tree.Participants() {
-			progs[part].expect2 += len(op.Tree.Children(part))
+	for r, p := range progs {
+		p.reds = make([]collRole, n[r].red)
+		for s, c := range n[r].side {
+			ps := &p.side[s]
+			ps.cross, ps.bcasts, ps.tasks = make([]*core.PointOp, c.hat), make([]collRole, c.bcast), make([]gemmDesc, c.task)
 		}
 	}
+	// Last the plan's operations into their slots. Every non-root participant
+	// of a broadcast receives one message; every participant of a reduction one
+	// per child.
 	for _, sp := range plan.Snodes {
 		k := sp.K
-		diagOwner := plan.Owners.OwnerOfBlock(k, k)
+		diagOwner := own.OwnerOfBlock(k, k)
 		if len(sp.C) == 0 {
 			progs[diagOwner].leafDiags = append(progs[diagOwner].leafDiags, k)
 			continue
 		}
 		progs[diagOwner].diagRoots = append(progs[diagOwner].diagRoots, k)
+		c0 := tm.first[k] + 1 // id of block C[0]
 		for _, s := range plan.Sides() {
-			ops := sp.Side(s)
-			owner := func(i, j int) *sideProgram {
-				return &progs[plan.Owners.OwnerOfBlock(s.Block(i, j))].side[s]
+			ops, along, across := sp.Side(s), tm.pos[s], tm.pos[1-s]
+			role := func(rank int) (*rankProgram, *sideProgram, *sideRole) {
+				p := progs[rank]
+				return p, &p.side[s], &p.side[s].roles[p.snode[k]]
 			}
-			// Pass 1: diagonal broadcast receives and local TRSMs.
-			bcastRecvs(ops.DiagBcast, true)
-			for _, i := range sp.C {
-				ps := owner(i, k)
-				ps.trsmByK[k] = append(ps.trsmByK[k], i)
+			// Pass 1: diagonal broadcast receives.
+			for _, r := range ops.DiagBcast.Tree.Participants() {
+				p, ps, ro := role(r)
+				if ps.bcasts[ro.diag] = newCollRole(ops.DiagBcast, r, c0-1, 0); r != ops.DiagBcast.Tree.Root {
+					p.expect1++
+				}
 			}
 			// Pass 2: cross sends, broadcasts, reductions.
 			for x := range ops.Cross {
-				po := &ops.Cross[x]
-				progs[po.Src].side[s].crossSrcs = append(progs[po.Src].side[s].crossSrcs, po)
+				id, po, bc, rd := c0+int32(x), &ops.Cross[x], &ops.Bcasts[x], &ops.Reduces[x]
+				_, ps, ro := role(po.Src)
+				ps.cross[ro.hat+along[id]] = po
 				progs[po.Dst].expect2++
-				bcastRecvs(&ops.Bcasts[x], false)
-				reduceRecvs(&ops.Reduces[x])
+				for _, r := range bc.Tree.Participants() {
+					p, ps, ro := role(r)
+					if ps.bcasts[ro.bcast+across[id]] = newCollRole(bc, r, id, 0); r != bc.Tree.Root {
+						p.expect2++
+					}
+				}
+				for _, r := range rd.Tree.Participants() {
+					p, _, ro := role(r)
+					p.reds[ro.red+along[id]] = newCollRole(rd, r, id, ro.bc)
+					p.expect2 += len(rd.Tree.Children(r))
+				}
 			}
-			// GEMM tasks and local reduce contribution counts. I ascends, so the
-			// running per-rank count of a reduction's tasks is each task's fold
-			// position.
-			for _, i := range sp.C {
-				for _, j := range sp.C {
-					ps := owner(j, i)
-					ti := len(ps.tasks)
-					ps.tasks = append(ps.tasks, gemmDesc{K: k, I: i, J: j, Pos: ps.nlocal[blockKey{k, j}]})
-					ps.byBcast[blockKey{k, i}] = append(ps.byBcast[blockKey{k, i}], ti)
-					ps.byBlock[ablock(s, j, i)] = append(ps.byBlock[ablock(s, j, i)], ti)
-					ps.nlocal[blockKey{k, j}]++
+			// The products, at the owner of their A⁻¹ operand.
+			for x, i := range sp.C {
+				for y, j := range sp.C {
+					b, o := across[int(c0)+x], along[int(c0)+y]
+					row, col := s.Block(j, i)
+					_, ps, ro := role(own.OwnerOfBlock(row, col))
+					half := core.Lower
+					if row < col {
+						half = core.Upper
+					}
+					ps.tasks[ro.task+b*ro.own+o] = gemmDesc{k: int32(k), i: int32(i), j: int32(j), bc: ro.bcast + b,
+						av: tm.ainv[half][blockID(plan, min(row, col), max(row, col))], red: ro.red + o, pos: b}
 				}
 			}
 		}
 		for x := range sp.SymmSends {
 			progs[sp.SymmSends[x].Dst].expect2++
 		}
-		reduceRecvs(sp.DiagReduce)
+		// The local contributions to Diag-Reduce K are the owned lower blocks.
+		for _, r := range sp.DiagReduce.Tree.Participants() {
+			p := progs[r]
+			p.reds[p.diagRed[p.snode[k]]] = newCollRole(sp.DiagReduce, r, c0-1, p.side[core.Lower].roles[p.snode[k]].own)
+			p.expect2 += len(sp.DiagReduce.Tree.Children(r))
+		}
 	}
-	return &Engine{Plan: plan, LU: lu, programs: progs, heights: core.SnodeHeights(plan.BP.SnParent)}
+	// Chain every task off the A⁻¹ slot it waits on (built back to front).
+	for _, p := range progs {
+		p.waiters = make([]int32, len(p.ainvKey))
+		for s := len(plan.Sides()) - 1; s >= 0; s-- {
+			for ti := len(p.side[s].tasks) - 1; ti >= 0; ti-- {
+				t := &p.side[s].tasks[ti]
+				t.next, p.waiters[t.av] = p.waiters[t.av], 1+(int32(ti)<<1|int32(s))
+			}
+		}
+	}
+	return &Engine{Plan: plan, LU: lu, tmpl: tm}
 }
 
-// ablock names the A⁻¹ block at side-relative position (i, j): (I,J) itself
-// on the lower side, its mirror (J,I) on the upper (core.Side.Block).
-func ablock(s core.Side, i, j int) blockKey {
-	r, c := s.Block(i, j)
-	return blockKey{r, c}
+// blockID returns the id of block (blk, k), blk ∈ C(k), which its mirror
+// shares: the one search an arriving message costs, all else is an index.
+func blockID(plan *core.Plan, k, blk int) int32 {
+	id, ok := plan.BP.BlockID(blk, k)
+	if !ok {
+		panic(fmt.Sprintf("pselinv: block %d not in the structure of supernode %d", blk, k))
+	}
+	return int32(id)
 }
 
 // Rebind returns a copy of the engine bound to a different numeric
-// factorization. The plan-derived per-rank programs — the expensive part of
-// NewEngine, proportional to the total task count — are shared with the
-// receiver; they are immutable during runs, so rebound engines may run
-// concurrently with each other and with the original. This is the warm path
-// of a plan cache: same sparsity pattern, new values. Obs, Chaos and DAG
-// are reset on the copy so per-run instrumentation and execution modes
-// never leak between requests.
+// factorization. The template — the programs, the expensive part of NewEngine,
+// and the run states they lay out — is shared with the receiver; the programs
+// are immutable and every run takes its own state, so rebound engines may run
+// concurrently. This is the warm path of a plan cache: same sparsity pattern,
+// new values. Obs, Chaos and DAG are reset on the copy so per-run
+// instrumentation and execution modes never leak between requests.
 func (e *Engine) Rebind(lu *factor.LU) *Engine {
-	return &Engine{Plan: e.Plan, LU: lu, programs: e.programs, heights: e.heights}
+	return &Engine{Plan: e.Plan, LU: lu, tmpl: e.tmpl}
 }
 
 // RunResult carries the outcome of a distributed run.
@@ -226,10 +359,10 @@ func (rr *RunResult) Release() {
 	rr.Ainv = nil
 }
 
-// Run executes the two passes on a fresh in-process world and gathers the
-// result (for any other transport, build the world with simmpi.NewWorldOn
-// and use RunWorld). With Chaos set, the world gets a seeded delivery adversary. On error the
-// world is closed; use RunWorld to snapshot a deadlocked world first.
+// Run executes the two passes on a fresh in-process world (with Chaos set,
+// under a seeded delivery adversary) and gathers the result; for any other
+// transport build the world with simmpi.NewWorldOn and use RunWorld. On error
+// the world is closed; use RunWorld to snapshot a deadlocked world first.
 func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 	world := simmpi.NewWorld(e.Plan.Grid.Size())
 	if e.Chaos != nil {
@@ -250,21 +383,19 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 
 // RunWorld executes the two passes on a caller-supplied world (with any
 // adversary already installed; Obs is installed here) and gathers the
-// result. On a timeout the
-// world is NOT closed, so the caller can take a chaos.Snapshot of the stuck
-// ranks and in-flight messages before closing it. A malformed reduce message
-// (see reduceError) closes the world and fails the run at once.
+// result. On a timeout the world is NOT closed, so the caller can take a
+// chaos.Snapshot of the stuck ranks and in-flight messages first. A malformed
+// reduce message (see reduceError) closes the world and fails the run at once.
 //
-// With a distributed transport underneath the world (one rank per
-// process), only the world's local ranks execute and the result gathers
-// only their A⁻¹ blocks; volume conservation is then a cross-process
-// property the launcher checks after aggregating worker counters (see
-// internal/distrun), so the local check is skipped.
+// With a distributed transport underneath the world (one rank per process),
+// only the world's local ranks execute and the result gathers only their A⁻¹
+// blocks; volume conservation is then a cross-process property the launcher
+// checks (see internal/distrun), so the local check is skipped.
 //
 // A symmetric plan needs symmetric values, real or complex (A − zI is
-// symmetric under the plain transpose): on asymmetric ones the run fails
-// with a symmetryError before a message is sent. The general plan is
-// correct for either, at ×1.7 the bytes.
+// symmetric under the plain transpose): on asymmetric ones the run fails with
+// a symmetryError before a message is sent. The general plan is correct for
+// either, at ×1.7 the bytes.
 func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResult, error) {
 	if e.Plan.Symmetric && !e.LU.Symmetric {
 		return nil, symmetryError{fmt.Errorf("pselinv: symmetric plan bound to a %s factorization of asymmetric values (plan with Symmetric = LU.Symmetric)", e.LU.Elem)}
@@ -272,7 +403,9 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	if e.Obs != nil {
 		world.SetObserver(e.Obs)
 	}
-	states := make([]*rankState, world.P)
+	// The state goes back to the template only after a successful gather: a
+	// failed or timed-out run leaves anything in it, its ranks maybe running.
+	states := e.tmpl.takeStates()
 	scheme := e.Plan.Scheme.String()
 	// A malformed reduce message fails the run with the detecting rank's
 	// reduceError: that rank closes the world, which unblocks its peers,
@@ -293,8 +426,7 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 		// attribute samples to simulated ranks and tree schemes.
 		labels := pprof.Labels("pselinv_rank", strconv.Itoa(r.ID), "pselinv_scheme", scheme)
 		pprof.Do(context.Background(), labels, func(context.Context) {
-			st := newRankState(e, r)
-			states[r.ID] = st
+			st := e.bind(states, r)
 			st.runPass1()
 			r.Barrier()
 			st.runPass2()
@@ -312,17 +444,19 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			return nil, cerr
 		}
 	}
-	res := &RunResult{Ainv: blockmat.New(e.Plan.BP.Part), World: world, Elapsed: elapsed}
+	nblocks := 0
+	for _, r := range world.LocalRanks() {
+		nblocks += len(states[r].ainv)
+	}
+	res := &RunResult{Ainv: blockmat.New(e.Plan.BP.Part, nblocks), World: world, Elapsed: elapsed}
 	var loads []core.RankLoad
 	if e.Obs != nil {
 		loads = e.Plan.RankLoads()
 	}
-	for r, st := range states {
-		if st == nil { // non-local rank on a distributed transport
-			continue
-		}
-		for key, m := range st.ainv {
-			res.Ainv.Set(key.I, key.J, m)
+	for _, r := range world.LocalRanks() {
+		st := states[r]
+		for v, m := range st.ainv {
+			res.Ainv.Set(st.prog.ainvKey[v].I, st.prog.ainvKey[v].J, m)
 		}
 		if st.sched != nil {
 			res.Dag = append(res.Dag, st.sched.stats)
@@ -338,32 +472,48 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			}
 			res.Snapshots = append(res.Snapshots, snap)
 		}
-		st.release()
+		st.clear()
 	}
+	e.tmpl.mu.Lock()
+	if len(e.tmpl.idle) < maxIdleStates {
+		e.tmpl.idle = append(e.tmpl.idle, states)
+	}
+	e.tmpl.mu.Unlock()
 	return res, nil
 }
 
-// redState tracks one in-flight reduction at one rank. Every participant
-// folds the same way: its own contributions in ascending canonical slot
-// (fold positions [0, nlocal)), then its children's partial sums in
-// Tree.Children order (positions [nlocal, n)), and sends the one resulting
-// block to its parent. The bracketing is a property of the plan alone, so
-// the result is bit-identical under any delivery order, chaos seed, DAG pool
-// schedule and transport.
+// takeStates returns a cleared state set off the template's free list, or an
+// empty one: each rank's state is laid out by the first run that needs it.
+func (tm *template) takeStates() (set []*rankState) {
+	tm.mu.Lock()
+	defer tm.mu.Unlock()
+	if n := len(tm.idle); n > 0 {
+		set, tm.idle = tm.idle[n-1], tm.idle[:n-1]
+		return set
+	}
+	return make([]*rankState, len(tm.programs))
+}
+
+// redState tracks one reduction at one rank. Every participant folds the same
+// way: its own contributions in ascending canonical slot (fold positions
+// [0, nlocal)), then its children's partial sums in Tree.Children order
+// (positions [nlocal, n)), and sends the one resulting block to its parent.
+// The bracketing is a property of the plan alone, so the result is
+// bit-identical under any delivery order, chaos seed, DAG pool schedule and
+// transport (DESIGN.md §5e).
 //
 // A contribution that finishes ahead of its turn waits in parts — a local
 // one in the private scratch matrix its GEMM wrote (the race-freedom
 // concurrent DAG tasks need), a child's payload by reference — and the
 // in-order prefix is folded eagerly. The lowest local slot computes straight
-// into sum, so a rank with a single contribution holds no scratch at all.
-//
-// sum is arena-backed and becomes nil at completion: ownership moves to the
-// parent's mailbox (non-root), to the finalized ainv block (row/col root),
-// or back to the arena (diag root).
+// into sum. sum is arena-backed: taken on the run's first touch (reduction),
+// nil again at completion, when ownership moves to the parent's mailbox, the
+// finalized ainv block (row/col root) or back to the arena (diag root). parts
+// stays with the state once made, all nil between runs.
 type redState struct {
-	op        *core.CollOp // the plan's reduction this state belongs to
+	*collRole // the plan's reduction, and the rank's place in it
 	sum       *dense.Matrix
-	nlocal, n int
+	n         int         // nlocal + children
 	next      int         // first fold position not yet in sum
 	parts     [][]float64 // by fold position; made on the first out-of-turn arrival
 	done      bool
@@ -382,7 +532,9 @@ func (red *redState) fold(pos int, data []float64) {
 	}
 	for {
 		if data != nil {
-			addPayload(red.sum, data)
+			for i, v := range data {
+				red.sum.Data[i] += v
+			}
 			dense.PutBuf(data)
 		}
 		red.next++
@@ -439,16 +591,10 @@ func (e *reduceError) Error() string {
 // must be a child of this rank in the reduction's tree that has not
 // delivered yet, and the payload one block.
 func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
-	pos := -1
-	for x, c := range red.op.Tree.Children(st.r.ID) {
-		if c == msg.Src {
-			pos = red.nlocal + x
-			break
-		}
-	}
+	pos := int(red.nlocal) + slices.Index(red.kids, msg.Src)
 	var bad string
 	switch {
-	case pos < 0:
+	case pos < int(red.nlocal):
 		bad = "sender is not a child of the receiver in the collective's tree"
 	case pos < red.next || red.parts != nil && red.parts[pos] != nil:
 		bad = "second payload from this child"
@@ -482,96 +628,99 @@ var wire = [...]struct {
 	core.OpColReduce:    {simmpi.ClassColReduce, "col-reduce", core.Upper},
 }
 
-// sideNames holds what the two sides call the same thing: the reduction kind,
-// the compute span kinds and the dependency annotations of DAG task spans.
-var sideNames = [2]struct {
-	reduce                     core.OpKind
-	trsm, gemm, diagDep, bcDep string
-}{
-	core.Lower: {core.OpRowReduce, "trsm", "gemm", "diag-bcast", "bcast"},
-	core.Upper: {core.OpColReduce, "trsm-u", "gemm-u", "diag-bcast-row", "bcast-u"},
+// sideNames holds what the two sides call the same thing: the compute span
+// kinds and the dependency annotations of DAG task spans.
+var sideNames = [2]struct{ trsm, gemm, diagDep, bcDep string }{
+	core.Lower: {"trsm", "gemm", "diag-bcast", "bcast"},
+	core.Upper: {"trsm-u", "gemm-u", "diag-bcast-row", "bcast-u"},
 }
 
-// sideState is a rank's mutable state on one side. Keys are (K, I) as in
-// sideProgram.
+// sideState is a rank's mutable state on one side, by the slots of its
+// sideProgram. An arrived payload is wrapped in the header stored at its
+// slot, so a message costs no allocation; nil Data means not arrived yet.
 type sideState struct {
-	hat      map[blockKey]*dense.Matrix // owned normalized blocks L̂_{I,K} | Û_{K,I} (pass 1 output)
-	bcast    map[blockKey]*dense.Matrix // the same blocks as received by cross-send or broadcast
+	hat      []*dense.Matrix // owned normalized blocks L̂_{I,K} | Û_{K,I} (pass 1 output)
+	bcast    []dense.Matrix  // the same blocks, and diagonal factors, as received
 	taskDone []bool
 }
 
-// rankState is the mutable per-rank runtime state.
+// rankState is the mutable per-rank runtime state: laid out once per
+// template from the rank's program, bound to a run by Engine.bind, and
+// cleared for the next run after a successful gather.
 type rankState struct {
-	e    *Engine
+	e    *Engine // e.tmpl is the template the state was laid out for
 	r    *simmpi.Rank
 	prog *rankProgram
 
 	side [2]sideState
-	ainv map[blockKey]*dense.Matrix // finalized owned A⁻¹ blocks
-	red  map[uint64]*redState       // in-flight reductions by op key
+	ainv []*dense.Matrix // finalized owned A⁻¹ blocks, nil until final
+	red  []redState
 
 	// sched, non-nil iff Engine.DAG, detours TRSM/GEMM-sized compute
-	// through the worker-pool task scheduler (see dag.go).
-	sched *dagSched
+	// through the worker-pool task scheduler (see dag.go); dag keeps the
+	// scheduler, with its task free list and heap, for the next DAG run.
+	sched, dag *dagSched
 
 	// elem caches the factorization's element type: every payload and
 	// arena request below is a rows×cols block of it.
 	elem dense.Elem
 }
 
-func newRankState(e *Engine, r *simmpi.Rank) *rankState {
-	st := &rankState{
-		e: e, r: r, prog: e.programs[r.ID],
-		elem: e.LU.Elem,
-		ainv: map[blockKey]*dense.Matrix{},
-		red:  map[uint64]*redState{},
-	}
-	for _, s := range e.Plan.Sides() {
-		st.side[s] = sideState{
-			hat:      map[blockKey]*dense.Matrix{},
-			bcast:    map[blockKey]*dense.Matrix{},
-			taskDone: make([]bool, len(st.prog.side[s].tasks)),
+// bind binds rank r's state in the set to this run, laying it out when no
+// earlier run has: slices sized exactly by what the rank touches.
+func (e *Engine) bind(states []*rankState, r *simmpi.Rank) *rankState {
+	st := states[r.ID]
+	if st == nil {
+		prog := e.tmpl.programs[r.ID]
+		st = &rankState{prog: prog, ainv: make([]*dense.Matrix, len(prog.ainvKey)),
+			red: make([]redState, len(prog.reds))}
+		for x := range st.red {
+			cr := &prog.reds[x]
+			st.red[x] = redState{collRole: cr, n: int(cr.nlocal) + len(cr.kids)}
 		}
+		for s, ps := range prog.side {
+			st.side[s] = sideState{hat: make([]*dense.Matrix, len(ps.cross)),
+				bcast: make([]dense.Matrix, len(ps.bcasts)), taskDone: make([]bool, len(ps.tasks))}
+		}
+		states[r.ID] = st
 	}
+	st.e, st.r, st.elem, st.sched = e, r, e.LU.Elem, nil
 	if e.DAG {
-		st.sched = newDagSched(st)
+		st.sched = st.dagSched()
 	}
 	return st
 }
 
-func (st *rankState) width(k int) int { return st.e.Plan.BP.Part.Width(k) }
-
-func matFromData(rows, cols int, elem dense.Elem, data []float64) *dense.Matrix {
-	if len(data) != rows*cols*elem.Width() {
-		panic(fmt.Sprintf("pselinv: %s payload %d does not match %dx%d block",
-			elem, len(data), rows, cols))
-	}
-	return &dense.Matrix{Rows: rows, Cols: cols, Elem: elem, Data: data}
-}
-
-// addPayload accumulates a raw reduce payload into sum without wrapping it
-// in a matrix header.
-func addPayload(sum *dense.Matrix, data []float64) {
-	if len(data) != len(sum.Data) {
-		panic(fmt.Sprintf("pselinv: reduce payload %d does not match %dx%d sum",
-			len(data), sum.Rows, sum.Cols))
-	}
-	for i, v := range data {
-		sum.Data[i] += v
-	}
-}
-
-// release returns this rank's engine-owned scratch — the normalized L̂/Û
-// copies made in pass 1 — to the kernel arena. It must run only after every
-// rank has finished: broadcast maps on other ranks alias these buffers
-// zero-copy. The bcast maps are aliases of a peer's L̂/Û and are deliberately
-// not released; finalized A⁻¹ blocks are owned by the RunResult.
-func (st *rankState) release() {
-	for _, ss := range st.side {
+// clear makes the state of a successful run ready for the next one. The L̂/Û
+// copies of pass 1 go back to the kernel arena — only now that every rank has
+// finished: the broadcast headers of other ranks alias them zero-copy (and
+// are dropped, not released). The A⁻¹ blocks belong to the RunResult; every
+// reduction has completed, so its sum has moved on and its parts are nil.
+func (st *rankState) clear() {
+	for s := range st.side {
+		ss := &st.side[s]
 		for _, m := range ss.hat {
 			dense.PutMatrix(m)
 		}
+		clear(ss.hat)
+		clear(ss.bcast)
+		clear(ss.taskDone)
 	}
+	clear(st.ainv)
+	for x := range st.red {
+		st.red[x].next, st.red[x].done = 0, false
+	}
+	st.e, st.r = nil, nil
+}
+
+func (st *rankState) width(k int) int { return st.e.Plan.BP.Part.Width(k) }
+
+// block wraps an arrived payload as the rows×cols block it must be.
+func (st *rankState) block(rows, cols int, data []float64) dense.Matrix {
+	if len(data) != rows*cols*st.elem.Width() {
+		panic(fmt.Sprintf("pselinv: %s payload %d does not match %dx%d block", st.elem, len(data), rows, cols))
+	}
+	return dense.Matrix{Rows: rows, Cols: cols, Elem: st.elem, Data: data}
 }
 
 // --- Compute: value tasks, one site per kernel -----------------------------
@@ -588,8 +737,7 @@ const (
 // its operands and output, and what completes when it has run. exec either
 // runs it on the spot or hands it to the DAG scheduler, so every kernel call
 // is written once (compute) and its bookkeeping once (finish). A value, not
-// closures: a sequential run executes tens of thousands of these per
-// inversion without allocating for any of them.
+// closures: a sequential run executes tens of thousands without allocating.
 type task struct {
 	kernel kernel
 	ta     dense.Trans // kGemm: transpose a
@@ -667,7 +815,7 @@ func (st *rankState) finish(t *task) {
 		if t.a != nil {
 			dense.PutMatrix(t.a)
 		}
-		st.finalize(blockKey{t.k, t.k}, t.out)
+		st.finalize(st.e.tmpl.ainv[core.Lower][st.e.tmpl.first[t.k]], t.out)
 	}
 }
 
@@ -679,8 +827,8 @@ func (t *task) deps() string {
 	case t.kernel == kGemm && t.ta == dense.DoTrans:
 		return fmt.Sprintf("lhat(%d,%d) rowred(%d,%d)", t.i, t.k, t.k, t.i)
 	case t.kernel == kGemm:
-		av := ablock(t.side, t.j, t.i)
-		return fmt.Sprintf("%s(%d,%d) ainv(%d,%d)", sideNames[t.side].bcDep, t.k, t.i, av.I, av.J)
+		row, col := t.side.Block(t.j, t.i)
+		return fmt.Sprintf("%s(%d,%d) ainv(%d,%d)", sideNames[t.side].bcDep, t.k, t.i, row, col)
 	case t.a != nil:
 		return fmt.Sprintf("diag-reduce(%d)", t.k)
 	}
@@ -727,8 +875,11 @@ func (st *rankState) runPass1() {
 // s's pass-1 broadcast (the column on the lower side, the row on the upper)
 // and normalizes every factor block this rank owns there.
 func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
-	st.forward(st.e.Plan.Snodes[k].Side(s).DiagBcast, dk)
-	for _, i := range st.prog.side[s].trsmByK[k] {
+	ps := &st.prog.side[s]
+	ro := &ps.roles[st.prog.snode[k]]
+	st.forward(&ps.bcasts[ro.diag], dk)
+	for h := ro.hat; h < ro.hat+ro.own; h++ {
+		i := ps.cross[h].Blk
 		var x *dense.Matrix
 		if s == core.Upper {
 			x = st.e.LU.UCopy(k, i) // formed from L_{I,K} when the values are symmetric
@@ -736,42 +887,39 @@ func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
 			x = dense.GetMatrixCopy(fb)
 		}
 		if x == nil {
-			panic(fmt.Sprintf("pselinv: plan references missing factor block %v", ablock(s, i, k)))
+			panic(fmt.Sprintf("pselinv: plan references missing factor block (%d,%d) of side %d", i, k, s))
 		}
-		// The map insert happens here so pass 2 finds the block even when the
+		// The slot is filled here so pass 2 finds the block even when the
 		// solve fills it on a worker.
-		st.side[s].hat[blockKey{k, i}] = x
+		st.side[s].hat[h] = x
 		st.exec(task{kernel: kTrsm, side: s, span: sideNames[s].trsm, k: k, a: dk, out: x})
 	}
 }
 
-// forward sends payload m to this rank's children in broadcast op, under a
-// collective-communication span tagged with the rank's role in the tree, so
-// the Chrome trace merges communication spans with the compute spans on one
-// timeline. The span covers only the message handling, not the compute it
-// unblocks — the GEMM/TRSM spans stand on their own.
-func (st *rankState) forward(op *core.CollOp, m *dense.Matrix) {
+// forward sends payload m to this rank's children in broadcast cr, under a
+// collective span tagged with the rank's role in the tree. The span covers
+// only the message handling, not the compute it unblocks.
+func (st *rankState) forward(cr *collRole, m *dense.Matrix) {
 	t0 := st.spanStart()
-	for _, c := range op.Tree.Children(st.r.ID) {
-		st.r.Send(c, op.Key(), wire[op.Kind].class, m.Data)
+	for _, c := range cr.kids {
+		st.r.Send(c, cr.op.Key(), wire[cr.op.Kind].class, m.Data)
 	}
-	st.collSpanEnd(op, t0)
+	st.collSpanEnd(cr, t0)
 }
 
-// collSpanEnd closes the span of this rank's part in collective op.
-func (st *rankState) collSpanEnd(op *core.CollOp, t0 time.Time) {
+// collSpanEnd closes the span of this rank's part in collective cr.
+func (st *rankState) collSpanEnd(cr *collRole, t0 time.Time) {
 	if st.e.Obs == nil {
 		return
 	}
-	me := st.r.ID
 	role := "leaf"
 	switch {
-	case me == op.Tree.Root:
+	case cr.parent < 0:
 		role = "root"
-	case len(op.Tree.Children(me)) > 0:
+	case len(cr.kids) > 0:
 		role = "forwarder"
 	}
-	st.spanEnd(wire[op.Kind].span, op.K, role, t0)
+	st.spanEnd(wire[cr.op.Kind].span, cr.op.K, role, t0)
 }
 
 // runPass2 is the asynchronous selected inversion proper. Its initial local
@@ -782,72 +930,74 @@ func (st *rankState) runPass2() {
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, out: inv})
 	}
 	for _, s := range st.e.Plan.Sides() {
-		for _, po := range st.prog.side[s].crossSrcs {
-			st.r.Send(po.Dst, po.Key(), wire[po.Kind].class, st.side[s].hat[blockKey{po.K, po.Blk}].Data)
+		for h, po := range st.prog.side[s].cross {
+			st.r.Send(po.Dst, po.Key(), wire[po.Kind].class, st.side[s].hat[h].Data)
 		}
 	}
 	st.recvAll(st.prog.expect2)
 }
 
-// cIndex locates blk within the sorted C of a supernode plan.
-func cIndex(c []int, blk int) int {
-	x := sort.SearchInts(c, blk)
-	if x == len(c) || c[x] != blk {
-		panic(fmt.Sprintf("pselinv: block %d not in structure %v", blk, c))
-	}
-	return x
-}
-
+// handle resolves an arrived message to this rank's slot — the supernode's
+// role through snode, the block's place in it through the template's
+// block-indexed tables — and acts on it.
 func (st *rankState) handle(msg simmpi.Message) {
 	kind, k, blk := core.DecodeOpKey(msg.Tag)
-	sp := st.e.Plan.Snodes[k]
+	s, tm, w := wire[kind].side, st.e.tmpl, st.width(k)
+	ps, ss := &st.prog.side[s], &st.side[s]
+	ro := &ps.roles[st.prog.snode[k]]
 	switch kind {
 	case core.OpDiagBcast, core.OpDiagBcastRow:
-		st.diagArrived(wire[kind].side, k, matFromData(st.width(k), st.width(k), st.elem, msg.Data))
+		ss.bcast[ro.diag] = st.block(w, w, msg.Data)
+		st.diagArrived(s, k, &ss.bcast[ro.diag])
 	case core.OpCrossSend, core.OpColBcast, core.OpCrossSendU, core.OpRowBcast:
 		// The normalized block L̂_{I,K} | Û_{K,I} arrives — by cross-send at
 		// its broadcast root, else from the tree parent: forward it down the
 		// tree (processor column I | row I), store it and fire the products
 		// whose A⁻¹ operand is already final.
-		s := wire[kind].side
-		rows, cols := s.Block(st.width(blk), st.width(k))
-		h := matFromData(rows, cols, st.elem, msg.Data)
-		st.forward(&sp.Side(s).Bcasts[cIndex(sp.C, blk)], h)
-		st.side[s].bcast[blockKey{k, blk}] = h
-		for _, ti := range st.prog.side[s].byBcast[blockKey{k, blk}] {
+		id := blockID(st.e.Plan, k, blk)
+		b := tm.pos[1-s][id]
+		rows, cols := s.Block(st.width(blk), w)
+		ss.bcast[ro.bcast+b] = st.block(rows, cols, msg.Data)
+		st.forward(&ps.bcasts[ro.bcast+b], &ss.bcast[ro.bcast+b])
+		for ti := ro.task + b*ro.own; ti < ro.task+(b+1)*ro.own; ti++ {
 			st.tryRun(s, ti)
 		}
 		if kind == core.OpCrossSendU {
 			// The row-broadcast root is also the Row-Reduce root for block
 			// (I,K), so the diagonal contribution for it may now fire.
-			st.tryDiagContrib(k, blk)
+			st.tryDiagContrib(k, blk, id)
 		}
 	case core.OpRowReduce, core.OpColReduce, core.OpDiagReduce:
-		red := st.reduction(kind, k, blk)
+		v := st.prog.diagRed[st.prog.snode[k]]
+		if kind != core.OpDiagReduce {
+			v = ro.red + tm.pos[s][blockID(st.e.Plan, k, blk)]
+		}
+		red := st.reduction(v)
 		st.childArrived(red, msg)
 		st.maybeComplete(red)
 	case core.OpSymmSend:
 		// Finalized A⁻¹_{J,K} arrives at the owner of (K, J); mirror it.
 		// The payload is the sender's finalized block (not ours to recycle).
-		low := matFromData(st.width(blk), st.width(k), st.elem, msg.Data)
+		low := st.block(st.width(blk), w, msg.Data)
 		up := dense.GetMatrixUninitElem(low.Cols, low.Rows, low.Elem)
 		low.TransposeInto(up)
-		st.finalize(blockKey{k, blk}, up)
+		st.finalize(tm.ainv[core.Upper][blockID(st.e.Plan, k, blk)], up)
 	default:
 		panic(fmt.Sprintf("pselinv: unexpected %v message", kind))
 	}
 }
 
-// finalize records an owned A⁻¹ block and fires any GEMM waiting on it.
-func (st *rankState) finalize(key blockKey, m *dense.Matrix) {
-	if _, dup := st.ainv[key]; dup {
-		panic(fmt.Sprintf("pselinv: block (%d,%d) finalized twice", key.I, key.J))
+// finalize records the owned A⁻¹ block of slot v and fires any GEMM waiting
+// on it.
+func (st *rankState) finalize(v int32, m *dense.Matrix) {
+	if st.ainv[v] != nil {
+		panic(fmt.Sprintf("pselinv: block %v finalized twice", st.prog.ainvKey[v]))
 	}
-	st.ainv[key] = m
-	for _, s := range st.e.Plan.Sides() {
-		for _, ti := range st.prog.side[s].byBlock[key] {
-			st.tryRun(s, ti)
-		}
+	st.ainv[v] = m
+	for w := st.prog.waiters[v]; w != 0; {
+		s, ti := core.Side((w-1)&1), (w-1)>>1
+		w = st.prog.side[s].tasks[ti].next
+		st.tryRun(s, ti)
 	}
 }
 
@@ -855,18 +1005,11 @@ func (st *rankState) finalize(key blockKey, m *dense.Matrix) {
 // accumulating into the reduction for (K,J): A⁻¹_{J,I}·L̂_{I,K} into
 // Row-Reduce on the lower side, Û_{K,I}·A⁻¹_{I,J} into Col-Reduce on the
 // upper.
-func (st *rankState) tryRun(s core.Side, ti int) {
+func (st *rankState) tryRun(s core.Side, ti int32) {
 	ss := &st.side[s]
-	if ss.taskDone[ti] {
-		return
-	}
-	t := st.prog.side[s].tasks[ti]
-	h, ok := ss.bcast[blockKey{t.K, t.I}]
-	if !ok {
-		return
-	}
-	av, ok := st.ainv[ablock(s, t.J, t.I)]
-	if !ok {
+	t := &st.prog.side[s].tasks[ti]
+	h, av := &ss.bcast[t.bc], st.ainv[t.av]
+	if ss.taskDone[ti] || h.Data == nil || av == nil {
 		return
 	}
 	ss.taskDone[ti] = true
@@ -874,54 +1017,43 @@ func (st *rankState) tryRun(s core.Side, ti int) {
 	if s == core.Upper {
 		a, b = h, av
 	}
-	red := st.reduction(sideNames[s].reduce, t.K, t.J)
-	st.exec(task{kernel: kGemm, side: s, span: sideNames[s].gemm, k: t.K, i: t.I, j: t.J,
-		a: a, b: b, out: red.localOut(t.Pos), red: red, pos: t.Pos})
+	red, pos := st.reduction(t.red), int(t.pos)
+	st.exec(task{kernel: kGemm, side: s, span: sideNames[s].gemm, k: int(t.k), i: int(t.i), j: int(t.j),
+		a: a, b: b, out: red.localOut(pos), red: red, pos: pos})
 }
 
 // tryDiagContrib fires the diagonal contribution Û_{K,J}·A⁻¹_{J,K} at the
-// owner of (J,K) into the Diag-Reduce sum, once both operands exist. On the
-// symmetric plan Û_{K,J} is the rank's own L̂_{J,K} transposed and the
-// Row-Reduce finalization of A⁻¹_{J,K} is the only caller. On the general
-// plan it is the block the Û cross-send delivers here, so two asynchronous
-// events complete the pair and both handlers call in; the later one fires.
-func (st *rankState) tryDiagContrib(k, j int) {
-	u, ta := st.side[core.Lower].hat[blockKey{k, j}], dense.DoTrans
+// owner of (J,K), block id, into the Diag-Reduce sum, once both operands
+// exist. On the symmetric plan Û_{K,J} is the rank's own L̂_{J,K} transposed
+// and the Row-Reduce finalization of A⁻¹_{J,K} is the only caller. On the
+// general plan it is the block the Û cross-send delivers here: two events
+// complete the pair, both handlers call in and the later one fires.
+func (st *rankState) tryDiagContrib(k, j int, id int32) {
+	li := st.prog.snode[k]
+	// The rank contributes once per owned block (J,K), ascending: the block's
+	// position on this grid row is its hat offset and its fold position.
+	pos := st.e.tmpl.pos[core.Lower][id]
+	u, ta := st.side[core.Lower].hat[st.prog.side[core.Lower].roles[li].hat+pos], dense.DoTrans
 	if !st.e.Plan.Symmetric {
-		u, ta = st.side[core.Upper].bcast[blockKey{k, j}], dense.NoTrans
+		u, ta = &st.side[core.Upper].bcast[st.prog.side[core.Upper].roles[li].bcast+pos], dense.NoTrans
 	}
-	av := st.ainv[blockKey{j, k}]
-	if u == nil || av == nil {
+	av := st.ainv[st.e.tmpl.ainv[core.Lower][id]]
+	if u.Data == nil || av == nil {
 		return
 	}
-	red := st.reduction(core.OpDiagReduce, k, k)
-	// The rank contributes once per owned block (J,K); trsmByK lists those
-	// ascending, which makes the index the fold position.
-	pos := cIndex(st.prog.side[core.Lower].trsmByK[k], j)
+	red := st.reduction(st.prog.diagRed[li])
 	st.exec(task{kernel: kGemm, ta: ta, side: core.Upper, span: "gemm", k: k, i: j, j: k,
-		a: u, b: av, out: red.localOut(pos), red: red, pos: pos})
+		a: u, b: av, out: red.localOut(int(pos)), red: red, pos: int(pos)})
 }
 
-// reduction returns this rank's state of the reduction (kind, k, blk),
-// created by whichever comes first, a local contribution or a child's
-// partial sum.
-func (st *rankState) reduction(kind core.OpKind, k, blk int) *redState {
-	key := core.OpKey(kind, k, blk)
-	if red, ok := st.red[key]; ok {
-		return red
+// reduction returns this rank's state of the reduction in slot v, giving it
+// its zeroed sum on the run's first touch.
+func (st *rankState) reduction(v int32) *redState {
+	red := &st.red[v]
+	if red.sum == nil && !red.done { // Diag-Reduce has Blk = K
+		rows, cols := wire[red.op.Kind].side.Block(st.width(red.op.Blk), st.width(red.op.K))
+		red.sum = dense.GetMatrixElem(rows, cols, st.elem)
 	}
-	sp := st.e.Plan.Snodes[k]
-	w := st.width(k)
-	op, rows, cols, nlocal := sp.DiagReduce, w, w, len(st.prog.side[core.Lower].trsmByK[k])
-	if kind != core.OpDiagReduce {
-		s := wire[kind].side
-		op = &sp.Side(s).Reduces[cIndex(sp.C, blk)]
-		rows, cols = s.Block(st.width(blk), w)
-		nlocal = st.prog.side[s].nlocal[blockKey{k, blk}]
-	}
-	red := &redState{op: op, sum: dense.GetMatrixElem(rows, cols, st.elem),
-		nlocal: nlocal, n: nlocal + len(op.Tree.Children(st.r.ID))}
-	st.red[key] = red
 	return red
 }
 
@@ -932,38 +1064,36 @@ func (st *rankState) maybeComplete(red *redState) {
 		return
 	}
 	red.done = true
-	op, me := red.op, st.r.ID
-	k, j := op.K, op.Blk
+	op, k := red.op, red.op.K
 	t0 := st.spanStart()
 	m := red.sum
 	red.sum = nil // ownership moves on: see redState
-	if me != op.Tree.Root {
+	if red.parent >= 0 {
 		// The buffer travels up the tree; the parent recycles it.
-		st.r.Send(op.Tree.Parent(me), op.Key(), wire[op.Kind].class, m.Data)
-		st.collSpanEnd(op, t0)
+		st.r.Send(int(red.parent), op.Key(), wire[op.Kind].class, m.Data)
+		st.collSpanEnd(red.collRole, t0)
 		return
 	}
 	if op.Kind == core.OpDiagReduce {
 		// A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
-		st.collSpanEnd(op, t0)
+		st.collSpanEnd(red.collRole, t0)
 		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, a: m, out: diag})
 		return
 	}
 	// A⁻¹_{J,K} | A⁻¹_{K,J} = −Σ, released via RunResult.Release.
 	m.Scale(-1)
-	st.collSpanEnd(op, t0)
+	st.collSpanEnd(red.collRole, t0)
 	s := wire[op.Kind].side
-	st.finalize(ablock(s, j, k), m)
+	st.finalize(st.e.tmpl.ainv[s][red.id], m)
 	if s == core.Upper {
 		return
 	}
 	if st.e.Plan.Symmetric {
 		// Mirror to the upper triangle, which the general plan computes by
 		// its own reductions instead.
-		sp := st.e.Plan.Snodes[k]
-		so := &sp.SymmSends[cIndex(sp.C, j)]
+		so := &st.e.Plan.Snodes[k].SymmSends[red.id-st.e.tmpl.first[k]-1]
 		st.r.Send(so.Dst, so.Key(), wire[so.Kind].class, m.Data)
 	}
-	st.tryDiagContrib(k, j)
+	st.tryDiagContrib(k, op.Blk, red.id)
 }

@@ -115,10 +115,9 @@ func TestEngineBodyRunConserved(t *testing.T) {
 	plan := core.NewPlan(an.BP, procgrid.New(3, 3), core.ShiftedBinaryTree, 5)
 	eng := NewEngine(plan, lu)
 	w := simmpi.NewWorld(plan.Grid.Size())
-	states := make([]*rankState, w.P)
+	states := eng.tmpl.takeStates()
 	simmpi.RunConserved(t, w, testTimeout, func(r *simmpi.Rank) {
-		st := newRankState(eng, r)
-		states[r.ID] = st
+		st := eng.bind(states, r)
 		st.runPass1()
 		r.Barrier()
 		st.runPass2()
@@ -127,7 +126,7 @@ func TestEngineBodyRunConserved(t *testing.T) {
 		for _, m := range st.ainv {
 			dense.PutMatrix(m)
 		}
-		st.release()
+		st.clear()
 	}
 }
 

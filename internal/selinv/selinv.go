@@ -31,8 +31,8 @@ import (
 // L̂_{I,K}ᵀ and uhat stays empty. The copies live on the dense arena.
 func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
 	bp := lu.BP
-	lhat = blockmat.New(bp.Part)
-	uhat = blockmat.New(bp.Part)
+	lhat = blockmat.New(bp.Part, bp.NNZBlocks())
+	uhat = blockmat.New(bp.Part, 0)
 	for k := bp.NumSnodes() - 1; k >= 0; k-- {
 		dk := lu.Diag(k)
 		for _, i := range bp.Struct(k) {
@@ -70,7 +70,7 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 	lhat, uhat := pass1(lu)
 	defer lhat.Release()
 	defer uhat.Release()
-	ainv := blockmat.New(part)
+	ainv := blockmat.New(part, 2*bp.NNZBlocks())
 	// Pass 2: supernodes in descending order (top-down elimination tree
 	// traversal). When processing K, every block A⁻¹_{J,I} with I, J ∈ C(K)
 	// has already been finalized by iterations I, J > K.

@@ -135,18 +135,6 @@ func (m *metrics) observe(phase string, d time.Duration) {
 	m.mu.Unlock()
 }
 
-// phaseQuantile reports the q-quantile of one phase histogram in seconds
-// (NaN when unobserved).
-func (m *metrics) phaseQuantile(phase string, q float64) float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	h := m.latencies[phase]
-	if h == nil {
-		return math.NaN()
-	}
-	return h.quantile(q)
-}
-
 // gauges are sampled at scrape time by the server.
 type gauges struct {
 	PoolInUse, PoolCapacity, QueueDepth, QueueCapacity int

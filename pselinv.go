@@ -244,7 +244,8 @@ func BalancerSlugs() []string { return core.BalancerSlugs() }
 
 // Options configures the analysis phase.
 type Options struct {
-	// Ordering defaults to nested dissection.
+	// Ordering's zero value is OrderNatural (no reordering); pass
+	// OrderNestedDissection for the fill-reducing ordering solvers use.
 	Ordering OrderingMethod
 	// Relax is the supernode amalgamation slack (rows of tolerated
 	// artificial fill); 0 uses a practical default.

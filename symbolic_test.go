@@ -209,16 +209,21 @@ func TestShiftedFingerprintMatchesFreshHash(t *testing.T) {
 	}
 }
 
-// TestWarmRefactorizeAllocBudget holds the benchmark's warm_dg2d_p16 op to
-// an allocation budget: on a warm Symbolic the sparse front end may cost
-// one clone and one permutation of the matrix, not a sort and two
-// transposes (19.4 MB/op before the counting-pass rewrite, ≈10.7 after), and
-// the factorization of the symmetric values stores the lower half of the
-// factor layout only (9.4 MB/op with both halves, 7.3 without the upper).
+// TestWarmRefactorizeAllocBudget holds the benchmark's warm_dg2d_p16 op
+// (nested-dissection ordering, as bench/ runs it) to an allocation budget: on
+// a warm Symbolic the sparse front end may cost one clone and one permutation
+// of the matrix, not a sort and two transposes, the factorization of the
+// symmetric values stores the lower half of the factor layout only, and the
+// engine runs on the template's recycled slot state (8.4 MB/op with per-run
+// maps and per-message headers, 6.9 without). The race detector defeats the
+// sync.Pool arena all of this leans on, so the budget is not held there.
 func TestWarmRefactorizeAllocBudget(t *testing.T) {
-	const budgetMB = 8.5
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const budgetMB = 7.8
 	m := DG2D(24, 24, 4, 1)
-	sym, err := AnalyzePattern(m, Options{})
+	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
 	if err != nil {
 		t.Fatal(err)
 	}
