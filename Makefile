@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test tier1 bench bench-smoke bench-gemm bench-baseline \
+.PHONY: all build test tier1 bench bench-smoke bench-baseline \
 	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
 	tcp-obs balancer-smoke pexsi-batch tables surface surface-gate fmt-check clean
 
@@ -15,7 +15,7 @@ build:
 # tier1 is the gate run by CI and before every merge: vet plus the race
 # detector over the packages with concurrency (the simulated-MPI substrate
 # and its TCP backend, the multi-process launcher, the parallel engine,
-# and the worker-pool dense kernels).
+# and internal/dense for its pool of task-DAG offload slots).
 tier1: vet
 	$(GO) test -race ./internal/simmpi/... ./internal/tcptransport/... \
 		./internal/distrun/... ./internal/pselinv/... ./internal/dense/... \
@@ -141,27 +141,21 @@ pexsi-batch:
 tables:
 	$(GO) run ./cmd/commvol -all $(if $(QUICK),-quick | diff cmd/commvol/testdata/all-quick.golden -)
 
-# The kernel throughput sweep recorded in BENCH_gemm.json (BenchmarkZGemm's
-# numbers land in BENCH_pexsi.json).
-bench-gemm:
-	$(GO) test -run XXX -bench 'BenchmarkGemm$$|BenchmarkGemmNaive|BenchmarkTrsmBlocked|BenchmarkZGemm' \
-		-benchtime 300ms ./internal/dense/
-
 bench:
 	$(GO) test -run XXX -bench 'EndToEnd' -benchtime 300x .
 
 # ---- Bench-regression gate -------------------------------------------------
-# The CI gate re-runs a small, representative benchmark set (two real GEMM
-# shapes, the 4M complex GEMM at 512 and — plain and with a transposed
-# operand — at the engine's median shape, the 16-rank end-to-end inversion,
-# the 4-rank sequential/DAG end-to-end pair, the 16-pole PEXSI batch, the
-# in-place numeric refactorization at the benchmark's DG2D shape, real and
-# complex, lower-only (symmetric values) and through the general loop, the
-# warm refactorize loop — sparse front end + factorization +
-# engine — and the MatrixMarket parse)
-# and compares it against the committed baseline with cmd/benchgate
-# (medians + Mann-Whitney U test). A significant slowdown beyond
-# BENCH_TOLERANCE fails CI.
+# The CI gate re-runs a small, representative benchmark set (real GEMM and
+# TRSM on the shapes the engine issues at MaxWidth 48, the 4M complex GEMM —
+# plain and with a transposed operand — at the engine's median shape, the
+# 16-rank end-to-end inversion, the 4-rank sequential/DAG end-to-end pair,
+# the 16-pole PEXSI batch, the in-place numeric refactorization at the
+# benchmark's DG2D shape, real and complex, lower-only (symmetric values)
+# and through the general loop, the warm refactorize loop — sparse front
+# end + factorization + engine — and the MatrixMarket parse) and compares
+# it against the committed baseline with cmd/benchgate (medians +
+# Mann-Whitney U test). A significant slowdown beyond BENCH_TOLERANCE
+# fails CI.
 #
 # To update the baseline after an intentional perf change (or on new
 # runner hardware): run `make bench-baseline` on the machine class CI uses
@@ -174,7 +168,7 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^(256x256x256|512x512x512)$$|^BenchmarkZGemm$$/^4m$$/^512$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch(P)?16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkWarmRefactorize(ND)?$$|^BenchmarkReadMatrixMarket$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^48x(48|20|8|4)x48$$|^BenchmarkTrsm$$/^(right-lower-unit|left-upper-nonunit)$$/^48x(4|20|48)$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch(P)?16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkWarmRefactorize(ND)?$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt

@@ -42,8 +42,8 @@ var (
 	flagTrace    = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the parallel run to this file")
 	flagObs      = flag.Bool("obs", false, "instrument the parallel run's communication substrate: print the telemetry summary (traffic totals, imbalance, measured forwarding chains, straggler attribution) and write the JSON report + merged Chrome trace to -obs-out")
 	flagObsOut   = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
-	flagDag      = flag.Bool("dag", false, "intra-rank task-DAG execution: schedule supernode updates on the kernel worker pool, overlapped with the tree collectives (result stays byte-identical)")
-	flagWork     = flag.Int("workers", 0, "dense-kernel worker pool size (0 = GOMAXPROCS)")
+	flagDag      = flag.Bool("dag", false, "intra-rank task-DAG execution: schedule supernode updates on the task-DAG offload slots (-workers), overlapped with the tree collectives (result stays byte-identical)")
+	flagWork     = flag.Int("workers", 0, "task-DAG offload slots for -dag, plus one (0 = GOMAXPROCS); dense kernels always run on the calling rank")
 )
 
 func scheme(name string) pselinv.Scheme {

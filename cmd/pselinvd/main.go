@@ -56,7 +56,7 @@ var (
 	flagTimeout   = flag.Duration("timeout", 60*time.Second, "default per-request engine timeout")
 	flagMaxN      = flag.Int("max-n", 20000, "largest accepted matrix dimension")
 	flagMaxProcs  = flag.Int("max-procs", 256, "largest accepted simulated rank count")
-	flagKernel    = flag.Int("kernel-workers", 0, "dense kernel worker threads (0 = GOMAXPROCS)")
+	flagKernel    = flag.Int("kernel-workers", 0, "task-DAG offload slots for \"dag\": true requests, plus one (0 = GOMAXPROCS); dense kernels always run on the calling rank")
 	flagSelftest  = flag.Bool("selftest", false, "run the cold/warm load test against an in-process server and exit")
 	flagLoadtest  = flag.String("loadtest", "", "run the cold/warm load test against a running daemon at this base URL and exit")
 	flagPprof     = flag.Bool("pprof", false, "expose Go profiling under /debug/pprof/ (engine rank goroutines carry pselinv_rank/pselinv_scheme pprof labels)")

@@ -3,7 +3,6 @@ package dense
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -26,8 +25,8 @@ func gemmRef(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix)
 func tolFor(k int) float64 { return 1e-13 * float64(k+4) }
 
 // TestGemmParityBlockedVsNaive drives the public Gemm (which dispatches to
-// the blocked, possibly parallel kernel) across shapes, transpose cases and
-// scalar combinations, and compares against the naive reference.
+// the blocked kernel) across shapes, transpose cases and scalar
+// combinations, and compares against the naive reference.
 func TestGemmParityBlockedVsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := [][3]int{
@@ -80,59 +79,6 @@ func TestGemmEmptyDims(t *testing.T) {
 	}
 }
 
-// TestTrsmParityBlockedVsNaive forces the blocked triangular solve (order
-// above trsmBlockN) in all side/uplo/trans/diag combinations and compares
-// against the retained scalar reference.
-func TestTrsmParityBlockedVsNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{trsmBlockN + 5, 2*trsmNB + 17} {
-		// Off-diagonals scaled by 1/n keep the solve well conditioned for
-		// both diagonal conventions (a random unit triangle would be
-		// exponentially ill-conditioned and any two summation orders would
-		// legitimately diverge).
-		tri := randMat(rng, n, n)
-		for j := 0; j < n; j++ {
-			for i := 0; i < n; i++ {
-				if i == j {
-					tri.Set(i, j, 2)
-				} else {
-					tri.Set(i, j, tri.At(i, j)/float64(n))
-				}
-			}
-		}
-		for _, rhs := range []int{1, 7, 40} {
-			for _, side := range []Side{Left, Right} {
-				br, bc := n, rhs
-				if side == Right {
-					br, bc = rhs, n
-				}
-				b := randMat(rng, br, bc)
-				for _, uplo := range []UpLo{Lower, Upper} {
-					for _, tt := range []Trans{NoTrans, DoTrans} {
-						for _, diag := range []Diag{NonUnit, Unit} {
-							got, want := b.Clone(), b.Clone()
-							Trsm(side, uplo, tt, diag, tri, got)
-							nrhs := bc
-							if side == Right {
-								nrhs = br
-							}
-							trsmNaive(side, uplo, tt, diag, tri, want, 0, nrhs)
-							scale := want.MaxAbs()
-							if scale < 1 {
-								scale = 1
-							}
-							if d := got.MaxAbsDiff(want) / scale; d > tolFor(n) {
-								t.Errorf("n=%d rhs=%d side=%v uplo=%v tt=%v diag=%v: max diff %g",
-									n, rhs, side, uplo, tt, diag, d)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestTrsmEmpty(t *testing.T) {
 	tri := NewMatrix(0, 0)
 	b := NewMatrix(0, 4)
@@ -140,54 +86,6 @@ func TestTrsmEmpty(t *testing.T) {
 	tri2 := Eye(4)
 	b2 := NewMatrix(4, 0)
 	Trsm(Left, Lower, NoTrans, NonUnit, tri2, b2)
-}
-
-// TestGemmParallelWorkers exercises the worker-pool dispatch path (flops
-// above parallelGemmFlops) with several pool degrees and with concurrent
-// callers, as the engine's rank goroutines produce; run under -race this
-// doubles as the pool's race test.
-func TestGemmParallelWorkers(t *testing.T) {
-	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(10))
-	const n = 160 // 2n³ ≈ 8.2M flops > parallelGemmFlops
-	a, b := randMat(rng, n, n), randMat(rng, n, n)
-	want := NewMatrix(n, n)
-	gemmRef(NoTrans, NoTrans, 1, a, b, 0, want)
-	for _, workers := range []int{1, 2, 4} {
-		SetWorkers(workers)
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				c := NewMatrix(n, n)
-				Gemm(NoTrans, NoTrans, 1, a, b, 0, c)
-				if d := c.MaxAbsDiff(want); d > tolFor(n) {
-					t.Errorf("workers=%d: max diff %g", workers, d)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-}
-
-// TestTrsmParallelStripes checks that striping right-hand sides across the
-// pool leaves the solution bitwise identical to the serial path.
-func TestTrsmParallelStripes(t *testing.T) {
-	defer SetWorkers(0)
-	rng := rand.New(rand.NewSource(11))
-	const n = 256 // n²·rhs = 16.7M flops > parallelTrsmFlops
-	tri := randDiagDom(rng, n)
-	b := randMat(rng, n, n)
-	serial := b.Clone()
-	SetWorkers(1)
-	Trsm(Left, Lower, NoTrans, NonUnit, tri, serial)
-	striped := b.Clone()
-	SetWorkers(4)
-	Trsm(Left, Lower, NoTrans, NonUnit, tri, striped)
-	if d := striped.MaxAbsDiff(serial); d != 0 {
-		t.Errorf("striped solve differs from serial by %g (want bitwise identity)", d)
-	}
 }
 
 func TestSetWorkers(t *testing.T) {
@@ -253,17 +151,13 @@ func TestTransposeInto(t *testing.T) {
 	}
 }
 
-// BenchmarkGemm sweeps square and skinny shapes through the public kernel,
-// reporting achieved GFLOP/s; BenchmarkGemmNaive is the retained reference
-// kernel at one size for before/after comparison.
+// BenchmarkGemm runs the public real kernel on the flop-weighted (m, n, k)
+// shapes the benchmark harness's gemm_shape_histogram reports for the engine
+// at the default MaxWidth of 48 — a full supernode block times a full, a
+// typical and two skinny row-block widths — reporting achieved GFLOP/s.
 func BenchmarkGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	shapes := [][3]int{
-		{64, 64, 64}, {128, 128, 128}, {256, 256, 256},
-		{512, 512, 512}, {1024, 1024, 1024},
-		{1024, 64, 1024}, {64, 1024, 64},
-	}
-	for _, sh := range shapes {
+	for _, sh := range [][3]int{{48, 48, 48}, {48, 20, 48}, {48, 8, 48}, {48, 4, 48}} {
 		m, n, k := sh[0], sh[1], sh[2]
 		b.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(b *testing.B) {
 			a := randMat(rng, m, k)
@@ -280,33 +174,39 @@ func BenchmarkGemm(b *testing.B) {
 	}
 }
 
-func BenchmarkGemmNaive(b *testing.B) {
+// BenchmarkTrsm runs the two solves the engine issues — X·L = B against the
+// unit-lower factor and U·X = B against the upper — on a full-width (n = 48)
+// diagonal block with the engine's right-hand-side counts.
+func BenchmarkTrsm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	const n = 512
-	a := randMat(rng, n, n)
-	x := randMat(rng, n, n)
-	c := NewMatrix(n, n)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Zero()
-		gemmNaive(NoTrans, NoTrans, 1, a, x, c)
-	}
-	gf := float64(GemmFlops(n, n, n)) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-	b.ReportMetric(gf, "GFLOP/s")
-}
-
-func BenchmarkTrsmBlocked(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const n = 512
+	const n = 48
 	tri := randDiagDom(rng, n)
-	rhs := randMat(rng, n, n)
-	x := NewMatrix(n, n)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		copy(x.Data, rhs.Data)
-		Trsm(Left, Lower, NoTrans, NonUnit, tri, x)
+	for _, tc := range []struct {
+		name string
+		side Side
+		uplo UpLo
+		diag Diag
+	}{
+		{"right-lower-unit", Right, Lower, Unit},
+		{"left-upper-nonunit", Left, Upper, NonUnit},
+	} {
+		for _, rhs := range []int{4, 20, 48} {
+			b.Run(fmt.Sprintf("%s/%dx%d", tc.name, n, rhs), func(b *testing.B) {
+				rows, cols := n, rhs
+				if tc.side == Right {
+					rows, cols = rhs, n
+				}
+				b0 := randMat(rng, rows, cols)
+				x := NewMatrix(rows, cols)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					copy(x.Data, b0.Data)
+					Trsm(tc.side, tc.uplo, NoTrans, tc.diag, tri, x)
+				}
+				gf := float64(TrsmFlops(n, rhs)) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+				b.ReportMetric(gf, "GFLOP/s")
+			})
+		}
 	}
-	gf := float64(TrsmFlops(n, n)) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-	b.ReportMetric(gf, "GFLOP/s")
 }

@@ -275,7 +275,8 @@ func LUPartialPivot(a *Matrix) ([]int, error) {
 }
 
 // Inverse returns a⁻¹ computed via partially pivoted LU. The input is not
-// modified.
+// modified. It is the tests' whole-matrix oracle — O(n³) scalar loops, the
+// only Trsm caller above supernode-block order — not a production path.
 func Inverse(a *Matrix) (*Matrix, error) {
 	n := a.Rows
 	if a.Cols != n {

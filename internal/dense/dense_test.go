@@ -2,6 +2,7 @@ package dense
 
 import (
 	"math"
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -173,51 +174,61 @@ func TestGemmShapePanic(t *testing.T) {
 	Gemm(NoTrans, NoTrans, 1, NewMatrix(2, 3), NewMatrix(4, 5), 0, NewMatrix(2, 5))
 }
 
+// wellCondTri returns a full n×n matrix either of whose triangles is a
+// well-conditioned triangular operand under both diagonal conventions:
+// diagonal in [2, 3), off-diagonals scaled by 1/n (a random unit triangle
+// would be exponentially ill-conditioned in n).
+func wellCondTri(rng *rand.Rand, n int) *Matrix {
+	tri := randMat(rng, n, n)
+	tri.Scale(1 / float64(n))
+	for j := 0; j < n; j++ {
+		tri.Set(j, j, 2+rng.Float64())
+	}
+	return tri
+}
+
+// TestTrsmAllVariants checks every side/uplo/trans/diag case by its
+// residual ‖op(T)·X − B‖∞, formed with naiveMul so the oracle shares no
+// loop with the solve, at a supernode-block order and at orders well past
+// any the system issues (the whole-matrix oracle Inverse solves those).
+// The opposite triangle is populated, so reading it would show.
 func TestTrsmAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	n, m := 6, 4
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []UpLo{Lower, Upper} {
-			for _, tt := range []Trans{NoTrans, DoTrans} {
-				for _, dg := range []Diag{NonUnit, Unit} {
-					// Build a well-conditioned triangular matrix.
-					tri := NewMatrix(n, n)
-					for j := 0; j < n; j++ {
-						for i := 0; i < n; i++ {
-							inTri := (uplo == Lower && i > j) || (uplo == Upper && i < j)
-							if inTri {
-								tri.Set(i, j, rng.NormFloat64()*0.3)
+	for _, sz := range [][2]int{{6, 4}, {97, 1}, {97, 7}, {97, 40}, {145, 1}, {145, 7}, {145, 40}} {
+		n, m := sz[0], sz[1]
+		tri := wellCondTri(rng, n)
+		for _, side := range []Side{Left, Right} {
+			b := randMat(rng, n, m)
+			if side == Right {
+				b = randMat(rng, m, n)
+			}
+			for _, uplo := range []UpLo{Lower, Upper} {
+				for _, tt := range []Trans{NoTrans, DoTrans} {
+					for _, dg := range []Diag{NonUnit, Unit} {
+						x := b.Clone()
+						Trsm(side, uplo, tt, dg, tri, x)
+						// The triangle Trsm was told to use, diag convention applied.
+						eff := NewMatrix(n, n)
+						for j := 0; j < n; j++ {
+							for i := 0; i < n; i++ {
+								switch {
+								case i == j && dg == Unit:
+									eff.Set(i, j, 1)
+								case i == j, uplo == Lower && i > j, uplo == Upper && i < j:
+									eff.Set(i, j, tri.At(i, j))
+								}
 							}
 						}
-						tri.Set(j, j, 2+rng.Float64())
-					}
-					var b *Matrix
-					if side == Left {
-						b = randMat(rng, n, m)
-					} else {
-						b = randMat(rng, m, n)
-					}
-					x := b.Clone()
-					Trsm(side, uplo, tt, dg, tri, x)
-					// Reconstruct op(t) with the diag convention applied.
-					opT := tri.Clone()
-					if dg == Unit {
-						for i := 0; i < n; i++ {
-							opT.Set(i, i, 1)
+						var back *Matrix
+						if side == Left {
+							back = naiveMul(tt, NoTrans, eff, x)
+						} else {
+							back = naiveMul(NoTrans, tt, x, eff)
 						}
-					}
-					if tt == DoTrans {
-						opT = opT.Transpose()
-					}
-					var back *Matrix
-					if side == Left {
-						back = Mul(NoTrans, NoTrans, opT, x)
-					} else {
-						back = Mul(NoTrans, NoTrans, x, opT)
-					}
-					if d := back.MaxAbsDiff(b); d > 1e-9 {
-						t.Errorf("side=%v uplo=%v trans=%v diag=%v: residual %g",
-							side, uplo, tt, dg, d)
+						if d := back.MaxAbsDiff(b); d > tolFor(n) {
+							t.Errorf("n=%d rhs=%d side=%v uplo=%v trans=%v diag=%v: residual %g",
+								n, m, side, uplo, tt, dg, d)
+						}
 					}
 				}
 			}
@@ -301,15 +312,62 @@ func TestLUPartialPivotSingular(t *testing.T) {
 
 func TestInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
+	sizes := []int{150} // whole-matrix order: what the other packages' oracles ask for
 	for n := 1; n <= 15; n++ {
+		sizes = append(sizes, n)
+	}
+	for _, n := range sizes {
 		a := randDiagDom(rng, n)
 		inv, err := Inverse(a)
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		if d := Mul(NoTrans, NoTrans, a, inv).MaxAbsDiff(Eye(n)); d > 1e-9 {
+		if d := naiveMul(NoTrans, NoTrans, a, inv).MaxAbsDiff(Eye(n)); d > 1e-9 {
 			t.Errorf("n=%d: |A*inv(A)-I| = %g", n, d)
 		}
+	}
+}
+
+// TestInverseComplexEmbedding checks, at a whole-matrix order, the oracle
+// the complex tests of other packages build on Inverse: (A − zI)⁻¹ read off
+// the pivoted real inverse of the 2n×2n embedding [[Re, −Im], [Im, Re]],
+// with the residual (A − zI)·X − I formed in complex128 arithmetic.
+func TestInverseComplexEmbedding(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	const n = 150
+	z := complex(0.5, 2)
+	a := randDiagDom(rng, n)
+	emb := NewMatrix(2*n, 2*n)
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			emb.Set(i, j, a.At(i, j))
+			emb.Set(n+i, n+j, a.At(i, j))
+		}
+		emb.Add(j, j, -real(z))
+		emb.Add(n+j, n+j, -real(z))
+		emb.Set(j, n+j, imag(z))
+		emb.Set(n+j, j, -imag(z))
+	}
+	inv, err := Inverse(emb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	worst := 0.0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			x := func(k int) complex128 { return complex(inv.At(k, j), inv.At(n+k, j)) }
+			s := -z * x(i)
+			for k := 0; k < n; k++ {
+				s += complex(a.At(i, k), 0) * x(k)
+			}
+			if i == j {
+				s -= 1
+			}
+			worst = math.Max(worst, cmplx.Abs(s))
+		}
+	}
+	if worst > 1e-9 {
+		t.Errorf("|(A-zI)*X-I| = %g", worst)
 	}
 }
 
@@ -433,28 +491,6 @@ func TestFlopCounts(t *testing.T) {
 	}
 	if TrsmFlops(3, 5) != 45 {
 		t.Fatalf("TrsmFlops wrong: %d", TrsmFlops(3, 5))
-	}
-}
-
-func BenchmarkGemm64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	a := randMat(rng, 64, 64)
-	c := randMat(rng, 64, 64)
-	out := NewMatrix(64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Gemm(NoTrans, NoTrans, 1, a, c, 0, out)
-	}
-}
-
-func BenchmarkTrsm64(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	tri := randDiagDom(rng, 64)
-	rhs := randMat(rng, 64, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x := rhs.Clone()
-		Trsm(Left, Lower, NoTrans, NonUnit, tri, x)
 	}
 }
 

@@ -15,20 +15,11 @@ const (
 	// blocked path exceeds its benefit and the naive loops win; measured
 	// crossover on the reference machine is near an 8–10 wide product.
 	smallGemmFlops = 1 << 11
-
-	// parallelGemmFlops: below this a GEMM stays on the caller's
-	// goroutine, so small operations pay no dispatch overhead and the
-	// engine's P rank goroutines don't oversubscribe the machine.
-	parallelGemmFlops = 1 << 22
-
-	// minParallelCols is the smallest column stripe handed to a worker.
-	minParallelCols = 32
 )
 
 // view is a window into a column-major operand with an explicit leading
 // dimension and an optional transposition: element (i, j) of op(X) is
-// data[i+j*ld] when !t and data[j+i*ld] when t. The blocked kernels operate
-// on views so TRSM can address sub-blocks of the triangle without copying.
+// data[i+j*ld] when !t and data[j+i*ld] when t.
 type view struct {
 	data []float64
 	ld   int
@@ -44,42 +35,12 @@ func fullView(m *Matrix, tr Trans) view {
 	return view{data: m.Data, ld: m.Rows, r: r, c: c, t: tr == DoTrans}
 }
 
-// cols restricts the view to columns [j0, j1) of op(X).
-func (v view) cols(j0, j1 int) view {
-	w := v
-	w.c = j1 - j0
-	if j0 == 0 {
-		return w
-	}
-	if v.t {
-		w.data = v.data[j0:]
-	} else {
-		w.data = v.data[j0*v.ld:]
-	}
-	return w
-}
-
-// rows restricts the view to rows [i0, i1) of op(X).
-func (v view) rows(i0, i1 int) view {
-	w := v
-	w.r = i1 - i0
-	if i0 == 0 {
-		return w
-	}
-	if v.t {
-		w.data = v.data[i0*v.ld:]
-	} else {
-		w.data = v.data[i0:]
-	}
-	return w
-}
-
 // Gemm computes c = alpha*op(a)*op(b) + beta*c where op is identity or
 // transpose per ta, tb. Shapes must conform; c must be preallocated.
 //
-// Large products run through the cache-blocked register-tiled kernel and,
-// above parallelGemmFlops, are split across the package worker pool (see
-// SetWorkers); small products use the naive reference loops directly.
+// Products above smallGemmFlops run through the cache-blocked
+// register-tiled kernel, smaller ones through the naive reference loops;
+// either way on the caller's goroutine.
 // Complex operands (all three) take the same conventions with a plain,
 // never conjugating transpose — the one under which A − zI is symmetric.
 func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
@@ -122,20 +83,12 @@ func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 		gemmNaive(ta, tb, alpha, a, b, c)
 		return
 	}
-	av, bv := fullView(a, ta), fullView(b, tb)
-	cv := view{data: c.Data, ld: c.Rows, r: am, c: bn}
-	if flops < parallelGemmFlops {
-		gemmBlocked(alpha, av, bv, cv)
-		return
-	}
-	parallelRanges(bn, minParallelCols, func(j0, j1 int) {
-		gemmBlocked(alpha, av, bv.cols(j0, j1), cv.cols(j0, j1))
-	})
+	gemmBlocked(alpha, fullView(a, ta), fullView(b, tb), fullView(c, NoTrans))
 }
 
-// gemmBlocked runs the three-level blocked loop nest over one C stripe:
-// cv += alpha*av*bv. Pack buffers come from the package arena, so the
-// steady state allocates nothing.
+// gemmBlocked runs the three-level blocked loop nest: cv += alpha*av*bv.
+// Pack buffers come from the package arena, so the steady state allocates
+// nothing.
 func gemmBlocked(alpha float64, av, bv, cv view) {
 	m, n, k := av.r, bv.c, av.c
 	mcMax := min(blockMC, (m+mr-1)/mr*mr)

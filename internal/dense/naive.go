@@ -1,10 +1,10 @@
 package dense
 
-// Naive reference kernels: the original unblocked triple-loop GEMM and the
-// scalar TRSM. They remain the executable specification the blocked/tiled
-// kernels are property-tested against, and they serve as the fast path for
-// tiny operands where packing overhead would dominate (the engine's many
-// small supernode blocks).
+// Naive kernels: the original unblocked triple-loop GEMM and the scalar
+// TRSM. The GEMM remains the executable specification the blocked/tiled
+// kernel is property-tested against and the fast path for tiny operands
+// where packing overhead would dominate (the engine's many small supernode
+// blocks); the TRSM is the one solve every caller runs.
 
 // gemmNaive computes c += alpha*op(a)*op(b) with the four loop orders
 // specialized for cache-friendly column-major access. Shapes are assumed
@@ -75,11 +75,9 @@ func gemmNaive(ta, tb Trans, alpha float64, a, b, c *Matrix) {
 	}
 }
 
-// trsmNaive solves the triangular system on the column range [j0, j1) of b
-// (side == Left) or the row range [j0, j1) of b (side == Right), in place,
-// one scalar solve at a time. It is the reference implementation and the
-// execution kernel for small triangles.
-func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, j0, j1 int) {
+// trsmNaive solves the triangular system in place, one scalar solve at a
+// time. It is the only real TRSM: the execution kernel for every triangle.
+func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix) {
 	n := t.Rows
 	// Effective triangle after transposition.
 	effLower := (uplo == Lower) != (tt == DoTrans)
@@ -91,7 +89,7 @@ func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, j0, j1 i
 	}
 	if side == Left {
 		// Solve op(t) X = b column by column.
-		for j := j0; j < j1; j++ {
+		for j := 0; j < b.Cols; j++ {
 			x := b.Data[j*b.Rows : (j+1)*b.Rows]
 			if effLower {
 				for i := 0; i < n; i++ {
@@ -119,9 +117,8 @@ func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, j0, j1 i
 		}
 		return
 	}
-	// side == Right: X op(t) = b; rows of X are independent, so the solve
-	// works on the row slab [j0, j1). Equivalent to op(t)ᵀ Xᵀ = bᵀ;
-	// iterate over columns of op(t).
+	// side == Right: X op(t) = b. Equivalent to op(t)ᵀ Xᵀ = bᵀ; iterate
+	// over columns of op(t).
 	m := b.Rows
 	if effLower {
 		// X[:,j] determined from highest j downward: b_j = sum_{k>=j} X_k t_kj.
@@ -133,13 +130,13 @@ func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, j0, j1 i
 					continue
 				}
 				xk := b.Data[k*m : (k+1)*m]
-				for i := j0; i < j1; i++ {
+				for i := 0; i < m; i++ {
 					xj[i] -= tkj * xk[i]
 				}
 			}
 			if diag == NonUnit {
 				d := at(j, j)
-				for i := j0; i < j1; i++ {
+				for i := 0; i < m; i++ {
 					xj[i] /= d
 				}
 			}
@@ -153,13 +150,13 @@ func trsmNaive(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix, j0, j1 i
 					continue
 				}
 				xk := b.Data[k*m : (k+1)*m]
-				for i := j0; i < j1; i++ {
+				for i := 0; i < m; i++ {
 					xj[i] -= tkj * xk[i]
 				}
 			}
 			if diag == NonUnit {
 				d := at(j, j)
-				for i := j0; i < j1; i++ {
+				for i := 0; i < m; i++ {
 					xj[i] /= d
 				}
 			}

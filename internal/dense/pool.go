@@ -2,16 +2,17 @@ package dense
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
-// The package-level kernel worker pool. Large GEMM/TRSM calls split their
-// independent output stripes across up to Workers() goroutines; the degree
-// is shared by every caller in the process, so the engine's P simulated
-// ranks issuing kernels concurrently cannot oversubscribe the machine: at
-// most Workers()-1 extra goroutines run kernels at any instant, and a
-// caller that finds no free worker simply computes its stripe itself.
+// The package-level worker pool: Workers()-1 task-DAG offload slots. The
+// kernels themselves always run on the caller's goroutine; the pool's one
+// client is the engine's task-DAG scheduler, which offers ready compute
+// tasks to TrySubmit. The degree is shared by every caller in the process,
+// so the engine's P simulated ranks offloading concurrently cannot
+// oversubscribe the machine: at most Workers()-1 extra goroutines run
+// tasks at any instant, and a rank that finds no free slot computes the
+// task itself.
 type workerPool struct {
 	n   int
 	sem chan struct{} // n-1 tokens, one per extra worker
@@ -23,10 +24,10 @@ func init() {
 	SetWorkers(0)
 }
 
-// SetWorkers sets the kernel worker-pool degree and returns the value in
-// effect; n <= 0 resets it to runtime.GOMAXPROCS(0). Safe to call
-// concurrently with running kernels (in-flight operations keep the pool
-// they started with).
+// SetWorkers sets the worker-pool degree and returns the value in effect;
+// n <= 0 resets it to runtime.GOMAXPROCS(0). Safe to call concurrently with
+// running tasks (in-flight tasks release the slot of the pool they took it
+// from).
 func SetWorkers(n int) int {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -35,16 +36,14 @@ func SetWorkers(n int) int {
 	return n
 }
 
-// Workers returns the current kernel worker-pool degree.
+// Workers returns the current worker-pool degree.
 func Workers() int { return kernelPool.Load().n }
 
 // TrySubmit runs fn on a pool worker goroutine if a slot is free right
 // now, returning true; otherwise it returns false without running fn, and
 // the caller decides what to do (typically: run it inline, or keep it
 // queued). The slot is held until fn returns, so at most Workers()-1
-// submitted tasks run concurrently process-wide — the same bound the
-// striped kernels observe, letting task-DAG schedulers and stripe
-// parallelism share one budget without oversubscribing the machine.
+// submitted tasks run concurrently process-wide.
 //
 // fn must not panic: the pool goroutine has no recovery frame, so an
 // escaping panic kills the process. Callers that run arbitrary compute
@@ -61,48 +60,4 @@ func TrySubmit(fn func()) bool {
 	default:
 		return false
 	}
-}
-
-// parallelRanges splits [0, total) into up to Workers() contiguous chunks
-// of at least minChunk and runs fn on each, borrowing pool slots for all
-// but the last chunk. The caller's goroutine always participates, and when
-// every slot is busy the whole range runs on the caller — dispatch never
-// blocks on pool availability.
-func parallelRanges(total, minChunk int, fn func(lo, hi int)) {
-	p := kernelPool.Load()
-	chunks := p.n
-	if c := total / minChunk; c < chunks {
-		chunks = c
-	}
-	if chunks <= 1 {
-		fn(0, total)
-		return
-	}
-	var wg sync.WaitGroup
-	lo := 0
-	for i := 0; i < chunks; i++ {
-		hi := lo + (total-lo)/(chunks-i)
-		if i == chunks-1 {
-			hi = total
-		}
-		if hi <= lo {
-			continue
-		}
-		if i < chunks-1 {
-			select {
-			case p.sem <- struct{}{}:
-				wg.Add(1)
-				go func(l, h int) {
-					defer func() { <-p.sem; wg.Done() }()
-					fn(l, h)
-				}(lo, hi)
-			default:
-				fn(lo, hi) // no free worker: run on the caller
-			}
-		} else {
-			fn(lo, hi) // the caller always takes the last chunk
-		}
-		lo = hi
-	}
-	wg.Wait()
 }

@@ -139,8 +139,9 @@ func (m *metrics) observe(phase string, d time.Duration) {
 type gauges struct {
 	PoolInUse, PoolCapacity, QueueDepth, QueueCapacity int
 	TracesRetained                                     int
-	// KernelWorkers is the dense kernel worker-pool degree — the
-	// concurrency available to task-DAG ("dag": true) requests.
+	// KernelWorkers is the internal/dense pool degree: that many minus one
+	// task-DAG offload slots, the concurrency available to "dag": true
+	// requests (the kernels themselves run on the caller's goroutine).
 	KernelWorkers int
 }
 

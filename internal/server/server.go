@@ -252,8 +252,8 @@ type Request struct {
 	// TimeoutMS bounds the engine run (0 = server default).
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 	// Dag runs the inversion in intra-rank task-DAG mode: each rank's
-	// supernode updates are scheduled onto the shared dense kernel worker
-	// pool (sized by the -kernel-workers flag, reported in
+	// supernode updates are scheduled onto the shared pool of task-DAG
+	// offload slots (sized by the -kernel-workers flag, reported in
 	// pselinvd_build_info) and overlapped with the tree collectives. The
 	// result is byte-identical to a sequential (non-DAG) run of the same
 	// plan; the response reports the scheduler's mean occupancy.

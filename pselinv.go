@@ -23,7 +23,7 @@
 // Quickstart:
 //
 //	m := pselinv.Grid2D(16, 16, 1)
-//	sys, _ := pselinv.NewSystem(m, pselinv.Options{})
+//	sys, _ := pselinv.NewSystem(m, pselinv.Options{Ordering: pselinv.OrderNestedDissection})
 //	inv, _ := sys.SelInv()
 //	d, _ := inv.Entry(0, 0) // (A⁻¹)₀₀
 //
@@ -250,7 +250,10 @@ type Options struct {
 	// Relax is the supernode amalgamation slack (rows of tolerated
 	// artificial fill); 0 uses a practical default.
 	Relax int
-	// MaxWidth caps supernode width; 0 uses a practical default.
+	// MaxWidth caps supernode width; 0 uses a practical default (48). It
+	// is also the largest dimension any dense kernel call sees. There is no
+	// upper limit: a wider cap runs the same scalar triangular solve and
+	// blocked GEMM the default does, just on bigger blocks.
 	MaxWidth int
 	// Timeout bounds each parallel run; 0 means 5 minutes.
 	Timeout time.Duration
@@ -261,9 +264,9 @@ type Options struct {
 	// bit-identical to an unperturbed run of the same plan.
 	ChaosSeed uint64
 	// DAG enables intra-rank task-DAG execution on parallel runs: each
-	// rank's TRSM/GEMM-sized updates are scheduled onto the shared dense
-	// kernel worker pool and overlapped with the tree collectives, which
-	// stay on the rank goroutine. The result is byte-identical to a
+	// rank's TRSM/GEMM-sized updates are scheduled onto the shared pool
+	// of task-DAG offload slots and overlapped with the tree collectives,
+	// which stay on the rank goroutine. The result is byte-identical to a
 	// sequential run of the same plan.
 	DAG bool
 	// CoresPerNode is the rank→node packing consumed by the
