@@ -211,14 +211,6 @@ type BlockPattern struct {
 // NumSnodes returns the number of supernodes.
 func (bp *BlockPattern) NumSnodes() int { return bp.Part.NumSnodes() }
 
-// HasBlock reports whether block (i, k), i >= k, is in the pattern.
-// O(log |RowsOf[k]|).
-func (bp *BlockPattern) HasBlock(i, k int) bool {
-	rows := bp.RowsOf[k]
-	p := sort.SearchInts(rows, i)
-	return p < len(rows) && rows[p] == i
-}
-
 // BlockID returns the factor-layout id of block (i, k), i >= k, which its
 // upper mirror (k, i) shares: rowPtr[k] plus the position of i in RowsOf[k],
 // so supernode k's ids run on from BlockID(k, k) and all of them fill

@@ -2,11 +2,20 @@ package etree
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"pselinv/internal/ordering"
 	"pselinv/internal/sparse"
 )
+
+// HasBlock reports whether block (i, k), i >= k, is in the pattern, by a
+// search of RowsOf[k] of its own: the tests' oracle for BlockID's boolean.
+func (bp *BlockPattern) HasBlock(i, k int) bool {
+	rows := bp.RowsOf[k]
+	p := sort.SearchInts(rows, i)
+	return p < len(rows) && rows[p] == i
+}
 
 // checkLayout asserts the factor layout's contract on one pattern: the ids
 // are the dense range [0, NNZBlocks()) in (K, RowsOf[K]) order, BlockID hits

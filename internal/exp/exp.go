@@ -55,23 +55,6 @@ func PrepareSymbolic(gen *sparse.Generated, relax, maxWidth int) *Pipeline {
 	return &Pipeline{Gen: gen, An: an}
 }
 
-// Refactorize numerically factorizes a new matrix against an existing
-// pipeline's symbolic analysis. The new matrix must share the pipeline's
-// sparsity pattern (same PatternFingerprint); only its values may differ —
-// the PEXSI pole loop, where A + σℓI is inverted once per pole on one
-// analysis. The returned pipeline shares the receiver's analysis, so
-// engines built from both may run concurrently.
-func Refactorize(p *Pipeline, gen *sparse.Generated) (*Pipeline, error) {
-	if got, want := gen.A.PatternFingerprint(), p.Gen.A.PatternFingerprint(); got != want {
-		return nil, fmt.Errorf("exp: %s: pattern does not match the analyzed pipeline (%s)", gen.Name, p.Gen.Name)
-	}
-	lu, err := factor.Factorize(gen.A.Permute(p.An.PermTotal), p.An.BP)
-	if err != nil {
-		return nil, fmt.Errorf("exp: refactorizing %s: %w", gen.Name, err)
-	}
-	return &Pipeline{Gen: gen, An: p.An, LU: lu}, nil
-}
-
 // DefaultRelax and DefaultMaxWidth are the amalgamation settings used by
 // all experiments (tuned for supernode widths comparable, after scaling,
 // to the paper's).

@@ -8,6 +8,7 @@ import (
 	"pselinv/internal/chaos"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
+	"pselinv/internal/factor"
 	"pselinv/internal/netsim"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/simmpi"
@@ -216,30 +217,33 @@ func TestScaledEdisonParams(t *testing.T) {
 	}
 }
 
-// TestRefactorizeReusesAnalysis: the numeric-only path against a cached
-// analysis must reproduce the full pipeline's factorization on a
-// same-pattern, different-valued matrix, and must reject pattern changes.
+// TestRefactorizeReusesAnalysis: refactorizing a same-pattern,
+// different-valued matrix against a pipeline's analysis — its values scattered
+// from their own order through the analysis's PermTotal — reproduces the full
+// pipeline's factorization of it, which Prepare assembles from the permuted
+// copy; a matrix of another pattern has no map on the analysis.
 func TestRefactorizeReusesAnalysis(t *testing.T) {
 	p, err := Prepare(sparse.Grid2D(10, 10, 1), 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen2 := sparse.Grid2D(10, 10, 42) // same stencil, different values
-	warm, err := Refactorize(p, gen2)
+	sc, err := factor.NewScatter(gen2.A, p.An.PermTotal, p.An.BP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.An != p.An {
-		t.Fatal("Refactorize did not share the symbolic analysis")
+	warm := factor.New(p.An.BP, dense.Real)
+	if err := warm.Refactorize(gen2.A, sc, 0); err != nil {
+		t.Fatal(err)
 	}
 	cold, err := Prepare(gen2, 2, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := warm.LU.LogAbsDet(), cold.LU.LogAbsDet(); got != want {
+	if got, want := warm.LogAbsDet(), cold.LU.LogAbsDet(); got != want {
 		t.Fatalf("warm LogAbsDet %g differs from cold %g", got, want)
 	}
-	if _, err := Refactorize(p, sparse.Grid2D(10, 11, 1)); err == nil {
+	if _, err := factor.NewScatter(sparse.Grid2D(10, 11, 1).A, p.An.PermTotal, p.An.BP); err == nil {
 		t.Fatal("expected pattern-mismatch error")
 	}
 }

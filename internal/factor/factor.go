@@ -10,23 +10,75 @@
 // preprocessing step.)
 //
 // The factor's shape — which blocks exist and where each lives in one
-// buffer — is the block pattern's factor layout, computed once per analysis;
-// its values are one routine, Refactorize, for either element type, into a
-// new LU or in place, which is how a pole loop runs (internal/pexsi), and
-// for symmetric values — the paper's case — over the lower half of the
-// layout only: half the slab, one triangular solve per block, half the
-// Schur updates.
+// buffer — is the block pattern's factor layout, computed once per analysis
+// like the Scatter that maps a matrix's entries into it; its values are one
+// routine, Refactorize, for either element type, into a new LU or in place,
+// which is how a pole loop runs (internal/pexsi), and for symmetric values —
+// the paper's case — over the lower half of the layout only: half the slab,
+// one triangular solve per block, half the Schur updates.
 package factor
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/cmplx"
 
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
+	"pselinv/internal/ordering"
 	"pselinv/internal/sparse"
 )
+
+// NewScatter's errors: an entry with no block in the pattern, and a layout
+// whose scalar offsets overflow the map's int32.
+var (
+	ErrOutsidePattern = errors.New("factor: entry lies outside the block pattern")
+	ErrSlabTooLarge   = errors.New("factor: factor layout exceeds 2³¹ scalars")
+)
+
+// Scatter maps a sparsity pattern's stored entries into a block pattern's
+// factor layout: off[p] is the slab offset, in scalars, of stored entry p (the
+// CSC's storage order), diag[c] that of diagonal entry c, where the shift
+// goes. Built once per analysis, it serves every matrix on the pattern.
+type Scatter struct {
+	bp        *etree.BlockPattern
+	off, diag []int32
+}
+
+// NewScatter builds the map for a's pattern, entry (i, j) landing at
+// (perm[i], perm[j]) of bp's ordering.
+func NewScatter(a *sparse.CSC, perm []int, bp *etree.BlockPattern) (*Scatter, error) {
+	part, n := bp.Part, len(bp.Part.SnodeOf)
+	if a.N != n || len(perm) != n {
+		return nil, fmt.Errorf("factor: an order-%d matrix on a block pattern of order %d", a.N, n)
+	}
+	if size := bp.FactorSize(true); size > 1<<31 {
+		return nil, fmt.Errorf("%w: %d", ErrSlabTooLarge, size)
+	}
+	s := &Scatter{bp: bp, off: make([]int32, a.NNZ()), diag: make([]int32, n)}
+	for j := 0; j < n; j++ {
+		pj := perm[j]
+		kj := part.SnodeOf[pj]
+		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
+			pi := perm[a.RowIdx[p]]
+			ki := part.SnodeOf[pi]
+			// Block (ki, kj) is lower block (max, min) or its upper mirror.
+			lo, hi := min(ki, kj), max(ki, kj)
+			first, _ := bp.BlockID(lo, lo)
+			id, ok := bp.BlockID(hi, lo)
+			if !ok {
+				return nil, fmt.Errorf("%w: (%d,%d)", ErrOutsidePattern, a.RowIdx[p], j)
+			}
+			s.off[p] = int32(bp.FactorOffset(lo, id-first, ki < kj) + pi - part.Start[ki] + (pj-part.Start[kj])*part.Width(ki))
+		}
+	}
+	for c := range s.diag {
+		k := part.SnodeOf[c]
+		s.diag[c] = int32(bp.FactorOffset(k, 0, false) + (c-part.Start[k])*(part.Width(k)+1))
+	}
+	return s, nil
+}
 
 // LU is a supernodal block LU factorization A = L·U on one slab:
 //
@@ -151,8 +203,7 @@ func (lu *LU) UCopy(k, j int) *dense.Matrix {
 // Factorize computes the block LU factorization of a (which must already be
 // permuted to the ordering the block pattern was computed for).
 func Factorize(a *sparse.CSC, bp *etree.BlockPattern) (*LU, error) {
-	lu := New(bp, dense.Real)
-	return lu, lu.Refactorize(a, 0)
+	return factorize(a, bp, dense.Real, 0)
 }
 
 // FactorizeShifted computes the block LU factorization of A − zI over the
@@ -162,54 +213,50 @@ func Factorize(a *sparse.CSC, bp *etree.BlockPattern) (*LU, error) {
 // (interleaved storage), and the numeric loop is exactly the loop
 // Factorize runs — the dense kernels dispatch on the element type.
 func FactorizeShifted(a *sparse.CSC, z complex128, bp *etree.BlockPattern) (*LU, error) {
-	lu := New(bp, dense.Complex)
-	return lu, lu.Refactorize(a, z)
+	return factorize(a, bp, dense.Complex, z)
+}
+
+func factorize(a *sparse.CSC, bp *etree.BlockPattern, elem dense.Elem, z complex128) (*LU, error) {
+	s, err := NewScatter(a, ordering.Identity(a.N), bp)
+	if err != nil {
+		return nil, err
+	}
+	lu := New(bp, elem)
+	return lu, lu.Refactorize(a, s, z)
 }
 
 // Refactorize overwrites lu with the factorization of A − zI, in lu's
 // element type (a real LU takes a real z), bit for bit what Factorize or
 // FactorizeShifted returns. The values' symmetry is read first, exactly —
 // a(i,j) == a(j,i) — and decides how much is assembled, eliminated and
-// stored. a must have the sparsity the block pattern was computed for, and
+// stored. s must be the Scatter of a's pattern on lu's block pattern, and
 // nothing may still be reading the previous factorization. After an error lu
 // holds none, and can be refactorized again.
-func (lu *LU) Refactorize(a *sparse.CSC, z complex128) error {
+func (lu *LU) Refactorize(a *sparse.CSC, s *Scatter, z complex128) error {
+	if s.bp != lu.BP || len(s.off) != a.NNZ() {
+		return fmt.Errorf("factor: scatter map of another pattern (%d entries, the matrix has %d)", len(s.off), a.NNZ())
+	}
 	lu.Symmetric = a.IsSymmetric(0)
 	lu.reset()
-	lu.assemble(a, z)
+	lu.scatter(a.Val, s, z)
 	return lu.eliminate()
 }
 
-// assemble scatters A − zI into the zeroed slab — for symmetric values its
-// lower triangle and diagonal blocks only: one sweep down each column, one
-// block lookup per run of its sorted rows that share a block.
-func (lu *LU) assemble(a *sparse.CSC, z complex128) {
-	part, ew := lu.BP.Part, lu.Elem.Width()
+// scatter writes A − zI into the zeroed slab through the map — for
+// symmetric values only the entries landing in its lower half — then
+// subtracts z on the diagonal.
+func (lu *LU) scatter(val []float64, s *Scatter, z complex128) {
 	if lu.Elem == dense.Real && imag(z) != 0 {
 		panic(fmt.Sprintf("factor: complex shift %v on a real LU", z))
 	}
-	if part.Start[len(part.Start)-1] != a.N {
-		panic("factor: block pattern does not match matrix dimension")
-	}
-	for j := 0; j < a.N; j++ {
-		kj := part.SnodeOf[j]
-		jc := j - part.Start[kj]
-		cur := -1
-		var blk *dense.Matrix
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			i := a.RowIdx[p]
-			ki := part.SnodeOf[i]
-			if ki < kj && lu.Symmetric {
-				continue
-			}
-			if ki != cur {
-				if cur, blk = ki, lu.block(ki, kj); blk == nil {
-					panic(fmt.Sprintf("factor: entry (%d,%d) lies outside the block pattern", i, j))
-				}
-			}
-			blk.Data[(i-part.Start[cur]+jc*blk.Rows)*ew] = a.Val[p]
+	ew, end := lu.Elem.Width(), lu.BP.FactorSize(!lu.Symmetric)
+	for p, o := range s.off {
+		if int(o) < end {
+			lu.slab[int(o)*ew] = val[p]
 		}
-		d := lu.Diag(kj).Data[(jc+jc*part.Width(kj))*ew:]
+	}
+	for _, o := range s.diag {
+		d := lu.slab[int(o)*ew:]
 		d[0] += -real(z)
 		if ew == 2 {
 			d[1] += -imag(z)

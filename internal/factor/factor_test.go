@@ -1,9 +1,12 @@
 package factor
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -14,15 +17,35 @@ import (
 )
 
 func analyze(g *sparse.Generated, opt etree.Options) *etree.Analysis {
-	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
+	return analyzeBy(ordering.NestedDissection, g, opt)
+}
+
+func analyzeBy(m ordering.Method, g *sparse.Generated, opt etree.Options) *etree.Analysis {
+	perm := ordering.Compute(m, g.A, g.Geom)
 	return etree.Analyze(g.A.Permute(perm), perm, opt)
+}
+
+// mustScatter is NewScatter for inputs that lie in the pattern.
+func mustScatter(tb testing.TB, a *sparse.CSC, perm []int, bp *etree.BlockPattern) *Scatter {
+	tb.Helper()
+	s, err := NewScatter(a, perm, bp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return s
+}
+
+// withValues returns a matrix on a's pattern with a copy of its values, as
+// sparse.CSC.ShiftDiagonal makes one.
+func withValues(a *sparse.CSC) *sparse.CSC {
+	return &sparse.CSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: slices.Clone(a.Val)}
 }
 
 // nudged returns a copy of a with one strictly-lower entry moved by one ulp:
 // the same matrix to rounding, but not exactly symmetric, so detection picks
 // the general loop and the full layout.
 func nudged(a *sparse.CSC) *sparse.CSC {
-	b := a.Clone()
+	b := withValues(a)
 	for j := 0; j < b.N; j++ {
 		for p := b.ColPtr[j]; p < b.ColPtr[j+1]; p++ {
 			if b.RowIdx[p] > j {
@@ -282,7 +305,7 @@ func sameLU(t *testing.T, label string, want, got *LU) {
 
 // nanAt returns a copy of a with the diagonal entry of column j poisoned.
 func nanAt(a *sparse.CSC, j int) *sparse.CSC {
-	bad := a.Clone()
+	bad := withValues(a)
 	for p := bad.ColPtr[j]; p < bad.ColPtr[j+1]; p++ {
 		if bad.RowIdx[p] == j {
 			bad.Val[p] = math.NaN()
@@ -291,74 +314,152 @@ func nanAt(a *sparse.CSC, j int) *sparse.CSC {
 	return bad
 }
 
-// TestRefactorizeBitIdentical: an LU refactorized in place equals a fresh
-// factorization of the same input bit for bit, whatever the storage held
-// before — another shift, another matrix's values (an asymmetric one, whose
-// fill blocks and Symmetric flag differ), or the debris of a factorization
-// that failed half way (unzeroed fill blocks would show here).
+// oracleRefactorize is the assembly the scatter map replaced, kept as the
+// map's oracle: A permuted into the block pattern's ordering, then one sweep
+// down each column of the copy, its block looked up once per run of rows
+// that share one (for symmetric values the rows above the column's supernode
+// skipped), z subtracted on the diagonal; then the elimination.
+func oracleRefactorize(lu *LU, a *sparse.CSC, perm []int, z complex128) error {
+	pa := a.Permute(perm)
+	part, ew := lu.BP.Part, lu.Elem.Width()
+	lu.Symmetric = pa.IsSymmetric(0)
+	lu.reset()
+	for j := 0; j < pa.N; j++ {
+		kj := part.SnodeOf[j]
+		jc := j - part.Start[kj]
+		cur := -1
+		var blk *dense.Matrix
+		for p := pa.ColPtr[j]; p < pa.ColPtr[j+1]; p++ {
+			i := pa.RowIdx[p]
+			ki := part.SnodeOf[i]
+			if ki < kj && lu.Symmetric {
+				continue
+			}
+			if ki != cur {
+				cur, blk = ki, lu.block(ki, kj)
+			}
+			blk.Data[(i-part.Start[cur]+jc*blk.Rows)*ew] = pa.Val[p]
+		}
+		d := lu.Diag(kj).Data[(jc+jc*part.Width(kj))*ew:]
+		d[0] += -real(z)
+		if ew == 2 {
+			d[1] += -imag(z)
+		}
+	}
+	return lu.eliminate()
+}
+
+// TestRefactorizeBitIdentical: values reach the slab through the scatter map
+// exactly where the permute-and-sweep oracle puts them — the whole factor
+// slab is bit-equal to the oracle's for real and complex elements, symmetric
+// and general values, natural and nested-dissection orderings, on four
+// generators, whether the map is the analysis's of the caller's matrix or
+// Factorize's identity map of the permuted one. And an LU refactorized in
+// place equals a fresh factorization of the same input bit for bit, whatever
+// the storage held before — another shift, another matrix's values (an
+// asymmetric one, whose fill blocks and Symmetric flag differ), or the debris
+// of a factorization that failed half way (unzeroed fill blocks would show
+// here).
 func TestRefactorizeBitIdentical(t *testing.T) {
+	for _, pair := range [][2]*sparse.Generated{ // symmetric values, general values; one pattern
+		{sparse.DG2D(4, 4, 3, 4), sparse.Asymmetrize(sparse.DG2D(4, 4, 3, 4), 1, 0.5)},
+		{sparse.Grid2D(7, 6, 2), sparse.Asymmetrize(sparse.Grid2D(7, 6, 2), 2, 0.5)},
+		{sparse.RandomSym(40, 4, 3), sparse.RandomAsym(40, 4, 3)},
+		{sparse.Banded(20, 3, 5), sparse.Asymmetrize(sparse.Banded(20, 3, 5), 3, 0.5)},
+	} {
+		for _, m := range []ordering.Method{ordering.Natural, ordering.NestedDissection} {
+			an := analyzeBy(m, pair[0], etree.Options{Relax: 2, MaxWidth: 8})
+			for v, g := range pair {
+				sc := mustScatter(t, g.A, an.PermTotal, an.BP)
+				for _, z := range []complex128{0, complex(0.3, -0.7)} {
+					elem := map[bool]dense.Elem{true: dense.Real, false: dense.Complex}[z == 0]
+					label := fmt.Sprintf("%s %v %s", g.Name, m, elem)
+					want := New(an.BP, elem)
+					if err := oracleRefactorize(want, g.A, an.PermTotal, z); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					if want.Symmetric != (v == 0) {
+						t.Fatalf("%s: Symmetric = %v", label, want.Symmetric)
+					}
+					got := New(an.BP, elem)
+					if err := got.Refactorize(g.A, sc, z); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameLU(t, label+" through the map", want, got)
+					ident, err := factorize(g.A.Permute(an.PermTotal), an.BP, elem, z)
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					sameLU(t, label+" through Factorize", want, ident)
+				}
+			}
+		}
+	}
+
 	g := sparse.DG2D(5, 5, 3, 4)
 	an := analyze(g, etree.Options{Relax: 4, MaxWidth: 12})
-	other := an.A.Clone() // same pattern, different and asymmetric values
+	sc := mustScatter(t, g.A, an.PermTotal, an.BP)
+	other := withValues(g.A) // same pattern, different and asymmetric values
 	r := rand.New(rand.NewSource(5))
 	for p := range other.Val {
 		other.Val[p] *= 1 + 0.3*r.Float64()
 	}
-	poisoned := nanAt(an.A, an.A.N/2)
+	poisoned := nanAt(g.A, g.A.N/2)
 	for _, tc := range []struct {
-		name  string
-		z     complex128
-		fresh func(a *sparse.CSC, z complex128) (*LU, error)
-	}{
-		{"real", 0, func(a *sparse.CSC, _ complex128) (*LU, error) { return Factorize(a, an.BP) }},
-		{"complex", complex(0.3, 0.7), func(a *sparse.CSC, z complex128) (*LU, error) { return FactorizeShifted(a, z, an.BP) }},
-	} {
-		want, err := tc.fresh(an.A, tc.z)
+		name string
+		elem dense.Elem
+		z    complex128
+	}{{"real", dense.Real, 0}, {"complex", dense.Complex, complex(0.3, 0.7)}} {
+		fresh := func(a *sparse.CSC, z complex128) (*LU, error) {
+			lu := New(an.BP, tc.elem)
+			return lu, lu.Refactorize(a, sc, z)
+		}
+		want, err := fresh(g.A, tc.z)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantOther, err := tc.fresh(other, tc.z)
+		wantOther, err := fresh(other, tc.z)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if want.Symmetric == wantOther.Symmetric {
 			t.Fatalf("%s: the two inputs should differ in value symmetry", tc.name)
 		}
-		lu, err := tc.fresh(other, tc.z+2)
+		lu, err := fresh(other, tc.z+2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		step := func(label string, a *sparse.CSC, want *LU) {
 			t.Helper()
-			if err := lu.Refactorize(a, tc.z); err != nil {
+			if err := lu.Refactorize(a, sc, tc.z); err != nil {
 				t.Fatalf("%s %s: %v", tc.name, label, err)
 			}
 			sameLU(t, tc.name+" "+label, want, lu)
 		}
-		step("after another shift of another matrix", an.A, want)
+		step("after another shift of another matrix", g.A, want)
 		step("after another matrix", other, wantOther)
 		step("twice", other, wantOther)
-		if err := lu.Refactorize(poisoned, tc.z); err == nil {
+		if err := lu.Refactorize(poisoned, sc, tc.z); err == nil {
 			t.Fatalf("%s: NaN diagonal factorized", tc.name)
 		}
-		step("after a failed factorization", an.A, want)
+		step("after a failed factorization", g.A, want)
 
 		// Symmetric → general → symmetric: the lower-only slab grows to the
 		// full layout once and is kept, the symmetric factor being its prefix.
-		if lu, err = tc.fresh(an.A, tc.z+2); err != nil {
+		if lu, err = fresh(g.A, tc.z+2); err != nil {
 			t.Fatal(err)
 		}
 		ew := lu.Elem.Width()
 		if got, want := len(lu.slab), int(an.BP.NNZScalars())*ew; got != want {
 			t.Fatalf("%s: symmetric slab holds %d words, want NNZScalars × width = %d", tc.name, got, want)
 		}
-		step("symmetric again", an.A, want)
+		step("symmetric again", g.A, want)
 		step("general after symmetric", other, wantOther)
 		if got, want := len(lu.slab), an.BP.FactorSize(true)*ew; got != want || len(wantOther.slab) != want {
 			t.Fatalf("%s: general slabs hold %d and %d words, want %d", tc.name, got, len(wantOther.slab), want)
 		}
 		grown := &lu.slab[0]
-		step("symmetric after general", an.A, want)
+		step("symmetric after general", g.A, want)
 		step("general once more", other, wantOther)
 		if &lu.slab[0] != grown {
 			t.Fatalf("%s: slab reallocated after it had grown to the full layout", tc.name)
@@ -377,15 +478,16 @@ func TestTwoStorageForms(t *testing.T) {
 	} {
 		an := analyze(g, etree.Options{Relax: 2, MaxWidth: 6})
 		general := nudged(an.A)
+		sc := mustScatter(t, an.A, ordering.Identity(an.A.N), an.BP)
 		for _, z := range []complex128{0, complex(0.5, -2)} {
 			lo, gen := New(an.BP, dense.Real), New(an.BP, dense.Real)
 			if z != 0 {
 				lo, gen = New(an.BP, dense.Complex), New(an.BP, dense.Complex)
 			}
-			if err := lo.Refactorize(an.A, z); err != nil {
+			if err := lo.Refactorize(an.A, sc, z); err != nil {
 				t.Fatal(err)
 			}
-			if err := gen.Refactorize(general, z); err != nil {
+			if err := gen.Refactorize(general, sc, z); err != nil {
 				t.Fatal(err)
 			}
 			if !lo.Symmetric || gen.Symmetric {
@@ -420,17 +522,19 @@ func TestTwoStorageForms(t *testing.T) {
 }
 
 // TestRefactorizeAllocs: refactorizing in place allocates (next to) nothing —
-// no block, no header, no map; the kernels' pack buffers come from the arena.
+// no block, no header, no map, the scatter map being the caller's, built once
+// per analysis; the kernels' pack buffers come from the arena.
 func TestRefactorizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop the kernels' pack buffers at random")
 	}
 	g := sparse.DG2D(6, 6, 4, 1)
 	an := analyze(g, etree.Options{Relax: 4, MaxWidth: 48})
+	sc := mustScatter(t, g.A, an.PermTotal, an.BP)
 	for _, z := range []complex128{0, complex(0.3, 0.7)} {
 		lu := New(an.BP, map[bool]dense.Elem{true: dense.Real, false: dense.Complex}[z == 0])
 		refactorize := func() {
-			if err := lu.Refactorize(an.A, z); err != nil {
+			if err := lu.Refactorize(g.A, sc, z); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -441,12 +545,15 @@ func TestRefactorizeAllocs(t *testing.T) {
 	}
 }
 
-// TestAssembleRoundTrip: assembly alone puts every stored entry of A − zI,
-// and nothing else, where the block accessors find it — for symmetric values
-// the lower triangle and the diagonal blocks, in a slab with no upper half.
+// TestAssembleRoundTrip: assembly alone — the caller's values through the
+// scatter map, then the shift — puts every stored entry of A − zI at its
+// permuted position, and nothing else, where the block accessors find it:
+// for symmetric values the lower triangle and the diagonal blocks, in a slab
+// with no upper half.
 func TestAssembleRoundTrip(t *testing.T) {
 	for _, g := range []*sparse.Generated{sparse.Asymmetrize(sparse.Grid2D(5, 4, 1), 3, 0.5), sparse.Grid2D(5, 4, 1)} {
 		an := analyze(g, etree.Options{MaxWidth: 3})
+		sc := mustScatter(t, g.A, an.PermTotal, an.BP)
 		part := an.BP.Part
 		for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
 			z := complex(0.25, 0)
@@ -454,9 +561,9 @@ func TestAssembleRoundTrip(t *testing.T) {
 				z = complex(0.25, -1.5)
 			}
 			lu := New(an.BP, elem)
-			lu.Symmetric = an.A.IsSymmetric(0)
+			lu.Symmetric = g.A.IsSymmetric(0)
 			lu.reset()
-			lu.assemble(an.A, z)
+			lu.scatter(g.A.Val, sc, z)
 			for j := 0; j < an.A.N; j++ {
 				for i := 0; i < an.A.N; i++ {
 					want := complex(an.A.At(i, j), 0)
@@ -480,40 +587,58 @@ func TestAssembleRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAssembleRejectsEntryOutsidePattern: a matrix with entries the block
+// pattern has no block for is refused when its map is built, with a typed
+// error naming the first stray entry; so is a layout whose offsets overflow
+// the map's int32 (one 46,341-wide supernode: 2,147,488,281 scalars).
 func TestAssembleRejectsEntryOutsidePattern(t *testing.T) {
 	g := sparse.Banded(8, 1, 1)
 	an := etree.Analyze(g.A, ordering.Identity(8), etree.Options{MaxWidth: 2})
 	dense8 := sparse.Banded(8, 7, 1).A // every entry stored: most lie outside the band's blocks
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected a panic naming the stray entry")
-		}
-	}()
-	Factorize(dense8, an.BP)
+	if lu, err := Factorize(dense8, an.BP); !errors.Is(err, ErrOutsidePattern) || lu != nil {
+		t.Fatalf("Factorize of entries outside the pattern = (%v, %v), want no LU and ErrOutsidePattern", lu, err)
+	}
+	if _, err := NewScatter(dense8, ordering.Identity(8), an.BP); !errors.Is(err, ErrOutsidePattern) {
+		t.Fatalf("NewScatter = %v, want ErrOutsidePattern", err)
+	}
+
+	const n = 46341
+	diag := make([]sparse.Triplet, n)
+	for i := range diag {
+		diag[i] = sparse.Triplet{Row: i, Col: i, Val: 1}
+	}
+	a := sparse.FromTriplets(n, diag)
+	wide := etree.NewBlockPattern(a, etree.FromStarts([]int{0, n}, n))
+	if _, err := NewScatter(a, ordering.Identity(n), wide); !errors.Is(err, ErrSlabTooLarge) {
+		t.Fatalf("NewScatter on a %d-scalar layout = %v, want ErrSlabTooLarge", wide.FactorSize(true), err)
+	}
 }
 
 // BenchmarkRefactorize is the per-pole numeric factorization at the
 // benchmark's DG2D shapes (warm_dg2d_p16 real, pexsi_z16_p16 complex), in
-// place: what a pole costs once the LU exists — lower-only for the generated,
-// symmetric values, and through the general loop (the same values, one entry
-// nudged by an ulp) for asymmetric users. Tracked by the bench gate.
+// place, from the caller's matrix through the analysis's scatter map: what a
+// pole costs once the LU exists — lower-only for the generated, symmetric
+// values, and through the general loop (the same values, one entry nudged by
+// an ulp) for asymmetric users. Tracked by the bench gate.
 func BenchmarkRefactorize(b *testing.B) {
-	an := analyze(sparse.DG2D(16, 16, 4, 1), etree.Options{Relax: 4, MaxWidth: 48})
+	g := sparse.DG2D(16, 16, 4, 1)
+	an := analyze(g, etree.Options{Relax: 4, MaxWidth: 48})
+	sc := mustScatter(b, g.A, an.PermTotal, an.BP)
 	for _, bc := range []struct {
 		name string
 		a    *sparse.CSC
 		elem dense.Elem
 		z    complex128
 	}{
-		{"real", an.A, dense.Real, 0}, {"complex", an.A, dense.Complex, complex(0, 0.3)},
-		{"real-general", nudged(an.A), dense.Real, 0}, {"complex-general", nudged(an.A), dense.Complex, complex(0, 0.3)},
+		{"real", g.A, dense.Real, 0}, {"complex", g.A, dense.Complex, complex(0, 0.3)},
+		{"real-general", nudged(g.A), dense.Real, 0}, {"complex-general", nudged(g.A), dense.Complex, complex(0, 0.3)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			lu := New(an.BP, bc.elem)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := lu.Refactorize(bc.a, bc.z); err != nil {
+				if err := lu.Refactorize(bc.a, sc, bc.z); err != nil {
 					b.Fatal(err)
 				}
 			}

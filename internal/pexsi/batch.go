@@ -76,9 +76,12 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		return nil, fmt.Errorf("pexsi: no poles configured")
 	}
 	start := time.Now()
-	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
+	s, err := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
 		Scheme: cfg.Scheme, Seed: cfg.Seed, Balancer: cfg.Balancer,
 	}, cfg.DAG, cfg.Timeout)
+	if err != nil {
+		return nil, err
+	}
 
 	// Producer: numeric factorizations, in pole order, one queued beyond
 	// the one the consumer holds (pole l+1 is factorized while pole l is
@@ -101,7 +104,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 			default:
 				lu = factor.New(s.an.BP, dense.Complex)
 			}
-			err := lu.Refactorize(s.an.A, p.Z)
+			err := lu.Refactorize(s.h, s.sc, p.Z)
 			j := facJob{l: l, lu: lu, elapsed: time.Since(t0), err: err}
 			select {
 			case jobs <- j:

@@ -71,7 +71,11 @@ func TestBatchMatchesRunComplexDistributed(t *testing.T) {
 			h = sparse.Asymmetrize(h, 9, 0.5)
 		}
 		pc := core.PlanConfig{Scheme: core.ShiftedBinaryTree, Balancer: core.WorkBalancer, Seed: 7}
-		if got := newPoleSolver(h, 4, 16, 4, pc, false, 0).tmpl.Plan.Symmetric; got != symmetric {
+		s, err := newPoleSolver(h, 4, 16, 4, pc, false, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := s.tmpl.Plan.Symmetric; got != symmetric {
 			t.Fatalf("%s: pole solver planned Symmetric=%v", h.Name, got)
 		}
 		cc := ComplexConfig{

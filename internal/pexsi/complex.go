@@ -87,15 +87,18 @@ func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) 
 		return nil, fmt.Errorf("pexsi: no poles configured")
 	}
 	start := time.Now()
-	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
+	s, err := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.Procs, core.PlanConfig{
 		Scheme: cfg.Scheme, Seed: cfg.Seed, Balancer: cfg.Balancer,
 	}, cfg.DAG, cfg.Timeout)
+	if err != nil {
+		return nil, err
+	}
 	res := &ComplexResult{LogDets: make([]complex128, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
-	err := s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Complex, func(l int, lu *factor.LU) error {
+	err = s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Complex, func(l int, lu *factor.LU) error {
 		pole := cfg.Poles[l]
 		contribs[l] = make([]float64, h.A.N)
-		err := lu.Refactorize(s.an.A, pole.Z)
+		err := lu.Refactorize(s.h, s.sc, pole.Z)
 		if err == nil {
 			res.LogDets[l] = lu.LogDet()
 			_, _, err = s.accumulate(lu, pole.Weight, contribs[l])

@@ -107,6 +107,8 @@ type Result struct {
 // programs) that each pole rebinds to its own factorization.
 type poleSolver struct {
 	an      *etree.Analysis
+	h       *sparse.CSC
+	sc      *factor.Scatter // h's entries → the factor layout, once per run
 	tmpl    *pselinv.Engine // nil: the serial reference inverts
 	path    string          // the results' Path
 	dag     bool
@@ -115,17 +117,22 @@ type poleSolver struct {
 
 // newPoleSolver analyzes h and, for procs > 1, builds the engine template on
 // the plan h's values select: a diagonal shift keeps their symmetry.
-func newPoleSolver(h *sparse.Generated, relax, maxWidth, procs int, pc core.PlanConfig, dag bool, timeout time.Duration) *poleSolver {
+func newPoleSolver(h *sparse.Generated, relax, maxWidth, procs int, pc core.PlanConfig, dag bool, timeout time.Duration) (*poleSolver, error) {
 	if timeout == 0 {
 		timeout = 5 * time.Minute
 	}
-	s := &poleSolver{an: exp.PrepareSymbolic(h, relax, maxWidth).An, path: "serial", dag: dag, timeout: timeout}
+	an := exp.PrepareSymbolic(h, relax, maxWidth).An
+	sc, err := factor.NewScatter(h.A, an.PermTotal, an.BP)
+	if err != nil {
+		return nil, fmt.Errorf("pexsi: %s: %w", h.Name, err)
+	}
+	s := &poleSolver{an: an, h: h.A, sc: sc, path: "serial", dag: dag, timeout: timeout}
 	if procs > 1 {
 		pc.Symmetric = h.A.IsSymmetric(0)
 		s.path = map[bool]string{true: "symmetric", false: "general"}[pc.Symmetric]
 		s.tmpl = pselinv.NewEngine(core.NewPlanConfig(s.an.BP, procgrid.Squarish(procs), pc), nil)
 	}
-	return s
+	return s, nil
 }
 
 // accumulate inverts one factorized pole — on the engine template, or on
@@ -212,17 +219,20 @@ func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("pexsi: no poles configured")
 	}
 	start := time.Now()
-	s := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.ProcsPerPole, core.PlanConfig{
+	s, err := newPoleSolver(h, cfg.Relax, cfg.MaxWidth, cfg.ProcsPerPole, core.PlanConfig{
 		Scheme: cfg.Scheme, Seed: cfg.Seed, Balancer: cfg.Balancer,
 	}, cfg.DAG, cfg.Timeout)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Stats: make([]PoleStats, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
-	err := s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Real, func(l int, lu *factor.LU) error {
+	err = s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Real, func(l int, lu *factor.LU) error {
 		pole := cfg.Poles[l]
 		st := &res.Stats[l]
 		st.Pole = pole
 		contribs[l] = make([]float64, h.A.N)
-		err := lu.Refactorize(s.an.A, complex(-pole.Shift, 0)) // H + σI
+		err := lu.Refactorize(s.h, s.sc, complex(-pole.Shift, 0)) // H + σI
 		if err == nil {
 			st.MaxSentMB, st.Elapsed, err = s.accumulate(lu, complex(pole.Weight, 0), contribs[l])
 		}

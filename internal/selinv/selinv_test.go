@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -249,7 +250,7 @@ func TestSelInvScalarSupernodes(t *testing.T) {
 // the same matrix to rounding, but not exactly symmetric, so the factorization
 // takes the general loop and the reference its two-sided form.
 func nudged(a *sparse.CSC) *sparse.CSC {
-	b := a.Clone()
+	b := &sparse.CSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: slices.Clone(a.Val)}
 	for j := 0; j < b.N; j++ {
 		for p := b.ColPtr[j]; p < b.ColPtr[j+1]; p++ {
 			if b.RowIdx[p] > j {

@@ -38,14 +38,14 @@ func (a *CSC) PatternFingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ShiftDiagonal returns a copy of the matrix with sigma added to every
-// diagonal entry — the pole-expansion transformation A + σI. The pattern is
-// unchanged, so the result shares the original's PatternFingerprint. Every
+// ShiftDiagonal returns A + σI — the pole-expansion transformation — as a copy
+// of the values on a's ColPtr and RowIdx, which it shares (no pattern is
+// written after construction), so the fingerprint is the original's. Every
 // diagonal entry must be structurally present (all generators in this
 // package guarantee that); a structurally missing diagonal is an error
 // because silently changing the pattern would poison pattern-keyed caches.
 func (a *CSC) ShiftDiagonal(sigma float64) (*CSC, error) {
-	out := a.Clone()
+	out := &CSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: append([]float64(nil), a.Val...)}
 	for j := 0; j < out.N; j++ {
 		k := out.pos(j, j)
 		if k < 0 {

@@ -39,6 +39,7 @@ func TestPatternFingerprintDistinguishesPatterns(t *testing.T) {
 
 func TestShiftDiagonalValues(t *testing.T) {
 	a := RandomSym(40, 4, 3).A
+	orig := append([]float64(nil), a.Val...)
 	s, err := a.ShiftDiagonal(2.5)
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +55,14 @@ func TestShiftDiagonalValues(t *testing.T) {
 			}
 		}
 	}
-	// Original untouched.
-	if a.At(0, 0) == s.At(0, 0) {
-		t.Fatal("ShiftDiagonal mutated its receiver")
+	for p, v := range orig {
+		if a.Val[p] != v {
+			t.Fatal("ShiftDiagonal mutated its receiver")
+		}
+	}
+	// The pattern is shared, the values are not.
+	if &s.ColPtr[0] != &a.ColPtr[0] || &s.RowIdx[0] != &a.RowIdx[0] || &s.Val[0] == &a.Val[0] {
+		t.Fatal("ShiftDiagonal should share ColPtr and RowIdx and copy Val")
 	}
 }
 

@@ -112,17 +112,6 @@ func (a *CSC) mustDiag(j int) int {
 	return k
 }
 
-// Clone returns a deep copy.
-func (a *CSC) Clone() *CSC {
-	b := &CSC{
-		N:      a.N,
-		ColPtr: append([]int(nil), a.ColPtr...),
-		RowIdx: append([]int(nil), a.RowIdx...),
-		Val:    append([]float64(nil), a.Val...),
-	}
-	return b
-}
-
 // ToDense expands the matrix into a dense.Matrix (small matrices only).
 func (a *CSC) ToDense() *dense.Matrix {
 	d := dense.NewMatrix(a.N, a.N)
@@ -214,24 +203,6 @@ func (a *CSC) Permute(perm []int) *CSC {
 	copy(b.ColPtr[1:], b.ColPtr[:n])
 	b.ColPtr[0] = 0
 	return b
-}
-
-// MulVec computes y = A*x.
-func (a *CSC) MulVec(x []float64) []float64 {
-	if len(x) != a.N {
-		panic("sparse: MulVec dimension mismatch")
-	}
-	y := make([]float64, a.N)
-	for j := 0; j < a.N; j++ {
-		xj := x[j]
-		if xj == 0 {
-			continue
-		}
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			y[a.RowIdx[k]] += a.Val[k] * xj
-		}
-	}
-	return y
 }
 
 // MakeDiagonallyDominant adds to each diagonal entry so that every row is

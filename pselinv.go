@@ -121,9 +121,9 @@ func (m *Matrix) Asymmetrize(seed int64, eps float64) *Matrix {
 	return m
 }
 
-// Shifted returns a new matrix A + σI — the pole-expansion transformation.
-// The sparsity pattern (and therefore Fingerprint) is unchanged, so shifted
-// matrices reuse a Symbolic analysis of the original.
+// Shifted returns a new matrix A + σI — the pole-expansion transformation:
+// new values on m's immutable sparsity pattern, which it shares (and so the
+// Fingerprint), so shifted matrices reuse a Symbolic analysis of the original.
 func (m *Matrix) Shifted(sigma float64) (*Matrix, error) {
 	a, err := m.gen.A.ShiftDiagonal(sigma)
 	if err != nil {
@@ -307,6 +307,7 @@ type Symbolic struct {
 	bal Balancer // parsed from opt.Balancer
 	fp  string
 	an  *etree.Analysis
+	sc  *factor.Scatter // the pattern's entries → the factor layout
 
 	// engines caches one engine template (plan + per-rank programs, no
 	// numeric factor) per grid/scheme/seed/symmetry combination, so warm
@@ -350,11 +351,16 @@ func AnalyzePattern(m *Matrix, opt Options) (*Symbolic, error) {
 	perm := ordering.Compute(opt.Ordering, m.gen.A, m.gen.Geom)
 	an := etree.Analyze(m.gen.A.Permute(perm), perm,
 		etree.Options{Relax: opt.Relax, MaxWidth: opt.MaxWidth})
+	sc, err := factor.NewScatter(m.gen.A, an.PermTotal, an.BP)
+	if err != nil {
+		return nil, fmt.Errorf("pselinv: %s: %w", m.Name(), err)
+	}
 	return &Symbolic{
 		opt:     opt,
 		bal:     bal,
 		fp:      m.Fingerprint(),
 		an:      an,
+		sc:      sc,
 		engines: map[engineKey]*pselinv.Engine{},
 	}, nil
 }
@@ -376,29 +382,18 @@ func (sy *Symbolic) FactorNNZ() int64 { return sy.an.BP.NNZScalars() }
 // the shared state is read-only during runs (the plan cache is internally
 // locked), and each System owns its numeric factor.
 func (sy *Symbolic) Factorize(m *Matrix) (*System, error) {
-	if err := sy.checkPattern(m); err != nil {
-		return nil, err
-	}
-	// PermTotal (fill ordering composed with the analysis postorder), not
-	// the fill ordering alone, is what the block pattern is expressed in.
-	return sy.factorize(m, m.gen.A.Permute(sy.an.PermTotal), dense.Real, 0)
+	return sy.factorize(m, dense.Real, 0)
 }
 
-// checkPattern rejects a matrix whose sparsity pattern is not the one this
-// analysis was built from.
-func (sy *Symbolic) checkPattern(m *Matrix) error {
+// factorize factorizes A − zI in the given arithmetic, m's values going
+// through the scatter map of the pattern m must share with the analysis.
+func (sy *Symbolic) factorize(m *Matrix, elem dense.Elem, z complex128) (*System, error) {
 	if got := m.Fingerprint(); got != sy.fp {
-		return fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
+		return nil, fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
 			m.Name(), got, sy.fp)
 	}
-	return nil
-}
-
-// factorize factorizes pa − zI in the given arithmetic, pa being m's matrix
-// already permuted by PermTotal.
-func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC, elem dense.Elem, z complex128) (*System, error) {
 	lu := factor.New(sy.an.BP, elem)
-	if err := lu.Refactorize(pa, z); err != nil {
+	if err := lu.Refactorize(m.gen.A, sy.sc, z); err != nil {
 		return nil, fmt.Errorf("pselinv: %s factorization of %s failed: %w", elem, m.Name(), err)
 	}
 	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
@@ -416,10 +411,7 @@ func (sy *Symbolic) factorize(m *Matrix, pa *sparse.CSC, elem dense.Elem, z comp
 // one plan (grid, scheme, balancer, seed) and agrees with SelInv within 1e-9
 // at every rank count; a one-rank run is bit-identical to it.
 func (sy *Symbolic) FactorizeShifted(m *Matrix, z complex128) (*System, error) {
-	if err := sy.checkPattern(m); err != nil {
-		return nil, err
-	}
-	return sy.factorize(m, m.gen.A.Permute(sy.an.PermTotal), dense.Complex, z)
+	return sy.factorize(m, dense.Complex, z)
 }
 
 // engineTemplate returns the cached engine template (communication plan +
@@ -473,9 +465,7 @@ func NewSystem(m *Matrix, opt Options) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The analysis was built from m itself, so its permuted matrix carries
-	// m's values: no pattern check and no second permutation.
-	return sy.factorize(m, sy.an.A, dense.Real, 0)
+	return sy.factorize(m, dense.Real, 0)
 }
 
 // Symbolic returns the shareable value-independent analysis of this

@@ -209,19 +209,48 @@ func TestShiftedFingerprintMatchesFreshHash(t *testing.T) {
 	}
 }
 
+// TestShiftedSharesPattern: Shifted copies the values only — the result
+// aliases the source's ColPtr and RowIdx, the source's values are untouched,
+// and the two fingerprints are equal.
+func TestShiftedSharesPattern(t *testing.T) {
+	m := DG2D(4, 4, 2, 3)
+	orig := append([]float64(nil), m.gen.A.Val...)
+	sh, err := m.Shifted(0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := m.gen.A, sh.gen.A
+	if &a.ColPtr[0] != &b.ColPtr[0] || &a.RowIdx[0] != &b.RowIdx[0] {
+		t.Fatal("Shifted copied the pattern instead of sharing it")
+	}
+	if &a.Val[0] == &b.Val[0] {
+		t.Fatal("Shifted shares the values")
+	}
+	for p, v := range orig {
+		if a.Val[p] != v {
+			t.Fatalf("Shifted changed the source's value %d", p)
+		}
+	}
+	if sh.Fingerprint() != m.Fingerprint() {
+		t.Fatal("Shifted changed the fingerprint")
+	}
+}
+
 // TestWarmRefactorizeAllocBudget holds the benchmark's warm_dg2d_p16 op
-// (nested-dissection ordering, as bench/ runs it) to an allocation budget: on
-// a warm Symbolic the sparse front end may cost one clone and one permutation
-// of the matrix, not a sort and two transposes, the factorization of the
-// symmetric values stores the lower half of the factor layout only, and the
-// engine runs on the template's recycled slot state (8.4 MB/op with per-run
-// maps and per-message headers, 6.9 without). The race detector defeats the
-// sync.Pool arena all of this leans on, so the budget is not held there.
+// (nested-dissection ordering, as bench/ runs it) to an allocation budget. On
+// a warm Symbolic the sparse front end is Shifted's copy of the values, which
+// go straight into the factor slab through the analysis's scatter map — no
+// permuted copy of the matrix — the factorization of the symmetric values
+// stores the lower half of the factor layout only, and the engine runs on the
+// template's recycled slot state (6.9 MB/op with a permutation per
+// factorization and a deep-copying Shifted, 3.6 without). The race detector
+// defeats the sync.Pool arena all of this leans on, so the budget is not held
+// there.
 func TestWarmRefactorizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const budgetMB = 7.8
+	const budgetMB = 4.3
 	m := DG2D(24, 24, 4, 1)
 	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
 	if err != nil {
