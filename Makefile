@@ -151,8 +151,10 @@ bench:
 # 16-rank end-to-end inversion, the 4-rank sequential/DAG end-to-end pair,
 # the 16-pole PEXSI batch, the in-place numeric refactorization at the
 # benchmark's DG2D shape, real and complex, lower-only (symmetric values)
-# and through the general loop, the warm refactorize loop — sparse front
-# end + factorization + engine — and the MatrixMarket parse) and compares
+# and through the general loop, the diagonal inverse of a symmetric LU
+# (L⁻ᵀ·D⁻¹·L⁻¹, real and complex, widths 20 and 48), the warm refactorize
+# loop — sparse front end + factorization + engine — and the MatrixMarket
+# parse) and compares
 # it against the committed baseline with cmd/benchgate (medians +
 # Mann-Whitney U test). A significant slowdown beyond BENCH_TOLERANCE
 # fails CI.
@@ -168,7 +170,7 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^48x(48|20|8|4)x48$$|^BenchmarkTrsm$$/^(right-lower-unit|left-upper-nonunit)$$/^48x(4|20|48)$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch(P)?16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkWarmRefactorize(ND)?$$|^BenchmarkReadMatrixMarket$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^48x(48|20|8|4)x48$$|^BenchmarkTrsm$$/^(right-lower-unit|left-upper-nonunit)$$/^48x(4|20|48)$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch(P)?16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkDiagInverse$$/^(real|complex)-(20|48)$$|^BenchmarkWarmRefactorize(ND)?$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt

@@ -77,23 +77,16 @@ func bufClassDown(capacity int) int {
 
 var matHeaderPool = sync.Pool{New: func() any { return new(Matrix) }}
 
-// GetMatrix returns a zeroed rows×cols real matrix from the arena. Release
-// it with PutMatrix when its contents are dead.
-func GetMatrix(rows, cols int) *Matrix { return GetMatrixElem(rows, cols, Real) }
-
 // GetMatrixElem returns a zeroed rows×cols matrix of the given element
-// type from the arena.
+// type from the arena. Release it with PutMatrix when its contents are dead.
 func GetMatrixElem(rows, cols int, elem Elem) *Matrix {
 	m := GetMatrixUninitElem(rows, cols, elem)
 	m.Zero()
 	return m
 }
 
-// GetMatrixUninit is GetMatrix without the clearing pass: the contents are
-// undefined and must be fully overwritten by the caller.
-func GetMatrixUninit(rows, cols int) *Matrix { return GetMatrixUninitElem(rows, cols, Real) }
-
-// GetMatrixUninitElem is GetMatrixElem without the clearing pass.
+// GetMatrixUninitElem is GetMatrixElem without the clearing pass: the
+// contents are undefined and must be fully overwritten by the caller.
 func GetMatrixUninitElem(rows, cols int, elem Elem) *Matrix {
 	m := matHeaderPool.Get().(*Matrix)
 	m.Rows, m.Cols, m.Elem = rows, cols, elem

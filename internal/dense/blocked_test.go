@@ -112,12 +112,12 @@ func TestArenaBufClasses(t *testing.T) {
 }
 
 func TestArenaMatrixZeroedAfterReuse(t *testing.T) {
-	m := GetMatrix(20, 20)
+	m := GetMatrixElem(20, 20, Real)
 	for i := range m.Data {
 		m.Data[i] = 42
 	}
 	PutMatrix(m)
-	m2 := GetMatrix(20, 20)
+	m2 := GetMatrixElem(20, 20, Real)
 	defer PutMatrix(m2)
 	for i, v := range m2.Data {
 		if v != 0 {
@@ -143,7 +143,7 @@ func TestGetMatrixCopy(t *testing.T) {
 func TestTransposeInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	a := randMat(rng, 9, 5)
-	tr := GetMatrixUninit(5, 9)
+	tr := GetMatrixUninitElem(5, 9, Real)
 	defer PutMatrix(tr)
 	a.TransposeInto(tr)
 	if d := tr.MaxAbsDiff(a.Transpose()); d != 0 {

@@ -11,6 +11,8 @@ package dense
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
+	"slices"
 )
 
 // Matrix is a dense column-major matrix. Elem selects the element type:
@@ -25,12 +27,7 @@ type Matrix struct {
 }
 
 // NewMatrix returns a zero-initialized Rows×Cols matrix.
-func NewMatrix(rows, cols int) *Matrix {
-	if rows < 0 || cols < 0 {
-		panic(fmt.Sprintf("dense: negative dimension %dx%d", rows, cols))
-	}
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
+func NewMatrix(rows, cols int) *Matrix { return NewMatrixElem(rows, cols, Real) }
 
 // At returns entry (i, j).
 func (a *Matrix) At(i, j int) float64 { return a.Data[i+j*a.Rows] }
@@ -43,24 +40,11 @@ func (a *Matrix) Add(i, j int, v float64) { a.Data[i+j*a.Rows] += v }
 
 // Clone returns a deep copy of a.
 func (a *Matrix) Clone() *Matrix {
-	b := &Matrix{Rows: a.Rows, Cols: a.Cols, Elem: a.Elem, Data: make([]float64, len(a.Data))}
-	copy(b.Data, a.Data)
-	return b
+	return &Matrix{Rows: a.Rows, Cols: a.Cols, Elem: a.Elem, Data: slices.Clone(a.Data)}
 }
 
 // Zero sets every entry to 0.
-func (a *Matrix) Zero() {
-	for i := range a.Data {
-		a.Data[i] = 0
-	}
-}
-
-// Transpose returns aᵀ as a new matrix.
-func (a *Matrix) Transpose() *Matrix {
-	t := NewMatrixElem(a.Cols, a.Rows, a.Elem)
-	a.TransposeInto(t)
-	return t
-}
+func (a *Matrix) Zero() { clear(a.Data) }
 
 // TransposeInto writes aᵀ into t, which must be a.Cols×a.Rows with the
 // same element type; pair it with GetMatrixUninitElem to transpose without
@@ -90,19 +74,6 @@ func (a *Matrix) TransposeInto(t *Matrix) {
 	}
 }
 
-// Equal reports whether a and b have identical shape and entries within tol.
-func (a *Matrix) Equal(b *Matrix, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i := range a.Data {
-		if math.Abs(a.Data[i]-b.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // MaxAbsDiff returns max |a_ij - b_ij|; panics on shape mismatch.
 func (a *Matrix) MaxAbsDiff(b *Matrix) float64 {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
@@ -111,17 +82,6 @@ func (a *Matrix) MaxAbsDiff(b *Matrix) float64 {
 	d := 0.0
 	for i := range a.Data {
 		if v := math.Abs(a.Data[i] - b.Data[i]); v > d {
-			d = v
-		}
-	}
-	return d
-}
-
-// MaxAbs returns max |a_ij|, or 0 for an empty matrix.
-func (a *Matrix) MaxAbs() float64 {
-	d := 0.0
-	for i := range a.Data {
-		if v := math.Abs(a.Data[i]); v > d {
 			d = v
 		}
 	}
@@ -190,28 +150,67 @@ const (
 // Returns an error when a zero (or denormal-tiny) or non-finite pivot is met:
 // an uploaded matrix need not be diagonally dominant as the generators' are.
 func LU(a *Matrix) error {
-	n := a.Rows
-	if a.Cols != n {
+	if a.Cols != a.Rows {
 		panic("dense: LU of non-square matrix")
 	}
 	if a.Elem == Complex {
-		return zLU(a)
+		return lu(complexView(a.Data), a.Rows, cmplx.Abs, nil)
 	}
+	return lu(a.Data, a.Rows, math.Abs, nil)
+}
+
+// badPivot reports whether a pivot of the given modulus cannot be divided
+// by: below the tiny threshold, infinite, or NaN (which compares false).
+func badPivot(abs float64) bool { return !(abs >= 1e-300) || math.IsInf(abs, 0) }
+
+// LUPartialPivot factors the real matrix a in place with partial (row)
+// pivoting and returns the pivot permutation: row i of the factored matrix
+// corresponds to row perm[i] of the input. Returns an error on singularity.
+func LUPartialPivot(a *Matrix) ([]int, error) {
+	if a.Cols != a.Rows {
+		panic("dense: LU of non-square matrix")
+	}
+	perm := make([]int, a.Rows)
+	for i := range perm {
+		perm[i] = i
+	}
+	if err := lu(a.Data, a.Rows, math.Abs, perm); err != nil {
+		return nil, err
+	}
+	return perm, nil
+}
+
+// lu is LU on the column-major elements of an order-n matrix; with perm it
+// first swaps the largest remaining entry of each column into the pivot
+// position, recording the row exchanges in perm.
+func lu[T float64 | complex128](a []T, n int, abs func(T) float64, perm []int) error {
 	for k := 0; k < n; k++ {
-		p := a.At(k, k)
-		if badPivot(math.Abs(p)) {
-			return fmt.Errorf("dense: zero or non-finite pivot %g at %d", p, k)
+		if perm != nil {
+			best, bi := abs(a[k+k*n]), k
+			for i := k + 1; i < n; i++ {
+				if v := abs(a[i+k*n]); v > best {
+					best, bi = v, i
+				}
+			}
+			perm[k], perm[bi] = perm[bi], perm[k]
+			for j := 0; j < n; j++ {
+				a[k+j*n], a[bi+j*n] = a[bi+j*n], a[k+j*n]
+			}
 		}
+		p := a[k+k*n]
+		if badPivot(abs(p)) {
+			return fmt.Errorf("dense: zero or non-finite pivot %v at %d", p, k)
+		}
+		lcol := a[k*n : (k+1)*n]
 		for i := k + 1; i < n; i++ {
-			a.Set(i, k, a.At(i, k)/p)
+			lcol[i] /= p
 		}
 		for j := k + 1; j < n; j++ {
-			akj := a.At(k, j)
+			akj := a[k+j*n]
 			if akj == 0 {
 				continue
 			}
-			col := a.Data[j*n : (j+1)*n]
-			lcol := a.Data[k*n : (k+1)*n]
+			col := a[j*n : (j+1)*n]
 			for i := k + 1; i < n; i++ {
 				col[i] -= lcol[i] * akj
 			}
@@ -220,97 +219,38 @@ func LU(a *Matrix) error {
 	return nil
 }
 
-// badPivot reports whether a pivot of the given modulus cannot be divided
-// by: below the tiny threshold, infinite, or NaN (which compares false).
-func badPivot(abs float64) bool { return !(abs >= 1e-300) || math.IsInf(abs, 0) }
-
-// LUPartialPivot factors a in place with partial (row) pivoting and returns
-// the pivot permutation: row i of the factored matrix corresponds to row
-// perm[i] of the input. Returns an error on exact singularity.
-func LUPartialPivot(a *Matrix) ([]int, error) {
-	n := a.Rows
-	if a.Cols != n {
-		panic("dense: LU of non-square matrix")
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Pick pivot row.
-		best, bi := math.Abs(a.At(k, k)), k
-		for i := k + 1; i < n; i++ {
-			if v := math.Abs(a.At(i, k)); v > best {
-				best, bi = v, i
-			}
-		}
-		if best < 1e-300 {
-			return nil, fmt.Errorf("dense: singular matrix at column %d", k)
-		}
-		if bi != k {
-			perm[k], perm[bi] = perm[bi], perm[k]
-			for j := 0; j < n; j++ {
-				v := a.At(k, j)
-				a.Set(k, j, a.At(bi, j))
-				a.Set(bi, j, v)
-			}
-		}
-		p := a.At(k, k)
-		for i := k + 1; i < n; i++ {
-			a.Set(i, k, a.At(i, k)/p)
-		}
-		for j := k + 1; j < n; j++ {
-			akj := a.At(k, j)
-			if akj == 0 {
-				continue
-			}
-			col := a.Data[j*n : (j+1)*n]
-			lcol := a.Data[k*n : (k+1)*n]
-			for i := k + 1; i < n; i++ {
-				col[i] -= lcol[i] * akj
-			}
-		}
-	}
-	return perm, nil
-}
-
 // Inverse returns a⁻¹ computed via partially pivoted LU. The input is not
 // modified. It is the tests' whole-matrix oracle — O(n³) scalar loops, the
 // only Trsm caller above supernode-block order — not a production path.
 func Inverse(a *Matrix) (*Matrix, error) {
-	n := a.Rows
-	if a.Cols != n {
-		panic("dense: Inverse of non-square matrix")
-	}
-	f := a.Clone()
-	perm, err := LUPartialPivot(f)
+	n, f := a.Rows, a.Clone()
+	perm, err := LUPartialPivot(f) // which refuses a non-square matrix
 	if err != nil {
 		return nil, err
 	}
-	// Solve A X = I, i.e. L U X = P I.
+	// Solve A X = I, i.e. L U X = P I: row i of P·I is e_perm[i].
 	x := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		// Column j of P*I has a 1 at the position where perm[i] == j.
-		for i := 0; i < n; i++ {
-			if perm[i] == j {
-				x.Set(i, j, 1)
-			}
-		}
+	for i, p := range perm {
+		x.Set(i, p, 1)
 	}
 	Trsm(Left, Lower, NoTrans, Unit, f, x)
 	Trsm(Left, Upper, NoTrans, NonUnit, f, x)
 	return x, nil
 }
 
-// IsSymmetric reports whether a is symmetric within tol.
+// IsSymmetric reports whether a equals its plain transpose within tol, word
+// by word.
 func (a *Matrix) IsSymmetric(tol float64) bool {
 	if a.Rows != a.Cols {
 		return false
 	}
-	for j := 0; j < a.Cols; j++ {
+	n, ew := a.Rows, a.Width()
+	for j := 0; j < n; j++ {
 		for i := 0; i < j; i++ {
-			if math.Abs(a.At(i, j)-a.At(j, i)) > tol {
-				return false
+			for e := 0; e < ew; e++ {
+				if math.Abs(a.Data[(i+j*n)*ew+e]-a.Data[(j+i*n)*ew+e]) > tol {
+					return false
+				}
 			}
 		}
 	}

@@ -60,6 +60,24 @@ func SplitLU(f *Matrix) (l, u *Matrix) {
 	return l, u
 }
 
+// Transpose returns aᵀ as a new matrix.
+func (a *Matrix) Transpose() *Matrix {
+	t := NewMatrixElem(a.Cols, a.Rows, a.Elem)
+	a.TransposeInto(t)
+	return t
+}
+
+// MaxAbs returns max |a_ij|, or 0 for an empty matrix.
+func (a *Matrix) MaxAbs() float64 {
+	d := 0.0
+	for i := range a.Data {
+		if v := math.Abs(a.Data[i]); v > d {
+			d = v
+		}
+	}
+	return d
+}
+
 func randMat(rng *rand.Rand, m, n int) *Matrix {
 	a := NewMatrix(m, n)
 	for i := range a.Data {

@@ -1,10 +1,5 @@
 package dense
 
-import (
-	"fmt"
-	"math/cmplx"
-)
-
 // Complex kernels over the interleaved packed storage. The scalar factors
 // stay real (float64): every call site in the factorization and the
 // selected-inversion passes uses ±1/0 coefficients, and a real coefficient
@@ -68,8 +63,8 @@ func zGemmNaive(ta, tb Trans, alpha float64, a, b, c *Matrix) {
 // zSplit unpacks the interleaved matrix into arena-backed real and
 // imaginary parts.
 func zSplit(a *Matrix) (re, im *Matrix) {
-	re = GetMatrixUninit(a.Rows, a.Cols)
-	im = GetMatrixUninit(a.Rows, a.Cols)
+	re = GetMatrixUninitElem(a.Rows, a.Cols, Real)
+	im = GetMatrixUninitElem(a.Rows, a.Cols, Real)
 	for e := 0; e < a.Rows*a.Cols; e++ {
 		re.Data[e] = a.Data[2*e]
 		im.Data[e] = a.Data[2*e+1]
@@ -86,8 +81,8 @@ func zGemm4M(ta, tb Trans, alpha float64, a, b, c *Matrix) {
 	ar, ai := zSplit(a)
 	br, bi := zSplit(b)
 	m, n := c.Rows, c.Cols
-	tr := GetMatrix(m, n)
-	ti := GetMatrix(m, n)
+	tr := GetMatrixElem(m, n, Real)
+	ti := GetMatrixElem(m, n, Real)
 	Gemm(ta, tb, 1, ar, br, 1, tr)
 	Gemm(ta, tb, -1, ai, bi, 1, tr)
 	Gemm(ta, tb, 1, ar, bi, 1, ti)
@@ -102,100 +97,4 @@ func zGemm4M(ta, tb Trans, alpha float64, a, b, c *Matrix) {
 	PutMatrix(br)
 	PutMatrix(ai)
 	PutMatrix(ar)
-}
-
-// zTrsm solves complex triangular systems in place, mirroring the real Trsm
-// conventions (Left: TX = B, Right: XT = B), against the factor as stored:
-// no engine program solves against a transposed one.
-func zTrsm(side Side, uplo UpLo, tt Trans, diag Diag, t, b *Matrix) {
-	if tt == DoTrans {
-		panic("dense: complex Trsm does not support transposed operands")
-	}
-	checkElem("Trsm", t, b)
-	n := t.Rows
-	if t.Cols != n {
-		panic("dense: Trsm triangular operand not square")
-	}
-	if side == Left && b.Rows != n || side == Right && b.Cols != n {
-		panic("dense: Trsm shape mismatch")
-	}
-	// Both sides walk the unknowns in dependency order: position x is index
-	// x, depending on [0, x), for a forward sweep (Left/Lower, Right/Upper)
-	// and index n-1-x, depending on [n-x, n), for a backward one.
-	if side == Left {
-		for j := 0; j < b.Cols; j++ {
-			for x := 0; x < n; x++ {
-				i, k0, k1 := x, 0, x
-				if uplo == Upper {
-					i, k0, k1 = n-1-x, n-x, n
-				}
-				s := b.ZAt(i, j)
-				for k := k0; k < k1; k++ {
-					s -= t.ZAt(i, k) * b.ZAt(k, j)
-				}
-				if diag == NonUnit {
-					s /= t.ZAt(i, i)
-				}
-				b.ZSet(i, j, s)
-			}
-		}
-		return
-	}
-	m := b.Rows
-	for x := 0; x < n; x++ {
-		j, k0, k1 := x, 0, x
-		if uplo == Lower {
-			j, k0, k1 = n-1-x, n-x, n
-		}
-		xj := b.Data[2*j*m : 2*(j+1)*m]
-		for k := k0; k < k1; k++ {
-			tr, ti := real(t.ZAt(k, j)), imag(t.ZAt(k, j))
-			if tr == 0 && ti == 0 {
-				continue
-			}
-			xk := b.Data[2*k*m : 2*(k+1)*m]
-			for i := 0; i < m; i++ {
-				vr, vi := xk[2*i], xk[2*i+1]
-				xj[2*i] -= tr*vr - ti*vi
-				xj[2*i+1] -= tr*vi + ti*vr
-			}
-		}
-		if diag == NonUnit {
-			d := t.ZAt(j, j)
-			for i := 0; i < m; i++ {
-				v := complex(xj[2*i], xj[2*i+1]) / d
-				xj[2*i], xj[2*i+1] = real(v), imag(v)
-			}
-		}
-	}
-}
-
-// zLU factors the complex matrix in place without pivoting (unit-lower L,
-// upper U packed). The complex-shifted matrices of pole expansion, A − zI
-// with Im(z) ≠ 0 and A real diagonally dominant, are safely nonsingular.
-func zLU(a *Matrix) error {
-	n := a.Rows
-	for k := 0; k < n; k++ {
-		p := a.ZAt(k, k)
-		if badPivot(cmplx.Abs(p)) {
-			return fmt.Errorf("dense: zero or non-finite pivot %v at %d", p, k)
-		}
-		for i := k + 1; i < n; i++ {
-			a.ZSet(i, k, a.ZAt(i, k)/p)
-		}
-		for j := k + 1; j < n; j++ {
-			ar, ai := real(a.ZAt(k, j)), imag(a.ZAt(k, j))
-			if ar == 0 && ai == 0 {
-				continue
-			}
-			col := a.Data[2*j*n : 2*(j+1)*n]
-			lcol := a.Data[2*k*n : 2*(k+1)*n]
-			for i := k + 1; i < n; i++ {
-				lr, li := lcol[2*i], lcol[2*i+1]
-				col[2*i] -= lr*ar - li*ai
-				col[2*i+1] -= lr*ai + li*ar
-			}
-		}
-	}
-	return nil
 }

@@ -332,16 +332,18 @@ func (lu *LU) LogDet() complex128 {
 	return s
 }
 
-// DiagInverseTo computes (A_KK)⁻¹ = U_KK⁻¹ · L_KK⁻¹ from the packed
-// diagonal factor of supernode k into inv, overwriting its contents; inv
-// must already have the supernode's square shape and element type. Pair it
-// with the dense arena (GetMatrixUninitElem) to compute diagonal inverses
-// without allocating.
+// DiagInverseTo writes (A_KK)⁻¹ into inv, of the supernode's square shape and
+// element type (an arena matrix serves): L_KK⁻ᵀ·D_K⁻¹·L_KK⁻¹ for symmetric
+// values (dense.InvertLDL, reading nothing above the diagonal), else U_KK⁻¹·L_KK⁻¹.
 func (lu *LU) DiagInverseTo(k int, inv *dense.Matrix) {
 	dk := lu.Diag(k)
 	if inv.Rows != dk.Rows || inv.Cols != dk.Rows {
-		panic(fmt.Sprintf("factor: DiagInverseTo target %dx%d, want %dx%d",
-			inv.Rows, inv.Cols, dk.Rows, dk.Rows))
+		panic(fmt.Sprintf("factor: DiagInverseTo target %dx%d, want %dx%d", inv.Rows, inv.Cols, dk.Rows, dk.Rows))
+	}
+	if lu.Symmetric {
+		copy(inv.Data, dk.Data)
+		dense.InvertLDL(inv)
+		return
 	}
 	inv.Zero()
 	for i, ew := 0, dk.Width(); i < dk.Rows; i++ {

@@ -470,8 +470,9 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 // TestTwoStorageForms: one matrix factorized lower-only (its values are
 // exactly symmetric) and through the general loop (one entry nudged by an
 // ulp) gives the same factorization to rounding: both multiply back to A − zI,
-// the upper blocks UCopy forms from L agree with the stored ones, and the
-// log-determinants agree.
+// the diagonal inverses (L⁻ᵀD⁻¹L⁻¹ and U⁻¹L⁻¹) and the upper blocks UCopy
+// forms from L agree with the general loop's, and so do the
+// log-determinants.
 func TestTwoStorageForms(t *testing.T) {
 	for _, g := range []*sparse.Generated{
 		sparse.Banded(14, 3, 2), sparse.Grid2D(6, 5, 4), sparse.RandomSym(30, 4, 2), sparse.DG2D(3, 3, 3, 5),
@@ -500,6 +501,13 @@ func TestTwoStorageForms(t *testing.T) {
 				t.Errorf("%s %v: general residual %g", g.Name, lo.Elem, r)
 			}
 			for k := 0; k < an.BP.NumSnodes(); k++ {
+				w := an.BP.Part.Width(k)
+				ldl, ulu := dense.NewMatrixElem(w, w, lo.Elem), dense.NewMatrixElem(w, w, lo.Elem)
+				lo.DiagInverseTo(k, ldl)
+				gen.DiagInverseTo(k, ulu)
+				if d := ldl.MaxAbsDiff(ulu); d > 1e-9 {
+					t.Errorf("%s %v: diagonal inverse %d as L⁻ᵀD⁻¹L⁻¹ is %g off U⁻¹L⁻¹", g.Name, lo.Elem, k, d)
+				}
 				for _, i := range an.BP.Struct(k) {
 					formed, stored := lo.UCopy(k, i), gen.UCopy(k, i)
 					if d := formed.MaxAbsDiff(stored); d > 1e-9 {
@@ -611,6 +619,31 @@ func TestAssembleRejectsEntryOutsidePattern(t *testing.T) {
 	wide := etree.NewBlockPattern(a, etree.FromStarts([]int{0, n}, n))
 	if _, err := NewScatter(a, ordering.Identity(n), wide); !errors.Is(err, ErrSlabTooLarge) {
 		t.Fatalf("NewScatter on a %d-scalar layout = %v, want ErrSlabTooLarge", wide.FactorSize(true), err)
+	}
+}
+
+// BenchmarkDiagInverse is one diagonal inverse of a symmetric LU —
+// L⁻ᵀ·D⁻¹·L⁻¹, the routine every symmetric-plan supernode runs once per
+// inversion — at the widths the benchmark's DG2D supernodes reach (20, and
+// MaxWidth 48), real and complex. Tracked by the bench gate.
+func BenchmarkDiagInverse(b *testing.B) {
+	for _, elem := range []dense.Elem{dense.Real, dense.Complex} {
+		for _, w := range []int{20, 48} {
+			b.Run(fmt.Sprintf("%s-%d", elem, w), func(b *testing.B) {
+				g := sparse.Banded(w, w-1, 1) // one dense supernode
+				bp := etree.NewBlockPattern(g.A, etree.FromStarts([]int{0, w}, w))
+				lu, err := factorize(g.A, bp, elem, map[dense.Elem]complex128{dense.Real: 0, dense.Complex: complex(0, 0.3)}[elem])
+				if err != nil || !lu.Symmetric {
+					b.Fatalf("symmetric LU: %v, Symmetric = %v", err, lu != nil && lu.Symmetric)
+				}
+				inv := dense.NewMatrixElem(w, w, elem)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					lu.DiagInverseTo(0, inv)
+				}
+			})
+		}
 	}
 }
 

@@ -217,7 +217,11 @@ func (d *deliveries) get(rank int) int32 {
 func buildDAG(plan *core.Plan) *builder {
 	b := &builder{}
 	part := plan.BP.Part
-	cube := func(k int) int64 { w := int64(part.Width(k)); return 2 * w * w * w }
+	div := int64(1) // the diagonal inverse U⁻¹·L⁻¹; L⁻ᵀ·D⁻¹·L⁻¹ takes a third
+	if plan.Symmetric {
+		div = 3
+	}
+	cube := func(k int) int64 { w := int64(part.Width(k)); return 2 * w * w * w / div }
 
 	barrier := b.virtual(1 << 30)
 	fin := map[int64]int32{}

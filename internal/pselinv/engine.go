@@ -510,6 +510,10 @@ func (tm *template) takeStates() (set []*rankState) {
 // nil again at completion, when ownership moves to the parent's mailbox, the
 // finalized ainv block (row/col root) or back to the arena (diag root). parts
 // stays with the state once made, all nil between runs.
+//
+// A packed reduction — a symmetric plan's Diag-Reduce — folds and sends lower
+// triangles: each local contribution is packed in place (dense.PackLower)
+// once computed, so sum's prefix of words() is the packed partial sum.
 type redState struct {
 	*collRole // the plan's reduction, and the rank's place in it
 	sum       *dense.Matrix
@@ -517,6 +521,15 @@ type redState struct {
 	next      int         // first fold position not yet in sum
 	parts     [][]float64 // by fold position; made on the first out-of-turn arrival
 	done      bool
+	packed    bool
+}
+
+// words is the length of a contribution as folded and sent.
+func (red *redState) words() int {
+	if red.packed {
+		return dense.PackedLen(red.sum.Rows) * red.sum.Width()
+	}
+	return len(red.sum.Data)
 }
 
 // fold takes the finished contribution at fold position pos — nil for the
@@ -557,11 +570,14 @@ func (red *redState) localOut(pos int) *dense.Matrix {
 // localDone folds a finished local contribution written into out (obtained
 // from localOut for the same pos).
 func (red *redState) localDone(pos int, out *dense.Matrix) {
+	if red.packed {
+		dense.PackLower(out, out.Data[:red.words()])
+	}
 	if pos == 0 {
 		red.fold(0, nil)
 		return
 	}
-	data := out.Data
+	data := out.Data[:red.words()]
 	out.Data = nil
 	dense.PutMatrix(out) // the header only; fold recycles the buffer
 	red.fold(pos, data)
@@ -598,8 +614,8 @@ func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
 		bad = "sender is not a child of the receiver in the collective's tree"
 	case pos < red.next || red.parts != nil && red.parts[pos] != nil:
 		bad = "second payload from this child"
-	case len(msg.Data) != len(red.sum.Data):
-		bad = fmt.Sprintf("%d words, want a %dx%d %s block", len(msg.Data), red.sum.Rows, red.sum.Cols, st.elem)
+	case len(msg.Data) != red.words():
+		bad = fmt.Sprintf("%d words, want %d of a %dx%d %s block (packed %v)", len(msg.Data), red.words(), red.sum.Rows, red.sum.Cols, st.elem, red.packed)
 	}
 	if bad != "" {
 		panic(&reduceError{Kind: red.op.Kind, K: red.op.K, Blk: red.op.Blk, Src: msg.Src, Rank: st.r.ID, Reason: bad})
@@ -676,7 +692,8 @@ func (e *Engine) bind(states []*rankState, r *simmpi.Rank) *rankState {
 			red: make([]redState, len(prog.reds))}
 		for x := range st.red {
 			cr := &prog.reds[x]
-			st.red[x] = redState{collRole: cr, n: int(cr.nlocal) + len(cr.kids)}
+			st.red[x] = redState{collRole: cr, n: int(cr.nlocal) + len(cr.kids),
+				packed: e.Plan.Symmetric && cr.op.Kind == core.OpDiagReduce}
 		}
 		for s, ps := range prog.side {
 			st.side[s] = sideState{hat: make([]*dense.Matrix, len(ps.cross)),
@@ -730,7 +747,7 @@ type kernel uint8
 const (
 	kTrsm        kernel = iota // out = the side's normalization of out against a
 	kGemm                      // out += op(a)·b, a contribution to reduction red
-	kDiagInverse               // out = U_KK⁻¹L_KK⁻¹ − a (a may be nil)
+	kDiagInverse               // out = A_KK⁻¹ − a (a may be nil)
 )
 
 // task describes one unit of TRSM/GEMM-sized compute by value: the kernel,
@@ -858,26 +875,45 @@ func (st *rankState) recv() simmpi.Message {
 	return msg
 }
 
-// runPass1 broadcasts each diagonal factor and normalizes the factor blocks
-// against it. Every TRSM has completed when it returns — in DAG mode too,
-// where the solves of late-arriving broadcasts overlapped the receive waits:
-// pass 2 sends L̂/Û buffers zero-copy, so they must be final first.
+// runPass1 broadcasts each diagonal factor — on a symmetric plan its packed
+// lower triangle — and normalizes the factor blocks against it. Every TRSM
+// has completed when it returns — in DAG mode too, where the solves of
+// late-arriving broadcasts overlapped the receive waits: pass 2 sends L̂/Û
+// buffers zero-copy, so they must be final first.
 func (st *rankState) runPass1() {
 	for _, k := range st.prog.diagRoots {
+		dk := st.e.LU.Diag(k)
 		for _, s := range st.e.Plan.Sides() {
-			st.diagArrived(s, k, st.e.LU.Diag(k))
+			payload := dk.Data
+			if st.e.Plan.Symmetric {
+				payload = dense.GetBuf(dense.PackedLen(dk.Rows) * dk.Width())
+				dense.PackLower(dk, payload)
+				st.side[s].bcast[st.prog.side[s].roles[st.prog.snode[k]].diag].Data = payload
+			}
+			st.diagArrived(s, k, payload, dk)
 		}
 	}
 	st.recvAll(st.prog.expect1)
 }
 
-// diagArrived forwards the packed diagonal factor dk of supernode k down side
-// s's pass-1 broadcast (the column on the lower side, the row on the upper)
-// and normalizes every factor block this rank owns there.
-func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
+// diagArrived forwards the pass-1 payload of supernode k down side s's
+// broadcast (the column on the lower side, the row on the upper) and
+// normalizes every factor block this rank owns there against dk, the root's
+// own factor — a receiver's is the payload, wrapped or unpacked in its slot.
+func (st *rankState) diagArrived(s core.Side, k int, payload []float64, dk *dense.Matrix) {
 	ps := &st.prog.side[s]
 	ro := &ps.roles[st.prog.snode[k]]
-	st.forward(&ps.bcasts[ro.diag], dk)
+	st.forward(&ps.bcasts[ro.diag], payload)
+	if dk == nil && ro.own > 0 {
+		w, slot := st.width(k), &st.side[s].bcast[ro.diag]
+		if st.e.Plan.Symmetric {
+			*slot = dense.Matrix{Rows: w, Cols: w, Elem: st.elem, Data: dense.GetBuf(w * w * st.elem.Width())}
+			dense.UnpackLower(payload, slot)
+		} else {
+			*slot = st.block(w, w, payload)
+		}
+		dk = slot
+	}
 	for h := ro.hat; h < ro.hat+ro.own; h++ {
 		i := ps.cross[h].Blk
 		var x *dense.Matrix
@@ -896,13 +932,13 @@ func (st *rankState) diagArrived(s core.Side, k int, dk *dense.Matrix) {
 	}
 }
 
-// forward sends payload m to this rank's children in broadcast cr, under a
+// forward sends payload to this rank's children in broadcast cr, under a
 // collective span tagged with the rank's role in the tree. The span covers
 // only the message handling, not the compute it unblocks.
-func (st *rankState) forward(cr *collRole, m *dense.Matrix) {
+func (st *rankState) forward(cr *collRole, payload []float64) {
 	t0 := st.spanStart()
 	for _, c := range cr.kids {
-		st.r.Send(c, cr.op.Key(), wire[cr.op.Kind].class, m.Data)
+		st.r.Send(c, cr.op.Key(), wire[cr.op.Kind].class, payload)
 	}
 	st.collSpanEnd(cr, t0)
 }
@@ -922,9 +958,17 @@ func (st *rankState) collSpanEnd(cr *collRole, t0 time.Time) {
 	st.spanEnd(wire[cr.op.Kind].span, cr.op.K, role, t0)
 }
 
-// runPass2 is the asynchronous selected inversion proper. Its initial local
-// actions are the leaf diagonals and the cross-sends of the ready L̂/Û.
+// runPass2 is the asynchronous selected inversion proper. Past the barrier no
+// rank reads a pass-1 payload, so it first hands a symmetric plan's diagonal
+// factors — the packed one a root sent, one a receiver unpacked: the diagonal
+// slots' buffers — back to the kernel arena for pass 2 to reuse. Its initial
+// local actions are the leaf diagonals and the cross-sends of the ready L̂/Û.
 func (st *rankState) runPass2() {
+	for _, ro := range st.prog.side[core.Lower].roles {
+		if ro.diag >= 0 && st.e.Plan.Symmetric {
+			dense.PutBuf(st.side[core.Lower].bcast[ro.diag].Data)
+		}
+	}
 	for _, k := range st.prog.leafDiags {
 		inv := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, out: inv})
@@ -947,8 +991,7 @@ func (st *rankState) handle(msg simmpi.Message) {
 	ro := &ps.roles[st.prog.snode[k]]
 	switch kind {
 	case core.OpDiagBcast, core.OpDiagBcastRow:
-		ss.bcast[ro.diag] = st.block(w, w, msg.Data)
-		st.diagArrived(s, k, &ss.bcast[ro.diag])
+		st.diagArrived(s, k, msg.Data, nil)
 	case core.OpCrossSend, core.OpColBcast, core.OpCrossSendU, core.OpRowBcast:
 		// The normalized block L̂_{I,K} | Û_{K,I} arrives — by cross-send at
 		// its broadcast root, else from the tree parent: forward it down the
@@ -958,7 +1001,7 @@ func (st *rankState) handle(msg simmpi.Message) {
 		b := tm.pos[1-s][id]
 		rows, cols := s.Block(st.width(blk), w)
 		ss.bcast[ro.bcast+b] = st.block(rows, cols, msg.Data)
-		st.forward(&ps.bcasts[ro.bcast+b], &ss.bcast[ro.bcast+b])
+		st.forward(&ps.bcasts[ro.bcast+b], msg.Data)
 		for ti := ro.task + b*ro.own; ti < ro.task+(b+1)*ro.own; ti++ {
 			st.tryRun(s, ti)
 		}
@@ -1066,17 +1109,21 @@ func (st *rankState) maybeComplete(red *redState) {
 	red.done = true
 	op, k := red.op, red.op.K
 	t0 := st.spanStart()
-	m := red.sum
+	m, words := red.sum, red.words()
 	red.sum = nil // ownership moves on: see redState
 	if red.parent >= 0 {
 		// The buffer travels up the tree; the parent recycles it.
-		st.r.Send(int(red.parent), op.Key(), wire[op.Kind].class, m.Data)
+		st.r.Send(int(red.parent), op.Key(), wire[op.Kind].class, m.Data[:words])
 		st.collSpanEnd(red.collRole, t0)
 		return
 	}
 	if op.Kind == core.OpDiagReduce {
-		// A⁻¹_{K,K} = U_KK⁻¹L_KK⁻¹ − Σ.
+		// A⁻¹_{K,K} = A_KK⁻¹ − Σ, both exactly symmetric on a symmetric plan.
 		st.collSpanEnd(red.collRole, t0)
+		if red.packed {
+			dense.UnpackLower(m.Data[:words], m)
+			dense.MirrorLower(m)
+		}
 		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, a: m, out: diag})
 		return

@@ -13,10 +13,11 @@
 // and takes the form of the plan the values select: two-sided for general
 // values, and for symmetric ones, whose factorization stores no U, the
 // symmetric plan's (Û_{K,I} read as L̂_{I,K}ᵀ, A⁻¹_{K,J} mirrored from
-// A⁻¹_{J,K}). So a one-rank run of that plan is bit-identical to this
-// reference; a run on several ranks, which brackets the same sums along its
-// reduce trees, and the general plan on symmetric values, which forms U from
-// L, agree with it to rounding.
+// A⁻¹_{J,K}, the diagonal block L_KK⁻ᵀ·D_K⁻¹·L_KK⁻¹ less the lower triangle
+// of its fold, mirrored). So a one-rank run of that plan is bit-identical to
+// this reference; a run on several ranks, which brackets the same sums along
+// its reduce trees, and the general plan on symmetric values, which forms U
+// from L, agree with it to rounding.
 package selinv
 
 import (
@@ -102,7 +103,9 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 			sum.Scale(-1)
 			ainv.Set(k, j, sum)
 		}
-		// A⁻¹_{K,K} = U_KK⁻¹·L_KK⁻¹ − Σ_{J∈C} Û_{K,J}·A⁻¹_{J,K}   (step 4)
+		// A⁻¹_{K,K} = A_KK⁻¹ − Σ_{J∈C} Û_{K,J}·A⁻¹_{J,K}   (step 4), the sum
+		// of symmetric values reduced to its lower triangle and mirrored, as the
+		// symmetric plan's Diag-Reduce carries it.
 		dsum := dense.GetMatrixElem(wk, wk, lu.Elem)
 		for _, j := range c {
 			ta, u := dense.DoTrans, lhat.MustGet(j, k) // Û_{K,J} of symmetric values
@@ -110,6 +113,9 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 				ta, u = dense.NoTrans, uhat.MustGet(k, j)
 			}
 			addProduct(dsum, ta, u, ainv.MustGet(j, k))
+		}
+		if lu.Symmetric {
+			dense.MirrorLower(dsum)
 		}
 		d := dense.GetMatrixElem(wk, wk, lu.Elem)
 		lu.DiagInverseTo(k, d)

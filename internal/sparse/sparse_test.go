@@ -158,7 +158,7 @@ func TestMatrixMarketRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !g.A.ToDense().Equal(b.ToDense(), 0) {
+	if g.A.ToDense().MaxAbsDiff(b.ToDense()) != 0 {
 		t.Fatal("round trip changed the matrix")
 	}
 }
@@ -256,7 +256,7 @@ func TestToDenseMatchesAt(t *testing.T) {
 			want.Set(i, j, g.A.At(i, j))
 		}
 	}
-	if !d.Equal(want, 0) {
+	if d.MaxAbsDiff(want) != 0 {
 		t.Fatal("ToDense inconsistent with At")
 	}
 }

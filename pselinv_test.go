@@ -219,10 +219,11 @@ func TestChaosSeedOptionPublicAPI(t *testing.T) {
 // heaviest Row-Reduce receiver gets exactly the plan's 303,360 bytes (a
 // tree gather of unsummed contributions would deliver 454,264). The DG
 // matrix is symmetric, so A − zI is complex symmetric and the pole runs the
-// paper's symmetric path: 7,279,104 bytes in all and 818,688 from the
-// heaviest sender (the general plan it used to be pinned to moves
-// 12,295,424 and 1,235,968). With -v it prints the per-class volume table
-// of EXPERIMENTS.md "One block per edge".
+// paper's symmetric path, whose Diag-Bcast and Diag-Reduce carry packed
+// lower triangles: 6,963,776 bytes in all and 783,680 from the heaviest
+// sender (7,279,104 and 818,688 with whole diagonal blocks; the general plan
+// it used to be pinned to moves 12,295,424 and 1,235,968). With -v it prints
+// the per-class volume table of EXPERIMENTS.md "One block per edge".
 func TestFlagshipComplexDagVolumes(t *testing.T) {
 	m := DG2D(16, 16, 4, 1)
 	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
@@ -262,8 +263,8 @@ func TestFlagshipComplexDagVolumes(t *testing.T) {
 	}
 	t.Logf("%-12s %9.6f MB, heaviest sender %.6f MB, heaviest Row-Reduce receiver %.6f MB",
 		"total", float64(total)/1e6, res.MaxSentMB(), maxRecv)
-	if total != 7279104 || res.MaxSentMB() != 0.818688 {
-		t.Errorf("run moved %d bytes, %.6f MB from the heaviest sender; the symmetric plan moves 7279104 and 0.818688", total, res.MaxSentMB())
+	if total != 6963776 || res.MaxSentMB() != 0.783680 {
+		t.Errorf("run moved %d bytes, %.6f MB from the heaviest sender; the symmetric plan moves 6963776 and 0.783680", total, res.MaxSentMB())
 	}
 }
 
