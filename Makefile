@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test tier1 bench bench-smoke bench-baseline \
 	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
-	tcp-obs balancer-smoke pexsi-batch tables surface surface-gate fmt-check clean
+	tcp-obs balancer-smoke pexsi-batch tables width surface surface-gate fmt-check clean
 
 all: build test bench-smoke
 
@@ -81,7 +81,6 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzShiftedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzOpKeyRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzTopoShiftedTree -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -fuzz FuzzBineTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcptransport/ -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sparse/ -fuzz FuzzReadMatrixMarket -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
@@ -140,6 +139,13 @@ pexsi-batch:
 # engine-measured, byte for byte.
 tables:
 	$(GO) run ./cmd/commvol -all $(if $(QUICK),-quick | diff cmd/commvol/testdata/all-quick.golden -)
+
+# The scheme × balancer sweep behind EXPERIMENTS.md "Comparing tree schemes
+# and balancers": every cell's exact plan counts next to its simulated
+# makespan, written to BENCH_width.json (≈20 min on 2 vCPUs; QUICK=1 runs
+# one P and one seed into width-quick.json in ≈5 min).
+width:
+	$(GO) run ./cmd/scaling -width $(if $(QUICK),-quick -width-out width-quick.json)
 
 bench:
 	$(GO) test -run XXX -bench 'EndToEnd' -benchtime 300x .

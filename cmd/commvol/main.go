@@ -65,7 +65,7 @@ var (
 	flagObsOut   = flag.String("obs-out", "obs-out", "directory for -obs artifacts")
 	flagSchemes  = flag.String("schemes", "", "comma-separated tree schemes (empty = the paper's flat,binary,shifted; valid: "+strings.Join(core.SchemeSlugs(), "|")+")")
 	flagBalancer = flag.String("balancer", "cyclic", "supernode→process balancer: "+strings.Join(core.BalancerSlugs(), "|"))
-	flagCPN      = flag.Int("cores-per-node", 0, "ranks per node consumed by the topology-aware schemes (0 = Edison default 24)")
+	flagCPN      = flag.Int("cores-per-node", 0, "ranks per node consumed by toposhifted (0 = Edison default 24)")
 
 	flagTransport = flag.String("transport", "inproc", "communication substrate of the -obs run: inproc (goroutine mailboxes, one process) or tcp (one OS process per rank on localhost)")
 	flagChaos     = flag.Uint64("chaos-seed", 0, "non-zero: the -obs run executes under the seeded chaos adversary (adversarial message reordering; volumes and numerics unchanged)")
@@ -95,6 +95,9 @@ func main() {
 	}
 	balancer, err := core.ParseBalancer(*flagBalancer)
 	usage(err)
+	if *flagCPN < 0 {
+		usage(fmt.Errorf("-cores-per-node %d is negative (0 = Edison default 24)", *flagCPN))
+	}
 	if *flagTransport != "inproc" && *flagTransport != "tcp" {
 		usage(fmt.Errorf("unknown -transport %q (want inproc or tcp)", *flagTransport))
 	}

@@ -34,7 +34,7 @@ var (
 	flagProcs    = flag.Int("procs", 16, "simulated MPI ranks")
 	flagScheme   = flag.String("scheme", "shifted", "tree scheme: "+strings.Join(pselinv.SchemeSlugs(), "|"))
 	flagBalancer = flag.String("balancer", "cyclic", "supernode→process balancer: "+strings.Join(pselinv.BalancerSlugs(), "|"))
-	flagCPN      = flag.Int("cores-per-node", 0, "ranks per node for the topology-aware schemes (0 = Edison default 24)")
+	flagCPN      = flag.Int("cores-per-node", 0, "ranks per node for toposhifted (0 = Edison default 24)")
 	flagOrder    = flag.String("order", "nd", "ordering: natural|rcm|nd|mmd")
 	flagVerify   = flag.Bool("verify", false, "compare the parallel inverse against the sequential one")
 	flagSim      = flag.Bool("sim", false, "also run the network timing simulator at this processor count")
@@ -109,6 +109,10 @@ func buildMatrix() *pselinv.Matrix {
 
 func main() {
 	flag.Parse()
+	if *flagCPN < 0 {
+		fmt.Fprintf(os.Stderr, "pselinv: -cores-per-node %d is negative (0 = Edison default 24)\n", *flagCPN)
+		os.Exit(2)
+	}
 	m := buildMatrix()
 	if *flagAsym {
 		m.Asymmetrize(*flagSeed+99, 0.6)

@@ -9,7 +9,9 @@
 //	Figure 9 — computation vs communication time at small vs large P for
 //	           Flat vs Shifted;
 //	-hybrid  — the §IV-B ablation: flat within small groups, shifted for
-//	           large ones, plus the rejected fully random permutation.
+//	           large ones, plus the rejected fully random permutation;
+//	-width   — every tree scheme × balancer: the plan's exact count
+//	           metrics next to the simulated makespan (BENCH_width.json).
 //
 // Wall-clock numbers are simulated (this repository has no 12,100-core
 // Cray); the stand-in matrices are ~28× smaller than the paper's, so the
@@ -26,7 +28,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pselinv/internal/core"
 	"pselinv/internal/exp"
@@ -45,42 +46,14 @@ var (
 	flagQuick  = flag.Bool("quick", false, "fewer processor counts and seeds")
 	flagSeeds  = flag.Int("seeds", 6, "placement seeds per point (paper: 6 runs)")
 
-	flagTrees    = flag.Bool("trees", false, "run the tree-scheme comparison on the hierarchical topology (cross-node traffic + measured critical path per scheme) and write the artifact")
-	flagTreesOut = flag.String("trees-out", "BENCH_trees.json", "artifact path for -trees")
-	flagSchemes  = flag.String("schemes", "", "comma-separated tree schemes for -trees and -balancers (empty = shifted,toposhifted,bine for -trees, shifted for -balancers; valid: "+strings.Join(core.SchemeSlugs(), "|")+")")
-
-	flagBalancers    = flag.Bool("balancers", false, "run the balancer comparison (per-rank load imbalance + simulated makespan for every balancer × scheme) and write the artifact")
-	flagBalancersOut = flag.String("balancers-out", "BENCH_balancers.json", "artifact path for -balancers")
+	flagWidth    = flag.Bool("width", false, "run the scheme × balancer sweep (exact plan counts + simulated makespan per cell) and write the artifact")
+	flagWidthOut = flag.String("width-out", "BENCH_width.json", "artifact path for -width")
 )
-
-// parseSchemes resolves -schemes, or returns def when the flag is empty;
-// an unknown slug is a hard error naming the valid set.
-func parseSchemes(def []core.Scheme) []core.Scheme {
-	if *flagSchemes == "" {
-		return def
-	}
-	var out []core.Scheme
-	for _, name := range strings.Split(*flagSchemes, ",") {
-		s, err := core.ParseScheme(name)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			os.Exit(2)
-		}
-		out = append(out, s)
-	}
-	return out
-}
 
 func main() {
 	flag.Parse()
-	if *flagTrees {
-		if err := runTrees(*flagTreesOut); err != nil {
-			fmt.Fprintln(os.Stderr, "scaling:", err)
-			os.Exit(1)
-		}
-	}
-	if *flagBalancers {
-		if err := runBalancers(*flagBalancersOut); err != nil {
+	if *flagWidth {
+		if err := runWidth(*flagWidthOut); err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)
 			os.Exit(1)
 		}
@@ -89,7 +62,7 @@ func main() {
 		*flagFig8, *flagFig9, *flagHybrid, *flagAsym = true, true, true, true
 	}
 	if !(*flagFig8 || *flagFig9 || *flagHybrid || *flagAsym) {
-		if *flagTrees || *flagBalancers {
+		if *flagWidth {
 			return
 		}
 		flag.Usage()
@@ -209,84 +182,31 @@ func main() {
 	}
 }
 
-// runTrees runs the tree-scheme comparison on the hierarchical topology
-// (24 ranks per node, as Edison): per (P, scheme) it records the plan's
-// cross-node collective traffic and the measured critical path of a
-// simulated run, then writes the BENCH_trees.json artifact. The expected
-// headline: the topology-aware schemes (toposhifted, bine) move strictly
-// fewer messages across nodes than the topology-blind shifted tree.
-func runTrees(out string) error {
+// runWidth runs the scheme × balancer sweep on the hierarchical topology (24
+// ranks per node, as Edison): every scheme × balancer at each P, the plan's
+// exact count metrics next to the simulated makespan, written as the
+// BENCH_width.json artifact. The full run takes P ∈ {48, 192} and two
+// placement seeds, -quick one P and one seed; -seeds does not apply, because
+// each cell costs a DAG build plus a simulation per seed.
+func runWidth(out string) error {
 	g, relax, mw := exp.ScalingPNFStandin(2)
 	pipe := exp.PrepareSymbolic(g, relax, mw)
 	params := exp.ScaledEdisonParams()
-	ps := []int{48, 96, 192, 384}
+	ps, seeds := []int{48, 192}, []uint64{100, 101}
 	if *flagQuick {
-		ps = []int{48, 96}
+		ps, seeds = []int{48}, []uint64{100}
 	}
-	nSeeds := *flagSeeds
-	if nSeeds < 1 {
-		nSeeds = 1
+	fmt.Printf("== Tree schemes × balancers: %s, %d ranks/node ==\n", g.Name, params.CoresPerNode)
+	sweep := exp.MeasureWidth(pipe, ps, seeds, params)
+	fmt.Printf("%5s %-12s %-8s %9s %9s %9s %9s %7s %8s %8s %6s %8s %15s\n",
+		"P", "scheme", "balancer", "total-MB", "maxsnt-MB", "colbc-MB", "rowrd-MB", "msgs",
+		"flop-imb", "nnz-imb", "xedges", "xnode-MB", "makespan(s)")
+	for _, c := range sweep.Cells {
+		fmt.Printf("%5d %-12s %-8s %9.3f %9.3f %9.3f %9.3f %7d %8.3f %8.3f %6d %8.3f %8.4f±%.4f\n",
+			c.P, c.Scheme, c.Balancer, c.TotalMB, c.MaxSentMB, c.ColBcastMaxMB, c.RowReduceMaxMB,
+			c.Msgs, c.FlopImbalance, c.NNZImbalance, c.CrossEdges, c.CrossMB, c.MakespanMean, c.MakespanStd)
 	}
-	seeds := make([]uint64, nSeeds)
-	for i := range seeds {
-		seeds[i] = uint64(100 + i)
-	}
-	schemes := parseSchemes([]core.Scheme{
-		core.ShiftedBinaryTree, core.TopoShiftedTree, core.BineTree,
-	})
-	fmt.Printf("== Tree schemes on the hierarchical topology: %s, %d ranks/node ==\n",
-		g.Name, params.CoresPerNode)
-	sweep := exp.MeasureTreeSweep(pipe, ps, schemes, seeds, params)
-	fmt.Printf("%7s %6s %-18s %12s %11s %11s %13s %10s  (mean of %d seeds)\n",
-		"P", "nodes", "scheme", "makespan(s)", "xnode-edges", "xnode-MB", "crit-msgs", "crit-xnode", len(seeds))
-	for _, pt := range sweep.Points {
-		fmt.Printf("%7d %6d %-18s %8.4f±%.4f %11d %11.2f %13d %10d\n",
-			pt.P, pt.Nodes, pt.Slug, pt.MakespanMean, pt.MakespanStd,
-			pt.CrossEdges, float64(pt.CrossBytes)/1e6, pt.CritMsgs, pt.CritCrossMsgs)
-	}
-	if err := exp.WriteTreeSweep(out, sweep); err != nil {
-		return err
-	}
-	fmt.Printf("artifact: %s\n\n", out)
-	return nil
-}
-
-// runBalancers runs the supernode→process balancer comparison: for every
-// balancer × scheme at each P it builds the full plan, records the
-// per-rank flop/nnz imbalance factors of the owner map (max/mean, 1.0 =
-// perfect), and simulates the run for the makespan, then writes the
-// BENCH_balancers.json artifact. The expected headline: the greedy work
-// balancer cuts the flop imbalance of the block-cyclic baseline at the
-// larger processor counts, where cyclic's coarse supernode striping leaves
-// whole ranks underloaded.
-func runBalancers(out string) error {
-	g, relax, mw := exp.ScalingPNFStandin(2)
-	pipe := exp.PrepareSymbolic(g, relax, mw)
-	params := exp.ScaledEdisonParams()
-	ps := []int{16, 48, 96, 192}
-	if *flagQuick {
-		ps = []int{16, 48}
-	}
-	nSeeds := *flagSeeds
-	if nSeeds < 1 {
-		nSeeds = 1
-	}
-	seeds := make([]uint64, nSeeds)
-	for i := range seeds {
-		seeds[i] = uint64(100 + i)
-	}
-	schemes := parseSchemes([]core.Scheme{core.ShiftedBinaryTree})
-	fmt.Printf("== Supernode→process balancers: %s, %d ranks/node ==\n",
-		g.Name, params.CoresPerNode)
-	sweep := exp.MeasureBalancerSweep(pipe, ps, core.AllBalancers(), schemes, seeds, params)
-	fmt.Printf("%7s %-10s %-18s %10s %10s %14s %12s  (mean of %d seeds)\n",
-		"P", "balancer", "scheme", "flop-imb", "nnz-imb", "max-Gflop", "makespan(s)", len(seeds))
-	for _, pt := range sweep.Points {
-		fmt.Printf("%7d %-10s %-18s %10.3f %10.3f %14.3f %8.4f±%.4f\n",
-			pt.P, pt.Balancer, pt.Scheme, pt.FlopImbalance, pt.NNZImbalance,
-			float64(pt.MaxRankFlops)/1e9, pt.MakespanMean, pt.MakespanStd)
-	}
-	if err := exp.WriteBalancerSweep(out, sweep); err != nil {
+	if err := exp.WriteWidth(out, sweep); err != nil {
 		return err
 	}
 	fmt.Printf("artifact: %s\n\n", out)

@@ -145,22 +145,6 @@ func FuzzTopoShiftedTree(f *testing.F) {
 	})
 }
 
-func FuzzBineTree(f *testing.F) {
-	f.Add(uint64(1), uint64(1), byte(0), byte(3), []byte{1, 2, 3})
-	f.Add(uint64(7), uint64(99), byte(3), byte(7), []byte{0, 0, 0, 0, 5})
-	f.Add(uint64(0), uint64(0), byte(255), byte(23), make([]byte, 200))
-	f.Fuzz(func(t *testing.T, seed, opKey uint64, rootSel, cpn byte, data []byte) {
-		ranks := fuzzRanks(data)
-		root := ranks[int(rootSel)%len(ranks)]
-		topo := Topology{CoresPerNode: 1 + int(cpn%24)}
-		tr := NewTreeTopo(BineTree, root, ranks, seed, opKey, DefaultHybridThreshold, topo)
-		if tr.Size() != uniqueCount(ranks) {
-			t.Fatalf("size %d, want %d distinct participants", tr.Size(), uniqueCount(ranks))
-		}
-		checkTopoTreeInvariants(t, tr, topo, ranks)
-	})
-}
-
 func FuzzShiftedTree(f *testing.F) {
 	f.Add(uint64(1), uint64(1), byte(0), []byte{1, 2, 3})
 	f.Add(uint64(42), uint64(7), byte(9), []byte{3, 1, 4, 1, 5, 9, 2, 6})

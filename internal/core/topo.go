@@ -9,12 +9,12 @@ import (
 // hierarchical-cluster fact the paper's three schemes ignore. Ranks are
 // laid out CoresPerNode-at-a-time (rank r lives on node r/CoresPerNode),
 // matching internal/netsim's cost model and the 24-cores-per-node Edison
-// placement of the paper's platform. The topology-aware schemes
-// (TopoShiftedTree, BineTree) consume it to keep tree edges inside nodes.
+// placement of the paper's platform. TopoShiftedTree consumes it to keep
+// tree edges inside nodes.
 //
 // The zero value (CoresPerNode == 0) collapses everything onto a single
-// node, under which the topology-aware constructions degrade gracefully to
-// their intra-node shapes.
+// node, under which TopoShiftedTree degrades gracefully to its intra-node
+// shape.
 type Topology struct {
 	// CoresPerNode is the number of consecutive ranks per physical node;
 	// non-positive means one giant node.
@@ -68,7 +68,7 @@ func groupByNode(parts []int, topo Topology) []nodeGroup {
 // CrossNodeEdges counts the tree edges whose endpoints live on different
 // nodes — the messages that must traverse the inter-node network. Any
 // spanning tree over participants occupying g nodes needs at least g-1
-// such edges; the topology-aware schemes meet that bound exactly.
+// such edges; TopoShiftedTree meets that bound exactly.
 func (t *Tree) CrossNodeEdges(topo Topology) int {
 	edges := 0
 	for child, parent := range t.parent {
@@ -77,21 +77,6 @@ func (t *Tree) CrossNodeEdges(topo Topology) int {
 		}
 	}
 	return edges
-}
-
-// CrossNodeDistance sums |node(src) - node(dst)| over the cross-node tree
-// edges — the hop-distance mass netsim's HopLatency term charges for.
-// Locality-optimized trees keep it low by linking adjacent nodes.
-func (t *Tree) CrossNodeDistance(topo Topology) int {
-	dist := 0
-	for child, parent := range t.parent {
-		d := topo.Node(child) - topo.Node(parent)
-		if d < 0 {
-			d = -d
-		}
-		dist += d
-	}
-	return dist
 }
 
 // ValidateTopology checks the locality invariant of the topology-aware

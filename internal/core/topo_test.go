@@ -24,7 +24,7 @@ func TestTopologyNode(t *testing.T) {
 
 // TestSchemeTable covers every scheme constant: String/Slug round-trips
 // through ParseScheme, and NewTreeTopo has a switch arm building a valid
-// tree. A sixth/seventh enum value that misses any of these fails here.
+// tree. A new enum value that misses any of these fails here.
 func TestSchemeTable(t *testing.T) {
 	want := map[Scheme]struct{ name, slug string }{
 		FlatTree:          {"Flat-Tree", "flat"},
@@ -33,7 +33,6 @@ func TestSchemeTable(t *testing.T) {
 		RandomPermTree:    {"Random-Perm-Tree", "randperm"},
 		Hybrid:            {"Hybrid", "hybrid"},
 		TopoShiftedTree:   {"Topo-Shifted-Tree", "toposhifted"},
-		BineTree:          {"Bine-Tree", "bine"},
 	}
 	all := AllSchemes()
 	if len(all) != len(want) {
@@ -63,13 +62,15 @@ func TestSchemeTable(t *testing.T) {
 			t.Errorf("%v: NewTreeTopo built an invalid tree: %v", s, err)
 		}
 	}
-	if _, err := ParseScheme("bogus"); err == nil {
-		t.Fatal("ParseScheme must reject unknown names")
-	} else {
-		for _, slug := range SchemeSlugs() {
-			if !strings.Contains(err.Error(), slug) {
-				t.Errorf("ParseScheme error %q does not list valid slug %q", err, slug)
-			}
+	// "bine" names the Bine-style tree that was removed after the scheme ×
+	// balancer sweep showed it dominated by toposhifted.
+	for _, name := range []string{"bogus", "bine"} {
+		_, err := ParseScheme(name)
+		if err == nil {
+			t.Fatalf("ParseScheme(%q) must fail", name)
+		}
+		if !strings.Contains(err.Error(), "(valid: flat|binary|shifted|randperm|hybrid|toposhifted)") {
+			t.Errorf("ParseScheme(%q) error %q does not list the six valid slugs", name, err)
 		}
 	}
 }
@@ -91,36 +92,6 @@ func TestTopoShiftedTreeLocality(t *testing.T) {
 	}
 }
 
-func TestBineTreeLocality(t *testing.T) {
-	topo := Topology{CoresPerNode: 8}
-	ranks := ranksUpTo(64) // 8 nodes
-	for _, root := range []int{0, 13, 31, 63} {
-		tr := NewTreeTopo(BineTree, root, ranks, 1, 1, DefaultHybridThreshold, topo)
-		if err := tr.Validate(); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.ValidateTopology(topo); err != nil {
-			t.Fatal(err)
-		}
-		if e := tr.CrossNodeEdges(topo); e != 7 {
-			t.Fatalf("root %d: %d cross-node edges over 8 nodes, want 7", root, e)
-		}
-		// Bidirectional expansion: the root's inter-node children sit on the
-		// nearest occupied node on each side — no wrap-around edge.
-		rootNode := topo.Node(root)
-		for _, c := range tr.Children(root) {
-			cn := topo.Node(c)
-			if cn != rootNode && cn != rootNode-1 && cn != rootNode+1 {
-				t.Fatalf("root %d (node %d) links across nodes to %d (node %d), want an adjacent node",
-					root, rootNode, c, cn)
-			}
-		}
-	}
-}
-
-// TestTopoShiftedRotatesLeaders checks the load-balancing half of the
-// design: the rank chosen as a non-root node's entry point must vary per
-// collective, like ShiftedBinaryTree's internal nodes do.
 func TestTopoShiftedRotatesLeaders(t *testing.T) {
 	topo := Topology{CoresPerNode: 24}
 	ranks := ranksUpTo(48)
@@ -139,8 +110,8 @@ func TestTopoShiftedRotatesLeaders(t *testing.T) {
 }
 
 // Property: on the same (ranks, root, seed, opKey, topology) inputs the
-// topology-aware schemes never use more cross-node edges than the
-// topology-blind binary constructions — in fact they pin the count at its
+// topology-aware scheme never uses more cross-node edges than the
+// topology-blind binary constructions — in fact it pins the count at its
 // g-1 spanning-tree minimum for g occupied nodes.
 func TestTopoSchemesMinimizeCrossNodeEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -154,20 +125,18 @@ func TestTopoSchemesMinimizeCrossNodeEdges(t *testing.T) {
 			return NewTreeTopo(s, root, ranks, seed, op, DefaultHybridThreshold, topo)
 		}
 		floor := topo.NumNodes(ranks) - 1
-		for _, s := range []Scheme{TopoShiftedTree, BineTree} {
-			tr := build(s)
-			if err := tr.ValidateTopology(topo); err != nil {
-				t.Fatalf("trial %d %v: %v", trial, s, err)
-			}
-			aware := tr.CrossNodeEdges(topo)
-			if aware != floor {
-				t.Fatalf("trial %d %v: %d cross-node edges, want the minimum %d", trial, s, aware, floor)
-			}
-			for _, base := range []Scheme{BinaryTree, ShiftedBinaryTree} {
-				if blind := build(base).CrossNodeEdges(topo); aware > blind {
-					t.Fatalf("trial %d: %v uses %d cross-node edges, %v only %d (cpn=%d n=%d)",
-						trial, s, aware, base, blind, topo.CoresPerNode, n)
-				}
+		tr := build(TopoShiftedTree)
+		if err := tr.ValidateTopology(topo); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		aware := tr.CrossNodeEdges(topo)
+		if aware != floor {
+			t.Fatalf("trial %d: %d cross-node edges, want the minimum %d", trial, aware, floor)
+		}
+		for _, base := range []Scheme{BinaryTree, ShiftedBinaryTree} {
+			if blind := build(base).CrossNodeEdges(topo); aware > blind {
+				t.Fatalf("trial %d: toposhifted uses %d cross-node edges, %v only %d (cpn=%d n=%d)",
+					trial, aware, base, blind, topo.CoresPerNode, n)
 			}
 		}
 	}

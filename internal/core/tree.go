@@ -11,10 +11,10 @@
 //     concurrent collectives pick different ranks as internal forwarding
 //     nodes — the load-balancing heuristic the paper introduces.
 //
-// Beyond the paper's three schemes, the package adds two topology-aware
-// constructions (TopoShiftedTree, BineTree) that consume a Topology
-// describing rank→node placement and keep tree edges inside nodes — see
-// topo.go and DESIGN.md §5j.
+// Beyond the paper's three schemes, the package adds a topology-aware
+// construction (TopoShiftedTree) that consumes a Topology describing
+// rank→node placement and keeps tree edges inside nodes — see topo.go and
+// DESIGN.md §5j.
 //
 // The package also provides the full per-supernode communication plan of
 // the PSelInv second loop, shared by the goroutine execution engine
@@ -52,11 +52,6 @@ const (
 	// else stays on-node. Cross-node edges hit the g-1 minimum for g
 	// occupied nodes.
 	TopoShiftedTree
-	// BineTree is a Bine-style locality-optimized tree (after
-	// arXiv 2508.17311): bidirectional distance-halving expansion around
-	// each anchor, so both anchor edges connect nearest neighbors and no
-	// edge wraps around — minimal hop distance under a linear network.
-	BineTree
 )
 
 // String names the scheme as in the paper.
@@ -74,8 +69,6 @@ func (s Scheme) String() string {
 		return "Hybrid"
 	case TopoShiftedTree:
 		return "Topo-Shifted-Tree"
-	case BineTree:
-		return "Bine-Tree"
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
@@ -96,8 +89,6 @@ func (s Scheme) Slug() string {
 		return "hybrid"
 	case TopoShiftedTree:
 		return "toposhifted"
-	case BineTree:
-		return "bine"
 	}
 	return fmt.Sprintf("scheme%d", int(s))
 }
@@ -110,7 +101,7 @@ func Schemes() []Scheme { return []Scheme{FlatTree, BinaryTree, ShiftedBinaryTre
 // arm.
 func AllSchemes() []Scheme {
 	return []Scheme{FlatTree, BinaryTree, ShiftedBinaryTree, RandomPermTree,
-		Hybrid, TopoShiftedTree, BineTree}
+		Hybrid, TopoShiftedTree}
 }
 
 // SchemeSlugs lists the flag-facing names of every scheme.
@@ -248,7 +239,7 @@ func NewTree(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64) *T
 
 // NewTreeTopo is the full constructor: NewTree plus an explicit Hybrid
 // flat/shifted threshold and the rank→node Topology consumed by
-// TopoShiftedTree and BineTree (the other schemes ignore it).
+// TopoShiftedTree (the other schemes ignore it).
 func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, hybridThreshold int, topo Topology) *Tree {
 	sorted := append([]int(nil), ranks...)
 	sort.Ints(sorted)
@@ -319,8 +310,6 @@ func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64
 		}
 	case TopoShiftedTree:
 		t.buildTopoShifted(root, seed, opKey, topo)
-	case BineTree:
-		t.buildBineTopo(root, topo)
 	default:
 		panic(fmt.Sprintf("core: unknown scheme %d (valid: %s)",
 			int(scheme), strings.Join(SchemeSlugs(), "|")))
@@ -369,56 +358,6 @@ func (t *Tree) buildTopoShifted(root int, seed, opKey uint64, topo Topology) {
 			rest = append(rest[shift:], rest[:shift]...)
 		}
 		t.buildBinary(leaders[i], rest)
-	}
-}
-
-// buildBineTopo is the Bine-style hierarchical construction: a fixed
-// leader per node group (the group's first rank, or the root for its own
-// group), an inter-node bine expansion over the leaders, and an intra-node
-// bine expansion under each leader. Leaders are static — the deliberate
-// contrast with TopoShiftedTree's per-collective rotation — trading load
-// spread for minimal hop distance.
-func (t *Tree) buildBineTopo(root int, topo Topology) {
-	groups := groupByNode(t.parts, topo)
-	rootNode := topo.Node(root)
-	// Consecutive-rank packing makes node monotone in rank, so the leader
-	// list is ascending and bine expansion can binary-search the anchor.
-	leaders := make([]int, len(groups))
-	for i, g := range groups {
-		if g.node == rootNode {
-			leaders[i] = root
-		} else {
-			leaders[i] = g.members[0]
-		}
-	}
-	t.buildBineAround(root, leaders)
-	for i, g := range groups {
-		t.buildBineAround(leaders[i], g.members)
-	}
-}
-
-// buildBineAround attaches sorted (which must contain anchor) as
-// descendants of anchor by bidirectional expansion: the nearest neighbor
-// on each side becomes a child and forwards outward through a binary tree
-// over its side. Both anchor edges thus connect closest peers and no edge
-// wraps around the ends of the list — the property that minimizes summed
-// hop distance under netsim's linear |nodeA-nodeB| cost.
-func (t *Tree) buildBineAround(anchor int, sorted []int) {
-	idx := sort.SearchInts(sorted, anchor)
-	lo, hi := sorted[:idx], sorted[idx+1:]
-	if len(hi) > 0 {
-		c := hi[0]
-		t.link(anchor, c)
-		t.buildBinary(c, hi[1:])
-	}
-	if len(lo) > 0 {
-		c := lo[len(lo)-1]
-		t.link(anchor, c)
-		rev := make([]int, 0, len(lo)-1)
-		for i := len(lo) - 2; i >= 0; i-- {
-			rev = append(rev, lo[i])
-		}
-		t.buildBinary(c, rev)
 	}
 }
 

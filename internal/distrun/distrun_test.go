@@ -143,8 +143,23 @@ func TestCrossBackendVolumeEquivalence(t *testing.T) {
 	}
 }
 
+// TestSpecBuildRejectsNegativeCoresPerNode: a negative packing fails Build
+// instead of silently putting every rank on one node.
+func TestSpecBuildRejectsNegativeCoresPerNode(t *testing.T) {
+	gen, spec := testProblem()
+	staged, err := distrun.StageMatrix(t.TempDir(), gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.MatrixFile, spec.MatrixName, spec.Geom = staged.MatrixFile, staged.MatrixName, staged.Geom
+	spec.Scheme, spec.CoresPerNode = core.TopoShiftedTree, -5
+	if _, _, _, err := spec.Build(); err == nil || !strings.Contains(err.Error(), "cores_per_node") {
+		t.Fatalf("Build with cores_per_node -5: %v, want an error naming the field", err)
+	}
+}
+
 // TestCrossBackendTopoSchemeEquivalence is the cross-backend golden for
-// the topology-aware schemes: with the four ranks packed two to a node
+// the topology-aware scheme: with the four ranks packed two to a node
 // (CoresPerNode=2 splits the P=4 column trees across a node boundary),
 // the per-rank volume vectors over TCP must be the plan's and match the
 // checked-in golden.
@@ -154,7 +169,7 @@ func TestCrossBackendTopoSchemeEquivalence(t *testing.T) {
 	}
 	gen, spec := testProblem()
 	spec.CoresPerNode = 2
-	schemes := []core.Scheme{core.TopoShiftedTree, core.BineTree}
+	schemes := []core.Scheme{core.TopoShiftedTree}
 
 	remote, err := distrun.MeasureVolumes(gen, spec, schemes, &distrun.Options{Stderr: testWriter{t}})
 	if err != nil {

@@ -56,7 +56,7 @@ type Spec struct {
 	// Seed is the plan's tree-construction seed.
 	Seed uint64 `json:"seed"`
 	// CoresPerNode is the rank→node packing consumed by the topology-aware
-	// schemes (0 = Edison-style default of 24).
+	// scheme (0 = Edison-style default of 24; negative fails Build).
 	CoresPerNode int `json:"cores_per_node,omitempty"`
 	// Balancer is the supernode→process mapping strategy slug ("cyclic",
 	// "nnz", "work", "subtree"; empty = cyclic). Balancers are pure
@@ -160,6 +160,9 @@ func ReadSpec(path string) (*Spec, error) {
 // workers build identical plans. The plan's symmetry is not a field: it is
 // the value symmetry the factorization of the staged matrix recorded.
 func (s *Spec) Build() (*exp.Pipeline, *core.Plan, *pselinv.Engine, error) {
+	if s.CoresPerNode < 0 {
+		return nil, nil, nil, fmt.Errorf("distrun: cores_per_node %d is negative", s.CoresPerNode)
+	}
 	f, err := os.Open(s.MatrixFile)
 	if err != nil {
 		return nil, nil, nil, err

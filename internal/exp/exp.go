@@ -95,9 +95,8 @@ type RunOpts struct {
 	// sequential run of the same plan.
 	DAG bool
 	// CoresPerNode, when positive, sets the rank→node placement consumed
-	// by the topology-aware schemes (core.TopoShiftedTree, core.BineTree)
-	// and reported by the obs chain tables. Zero keeps
-	// core.DefaultTopology and leaves reports topology-free.
+	// by core.TopoShiftedTree and reported by the obs chain tables. Zero
+	// keeps core.DefaultTopology and leaves reports topology-free.
 	CoresPerNode int
 	// Balancer selects the supernode→process mapping strategy (zero value
 	// is the block-cyclic default).

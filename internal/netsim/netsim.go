@@ -586,64 +586,6 @@ type sim struct {
 	remRecv []int64
 
 	res Result
-
-	// Critical-path tracing (enabled by SimulateDAGTraced): per DAG node,
-	// the time it became ready, the time it completed, and the predecessor
-	// whose completion made it ready last.
-	trace    bool
-	readyAt  []float64
-	doneAt   []float64
-	critPred []int32
-	lastDone int32
-}
-
-// CritStep is one hop of the critical path reported by SimulateDAGTraced.
-type CritStep struct {
-	Kind    string // "compute", "msg", "virtual"
-	Rank    int    // executor / source
-	Dst     int    // msg destination
-	Bytes   int64
-	Flops   int64
-	ReadyAt float64 // when dependencies were satisfied
-	DoneAt  float64 // when the node completed
-}
-
-// SimulateDAGTraced is SimulateDAG plus critical-path extraction: it walks
-// back from the last-finishing node through each node's last-satisfied
-// dependency, yielding the chain that determined the makespan. Diagnostic
-// tool for understanding what a scheme's time is made of.
-func SimulateDAGTraced(dag *DAG, params Params) (*Result, []CritStep) {
-	s := newSim(dag, params)
-	s.trace = true
-	s.readyAt = make([]float64, len(dag.nodes))
-	s.doneAt = make([]float64, len(dag.nodes))
-	s.critPred = make([]int32, len(dag.nodes))
-	for i := range s.critPred {
-		s.critPred[i] = -1
-	}
-	s.lastDone = -1
-	res := s.run()
-	var path []CritStep
-	for id := s.lastDone; id >= 0; id = s.critPred[id] {
-		n := &s.nodes[id]
-		kind := "virtual"
-		switch n.kind {
-		case kCompute:
-			kind = "compute"
-		case kMsg:
-			kind = "msg"
-		}
-		path = append(path, CritStep{
-			Kind: kind, Rank: int(n.rank), Dst: int(n.dst),
-			Bytes: n.bytes, Flops: n.flops,
-			ReadyAt: s.readyAt[id], DoneAt: s.doneAt[id],
-		})
-	}
-	// Reverse into chronological order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
-	return res, path
 }
 
 func newSim(dag *DAG, params Params) *sim {
@@ -729,19 +671,9 @@ func (s *sim) ready(id int32, t float64) {
 }
 
 func (s *sim) complete(id int32, t float64) {
-	if s.trace {
-		s.doneAt[id] = t
-		if s.lastDone < 0 || t >= s.doneAt[s.lastDone] {
-			s.lastDone = id
-		}
-	}
 	for _, out := range s.nodes[id].outs {
 		s.deps[out]--
 		if s.deps[out] == 0 {
-			if s.trace {
-				s.readyAt[out] = t
-				s.critPred[out] = id
-			}
 			s.ready(out, t)
 		} else if s.deps[out] < 0 {
 			panic(fmt.Sprintf("netsim: dependency underflow: node %d (kind %d rank %d) -> out %d (kind %d rank %d dst %d), total nodes %d",

@@ -98,7 +98,7 @@ type ChainSummary struct {
 	// spread of any collective in the class, the worst and total measured
 	// cross-node hops, and the spanning-tree reference NodesMax-1 — the
 	// minimum cross-node hops any tree over that spread can achieve, the
-	// analytic line the topology-aware schemes are held to.
+	// analytic line the topology-aware scheme is held to.
 	NodesMax int `json:"nodes_max,omitempty"`
 	CrossMax int `json:"cross_max,omitempty"`
 	CrossSum int `json:"cross_sum,omitempty"`

@@ -85,11 +85,11 @@ var (
 	goldenTopoErr  error
 )
 
-// topoGoldenSchemes are the topology-aware additions, golden-tested with
+// topoGoldenSchemes is the topology-aware addition, golden-tested with
 // an explicit 8-ranks-per-node placement (a 2-node hierarchy on the
 // 16-rank obs problem) so the reports carry the cross-node chain columns.
 func topoGoldenSchemes() []core.Scheme {
-	return []core.Scheme{core.TopoShiftedTree, core.BineTree}
+	return []core.Scheme{core.TopoShiftedTree}
 }
 
 func goldenTopoReport(t *testing.T, scheme core.Scheme) *obs.Report {

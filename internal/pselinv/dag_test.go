@@ -122,7 +122,7 @@ func TestDagByteIdenticalToSequential(t *testing.T) {
 }
 
 // TestDagByteIdenticalTopoSchemes extends the byte-identity property to
-// the topology-aware schemes: at P=16 packed 8 ranks to a node (the node
+// the topology-aware scheme: at P=16 packed 8 ranks to a node (the node
 // boundary splits the 4×4 grid's column trees), a DAG run must reproduce
 // the sequential run bit for bit.
 func TestDagByteIdenticalTopoSchemes(t *testing.T) {
@@ -130,7 +130,7 @@ func TestDagByteIdenticalTopoSchemes(t *testing.T) {
 	g := sparse.Grid2D(8, 8, 3)
 	an, lu, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
 	grid := procgrid.New(4, 4)
-	for _, scheme := range []core.Scheme{core.TopoShiftedTree, core.BineTree} {
+	for _, scheme := range []core.Scheme{core.TopoShiftedTree} {
 		mk := func() *core.Plan {
 			return core.NewPlanConfig(an.BP, grid, core.PlanConfig{
 				Scheme: scheme, Seed: 3, Symmetric: true,

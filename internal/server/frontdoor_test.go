@@ -109,13 +109,33 @@ func TestOversizedBodyRejected(t *testing.T) {
 	}
 }
 
+// TestNegativeCoresPerNodeRejected: a negative packing is a 400 naming the
+// field on both endpoints — not a plan-cache key of its own under which
+// every rank lands on one node and toposhifted builds a different plan.
+func TestNegativeCoresPerNodeRejected(t *testing.T) {
+	ts := httptest.NewServer(New(Config{}).Handler())
+	defer ts.Close()
+	for _, path := range []string{"/v1/selinv", "/v1/selinv/batch"} {
+		hr, err := http.Post(ts.URL+path, "application/json", strings.NewReader(
+			`{"matrix":{"kind":"grid2d","nx":4,"ny":4},"poles":[{"z_im":1}],"scheme":"toposhifted","cores_per_node":-5}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "cores_per_node") {
+			t.Errorf("%s: status %d %q, want a 400 naming cores_per_node", path, hr.StatusCode, msg)
+		}
+	}
+}
+
 // FuzzRequestJSON drives arbitrary bytes through the front door — decode,
 // endpoint validation, knob resolution — as either request type. Whatever
 // the bytes, it must not panic, and it ends in a 4xx or in an admission
 // whose every knob is inside the server's limits.
 func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":8,"ny":8},"procs":4,"diagonal":true}`))
-	f.Add([]byte(`{"matrix":{"kind":"fe3d","nx":2,"ny":2,"nz":2,"dofs":3},"z_re":0.5,"z_im":1,"scheme":"bine","balancer":"work","ordering":"rcm","timeout_ms":50}`))
+	f.Add([]byte(`{"matrix":{"kind":"fe3d","nx":2,"ny":2,"nz":2,"dofs":3},"z_re":0.5,"z_im":1,"scheme":"toposhifted","cores_per_node":4,"balancer":"work","ordering":"rcm","timeout_ms":50}`))
 	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":5,"ny":5},"poles":[{"z_re":0.1,"z_im":1,"w_re":-1}],"density":true}`))
 	f.Add([]byte(`{"matrix":{"kind":"banded","n":30,"bw":2},"num_poles":4,"beta":2,"mu":0.5,"seed":7}`))
 	f.Add([]byte(`{"matrix":{"kind":"matrixmarket","data":"%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 2\n"}}`))
@@ -123,6 +143,7 @@ func FuzzRequestJSON(f *testing.F) {
 	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":4,"ny":4},"num_poles":1000000000000,"beta":1}`))
 	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":4,"ny":4},"timeout_ms":9223372036854775807}`))
 	f.Add([]byte(`{"procs":-1}`))
+	f.Add([]byte(`{"matrix":{"kind":"grid2d","nx":4,"ny":4},"cores_per_node":-5}`))
 	f.Add([]byte(`[1,2`))
 	s := New(Config{MaxN: 4096, MaxProcs: 64, MaxBatchPoles: 8})
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -134,7 +155,7 @@ func FuzzRequestJSON(f *testing.F) {
 				}
 				continue
 			}
-			if adm.procs < 1 || adm.procs > s.cfg.MaxProcs || adm.seed == 0 ||
+			if adm.procs < 1 || adm.procs > s.cfg.MaxProcs || adm.seed == 0 || adm.coresPerNode < 0 ||
 				adm.timeout <= 0 || adm.timeout > s.cfg.MaxTimeout || adm.ordName == "" || adm.generate == nil {
 				t.Fatalf("%T admitted outside the limits: %+v", req, adm)
 			}

@@ -221,11 +221,11 @@ type Request struct {
 	Procs int `json:"procs,omitempty"`
 	// Scheme selects the collective tree (default shifted); any slug from
 	// pselinv.SchemeSlugs is accepted: flat|binary|shifted|randperm|
-	// hybrid|toposhifted|bine.
+	// hybrid|toposhifted.
 	Scheme string `json:"scheme,omitempty"`
-	// CoresPerNode sets the rank→node packing consumed by the
-	// topology-aware schemes (toposhifted, bine); 0 keeps the Edison-style
-	// default of 24 ranks per node. Other schemes ignore it.
+	// CoresPerNode sets the rank→node packing consumed by toposhifted; 0
+	// keeps the Edison-style default of 24 ranks per node and a negative
+	// value is a 400. Other schemes ignore it.
 	CoresPerNode int `json:"cores_per_node,omitempty"`
 	// Balancer selects the supernode→process mapping strategy (default
 	// cyclic); any slug from pselinv.BalancerSlugs is accepted:
@@ -515,6 +515,9 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request, req request) (*ad
 	}
 	if adm.procs < 1 || adm.procs > s.cfg.MaxProcs {
 		return nil, badRequest("procs %d outside [1, %d]", adm.procs, s.cfg.MaxProcs)
+	}
+	if k.CoresPerNode < 0 {
+		return nil, badRequest("cores_per_node %d is negative (0 keeps the default of 24)", k.CoresPerNode)
 	}
 	if k.TimeoutMS > 0 {
 		// Compared in milliseconds: the product could overflow a Duration.

@@ -163,10 +163,10 @@ func TestServeNonFinitePivotIs422(t *testing.T) {
 	}
 }
 
-// TestServeTopoSchemes runs the topology-aware schemes through the
-// service with an explicit packing and checks they produce the same
-// inverse as the default scheme (the tree shape never changes values,
-// only message routing), and that the response echoes the slug.
+// TestServeTopoSchemes runs the topology-aware scheme through the service
+// with an explicit packing and checks it produces the same inverse as the
+// default scheme (the tree shape never changes values, only message
+// routing), and that the response echoes the slug.
 func TestServeTopoSchemes(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	base := &Request{
@@ -178,7 +178,7 @@ func TestServeTopoSchemes(t *testing.T) {
 	if ref == nil {
 		t.Fatal("baseline request failed")
 	}
-	for _, slug := range []string{"toposhifted", "bine"} {
+	for _, slug := range []string{"toposhifted"} {
 		req := *base
 		req.Scheme = slug
 		req.CoresPerNode = 4
@@ -195,9 +195,10 @@ func TestServeTopoSchemes(t *testing.T) {
 			}
 		}
 	}
-	// An unknown scheme must name every valid slug in the error body.
+	// An unknown scheme — here the removed Bine tree — must name every
+	// valid slug in the error body.
 	body, err := json.Marshal(&Request{
-		Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Scheme: "fibonacci",
+		Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Scheme: "bine",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -200,14 +200,10 @@ const (
 	// shift rotates forwarders within node groups and one leader per node
 	// crosses the inter-node network (minimal cross-node edges).
 	TopoShiftedTree = core.TopoShiftedTree
-	// BineTree is a Bine-style locality-optimized tree (after
-	// arXiv 2508.17311): bidirectional nearest-neighbor expansion, minimal
-	// cross-node hop distance on a linear network.
-	BineTree = core.BineTree
 )
 
 // ParseScheme resolves a flag or request value ("flat", "binary",
-// "shifted", "randperm", "hybrid", "toposhifted", "bine") to a Scheme; an
+// "shifted", "randperm", "hybrid", "toposhifted") to a Scheme; an
 // unknown name is an error listing the valid slugs.
 func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 
@@ -269,9 +265,9 @@ type Options struct {
 	// which stay on the rank goroutine. The result is byte-identical to a
 	// sequential run of the same plan.
 	DAG bool
-	// CoresPerNode is the rank→node packing consumed by the
-	// topology-aware schemes (TopoShiftedTree, BineTree); 0 uses the
-	// Edison-style default of 24 ranks per node. Other schemes ignore it.
+	// CoresPerNode is the rank→node packing consumed by TopoShiftedTree;
+	// 0 uses the Edison-style default of 24 ranks per node, and a negative
+	// value is an AnalyzePattern error. Other schemes ignore it.
 	CoresPerNode int
 	// Balancer selects the supernode→process mapping strategy by slug
 	// ("cyclic", "nnz", "work", "subtree"); empty means "cyclic". An
@@ -344,6 +340,9 @@ func AnalyzePattern(m *Matrix, opt Options) (*Symbolic, error) {
 		if bal, err = ParseBalancer(opt.Balancer); err != nil {
 			return nil, fmt.Errorf("pselinv: %w", err)
 		}
+	}
+	if opt.CoresPerNode < 0 {
+		return nil, fmt.Errorf("pselinv: CoresPerNode %d is negative", opt.CoresPerNode)
 	}
 	if !m.gen.A.IsStructurallySymmetric() {
 		return nil, fmt.Errorf("pselinv: %s: pattern must be structurally symmetric", m.Name())
@@ -894,7 +893,7 @@ func (s *System) SimulateTiming(procs int, scheme Scheme, sp SimParams) *TimingR
 	}
 	grid := procgrid.Squarish(procs)
 	// The plan's topology tracks the simulator's packing, so the
-	// topology-aware schemes optimize for the same placement the cost
+	// topology-aware scheme optimizes for the same placement the cost
 	// model charges for.
 	plan := core.NewPlanConfig(s.an.BP, grid, core.PlanConfig{
 		Scheme: scheme, Seed: 1, Symmetric: s.symmetric,

@@ -13,6 +13,15 @@ import (
 	"pselinv/internal/dense"
 )
 
+// TestNegativeCoresPerNodeRejected: a negative packing is an analysis
+// error, not a topology that puts every rank on one node.
+func TestNegativeCoresPerNodeRejected(t *testing.T) {
+	_, err := AnalyzePattern(Grid2D(4, 4, 1), Options{CoresPerNode: -5})
+	if err == nil || !strings.Contains(err.Error(), "CoresPerNode") {
+		t.Fatalf("AnalyzePattern with CoresPerNode -5: %v, want an error naming the field", err)
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	m := Grid2D(8, 8, 1)
 	sys, err := NewSystem(m, Options{})
