@@ -73,8 +73,9 @@ chaos:
 # Short coverage-guided fuzz runs of the tree constructions and the
 # untrusted-input decoders (one target per invocation, as the fuzz engine
 # requires). The server target skips its package's tests (they include the
-# timed plan-cache SLO); it and the snapshot target cap corpus minimization,
-# which otherwise eats the whole budget on JSON-sized inputs.
+# timed plan-cache SLO), the launcher's result-line target the multi-process
+# ones; they and the snapshot target cap corpus minimization, which otherwise
+# eats the whole budget on JSON-sized inputs.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzBinaryTree -fuzztime $(FUZZTIME)
@@ -85,6 +86,7 @@ fuzz-smoke:
 	$(GO) test ./internal/sparse/ -fuzz FuzzReadMatrixMarket -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRequestJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/distrun/ -run '^$$' -fuzz FuzzResultLine -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 
 # Multi-process smoke: the cross-backend equivalence tests (launcher
 # re-execs the test binary, one OS process per rank; what every rank counted

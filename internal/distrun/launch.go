@@ -103,12 +103,40 @@ func (o *Outcome) checkConservation() error {
 	return nil
 }
 
+// ResultError reports a result line the launcher cannot use: not a Result,
+// another rank's, or per-class counters not one per simmpi class.
+type ResultError struct {
+	Rank   int
+	Reason string
+}
+
+func (e *ResultError) Error() string {
+	return fmt.Sprintf("distrun: rank %d sent a malformed result: %s", e.Rank, e.Reason)
+}
+
+// decodeResult decodes and validates rank's result line, so that every
+// Outcome method may index a per-class vector by class.
+func decodeResult(rank int, line []byte) (Result, error) {
+	var res Result
+	if err := json.Unmarshal(line, &res); err != nil {
+		return res, &ResultError{Rank: rank, Reason: err.Error()}
+	}
+	if res.Rank != rank {
+		return res, &ResultError{Rank: rank, Reason: fmt.Sprintf("it reports itself as rank %d", res.Rank)}
+	}
+	if nc := len(simmpi.Classes()); len(res.SentBytes) != nc || len(res.RecvBytes) != nc || len(res.SentMsgs) != nc || len(res.RecvMsgs) != nc {
+		return res, &ResultError{Rank: rank, Reason: fmt.Sprintf("sent/received byte/message counters of %d/%d/%d/%d classes, want %d",
+			len(res.SentBytes), len(res.RecvBytes), len(res.SentMsgs), len(res.RecvMsgs), nc)}
+	}
+	return res, nil
+}
+
 // launchedWorker is the launcher's handle on one rank's process.
 type launchedWorker struct {
 	cmd    *exec.Cmd
 	stdin  io.WriteCloser
 	addrCh chan string
-	resCh  chan Result
+	resCh  chan []byte // the JSON of the worker's result line
 	obsCh  chan *obs.Snapshot
 	scanCh chan error // scanner goroutine exit status
 }
@@ -193,14 +221,15 @@ func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 	var failures []string
 	for r, w := range workers {
 		select {
-		case res, ok := <-w.resCh:
+		case line, ok := <-w.resCh:
 			if !ok {
 				werr := w.cmd.Wait()
 				workers[r] = nil
 				return nil, fmt.Errorf("distrun: rank %d exited without a result (%v)", r, werr)
 			}
-			if res.Rank != r {
-				return nil, fmt.Errorf("distrun: rank %d reported itself as rank %d", r, res.Rank)
+			res, err := decodeResult(r, line)
+			if err != nil {
+				return nil, err
 			}
 			outcome.Results[r] = res
 			if spec.Obs {
@@ -263,7 +292,7 @@ func spawnWorker(exe, specPath string, rank int, errSink io.Writer) (*launchedWo
 		cmd:    cmd,
 		stdin:  stdin,
 		addrCh: make(chan string, 1),
-		resCh:  make(chan Result, 1),
+		resCh:  make(chan []byte, 1),
 		obsCh:  make(chan *obs.Snapshot, 1),
 		scanCh: make(chan error, 1),
 	}
@@ -281,12 +310,7 @@ func spawnWorker(exe, specPath string, rank int, errSink io.Writer) (*launchedWo
 			case strings.HasPrefix(line, addrPrefix):
 				w.addrCh <- strings.TrimSpace(line[len(addrPrefix):])
 			case strings.HasPrefix(line, resultPrefix):
-				var res Result
-				if err := json.Unmarshal([]byte(line[len(resultPrefix):]), &res); err != nil {
-					fmt.Fprintf(errSink, "distrun: rank %d: bad result line: %v\n", rank, err)
-					continue
-				}
-				w.resCh <- res
+				w.resCh <- []byte(line[len(resultPrefix):])
 			case strings.HasPrefix(line, obsPrefix):
 				snap, err := obs.UnmarshalSnapshot([]byte(line[len(obsPrefix):]))
 				if err != nil {

@@ -40,9 +40,7 @@ func (o *Outcome) MergeObs() (*obs.Merged, error) {
 		return func(c simmpi.Class) int64 {
 			var total int64
 			for r := range o.Results {
-				if xs := col(&o.Results[r]); int(c) < len(xs) {
-					total += xs[c]
-				}
+				total += col(&o.Results[r])[c]
 			}
 			return total
 		}

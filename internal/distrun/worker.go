@@ -50,8 +50,9 @@ const (
 )
 
 // Result is one worker's report, emitted as a single JSON line. The
-// volume slices are indexed by simmpi.Class and cover only this worker's
-// rank — the launcher assembles the per-rank matrices and checks global
+// volume slices are indexed by simmpi.Class, one entry per class even when
+// the worker failed before it counted, and cover only this worker's rank —
+// the launcher assembles the per-rank matrices and checks global
 // conservation across processes.
 type Result struct {
 	Rank      int     `json:"rank"`
@@ -114,7 +115,9 @@ func WorkerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 // runWorker is the fallible body of WorkerMain; any error lands in the
 // Result so the launcher sees it attributed to this rank.
 func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
-	res := Result{Rank: rank}
+	classes := simmpi.Classes()
+	res := Result{Rank: rank, SentBytes: make([]int64, len(classes)), RecvBytes: make([]int64, len(classes)),
+		SentMsgs: make([]int64, len(classes)), RecvMsgs: make([]int64, len(classes))}
 	fail := func(err error) Result {
 		res.Error = err.Error()
 		return res
@@ -186,11 +189,6 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	start := time.Now()
 	runRes, err := eng.RunWorld(world, spec.Timeout())
 	res.ElapsedNS = time.Since(start).Nanoseconds()
-	classes := simmpi.Classes()
-	res.SentBytes = make([]int64, len(classes))
-	res.RecvBytes = make([]int64, len(classes))
-	res.SentMsgs = make([]int64, len(classes))
-	res.RecvMsgs = make([]int64, len(classes))
 	for i, c := range classes {
 		res.SentBytes[i] = world.SentBytes(rank, c)
 		res.RecvBytes[i] = world.RecvBytes(rank, c)

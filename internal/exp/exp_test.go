@@ -233,7 +233,7 @@ func TestRefactorizeReusesAnalysis(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := factor.New(p.An.BP, dense.Real)
-	if err := warm.Refactorize(gen2.A, sc, 0); err != nil {
+	if err := warm.Refactorize(gen2.A, 0, sc, 0); err != nil {
 		t.Fatal(err)
 	}
 	cold, err := Prepare(gen2, 2, 16)

@@ -222,30 +222,32 @@ func factorize(a *sparse.CSC, bp *etree.BlockPattern, elem dense.Elem, z complex
 		return nil, err
 	}
 	lu := New(bp, elem)
-	return lu, lu.Refactorize(a, s, z)
+	return lu, lu.Refactorize(a, 0, s, z)
 }
 
-// Refactorize overwrites lu with the factorization of A − zI, in lu's
+// Refactorize overwrites lu with the factorization of A + σI − zI, in lu's
 // element type (a real LU takes a real z), bit for bit what Factorize or
-// FactorizeShifted returns. The values' symmetry is read first, exactly —
+// FactorizeShifted returns for the CSC a.ShiftDiagonal(σ) makes: σ is added
+// to each diagonal value before z is subtracted, the two roundings a shifted
+// copy of the values would take. The values' symmetry is read first, exactly —
 // a(i,j) == a(j,i) — and decides how much is assembled, eliminated and
 // stored. s must be the Scatter of a's pattern on lu's block pattern, and
 // nothing may still be reading the previous factorization. After an error lu
 // holds none, and can be refactorized again.
-func (lu *LU) Refactorize(a *sparse.CSC, s *Scatter, z complex128) error {
+func (lu *LU) Refactorize(a *sparse.CSC, sigma float64, s *Scatter, z complex128) error {
 	if s.bp != lu.BP || len(s.off) != a.NNZ() {
 		return fmt.Errorf("factor: scatter map of another pattern (%d entries, the matrix has %d)", len(s.off), a.NNZ())
 	}
 	lu.Symmetric = a.IsSymmetric(0)
 	lu.reset()
-	lu.scatter(a.Val, s, z)
+	lu.scatter(a.Val, sigma, s, z)
 	return lu.eliminate()
 }
 
-// scatter writes A − zI into the zeroed slab through the map — for
-// symmetric values only the entries landing in its lower half — then
-// subtracts z on the diagonal.
-func (lu *LU) scatter(val []float64, s *Scatter, z complex128) {
+// scatter writes A + σI − zI into the zeroed slab through the map — for
+// symmetric values only the entries landing in its lower half — then adds σ
+// and subtracts z on the diagonal.
+func (lu *LU) scatter(val []float64, sigma float64, s *Scatter, z complex128) {
 	if lu.Elem == dense.Real && imag(z) != 0 {
 		panic(fmt.Sprintf("factor: complex shift %v on a real LU", z))
 	}
@@ -257,6 +259,7 @@ func (lu *LU) scatter(val []float64, s *Scatter, z complex128) {
 	}
 	for _, o := range s.diag {
 		d := lu.slab[int(o)*ew:]
+		d[0] += sigma
 		d[0] += -real(z)
 		if ew == 2 {
 			d[1] += -imag(z)

@@ -382,7 +382,7 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 						t.Fatalf("%s: Symmetric = %v", label, want.Symmetric)
 					}
 					got := New(an.BP, elem)
-					if err := got.Refactorize(g.A, sc, z); err != nil {
+					if err := got.Refactorize(g.A, 0, sc, z); err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}
 					sameLU(t, label+" through the map", want, got)
@@ -412,7 +412,7 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 	}{{"real", dense.Real, 0}, {"complex", dense.Complex, complex(0.3, 0.7)}} {
 		fresh := func(a *sparse.CSC, z complex128) (*LU, error) {
 			lu := New(an.BP, tc.elem)
-			return lu, lu.Refactorize(a, sc, z)
+			return lu, lu.Refactorize(a, 0, sc, z)
 		}
 		want, err := fresh(g.A, tc.z)
 		if err != nil {
@@ -431,7 +431,7 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 		}
 		step := func(label string, a *sparse.CSC, want *LU) {
 			t.Helper()
-			if err := lu.Refactorize(a, sc, tc.z); err != nil {
+			if err := lu.Refactorize(a, 0, sc, tc.z); err != nil {
 				t.Fatalf("%s %s: %v", tc.name, label, err)
 			}
 			sameLU(t, tc.name+" "+label, want, lu)
@@ -439,7 +439,7 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 		step("after another shift of another matrix", g.A, want)
 		step("after another matrix", other, wantOther)
 		step("twice", other, wantOther)
-		if err := lu.Refactorize(poisoned, sc, tc.z); err == nil {
+		if err := lu.Refactorize(poisoned, 0, sc, tc.z); err == nil {
 			t.Fatalf("%s: NaN diagonal factorized", tc.name)
 		}
 		step("after a failed factorization", g.A, want)
@@ -467,6 +467,34 @@ func TestRefactorizeBitIdentical(t *testing.T) {
 	}
 }
 
+// TestRefactorizeShiftBitIdentical: a shift σ handed to Refactorize is bit for
+// bit the CSC ShiftDiagonal(σ) makes, factorized unshifted — σ lands on each
+// diagonal value before z is subtracted — for symmetric and general values,
+// real and complex.
+func TestRefactorizeShiftBitIdentical(t *testing.T) {
+	for _, g := range []*sparse.Generated{sparse.DG2D(4, 4, 3, 4), sparse.Asymmetrize(sparse.DG2D(4, 4, 3, 4), 1, 0.5)} {
+		an := analyze(g, etree.Options{Relax: 2, MaxWidth: 8})
+		sc := mustScatter(t, g.A, an.PermTotal, an.BP)
+		for _, sigma := range []float64{0.5, -1.0 / 3, 1e-17} {
+			shifted, err := g.A.ShiftDiagonal(sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, z := range []complex128{0, complex(0.3, -0.7)} {
+				elem := map[bool]dense.Elem{true: dense.Real, false: dense.Complex}[z == 0]
+				want, got := New(an.BP, elem), New(an.BP, elem)
+				if err := want.Refactorize(shifted, 0, sc, z); err != nil {
+					t.Fatal(err)
+				}
+				if err := got.Refactorize(g.A, sigma, sc, z); err != nil {
+					t.Fatal(err)
+				}
+				sameLU(t, fmt.Sprintf("%s σ=%g z=%v", g.Name, sigma, z), want, got)
+			}
+		}
+	}
+}
+
 // TestTwoStorageForms: one matrix factorized lower-only (its values are
 // exactly symmetric) and through the general loop (one entry nudged by an
 // ulp) gives the same factorization to rounding: both multiply back to A − zI,
@@ -485,10 +513,10 @@ func TestTwoStorageForms(t *testing.T) {
 			if z != 0 {
 				lo, gen = New(an.BP, dense.Complex), New(an.BP, dense.Complex)
 			}
-			if err := lo.Refactorize(an.A, sc, z); err != nil {
+			if err := lo.Refactorize(an.A, 0, sc, z); err != nil {
 				t.Fatal(err)
 			}
-			if err := gen.Refactorize(general, sc, z); err != nil {
+			if err := gen.Refactorize(general, 0, sc, z); err != nil {
 				t.Fatal(err)
 			}
 			if !lo.Symmetric || gen.Symmetric {
@@ -542,7 +570,7 @@ func TestRefactorizeAllocs(t *testing.T) {
 	for _, z := range []complex128{0, complex(0.3, 0.7)} {
 		lu := New(an.BP, map[bool]dense.Elem{true: dense.Real, false: dense.Complex}[z == 0])
 		refactorize := func() {
-			if err := lu.Refactorize(g.A, sc, z); err != nil {
+			if err := lu.Refactorize(g.A, 0, sc, z); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -571,7 +599,7 @@ func TestAssembleRoundTrip(t *testing.T) {
 			lu := New(an.BP, elem)
 			lu.Symmetric = g.A.IsSymmetric(0)
 			lu.reset()
-			lu.scatter(g.A.Val, sc, z)
+			lu.scatter(g.A.Val, 0, sc, z)
 			for j := 0; j < an.A.N; j++ {
 				for i := 0; i < an.A.N; i++ {
 					want := complex(an.A.At(i, j), 0)
@@ -671,7 +699,7 @@ func BenchmarkRefactorize(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := lu.Refactorize(bc.a, sc, bc.z); err != nil {
+				if err := lu.Refactorize(bc.a, 0, sc, bc.z); err != nil {
 					b.Fatal(err)
 				}
 			}

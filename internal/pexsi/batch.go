@@ -104,7 +104,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 			default:
 				lu = factor.New(s.an.BP, dense.Complex)
 			}
-			err := lu.Refactorize(s.h, s.sc, p.Z)
+			err := lu.Refactorize(s.h, 0, s.sc, p.Z)
 			j := facJob{l: l, lu: lu, elapsed: time.Since(t0), err: err}
 			select {
 			case jobs <- j:

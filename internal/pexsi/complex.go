@@ -98,7 +98,7 @@ func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) 
 	err = s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Complex, func(l int, lu *factor.LU) error {
 		pole := cfg.Poles[l]
 		contribs[l] = make([]float64, h.A.N)
-		err := lu.Refactorize(s.h, s.sc, pole.Z)
+		err := lu.Refactorize(s.h, 0, s.sc, pole.Z)
 		if err == nil {
 			res.LogDets[l] = lu.LogDet()
 			_, _, err = s.accumulate(lu, pole.Weight, contribs[l])

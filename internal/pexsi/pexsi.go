@@ -232,7 +232,7 @@ func Run(h *sparse.Generated, cfg Config) (*Result, error) {
 		st := &res.Stats[l]
 		st.Pole = pole
 		contribs[l] = make([]float64, h.A.N)
-		err := lu.Refactorize(s.h, s.sc, complex(-pole.Shift, 0)) // H + σI
+		err := lu.Refactorize(s.h, pole.Shift, s.sc, 0) // H + σI
 		if err == nil {
 			st.MaxSentMB, st.Elapsed, err = s.accumulate(lu, complex(pole.Weight, 0), contribs[l])
 		}

@@ -405,7 +405,19 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	}
 	// The state goes back to the template only after a successful gather: a
 	// failed or timed-out run leaves anything in it, its ranks maybe running.
+	// The inbox rings travel with it, on an in-process transport: handed to
+	// this world before any rank can send, taken back where the state is
+	// cleared, so they never leave a failed run either.
 	states := e.tmpl.takeStates()
+	rings, _ := world.Transport().(ringTransport)
+	if rings != nil {
+		for r, st := range states {
+			if st != nil && st.ring != nil {
+				rings.AdoptRing(r, st.ring)
+				st.ring = nil
+			}
+		}
+	}
 	scheme := e.Plan.Scheme.String()
 	// A malformed reduce message fails the run with the detecting rank's
 	// reduceError: that rank closes the world, which unblocks its peers,
@@ -473,6 +485,9 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			res.Snapshots = append(res.Snapshots, snap)
 		}
 		st.clear()
+		if rings != nil {
+			st.ring = rings.ReclaimRing(r)
+		}
 	}
 	e.tmpl.mu.Lock()
 	if len(e.tmpl.idle) < maxIdleStates {
@@ -480,6 +495,13 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	}
 	e.tmpl.mu.Unlock()
 	return res, nil
+}
+
+// ringTransport is a transport whose inbox ring buffers can move from one
+// world to the next (simmpi.InProc).
+type ringTransport interface {
+	AdoptRing(rank int, ring []simmpi.Message)
+	ReclaimRing(rank int) []simmpi.Message
 }
 
 // takeStates returns a cleared state set off the template's free list, or an
@@ -680,6 +702,9 @@ type rankState struct {
 	// elem caches the factorization's element type: every payload and
 	// arena request below is a rows×cols block of it.
 	elem dense.Elem
+
+	// ring is the rank's inbox ring buffer between runs (see RunWorld).
+	ring []simmpi.Message
 }
 
 // bind binds rank r's state in the set to this run, laying it out when no

@@ -3,6 +3,8 @@ package pselinv
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +50,18 @@ func idleSets(e *Engine) [][]*rankState {
 	e.tmpl.mu.Lock()
 	defer e.tmpl.mu.Unlock()
 	return append([][]*rankState(nil), e.tmpl.idle...)
+}
+
+// ringsOf returns the first slot of each rank's inbox ring in a state set, nil
+// where the rank keeps none.
+func ringsOf(set []*rankState) []*simmpi.Message {
+	out := make([]*simmpi.Message, len(set))
+	for r, st := range set {
+		if st != nil && len(st.ring) > 0 {
+			out[r] = &st.ring[0]
+		}
+	}
+	return out
 }
 
 // recyclePlans is the symmetric plan on symmetric values and the general plan
@@ -161,7 +175,8 @@ func TestRecycledStateConcurrentRuns(t *testing.T) {
 // TestFailedRunStateNotRecycled fails a run on a warm template three ways —
 // a symmetric plan bound to asymmetric values, a duplicated reduce payload
 // (*reduceError), a dropped message (timeout) — and wants the state the failed
-// run took never to come back, and the next run on the template correct.
+// run took, and the inbox rings that travel with it, never to come back, and
+// the next run on the template correct.
 func TestFailedRunStateNotRecycled(t *testing.T) {
 	an, lu, _ := prep(t, sparse.Grid2D(6, 6, 3), etree.Options{Relax: 2, MaxWidth: 6})
 	plan := core.NewPlan(an.BP, procgrid.New(2, 2), core.ShiftedBinaryTree, 1)
@@ -232,6 +247,10 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 				t.Fatalf("warm-up run: %s", d)
 			}
 			warm := idleSets(tmpl)[0]
+			warmRings := ringsOf(warm)
+			if !slices.ContainsFunc(warmRings, func(m *simmpi.Message) bool { return m != nil }) {
+				t.Fatal("the warm-up run handed no inbox ring to its state")
+			}
 			if err := f.run(tmpl); err != nil {
 				t.Fatal(err)
 			}
@@ -251,21 +270,32 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 				t.Fatalf("after the recovery run: %d idle sets, reused the failed run's = %v",
 					len(idle), len(idle) == 1 && &idle[0][0] == &warm[0])
 			}
+			for r, ring := range ringsOf(idle[0]) {
+				if x == 0 && ring != warmRings[r] {
+					t.Fatalf("rank %d: the refused run moved the warm set's inbox ring", r)
+				}
+				if x > 0 && ring != nil && ring == warmRings[r] {
+					t.Fatalf("rank %d: the failed run's inbox ring came back", r)
+				}
+			}
 		})
 	}
 }
 
 // TestSteadyStateRunAllocs holds a warm Rebind(lu).Run on DG2D(8,8,4), 16
-// ranks, to an allocation count. What is left is the run's own: the world and
-// its mailboxes, sixteen goroutines, the result and its block map, arena
-// misses after a collection (1,255 allocations per run with per-run maps,
-// redStates and per-message headers; 338 without). Not held under the race
+// ranks, to an allocation count and, in the median of nine runs, a byte budget.
+// What is left is the run's own: the world and its mailboxes, sixteen
+// goroutines, the result and its block map, arena misses after a collection
+// (1,255 allocations per run with per-run maps, redStates and per-message
+// headers; 338 without). The mailboxes' ring buffers come with the recycled
+// state, so a warm run grows none (≈60 KB per run when every run grew its
+// sixteen rings from empty, ≈30 KB without). Not held under the race
 // detector, where sync.Pool drops the arena's buffers at random.
 func TestSteadyStateRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const budget = 600
+	const budget, budgetKB = 600, 40
 	an, lu, ref := prep(t, sparse.DG2D(8, 8, 4, 1), etree.Options{Relax: 4, MaxWidth: 48})
 	ref.Release()
 	tmpl := NewEngine(core.NewPlan(an.BP, procgrid.New(4, 4), core.ShiftedBinaryTree, 1), nil)
@@ -278,9 +308,19 @@ func TestSteadyStateRunAllocs(t *testing.T) {
 	}
 	run()
 	run()
-	if allocs := testing.AllocsPerRun(10, run); allocs > budget {
-		t.Errorf("a warm run allocates %.0f times, budget %d", allocs, budget)
+	allocs := testing.AllocsPerRun(10, run)
+	kb := make([]float64, 9)
+	for x := range kb {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		kb[x] = float64(after.TotalAlloc-before.TotalAlloc) / 1e3
+	}
+	slices.Sort(kb)
+	if allocs > budget || kb[4] > budgetKB {
+		t.Errorf("a warm run allocates %.0f times and %.1f KB, budget %d and %d KB", allocs, kb[4], budget, budgetKB)
 	} else {
-		t.Logf("a warm run allocates %.0f times", allocs)
+		t.Logf("a warm run allocates %.0f times and %.1f KB", allocs, kb[4])
 	}
 }

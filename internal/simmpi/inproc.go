@@ -57,6 +57,32 @@ func (t *InProc) TryRecv(rank int) (Message, bool) { return t.inboxes[rank].TryP
 // Pending snapshots rank's queue, oldest-first.
 func (t *InProc) Pending(rank int) []Message { return t.inboxes[rank].Pending() }
 
+// AdoptRing hands rank's inbox an empty ring buffer to fill before it grows
+// one of its own: the ring ReclaimRing took from an earlier world's inbox.
+// Call it before any rank can send.
+func (t *InProc) AdoptRing(rank int, ring []Message) {
+	in := t.inboxes[rank]
+	in.mu.Lock()
+	in.buf, in.head = ring, 0
+	in.mu.Unlock()
+}
+
+// ReclaimRing takes rank's ring buffer out of its inbox when every message has
+// been delivered — each delivery cleared its slot — and returns nil while any
+// is pending. The inbox is left without a ring: it no longer shares one with
+// the world that adopts it next.
+func (t *InProc) ReclaimRing(rank int) []Message {
+	in := t.inboxes[rank]
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.count != 0 {
+		return nil
+	}
+	ring := in.buf
+	in.buf, in.head = nil, 0
+	return ring
+}
+
 // SetAdversary installs a delivery adversary on every inbox.
 func (t *InProc) SetAdversary(a Adversary) {
 	for _, in := range t.inboxes {

@@ -302,3 +302,42 @@ func TestClassStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestRingHandOff: a drained inbox gives up its ring, every slot cleared (it
+// pins no payload), and leaves the world that used it without one; an inbox
+// with a message pending keeps its ring. A world that adopts the ring fills it
+// before growing its own.
+func TestRingHandOff(t *testing.T) {
+	tr := NewInProc(2)
+	for i := 0; i < 40; i++ {
+		tr.Send(Message{Src: 0, Dst: 1, Data: []float64{float64(i)}})
+	}
+	for i := 0; i < 39; i++ {
+		tr.Recv(1)
+	}
+	if ring := tr.ReclaimRing(1); ring != nil {
+		t.Fatal("took the ring of an inbox with a message pending")
+	}
+	tr.Recv(1)
+	ring := tr.ReclaimRing(1)
+	if len(ring) < 40 {
+		t.Fatalf("reclaimed a ring of %d slots after 40 queued messages", len(ring))
+	}
+	for i := range ring {
+		if ring[i].Data != nil {
+			t.Fatalf("slot %d still holds a payload", i)
+		}
+	}
+	if tr.inboxes[1].buf != nil {
+		t.Fatal("the inbox kept the ring it gave up")
+	}
+
+	next := NewInProc(2)
+	next.AdoptRing(1, ring)
+	for i := 0; i < 40; i++ {
+		next.Send(Message{Src: 0, Dst: 1})
+	}
+	if got := next.inboxes[1].buf; &got[0] != &ring[0] {
+		t.Fatal("the adopting inbox grew a ring of its own")
+	}
+}

@@ -45,13 +45,24 @@ func (a *CSC) PatternFingerprint() string {
 // package guarantee that); a structurally missing diagonal is an error
 // because silently changing the pattern would poison pattern-keyed caches.
 func (a *CSC) ShiftDiagonal(sigma float64) (*CSC, error) {
+	if err := a.CheckDiagonal(); err != nil {
+		return nil, err
+	}
 	out := &CSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx, Val: append([]float64(nil), a.Val...)}
 	for j := 0; j < out.N; j++ {
-		k := out.pos(j, j)
-		if k < 0 {
-			return nil, fmt.Errorf("sparse: diagonal entry (%d,%d) is structurally absent; cannot shift", j, j)
-		}
-		out.Val[k] += sigma
+		out.Val[out.mustDiag(j)] += sigma
 	}
 	return out, nil
+}
+
+// CheckDiagonal returns ShiftDiagonal's error for a structurally absent
+// diagonal entry, nil when every one is present: the check a shift applied
+// later, without a copy, makes up front.
+func (a *CSC) CheckDiagonal() error {
+	for j := 0; j < a.N; j++ {
+		if a.pos(j, j) < 0 {
+			return fmt.Errorf("sparse: diagonal entry (%d,%d) is structurally absent; cannot shift", j, j)
+		}
+	}
+	return nil
 }

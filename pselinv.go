@@ -34,6 +34,7 @@ package pselinv
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,8 +61,12 @@ import (
 // sparsity pattern never changes after construction (Asymmetrize rewrites
 // values only), which is what lets the fingerprint be computed once.
 type Matrix struct {
-	gen *sparse.Generated
-	fp  atomic.Pointer[string] // memoized Fingerprint
+	gen *sparse.Generated // pattern and values, shared with the source of a Shifted view
+	// sigma is the diagonal shift Shifted recorded: the matrix is gen + σI.
+	// The factorization adds it while it assembles; a reader that needs the
+	// shifted values takes them from materialized.
+	sigma float64
+	fp    atomic.Pointer[string] // memoized Fingerprint
 }
 
 // N returns the matrix dimension.
@@ -115,23 +120,43 @@ func RandomAsym(n, avgDeg int, seed int64) *Matrix {
 
 // Asymmetrize perturbs the off-diagonal values asymmetrically (pattern
 // unchanged, A ≠ Aᵀ) and restores diagonal dominance; the solver then uses
-// the general communication pattern automatically.
+// the general communication pattern automatically. It perturbs a copy of the
+// values, which a Shifted view and its source share.
 func (m *Matrix) Asymmetrize(seed int64, eps float64) *Matrix {
-	m.gen = sparse.Asymmetrize(m.gen, seed, eps)
+	g := *m.materialized()
+	a := *g.A
+	a.Val, g.A = slices.Clone(a.Val), &a
+	m.gen, m.sigma = sparse.Asymmetrize(&g, seed, eps), 0
 	return m
 }
 
-// Shifted returns a new matrix A + σI — the pole-expansion transformation:
-// new values on m's immutable sparsity pattern, which it shares (and so the
-// Fingerprint), so shifted matrices reuse a Symbolic analysis of the original.
+// Shifted returns a new matrix A + σI — the pole-expansion transformation. It
+// shares m's immutable sparsity pattern (and so the Fingerprint), so shifted
+// matrices reuse a Symbolic analysis of the original, and m's values, to which
+// it adds σ where they are read: no values are copied. Shifting a shifted
+// matrix shifts a copy of its values, as shifting twice always rounded.
 func (m *Matrix) Shifted(sigma float64) (*Matrix, error) {
-	a, err := m.gen.A.ShiftDiagonal(sigma)
-	if err != nil {
+	gen := m.materialized()
+	if err := gen.A.CheckDiagonal(); err != nil {
 		return nil, fmt.Errorf("pselinv: %s: %w", m.Name(), err)
 	}
-	sh := &Matrix{gen: &sparse.Generated{A: a, Name: m.gen.Name, Geom: m.gen.Geom}}
+	sh := &Matrix{gen: gen, sigma: sigma}
 	sh.fp.Store(m.fp.Load())
 	return sh, nil
+}
+
+// materialized returns the matrix with its shift in the values: the shared
+// gen when there is no shift, else a shifted copy — bit for bit the values a
+// shifted matrix held when Shifted made that copy itself.
+func (m *Matrix) materialized() *sparse.Generated {
+	if m.sigma == 0 {
+		return m.gen
+	}
+	a, err := m.gen.A.ShiftDiagonal(m.sigma)
+	if err != nil {
+		panic(err) // Shifted found every diagonal entry present
+	}
+	return &sparse.Generated{A: a, Name: m.gen.Name, Geom: m.gen.Geom}
 }
 
 // Fingerprint returns a stable digest of the sparsity pattern (structure
@@ -165,7 +190,7 @@ func FromMatrixMarket(r io.Reader, name string) (*Matrix, error) {
 
 // WriteMatrixMarket writes the matrix in MatrixMarket coordinate format.
 func (m *Matrix) WriteMatrixMarket(w io.Writer) error {
-	return sparse.WriteMatrixMarket(w, m.gen.A)
+	return sparse.WriteMatrixMarket(w, m.materialized().A)
 }
 
 // OrderingMethod selects the fill-reducing ordering.
@@ -392,7 +417,7 @@ func (sy *Symbolic) factorize(m *Matrix, elem dense.Elem, z complex128) (*System
 			m.Name(), got, sy.fp)
 	}
 	lu := factor.New(sy.an.BP, elem)
-	if err := lu.Refactorize(m.gen.A, sy.sc, z); err != nil {
+	if err := lu.Refactorize(m.gen.A, m.sigma, sy.sc, z); err != nil {
 		return nil, fmt.Errorf("pselinv: %s factorization of %s failed: %w", elem, m.Name(), err)
 	}
 	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
@@ -839,7 +864,7 @@ func FermiPoles(count int, minShift, ratio float64) []Pole {
 // simulated processor group (executed concurrently), accumulating the
 // density estimate Σ wₗ diag((A+σₗI)⁻¹) in the matrix's original ordering.
 func PoleExpansionDensity(m *Matrix, poles []Pole, procsPerPole int, scheme Scheme, seed uint64) ([]float64, error) {
-	res, err := pexsi.Run(m.gen, pexsi.Config{
+	res, err := pexsi.Run(m.materialized(), pexsi.Config{
 		Poles:        poles,
 		ProcsPerPole: procsPerPole,
 		Scheme:       scheme,
@@ -865,7 +890,7 @@ func FermiOperatorDensity(m *Matrix, beta, mu float64, numPoles int) ([]float64,
 	if err != nil {
 		return nil, err
 	}
-	res, err := pexsi.RunComplex(m.gen, pexsi.ComplexConfig{
+	res, err := pexsi.RunComplex(m.materialized(), pexsi.ComplexConfig{
 		Poles:    poles,
 		Relax:    4,
 		MaxWidth: 48,

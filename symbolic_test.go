@@ -209,9 +209,9 @@ func TestShiftedFingerprintMatchesFreshHash(t *testing.T) {
 	}
 }
 
-// TestShiftedSharesPattern: Shifted copies the values only — the result
-// aliases the source's ColPtr and RowIdx, the source's values are untouched,
-// and the two fingerprints are equal.
+// TestShiftedSharesPattern: Shifted copies nothing — the result aliases the
+// source's ColPtr, RowIdx and values, records σ instead, and leaves the
+// source's values untouched; the two fingerprints are equal.
 func TestShiftedSharesPattern(t *testing.T) {
 	m := DG2D(4, 4, 2, 3)
 	orig := append([]float64(nil), m.gen.A.Val...)
@@ -223,8 +223,8 @@ func TestShiftedSharesPattern(t *testing.T) {
 	if &a.ColPtr[0] != &b.ColPtr[0] || &a.RowIdx[0] != &b.RowIdx[0] {
 		t.Fatal("Shifted copied the pattern instead of sharing it")
 	}
-	if &a.Val[0] == &b.Val[0] {
-		t.Fatal("Shifted shares the values")
+	if &a.Val[0] != &b.Val[0] || sh.sigma != 0.5 {
+		t.Fatalf("Shifted copied the values (σ recorded: %g)", sh.sigma)
 	}
 	for p, v := range orig {
 		if a.Val[p] != v {
@@ -238,19 +238,19 @@ func TestShiftedSharesPattern(t *testing.T) {
 
 // TestWarmRefactorizeAllocBudget holds the benchmark's warm_dg2d_p16 op
 // (nested-dissection ordering, as bench/ runs it) to an allocation budget. On
-// a warm Symbolic the sparse front end is Shifted's copy of the values, which
-// go straight into the factor slab through the analysis's scatter map — no
-// permuted copy of the matrix — the factorization of the symmetric values
-// stores the lower half of the factor layout only, and the engine runs on the
-// template's recycled slot state (6.9 MB/op with a permutation per
-// factorization and a deep-copying Shifted, 3.6 without). The race detector
-// defeats the sync.Pool arena all of this leans on, so the budget is not held
-// there.
+// a warm Symbolic the sparse front end copies nothing — Shifted records σ and
+// the values go straight into the factor slab through the analysis's scatter
+// map, which adds it — the factorization of the symmetric values stores the
+// lower half of the factor layout only, and the engine runs on the template's
+// recycled slot state and inbox rings (6.9 MB/op with a permutation per
+// factorization and a deep-copying Shifted, 3.7 with the copy and rings grown
+// per run, 2.7 without). The race detector defeats the sync.Pool arena all of
+// this leans on, so the budget is not held there.
 func TestWarmRefactorizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const budgetMB = 4.3
+	const budgetMB = 3.0
 	m := DG2D(24, 24, 4, 1)
 	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
 	if err != nil {
