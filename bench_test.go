@@ -204,7 +204,8 @@ func BenchmarkEndToEndParallel16Obs(b *testing.B) {
 
 // warmRefactorize is one op of the benchmark's warm_dg2d_p16 workload (the
 // PEXSI loop on a warm Symbolic): shift, factorize against the analysis,
-// invert on 16 ranks, read the diagonal, release.
+// invert on 16 ranks, read the diagonal, release the inverse and hand the
+// factor back for the next op.
 func warmRefactorize(sym *Symbolic, m *Matrix, sigma float64) error {
 	sh, err := m.Shifted(sigma)
 	if err != nil {
@@ -220,6 +221,7 @@ func warmRefactorize(sym *Symbolic, m *Matrix, sigma float64) error {
 	}
 	res.Diagonal()
 	res.Release()
+	sys.Release()
 	return nil
 }
 

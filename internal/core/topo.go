@@ -34,15 +34,6 @@ func (t Topology) Node(rank int) int {
 	return rank / t.CoresPerNode
 }
 
-// NumNodes counts the distinct nodes occupied by ranks.
-func (t Topology) NumNodes(ranks []int) int {
-	seen := map[int]bool{}
-	for _, r := range ranks {
-		seen[t.Node(r)] = true
-	}
-	return len(seen)
-}
-
 // nodeGroup is one node's slice of a participant set.
 type nodeGroup struct {
 	node    int

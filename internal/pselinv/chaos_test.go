@@ -1,8 +1,7 @@
 // Chaos regression sweeps: the engine must produce bit-identical results
 // under seeded adversarial message delivery, and the harness must turn
-// deadlocks into actionable reports. The file lives in the external test
-// package so it can use internal/chaos/chaostest, which itself imports
-// pselinv.
+// deadlocks into actionable reports. The sweep runner is chaosSweep
+// (sweep_test.go).
 package pselinv_test
 
 import (
@@ -16,7 +15,6 @@ import (
 
 	"pselinv/internal/blockmat"
 	"pselinv/internal/chaos"
-	"pselinv/internal/chaos/chaostest"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -79,8 +77,8 @@ func chaosEngineScheme(t testing.TB, g *sparse.Generated, opt etree.Options,
 func TestChaosSweepP4(t *testing.T) {
 	eng := chaosEngine(t, sparse.Grid2D(6, 6, 3), etree.Options{Relax: 2, MaxWidth: 6},
 		procgrid.New(2, 2), true)
-	chaostest.Sweep(t, eng, chaos.Config{DupDetect: true},
-		chaostest.Seeds(1000, *chaosSeeds), chaosTimeout)
+	chaosSweep(t, eng, chaos.Config{DupDetect: true},
+		seedRange(1000, *chaosSeeds), chaosTimeout)
 }
 
 func TestChaosSweepP16(t *testing.T) {
@@ -89,15 +87,15 @@ func TestChaosSweepP16(t *testing.T) {
 	net := netsim.DefaultParams()
 	eng := chaosEngine(t, sparse.Grid2D(8, 8, 2), etree.Options{Relax: 2, MaxWidth: 6},
 		procgrid.New(4, 4), true)
-	chaostest.Sweep(t, eng, chaos.Config{Net: &net, DupDetect: true},
-		chaostest.Seeds(2000, *chaosSeeds), chaosTimeout)
+	chaosSweep(t, eng, chaos.Config{Net: &net, DupDetect: true},
+		seedRange(2000, *chaosSeeds), chaosTimeout)
 }
 
 func TestChaosSweepP64(t *testing.T) {
 	eng := chaosEngine(t, sparse.Grid2D(10, 10, 5), etree.Options{Relax: 1, MaxWidth: 4},
 		procgrid.New(8, 8), true)
-	chaostest.Sweep(t, eng, chaos.Config{ReorderWindow: 12},
-		chaostest.Seeds(3000, *chaosSeeds), chaosTimeout)
+	chaosSweep(t, eng, chaos.Config{ReorderWindow: 12},
+		seedRange(3000, *chaosSeeds), chaosTimeout)
 }
 
 // TestChaosSweepTopoSchemes runs the adversarial sweep over the
@@ -110,8 +108,8 @@ func TestChaosSweepTopoSchemes(t *testing.T) {
 		t.Run(scheme.Slug(), func(t *testing.T) {
 			eng := chaosEngineScheme(t, sparse.Grid2D(8, 8, 2), etree.Options{Relax: 2, MaxWidth: 6},
 				procgrid.New(4, 4), true, scheme, 8)
-			chaostest.Sweep(t, eng, chaos.Config{DupDetect: true},
-				chaostest.Seeds(7000, *chaosSeeds), chaosTimeout)
+			chaosSweep(t, eng, chaos.Config{DupDetect: true},
+				seedRange(7000, *chaosSeeds), chaosTimeout)
 		})
 	}
 }
@@ -132,8 +130,8 @@ func TestChaosSweepDag(t *testing.T) {
 	eng := chaosEngine(t, sparse.Grid2D(7, 7, 4), etree.Options{Relax: 2, MaxWidth: 6},
 		procgrid.New(2, 2), true)
 	eng.DAG = true
-	chaostest.Sweep(t, eng, chaos.Config{DupDetect: true},
-		chaostest.Seeds(5000, seeds), chaosTimeout)
+	chaosSweep(t, eng, chaos.Config{DupDetect: true},
+		seedRange(5000, seeds), chaosTimeout)
 }
 
 // TestChaosDagMatchesSequentialBaseline closes the triangle: a chaos-
@@ -180,8 +178,8 @@ func TestChaosSweepAsymmetricPath(t *testing.T) {
 	// contributions); sweep them too.
 	g := sparse.Asymmetrize(sparse.Grid2D(6, 6, 3), 11, 0.6)
 	eng := chaosEngine(t, g, etree.Options{Relax: 2, MaxWidth: 6}, procgrid.New(3, 3), false)
-	chaostest.Sweep(t, eng, chaos.Config{DupDetect: true},
-		chaostest.Seeds(4000, *chaosSeeds), chaosTimeout)
+	chaosSweep(t, eng, chaos.Config{DupDetect: true},
+		seedRange(4000, *chaosSeeds), chaosTimeout)
 }
 
 // TestChaosCrashProducesDeadlockReport injects a rank crash and checks the

@@ -24,7 +24,6 @@ import (
 
 	"pselinv/internal/blockmat"
 	"pselinv/internal/chaos"
-	"pselinv/internal/chaos/chaostest"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -250,7 +249,7 @@ func TestComplexChaosSweep(t *testing.T) {
 			Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: lu.Symmetric,
 		})
 		eng := pselinv.NewEngine(plan, lu)
-		chaostest.Sweep(t, eng, chaos.Config{DupDetect: true},
-			chaostest.Seeds(9000+500*uint64(x), *chaosSeeds), chaosTimeout)
+		chaosSweep(t, eng, chaos.Config{DupDetect: true},
+			seedRange(9000+500*uint64(x), *chaosSeeds), chaosTimeout)
 	}
 }

@@ -283,6 +283,7 @@ func (s *Server) serveBatch(w http.ResponseWriter, r *http.Request, req *BatchRe
 			}
 		}
 		res.Release()
+		sys.Release() // the record holds everything it read of the factor
 		s.metrics.observe("pole_factorize", job.elapsed)
 		s.metrics.observe("pole_invert", invDur)
 		emit(rec)

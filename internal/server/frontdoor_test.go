@@ -2,13 +2,17 @@ package server
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
+
+	"pselinv"
 )
 
 // TestGeneratorDimensionCheckedBeforeBuild: every generator kind's
@@ -86,26 +90,63 @@ func (b repeat) Read(p []byte) (int, error) {
 }
 
 // TestOversizedBodyRejected: both endpoints stop reading at maxBodyBytes,
-// answer 413 and count the request as bad.
+// answer 413 and count the request as bad — whether the client declares the
+// length or streams the body chunked with no Content-Length.
 func TestOversizedBodyRejected(t *testing.T) {
 	s, ts := testServer(t, Config{})
+	const prefix = `{"matrix":{"kind":"matrixmarket","data":"`
 	for _, path := range []string{"/v1/selinv", "/v1/selinv/batch"} {
-		// A syntactically fine prefix, then a string that never ends.
-		body := io.MultiReader(strings.NewReader(`{"matrix":{"kind":"matrixmarket","data":"`),
-			io.LimitReader(repeat('1'), maxBodyBytes))
-		hr, err := http.Post(ts.URL+path, "application/json", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr.Body.Close()
-		if hr.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: status %d, want 413", path, hr.StatusCode)
+		for _, chunked := range []bool{false, true} {
+			// A syntactically fine prefix, then a string that never ends.
+			body := io.MultiReader(strings.NewReader(prefix), io.LimitReader(repeat('1'), maxBodyBytes))
+			req, err := http.NewRequest(http.MethodPost, ts.URL+path, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.ContentLength = int64(len(prefix) + maxBodyBytes)
+			if chunked {
+				req.ContentLength, req.TransferEncoding = 0, []string{"chunked"}
+			}
+			hr, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			hr.Body.Close()
+			if hr.StatusCode != http.StatusRequestEntityTooLarge {
+				t.Errorf("%s (chunked %v): status %d, want 413", path, chunked, hr.StatusCode)
+			}
 		}
 	}
 	var b bytes.Buffer
 	s.metrics.write(&b, s.cache.stats(), gauges{})
-	if want := `pselinvd_requests_total{status="bad_request"} 2`; !strings.Contains(b.String(), want) {
+	if want := `pselinvd_requests_total{status="bad_request"} 4`; !strings.Contains(b.String(), want) {
 		t.Errorf("/metrics lacks %q", want)
+	}
+}
+
+// TestTrailingDataRejected: a body is one JSON value. Whitespace may follow
+// it; anything else — a second value, stray bytes — is a 400 on both
+// endpoints.
+func TestTrailingDataRejected(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	const req = `{"matrix":{"kind":"grid2d","nx":4,"ny":4},"procs":1,"poles":[{"z_im":1}]}`
+	for _, path := range []string{"/v1/selinv", "/v1/selinv/batch"} {
+		for trailer, want := range map[string]int{
+			" \n":     http.StatusOK,
+			" x":      http.StatusBadRequest,
+			"{}":      http.StatusBadRequest,
+			"\n[1]\n": http.StatusBadRequest,
+		} {
+			hr, err := http.Post(ts.URL+path, "application/json", strings.NewReader(req+trailer))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, hr.Body)
+			hr.Body.Close()
+			if hr.StatusCode != want {
+				t.Errorf("%s with %q after the object: status %d, want %d", path, trailer, hr.StatusCode, want)
+			}
+		}
 	}
 }
 
@@ -164,4 +205,56 @@ func FuzzRequestJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestServeWarmRequestAllocBudget holds a plan-cache-hit /v1/selinv upload —
+// bench/'s serve_upload_c2 request: DG2D 14×14×4 as inline MatrixMarket, a
+// shift, 16 ranks, the diagonal — to a bytes-per-request budget. The body is
+// read into a recycled buffer and the factor slab comes back from the
+// previous request's System.Release; what is left (3.0–4.0 MB, 5.8 with a
+// json.Decoder and a fresh slab per request) is mostly the copy and the parse
+// of the upload. The race detector defeats the sync.Pool recycling, so the
+// budget is not held there.
+func TestServeWarmRequestAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	const budgetMB = 4.6
+	var mm strings.Builder
+	if err := pselinv.DG2D(14, 14, 4, 1).WriteMatrixMarket(&mm); err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([][]byte, 4)
+	for i := range bodies {
+		var err error
+		if bodies[i], err = json.Marshal(&Request{
+			Matrix: MatrixSpec{Kind: "matrixmarket", Data: mm.String()},
+			Shift:  0.5 + float64(i)/4, Procs: 16, Diagonal: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h := New(Config{}).Handler()
+	post := func(i int) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/selinv", bytes.NewReader(bodies[i%len(bodies)])))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	for i := range 3 { // the miss, then hits that fill the pools
+		post(i)
+	}
+	const reqs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range reqs {
+		post(i)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / reqs / 1e6; mb > budgetMB {
+		t.Fatalf("warm upload allocates %.2f MB/request, budget %.1f", mb, budgetMB)
+	} else {
+		t.Logf("warm upload: %.2f MB/request", mb)
+	}
 }

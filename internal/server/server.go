@@ -308,8 +308,14 @@ func badRequest(format string, args ...any) *httpError {
 
 // maxBodyBytes bounds a request body: room for an inline MatrixMarket
 // upload at the default MaxN (about a million entries), and the most one
-// request can make the decoder buffer. Past it the answer is 413.
+// request can make a body buffer. Past it the answer is 413.
 const maxBodyBytes = 32 << 20
+
+// bodyBufs recycles the buffers request bodies are read into; one grown past
+// maxPooledBody by a rare large upload goes to the garbage collector instead.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+const maxPooledBody = 4 << 20
 
 // knobs are the run parameters /v1/selinv and /v1/selinv/batch share; each
 // request type hands them over field for field.
@@ -472,12 +478,22 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request, req request) (*ad
 	if r.Method != http.MethodPost {
 		return nil, &httpError{status: http.StatusMethodNotAllowed, msg: "POST only"}
 	}
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return nil, &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
-		}
+	// The buffer grows with the bytes received, never from the client's
+	// Content-Length; Unmarshal copies every string out of it.
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), req)
+	}
+	buf.Reset()
+	if buf.Cap() <= maxPooledBody {
+		bodyBufs.Put(buf)
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return nil, &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes)}
+	} else if err != nil {
 		return nil, badRequest("bad JSON: %v", err)
 	}
 	if herr := req.validate(s); herr != nil {
@@ -493,7 +509,6 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request, req request) (*ad
 		seed:         1,
 		timeout:      s.cfg.DefaultTimeout,
 	}
-	var err error
 	if k.Scheme != "" {
 		if adm.scheme, err = pselinv.ParseScheme(k.Scheme); err != nil {
 			return nil, badRequest("%v", err)
@@ -700,6 +715,7 @@ func (s *Server) serve(req *Request, adm *admission) (*Response, *httpError) {
 		resp.DagOccupancy = occ / float64(len(ds))
 	}
 	res.Release()
+	sys.Release() // the response holds everything it read of the factor
 	if tr != nil {
 		var rec record
 		var b bytes.Buffer

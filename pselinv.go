@@ -32,6 +32,7 @@
 package pselinv
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -321,8 +322,9 @@ func (o Options) withDefaults() Options {
 // only on the sparsity pattern, so one Symbolic serves every matrix sharing
 // that pattern — the PEXSI workload, where tens of selected inversions per
 // SCF iteration differ only in numeric values. A Symbolic is immutable
-// after construction apart from its internal plan cache, which is
-// mutex-guarded; all methods are safe for concurrent use.
+// after construction apart from its internal plan cache and the factors
+// released to it, which are mutex-guarded; all methods are safe for
+// concurrent use.
 type Symbolic struct {
 	opt Options
 	bal Balancer // parsed from opt.Balancer
@@ -333,10 +335,18 @@ type Symbolic struct {
 	// engines caches one engine template (plan + per-rank programs, no
 	// numeric factor) per grid/scheme/seed/symmetry combination, so warm
 	// same-pattern runs skip plan construction entirely. Bounded: see
-	// engineTemplate.
+	// engineTemplate. free holds, per element type, up to maxFreeFactors
+	// factors handed back by System.Release, which factorize refactorizes in
+	// place instead of allocating a slab.
 	mu      sync.Mutex
 	engines map[engineKey]*pselinv.Engine
+	free    [2][]*factor.LU
 }
+
+// maxFreeFactors bounds the released factors a Symbolic keeps per element
+// type: one per concurrent System of the server's default two engine slots,
+// or the batch endpoint's factorize/invert pipeline.
+const maxFreeFactors = 2
 
 type engineKey struct {
 	pr, pc    int
@@ -404,23 +414,45 @@ func (sy *Symbolic) FactorNNZ() int64 { return sy.an.BP.NNZScalars() }
 // must share the pattern the analysis was built from. Systems produced by
 // one Symbolic share its analysis and plan cache and may run concurrently:
 // the shared state is read-only during runs (the plan cache is internally
-// locked), and each System owns its numeric factor.
+// locked), and each System owns its numeric factor until Release hands it
+// back for the next Factorize.
 func (sy *Symbolic) Factorize(m *Matrix) (*System, error) {
 	return sy.factorize(m, dense.Real, 0)
 }
 
 // factorize factorizes A − zI in the given arithmetic, m's values going
-// through the scatter map of the pattern m must share with the analysis.
+// through the scatter map of the pattern m must share with the analysis, into
+// a released factor when one is free.
 func (sy *Symbolic) factorize(m *Matrix, elem dense.Elem, z complex128) (*System, error) {
 	if got := m.Fingerprint(); got != sy.fp {
 		return nil, fmt.Errorf("pselinv: %s: sparsity pattern does not match the symbolic analysis (fingerprint %.12s… vs %.12s…)",
 			m.Name(), got, sy.fp)
 	}
-	lu := factor.New(sy.an.BP, elem)
+	var lu *factor.LU
+	sy.mu.Lock()
+	if free := sy.free[elem]; len(free) > 0 {
+		lu, free[len(free)-1] = free[len(free)-1], nil
+		sy.free[elem] = free[:len(free)-1]
+	}
+	sy.mu.Unlock()
+	if lu == nil {
+		lu = factor.New(sy.an.BP, elem)
+	}
 	if err := lu.Refactorize(m.gen.A, m.sigma, sy.sc, z); err != nil {
+		sy.putFactor(lu) // it holds no factorization and nothing reads it
 		return nil, fmt.Errorf("pselinv: %s factorization of %s failed: %w", elem, m.Name(), err)
 	}
 	return &System{m: m, opt: sy.opt, sym: sy, an: sy.an, lu: lu, symmetric: lu.Symmetric}, nil
+}
+
+// putFactor keeps lu, which nothing reads any more, for the next factorize
+// unless maxFreeFactors of its element type are already waiting.
+func (sy *Symbolic) putFactor(lu *factor.LU) {
+	sy.mu.Lock()
+	defer sy.mu.Unlock()
+	if len(sy.free[lu.Elem]) < maxFreeFactors {
+		sy.free[lu.Elem] = append(sy.free[lu.Elem], lu)
+	}
 }
 
 // FactorizeShifted numerically factorizes A − zI for a complex shift z
@@ -468,13 +500,74 @@ func (sy *Symbolic) engineTemplate(pr, pc int, scheme Scheme, seed uint64, symme
 // inversion (sequential, parallel or simulated). Systems sharing one
 // Symbolic may run concurrently; a single System is itself safe for
 // concurrent Parallel* calls (each run gets a fresh world and rank state).
+// Release ends its life, handing the factor back for the next Factorize.
 type System struct {
 	m         *Matrix
 	opt       Options
 	sym       *Symbolic
 	an        *etree.Analysis
-	lu        *factor.LU
 	symmetric bool
+
+	// mu guards lu, nil once released, and what Release reads of the runs
+	// that read it: how many are in flight and whether one failed.
+	mu     sync.Mutex
+	lu     *factor.LU
+	runs   int
+	failed bool
+}
+
+var errReleased = errors.New("pselinv: System used after Release")
+
+// begin opens a run reading the factor and returns the factor, or the error
+// of a released System.
+func (s *System) begin() (*factor.LU, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lu == nil {
+		return nil, errReleased
+	}
+	s.runs++
+	return s.lu, nil
+}
+
+// end closes a run begin opened.
+func (s *System) end(err error) {
+	s.mu.Lock()
+	s.runs--
+	s.failed = s.failed || err != nil
+	s.mu.Unlock()
+}
+
+// live returns the factor of a System that was not released and panics on
+// one that was.
+func (s *System) live() *factor.LU {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lu == nil {
+		panic(errReleased)
+	}
+	return s.lu
+}
+
+// Release hands the System's numeric factor back to its Symbolic, whose next
+// Factorize or FactorizeShifted refactorizes it in place instead of allocating
+// one: the slab that is most of a warm pole's garbage. Results already
+// returned stay valid. The factor is kept only if every run on the System
+// has returned without error and none is in flight — ranks of a failed run
+// may still read it — else it is left to the garbage collector. Every later
+// method call fails: with an error where the method returns one, otherwise
+// by panicking.
+func (s *System) Release() {
+	s.mu.Lock()
+	lu, keep := s.lu, s.runs == 0 && !s.failed
+	s.lu = nil
+	s.mu.Unlock()
+	if lu == nil {
+		panic(errReleased)
+	}
+	if keep {
+		s.sym.putFactor(lu)
+	}
 }
 
 // NewSystem orders, analyzes and factorizes the matrix. Symmetry of the
@@ -494,11 +587,12 @@ func NewSystem(m *Matrix, opt Options) (*System, error) {
 
 // Symbolic returns the shareable value-independent analysis of this
 // system; Factorize same-pattern matrices against it to skip re-analysis.
-func (s *System) Symbolic() *Symbolic { return s.sym }
+func (s *System) Symbolic() *Symbolic { s.live(); return s.sym }
 
 // SetTimeout overrides the per-run timeout for this System only (the
 // Options value is otherwise inherited from the symbolic analysis).
 func (s *System) SetTimeout(d time.Duration) {
+	s.live()
 	if d > 0 {
 		s.opt.Timeout = d
 	}
@@ -506,25 +600,25 @@ func (s *System) SetTimeout(d time.Duration) {
 
 // SetChaosSeed installs (non-zero) or removes (zero) the deterministic
 // chaos adversary on this System's subsequent parallel runs.
-func (s *System) SetChaosSeed(seed uint64) { s.opt.ChaosSeed = seed }
+func (s *System) SetChaosSeed(seed uint64) { s.live(); s.opt.ChaosSeed = seed }
 
 // SetDAG enables or disables intra-rank task-DAG execution (see
 // Options.DAG) on this System's subsequent parallel runs.
-func (s *System) SetDAG(on bool) { s.opt.DAG = on }
+func (s *System) SetDAG(on bool) { s.live(); s.opt.DAG = on }
 
 // Symmetric reports whether the system uses the symmetric-value fast path.
-func (s *System) Symmetric() bool { return s.symmetric }
+func (s *System) Symmetric() bool { s.live(); return s.symmetric }
 
 // LogAbsDet returns log|det A|, a free byproduct of the factorization that
 // PEXSI uses for chemical-potential bisection.
-func (s *System) LogAbsDet() float64 { return s.lu.LogAbsDet() }
+func (s *System) LogAbsDet() float64 { return s.live().LogAbsDet() }
 
 // NumSupernodes returns the supernode count of the analysis.
-func (s *System) NumSupernodes() int { return s.an.BP.NumSnodes() }
+func (s *System) NumSupernodes() int { s.live(); return s.an.BP.NumSnodes() }
 
 // FactorNNZ returns the scalar nonzero count of the block pattern of L
 // (the nnz_LU the paper reports per matrix, halved for symmetry).
-func (s *System) FactorNNZ() int64 { return s.an.BP.NNZScalars() }
+func (s *System) FactorNNZ() int64 { s.live(); return s.an.BP.NNZScalars() }
 
 // Inverse provides access to the selected elements of A⁻¹ in the
 // matrix's original index space.
@@ -615,17 +709,27 @@ func (inv *Inverse) Diagonal() []float64 {
 // of the path the values select. A parallel run on one rank is bit-identical
 // to it; runs on several ranks agree with it to rounding.
 func (s *System) SelInv() (*Inverse, error) {
-	return &Inverse{an: s.an, ainv: selinv.SelInv(s.lu), elem: s.lu.Elem}, nil
+	lu, err := s.begin()
+	if err != nil {
+		return nil, err
+	}
+	defer s.end(nil)
+	return &Inverse{an: s.an, ainv: selinv.SelInv(lu), elem: lu.Elem}, nil
 }
 
 // LogDet returns log det(A − zI) of a complex (FactorizeShifted) system —
 // the pole-expansion byproduct tracking the analytic branch. Real systems
 // have no single-valued log det; use LogAbsDet there.
 func (s *System) LogDet() (complex128, error) {
-	if s.lu.Elem != dense.Complex {
+	lu, err := s.begin()
+	if err != nil {
+		return 0, err
+	}
+	defer s.end(nil)
+	if lu.Elem != dense.Complex {
 		return 0, fmt.Errorf("pselinv: LogDet requires a complex (shifted) factorization; use LogAbsDet for real systems")
 	}
-	return s.lu.LogDet(), nil
+	return lu.LogDet(), nil
 }
 
 // ParallelResult is the outcome of a distributed run: the inverse plus the
@@ -803,7 +907,11 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bo
 	// The plan and per-rank programs come from the Symbolic's cache (built
 	// on first use); Rebind attaches this System's numeric factor without
 	// copying them, so warm same-pattern runs skip plan construction.
-	eng := s.sym.engineTemplate(pr, pc, scheme, seed, s.symmetric).Rebind(s.lu)
+	lu, err := s.begin()
+	if err != nil {
+		return nil, err
+	}
+	eng := s.sym.engineTemplate(pr, pc, scheme, seed, s.symmetric).Rebind(lu)
 	if observed {
 		eng.Obs = obs.NewCollector(eng.Plan.PerRankMsgs(), time.Now())
 		eng.Obs.SetTopology(s.opt.CoresPerNode)
@@ -813,11 +921,12 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bo
 	}
 	eng.DAG = s.opt.DAG
 	run, err := eng.Run(s.opt.Timeout)
+	s.end(err)
 	if err != nil {
 		return nil, err
 	}
 	return &ParallelResult{
-		Inverse: &Inverse{an: s.an, ainv: run.Ainv, elem: s.lu.Elem},
+		Inverse: &Inverse{an: s.an, ainv: run.Ainv, elem: lu.Elem},
 		run:     run,
 		grid:    procgrid.New(pr, pc),
 		Elapsed: run.Elapsed,
@@ -906,6 +1015,7 @@ func FermiOperatorDensity(m *Matrix, beta, mu float64, numPoles int) ([]float64,
 // under the network cost model — the substitute for the paper's Edison
 // measurements (Figures 8 and 9).
 func (s *System) SimulateTiming(procs int, scheme Scheme, sp SimParams) *TimingResult {
+	s.live()
 	params := netsim.DefaultParams()
 	if sp.Seed != 0 {
 		params.Seed = sp.Seed

@@ -241,16 +241,17 @@ func TestShiftedSharesPattern(t *testing.T) {
 // a warm Symbolic the sparse front end copies nothing — Shifted records σ and
 // the values go straight into the factor slab through the analysis's scatter
 // map, which adds it — the factorization of the symmetric values stores the
-// lower half of the factor layout only, and the engine runs on the template's
-// recycled slot state and inbox rings (6.9 MB/op with a permutation per
-// factorization and a deep-copying Shifted, 3.7 with the copy and rings grown
-// per run, 2.7 without). The race detector defeats the sync.Pool arena all of
-// this leans on, so the budget is not held there.
+// lower half of the factor layout only, into the slab the previous op's
+// System.Release handed back, and the engine runs on the template's recycled
+// slot state and inbox rings (6.9 MB/op with a permutation per factorization
+// and a deep-copying Shifted, 3.7 with the copy and rings grown per run, 2.7
+// without, ≈0.6 with the slab recycled). The race detector defeats the
+// sync.Pool arena all of this leans on, so the budget is not held there.
 func TestWarmRefactorizeAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	const budgetMB = 3.0
+	const budgetMB = 0.8
 	m := DG2D(24, 24, 4, 1)
 	sym, err := AnalyzePattern(m, Options{Ordering: OrderNestedDissection})
 	if err != nil {
