@@ -154,8 +154,9 @@ bench:
 
 # ---- Bench-regression gate -------------------------------------------------
 # The CI gate re-runs a small, representative benchmark set (real GEMM and
-# TRSM on the shapes the engine issues at MaxWidth 48, the 4M complex GEMM —
-# plain and with a transposed operand — at the engine's median shape, the
+# TRSM on the shapes the engine issues at MaxWidth 48, the 1M complex GEMM —
+# plain and with a transposed operand — at the engine's median shape and its
+# other top complex shapes, the
 # 16-rank end-to-end inversion, the 4-rank sequential/DAG end-to-end pair,
 # the 16-pole PEXSI batch, the in-place numeric refactorization at the
 # benchmark's DG2D shape, real and complex, lower-only (symmetric values)
@@ -178,7 +179,7 @@ bench:
 # each branch carries exactly its benchmark's sub-level depth — a single
 # multi-level pattern would leave shallower benchmarks partially matched
 # and never measured).
-BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^48x(48|20|8|4)x48$$|^BenchmarkTrsm$$/^(right-lower-unit|left-upper-nonunit)$$/^48x(4|20|48)$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^28x28x44$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch(P)?16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkDiagInverse$$/^(real|complex)-(20|48)$$|^BenchmarkWarmRefactorize(ND)?$$|^BenchmarkReadMatrixMarket$$
+BENCH_GATE_PATTERN = ^BenchmarkGemm$$/^48x(48|20|8|4)x48$$|^BenchmarkTrsm$$/^(right-lower-unit|left-upper-nonunit)$$/^48x(4|20|48)$$|^BenchmarkZGemm$$/^engine-(nn|tn)$$/^(28x28x44|12x48x48|4x48x48|44x12x28)$$|^BenchmarkEndToEndParallel16(Obs|Topo|Work)?$$|^BenchmarkEndToEndParallel$$|^BenchmarkEndToEndDag$$|^BenchmarkPexsiBatch(P)?16$$|^BenchmarkRefactorize$$/^(real|complex)(-general)?$$|^BenchmarkDiagInverse$$/^(real|complex)-(20|48)$$|^BenchmarkWarmRefactorize(ND)?$$|^BenchmarkReadMatrixMarket$$
 BENCH_COUNT ?= 5
 BENCH_TOLERANCE ?= 0.25
 BENCH_OUT ?= /tmp/bench-new.txt

@@ -11,43 +11,42 @@ const (
 	blockKC = 256
 	blockNC = 1024
 
-	// smallGemmFlops: below this (2·m·n·k) the packing overhead of the
-	// blocked path exceeds its benefit and the naive loops win; measured
-	// crossover on the reference machine is near an 8–10 wide product.
+	// smallGemmFlops: at or below this many real flops (2·m·n·k real, 8·m·n·k
+	// complex) packing costs more than it saves and the naive loops win;
+	// measured crossover on the reference machine is near an 8–10 wide product.
 	smallGemmFlops = 1 << 11
 )
 
 // view is a window into a column-major operand with an explicit leading
 // dimension and an optional transposition: element (i, j) of op(X) is
-// data[i+j*ld] when !t and data[j+i*ld] when t.
+// data[i+j*ld] when !t and data[j+i*ld] when t. A z view is a complex
+// operand read as its real 1M image (see Gemm): r and c count real units and
+// ld complex entries, so even (i, j) address entry (i/2, j/2)'s pair alike.
 type view struct {
 	data []float64
 	ld   int
 	r, c int // dims of op(X)
 	t    bool
-}
-
-func fullView(m *Matrix, tr Trans) view {
-	r, c := m.Rows, m.Cols
-	if tr == DoTrans {
-		r, c = c, r
-	}
-	return view{data: m.Data, ld: m.Rows, r: r, c: c, t: tr == DoTrans}
+	z    bool
 }
 
 // Gemm computes c = alpha*op(a)*op(b) + beta*c where op is identity or
 // transpose per ta, tb. Shapes must conform; c must be preallocated.
 //
 // Products above smallGemmFlops run through the cache-blocked
-// register-tiled kernel, smaller ones through the naive reference loops;
-// either way on the caller's goroutine.
+// register-tiled kernel, smaller ones — and complex ones whose 1M image fills
+// no whole micro-tile (n < nr or 2m < mr: all edge tiles, mostly padding) —
+// through the naive loops; either way on the caller's goroutine.
+//
 // Complex operands (all three) take the same conventions with a plain,
 // never conjugating transpose — the one under which A − zI is symmetric.
+// The blocked kernel runs them as real products over the 1M expansion (Van
+// Zee & Smith 2020; DESIGN.md §5m): the interleaved m×n C is a real 2m×n
+// matrix with ld 2m, op(A) packs as 2×2 real blocks [re −im; im re]
+// (2m×2k) and op(B) is a real 2k×n operand, B's own storage with ld 2·rows
+// untransposed.
 func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
-	isComplex := c.Elem == Complex || a.Elem == Complex || b.Elem == Complex
-	if isComplex {
-		checkElem("Gemm", a, b, c)
-	}
+	isComplex := checkElem("Gemm", a, b, c) == Complex
 	am, ak := a.Rows, a.Cols
 	if ta == DoTrans {
 		am, ak = ak, am
@@ -70,20 +69,23 @@ func Gemm(ta, tb Trans, alpha float64, a, b *Matrix, beta float64, c *Matrix) {
 	if alpha == 0 || am == 0 || bn == 0 || ak == 0 {
 		return
 	}
-	if isComplex {
-		if int64(am)*int64(bn)*int64(ak) >= zGemm4MThreshold {
-			zGemm4M(ta, tb, alpha, a, b, c)
-		} else {
-			zGemmNaive(ta, tb, alpha, a, b, c)
-		}
-		return
-	}
-	flops := 2 * int64(am) * int64(bn) * int64(ak)
-	if flops <= smallGemmFlops {
+	if w := int64(c.Width()); 2*w*w*int64(am)*int64(bn)*int64(ak) <= smallGemmFlops ||
+		isComplex && (bn < nr || 2*am < mr) {
 		gemmNaive(ta, tb, alpha, a, b, c)
 		return
 	}
-	gemmBlocked(alpha, fullView(a, ta), fullView(b, tb), fullView(c, NoTrans))
+	av := view{data: a.Data, ld: a.Rows, r: am, c: ak, t: ta == DoTrans}
+	bv := view{data: b.Data, ld: b.Rows, r: bk, c: bn, t: tb == DoTrans}
+	cv := view{data: c.Data, ld: c.Rows, r: am, c: bn}
+	if isComplex {
+		av.r, av.c, av.z = 2*am, 2*ak, true
+		bv.r, bv.z = 2*bk, bv.t
+		if !bv.t {
+			bv.ld *= 2
+		}
+		cv.r, cv.ld = 2*am, 2*am
+	}
+	gemmBlocked(alpha, av, bv, cv)
 }
 
 // gemmBlocked runs the three-level blocked loop nest: cv += alpha*av*bv.
@@ -94,8 +96,8 @@ func gemmBlocked(alpha float64, av, bv, cv view) {
 	mcMax := min(blockMC, (m+mr-1)/mr*mr)
 	ncMax := min(blockNC, (n+nr-1)/nr*nr)
 	kcMax := min(blockKC, k)
-	apack := GetBuf(mcMax * kcMax)
-	bpack := GetBuf(ncMax * kcMax)
+	buf := GetBuf((mcMax + ncMax) * kcMax)
+	apack, bpack := buf[:mcMax*kcMax], buf[mcMax*kcMax:]
 	for jc := 0; jc < n; jc += blockNC {
 		nc := min(blockNC, n-jc)
 		for pc := 0; pc < k; pc += blockKC {
@@ -131,14 +133,17 @@ func gemmBlocked(alpha float64, av, bv, cv view) {
 			}
 		}
 	}
-	PutBuf(bpack)
-	PutBuf(apack)
+	PutBuf(buf)
 }
 
 // packA copies the mc×kc panel of op(A) starting at (i0, p0) into mr-row
 // strips: strip s holds rows [s*mr, s*mr+mr) k-major, dst[s*mr*kc + p*mr + r],
 // zero-padded past mc.
 func packA(v view, i0, mc, p0, kc int, dst []float64) {
+	if v.z {
+		packAZ(v, i0, mc, p0, kc, dst)
+		return
+	}
 	for s := 0; s*mr < mc; s++ {
 		base := s * mr * kc
 		rows := min(mr, mc-s*mr)
@@ -171,6 +176,58 @@ func packA(v view, i0, mc, p0, kc int, dst []float64) {
 	}
 }
 
+// packAZ is packA for the 1M image of a complex op(A): complex entry (I, P)
+// becomes the real 2×2 block [re −im; im re] at rows 2I, 2I+1 and columns
+// 2P, 2P+1. blockMC, blockKC and mr are even, so i0, mc, p0, kc and every
+// strip start are even and no block is ever split.
+func packAZ(v view, i0, mc, p0, kc int, dst []float64) {
+	if !v.t {
+		// Stored column P holds a strip's rows as interleaved pairs: real
+		// column 2P copies them, 2P+1 swaps each and negates its new first.
+		for s := 0; s*mr < mc; s++ {
+			src, d := v.data[i0+s*mr+p0*v.ld:], dst[s*mr*kc:(s+1)*mr*kc]
+			rows := mc - s*mr
+			if rows >= mr {
+				pack1M(kc/2, src, 2*v.ld, d)
+				continue
+			}
+			for p := 0; p < kc; p += 2 {
+				dp := (*[2 * mr]float64)(d[p*mr:])
+				for r := 0; r < mr; r += 2 {
+					var re, im float64
+					if r < rows {
+						re, im = src[p*v.ld+r], src[p*v.ld+r+1]
+					}
+					dp[r], dp[r+1], dp[mr+r], dp[mr+r+1] = re, im, -im, re
+				}
+			}
+		}
+		return
+	}
+	// op(A)(I, P) = stored (P, I): stored column I is contiguous in P.
+	for s := 0; s*mr < mc; s++ {
+		base := s * mr * kc
+		rows := min(mr, mc-s*mr)
+		for r := 0; r < rows; r += 2 {
+			src := v.data[p0+(i0+s*mr+r)*v.ld:][:kc]
+			for p := 0; p < kc; p += 2 {
+				re, im := src[p], src[p+1]
+				o := base + p*mr + r
+				dst[o], dst[o+1] = re, im
+				dst[o+mr], dst[o+mr+1] = -im, re
+			}
+		}
+		for r := rows; r < mr; r++ {
+			for p := 0; p < kc; p++ {
+				dst[base+p*mr+r] = 0
+			}
+		}
+	}
+}
+
+// zeroKC stands in for op(B)'s columns past nc in packB; never written.
+var zeroKC [blockKC]float64
+
 // packB copies the kc×nc panel of op(B) starting at (p0, j0) into nr-column
 // strips: strip s holds columns [s*nr, s*nr+nr) k-major, dst[s*nr*kc + p*nr + c],
 // zero-padded past nc.
@@ -179,17 +236,30 @@ func packB(v view, p0, kc, j0, nc int, dst []float64) {
 		base := s * nr * kc
 		cols := min(nr, nc-s*nr)
 		if !v.t {
-			// op(B)(p, j) = stored (p, j): stored column j0+s*nr+c is
-			// contiguous in p.
-			for c := 0; c < cols; c++ {
-				src := v.data[p0+(j0+s*nr+c)*v.ld:]
-				for p := 0; p < kc; p++ {
-					dst[base+p*nr+c] = src[p]
-				}
+			// op(B)(p, j) = stored (p, j): interleave the strip's stored
+			// columns, contiguous in p (zeros past nc), one k step at a time.
+			b := [nr][]float64{zeroKC[:kc], zeroKC[:kc], zeroKC[:kc], zeroKC[:kc]}
+			for c := range cols {
+				b[c] = v.data[p0+(j0+s*nr+c)*v.ld:][:kc]
 			}
-			for c := cols; c < nr; c++ {
-				for p := 0; p < kc; p++ {
-					dst[base+p*nr+c] = 0
+			b0, b1, b2, b3 := b[0], b[1], b[2], b[3]
+			d := dst[base : base+nr*kc]
+			for p := range b0 {
+				q := (*[nr]float64)(d[p*nr:])
+				q[0], q[1], q[2], q[3] = b0[p], b1[p], b2[p], b3[p]
+			}
+		} else if v.z {
+			// op(B)(P, j) = stored (j, P), a pair: its re and im words go
+			// to real rows 2P and 2P+1.
+			for p := 0; p < kc; p += 2 {
+				src := v.data[2*(j0+s*nr)+(p0+p)*v.ld:]
+				d0 := dst[base+p*nr : base+p*nr+nr : base+p*nr+nr]
+				d1 := dst[base+(p+1)*nr : base+(p+1)*nr+nr : base+(p+1)*nr+nr]
+				for c := 0; c < cols; c++ {
+					d0[c], d1[c] = src[2*c], src[2*c+1]
+				}
+				for c := cols; c < nr; c++ {
+					d0[c], d1[c] = 0, 0
 				}
 			}
 		} else {

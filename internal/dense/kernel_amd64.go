@@ -10,6 +10,9 @@ var hasAsmKernel = detectAVX2FMA()
 func dgemmKernel8x4(kc int64, alpha float64, a, b, c *float64, ldc int64)
 
 //go:noescape
+func pack1MStrip(n int64, src *float64, ld int64, dst *float64)
+
+//go:noescape
 func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 
 //go:noescape
@@ -47,4 +50,14 @@ func microKernel(kc int, alpha float64, a, b, c []float64, ldc int) {
 		return
 	}
 	microKernelGo(kc, alpha, a, b, c, ldc)
+}
+
+// pack1M is pack1MGo, in assembly where the machine runs it.
+func pack1M(n int, src []float64, ld int, dst []float64) {
+	if hasAsmKernel && n > 0 {
+		_, _ = src[(n-1)*ld+mr-1], dst[2*mr*n-1]
+		pack1MStrip(int64(n), &src[0], int64(ld), &dst[0])
+		return
+	}
+	pack1MGo(n, src, ld, dst)
 }

@@ -93,6 +93,50 @@ store:
 	VZEROUPPER
 	RET
 
+// Sign bits of the even lanes: XOR negates the first word of each pair.
+DATA evenSign<>+0(SB)/8, $0x8000000000000000
+DATA evenSign<>+8(SB)/8, $0
+DATA evenSign<>+16(SB)/8, $0x8000000000000000
+DATA evenSign<>+24(SB)/8, $0
+GLOBL evenSign<>(SB), RODATA|NOPTR, $32
+
+// func pack1MStrip(n int64, src *float64, ld int64, dst *float64)
+//
+// One full 8-row strip of the 1M image of a complex A, column pair by
+// column pair: for P < n, the 8 words (4 interleaved complex entries) at
+// src[P*ld:] go to dst[16P:16P+8] as they are and to dst[16P+8:16P+16] as
+// (−im, re) pairs. ld is in elements. n may be zero.
+TEXT ·pack1MStrip(SB), NOSPLIT, $0-32
+	MOVQ    n+0(FP), CX
+	MOVQ    src+8(FP), SI
+	MOVQ    ld+16(FP), R8
+	SHLQ    $3, R8 // ld in bytes
+	MOVQ    dst+24(FP), DI
+	VMOVUPD evenSign<>(SB), Y4
+
+	TESTQ CX, CX
+	JZ    packdone
+
+packloop:
+	VMOVUPD   (SI), Y0
+	VMOVUPD   32(SI), Y1
+	VPERMILPD $5, Y0, Y2 // swap re and im in each pair
+	VPERMILPD $5, Y1, Y3
+	VXORPD    Y4, Y2, Y2
+	VXORPD    Y4, Y3, Y3
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	VMOVUPD   Y2, 64(DI)
+	VMOVUPD   Y3, 96(DI)
+	ADDQ      R8, SI
+	ADDQ      $128, DI
+	DECQ      CX
+	JNZ       packloop
+
+packdone:
+	VZEROUPPER
+	RET
+
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
 	MOVL leaf+0(FP), AX

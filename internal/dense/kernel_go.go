@@ -32,3 +32,17 @@ func microKernelGo(kc int, alpha float64, a, b, c []float64, ldc int) {
 		}
 	}
 }
+
+// pack1MGo writes n column pairs of a full mr-row strip of a complex A's 1M
+// image (packAZ): the mr words at src[P*ld:] go to real column 2P as they
+// are and to 2P+1 as (−im, re) pairs. It is the fallback for the assembly
+// pack and the reference for testing it.
+func pack1MGo(n int, src []float64, ld int, dst []float64) {
+	for p := 0; p < n; p++ {
+		a := (*[mr]float64)(src[p*ld:])
+		d := (*[2 * mr]float64)(dst[2*p*mr:])
+		for r := 0; r < mr; r += 2 {
+			d[r], d[r+1], d[mr+r], d[mr+r+1] = a[r], a[r+1], -a[r+1], a[r]
+		}
+	}
+}

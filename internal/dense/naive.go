@@ -1,74 +1,54 @@
 package dense
 
-// The naive kernel: the original unblocked triple-loop GEMM, the executable
-// specification the blocked/tiled kernel is property-tested against and the
-// fast path for tiny operands where packing overhead would dominate (the
-// engine's many small supernode blocks).
-
-// gemmNaive computes c += alpha*op(a)*op(b) with the four loop orders
-// specialized for cache-friendly column-major access. Shapes are assumed
-// validated by the caller; beta has already been applied to c.
+// gemmNaive computes c += alpha*op(a)*op(b) with the original unblocked
+// loops, for either element type: the executable specification the blocked
+// kernel is property-tested against and the fast path for tiny operands,
+// where packing overhead would dominate. Shapes are assumed validated by the
+// caller; beta has already been applied to c.
 func gemmNaive(ta, tb Trans, alpha float64, a, b, c *Matrix) {
-	am, ak := a.Rows, a.Cols
-	if ta == DoTrans {
-		am, ak = ak, am
-	}
-	bn := b.Cols
+	// op(b)(p, j) is element p*bp+j*bj of b.
+	bp, bj := 1, b.Rows
 	if tb == DoTrans {
-		bn = b.Rows
+		bp, bj = b.Rows, 1
 	}
-	switch {
-	case ta == NoTrans && tb == NoTrans:
-		for j := 0; j < bn; j++ {
-			cj := c.Data[j*c.Rows : (j+1)*c.Rows]
-			for p := 0; p < ak; p++ {
-				bpj := alpha * b.Data[p+j*b.Rows]
-				if bpj == 0 {
-					continue
-				}
-				ap := a.Data[p*a.Rows : (p+1)*a.Rows]
-				for i := 0; i < am; i++ {
-					cj[i] += bpj * ap[i]
-				}
-			}
-		}
-	case ta == DoTrans && tb == NoTrans:
-		for j := 0; j < bn; j++ {
-			bj := b.Data[j*b.Rows : (j+1)*b.Rows]
-			cj := c.Data[j*c.Rows : (j+1)*c.Rows]
-			for i := 0; i < am; i++ {
-				ai := a.Data[i*a.Rows : (i+1)*a.Rows] // column i of a == row i of aᵀ
-				s := 0.0
-				for p := 0; p < ak; p++ {
-					s += ai[p] * bj[p]
-				}
-				cj[i] += alpha * s
-			}
-		}
-	case ta == NoTrans && tb == DoTrans:
-		for p := 0; p < ak; p++ {
-			ap := a.Data[p*a.Rows : (p+1)*a.Rows]
-			for j := 0; j < bn; j++ {
-				bjp := alpha * b.Data[j+p*b.Rows]
-				if bjp == 0 {
-					continue
-				}
-				cj := c.Data[j*c.Rows : (j+1)*c.Rows]
-				for i := 0; i < am; i++ {
-					cj[i] += bjp * ap[i]
-				}
-			}
-		}
-	default: // DoTrans, DoTrans
-		for j := 0; j < bn; j++ {
-			cj := c.Data[j*c.Rows : (j+1)*c.Rows]
-			for i := 0; i < am; i++ {
-				ai := a.Data[i*a.Rows : (i+1)*a.Rows]
-				s := 0.0
-				for p := 0; p < ak; p++ {
-					s += ai[p] * b.Data[j+p*b.Rows]
+	k := a.Cols
+	if ta == DoTrans {
+		k = a.Rows
+	}
+	if c.Elem == Complex {
+		naiveLoops(ta == DoTrans, complex(alpha, 0), complexView(a.Data), complexView(b.Data), bp, bj,
+			complexView(c.Data), c.Rows, c.Cols, k)
+		return
+	}
+	naiveLoops(ta == DoTrans, alpha, a.Data, b.Data, bp, bj, c.Data, c.Rows, c.Cols, k)
+}
+
+// naiveLoops is gemmNaive on the element slices, c m×n, with the loop nest
+// that walks a's columns contiguously: axpy updates of c's column for a as
+// stored, dot products with op(b)'s columns for a transposed.
+func naiveLoops[T float64 | complex128](aT bool, alpha T, a, b []T, bp, bj int, c []T, m, n, k int) {
+	if aT {
+		for j := 0; j < n; j++ {
+			cj, bcol := c[j*m:(j+1)*m], b[j*bj:] // bcol[p*bp] is op(b)(p, j)
+			for i := range cj {
+				var s T
+				for p, v := range a[i*k : (i+1)*k] { // column i of a == row i of aᵀ
+					s += v * bcol[p*bp]
 				}
 				cj[i] += alpha * s
+			}
+		}
+		return
+	}
+	for j := 0; j < n; j++ {
+		cj := c[j*m : (j+1)*m]
+		for p := 0; p < k; p++ {
+			bpj := alpha * b[p*bp+j*bj]
+			if bpj == 0 {
+				continue
+			}
+			for i, v := range a[p*m : (p+1)*m] {
+				cj[i] += bpj * v
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package dense
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -14,33 +15,61 @@ func randZMat(rng *rand.Rand, m, n int) *Matrix {
 	return a
 }
 
-// TestZGemm4MMatchesNaive checks the 4M-split path against the direct
-// interleaved loop above the routing threshold. The split reorders the
-// real/imaginary summations, so the comparison is at accumulation
-// tolerance, not bitwise.
-func TestZGemm4MMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	const m, n, k = 48, 40, 44 // m·n·k above zGemm4MThreshold
-	a := randZMat(rng, m, k)
-	b := randZMat(rng, k, n)
-	want := NewMatrixElem(m, n, Complex)
-	zGemmNaive(NoTrans, NoTrans, 1, a, b, want)
-	got := NewMatrixElem(m, n, Complex)
-	zGemm4M(NoTrans, NoTrans, 1, a, b, got)
-	for i := range want.Data {
-		d := want.Data[i] - got.Data[i]
-		if d < -1e-10 || d > 1e-10 {
-			t.Fatalf("word %d: 4M %g vs naive %g", i, got.Data[i], want.Data[i])
+// zGemmNaive accumulates c += alpha*op(a)*op(b) with the direct interleaved
+// complex triple loop: the test oracle complex Gemm is checked against.
+// op(b) is read through a pair of strides; op(a) picks the loop nest that
+// walks a's columns contiguously: axpy updates of c's column for a as
+// stored, dot products with op(b)'s for a transposed.
+func zGemmNaive(ta, tb Trans, alpha float64, a, b, c *Matrix) {
+	m, n := c.Rows, c.Cols
+	// op(b)(p, j) is the complex element at b.Data[2*(p*bp+j*bj)].
+	bp, bj := 1, b.Rows
+	if tb == DoTrans {
+		bp, bj = b.Rows, 1
+	}
+	if ta == DoTrans {
+		k := a.Rows
+		for j := 0; j < n; j++ {
+			cj := c.Data[2*j*m : 2*(j+1)*m]
+			for i := 0; i < m; i++ {
+				ai := a.Data[2*i*k : 2*(i+1)*k]
+				var sr, si float64
+				for p, bx := 0, 2*j*bj; p < k; p, bx = p+1, bx+2*bp {
+					ar, aim := ai[2*p], ai[2*p+1]
+					br, bi := b.Data[bx], b.Data[bx+1]
+					sr += ar*br - aim*bi
+					si += ar*bi + aim*br
+				}
+				cj[2*i] += alpha * sr
+				cj[2*i+1] += alpha * si
+			}
+		}
+		return
+	}
+	for j := 0; j < n; j++ {
+		cj := c.Data[2*j*m : 2*(j+1)*m]
+		for p := 0; p < a.Cols; p++ {
+			br := alpha * b.Data[2*(p*bp+j*bj)]
+			bi := alpha * b.Data[2*(p*bp+j*bj)+1]
+			ap := a.Data[2*p*m : 2*(p+1)*m]
+			for i := 0; i < m; i++ {
+				ar, ai := ap[2*i], ap[2*i+1]
+				cj[2*i] += ar*br - ai*bi
+				cj[2*i+1] += ar*bi + ai*br
+			}
 		}
 	}
 }
 
-// TestZGemmTransposeParity runs Gemm on complex operands over all four
-// ta/tb combinations, on both sides of zGemm4MThreshold, with empty
-// dimensions and at the engine's flop-weighted median shape (m=28, k=44),
-// against the op-free naive loop on explicitly transposed copies. The
-// transpose is plain: no conjugation. Same accumulation tolerance as the
-// 4M check above.
+// TestZGemmTransposeParity runs complex Gemm — the naive loop for tiny or
+// skinny products, the blocked real kernel over the 1M expansion for the
+// rest — over all four ta/tb combinations against the op-free interleaved
+// oracle on explicitly transposed copies. The transpose is plain: no
+// conjugation. The shapes cover empty dimensions, n = 1, odd m, n, k on
+// both paths (on the 1M one, the image's mr/nr edge tiles), the engine's
+// complex histogram shapes, and m ≥ 65, k ≥ 129, whose doubled real
+// dimensions cross blockMC and blockKC. Both paths sum in another order
+// than the oracle, so the comparison is at accumulation tolerance.
 func TestZGemmTransposeParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	stored := func(tr Trans, rows, cols int) (m, opm *Matrix) {
@@ -53,31 +82,89 @@ func TestZGemmTransposeParity(t *testing.T) {
 		return m, opm
 	}
 	for _, sh := range [][3]int{
-		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {5, 7, 3},
-		{28, 28, 44}, {28, 44, 44}, // engine median, 4M side
-		{28, 20, 44}, {31, 32, 32}, // naive side
-		{32, 32, 32}, {48, 40, 44}, {16, 64, 48},
+		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {5, 7, 3}, {9, 1, 13}, // naive
+		{7, 5, 9}, {5, 7, 11}, {9, 6, 31}, // 1M edge tiles
+		{28, 28, 44}, {12, 48, 48}, {4, 48, 48}, {44, 12, 28}, // engine shapes
+		{65, 5, 129}, {67, 1, 131}, {131, 9, 263}, // across blockMC, blockKC
 	} {
 		m, n, k := sh[0], sh[1], sh[2]
 		for _, ta := range []Trans{NoTrans, DoTrans} {
 			for _, tb := range []Trans{NoTrans, DoTrans} {
-				for _, ab := range [][2]float64{{1, 1}, {-1, 0}, {2, -0.5}} {
-					alpha, beta := ab[0], ab[1]
-					a, opa := stored(ta, m, k)
-					b, opb := stored(tb, k, n)
-					got := randZMat(rng, m, n)
-					want := got.Clone()
-					want.Scale(beta)
-					zGemmNaive(NoTrans, NoTrans, alpha, opa, opb, want)
-					Gemm(ta, tb, alpha, a, b, beta, got)
-					for i := range want.Data {
-						if d := want.Data[i] - got.Data[i]; !(d >= -1e-10 && d <= 1e-10) {
-							t.Fatalf("%dx%dx%d ta=%v tb=%v alpha=%g beta=%g word %d: got %g, want %g",
-								m, n, k, ta, tb, alpha, beta, i, got.Data[i], want.Data[i])
+				for _, alpha := range []float64{1, -1, 0.5} {
+					for _, beta := range []float64{0, 1} {
+						a, opa := stored(ta, m, k)
+						b, opb := stored(tb, k, n)
+						got := randZMat(rng, m, n)
+						want := got.Clone()
+						if beta == 0 {
+							want.Zero()
+						}
+						zGemmNaive(NoTrans, NoTrans, alpha, opa, opb, want)
+						Gemm(ta, tb, alpha, a, b, beta, got)
+						for i := range want.Data {
+							if d := want.Data[i] - got.Data[i]; !(d >= -1e-10 && d <= 1e-10) {
+								t.Fatalf("%dx%dx%d ta=%v tb=%v alpha=%g beta=%g word %d: got %g, want %g",
+									m, n, k, ta, tb, alpha, beta, i, got.Data[i], want.Data[i])
+							}
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestOneMBlockingIsEven guards the 1M packs' premise: every real-unit block
+// offset (ic, pc, strip start) is even, so no [re −im; im re] block and no
+// (re, im) pair of B is ever split across panels or strips.
+func TestOneMBlockingIsEven(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		v    int
+	}{{"blockMC", blockMC}, {"blockKC", blockKC}, {"mr", mr}} {
+		if c.v%2 != 0 {
+			t.Errorf("%s = %d is odd", c.name, c.v)
+		}
+	}
+}
+
+// TestPack1MMatchesGo: the strip pack the machine runs (assembly where
+// built) writes the same bits as the portable one, signed zeros included.
+func TestPack1MMatchesGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	const n, ld = 13, 2*mr + 6
+	src := make([]float64, (n-1)*ld+mr)
+	for i := range src {
+		src[i] = rng.NormFloat64()
+	}
+	src[1], src[ld+2] = math.Copysign(0, -1), 0
+	got, want := make([]float64, 2*mr*n), make([]float64, 2*mr*n)
+	pack1M(n, src, ld, got)
+	pack1MGo(n, src, ld, want)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("word %d: %x, want %x", i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+		}
+	}
+}
+
+// TestZGemmSteadyStateAllocs: a warm complex Gemm draws its pack buffers
+// from the arena and allocates nothing, as the real one does.
+func TestZGemmSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	rng := rand.New(rand.NewSource(3))
+	for _, tr := range []Trans{NoTrans, DoTrans} {
+		a, b := randZMat(rng, 28, 44), randZMat(rng, 44, 28)
+		if tr == DoTrans {
+			a, b = b, a
+		}
+		c := NewMatrixElem(28, 28, Complex)
+		gemm := func() { Gemm(tr, tr, 1, a, b, 1, c) }
+		gemm()
+		if n := testing.AllocsPerRun(20, gemm); n != 0 {
+			t.Errorf("trans=%v: %.1f allocations per complex Gemm, want 0", tr, n)
 		}
 	}
 }
@@ -155,56 +242,38 @@ func TestZTrsmAllVariants(t *testing.T) {
 	}
 }
 
-// BenchmarkZGemm compares the two complex GEMM strategies: the direct
-// interleaved triple loop and the 4M split through the blocked real
-// kernels. The split pays two unpacks and four packs but runs the
-// cache-blocked (and SIMD, where built) real path — the win that makes the
-// complex engine's large supernode products viable. Complex multiply-add
-// is 8 real flops.
+// BenchmarkZGemm runs complex Gemm at the shapes the engine issues (DG2D at
+// MaxWidth 48): the flop-weighted median (m=28, k=44) plain and with a
+// transposed operand — the symmetric program's diagonal contribution
+// L̂ᵀ_{J,K}·A⁻¹_{J,K} is the transposed row, the Row-Reduce products the
+// plain one — and the top complex histogram shapes. Complex multiply-add is
+// 8 real flops.
 func BenchmarkZGemm(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	for _, n := range []int{256, 512} {
-		a := randZMat(rng, n, n)
-		x := randZMat(rng, n, n)
-		c := NewMatrixElem(n, n, Complex)
-		flops := 8 * int64(n) * int64(n) * int64(n)
-		b.Run(fmt.Sprintf("4m/%d", n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.Zero()
-				zGemm4M(NoTrans, NoTrans, 1, a, x, c)
-			}
-			gf := float64(flops) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-			b.ReportMetric(gf, "GFLOP/s")
-		})
-		b.Run(fmt.Sprintf("naive/%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				c.Zero()
-				zGemmNaive(NoTrans, NoTrans, 1, a, x, c)
-			}
-			gf := float64(flops) * float64(b.N) / b.Elapsed().Seconds() / 1e9
-			b.ReportMetric(gf, "GFLOP/s")
-		})
-	}
-	// The engine's flop-weighted median complex shape (m=28, k=44, DG2D at
-	// MaxWidth 48), through the public entry point: the symmetric program's
-	// diagonal contribution L̂ᵀ_{J,K}·A⁻¹_{J,K} is the transposed row, the
-	// Row-Reduce products the plain one.
-	const m, k = 28, 44
-	a, at := randZMat(rng, m, k), randZMat(rng, k, m)
-	x := randZMat(rng, k, m)
-	c := NewMatrixElem(m, m, Complex)
 	for _, row := range []struct {
-		name string
-		ta   Trans
-		a    *Matrix
-	}{{"engine-nn", NoTrans, a}, {"engine-tn", DoTrans, at}} {
-		b.Run(fmt.Sprintf("%s/%dx%dx%d", row.name, m, m, k), func(b *testing.B) {
+		name    string
+		ta      Trans
+		m, n, k int
+	}{
+		{"engine-nn", NoTrans, 28, 28, 44},
+		{"engine-tn", DoTrans, 28, 28, 44},
+		{"engine-nn", NoTrans, 12, 48, 48},
+		{"engine-nn", NoTrans, 4, 48, 48},
+		{"engine-nn", NoTrans, 44, 12, 28},
+	} {
+		m, n, k := row.m, row.n, row.k
+		a := randZMat(rng, m, k)
+		if row.ta == DoTrans {
+			a = randZMat(rng, k, m)
+		}
+		x := randZMat(rng, k, n)
+		c := NewMatrixElem(m, n, Complex)
+		b.Run(fmt.Sprintf("%s/%dx%dx%d", row.name, m, n, k), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				Gemm(row.ta, NoTrans, 1, row.a, x, 0, c)
+				Gemm(row.ta, NoTrans, 1, a, x, 0, c)
 			}
-			gf := float64(8*m*m*k) * float64(b.N) / b.Elapsed().Seconds() / 1e9
+			gf := float64(8*m*n*k) * float64(b.N) / b.Elapsed().Seconds() / 1e9
 			b.ReportMetric(gf, "GFLOP/s")
 		})
 	}

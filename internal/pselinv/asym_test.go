@@ -234,9 +234,27 @@ func TestGeneralPlanOnLowerOnlyFactor(t *testing.T) {
 // symmetric values, where both read L̂ᵀ for it and mirror A⁻¹_{J,K} — for both
 // element types. (The general plan on symmetric values solves for Û where the
 // reference transposes L̂, and agrees to rounding only: the test above.)
+// The DG2D case at MaxWidth 48 multiplies blocks of the sizes RunBatch
+// issues, so the complex products run the same 1M kernel, blocking and edge
+// tiles on both sides.
 func TestOneRankBitContract(t *testing.T) {
-	for _, g := range []*sparse.Generated{sparse.Grid2D(6, 6, 3), sparse.Asymmetrize(sparse.Grid2D(6, 6, 3), 7, 0.4)} {
-		an, lus := bothElems(t, g, etree.Options{Relax: 2, MaxWidth: 6})
+	for _, tc := range []struct {
+		g   *sparse.Generated
+		opt etree.Options
+	}{
+		{sparse.Grid2D(6, 6, 3), etree.Options{Relax: 2, MaxWidth: 6}},
+		{sparse.Asymmetrize(sparse.Grid2D(6, 6, 3), 7, 0.4), etree.Options{Relax: 2, MaxWidth: 6}},
+		{sparse.DG2D(12, 12, 4, 1), etree.Options{Relax: 4, MaxWidth: 48}},
+	} {
+		g := tc.g
+		an, lus := bothElems(t, g, tc.opt)
+		widest := 0
+		for k := 0; k < an.BP.NumSnodes(); k++ {
+			widest = max(widest, an.BP.Part.Width(k))
+		}
+		if widest != tc.opt.MaxWidth {
+			t.Fatalf("%s: widest supernode %d, want MaxWidth %d", g.Name, widest, tc.opt.MaxWidth)
+		}
 		for _, lu := range lus {
 			ref := selinv.SelInv(lu)
 			plan := core.NewPlanConfig(an.BP, procgrid.New(1, 1), core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: lu.Symmetric})

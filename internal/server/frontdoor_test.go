@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -76,6 +77,50 @@ func TestGeneratorDimensionCheckedBeforeBuild(t *testing.T) {
 	}
 	if d := time.Since(start); d > 5*time.Second {
 		t.Errorf("refusing the oversized generator took %v", d)
+	}
+}
+
+// TestMatrixMarketSizeCheckedBeforeAdmission: an upload whose size line
+// declares more than MaxN rows is a 400 at the door, on both endpoints —
+// read off the size line, with every engine slot held elsewhere and no
+// queue, so neither a slot nor a parse of the body is spent on it.
+func TestMatrixMarketSizeCheckedBeforeAdmission(t *testing.T) {
+	const maxN = 100
+	s, ts := testServer(t, Config{MaxN: maxN, MaxQueue: -1})
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
+	}
+	defer func() {
+		for range cap(s.slots) {
+			<-s.slots
+		}
+	}()
+	var mm strings.Builder
+	fmt.Fprintf(&mm, "%%%%MatrixMarket matrix coordinate real general\n%% comment\n\n%d %d %d\n", maxN+1, maxN+1, maxN+1)
+	for i := 1; i <= maxN+1; i++ {
+		fmt.Fprintf(&mm, "%d %d 4\n", i, i)
+	}
+	spec := MatrixSpec{Kind: "matrixmarket", Data: mm.String()}
+	if gen, herr := s.matrixSource(spec); herr == nil || herr.status != http.StatusBadRequest || gen != nil {
+		t.Fatalf("matrixSource: got %v, want a 400 and nothing to parse", herr)
+	}
+	for path, req := range map[string]any{
+		"/v1/selinv":       Request{Matrix: spec},
+		"/v1/selinv/batch": BatchRequest{Matrix: spec, Poles: []PoleSpec{{ZIm: 1}}},
+	} {
+		body, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "exceeds server limit") {
+			t.Errorf("%s: status %d %q, want 400 for the size line", path, hr.StatusCode, msg)
+		}
 	}
 }
 

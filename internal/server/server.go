@@ -406,9 +406,13 @@ func (s *Server) matrixSource(spec MatrixSpec) (func() (*pselinv.Matrix, *httpEr
 		params, dims, extra = "n, deg", []int{spec.N}, spec.Deg
 		gen = func() *pselinv.Matrix { return pselinv.RandomAsym(spec.N, spec.Deg, spec.Seed) }
 	case "matrixmarket":
-		// Bounded by maxBodyBytes on the way in and by MaxN once parsed.
+		// Bounded by maxBodyBytes on the way in and by MaxN off the size
+		// line, before the body is parsed or a slot taken (and once parsed).
 		if spec.Data == "" {
 			return nil, badRequest("matrixmarket requires data")
+		}
+		if n := sizeLineRows(spec.Data); n > s.cfg.MaxN {
+			return nil, badRequest("matrixmarket: matrix dimension %d exceeds server limit %d", n, s.cfg.MaxN)
 		}
 		return func() (*pselinv.Matrix, *httpError) {
 			m, err := pselinv.FromMatrixMarket(strings.NewReader(spec.Data), "request-matrix")
@@ -435,6 +439,20 @@ func (s *Server) matrixSource(spec MatrixSpec) (func() (*pselinv.Matrix, *httpEr
 		n *= d
 	}
 	return func() (*pselinv.Matrix, *httpError) { return gen(), nil }, nil
+}
+
+// sizeLineRows reads the row count off a MatrixMarket size line the way the
+// parser does; 0 when there is none or it is malformed, which the parser reports.
+func sizeLineRows(data string) (n int) {
+	for rest := data; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		if line = strings.TrimSpace(line); line != "" && line[0] != '%' {
+			fmt.Sscan(line, &n)
+			return n
+		}
+	}
+	return 0
 }
 
 // parseOrdering maps the request field to an ordering method plus its
