@@ -131,7 +131,7 @@ balancer-smoke:
 pexsi-batch:
 	$(GO) test -race -count=1 -run 'Batch|ComplexPole' \
 		./internal/pexsi/ ./internal/server/
-	$(GO) run ./cmd/pexsi -mode complex -batch -nx 10 -ny 10 -poles 16 \
+	$(GO) run ./cmd/pexsi -batch -nx 10 -ny 10 -poles 16 \
 		-procs 4 -balancer work
 
 # The §IV-A tables and figures of EXPERIMENTS.md — Tables I–II and Figs. 4,

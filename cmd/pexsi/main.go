@@ -1,28 +1,20 @@
 // Command pexsi runs the pole-expansion workload that motivates PSelInv
 // (§I of the paper): estimate diag f(H) for the Fermi–Dirac function by
-// repeated selected inversion of shifted systems.
+// repeated selected inversion of complex-shifted systems, one per Matsubara
+// pole, reporting the truncated Fermi density.
 //
-// Two modes:
-//
-//	-mode real     real positive shifts, each pole solved by the
-//	               distributed engine on its own simulated rank group
-//	               (reports per-pole communication);
-//	-mode complex  true Matsubara poles via the complex-shift selected
-//	               inversion on the distributed engine (-procs ranks per
-//	               pole; -procs 1 uses the serial kernel), reporting the
-//	               truncated Fermi density. -batch shares one engine
-//	               template across all poles and pipelines factorization
-//	               with inversion.
-//
-// Both modes honor -scheme, -balancer and -dag, and print the path that
-// inverted the poles: serial, or the engine's symmetric or general plan as
-// the Hamiltonian's values select (a diagonal shift keeps their symmetry).
+// Each pole runs on the distributed engine (-procs ranks per pole; -procs 1
+// uses the serial kernel). By default all poles run at once, one processor
+// group each; -batch instead shares one engine template across all poles
+// and pipelines factorization with inversion. Both honor -scheme, -balancer
+// and -dag, and print the path that inverted the poles: serial, or the
+// engine's symmetric or general plan as the Hamiltonian's values select (a
+// diagonal shift keeps their symmetry).
 //
 // Examples:
 //
-//	pexsi -mode complex -nx 10 -ny 10 -beta 2 -mu 50 -poles 32 -procs 4
-//	pexsi -mode complex -batch -poles 32 -balancer work -dag
-//	pexsi -mode real -nx 12 -ny 12 -poles 5 -procs 16 -scheme shifted
+//	pexsi -nx 10 -ny 10 -beta 2 -mu 50 -poles 32 -procs 4
+//	pexsi -batch -poles 32 -balancer work -dag
 package main
 
 import (
@@ -37,19 +29,18 @@ import (
 )
 
 var (
-	flagMode     = flag.String("mode", "complex", "real|complex")
 	flagNX       = flag.Int("nx", 10, "grid extent x")
 	flagNY       = flag.Int("ny", 10, "grid extent y")
 	flagDofs     = flag.Int("dofs", 1, "unknowns per element (>1 uses the DG generator)")
 	flagSeed     = flag.Int64("seed", 1, "generator seed")
 	flagPoles    = flag.Int("poles", 16, "number of poles")
-	flagBeta     = flag.Float64("beta", 2.0, "inverse temperature (complex mode)")
-	flagMu       = flag.Float64("mu", 50.0, "chemical potential (complex mode)")
-	flagProcs    = flag.Int("procs", 16, "simulated ranks per pole group (1 = serial kernel in complex mode)")
+	flagBeta     = flag.Float64("beta", 2.0, "inverse temperature")
+	flagMu       = flag.Float64("mu", 50.0, "chemical potential")
+	flagProcs    = flag.Int("procs", 16, "simulated ranks per pole (1 = serial kernel)")
 	flagScheme   = flag.String("scheme", "shifted", "tree scheme: "+strings.Join(core.SchemeSlugs(), "|"))
 	flagBalancer = flag.String("balancer", "cyclic", "supernode→process balancer: "+strings.Join(core.BalancerSlugs(), "|"))
 	flagDAG      = flag.Bool("dag", false, "intra-rank task-DAG execution")
-	flagBatch    = flag.Bool("batch", false, "complex mode: batch engine (one shared template, pipelined factorization)")
+	flagBatch    = flag.Bool("batch", false, "batch engine (one shared template, pipelined factorization)")
 )
 
 func main() {
@@ -66,62 +57,40 @@ func main() {
 	check(err)
 	balancer, err := core.ParseBalancer(strings.ToLower(*flagBalancer))
 	check(err)
+	poles, err := pexsi.MatsubaraPoles(*flagPoles, *flagBeta, *flagMu)
+	check(err)
 
-	switch strings.ToLower(*flagMode) {
-	case "complex":
-		poles, err := pexsi.MatsubaraPoles(*flagPoles, *flagBeta, *flagMu)
-		check(err)
-		if *flagBatch {
-			res, err := pexsi.RunBatch(h, pexsi.BatchConfig{
-				Poles: poles, Relax: 4, MaxWidth: 48,
-				Procs: *flagProcs, Scheme: scheme, Balancer: balancer, DAG: *flagDAG,
-				Seed: uint64(*flagSeed),
-			})
-			check(err)
-			lo, hi, tr := summarize(res.Density)
-			fmt.Printf("complex Matsubara batch: %d poles × %d ranks (%s path), %v\n",
-				len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
-			fmt.Printf("density diag: min %.4f max %.4f, electron count (trace) %.3f of %d states\n",
-				lo, hi, tr, h.A.N)
-			for l, st := range res.Stats {
-				fmt.Printf("  pole %2d: factor %v + invert %v, %.1f MB allocated\n",
-					l, st.FactorElapsed.Round(1e6), st.InvertElapsed.Round(1e6),
-					float64(st.AllocBytes)/1e6)
-			}
-			return
-		}
-		res, err := pexsi.RunComplex(h, pexsi.ComplexConfig{
-			Poles: poles, Relax: 4, MaxWidth: 48, Parallel: true,
+	if *flagBatch {
+		res, err := pexsi.RunBatch(h, pexsi.BatchConfig{
+			Poles: poles, Relax: 4, MaxWidth: 48,
 			Procs: *flagProcs, Scheme: scheme, Balancer: balancer, DAG: *flagDAG,
 			Seed: uint64(*flagSeed),
 		})
 		check(err)
 		lo, hi, tr := summarize(res.Density)
-		fmt.Printf("complex Matsubara expansion: %d poles × %d ranks (%s path), %v\n",
+		fmt.Printf("complex Matsubara batch: %d poles × %d ranks (%s path), %v\n",
 			len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
 		fmt.Printf("density diag: min %.4f max %.4f, electron count (trace) %.3f of %d states\n",
 			lo, hi, tr, h.A.N)
-		fmt.Printf("log|det(H - z_0)| = %.4f\n", real(res.LogDets[0]))
-	case "real":
-		poles := pexsi.FermiPoles(*flagPoles, 0.5, 1.6)
-		res, err := pexsi.Run(h, pexsi.Config{
-			Poles: poles, ProcsPerPole: *flagProcs, Scheme: scheme,
-			Balancer: balancer, DAG: *flagDAG,
-			Seed: uint64(*flagSeed), Relax: 4, MaxWidth: 48, Parallel: true,
-		})
-		check(err)
-		lo, hi, tr := summarize(res.Density)
-		fmt.Printf("real-shift expansion: %d poles × %d ranks each (%s path), %v\n",
-			len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
-		fmt.Printf("density estimate: min %.4f max %.4f trace %.3f\n", lo, hi, tr)
 		for l, st := range res.Stats {
-			fmt.Printf("  pole %2d (σ=%6.2f): max %.3f MB sent/rank, %v\n",
-				l, st.Pole.Shift, st.MaxSentMB, st.Elapsed.Round(1e6))
+			fmt.Printf("  pole %2d: factor %v + invert %v, %.1f MB allocated\n",
+				l, st.FactorElapsed.Round(1e6), st.InvertElapsed.Round(1e6),
+				float64(st.AllocBytes)/1e6)
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "pexsi: unknown mode %q\n", *flagMode)
-		os.Exit(2)
+		return
 	}
+	res, err := pexsi.RunComplex(h, pexsi.ComplexConfig{
+		Poles: poles, Relax: 4, MaxWidth: 48, Parallel: true,
+		Procs: *flagProcs, Scheme: scheme, Balancer: balancer, DAG: *flagDAG,
+		Seed: uint64(*flagSeed),
+	})
+	check(err)
+	lo, hi, tr := summarize(res.Density)
+	fmt.Printf("complex Matsubara expansion: %d poles × %d ranks (%s path), %v\n",
+		len(poles), *flagProcs, res.Path, res.Elapsed.Round(1e6))
+	fmt.Printf("density diag: min %.4f max %.4f, electron count (trace) %.3f of %d states\n",
+		lo, hi, tr, h.A.N)
+	fmt.Printf("log|det(H - z_0)| = %.4f\n", real(res.LogDets[0]))
 }
 
 func summarize(xs []float64) (lo, hi, sum float64) {

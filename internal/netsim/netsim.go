@@ -51,14 +51,6 @@ type Params struct {
 	HopLatency   float64 // extra latency per log2(node distance), seconds
 	Jitter       float64 // relative inhomogeneity of inter-node links
 	Seed         uint64  // placement seed: vary per run for error bars
-	// ShareQuantum, when positive, makes rank ports serve concurrent
-	// messages processor-sharing style in round-robin quanta of this many
-	// bytes, the way a NIC's DMA engine interleaves outstanding transfers.
-	// A Flat-Tree root's batch of p−1 sends then all complete near the end
-	// of the batch — every delivery costs ≈ (p−1)·b/BW — which is exactly
-	// the serialization §III attributes to the centralized scheme. Zero
-	// keeps strict FIFO (store-and-forward per message).
-	ShareQuantum int64
 }
 
 // DefaultParams approximates a Cray XC30 (Edison) node: 24 cores, ~µs
@@ -580,11 +572,6 @@ type sim struct {
 	nodeUp   []resource
 	nodeDown []resource
 
-	// Remaining bytes of in-progress port transfers under ShareQuantum
-	// round-robin (indexed by DAG node; 0 = not yet started).
-	remSend []int64
-	remRecv []int64
-
 	res Result
 }
 
@@ -604,10 +591,6 @@ func newSim(dag *DAG, params Params) *sim {
 	s.res.ComputeTime = make([]float64, p)
 	s.res.SendBusy = make([]float64, p)
 	s.res.RecvBusy = make([]float64, p)
-	if params.ShareQuantum > 0 {
-		s.remSend = make([]int64, len(dag.nodes))
-		s.remRecv = make([]int64, len(dag.nodes))
-	}
 	return s
 }
 
@@ -701,26 +684,9 @@ func (s *sim) trySend(rank int32, t float64) {
 	}
 	it := r.queue.pop()
 	n := &s.nodes[it.id]
-	var inject float64
-	if q := s.params.ShareQuantum; q > 0 {
-		rem := s.remSend[it.id]
-		if rem == 0 {
-			rem = n.bytes
-			inject += s.params.SendOverhead
-			s.res.MsgCount++
-			s.res.BytesMoved += n.bytes
-		}
-		chunk := rem
-		if chunk > q {
-			chunk = q
-		}
-		s.remSend[it.id] = rem - chunk
-		inject += float64(chunk) / s.params.PortBW
-	} else {
-		inject = s.params.SendOverhead + float64(n.bytes)/s.params.PortBW
-		s.res.MsgCount++
-		s.res.BytesMoved += n.bytes
-	}
+	inject := s.params.SendOverhead + float64(n.bytes)/s.params.PortBW
+	s.res.MsgCount++
+	s.res.BytesMoved += n.bytes
 	r.busy = true
 	s.res.SendBusy[rank] += inject
 	s.at(t+inject, evSendDone, rank, it.id)
@@ -754,22 +720,7 @@ func (s *sim) tryRecv(rank int32, t float64) {
 		return
 	}
 	it := r.queue.pop()
-	var eject float64
-	if q := s.params.ShareQuantum; q > 0 {
-		rem := s.remRecv[it.id]
-		if rem == 0 {
-			rem = s.nodes[it.id].bytes
-			eject += s.params.RecvOverhead
-		}
-		chunk := rem
-		if chunk > q {
-			chunk = q
-		}
-		s.remRecv[it.id] = rem - chunk
-		eject += float64(chunk) / s.params.PortBW
-	} else {
-		eject = s.params.RecvOverhead + float64(s.nodes[it.id].bytes)/s.params.PortBW
-	}
+	eject := s.params.RecvOverhead + float64(s.nodes[it.id].bytes)/s.params.PortBW
 	r.busy = true
 	s.res.RecvBusy[rank] += eject
 	s.at(t+eject, evRecvDone, rank, it.id)
@@ -784,12 +735,6 @@ func (s *sim) handle(ev event) {
 		s.tryCPU(ev.res, t)
 	case evSendDone:
 		s.send[ev.res].busy = false
-		if s.params.ShareQuantum > 0 && s.remSend[ev.id] > 0 {
-			// Round-robin: park the unfinished transfer at the queue tail.
-			s.send[ev.res].queue.push(prioItem{seq: s.nextSeq(), id: ev.id})
-			s.trySend(ev.res, t)
-			return
-		}
 		s.trySend(ev.res, t)
 		n := &s.nodes[ev.id]
 		src, dst := int(n.rank), int(n.dst)
@@ -821,11 +766,6 @@ func (s *sim) handle(ev event) {
 		s.tryRecv(ev.res, t)
 	case evRecvDone:
 		s.recv[ev.res].busy = false
-		if s.params.ShareQuantum > 0 && s.remRecv[ev.id] > 0 {
-			s.recv[ev.res].queue.push(prioItem{seq: s.nextSeq(), id: ev.id})
-			s.tryRecv(ev.res, t)
-			return
-		}
 		s.complete(ev.id, t)
 		s.tryRecv(ev.res, t)
 	}

@@ -241,3 +241,20 @@ func TestSimulateAllLeavesMatrix(t *testing.T) {
 		t.Fatal("no compute simulated")
 	}
 }
+
+func TestScaledRegimeShiftedBeatsFlatAtScale(t *testing.T) {
+	// The calibrated scaling regime (see internal/exp): on a pattern with
+	// wide collectives and a congested endpoint network, the shifted
+	// binary tree must beat the flat tree at scale — the paper's headline.
+	bp := densePattern(63, 16)
+	grid := procgrid.New(64, 2)
+	p := DefaultParams()
+	p.PortBW = 1e9
+	p.NodeBW = 1e9
+	p.CoresPerNode = 8
+	flat := Simulate(core.NewPlan(bp, grid, core.FlatTree, 1), p).Makespan
+	shifted := Simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
+	if shifted >= flat {
+		t.Fatalf("shifted (%g) not faster than flat (%g) in the calibrated regime", shifted, flat)
+	}
+}

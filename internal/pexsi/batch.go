@@ -56,7 +56,7 @@ type BatchResult struct {
 	Density []float64
 	Stats   []BatchPoleStats
 	Elapsed time.Duration
-	Path    string // as Result.Path
+	Path    string // as ComplexResult.Path
 }
 
 // facJob carries one pole's factorization through the pipeline.
@@ -133,7 +133,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		t0 := time.Now()
 		err := job.err
 		if err == nil {
-			_, _, err = s.accumulate(job.lu, pole.Weight, res.Density)
+			err = s.accumulate(job.lu, pole.Weight, res.Density)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("pexsi: pole %d (z=%v): %w", job.l, pole.Z, err)

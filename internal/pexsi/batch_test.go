@@ -1,6 +1,7 @@
 package pexsi
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -60,9 +61,11 @@ func TestBatchMatchesRunComplexSerial(t *testing.T) {
 }
 
 // TestBatchMatchesRunComplexDistributed: on four ranks RunBatch reproduces
-// RunComplex bit for bit — one plan, one fold order — on the symmetric plan
-// a symmetric H selects and on the general plan an Asymmetrize'd H does,
-// and both agree with the serial batch and the dense expansion to rounding.
+// RunComplex bit for bit — one plan, one fold order — whether RunComplex
+// takes the poles in turn or runs them as concurrent pole groups, on the
+// symmetric plan a symmetric H selects and on the general plan an
+// Asymmetrize'd H does, and all agree with the serial batch and the dense
+// expansion to rounding.
 func TestBatchMatchesRunComplexDistributed(t *testing.T) {
 	poles := mustPoles(t, 4, 2.0, 50.0)
 	for _, symmetric := range []bool{true, false} {
@@ -78,14 +81,6 @@ func TestBatchMatchesRunComplexDistributed(t *testing.T) {
 		if got := s.tmpl.Plan.Symmetric; got != symmetric {
 			t.Fatalf("%s: pole solver planned Symmetric=%v", h.Name, got)
 		}
-		cc := ComplexConfig{
-			Poles: poles, Relax: 4, MaxWidth: 16,
-			Procs: 4, Scheme: pc.Scheme, Balancer: pc.Balancer, Seed: pc.Seed,
-		}
-		single, err := RunComplex(h, cc)
-		if err != nil {
-			t.Fatal(err)
-		}
 		batch, err := RunBatch(h, BatchConfig{
 			Poles: poles, Relax: 4, MaxWidth: 16,
 			Procs: 4, Scheme: pc.Scheme, Balancer: pc.Balancer, Seed: pc.Seed,
@@ -93,7 +88,17 @@ func TestBatchMatchesRunComplexDistributed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sameBits(t, single.Density, batch.Density, h.Name+": distributed batch vs RunComplex")
+		for _, parallel := range []bool{false, true} {
+			single, err := RunComplex(h, ComplexConfig{
+				Poles: poles, Relax: 4, MaxWidth: 16, Parallel: parallel,
+				Procs: 4, Scheme: pc.Scheme, Balancer: pc.Balancer, Seed: pc.Seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, single.Density, batch.Density,
+				fmt.Sprintf("%s: distributed batch vs RunComplex (Parallel=%v)", h.Name, parallel))
+		}
 
 		// Against the serial reference the four ranks agree to rounding.
 		serial, err := RunBatch(h, BatchConfig{Poles: poles, Relax: 4, MaxWidth: 16})
@@ -272,10 +277,19 @@ func TestBatchAbortKeepsLU(t *testing.T) {
 	}
 }
 
+// TestBatchErrors: no poles, and an n = 0 Hamiltonian on the serial
+// reference and on the engine, are errors, not panics in the analysis.
 func TestBatchErrors(t *testing.T) {
 	h := sparse.Grid2D(4, 4, 1)
 	if _, err := RunBatch(h, BatchConfig{}); err == nil {
 		t.Fatal("expected error for empty pole list")
+	}
+	poles := mustPoles(t, 2, 2.0, 50.0)
+	for _, procs := range []int{1, 4} {
+		_, err := RunBatch(sparse.Grid2D(0, 0, 1), BatchConfig{Poles: poles, Procs: procs})
+		if err == nil || !strings.Contains(err.Error(), "empty matrix") {
+			t.Fatalf("procs %d: got %v, want an empty-matrix error", procs, err)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"pselinv/internal/core"
-	"pselinv/internal/dense"
 	"pselinv/internal/factor"
 	"pselinv/internal/sparse"
 )
@@ -75,7 +74,9 @@ type ComplexResult struct {
 	// chemical-potential searches).
 	LogDets []complex128
 	Elapsed time.Duration
-	Path    string // as Result.Path
+	// Path names what inverted the poles: "serial", or the engine plan the
+	// Hamiltonian's values selected, "symmetric" or "general".
+	Path string
 }
 
 // RunComplex evaluates the truncated Fermi-operator expansion using the
@@ -95,13 +96,13 @@ func RunComplex(h *sparse.Generated, cfg ComplexConfig) (*ComplexResult, error) 
 	}
 	res := &ComplexResult{LogDets: make([]complex128, len(cfg.Poles)), Path: s.path}
 	contribs := make([][]float64, len(cfg.Poles))
-	err = s.forEachPole(len(cfg.Poles), cfg.Parallel, dense.Complex, func(l int, lu *factor.LU) error {
+	err = s.forEachPole(len(cfg.Poles), cfg.Parallel, func(l int, lu *factor.LU) error {
 		pole := cfg.Poles[l]
 		contribs[l] = make([]float64, h.A.N)
 		err := lu.Refactorize(s.h, 0, s.sc, pole.Z)
 		if err == nil {
 			res.LogDets[l] = lu.LogDet()
-			_, _, err = s.accumulate(lu, pole.Weight, contribs[l])
+			err = s.accumulate(lu, pole.Weight, contribs[l])
 		}
 		if err != nil {
 			return fmt.Errorf("pexsi: pole %d (z=%v): %w", l, pole.Z, err)

@@ -3,6 +3,7 @@ package pexsi
 import (
 	"math"
 	"math/cmplx"
+	"strings"
 	"testing"
 
 	"pselinv/internal/dense"
@@ -153,5 +154,17 @@ func TestRunComplexConvergesTowardFermi(t *testing.T) {
 func TestRunComplexNoPoles(t *testing.T) {
 	if _, err := RunComplex(sparse.Banded(5, 1, 1), ComplexConfig{}); err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestRunComplexEmptyMatrix: an n = 0 Hamiltonian is an error, not a panic
+// in the analysis, on the serial reference and on the engine.
+func TestRunComplexEmptyMatrix(t *testing.T) {
+	poles := mustPoles(t, 2, 2.0, 50.0)
+	for _, procs := range []int{1, 4} {
+		_, err := RunComplex(sparse.Grid2D(0, 0, 1), ComplexConfig{Poles: poles, Procs: procs, Parallel: true})
+		if err == nil || !strings.Contains(err.Error(), "empty matrix") {
+			t.Fatalf("procs %d: got %v, want an empty-matrix error", procs, err)
+		}
 	}
 }

@@ -379,6 +379,9 @@ func AnalyzePattern(m *Matrix, opt Options) (*Symbolic, error) {
 	if opt.CoresPerNode < 0 {
 		return nil, fmt.Errorf("pselinv: CoresPerNode %d is negative", opt.CoresPerNode)
 	}
+	if m.N() == 0 {
+		return nil, fmt.Errorf("pselinv: %s: empty matrix", m.Name())
+	}
 	if !m.gen.A.IsStructurallySymmetric() {
 		return nil, fmt.Errorf("pselinv: %s: pattern must be structurally symmetric", m.Name())
 	}
@@ -958,42 +961,11 @@ type TimingResult struct {
 	Bytes    int64
 }
 
-// Pole is one pole-expansion term: diag((A + Shift·I)⁻¹) scaled by Weight.
-type Pole = pexsi.Pole
-
-// FermiPoles returns a real-shift pole set emulating the structure of a
-// Fermi–Dirac rational approximation (geometric shifts, decaying weights,
-// normalized).
-func FermiPoles(count int, minShift, ratio float64) []Pole {
-	return pexsi.FermiPoles(count, minShift, ratio)
-}
-
-// PoleExpansionDensity runs the PEXSI-style workload that motivates the
-// paper: one parallel selected inversion per pole, each on its own
-// simulated processor group (executed concurrently), accumulating the
-// density estimate Σ wₗ diag((A+σₗI)⁻¹) in the matrix's original ordering.
-func PoleExpansionDensity(m *Matrix, poles []Pole, procsPerPole int, scheme Scheme, seed uint64) ([]float64, error) {
-	res, err := pexsi.Run(m.materialized(), pexsi.Config{
-		Poles:        poles,
-		ProcsPerPole: procsPerPole,
-		Scheme:       scheme,
-		Seed:         seed,
-		Relax:        4,
-		MaxWidth:     48,
-		Parallel:     true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Density, nil
-}
-
 // FermiOperatorDensity evaluates diag f(A) for the Fermi–Dirac function
 // f(ε) = 1/(1+e^{β(ε−μ)}) by a truncated Matsubara pole expansion with
 // numPoles complex poles, each evaluated with the complex-shift selected
-// inversion (poles run concurrently). This is the true form of the PEXSI
-// workload; see PoleExpansionDensity for the real-shift emulation run on
-// the distributed engine.
+// inversion (poles run concurrently): the PEXSI workload that motivates
+// the paper.
 func FermiOperatorDensity(m *Matrix, beta, mu float64, numPoles int) ([]float64, error) {
 	poles, err := pexsi.MatsubaraPoles(numPoles, beta, mu)
 	if err != nil {

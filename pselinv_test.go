@@ -22,6 +22,18 @@ func TestNegativeCoresPerNodeRejected(t *testing.T) {
 	}
 }
 
+// TestEmptyMatrixRejected: an n = 0 matrix is an analysis error, not a
+// panic in the supernode partition.
+func TestEmptyMatrixRejected(t *testing.T) {
+	m := Grid2D(0, 0, 1)
+	if _, err := AnalyzePattern(m, Options{}); err == nil || !strings.Contains(err.Error(), "empty matrix") {
+		t.Fatalf("AnalyzePattern: %v, want an empty-matrix error", err)
+	}
+	if _, err := NewSystem(m, Options{}); err == nil || !strings.Contains(err.Error(), "empty matrix") {
+		t.Fatalf("NewSystem: %v, want an empty-matrix error", err)
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	m := Grid2D(8, 8, 1)
 	sys, err := NewSystem(m, Options{})
@@ -432,38 +444,6 @@ func TestSystemAccessors(t *testing.T) {
 	}
 	if sys.FactorNNZ() < int64(m.NNZ()) {
 		t.Fatalf("factor nnz %d below matrix nnz %d", sys.FactorNNZ(), m.NNZ())
-	}
-}
-
-func TestPoleExpansionDensityPublicAPI(t *testing.T) {
-	m := Grid2D(5, 5, 6)
-	poles := FermiPoles(3, 1, 2)
-	d, err := PoleExpansionDensity(m, poles, 4, ShiftedBinaryTree, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(d) != m.N() {
-		t.Fatalf("density length %d", len(d))
-	}
-	// Reference via dense inversion of each shifted system.
-	want := make([]float64, m.N())
-	for _, p := range poles {
-		shifted, err := m.gen.A.ShiftDiagonal(p.Shift)
-		if err != nil {
-			t.Fatal(err)
-		}
-		inv, err := dense.Inverse(shifted.ToDense())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			want[i] += p.Weight * inv.At(i, i)
-		}
-	}
-	for i := range want {
-		if math.Abs(d[i]-want[i]) > 1e-8 {
-			t.Fatalf("density[%d] = %g, want %g", i, d[i], want[i])
-		}
 	}
 }
 
