@@ -20,9 +20,10 @@
 // result.
 //
 // -obs is the one experiment here that runs the engine: the -quick problem
-// with the communication substrate instrumented, in process or (with
-// -transport=tcp) as one OS process per rank, optionally under the chaos
-// adversary (-chaos-seed).
+// with the communication substrate instrumented, in process through the
+// library's System.ParallelSelInvObserved (so on the most square grid of
+// -pr×-pc ranks) or, with -transport=tcp, as one OS process per rank,
+// optionally under the chaos adversary (-chaos-seed).
 //
 // Usage:
 //
@@ -32,6 +33,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -39,10 +41,11 @@ import (
 	"strings"
 	"time"
 
-	"pselinv/internal/chaos"
+	"pselinv"
 	"pselinv/internal/core"
 	"pselinv/internal/distrun"
 	"pselinv/internal/exp"
+	"pselinv/internal/obs"
 	"pselinv/internal/procgrid"
 	"pselinv/internal/sparse"
 	"pselinv/internal/stats"
@@ -101,6 +104,13 @@ func main() {
 	if *flagTransport != "inproc" && *flagTransport != "tcp" {
 		usage(fmt.Errorf("unknown -transport %q (want inproc or tcp)", *flagTransport))
 	}
+	if pr, pc := *flagPr, cmp.Or(*flagPc, *flagPr); *flagObs && *flagTransport == "inproc" && pr > 0 && pc > 0 {
+		// The library's observed run takes a rank count and lays it out on
+		// the most square grid.
+		if g := procgrid.Squarish(pr * pc); g.Pr != pr || g.Pc != pc {
+			usage(fmt.Errorf("in process, -obs runs P=%d ranks on the most square grid, %v, not -pr %d -pc %d: pass that shape, or -transport=tcp", pr*pc, g, pr, pc))
+		}
+	}
 	if err := run(os.Stdout, schemes, balancer); err != nil {
 		fmt.Fprintln(os.Stderr, "commvol:", err)
 		os.Exit(1)
@@ -137,13 +147,12 @@ func run(w io.Writer, schemes []core.Scheme, balancer core.Balancer) error {
 		}
 		smallGrid = procgrid.New(6, 6)
 	}
-	opts := exp.RunOpts{CoresPerNode: *flagCPN, Balancer: balancer}
-
 	if *flagObs {
-		if err := runObs(w, grid, schemes, opts); err != nil {
+		if err := runObs(w, grid, schemes, balancer); err != nil {
 			return err
 		}
 	}
+	cfg := core.PlanConfig{Seed: uint64(*flagSeed), Balancer: balancer, Topo: core.Topology{CoresPerNode: *flagCPN}}
 
 	needMain := *flagTable1 || *flagFig4 || *flagFig5 || *flagFig7
 	var audikw *sparse.Generated
@@ -155,7 +164,7 @@ func run(w io.Writer, schemes []core.Scheme, balancer core.Balancer) error {
 		fmt.Fprintf(w, "# matrix %s: n=%d nnz(A)=%d nnz(L+U)=%d supernodes=%d grid=%v\n\n",
 			audikw.Name, audikw.A.N, audikw.A.NNZ(), 2*pipe.An.BP.NNZScalars(), pipe.An.BP.NumSnodes(), grid)
 		if needMain {
-			mainMs = exp.PlanVolumes(pipe, grid, schemes, uint64(*flagSeed), opts)
+			mainMs = exp.PlanVolumes(pipe, grid, schemes, cfg)
 		}
 		if *flagTable1 {
 			fmt.Fprintf(w, "== Table I: volume sent during Col-Bcast (MB) for %s on %v ==\n", audikw.Name, grid)
@@ -175,7 +184,7 @@ func run(w io.Writer, schemes []core.Scheme, balancer core.Balancer) error {
 			printFig5(w, grid, mainMs)
 		}
 		if *flagFig6 {
-			small := exp.PlanVolumes(pipe, smallGrid, []core.Scheme{core.FlatTree}, uint64(*flagSeed), opts)[0]
+			small := exp.PlanVolumes(pipe, smallGrid, []core.Scheme{core.FlatTree}, cfg)[0]
 			printFig6(w, smallGrid, small, grid, mainMs)
 		}
 		if *flagFig7 {
@@ -197,7 +206,7 @@ func run(w io.Writer, schemes []core.Scheme, balancer core.Balancer) error {
 			p, ms := pipe, mainMs
 			if ms == nil || g.Name != audikw.Name {
 				p = exp.PrepareSymbolic(g, exp.DefaultRelax, exp.DefaultMaxWidth)
-				ms = exp.PlanVolumes(p, grid, schemes, uint64(*flagSeed), opts)
+				ms = exp.PlanVolumes(p, grid, schemes, cfg)
 			}
 			fmt.Fprintf(w, "%s\n  n=%d nnz(A)=%d nnz(L+U)=%d\n", g.Name, g.A.N, g.A.NNZ(), 2*p.An.BP.NNZScalars())
 			fmt.Fprintf(w, "  %-22s %10s %10s %10s %10s\n", "Communication tree", "Min", "Max", "Median", "Std.dev")
@@ -210,12 +219,16 @@ func run(w io.Writer, schemes []core.Scheme, balancer core.Balancer) error {
 	return nil
 }
 
+// quickNX and quickDofs size the -quick audikw stand-in: an FE3D matrix on
+// a quickNX³ grid with quickDofs unknowns per node.
+const quickNX, quickDofs = 7, 2
+
 // audikwStandin is the matrix of Table I and the figures (and of -obs).
 func audikwStandin() *sparse.Generated {
 	if !*flagQuick {
 		return sparse.AudikwStandin(*flagSeed)
 	}
-	g := sparse.FE3D(7, 7, 7, 2, *flagSeed)
+	g := sparse.FE3D(quickNX, quickNX, quickNX, quickDofs, *flagSeed)
 	g.Name = "audikw_1_standin_quick"
 	return g
 }
@@ -290,14 +303,13 @@ func printFig6(w io.Writer, smallGrid *procgrid.Grid, small *exp.VolumeMeasureme
 	}
 }
 
-// runObs is the observed engine run: once per scheme on the audikw
-// stand-in's numeric pipeline, in process or as one OS process per rank.
-// What comes back is the same merged record either way.
-func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, opts exp.RunOpts) error {
+// runObs is the observed engine run: once per scheme on the -quick audikw
+// stand-in, in process through the library's observed run or as one OS
+// process per rank. What comes back is the same merged record either way.
+func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, balancer core.Balancer) error {
 	if !*flagQuick {
 		return fmt.Errorf("-obs runs the engine, which factorizes numerically and starts one rank per grid cell: it needs -quick (e.g. -obs -quick -pr 4)")
 	}
-	audikw := audikwStandin()
 	tcp := *flagTransport == "tcp"
 	if tcp && grid.Size() > 64 {
 		return fmt.Errorf("-transport=tcp would spawn %d OS processes; use a smaller grid (e.g. -quick -pr 2 for P=4)", grid.Size())
@@ -305,51 +317,75 @@ func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, opts exp.Ru
 	if *flagChaos != 0 {
 		fmt.Fprintf(w, "chaos adversary active (seed %d): message delivery adversarially reordered\n", *flagChaos)
 	}
-	var ms []*exp.ObsMeasurement
-	var err error
-	if tcp {
-		fmt.Fprintf(w, "== Observability: distributed runs on %v, one OS process per rank (merged reports + offset-corrected traces in %s) ==\n", grid, *flagObsOut)
-		ms, err = distrun.MeasureObs(audikw, distrun.Spec{
-			Relax:        exp.DefaultRelax,
-			MaxWidth:     exp.DefaultMaxWidth,
-			PR:           grid.Pr,
-			PC:           grid.Pc,
-			Seed:         uint64(*flagSeed),
-			CoresPerNode: opts.CoresPerNode,
-			Balancer:     opts.Balancer.Slug(),
-			TimeoutSec:   flagTimeout.Seconds(),
-			ChaosEnabled: *flagChaos != 0,
-			ChaosSeed:    *flagChaos,
-		}, schemes, nil)
-	} else {
-		fmt.Fprintf(w, "== Observability: instrumented runs on %v (reports + merged traces in %s) ==\n", grid, *flagObsOut)
-		var pipe *exp.Pipeline
-		if pipe, err = exp.Prepare(audikw, exp.DefaultRelax, exp.DefaultMaxWidth); err != nil {
-			return err
-		}
-		if *flagChaos != 0 {
-			opts.Chaos = &chaos.Config{Seed: *flagChaos, DupDetect: true}
-		}
-		ms, err = exp.MeasureObs(pipe, grid, schemes, uint64(*flagSeed), *flagTimeout, opts)
-	}
-	if err != nil {
-		return err
-	}
-	for _, m := range ms {
-		fmt.Fprintf(w, "-- %v --\n%s\n", m.Scheme, m.Report.Summary())
+	// report prints one scheme's run and writes its two artifacts.
+	var paths []string
+	report := func(scheme core.Scheme, summary, colBcast string, write func(dir string) ([]string, error)) error {
+		fmt.Fprintf(w, "-- %v --\n%s\n", scheme, summary)
 		// The measured Col-Bcast traffic matrix is the per-link version
 		// of the Figure 5 per-rank heat maps (embedded up to 64 ranks).
-		if hm := m.Report.RenderMatrix("Col-Bcast"); hm != "" {
-			fmt.Fprint(w, hm)
+		if colBcast != "" {
+			fmt.Fprint(w, colBcast)
 			fmt.Fprintln(w)
 		}
 		if tcp {
 			fmt.Fprintln(w, "conservation: merged traffic-matrix marginals equal the workers' volume counters")
 		}
-	}
-	paths, err := exp.WriteObsArtifacts(*flagObsOut, ms)
-	if err != nil {
+		written, err := write(*flagObsOut)
+		paths = append(paths, written...)
 		return err
+	}
+	if tcp {
+		fmt.Fprintf(w, "== Observability: distributed runs on %v, one OS process per rank (merged reports + offset-corrected traces in %s) ==\n", grid, *flagObsOut)
+		runs, err := distrun.MeasureObs(audikwStandin(), distrun.Spec{
+			Relax:        exp.DefaultRelax,
+			MaxWidth:     exp.DefaultMaxWidth,
+			PR:           grid.Pr,
+			PC:           grid.Pc,
+			Seed:         uint64(*flagSeed),
+			CoresPerNode: *flagCPN,
+			Balancer:     balancer.Slug(),
+			TimeoutSec:   flagTimeout.Seconds(),
+			ChaosEnabled: *flagChaos != 0,
+			ChaosSeed:    *flagChaos,
+		}, schemes, nil)
+		if err != nil {
+			return err
+		}
+		for i, m := range runs {
+			rep := m.Report(schemes[i].String())
+			if err := report(schemes[i], rep.Summary(), rep.RenderMatrix("Col-Bcast"), func(dir string) ([]string, error) {
+				return obs.WriteArtifacts(dir, rep, m.Spans)
+			}); err != nil {
+				return err
+			}
+		}
+	} else {
+		fmt.Fprintf(w, "== Observability: instrumented runs on %v (reports + merged traces in %s) ==\n", grid, *flagObsOut)
+		sys, err := pselinv.NewSystem(pselinv.FE3D(quickNX, quickNX, quickNX, quickDofs, *flagSeed), pselinv.Options{
+			Ordering:     pselinv.OrderNestedDissection,
+			Relax:        exp.DefaultRelax,
+			MaxWidth:     exp.DefaultMaxWidth,
+			Timeout:      *flagTimeout,
+			ChaosSeed:    *flagChaos,
+			CoresPerNode: *flagCPN,
+			Balancer:     balancer.Slug(),
+		})
+		if err != nil {
+			return err
+		}
+		defer sys.Release()
+		for _, scheme := range schemes {
+			res, trace, rep, err := sys.ParallelSelInvObserved(grid.Size(), scheme, uint64(*flagSeed))
+			if err != nil {
+				return fmt.Errorf("obs %v on %v: %w", scheme, grid, err)
+			}
+			res.Release()
+			if err := report(scheme, rep.Summary(), rep.RenderMatrix("Col-Bcast"), func(dir string) ([]string, error) {
+				return rep.WriteArtifacts(dir, trace)
+			}); err != nil {
+				return err
+			}
+		}
 	}
 	fmt.Fprintln(w, "artifacts:")
 	for _, p := range paths {

@@ -110,7 +110,7 @@ func TestFigurePrintersAnySchemeList(t *testing.T) {
 
 			// -quick stays set until the subtest's cleanup.
 			pipe := exp.PrepareSymbolic(audikwStandin(), exp.DefaultRelax, exp.DefaultMaxWidth)
-			ms := exp.PlanVolumes(pipe, procgrid.New(12, 12), schemes, 1, exp.RunOpts{})
+			ms := exp.PlanVolumes(pipe, procgrid.New(12, 12), schemes, core.PlanConfig{Seed: 1})
 			want := map[string]string{}
 			for _, m := range ms {
 				s := m.ColBcastSummary()

@@ -113,6 +113,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pselinv: -cores-per-node %d is negative (0 = Edison default 24)\n", *flagCPN)
 		os.Exit(2)
 	}
+	if *flagProcs < 1 {
+		fmt.Fprintf(os.Stderr, "pselinv: -procs %d: need at least 1 rank\n", *flagProcs)
+		os.Exit(2)
+	}
 	m := buildMatrix()
 	if *flagAsym {
 		m.Asymmetrize(*flagSeed+99, 0.6)

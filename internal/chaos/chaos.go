@@ -37,7 +37,9 @@ const DefaultMaxHold = 32
 
 // Config parameterizes the adversary. The zero value (plus a Seed) gives
 // pure reorder chaos with the default window; the injection knobs are
-// opt-in.
+// opt-in. The duplicate-delivery probe is always on: Delivered panics if the
+// same (src, serial) message ever reaches a rank twice — a duplication bug
+// in the mailbox substrate itself.
 type Config struct {
 	// Seed drives every delivery decision. Two runs over the same message
 	// sequence with the same seed perturb identically.
@@ -54,10 +56,6 @@ type Config struct {
 	// scaling simulator considers slow are also the ones the adversary
 	// holds back longest.
 	Net *netsim.Params
-	// DupDetect makes Delivered panic if the same (src, serial) message is
-	// ever delivered twice to a rank — a probe for duplication bugs in the
-	// mailbox substrate itself.
-	DupDetect bool
 	// StallRank, when >= 0, injects a stall: that rank sleeps StallDelay
 	// on every StallEvery-th delivery it receives.
 	StallRank  int
@@ -108,7 +106,7 @@ type dstState struct {
 	holdSrc    int
 	holdSerial uint64
 	holds      int
-	// seen[src] marks delivered serials when DupDetect is on
+	// seen[src] marks delivered serials (the duplicate-delivery probe)
 	seen []map[uint64]bool
 }
 
@@ -127,9 +125,7 @@ func New(cfg Config, p int) *Adversary {
 	a := &Adversary{cfg: cfg.withDefaults(), p: p, dst: make([]dstState, p)}
 	for i := range a.dst {
 		a.dst[i].holdSrc = -1
-		if a.cfg.DupDetect {
-			a.dst[i].seen = make([]map[uint64]bool, p)
-		}
+		a.dst[i].seen = make([]map[uint64]bool, p)
 	}
 	return a
 }
@@ -212,18 +208,16 @@ func (st *dstState) noteBypass(pending []simmpi.Message, idx int) {
 func (a *Adversary) Delivered(dst int, msg *simmpi.Message) {
 	st := &a.dst[dst]
 	n := atomic.AddInt64(&st.delivered, 1)
-	if a.cfg.DupDetect {
-		m := st.seen[msg.Src]
-		if m == nil {
-			m = make(map[uint64]bool)
-			st.seen[msg.Src] = m
-		}
-		if m[msg.Serial] {
-			panic(fmt.Sprintf("chaos: duplicate delivery to rank %d: src=%d serial=%d tag=%#x",
-				dst, msg.Src, msg.Serial, msg.Tag))
-		}
-		m[msg.Serial] = true
+	m := st.seen[msg.Src]
+	if m == nil {
+		m = make(map[uint64]bool)
+		st.seen[msg.Src] = m
 	}
+	if m[msg.Serial] {
+		panic(fmt.Sprintf("chaos: duplicate delivery to rank %d: src=%d serial=%d tag=%#x",
+			dst, msg.Src, msg.Serial, msg.Tag))
+	}
+	m[msg.Serial] = true
 	if a.cfg.StallDelay > 0 && dst == a.cfg.StallRank && n%int64(a.cfg.StallEvery) == 0 {
 		time.Sleep(a.cfg.StallDelay)
 	}

@@ -138,8 +138,8 @@ func TestDropFailsConservation(t *testing.T) {
 	}
 }
 
-func TestDupDetectCatchesDoubleDelivery(t *testing.T) {
-	a := New(Config{Seed: 1, DupDetect: true}, 2)
+func TestDuplicateDeliveryDetected(t *testing.T) {
+	a := New(Config{Seed: 1}, 2)
 	msg := simmpi.Message{Src: 0, Dst: 1, Serial: 5}
 	a.Delivered(1, &msg)
 	defer func() {

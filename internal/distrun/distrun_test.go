@@ -89,7 +89,7 @@ func requireVolumesArePlan(t *testing.T, gen *sparse.Generated, spec distrun.Spe
 		schemes[i] = m.Scheme
 	}
 	plan := exp.PlanVolumes(exp.PrepareSymbolic(gen, spec.Relax, spec.MaxWidth), procgrid.New(spec.PR, spec.PC),
-		schemes, spec.Seed, exp.RunOpts{CoresPerNode: spec.CoresPerNode, Balancer: bal})
+		schemes, core.PlanConfig{Seed: spec.Seed, Balancer: bal, Topo: core.Topology{CoresPerNode: spec.CoresPerNode}})
 	for i, m := range remote {
 		for _, v := range []struct {
 			name      string

@@ -1,14 +1,13 @@
 // Launcher-side assembly of distributed observability: merge the per-rank
 // telemetry snapshots an observed run streamed back, verify the merged
 // traffic matrices marginalize exactly to the launcher's global conservation
-// counters, and expose the multi-process analogue of exp.MeasureObs.
+// counters, and run one observed launch per scheme (MeasureObs).
 package distrun
 
 import (
 	"fmt"
 
 	"pselinv/internal/core"
-	"pselinv/internal/exp"
 	"pselinv/internal/obs"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
@@ -56,20 +55,21 @@ func (o *Outcome) MergeObs() (*obs.Merged, error) {
 	return m, nil
 }
 
-// MeasureObs is the multi-process analogue of exp.MeasureObs: one observed
-// distributed launch per scheme, each run's per-rank snapshots merged onto
-// rank 0's clock into the per-scheme report. Every merge is
+// MeasureObs runs one observed distributed launch per scheme and returns,
+// in scheme order, each run's per-rank snapshots merged onto rank 0's clock
+// — the multi-process analogue of System.ParallelSelInvObserved, whose
+// report is Merged.Report(scheme.String()) likewise. Every merge is
 // conservation-checked against the workers' volume counters before it is
 // returned.
-func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*exp.ObsMeasurement, error) {
+func MeasureObs(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*obs.Merged, error) {
 	base.Obs = true
-	out := make([]*exp.ObsMeasurement, 0, len(schemes))
-	err := launchPerScheme(gen, base, schemes, opts, func(scheme core.Scheme, o *Outcome) error {
+	out := make([]*obs.Merged, 0, len(schemes))
+	err := launchPerScheme(gen, base, schemes, opts, func(_ core.Scheme, o *Outcome) error {
 		merged, err := o.MergeObs()
 		if err != nil {
 			return err
 		}
-		out = append(out, &exp.ObsMeasurement{Scheme: scheme, Report: merged.Report(scheme.String()), Spans: merged.Spans})
+		out = append(out, merged)
 		return nil
 	})
 	return out, err

@@ -9,10 +9,7 @@ import (
 
 	"pselinv/internal/core"
 	"pselinv/internal/distrun"
-	"pselinv/internal/exp"
 	"pselinv/internal/obs"
-	"pselinv/internal/procgrid"
-	"pselinv/internal/pselinv"
 	"pselinv/internal/simmpi"
 )
 
@@ -123,23 +120,38 @@ func TestDistributedObservability(t *testing.T) {
 
 	// Cross-backend equivalence: stripped of everything schedule-dependent,
 	// the merged four-process report and the in-process observed report are
-	// the same deterministic function of (matrix, grid, scheme, seed).
-	pipe, err := exp.Prepare(gen, spec.Relax, spec.MaxWidth)
+	// the same deterministic function of (matrix, grid, scheme, seed). The
+	// in-process reference runs the spec's own engine — the plan its workers
+	// rebuilt — once with plan-sized rings, as the library's observed run
+	// does, and once with rings at obs.MaxRingCap.
+	pipe, plan, eng, err := spec.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := exp.MeasureObs(pipe, procgrid.New(spec.PR, spec.PC), schemes, spec.Seed, 60*time.Second, exp.RunOpts{})
-	if err != nil {
-		t.Fatal(err)
+	observeLocal := func(ringCap []int) *obs.Merged {
+		t.Helper()
+		run := eng.Rebind(pipe.LU)
+		run.Obs = obs.NewCollector(ringCap, time.Now())
+		res, err := run.Run(60 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Release()
+		m, err := obs.Merge(res.Snapshots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	if local[0].Report.Clock != nil {
+	local := observeLocal(plan.PerRankMsgs())
+	localRep := local.Report(schemes[0].String())
+	if localRep.Clock != nil {
 		t.Error("in-process report carries a clock section")
 	}
-	if got, want := spanMultiset(merged.Spans), spanMultiset(local[0].Spans); !reflect.DeepEqual(got, want) {
+	if got, want := spanMultiset(merged.Spans), spanMultiset(local.Spans); !reflect.DeepEqual(got, want) {
 		t.Errorf("the backends' span multisets (rank, kind, supernode, role) differ:\n--- tcp ---\n%v\n--- in-process ---\n%v", got, want)
 	}
 	rep.StripSchedule()
-	localRep := local[0].Report
 	localRep.StripSchedule()
 	got, err := rep.JSON()
 	if err != nil {
@@ -152,10 +164,6 @@ func TestDistributedObservability(t *testing.T) {
 	if string(got) != string(want) {
 		t.Errorf("stripped merged report diverges from in-process report:\n--- tcp ---\n%s\n--- in-process ---\n%s", got, want)
 	}
-
-	plan := core.NewPlanConfig(pipe.An.BP, procgrid.New(spec.PR, spec.PC), core.PlanConfig{
-		Scheme: schemes[0], Seed: spec.Seed, Symmetric: true,
-	})
 
 	// Plan-sized rings: each worker retained exactly its plan's message
 	// count, which is what its world counted, and nothing was dropped.
@@ -177,18 +185,7 @@ func TestDistributedObservability(t *testing.T) {
 	for r := range bound {
 		bound[r] = obs.MaxRingCap
 	}
-	eng := pselinv.NewEngine(plan, pipe.LU)
-	eng.Obs = obs.NewCollector(bound, time.Now())
-	res, err := eng.Run(60 * time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Release()
-	boundMerged, err := obs.Merge(res.Snapshots)
-	if err != nil {
-		t.Fatal(err)
-	}
-	boundRep := boundMerged.Report(schemes[0].String())
+	boundRep := observeLocal(bound).Report(schemes[0].String())
 	boundRep.StripSchedule()
 	if js, err := boundRep.JSON(); err != nil || string(js) != string(got) {
 		t.Errorf("stripped merged report diverges from an in-process one with MaxRingCap rings (%v):\n--- tcp ---\n%s\n--- bound ---\n%s", err, got, js)

@@ -183,7 +183,7 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	world := simmpi.NewWorldOn(tr)
 	defer world.Close()
 	if spec.ChaosEnabled {
-		chaos.Install(chaos.Config{Seed: spec.ChaosSeed, DupDetect: true}, world)
+		chaos.Install(chaos.Config{Seed: spec.ChaosSeed}, world)
 	}
 
 	start := time.Now()

@@ -5,24 +5,20 @@
 // runs, because the engine moves exactly the plan's bytes, per rank and per
 // class (internal/pselinv's TestMeasuredVolumesMatchPlanExactly). The
 // scaling figures (§IV-B) replay the same plans through the timing
-// simulator (MeasureScaling), and the one experiment that runs the engine is
-// the observed run (MeasureObs), which needs the numeric pipeline (Prepare).
+// simulator (MeasureScaling). The harness never runs the engine: the one
+// experiment that does, commvol's -obs, calls the library's
+// System.ParallelSelInvObserved.
 package exp
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
-	"pselinv/internal/chaos"
 	"pselinv/internal/core"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
 	"pselinv/internal/netsim"
-	"pselinv/internal/obs"
 	"pselinv/internal/ordering"
 	"pselinv/internal/procgrid"
-	"pselinv/internal/pselinv"
 	"pselinv/internal/sparse"
 	"pselinv/internal/stats"
 )
@@ -82,55 +78,31 @@ type VolumeMeasurement struct {
 func (m *VolumeMeasurement) ColBcastSummary() stats.Summary  { return stats.Summarize(m.ColBcastSent) }
 func (m *VolumeMeasurement) RowReduceSummary() stats.Summary { return stats.Summarize(m.RowReduceRecv) }
 
-// RunOpts selects the plan and engine options of an experiment. PlanVolumes
-// reads the plan knobs (CoresPerNode, Balancer) only.
-type RunOpts struct {
-	// Chaos, when non-nil, installs the seeded delivery adversary. The
-	// numerics and the volumes stay bit-identical to an unperturbed run of
-	// the same plan.
-	Chaos *chaos.Config
-	// DAG enables intra-rank task-DAG execution: supernode updates are
-	// scheduled onto the dense kernel worker pool and overlapped with the
-	// tree collectives. Volumes and numerics stay identical to a
-	// sequential run of the same plan.
-	DAG bool
-	// CoresPerNode, when positive, sets the rank→node placement consumed
-	// by core.TopoShiftedTree and reported by the obs chain tables. Zero
-	// keeps core.DefaultTopology and leaves reports topology-free.
-	CoresPerNode int
-	// Balancer selects the supernode→process mapping strategy (zero value
-	// is the block-cyclic default).
-	Balancer core.Balancer
-}
-
-// planConfig translates the options into the plan knobs for one scheme on
-// the path p's values select: the symmetry its factorization recorded, or,
-// for a symbolic-only pipeline, the same exact test applied to the analyzed
-// matrix.
-func (o *RunOpts) planConfig(p *Pipeline, scheme core.Scheme, seed uint64) core.PlanConfig {
-	var symmetric bool
+// planConfig completes cfg (seed, balancer, topology) for one scheme on the
+// path p's values select: the symmetry its factorization recorded, or, for a
+// symbolic-only pipeline, the same exact test applied to the analyzed matrix.
+func planConfig(p *Pipeline, cfg core.PlanConfig, scheme core.Scheme) core.PlanConfig {
+	cfg.Scheme = scheme
 	if p.LU != nil {
-		symmetric = p.LU.Symmetric
+		cfg.Symmetric = p.LU.Symmetric
 	} else {
-		symmetric = p.An.A.IsSymmetric(0)
+		cfg.Symmetric = p.An.A.IsSymmetric(0)
 	}
-	return core.PlanConfig{Scheme: scheme, Seed: seed, Symmetric: symmetric,
-		Balancer: o.Balancer,
-		Topo:     core.Topology{CoresPerNode: o.CoresPerNode}}
+	return cfg
 }
 
 // PlanVolumes reads each scheme's per-rank communication volumes on grid
-// off the plan: every tree edge carries exactly one block, so the byte
-// vectors are a function of the block structure, the grid and the tree
-// shapes alone, and p needs no factorization (PrepareSymbolic suffices). The
-// engine's counters equal these vectors on every rank and class, in every
-// mode and on both transports — internal/pselinv's
-// TestMeasuredVolumesMatchPlanExactly and internal/distrun's cross-backend
-// goldens are the proof.
-func PlanVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, opts RunOpts) []*VolumeMeasurement {
+// off the plan cfg configures (its Scheme and Symmetric are filled in here):
+// every tree edge carries exactly one block, so the byte vectors are a
+// function of the block structure, the grid and the tree shapes alone, and p
+// needs no factorization (PrepareSymbolic suffices). The engine's counters
+// equal these vectors on every rank and class, in every mode and on both
+// transports — internal/pselinv's TestMeasuredVolumesMatchPlanExactly and
+// internal/distrun's cross-backend goldens are the proof.
+func PlanVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, cfg core.PlanConfig) []*VolumeMeasurement {
 	out := make([]*VolumeMeasurement, 0, len(schemes))
 	for _, scheme := range schemes {
-		plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
+		plan := core.NewPlanConfig(p.An.BP, grid, planConfig(p, cfg, scheme))
 		out = append(out, &VolumeMeasurement{
 			Scheme:        scheme,
 			ColBcastSent:  stats.BytesToMB(plan.PerRankSent(core.OpColBcast)),
@@ -139,92 +111,6 @@ func PlanVolumes(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed u
 		})
 	}
 	return out
-}
-
-// ObsMeasurement is one fully observed engine run for one scheme, however
-// it was launched: the report built from the merged per-rank record
-// (traffic matrices, chains, imbalance, load and straggler sections) and
-// the record's compute+collective timeline on one clock.
-type ObsMeasurement struct {
-	Scheme core.Scheme
-	Report *obs.Report
-	Spans  []obs.Span
-}
-
-// MeasureObs runs the real engine once per scheme with an obs.Collector
-// installed and returns the per-scheme reports. The traffic matrices
-// marginalize to the vectors PlanVolumes returns for the same grid, seed and
-// options.
-func MeasureObs(p *Pipeline, grid *procgrid.Grid, schemes []core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) ([]*ObsMeasurement, error) {
-	out := make([]*ObsMeasurement, 0, len(schemes))
-	for _, scheme := range schemes {
-		m, res, err := observe(p, grid, scheme, seed, timeout, opts)
-		if err != nil {
-			return nil, fmt.Errorf("exp: obs %v on %v: %w", scheme, grid, err)
-		}
-		res.Release()
-		out = append(out, m)
-	}
-	return out, nil
-}
-
-// observe is one observed in-process run: the engine emits a snapshot per
-// rank and obs.Merge assembles them, exactly as a launcher does with the
-// snapshots its worker processes send back. A positive opts.CoresPerNode
-// adds the cross-node chain columns (zero leaves the report topology-free).
-func observe(p *Pipeline, grid *procgrid.Grid, scheme core.Scheme, seed uint64, timeout time.Duration, opts RunOpts) (*ObsMeasurement, *pselinv.RunResult, error) {
-	plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, seed))
-	eng := pselinv.NewEngine(plan, p.LU)
-	eng.Obs = obs.NewCollector(plan.PerRankMsgs(), time.Now())
-	eng.Obs.SetTopology(opts.CoresPerNode)
-	eng.Chaos = opts.Chaos
-	eng.DAG = opts.DAG
-	res, err := eng.Run(timeout)
-	if err != nil {
-		return nil, nil, err
-	}
-	merged, err := obs.Merge(res.Snapshots)
-	if err != nil {
-		res.Release()
-		return nil, nil, err
-	}
-	return &ObsMeasurement{Scheme: scheme, Report: merged.Report(scheme.String()), Spans: merged.Spans}, res, nil
-}
-
-// ObsProblem prepares the small fixed problem behind the observability
-// acceptance test and the obs goldens: a 16×16 grid Laplacian inverted on a 4×4
-// processor grid — big enough that column/row trees reach the full
-// 4-participant fan-out where flat and binary chains separate, small
-// enough to run in well under a second.
-func ObsProblem() (*Pipeline, *procgrid.Grid, error) {
-	p, err := Prepare(sparse.Grid2D(16, 16, 1), 2, 8)
-	if err != nil {
-		return nil, nil, err
-	}
-	return p, procgrid.New(4, 4), nil
-}
-
-// SchemeSlug is the filesystem-safe form of a scheme name
-// ("Shifted Binary-Tree" → "shifted-binary-tree").
-func SchemeSlug(s core.Scheme) string {
-	return strings.ToLower(strings.ReplaceAll(s.String(), " ", "-"))
-}
-
-// WriteObsArtifacts writes each measurement's JSON report and Chrome trace
-// into dir (created if needed) as obs-<scheme>.json and trace-<scheme>.json,
-// returning the written paths. Both files are byte-for-byte deterministic
-// for a fixed problem and seed, except for the schedule-dependent telemetry
-// (waits, queue depths, times).
-func WriteObsArtifacts(dir string, ms []*ObsMeasurement) ([]string, error) {
-	var paths []string
-	for _, m := range ms {
-		written, err := obs.WriteArtifacts(dir, SchemeSlug(m.Scheme), m.Report, m.Spans)
-		if err != nil {
-			return nil, err
-		}
-		paths = append(paths, written...)
-	}
-	return paths, nil
 }
 
 // ScalingPoint is one (matrix, P, scheme) strong-scaling measurement over

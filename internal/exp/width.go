@@ -71,8 +71,9 @@ func MeasureWidth(p *Pipeline, ps []int, seeds []uint64, params netsim.Params) *
 		grid := procgrid.Squarish(procs)
 		for _, scheme := range core.AllSchemes() {
 			for _, bal := range core.AllBalancers() {
-				opts := RunOpts{CoresPerNode: params.CoresPerNode, Balancer: bal}
-				plan := core.NewPlanConfig(p.An.BP, grid, opts.planConfig(p, scheme, 1))
+				plan := core.NewPlanConfig(p.An.BP, grid, planConfig(p, core.PlanConfig{
+					Seed: 1, Balancer: bal, Topo: core.Topology{CoresPerNode: params.CoresPerNode},
+				}, scheme))
 				cell := widthCounts(plan)
 				cell.P, cell.Scheme, cell.Balancer = procs, scheme.Slug(), bal.Slug()
 				dag := netsim.BuildDAG(plan)

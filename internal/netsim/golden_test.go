@@ -24,7 +24,7 @@ func TestBuildDAGGolden(t *testing.T) {
 		perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
 		return etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: relax, MaxWidth: maxWidth}).BP
 	}
-	obs := pattern(sparse.Grid2D(16, 16, 1), 2, 8) // exp.ObsProblem's matrix
+	obs := pattern(sparse.Grid2D(16, 16, 1), 2, 8) // the observability tests' matrix
 	dg := pattern(sparse.DG2D(16, 16, 4, 1), 4, 48)
 	for _, c := range []struct {
 		name         string

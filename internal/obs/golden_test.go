@@ -1,15 +1,17 @@
 package obs_test
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pselinv"
 	"pselinv/internal/core"
-	"pselinv/internal/exp"
 	"pselinv/internal/obs"
 )
 
@@ -40,34 +42,58 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// goldenRuns runs the fixed observability problem through the library's
+// observed run, once per scheme (seed 1): a 16×16 grid Laplacian inverted on
+// 16 ranks — the 4×4 grid, big enough that column/row trees reach the full
+// 4-participant fan-out where flat and binary chains separate, small enough
+// to run in well under a second. Each report is decoded from the JSON the
+// library exposes and stripped of the schedule-dependent telemetry, leaving
+// a deterministic function of the plan — reproducible byte for byte on any
+// machine.
+func goldenRuns(opt pselinv.Options, schemes []core.Scheme) (map[core.Scheme]*obs.Report, error) {
+	opt.Ordering, opt.Relax, opt.MaxWidth, opt.Timeout = pselinv.OrderNestedDissection, 2, 8, time.Minute
+	sys, err := pselinv.NewSystem(pselinv.Grid2D(16, 16, 1), opt)
+	if err != nil {
+		return nil, err
+	}
+	defer sys.Release()
+	reps := map[core.Scheme]*obs.Report{}
+	for _, scheme := range schemes {
+		res, _, orep, err := sys.ParallelSelInvObserved(16, scheme, 1)
+		if err != nil {
+			return nil, err
+		}
+		res.Release()
+		js, err := orep.JSON()
+		if err != nil {
+			return nil, err
+		}
+		rep := &obs.Report{}
+		if err := json.Unmarshal(js, rep); err != nil {
+			return nil, err
+		}
+		rep.StripSchedule()
+		reps[scheme] = rep
+	}
+	return reps, nil
+}
+
+// slug is the file-name form of a report's label, as obs.WriteArtifacts
+// names its files ("Shifted Binary-Tree" → "shifted-binary-tree").
+func slug(rep *obs.Report) string {
+	return strings.ToLower(strings.ReplaceAll(rep.Label, " ", "-"))
+}
+
 var (
 	goldenOnce sync.Once
 	goldenReps map[core.Scheme]*obs.Report
 	goldenErr  error
 )
 
-// goldenReport runs the fixed observability problem once per scheme
-// (exp.ObsProblem, seed 1) and strips the
-// schedule-dependent telemetry, leaving a report that is a deterministic
-// function of the plan — reproducible byte for byte on any machine.
 func goldenReport(t *testing.T, scheme core.Scheme) *obs.Report {
 	t.Helper()
 	goldenOnce.Do(func() {
-		p, grid, err := exp.ObsProblem()
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		ms, err := exp.MeasureObs(p, grid, core.Schemes(), 1, 60*time.Second, exp.RunOpts{})
-		if err != nil {
-			goldenErr = err
-			return
-		}
-		goldenReps = map[core.Scheme]*obs.Report{}
-		for _, m := range ms {
-			m.Report.StripSchedule()
-			goldenReps[m.Scheme] = m.Report
-		}
+		goldenReps, goldenErr = goldenRuns(pselinv.Options{}, core.Schemes())
 	})
 	if goldenErr != nil {
 		t.Fatal(goldenErr)
@@ -95,22 +121,7 @@ func topoGoldenSchemes() []core.Scheme {
 func goldenTopoReport(t *testing.T, scheme core.Scheme) *obs.Report {
 	t.Helper()
 	goldenTopoOnce.Do(func() {
-		p, grid, err := exp.ObsProblem()
-		if err != nil {
-			goldenTopoErr = err
-			return
-		}
-		ms, err := exp.MeasureObs(p, grid, topoGoldenSchemes(), 1, 60*time.Second,
-			exp.RunOpts{CoresPerNode: 8})
-		if err != nil {
-			goldenTopoErr = err
-			return
-		}
-		goldenTopoReps = map[core.Scheme]*obs.Report{}
-		for _, m := range ms {
-			m.Report.StripSchedule()
-			goldenTopoReps[m.Scheme] = m.Report
-		}
+		goldenTopoReps, goldenTopoErr = goldenRuns(pselinv.Options{CoresPerNode: 8}, topoGoldenSchemes())
 	})
 	if goldenTopoErr != nil {
 		t.Fatal(goldenTopoErr)
@@ -129,14 +140,14 @@ func TestGoldenTopoReportJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "report_"+exp.SchemeSlug(scheme)+".golden.json", string(b))
+		checkGolden(t, "report_"+slug(rep)+".golden.json", string(b))
 	}
 }
 
 func TestGoldenTopoSummary(t *testing.T) {
 	for _, scheme := range topoGoldenSchemes() {
 		rep := goldenTopoReport(t, scheme)
-		checkGolden(t, "summary_"+exp.SchemeSlug(scheme)+".golden", rep.Summary())
+		checkGolden(t, "summary_"+slug(rep)+".golden", rep.Summary())
 	}
 }
 
@@ -147,7 +158,7 @@ func TestGoldenReportJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkGolden(t, "report_"+exp.SchemeSlug(scheme)+".golden.json", string(b))
+		checkGolden(t, "report_"+slug(rep)+".golden.json", string(b))
 	}
 }
 
@@ -158,14 +169,13 @@ func TestGoldenTrafficMatrix(t *testing.T) {
 		if hm == "" {
 			t.Fatalf("no embedded matrix for %s", class)
 		}
-		name := "matrix_" + exp.SchemeSlug(core.ShiftedBinaryTree) + "_" + class + ".golden"
-		checkGolden(t, name, hm)
+		checkGolden(t, "matrix_"+slug(rep)+"_"+class+".golden", hm)
 	}
 }
 
 func TestGoldenSummary(t *testing.T) {
 	for _, scheme := range core.Schemes() {
 		rep := goldenReport(t, scheme)
-		checkGolden(t, "summary_"+exp.SchemeSlug(scheme)+".golden", rep.Summary())
+		checkGolden(t, "summary_"+slug(rep)+".golden", rep.Summary())
 	}
 }

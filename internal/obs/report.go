@@ -454,11 +454,14 @@ func (r *Report) JSON() ([]byte, error) {
 
 // WriteArtifacts writes an observed run's two files into dir (created if
 // needed): the report as obs-<slug>.json and the timeline as a Chrome trace,
-// trace-<slug>.json. It returns the two paths.
-func WriteArtifacts(dir, slug string, rep *Report, spans []Span) ([]string, error) {
+// trace-<slug>.json, where slug is the report's label lower-cased with
+// spaces as dashes ("Shifted Binary-Tree" → "shifted-binary-tree"). It
+// returns the two paths.
+func WriteArtifacts(dir string, rep *Report, spans []Span) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
+	slug := strings.ToLower(strings.ReplaceAll(rep.Label, " ", "-"))
 	paths := []string{filepath.Join(dir, "obs-"+slug+".json"), filepath.Join(dir, "trace-"+slug+".json")}
 	for i, write := range []func(io.Writer) error{
 		rep.WriteJSON,

@@ -77,7 +77,7 @@ func chaosEngineScheme(t testing.TB, g *sparse.Generated, opt etree.Options,
 func TestChaosSweepP4(t *testing.T) {
 	eng := chaosEngine(t, sparse.Grid2D(6, 6, 3), etree.Options{Relax: 2, MaxWidth: 6},
 		procgrid.New(2, 2), true)
-	chaosSweep(t, eng, chaos.Config{DupDetect: true},
+	chaosSweep(t, eng, chaos.Config{},
 		seedRange(1000, *chaosSeeds), chaosTimeout)
 }
 
@@ -87,7 +87,7 @@ func TestChaosSweepP16(t *testing.T) {
 	net := netsim.DefaultParams()
 	eng := chaosEngine(t, sparse.Grid2D(8, 8, 2), etree.Options{Relax: 2, MaxWidth: 6},
 		procgrid.New(4, 4), true)
-	chaosSweep(t, eng, chaos.Config{Net: &net, DupDetect: true},
+	chaosSweep(t, eng, chaos.Config{Net: &net},
 		seedRange(2000, *chaosSeeds), chaosTimeout)
 }
 
@@ -108,7 +108,7 @@ func TestChaosSweepTopoSchemes(t *testing.T) {
 		t.Run(scheme.Slug(), func(t *testing.T) {
 			eng := chaosEngineScheme(t, sparse.Grid2D(8, 8, 2), etree.Options{Relax: 2, MaxWidth: 6},
 				procgrid.New(4, 4), true, scheme, 8)
-			chaosSweep(t, eng, chaos.Config{DupDetect: true},
+			chaosSweep(t, eng, chaos.Config{},
 				seedRange(7000, *chaosSeeds), chaosTimeout)
 		})
 	}
@@ -130,7 +130,7 @@ func TestChaosSweepDag(t *testing.T) {
 	eng := chaosEngine(t, sparse.Grid2D(7, 7, 4), etree.Options{Relax: 2, MaxWidth: 6},
 		procgrid.New(2, 2), true)
 	eng.DAG = true
-	chaosSweep(t, eng, chaos.Config{DupDetect: true},
+	chaosSweep(t, eng, chaos.Config{},
 		seedRange(5000, seeds), chaosTimeout)
 }
 
@@ -157,7 +157,7 @@ func TestChaosDagMatchesSequentialBaseline(t *testing.T) {
 		return snap
 	}
 	seq := run(false, nil)
-	for _, cc := range []*chaos.Config{nil, {Seed: 42, DupDetect: true}} {
+	for _, cc := range []*chaos.Config{nil, {Seed: 42}} {
 		got := run(true, cc)
 		if len(got) != len(seq) {
 			t.Fatalf("chaos=%v: block counts differ", cc != nil)
@@ -178,7 +178,7 @@ func TestChaosSweepAsymmetricPath(t *testing.T) {
 	// contributions); sweep them too.
 	g := sparse.Asymmetrize(sparse.Grid2D(6, 6, 3), 11, 0.6)
 	eng := chaosEngine(t, g, etree.Options{Relax: 2, MaxWidth: 6}, procgrid.New(3, 3), false)
-	chaosSweep(t, eng, chaos.Config{DupDetect: true},
+	chaosSweep(t, eng, chaos.Config{},
 		seedRange(4000, *chaosSeeds), chaosTimeout)
 }
 

@@ -249,7 +249,7 @@ func TestComplexChaosSweep(t *testing.T) {
 			Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: lu.Symmetric,
 		})
 		eng := pselinv.NewEngine(plan, lu)
-		chaosSweep(t, eng, chaos.Config{DupDetect: true},
+		chaosSweep(t, eng, chaos.Config{},
 			seedRange(9000+500*uint64(x), *chaosSeeds), chaosTimeout)
 	}
 }

@@ -145,7 +145,7 @@ func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
 	}
 	cases = append(cases, volumeCase{mode: modes[0], dims: [2]int{3, 3},
 		cfg:   core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1},
-		chaos: &chaos.Config{Seed: 13, DupDetect: true}})
+		chaos: &chaos.Config{Seed: 13}})
 
 	for _, c := range cases {
 		grid := procgrid.New(c.dims[0], c.dims[1])

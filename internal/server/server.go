@@ -52,11 +52,6 @@ type Config struct {
 	// Defaults 60s / 5m.
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Relax/MaxWidth are the analysis options used for every request (kept
-	// server-wide so same-pattern requests share cache entries). Zero
-	// selects the pipeline defaults.
-	Relax    int
-	MaxWidth int
 	// MaxBatchPoles caps the pole count of one /v1/selinv/batch request
 	// (the whole batch holds a single engine slot). Default 64.
 	MaxBatchPoles int
@@ -601,20 +596,18 @@ func (s *Server) admitted(ctx context.Context, adm *admission, body func() *http
 	adm.m = m
 
 	// Cache key: pattern fingerprint + the analysis options that change
-	// its symbolic outcome. CoresPerNode is baked into the Symbolic's
+	// its symbolic outcome (every request amalgamates supernodes with the
+	// library defaults, so those are not in it). CoresPerNode is baked into the Symbolic's
 	// engine templates, so it is part of the key (a non-default packing
 	// must not reuse default plans), and so is the balancer — a different
 	// supernode→process map is a different plan. Both endpoints share the
 	// key: a batch warms the cache for single-pole requests of the same
 	// family and vice versa.
-	key := fmt.Sprintf("%s/%s/r%d/w%d/c%d/b%s", m.Fingerprint(), adm.ordName, s.cfg.Relax, s.cfg.MaxWidth,
-		adm.coresPerNode, adm.balancer.Slug())
+	key := fmt.Sprintf("%s/%s/c%d/b%s", m.Fingerprint(), adm.ordName, adm.coresPerNode, adm.balancer.Slug())
 	tCache := time.Now()
 	adm.sym, adm.outcome, err = s.cache.getOrBuild(key, func() (*pselinv.Symbolic, error) {
 		return pselinv.AnalyzePattern(m, pselinv.Options{
 			Ordering:     adm.ordMethod,
-			Relax:        s.cfg.Relax,
-			MaxWidth:     s.cfg.MaxWidth,
 			CoresPerNode: adm.coresPerNode,
 			Balancer:     adm.balancer.Slug(),
 		})

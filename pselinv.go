@@ -45,7 +45,6 @@ import (
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
-	"pselinv/internal/exp"
 	"pselinv/internal/factor"
 	"pselinv/internal/netsim"
 	"pselinv/internal/obs"
@@ -601,10 +600,6 @@ func (s *System) SetTimeout(d time.Duration) {
 	}
 }
 
-// SetChaosSeed installs (non-zero) or removes (zero) the deterministic
-// chaos adversary on this System's subsequent parallel runs.
-func (s *System) SetChaosSeed(seed uint64) { s.live(); s.opt.ChaosSeed = seed }
-
 // SetDAG enables or disables intra-rank task-DAG execution (see
 // Options.DAG) on this System's subsequent parallel runs.
 func (s *System) SetDAG(on bool) { s.live(); s.opt.DAG = on }
@@ -814,15 +809,10 @@ func toMB(bs []int64) []float64 {
 // (arranged on the most square grid) with the given tree scheme and shift
 // seed. The result is bit-reproducible for one (procs, scheme, seed) under
 // any message delivery order, and agrees with SelInv to rounding (bit for
-// bit on one rank): the reductions are summed along the trees.
+// bit on one rank): the reductions are summed along the trees. A procs
+// below 1 is an error.
 func (s *System) ParallelSelInv(procs int, scheme Scheme, seed uint64) (*ParallelResult, error) {
-	g := procgrid.Squarish(procs)
-	return s.ParallelSelInvOnGrid(g.Pr, g.Pc, scheme, seed)
-}
-
-// ParallelSelInvOnGrid is ParallelSelInv with an explicit Pr×Pc grid.
-func (s *System) ParallelSelInvOnGrid(pr, pc int, scheme Scheme, seed uint64) (*ParallelResult, error) {
-	return s.parallelRun(pr, pc, scheme, seed, false)
+	return s.parallelRun(procs, scheme, seed, false)
 }
 
 // TraceReport gives access to the per-rank execution timeline of an
@@ -843,8 +833,7 @@ func (t *TraceReport) WriteChromeTrace(w io.Writer) error { return obs.WriteChro
 // telemetry, and the measured per-collective critical paths (see
 // internal/obs for the event model).
 type ObsReport struct {
-	rep  *obs.Report
-	slug string // the scheme's file-name form
+	rep *obs.Report
 }
 
 // Summary renders totals, imbalance scores and the measured-vs-analytic
@@ -865,7 +854,7 @@ func (o *ObsReport) RenderMatrix(class string) string { return o.rep.RenderMatri
 // obs-<scheme>.json and trace-<scheme>.json (the layout every -obs tool
 // uses) and returns the two paths.
 func (o *ObsReport) WriteArtifacts(dir string, t *TraceReport) ([]string, error) {
-	return obs.WriteArtifacts(dir, o.slug, o.rep, t.spans)
+	return obs.WriteArtifacts(dir, o.rep, t.spans)
 }
 
 // VolumeImbalance returns max/mean per-rank sent bytes (1.0 = balanced).
@@ -893,8 +882,7 @@ func (o *ObsReport) ClassSentBytes() map[string]int64 {
 // for that rank, so the chain analysis is complete without a capacity to
 // tune.
 func (s *System) ParallelSelInvObserved(procs int, scheme Scheme, seed uint64) (*ParallelResult, *TraceReport, *ObsReport, error) {
-	g := procgrid.Squarish(procs)
-	res, err := s.parallelRun(g.Pr, g.Pc, scheme, seed, true)
+	res, err := s.parallelRun(procs, scheme, seed, true)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -903,10 +891,14 @@ func (s *System) ParallelSelInvObserved(procs int, scheme Scheme, seed uint64) (
 		res.Release()
 		return nil, nil, nil, err
 	}
-	return res, &TraceReport{spans: merged.Spans}, &ObsReport{rep: merged.Report(scheme.String()), slug: exp.SchemeSlug(scheme)}, nil
+	return res, &TraceReport{spans: merged.Spans}, &ObsReport{rep: merged.Report(scheme.String())}, nil
 }
 
-func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bool) (*ParallelResult, error) {
+// parallelRun runs the engine on procs ranks of the most square grid.
+func (s *System) parallelRun(procs int, scheme Scheme, seed uint64, observed bool) (*ParallelResult, error) {
+	if procs < 1 {
+		return nil, fmt.Errorf("pselinv: %d ranks requested, need at least 1", procs)
+	}
 	// The plan and per-rank programs come from the Symbolic's cache (built
 	// on first use); Rebind attaches this System's numeric factor without
 	// copying them, so warm same-pattern runs skip plan construction.
@@ -914,7 +906,8 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bo
 	if err != nil {
 		return nil, err
 	}
-	eng := s.sym.engineTemplate(pr, pc, scheme, seed, s.symmetric).Rebind(lu)
+	grid := procgrid.Squarish(procs)
+	eng := s.sym.engineTemplate(grid.Pr, grid.Pc, scheme, seed, s.symmetric).Rebind(lu)
 	if observed {
 		eng.Obs = obs.NewCollector(eng.Plan.PerRankMsgs(), time.Now())
 		eng.Obs.SetTopology(s.opt.CoresPerNode)
@@ -931,7 +924,7 @@ func (s *System) parallelRun(pr, pc int, scheme Scheme, seed uint64, observed bo
 	return &ParallelResult{
 		Inverse: &Inverse{an: s.an, ainv: run.Ainv, elem: lu.Elem},
 		run:     run,
-		grid:    procgrid.New(pr, pc),
+		grid:    grid,
 		Elapsed: run.Elapsed,
 	}, nil
 }
@@ -985,7 +978,8 @@ func FermiOperatorDensity(m *Matrix, beta, mu float64, numPoles int) ([]float64,
 
 // SimulateTiming predicts the wall-clock behaviour of a run on procs ranks
 // under the network cost model — the substitute for the paper's Edison
-// measurements (Figures 8 and 9).
+// measurements (Figures 8 and 9). procs must be positive; unlike the
+// Parallel* runs, which return an error, it panics on a count below 1.
 func (s *System) SimulateTiming(procs int, scheme Scheme, sp SimParams) *TimingResult {
 	s.live()
 	params := netsim.DefaultParams()

@@ -186,8 +186,9 @@ func TestParallelMatchesSequentialPublicAPI(t *testing.T) {
 // TestChaosSeedOptionPublicAPI checks the chaos wiring end to end through
 // the public API on the default path (real, symmetric, no DAG): the
 // unperturbed run matches the sequential reference, and a run under each
-// of 8 adversary seeds reproduces the unperturbed run bit for bit — a
-// reduction's fold order is a property of the plan, not of delivery.
+// of 8 adversary seeds (one System per seed, set by Options.ChaosSeed)
+// reproduces the unperturbed run bit for bit — a reduction's fold order is
+// a property of the plan, not of delivery.
 func TestChaosSeedOptionPublicAPI(t *testing.T) {
 	// Narrow supernodes give reductions of three and more contributions
 	// per rank, where the order of the additions shows in the last bit.
@@ -218,8 +219,11 @@ func TestChaosSeedOptionPublicAPI(t *testing.T) {
 		}
 	})
 	for seed := uint64(70); seed < 78; seed++ {
-		sys.SetChaosSeed(seed)
-		par, err := sys.ParallelSelInv(9, ShiftedBinaryTree, 5)
+		chaotic, err := NewSystem(m, Options{MaxWidth: 4, ChaosSeed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, err := chaotic.ParallelSelInv(9, ShiftedBinaryTree, 5)
 		if err != nil {
 			t.Fatalf("chaos seed %d: %v", seed, err)
 		}
@@ -230,6 +234,7 @@ func TestChaosSeedOptionPublicAPI(t *testing.T) {
 				t.Fatalf("chaos seed %d: entry (%d,%d) = %g, unperturbed run has %g — not bit-identical", seed, i, j, pv, bv)
 			}
 		})
+		chaotic.Release()
 	}
 }
 
@@ -289,13 +294,37 @@ func TestFlagshipComplexDagVolumes(t *testing.T) {
 	}
 }
 
+// TestParallelRankCountBelowOne: a rank count below 1 is an error of both
+// parallel runs, not a panic in the grid layout.
+func TestParallelRankCountBelowOne(t *testing.T) {
+	sys, err := NewSystem(Grid2D(6, 6, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Release()
+	for _, procs := range []int{0, -4} {
+		if _, err := sys.ParallelSelInv(procs, ShiftedBinaryTree, 1); err == nil {
+			t.Errorf("ParallelSelInv(%d) returned no error", procs)
+		}
+		if _, _, _, err := sys.ParallelSelInvObserved(procs, ShiftedBinaryTree, 1); err == nil {
+			t.Errorf("ParallelSelInvObserved(%d) returned no error", procs)
+		}
+	}
+	// The System is still usable.
+	res, err := sys.ParallelSelInv(4, ShiftedBinaryTree, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Release()
+}
+
 func TestParallelVolumesExposed(t *testing.T) {
 	m := Grid2D(9, 9, 8)
 	sys, err := NewSystem(m, Options{MaxWidth: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sys.ParallelSelInvOnGrid(4, 4, ShiftedBinaryTree, 1)
+	par, err := sys.ParallelSelInv(16, ShiftedBinaryTree, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
