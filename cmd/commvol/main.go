@@ -104,7 +104,13 @@ func main() {
 	if *flagTransport != "inproc" && *flagTransport != "tcp" {
 		usage(fmt.Errorf("unknown -transport %q (want inproc or tcp)", *flagTransport))
 	}
-	if pr, pc := *flagPr, cmp.Or(*flagPc, *flagPr); *flagObs && *flagTransport == "inproc" && pr > 0 && pc > 0 {
+	if *flagPr < 1 {
+		usage(fmt.Errorf("-pr %d: the grid needs at least one row", *flagPr))
+	}
+	if *flagPc < 0 {
+		usage(fmt.Errorf("-pc %d is negative (0 = -pr, a square grid)", *flagPc))
+	}
+	if pr, pc := *flagPr, cmp.Or(*flagPc, *flagPr); *flagObs && *flagTransport == "inproc" {
 		// The library's observed run takes a rank count and lays it out on
 		// the most square grid.
 		if g := procgrid.Squarish(pr * pc); g.Pr != pr || g.Pc != pc {
@@ -127,11 +133,7 @@ func usage(err error) {
 // run prints the selected experiments to w.
 func run(w io.Writer, schemes []core.Scheme, balancer core.Balancer) error {
 	// The paper's grids: 46×46 for audikw_1, 16×16 for Figure 6's "small P".
-	pc := *flagPc
-	if pc <= 0 {
-		pc = *flagPr
-	}
-	grid, smallGrid := procgrid.New(*flagPr, pc), procgrid.New(16, 16)
+	grid, smallGrid := procgrid.New(*flagPr, cmp.Or(*flagPc, *flagPr)), procgrid.New(16, 16)
 	if *flagQuick {
 		// An explicit -pr/-pc wins over -quick's default grid shrink (so
 		// `-obs -quick -pr 2 -transport=tcp` runs P=4 real processes on the

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -144,5 +146,35 @@ func TestFigurePrintersAnySchemeList(t *testing.T) {
 				t.Errorf("Figure 6 compared against the main grid: %v; Flat listed: %v", compared, flat != nil)
 			}
 		})
+	}
+}
+
+// TestMain runs the command itself instead of the tests when
+// COMMVOL_RUN_MAIN is set, so that a test can re-execute the test binary
+// as commvol and check how it exits.
+func TestMain(m *testing.M) {
+	if os.Getenv("COMMVOL_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadGridIsUsageError: a grid without rows, or with a negative column
+// count, is a usage error (exit 2 with a message) — `-pr 0` used to panic
+// in procgrid.New and `-pc -1` to run a square grid.
+func TestBadGridIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-table1", "-quick", "-pr", "0"},
+		{"-table1", "-quick", "-pr", "-3"},
+		{"-table1", "-quick", "-pc", "-1"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "COMMVOL_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.HasPrefix(string(out), "commvol: -p") {
+			t.Errorf("commvol %v: %v, output:\n%s", args, err, out)
+		}
 	}
 }

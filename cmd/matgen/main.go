@@ -97,6 +97,9 @@ func describe(g *sparse.Generated, analyze bool) {
 	if !analyze {
 		return
 	}
+	if g.A.N == 0 {
+		check(fmt.Errorf("%s: empty matrix", g.Name))
+	}
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: 4, MaxWidth: 32})
 	var cs []int

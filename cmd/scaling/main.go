@@ -52,6 +52,10 @@ var (
 
 func main() {
 	flag.Parse()
+	if *flagSeeds < 1 {
+		fmt.Fprintf(os.Stderr, "scaling: -seeds %d: need at least one placement seed\n", *flagSeeds)
+		os.Exit(2)
+	}
 	if *flagWidth {
 		if err := runWidth(*flagWidthOut); err != nil {
 			fmt.Fprintln(os.Stderr, "scaling:", err)

@@ -49,17 +49,18 @@ const (
 	SubtreeBalancer
 )
 
+// balancerNames holds each balancer's name and slug.
+var balancerNames = [...][2]string{
+	CyclicBalancer:  {"Cyclic", "cyclic"},
+	NNZBalancer:     {"NNZ-Greedy", "nnz"},
+	WorkBalancer:    {"Work-Greedy", "work"},
+	SubtreeBalancer: {"Subtree", "subtree"},
+}
+
 // String names the balancer.
 func (b Balancer) String() string {
-	switch b {
-	case CyclicBalancer:
-		return "Cyclic"
-	case NNZBalancer:
-		return "NNZ-Greedy"
-	case WorkBalancer:
-		return "Work-Greedy"
-	case SubtreeBalancer:
-		return "Subtree"
+	if b >= 0 && int(b) < len(balancerNames) {
+		return balancerNames[b][0]
 	}
 	return fmt.Sprintf("Balancer(%d)", int(b))
 }
@@ -67,15 +68,8 @@ func (b Balancer) String() string {
 // Slug returns the short lower-case name used on command-line flags and in
 // service requests.
 func (b Balancer) Slug() string {
-	switch b {
-	case CyclicBalancer:
-		return "cyclic"
-	case NNZBalancer:
-		return "nnz"
-	case WorkBalancer:
-		return "work"
-	case SubtreeBalancer:
-		return "subtree"
+	if b >= 0 && int(b) < len(balancerNames) {
+		return balancerNames[b][1]
 	}
 	return fmt.Sprintf("balancer%d", int(b))
 }
@@ -216,9 +210,9 @@ func contiguousAssign(weights []float64, nbins int) []int {
 	return out
 }
 
-// Assign produces the owner map for the pattern on the grid. The result is
+// assign produces the owner map for the pattern on the grid. The result is
 // deterministic in (b, bp, grid).
-func (b Balancer) Assign(bp *etree.BlockPattern, grid *procgrid.Grid) *procgrid.Map {
+func (b Balancer) assign(bp *etree.BlockPattern, grid *procgrid.Grid) *procgrid.Map {
 	ns := bp.NumSnodes()
 	switch b {
 	case CyclicBalancer:

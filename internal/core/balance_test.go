@@ -56,7 +56,7 @@ func TestBalancerNamesAndParse(t *testing.T) {
 func TestCyclicBalancerMatchesGrid(t *testing.T) {
 	bp := testPattern(t)
 	grid := procgrid.New(3, 4)
-	m := CyclicBalancer.Assign(bp, grid)
+	m := CyclicBalancer.assign(bp, grid)
 	ns := bp.NumSnodes()
 	for i := 0; i < ns; i++ {
 		for j := 0; j < ns; j++ {
@@ -109,7 +109,7 @@ func TestBalancerMapsValidAndConserving(t *testing.T) {
 		}
 
 		for _, b := range AllBalancers() {
-			m := b.Assign(bp, grid)
+			m := b.assign(bp, grid)
 			if err := m.Validate(); err != nil {
 				t.Fatalf("trial %d %v on %v: %v", trial, b, grid, err)
 			}

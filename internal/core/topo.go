@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Topology describes how ranks are packed onto physical nodes: the
 // hierarchical-cluster fact the paper's three schemes ignore. Ranks are
@@ -21,10 +18,10 @@ type Topology struct {
 	CoresPerNode int
 }
 
-// DefaultTopology is the Edison-style packing used when a caller does not
+// defaultTopology is the Edison-style packing used when a caller does not
 // specify placement: 24 ranks per node, the same constant as
 // netsim.DefaultParams().CoresPerNode and the paper's platform.
-func DefaultTopology() Topology { return Topology{CoresPerNode: 24} }
+func defaultTopology() Topology { return Topology{CoresPerNode: 24} }
 
 // Node returns the node housing rank.
 func (t Topology) Node(rank int) int {
@@ -34,24 +31,20 @@ func (t Topology) Node(rank int) int {
 	return rank / t.CoresPerNode
 }
 
-// nodeGroup is one node's slice of a participant set.
-type nodeGroup struct {
-	node    int
-	members []int // ascending rank order
-}
+// nodeGroup is one node's run of a sorted participant list: the
+// participants at positions [lo, hi) live on node.
+type nodeGroup struct{ node, lo, hi int }
 
 // groupByNode partitions a sorted participant list into per-node groups,
 // ordered by node id. Sorted rank order implies sorted node order, so a
 // single pass suffices.
 func groupByNode(parts []int, topo Topology) []nodeGroup {
 	var groups []nodeGroup
-	for _, r := range parts {
-		n := topo.Node(r)
-		if len(groups) == 0 || groups[len(groups)-1].node != n {
-			groups = append(groups, nodeGroup{node: n})
+	for i, r := range parts {
+		if n := topo.Node(r); len(groups) == 0 || groups[len(groups)-1].node != n {
+			groups = append(groups, nodeGroup{node: n, lo: i})
 		}
-		g := &groups[len(groups)-1]
-		g.members = append(g.members, r)
+		groups[len(groups)-1].hi = i + 1
 	}
 	return groups
 }
@@ -62,8 +55,8 @@ func groupByNode(parts []int, topo Topology) []nodeGroup {
 // such edges; TopoShiftedTree meets that bound exactly.
 func (t *Tree) CrossNodeEdges(topo Topology) int {
 	edges := 0
-	for child, parent := range t.parent {
-		if topo.Node(child) != topo.Node(parent) {
+	for i, up := range t.up {
+		if up >= 0 && topo.Node(t.parts[i]) != topo.Node(t.parts[up]) {
 			edges++
 		}
 	}
@@ -76,24 +69,22 @@ func (t *Tree) CrossNodeEdges(topo Topology) int {
 // so no tree edge crosses nodes unless its child endpoint is that group's
 // leader. This pins the cross-node edge count at its g-1 minimum.
 func (t *Tree) ValidateTopology(topo Topology) error {
-	entries := map[int][]int{} // node -> entry ranks
-	for _, r := range t.parts {
-		n := topo.Node(r)
-		if r == t.Root || topo.Node(t.Parent(r)) != n {
-			entries[n] = append(entries[n], r)
+	groups := groupByNode(t.parts, topo)
+	for _, g := range groups {
+		var entries []int
+		for i := g.lo; i < g.hi; i++ {
+			if up := t.up[i]; up < 0 || topo.Node(t.parts[up]) != g.node {
+				entries = append(entries, t.parts[i])
+			}
 		}
-	}
-	for _, g := range groupByNode(t.parts, topo) {
-		es := entries[g.node]
-		if len(es) != 1 {
-			sort.Ints(es)
+		if len(entries) != 1 {
 			return fmt.Errorf("core: node %d has %d entry points %v (want exactly one group leader)",
-				g.node, len(es), es)
+				g.node, len(entries), entries)
 		}
 	}
-	if got, want := t.CrossNodeEdges(topo), len(entries)-1; got != want {
+	if got, want := t.CrossNodeEdges(topo), len(groups)-1; got != want {
 		return fmt.Errorf("core: %d cross-node edges over %d occupied nodes (want the minimum %d)",
-			got, len(entries), want)
+			got, len(groups), want)
 	}
 	return nil
 }

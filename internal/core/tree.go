@@ -24,7 +24,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -54,21 +54,20 @@ const (
 	TopoShiftedTree
 )
 
+// schemeNames holds each scheme's name as in the paper and its slug.
+var schemeNames = [...][2]string{
+	FlatTree:          {"Flat-Tree", "flat"},
+	BinaryTree:        {"Binary-Tree", "binary"},
+	ShiftedBinaryTree: {"Shifted Binary-Tree", "shifted"},
+	RandomPermTree:    {"Random-Perm-Tree", "randperm"},
+	Hybrid:            {"Hybrid", "hybrid"},
+	TopoShiftedTree:   {"Topo-Shifted-Tree", "toposhifted"},
+}
+
 // String names the scheme as in the paper.
 func (s Scheme) String() string {
-	switch s {
-	case FlatTree:
-		return "Flat-Tree"
-	case BinaryTree:
-		return "Binary-Tree"
-	case ShiftedBinaryTree:
-		return "Shifted Binary-Tree"
-	case RandomPermTree:
-		return "Random-Perm-Tree"
-	case Hybrid:
-		return "Hybrid"
-	case TopoShiftedTree:
-		return "Topo-Shifted-Tree"
+	if s >= 0 && int(s) < len(schemeNames) {
+		return schemeNames[s][0]
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
@@ -76,19 +75,8 @@ func (s Scheme) String() string {
 // Slug returns the short lower-case name used on command-line flags and in
 // service requests.
 func (s Scheme) Slug() string {
-	switch s {
-	case FlatTree:
-		return "flat"
-	case BinaryTree:
-		return "binary"
-	case ShiftedBinaryTree:
-		return "shifted"
-	case RandomPermTree:
-		return "randperm"
-	case Hybrid:
-		return "hybrid"
-	case TopoShiftedTree:
-		return "toposhifted"
+	if s >= 0 && int(s) < len(schemeNames) {
+		return schemeNames[s][1]
 	}
 	return fmt.Sprintf("scheme%d", int(s))
 }
@@ -134,11 +122,19 @@ const DefaultHybridThreshold = 24
 // Tree is a rooted communication tree over a set of participant ranks.
 // Broadcast flows root→leaves along the edges; reduction flows
 // leaves→root along the same edges.
+//
+// Every rank builds the same tree on its own from the sorted participant
+// list, the root and the shared seed (§III), so a tree is stored as flat
+// arrays over that list. A participant's index in Participants() is its
+// position; each position holds its parent's position, and the children
+// form one CSR (compressed sparse row) array grouped by parent position,
+// each group in the order the construction linked it.
 type Tree struct {
-	Root     int
-	parts    []int // all participants, sorted ascending
-	parent   map[int]int
-	children map[int][]int
+	Root  int
+	parts []int   // participants, sorted ascending
+	up    []int32 // up[i]: position of parts[i]'s parent, -1 at the root
+	first []int32 // parts[i]'s children are kids[first[i]:first[i+1]]
+	kids  []int   // child ranks
 }
 
 // Participants returns the sorted participant ranks (including the root).
@@ -147,73 +143,89 @@ func (t *Tree) Participants() []int { return t.parts }
 // Size returns the number of participants.
 func (t *Tree) Size() int { return len(t.parts) }
 
-// Has reports whether rank participates in the tree.
-func (t *Tree) Has(rank int) bool {
-	if rank == t.Root {
-		return true
+// Pos returns rank's position in Participants(), or -1 for a
+// non-participant.
+func (t *Tree) Pos(rank int) int {
+	if i, ok := slices.BinarySearch(t.parts, rank); ok {
+		return i
 	}
-	_, in := t.parent[rank]
-	return in
+	return -1
 }
+
+// Parents returns, position by position, the position of each
+// participant's parent (-1 at the root). Shared storage: do not modify.
+func (t *Tree) Parents() []int32 { return t.up }
+
+// Has reports whether rank participates in the tree.
+func (t *Tree) Has(rank int) bool { return t.Pos(rank) >= 0 }
 
 // Parent returns the parent of rank (-1 for the root). Panics for
 // non-participants: asking for the parent of an outsider is a plan bug.
 func (t *Tree) Parent(rank int) int {
-	if rank == t.Root {
-		return -1
-	}
-	p, ok := t.parent[rank]
-	if !ok {
+	i := t.Pos(rank)
+	if i < 0 {
 		panic(fmt.Sprintf("core: rank %d not in tree rooted at %d", rank, t.Root))
 	}
-	return p
+	if up := t.up[i]; up >= 0 {
+		return t.parts[up]
+	}
+	return -1
 }
 
-// Children returns the child ranks of rank (nil for leaves and
-// non-participants).
-func (t *Tree) Children(rank int) []int { return t.children[rank] }
+// Children returns the child ranks of rank in link order (empty for
+// leaves, nil for non-participants). The slice is the tree's own storage.
+func (t *Tree) Children(rank int) []int {
+	if i := t.Pos(rank); i >= 0 {
+		return t.childrenAt(i)
+	}
+	return nil
+}
+
+// childrenAt returns the children of the participant at position i, capped
+// so that an append cannot overwrite a sibling group.
+func (t *Tree) childrenAt(i int) []int { return t.kids[t.first[i]:t.first[i+1]:t.first[i+1]] }
 
 // Depth returns the number of edges on the longest root-to-leaf path.
 func (t *Tree) Depth() int {
-	var depth func(rank int) int
-	depth = func(rank int) int {
+	depth := 0
+	for _, up := range t.up {
 		d := 0
-		for _, c := range t.children[rank] {
-			if cd := depth(c) + 1; cd > d {
-				d = cd
-			}
+		for ; up >= 0; up = t.up[up] {
+			d++
 		}
-		return d
+		depth = max(depth, d)
 	}
-	return depth(t.Root)
+	return depth
 }
 
 // Validate checks the tree invariants: every participant is reachable from
 // the root exactly once and parent/children are mutually consistent.
 func (t *Tree) Validate() error {
-	seen := map[int]bool{}
-	stack := []int{t.Root}
+	root := t.Pos(t.Root)
+	if root < 0 {
+		return fmt.Errorf("core: root %d not a participant", t.Root)
+	}
+	seen := make([]bool, len(t.parts))
+	stack := []int{root}
+	reached := 0
 	for len(stack) > 0 {
-		v := stack[len(stack)-1]
+		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
-			return fmt.Errorf("core: rank %d reached twice", v)
+		if seen[i] {
+			return fmt.Errorf("core: rank %d reached twice", t.parts[i])
 		}
-		seen[v] = true
-		for _, c := range t.children[v] {
-			if t.Parent(c) != v {
-				return fmt.Errorf("core: parent/children inconsistent at %d -> %d", v, c)
+		seen[i] = true
+		reached++
+		for _, c := range t.childrenAt(i) {
+			j := t.Pos(c)
+			if j < 0 || int(t.up[j]) != i {
+				return fmt.Errorf("core: parent/children inconsistent at %d -> %d", t.parts[i], c)
 			}
-			stack = append(stack, c)
+			stack = append(stack, j)
 		}
 	}
-	if len(seen) != len(t.parts) {
-		return fmt.Errorf("core: reached %d ranks, want %d", len(seen), len(t.parts))
-	}
-	for _, p := range t.parts {
-		if !seen[p] {
-			return fmt.Errorf("core: participant %d unreachable", p)
-		}
+	if reached != len(t.parts) {
+		return fmt.Errorf("core: reached %d ranks, want %d", reached, len(t.parts))
 	}
 	return nil
 }
@@ -234,59 +246,67 @@ func splitmix64(x uint64) uint64 {
 // shift of ShiftedBinaryTree deterministically, so every rank constructs
 // the identical tree independently.
 func NewTree(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64) *Tree {
-	return NewTreeTopo(scheme, root, ranks, seed, opKey, DefaultHybridThreshold, DefaultTopology())
+	return NewTreeTopo(scheme, root, ranks, seed, opKey, DefaultHybridThreshold, defaultTopology())
 }
 
 // NewTreeTopo is the full constructor: NewTree plus an explicit Hybrid
 // flat/shifted threshold and the rank→node Topology consumed by
 // TopoShiftedTree (the other schemes ignore it).
 func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, hybridThreshold int, topo Topology) *Tree {
-	sorted := append([]int(nil), ranks...)
-	sort.Ints(sorted)
+	b := treeBuilder{ranks: append([]int(nil), ranks...)}
+	return b.build(scheme, root, seed, opKey, hybridThreshold, topo)
+}
+
+// treeBuilder is the working memory of tree construction. The schemes link
+// positions, never ranks: sorted rank order is position order, so a shift or
+// permutation of the non-root positions is the same tree as of the ranks. A
+// plan reuses one builder across all its trees.
+type treeBuilder struct {
+	ranks []int   // the next tree's participant list, duplicates allowed
+	rest  []int32 // positions of its participants other than the root
+	up    []int32 // the tree's parent positions, filled by link
+	links []int32 // child positions in link order
+}
+
+// build builds the tree over b.ranks, which it sorts in place.
+func (b *treeBuilder) build(scheme Scheme, root int, seed, opKey uint64, hybridThreshold int, topo Topology) *Tree {
+	slices.Sort(b.ranks)
 	// Deduplicate (a rank owning several blocks participates once).
-	uniq := sorted[:0]
-	for i, r := range sorted {
-		if i == 0 || r != sorted[i-1] {
-			uniq = append(uniq, r)
-		}
-	}
-	sorted = uniq
-	found := false
-	for _, r := range sorted {
-		if r == root {
-			found = true
-			break
-		}
-	}
+	parts := slices.Compact(b.ranks)
+	n := len(parts)
+	rootPos, found := slices.BinarySearch(parts, root)
 	if !found {
-		panic(fmt.Sprintf("core: root %d not among participants %v", root, sorted))
+		panic(fmt.Sprintf("core: root %d not among participants %v", root, parts))
 	}
-	t := &Tree{
-		Root:     root,
-		parts:    append([]int(nil), sorted...),
-		parent:   make(map[int]int, len(sorted)),
-		children: make(map[int][]int, len(sorted)),
+	ranks, ix := make([]int, 2*n-1), make([]int32, 2*n+1)
+	t := &Tree{Root: root, parts: ranks[:n:n], kids: ranks[n:], up: ix[:n:n], first: ix[n:]}
+	copy(t.parts, parts)
+	t.up[rootPos] = -1
+	b.up, b.links, b.rest = t.up, b.links[:0], b.rest[:0]
+	for i := range n {
+		if i != rootPos {
+			b.rest = append(b.rest, int32(i))
+		}
 	}
-	// rest = participants minus root, in ascending rank order.
-	rest := make([]int, 0, len(sorted)-1)
-	for _, r := range sorted {
-		if r != root {
-			rest = append(rest, r)
+	r, rest := int32(rootPos), b.rest
+	if scheme == Hybrid {
+		scheme = ShiftedBinaryTree
+		if n <= hybridThreshold {
+			scheme = FlatTree
 		}
 	}
 	switch scheme {
 	case FlatTree:
-		for _, r := range rest {
-			t.link(root, r)
+		for _, c := range rest {
+			b.link(r, c)
 		}
 	case BinaryTree:
-		t.buildBinary(root, rest)
+		b.binary(r, rest)
 	case ShiftedBinaryTree:
 		if len(rest) > 1 {
-			shift := int(splitmix64(seed^splitmix64(opKey)) % uint64(len(rest)))
-			rest = append(rest[shift:], rest[:shift]...)
+			rotate(rest, int(splitmix64(seed^splitmix64(opKey))%uint64(len(rest))))
 		}
-		t.buildBinary(root, rest)
+		b.binary(r, rest)
 	case RandomPermTree:
 		// Fisher–Yates driven by the same deterministic stream.
 		state := seed ^ splitmix64(opKey) ^ 0xabcdef
@@ -295,29 +315,39 @@ func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64
 			j := int(state % uint64(i+1))
 			rest[i], rest[j] = rest[j], rest[i]
 		}
-		t.buildBinary(root, rest)
-	case Hybrid:
-		if len(sorted) <= hybridThreshold {
-			for _, r := range rest {
-				t.link(root, r)
-			}
-		} else {
-			if len(rest) > 1 {
-				shift := int(splitmix64(seed^splitmix64(opKey)) % uint64(len(rest)))
-				rest = append(rest[shift:], rest[:shift]...)
-			}
-			t.buildBinary(root, rest)
-		}
+		b.binary(r, rest)
 	case TopoShiftedTree:
-		t.buildTopoShifted(root, seed, opKey, topo)
+		b.topoShifted(parts, r, seed, opKey, topo)
 	default:
 		panic(fmt.Sprintf("core: unknown scheme %d (valid: %s)",
 			int(scheme), strings.Join(SchemeSlugs(), "|")))
 	}
+	// The children CSR: count the links per parent for the offsets, then
+	// place them in link order, first[p] walking from p's start to p+1's.
+	for _, c := range b.links {
+		t.first[t.up[c]+1]++
+	}
+	for i := 1; i <= n; i++ {
+		t.first[i] += t.first[i-1]
+	}
+	for _, c := range b.links {
+		p := t.up[c]
+		t.kids[t.first[p]] = parts[c]
+		t.first[p]++
+	}
+	copy(t.first[1:], t.first[:n])
+	t.first[0] = 0
 	return t
 }
 
-// buildTopoShifted is the shifted binary tree restructured around the node
+// rotate turns s left by k places in place: s[k:] then s[:k].
+func rotate(s []int32, k int) {
+	slices.Reverse(s[:k])
+	slices.Reverse(s[k:])
+	slices.Reverse(s)
+}
+
+// topoShifted is the shifted binary tree restructured around the node
 // groups of topo. One leader per occupied node joins an inter-node binary
 // tree rooted at the broadcast root, in circular node order anchored at the
 // root's group (the paper's shift applied at node granularity); the
@@ -326,11 +356,11 @@ func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64
 // collective via the (seed, opKey) stream, spreading forwarding load the
 // same way ShiftedBinaryTree does — but never at the price of an extra
 // cross-node edge.
-func (t *Tree) buildTopoShifted(root int, seed, opKey uint64, topo Topology) {
-	groups := groupByNode(t.parts, topo)
+func (b *treeBuilder) topoShifted(parts []int, root int32, seed, opKey uint64, topo Topology) {
+	groups := groupByNode(parts, topo)
 	mix := splitmix64(seed ^ splitmix64(opKey))
-	rootNode := topo.Node(root)
-	leaders := make([]int, len(groups))
+	rootNode := topo.Node(parts[root])
+	leaders := make([]int32, len(groups))
 	rootIdx := 0
 	for i, g := range groups {
 		if g.node == rootNode {
@@ -338,51 +368,45 @@ func (t *Tree) buildTopoShifted(root int, seed, opKey uint64, topo Topology) {
 			rootIdx = i
 			continue
 		}
-		shift := int(splitmix64(mix^uint64(g.node)) % uint64(len(g.members)))
-		leaders[i] = g.members[shift]
+		leaders[i] = int32(g.lo) + int32(splitmix64(mix^uint64(g.node))%uint64(g.hi-g.lo))
 	}
-	others := make([]int, 0, len(groups)-1)
+	others := make([]int32, 0, len(groups)-1)
 	for k := 1; k < len(groups); k++ {
 		others = append(others, leaders[(rootIdx+k)%len(groups)])
 	}
-	t.buildBinary(root, others)
+	b.binary(root, others)
 	for i, g := range groups {
-		rest := make([]int, 0, len(g.members)-1)
-		for _, r := range g.members {
-			if r != leaders[i] {
-				rest = append(rest, r)
+		rest := b.rest[:0]
+		for p := int32(g.lo); p < int32(g.hi); p++ {
+			if p != leaders[i] {
+				rest = append(rest, p)
 			}
 		}
 		if len(rest) > 1 {
-			shift := int(splitmix64(mix^0x9e3779b9^uint64(g.node)) % uint64(len(rest)))
-			rest = append(rest[shift:], rest[:shift]...)
+			rotate(rest, int(splitmix64(mix^0x9e3779b9^uint64(g.node))%uint64(len(rest))))
 		}
-		t.buildBinary(leaders[i], rest)
+		b.binary(leaders[i], rest)
 	}
 }
 
-func (t *Tree) link(parent, child int) {
-	t.parent[child] = parent
-	t.children[parent] = append(t.children[parent], child)
+func (b *treeBuilder) link(parent, child int32) {
+	b.up[child] = parent
+	b.links = append(b.links, child)
 }
 
-// buildBinary attaches list as descendants of node by repeatedly splitting
-// the ordered list in two halves; the first rank of each half becomes an
+// binary attaches list as descendants of node by repeatedly splitting the
+// ordered list in two halves; the first position of each half becomes an
 // internal node forwarding to the remainder of its half (§III).
-func (t *Tree) buildBinary(node int, list []int) {
+func (b *treeBuilder) binary(node int32, list []int32) {
 	if len(list) == 0 {
 		return
 	}
 	half := (len(list) + 1) / 2
 	left, right := list[:half], list[half:]
-	if len(left) > 0 {
-		c := left[0]
-		t.link(node, c)
-		t.buildBinary(c, left[1:])
-	}
+	b.link(node, left[0])
+	b.binary(left[0], left[1:])
 	if len(right) > 0 {
-		c := right[0]
-		t.link(node, c)
-		t.buildBinary(c, right[1:])
+		b.link(node, right[0])
+		b.binary(right[0], right[1:])
 	}
 }

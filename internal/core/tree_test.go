@@ -177,11 +177,11 @@ func TestParentOfOutsiderPanics(t *testing.T) {
 }
 
 func TestHybridSwitchesOnSize(t *testing.T) {
-	small := NewTreeTopo(Hybrid, 0, ranksUpTo(10), 1, 1, 24, DefaultTopology())
+	small := NewTreeTopo(Hybrid, 0, ranksUpTo(10), 1, 1, 24, defaultTopology())
 	if small.Depth() != 1 {
 		t.Fatalf("hybrid small set should be flat, depth %d", small.Depth())
 	}
-	big := NewTreeTopo(Hybrid, 0, ranksUpTo(100), 1, 1, 24, DefaultTopology())
+	big := NewTreeTopo(Hybrid, 0, ranksUpTo(100), 1, 1, 24, defaultTopology())
 	if big.Depth() <= 2 {
 		t.Fatalf("hybrid large set should be a binary tree, depth %d", big.Depth())
 	}

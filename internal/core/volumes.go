@@ -60,11 +60,12 @@ func (p *Plan) eachMessage(visit func(kind OpKind, src, dst int, bytes int64)) {
 			// its parent; reduction trees carry the same edge set upward, so
 			// byte counts per edge are identical — only the direction flips.
 			reduces := op.Kind == OpRowReduce || op.Kind == OpDiagReduce || op.Kind == OpColReduce
-			for _, r := range op.Tree.Participants() {
-				if r == op.Tree.Root {
+			parts := op.Tree.parts
+			for i, up := range op.Tree.up {
+				if up < 0 {
 					continue
 				}
-				if parent := op.Tree.Parent(r); reduces {
+				if r, parent := parts[i], parts[up]; reduces {
 					visit(op.Kind, r, parent, op.Bytes)
 				} else {
 					visit(op.Kind, parent, r, op.Bytes)

@@ -27,7 +27,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
@@ -174,34 +173,6 @@ func (b *builder) edge(from, to int32) {
 	b.nodes[to].deps++
 }
 
-// deliveries records, for one broadcast tree, the DAG node after which the
-// payload is present at each participant (aligned with the sorted
-// participant list).
-type deliveries struct {
-	ranks []int // sorted
-	nodes []int32
-}
-
-func newDeliveries(parts []int) *deliveries {
-	return &deliveries{ranks: parts, nodes: make([]int32, len(parts))}
-}
-
-func (d *deliveries) set(rank int, id int32) {
-	i := sort.SearchInts(d.ranks, rank)
-	if i == len(d.ranks) || d.ranks[i] != rank {
-		panic(fmt.Sprintf("netsim: rank %d not a participant", rank))
-	}
-	d.nodes[i] = id
-}
-
-func (d *deliveries) get(rank int) int32 {
-	i := sort.SearchInts(d.ranks, rank)
-	if i == len(d.ranks) || d.ranks[i] != rank {
-		panic(fmt.Sprintf("netsim: rank %d not a participant", rank))
-	}
-	return d.nodes[i]
-}
-
 // buildDAG mirrors internal/pselinv's two passes over the plan: per supernode,
 // each side the plan runs contributes the same block of nodes (pass-1
 // broadcast and TRSMs, cross-sends, broadcasts, GEMMs, reductions), read with
@@ -227,45 +198,50 @@ func buildDAG(plan *core.Plan) *builder {
 		return id
 	}
 	// bcastTree adds the messages of broadcast op, whose root holds the
-	// payload after node ready (-1: from the start), and returns the node
-	// after which each participant holds it. Every message also feeds sink
-	// when sink >= 0.
-	bcastTree := func(op *core.CollOp, ready, sink int32) *deliveries {
-		d := newDeliveries(op.Tree.Participants())
-		d.set(op.Tree.Root, ready)
+	// payload after node ready (-1: from the start), and returns, position by
+	// position (core.Tree.Pos), the node after which each participant holds
+	// it. Every message also feeds sink when sink >= 0.
+	bcastTree := func(op *core.CollOp, ready, sink int32) []int32 {
+		tr := op.Tree
+		d := make([]int32, tr.Size())
 		var walk func(rank int, after int32)
 		walk = func(rank int, after int32) {
-			for _, c := range op.Tree.Children(rank) {
+			for _, c := range tr.Children(rank) {
 				m := b.msg(rank, c, op.Bytes, int32(op.K))
 				if after >= 0 {
 					b.edge(after, m)
 				}
-				d.set(c, m)
+				d[tr.Pos(c)] = m
 				if sink >= 0 {
 					b.edge(m, sink)
 				}
 				walk(c, m)
 			}
 		}
-		walk(op.Tree.Root, ready)
+		d[tr.Pos(tr.Root)] = ready
+		walk(tr.Root, ready)
 		return d
 	}
-	// reduceTree adds one completion node per participant of reduction op and
-	// the messages that carry each partial sum to its parent's completion.
-	reduceTree := func(op *core.CollOp) *deliveries {
-		d := newDeliveries(op.Tree.Participants())
-		for i := range d.nodes {
-			d.nodes[i] = b.virtual(int32(op.K))
+	// reduceTree adds one completion node per participant of reduction op
+	// (by position) and the messages that carry each partial sum to its
+	// parent's completion.
+	reduceTree := func(op *core.CollOp) []int32 {
+		parts := op.Tree.Participants()
+		d := make([]int32, len(parts))
+		for i := range d {
+			d[i] = b.virtual(int32(op.K))
 		}
-		for _, r := range d.ranks {
-			if r != op.Tree.Root {
-				m := b.msg(r, op.Tree.Parent(r), op.Bytes, int32(op.K))
-				b.edge(d.get(r), m)
-				b.edge(m, d.get(op.Tree.Parent(r)))
+		for i, up := range op.Tree.Parents() {
+			if up >= 0 {
+				m := b.msg(parts[i], parts[up], op.Bytes, int32(op.K))
+				b.edge(d[i], m)
+				b.edge(m, d[up])
 			}
 		}
 		return d
 	}
+	// at reads a collective's per-position nodes at rank.
+	at := func(d []int32, op *core.CollOp, rank int) int32 { return d[op.Tree.Pos(rank)] }
 
 	for _, sp := range plan.Snodes {
 		k := sp.K
@@ -289,14 +265,14 @@ func buildDAG(plan *core.Plan) *builder {
 			for _, i := range sp.C {
 				o := owner(i, k)
 				t := b.compute(o, dense.TrsmFlops(part.Width(k), part.Width(i)), prio)
-				if dep := avail.get(o); dep >= 0 {
+				if dep := at(avail, ops.DiagBcast, o); dep >= 0 {
 					b.edge(dep, t)
 				}
 				b.edge(t, barrier)
 			}
 			// ---- Pass 2. The cross-send (a hand-off when both ends are one
 			// rank) roots the broadcast of block sp.C[x].
-			bcast := make([]*deliveries, len(sp.C))
+			bcast := make([][]int32, len(sp.C))
 			crossed[s] = make([]int32, len(sp.C))
 			for x := range sp.C {
 				po := &ops.Cross[x]
@@ -312,7 +288,7 @@ func buildDAG(plan *core.Plan) *builder {
 			}
 			// GEMMs feed the reduction of their block row (lower) / column
 			// (upper), whose root finalizes A⁻¹ at (J,K).
-			red := make([]*deliveries, len(sp.C))
+			red := make([][]int32, len(sp.C))
 			for x := range sp.C {
 				red[x] = reduceTree(&ops.Reduces[x])
 			}
@@ -320,13 +296,13 @@ func buildDAG(plan *core.Plan) *builder {
 				for xj, j := range sp.C {
 					o := owner(j, i)
 					g := b.compute(o, dense.GemmFlops(part.Width(j), part.Width(k), part.Width(i)), prio)
-					b.edge(bcast[xi].get(o), g)
+					b.edge(at(bcast[xi], &ops.Bcasts[xi], o), g)
 					b.edge(finAt(j, i), g)
-					b.edge(g, red[xj].get(o))
+					b.edge(g, at(red[xj], &ops.Reduces[xj], o))
 				}
 			}
 			for x, j := range sp.C {
-				b.edge(red[x].get(ops.Reduces[x].Tree.Root), finAt(j, k))
+				b.edge(at(red[x], &ops.Reduces[x], ops.Reduces[x].Tree.Root), finAt(j, k))
 			}
 		}
 		for x, j := range sp.C {
@@ -351,10 +327,10 @@ func buildDAG(plan *core.Plan) *builder {
 			if !plan.Symmetric {
 				b.edge(crossed[core.Upper][x], t)
 			}
-			b.edge(t, ddone.get(root))
+			b.edge(t, at(ddone, sp.DiagReduce, root))
 		}
 		inv := b.compute(sp.DiagReduce.Tree.Root, cube(k), prio)
-		b.edge(ddone.get(sp.DiagReduce.Tree.Root), inv)
+		b.edge(at(ddone, sp.DiagReduce, sp.DiagReduce.Tree.Root), inv)
 		b.edge(inv, finOf(k, k))
 	}
 	return b
