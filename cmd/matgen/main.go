@@ -38,6 +38,12 @@ var (
 
 func main() {
 	flag.Parse()
+	for _, name := range []string{"nx", "ny", "nz", "dofs", "n"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			fmt.Fprintf(os.Stderr, "matgen: -%s %d is negative\n", name, v)
+			os.Exit(2)
+		}
+	}
 	switch {
 	case *flagList:
 		fmt.Println(`generators:

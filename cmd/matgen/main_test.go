@@ -37,3 +37,24 @@ func TestAnalyzeEmptyMatrixFails(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeExtentIsUsageError: a negative -nx/-ny/-nz/-dofs/-n exits 2
+// naming the flag; the generators used to panic on it ("makeslice: len out
+// of range", "sparse: missing diagonal at column 0").
+func TestNegativeExtentIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-matrix", "grid2d", "-nx", "-1"},
+		{"-matrix", "fe3d", "-nz", "-3"},
+		{"-matrix", "dg2d", "-dofs", "-2"},
+		{"-matrix", "banded", "-n", "-4"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "MATGEN_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "is negative") ||
+			strings.Contains(string(out), "panic") {
+			t.Errorf("matgen %v: %v, output:\n%s", args, err, out)
+		}
+	}
+}

@@ -45,6 +45,16 @@ var (
 
 func main() {
 	flag.Parse()
+	if *flagProcs < 1 {
+		fmt.Fprintf(os.Stderr, "pexsi: -procs %d: need at least 1 rank\n", *flagProcs)
+		os.Exit(2)
+	}
+	for _, name := range []string{"nx", "ny", "dofs"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			fmt.Fprintf(os.Stderr, "pexsi: -%s %d is negative\n", name, v)
+			os.Exit(2)
+		}
+	}
 	var h *sparse.Generated
 	if *flagDofs > 1 {
 		h = sparse.DG2D(*flagNX, *flagNY, *flagDofs, *flagSeed)

@@ -117,6 +117,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pselinv: -procs %d: need at least 1 rank\n", *flagProcs)
 		os.Exit(2)
 	}
+	for _, name := range []string{"nx", "ny", "nz", "dofs", "n"} {
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			fmt.Fprintf(os.Stderr, "pselinv: -%s %d is negative\n", name, v)
+			os.Exit(2)
+		}
+	}
 	m := buildMatrix()
 	if *flagAsym {
 		m.Asymmetrize(*flagSeed+99, 0.6)

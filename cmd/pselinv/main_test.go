@@ -1,0 +1,40 @@
+package main
+
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain runs the command itself instead of the tests when
+// PSELINV_RUN_MAIN is set, so that a test can re-execute the test binary as
+// pselinv and check how it exits.
+func TestMain(m *testing.M) {
+	if os.Getenv("PSELINV_RUN_MAIN") != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestNegativeExtentIsUsageError: a negative generator extent exits 2
+// naming the flag, as -procs 0 does; the generators used to panic on it.
+func TestNegativeExtentIsUsageError(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nx", "-2"},
+		{"-matrix", "grid3d", "-nz", "-1"},
+		{"-matrix", "dg2d", "-dofs", "-3"},
+		{"-matrix", "banded", "-n", "-5"},
+	} {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "PSELINV_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "is negative") ||
+			strings.Contains(string(out), "panic") {
+			t.Errorf("pselinv %v: %v, output:\n%s", args, err, out)
+		}
+	}
+}

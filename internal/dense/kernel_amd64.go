@@ -7,7 +7,7 @@ package dense
 var hasAsmKernel = detectAVX2FMA()
 
 //go:noescape
-func dgemmKernel8x4(kc int64, alpha float64, a, b, c *float64, ldc int64)
+func dgemmKernel8x4(kc int64, alpha float64, a *float64, as int64, b *float64, bk, bj int64, c *float64, ldc int64)
 
 //go:noescape
 func pack1MStrip(n int64, src *float64, ld int64, dst *float64)
@@ -42,14 +42,18 @@ func detectAVX2FMA() bool {
 	return ebx7&avx2 != 0
 }
 
-// microKernel computes c[i+j*ldc] += alpha * Σ_p a[p*mr+i]*b[p*nr+j] for a
-// full mr×nr tile from packed panels.
-func microKernel(kc int, alpha float64, a, b, c []float64, ldc int) {
+// microKernel computes c[i+j*ldc] += alpha * Σ_p a[p*as+i]*b[p*bk+j*bj] for
+// a full mr×nr tile (see microKernelGo).
+func microKernel(kc int, alpha float64, a []float64, as int, b []float64, bk, bj int, c []float64, ldc int) {
 	if hasAsmKernel {
-		dgemmKernel8x4(int64(kc), alpha, &a[0], &b[0], &c[0], int64(ldc))
+		if kc > 0 {
+			_, _ = a[(kc-1)*as+mr-1], b[(kc-1)*bk+(nr-1)*bj]
+		}
+		_ = c[(nr-1)*ldc+mr-1]
+		dgemmKernel8x4(int64(kc), alpha, &a[0], int64(as), &b[0], int64(bk), int64(bj), &c[0], int64(ldc))
 		return
 	}
-	microKernelGo(kc, alpha, a, b, c, ldc)
+	microKernelGo(kc, alpha, a, as, b, bk, bj, c, ldc)
 }
 
 // pack1M is pack1MGo, in assembly where the machine runs it.

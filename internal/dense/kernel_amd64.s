@@ -1,20 +1,28 @@
 // AVX2+FMA micro-kernel for the blocked GEMM. The hot loop computes an
-// 8×4 block of C from packed panels of A (8-row strips, k-major) and B
-// (4-column strips, k-major): 8 FMAs per k step over 8 independent ymm
-// accumulators, 32 flops per iteration.
+// 8×4 block of C from an 8-row strip of A and a 4-column strip of B, each
+// read through strides, so a packed panel and an operand in place are the
+// same loop: 8 FMAs per k step over 8 independent ymm accumulators, 32
+// flops per iteration.
 
 #include "textflag.h"
 
-// func dgemmKernel8x4(kc int64, alpha float64, a, b, c *float64, ldc int64)
+// func dgemmKernel8x4(kc int64, alpha float64, a *float64, as int64, b *float64, bk, bj int64, c *float64, ldc int64)
 //
-// c[i + j*ldc] += alpha * Σ_p a[p*8+i] * b[p*4+j]   for i<8, j<4.
-// ldc is in elements. kc may be zero.
-TEXT ·dgemmKernel8x4(SB), NOSPLIT, $0-48
+// c[i + j*ldc] += alpha * Σ_p a[p*as+i] * b[p*bk+j*bj]   for i<8, j<4.
+// Strides are in elements. kc may be zero.
+TEXT ·dgemmKernel8x4(SB), NOSPLIT, $0-72
 	MOVQ kc+0(FP), CX
 	MOVQ a+16(FP), SI
-	MOVQ b+24(FP), DI
-	MOVQ c+32(FP), DX
-	MOVQ ldc+40(FP), R8
+	MOVQ as+24(FP), R9
+	SHLQ $3, R9 // as in bytes
+	MOVQ b+32(FP), DI
+	MOVQ bk+40(FP), R10
+	SHLQ $3, R10 // bk in bytes
+	MOVQ bj+48(FP), R11
+	SHLQ $3, R11 // bj in bytes
+	LEAQ (R11)(R11*2), R12 // 3·bj in bytes
+	MOVQ c+56(FP), DX
+	MOVQ ldc+64(FP), R8
 	SHLQ $3, R8 // ldc in bytes
 
 	VXORPD Y4, Y4, Y4
@@ -34,21 +42,21 @@ loop:
 	VMOVUPD 32(SI), Y1 // a[4:8]
 
 	VBROADCASTSD (DI), Y2
-	VBROADCASTSD 8(DI), Y3
+	VBROADCASTSD (DI)(R11*1), Y3
 	VFMADD231PD  Y0, Y2, Y4
 	VFMADD231PD  Y1, Y2, Y5
 	VFMADD231PD  Y0, Y3, Y6
 	VFMADD231PD  Y1, Y3, Y7
 
-	VBROADCASTSD 16(DI), Y2
-	VBROADCASTSD 24(DI), Y3
+	VBROADCASTSD (DI)(R11*2), Y2
+	VBROADCASTSD (DI)(R12*1), Y3
 	VFMADD231PD  Y0, Y2, Y8
 	VFMADD231PD  Y1, Y2, Y9
 	VFMADD231PD  Y0, Y3, Y10
 	VFMADD231PD  Y1, Y3, Y11
 
-	ADDQ $64, SI
-	ADDQ $32, DI
+	ADDQ R9, SI
+	ADDQ R10, DI
 	DECQ CX
 	JNZ  loop
 

@@ -1,33 +1,36 @@
 package dense
 
 // Micro-tile dimensions shared by the packing code and both kernel
-// implementations: the kernel consumes mr-row strips of packed A and
-// nr-column strips of packed B.
+// implementations: the kernel consumes mr-row strips of A and nr-column
+// strips of B.
 const (
 	mr = 8
 	nr = 4
 )
 
-// microKernelGo is the portable register-tiled kernel: an mr×nr accumulator
-// tile updated with one rank-1 step per k iteration. It is the fallback for
-// machines without the assembly kernel and the reference for testing it.
-func microKernelGo(kc int, alpha float64, a, b, c []float64, ldc int) {
+// microKernelGo is the portable register-tiled kernel, c[i+j*ldc] += alpha ·
+// Σ_p a[p*as+i]·b[p*bk+j*bj] over an mr×nr tile: a packed panel (as = mr,
+// bk = nr, bj = 1) and an operand in place differ only in the strides. It is
+// the fallback for machines without the assembly kernel and the reference
+// for testing it; where the compiler does not fuse a multiply-add (amd64
+// before v3) its roundings differ from the assembly's FMAs.
+func microKernelGo(kc int, alpha float64, a []float64, as int, b []float64, bk, bj int, c []float64, ldc int) {
 	var acc [mr * nr]float64
 	for p := 0; p < kc; p++ {
-		ap := a[p*mr : p*mr+mr : p*mr+mr]
-		bp := b[p*nr : p*nr+nr : p*nr+nr]
+		ap := a[p*as : p*as+mr : p*as+mr]
+		bp := b[p*bk:]
 		for j := 0; j < nr; j++ {
-			bj := bp[j]
+			bv := bp[j*bj]
 			aj := acc[j*mr : j*mr+mr : j*mr+mr]
-			for i := 0; i < mr; i++ {
-				aj[i] += ap[i] * bj
+			for i := range aj {
+				aj[i] += ap[i] * bv
 			}
 		}
 	}
 	for j := 0; j < nr; j++ {
 		cj := c[j*ldc : j*ldc+mr : j*ldc+mr]
 		aj := acc[j*mr : j*mr+mr : j*mr+mr]
-		for i := 0; i < mr; i++ {
+		for i := range cj {
 			cj[i] += alpha * aj[i]
 		}
 	}

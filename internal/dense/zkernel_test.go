@@ -82,8 +82,8 @@ func TestZGemmTransposeParity(t *testing.T) {
 		return m, opm
 	}
 	for _, sh := range [][3]int{
-		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {5, 7, 3}, {9, 1, 13}, // naive
-		{7, 5, 9}, {5, 7, 11}, {9, 6, 31}, // 1M edge tiles
+		{0, 3, 4}, {3, 0, 4}, {3, 4, 0}, {1, 1, 1}, {9, 1, 13}, // naive
+		{5, 7, 3}, {7, 5, 9}, {5, 7, 11}, {9, 6, 31}, // 1M edge tiles
 		{28, 28, 44}, {12, 48, 48}, {4, 48, 48}, {44, 12, 28}, // engine shapes
 		{65, 5, 129}, {67, 1, 131}, {131, 9, 263}, // across blockMC, blockKC
 	} {
@@ -149,7 +149,8 @@ func TestPack1MMatchesGo(t *testing.T) {
 }
 
 // TestZGemmSteadyStateAllocs: a warm complex Gemm draws its pack buffers
-// from the arena and allocates nothing, as the real one does.
+// from the arena and allocates nothing, as the real one does — for A as
+// stored and transposed, both packed strip by strip into its 1M image.
 func TestZGemmSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -158,10 +159,10 @@ func TestZGemmSteadyStateAllocs(t *testing.T) {
 	for _, tr := range []Trans{NoTrans, DoTrans} {
 		a, b := randZMat(rng, 28, 44), randZMat(rng, 44, 28)
 		if tr == DoTrans {
-			a, b = b, a
+			a = randZMat(rng, 44, 28)
 		}
 		c := NewMatrixElem(28, 28, Complex)
-		gemm := func() { Gemm(tr, tr, 1, a, b, 1, c) }
+		gemm := func() { Gemm(tr, NoTrans, 1, a, b, 1, c) }
 		gemm()
 		if n := testing.AllocsPerRun(20, gemm); n != 0 {
 			t.Errorf("trans=%v: %.1f allocations per complex Gemm, want 0", tr, n)
@@ -199,43 +200,53 @@ func TestZGemmShapeCheckUsesEffectiveDims(t *testing.T) {
 }
 
 // TestZTrsmAllVariants solves against a well-conditioned complex triangular
-// factor in every side/triangle/diagonal variant and checks the residual of
-// the defining equation (Left: T·X = B, Right: X·T = B) with the factor
-// made explicit — unit diagonal written out, other triangle zero.
+// factor in every side/triangle/transpose/diagonal variant and checks the
+// residual of the defining equation (Left: op(T)·X = B, Right: X·op(T) = B)
+// with the factor made explicit — unit diagonal written out, other triangle
+// zero — and multiplied by the interleaved oracle, which shares no loop with
+// the solve. The orders lie below (9) and across (48, 97) the recursion's
+// splits; the residual bound, 1e-12 at n = 9, grows linearly with n.
 func TestZTrsmAllVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	const n, m = 9, 5
-	for _, side := range []Side{Left, Right} {
-		for _, uplo := range []UpLo{Lower, Upper} {
-			for _, diag := range []Diag{Unit, NonUnit} {
-				packed := randZMat(rng, n, n)
-				tri := NewMatrixElem(n, n, Complex)
-				for j := 0; j < n; j++ {
-					packed.ZSet(j, j, packed.ZAt(j, j)+complex(float64(n), 0))
-					for i := 0; i < n; i++ {
-						switch {
-						case i == j && diag == Unit:
-							tri.ZSet(i, j, 1)
-						case i == j || (i > j) == (uplo == Lower):
-							tri.ZSet(i, j, packed.ZAt(i, j))
+	for _, n := range []int{9, 48, 97} {
+		for _, m := range []int{1, 7, 40} {
+			for _, side := range []Side{Left, Right} {
+				for _, uplo := range []UpLo{Lower, Upper} {
+					for _, tt := range []Trans{NoTrans, DoTrans} {
+						for _, diag := range []Diag{Unit, NonUnit} {
+							packed := randZMat(rng, n, n)
+							packed.Scale(1 / float64(n))
+							tri := NewMatrixElem(n, n, Complex)
+							for j := 0; j < n; j++ {
+								packed.ZSet(j, j, complex(2+rng.Float64(), rng.Float64()))
+								for i := 0; i < n; i++ {
+									switch {
+									case i == j && diag == Unit:
+										tri.ZSet(i, j, 1)
+									case i == j || (i > j) == (uplo == Lower):
+										tri.ZSet(i, j, packed.ZAt(i, j))
+									}
+								}
+							}
+							rows, cols := n, m
+							if side == Right {
+								rows, cols = m, n
+							}
+							b := randZMat(rng, rows, cols)
+							x := b.Clone()
+							Trsm(side, uplo, tt, diag, packed, x)
+							back := NewMatrixElem(rows, cols, Complex)
+							if side == Left {
+								zGemmNaive(tt, NoTrans, 1, tri, x, back)
+							} else {
+								zGemmNaive(NoTrans, tt, 1, x, tri, back)
+							}
+							if d := back.MaxAbsDiff(b); d > 1e-13*float64(n+1) {
+								t.Errorf("n=%d rhs=%d side=%v uplo=%v trans=%v diag=%v: residual %g",
+									n, m, side, uplo, tt, diag, d)
+							}
 						}
 					}
-				}
-				rows, cols := n, m
-				if side == Right {
-					rows, cols = m, n
-				}
-				b := randZMat(rng, rows, cols)
-				x := b.Clone()
-				Trsm(side, uplo, NoTrans, diag, packed, x)
-				back := NewMatrixElem(rows, cols, Complex)
-				if side == Left {
-					Gemm(NoTrans, NoTrans, 1, tri, x, 0, back)
-				} else {
-					Gemm(NoTrans, NoTrans, 1, x, tri, 0, back)
-				}
-				if d := back.MaxAbsDiff(b); d > 1e-12 {
-					t.Errorf("side=%v uplo=%v diag=%v: residual %g", side, uplo, diag, d)
 				}
 			}
 		}
