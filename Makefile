@@ -119,7 +119,7 @@ BALANCER_OBS_OUT ?= obs-balancers
 balancer-smoke:
 	$(GO) test -race -count=1 -run Balancer \
 		./internal/core/ ./internal/pselinv/ ./internal/server/
-	for b in cyclic nnz work subtree; do \
+	for b in cyclic work; do \
 		$(GO) run ./cmd/commvol -obs -quick -pr 4 -obs-out $(BALANCER_OBS_OUT)/$$b \
 			-balancer $$b -schemes shifted || exit 1; \
 	done
@@ -144,8 +144,8 @@ tables:
 
 # The scheme × balancer sweep behind EXPERIMENTS.md "Comparing tree schemes
 # and balancers": every cell's exact plan counts next to its simulated
-# makespan, written to BENCH_width.json (≈20 min on 2 vCPUs; QUICK=1 runs
-# one P and one seed into width-quick.json in ≈5 min).
+# makespan, written to BENCH_width.json (≈8 min and ≈3 GB on 2 vCPUs;
+# QUICK=1 runs one P and one seed into width-quick.json in ≈2 min).
 width:
 	$(GO) run ./cmd/scaling -width $(if $(QUICK),-quick -width-out width-quick.json)
 

@@ -347,7 +347,6 @@ func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, balancer co
 			CoresPerNode: *flagCPN,
 			Balancer:     balancer.Slug(),
 			TimeoutSec:   flagTimeout.Seconds(),
-			ChaosEnabled: *flagChaos != 0,
 			ChaosSeed:    *flagChaos,
 		}, schemes, nil)
 		if err != nil {

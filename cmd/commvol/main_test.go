@@ -178,3 +178,17 @@ func TestBadGridIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestRetiredBalancerIsUsageError: the retired nnz and subtree balancers
+// exit 2 naming the valid slugs.
+func TestRetiredBalancerIsUsageError(t *testing.T) {
+	for _, bal := range []string{"nnz", "subtree"} {
+		cmd := exec.Command(os.Args[0], "-table1", "-quick", "-balancer", bal)
+		cmd.Env = append(os.Environ(), "COMMVOL_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "(valid: cyclic|work)") {
+			t.Errorf("commvol -balancer %s: %v, output:\n%s", bal, err, out)
+		}
+	}
+}

@@ -46,15 +46,17 @@ var (
 func main() {
 	flag.Parse()
 	if *flagProcs < 1 {
-		fmt.Fprintf(os.Stderr, "pexsi: -procs %d: need at least 1 rank\n", *flagProcs)
-		os.Exit(2)
+		usage(fmt.Errorf("-procs %d: need at least 1 rank", *flagProcs))
 	}
 	for _, name := range []string{"nx", "ny", "dofs"} {
 		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
-			fmt.Fprintf(os.Stderr, "pexsi: -%s %d is negative\n", name, v)
-			os.Exit(2)
+			usage(fmt.Errorf("-%s %d is negative", name, v))
 		}
 	}
+	scheme, err := core.ParseScheme(*flagScheme)
+	usage(err)
+	balancer, err := core.ParseBalancer(*flagBalancer)
+	usage(err)
 	var h *sparse.Generated
 	if *flagDofs > 1 {
 		h = sparse.DG2D(*flagNX, *flagNY, *flagDofs, *flagSeed)
@@ -63,10 +65,6 @@ func main() {
 	}
 	fmt.Printf("Hamiltonian %s: n=%d nnz=%d\n", h.Name, h.A.N, h.A.NNZ())
 
-	scheme, err := core.ParseScheme(strings.ToLower(*flagScheme))
-	check(err)
-	balancer, err := core.ParseBalancer(strings.ToLower(*flagBalancer))
-	check(err)
 	poles, err := pexsi.MatsubaraPoles(*flagPoles, *flagBeta, *flagMu)
 	check(err)
 
@@ -115,6 +113,13 @@ func summarize(xs []float64) (lo, hi, sum float64) {
 		sum += x
 	}
 	return lo, hi, sum
+}
+
+func usage(err error) {
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "pexsi:", err)
+		os.Exit(2)
+	}
 }
 
 func check(err error) {

@@ -19,7 +19,8 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestBadSizeIsUsageError: a negative extent and a rank count below one
+// TestBadSizeIsUsageError: a negative extent, a rank count below one and
+// an unknown scheme or balancer (the retired nnz and subtree included)
 // exit 2 with a message. The generators used to panic on the first, and
 // -procs -2 ran serially, reporting "16 poles × -2 ranks".
 func TestBadSizeIsUsageError(t *testing.T) {
@@ -31,6 +32,9 @@ func TestBadSizeIsUsageError(t *testing.T) {
 		{[]string{"-dofs", "-2"}, "-dofs -2 is negative"},
 		{[]string{"-procs", "-2"}, "need at least 1 rank"},
 		{[]string{"-procs", "0", "-batch"}, "need at least 1 rank"},
+		{[]string{"-balancer", "nnz"}, "(valid: cyclic|work)"},
+		{[]string{"-balancer", "subtree", "-batch"}, "(valid: cyclic|work)"},
+		{[]string{"-scheme", "fibonacci"}, "unknown scheme"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "PEXSI_RUN_MAIN=1")

@@ -6,6 +6,9 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
+
+	"pselinv/internal/core"
+	"pselinv/internal/exp"
 )
 
 // TestMain runs the command itself instead of the tests when
@@ -33,4 +36,18 @@ func TestSeedsBelowOneIsUsageError(t *testing.T) {
 			t.Errorf("scaling %v: %v, output:\n%s", args, err, out)
 		}
 	}
+}
+
+// TestReportOneSeed: with -seeds 1 every point's std is zero, and the
+// Figure 8 summary used to panic averaging an empty list of std ratios.
+func TestReportOneSeed(t *testing.T) {
+	ps := []int{64, 1024}
+	byP := map[int]map[core.Scheme]*exp.ScalingPoint{}
+	for _, p := range ps {
+		byP[p] = map[core.Scheme]*exp.ScalingPoint{
+			core.FlatTree:          {P: p, Scheme: core.FlatTree, Mean: 2},
+			core.ShiftedBinaryTree: {P: p, Scheme: core.ShiftedBinaryTree, Mean: 1},
+		}
+	}
+	report(byP, ps)
 }

@@ -2,9 +2,8 @@
 // the communication side (the shifted trees rotate forwarding duty); this
 // file attacks the mapping side: which rank owns which supernode in the
 // first place. Following symPACK's LoadBalancer hierarchy, the block-cyclic
-// default becomes one strategy among several — nonzero-weighted and
-// flop-weighted greedy bin packing, and elimination-subtree partitioning —
-// each producing an explicit procgrid.Map consumed by the plan builder.
+// default is one strategy beside flop-weighted greedy bin packing, each
+// producing an explicit procgrid.Map consumed by the plan builder.
 //
 // Every balancer assigns whole block-rows to grid rows and whole
 // block-columns to grid columns (the factored form procgrid.Map enforces):
@@ -33,28 +32,17 @@ const (
 	// The default, and the bit-compatible baseline every other balancer
 	// is checked against.
 	CyclicBalancer Balancer = iota
-	// NNZBalancer assigns supernodes greedily, heaviest first, to the
+	// WorkBalancer assigns supernodes greedily, heaviest first, to the
 	// least-loaded grid row/column, weighting each supernode by its
-	// factor nonzero count (symPACK's NNZ strategy).
-	NNZBalancer
-	// WorkBalancer is the same greedy assignment weighted by estimated
-	// selected-inversion flops (TRSM + GEMM + diagonal inversion) instead
-	// of storage.
+	// estimated selected-inversion flops (TRSM + GEMM + diagonal
+	// inversion).
 	WorkBalancer
-	// SubtreeBalancer partitions the postordered elimination tree into
-	// contiguous supernode ranges of near-equal work, one range per grid
-	// row/column, keeping elimination subtrees local to a rank (the
-	// tree-aware strategy of the left-looking task-parallelism line of
-	// work).
-	SubtreeBalancer
 )
 
 // balancerNames holds each balancer's name and slug.
 var balancerNames = [...][2]string{
-	CyclicBalancer:  {"Cyclic", "cyclic"},
-	NNZBalancer:     {"NNZ-Greedy", "nnz"},
-	WorkBalancer:    {"Work-Greedy", "work"},
-	SubtreeBalancer: {"Subtree", "subtree"},
+	CyclicBalancer: {"Cyclic", "cyclic"},
+	WorkBalancer:   {"Work-Greedy", "work"},
 }
 
 // String names the balancer.
@@ -78,7 +66,7 @@ func (b Balancer) Slug() string {
 // tests range over it so a new enum value cannot silently miss a switch
 // arm.
 func AllBalancers() []Balancer {
-	return []Balancer{CyclicBalancer, NNZBalancer, WorkBalancer, SubtreeBalancer}
+	return []Balancer{CyclicBalancer, WorkBalancer}
 }
 
 // BalancerSlugs lists the flag-facing names of every balancer.
@@ -134,19 +122,15 @@ func forEachBlockLoad(bp *etree.BlockPattern, fn func(i, j int, flops, nnz int64
 	}
 }
 
-// blockWeights accumulates forEachBlockLoad into per-supernode row and
-// column weights, selecting flops or nnz as the weight kind.
-func blockWeights(bp *etree.BlockPattern, byNNZ bool) (rowW, colW []float64) {
+// blockWeights accumulates forEachBlockLoad's flops into per-supernode row
+// and column weights.
+func blockWeights(bp *etree.BlockPattern) (rowW, colW []float64) {
 	ns := bp.NumSnodes()
 	rowW = make([]float64, ns)
 	colW = make([]float64, ns)
-	forEachBlockLoad(bp, func(i, j int, flops, nnz int64) {
-		w := float64(flops)
-		if byNNZ {
-			w = float64(nnz)
-		}
-		rowW[i] += w
-		colW[j] += w
+	forEachBlockLoad(bp, func(i, j int, flops, _ int64) {
+		rowW[i] += float64(flops)
+		colW[j] += float64(flops)
 	})
 	return rowW, colW
 }
@@ -178,38 +162,6 @@ func greedyAssign(weights []float64, nbins int) []int {
 	return out
 }
 
-// contiguousAssign splits the postordered supernode range [0, ns) into
-// nbins contiguous chunks of near-equal cumulative weight, chunk c →
-// bin c. Supernode indices are a postorder of the elimination tree
-// (SnParent[k] > k always), so every contiguous range is a union of whole
-// subtrees plus a path fringe — keeping subtrees rank-local is exactly the
-// contiguity of this split.
-func contiguousAssign(weights []float64, nbins int) []int {
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	out := make([]int, len(weights))
-	acc, bin, count := 0.0, 0, 0
-	for k, w := range weights {
-		// Advance to the next bin when the running total passes this
-		// bin's share — but only past a non-empty bin (never skip one),
-		// and force the advance when the supernodes left are exactly
-		// enough to populate the bins left, so no trailing grid row or
-		// column ends up owning nothing whenever nbins ≤ len(weights).
-		left := len(weights) - k // unplaced supernodes, this one included
-		if bin < nbins-1 && count > 0 &&
-			(left <= nbins-1-bin || acc+w/2 > total*float64(bin+1)/float64(nbins)) {
-			bin++
-			count = 0
-		}
-		out[k] = bin
-		count++
-		acc += w
-	}
-	return out
-}
-
 // assign produces the owner map for the pattern on the grid. The result is
 // deterministic in (b, bp, grid).
 func (b Balancer) assign(bp *etree.BlockPattern, grid *procgrid.Grid) *procgrid.Map {
@@ -217,19 +169,12 @@ func (b Balancer) assign(bp *etree.BlockPattern, grid *procgrid.Grid) *procgrid.
 	switch b {
 	case CyclicBalancer:
 		return procgrid.Cyclic(grid, ns)
-	case NNZBalancer, WorkBalancer:
-		rowW, colW := blockWeights(bp, b == NNZBalancer)
+	case WorkBalancer:
+		rowW, colW := blockWeights(bp)
 		return &procgrid.Map{
 			Grid:  grid,
 			RowOf: greedyAssign(rowW, grid.Pr),
 			ColOf: greedyAssign(colW, grid.Pc),
-		}
-	case SubtreeBalancer:
-		rowW, colW := blockWeights(bp, false)
-		return &procgrid.Map{
-			Grid:  grid,
-			RowOf: contiguousAssign(rowW, grid.Pr),
-			ColOf: contiguousAssign(colW, grid.Pc),
 		}
 	}
 	panic(fmt.Sprintf("core: unknown balancer %d", int(b)))

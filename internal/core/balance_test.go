@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -12,8 +13,9 @@ import (
 
 // TestBalancerNamesAndParse pins the flag/request contract: every constant
 // has a distinct String and slug, the slug round-trips through
-// ParseBalancer (case-insensitively), and an unknown slug is rejected with
-// a message listing every valid one — the same contract ParseScheme keeps.
+// ParseBalancer (case-insensitively), and an unknown slug — including the
+// retired nnz and subtree — is rejected with a message listing every valid
+// one, the same contract ParseScheme keeps.
 func TestBalancerNamesAndParse(t *testing.T) {
 	seenString := map[string]bool{}
 	seenSlug := map[string]bool{}
@@ -36,17 +38,17 @@ func TestBalancerNamesAndParse(t *testing.T) {
 			t.Fatalf("ParseBalancer of noisy %q = %v, %v; want %v", slug, got, err, b)
 		}
 	}
-	_, err := ParseBalancer("zigzag")
-	if err == nil {
-		t.Fatal("unknown slug accepted")
-	}
-	for _, slug := range BalancerSlugs() {
-		if !strings.Contains(err.Error(), slug) {
-			t.Fatalf("error %q does not list valid slug %q", err, slug)
+	for _, bad := range []string{"zigzag", "nnz", "subtree"} {
+		_, err := ParseBalancer(bad)
+		if err == nil {
+			t.Fatalf("unknown slug %q accepted", bad)
 		}
-	}
-	if !strings.Contains(err.Error(), "zigzag") {
-		t.Fatalf("error %q does not name the rejected input", err)
+		if !strings.Contains(err.Error(), "(valid: cyclic|work)") {
+			t.Fatalf("error %q does not list the valid slugs cyclic|work", err)
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(bad)) {
+			t.Fatalf("error %q does not name the rejected input", err)
+		}
 	}
 }
 
@@ -182,40 +184,6 @@ func TestGreedyAssignDeterministic(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if a[i] != i {
 			t.Fatalf("heavy item %d in bin %d, want %d (%v)", i, a[i], i, a)
-		}
-	}
-}
-
-// TestContiguousAssignCoversAllBins checks the subtree split never strands
-// a trailing bin when there are at least as many supernodes as bins, and
-// that bin indices are nondecreasing (contiguity).
-func TestContiguousAssignCoversAllBins(t *testing.T) {
-	for _, tc := range []struct {
-		weights []float64
-		nbins   int
-	}{
-		{[]float64{1, 1, 1, 1, 1, 1}, 3},
-		{[]float64{100, 1, 1, 1}, 4},
-		{[]float64{1, 1, 1, 100}, 4},
-		{[]float64{5}, 1},
-		{[]float64{0, 0, 0, 0}, 2},
-	} {
-		got := contiguousAssign(tc.weights, tc.nbins)
-		used := map[int]bool{}
-		prev := 0
-		for k, b := range got {
-			if b < 0 || b >= tc.nbins {
-				t.Fatalf("%v/%d: bin %d out of range", tc.weights, tc.nbins, b)
-			}
-			if b < prev {
-				t.Fatalf("%v/%d: bins not monotone: %v", tc.weights, tc.nbins, got)
-			}
-			prev = b
-			used[b] = true
-			_ = k
-		}
-		if len(tc.weights) >= tc.nbins && len(used) != tc.nbins {
-			t.Fatalf("%v/%d: only %d bins used: %v", tc.weights, tc.nbins, len(used), got)
 		}
 	}
 }

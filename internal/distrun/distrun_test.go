@@ -208,7 +208,6 @@ func TestDistributedChaosMatchesInProcess(t *testing.T) {
 	}
 	gen, spec := testProblem()
 	spec.PR, spec.PC = 2, 2 // square grid: row-reduce traffic is nonzero
-	spec.ChaosEnabled = true
 	spec.ChaosSeed = 7
 	schemes := []core.Scheme{core.BinaryTree}
 
@@ -244,14 +243,16 @@ func TestCrossBackendBalancerEquivalence(t *testing.T) {
 // fail the launch with the slug-listing parse error, not hang the mesh.
 func TestDistributedRejectsUnknownBalancer(t *testing.T) {
 	gen, spec := testProblem()
-	spec.Balancer = "zigzag"
-	_, err := distrun.MeasureVolumes(gen, spec, []core.Scheme{core.FlatTree},
-		&distrun.Options{Stderr: testWriter{t}})
-	if err == nil {
-		t.Fatal("unknown balancer accepted")
-	}
-	if !strings.Contains(err.Error(), "zigzag") {
-		t.Fatalf("error does not name the bad slug: %v", err)
+	for _, bad := range []string{"zigzag", "nnz", "subtree"} {
+		spec.Balancer = bad
+		_, err := distrun.MeasureVolumes(gen, spec, []core.Scheme{core.FlatTree},
+			&distrun.Options{Stderr: testWriter{t}})
+		if err == nil {
+			t.Fatalf("unknown balancer %q accepted", bad)
+		}
+		if !strings.Contains(err.Error(), strconv.Quote(bad)) || !strings.Contains(err.Error(), "cyclic|work") {
+			t.Fatalf("error does not name the bad slug %q and the valid ones: %v", bad, err)
+		}
 	}
 }
 

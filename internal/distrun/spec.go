@@ -80,12 +80,11 @@ type Spec struct {
 	// rank checks its own share, and the launcher sums the counts.
 	SelfCheck bool `json:"self_check,omitempty"`
 
-	// ChaosEnabled installs the seeded chaos adversary (ChaosSeed) on
+	// ChaosSeed, when nonzero, installs the seeded chaos adversary on
 	// every worker's world. The adversary's decisions are pure functions
 	// of (seed, src, dst, link serial), so the perturbation is the same
 	// deterministic one the in-process backend applies.
-	ChaosEnabled bool   `json:"chaos_enabled,omitempty"`
-	ChaosSeed    uint64 `json:"chaos_seed,omitempty"`
+	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
 
 	// Obs turns on full observability in every worker: an obs collector on
 	// the engine whose epoch the mesh's handshake clock sync shares, and the

@@ -182,7 +182,7 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	}
 	world := simmpi.NewWorldOn(tr)
 	defer world.Close()
-	if spec.ChaosEnabled {
+	if spec.ChaosSeed != 0 {
 		chaos.Install(chaos.Config{Seed: spec.ChaosSeed}, world)
 	}
 

@@ -164,11 +164,6 @@ func ScalingAudikwStandin(seed int64) (*sparse.Generated, int, int) {
 	return g, 4, 24
 }
 
-// V073Factor models the PSelInv v0.7.3 reference line of Figure 8: the
-// previous release also used a Flat-Tree but lacked unrelated code
-// improvements of the new version, so it runs a constant factor slower.
-const V073Factor = 1.35
-
 // MeasureScaling simulates the plan at each processor count and scheme
 // with the given placement seeds. The task DAG is built once per
 // (P, scheme) and replayed across seeds.

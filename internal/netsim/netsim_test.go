@@ -188,18 +188,6 @@ func TestSingleRankNoTraffic(t *testing.T) {
 	}
 }
 
-func TestFactorizationReference(t *testing.T) {
-	p := DefaultParams()
-	t1 := FactorizationReference(1e12, 500, 64, p)
-	t2 := FactorizationReference(1e12, 500, 1024, p)
-	if t2 >= t1 {
-		t.Fatalf("factorization reference does not scale: P=64 %g, P=1024 %g", t1, t2)
-	}
-	if t1 <= 0 {
-		t.Fatal("non-positive reference time")
-	}
-}
-
 func BenchmarkSimulateGrid12P64(b *testing.B) {
 	bp := realPattern(b)
 	plan := core.NewPlan(bp, procgrid.New(8, 8), core.ShiftedBinaryTree, 1)

@@ -58,7 +58,7 @@ func skewedWorld(t *testing.T, skew []int64, clockErr int64, unc int64) []*obs.S
 	nc := len(simmpi.Classes())
 	snaps := make([]*obs.Snapshot, p)
 	for r := range snaps {
-		snaps[r] = &obs.Snapshot{P: p, Rank: r, Balancer: "nnz",
+		snaps[r] = &obs.Snapshot{P: p, Rank: r, Balancer: "work",
 			WallNS: 1_000_000, PlanFlops: int64(100 * (r + 1)), PlanNNZ: int64(10 * (r + 1))}
 	}
 	row := func(rows *[][]int64) []int64 {

@@ -224,7 +224,7 @@ type Request struct {
 	CoresPerNode int `json:"cores_per_node,omitempty"`
 	// Balancer selects the supernode→process mapping strategy (default
 	// cyclic); any slug from pselinv.BalancerSlugs is accepted:
-	// cyclic|nnz|work|subtree. The mapping changes the communication plan
+	// cyclic|work. The mapping changes the communication plan
 	// but never the computed values.
 	Balancer string `json:"balancer,omitempty"`
 	// Ordering selects the fill-reducing ordering: nd|natural|rcm|mmd.

@@ -254,25 +254,26 @@ func TestServeBalancers(t *testing.T) {
 			}
 		}
 	}
-	// An unknown balancer must 400 naming every valid slug.
-	body, err := json.Marshal(&Request{
-		Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Balancer: "zigzag",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := http.Post(ts.URL+"/v1/selinv", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(hr.Body)
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", hr.StatusCode)
-	}
-	for _, slug := range pselinv.BalancerSlugs() {
-		if !strings.Contains(string(msg), slug) {
-			t.Fatalf("error %q does not list valid balancer %q", msg, slug)
+	// An unknown balancer, the retired nnz and subtree included, must 400
+	// naming every valid slug.
+	for _, bad := range []string{"zigzag", "nnz", "subtree"} {
+		body, err := json.Marshal(&Request{
+			Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Balancer: bad,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.Post(ts.URL+"/v1/selinv", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", bad, hr.StatusCode)
+		}
+		if !strings.Contains(string(msg), "cyclic|work") {
+			t.Fatalf("%s: error %q does not list the valid balancers cyclic|work", bad, msg)
 		}
 	}
 }

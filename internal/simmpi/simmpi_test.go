@@ -142,6 +142,21 @@ func TestRunTimeout(t *testing.T) {
 	w.Close() // release the stuck goroutine
 }
 
+// TestRunPastDeadlineIsTimeout: a run cannot end inside a 1 ns deadline, so
+// it is a timeout however the ranks' dones and the fired timer race. Ranks
+// that finished before the first select used to succeed whenever the
+// select took every done ahead of the timer.
+func TestRunPastDeadlineIsTimeout(t *testing.T) {
+	for i := 0; i < 200; i++ {
+		w := NewWorld(4)
+		err := w.Run(time.Nanosecond, func(r *Rank) {})
+		if _, ok := err.(*TimeoutError); !ok {
+			t.Fatalf("run %d: error is %T (%v), want *TimeoutError", i, err, err)
+		}
+		w.Close()
+	}
+}
+
 func TestRunPanicPropagates(t *testing.T) {
 	w := NewWorld(2)
 	defer func() {

@@ -244,20 +244,13 @@ type Balancer = core.Balancer
 const (
 	// CyclicBalancer is the 2D block-cyclic default (the paper's mapping).
 	CyclicBalancer = core.CyclicBalancer
-	// NNZBalancer greedily assigns supernodes to the least-loaded rank by
-	// factor nonzero count.
-	NNZBalancer = core.NNZBalancer
 	// WorkBalancer greedily assigns supernodes by estimated
 	// selected-inversion flops.
 	WorkBalancer = core.WorkBalancer
-	// SubtreeBalancer partitions the postordered elimination tree into
-	// contiguous near-equal-work ranges, keeping subtrees rank-local.
-	SubtreeBalancer = core.SubtreeBalancer
 )
 
-// ParseBalancer resolves a flag or request value ("cyclic", "nnz", "work",
-// "subtree") to a Balancer; an unknown name is an error listing the valid
-// slugs.
+// ParseBalancer resolves a flag or request value ("cyclic", "work") to a
+// Balancer; an unknown name is an error listing the valid slugs.
 func ParseBalancer(name string) (Balancer, error) { return core.ParseBalancer(name) }
 
 // BalancerSlugs lists the flag-facing names of every balancer.
