@@ -15,11 +15,14 @@ build:
 # tier1 is the gate run by CI and before every merge: vet plus the race
 # detector over the packages with concurrency (the simulated-MPI substrate
 # and its TCP backend, the multi-process launcher, the parallel engine,
-# and internal/dense for its pool of task-DAG offload slots).
+# internal/dense for its pool of task-DAG offload slots, and internal/obs,
+# whose collector every rank goroutine writes — a send updates the
+# destination's queue watermark from the sender's goroutine — and whose
+# goldens drive observed engine runs).
 tier1: vet
 	$(GO) test -race ./internal/simmpi/... ./internal/tcptransport/... \
 		./internal/distrun/... ./internal/pselinv/... ./internal/dense/... \
-		./internal/server/...
+		./internal/server/... ./internal/obs/...
 
 vet:
 	$(GO) vet ./...

@@ -87,7 +87,10 @@ func TestDistributedObservability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lat := merged.MinEdgeLatencyNS(); lat < 0 {
+	if merged.Clock == nil {
+		t.Fatal("merge of per-process snapshots has no clock section")
+	}
+	if lat := merged.Clock.MinEdgeNS; lat < 0 {
 		t.Errorf("min offset-corrected edge latency %d, want >= 0", lat)
 	}
 	if len(merged.Spans) == 0 {

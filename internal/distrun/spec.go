@@ -59,7 +59,7 @@ type Spec struct {
 	// scheme (0 = Edison-style default of 24; negative fails Build).
 	CoresPerNode int `json:"cores_per_node,omitempty"`
 	// Balancer is the supernode→process mapping strategy slug ("cyclic",
-	// "nnz", "work", "subtree"; empty = cyclic). Balancers are pure
+	// "work"; empty = cyclic). Balancers are pure
 	// functions of (pattern, grid), so every worker re-derives the same
 	// owner map; an unknown slug fails Build in every worker.
 	Balancer string `json:"balancer,omitempty"`

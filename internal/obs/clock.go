@@ -92,23 +92,23 @@ func combineOffsets(p int, meas [][]ClockMeasurement) (off, unc []int64) {
 
 // relaxOffsets repairs the per-rank offsets against the causality
 // constraints observed in the merged event stream: for every ordered pair
-// (a, b) that exchanged messages, slack[a][b] is the minimum raw
-// (recv_b − send_a) over the pair's matched edges, and feasibility requires
-// off[b] − off[a] <= slack[a][b] so that every corrected edge latency
-// stays non-negative. Bellman-Ford-style relaxation (at most p rounds —
-// constraint chains cannot be longer) pulls violating offsets down; the
-// result is re-anchored so off[0] == 0, which shifts all ranks uniformly
-// and changes no edge latency. Returns the number of rounds that changed
+// (a, b) that exchanged messages, the pair's slack is the minimum raw
+// (recv_b − send_a) over its matched messages, and feasibility requires
+// off[b] − off[a] <= slack so that every corrected edge latency stays
+// non-negative. Bellman-Ford-style relaxation (at most p rounds — constraint
+// chains cannot be longer) pulls violating offsets down, visiting the pairs
+// in their (src, dst) order so identical snapshots relax identically; the
+// result is re-anchored so off[0] == 0, which shifts all ranks uniformly and
+// changes no edge latency. Returns the number of rounds that changed
 // anything; residual violations (possible only if measurement noise created
 // a negative constraint cycle) are left for per-edge clamping.
-func relaxOffsets(off []int64, slack map[[2]int]int64) (rounds int) {
+func relaxOffsets(off []int64, slacks []slack) (rounds int) {
 	p := len(off)
 	for round := 0; round < p; round++ {
 		changed := false
-		for key, s := range slack {
-			a, b := key[0], key[1]
-			if off[b] > off[a]+s {
-				off[b] = off[a] + s
+		for _, s := range slacks {
+			if off[s.dst] > off[s.src]+s.ns {
+				off[s.dst] = off[s.src] + s.ns
 				changed = true
 			}
 		}

@@ -1,57 +1,44 @@
-// Post-run analysis: replay the per-rank event rings into per-collective
+// Post-run analysis: the merged run's message table read as per-collective
 // measured forwarding chains and a wall-clock critical path for the run.
 package obs
 
 import (
-	"sort"
-
 	"pselinv/internal/core"
 	"pselinv/internal/simmpi"
 )
 
-// CollKind classifies a communication class by its collective shape.
-type CollKind int
+// collKind classifies a communication class by its collective shape.
+type collKind int
 
 const (
-	// KindPoint is a single point-to-point transfer.
-	KindPoint CollKind = iota
-	// KindBcast flows root→leaves along a tree.
-	KindBcast
-	// KindReduce flows leaves→root along a tree.
-	KindReduce
+	// kindPoint is a single point-to-point transfer.
+	kindPoint collKind = iota
+	// kindBcast flows root→leaves along a tree.
+	kindBcast
+	// kindReduce flows leaves→root along a tree.
+	kindReduce
 )
 
 // String names the kind.
-func (k CollKind) String() string {
+func (k collKind) String() string {
 	switch k {
-	case KindBcast:
+	case kindBcast:
 		return "bcast"
-	case KindReduce:
+	case kindReduce:
 		return "reduce"
 	}
 	return "point"
 }
 
-// ClassKind maps a simmpi accounting class to its collective shape.
-func ClassKind(c simmpi.Class) CollKind {
+// classKind maps a simmpi accounting class to its collective shape.
+func classKind(c simmpi.Class) collKind {
 	switch c {
 	case simmpi.ClassDiagBcast, simmpi.ClassColBcast, simmpi.ClassRowBcast:
-		return KindBcast
+		return kindBcast
 	case simmpi.ClassRowReduce, simmpi.ClassDiagReduce, simmpi.ClassColReduce:
-		return KindReduce
+		return kindReduce
 	}
-	return KindPoint
-}
-
-// msgRec is one matched (or half-matched) message inside a collective.
-type msgRec struct {
-	src, dst int
-	sendIdx  int // 1-based serialization index among src's sends for this tag
-	arrIdx   int // 1-based arrival index among dst's recvs for this tag
-	sendT    int64
-	recvT    int64
-	// ring coordinates of the send event, for the time-walk predecessor jump
-	sendRank, sendPos int
+	return kindPoint
 }
 
 // CollectiveChain is the measured critical path of one collective: Chain is
@@ -117,266 +104,131 @@ type CriticalPath struct {
 	ByClass  map[string]int `json:"by_class,omitempty"`
 }
 
-// tagStream is the full recorded message stream of one tag (= one
-// collective or point operation).
-type tagStream struct {
-	class simmpi.Class
-	msgs  []*msgRec
-}
-
-// analyze replays every rank's ring into per-collective chains and the
-// run-level critical path. complete reports whether every ring retained
-// its full stream (chains from partial streams would be misleading and
-// are skipped).
-func (c *Collector) analyze() (chains []*CollectiveChain, crit *CriticalPath, complete bool) {
-	complete = true
-	perRank := make([][]Event, c.p)
-	for r := range c.ranks {
-		evs, dropped := c.ranks[r].events()
-		perRank[r] = evs
-		if dropped > 0 {
-			complete = false
+// analyze turns the message table into per-collective chains and the
+// run-level critical path. complete reports whether every ring retained its
+// full stream (chains from partial streams would be misleading and are
+// skipped).
+func (m *Merged) analyze() (chains []*CollectiveChain, crit *CriticalPath, complete bool) {
+	for _, s := range m.byRank {
+		if s.RingLen > int64(len(s.Events)) {
+			return nil, nil, false
 		}
 	}
-	if !complete {
-		return nil, nil, false
-	}
-
-	// First pass: index every message by (tag, src, dst), assigning the
-	// per-source send serialization index and per-destination arrival index.
-	type linkKey struct {
-		tag      uint64
-		src, dst int
-	}
-	streams := map[uint64]*tagStream{}
-	byLink := map[linkKey]*msgRec{}
-	sendSeq := map[linkKey]int{} // key.dst unused: per (tag, src) counter
-	arrSeq := map[linkKey]int{}  // key.src unused: per (tag, dst) counter
-	for rank, evs := range perRank {
-		for pos, e := range evs {
-			switch e.Dir {
-			case DirSend:
-				k := linkKey{e.Tag, rank, int(e.Peer)}
-				st := streams[e.Tag]
-				if st == nil {
-					st = &tagStream{class: e.Class}
-					streams[e.Tag] = st
-				}
-				sk := linkKey{tag: e.Tag, src: rank}
-				sendSeq[sk]++
-				m := byLink[k]
-				if m == nil {
-					m = &msgRec{src: rank, dst: int(e.Peer)}
-					byLink[k] = m
-					st.msgs = append(st.msgs, m)
-				}
-				m.sendIdx = sendSeq[sk]
-				m.sendT = int64(e.T)
-				m.sendRank, m.sendPos = rank, pos
-			case DirRecv:
-				k := linkKey{e.Tag, int(e.Peer), rank}
-				st := streams[e.Tag]
-				if st == nil {
-					st = &tagStream{class: e.Class}
-					streams[e.Tag] = st
-				}
-				ak := linkKey{tag: e.Tag, dst: rank}
-				arrSeq[ak]++
-				m := byLink[k]
-				if m == nil {
-					m = &msgRec{src: int(e.Peer), dst: rank}
-					byLink[k] = m
-					st.msgs = append(st.msgs, m)
-				}
-				m.arrIdx = arrSeq[ak]
-				m.recvT = int64(e.T)
-			}
-		}
-	}
-
-	tags := make([]uint64, 0, len(streams))
-	for tag := range streams {
-		tags = append(tags, tag)
-	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] < tags[j] })
-	for _, tag := range tags {
-		st := streams[tag]
-		kind, k, blk := core.DecodeOpKey(tag)
+	cpn := m.byRank[0].CoresPerNode
+	topo := core.Topology{CoresPerNode: cpn}
+	at := make([]int, len(m.byRank))
+	for _, c := range m.table.colls {
+		kind, k, blk := core.DecodeOpKey(c.tag)
 		cc := &CollectiveChain{
 			Op: kind.String(), K: k, Blk: blk,
-			Class: st.class.String(), Kind: ClassKind(st.class).String(),
-			Msgs: len(st.msgs),
+			Class: c.class.String(), Kind: classKind(c.class).String(),
+			Msgs: len(c.msgs),
 		}
-		cc.Ranks, cc.Chain, cc.Depth = chainOf(st.msgs, ClassKind(st.class))
-		if c.coresPerNode > 0 {
-			topo := core.Topology{CoresPerNode: c.coresPerNode}
-			nodes := map[int]bool{}
-			for _, m := range st.msgs {
-				nodes[topo.Node(m.src)] = true
-				nodes[topo.Node(m.dst)] = true
-				if topo.Node(m.src) != topo.Node(m.dst) {
+		cc.Ranks, cc.Chain, cc.Depth = chainOf(c.msgs, classKind(c.class), at)
+		if cpn > 0 {
+			cc.Nodes = distinct(c.msgs, at, topo.Node)
+			for _, e := range c.msgs {
+				if topo.Node(int(e.src)) != topo.Node(int(e.dst)) {
 					cc.CrossHops++
 				}
 			}
-			cc.Nodes = len(nodes)
 		}
 		chains = append(chains, cc)
 	}
-	return chains, c.timeWalk(perRank), true
+	return chains, m.timeWalk(), true
 }
 
-// chainOf computes the participant count, measured serialized chain and hop
-// depth of one collective's message set.
-func chainOf(msgs []*msgRec, kind CollKind) (ranks, chain, depth int) {
-	nodes := map[int]bool{}
-	out := map[int][]*msgRec{} // by src
-	in := map[int][]*msgRec{}  // by dst
-	for _, m := range msgs {
-		nodes[m.src] = true
-		nodes[m.dst] = true
-		out[m.src] = append(out[m.src], m)
-		in[m.dst] = append(in[m.dst], m)
+// chainOf returns the participant count, the measured serialized chain and
+// the hop depth of one collective. The chain is the heaviest path over its
+// messages, each weighing its send index for a broadcast or point send (the
+// i-th send a parent issues leaves after i serialized sends) and its arrival
+// index for a reduction (a parent has absorbed its i-th arrival after i
+// serialized steps); the depth is the longest path in hops. at is zeroed
+// per-rank scratch, left zeroed.
+func chainOf(msgs []msg, kind collKind, at []int) (ranks, chain, depth int) {
+	ranks = distinct(msgs, at, func(r int) int { return r })
+	weight := func(e msg) int { return int(e.sendIdx) }
+	if kind == kindReduce {
+		weight = func(e msg) int { return int(e.arrIdx) }
 	}
-	ranks = len(nodes)
-	switch kind {
-	case KindReduce:
-		// chainDone(v): serialized steps until v has absorbed all children,
-		// counting arrival order at v. Roots are nodes with no outgoing edge.
-		memoC := map[int]int{}
-		memoD := map[int]int{}
-		var done func(v int) int
-		var dep func(v int) int
-		done = func(v int) int {
-			if c, ok := memoC[v]; ok {
-				return c
-			}
-			memoC[v] = 0 // cycle guard; streams are forests in practice
-			best := 0
-			for _, m := range in[v] {
-				if c := done(m.src) + m.arrIdx; c > best {
-					best = c
-				}
-			}
-			memoC[v] = best
-			return best
-		}
-		dep = func(v int) int {
-			if d, ok := memoD[v]; ok {
-				return d
-			}
-			memoD[v] = 0
-			best := 0
-			for _, m := range in[v] {
-				if d := dep(m.src) + 1; d > best {
-					best = d
-				}
-			}
-			memoD[v] = best
-			return best
-		}
-		for v := range nodes {
-			if len(out[v]) == 0 {
-				if c := done(v); c > chain {
-					chain = c
-				}
-				if d := dep(v); d > depth {
-					depth = d
-				}
-			}
-		}
-	default:
-		// Broadcast (and point sends, a 1-edge special case): the i-th send
-		// a parent issues for this collective leaves after i serialized
-		// sends, so chainArrive(child) = chainArrive(parent) + sendIdx.
-		memoC := map[int]int{}
-		memoD := map[int]int{}
-		var arrive func(v int) int
-		var dep func(v int) int
-		arrive = func(v int) int {
-			if c, ok := memoC[v]; ok {
-				return c
-			}
-			memoC[v] = 0
-			best := 0
-			for _, m := range in[v] {
-				if c := arrive(m.src) + m.sendIdx; c > best {
-					best = c
-				}
-			}
-			memoC[v] = best
-			return best
-		}
-		dep = func(v int) int {
-			if d, ok := memoD[v]; ok {
-				return d
-			}
-			memoD[v] = 0
-			best := 0
-			for _, m := range in[v] {
-				if d := dep(m.src) + 1; d > best {
-					best = d
-				}
-			}
-			memoD[v] = best
-			return best
-		}
-		for v := range nodes {
-			if c := arrive(v); c > chain {
-				chain = c
-			}
-			if d := dep(v); d > depth {
-				depth = d
-			}
-		}
-	}
+	chain = longestPath(msgs, ranks, at, weight)
+	depth = longestPath(msgs, ranks, at, func(msg) int { return 1 })
 	return ranks, chain, depth
+}
+
+// longestPath returns the heaviest path over the messages of a collective
+// among n ranks, relaxing each rank's heaviest incoming path in at. On a
+// forest (or any acyclic stream) n passes reach the fixed point, and the
+// maximum over all ranks is the maximum over the roots; on a cyclic stream,
+// which only a malformed snapshot can hold, the bound stops it.
+func longestPath(msgs []msg, n int, at []int, weight func(msg) int) int {
+	best := 0
+	for pass, changed := 0, true; pass < n && changed; pass++ {
+		changed = false
+		for _, e := range msgs {
+			if d := at[e.src] + weight(e); d > at[e.dst] {
+				at[e.dst], changed = d, true
+				best = max(best, d)
+			}
+		}
+	}
+	for _, e := range msgs {
+		at[e.src], at[e.dst] = 0, 0
+	}
+	return best
+}
+
+// distinct counts the distinct f(rank) over the messages' endpoints, marking
+// in at (f maps ranks into its range) and clearing it again.
+func distinct(msgs []msg, at []int, f func(int) int) (n int) {
+	for _, e := range msgs {
+		for _, r := range [2]int32{e.src, e.dst} {
+			if v := f(int(r)); at[v] == 0 {
+				at[v] = 1
+				n++
+			}
+		}
+	}
+	for _, e := range msgs {
+		at[f(int(e.src))], at[f(int(e.dst))] = 0, 0
+	}
+	return n
 }
 
 // timeWalk extracts the wall-clock dependency chain ending at the globally
 // last recorded event: receives jump to their matching send on the source
-// rank, everything else steps to the rank's previous program-order event.
-func (c *Collector) timeWalk(perRank [][]Event) *CriticalPath {
-	type pos struct{ rank, idx int }
-	type linkKey struct {
-		tag      uint64
-		src, dst int
-	}
-	sendAt := map[linkKey]pos{}
-	var last pos
+// rank, everything else steps to the rank's previous program-order event. A
+// causal stream never revisits an event, so the walk is bounded by the event
+// count, which stops it on a malformed cyclic one.
+func (m *Merged) timeWalk() *CriticalPath {
+	r, i, n := -1, 0, 0
 	lastT := int64(-1)
-	any := false
-	for rank, evs := range perRank {
-		for i, e := range evs {
-			if e.Dir == DirSend {
-				sendAt[linkKey{e.Tag, rank, int(e.Peer)}] = pos{rank, i}
-			}
+	for rank, s := range m.byRank {
+		n += len(s.Events)
+		for j, e := range s.Events {
 			if int64(e.T) > lastT {
-				lastT = int64(e.T)
-				last = pos{rank, i}
-				any = true
+				lastT, r, i = int64(e.T), rank, j
 			}
 		}
 	}
-	if !any {
+	if r < 0 {
 		return nil
 	}
 	cp := &CriticalPath{EndNS: lastT, ByClass: map[string]int{}}
-	cur := last
-	for {
-		e := perRank[cur.rank][cur.idx]
+	for cp.Hops < n {
+		e := m.byRank[r].Events[i]
 		cp.Hops++
 		cp.StartNS = int64(e.T)
-		if e.Dir == DirRecv {
-			if sp, ok := sendAt[linkKey{e.Tag, int(e.Peer), cur.rank}]; ok {
-				cp.CommHops++
-				cp.ByClass[e.Class.String()]++
-				cur = sp
-				continue
-			}
+		if sp := m.table.sendOf[r][i]; sp >= 0 {
+			cp.CommHops++
+			cp.ByClass[e.Class.String()]++
+			r, i = int(e.Peer), int(sp)
+			continue
 		}
-		if cur.idx == 0 {
-			return cp
+		if i == 0 {
+			break
 		}
-		cur.idx--
+		i--
 	}
+	return cp
 }

@@ -64,9 +64,6 @@ type rankObs struct {
 	ring    []Event
 	ringCap int   // ring capacity; the ring is allocated on the first event
 	ringLen int64 // total events appended, including overwritten ones
-	// linear marks a ring reconstructed by Decode: already oldest-first,
-	// with ringLen - len(ring) events dropped before serialization.
-	linear bool
 
 	spans []Span // the rank's timeline, in append order (see Collector.Span)
 
@@ -147,17 +144,17 @@ func (ro *rankObs) appendEvent(e Event) {
 	ro.ringLen++
 }
 
-// events returns the retained events oldest-first plus the dropped count.
-func (ro *rankObs) events() ([]Event, int64) {
-	if ro.linear || ro.ringLen <= int64(len(ro.ring)) {
-		return ro.ring, ro.ringLen - int64(len(ro.ring))
+// events returns the retained events oldest-first.
+func (ro *rankObs) events() []Event {
+	if ro.ringLen <= int64(len(ro.ring)) {
+		return ro.ring
 	}
 	// The ring wrapped: linearize from the oldest retained slot.
 	out := make([]Event, len(ro.ring))
 	head := int(ro.ringLen % int64(len(ro.ring)))
 	n := copy(out, ro.ring[head:])
 	copy(out[n:], ro.ring[:head])
-	return out, ro.ringLen - int64(len(ro.ring))
+	return out
 }
 
 // RecordSend implements simmpi.Observer: it charges the (src → dst) link

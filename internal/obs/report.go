@@ -77,8 +77,7 @@ type Report struct {
 
 	// Load, when present, holds the per-rank planned-work distribution of
 	// the supernode→process map (flops, factor nonzeros, measured busy
-	// wall) with its imbalance factors. Merged.Report builds it; a bare
-	// Collector.Report has none.
+	// wall) with its imbalance factors.
 	Load *LoadReport `json:"load,omitempty"`
 
 	// Clock, when present, records the per-process clock-offset estimation
@@ -152,46 +151,43 @@ type LoadReport struct {
 	NNZImbalance  float64     `json:"nnz_imbalance"`
 }
 
-// Report drains the collector's counters and rings into a report: traffic
-// matrices, per-rank telemetry and the chain analysis. The sections that
-// need more than the collector saw (clock, dag, load, straggler) are added
-// by Merged.Report, which is how every run's report is built. label tags
-// the report, typically with the tree scheme.
-func (c *Collector) Report(label string) *Report {
-	rep := &Report{P: c.p, Label: label, CoresPerNode: c.coresPerNode}
+// Report assembles the run's report from the snapshots, the one place it is
+// done: the traffic matrices, per-rank telemetry and chain analysis, the
+// clock section of an aligned merge, the scheduler statistics of a DAG run,
+// the per-rank load section (the plan charges each snapshot carries, next to
+// the busy time its spans sum to) and the straggler section diffing that
+// measured busy against the balancer's prediction. Sections that do not
+// apply are omitted, so reports of plain runs stay byte-identical. label
+// tags the report, typically with the tree scheme.
+func (m *Merged) Report(label string) *Report {
+	p := len(m.byRank)
+	rep := &Report{P: p, Label: label, CoresPerNode: m.byRank[0].CoresPerNode, Clock: m.Clock}
 
 	for _, class := range simmpi.Classes() {
 		cr := &ClassReport{
 			Class:     class.String(),
-			SentBytes: make([]int64, c.p),
-			RecvBytes: make([]int64, c.p),
+			SentBytes: make([]int64, p),
+			RecvBytes: make([]int64, p),
 		}
-		if c.p <= MatrixLimit {
-			cr.Matrix = make([]int64, c.p*c.p)
-			cr.MsgMatrix = make([]int64, c.p*c.p)
+		if p <= MatrixLimit {
+			cr.Matrix = make([]int64, p*p)
+			cr.MsgMatrix = make([]int64, p*p)
 		}
-		for r := range c.ranks {
-			ro := &c.ranks[r]
-			if ro.sentB != nil && ro.sentB[class] != nil {
-				for dst, b := range ro.sentB[class] {
-					cr.SentBytes[r] += b
-					cr.TotalBytes += b
-					if cr.Matrix != nil {
-						cr.Matrix[r*c.p+dst] += b
-					}
-				}
-				for dst, n := range ro.sentN[class] {
-					cr.Msgs += n
-					if cr.MsgMatrix != nil {
-						cr.MsgMatrix[r*c.p+dst] += n
-					}
+		for r, s := range m.byRank {
+			for dst, b := range row(s.SentB, class) {
+				cr.SentBytes[r] += b
+				cr.TotalBytes += b
+				if cr.Matrix != nil {
+					cr.Matrix[r*p+dst] += b
 				}
 			}
-			if ro.recvB != nil && ro.recvB[class] != nil {
-				for _, b := range ro.recvB[class] {
-					cr.RecvBytes[r] += b
+			for dst, n := range row(s.SentN, class) {
+				cr.Msgs += n
+				if cr.MsgMatrix != nil {
+					cr.MsgMatrix[r*p+dst] += n
 				}
 			}
+			cr.RecvBytes[r] = sum(row(s.RecvB, class))
 		}
 		if cr.TotalBytes == 0 && cr.Msgs == 0 {
 			continue
@@ -202,18 +198,20 @@ func (c *Collector) Report(label string) *Report {
 		rep.Classes = append(rep.Classes, cr)
 	}
 
-	waits := make([]int64, c.p)
-	for r := range c.ranks {
-		ro := &c.ranks[r]
+	sent, waits := make([]int64, p), make([]int64, p)
+	wall, busy := make([]int64, p), make([]int64, p)
+	flops, nnz := make([]int64, p), make([]int64, p)
+	load := &LoadReport{Balancer: m.byRank[0].Balancer, Ranks: make([]*RankLoad, p)}
+	for r, s := range m.byRank {
 		rr := &RankReport{
 			Rank:          r,
-			QueueHWM:      int(ro.hwm.Load()),
-			RecvWaitNS:    int64(ro.waitTotal),
-			RecvWaitMaxNS: int64(ro.waitMax),
-			Recvs:         ro.waitCount,
-			Events:        ro.ringLen,
+			QueueHWM:      int(s.QueueHWM),
+			RecvWaitNS:    s.RecvWaitNS,
+			RecvWaitMaxNS: s.RecvWaitMaxNS,
+			Recvs:         s.RecvWaitCount,
+			Events:        s.RingLen,
 		}
-		if dropped := ro.ringLen - int64(len(ro.ring)); dropped > 0 {
+		if dropped := s.RingLen - int64(len(s.Events)); dropped > 0 {
 			rr.Dropped = dropped
 			rep.DroppedEvents += dropped
 		}
@@ -221,22 +219,49 @@ func (c *Collector) Report(label string) *Report {
 			rr.SentBytes += cr.SentBytes[r]
 			rr.RecvBytes += cr.RecvBytes[r]
 		}
-		waits[r] = int64(ro.waitTotal)
+		sent[r], waits[r] = rr.SentBytes, s.RecvWaitNS
 		rep.Ranks = append(rep.Ranks, rr)
-	}
-	sent := make([]int64, c.p)
-	for r, rr := range rep.Ranks {
-		sent[r] = rr.SentBytes
+
+		if s.Dag != nil {
+			rep.Dag = append(rep.Dag, s.Dag)
+		}
+		for _, sp := range s.Spans {
+			busy[r] += int64(sp.Dur())
+		}
+		wall[r], flops[r], nnz[r] = s.WallNS, s.PlanFlops, s.PlanNNZ
+		load.Ranks[r] = &RankLoad{Rank: r, Flops: flops[r], NNZ: nnz[r], BusyNS: busy[r]}
+		load.TotalFlops += flops[r]
+		load.TotalNNZ += nnz[r]
 	}
 	rep.VolImbalance = imbalance(sent)
 	rep.WaitImbalance = imbalance(waits)
+	load.FlopImbalance = imbalance(flops)
+	load.NNZImbalance = imbalance(nnz)
+	rep.Load = load
+	rep.Straggler = NewStragglerReport(p, wall, busy, waits, flops)
 
-	chains, crit, complete := c.analyze()
+	chains, crit, complete := m.analyze()
 	rep.ChainsOK = complete
 	rep.Critical = crit
 	rep.Collectives = summarizeChains(chains)
 	rep.TopChains = topChains(chains, 16)
 	return rep
+}
+
+// row is one class's row of a snapshot's traffic matrix (nil when unused);
+// Merge has checked that a non-nil rows holds every class.
+func row(rows [][]int64, class simmpi.Class) []int64 {
+	if rows == nil {
+		return nil
+	}
+	return rows[class]
+}
+
+func sum(xs []int64) (t int64) {
+	for _, x := range xs {
+		t += x
+	}
+	return t
 }
 
 // imbalance is max/mean — 1.0 is perfect balance, the paper's Figures 5–7
@@ -313,7 +338,7 @@ func summarizeChains(chains []*CollectiveChain) []*ChainSummary {
 func topChains(chains []*CollectiveChain, n int) []*CollectiveChain {
 	var bc []*CollectiveChain
 	for _, cc := range chains {
-		if cc.Kind == KindBcast.String() {
+		if cc.Kind == kindBcast.String() {
 			bc = append(bc, cc)
 		}
 	}
@@ -341,7 +366,7 @@ func topChains(chains []*CollectiveChain, n int) []*CollectiveChain {
 func (r *Report) BcastChainSum() int {
 	total := 0
 	for _, cs := range r.Collectives {
-		if cs.Kind == KindBcast.String() {
+		if cs.Kind == kindBcast.String() {
 			total += cs.ChainSum
 		}
 	}
@@ -394,7 +419,7 @@ func (r *Report) StripSchedule() {
 		rr.RecvWaitMaxNS = 0
 	}
 	for _, cs := range r.Collectives {
-		if cs.Kind == KindReduce.String() {
+		if cs.Kind == kindReduce.String() {
 			cs.ChainMax = 0
 			cs.ChainSum = 0
 			cs.ChainMean = 0

@@ -70,7 +70,6 @@ type Snapshot struct {
 // Safe to call only after the run completed.
 func (c *Collector) EncodeRank(rank int) *Snapshot {
 	ro := &c.ranks[rank]
-	events, _ := ro.events()
 	return &Snapshot{
 		P:             c.p,
 		Rank:          rank,
@@ -79,7 +78,7 @@ func (c *Collector) EncodeRank(rank int) *Snapshot {
 		RecvB:         ro.recvB,
 		SentN:         ro.sentN,
 		RecvN:         ro.recvN,
-		Events:        events,
+		Events:        ro.events(),
 		RingLen:       ro.ringLen,
 		RecvWaitNS:    int64(ro.waitTotal),
 		RecvWaitMaxNS: int64(ro.waitMax),
@@ -131,10 +130,10 @@ func (s *Snapshot) TrimToSize(maxBytes int) ([]byte, error) {
 	return data, nil
 }
 
-// Merged is the combination of one snapshot per rank: the whole run's
-// traffic matrices and event rings, the merged span timeline, and — when the
-// ranks lived on different clocks — the clock section documenting the
-// correction.
+// Merged is the combination of one snapshot per rank: the snapshots in rank
+// order with their messages matched (see matchMessages), the merged span
+// timeline, and — when the ranks lived on different clocks — the clock
+// section documenting the correction.
 type Merged struct {
 	// Spans is the merged, canonically sorted timeline on one clock.
 	Spans []Span
@@ -142,8 +141,8 @@ type Merged struct {
 	// built via Report; nil when the snapshots shared a clock.
 	Clock *ClockReport
 
-	col    *Collector // the whole run's matrices and rings, for Report
 	byRank []*Snapshot
+	table  *msgTable
 }
 
 // Merge combines one snapshot per rank (any order; exactly ranks 0..P-1 of
@@ -152,8 +151,11 @@ type Merged struct {
 // (see alignClocks). Snapshots without any were taken on one clock — the
 // ranks shared a process — so their times are kept as they are and the
 // merged run has no clock section: that is read off the snapshots, not
-// configured. The snapshots are aliased (and, when aligned, shifted in
-// place), so decode them afresh to merge twice.
+// configured. An event the engine cannot record (a peer outside the world
+// or equal to the rank, an unknown direction, a repeated send or receive of
+// one (tag, src, dst)) is an error naming its rank and tag. The snapshots
+// are aliased (and, when aligned, shifted in place), so decode them afresh
+// to merge twice.
 func Merge(snaps []*Snapshot) (*Merged, error) {
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("obs: merge of zero snapshots")
@@ -193,34 +195,23 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 		}
 	}
 
-	m := &Merged{byRank: byRank}
+	table, err := matchMessages(byRank)
+	if err != nil {
+		return nil, err
+	}
+	m := &Merged{byRank: byRank, table: table}
 	for _, s := range byRank {
 		if len(s.Clock) > 0 {
-			m.Clock = alignClocks(byRank)
+			m.Clock = alignClocks(byRank, table)
 			break
 		}
 	}
-
-	// The merged rings arrive linearized and are only read, never appended
-	// to, so their capacities are moot.
-	m.col = NewCollector(make([]int, p), time.Time{})
-	m.col.coresPerNode = byRank[0].CoresPerNode
 	nspans := 0
 	for _, s := range byRank {
 		nspans += len(s.Spans)
 	}
 	m.Spans = make([]Span, 0, nspans)
-	for r, s := range byRank {
-		ro := &m.col.ranks[r]
-		ro.sentB, ro.recvB = s.SentB, s.RecvB
-		ro.sentN, ro.recvN = s.SentN, s.RecvN
-		ro.ring = s.Events
-		ro.ringLen = s.RingLen
-		ro.linear = true
-		ro.waitTotal = time.Duration(s.RecvWaitNS)
-		ro.waitMax = time.Duration(s.RecvWaitMaxNS)
-		ro.waitCount = s.RecvWaitCount
-		ro.hwm.Store(s.QueueHWM)
+	for _, s := range byRank {
 		m.Spans = append(m.Spans, s.Spans...)
 	}
 	SortSpans(m.Spans)
@@ -235,7 +226,7 @@ func Merge(snaps []*Snapshot) (*Merged, error) {
 // counting both in the returned clock section. A final uniform shift moves
 // the earliest timestamp to zero so the timeline starts where a one-process
 // one would.
-func alignClocks(byRank []*Snapshot) *ClockReport {
+func alignClocks(byRank []*Snapshot, table *msgTable) *ClockReport {
 	p := len(byRank)
 	// Per-rank clock corrections: pairwise midpoint estimates combined and
 	// anchored at rank 0, then relaxed against the causality constraints
@@ -245,7 +236,7 @@ func alignClocks(byRank []*Snapshot) *ClockReport {
 		meas[r] = s.Clock
 	}
 	off, unc := combineOffsets(p, meas)
-	rounds := relaxOffsets(off, edgeSlacks(byRank))
+	rounds := relaxOffsets(off, table.slacks(byRank))
 
 	shift := func(s *Snapshot, d time.Duration) {
 		for i := range s.Events {
@@ -277,7 +268,7 @@ func alignClocks(byRank []*Snapshot) *ClockReport {
 	// estimator noise) are clamped per edge: the recv timestamp is lifted
 	// to the send timestamp. The uniform base shift that follows cancels in
 	// every edge latency, so minEdge needs no adjustment.
-	clamped, minEdge := clampEdges(byRank)
+	clamped, minEdge := table.clamp(byRank)
 	if base != 0 {
 		for _, s := range byRank {
 			shift(s, base)
@@ -299,156 +290,20 @@ func alignClocks(byRank []*Snapshot) *ClockReport {
 	return clock
 }
 
-// edgeKey identifies a matched message: the engine sends at most one
-// message per (tag, src, dst), the same invariant the chain analyzer keys
-// on.
-type edgeKey struct {
-	tag      uint64
-	src, dst int32
-}
-
-// edgeSlacks scans the snapshots' raw (uncorrected) event streams and
-// returns, per ordered rank pair, the minimum raw recv−send difference over
-// its matched edges — the feasibility bound for the offset relaxation.
-func edgeSlacks(byRank []*Snapshot) map[[2]int]int64 {
-	sends := map[edgeKey]int64{}
-	for r, s := range byRank {
-		for _, e := range s.Events {
-			if e.Dir == DirSend {
-				sends[edgeKey{e.Tag, int32(r), e.Peer}] = int64(e.T)
-			}
-		}
-	}
-	slack := map[[2]int]int64{}
-	for r, s := range byRank {
-		for _, e := range s.Events {
-			if e.Dir != DirRecv {
-				continue
-			}
-			sendT, ok := sends[edgeKey{e.Tag, e.Peer, int32(r)}]
-			if !ok {
-				continue // sender's ring dropped the event
-			}
-			key := [2]int{int(e.Peer), r}
-			d := int64(e.T) - sendT
-			if cur, ok := slack[key]; !ok || d < cur {
-				slack[key] = d
-			}
-		}
-	}
-	return slack
-}
-
-// clampEdges enforces non-negative latency on every matched edge of the
-// (already offset-shifted) event streams by lifting late recv timestamps to
-// their send timestamps, returning the clamp count and the final minimum
-// edge latency (>= 0 whenever at least one edge matched).
-func clampEdges(byRank []*Snapshot) (clamped int, minEdge int64) {
-	sends := map[edgeKey]int64{}
-	for r, s := range byRank {
-		for _, e := range s.Events {
-			if e.Dir == DirSend {
-				sends[edgeKey{e.Tag, int32(r), e.Peer}] = int64(e.T)
-			}
-		}
-	}
-	first := true
-	for r, s := range byRank {
-		for i := range s.Events {
-			e := &s.Events[i]
-			if e.Dir != DirRecv {
-				continue
-			}
-			sendT, ok := sends[edgeKey{e.Tag, e.Peer, int32(r)}]
-			if !ok {
-				continue
-			}
-			if int64(e.T) < sendT {
-				e.T = time.Duration(sendT)
-				clamped++
-			}
-			lat := int64(e.T) - sendT
-			if first || lat < minEdge {
-				minEdge, first = lat, false
-			}
-		}
-	}
-	return clamped, minEdge
-}
-
-// Report assembles the run's report, the one place it is done: the unified
-// collector's traffic matrices and chain analysis, the clock section of an
-// aligned merge, the scheduler statistics of a DAG run, the per-rank load
-// section (the plan charges each snapshot carries, next to the busy time its
-// spans sum to) and the straggler section diffing that measured busy against
-// the balancer's prediction. Sections that do not apply are omitted, so
-// reports of plain runs stay byte-identical.
-func (m *Merged) Report(label string) *Report {
-	rep := m.col.Report(label)
-	rep.Clock = m.Clock
-
-	p := len(m.byRank)
-	wall, busy, recvWait := make([]int64, p), make([]int64, p), make([]int64, p)
-	flops, nnz := make([]int64, p), make([]int64, p)
-	load := &LoadReport{Balancer: m.byRank[0].Balancer, Ranks: make([]*RankLoad, p)}
-	for r, s := range m.byRank {
-		if s.Dag != nil {
-			rep.Dag = append(rep.Dag, s.Dag)
-		}
-		for _, sp := range s.Spans {
-			busy[r] += int64(sp.Dur())
-		}
-		wall[r], recvWait[r] = s.WallNS, s.RecvWaitNS
-		flops[r], nnz[r] = s.PlanFlops, s.PlanNNZ
-		load.Ranks[r] = &RankLoad{Rank: r, Flops: flops[r], NNZ: nnz[r], BusyNS: busy[r]}
-		load.TotalFlops += flops[r]
-		load.TotalNNZ += nnz[r]
-	}
-	load.FlopImbalance = imbalance(flops)
-	load.NNZImbalance = imbalance(nnz)
-	rep.Load = load
-	rep.Straggler = NewStragglerReport(p, wall, busy, recvWait, flops)
-	return rep
-}
-
-// MinEdgeLatencyNS returns the smallest offset-corrected send→recv latency
-// of the merged run; the merge guarantees >= 0 (0 exactly when an edge was
-// clamped). Returns 0 when no edge matched.
-func (m *Merged) MinEdgeLatencyNS() int64 {
-	if m.Clock == nil {
-		return 0
-	}
-	return m.Clock.MinEdgeNS
-}
-
 // CheckConservation verifies the merged matrices against externally
 // tracked per-class totals (the launcher's global conservation counters):
 // for every class, the matrix row sums must equal sentBytes/sentMsgs and
 // the column sums recvBytes/recvMsgs. A mismatch means telemetry was lost
 // or double-counted in flight.
 func (m *Merged) CheckConservation(sentBytes, recvBytes, sentMsgs, recvMsgs func(class simmpi.Class) int64) error {
-	c := m.col
 	var errs []string
 	for _, class := range simmpi.Classes() {
 		var sb, rb, sn, rn int64
-		for r := range c.ranks {
-			ro := &c.ranks[r]
-			if ro.sentB != nil && ro.sentB[class] != nil {
-				for _, b := range ro.sentB[class] {
-					sb += b
-				}
-				for _, n := range ro.sentN[class] {
-					sn += n
-				}
-			}
-			if ro.recvB != nil && ro.recvB[class] != nil {
-				for _, b := range ro.recvB[class] {
-					rb += b
-				}
-				for _, n := range ro.recvN[class] {
-					rn += n
-				}
-			}
+		for _, s := range m.byRank {
+			sb += sum(row(s.SentB, class))
+			rb += sum(row(s.RecvB, class))
+			sn += sum(row(s.SentN, class))
+			rn += sum(row(s.RecvN, class))
 		}
 		if want := sentBytes(class); sb != want {
 			errs = append(errs, fmt.Sprintf("%v: matrix sent bytes %d != counter %d", class, sb, want))

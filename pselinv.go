@@ -288,7 +288,7 @@ type Options struct {
 	// value is an AnalyzePattern error. Other schemes ignore it.
 	CoresPerNode int
 	// Balancer selects the supernode→process mapping strategy by slug
-	// ("cyclic", "nnz", "work", "subtree"); empty means "cyclic". An
+	// ("cyclic", "work"); empty means "cyclic". An
 	// unknown slug is an AnalyzePattern error. The mapping changes which
 	// rank owns which supernode — and therefore the communication plan —
 	// but not the computed values.
