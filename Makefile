@@ -147,10 +147,13 @@ tables:
 
 # The scheme × balancer sweep behind EXPERIMENTS.md "Comparing tree schemes
 # and balancers": every cell's exact plan counts next to its simulated
-# makespan, written to BENCH_width.json (≈8 min and ≈3 GB on 2 vCPUs;
-# QUICK=1 runs one P and one seed into width-quick.json in ≈2 min).
+# makespan, written to BENCH_width.json (≈7 min and 1.4 GB peak on 2 vCPUs).
+# QUICK=1 is the nightly smoke: one P and one seed into width-quick.json
+# (≈2 min, 1.2 GB), which must reproduce
+# cmd/scaling/testdata/width-quick.golden.json byte for byte.
 width:
-	$(GO) run ./cmd/scaling -width $(if $(QUICK),-quick -width-out width-quick.json)
+	$(GO) run ./cmd/scaling -width $(if $(QUICK),-quick -width-out width-quick.json \
+		&& diff cmd/scaling/testdata/width-quick.golden.json width-quick.json)
 
 bench:
 	$(GO) test -run XXX -bench 'EndToEnd' -benchtime 300x .

@@ -33,7 +33,7 @@ func benchScaling(b *testing.B, scheme core.Scheme) {
 	p := scalingPipeline()
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
-		pts := exp.MeasureScaling(p, []int{64, 576}, []core.Scheme{scheme},
+		pts := exp.MeasureScaling(p, []int{64, 576}, []core.Scheme{scheme}, core.PlanConfig{},
 			[]uint64{1, 2}, params)
 		b.ReportMetric(pts[len(pts)-1].Mean, "simSec@576")
 	}
@@ -48,7 +48,7 @@ func BenchmarkFig9_Breakdown(b *testing.B) {
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []core.Scheme{core.FlatTree, core.ShiftedBinaryTree} {
-			pts := exp.MeasureScaling(p, []int{256}, []core.Scheme{scheme}, []uint64{1}, params)
+			pts := exp.MeasureScaling(p, []int{256}, []core.Scheme{scheme}, core.PlanConfig{}, []uint64{1}, params)
 			b.ReportMetric(pts[0].Comm/pts[0].Compute, "commOverComp")
 		}
 	}
@@ -59,7 +59,7 @@ func BenchmarkHybrid_Ablation(b *testing.B) {
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		pts := exp.MeasureScaling(p, []int{576},
-			[]core.Scheme{core.Hybrid}, []uint64{1, 2}, params)
+			[]core.Scheme{core.Hybrid}, core.PlanConfig{}, []uint64{1, 2}, params)
 		b.ReportMetric(pts[0].Mean, "simSec")
 	}
 }
@@ -69,7 +69,7 @@ func BenchmarkRandomPerm_Ablation(b *testing.B) {
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		pts := exp.MeasureScaling(p, []int{576},
-			[]core.Scheme{core.RandomPermTree}, []uint64{1, 2}, params)
+			[]core.Scheme{core.RandomPermTree}, core.PlanConfig{}, []uint64{1, 2}, params)
 		b.ReportMetric(pts[0].Mean, "simSec")
 	}
 }

@@ -20,10 +20,11 @@ import (
 
 	"pselinv"
 	"pselinv/internal/dense"
+	"pselinv/internal/ordering"
 )
 
 var (
-	flagMatrix   = flag.String("matrix", "grid2d", "generator: grid2d|grid3d|dg2d|fe3d|banded|random")
+	flagMatrix   = flag.String("matrix", "grid2d", "generator: "+generatorKinds())
 	flagMM       = flag.String("mm", "", "read a MatrixMarket file instead of generating")
 	flagNX       = flag.Int("nx", 12, "grid extent x")
 	flagNY       = flag.Int("ny", 12, "grid extent y")
@@ -64,19 +65,34 @@ func balancer(name string) string {
 }
 
 func orderMethod(name string) pselinv.OrderingMethod {
-	switch strings.ToLower(name) {
-	case "natural":
-		return pselinv.OrderNatural
-	case "rcm":
-		return pselinv.OrderRCM
-	case "nd":
-		return pselinv.OrderNestedDissection
-	case "mmd":
-		return pselinv.OrderMinimumDegree
+	m, err := ordering.Parse(name)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "pselinv: %v\n", err)
+		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "pselinv: unknown ordering %q\n", name)
-	os.Exit(2)
-	return 0
+	return m
+}
+
+// generators are the -matrix kinds: each name is parsed, listed in the
+// flag's help and in its error, from here only.
+var generators = []struct {
+	kind string
+	gen  func() *pselinv.Matrix
+}{
+	{"grid2d", func() *pselinv.Matrix { return pselinv.Grid2D(*flagNX, *flagNY, *flagSeed) }},
+	{"grid3d", func() *pselinv.Matrix { return pselinv.Grid3D(*flagNX, *flagNY, *flagNZ, *flagSeed) }},
+	{"dg2d", func() *pselinv.Matrix { return pselinv.DG2D(*flagNX, *flagNY, *flagDofs, *flagSeed) }},
+	{"fe3d", func() *pselinv.Matrix { return pselinv.FE3D(*flagNX, *flagNY, *flagNZ, *flagDofs, *flagSeed) }},
+	{"banded", func() *pselinv.Matrix { return pselinv.Banded(*flagN, 4, *flagSeed) }},
+	{"random", func() *pselinv.Matrix { return pselinv.RandomSym(*flagN, 6, *flagSeed) }},
+}
+
+func generatorKinds() string {
+	kinds := make([]string, len(generators))
+	for i, g := range generators {
+		kinds[i] = g.kind
+	}
+	return strings.Join(kinds, "|")
 }
 
 func buildMatrix() *pselinv.Matrix {
@@ -88,21 +104,12 @@ func buildMatrix() *pselinv.Matrix {
 		check(err)
 		return m
 	}
-	switch strings.ToLower(*flagMatrix) {
-	case "grid2d":
-		return pselinv.Grid2D(*flagNX, *flagNY, *flagSeed)
-	case "grid3d":
-		return pselinv.Grid3D(*flagNX, *flagNY, *flagNZ, *flagSeed)
-	case "dg2d":
-		return pselinv.DG2D(*flagNX, *flagNY, *flagDofs, *flagSeed)
-	case "fe3d":
-		return pselinv.FE3D(*flagNX, *flagNY, *flagNZ, *flagDofs, *flagSeed)
-	case "banded":
-		return pselinv.Banded(*flagN, 4, *flagSeed)
-	case "random":
-		return pselinv.RandomSym(*flagN, 6, *flagSeed)
+	for _, g := range generators {
+		if strings.EqualFold(g.kind, *flagMatrix) {
+			return g.gen()
+		}
 	}
-	fmt.Fprintf(os.Stderr, "pselinv: unknown matrix kind %q\n", *flagMatrix)
+	fmt.Fprintf(os.Stderr, "pselinv: unknown matrix kind %q (valid: %s)\n", *flagMatrix, generatorKinds())
 	os.Exit(2)
 	return nil
 }

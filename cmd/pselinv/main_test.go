@@ -52,3 +52,24 @@ func TestRetiredBalancerIsUsageError(t *testing.T) {
 		}
 	}
 }
+
+// TestUnknownNameListsValidSet: an unknown -order or -matrix exits 2 listing
+// every valid name, as an unknown -scheme or -balancer does; both used to
+// name only the bad value.
+func TestUnknownNameListsValidSet(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-order", "amd", "-nx", "3", "-ny", "3"}, "(valid: natural|rcm|nd|mmd)"},
+		{[]string{"-matrix", "randomsym"}, "(valid: grid2d|grid3d|dg2d|fe3d|banded|random)"},
+	} {
+		cmd := exec.Command(os.Args[0], c.args...)
+		cmd.Env = append(os.Environ(), "PSELINV_RUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), c.want) {
+			t.Errorf("pselinv %v: %v, output:\n%s", c.args, err, out)
+		}
+	}
+}

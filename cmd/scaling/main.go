@@ -94,7 +94,7 @@ func main() {
 				g.Name, g.A.N, pipe.An.BP.NumSnodes())
 			fmt.Printf("%7s %15s %15s %15s  (simulated s, mean of %d seeds ± std)\n",
 				"P", "Flat-Tree", "Binary-Tree", "Shifted", len(seeds))
-			pts := exp.MeasureScaling(pipe, procCounts, core.Schemes(), seeds, params)
+			pts := exp.MeasureScaling(pipe, procCounts, core.Schemes(), core.PlanConfig{}, seeds, params)
 			byP := map[int]map[core.Scheme]*exp.ScalingPoint{}
 			for _, pt := range pts {
 				if byP[pt.P] == nil {
@@ -123,8 +123,7 @@ func main() {
 		for _, scheme := range []core.Scheme{core.FlatTree, core.ShiftedBinaryTree} {
 			fmt.Printf("-- %v --\n", scheme)
 			for _, p := range []int{64, 2116} {
-				pts := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{scheme}, seeds[:1], params)
-				pt := pts[0]
+				pt := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{scheme}, core.PlanConfig{}, seeds[:1], params)[0]
 				fmt.Printf("  P=%-5d computation %8.4fs  communication %8.4fs  (comm/comp = %.2f)\n",
 					p, pt.Compute, pt.Comm, pt.Comm/pt.Compute)
 			}
@@ -153,31 +152,22 @@ func main() {
 		for _, p := range counts {
 			fmt.Printf("%7d", p)
 			for _, s := range schemes {
-				pts := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{s}, seeds, params)
-				fmt.Printf(" %13.4f±%.4f", pts[0].Mean, pts[0].Std)
+				pt := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{s}, core.PlanConfig{}, seeds, params)[0]
+				fmt.Printf(" %13.4f±%.4f", pt.Mean, pt.Std)
 			}
 			fmt.Println()
 		}
 		fmt.Println("\nhybrid flat/shifted threshold sweep at P=2116:")
-		grid := procgrid.Squarish(2116)
 		for _, thr := range []int{0, 8, 24, 64, 1 << 30} {
-			plan := core.NewPlanConfig(pipe.An.BP, grid, core.PlanConfig{
-				Scheme: core.Hybrid, Seed: 1, HybridThreshold: thr, Symmetric: true})
-			dag := netsim.BuildDAG(plan)
-			times := make([]float64, 0, len(seeds))
-			for _, sd := range seeds {
-				prm := params
-				prm.Seed = sd
-				times = append(times, netsim.SimulateDAG(dag, prm).Makespan)
-			}
-			s := stats.Summarize(times)
+			pt := exp.MeasureScaling(pipe, []int{2116}, []core.Scheme{core.Hybrid},
+				core.PlanConfig{HybridThreshold: thr}, seeds, params)[0]
 			label := fmt.Sprintf("%d", thr)
 			if thr == 0 {
 				label = "0 (pure shifted)"
 			} else if thr == 1<<30 {
 				label = "inf (pure flat)"
 			}
-			fmt.Printf("  threshold %-18s %10.4f±%.4f s\n", label, s.Mean, s.Std)
+			fmt.Printf("  threshold %-18s %10.4f±%.4f s\n", label, pt.Mean, pt.Std)
 		}
 	}
 }
@@ -244,27 +234,24 @@ func runAsymSection(seeds []uint64, params netsim.Params) {
 	}
 	fmt.Println()
 
-	g, relax, mw := exp.ScalingPNFStandin(2)
-	pipe := exp.PrepareSymbolic(g, relax, mw)
+	// The general path is the plan asymmetric values select: the same
+	// pattern, so the same supernodes, with its values perturbed.
+	pipeline := func(symmetric bool) *exp.Pipeline {
+		g, relax, mw := exp.ScalingPNFStandin(2)
+		if !symmetric {
+			sparse.Asymmetrize(g, 99, 0.6)
+		}
+		return exp.PrepareSymbolic(g, relax, mw)
+	}
+	sym, general := pipeline(true), pipeline(false)
 	fmt.Println("== Ablation: symmetric path vs general (asymmetric-value) path ==")
 	fmt.Printf("%7s %18s %18s %10s\n", "P", "symmetric (s)", "general (s)", "overhead")
 	for _, p := range []int{64, 576, 2116} {
-		grid := procgrid.Squarish(p)
-		mean := func(symmetric bool) float64 {
-			plan := core.NewPlanConfig(pipe.An.BP, grid, core.PlanConfig{
-				Scheme: core.ShiftedBinaryTree, Seed: 1, Symmetric: symmetric})
-			dag := netsim.BuildDAG(plan)
-			s := 0.0
-			for _, sd := range seeds {
-				prm := params
-				prm.Seed = sd
-				s += netsim.SimulateDAG(dag, prm).Makespan
-			}
-			return s / float64(len(seeds))
+		mean := func(pipe *exp.Pipeline) float64 {
+			return exp.MeasureScaling(pipe, []int{p}, []core.Scheme{core.ShiftedBinaryTree}, core.PlanConfig{}, seeds, params)[0].Mean
 		}
-		sym := mean(true)
-		asym := mean(false)
-		fmt.Printf("%7d %18.4f %18.4f %9.2fx\n", p, sym, asym, asym/sym)
+		s, a := mean(sym), mean(general)
+		fmt.Printf("%7d %18.4f %18.4f %9.2fx\n", p, s, a, a/s)
 	}
 	fmt.Println()
 }

@@ -164,31 +164,40 @@ func ScalingAudikwStandin(seed int64) (*sparse.Generated, int, int) {
 	return g, 4, 24
 }
 
-// MeasureScaling simulates the plan at each processor count and scheme
-// with the given placement seeds. The task DAG is built once per
-// (P, scheme) and replayed across seeds.
-func MeasureScaling(p *Pipeline, ps []int, schemes []core.Scheme, seeds []uint64, params netsim.Params) []*ScalingPoint {
+// MeasureScaling simulates, at each processor count and scheme, the plan
+// cfg configures (see simPlan) over the given placement seeds.
+func MeasureScaling(p *Pipeline, ps []int, schemes []core.Scheme, cfg core.PlanConfig, seeds []uint64, params netsim.Params) []*ScalingPoint {
 	var out []*ScalingPoint
 	for _, procs := range ps {
-		grid := procgrid.Squarish(procs)
 		for _, scheme := range schemes {
-			plan := core.NewPlan(p.An.BP, grid, scheme, 1)
-			dag := netsim.BuildDAG(plan)
-			pt := &ScalingPoint{P: procs, Scheme: scheme}
-			var last *netsim.Result
-			for _, seed := range seeds {
-				prm := params
-				prm.Seed = seed
-				res := netsim.SimulateDAG(dag, prm)
-				pt.Times = append(pt.Times, res.Makespan)
-				last = res
-			}
-			s := stats.Summarize(pt.Times)
-			pt.Mean, pt.Std = s.Mean, s.Std
-			pt.Compute = last.MeanCompute()
-			pt.Comm = last.CommTime()
-			out = append(out, pt)
+			out = append(out, replay(simPlan(p, procs, cfg, scheme, params), seeds, params))
 		}
 	}
 	return out
+}
+
+// simPlan builds the plan every simulation experiment replays: cfg with seed
+// 1, completed for scheme on the path p's values select (planConfig), on the
+// squarish grid of procs ranks, packed params.CoresPerNode to a node as the
+// cost model packs them.
+func simPlan(p *Pipeline, procs int, cfg core.PlanConfig, scheme core.Scheme, params netsim.Params) *core.Plan {
+	cfg.Seed, cfg.Topo = 1, core.Topology{CoresPerNode: params.CoresPerNode}
+	return core.NewPlanConfig(p.An.BP, procgrid.Squarish(procs), planConfig(p, cfg, scheme))
+}
+
+// replay builds plan's task DAG once and simulates it under params at each
+// placement seed.
+func replay(plan *core.Plan, seeds []uint64, params netsim.Params) *ScalingPoint {
+	dag := netsim.BuildDAG(plan)
+	pt := &ScalingPoint{P: plan.Grid.Size(), Scheme: plan.Scheme}
+	var last *netsim.Result
+	for _, seed := range seeds {
+		params.Seed = seed
+		last = netsim.SimulateDAG(dag, params)
+		pt.Times = append(pt.Times, last.Makespan)
+	}
+	s := stats.Summarize(pt.Times)
+	pt.Mean, pt.Std = s.Mean, s.Std
+	pt.Compute, pt.Comm = last.MeanCompute(), last.CommTime()
+	return pt
 }

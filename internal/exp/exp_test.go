@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"runtime"
 	"testing"
+	"time"
 
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
@@ -38,7 +40,7 @@ func TestMeasureScalingShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := MeasureScaling(p, []int{4, 16}, core.Schemes(), []uint64{1, 2, 3}, netsim.DefaultParams())
+	pts := MeasureScaling(p, []int{4, 16}, core.Schemes(), core.PlanConfig{}, []uint64{1, 2, 3}, netsim.DefaultParams())
 	if len(pts) != 6 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -147,4 +149,71 @@ func SelInvFlops(p *Pipeline) int64 {
 		}
 	}
 	return flops
+}
+
+// TestMeasureScalingFollowsPipelineAndPacking: MeasureScaling simulates the
+// plan of the path the pipeline's values select, its trees built for the
+// cost model's packing — here 8 ranks per node, under which the
+// topology-aware scheme's trees differ from the default 24-rank packing's.
+// It used to build every plan on the symmetric path with the default
+// packing.
+func TestMeasureScalingFollowsPipelineAndPacking(t *testing.T) {
+	params := ScaledEdisonParams()
+	params.CoresPerNode, params.Seed = 8, 100
+	for _, symmetric := range []bool{true, false} {
+		g := sparse.Grid2D(24, 24, 1)
+		if !symmetric {
+			sparse.Asymmetrize(g, 3, 0.5)
+		}
+		p := PrepareSymbolic(g, DefaultRelax, DefaultMaxWidth)
+		plan := core.NewPlanConfig(p.An.BP, procgrid.Squarish(48), core.PlanConfig{
+			Scheme: core.TopoShiftedTree, Seed: 1, Symmetric: symmetric,
+			Topo: core.Topology{CoresPerNode: 8}})
+		want := netsim.Simulate(plan, params).Makespan
+		pt := MeasureScaling(p, []int{48}, []core.Scheme{core.TopoShiftedTree}, core.PlanConfig{},
+			[]uint64{params.Seed}, params)[0]
+		if pt.Mean != want {
+			t.Errorf("symmetric=%v: MeasureScaling makespan %g, the plan's %g", symmetric, pt.Mean, want)
+		}
+	}
+}
+
+// BenchmarkScalingStandinDAG sizes the simulator at the top of the
+// processor axis: the PNF scaling stand-in's shifted plan at P = 2,116, the
+// plan Figure 8 simulates there. Per iteration it builds the task DAG
+// (build-s; build-MB allocated; live-MB, the heap the DAG keeps) and
+// replays it once at placement seed 100 (sim-s). Run it alone, one
+// iteration:
+//
+//	go test ./internal/exp -run '^$' -bench ScalingStandinDAG -benchtime 1x
+func BenchmarkScalingStandinDAG(b *testing.B) {
+	g, relax, mw := ScalingPNFStandin(2)
+	p := PrepareSymbolic(g, relax, mw)
+	params := ScaledEdisonParams()
+	params.Seed = 100
+	plan := simPlan(p, 2116, core.PlanConfig{}, core.ShiftedBinaryTree, params)
+	var build, sim time.Duration
+	var alloc, live uint64
+	b.ResetTimer()
+	for range b.N {
+		var m0, m1 runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m0)
+		t0 := time.Now()
+		dag := netsim.BuildDAG(plan)
+		build += time.Since(t0)
+		runtime.ReadMemStats(&m1)
+		alloc += m1.TotalAlloc - m0.TotalAlloc
+		runtime.GC()
+		runtime.ReadMemStats(&m1)
+		live += m1.HeapAlloc - m0.HeapAlloc
+		t0 = time.Now()
+		netsim.SimulateDAG(dag, params)
+		sim += time.Since(t0)
+	}
+	n := float64(b.N)
+	b.ReportMetric(build.Seconds()/n, "build-s")
+	b.ReportMetric(float64(alloc)/n/1e6, "build-MB")
+	b.ReportMetric(float64(live)/n/1e6, "live-MB")
+	b.ReportMetric(sim.Seconds()/n, "sim-s")
 }

@@ -15,7 +15,6 @@ import (
 
 	"pselinv/internal/core"
 	"pselinv/internal/netsim"
-	"pselinv/internal/procgrid"
 	"pselinv/internal/stats"
 )
 
@@ -57,9 +56,8 @@ type WidthSweep struct {
 }
 
 // MeasureWidth runs every core.AllSchemes() × core.AllBalancers() cell at
-// each P, ranks packed params.CoresPerNode to a node. Each plan uses seed 1
-// on the path p's values select; the task DAG is built once per cell and
-// replayed for each placement seed.
+// each P on the plan MeasureScaling simulates (simPlan), replayed for each
+// placement seed.
 func MeasureWidth(p *Pipeline, ps []int, seeds []uint64, params netsim.Params) *WidthSweep {
 	sweep := &WidthSweep{
 		Matrix:       p.Gen.Name,
@@ -68,23 +66,13 @@ func MeasureWidth(p *Pipeline, ps []int, seeds []uint64, params netsim.Params) *
 		Seeds:        seeds,
 	}
 	for _, procs := range ps {
-		grid := procgrid.Squarish(procs)
 		for _, scheme := range core.AllSchemes() {
 			for _, bal := range core.AllBalancers() {
-				plan := core.NewPlanConfig(p.An.BP, grid, planConfig(p, core.PlanConfig{
-					Seed: 1, Balancer: bal, Topo: core.Topology{CoresPerNode: params.CoresPerNode},
-				}, scheme))
+				plan := simPlan(p, procs, core.PlanConfig{Balancer: bal}, scheme, params)
 				cell := widthCounts(plan)
 				cell.P, cell.Scheme, cell.Balancer = procs, scheme.Slug(), bal.Slug()
-				dag := netsim.BuildDAG(plan)
-				times := make([]float64, 0, len(seeds))
-				for _, seed := range seeds {
-					prm := params
-					prm.Seed = seed
-					times = append(times, netsim.SimulateDAG(dag, prm).Makespan)
-				}
-				s := stats.Summarize(times)
-				cell.MakespanMean, cell.MakespanStd = s.Mean, s.Std
+				pt := replay(plan, seeds, params)
+				cell.MakespanMean, cell.MakespanStd = pt.Mean, pt.Std
 				sweep.Cells = append(sweep.Cells, cell)
 			}
 		}

@@ -27,6 +27,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
@@ -91,8 +92,11 @@ func unitHash(seed uint64, a, b int) float64 {
 
 func (p *Params) node(rank int) int { return rank / p.CoresPerNode }
 
-// latency returns the one-way wire latency between two ranks.
-func (p *Params) latency(src, dst int) float64 {
+// Latency returns the one-way wire latency between two ranks in seconds,
+// including the per-link placement jitter. internal/chaos uses it to skew
+// adversarial message delays with the same inhomogeneity profile the
+// scaling experiments simulate.
+func (p *Params) Latency(src, dst int) float64 {
 	na, nb := p.node(src), p.node(dst)
 	if na == nb {
 		return p.IntraLatency
@@ -104,12 +108,6 @@ func (p *Params) latency(src, dst int) float64 {
 	l := p.InterLatency + p.HopLatency*math.Log2(float64(1+d))
 	return l * (1 + p.Jitter*unitHash(p.Seed, na, nb))
 }
-
-// Latency returns the one-way wire latency between two ranks in seconds,
-// including the per-link placement jitter. internal/chaos uses it to skew
-// adversarial message delays with the same inhomogeneity profile the
-// scaling experiments simulate.
-func (p *Params) Latency(src, dst int) float64 { return p.latency(src, dst) }
 
 // linkBW returns the wire transfer bandwidth between two ranks.
 func (p *Params) linkBW(src, dst int) float64 {
@@ -135,24 +133,39 @@ const (
 	kMsg
 )
 
+// node is one task of the DAG; its successors live in the DAG's CSR array.
 type node struct {
-	kind  nodeKind
-	rank  int32 // compute: executor; msg: source
-	dst   int32 // msg destination
-	flops int64
-	bytes int64
-	prio  int32
-	deps  int32
-	outs  []int32
+	kind nodeKind
+	rank int32 // compute: executor; msg: source
+	dst  int32 // msg destination
+	prio int32
+	cost int64 // compute: flops; msg: bytes
 }
 
+// builder records a DAG in two runs of buildDAG, which add the same nodes
+// and edges in the same order. The first run counts: nodes, and each
+// node's out-degree at first[id+1]. After a prefix sum first[id] is where
+// node id's successors start, and the second run stores every node and
+// writes every edge to its source's next successor slot, into arrays of
+// exactly the final size — so each node keeps its successors in insertion
+// order, and no edge list or per-node slice is ever held.
 type builder struct {
+	fill  bool
+	n     int32 // nodes added so far
 	nodes []node
+	first []int32
+	next  []int32 // fill: each node's next successor slot
+	succ  []int32
 }
 
-func (b *builder) add(n node) int32 {
-	b.nodes = append(b.nodes, n)
-	return int32(len(b.nodes) - 1)
+func (b *builder) add(x node) int32 {
+	if b.fill {
+		b.nodes[b.n] = x
+	} else {
+		b.first = append(b.first, 0)
+	}
+	b.n++
+	return b.n - 1
 }
 
 func (b *builder) virtual(prio int32) int32 {
@@ -160,26 +173,30 @@ func (b *builder) virtual(prio int32) int32 {
 }
 
 func (b *builder) compute(rank int, flops int64, prio int32) int32 {
-	return b.add(node{kind: kCompute, rank: int32(rank), flops: flops, prio: prio})
+	return b.add(node{kind: kCompute, rank: int32(rank), cost: flops, prio: prio})
 }
 
 func (b *builder) msg(src, dst int, bytes int64, prio int32) int32 {
-	return b.add(node{kind: kMsg, rank: int32(src), dst: int32(dst), bytes: bytes, prio: prio})
+	return b.add(node{kind: kMsg, rank: int32(src), dst: int32(dst), cost: bytes, prio: prio})
 }
 
 // edge adds dependency from -> to (to waits for from).
 func (b *builder) edge(from, to int32) {
-	b.nodes[from].outs = append(b.nodes[from].outs, to)
-	b.nodes[to].deps++
+	if !b.fill {
+		b.first[from+1]++
+		return
+	}
+	b.succ[b.next[from]] = to
+	b.next[from]++
 }
 
 // buildDAG mirrors internal/pselinv's two passes over the plan: per supernode,
 // each side the plan runs contributes the same block of nodes (pass-1
 // broadcast and TRSMs, cross-sends, broadcasts, GEMMs, reductions), read with
 // rows and columns exchanged on the upper side (core.Side.Block).
-func buildDAG(plan *core.Plan) *builder {
-	b := &builder{}
-	part := plan.BP.Part
+func buildDAG(plan *core.Plan, b *builder) {
+	bp := plan.BP
+	part := bp.Part
 	div := int64(1) // the diagonal inverse U⁻¹·L⁻¹; L⁻ᵀ·D⁻¹·L⁻¹ takes a third
 	if plan.Symmetric {
 		div = 3
@@ -187,15 +204,27 @@ func buildDAG(plan *core.Plan) *builder {
 	cube := func(k int) int64 { w := int64(part.Width(k)); return 2 * w * w * w / div }
 
 	barrier := b.virtual(1 << 30)
-	fin := map[int64]int32{}
+	// fin holds, by block slot — a lower block (I,J) at J's first slot plus
+	// I's position in RowsOf[J], its upper mirror (J,I) that plus the lower
+	// triangle's block count — the node after which A⁻¹ of the block is
+	// final, created on first use; 0 (the barrier) is none yet.
+	first := make([]int, len(bp.RowsOf)+1)
+	for k, rows := range bp.RowsOf {
+		first[k+1] = first[k] + len(rows)
+	}
+	nb := first[len(bp.RowsOf)]
+	fin := make([]int32, 2*nb)
 	finOf := func(i, j int) int32 {
-		key := int64(i)<<32 | int64(uint32(j))
-		if id, ok := fin[key]; ok {
-			return id
+		slot := 0
+		if i < j {
+			i, j, slot = j, i, nb
 		}
-		id := b.virtual(int32(min(i, j)))
-		fin[key] = id
-		return id
+		p, _ := slices.BinarySearch(bp.RowsOf[j], i)
+		slot += first[j] + p
+		if fin[slot] == 0 {
+			fin[slot] = b.virtual(int32(min(i, j)))
+		}
+		return fin[slot]
 	}
 	// bcastTree adds the messages of broadcast op, whose root holds the
 	// payload after node ready (-1: from the start), and returns, position by
@@ -333,7 +362,6 @@ func buildDAG(plan *core.Plan) *builder {
 		b.edge(at(ddone, sp.DiagReduce, sp.DiagReduce.Tree.Root), inv)
 		b.edge(inv, finOf(k, k))
 	}
-	return b
 }
 
 // --- Event-driven execution ---------------------------------------------
@@ -381,17 +409,27 @@ func (r *Result) CommTime() float64 {
 // expensive part; SimulateDAG can replay it under many network parameter
 // sets (e.g. placement seeds) without rebuilding.
 type DAG struct {
-	P        int
-	nodes    []node
-	initDeps []int32
+	P     int
+	nodes []node
+	// The successors of node id are succ[first[id]:first[id+1]], in the
+	// order buildDAG added the edges; deps counts each node's predecessors.
+	first, succ, deps []int32
 }
 
 // BuildDAG constructs the task graph of a plan once.
 func BuildDAG(plan *core.Plan) *DAG {
-	b := buildDAG(plan)
-	d := &DAG{P: plan.Grid.Size(), nodes: b.nodes, initDeps: make([]int32, len(b.nodes))}
-	for i := range b.nodes {
-		d.initDeps[i] = b.nodes[i].deps
+	b := &builder{first: []int32{0}}
+	buildDAG(plan, b)
+	n := len(b.first) - 1
+	for i := range n {
+		b.first[i+1] += b.first[i]
+	}
+	b.fill, b.n = true, 0
+	b.nodes, b.next, b.succ = make([]node, n), slices.Clone(b.first[:n]), make([]int32, b.first[n])
+	buildDAG(plan, b)
+	d := &DAG{P: plan.Grid.Size(), nodes: b.nodes, first: b.first, succ: b.succ, deps: make([]int32, n)}
+	for _, to := range d.succ {
+		d.deps[to]++
 	}
 	return d
 }
@@ -401,172 +439,119 @@ func Simulate(plan *core.Plan, params Params) *Result {
 	return SimulateDAG(BuildDAG(plan), params)
 }
 
-// event kinds.
+// entry is an element of a heap, which pops the least (key, seq) first. The
+// event queue keys by time; a resource queue by negated priority, so a CPU
+// takes the highest supernode first, like the engine's descending
+// traversal, while ports and node links (key 0) are strictly FIFO: a NIC
+// drains its queue in posting order — it has no idea which message is on
+// the global critical path, which is precisely why a Flat-Tree root's long
+// send batch blocks everything behind it (§III). seq, drawn from one counter
+// in creation order, breaks ties.
+type entry struct {
+	key float64
+	seq int64
+	res int32 // event: the resource it concerns (see sim.at)
+	id  int32 // DAG node
+}
+
+// heap is a hand-rolled binary min-heap, avoiding container/heap interface
+// boxing on the hot path.
+type heap []entry
+
+func (h heap) less(i, j int) bool {
+	if h[i].key != h[j].key {
+		return h[i].key < h[j].key
+	}
+	return h[i].seq < h[j].seq
+}
+
+func (h *heap) push(e entry) {
+	*h = append(*h, e)
+	a := *h
+	for i := len(a) - 1; i > 0; {
+		p := (i - 1) / 2
+		if a.less(p, i) {
+			break
+		}
+		a[p], a[i] = a[i], a[p]
+		i = p
+	}
+}
+
+func (h *heap) pop() entry {
+	a := *h
+	top := a[0]
+	n := len(a) - 1
+	a[0] = a[n]
+	a = a[:n]
+	*h = a
+	for i := 0; ; {
+		l, r := 2*i+1, 2*i+2
+		if l >= n {
+			break
+		}
+		c := l
+		if r < n && a.less(r, l) {
+			c = r
+		}
+		if a.less(i, c) {
+			break
+		}
+		a[i], a[c] = a[c], a[i]
+		i = c
+	}
+	return top
+}
+
+// Resource classes. Every resource serves one queued DAG node at a time for
+// over + cost/rate seconds; the classes differ in those two numbers and in
+// where a served node goes next.
 const (
-	evCPUDone uint8 = iota
-	evSendDone
-	evNodeUpDone
-	evEnqueueNodeDown
-	evNodeDownDone
-	evEnqueueRecv
-	evRecvDone
+	cpu      uint8 = iota // a rank's processor: compute nodes, by priority
+	sendPort              // a rank's injection port
+	recvPort              // a rank's ejection port
+	upLink                // a physical node's shared up-link
+	downLink              // a physical node's shared down-link
 )
 
-type event struct {
-	t    float64
-	seq  int64
-	kind uint8
-	res  int32 // rank or node index, depending on kind
-	id   int32 // DAG node
-}
-
-// eventHeap is a hand-rolled binary min-heap of events ordered by (t, seq),
-// avoiding container/heap interface boxing on the hot path.
-type eventHeap struct{ a []event }
-
-func (h *eventHeap) less(i, j int) bool {
-	if h.a[i].t != h.a[j].t {
-		return h.a[i].t < h.a[j].t
-	}
-	return h.a[i].seq < h.a[j].seq
-}
-
-func (h *eventHeap) push(e event) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.less(p, i) {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *eventHeap) pop() event {
-	top := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a = h.a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		c := l
-		if r < n && h.less(r, l) {
-			c = r
-		}
-		if h.less(i, c) {
-			break
-		}
-		h.a[i], h.a[c] = h.a[c], h.a[i]
-		i = c
-	}
-	return top
-}
-
-// prioItem is a queue entry. CPUs schedule by (priority desc, seq asc): the
-// engine works on the highest supernode first, like the real code's
-// descending traversal. Network ports and node links are strictly FIFO
-// (prio left 0): a NIC drains its queue in posting order — it has no idea
-// which message is on the global critical path, which is precisely why a
-// Flat-Tree root's long send batch blocks everything behind it (§III).
-type prioItem struct {
-	prio int32
-	seq  int64
-	id   int32
-}
-
-// itemHeap is a hand-rolled binary min-heap ordered by (prio desc, seq asc).
-type itemHeap struct{ a []prioItem }
-
-func (h *itemHeap) len() int { return len(h.a) }
-
-func (h *itemHeap) less(i, j int) bool {
-	if h.a[i].prio != h.a[j].prio {
-		return h.a[i].prio > h.a[j].prio
-	}
-	return h.a[i].seq < h.a[j].seq
-}
-
-func (h *itemHeap) push(e prioItem) {
-	h.a = append(h.a, e)
-	i := len(h.a) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.less(p, i) {
-			break
-		}
-		h.a[p], h.a[i] = h.a[i], h.a[p]
-		i = p
-	}
-}
-
-func (h *itemHeap) pop() prioItem {
-	top := h.a[0]
-	n := len(h.a) - 1
-	h.a[0] = h.a[n]
-	h.a = h.a[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		if l >= n {
-			break
-		}
-		c := l
-		if r < n && h.less(r, l) {
-			c = r
-		}
-		if h.less(i, c) {
-			break
-		}
-		h.a[i], h.a[c] = h.a[c], h.a[i]
-		i = c
-	}
-	return top
-}
-
 type resource struct {
-	busy  bool
-	queue itemHeap
+	class      uint8
+	busy       bool
+	over, rate float64
+	queue      heap
 }
 
+// sim is one replay. Resources are indexed by class in blocks: the P CPUs,
+// send ports and receive ports by rank, then the up-links and down-links by
+// physical node; busy[r] accumulates resource r's service seconds. The
+// embedded copy of the DAG counts its own deps down.
 type sim struct {
+	DAG
 	params Params
-	nodes  []node
-	deps   []int32
-	events eventHeap
+	events heap
 	seq    int64
-	now    float64
-
-	cpu      []resource
-	send     []resource
-	recv     []resource
-	nodeUp   []resource
-	nodeDown []resource
-
-	res Result
+	rs     []resource
+	busy   []float64
+	p, n   int32 // ranks and physical nodes
+	msgs   int64
+	bytes  int64
 }
 
 func newSim(dag *DAG, params Params) *sim {
-	p := dag.P
-	numNodes := (p + params.CoresPerNode - 1) / params.CoresPerNode
-	s := &sim{
-		params:   params,
-		nodes:    dag.nodes,
-		deps:     append([]int32(nil), dag.initDeps...),
-		cpu:      make([]resource, p),
-		send:     make([]resource, p),
-		recv:     make([]resource, p),
-		nodeUp:   make([]resource, numNodes),
-		nodeDown: make([]resource, numNodes),
+	p, n := dag.P, (dag.P+params.CoresPerNode-1)/params.CoresPerNode
+	s := &sim{DAG: *dag, params: params,
+		rs: make([]resource, 3*p+2*n), busy: make([]float64, 3*p+2*n), p: int32(p), n: int32(n)}
+	for r := range p {
+		s.rs[r] = resource{class: cpu, rate: params.FlopRate}
+		s.rs[p+r] = resource{class: sendPort, over: params.SendOverhead, rate: params.PortBW}
+		s.rs[2*p+r] = resource{class: recvPort, over: params.RecvOverhead, rate: params.PortBW}
 	}
-	s.res.ComputeTime = make([]float64, p)
-	s.res.SendBusy = make([]float64, p)
-	s.res.RecvBusy = make([]float64, p)
+	for i := range n {
+		bw := params.nodeLinkBW(i)
+		s.rs[3*p+i] = resource{class: upLink, rate: bw}
+		s.rs[3*p+n+i] = resource{class: downLink, rate: bw}
+	}
+	s.deps = slices.Clone(dag.deps)
 	return s
 }
 
@@ -576,26 +561,28 @@ func (s *sim) run() *Result {
 	// of later nodes to zero mid-scan, which must not re-ready them (they
 	// are readied exactly once by the cascade itself).
 	var initial []int32
-	for id := range s.nodes {
-		if s.deps[id] == 0 {
+	for id, d := range s.deps {
+		if d == 0 {
 			initial = append(initial, int32(id))
 		}
 	}
 	for _, id := range initial {
 		s.ready(id, 0)
 	}
-	for len(s.events.a) > 0 {
+	var now float64
+	for len(s.events) > 0 {
 		ev := s.events.pop()
-		s.now = ev.t
+		now = ev.key
 		s.handle(ev)
 	}
-	s.res.Makespan = s.now
-	for id := range s.nodes {
-		if s.deps[id] > 0 {
+	for id, d := range s.deps {
+		if d > 0 {
 			panic(fmt.Sprintf("netsim: node %d never became ready (deadlocked DAG)", id))
 		}
 	}
-	return &s.res
+	p := int(s.p)
+	return &Result{Makespan: now, ComputeTime: s.busy[:p:p], SendBusy: s.busy[p : 2*p : 2*p],
+		RecvBusy: s.busy[2*p : 3*p : 3*p], MsgCount: s.msgs, BytesMoved: s.bytes}
 }
 
 // SimulateDAG replays a prebuilt task graph under the given parameters.
@@ -603,146 +590,88 @@ func SimulateDAG(dag *DAG, params Params) *Result {
 	return newSim(dag, params).run()
 }
 
-func (s *sim) at(t float64, kind uint8, res, id int32) {
+// at schedules an event at time t. There are two kinds: resource r finished
+// serving node id, or, with r passed as ^r, node id arrives at r's queue.
+func (s *sim) at(t float64, r, id int32) {
 	s.seq++
-	s.events.push(event{t: t, seq: s.seq, kind: kind, res: res, id: id})
+	s.events.push(entry{key: t, seq: s.seq, res: r, id: id})
 }
 
-func (s *sim) nextSeq() int64 { s.seq++; return s.seq }
+// enqueue queues node id at resource r under key and serves it if r is idle.
+func (s *sim) enqueue(r int32, key float64, id int32, t float64) {
+	s.seq++
+	s.rs[r].queue.push(entry{key: key, seq: s.seq, id: id})
+	s.start(r, t)
+}
+
+// start serves resource r's next queued node, if r is idle.
+func (s *sim) start(r int32, t float64) {
+	rs := &s.rs[r]
+	if rs.busy || len(rs.queue) == 0 {
+		return
+	}
+	id := rs.queue.pop().id
+	dur := rs.over + float64(s.nodes[id].cost)/rs.rate
+	rs.busy = true
+	s.busy[r] += dur
+	s.at(t+dur, r, id)
+}
 
 // ready is called when all dependencies of a DAG node are satisfied.
 func (s *sim) ready(id int32, t float64) {
 	n := &s.nodes[id]
-	switch n.kind {
-	case kVirtual:
+	switch {
+	case n.kind == kCompute:
+		s.enqueue(n.rank, -float64(n.prio), id, t)
+	case n.kind == kMsg && n.rank != n.dst:
+		s.msgs++
+		s.bytes += n.cost
+		s.enqueue(s.p+n.rank, 0, id, t)
+	default: // a virtual node or a local hand-off: no cost
 		s.complete(id, t)
-	case kCompute:
-		s.cpu[n.rank].queue.push(prioItem{prio: n.prio, seq: s.nextSeq(), id: id})
-		s.tryCPU(n.rank, t)
-	case kMsg:
-		if n.rank == n.dst {
-			s.complete(id, t) // local hand-off: no network cost
-			return
-		}
-		s.send[n.rank].queue.push(prioItem{seq: s.nextSeq(), id: id})
-		s.trySend(n.rank, t)
 	}
 }
 
 func (s *sim) complete(id int32, t float64) {
-	for _, out := range s.nodes[id].outs {
+	for _, out := range s.succ[s.first[id]:s.first[id+1]] {
 		s.deps[out]--
 		if s.deps[out] == 0 {
 			s.ready(out, t)
 		} else if s.deps[out] < 0 {
-			panic(fmt.Sprintf("netsim: dependency underflow: node %d (kind %d rank %d) -> out %d (kind %d rank %d dst %d), total nodes %d",
-				id, s.nodes[id].kind, s.nodes[id].rank, out, s.nodes[out].kind, s.nodes[out].rank, s.nodes[out].dst, len(s.nodes)))
+			panic(fmt.Sprintf("netsim: dependency underflow: node %d -> %d", id, out))
 		}
 	}
 }
 
-func (s *sim) tryCPU(rank int32, t float64) {
-	r := &s.cpu[rank]
-	if r.busy || r.queue.len() == 0 {
+func (s *sim) handle(ev entry) {
+	t, r := ev.key, ev.res
+	if r < 0 {
+		s.enqueue(^r, 0, ev.id, t)
 		return
 	}
-	it := r.queue.pop()
-	dur := float64(s.nodes[it.id].flops) / s.params.FlopRate
-	r.busy = true
-	s.res.ComputeTime[rank] += dur
-	s.at(t+dur, evCPUDone, rank, it.id)
-}
-
-func (s *sim) trySend(rank int32, t float64) {
-	r := &s.send[rank]
-	if r.busy || r.queue.len() == 0 {
-		return
-	}
-	it := r.queue.pop()
-	n := &s.nodes[it.id]
-	inject := s.params.SendOverhead + float64(n.bytes)/s.params.PortBW
-	s.res.MsgCount++
-	s.res.BytesMoved += n.bytes
-	r.busy = true
-	s.res.SendBusy[rank] += inject
-	s.at(t+inject, evSendDone, rank, it.id)
-}
-
-func (s *sim) tryNodeUp(nodeID int32, t float64) {
-	r := &s.nodeUp[nodeID]
-	if r.busy || r.queue.len() == 0 {
-		return
-	}
-	it := r.queue.pop()
-	occ := float64(s.nodes[it.id].bytes) / s.params.nodeLinkBW(int(nodeID))
-	r.busy = true
-	s.at(t+occ, evNodeUpDone, nodeID, it.id)
-}
-
-func (s *sim) tryNodeDown(nodeID int32, t float64) {
-	r := &s.nodeDown[nodeID]
-	if r.busy || r.queue.len() == 0 {
-		return
-	}
-	it := r.queue.pop()
-	occ := float64(s.nodes[it.id].bytes) / s.params.nodeLinkBW(int(nodeID))
-	r.busy = true
-	s.at(t+occ, evNodeDownDone, nodeID, it.id)
-}
-
-func (s *sim) tryRecv(rank int32, t float64) {
-	r := &s.recv[rank]
-	if r.busy || r.queue.len() == 0 {
-		return
-	}
-	it := r.queue.pop()
-	eject := s.params.RecvOverhead + float64(s.nodes[it.id].bytes)/s.params.PortBW
-	r.busy = true
-	s.res.RecvBusy[rank] += eject
-	s.at(t+eject, evRecvDone, rank, it.id)
-}
-
-func (s *sim) handle(ev event) {
-	t := ev.t
-	switch ev.kind {
-	case evCPUDone:
-		s.cpu[ev.res].busy = false
+	rs := &s.rs[r]
+	rs.busy = false
+	if rs.class == cpu || rs.class == recvPort { // the node is done
 		s.complete(ev.id, t)
-		s.tryCPU(ev.res, t)
-	case evSendDone:
-		s.send[ev.res].busy = false
-		s.trySend(ev.res, t)
-		n := &s.nodes[ev.id]
-		src, dst := int(n.rank), int(n.dst)
+		s.start(r, t)
+		return
+	}
+	s.start(r, t)
+	n := &s.nodes[ev.id]
+	src, dst := int(n.rank), int(n.dst)
+	recv := 2*s.p + n.dst
+	switch rs.class {
+	case sendPort:
 		if s.params.node(src) == s.params.node(dst) {
 			// Intra-node: a memory copy, no shared NIC involved.
-			arrive := t + s.params.IntraLatency + float64(n.bytes)/s.params.IntraBW
-			s.at(arrive, evEnqueueRecv, n.dst, ev.id)
-			return
+			s.at(t+s.params.IntraLatency+float64(n.cost)/s.params.IntraBW, ^recv, ev.id)
+		} else {
+			s.enqueue(3*s.p+int32(s.params.node(src)), 0, ev.id, t)
 		}
-		up := int32(s.params.node(src))
-		s.nodeUp[up].queue.push(prioItem{seq: s.nextSeq(), id: ev.id})
-		s.tryNodeUp(up, t)
-	case evNodeUpDone:
-		s.nodeUp[ev.res].busy = false
-		s.tryNodeUp(ev.res, t)
-		n := &s.nodes[ev.id]
-		src, dst := int(n.rank), int(n.dst)
-		arrive := t + s.params.latency(src, dst) + float64(n.bytes)/s.params.linkBW(src, dst)
-		s.at(arrive, evEnqueueNodeDown, int32(s.params.node(dst)), ev.id)
-	case evEnqueueNodeDown:
-		s.nodeDown[ev.res].queue.push(prioItem{seq: s.nextSeq(), id: ev.id})
-		s.tryNodeDown(ev.res, t)
-	case evNodeDownDone:
-		s.nodeDown[ev.res].busy = false
-		s.tryNodeDown(ev.res, t)
-		s.at(t, evEnqueueRecv, s.nodes[ev.id].dst, ev.id)
-	case evEnqueueRecv:
-		s.recv[ev.res].queue.push(prioItem{seq: s.nextSeq(), id: ev.id})
-		s.tryRecv(ev.res, t)
-	case evRecvDone:
-		s.recv[ev.res].busy = false
-		s.complete(ev.id, t)
-		s.tryRecv(ev.res, t)
+	case upLink:
+		arrive := t + s.params.Latency(src, dst) + float64(n.cost)/s.params.linkBW(src, dst)
+		s.at(arrive, ^(3*s.p + s.n + int32(s.params.node(dst))), ev.id)
+	case downLink:
+		s.at(t, ^recv, ev.id)
 	}
 }

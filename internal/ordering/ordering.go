@@ -10,7 +10,9 @@ package ordering
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"pselinv/internal/sparse"
 )
@@ -30,19 +32,24 @@ const (
 	MinimumDegree
 )
 
+// methodNames are the methods' flag and request names, by Method.
+var methodNames = [...]string{Natural: "natural", RCM: "rcm", NestedDissection: "nd", MinimumDegree: "mmd"}
+
 // String names the method.
 func (m Method) String() string {
-	switch m {
-	case Natural:
-		return "natural"
-	case RCM:
-		return "rcm"
-	case NestedDissection:
-		return "nd"
-	case MinimumDegree:
-		return "mmd"
+	if m >= 0 && int(m) < len(methodNames) {
+		return methodNames[m]
 	}
 	return fmt.Sprintf("method(%d)", int(m))
+}
+
+// Parse resolves a flag or request value to a Method. Unknown names are an
+// error whose message lists the valid ones.
+func Parse(name string) (Method, error) {
+	if i := slices.Index(methodNames[:], strings.ToLower(strings.TrimSpace(name))); i >= 0 {
+		return Method(i), nil
+	}
+	return 0, fmt.Errorf("unknown ordering %q (valid: %s)", name, strings.Join(methodNames[:], "|"))
 }
 
 // Compute returns the permutation for the requested method. geom may be nil;
@@ -54,14 +61,14 @@ func Compute(m Method, a *sparse.CSC, geom *sparse.Geometry) []int {
 	case Natural:
 		return Identity(a.N)
 	case RCM:
-		return ReverseCuthillMcKee(a.Adjacency())
+		return reverseCuthillMcKee(a.Adjacency())
 	case NestedDissection:
 		if geom != nil && geom.Nodes()*geom.DofsPerNode == a.N {
-			return GeometricND(geom)
+			return geometricND(geom)
 		}
-		return GraphND(a.Adjacency(), 32)
+		return graphND(a.Adjacency(), 32)
 	case MinimumDegree:
-		return MinDegree(a.Adjacency())
+		return minDegree(a.Adjacency())
 	}
 	panic(fmt.Sprintf("ordering: unknown method %d", int(m)))
 }
@@ -96,10 +103,10 @@ func Inverse(p []int) []int {
 	return inv
 }
 
-// ReverseCuthillMcKee orders the graph breadth-first from a pseudo-
+// reverseCuthillMcKee orders the graph breadth-first from a pseudo-
 // peripheral vertex of each connected component, neighbors by increasing
 // degree, then reverses — the classical RCM bandwidth-reducing ordering.
-func ReverseCuthillMcKee(adj [][]int) []int {
+func reverseCuthillMcKee(adj [][]int) []int {
 	n := len(adj)
 	visited := make([]bool, n)
 	order := make([]int, 0, n)
@@ -180,11 +187,11 @@ func bfsLevels(adj [][]int, root int) (levels []int, far int) {
 	return levels, far
 }
 
-// GraphND is a general-graph nested dissection: recursively split each
+// graphND is a general-graph nested dissection: recursively split each
 // piece with a BFS level-set vertex separator; separator vertices are
 // numbered last. Pieces at or below leafSize are ordered locally with
 // minimum degree.
-func GraphND(adj [][]int, leafSize int) []int {
+func graphND(adj [][]int, leafSize int) []int {
 	n := len(adj)
 	perm := make([]int, n)
 	next := n // numbers are assigned from the back (separators last)
@@ -229,7 +236,7 @@ func GraphND(adj [][]int, leafSize int) []int {
 	}
 	rec(all)
 	if next != 0 {
-		panic("ordering: GraphND did not number all vertices")
+		panic("ordering: graphND did not number all vertices")
 	}
 	return perm
 }
@@ -343,14 +350,14 @@ func inducedMinDegree(adj [][]int, vertices []int) []int {
 			}
 		}
 	}
-	perm := MinDegree(local)
+	perm := minDegree(local)
 	return perm
 }
 
-// GeometricND orders a regular grid with recursive coordinate-plane
+// geometricND orders a regular grid with recursive coordinate-plane
 // separators (the textbook nested dissection on grids). Bundled dofs per
 // node stay contiguous, which also makes them natural supernode seeds.
-func GeometricND(g *sparse.Geometry) []int {
+func geometricND(g *sparse.Geometry) []int {
 	n := g.Nodes()
 	perm := make([]int, n*g.DofsPerNode)
 	next := n                                     // node numbers assigned from the back
@@ -410,16 +417,16 @@ func GeometricND(g *sparse.Geometry) []int {
 	}
 	rec(box{0, g.NX, 0, g.NY, 0, g.NZ})
 	if next != 0 {
-		panic("ordering: GeometricND did not number all nodes")
+		panic("ordering: geometricND did not number all nodes")
 	}
 	return perm
 }
 
-// MinDegree is a quotient-graph minimum (external) degree ordering with
+// minDegree is a quotient-graph minimum (external) degree ordering with
 // element absorption — the classical MD algorithm (George & Liu) without
 // multiple elimination or supervariable detection. Good fill quality at the
 // scales this repository targets.
-func MinDegree(adj [][]int) []int {
+func minDegree(adj [][]int) []int {
 	n := len(adj)
 	perm := make([]int, n)
 	// Quotient graph state: each live variable has variable neighbors

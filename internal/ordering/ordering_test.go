@@ -105,7 +105,7 @@ func TestRCMReducesBandwidthOnShuffledBand(t *testing.T) {
 		return b
 	}
 	before := bw(shuffled)
-	perm := ReverseCuthillMcKee(shuffled.Adjacency())
+	perm := reverseCuthillMcKee(shuffled.Adjacency())
 	after := bw(shuffled.Permute(perm))
 	if after >= before {
 		t.Fatalf("RCM did not reduce bandwidth: %d -> %d", before, after)
@@ -127,7 +127,7 @@ func TestNDReducesFillOn2DGrid(t *testing.T) {
 func TestGraphNDReducesFillOn2DGrid(t *testing.T) {
 	g := sparse.Grid2D(12, 12, 1)
 	natural := fillCount(g.A, Identity(g.A.N))
-	nd := fillCount(g.A, GraphND(g.A.Adjacency(), 16))
+	nd := fillCount(g.A, graphND(g.A.Adjacency(), 16))
 	if nd >= natural {
 		t.Fatalf("graph ND fill %d >= natural fill %d", nd, natural)
 	}
@@ -136,7 +136,7 @@ func TestGraphNDReducesFillOn2DGrid(t *testing.T) {
 func TestMinDegreeReducesFillOnGrid(t *testing.T) {
 	g := sparse.Grid2D(10, 10, 1)
 	natural := fillCount(g.A, Identity(g.A.N))
-	md := fillCount(g.A, MinDegree(g.A.Adjacency()))
+	md := fillCount(g.A, minDegree(g.A.Adjacency()))
 	if md >= natural {
 		t.Fatalf("MD fill %d >= natural fill %d", md, natural)
 	}
@@ -150,7 +150,7 @@ func TestMinDegreeStar(t *testing.T) {
 		adj[0] = append(adj[0], i)
 		adj[i] = []int{0}
 	}
-	p := MinDegree(adj)
+	p := minDegree(adj)
 	// The center may tie with the final leaf at external degree 1, but must
 	// be one of the last two vertices eliminated, and the ordering must be
 	// fill-free.
@@ -176,7 +176,7 @@ func starMatrix(n int) *sparse.CSC {
 
 func TestGeometricNDKeepsDofsContiguous(t *testing.T) {
 	g := sparse.DG2D(4, 4, 3, 1)
-	p := GeometricND(g.Geom)
+	p := geometricND(g.Geom)
 	b := g.Geom.DofsPerNode
 	for node := 0; node < g.Geom.Nodes(); node++ {
 		base := p[node*b]
@@ -194,7 +194,7 @@ func TestGeometricNDKeepsDofsContiguous(t *testing.T) {
 func TestRCMHandlesDisconnectedGraph(t *testing.T) {
 	// Two disjoint paths.
 	adj := [][]int{{1}, {0, 2}, {1}, {4}, {3, 5}, {4}}
-	p := ReverseCuthillMcKee(adj)
+	p := reverseCuthillMcKee(adj)
 	if !IsPermutation(p) {
 		t.Fatal("invalid permutation on disconnected graph")
 	}
@@ -210,17 +210,17 @@ func TestGraphNDHandlesClique(t *testing.T) {
 			}
 		}
 	}
-	p := GraphND(adj, 8)
+	p := graphND(adj, 8)
 	if !IsPermutation(p) {
-		t.Fatal("GraphND failed on clique")
+		t.Fatal("graphND failed on clique")
 	}
 }
 
 func TestGraphNDHandlesDisconnected(t *testing.T) {
 	adj := make([][]int, 50) // fully disconnected
-	p := GraphND(adj, 4)
+	p := graphND(adj, 4)
 	if !IsPermutation(p) {
-		t.Fatal("GraphND failed on edgeless graph")
+		t.Fatal("graphND failed on edgeless graph")
 	}
 }
 
@@ -273,7 +273,7 @@ func BenchmarkGeometricND(b *testing.B) {
 	g := sparse.Grid3D(12, 12, 12, 1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		GeometricND(g.Geom)
+		geometricND(g.Geom)
 	}
 }
 
@@ -282,6 +282,6 @@ func BenchmarkMinDegreeGrid(b *testing.B) {
 	adj := g.A.Adjacency()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		MinDegree(adj)
+		minDegree(adj)
 	}
 }

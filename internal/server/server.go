@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -24,6 +25,7 @@ import (
 
 	"pselinv"
 	"pselinv/internal/dense"
+	"pselinv/internal/ordering"
 )
 
 // Config sizes the server. The zero value is usable: every field has a
@@ -367,40 +369,40 @@ type admission struct {
 	analyzeDur time.Duration
 }
 
+// generator is a matrix kind a MatrixSpec can name and the parameters it
+// requires: dims multiply to the matrix dimension, extra is the kind's
+// other must-be-positive parameter (1 when it has none).
+type generator struct {
+	kind, params string
+	dims         func(MatrixSpec) (dims []int, extra int)
+	gen          func(MatrixSpec) *pselinv.Matrix
+}
+
+// generators are the kinds besides "matrixmarket", each parsed, and listed
+// in the unknown-kind error, from here only.
+var generators = []generator{
+	{"grid2d", "nx, ny", func(s MatrixSpec) ([]int, int) { return []int{s.NX, s.NY}, 1 },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.Grid2D(s.NX, s.NY, s.Seed) }},
+	{"grid3d", "nx, ny, nz", func(s MatrixSpec) ([]int, int) { return []int{s.NX, s.NY, s.NZ}, 1 },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.Grid3D(s.NX, s.NY, s.NZ, s.Seed) }},
+	{"dg2d", "nx, ny, dofs", func(s MatrixSpec) ([]int, int) { return []int{s.NX, s.NY, s.Dofs}, 1 },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.DG2D(s.NX, s.NY, s.Dofs, s.Seed) }},
+	{"fe3d", "nx, ny, nz, dofs", func(s MatrixSpec) ([]int, int) { return []int{s.NX, s.NY, s.NZ, s.Dofs}, 1 },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.FE3D(s.NX, s.NY, s.NZ, s.Dofs, s.Seed) }},
+	{"banded", "n, bw", func(s MatrixSpec) ([]int, int) { return []int{s.N}, s.BW },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.Banded(s.N, s.BW, s.Seed) }},
+	{"randomsym", "n, deg", func(s MatrixSpec) ([]int, int) { return []int{s.N}, s.Deg },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.RandomSym(s.N, s.Deg, s.Seed) }},
+	{"randomasym", "n, deg", func(s MatrixSpec) ([]int, int) { return []int{s.N}, s.Deg },
+		func(s MatrixSpec) *pselinv.Matrix { return pselinv.RandomAsym(s.N, s.Deg, s.Seed) }},
+}
+
 // matrixSource validates a spec without building anything — a generator's
 // dimension follows from its parameters, so an oversized one is refused
 // here — and returns the function that realizes it.
 func (s *Server) matrixSource(spec MatrixSpec) (func() (*pselinv.Matrix, *httpError), *httpError) {
 	kind := strings.ToLower(spec.Kind)
-	// dims multiply to the matrix dimension; extra is the kind's other
-	// must-be-positive parameter (1 when it has none).
-	var dims []int
-	extra := 1
-	var params string
-	var gen func() *pselinv.Matrix
-	switch kind {
-	case "grid2d":
-		params, dims = "nx, ny", []int{spec.NX, spec.NY}
-		gen = func() *pselinv.Matrix { return pselinv.Grid2D(spec.NX, spec.NY, spec.Seed) }
-	case "grid3d":
-		params, dims = "nx, ny, nz", []int{spec.NX, spec.NY, spec.NZ}
-		gen = func() *pselinv.Matrix { return pselinv.Grid3D(spec.NX, spec.NY, spec.NZ, spec.Seed) }
-	case "dg2d":
-		params, dims = "nx, ny, dofs", []int{spec.NX, spec.NY, spec.Dofs}
-		gen = func() *pselinv.Matrix { return pselinv.DG2D(spec.NX, spec.NY, spec.Dofs, spec.Seed) }
-	case "fe3d":
-		params, dims = "nx, ny, nz, dofs", []int{spec.NX, spec.NY, spec.NZ, spec.Dofs}
-		gen = func() *pselinv.Matrix { return pselinv.FE3D(spec.NX, spec.NY, spec.NZ, spec.Dofs, spec.Seed) }
-	case "banded":
-		params, dims, extra = "n, bw", []int{spec.N}, spec.BW
-		gen = func() *pselinv.Matrix { return pselinv.Banded(spec.N, spec.BW, spec.Seed) }
-	case "randomsym":
-		params, dims, extra = "n, deg", []int{spec.N}, spec.Deg
-		gen = func() *pselinv.Matrix { return pselinv.RandomSym(spec.N, spec.Deg, spec.Seed) }
-	case "randomasym":
-		params, dims, extra = "n, deg", []int{spec.N}, spec.Deg
-		gen = func() *pselinv.Matrix { return pselinv.RandomAsym(spec.N, spec.Deg, spec.Seed) }
-	case "matrixmarket":
+	if kind == "matrixmarket" {
 		// Bounded by maxBodyBytes on the way in and by MaxN off the size
 		// line, before the body is parsed or a slot taken (and once parsed).
 		if spec.Data == "" {
@@ -416,13 +418,21 @@ func (s *Server) matrixSource(spec MatrixSpec) (func() (*pselinv.Matrix, *httpEr
 			}
 			return m, nil
 		}, nil
-	default:
-		return nil, badRequest("unknown matrix kind %q", spec.Kind)
 	}
+	i := slices.IndexFunc(generators, func(g generator) bool { return g.kind == kind })
+	if i < 0 {
+		kinds := make([]string, len(generators))
+		for i, g := range generators {
+			kinds[i] = g.kind
+		}
+		return nil, badRequest("unknown matrix kind %q (valid: %s|matrixmarket)", spec.Kind, strings.Join(kinds, "|"))
+	}
+	g := generators[i]
+	dims, extra := g.dims(spec)
 	n := 1
 	for _, d := range append(dims, extra) {
 		if d < 1 {
-			return nil, badRequest("%s requires %s >= 1", kind, params)
+			return nil, badRequest("%s requires %s >= 1", kind, g.params)
 		}
 	}
 	for _, d := range dims {
@@ -433,7 +443,7 @@ func (s *Server) matrixSource(spec MatrixSpec) (func() (*pselinv.Matrix, *httpEr
 		}
 		n *= d
 	}
-	return func() (*pselinv.Matrix, *httpError) { return gen(), nil }, nil
+	return func() (*pselinv.Matrix, *httpError) { return g.gen(spec), nil }, nil
 }
 
 // sizeLineRows reads the row count off a MatrixMarket size line the way the
@@ -456,17 +466,14 @@ func sizeLineRows(data string) (n int) {
 // to serve repeated same-pattern requests, and the fill-reducing ordering
 // is both the dominant cold-path cost and the thing worth paying once.
 func parseOrdering(s string) (pselinv.OrderingMethod, string, *httpError) {
-	switch strings.ToLower(s) {
-	case "", "nd":
+	if s == "" {
 		return pselinv.OrderNestedDissection, "nd", nil
-	case "natural":
-		return pselinv.OrderNatural, "natural", nil
-	case "rcm":
-		return pselinv.OrderRCM, "rcm", nil
-	case "mmd":
-		return pselinv.OrderMinimumDegree, "mmd", nil
 	}
-	return 0, "", badRequest("unknown ordering %q", s)
+	m, err := ordering.Parse(s)
+	if err != nil {
+		return 0, "", badRequest("%v", err)
+	}
+	return m, m.String(), nil
 }
 
 // fail answers a request that ends in an HTTP error and counts it.

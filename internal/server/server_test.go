@@ -278,6 +278,35 @@ func TestServeBalancers(t *testing.T) {
 	}
 }
 
+// TestServeUnknownNamesListValidSet: an unknown ordering or matrix kind is
+// a 400 whose message lists every valid name, as an unknown scheme or
+// balancer is; both used to name only the bad value.
+func TestServeUnknownNamesListValidSet(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, c := range []struct {
+		req  Request
+		want string
+	}{
+		{Request{Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Ordering: "amd"}, "(valid: natural|rcm|nd|mmd)"},
+		{Request{Matrix: MatrixSpec{Kind: "random", N: 20, Deg: 4}},
+			"(valid: grid2d|grid3d|dg2d|fe3d|banded|randomsym|randomasym|matrixmarket)"},
+	} {
+		body, err := json.Marshal(&c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.Post(ts.URL+"/v1/selinv", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), c.want) {
+			t.Errorf("%s: status %d, error %q, want 400 listing %s", body, hr.StatusCode, msg, c.want)
+		}
+	}
+}
+
 func TestServeValidation(t *testing.T) {
 	_, ts := testServer(t, Config{MaxN: 100, MaxProcs: 16})
 	cases := []Request{
