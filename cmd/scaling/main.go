@@ -158,19 +158,21 @@ func main() {
 			fmt.Println()
 		}
 		fmt.Println("\nhybrid flat/shifted threshold sweep at P=2116:")
-		for _, thr := range []int{0, 8, 24, 64, 1 << 30} {
+		for _, row := range hybridSweep {
 			pt := exp.MeasureScaling(pipe, []int{2116}, []core.Scheme{core.Hybrid},
-				core.PlanConfig{HybridThreshold: thr}, seeds, params)[0]
-			label := fmt.Sprintf("%d", thr)
-			if thr == 0 {
-				label = "0 (pure shifted)"
-			} else if thr == 1<<30 {
-				label = "inf (pure flat)"
-			}
-			fmt.Printf("  threshold %-18s %10.4f±%.4f s\n", label, pt.Mean, pt.Std)
+				core.PlanConfig{HybridThreshold: row.threshold}, seeds, params)[0]
+			fmt.Printf("  threshold %-18s %10.4f±%.4f s\n", row.label, pt.Mean, pt.Std)
 		}
 	}
 }
+
+// hybridSweep is -hybrid's threshold sweep. Hybrid builds a flat tree over at
+// most threshold participants, so a negative threshold is pure shifted (a
+// zero one would mean core.DefaultHybridThreshold) and 1<<30 pure flat.
+var hybridSweep = []struct {
+	threshold int
+	label     string
+}{{-1, "none (pure shifted)"}, {8, "8"}, {24, "24"}, {64, "64"}, {1 << 30, "inf (pure flat)"}}
 
 // runWidth runs the scheme × balancer sweep on the hierarchical topology (24
 // ranks per node, as Edison): every scheme × balancer at each P, the plan's

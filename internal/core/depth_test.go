@@ -60,7 +60,7 @@ func TestQuickPerRankVolumesSumToTotals(t *testing.T) {
 			for _, v := range plan.PerRankRecv(kind) {
 				recv += v
 			}
-			if sent != plan.ExpectedBytes(kind) || recv != plan.ExpectedBytes(kind) {
+			if sent != expectedBytes(plan, kind) || recv != expectedBytes(plan, kind) {
 				return false
 			}
 		}

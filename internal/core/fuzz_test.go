@@ -49,7 +49,7 @@ func depthBound(p int) int {
 // root), and logarithmic depth.
 func checkTreeInvariants(t *testing.T, tr *Tree) {
 	t.Helper()
-	if err := tr.Validate(); err != nil {
+	if err := validateTree(tr); err != nil {
 		t.Fatalf("invalid tree: %v", err)
 	}
 	for _, r := range tr.Participants() {
@@ -96,13 +96,13 @@ func topoDepthBound(ranks []int, topo Topology) int {
 }
 
 // checkTopoTreeInvariants asserts the properties of the topology-aware
-// constructions: Validate() plus the locality invariant (no tree edge
+// constructions: validateTree plus the locality invariant (no tree edge
 // crosses nodes unless its child endpoint is that node's single group
 // leader), out-degree at most 4 (two inter-node plus two intra-node
 // children), and hierarchical-logarithmic depth.
 func checkTopoTreeInvariants(t *testing.T, tr *Tree, topo Topology, ranks []int) {
 	t.Helper()
-	if err := tr.Validate(); err != nil {
+	if err := validateTree(tr); err != nil {
 		t.Fatalf("invalid tree: %v", err)
 	}
 	if err := tr.ValidateTopology(topo); err != nil {

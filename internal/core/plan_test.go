@@ -176,7 +176,7 @@ func TestEachOpVisitsEveryOpOnce(t *testing.T) {
 				}
 			}
 			seen := map[uint64]int{}
-			sp.EachOp(func(op *CollOp) { seen[op.Key()]++ }, func(op *PointOp) { seen[op.Key()]++ })
+			sp.EachOp(func(op *CollOp) { seen[OpKey(op.Kind, op.K, op.Blk)]++ }, func(op *PointOp) { seen[OpKey(op.Kind, op.K, op.Blk)]++ })
 			if len(seen) != want {
 				t.Fatalf("symmetric=%v K=%d: walker visited %d distinct ops, supernode holds %d", symmetric, sp.K, len(seen), want)
 			}
@@ -202,7 +202,7 @@ func TestUpperSideMirrorsLower(t *testing.T) {
 		p := NewPlanConfig(bp, grid, PlanConfig{Scheme: ShiftedBinaryTree, Seed: 5})
 		all := true
 		for _, pr := range pairs {
-			up, low := p.ExpectedBytes(pr[0]), p.ExpectedBytes(pr[1])
+			up, low := expectedBytes(p, pr[0]), expectedBytes(p, pr[1])
 			if up == 0 || low == 0 {
 				t.Fatalf("%v/%v: no traffic (%d, %d)", pr[0], pr[1], up, low)
 			}

@@ -67,7 +67,7 @@ func TestSchemeTable(t *testing.T) {
 			t.Errorf("ParseScheme is not case/space insensitive for %q", w.slug)
 		}
 		tr := NewTreeTopo(s, 0, ranksUpTo(20), 1, 2, DefaultHybridThreshold, topo)
-		if err := tr.Validate(); err != nil {
+		if err := validateTree(tr); err != nil {
 			t.Errorf("%v: NewTreeTopo built an invalid tree: %v", s, err)
 		}
 	}
@@ -89,7 +89,7 @@ func TestTopoShiftedTreeLocality(t *testing.T) {
 	ranks := ranksUpTo(48)
 	for op := uint64(0); op < 20; op++ {
 		tr := NewTreeTopo(TopoShiftedTree, 30, ranks, 7, op, DefaultHybridThreshold, topo)
-		if err := tr.Validate(); err != nil {
+		if err := validateTree(tr); err != nil {
 			t.Fatal(err)
 		}
 		if err := tr.ValidateTopology(topo); err != nil {

@@ -11,22 +11,19 @@ package core
 
 // PerRankSent returns bytes sent by each rank for one operation kind
 // (self-sends excluded, as in the engine's accounting).
-func (p *Plan) PerRankSent(kind OpKind) []int64 {
-	out := make([]int64, p.Grid.Size())
-	p.eachMessage(func(k OpKind, src, _ int, bytes int64) {
-		if k == kind {
-			out[src] += bytes
-		}
-	})
-	return out
-}
+func (p *Plan) PerRankSent(kind OpKind) []int64 { return p.perRank(kind, false) }
 
 // PerRankRecv returns bytes received by each rank for one operation kind.
-func (p *Plan) PerRankRecv(kind OpKind) []int64 {
+func (p *Plan) PerRankRecv(kind OpKind) []int64 { return p.perRank(kind, true) }
+
+func (p *Plan) perRank(kind OpKind, recv bool) []int64 {
 	out := make([]int64, p.Grid.Size())
-	p.eachMessage(func(k OpKind, _, dst int, bytes int64) {
+	p.eachMessage(func(k OpKind, src, dst int, bytes int64) {
+		if recv {
+			src = dst
+		}
 		if k == kind {
-			out[dst] += bytes
+			out[src] += bytes
 		}
 	})
 	return out

@@ -169,7 +169,7 @@ func TestMeasureScalingFollowsPipelineAndPacking(t *testing.T) {
 		plan := core.NewPlanConfig(p.An.BP, procgrid.Squarish(48), core.PlanConfig{
 			Scheme: core.TopoShiftedTree, Seed: 1, Symmetric: symmetric,
 			Topo: core.Topology{CoresPerNode: 8}})
-		want := netsim.Simulate(plan, params).Makespan
+		want := netsim.SimulateDAG(netsim.BuildDAG(plan), params).Makespan
 		pt := MeasureScaling(p, []int{48}, []core.Scheme{core.TopoShiftedTree}, core.PlanConfig{},
 			[]uint64{params.Seed}, params)[0]
 		if pt.Mean != want {
@@ -180,10 +180,11 @@ func TestMeasureScalingFollowsPipelineAndPacking(t *testing.T) {
 
 // BenchmarkScalingStandinDAG sizes the simulator at the top of the
 // processor axis: the PNF scaling stand-in's shifted plan at P = 2,116, the
-// plan Figure 8 simulates there. Per iteration it builds the task DAG
-// (build-s; build-MB allocated; live-MB, the heap the DAG keeps) and
-// replays it once at placement seed 100 (sim-s). Run it alone, one
-// iteration:
+// plan Figure 8 simulates there. Per iteration it compiles the per-rank
+// programs alone (compile-s), builds the task DAG, which compiles them again
+// and walks them (build-s, the compile included; build-MB allocated; live-MB,
+// the heap the DAG keeps) and replays it once at placement seed 100 (sim-s).
+// Run it alone, one iteration:
 //
 //	go test ./internal/exp -run '^$' -bench ScalingStandinDAG -benchtime 1x
 func BenchmarkScalingStandinDAG(b *testing.B) {
@@ -192,14 +193,17 @@ func BenchmarkScalingStandinDAG(b *testing.B) {
 	params := ScaledEdisonParams()
 	params.Seed = 100
 	plan := simPlan(p, 2116, core.PlanConfig{}, core.ShiftedBinaryTree, params)
-	var build, sim time.Duration
+	var compile, build, sim time.Duration
 	var alloc, live uint64
 	b.ResetTimer()
 	for range b.N {
 		var m0, m1 runtime.MemStats
+		t0 := time.Now()
+		core.Compile(plan)
+		compile += time.Since(t0)
 		runtime.GC()
 		runtime.ReadMemStats(&m0)
-		t0 := time.Now()
+		t0 = time.Now()
 		dag := netsim.BuildDAG(plan)
 		build += time.Since(t0)
 		runtime.ReadMemStats(&m1)
@@ -212,6 +216,7 @@ func BenchmarkScalingStandinDAG(b *testing.B) {
 		sim += time.Since(t0)
 	}
 	n := float64(b.N)
+	b.ReportMetric(compile.Seconds()/n, "compile-s")
 	b.ReportMetric(build.Seconds()/n, "build-s")
 	b.ReportMetric(float64(alloc)/n/1e6, "build-MB")
 	b.ReportMetric(float64(live)/n/1e6, "live-MB")

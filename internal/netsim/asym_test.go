@@ -11,7 +11,7 @@ func TestAsymmetricPlanSimulates(t *testing.T) {
 	bp := realPattern(t)
 	for _, scheme := range core.Schemes() {
 		plan := core.NewPlanConfig(bp, procgrid.New(4, 4), core.PlanConfig{Scheme: scheme, Seed: 1})
-		res := Simulate(plan, DefaultParams())
+		res := simulate(plan, DefaultParams())
 		if res.Makespan <= 0 || res.MsgCount <= 0 {
 			t.Fatalf("%v: degenerate asym simulation", scheme)
 		}
@@ -25,8 +25,8 @@ func TestAsymmetricCostsMoreThanSymmetric(t *testing.T) {
 	bp := realPattern(t)
 	grid := procgrid.New(4, 4)
 	p := DefaultParams()
-	sym := Simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p)
-	asym := Simulate(core.NewPlanConfig(bp, grid, core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1}), p)
+	sym := simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p)
+	asym := simulate(core.NewPlanConfig(bp, grid, core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1}), p)
 	if asym.BytesMoved <= sym.BytesMoved {
 		t.Fatalf("asym moved %d bytes, symmetric %d", asym.BytesMoved, sym.BytesMoved)
 	}

@@ -18,21 +18,28 @@ func densePattern(m, w int) *etree.BlockPattern {
 	for i := range starts {
 		starts[i] = i * w
 	}
-	part := etree.FromStarts(starts, (m+1)*w)
-	bp := &etree.BlockPattern{Part: part, RowsOf: make([][]int, m+1), SnParent: make([]int, m+1)}
+	var blocks [][2]int
 	for k := 0; k <= m; k++ {
-		rows := []int{}
-		for i := k; i <= m; i++ {
-			rows = append(rows, i)
-		}
-		bp.RowsOf[k] = rows
-		if k < m {
-			bp.SnParent[k] = k + 1
-		} else {
-			bp.SnParent[k] = -1
+		for i := k + 1; i <= m; i++ {
+			blocks = append(blocks, [2]int{i, k})
 		}
 	}
-	return bp
+	return blockPattern(starts, blocks)
+}
+
+// blockPattern is the block pattern of a matrix over the supernode partition
+// starts whose off-diagonal blocks are blocks (i > k, each with its mirror).
+func blockPattern(starts []int, blocks [][2]int) *etree.BlockPattern {
+	n := starts[len(starts)-1]
+	var ts []sparse.Triplet
+	for j := range n {
+		ts = append(ts, sparse.Triplet{Row: j, Col: j, Val: 1})
+	}
+	for _, b := range blocks {
+		i, k := starts[b[0]], starts[b[1]]
+		ts = append(ts, sparse.Triplet{Row: i, Col: k, Val: 1}, sparse.Triplet{Row: k, Col: i, Val: 1})
+	}
+	return etree.NewBlockPattern(sparse.FromTriplets(n, ts), etree.FromStarts(starts, n))
 }
 
 func realPattern(t testing.TB) *etree.BlockPattern {
@@ -47,7 +54,7 @@ func TestSimulateCompletesAndPositive(t *testing.T) {
 	bp := realPattern(t)
 	for _, scheme := range core.Schemes() {
 		plan := core.NewPlan(bp, procgrid.New(4, 4), scheme, 1)
-		res := Simulate(plan, DefaultParams())
+		res := simulate(plan, DefaultParams())
 		if res.Makespan <= 0 {
 			t.Fatalf("%v: non-positive makespan", scheme)
 		}
@@ -61,8 +68,8 @@ func TestSimulateDeterministic(t *testing.T) {
 	bp := realPattern(t)
 	plan := core.NewPlan(bp, procgrid.New(4, 4), core.ShiftedBinaryTree, 3)
 	p := DefaultParams()
-	a := Simulate(plan, p).Makespan
-	b := Simulate(plan, p).Makespan
+	a := simulate(plan, p).Makespan
+	b := simulate(plan, p).Makespan
 	if a != b {
 		t.Fatalf("non-deterministic: %g vs %g", a, b)
 	}
@@ -76,7 +83,7 @@ func TestSimulateSeedJitterChangesTime(t *testing.T) {
 	seen := map[float64]bool{}
 	for seed := uint64(1); seed <= 5; seed++ {
 		p.Seed = seed
-		seen[Simulate(plan, p).Makespan] = true
+		seen[simulate(plan, p).Makespan] = true
 	}
 	if len(seen) < 3 {
 		t.Fatalf("placement jitter had no effect: %v", seen)
@@ -91,8 +98,8 @@ func TestFlatRootSerializationHurts(t *testing.T) {
 	grid := procgrid.New(48, 1)
 	p := DefaultParams()
 	p.CoresPerNode = 8
-	flat := Simulate(core.NewPlan(bp, grid, core.FlatTree, 1), p).Makespan
-	shifted := Simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
+	flat := simulate(core.NewPlan(bp, grid, core.FlatTree, 1), p).Makespan
+	shifted := simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
 	if shifted >= flat {
 		t.Fatalf("shifted (%g s) not faster than flat (%g s) on wide collectives", shifted, flat)
 	}
@@ -107,8 +114,8 @@ func TestShiftedBeatsPlainBinaryUnderConcurrency(t *testing.T) {
 	grid := procgrid.New(32, 2)
 	p := DefaultParams()
 	p.CoresPerNode = 8
-	binary := Simulate(core.NewPlan(bp, grid, core.BinaryTree, 1), p).Makespan
-	shifted := Simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
+	binary := simulate(core.NewPlan(bp, grid, core.BinaryTree, 1), p).Makespan
+	shifted := simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
 	if shifted > binary*1.1 {
 		t.Fatalf("shifted (%g) materially slower than plain binary (%g)", shifted, binary)
 	}
@@ -118,8 +125,8 @@ func TestMoreRanksHelpWhenComputeBound(t *testing.T) {
 	bp := realPattern(t)
 	p := DefaultParams()
 	p.FlopRate = 2e7 // force compute-dominated execution
-	t4 := Simulate(core.NewPlan(bp, procgrid.New(2, 2), core.ShiftedBinaryTree, 1), p).Makespan
-	t16 := Simulate(core.NewPlan(bp, procgrid.New(4, 4), core.ShiftedBinaryTree, 1), p).Makespan
+	t4 := simulate(core.NewPlan(bp, procgrid.New(2, 2), core.ShiftedBinaryTree, 1), p).Makespan
+	t16 := simulate(core.NewPlan(bp, procgrid.New(4, 4), core.ShiftedBinaryTree, 1), p).Makespan
 	if t16 >= t4 {
 		t.Fatalf("no strong scaling when compute bound: P=4 %g, P=16 %g", t4, t16)
 	}
@@ -140,8 +147,8 @@ func TestComputeTimeIndependentOfNetwork(t *testing.T) {
 		return s
 	}
 	plan := core.NewPlan(bp, procgrid.New(3, 3), core.BinaryTree, 1)
-	a := sum(Simulate(plan, p1))
-	b := sum(Simulate(plan, p2))
+	a := sum(simulate(plan, p1))
+	b := sum(simulate(plan, p2))
 	if a != b {
 		t.Fatalf("compute time changed with network params: %g vs %g", a, b)
 	}
@@ -158,7 +165,7 @@ func TestSlowerNetworkSlowerRun(t *testing.T) {
 	slow.InterBW /= 20
 	slow.PortBW /= 20
 	slow.InterLatency *= 20
-	if Simulate(plan, slow).Makespan <= Simulate(plan, fast).Makespan {
+	if simulate(plan, slow).Makespan <= simulate(plan, fast).Makespan {
 		t.Fatal("slower network did not increase makespan")
 	}
 }
@@ -166,7 +173,7 @@ func TestSlowerNetworkSlowerRun(t *testing.T) {
 func TestCommTimeBreakdown(t *testing.T) {
 	bp := realPattern(t)
 	plan := core.NewPlan(bp, procgrid.New(4, 4), core.FlatTree, 1)
-	res := Simulate(plan, DefaultParams())
+	res := simulate(plan, DefaultParams())
 	if res.MeanCompute() <= 0 {
 		t.Fatal("mean compute not positive")
 	}
@@ -179,7 +186,7 @@ func TestCommTimeBreakdown(t *testing.T) {
 func TestSingleRankNoTraffic(t *testing.T) {
 	bp := realPattern(t)
 	plan := core.NewPlan(bp, procgrid.New(1, 1), core.ShiftedBinaryTree, 1)
-	res := Simulate(plan, DefaultParams())
+	res := simulate(plan, DefaultParams())
 	if res.MsgCount != 0 {
 		t.Fatalf("single rank sent %d messages", res.MsgCount)
 	}
@@ -195,7 +202,7 @@ func BenchmarkSimulateGrid12P64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Simulate(plan, p)
+		simulate(plan, p)
 	}
 }
 
@@ -203,11 +210,10 @@ func TestSimulateSingleSupernodeMatrix(t *testing.T) {
 	// Regression: a DAG whose barrier has no incoming edges (every
 	// supernode is a leaf) used to double-ready cascaded nodes during the
 	// initial scan, causing a dependency underflow.
-	part := etree.FromStarts([]int{0, 5}, 5)
-	bp := &etree.BlockPattern{Part: part, RowsOf: [][]int{{0}}, SnParent: []int{-1}}
+	bp := blockPattern([]int{0, 5}, nil)
 	for _, grid := range []*procgrid.Grid{procgrid.New(1, 1), procgrid.New(4, 4)} {
 		plan := core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1)
-		res := Simulate(plan, DefaultParams())
+		res := simulate(plan, DefaultParams())
 		if res.Makespan <= 0 {
 			t.Fatalf("grid %v: degenerate makespan", grid)
 		}
@@ -216,12 +222,9 @@ func TestSimulateSingleSupernodeMatrix(t *testing.T) {
 
 func TestSimulateAllLeavesMatrix(t *testing.T) {
 	// Several independent leaf supernodes (block-diagonal matrix).
-	starts := []int{0, 3, 6, 9, 12}
-	part := etree.FromStarts(starts, 12)
-	bp := &etree.BlockPattern{Part: part,
-		RowsOf: [][]int{{0}, {1}, {2}, {3}}, SnParent: []int{-1, -1, -1, -1}}
+	bp := blockPattern([]int{0, 3, 6, 9, 12}, nil)
 	plan := core.NewPlan(bp, procgrid.New(2, 3), core.FlatTree, 1)
-	res := Simulate(plan, DefaultParams())
+	res := simulate(plan, DefaultParams())
 	if res.MsgCount != 0 {
 		t.Fatalf("leaf-only plan sent %d messages", res.MsgCount)
 	}
@@ -240,9 +243,14 @@ func TestScaledRegimeShiftedBeatsFlatAtScale(t *testing.T) {
 	p.PortBW = 1e9
 	p.NodeBW = 1e9
 	p.CoresPerNode = 8
-	flat := Simulate(core.NewPlan(bp, grid, core.FlatTree, 1), p).Makespan
-	shifted := Simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
+	flat := simulate(core.NewPlan(bp, grid, core.FlatTree, 1), p).Makespan
+	shifted := simulate(core.NewPlan(bp, grid, core.ShiftedBinaryTree, 1), p).Makespan
 	if shifted >= flat {
 		t.Fatalf("shifted (%g) not faster than flat (%g) in the calibrated regime", shifted, flat)
 	}
+}
+
+// simulate builds the plan's DAG and replays it once.
+func simulate(plan *core.Plan, params Params) *Result {
+	return SimulateDAG(BuildDAG(plan), params)
 }

@@ -50,8 +50,8 @@ func TestAnalyticVolumesLargeGridRuns(t *testing.T) {
 	for _, v := range sent {
 		total += v
 	}
-	if total != plan.ExpectedBytes(core.OpColBcast) {
-		t.Fatalf("per-rank sum %d != expected total %d", total, plan.ExpectedBytes(core.OpColBcast))
+	if total != expectedBytes(plan, core.OpColBcast) {
+		t.Fatalf("per-rank sum %d != expected total %d", total, expectedBytes(plan, core.OpColBcast))
 	}
 }
 

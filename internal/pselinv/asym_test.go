@@ -152,7 +152,7 @@ func TestAsymmetricVolumesMatchPlan(t *testing.T) {
 		core.OpColReduce: simmpi.ClassColReduce,
 	}
 	for kind, class := range checks {
-		want := plan.ExpectedBytes(kind)
+		want := expectedBytes(plan, kind)
 		var got int64
 		for r := 0; r < res.World.P; r++ {
 			got += res.World.SentBytes(r, class)

@@ -3,6 +3,7 @@ package pselinv
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,13 +45,14 @@ func (t *tamperTransport) TryRecv(rank int) (simmpi.Message, bool) {
 	return msg, ok
 }
 
-// TestBadReduceMessageFailsRun injects the three malformed reduce messages
-// a fold must refuse — a sender that is no child of the receiver, a second
-// payload from one child, a payload that is not one block — into the
-// Row-Reduce of the topmost supernode (so the receiver still has traffic
-// to come and cannot finish before the bad message reaches it). Each must
-// fail the run promptly with an error naming the collective, in sequential
-// and DAG mode alike.
+// TestBadReduceMessageFailsRun injects the malformed messages a rank must
+// refuse into the Row-Reduce of the topmost supernode (so the receiver still
+// has traffic to come and cannot finish before the bad message reaches it):
+// three a fold must refuse — a sender that is no child of the receiver, a
+// second payload from one child, a payload that is not one block — and three
+// whose tag names no slot at the receiver — a supernode it takes no part in,
+// an unknown kind, a block not in C(K). Each must fail the run promptly with
+// an error naming the message, in sequential and DAG mode alike.
 func TestBadReduceMessageFailsRun(t *testing.T) {
 	withPoolWorkers(t, 4)
 	g := sparse.Grid2D(6, 6, 3)
@@ -74,12 +76,28 @@ func TestBadReduceMessageFailsRun(t *testing.T) {
 	if op == nil {
 		t.Fatal("plan has no cross-rank Row-Reduce")
 	}
-	isTarget := func(msg *simmpi.Message) bool { return msg.Tag == op.Key() && msg.Src == src }
+	isTarget := func(msg *simmpi.Message) bool { return msg.Tag == core.OpKey(op.Kind, op.K, op.Blk) && msg.Src == src }
+	// A leaf supernode (empty C) has no collectives, so no rank has a role in it.
+	foreign := slices.IndexFunc(plan.Snodes, func(sp *core.SupernodePlan) bool { return len(sp.C) == 0 })
+	if foreign < 0 || op.K == 0 {
+		t.Fatal("no leaf supernode, or no block below the target's")
+	}
+	// retag rewrites the target message's tag on arrival.
+	retag := func(kind core.OpKind, k, blk int) func(tt *tamperTransport) {
+		return func(tt *tamperTransport) {
+			tt.onRecv = func(msg *simmpi.Message) {
+				if isTarget(msg) {
+					msg.Tag = core.OpKey(kind, k, blk)
+				}
+			}
+		}
+	}
 
 	faults := []struct {
 		name    string
 		wantSrc int
 		hook    func(tt *tamperTransport)
+		tag     *messageError // the (kind, K, blk) the error names, when not the target's
 	}{
 		{"sender is not a child", dst, func(tt *tamperTransport) {
 			tt.onRecv = func(msg *simmpi.Message) {
@@ -87,7 +105,7 @@ func TestBadReduceMessageFailsRun(t *testing.T) {
 					msg.Src = dst // a rank is never its own child
 				}
 			}
-		}},
+		}, nil},
 		{"second payload from one child", src, func(tt *tamperTransport) {
 			tt.onSend = func(tr *simmpi.InProc, msg simmpi.Message) {
 				if isTarget(&msg) {
@@ -95,14 +113,20 @@ func TestBadReduceMessageFailsRun(t *testing.T) {
 					tr.Send(msg)
 				}
 			}
-		}},
+		}, nil},
 		{"payload is not one block", src, func(tt *tamperTransport) {
 			tt.onRecv = func(msg *simmpi.Message) {
 				if isTarget(msg) {
 					msg.Data = msg.Data[:len(msg.Data)-1]
 				}
 			}
-		}},
+		}, nil},
+		{"foreign supernode", src, retag(op.Kind, foreign, op.Blk),
+			&messageError{Kind: op.Kind, K: foreign, Blk: op.Blk}},
+		{"unknown kind", src, retag(core.OpColReduce+3, op.K, op.Blk),
+			&messageError{Kind: core.OpColReduce + 3, K: op.K, Blk: op.Blk}},
+		{"block not in C(K)", src, retag(op.Kind, op.K, op.K-1),
+			&messageError{Kind: op.Kind, K: op.K, Blk: op.K - 1}},
 	}
 	for _, f := range faults {
 		for _, dag := range []bool{false, true} {
@@ -122,11 +146,14 @@ func TestBadReduceMessageFailsRun(t *testing.T) {
 				if waited := time.Since(start); waited > testTimeout/2 {
 					t.Errorf("failure took %v: the run hung until its deadline", waited)
 				}
-				var re *reduceError
+				var re *messageError
 				if !errors.As(err, &re) {
-					t.Fatalf("error is %T (%v), want a *reduceError", err, err)
+					t.Fatalf("error is %T (%v), want a *messageError", err, err)
 				}
-				want := reduceError{Kind: op.Kind, K: op.K, Blk: op.Blk, Src: f.wantSrc, Rank: dst}
+				want := messageError{Kind: op.Kind, K: op.K, Blk: op.Blk, Src: f.wantSrc, Rank: dst}
+				if f.tag != nil {
+					want.Kind, want.K, want.Blk = f.tag.Kind, f.tag.K, f.tag.Blk
+				}
 				got := *re
 				got.Reason = ""
 				if got != want {

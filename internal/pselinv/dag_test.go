@@ -278,7 +278,7 @@ func TestExecNilObsZeroAlloc(t *testing.T) {
 		x.Set(i, i, 2)
 	}
 	tree := core.NewTree(core.FlatTree, 0, []int{0}, 1, 0)
-	op := newCollRole(&core.CollOp{Kind: core.OpColBcast, K: 3, Tree: tree}, 0, 0, 0)
+	op := core.CollRole{Op: &core.CollOp{Kind: core.OpColBcast, K: 3, Tree: tree}, Parent: -1}
 	tk := task{kernel: kTrsm, side: core.Lower, span: "trsm", k: 3, a: diag, out: x}
 	st := &rankState{e: &Engine{}, r: &simmpi.Rank{ID: 0}}
 	run := func() {

@@ -174,7 +174,7 @@ func TestRecycledStateConcurrentRuns(t *testing.T) {
 
 // TestFailedRunStateNotRecycled fails a run on a warm template three ways —
 // a symmetric plan bound to asymmetric values, a duplicated reduce payload
-// (*reduceError), a dropped message (timeout) — and wants the state the failed
+// (*messageError), a dropped message (timeout) — and wants the state the failed
 // run took, and the inbox rings that travel with it, never to come back, and
 // the next run on the template correct.
 func TestFailedRunStateNotRecycled(t *testing.T) {
@@ -196,7 +196,7 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 	if op == nil {
 		t.Fatal("plan has no cross-rank Row-Reduce")
 	}
-	isTarget := func(msg *simmpi.Message) bool { return msg.Tag == op.Key() && msg.Src == src }
+	isTarget := func(msg *simmpi.Message) bool { return msg.Tag == core.OpKey(op.Kind, op.K, op.Blk) && msg.Src == src }
 
 	_, asym, ref := prepAsym(t, sparse.Asymmetrize(sparse.Grid2D(6, 6, 3), 7, 0.4), etree.Options{Relax: 2, MaxWidth: 6})
 	ref.Release()
@@ -223,9 +223,9 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 			world := simmpi.NewWorldOn(tt)
 			defer world.Close()
 			_, err := tmpl.Rebind(lu).RunWorld(world, testTimeout)
-			var re *reduceError
+			var re *messageError
 			if !errors.As(err, &re) {
-				return fmt.Errorf("error is %T (%v), want a *reduceError", err, err)
+				return fmt.Errorf("error is %T (%v), want a *messageError", err, err)
 			}
 			return nil
 		}},

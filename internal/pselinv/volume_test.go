@@ -166,8 +166,8 @@ func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
 			for _, v := range plan.PerRankSent(kind) {
 				got += v
 			}
-			if want := plan.ExpectedBytes(kind); got != want {
-				t.Errorf("%s kind %v: per-rank sum %d != ExpectedBytes %d", label, kind, got, want)
+			if want := expectedBytes(plan, kind); got != want {
+				t.Errorf("%s kind %v: per-rank sum %d != expectedBytes %d", label, kind, got, want)
 			}
 		}
 		res.Release()
@@ -320,4 +320,24 @@ func TestPlanMessageCountsSizeObsRing(t *testing.T) {
 	if rep.ChainsOK || rep.DroppedEvents == 0 {
 		t.Errorf("one-event rings: chains complete=%v with %d drops, want incomplete chains and counted drops", rep.ChainsOK, rep.DroppedEvents)
 	}
+}
+
+// expectedBytes is the total the plan moves between distinct ranks for one
+// operation kind, counted from the trees' sizes rather than their edges:
+// every tree edge carries one payload; point ops count unless source and
+// destination coincide.
+func expectedBytes(p *core.Plan, kind core.OpKind) int64 {
+	var total int64
+	for _, sp := range p.Snodes {
+		sp.EachOp(func(op *core.CollOp) {
+			if op.Kind == kind {
+				total += int64(op.Tree.Size()-1) * op.Bytes
+			}
+		}, func(op *core.PointOp) {
+			if op.Kind == kind && op.Src != op.Dst {
+				total += op.Bytes
+			}
+		})
+	}
+	return total
 }

@@ -994,7 +994,7 @@ func (s *System) SimulateTiming(procs int, scheme Scheme, sp SimParams) *TimingR
 		Balancer: s.sym.bal,
 		Topo:     core.Topology{CoresPerNode: params.CoresPerNode},
 	})
-	res := netsim.Simulate(plan, params)
+	res := netsim.SimulateDAG(netsim.BuildDAG(plan), params)
 	return &TimingResult{
 		Seconds:        res.Makespan,
 		ComputeSeconds: res.MeanCompute(),
