@@ -68,7 +68,7 @@ func Snapshot(w *simmpi.World, plan *core.Plan, err error) *Report {
 				Serial: msg.Serial, Bytes: msg.Bytes(),
 				TreeParent: -1,
 			}
-			if tr := opTree(plan, kind, k, blk); tr != nil && tr.Has(dst) {
+			if tr := opTree(plan, kind, k, blk); tr != nil && tr.Pos(dst) >= 0 {
 				inf.InTree = true
 				inf.TreeParent = tr.Parent(dst)
 				inf.TreeChildren = tr.Children(dst)
