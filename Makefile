@@ -4,7 +4,7 @@
 GO ?= go
 
 .PHONY: all build test tier1 bench bench-smoke bench-baseline \
-	bench-gate serve loadtest selftest vet race chaos fuzz-smoke tcp-smoke \
+	bench-gate serve loadtest selftest vet race pipeline fuzz-smoke tcp-smoke \
 	tcp-obs balancer-smoke pexsi-batch tables width surface surface-gate fmt-check clean
 
 all: build test bench-smoke
@@ -18,11 +18,12 @@ build:
 # internal/dense for its pool of task-DAG offload slots, and internal/obs,
 # whose collector every rank goroutine writes — a send updates the
 # destination's queue watermark from the sender's goroutine — and whose
-# goldens drive observed engine runs).
+# goldens drive observed engine runs), plus the library's DAG-mode runs.
 tier1: vet
 	$(GO) test -race ./internal/simmpi/... ./internal/tcptransport/... \
 		./internal/distrun/... ./internal/pselinv/... ./internal/dense/... \
 		./internal/server/... ./internal/obs/...
+	$(GO) test -race -run 'Dag' .
 
 vet:
 	$(GO) vet ./...
@@ -67,15 +68,16 @@ surface-gate:
 			printf "surface-gate: %s rose to %d, baseline %d\n", $$1, $$2, base[$$1]; bad = 1 } \
 		END { exit bad }' .github/surface-baseline.txt -
 
-# Seeded adversarial-scheduling sweep: every chaos seed must reproduce the
-# unperturbed result bit for bit. SEEDS widens the sweep (default 16).
-SEEDS ?= 16
-chaos:
-	$(GO) test -race -count=1 -run Chaos ./internal/pselinv/ -chaos-seeds $(SEEDS)
+# The engine's property test: FuzzPipeline's seed corpus under the race
+# detector, then FUZZTIME of coverage-guided inputs (see EXPERIMENTS.md
+# "Reproducing a FuzzPipeline failure").
+pipeline:
+	$(GO) test -race -count=1 -run '^FuzzPipeline$$' ./internal/pselinv/
+	$(GO) test ./internal/pselinv/ -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
 # Short coverage-guided fuzz runs of the tree constructions and the
-# untrusted-input decoders (one target per invocation, as the fuzz engine
-# requires). The server target skips its package's tests (they include the
+# untrusted-input decoders, and the engine's FuzzPipeline (one target per
+# invocation, as the fuzz engine requires). The server target skips its package's tests (they include the
 # timed plan-cache SLO), the launcher's result-line target the multi-process
 # ones; they and the snapshot target cap corpus minimization, which otherwise
 # eats the whole budget on JSON-sized inputs.
@@ -90,6 +92,7 @@ fuzz-smoke:
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRequestJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/distrun/ -run '^$$' -fuzz FuzzResultLine -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
+	$(GO) test ./internal/pselinv/ -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
 # Multi-process smoke: the cross-backend equivalence tests (launcher
 # re-execs the test binary, one OS process per rank; what every rank counted
@@ -114,14 +117,14 @@ tcp-obs:
 	$(GO) run -race ./cmd/commvol -obs -quick -pr 2 -transport=tcp \
 		-schemes flat,binary,shifted -obs-out $(TCP_OBS_OUT)
 
-# Balancer smoke: the cross-balancer parity and owner-map property tests
-# under the race detector, then one instrumented obs run per balancer so
+# Balancer smoke: the owner-map property tests and the service round-trip
+# under the race detector (FuzzPipeline holds every balancer to the serial
+# reference), then one instrumented obs run per balancer so
 # the JSON reports (with the per-rank load section) land under
 # BALANCER_OBS_OUT — the artifacts the nightly workflow uploads.
 BALANCER_OBS_OUT ?= obs-balancers
 balancer-smoke:
-	$(GO) test -race -count=1 -run Balancer \
-		./internal/core/ ./internal/pselinv/ ./internal/server/
+	$(GO) test -race -count=1 -run Balancer ./internal/core/ ./internal/server/
 	for b in cyclic work; do \
 		$(GO) run ./cmd/commvol -obs -quick -pr 4 -obs-out $(BALANCER_OBS_OUT)/$$b \
 			-balancer $$b -schemes shifted || exit 1; \

@@ -22,8 +22,7 @@
 // -obs is the one experiment here that runs the engine: the -quick problem
 // with the communication substrate instrumented, in process through the
 // library's System.ParallelSelInvObserved (so on the most square grid of
-// -pr×-pc ranks) or, with -transport=tcp, as one OS process per rank,
-// optionally under the chaos adversary (-chaos-seed).
+// -pr×-pc ranks) or, with -transport=tcp, as one OS process per rank.
 //
 // Usage:
 //
@@ -71,7 +70,6 @@ var (
 	flagCPN      = flag.Int("cores-per-node", 0, "ranks per node consumed by toposhifted (0 = Edison default 24)")
 
 	flagTransport = flag.String("transport", "inproc", "communication substrate of the -obs run: inproc (goroutine mailboxes, one process) or tcp (one OS process per rank on localhost)")
-	flagChaos     = flag.Uint64("chaos-seed", 0, "non-zero: the -obs run executes under the seeded chaos adversary (adversarial message reordering; volumes and numerics unchanged)")
 	flagTimeout   = flag.Duration("timeout", 20*time.Minute, "engine deadline of each -obs run; on expiry the error includes a snapshot of where every rank was blocked")
 )
 
@@ -316,9 +314,6 @@ func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, balancer co
 	if tcp && grid.Size() > 64 {
 		return fmt.Errorf("-transport=tcp would spawn %d OS processes; use a smaller grid (e.g. -quick -pr 2 for P=4)", grid.Size())
 	}
-	if *flagChaos != 0 {
-		fmt.Fprintf(w, "chaos adversary active (seed %d): message delivery adversarially reordered\n", *flagChaos)
-	}
 	// report prints one scheme's run and writes its two artifacts.
 	var paths []string
 	report := func(scheme core.Scheme, summary, colBcast string, write func(dir string) ([]string, error)) error {
@@ -347,7 +342,6 @@ func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, balancer co
 			CoresPerNode: *flagCPN,
 			Balancer:     balancer.Slug(),
 			TimeoutSec:   flagTimeout.Seconds(),
-			ChaosSeed:    *flagChaos,
 		}, schemes, nil)
 		if err != nil {
 			return err
@@ -367,7 +361,6 @@ func runObs(w io.Writer, grid *procgrid.Grid, schemes []core.Scheme, balancer co
 			Relax:        exp.DefaultRelax,
 			MaxWidth:     exp.DefaultMaxWidth,
 			Timeout:      *flagTimeout,
-			ChaosSeed:    *flagChaos,
 			CoresPerNode: *flagCPN,
 			Balancer:     balancer.Slug(),
 		})

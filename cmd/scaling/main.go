@@ -19,8 +19,8 @@
 //
 // Every mode replays plans of a symbolic-only pipeline through the
 // simulator; nothing here factorizes or runs the engine. The observed engine
-// runs are `cmd/commvol -obs` (in process or -transport=tcp, optionally
-// under -chaos-seed) and `cmd/pselinv -obs [-dag]`.
+// runs are `cmd/commvol -obs` (in process or -transport=tcp) and
+// `cmd/pselinv -obs [-dag]`.
 package main
 
 import (

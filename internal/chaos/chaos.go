@@ -1,16 +1,18 @@
 // Package chaos is a seeded, deterministic delivery adversary for
 // simmpi.World: it perturbs message delivery order within bounded per-link
 // reorder windows, skews delays with the netsim latency profile, probes the
-// substrate for message duplication, and injects rank stalls and crashes —
-// then renders a structured deadlock report when a run times out.
+// substrate for message duplication, and injects rank stalls and crashes.
+// It is a test tool: tests install it on a world they build (Install) and
+// run the engine there (pselinv.Engine.RunWorld), whose timeout error then
+// carries the hung-run report.
 //
 // The adversary is deterministic per link: each (src, dst) link numbers its
 // messages with a serial at send time, and every decision the adversary
 // makes about a message is a pure function of (Seed, src, dst, serial).
 // Re-running with the same seed therefore applies the same perturbation to
 // the same messages even though the global goroutine interleaving differs
-// run to run. That is the property the chaos sweep needs: a failing seed
-// reproduces from its ID alone.
+// run to run. That is the property a delivery-order test needs: a failing
+// seed reproduces from its ID alone.
 //
 // What it does NOT simulate: bandwidth contention, message corruption, or
 // partial delivery — the payload either arrives intact, is dropped whole
@@ -85,7 +87,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Crash is the panic value of an injected rank crash, so tests (and the
-// deadlock report) can tell injected crashes from genuine bugs.
+// hung-run report) can tell injected crashes from genuine bugs.
 type Crash struct {
 	Rank  int
 	After int64

@@ -1,11 +1,9 @@
 package chaos
 
 import (
-	"strings"
 	"testing"
 	"time"
 
-	"pselinv/internal/core"
 	"pselinv/internal/simmpi"
 )
 
@@ -199,46 +197,5 @@ func TestStallInjection(t *testing.T) {
 	}
 	if d := time.Since(start); d < 90*time.Millisecond {
 		t.Fatalf("run took %v, want >= 90ms from 3 stalls of 30ms", d)
-	}
-}
-
-func TestSnapshotReportsDeadlock(t *testing.T) {
-	w := simmpi.NewWorld(4)
-	// Rank 0 waits for a message that is never sent; ranks 1-2 leave
-	// traffic in flight toward rank 3, which finishes without receiving.
-	err := w.Run(150*time.Millisecond, func(r *simmpi.Rank) {
-		switch r.ID {
-		case 0:
-			r.Recv()
-		case 1, 2:
-			r.Send(3, core.OpKey(core.OpColBcast, 1, 2), simmpi.ClassColBcast, []float64{1, 2})
-		}
-	})
-	if err == nil {
-		t.Fatal("expected a timeout")
-	}
-	rep := Snapshot(w, nil, err)
-	defer w.Close()
-	if len(rep.Stuck) != 1 || rep.Stuck[0] != 0 {
-		t.Fatalf("stuck %v, want [0]", rep.Stuck)
-	}
-	if rep.States[0] != simmpi.StateRecvWait {
-		t.Fatalf("rank 0 state %v, want recv-wait", rep.States[0])
-	}
-	if len(rep.Pending) != 2 {
-		t.Fatalf("pending %d messages, want 2", len(rep.Pending))
-	}
-	s := rep.String()
-	for _, want := range []string{"1 stuck", "recv-wait", "Col-Bcast", "ColBcast(K=1,blk=2)"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("report missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestCondense(t *testing.T) {
-	got := condense([]int{0, 1, 2, 3, 7, 9, 10, 11, 12, 14})
-	if got != "[0-3 7 9-12 14]" {
-		t.Fatalf("condense: %s", got)
 	}
 }

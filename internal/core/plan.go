@@ -75,7 +75,7 @@ func OpKey(kind OpKind, k, blk int) uint64 {
 }
 
 // DecodeOpKey inverts OpKey: it recovers the operation kind, supernode and
-// block from a message tag. The chaos deadlock report uses it to annotate
+// block from a message tag. The engine's hung-run report uses it to annotate
 // in-flight messages with the collective they belong to.
 func DecodeOpKey(tag uint64) (kind OpKind, k, blk int) {
 	return OpKind(tag >> 48), int((tag >> 24) & 0xffffff), int(tag & 0xffffff)

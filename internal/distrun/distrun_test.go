@@ -198,26 +198,6 @@ func TestCrossBackendTopoSchemeEquivalence(t *testing.T) {
 	}
 }
 
-// TestDistributedChaosMatchesInProcess: the seeded chaos adversary runs at
-// the destination mailbox off link serials assigned at send, so it reorders
-// a TCP mesh's deliveries exactly as it reorders the in-process world's and
-// adds or removes no traffic there either: the volumes stay the plan's.
-func TestDistributedChaosMatchesInProcess(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns 4 worker processes")
-	}
-	gen, spec := testProblem()
-	spec.PR, spec.PC = 2, 2 // square grid: row-reduce traffic is nonzero
-	spec.ChaosSeed = 7
-	schemes := []core.Scheme{core.BinaryTree}
-
-	remote, err := distrun.MeasureVolumes(gen, spec, schemes, &distrun.Options{Stderr: testWriter{t}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireVolumesArePlan(t, gen, spec, remote)
-}
-
 // TestCrossBackendBalancerEquivalence: a non-default supernode→process
 // balancer is a pure function of (pattern, grid), so four OS processes
 // re-deriving the work-greedy owner map independently must route exactly
@@ -257,7 +237,7 @@ func TestDistributedRejectsUnknownBalancer(t *testing.T) {
 }
 
 // TestWorkerTimeoutEmbedsSnapshot: a distributed timeout must surface the
-// chaos-style in-flight report (rank states, pending messages) in the
+// engine's hung-run report (rank states, pending messages) in the
 // launcher's error, not just an exit code.
 func TestWorkerTimeoutEmbedsSnapshot(t *testing.T) {
 	if testing.Short() {
@@ -269,7 +249,7 @@ func TestWorkerTimeoutEmbedsSnapshot(t *testing.T) {
 	if err == nil {
 		t.Fatal("1µs deadline produced no error")
 	}
-	if !strings.Contains(err.Error(), "chaos deadlock report") {
+	if !strings.Contains(err.Error(), "deadlock report") {
 		t.Errorf("timeout error lacks the in-flight snapshot:\n%v", err)
 	}
 	if !strings.Contains(err.Error(), "rank states:") {

@@ -331,7 +331,7 @@ func spawnWorker(exe, specPath string, rank int, errSink io.Writer) (*launchedWo
 
 // launchPerScheme stages gen on disk and runs one distributed launch per
 // scheme (base supplies everything but the scheme: grid, seeds,
-// amalgamation, timeout, chaos and obs options), handing each outcome to
+// amalgamation, timeout and obs options), handing each outcome to
 // each.
 func launchPerScheme(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options, each func(core.Scheme, *Outcome) error) error {
 	dir, err := os.MkdirTemp("", "distrun-")

@@ -80,12 +80,6 @@ type Spec struct {
 	// rank checks its own share, and the launcher sums the counts.
 	SelfCheck bool `json:"self_check,omitempty"`
 
-	// ChaosSeed, when nonzero, installs the seeded chaos adversary on
-	// every worker's world. The adversary's decisions are pure functions
-	// of (seed, src, dst, link serial), so the perturbation is the same
-	// deterministic one the in-process backend applies.
-	ChaosSeed uint64 `json:"chaos_seed,omitempty"`
-
 	// Obs turns on full observability in every worker: an obs collector on
 	// the engine whose epoch the mesh's handshake clock sync shares, and the
 	// engine's snapshot — clock measurements added, trimmed — streamed back

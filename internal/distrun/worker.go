@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"pselinv/internal/blockmat"
-	"pselinv/internal/chaos"
 	"pselinv/internal/dense"
 	"pselinv/internal/obs"
 	"pselinv/internal/pselinv"
@@ -66,9 +65,9 @@ type Result struct {
 	// bitwise against its local in-process reference run (Spec.SelfCheck).
 	CheckedBlocks int64 `json:"checked_blocks,omitempty"`
 	ElapsedNS     int64 `json:"elapsed_ns"`
-	// Error carries the failure, including the chaos-style in-flight
-	// snapshot for timeouts, so the launcher can surface which ranks were
-	// stuck where even though the worlds live in separate processes.
+	// Error carries the failure, including the engine's hung-run report for
+	// timeouts, so the launcher can surface which ranks were stuck where even
+	// though the worlds live in separate processes.
 	Error string `json:"error,omitempty"`
 }
 
@@ -182,9 +181,6 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	}
 	world := simmpi.NewWorldOn(tr)
 	defer world.Close()
-	if spec.ChaosSeed != 0 {
-		chaos.Install(chaos.Config{Seed: spec.ChaosSeed}, world)
-	}
 
 	start := time.Now()
 	runRes, err := eng.RunWorld(world, spec.Timeout())
@@ -197,16 +193,13 @@ func runWorker(rank int, spec *Spec, stdin io.Reader, stdout io.Writer) Result {
 	}
 	res.DialRetries = tr.DialRetries()
 	if err != nil {
-		// Attach the in-flight snapshot (rank states, pending queue
-		// summaries) so a distributed hang reads like a chaos-harness
-		// timeout, not an opaque exit code. An observed run appends the tail
-		// of its event ring: the last messages this rank actually saw.
-		rep := chaos.Snapshot(world, plan, err)
-		msg := rep.String()
+		// A timeout's error carries the engine's hung-run report (rank
+		// states, messages in flight). An observed run appends the tail of
+		// its event ring: the last messages this rank actually saw.
 		if eng.Obs != nil {
-			msg += "\n" + eng.Obs.EncodeRank(rank).TailString(16)
+			err = fmt.Errorf("%w\n%s", err, eng.Obs.EncodeRank(rank).TailString(16))
 		}
-		return fail(fmt.Errorf("%w\n%s", err, msg))
+		return fail(err)
 	}
 	if runRes != nil {
 		if spec.SelfCheck {

@@ -3,10 +3,8 @@ package pselinv
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"pselinv/internal/blockmat"
@@ -58,25 +56,6 @@ func runAsymAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *blo
 		}
 	}
 	return res
-}
-
-func TestAsymmetricMatchesSequentialAcrossGrids(t *testing.T) {
-	g := sparse.Asymmetrize(sparse.Grid2D(7, 7, 3), 11, 0.6)
-	an, lu, ref := prepAsym(t, g, etree.Options{Relax: 2, MaxWidth: 8})
-	for _, dims := range [][2]int{{1, 1}, {2, 2}, {3, 4}, {4, 3}, {5, 5}} {
-		runAsymAndCompare(t, an, lu, ref, procgrid.New(dims[0], dims[1]), core.ShiftedBinaryTree, 1)
-	}
-}
-
-func TestAsymmetricAllSchemes(t *testing.T) {
-	g := sparse.RandomAsym(45, 4, 9)
-	an, lu, ref := prepAsym(t, g, etree.Options{MaxWidth: 6})
-	grid := procgrid.New(3, 3)
-	for _, scheme := range []core.Scheme{
-		core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree, core.RandomPermTree, core.Hybrid,
-	} {
-		runAsymAndCompare(t, an, lu, ref, grid, scheme, 5)
-	}
 }
 
 func TestAsymmetricSequentialMatchesDense(t *testing.T) {
@@ -274,40 +253,6 @@ func TestOneRankBitContract(t *testing.T) {
 			res.Release()
 			ref.Release()
 		}
-	}
-}
-
-// Property: asymmetric parallel == sequential over random matrices, grids,
-// schemes.
-func TestQuickAsymmetricParallel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := sparse.RandomAsym(15+rng.Intn(25), 2+rng.Intn(3), seed)
-		perm := ordering.Compute(ordering.MinimumDegree, g.A, nil)
-		an := etree.Analyze(g.A.Permute(perm), perm,
-			etree.Options{Relax: rng.Intn(2), MaxWidth: 1 + rng.Intn(6)})
-		lu, err := factor.Factorize(an.A, an.BP)
-		if err != nil {
-			return false
-		}
-		ref := selinv.SelInv(lu)
-		grid := procgrid.New(1+rng.Intn(4), 1+rng.Intn(4))
-		scheme := []core.Scheme{core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree}[rng.Intn(3)]
-		plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: scheme, Seed: rng.Uint64()})
-		res, err := NewEngine(plan, lu).Run(testTimeout)
-		if err != nil {
-			return false
-		}
-		for _, key := range ref.Keys() {
-			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 12}); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"pselinv/internal/blockmat"
-	"pselinv/internal/chaos"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/factor"
@@ -61,9 +60,6 @@ type Engine struct {
 	// state is per-run: set a fresh collector before every Run. Nil costs
 	// the hot path one pointer check per span site.
 	Obs *obs.Collector
-	// Chaos, when non-nil, installs a seeded delivery adversary
-	// (internal/chaos) on each run's world.
-	Chaos *chaos.Config
 	// DAG schedules each rank's TRSM/GEMM-sized compute as a task DAG on
 	// the shared dense worker pool (see dag.go), overlapping it with the
 	// collectives, which stay on the rank goroutine. Reductions fold in the
@@ -82,7 +78,7 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 // and the run states they lay out — is shared with the receiver; the programs
 // are immutable and every run takes its own state, so rebound engines may run
 // concurrently. This is the warm path of a plan cache: same sparsity pattern,
-// new values. Obs, Chaos and DAG are reset on the copy so per-run
+// new values. Obs and DAG are reset on the copy so per-run
 // instrumentation and execution modes never leak between requests.
 func (e *Engine) Rebind(lu *factor.LU) *Engine {
 	return &Engine{Plan: e.Plan, LU: lu, tmpl: e.tmpl}
@@ -118,23 +114,13 @@ func (rr *RunResult) Release() {
 	rr.Ainv = nil
 }
 
-// Run executes the two passes on a fresh in-process world (with Chaos set,
-// under a seeded delivery adversary) and gathers the result; for any other
-// transport build the world with simmpi.NewWorldOn and use RunWorld. On error
-// the world is closed; use RunWorld to snapshot a deadlocked world first.
+// Run executes the two passes on a fresh in-process world and gathers the
+// result; for any other transport, or a world with a delivery adversary
+// installed, build the world and use RunWorld. On error the world is closed.
 func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 	world := simmpi.NewWorld(e.Plan.Grid.Size())
-	if e.Chaos != nil {
-		chaos.Install(*e.Chaos, world)
-	}
 	res, err := e.RunWorld(world, timeout)
 	if err != nil {
-		if _, ok := err.(*simmpi.TimeoutError); ok {
-			// Snapshot before Close releases the blocked goroutines: the
-			// error then names where every rank was stuck and what was in
-			// flight, same as the distributed workers' timeout reports.
-			err = fmt.Errorf("%w\n%s", err, chaos.Snapshot(world, e.Plan, err).String())
-		}
 		world.Close()
 	}
 	return res, err
@@ -142,9 +128,10 @@ func (e *Engine) Run(timeout time.Duration) (*RunResult, error) {
 
 // RunWorld executes the two passes on a caller-supplied world (with any
 // adversary already installed; Obs is installed here) and gathers the
-// result. On a timeout the world is NOT closed, so the caller can take a
-// chaos.Snapshot of the stuck ranks and in-flight messages first. A malformed
-// message (see messageError) closes the world and fails the run at once.
+// result. A timeout's error carries the hung-run report (report.go): where
+// every rank was blocked, who panicked, and each message still in flight
+// with the receiver's place in its collective's tree. A malformed message
+// (see messageError) closes the world and fails the run at once.
 //
 // With a distributed transport underneath the world (one rank per process),
 // only the world's local ranks execute and the result gathers only their A⁻¹
@@ -206,6 +193,11 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	elapsed := time.Since(start)
 	if re := bad.Load(); re != nil {
 		return nil, re
+	}
+	if te, ok := err.(*simmpi.TimeoutError); ok {
+		// Taken before anyone closes the world, which releases the blocked
+		// goroutines the report is about.
+		return nil, fmt.Errorf("%w\n%s", err, e.deadlock(world, te))
 	}
 	if err != nil {
 		return nil, err
@@ -369,9 +361,10 @@ func (red *redState) localDone(pos int, out *dense.Matrix) {
 // uses L̂ᵀ for Û, so it would return a wrong inverse with no other symptom.
 type symmetryError struct{ error }
 
-// messageError reports a message that names no slot at its receiver, or a
-// reduce message that cannot belong to the collective its tag names. It fails
-// the run instead of indexing past a table or corrupting the fold.
+// messageError reports a message that names no slot at its receiver, whose
+// payload is not the block its tag names, that fills a slot a second time, or
+// a reduce message that cannot belong to the collective its tag names. It
+// fails the run instead of indexing past a table or corrupting the fold.
 type messageError struct {
 	Kind      core.OpKind
 	K, Blk    int
@@ -387,22 +380,22 @@ func (e *messageError) Error() string {
 // childArrived folds a child's partial sum into red. Reduce payloads
 // transfer buffer ownership to the receiver; fold recycles them. The sender
 // must be a child of this rank in the reduction's tree that has not
-// delivered yet, and the payload one block.
+// delivered yet.
 func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
 	pos := int(red.NLocal) + slices.Index(red.Kids, msg.Src)
-	var bad string
 	switch {
 	case pos < int(red.NLocal):
-		bad = "sender is not a child of the receiver in the collective's tree"
+		st.refuse(msg, "sender is not a child of the receiver in the collective's tree")
 	case pos < red.next || red.parts != nil && red.parts[pos] != nil:
-		bad = "second payload from this child"
-	case len(msg.Data) != red.words():
-		bad = fmt.Sprintf("%d words, want %d of a %dx%d %s block (packed %v)", len(msg.Data), red.words(), red.sum.Rows, red.sum.Cols, st.elem, red.packed)
-	}
-	if bad != "" {
-		panic(&messageError{Kind: red.Op.Kind, K: red.Op.K, Blk: red.Op.Blk, Src: msg.Src, Rank: st.r.ID, Reason: bad})
+		st.refuse(msg, "second payload from this child")
 	}
 	red.fold(pos, msg.Data)
+}
+
+// refuse fails the run on msg (see messageError).
+func (st *rankState) refuse(msg simmpi.Message, reason string) {
+	kind, k, blk := core.DecodeOpKey(msg.Tag)
+	panic(&messageError{Kind: kind, K: k, Blk: blk, Src: msg.Src, Rank: st.r.ID, Reason: reason})
 }
 
 // wire says how each plan op kind appears outside the engine — its accounting
@@ -517,11 +510,18 @@ func (st *rankState) clear() {
 
 func (st *rankState) width(k int) int { return st.e.Plan.BP.Part.Width(k) }
 
-// block wraps an arrived payload as the rows×cols block it must be.
-func (st *rankState) block(rows, cols int, data []float64) dense.Matrix {
-	if len(data) != rows*cols*st.elem.Width() {
-		panic(fmt.Sprintf("pselinv: %s payload %d does not match %dx%d block", st.elem, len(data), rows, cols))
+// words is the length of the payload a message of kind on block (blk, k)
+// carries: the block in the factorization's element type, a diagonal one as
+// its packed lower triangle on a symmetric plan.
+func (st *rankState) words(kind core.OpKind, k, blk int) int {
+	if st.e.Plan.Symmetric && (kind == core.OpDiagBcast || kind == core.OpDiagReduce) {
+		return dense.PackedLen(st.width(k)) * st.elem.Width()
 	}
+	return st.width(blk) * st.width(k) * st.elem.Width()
+}
+
+// block wraps an arrived payload as the rows×cols block it is.
+func (st *rankState) block(rows, cols int, data []float64) dense.Matrix {
 	return dense.Matrix{Rows: rows, Cols: cols, Elem: st.elem, Data: data}
 }
 
@@ -767,12 +767,16 @@ func (st *rankState) runPass2() {
 }
 
 // handle resolves an arrived message to this rank's slot (core.Program.Slot)
-// and acts on it. A tag that names no slot here fails the run at once.
+// and acts on it. A tag that names no slot here, or a payload that is not the
+// block the tag names, fails the run at once.
 func (st *rankState) handle(msg simmpi.Message) {
 	kind, k, blk := core.DecodeOpKey(msg.Tag)
 	v, ok := st.prog.Slot(kind, k, blk)
 	if !ok {
-		panic(&messageError{Kind: kind, K: k, Blk: blk, Src: msg.Src, Rank: st.r.ID, Reason: "no such slot at the receiver"})
+		st.refuse(msg, "no such slot at the receiver")
+	}
+	if want := st.words(kind, k, blk); len(msg.Data) != want {
+		st.refuse(msg, fmt.Sprintf("%d words, want %d", len(msg.Data), want))
 	}
 	s, w := wire[kind].side, st.width(k)
 	ps, ss := &st.prog.Side[s], &st.side[s]
@@ -784,6 +788,9 @@ func (st *rankState) handle(msg simmpi.Message) {
 		// its broadcast root, else from the tree parent: forward it down the
 		// tree (processor column I | row I), store it and fire the products
 		// whose A⁻¹ operand is already final.
+		if ss.bcast[v].Data != nil {
+			st.refuse(msg, "second payload into a filled broadcast slot")
+		}
 		ro := &ps.Roles[st.prog.Snode[k]]
 		b := v - ro.Bcast
 		rows, cols := s.Block(st.width(blk), w)
@@ -804,6 +811,9 @@ func (st *rankState) handle(msg simmpi.Message) {
 	case core.OpSymmSend:
 		// Finalized A⁻¹_{J,K} arrives at the owner of (K, J); mirror it.
 		// The payload is the sender's finalized block (not ours to recycle).
+		if st.ainv[v] != nil {
+			st.refuse(msg, "second payload into a final A⁻¹ block")
+		}
 		low := st.block(st.width(blk), w, msg.Data)
 		up := dense.GetMatrixUninitElem(low.Cols, low.Rows, low.Elem)
 		low.TransposeInto(up)

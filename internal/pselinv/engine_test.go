@@ -1,9 +1,7 @@
 package pselinv
 
 import (
-	"math/rand"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"pselinv/internal/blockmat"
@@ -62,48 +60,6 @@ func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *blockma
 		}
 	}
 	return res
-}
-
-func TestParallelMatchesSequentialAcrossGrids(t *testing.T) {
-	g := sparse.Grid2D(7, 7, 3)
-	an, lu, ref := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
-	for _, dims := range [][2]int{{1, 1}, {1, 3}, {2, 2}, {3, 2}, {4, 3}, {5, 5}, {6, 5}} {
-		runAndCompare(t, an, lu, ref, procgrid.New(dims[0], dims[1]), core.ShiftedBinaryTree, 1)
-	}
-}
-
-func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
-	g := sparse.Grid2D(8, 6, 5)
-	an, lu, ref := prep(t, g, etree.Options{Relax: 2, MaxWidth: 6})
-	grid := procgrid.New(3, 4)
-	for _, scheme := range []core.Scheme{
-		core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree,
-		core.RandomPermTree, core.Hybrid,
-	} {
-		runAndCompare(t, an, lu, ref, grid, scheme, 7)
-	}
-}
-
-func TestParallelMatchesSequentialMatrixZoo(t *testing.T) {
-	for _, g := range []*sparse.Generated{
-		sparse.Banded(20, 2, 1),
-		sparse.Grid3D(3, 3, 3, 2),
-		sparse.RandomSym(40, 4, 3),
-		sparse.DG2D(3, 3, 3, 4),
-	} {
-		an, lu, ref := prep(t, g, etree.Options{Relax: 1, MaxWidth: 8})
-		runAndCompare(t, an, lu, ref, procgrid.New(3, 3), core.ShiftedBinaryTree, 11)
-	}
-}
-
-func TestParallelManySeeds(t *testing.T) {
-	// The shift is random per seed; numerics must be identical regardless.
-	g := sparse.Grid2D(6, 6, 9)
-	an, lu, ref := prep(t, g, etree.Options{MaxWidth: 4})
-	grid := procgrid.New(4, 3)
-	for seed := uint64(0); seed < 8; seed++ {
-		runAndCompare(t, an, lu, ref, grid, core.ShiftedBinaryTree, seed)
-	}
 }
 
 // TestEngineBodyRunConserved drives the engine's rank body through the
@@ -180,44 +136,6 @@ func TestSchemeChangesVolumeDistributionNotTotalResult(t *testing.T) {
 		t.Fatal("no traffic measured")
 	}
 	t.Logf("max per-rank sent: flat=%d shifted=%d", flat, shifted)
-}
-
-// Property: parallel result matches sequential for random matrices, grids,
-// schemes and seeds.
-func TestQuickParallelMatchesSequential(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := sparse.RandomSym(15+rng.Intn(25), 2+rng.Intn(3), seed)
-		perm := ordering.Compute(ordering.MinimumDegree, g.A, nil)
-		an := etree.Analyze(g.A.Permute(perm), perm,
-			etree.Options{Relax: rng.Intn(2), MaxWidth: 1 + rng.Intn(6)})
-		lu, err := factor.Factorize(an.A, an.BP)
-		if err != nil {
-			return false
-		}
-		ref := selinv.SelInv(lu)
-		grid := procgrid.New(1+rng.Intn(4), 1+rng.Intn(4))
-		scheme := []core.Scheme{core.FlatTree, core.BinaryTree,
-			core.ShiftedBinaryTree, core.Hybrid}[rng.Intn(4)]
-		plan := core.NewPlan(an.BP, grid, scheme, rng.Uint64())
-		res, err := NewEngine(plan, lu).Run(testTimeout)
-		if err != nil {
-			return false
-		}
-		for _, key := range ref.Keys() {
-			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-8 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func BenchmarkParallelGrid2D12_P16(b *testing.B) {

@@ -111,13 +111,17 @@ func TestRecycledStateBitIdentical(t *testing.T) {
 				for run := 0; run < 8; run++ {
 					eng := tmpl.Rebind(c.lus[run%2])
 					eng.DAG = run/2%2 == 1
+					var adv *chaos.Config
 					if run/4%2 == 1 {
-						eng.Chaos = &chaos.Config{Seed: 7}
+						adv = &chaos.Config{Seed: 7}
 					}
-					got := snapshot(t, eng)
-					if d := diffBits(want[run%2], got); d != "" {
+					res, err := runUnder(eng, adv)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if d := diffBits(want[run%2], blocksOf(res)); d != "" {
 						t.Fatalf("run %d (%s, dag=%v, chaos=%v) vs a fresh engine: %s",
-							run, eng.LU.Elem, eng.DAG, eng.Chaos != nil, d)
+							run, eng.LU.Elem, eng.DAG, adv != nil, d)
 					}
 					idle := idleSets(tmpl)
 					if len(idle) != 1 || run > 0 && &idle[0][0] != &set[0] {
@@ -230,9 +234,10 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 			return nil
 		}},
 		{"dropped message", func(tmpl *Engine) error {
-			eng := tmpl.Rebind(lu)
-			eng.Chaos = &chaos.Config{Seed: 1, Drop: isTarget}
-			_, err := eng.Run(300 * time.Millisecond)
+			world := simmpi.NewWorld(plan.Grid.Size())
+			defer world.Close()
+			chaos.Install(chaos.Config{Seed: 1, Drop: isTarget}, world)
+			_, err := tmpl.Rebind(lu).RunWorld(world, 300*time.Millisecond)
 			var te *simmpi.TimeoutError
 			if !errors.As(err, &te) {
 				return fmt.Errorf("error is %T (%v), want a timeout", err, err)

@@ -155,8 +155,7 @@ func TestMeasuredVolumesMatchPlanExactly(t *testing.T) {
 		plan := core.NewPlanConfig(an.BP, grid, c.cfg)
 		eng := NewEngine(plan, c.mode.lu)
 		eng.DAG = c.dag
-		eng.Chaos = c.chaos
-		res, err := eng.Run(testTimeout)
+		res, err := runUnder(eng, c.chaos)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}

@@ -16,6 +16,7 @@ type InProc struct {
 	barrierCond *sync.Cond
 	barrierCnt  int
 	barrierGen  int
+	closed      bool // under barrierMu: Close released the barrier for good
 }
 
 var _ Transport = (*InProc)(nil)
@@ -90,8 +91,9 @@ func (t *InProc) SetAdversary(a Adversary) {
 	}
 }
 
-// Barrier blocks until every rank has entered it (generation-counted
-// condition variable; the rank argument is unused in-process).
+// Barrier blocks until every rank has entered it or the transport closes
+// (generation-counted condition variable; the rank argument is unused
+// in-process).
 func (t *InProc) Barrier(int) {
 	t.barrierMu.Lock()
 	gen := t.barrierGen
@@ -103,15 +105,20 @@ func (t *InProc) Barrier(int) {
 		t.barrierCond.Broadcast()
 		return
 	}
-	for gen == t.barrierGen {
+	for gen == t.barrierGen && !t.closed {
 		t.barrierCond.Wait()
 	}
 	t.barrierMu.Unlock()
 }
 
-// Close closes all inboxes (wakes any blocked Recv with ok = false).
+// Close closes all inboxes (wakes any blocked Recv with ok = false) and
+// releases any rank blocked in Barrier.
 func (t *InProc) Close() {
 	for _, in := range t.inboxes {
 		in.Close()
 	}
+	t.barrierMu.Lock()
+	t.closed = true
+	t.barrierMu.Unlock()
+	t.barrierCond.Broadcast()
 }

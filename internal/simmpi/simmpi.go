@@ -139,8 +139,8 @@ type Adversary interface {
 }
 
 // RankState is the last observed execution state of a rank, maintained by
-// the world so that a harness can snapshot where every rank is stuck when a
-// run deadlocks (see internal/chaos).
+// the world so that the engine's hung-run report can say where every rank is
+// stuck when a run deadlocks.
 type RankState int32
 
 const (
@@ -263,8 +263,8 @@ func (w *World) setState(rank int, s RankState) {
 }
 
 // RankStateOf returns the last observed state of rank. It is safe to call
-// concurrently with a run (the chaos deadlock report reads it after a
-// timeout while stuck goroutines are still blocked).
+// concurrently with a run (the hung-run report reads it after a timeout
+// while stuck goroutines are still blocked).
 func (w *World) RankStateOf(rank int) RankState {
 	return RankState(atomic.LoadInt32(&w.states[rank]))
 }

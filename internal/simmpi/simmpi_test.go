@@ -129,6 +129,27 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
+// TestCloseReleasesBarrier: a rank that fails a run closes the world, and
+// peers already waiting in Barrier must come out of it then, not at the
+// deadline.
+func TestCloseReleasesBarrier(t *testing.T) {
+	w := NewWorld(3)
+	start := time.Now()
+	err := w.Run(10*time.Second, func(r *Rank) {
+		if r.ID == 0 {
+			w.Close() // rank 0 never enters the barrier
+			return
+		}
+		r.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("ranks left the barrier after %v", d)
+	}
+}
+
 func TestRunTimeout(t *testing.T) {
 	w := NewWorld(2)
 	err := w.Run(100*time.Millisecond, func(r *Rank) {

@@ -41,7 +41,6 @@ import (
 	"time"
 
 	"pselinv/internal/blockmat"
-	"pselinv/internal/chaos"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -271,12 +270,6 @@ type Options struct {
 	MaxWidth int
 	// Timeout bounds each parallel run; 0 means 5 minutes.
 	Timeout time.Duration
-	// ChaosSeed, when non-zero, installs the deterministic chaos adversary
-	// on every parallel run: per-link message delivery is adversarially
-	// reordered and skewed as a pure function of this seed, so a failing
-	// schedule reproduces exactly from the seed alone. The result stays
-	// bit-identical to an unperturbed run of the same plan.
-	ChaosSeed uint64
 	// DAG enables intra-rank task-DAG execution on parallel runs: each
 	// rank's TRSM/GEMM-sized updates are scheduled onto the shared pool
 	// of task-DAG offload slots and overlapped with the tree collectives,
@@ -904,9 +897,6 @@ func (s *System) parallelRun(procs int, scheme Scheme, seed uint64, observed boo
 	if observed {
 		eng.Obs = obs.NewCollector(eng.Plan.PerRankMsgs(), time.Now())
 		eng.Obs.SetTopology(s.opt.CoresPerNode)
-	}
-	if s.opt.ChaosSeed != 0 {
-		eng.Chaos = &chaos.Config{Seed: s.opt.ChaosSeed}
 	}
 	eng.DAG = s.opt.DAG
 	run, err := eng.Run(s.opt.Timeout)

@@ -183,61 +183,6 @@ func TestParallelMatchesSequentialPublicAPI(t *testing.T) {
 	}
 }
 
-// TestChaosSeedOptionPublicAPI checks the chaos wiring end to end through
-// the public API on the default path (real, symmetric, no DAG): the
-// unperturbed run matches the sequential reference, and a run under each
-// of 8 adversary seeds (one System per seed, set by Options.ChaosSeed)
-// reproduces the unperturbed run bit for bit — a reduction's fold order is
-// a property of the plan, not of delivery.
-func TestChaosSeedOptionPublicAPI(t *testing.T) {
-	// Narrow supernodes give reductions of three and more contributions
-	// per rank, where the order of the additions shows in the last bit.
-	m := Grid2D(12, 12, 4)
-	sys, err := NewSystem(m, Options{MaxWidth: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, _ := sys.SelInv()
-	base, err := sys.ParallelSelInv(9, ShiftedBinaryTree, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// eachEntry visits the pattern of A, which the selected inverse covers.
-	eachEntry := func(f func(i, j int)) {
-		a := m.gen.A
-		for j := 0; j < a.N; j++ {
-			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-				f(a.RowIdx[k], j)
-			}
-		}
-	}
-	eachEntry(func(i, j int) {
-		sv, _ := seq.Entry(i, j)
-		bv, ok := base.Entry(i, j)
-		if !ok || math.Abs(sv-bv) > 1e-9 {
-			t.Fatalf("entry (%d,%d) parallel %g vs sequential %g", i, j, bv, sv)
-		}
-	})
-	for seed := uint64(70); seed < 78; seed++ {
-		chaotic, err := NewSystem(m, Options{MaxWidth: 4, ChaosSeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		par, err := chaotic.ParallelSelInv(9, ShiftedBinaryTree, 5)
-		if err != nil {
-			t.Fatalf("chaos seed %d: %v", seed, err)
-		}
-		eachEntry(func(i, j int) {
-			bv, _ := base.Entry(i, j)
-			pv, ok := par.Entry(i, j)
-			if !ok || math.Float64bits(pv) != math.Float64bits(bv) {
-				t.Fatalf("chaos seed %d: entry (%d,%d) = %g, unperturbed run has %g — not bit-identical", seed, i, j, pv, bv)
-			}
-		})
-		chaotic.Release()
-	}
-}
-
 // TestFlagshipComplexDagVolumes runs one pole of the flagship PEXSI
 // configuration (DG2D 16×16×4, P=16, shifted trees, complex shift, DAG
 // scheduler — the benchmark's pexsi_z16_p16 plan) through the public API and
