@@ -70,7 +70,7 @@ surface-gate:
 
 # The engine's property test: FuzzPipeline's seed corpus under the race
 # detector, then FUZZTIME of coverage-guided inputs (see EXPERIMENTS.md
-# "Reproducing a FuzzPipeline failure").
+# "FuzzPipeline — reproducing a failure from its corpus file").
 pipeline:
 	$(GO) test -race -count=1 -run '^FuzzPipeline$$' ./internal/pselinv/
 	$(GO) test ./internal/pselinv/ -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)

@@ -132,7 +132,7 @@ func TestHungRunReport(t *testing.T) {
 	if !ok {
 		t.Fatalf("error is %T (%v), want a *simmpi.TimeoutError", err, err)
 	}
-	rep := eng.deadlock(world, te)
+	rep := eng.postMortem(world, te)
 	if len(rep.stuck) != 1 || rep.stuck[0] != parent || rep.states[parent] != simmpi.StateRecvWait {
 		t.Fatalf("stuck %v (rank %d %v), want rank %d in recv-wait", rep.stuck, parent, rep.states[parent], parent)
 	}

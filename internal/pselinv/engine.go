@@ -197,7 +197,7 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	if te, ok := err.(*simmpi.TimeoutError); ok {
 		// Taken before anyone closes the world, which releases the blocked
 		// goroutines the report is about.
-		return nil, fmt.Errorf("%w\n%s", err, e.deadlock(world, te))
+		return nil, fmt.Errorf("%w\n%s", err, e.postMortem(world, te))
 	}
 	if err != nil {
 		return nil, err

@@ -159,7 +159,7 @@ func checkPipeline(t *testing.T, in *pipelineInput) {
 	if eng == nil || !in.DAG && in.Chaos == 0 {
 		return
 	}
-	eng = eng.Rebind(eng.LU)
+	eng = eng.Rebind(eng.LU) // a copy: the cached engine stays sequential
 	eng.DAG = in.DAG
 	label := fmt.Sprintf("%+v", *in)
 	res, err := runUnder(eng, in.adversary())

@@ -33,10 +33,10 @@ type inFlight struct {
 	role     *core.CollRole // dst's role in the collective; nil for point-to-point ops
 }
 
-// deadlock captures the state of world after the run timed out with te.
+// postMortem captures the state of world after the run timed out with te.
 // Call before the world is closed: closing releases the blocked goroutines
 // the report is about.
-func (e *Engine) deadlock(world *simmpi.World, te *simmpi.TimeoutError) *deadlock {
+func (e *Engine) postMortem(world *simmpi.World, te *simmpi.TimeoutError) *deadlock {
 	d := &deadlock{states: make([]simmpi.RankState, world.P), stuck: te.Stuck, panics: te.Panics}
 	for r := range d.states {
 		d.states[r] = world.RankStateOf(r)
