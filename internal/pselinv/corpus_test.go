@@ -1,6 +1,8 @@
 package pselinv
 
 import (
+	"testing"
+
 	"pselinv/internal/core"
 	"pselinv/internal/ordering"
 )
@@ -55,11 +57,78 @@ func bothSymmetries(in pipelineInput) []pipelineInput {
 	return []pipelineInput{in, asym}
 }
 
-// pipelineCorpus is FuzzPipeline's seed corpus: every case the per-knob
-// tests it replaced ran, grouped under the name of the test that ran it.
-// Unless a case says otherwise it is nested dissection, the shifted binary
-// tree with plan seed 1, the cyclic map, one rank, real values.
-func pipelineCorpus() []pipelineInput {
+// corpusGroup is the cases one test ran before FuzzPipeline held them all.
+type corpusGroup struct {
+	name  string // the test that ran the cases
+	cases []pipelineInput
+}
+
+// runGroup checks the cases of corpus group name one after another.
+func runGroup(t *testing.T, name string) {
+	withPoolWorkers(t, 4)
+	for _, g := range pipelineCorpus() {
+		if g.name == name {
+			for x := range g.cases {
+				checkPipeline(t, &g.cases[x])
+			}
+			return
+		}
+	}
+	t.Fatalf("no corpus group %s", name)
+}
+
+// The tests whose cases FuzzPipeline's corpus took over keep their names as
+// views of their group, so a failing case still names the knob it varies.
+func TestChaosSweepP4(t *testing.T)             { runGroup(t, "TestChaosSweepP4") }
+func TestChaosSweepP16(t *testing.T)            { runGroup(t, "TestChaosSweepP16") }
+func TestChaosSweepP64(t *testing.T)            { runGroup(t, "TestChaosSweepP64") }
+func TestChaosSweepAsymmetricPath(t *testing.T) { runGroup(t, "TestChaosSweepAsymmetricPath") }
+func TestChaosSweepDag(t *testing.T)            { runGroup(t, "TestChaosSweepDag") }
+func TestChaosSweepTopoSchemes(t *testing.T) {
+	t.Run("toposhifted", func(t *testing.T) { runGroup(t, "TestChaosSweepTopoSchemes") })
+}
+func TestChaosDagMatchesSequentialBaseline(t *testing.T) {
+	runGroup(t, "TestChaosDagMatchesSequentialBaseline")
+}
+func TestChaosOptionsSeed(t *testing.T)             { runGroup(t, "TestChaosOptionsSeed") }
+func TestComplexChaosSweep(t *testing.T)            { runGroup(t, "TestComplexChaosSweep") }
+func TestComplexParallelMatchesSerial(t *testing.T) { runGroup(t, "TestComplexParallelMatchesSerial") }
+func TestComplexParallelDagBitIdentical(t *testing.T) {
+	runGroup(t, "TestComplexParallelDagBitIdentical")
+}
+func TestComplexMatrixZoo(t *testing.T)             { runGroup(t, "TestComplexMatrixZoo") }
+func TestBalancersMatchReference(t *testing.T)      { runGroup(t, "TestBalancersMatchReference") }
+func TestBalancersMatchReferenceDag(t *testing.T)   { runGroup(t, "TestBalancersMatchReferenceDag") }
+func TestBalancersMatchReferenceAsym(t *testing.T)  { runGroup(t, "TestBalancersMatchReferenceAsym") }
+func TestDagByteIdenticalToSequential(t *testing.T) { runGroup(t, "TestDagByteIdenticalToSequential") }
+func TestDagByteIdenticalTopoSchemes(t *testing.T)  { runGroup(t, "TestDagByteIdenticalTopoSchemes") }
+func TestDagReproducibleAcrossRunsAsymmetric(t *testing.T) {
+	runGroup(t, "TestDagReproducibleAcrossRunsAsymmetric")
+}
+func TestParallelMatchesSequentialAcrossGrids(t *testing.T) {
+	runGroup(t, "TestParallelMatchesSequentialAcrossGrids")
+}
+func TestParallelMatchesSequentialAllSchemes(t *testing.T) {
+	runGroup(t, "TestParallelMatchesSequentialAllSchemes")
+}
+func TestParallelMatchesSequentialMatrixZoo(t *testing.T) {
+	runGroup(t, "TestParallelMatchesSequentialMatrixZoo")
+}
+func TestParallelManySeeds(t *testing.T) { runGroup(t, "TestParallelManySeeds") }
+func TestAsymmetricMatchesSequentialAcrossGrids(t *testing.T) {
+	runGroup(t, "TestAsymmetricMatchesSequentialAcrossGrids")
+}
+func TestAsymmetricAllSchemes(t *testing.T) { runGroup(t, "TestAsymmetricAllSchemes") }
+func TestQuickParallelMatchesSequential(t *testing.T) {
+	runGroup(t, "TestQuickParallelMatchesSequential")
+}
+func TestQuickAsymmetricParallel(t *testing.T) { runGroup(t, "TestQuickAsymmetricParallel") }
+
+// pipelineCorpus is FuzzPipeline's seed corpus, by the test that ran each
+// group of cases. Unless a case says otherwise it is nested dissection, the
+// shifted binary tree with plan seed 1, the cyclic map, one rank, real
+// values.
+func pipelineCorpus() []corpusGroup {
 	nd, mmd := uint8(ordering.NestedDissection), uint8(ordering.MinimumDegree)
 	mk := func(gen, d1, d2, d3, d4 uint8, seed int64, relax, width uint8) pipelineInput {
 		return pipelineInput{Gen: gen, D1: d1, D2: d2, D3: d3, D4: d4, MSeed: seed, Order: nd,
@@ -87,103 +156,105 @@ func pipelineCorpus() []pipelineInput {
 		return vary(ins, 1, func(in *pipelineInput, _ int) { f(in) })
 	}
 	flat, binary, shifted := core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree
-	var out []pipelineInput
-	add := func(ins ...[]pipelineInput) {
+	var out []corpusGroup
+	add := func(name string, ins ...[]pipelineInput) {
+		g := corpusGroup{name: name}
 		for _, x := range ins {
-			out = append(out, x...)
+			g.cases = append(g.cases, x...)
 		}
+		out = append(out, g)
 	}
 
-	// TestChaosSweepP4, TestChaosSweepP16 (delays skewed by the network
-	// model), TestChaosSweepP64 (reorder window 12), TestChaosSweepTopoSchemes
-	// (8 ranks a node), TestChaosSweepAsymmetricPath.
+	// The chaos sweeps: P = 4; P = 16 with delays skewed by the network
+	// model; P = 64 with reorder window 12; the topology-aware tree at 8
+	// ranks a node; the general plan.
 	p4 := grid2d(6, 6, 3, 2, 6)
 	p4.Pr, p4.Pc = 2, 2
-	add(chaosSweep(p4, 1000))
+	add("TestChaosSweepP4", chaosSweep(p4, 1000))
 	p16 := grid2d(8, 8, 2, 2, 6)
 	p16.Pr, p16.Pc, p16.Net = 4, 4, true
-	add(chaosSweep(p16, 2000))
+	add("TestChaosSweepP16", chaosSweep(p16, 2000))
 	p64 := grid2d(10, 10, 5, 1, 4)
 	p64.Pr, p64.Pc, p64.Window = 8, 8, 12
-	add(chaosSweep(p64, 3000))
+	add("TestChaosSweepP64", chaosSweep(p64, 3000))
 	topo := grid2d(8, 8, 2, 2, 6)
 	topo.Pr, topo.Pc, topo.Scheme, topo.Cores = 4, 4, uint8(core.TopoShiftedTree), 8
-	add(chaosSweep(topo, 7000))
+	add("TestChaosSweepTopoSchemes", chaosSweep(topo, 7000))
 	asym := grid2d(6, 6, 3, 2, 6)
 	asym.ASeed, asym.Eps, asym.Pr, asym.Pc = 11, 0.6, 3, 3
-	add(chaosSweep(asym, 4000))
-	// TestChaosSweepDag: 8 seeds in DAG mode, on either map.
+	add("TestChaosSweepAsymmetricPath", chaosSweep(asym, 4000))
+	// 8 seeds in DAG mode, on either map.
 	dag := grid2d(7, 7, 4, 2, 6)
 	dag.Pr, dag.Pc, dag.DAG = 2, 2, true
-	add(chaosSeeds(withBalancers(one(dag)), 5000, 8))
-	// TestChaosDagMatchesSequentialBaseline: DAG unperturbed and under seed 42.
+	add("TestChaosSweepDag", chaosSeeds(withBalancers(one(dag)), 5000, 8))
+	// DAG unperturbed and under seed 42.
 	dagBase := grid2d(6, 6, 5, 2, 6)
 	dagBase.Pr, dagBase.Pc, dagBase.DAG = 2, 2, true
-	add(one(dagBase), set(one(dagBase), func(in *pipelineInput) { in.Chaos = 42 }))
-	// TestChaosOptionsSeed, on either map.
-	add(set(withBalancers(one(p4)), func(in *pipelineInput) { in.Chaos = 42 }))
+	add("TestChaosDagMatchesSequentialBaseline", one(dagBase), set(one(dagBase), func(in *pipelineInput) { in.Chaos = 42 }))
+	// Seed 42 at P = 4, on either map (it tested Engine.Chaos).
+	add("TestChaosOptionsSeed", set(withBalancers(one(p4)), func(in *pipelineInput) { in.Chaos = 42 }))
 
-	// TestComplexChaosSweep: z = 0.5+1i on both plans, seeds 9000.. and 9500...
+	// z = 0.5+1i on both plans, seeds 9000.. and 9500...
 	cz := grid2d(6, 6, 3, 2, 6)
 	cz.Pr, cz.Pc, cz.ZRe, cz.ZIm = 2, 2, 0.5, 1
-	for x, c := range bothSymmetries(cz) {
-		add(chaosSeeds(one(c), 9000+500*uint64(x), 16))
-	}
-	// TestComplexParallelMatchesSerial: z = 0.5+1.5i.
+	czs := bothSymmetries(cz)
+	add("TestComplexChaosSweep", chaosSeeds(czs[:1], 9000, 16), chaosSeeds(czs[1:], 9500, 16))
+	// z = 0.5+1.5i.
 	cs := grid2d(6, 6, 3, 2, 6)
 	cs.ZRe, cs.ZIm = 0.5, 1.5
-	add(withBalancers(withSchemes(onGrids(bothSymmetries(cs), [2]uint8{1, 1}, [2]uint8{2, 2}), flat, binary, shifted)))
-	// TestComplexParallelDagBitIdentical: z = −0.25+2i in DAG mode.
+	add("TestComplexParallelMatchesSerial",
+		withBalancers(withSchemes(onGrids(bothSymmetries(cs), [2]uint8{1, 1}, [2]uint8{2, 2}), flat, binary, shifted)))
+	// z = −0.25+2i in DAG mode.
 	cd := grid2d(6, 6, 4, 2, 6)
 	cd.ZRe, cd.ZIm, cd.DAG = -0.25, 2, true
-	add(withBalancers(onGrids(bothSymmetries(cd), [2]uint8{1, 1}, [2]uint8{2, 2})))
-	// TestComplexMatrixZoo: z = 1+2i on 2×2.
+	add("TestComplexParallelDagBitIdentical", withBalancers(onGrids(bothSymmetries(cd), [2]uint8{1, 1}, [2]uint8{2, 2})))
+	// z = 1+2i on 2×2.
 	var czoo []pipelineInput
 	for _, g := range zoo(1, 8) {
 		czoo = append(czoo, bothSymmetries(g)...)
 	}
-	add(onGrids(set(czoo, func(in *pipelineInput) { in.ZRe, in.ZIm = 1, 2 }), [2]uint8{2, 2}))
+	add("TestComplexMatrixZoo", onGrids(set(czoo, func(in *pipelineInput) { in.ZRe, in.ZIm = 1, 2 }), [2]uint8{2, 2}))
 
-	// TestBalancersMatchReference, …Dag and …Asym: plan seed 3.
+	// The balancers, plan seed 3: on the paper's schemes, in DAG mode, on
+	// the general plan.
 	bal := grid2d(8, 8, 3, 2, 8)
 	bal.PlanSeed = 3
-	add(withBalancers(withSchemes(onGrids(one(bal), [2]uint8{2, 2}, [2]uint8{4, 4}), flat, binary, shifted)))
-	add(withBalancers(onGrids(set(one(bal), func(in *pipelineInput) { in.DAG = true }), [2]uint8{4, 4})))
-	add(withBalancers(onGrids(set(one(bal), func(in *pipelineInput) { in.ASeed, in.Eps = 7, 0.6 }), [2]uint8{4, 4})))
-	// TestDagByteIdenticalToSequential, TestDagByteIdenticalTopoSchemes.
+	add("TestBalancersMatchReference", withBalancers(withSchemes(onGrids(one(bal), [2]uint8{2, 2}, [2]uint8{4, 4}), flat, binary, shifted)))
+	add("TestBalancersMatchReferenceDag", withBalancers(onGrids(set(one(bal), func(in *pipelineInput) { in.DAG = true }), [2]uint8{4, 4})))
+	add("TestBalancersMatchReferenceAsym", withBalancers(onGrids(set(one(bal), func(in *pipelineInput) { in.ASeed, in.Eps = 7, 0.6 }), [2]uint8{4, 4})))
 	dagBal := set(one(bal), func(in *pipelineInput) { in.DAG = true })
-	add(withSchemes(onGrids(dagBal, [2]uint8{1, 1}, [2]uint8{2, 2}, [2]uint8{4, 4}), flat, binary, shifted))
-	add(set(onGrids(dagBal, [2]uint8{4, 4}), func(in *pipelineInput) { in.Scheme, in.Cores = uint8(core.TopoShiftedTree), 8 }))
-	// TestDagReproducibleAcrossRunsAsymmetric: RandomAsym(60, 5, 2), plan seed 9.
+	add("TestDagByteIdenticalToSequential", withSchemes(onGrids(dagBal, [2]uint8{1, 1}, [2]uint8{2, 2}, [2]uint8{4, 4}), flat, binary, shifted))
+	add("TestDagByteIdenticalTopoSchemes",
+		set(onGrids(dagBal, [2]uint8{4, 4}), func(in *pipelineInput) { in.Scheme, in.Cores = uint8(core.TopoShiftedTree), 8 }))
+	// RandomAsym(60, 5, 2), plan seed 9.
 	ra := randomAsym(60, 5, 2, 2, 6)
 	ra.Pr, ra.Pc, ra.PlanSeed, ra.DAG = 2, 2, 9, true
-	add(one(ra))
+	add("TestDagReproducibleAcrossRunsAsymmetric", one(ra))
 
-	// TestParallelMatchesSequentialAcrossGrids.
-	add(onGrids(one(grid2d(7, 7, 3, 2, 8)), [2]uint8{1, 1}, [2]uint8{1, 3}, [2]uint8{2, 2}, [2]uint8{3, 2},
-		[2]uint8{4, 3}, [2]uint8{5, 5}, [2]uint8{6, 5}))
-	// TestParallelMatchesSequentialAllSchemes: plan seed 7 on 3×4.
+	add("TestParallelMatchesSequentialAcrossGrids", onGrids(one(grid2d(7, 7, 3, 2, 8)), [2]uint8{1, 1}, [2]uint8{1, 3},
+		[2]uint8{2, 2}, [2]uint8{3, 2}, [2]uint8{4, 3}, [2]uint8{5, 5}, [2]uint8{6, 5}))
+	// Plan seed 7 on 3×4.
 	all := grid2d(8, 6, 5, 2, 6)
 	all.Pr, all.Pc, all.PlanSeed = 3, 4, 7
-	add(withSchemes(one(all), flat, binary, shifted, core.RandomPermTree, core.Hybrid))
-	// TestParallelMatchesSequentialMatrixZoo: plan seed 11 on 3×3.
-	add(set(onGrids(zoo(1, 8), [2]uint8{3, 3}), func(in *pipelineInput) { in.PlanSeed = 11 }))
-	// TestParallelManySeeds: plan seeds 0..7 on 4×3.
+	add("TestParallelMatchesSequentialAllSchemes", withSchemes(one(all), flat, binary, shifted, core.RandomPermTree, core.Hybrid))
+	// Plan seed 11 on 3×3.
+	add("TestParallelMatchesSequentialMatrixZoo", set(onGrids(zoo(1, 8), [2]uint8{3, 3}), func(in *pipelineInput) { in.PlanSeed = 11 }))
+	// Plan seeds 0..7 on 4×3.
 	many := grid2d(6, 6, 9, 0, 4)
 	many.Pr, many.Pc = 4, 3
-	add(vary(one(many), 8, func(in *pipelineInput, i int) { in.PlanSeed = uint64(i) }))
-	// TestAsymmetricMatchesSequentialAcrossGrids.
+	add("TestParallelManySeeds", vary(one(many), 8, func(in *pipelineInput, i int) { in.PlanSeed = uint64(i) }))
 	ag := grid2d(7, 7, 3, 2, 8)
 	ag.ASeed, ag.Eps = 11, 0.6
-	add(onGrids(one(ag), [2]uint8{1, 1}, [2]uint8{2, 2}, [2]uint8{3, 4}, [2]uint8{4, 3}, [2]uint8{5, 5}))
-	// TestAsymmetricAllSchemes: RandomAsym(45, 4, 9), plan seed 5 on 3×3.
+	add("TestAsymmetricMatchesSequentialAcrossGrids",
+		onGrids(one(ag), [2]uint8{1, 1}, [2]uint8{2, 2}, [2]uint8{3, 4}, [2]uint8{4, 3}, [2]uint8{5, 5}))
+	// RandomAsym(45, 4, 9), plan seed 5 on 3×3.
 	as := randomAsym(45, 4, 9, 0, 6)
 	as.Pr, as.Pc, as.PlanSeed = 3, 3, 5
-	add(withSchemes(one(as), flat, binary, shifted, core.RandomPermTree, core.Hybrid))
-	// TestQuickParallelMatchesSequential and TestQuickAsymmetricParallel drew
-	// fresh random cases each run (quick.Check): random patterns under
-	// minimum degree, relax 0..1, width 1..6, grids up to 4×4, any plan seed.
-	// The fuzzer draws them now; four of each shape stay in the corpus.
+	add("TestAsymmetricAllSchemes", withSchemes(one(as), flat, binary, shifted, core.RandomPermTree, core.Hybrid))
+	// The quick.Check properties drew fresh random cases each run: random
+	// patterns under minimum degree, relax 0..1, width 1..6, grids up to
+	// 4×4, any plan seed. The fuzzer draws them now; four of each shape stay.
+	var quickSym, quickAsym []pipelineInput
 	for x, q := range []struct {
 		n, deg, relax, width, pr, pc uint8
 		scheme                       core.Scheme
@@ -194,23 +265,24 @@ func pipelineCorpus() []pipelineInput {
 		sym.Order, sym.Pr, sym.Pc, sym.Scheme, sym.PlanSeed = mmd, q.pr, q.pc, uint8(q.scheme), 0x9e3779b97f4a7c15*uint64(x+1)
 		asym := sym
 		asym.ASeed, asym.Eps = sym.MSeed+1, 0.8
-		add(one(sym), one(asym))
+		quickSym, quickAsym = append(quickSym, sym), append(quickAsym, asym)
 	}
+	add("TestQuickParallelMatchesSequential", quickSym)
+	add("TestQuickAsymmetricParallel", quickAsym)
 
-	// The root package's TestChaosSeedOptionPublicAPI: Grid2D(12, 12, 4) in
-	// the natural order at the public defaults (relax 4) and MaxWidth 4, nine
+	// The public API's Options.ChaosSeed test: Grid2D(12, 12, 4) in the
+	// natural order at the public defaults (relax 4) and MaxWidth 4, nine
 	// ranks, plan seed 5, adversary seeds 70..77.
 	api := grid2d(12, 12, 4, 4, 4)
 	api.Order, api.Pr, api.Pc, api.PlanSeed = uint8(ordering.Natural), 3, 3, 5
-	add(chaosSeeds(one(api), 70, 8))
-	// The root package's TestMeasureVolumesChaosMatchesUnperturbed.
+	add("TestChaosSeedOptionPublicAPI", chaosSeeds(one(api), 70, 8))
 	mv := grid2d(8, 8, 1, 2, 8)
 	mv.Pr, mv.Pc, mv.Chaos = 3, 3, 13
-	add(one(mv))
-	// internal/distrun's TestDistributedChaosMatchesInProcess ran the
-	// adversary on four TCP workers: its problem, in process.
+	add("TestMeasureVolumesChaosMatchesUnperturbed", one(mv))
+	// internal/distrun ran the adversary on four TCP workers: its problem,
+	// in process.
 	tcp := grid2d(12, 12, 3, 2, 8)
 	tcp.Pr, tcp.Pc, tcp.Scheme, tcp.Chaos = 2, 2, uint8(binary), 7
-	add(one(tcp))
+	add("TestDistributedChaosMatchesInProcess", one(tcp))
 	return out
 }

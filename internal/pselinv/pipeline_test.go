@@ -137,9 +137,11 @@ func runUnder(eng *Engine, cfg *chaos.Config) (*RunResult, error) {
 // and reruns with go test -run FuzzPipeline/<name>.
 func FuzzPipeline(f *testing.F) {
 	withPoolWorkers(f, 4) // DAG runs offload for real on a one-core host too
-	for _, in := range pipelineCorpus() {
-		f.Add(in.Gen, in.D1, in.D2, in.D3, in.D4, in.MSeed, in.ASeed, in.Eps, in.Order, in.Relax, in.Width,
-			in.Scheme, in.Balancer, in.Cores, in.Pr, in.Pc, in.PlanSeed, in.ZRe, in.ZIm, in.DAG, in.Chaos, in.Window, in.Net)
+	for _, g := range pipelineCorpus() {
+		for _, in := range g.cases {
+			f.Add(in.Gen, in.D1, in.D2, in.D3, in.D4, in.MSeed, in.ASeed, in.Eps, in.Order, in.Relax, in.Width,
+				in.Scheme, in.Balancer, in.Cores, in.Pr, in.Pc, in.PlanSeed, in.ZRe, in.ZIm, in.DAG, in.Chaos, in.Window, in.Net)
+		}
 	}
 	f.Fuzz(func(t *testing.T, gen, d1, d2, d3, d4 uint8, mseed, aseed int64, eps float64, order, relax, width,
 		scheme, balancer, cores, pr, pc uint8, planSeed uint64, zre, zim float64, dag bool, chaosSeed uint64, window uint8, net bool) {
