@@ -131,7 +131,8 @@ func runUnder(eng *Engine, cfg *chaos.Config) (*RunResult, error) {
 //   - the second run to the first, bit for bit: a reduction's fold order is a
 //     property of the plan, not of delivery order or the DAG pool's schedule.
 //
-// A hang fails the run with the hung-run report (RunWorld). The seed corpus
+// An input of more than maxProducts block products is not run. A hang fails
+// the run with the hung-run report (RunWorld). The seed corpus
 // (pipelineCorpus) holds every case of the per-knob sweeps it replaced; a
 // failing input the fuzzer finds is written under testdata/fuzz/FuzzPipeline
 // and reruns with go test -run FuzzPipeline/<name>.
@@ -174,6 +175,12 @@ func checkPipeline(t *testing.T, in *pipelineInput) {
 	}
 }
 
+// maxProducts bounds an input's GEMM count, Σ|C(K)|² over the supernodes.
+// The fuzzer fails an input that runs 10 s, and at 860,000 products (n = 200,
+// width 1, natural order) one run takes 2–4 s on a 2-vCPU host without the
+// race detector, ten times that with it. The corpus's largest input has 838.
+const maxProducts = 20000
+
 // lastBase is the baseline of the last input, keyed by the input without its
 // second-run fields: a sweep over those builds and runs its baseline once.
 var lastBase struct {
@@ -184,11 +191,19 @@ var lastBase struct {
 
 // baseline builds the input's engine and checks its sequential, unperturbed
 // run against the reference, the certificate and the plan's volumes. The
-// engine is nil when the factorization refuses the values.
+// engine is nil when the input is too costly or the factorization refuses
+// the values.
 func baseline(t *testing.T, in *pipelineInput) (*Engine, map[blockmat.Key][]float64) {
 	g := in.matrix()
 	perm := ordering.Compute(ordering.Method(in.Order%4), g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: int(in.Relax % 8), MaxWidth: dim(in.Width, 48)})
+	products := 0
+	for k := 0; k < an.BP.NumSnodes(); k++ {
+		products += len(an.BP.Struct(k)) * len(an.BP.Struct(k))
+	}
+	if products > maxProducts {
+		return nil, nil // too costly an input to run
+	}
 	z := in.shift()
 	var lu *factor.LU
 	var err error
