@@ -270,7 +270,7 @@ func pipelineCorpus() []corpusGroup {
 	add("TestQuickParallelMatchesSequential", quickSym)
 	add("TestQuickAsymmetricParallel", quickAsym)
 
-	// The public API's Options.ChaosSeed test: Grid2D(12, 12, 4) in the
+	// The root package's public-API chaos test: Grid2D(12, 12, 4) in the
 	// natural order at the public defaults (relax 4) and MaxWidth 4, nine
 	// ranks, plan seed 5, adversary seeds 70..77.
 	api := grid2d(12, 12, 4, 4, 4)

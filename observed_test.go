@@ -190,6 +190,44 @@ func TestObsCrossNodeColumns(t *testing.T) {
 	}
 }
 
+// TestMeasureVolumesChaosMatchesUnperturbed: the adversary must not change
+// the measured volumes — same messages, different delivery order. An
+// observed run under chaos must report, rank by rank, the Col-Bcast and
+// Row-Reduce bytes the plan of the same configuration moves.
+func TestMeasureVolumesChaosMatchesUnperturbed(t *testing.T) {
+	sys := newObservedSystem(t, Grid2D(8, 8, 1), Options{Ordering: OrderNestedDissection, Relax: 2, MaxWidth: 8})
+	const p = 9 // a 3×3 grid
+	plan := sys.sym.engineTemplate(3, 3, ShiftedBinaryTree, 1, sys.symmetric).Plan
+	wantSent, wantRecv := plan.PerRankSent(core.OpColBcast), plan.PerRankRecv(core.OpRowReduce)
+	res, orep := parallelRunUnder(t, sys, p, ShiftedBinaryTree, 1, 13, true)
+	res.Release()
+	compared := 0
+	for _, cr := range orep.rep.Classes {
+		for r := 0; r < p; r++ {
+			var sent, recv int64
+			for x := 0; x < p; x++ {
+				sent += cr.Matrix[r*p+x]
+				recv += cr.Matrix[x*p+r]
+			}
+			switch cr.Class {
+			case simmpi.ClassColBcast.String():
+				compared++
+				if sent != wantSent[r] {
+					t.Errorf("rank %d: Col-Bcast sent %d bytes under chaos, plan %d", r, sent, wantSent[r])
+				}
+			case simmpi.ClassRowReduce.String():
+				compared++
+				if recv != wantRecv[r] {
+					t.Errorf("rank %d: Row-Reduce received %d bytes under chaos, plan %d", r, recv, wantRecv[r])
+				}
+			}
+		}
+	}
+	if compared != 2*p {
+		t.Fatalf("report compared on %d (class, rank) pairs, want %d", compared, 2*p)
+	}
+}
+
 // TestMeasureObsDagAttachesStats pins the DAG-mode observability wiring: a
 // DAG run's report — assembled, like every report, by obs.Merge from the
 // engine's per-rank snapshots — must carry per-rank scheduler stats in rank

@@ -9,8 +9,13 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
+	"pselinv/internal/chaos"
 	"pselinv/internal/dense"
+	"pselinv/internal/obs"
+	"pselinv/internal/procgrid"
+	"pselinv/internal/simmpi"
 )
 
 // TestNegativeCoresPerNodeRejected: a negative packing is an analysis
@@ -180,6 +185,100 @@ func TestParallelMatchesSequentialPublicAPI(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// parallelRunUnder is ParallelSelInv (ParallelSelInvObserved when observed)
+// with the seeded delivery adversary installed on the run's world. The
+// adversary is a test tool, not an Option: the System's engine is built as
+// parallelRun builds it and run with chaos.Install + RunWorld.
+func parallelRunUnder(t *testing.T, s *System, procs int, scheme Scheme, seed, chaosSeed uint64, observed bool) (*ParallelResult, *ObsReport) {
+	t.Helper()
+	lu, err := s.begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := procgrid.Squarish(procs)
+	eng := s.sym.engineTemplate(grid.Pr, grid.Pc, scheme, seed, s.symmetric).Rebind(lu)
+	if observed {
+		eng.Obs = obs.NewCollector(eng.Plan.PerRankMsgs(), time.Now())
+		eng.Obs.SetTopology(s.opt.CoresPerNode)
+	}
+	eng.DAG = s.opt.DAG
+	world := simmpi.NewWorld(grid.Size())
+	chaos.Install(chaos.Config{Seed: chaosSeed}, world)
+	run, err := eng.RunWorld(world, s.opt.Timeout)
+	s.end(err)
+	if err != nil {
+		world.Close()
+		t.Fatalf("chaos seed %d: %v", chaosSeed, err)
+	}
+	res := &ParallelResult{
+		Inverse: &Inverse{an: s.an, ainv: run.Ainv, elem: lu.Elem},
+		run:     run,
+		grid:    grid,
+		Elapsed: run.Elapsed,
+	}
+	if !observed {
+		return res, nil
+	}
+	merged, err := obs.Merge(run.Snapshots)
+	if err != nil {
+		res.Release()
+		t.Fatal(err)
+	}
+	return res, &ObsReport{rep: merged.Report(scheme.String())}
+}
+
+// TestChaosSeedOptionPublicAPI checks the public API's default path (real,
+// symmetric, no DAG) under the delivery adversary: the unperturbed run
+// matches the sequential reference, and a run under each of 8 adversary
+// seeds (one System per seed, as the retired Options.ChaosSeed knob ran
+// them) reproduces the unperturbed run bit for bit — a reduction's fold
+// order is a property of the plan, not of delivery.
+func TestChaosSeedOptionPublicAPI(t *testing.T) {
+	// Narrow supernodes give reductions of three and more contributions
+	// per rank, where the order of the additions shows in the last bit.
+	m := Grid2D(12, 12, 4)
+	sys, err := NewSystem(m, Options{MaxWidth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, _ := sys.SelInv()
+	base, err := sys.ParallelSelInv(9, ShiftedBinaryTree, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// eachEntry visits the pattern of A, which the selected inverse covers.
+	eachEntry := func(f func(i, j int)) {
+		a := m.gen.A
+		for j := 0; j < a.N; j++ {
+			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+				f(a.RowIdx[k], j)
+			}
+		}
+	}
+	eachEntry(func(i, j int) {
+		sv, _ := seq.Entry(i, j)
+		bv, ok := base.Entry(i, j)
+		if !ok || math.Abs(sv-bv) > 1e-9 {
+			t.Fatalf("entry (%d,%d) parallel %g vs sequential %g", i, j, bv, sv)
+		}
+	})
+	for seed := uint64(70); seed < 78; seed++ {
+		chaotic, err := NewSystem(m, Options{MaxWidth: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, _ := parallelRunUnder(t, chaotic, 9, ShiftedBinaryTree, 5, seed, false)
+		eachEntry(func(i, j int) {
+			bv, _ := base.Entry(i, j)
+			pv, ok := par.Entry(i, j)
+			if !ok || math.Float64bits(pv) != math.Float64bits(bv) {
+				t.Fatalf("chaos seed %d: entry (%d,%d) = %g, unperturbed run has %g — not bit-identical", seed, i, j, pv, bv)
+			}
+		})
+		chaotic.Release()
 	}
 }
 
