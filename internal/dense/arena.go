@@ -3,79 +3,76 @@ package dense
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 )
 
-// A sync.Pool-backed arena of float64 buffers and Matrix headers, bucketed
-// by power-of-two size class. The GEMM/TRSM pack buffers and the engine's
-// reduction accumulators, broadcast clones and message payloads all draw
-// from it, so the steady state of repeated runs performs no heap
-// allocation for matrix storage.
-//
-// Ownership discipline: every buffer has exactly one releaser. Buffers
-// handed to other goroutines (message payloads) are released by the final
-// consumer only when the producer has provably dropped its interest.
+// An arena of float64 buffers, one free list per power-of-two size class,
+// and of Matrix headers that garbage collections do not empty, so repeated
+// runs allocate no matrix storage. Every buffer has exactly one releaser:
+// buffers handed to other goroutines (message payloads) are released by the
+// final consumer only when the producer has provably dropped its interest.
 
 const (
-	minBufClass = 6  // smallest pooled buffer: 64 float64s
-	maxBufClass = 24 // largest pooled buffer: 16M float64s (128 MB)
+	minBufClass      = 2        // smallest retained buffer: 4 float64s
+	maxBufClass      = 20       // largest retained buffer: 1M float64s (8 MiB)
+	maxRetainedBytes = 64 << 20 // all lists; a cold P = 16 grid op keeps ≈20 MB
+	headerBytes      = int(unsafe.Sizeof(Matrix{}))
 )
 
-var bufPools [maxBufClass + 1]sync.Pool
+// A freeList is a mutex-guarded stack whose entries hold size bytes each;
+// push drops an entry that would take the arena past maxRetainedBytes.
+type freeList[T any] struct {
+	sync.Mutex
+	free []T
+}
 
-// bufItem boxes a slice for pooling so Get/Put cycles allocate nothing;
-// empty boxes recirculate through bufItemPool.
-type bufItem struct{ data []float64 }
+func (l *freeList[T]) pop(size int) (x T) {
+	var zero T
+	l.Lock()
+	if n := len(l.free); n > 0 {
+		x, l.free[n-1], l.free = l.free[n-1], zero, l.free[:n-1]
+		retained.Add(int64(-size))
+	}
+	l.Unlock()
+	return x
+}
 
-var bufItemPool = sync.Pool{New: func() any { return new(bufItem) }}
+func (l *freeList[T]) push(x T, size int) {
+	if retained.Add(int64(size)) > maxRetainedBytes {
+		retained.Add(int64(-size))
+		return
+	}
+	l.Lock()
+	l.free = append(l.free, x)
+	l.Unlock()
+}
+
+var (
+	bufs     [maxBufClass + 1]freeList[[]float64] // class c holds buffers of cap 1<<c
+	headers  freeList[*Matrix]
+	retained atomic.Int64 // bytes the lists hold or have reserved
+)
 
 // GetBuf returns a length-n buffer with undefined contents from the arena.
 func GetBuf(n int) []float64 {
-	c := bufClassUp(n)
+	c := max(minBufClass, bits.Len(uint(max(n, 1)-1))) // the smallest class holding n
 	if c > maxBufClass {
 		return make([]float64, n)
 	}
-	if it, _ := bufPools[c].Get().(*bufItem); it != nil {
-		s := it.data[:n]
-		it.data = nil
-		bufItemPool.Put(it)
-		return s
+	if s := bufs[c].pop(8 << c); s != nil {
+		return s[:n]
 	}
 	return make([]float64, n, 1<<c)
 }
 
-// PutBuf returns a buffer to the arena. The caller must not touch s (or any
-// matrix wrapping it) afterwards. Buffers below the minimum class size are
-// dropped to the garbage collector.
+// PutBuf returns a buffer to the arena; the caller must not touch s (or any
+// matrix wrapping it) afterwards. One of a capacity no class has is dropped.
 func PutBuf(s []float64) {
-	c := bufClassDown(cap(s))
-	if c < minBufClass {
-		return
+	if c := bits.Len(uint(cap(s))) - 1; c >= minBufClass && c <= maxBufClass && cap(s) == 1<<c {
+		bufs[c].push(s[:cap(s)], 8<<c)
 	}
-	if c > maxBufClass {
-		c = maxBufClass
-	}
-	it := bufItemPool.Get().(*bufItem)
-	it.data = s[:cap(s)]
-	bufPools[c].Put(it)
 }
-
-// bufClassUp returns the smallest class whose buffers hold n elements.
-func bufClassUp(n int) int {
-	if n <= 1<<minBufClass {
-		return minBufClass
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// bufClassDown returns the largest class c with 1<<c <= capacity.
-func bufClassDown(capacity int) int {
-	if capacity == 0 {
-		return 0
-	}
-	return bits.Len(uint(capacity)) - 1
-}
-
-var matHeaderPool = sync.Pool{New: func() any { return new(Matrix) }}
 
 // GetMatrixElem returns a zeroed rows×cols matrix of the given element
 // type from the arena. Release it with PutMatrix when its contents are dead.
@@ -88,9 +85,11 @@ func GetMatrixElem(rows, cols int, elem Elem) *Matrix {
 // GetMatrixUninitElem is GetMatrixElem without the clearing pass: the
 // contents are undefined and must be fully overwritten by the caller.
 func GetMatrixUninitElem(rows, cols int, elem Elem) *Matrix {
-	m := matHeaderPool.Get().(*Matrix)
-	m.Rows, m.Cols, m.Elem = rows, cols, elem
-	m.Data = GetBuf(rows * cols * elem.Width())
+	m := headers.pop(headerBytes)
+	if m == nil {
+		m = new(Matrix)
+	}
+	*m = Matrix{Rows: rows, Cols: cols, Elem: elem, Data: GetBuf(rows * cols * elem.Width())}
 	return m
 }
 
@@ -108,7 +107,6 @@ func PutMatrix(m *Matrix) {
 		return
 	}
 	PutBuf(m.Data)
-	m.Data = nil
-	m.Rows, m.Cols, m.Elem = 0, 0, Real
-	matHeaderPool.Put(m)
+	*m = Matrix{}
+	headers.push(m, headerBytes)
 }

@@ -269,13 +269,17 @@ func TestSetWorkers(t *testing.T) {
 }
 
 func TestArenaBufClasses(t *testing.T) {
-	for _, n := range []int{1, 63, 64, 65, 1000, 1 << 20} {
-		s := GetBuf(n)
-		if len(s) != n {
-			t.Fatalf("GetBuf(%d) len %d", n, len(s))
+	for _, tc := range []struct{ n, cap int }{
+		{1, 4}, {3, 4}, {4, 4}, {5, 8}, {63, 64}, {64, 64}, {65, 128}, {1000, 1024}, {1 << 20, 1 << 20},
+	} {
+		s := GetBuf(tc.n)
+		if len(s) != tc.n {
+			t.Fatalf("GetBuf(%d) len %d", tc.n, len(s))
 		}
 		if c := cap(s); c&(c-1) != 0 {
-			t.Errorf("GetBuf(%d) cap %d not a power of two", n, c)
+			t.Errorf("GetBuf(%d) cap %d not a power of two", tc.n, c)
+		} else if c != tc.cap {
+			t.Errorf("GetBuf(%d) cap %d, want its class's %d", tc.n, c, tc.cap)
 		}
 		PutBuf(s)
 	}

@@ -152,9 +152,6 @@ func TestPack1MMatchesGo(t *testing.T) {
 // from the arena and allocates nothing, as the real one does — for A as
 // stored and transposed, both packed strip by strip into its 1M image.
 func TestZGemmSteadyStateAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
 	rng := rand.New(rand.NewSource(3))
 	for _, tr := range []Trans{NoTrans, DoTrans} {
 		a, b := randZMat(rng, 28, 44), randZMat(rng, 44, 28)

@@ -561,9 +561,6 @@ func TestTwoStorageForms(t *testing.T) {
 // no block, no header, no map, the scatter map being the caller's, built once
 // per analysis; the kernels' pack buffers come from the arena.
 func TestRefactorizeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector makes sync.Pool drop the kernels' pack buffers at random")
-	}
 	g := sparse.DG2D(6, 6, 4, 1)
 	an := analyze(g, etree.Options{Relax: 4, MaxWidth: 48})
 	sc := mustScatter(t, g.A, an.PermTotal, an.BP)

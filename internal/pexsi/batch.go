@@ -5,7 +5,7 @@
 // pole l+1 is factorized while pole l is inverted — over three LUs: an
 // inverted pole's goes back to the producer, which refactorizes a later pole
 // into it, so from then on a pole allocates only what its inversion does
-// (blocks the dense arena lost to a GC, the engine's per-run state).
+// (the engine's per-run state: block maps and matrix headers).
 package pexsi
 
 import (

@@ -186,8 +186,10 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 		pprof.Do(context.Background(), labels, func(context.Context) {
 			st := e.bind(states, r)
 			st.runPass1()
-			r.Barrier()
-			st.runPass2()
+			// A refusing rank's Close ends the barrier early: peers may still read pass-1 payloads.
+			if r.Barrier(); bad.Load() == nil {
+				st.runPass2()
+			}
 		})
 	})
 	elapsed := time.Since(start)
