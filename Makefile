@@ -75,9 +75,10 @@ pipeline:
 	$(GO) test -race -count=1 -run '^FuzzPipeline$$' ./internal/pselinv/
 	$(GO) test ./internal/pselinv/ -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
-# Short coverage-guided fuzz runs of the tree constructions and the
-# untrusted-input decoders, and the engine's FuzzPipeline (one target per
-# invocation, as the fuzz engine requires). The server target skips its package's tests (they include the
+# Short coverage-guided fuzz runs of the tree constructions, the symbolic
+# analysis against its oracles, the untrusted-input decoders, and the
+# engine's FuzzPipeline (one target per invocation, as the fuzz engine
+# requires). The server target skips its package's tests (they include the
 # timed plan-cache SLO), the launcher's result-line target the multi-process
 # ones; they and the snapshot target cap corpus minimization, which otherwise
 # eats the whole budget on JSON-sized inputs.
@@ -89,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzTopoShiftedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcptransport/ -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sparse/ -fuzz FuzzReadMatrixMarket -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/etree/ -run '^$$' -fuzz '^FuzzSymbolic$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/obs/ -run '^$$' -fuzz FuzzUnmarshalSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/server/ -run '^$$' -fuzz FuzzRequestJSON -fuzztime $(FUZZTIME) -fuzzminimizetime 1s
 	$(GO) test ./internal/distrun/ -run '^$$' -fuzz FuzzResultLine -fuzztime $(FUZZTIME) -fuzzminimizetime 1s

@@ -1,9 +1,10 @@
-// Package etree performs the symbolic analysis phase of the solver:
-// elimination tree construction (Liu's algorithm), tree postordering,
-// scalar symbolic factorization (column patterns and counts), fundamental
-// supernode detection with relaxed amalgamation, and the supernodal block
-// pattern of L consumed by the numeric factorization and by both selected
-// inversion implementations.
+// Package etree performs the symbolic analysis phase of the solver on a
+// structurally symmetric matrix: elimination tree construction (Liu's
+// algorithm), tree postordering, column counts of L by row subtrees,
+// fundamental supernode detection with relaxed amalgamation, and the
+// supernodal block pattern of L, merged along the supernodal elimination
+// tree, that the numeric factorization and both selected inversion
+// implementations consume. Beside its output it needs O(n) scratch.
 package etree
 
 import (
@@ -41,92 +42,65 @@ func Parents(a *sparse.CSC) []int {
 }
 
 // Postorder returns a permutation old->new that relabels vertices in a
-// postorder traversal of the forest. Children are visited in ascending
-// order for determinism.
+// postorder traversal of the forest. Roots and children are visited in
+// ascending order for determinism.
 func Postorder(parent []int) []int {
 	n := len(parent)
-	children := make([][]int, n)
-	roots := []int{}
-	for v := 0; v < n; v++ {
-		p := parent[v]
-		if p < 0 {
-			roots = append(roots, v)
-		} else {
-			children[p] = append(children[p], v)
+	// Children as linked lists, head[p] -> next[c] -> ...; linking in
+	// descending order leaves each list ascending.
+	head, next := make([]int, n), make([]int, n)
+	for v := range head {
+		head[v] = -1
+	}
+	for v := n - 1; v >= 0; v-- {
+		if p := parent[v]; p >= 0 {
+			next[v], head[p] = head[p], v
 		}
 	}
 	perm := make([]int, n)
-	next := 0
-	// Iterative DFS to avoid deep recursion on path graphs.
-	type frame struct{ v, childIdx int }
-	for _, r := range roots {
-		stack := []frame{{r, 0}}
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.childIdx < len(children[f.v]) {
-				c := children[f.v][f.childIdx]
-				f.childIdx++
-				stack = append(stack, frame{c, 0})
+	label := 0
+	// Iterative DFS to avoid deep recursion on path graphs; head[v] is
+	// consumed as v's cursor over its children.
+	stack := make([]int, 0, n)
+	for r := 0; r < n; r++ {
+		if parent[r] >= 0 {
+			continue
+		}
+		for stack = append(stack, r); len(stack) > 0; {
+			v := stack[len(stack)-1]
+			if c := head[v]; c >= 0 {
+				head[v] = next[c]
+				stack = append(stack, c)
 				continue
 			}
-			perm[f.v] = next
-			next++
+			perm[v] = label
+			label++
 			stack = stack[:len(stack)-1]
 		}
 	}
-	if next != n {
+	if label != n {
 		panic("etree: postorder did not reach all vertices (cycle in parent array?)")
 	}
 	return perm
 }
 
-// ColPatterns performs a scalar symbolic factorization and returns, for
-// each column j, the sorted row indices (>= j, including the diagonal) of
-// L's pattern, using struct(L(:,j)) = struct(A(j:,j)) ∪ ⋃_{parent(c)==j}
-// (struct(L(:,c)) \ {c}).
-func ColPatterns(a *sparse.CSC, parent []int) [][]int {
-	n := a.N
-	pat := make([][]int, n)
-	children := make([][]int, n)
-	for v := 0; v < n; v++ {
-		if p := parent[v]; p >= 0 {
-			children[p] = append(children[p], v)
-		}
-	}
-	mark := make([]int, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	for j := 0; j < n; j++ {
-		rows := []int{j}
-		mark[j] = j
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			if i := a.RowIdx[k]; i > j && mark[i] != j {
-				mark[i] = j
-				rows = append(rows, i)
+// colCounts returns nnz(L(:,j)), diagonal included, for each column j of
+// the structurally symmetric a with elimination tree parent. Row i of L is
+// i's row subtree: the etree paths from each k < i with a(i,k) != 0 up to i.
+// Walking those paths, each vertex marked once per row, visits every entry
+// of L once: O(nnz(L)) time and 2n ints.
+func colCounts(a *sparse.CSC, parent []int) []int {
+	count, mark := make([]int, a.N), make([]int, a.N)
+	for i := range count {
+		count[i] = 1
+		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
+			for j := a.RowIdx[p]; j < i && mark[j] != i; j = parent[j] {
+				mark[j] = i
+				count[j]++
 			}
 		}
-		for _, c := range children[j] {
-			for _, i := range pat[c] {
-				if i > j && mark[i] != j {
-					mark[i] = j
-					rows = append(rows, i)
-				}
-			}
-		}
-		sort.Ints(rows)
-		pat[j] = rows
 	}
-	return pat
-}
-
-// ColCounts returns nnz(L(:,j)) including the diagonal for each column.
-func ColCounts(pat [][]int) []int {
-	c := make([]int, len(pat))
-	for j, rows := range pat {
-		c[j] = len(rows)
-	}
-	return c
+	return count
 }
 
 // Partition is a supernode partition of the columns 0..n-1 into contiguous
@@ -286,54 +260,46 @@ func (bp *BlockPattern) NNZScalars() int64 {
 	return t
 }
 
-// NewBlockPattern computes the closed block pattern by symbolic
-// right-looking block elimination of the (postordered, permuted) matrix a
-// under the given supernode partition.
+// NewBlockPattern computes the closed block pattern of the structurally
+// symmetric matrix a under the given supernode partition. Taken in ascending
+// order, K's rows are K, the supernodes of a's entries below K's columns,
+// and every child's rows above K (a child C has SnParent[C] = K). Any other
+// supernode whose rows couple K to a row above it reaches K through the
+// chain of parents between them, each of which holds that row, so the merge
+// is exactly the right-looking closure. One mark array and one sort per
+// supernode.
 func NewBlockPattern(a *sparse.CSC, part *Partition) *BlockPattern {
 	ns := part.NumSnodes()
-	sets := make([]map[int]bool, ns)
-	for k := range sets {
-		sets[k] = map[int]bool{k: true}
-	}
-	for j := 0; j < a.N; j++ {
-		kj := part.SnodeOf[j]
-		for p := a.ColPtr[j]; p < a.ColPtr[j+1]; p++ {
-			ki := part.SnodeOf[a.RowIdx[p]]
-			if ki > kj {
-				sets[kj][ki] = true
-			} else if ki < kj {
-				sets[ki][kj] = true // structural symmetry: record in lower triangle
-			}
-		}
-	}
-	// Right-looking block elimination: eliminating K couples every pair of
-	// its below-diagonal block rows.
-	for k := 0; k < ns; k++ {
-		c := make([]int, 0, len(sets[k])-1)
-		for i := range sets[k] {
-			if i > k {
-				c = append(c, i)
-			}
-		}
-		sort.Ints(c)
-		for x := 0; x < len(c); x++ {
-			for y := x + 1; y < len(c); y++ {
-				sets[c[x]][c[y]] = true
-			}
-		}
-	}
 	bp := &BlockPattern{Part: part, RowsOf: make([][]int, ns), SnParent: make([]int, ns)}
+	// Children of the supernodal etree as linked lists, head[K] -> next[C].
+	head, next, mark := make([]int, ns), make([]int, ns), make([]int, ns)
+	for k := range head {
+		head[k], mark[k] = -1, -1
+	}
+	var rows []int
 	for k := 0; k < ns; k++ {
-		rows := make([]int, 0, len(sets[k]))
-		for i := range sets[k] {
-			rows = append(rows, i)
+		rows = append(rows[:0], k)
+		lo, hi := part.Cols(k)
+		for p := a.ColPtr[lo]; p < a.ColPtr[hi]; p++ {
+			if i := part.SnodeOf[a.RowIdx[p]]; i > k && mark[i] != k {
+				mark[i] = k
+				rows = append(rows, i)
+			}
 		}
-		sort.Ints(rows)
-		bp.RowsOf[k] = rows
+		for c := head[k]; c >= 0; c = next[c] {
+			for _, i := range bp.RowsOf[c][2:] {
+				if mark[i] != k {
+					mark[i] = k
+					rows = append(rows, i)
+				}
+			}
+		}
+		sort.Ints(rows[1:])
+		bp.RowsOf[k] = append([]int(nil), rows...)
+		bp.SnParent[k] = -1
 		if len(rows) > 1 {
-			bp.SnParent[k] = rows[1]
-		} else {
-			bp.SnParent[k] = -1
+			p := rows[1]
+			bp.SnParent[k], next[k], head[p] = p, head[p], k
 		}
 	}
 	bp.rowPtr, bp.off, bp.uoff = make([]int, ns+1), []int{0}, make([]int, ns+1)
@@ -371,16 +337,16 @@ type Options struct {
 
 // Analyze runs the symbolic phase on a matrix that has already been
 // permuted by a fill-reducing ordering: elimination tree, postorder
-// relabeling, symbolic factorization, supernode detection, block pattern.
-// fillPerm is the ordering already applied (recorded so PermTotal maps
-// truly-original indices); pass the identity when a is in original order.
+// relabeling, column counts, supernode detection, block pattern. The pattern
+// of a must be structurally symmetric. fillPerm is the ordering already
+// applied (recorded so PermTotal maps truly-original indices); pass the
+// identity when a is in original order.
 func Analyze(a *sparse.CSC, fillPerm []int, opt Options) *Analysis {
 	parent := Parents(a)
 	post := Postorder(parent)
 	ap := a.Permute(post)
 	parent = Parents(ap)
-	pat := ColPatterns(ap, parent)
-	counts := ColCounts(pat)
+	counts := colCounts(ap, parent)
 	part := Supernodes(parent, counts, opt.Relax, opt.MaxWidth)
 	bp := NewBlockPattern(ap, part)
 	total := make([]int, len(fillPerm))

@@ -102,7 +102,7 @@ func TestColPatternsMatchDenseElimination(t *testing.T) {
 	post := Postorder(parent)
 	ap := a.Permute(post)
 	parent = Parents(ap)
-	pat := ColPatterns(ap, parent)
+	pat := colPatterns(ap, parent)
 	// Reference: dense symbolic right-looking elimination.
 	n := ap.N
 	filled := make([][]bool, n)

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -221,4 +222,36 @@ func BenchmarkScalingStandinDAG(b *testing.B) {
 	b.ReportMetric(float64(alloc)/n/1e6, "build-MB")
 	b.ReportMetric(float64(live)/n/1e6, "live-MB")
 	b.ReportMetric(sim.Seconds()/n, "sim-s")
+}
+
+// BenchmarkPrepareSymbolicFE3D sizes the symbolic phase — geometric nested
+// dissection, then etree.Analyze — on Table I's stand-in, FE3D 28³×3
+// (n = 65,856), and on FE3D 40³×3 (n = 192,000), at Relax 4 and MaxWidth 24.
+// It reports the bytes allocated per op (MB/op) and the heap the pipeline
+// keeps (live-MB). Run one size at a time, a few iterations:
+//
+//	go test ./internal/exp -run '^$' -bench 'PrepareSymbolicFE3D/28' -benchtime 3x
+func BenchmarkPrepareSymbolicFE3D(b *testing.B) {
+	for _, nx := range []int{28, 40} {
+		b.Run(fmt.Sprint(nx), func(b *testing.B) {
+			g := sparse.FE3D(nx, nx, nx, 3, 1)
+			var alloc, live uint64
+			b.ResetTimer()
+			for range b.N {
+				var m0, m1 runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&m0)
+				p := PrepareSymbolic(g, 4, 24)
+				runtime.ReadMemStats(&m1)
+				alloc += m1.TotalAlloc - m0.TotalAlloc
+				runtime.GC()
+				runtime.ReadMemStats(&m1)
+				live += m1.HeapAlloc - m0.HeapAlloc
+				runtime.KeepAlive(p)
+			}
+			n := float64(b.N)
+			b.ReportMetric(float64(alloc)/n/1e6, "MB/op")
+			b.ReportMetric(float64(live)/n/1e6, "live-MB")
+		})
+	}
 }

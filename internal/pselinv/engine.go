@@ -904,7 +904,10 @@ func (st *rankState) maybeComplete(red *redState) {
 	red.sum = nil // ownership moves on: see redState
 	if red.Parent >= 0 {
 		// The buffer travels up the tree; the parent recycles it.
-		st.r.Send(int(red.Parent), core.OpKey(op.Kind, k, op.Blk), wire[op.Kind].class, m.Data[:words])
+		data := m.Data[:words]
+		m.Data = nil
+		dense.PutMatrix(m) // the header only
+		st.r.Send(int(red.Parent), core.OpKey(op.Kind, k, op.Blk), wire[op.Kind].class, data)
 		st.collSpanEnd(red.CollRole, t0)
 		return
 	}

@@ -293,15 +293,15 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 // buffers across them, so every block a warm run needs is still there. What
 // is left is the run's own: the world and its mailboxes, sixteen goroutines,
 // the result and its block map (1,255 allocations per run with per-run maps,
-// redStates and per-message headers; 338 without). The mailboxes' ring
-// buffers come with the recycled state, so a warm run grows none (≈60 KB per
-// run when every run grew its sixteen rings from empty, ≈30 KB without).
-// Measured 321–323 allocations and 28–34 KB, with the race detector and
-// without, the rest of the suite loading the machine or not (≈500 KB when a
-// collection emptied the arena, as a sync.Pool's did); the budgets leave
-// about a tenth on top.
+// redStates and per-message headers; 338 without; 321–323 while a partial sum
+// sent up a reduce tree kept its matrix header from the arena). The
+// mailboxes' ring buffers come with the recycled state, so a warm run grows
+// none (≈60 KB per run when every run grew its sixteen rings from empty, ≈30
+// KB without). Measured 154–155 allocations and 20–24 KB, with the race
+// detector and without (≈500 KB when a collection emptied the arena, as a
+// sync.Pool's did); the count budget leaves about a tenth on top.
 func TestSteadyStateRunAllocs(t *testing.T) {
-	const budget, budgetKB = 360, 38
+	const budget, budgetKB = 170, 38
 	an, lu, ref := prep(t, sparse.DG2D(8, 8, 4, 1), etree.Options{Relax: 4, MaxWidth: 48})
 	ref.Release()
 	tmpl := NewEngine(core.NewPlan(an.BP, procgrid.New(4, 4), core.ShiftedBinaryTree, 1), nil)
