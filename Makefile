@@ -18,7 +18,9 @@ build:
 # internal/dense for its pool of task-DAG offload slots, and internal/obs,
 # whose collector every rank goroutine writes — a send updates the
 # destination's queue watermark from the sender's goroutine — and whose
-# goldens drive observed engine runs), plus the library's DAG-mode runs.
+# goldens drive observed engine runs), plus the library's DAG-mode runs. The
+# race run of internal/server also holds the daemon's warm-request
+# allocation budget: its body buffers are a free list no collection empties.
 tier1: vet
 	$(GO) test -race ./internal/simmpi/... ./internal/tcptransport/... \
 		./internal/distrun/... ./internal/pselinv/... ./internal/dense/... \

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"pselinv/internal/blockmat"
-	"pselinv/internal/etree"
-)
+import "pselinv/internal/etree"
 
 // Program is one rank's part of a plan, compiled once by Compile: what the
 // rank receives in each pass, its role in every supernode it takes part in,
@@ -22,7 +19,7 @@ type Program struct {
 	DiagRed []int32        // by role index: the Diag-Reduce slot in Reds, -1 when not in it
 	Side    [2]sideProgram // the upper side stays empty on a symmetric plan
 	Reds    []CollRole     // by reduction slot
-	Ainv    []blockmat.Key // by A⁻¹ slot: the owned block
+	Ainv    []int32        // by A⁻¹ slot: the owned block's pattern slot (etree.BlockPattern.Slot)
 	// Waiters heads, by A⁻¹ slot, the chain of tasks waiting on the block:
 	// 1 + (task index<<1 | side), ascending, the lower side's first; 0 ends it.
 	Waiters []int32
@@ -36,7 +33,8 @@ type Program struct {
 	// The block tables every program of a plan shares. Block (C[x], K) and its
 	// mirror have id First[K]+1+x, (K,K) has First[K]; Pos[0|1][id] counts the
 	// earlier blocks of C on the block's grid row | column; AinvSlot[side][id]
-	// is the owner's A⁻¹ slot of the lower block | its mirror.
+	// is the owner's A⁻¹ slot of the lower block | its mirror: the two halves
+	// of one array by pattern slot (etree.BlockPattern.Slot).
 	First         []int32
 	Pos, AinvSlot [2][]int32
 	bp            *etree.BlockPattern
@@ -91,8 +89,9 @@ type gemm struct{ K, I, J, Bc, Av, Red, Pos, Next int32 }
 func Compile(plan *Plan) []*Program {
 	bp, own, grid := plan.BP, plan.Owners, plan.Grid
 	ns, nb := bp.NumSnodes(), bp.NNZBlocks()
+	ainv := make([]int32, 2*nb) // by pattern slot
 	shared := Program{First: make([]int32, ns), Pos: [2][]int32{make([]int32, nb), make([]int32, nb)},
-		AinvSlot: [2][]int32{make([]int32, nb), make([]int32, nb)}, bp: bp}
+		AinvSlot: [2][]int32{ainv[:nb], ainv[nb:]}, bp: bp}
 	progs := make([]*Program, grid.Size())
 	for r := range progs {
 		p := shared
@@ -102,7 +101,7 @@ func Compile(plan *Plan) []*Program {
 		}
 		progs[r] = &p
 	}
-	first, pos, ainv := shared.First, shared.Pos, shared.AinvSlot
+	first, pos := shared.First, shared.Pos
 	// First the slots a rank's state is laid out by, so that every slot array
 	// is allocated once, at its final size: each A⁻¹ block's at its owner, each
 	// block's position along both grid axes and, for every rank on a grid row
@@ -114,27 +113,28 @@ func Compile(plan *Plan) []*Program {
 		side             [2]struct{ hat, bcast, task int32 }
 	}
 	n := make([]counts, len(progs))
-	slot := func(i, j int) int32 { // the owner's next A⁻¹ slot, keyed in the filling round
+	claim := func(i, j int) { // block (i, j) takes its owner's next A⁻¹ slot, keyed in the filling round
+		s, _ := bp.Slot(i, j)
 		r := own.OwnerOfBlock(i, j)
 		if v := n[r].ainv; int(v) < len(progs[r].Ainv) {
-			progs[r].Ainv[v] = blockmat.Key{I: i, J: j}
+			progs[r].Ainv[v] = int32(s)
 		}
+		ainv[s] = n[r].ainv
 		n[r].ainv++
-		return n[r].ainv - 1
 	}
 	lineCnt := [2][]int32{make([]int32, grid.Pr), make([]int32, grid.Pc)}
 	for round := range 2 { // a counting round, then a filling round
 		for k := 0; k < ns; k++ {
-			id, _ := bp.BlockID(k, k)
+			id, _ := bp.Slot(k, k)
 			first[k] = int32(id)
 			clear(lineCnt[0])
 			clear(lineCnt[1])
 			for x, i := range bp.RowsOf[k] {
-				ainv[Lower][id+x] = slot(i, k)
+				claim(i, k)
 				if x == 0 {
 					continue
 				}
-				ainv[Upper][id+x] = slot(k, i)
+				claim(k, i)
 				for ax, line := range [2]int{own.RowOf[i], own.ColOf[i]} {
 					pos[ax][id+x] = lineCnt[ax][line]
 					lineCnt[ax][line]++
@@ -172,7 +172,7 @@ func Compile(plan *Plan) []*Program {
 			}
 		}
 		for r, p := range progs[:len(progs)*(1-round)] { // only after the counting round
-			p.Ainv, p.DiagRed = make([]blockmat.Key, n[r].ainv), make([]int32, 0, n[r].roles)
+			p.Ainv, p.DiagRed = make([]int32, n[r].ainv), make([]int32, 0, n[r].roles)
 			for _, s := range plan.Sides() {
 				p.Side[s].Roles = make([]sideRole, 0, n[r].roles)
 			}
@@ -221,7 +221,7 @@ func Compile(plan *Plan) []*Program {
 				progs[po.Dst].Expect2++
 				if s == Lower { // at the owner of (J,K): its diagonal contribution and mirror send
 					li := p.Snode[k]
-					p.Contribs[h] = gemm{K: int32(k), I: int32(po.Blk), J: int32(k), Bc: h, Av: ainv[Lower][id], Red: p.DiagRed[li], Pos: along[id]}
+					p.Contribs[h] = gemm{K: int32(k), I: int32(po.Blk), J: int32(k), Bc: h, Av: ainv[id], Red: p.DiagRed[li], Pos: along[id]}
 					if plan.Symmetric { // and its mirror send
 						progs[po.Dst].Expect2++
 					} else {
@@ -246,13 +246,9 @@ func Compile(plan *Plan) []*Program {
 					b, o := across[int(c0)+x], along[int(c0)+y]
 					row, col := s.Block(j, i)
 					_, ps, ro := role(own.OwnerOfBlock(row, col))
-					half := Lower
-					if row < col {
-						half = Upper
-					}
-					id, _ := bp.BlockID(max(row, col), min(row, col))
+					sl, _ := bp.Slot(row, col)
 					ps.Tasks[ro.Task+b*ro.Own+o] = gemm{K: int32(k), I: int32(i), J: int32(j), Bc: ro.Bcast + b,
-						Av: ainv[half][id], Red: ro.Red + o, Pos: b}
+						Av: ainv[sl], Red: ro.Red + o, Pos: b}
 				}
 			}
 		}
@@ -283,12 +279,12 @@ func Compile(plan *Plan) []*Program {
 // slot — an unknown kind, a supernode the rank takes no part in, a block not
 // in C(K), or a collective of K the rank is not in.
 func (p *Program) Slot(kind OpKind, k, blk int) (slot int32, ok bool) {
-	if kind < 0 || int(kind) >= len(opKindNames) || k < 0 || k >= len(p.Snode) || p.Snode[k] < 0 {
+	if kind < 0 || int(kind) >= len(opKindNames) || k < 0 || k >= len(p.Snode) || p.Snode[k] < 0 || blk < k {
 		return -1, false
 	}
 	s, li := Side(kind/OpDiagBcastRow), p.Snode[k] // the general path's kinds are the upper side's
 	diag := kind == OpDiagBcast || kind == OpDiagBcastRow || kind == OpDiagReduce
-	id, inC := p.bp.BlockID(blk, k)
+	id, inC := p.bp.Slot(blk, k)
 	if diag != (blk == k) || !inC || int(li) >= len(p.Side[s].Roles) {
 		return -1, false
 	}
@@ -300,7 +296,8 @@ func (p *Program) Slot(kind OpKind, k, blk int) (slot int32, ok bool) {
 		return p.DiagRed[li], p.DiagRed[li] >= 0
 	case OpSymmSend:
 		v := p.AinvSlot[Upper][id]
-		return v, int(v) < len(p.Ainv) && p.Ainv[v] == blockmat.Key{I: k, J: blk}
+		mirror, _ := p.bp.Slot(k, blk)
+		return v, int(v) < len(p.Ainv) && p.Ainv[v] == int32(mirror)
 	case OpRowReduce, OpColReduce:
 		slot = ro.Red + p.Pos[s][id]
 		return slot, p.Pos[s][id] < ro.Own && p.Reds[slot].ID == int32(id) // the side's reductions, so the kind's

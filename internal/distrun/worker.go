@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"time"
 
-	"pselinv/internal/blockmat"
 	"pselinv/internal/dense"
 	"pselinv/internal/obs"
 	"pselinv/internal/pselinv"
@@ -232,23 +231,23 @@ func selfCheck(rank int, spec *Spec, eng *pselinv.Engine, runRes *pselinv.RunRes
 	defer ref.Release()
 	var checked int64
 	var checkErr error
-	runRes.Ainv.Range(func(key blockmat.Key, got *dense.Matrix) {
+	runRes.Ainv.Range(func(i, j int, got *dense.Matrix) {
 		if checkErr != nil {
 			return
 		}
-		want, ok := ref.Ainv.Get(key.I, key.J)
+		want, ok := ref.Ainv.Get(i, j)
 		if !ok {
-			checkErr = fmt.Errorf("rank %d: block (%d,%d) absent from the in-process reference", rank, key.I, key.J)
+			checkErr = fmt.Errorf("rank %d: block (%d,%d) absent from the in-process reference", rank, i, j)
 			return
 		}
 		if got.Elem != want.Elem || len(got.Data) != len(want.Data) {
-			checkErr = fmt.Errorf("rank %d: block (%d,%d) shape/element mismatch vs in-process reference", rank, key.I, key.J)
+			checkErr = fmt.Errorf("rank %d: block (%d,%d) shape/element mismatch vs in-process reference", rank, i, j)
 			return
 		}
 		for w := range got.Data {
 			if math.Float64bits(got.Data[w]) != math.Float64bits(want.Data[w]) {
 				checkErr = fmt.Errorf("rank %d: block (%d,%d) word %d differs from in-process reference: %x vs %x",
-					rank, key.I, key.J, w, math.Float64bits(got.Data[w]), math.Float64bits(want.Data[w]))
+					rank, i, j, w, math.Float64bits(got.Data[w]), math.Float64bits(want.Data[w]))
 				return
 			}
 		}

@@ -176,7 +176,7 @@ type BlockPattern struct {
 	SnParent []int
 
 	// The factor layout, immutable once NewBlockPattern has built it:
-	// rowPtr[K] is K's first BlockID; off[id] is the slab offset of lower block
+	// rowPtr[K] is K's first Slot; off[id] is the slab offset of lower block
 	// id, a prefix sum ending in the lower half's size; uoff[K] is the offset of
 	// K's first U block within the upper half, a prefix sum ending in its size.
 	rowPtr, off, uoff []int
@@ -185,14 +185,30 @@ type BlockPattern struct {
 // NumSnodes returns the number of supernodes.
 func (bp *BlockPattern) NumSnodes() int { return bp.Part.NumSnodes() }
 
-// BlockID returns the factor-layout id of block (i, k), i >= k, which its
-// upper mirror (k, i) shares: rowPtr[k] plus the position of i in RowsOf[k],
-// so supernode k's ids run on from BlockID(k, k) and all of them fill
-// [0, NNZBlocks()). The boolean is false for a structural zero.
-func (bp *BlockPattern) BlockID(i, k int) (int, bool) {
-	rows := bp.RowsOf[k]
+// Slot returns the slot of block (i, j) in the layout of 2·NNZBlocks()
+// blocks the factor and the selected inverse share. Block (i, k), i >= k, has
+// slot — its id — rowPtr[k] plus the position of i in RowsOf[k], so supernode
+// k's ids run on from Slot(k, k) and all of them fill [0, NNZBlocks()); its
+// upper mirror (k, i) has slot NNZBlocks() + id. The boolean is false for a
+// structural zero.
+func (bp *BlockPattern) Slot(i, j int) (int, bool) {
+	half := 0
+	if i < j {
+		i, j, half = j, i, bp.NNZBlocks()
+	}
+	rows := bp.RowsOf[j]
 	p := sort.SearchInts(rows, i)
-	return bp.rowPtr[k] + p, p < len(rows) && rows[p] == i
+	return half + bp.rowPtr[j] + p, p < len(rows) && rows[p] == i
+}
+
+// Block returns the block (i, j) at slot s, the inverse of Slot.
+func (bp *BlockPattern) Block(s int) (i, j int) {
+	id := s % bp.NNZBlocks()
+	k := sort.SearchInts(bp.rowPtr, id+1) - 1 // the last supernode whose ids start at or before id
+	if i = bp.RowsOf[k][id-bp.rowPtr[k]]; s != id {
+		return k, i // an upper mirror
+	}
+	return i, k
 }
 
 // FactorOffset returns where block (RowsOf[k][p], k) or, with upper set and

@@ -10,17 +10,19 @@ import (
 )
 
 // HasBlock reports whether block (i, k), i >= k, is in the pattern, by a
-// search of RowsOf[k] of its own: the tests' oracle for BlockID's boolean.
+// search of RowsOf[k] of its own: the tests' oracle for Slot's boolean.
 func (bp *BlockPattern) HasBlock(i, k int) bool {
 	rows := bp.RowsOf[k]
 	p := sort.SearchInts(rows, i)
 	return p < len(rows) && rows[p] == i
 }
 
-// checkLayout asserts the factor layout's contract on one pattern: the ids
-// are the dense range [0, NNZBlocks()) in (K, RowsOf[K]) order, BlockID hits
-// exactly the closed pattern (agreeing with HasBlock on every block pair), and
-// the blocks tile the slab in two halves, each without a gap: walking the
+// checkLayout asserts the factor layout's contract on one pattern: the ids,
+// the slots of the blocks (I, K), I >= K, are the dense range [0,
+// NNZBlocks()) in (K, RowsOf[K]) order, Slot hits exactly the closed pattern
+// (agreeing with HasBlock on every block pair) and puts each mirror (K, I) at
+// NNZBlocks() + id — one to one into [0, 2·NNZBlocks()), inverted by Block —
+// and the blocks tile the slab in two halves, each without a gap: walking the
 // supernodes in order, every diagonal and L block starts where the previous
 // one ended, from 0 to the lower size — NNZScalars(), all a symmetric
 // factorization stores — and every U block likewise from there to the full
@@ -31,15 +33,25 @@ func checkLayout(t *testing.T, name string, bp *BlockPattern) {
 	nextID, at, uat := 0, 0, bp.FactorSize(false)
 	for k := 0; k < ns; k++ {
 		for i := k; i < ns; i++ {
-			id, ok := bp.BlockID(i, k)
-			if ok != bp.HasBlock(i, k) {
-				t.Fatalf("%s: BlockID(%d,%d) ok=%v, HasBlock=%v", name, i, k, ok, !ok)
+			id, ok := bp.Slot(i, k)
+			m, mok := bp.Slot(k, i)
+			if ok != bp.HasBlock(i, k) || mok != ok {
+				t.Fatalf("%s: Slot(%d,%d) ok=%v, its mirror's %v, HasBlock=%v", name, i, k, ok, mok, bp.HasBlock(i, k))
 			}
 			if !ok {
 				continue
 			}
 			if id != nextID {
 				t.Fatalf("%s: block (%d,%d) has id %d, want the next id %d", name, i, k, id, nextID)
+			}
+			if i > k && m != bp.NNZBlocks()+id || i == k && m != id {
+				t.Fatalf("%s: block (%d,%d) at slot %d, its mirror at %d", name, i, k, id, m)
+			}
+			if bi, bj := bp.Block(id); bi != i || bj != k {
+				t.Fatalf("%s: Block(%d) = (%d,%d), want (%d,%d)", name, id, bi, bj, i, k)
+			}
+			if bi, bj := bp.Block(m); bi != k || bj != i {
+				t.Fatalf("%s: Block(%d) = (%d,%d), want (%d,%d)", name, m, bi, bj, k, i)
 			}
 			nextID++
 		}
@@ -113,12 +125,12 @@ func TestBlockIDAbsent(t *testing.T) {
 	})
 	bp := NewBlockPattern(a, FromStarts([]int{0, 1, 2, 3, 4}, 4))
 	for k := 0; k < 4; k++ {
-		if id, ok := bp.BlockID(k, k); !ok || id != k {
-			t.Fatalf("BlockID(%d,%d) = %d, %v", k, k, id, ok)
+		if id, ok := bp.Slot(k, k); !ok || id != k {
+			t.Fatalf("Slot(%d,%d) = %d, %v", k, k, id, ok)
 		}
 		for i := k + 1; i < 4; i++ {
-			if _, ok := bp.BlockID(i, k); ok {
-				t.Fatalf("BlockID(%d,%d) reports a block of a block-diagonal pattern", i, k)
+			if _, ok := bp.Slot(i, k); ok {
+				t.Fatalf("Slot(%d,%d) reports a block of a block-diagonal pattern", i, k)
 			}
 		}
 	}

@@ -65,8 +65,8 @@ func NewScatter(a *sparse.CSC, perm []int, bp *etree.BlockPattern) (*Scatter, er
 			ki := part.SnodeOf[pi]
 			// Block (ki, kj) is lower block (max, min) or its upper mirror.
 			lo, hi := min(ki, kj), max(ki, kj)
-			first, _ := bp.BlockID(lo, lo)
-			id, ok := bp.BlockID(hi, lo)
+			first, _ := bp.Slot(lo, lo)
+			id, ok := bp.Slot(hi, lo)
 			if !ok {
 				return nil, fmt.Errorf("%w: (%d,%d)", ErrOutsidePattern, a.RowIdx[p], j)
 			}
@@ -106,9 +106,9 @@ type LU struct {
 	Symmetric bool
 
 	slab []float64
-	// blocks[id] is lower block id (etree.BlockPattern.BlockID) and, where
-	// the slab has an upper half, blocks[NNZBlocks()+id] its upper mirror;
-	// all are views of slab.
+	// blocks[s] is the block at slot s (etree.BlockPattern.Slot): the lower
+	// blocks and, where the slab has an upper half, their upper mirrors; all
+	// are views of slab.
 	blocks []dense.Matrix
 }
 
@@ -133,7 +133,7 @@ func (lu *LU) reset() {
 	}
 	lu.slab, lu.blocks = make([]float64, size), make([]dense.Matrix, headers)
 	for k, rows := range bp.RowsOf {
-		first, _ := bp.BlockID(k, k)
+		first, _ := bp.Slot(k, k)
 		for p, i := range rows {
 			w, wi := bp.Part.Width(k), bp.Part.Width(i)
 			n := w * wi * ew
@@ -148,12 +148,8 @@ func (lu *LU) reset() {
 // block returns stored block (i, j) of either triangle, nil for a structural
 // zero.
 func (lu *LU) block(i, j int) *dense.Matrix {
-	half := 0
-	if i < j {
-		i, j, half = j, i, lu.BP.NNZBlocks()
-	}
-	if id, ok := lu.BP.BlockID(i, j); ok {
-		return &lu.blocks[half+id]
+	if s, ok := lu.BP.Slot(i, j); ok {
+		return &lu.blocks[s]
 	}
 	return nil
 }
@@ -275,7 +271,7 @@ func (lu *LU) scatter(val []float64, sigma float64, s *Scatter, z complex128) {
 func (lu *LU) eliminate() error {
 	bp, nb := lu.BP, lu.BP.NNZBlocks()
 	for k, rows := range bp.RowsOf {
-		first, _ := bp.BlockID(k, k) // the ids of K's blocks run on from its diagonal's
+		first, _ := bp.Slot(k, k) // the ids of K's blocks run on from its diagonal's
 		dk := &lu.blocks[first]
 		if err := dense.LU(dk); err != nil {
 			return fmt.Errorf("factor: supernode %d: %w", k, err)

@@ -284,7 +284,7 @@ func (w *walker) walk() {
 						if po.Dst != r {
 							w.put(x, kMsg, r, po.Dst, po.Bytes, k)
 						}
-						id, _ := bp.BlockID(po.Blk, k)
+						id, _ := bp.Slot(po.Blk, k)
 						w.keyed(barrier, x, 2*int(p.First[k])+int(s)*(len(bp.RowsOf[k])-1)+id-int(p.First[k])-1)
 					}
 				}

@@ -2,7 +2,7 @@ package pselinv
 
 import (
 	"errors"
-	"math"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -40,21 +40,7 @@ func runAsymAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *blo
 	if err != nil {
 		t.Fatalf("asym grid %v scheme %v: %v", grid, scheme, err)
 	}
-	refKeys := ref.Keys()
-	gotKeys := res.Ainv.Keys()
-	if len(refKeys) != len(gotKeys) {
-		t.Fatalf("asym grid %v scheme %v: %d blocks, want %d", grid, scheme, len(gotKeys), len(refKeys))
-	}
-	for _, key := range refKeys {
-		want := ref.MustGet(key.I, key.J)
-		got, ok := res.Ainv.Get(key.I, key.J)
-		if !ok {
-			t.Fatalf("asym grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
-		}
-		if d := got.MaxAbsDiff(want); d > 1e-9 {
-			t.Fatalf("asym grid %v scheme %v: block (%d,%d) differs by %g", grid, scheme, key.I, key.J, d)
-		}
-	}
+	requireMatchesReference(t, fmt.Sprintf("asym grid %v scheme %v", grid, scheme), ref, bitsOf(res.Ainv), false)
 	return res
 }
 
@@ -68,17 +54,16 @@ func TestAsymmetricSequentialMatchesDense(t *testing.T) {
 		t.Fatal(err)
 	}
 	part := an.BP.Part
-	for _, key := range ref.Keys() {
-		b := ref.MustGet(key.I, key.J)
-		r0, c0 := part.Start[key.I], part.Start[key.J]
+	ref.Range(func(bi, bj int, b *dense.Matrix) {
+		r0, c0 := part.Start[bi], part.Start[bj]
 		for c := 0; c < b.Cols; c++ {
 			for r := 0; r < b.Rows; r++ {
 				if d := b.At(r, c) - want.At(r0+r, c0+c); d > 1e-8 || d < -1e-8 {
-					t.Fatalf("sequential asym selinv wrong at block (%d,%d)", key.I, key.J)
+					t.Fatalf("sequential asym selinv wrong at block (%d,%d)", bi, bj)
 				}
 			}
 		}
-	}
+	})
 }
 
 // transpose returns bᵀ as a new matrix.
@@ -96,18 +81,14 @@ func TestAsymmetricUpperNotMirror(t *testing.T) {
 	an, lu, ref := prepAsym(t, g, etree.Options{MaxWidth: 6})
 	res := runAsymAndCompare(t, an, lu, ref, procgrid.New(2, 3), core.BinaryTree, 2)
 	asymFound := false
-	for _, key := range res.Ainv.Keys() {
-		if key.I <= key.J {
-			continue
+	res.Ainv.Range(func(i, j int, lower *dense.Matrix) {
+		if i <= j {
+			return
 		}
-		lower := res.Ainv.MustGet(key.I, key.J)
-		if upper, ok := res.Ainv.Get(key.J, key.I); ok {
-			if upper.MaxAbsDiff(transpose(lower)) > 1e-6 {
-				asymFound = true
-				break
-			}
+		if upper, ok := res.Ainv.Get(j, i); ok && upper.MaxAbsDiff(transpose(lower)) > 1e-6 {
+			asymFound = true
 		}
-	}
+	})
 	if !asymFound {
 		t.Fatal("inverse looks symmetric; asymmetric path not exercised")
 	}
@@ -192,15 +173,7 @@ func TestGeneralPlanOnLowerOnlyFactor(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s P=%d dag=%v: %v", lu.Elem, procs, dag, err)
 				}
-				if got, want := res.Ainv.NumBlocks(), ref.NumBlocks(); got != want {
-					t.Fatalf("%s P=%d dag=%v: %d blocks, want %d", lu.Elem, procs, dag, got, want)
-				}
-				for _, key := range ref.Keys() {
-					if d := res.Ainv.MustGet(key.I, key.J).MaxAbsDiff(ref.MustGet(key.I, key.J)); !(d <= 1e-9) {
-						t.Fatalf("%s P=%d dag=%v: block (%d,%d) differs by %g", lu.Elem, procs, dag, key.I, key.J, d)
-					}
-				}
-				res.Release()
+				requireMatchesReference(t, fmt.Sprintf("%s P=%d dag=%v", lu.Elem, procs, dag), ref, blocksOf(res), false)
 			}
 		}
 		ref.Release()
@@ -241,16 +214,7 @@ func TestOneRankBitContract(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, key := range ref.Keys() {
-				got, want := res.Ainv.MustGet(key.I, key.J).Data, ref.MustGet(key.I, key.J).Data
-				for x := range want {
-					if math.Float64bits(got[x]) != math.Float64bits(want[x]) {
-						t.Fatalf("%s %s (symmetric=%v): block (%d,%d) word %d: %x != %x", g.Name, lu.Elem, lu.Symmetric,
-							key.I, key.J, x, math.Float64bits(got[x]), math.Float64bits(want[x]))
-					}
-				}
-			}
-			res.Release()
+			requireMatchesReference(t, fmt.Sprintf("%s %s (symmetric=%v)", g.Name, lu.Elem, lu.Symmetric), ref, blocksOf(res), true)
 			ref.Release()
 		}
 	}

@@ -1,12 +1,10 @@
 package pselinv
 
 import (
-	"math"
 	"reflect"
 	"testing"
 	"time"
 
-	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
 	"pselinv/internal/dense"
 	"pselinv/internal/etree"
@@ -29,7 +27,7 @@ func withPoolWorkers(t testing.TB, n int) {
 
 // runPlan executes one engine run of plan in the given mode and snapshots
 // the A⁻¹ blocks (the run's arena storage is recycled before returning).
-func runPlan(t *testing.T, plan *core.Plan, lu *factor.LU, dag bool) map[blockmat.Key][]float64 {
+func runPlan(t *testing.T, plan *core.Plan, lu *factor.LU, dag bool) [][]float64 {
 	t.Helper()
 	grid, scheme := plan.Grid, plan.Scheme
 	eng := NewEngine(plan, lu)
@@ -55,31 +53,7 @@ func runPlan(t *testing.T, plan *core.Plan, lu *factor.LU, dag bool) map[blockma
 	} else if res.Dag != nil {
 		t.Fatalf("grid %v scheme %v: sequential run carries dag stats", grid, scheme)
 	}
-	out := map[blockmat.Key][]float64{}
-	res.Ainv.Range(func(key blockmat.Key, b *dense.Matrix) {
-		out[key] = append([]float64(nil), b.Data...)
-	})
-	res.Release()
-	return out
-}
-
-// diffBits reports the first bitwise difference between two snapshots.
-func diffBits(a, b map[blockmat.Key][]float64) string {
-	if len(a) != len(b) {
-		return "block counts differ"
-	}
-	for key, av := range a {
-		bv, ok := b[key]
-		if !ok || len(av) != len(bv) {
-			return "block sets differ"
-		}
-		for x := range av {
-			if math.Float64bits(av[x]) != math.Float64bits(bv[x]) {
-				return "entries differ"
-			}
-		}
-	}
-	return ""
+	return blocksOf(res)
 }
 
 // TestDagToggleOnOneEngine flips DAG on one Engine value between runs: the
@@ -91,18 +65,14 @@ func TestDagToggleOnOneEngine(t *testing.T) {
 	g := sparse.Grid2D(6, 6, 4)
 	an, lu, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
 	eng := NewEngine(core.NewPlan(an.BP, procgrid.New(2, 2), core.ShiftedBinaryTree, 1), lu)
-	var base map[blockmat.Key][]float64
+	var base [][]float64
 	for _, dag := range []bool{false, true, false} {
 		eng.DAG = dag
 		res, err := eng.Run(testTimeout)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[blockmat.Key][]float64{}
-		res.Ainv.Range(func(key blockmat.Key, b *dense.Matrix) {
-			got[key] = append([]float64(nil), b.Data...)
-		})
-		res.Release()
+		got := blocksOf(res)
 		if base == nil {
 			base = got
 		} else if msg := diffBits(base, got); msg != "" {

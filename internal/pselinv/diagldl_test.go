@@ -33,17 +33,39 @@ func poisonUpperDiag(lu *factor.LU) {
 	}
 }
 
-// bitsOf copies a selected inverse's blocks out.
-func bitsOf(ainv *blockmat.BlockMatrix) map[blockmat.Key][]float64 {
-	out := map[blockmat.Key][]float64{}
-	ainv.Range(func(key blockmat.Key, b *dense.Matrix) { out[key] = append([]float64(nil), b.Data...) })
+// bitsOf copies a selected inverse's blocks out, by slot
+// (etree.BlockPattern.Slot): nil where no block is stored.
+func bitsOf(ainv *blockmat.BlockMatrix) [][]float64 {
+	out := make([][]float64, 2*ainv.BP.NNZBlocks())
+	ainv.Range(func(i, j int, b *dense.Matrix) {
+		s, _ := ainv.BP.Slot(i, j)
+		out[s] = append([]float64(nil), b.Data...)
+	})
 	return out
+}
+
+// diffBits reports the first bitwise difference between two snapshots.
+func diffBits(a, b [][]float64) string {
+	if len(a) != len(b) {
+		return "patterns differ"
+	}
+	for s := range a {
+		if (a[s] == nil) != (b[s] == nil) || len(a[s]) != len(b[s]) {
+			return "block sets differ"
+		}
+		for x := range a[s] {
+			if math.Float64bits(a[s][x]) != math.Float64bits(b[s][x]) {
+				return "entries differ"
+			}
+		}
+	}
+	return ""
 }
 
 // requireSymmetricDiagonal wants every diagonal block exactly symmetric.
 func requireSymmetricDiagonal(t *testing.T, label string, ainv *blockmat.BlockMatrix) {
 	t.Helper()
-	for k := 0; k < ainv.Part.NumSnodes(); k++ {
+	for k := 0; k < ainv.BP.NumSnodes(); k++ {
 		if !ainv.MustGet(k, k).IsSymmetric(0) {
 			t.Fatalf("%s: diagonal block %d of A⁻¹ is not exactly symmetric", label, k)
 		}
@@ -93,12 +115,13 @@ func TestSymmetricPathReadsLowerDiagonal(t *testing.T) {
 // selectedEntry reads X(i, j) of a selected inverse of either element type,
 // failing when its block was not selected.
 func selectedEntry(t *testing.T, x *blockmat.BlockMatrix, i, j int) complex128 {
-	ki, kj := x.Part.SnodeOf[i], x.Part.SnodeOf[j]
+	part := x.BP.Part
+	ki, kj := part.SnodeOf[i], part.SnodeOf[j]
 	b, ok := x.Get(ki, kj)
 	if !ok {
 		t.Fatalf("entry (%d,%d): block (%d,%d) not selected", i, j, ki, kj)
 	}
-	r, c := i-x.Part.Start[ki], j-x.Part.Start[kj]
+	r, c := i-part.Start[ki], j-part.Start[kj]
 	if b.Elem == dense.Complex {
 		return b.ZAt(r, c)
 	}

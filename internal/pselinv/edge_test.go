@@ -1,6 +1,7 @@
 package pselinv
 
 import (
+	"fmt"
 	"testing"
 
 	"pselinv/internal/core"
@@ -96,11 +97,6 @@ func TestParallelHybridThresholdExtremes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("threshold %d: %v", thr, err)
 		}
-		for _, key := range ref.Keys() {
-			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-9 {
-				t.Fatalf("threshold %d: block (%d,%d) wrong", thr, key.I, key.J)
-			}
-		}
+		requireMatchesReference(t, fmt.Sprintf("threshold %d", thr), ref, blocksOf(res), false)
 	}
 }

@@ -110,7 +110,7 @@ func (rr *RunResult) Release() {
 	if rr.Ainv == nil {
 		return
 	}
-	rr.Ainv.Range(func(_ blockmat.Key, b *dense.Matrix) { dense.PutMatrix(b) })
+	rr.Ainv.Release()
 	rr.Ainv = nil
 }
 
@@ -209,11 +209,7 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			return nil, cerr
 		}
 	}
-	nblocks := 0
-	for _, r := range world.LocalRanks() {
-		nblocks += len(states[r].ainv)
-	}
-	res := &RunResult{Ainv: blockmat.New(e.Plan.BP.Part, nblocks), World: world, Elapsed: elapsed}
+	res := &RunResult{Ainv: blockmat.New(e.Plan.BP), World: world, Elapsed: elapsed}
 	var loads []core.RankLoad
 	if e.Obs != nil {
 		loads = e.Plan.RankLoads()
@@ -221,7 +217,8 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	for _, r := range world.LocalRanks() {
 		st := states[r]
 		for v, m := range st.ainv {
-			res.Ainv.Set(st.prog.Ainv[v].I, st.prog.Ainv[v].J, m)
+			i, j := e.Plan.BP.Block(int(st.prog.Ainv[v]))
+			res.Ainv.Set(i, j, m)
 		}
 		if st.sched != nil {
 			res.Dag = append(res.Dag, st.sched.stats)
@@ -827,7 +824,8 @@ func (st *rankState) handle(msg simmpi.Message) {
 // on it.
 func (st *rankState) finalize(v int32, m *dense.Matrix) {
 	if st.ainv[v] != nil {
-		panic(fmt.Sprintf("pselinv: block %v finalized twice", st.prog.Ainv[v]))
+		i, j := st.e.Plan.BP.Block(int(st.prog.Ainv[v]))
+		panic(fmt.Sprintf("pselinv: block (%d,%d) finalized twice", i, j))
 	}
 	st.ainv[v] = m
 	for w := st.prog.Waiters[v]; w != 0; {

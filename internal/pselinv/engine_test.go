@@ -1,6 +1,7 @@
 package pselinv
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -43,22 +44,7 @@ func runAndCompare(t testing.TB, an *etree.Analysis, lu *factor.LU, ref *blockma
 	if cerr := res.World.CheckConservation(); cerr != nil {
 		t.Fatalf("grid %v scheme %v: %v", grid, scheme, cerr)
 	}
-	refKeys := ref.Keys()
-	gotKeys := res.Ainv.Keys()
-	if len(refKeys) != len(gotKeys) {
-		t.Fatalf("grid %v scheme %v: %d blocks computed, want %d",
-			grid, scheme, len(gotKeys), len(refKeys))
-	}
-	for _, key := range refKeys {
-		want := ref.MustGet(key.I, key.J)
-		got, ok := res.Ainv.Get(key.I, key.J)
-		if !ok {
-			t.Fatalf("grid %v scheme %v: block (%d,%d) missing", grid, scheme, key.I, key.J)
-		}
-		if d := got.MaxAbsDiff(want); d > 1e-9 {
-			t.Fatalf("grid %v scheme %v: block (%d,%d) differs by %g", grid, scheme, key.I, key.J, d)
-		}
-	}
+	requireMatchesReference(t, fmt.Sprintf("grid %v scheme %v", grid, scheme), ref, bitsOf(res.Ainv), false)
 	return res
 }
 

@@ -186,14 +186,14 @@ const maxProducts = 20000
 var lastBase struct {
 	key  pipelineInput
 	eng  *Engine
-	base map[blockmat.Key][]float64
+	base [][]float64
 }
 
 // baseline builds the input's engine and checks its sequential, unperturbed
 // run against the reference, the certificate and the plan's volumes. The
 // engine is nil when the input is too costly or the factorization refuses
 // the values.
-func baseline(t *testing.T, in *pipelineInput) (*Engine, map[blockmat.Key][]float64) {
+func baseline(t *testing.T, in *pipelineInput) (*Engine, [][]float64) {
 	g := in.matrix()
 	perm := ordering.Compute(ordering.Method(in.Order%4), g.A, g.Geom)
 	an := etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: int(in.Relax % 8), MaxWidth: dim(in.Width, 48)})
@@ -240,23 +240,24 @@ func baseline(t *testing.T, in *pipelineInput) (*Engine, map[blockmat.Key][]floa
 
 // requireMatchesReference compares a run's blocks with the serial reference:
 // bit for bit when exact, within 1e-9 otherwise.
-func requireMatchesReference(t *testing.T, label string, ref *blockmat.BlockMatrix, got map[blockmat.Key][]float64, exact bool) {
+func requireMatchesReference(t testing.TB, label string, ref *blockmat.BlockMatrix, got [][]float64, exact bool) {
 	t.Helper()
-	if len(got) != ref.NumBlocks() {
-		t.Fatalf("%s: %d blocks computed, want %d", label, len(got), ref.NumBlocks())
+	want := bitsOf(ref)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d slots computed, want %d", label, len(got), len(want))
 	}
-	for key, g := range got {
-		want, ok := ref.Get(key.I, key.J)
-		if !ok || len(g) != len(want.Data) {
-			t.Fatalf("%s: block (%d,%d) is not the reference's shape", label, key.I, key.J)
+	for s, g := range got {
+		i, j := ref.BP.Block(s)
+		if (g == nil) != (want[s] == nil) || len(g) != len(want[s]) {
+			t.Fatalf("%s: block (%d,%d) is not the reference's shape", label, i, j)
 		}
-		for x, w := range want.Data {
+		for x, w := range want[s] {
 			if exact && math.Float64bits(g[x]) != math.Float64bits(w) {
 				t.Fatalf("%s: block (%d,%d) word %d: %x != %x, not bit-identical to the reference",
-					label, key.I, key.J, x, math.Float64bits(g[x]), math.Float64bits(w))
+					label, i, j, x, math.Float64bits(g[x]), math.Float64bits(w))
 			}
 			if d := math.Abs(g[x] - w); !(d <= 1e-9) {
-				t.Fatalf("%s: block (%d,%d) word %d off the reference by %g", label, key.I, key.J, x, d)
+				t.Fatalf("%s: block (%d,%d) word %d off the reference by %g", label, i, j, x, d)
 			}
 		}
 	}

@@ -9,10 +9,8 @@ import (
 	"testing"
 	"time"
 
-	"pselinv/internal/blockmat"
 	"pselinv/internal/chaos"
 	"pselinv/internal/core"
-	"pselinv/internal/dense"
 	"pselinv/internal/etree"
 	"pselinv/internal/factor"
 	"pselinv/internal/procgrid"
@@ -26,7 +24,7 @@ import (
 // its state on.
 
 // snapshot runs eng and copies its blocks out.
-func snapshot(t testing.TB, eng *Engine) map[blockmat.Key][]float64 {
+func snapshot(t testing.TB, eng *Engine) [][]float64 {
 	t.Helper()
 	res, err := eng.Run(testTimeout)
 	if err != nil {
@@ -36,13 +34,9 @@ func snapshot(t testing.TB, eng *Engine) map[blockmat.Key][]float64 {
 }
 
 // blocksOf copies a result's blocks out and releases it.
-func blocksOf(res *RunResult) map[blockmat.Key][]float64 {
+func blocksOf(res *RunResult) [][]float64 {
 	defer res.Release()
-	out := map[blockmat.Key][]float64{}
-	res.Ainv.Range(func(key blockmat.Key, b *dense.Matrix) {
-		out[key] = append([]float64(nil), b.Data...)
-	})
-	return out
+	return bitsOf(res.Ainv)
 }
 
 // idleSets returns the template's free list (the test is the only user).
@@ -102,7 +96,7 @@ func TestRecycledStateBitIdentical(t *testing.T) {
 	for _, procs := range []int{1, 4, 16} {
 		for name, c := range recyclePlans(t, procs) {
 			t.Run(fmt.Sprintf("%s/P=%d", name, procs), func(t *testing.T) {
-				var want [2]map[blockmat.Key][]float64
+				var want [2][][]float64
 				for x, lu := range c.lus {
 					want[x] = snapshot(t, NewEngine(c.plan, lu))
 				}
@@ -140,7 +134,7 @@ func TestRecycledStateBitIdentical(t *testing.T) {
 func TestRecycledStateConcurrentRuns(t *testing.T) {
 	withPoolWorkers(t, 4)
 	c := recyclePlans(t, 4)["general"]
-	var want [2]map[blockmat.Key][]float64
+	var want [2][][]float64
 	for x, lu := range c.lus {
 		want[x] = snapshot(t, NewEngine(c.plan, lu))
 	}
@@ -292,16 +286,18 @@ func TestFailedRunStateNotRecycled(t *testing.T) {
 // Each of the nine runs follows two collections; the dense arena keeps its
 // buffers across them, so every block a warm run needs is still there. What
 // is left is the run's own: the world and its mailboxes, sixteen goroutines,
-// the result and its block map (1,255 allocations per run with per-run maps,
-// redStates and per-message headers; 338 without; 321–323 while a partial sum
-// sent up a reduce tree kept its matrix header from the arena). The
+// the result and its slice of blocks by pattern slot (1,255 allocations per
+// run with per-run maps, redStates and per-message headers; 338 without;
+// 321–323 while a partial sum sent up a reduce tree kept its matrix header
+// from the arena; 154–155 and 20–24 KB while the result was a map). The
 // mailboxes' ring buffers come with the recycled state, so a warm run grows
 // none (≈60 KB per run when every run grew its sixteen rings from empty, ≈30
-// KB without). Measured 154–155 allocations and 20–24 KB, with the race
+// KB without). Measured 151–152 allocations and 15–20 KB, with the race
 // detector and without (≈500 KB when a collection emptied the arena, as a
-// sync.Pool's did); the count budget leaves about a tenth on top.
+// sync.Pool's did); the count budget leaves about a tenth on top, the byte
+// budget about a fifth.
 func TestSteadyStateRunAllocs(t *testing.T) {
-	const budget, budgetKB = 170, 38
+	const budget, budgetKB = 167, 24
 	an, lu, ref := prep(t, sparse.DG2D(8, 8, 4, 1), etree.Options{Relax: 4, MaxWidth: 48})
 	ref.Release()
 	tmpl := NewEngine(core.NewPlan(an.BP, procgrid.New(4, 4), core.ShiftedBinaryTree, 1), nil)

@@ -1,6 +1,7 @@
 package pselinv
 
 import (
+	"fmt"
 	"testing"
 
 	"pselinv/internal/core"
@@ -23,12 +24,7 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		for _, key := range ref.Keys() {
-			got, ok := res.Ainv.Get(key.I, key.J)
-			if !ok || got.MaxAbsDiff(ref.MustGet(key.I, key.J)) > 1e-9 {
-				t.Fatalf("run %d: block (%d,%d) wrong", run, key.I, key.J)
-			}
-		}
+		requireMatchesReference(t, fmt.Sprintf("run %d", run), ref, bitsOf(res.Ainv), false)
 		vols := make([]int64, res.World.P)
 		for r := 0; r < res.World.P; r++ {
 			vols[r] = res.World.TotalSent(r)

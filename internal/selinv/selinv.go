@@ -29,27 +29,26 @@ import (
 // pass1 computes the normalized factors of the first loop of Algorithm 1:
 // L̂_{I,K} = L_{I,K}·L_KK⁻¹ stored at (I, K) and, for general values,
 // Û_{K,I} = U_KK⁻¹·U_{K,I} stored at (K, I) — for symmetric ones Û_{K,I} is
-// L̂_{I,K}ᵀ and uhat stays empty. The copies live on the dense arena.
-func pass1(lu *factor.LU) (lhat, uhat *blockmat.BlockMatrix) {
+// L̂_{I,K}ᵀ and the upper slots stay empty. The copies live on the dense arena.
+func pass1(lu *factor.LU) (hat *blockmat.BlockMatrix) {
 	bp := lu.BP
-	lhat = blockmat.New(bp.Part, bp.NNZBlocks())
-	uhat = blockmat.New(bp.Part, 0)
+	hat = blockmat.New(bp)
 	for k := bp.NumSnodes() - 1; k >= 0; k-- {
 		dk := lu.Diag(k)
 		for _, i := range bp.Struct(k) {
 			lb, _ := lu.LBlock(i, k)
 			x := dense.GetMatrixCopy(lb)
 			dense.Trsm(dense.Right, dense.Lower, dense.NoTrans, dense.Unit, dk, x)
-			lhat.Set(i, k, x)
+			hat.Set(i, k, x)
 			if lu.Symmetric {
 				continue
 			}
 			y := lu.UCopy(k, i)
 			dense.Trsm(dense.Left, dense.Upper, dense.NoTrans, dense.NonUnit, dk, y)
-			uhat.Set(k, i, y)
+			hat.Set(k, i, y)
 		}
 	}
-	return lhat, uhat
+	return hat
 }
 
 // addProduct adds op(a)·b to sum through a zeroed slot of its own.
@@ -68,10 +67,9 @@ func addProduct(sum *dense.Matrix, ta dense.Trans, a, b *dense.Matrix) {
 func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 	bp := lu.BP
 	part := bp.Part
-	lhat, uhat := pass1(lu)
-	defer lhat.Release()
-	defer uhat.Release()
-	ainv := blockmat.New(part, 2*bp.NNZBlocks())
+	hat := pass1(lu)
+	defer hat.Release()
+	ainv := blockmat.New(bp)
 	// Pass 2: supernodes in descending order (top-down elimination tree
 	// traversal). When processing K, every block A⁻¹_{J,I} with I, J ∈ C(K)
 	// has already been finalized by iterations I, J > K.
@@ -82,7 +80,7 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 		for _, j := range c {
 			sum := dense.GetMatrixElem(part.Width(j), wk, lu.Elem)
 			for _, i := range c {
-				addProduct(sum, dense.NoTrans, ainv.MustGet(j, i), lhat.MustGet(i, k))
+				addProduct(sum, dense.NoTrans, ainv.MustGet(j, i), hat.MustGet(i, k))
 			}
 			sum.Scale(-1)
 			ainv.Set(j, k, sum)
@@ -98,7 +96,7 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 			}
 			sum := dense.GetMatrixElem(wk, part.Width(j), lu.Elem)
 			for _, i := range c {
-				addProduct(sum, dense.NoTrans, uhat.MustGet(k, i), ainv.MustGet(i, j))
+				addProduct(sum, dense.NoTrans, hat.MustGet(k, i), ainv.MustGet(i, j))
 			}
 			sum.Scale(-1)
 			ainv.Set(k, j, sum)
@@ -108,9 +106,9 @@ func SelInv(lu *factor.LU) *blockmat.BlockMatrix {
 		// symmetric plan's Diag-Reduce carries it.
 		dsum := dense.GetMatrixElem(wk, wk, lu.Elem)
 		for _, j := range c {
-			ta, u := dense.DoTrans, lhat.MustGet(j, k) // Û_{K,J} of symmetric values
+			ta, u := dense.DoTrans, hat.MustGet(j, k) // Û_{K,J} of symmetric values
 			if !lu.Symmetric {
-				ta, u = dense.NoTrans, uhat.MustGet(k, j)
+				ta, u = dense.NoTrans, hat.MustGet(k, j)
 			}
 			addProduct(dsum, ta, u, ainv.MustGet(j, k))
 		}

@@ -93,18 +93,17 @@ func entry(b *dense.Matrix, r, c int) complex128 {
 func checkAgainstDense(t testing.TB, an *etree.Analysis, ainv *blockmat.BlockMatrix, want func(i, j int) complex128, tol float64) {
 	t.Helper()
 	part := an.BP.Part
-	for _, key := range ainv.Keys() {
-		b := ainv.MustGet(key.I, key.J)
-		r0, c0 := part.Start[key.I], part.Start[key.J]
+	ainv.Range(func(bi, bj int, b *dense.Matrix) {
+		r0, c0 := part.Start[bi], part.Start[bj]
 		for c := 0; c < b.Cols; c++ {
 			for r := 0; r < b.Rows; r++ {
 				if got, exp := entry(b, r, c), want(r0+r, c0+c); !(cmplx.Abs(got-exp) <= tol) {
 					t.Fatalf("A⁻¹ block (%d,%d) entry (%d,%d): got %v want %v",
-						key.I, key.J, r, c, got, exp)
+						bi, bj, r, c, got, exp)
 				}
 			}
 		}
-	}
+	})
 }
 
 var zoo = []func() *sparse.Generated{
@@ -181,26 +180,25 @@ func TestSelInvReference(t *testing.T) {
 							}
 						}
 					}
-					for _, key := range ainv.Keys() {
-						b := ainv.MustGet(key.I, key.J)
-						mirror, ok := ainv.Get(key.J, key.I)
+					ainv.Range(func(bi, bj int, b *dense.Matrix) {
+						mirror, ok := ainv.Get(bj, bi)
 						if !ok {
-							t.Fatalf("mirror of block (%d,%d) missing", key.I, key.J)
+							t.Fatalf("mirror of block (%d,%d) missing", bi, bj)
 						}
 						if b.Elem != elem {
-							t.Fatalf("block (%d,%d) is %v, want %v", key.I, key.J, b.Elem, elem)
+							t.Fatalf("block (%d,%d) is %v, want %v", bi, bj, b.Elem, elem)
 						}
 						if !symmetric {
-							continue
+							return
 						}
 						for c := 0; c < b.Cols; c++ {
 							for r := 0; r < b.Rows; r++ {
 								if cmplx.Abs(entry(b, r, c)-entry(mirror, c, r)) > 1e-9 {
-									t.Fatalf("inverse not symmetric at block (%d,%d)", key.I, key.J)
+									t.Fatalf("inverse not symmetric at block (%d,%d)", bi, bj)
 								}
 							}
 						}
-					}
+					})
 				})
 			}
 		}
@@ -283,15 +281,18 @@ func TestSymmetryUhatEqualsLhatTransposed(t *testing.T) {
 		if lu.Symmetric {
 			t.Fatalf("%s: nudged values still took the symmetric loop", g.Name)
 		}
-		lhat, uhat := pass1(lu)
-		if lhat.NumBlocks() == 0 {
-			t.Fatalf("%s: pass 1 produced no blocks", g.Name)
-		}
-		for _, key := range lhat.Keys() {
-			lb := lhat.MustGet(key.I, key.J)
-			if d := uhat.MustGet(key.J, key.I).MaxAbsDiff(transpose(lb)); d > 1e-9 {
-				t.Errorf("%s: |Û - L̂ᵀ| = %g at block (%d,%d)", g.Name, d, key.I, key.J)
+		hat, nl := pass1(lu), 0
+		hat.Range(func(i, k int, lb *dense.Matrix) {
+			if i < k { // a Û block, checked from its L̂ mirror
+				return
 			}
+			nl++
+			if d := hat.MustGet(k, i).MaxAbsDiff(transpose(lb)); d > 1e-9 {
+				t.Errorf("%s: |Û - L̂ᵀ| = %g at block (%d,%d)", g.Name, d, i, k)
+			}
+		})
+		if nl == 0 {
+			t.Fatalf("%s: pass 1 produced no blocks", g.Name)
 		}
 	}
 }
@@ -339,13 +340,16 @@ func TestSelInvTwoStorageForms(t *testing.T) {
 				t.Fatalf("%s: Symmetric = %v and %v, want true and false", g.Name, lo.Symmetric, general.Symmetric)
 			}
 			a, b := SelInv(lo), SelInv(general)
-			if a.NumBlocks() != b.NumBlocks() {
-				t.Fatalf("%s %v: %d blocks vs %d", g.Name, elem, a.NumBlocks(), b.NumBlocks())
-			}
-			for _, key := range a.Keys() {
-				if d := a.MustGet(key.I, key.J).MaxAbsDiff(b.MustGet(key.I, key.J)); d > 1e-9 {
-					t.Errorf("%s %v: block (%d,%d) differs by %g between the storage forms", g.Name, elem, key.I, key.J, d)
+			na, nb := 0, 0
+			b.Range(func(int, int, *dense.Matrix) { nb++ })
+			a.Range(func(i, j int, ab *dense.Matrix) {
+				na++
+				if d := ab.MaxAbsDiff(b.MustGet(i, j)); d > 1e-9 {
+					t.Errorf("%s %v: block (%d,%d) differs by %g between the storage forms", g.Name, elem, i, j, d)
 				}
+			})
+			if na != nb {
+				t.Fatalf("%s %v: %d blocks vs %d", g.Name, elem, na, nb)
 			}
 			if d := math.Abs(lo.LogAbsDet() - general.LogAbsDet()); d > 1e-9 {
 				t.Errorf("%s %v: LogAbsDet differs by %g", g.Name, elem, d)
@@ -381,20 +385,18 @@ func TestQuickSelInvMatchesDense(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		part := an.BP.Part
-		for _, key := range res.Keys() {
-			b := res.MustGet(key.I, key.J)
-			r0, c0 := part.Start[key.I], part.Start[key.J]
+		part, ok := an.BP.Part, true
+		res.Range(func(bi, bj int, b *dense.Matrix) {
+			r0, c0 := part.Start[bi], part.Start[bj]
 			for c := 0; c < b.Cols; c++ {
 				for rr := 0; rr < b.Rows; rr++ {
-					d := b.At(rr, c) - want.At(r0+rr, c0+c)
-					if d > 1e-7 || d < -1e-7 {
-						return false
+					if d := b.At(rr, c) - want.At(r0+rr, c0+c); d > 1e-7 || d < -1e-7 {
+						ok = false
 					}
 				}
 			}
-		}
-		return true
+		})
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

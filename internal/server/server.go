@@ -104,6 +104,9 @@ type Server struct {
 	waiting atomic.Int64
 	reqID   atomic.Uint64
 	traces  *traceRing
+	// bodyBufs holds Workers free request-body buffers, one per request the
+	// engine slots run at once; unlike a sync.Pool, no collection empties it.
+	bodyBufs chan *bytes.Buffer
 
 	// testSlowdown, when non-nil, runs while a slot is held — test hook to
 	// make saturation deterministic.
@@ -114,11 +117,12 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	return &Server{
-		cfg:     cfg,
-		cache:   newSymCache(cfg.CacheSize),
-		metrics: newMetrics(),
-		slots:   make(chan struct{}, cfg.Workers),
-		traces:  newTraceRing(cfg.TraceRing),
+		cfg:      cfg,
+		cache:    newSymCache(cfg.CacheSize),
+		metrics:  newMetrics(),
+		slots:    make(chan struct{}, cfg.Workers),
+		traces:   newTraceRing(cfg.TraceRing),
+		bodyBufs: make(chan *bytes.Buffer, cfg.Workers),
 	}
 }
 
@@ -308,10 +312,8 @@ func badRequest(format string, args ...any) *httpError {
 // request can make a body buffer. Past it the answer is 413.
 const maxBodyBytes = 32 << 20
 
-// bodyBufs recycles the buffers request bodies are read into; one grown past
-// maxPooledBody by a rare large upload goes to the garbage collector instead.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
+// maxPooledBody bounds a body buffer Server.bodyBufs keeps; one grown past it
+// by a rare large upload goes to the garbage collector instead.
 const maxPooledBody = 4 << 20
 
 // knobs are the run parameters /v1/selinv and /v1/selinv/batch share; each
@@ -500,14 +502,22 @@ func (s *Server) front(w http.ResponseWriter, r *http.Request, req request) (*ad
 	}
 	// The buffer grows with the bytes received, never from the client's
 	// Content-Length; Unmarshal copies every string out of it.
-	buf := bodyBufs.Get().(*bytes.Buffer)
+	var buf *bytes.Buffer
+	select {
+	case buf = <-s.bodyBufs:
+	default:
+		buf = new(bytes.Buffer)
+	}
 	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
 		err = json.Unmarshal(buf.Bytes(), req)
 	}
 	buf.Reset()
 	if buf.Cap() <= maxPooledBody {
-		bodyBufs.Put(buf)
+		select {
+		case s.bodyBufs <- buf:
+		default:
+		}
 	}
 	var tooBig *http.MaxBytesError
 	if errors.As(err, &tooBig) {

@@ -58,46 +58,47 @@ func setEntry(a *CSC, i, j int, v float64) {
 // 5-point (2D) / 7-point (3D) Laplacian when diag==false neighbors are
 // face-adjacent; we use the box stencil for radius>1 to emulate the denser
 // coupling of DG discretizations.
+//
+// The matrix is built column by column: column (b, q) holds the rows of b's
+// stencil neighbours, b included, nodes ascending and dofs within. The
+// stencil is symmetric, so those are exactly the nodes coupled to b, each
+// once. symmetricRandomize then sets every value.
 func stencilMatrix(name string, nx, ny, nz, dofs, radius int, faceOnly bool, seed int64) *Generated {
 	g := &Geometry{NX: nx, NY: ny, NZ: nz, DofsPerNode: dofs}
 	n := g.Nodes() * dofs
-	var ts []Triplet
-	couple := func(a, b int) {
-		for p := 0; p < dofs; p++ {
-			for q := 0; q < dofs; q++ {
-				ts = append(ts, Triplet{Row: a*dofs + p, Col: b*dofs + q, Val: -1})
-			}
-		}
-	}
-	for z := 0; z < nz; z++ {
-		for y := 0; y < ny; y++ {
-			for x := 0; x < nx; x++ {
-				me := g.NodeIndex(x, y, z)
-				// Diagonal block (including the node's own dense dof block).
-				couple(me, me)
-				for dz := -radius; dz <= radius; dz++ {
-					for dy := -radius; dy <= radius; dy++ {
-						for dx := -radius; dx <= radius; dx++ {
-							if dx == 0 && dy == 0 && dz == 0 {
-								continue
-							}
-							if faceOnly && abs(dx)+abs(dy)+abs(dz) != 1 {
-								continue
-							}
-							X, Y, Z := x+dx, y+dy, z+dz
-							if X < 0 || X >= nx || Y < 0 || Y >= ny || Z < 0 || Z >= nz {
-								continue
-							}
-							couple(me, g.NodeIndex(X, Y, Z))
-						}
+	// neighbours appends node b's stencil neighbours to dst, ascending: the
+	// loops run z, y, x major to minor, as NodeIndex does.
+	neighbours := func(dst []int, b int) []int {
+		x, y, z := b%nx, b/nx%ny, b/(nx*ny)
+		for Z := max(z-radius, 0); Z <= min(z+radius, nz-1); Z++ {
+			for Y := max(y-radius, 0); Y <= min(y+radius, ny-1); Y++ {
+				for X := max(x-radius, 0); X <= min(x+radius, nx-1); X++ {
+					if !faceOnly || abs(X-x)+abs(Y-y)+abs(Z-z) <= 1 {
+						dst = append(dst, g.NodeIndex(X, Y, Z))
 					}
 				}
 			}
 		}
+		return dst
 	}
-	a := FromTriplets(n, ts)
-	// Make the diagonal entries distinct from couplings before randomizing.
-	a.MakeDiagonallyDominant(1)
+	var nbrs []int
+	nnz := 0
+	for b := 0; b < g.Nodes(); b++ {
+		nbrs = neighbours(nbrs[:0], b)
+		nnz += len(nbrs) * dofs * dofs
+	}
+	a := &CSC{N: n, ColPtr: make([]int, 1, n+1), RowIdx: make([]int, 0, nnz), Val: make([]float64, nnz)}
+	for b := 0; b < g.Nodes(); b++ {
+		nbrs = neighbours(nbrs[:0], b)
+		for q := 0; q < dofs; q++ {
+			for _, c := range nbrs {
+				for p := 0; p < dofs; p++ {
+					a.RowIdx = append(a.RowIdx, c*dofs+p)
+				}
+			}
+			a.ColPtr = append(a.ColPtr, len(a.RowIdx))
+		}
+	}
 	symmetricRandomize(a, rand.New(rand.NewSource(seed)), 0.5)
 	return &Generated{A: a, Name: name, Geom: g}
 }
