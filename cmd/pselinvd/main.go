@@ -26,7 +26,7 @@
 // With -selftest the daemon instead starts on a loopback ephemeral port,
 // drives itself through the cold/warm load-test workload, prints the
 // report and exits non-zero unless warm same-pattern requests are at
-// least 3x faster than cold ones — the plan cache's service-level check.
+// least 1.5x faster than cold ones — the plan cache's service-level check.
 package main
 
 import (
@@ -146,7 +146,7 @@ func selftest(srv *server.Server) int {
 }
 
 // loadtest drives the cold/warm workload against baseURL and enforces the
-// 3x plan-cache SLO.
+// 1.5x plan-cache SLO.
 func loadtest(baseURL string) int {
 	rep, err := server.RunLoadTest(server.LoadConfig{URL: baseURL, Trace: true})
 	if err != nil {
@@ -158,8 +158,8 @@ func loadtest(baseURL string) int {
 		fmt.Printf("last warm request traced: %s%s (load in chrome://tracing or ui.perfetto.dev)\n",
 			baseURL, rep.TracePath)
 	}
-	if rep.Ratio < 3 {
-		fmt.Fprintf(os.Stderr, "pselinvd: loadtest FAILED: plan-cache speedup %.2fx below the 3x SLO\n", rep.Ratio)
+	if rep.Ratio < 1.5 {
+		fmt.Fprintf(os.Stderr, "pselinvd: loadtest FAILED: plan-cache speedup %.2fx below the 1.5x SLO\n", rep.Ratio)
 		return 1
 	}
 	fmt.Println("pselinvd: loadtest OK")

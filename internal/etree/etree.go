@@ -88,17 +88,25 @@ func Postorder(parent []int) []int {
 // the structurally symmetric a with elimination tree parent. Row i of L is
 // i's row subtree: the etree paths from each k < i with a(i,k) != 0 up to i.
 // Walking those paths, each vertex marked once per row, visits every entry
-// of L once: O(nnz(L)) time and 2n ints.
+// of L once: O(nnz(L)) time. A vertex's parent, mark and count share one
+// struct, so each step of a walk touches one cache line, not three.
 func colCounts(a *sparse.CSC, parent []int) []int {
-	count, mark := make([]int, a.N), make([]int, a.N)
-	for i := range count {
-		count[i] = 1
-		for p := a.ColPtr[i]; p < a.ColPtr[i+1]; p++ {
-			for j := a.RowIdx[p]; j < i && mark[j] != i; j = parent[j] {
-				mark[j] = i
-				count[j]++
+	type vertex struct{ parent, mark, count int }
+	vs := make([]vertex, a.N)
+	for j, p := range parent {
+		vs[j] = vertex{parent: p, count: 1}
+	}
+	for i := range vs {
+		for _, j := range a.RowIdx[a.ColPtr[i]:a.ColPtr[i+1]] {
+			for ; j < i && vs[j].mark != i; j = vs[j].parent {
+				vs[j].mark = i
+				vs[j].count++
 			}
 		}
+	}
+	count := make([]int, a.N)
+	for j := range vs {
+		count[j] = vs[j].count
 	}
 	return count
 }

@@ -40,10 +40,13 @@ var (
 // Scatter maps a sparsity pattern's stored entries into a block pattern's
 // factor layout: off[p] is the slab offset, in scalars, of stored entry p (the
 // CSC's storage order), diag[c] that of diagonal entry c, where the shift
-// goes. Built once per analysis, it serves every matrix on the pattern.
+// goes. mirror[p] is where entry p's transpose is stored (nil when the
+// pattern is not structurally symmetric), so reading the values' symmetry
+// allocates nothing. Built once per analysis, it serves every matrix on the
+// pattern.
 type Scatter struct {
-	bp        *etree.BlockPattern
-	off, diag []int32
+	bp                *etree.BlockPattern
+	off, diag, mirror []int32
 }
 
 // NewScatter builds the map for a's pattern, entry (i, j) landing at
@@ -56,7 +59,7 @@ func NewScatter(a *sparse.CSC, perm []int, bp *etree.BlockPattern) (*Scatter, er
 	if size := bp.FactorSize(true); size > 1<<31 {
 		return nil, fmt.Errorf("%w: %d", ErrSlabTooLarge, size)
 	}
-	s := &Scatter{bp: bp, off: make([]int32, a.NNZ()), diag: make([]int32, n)}
+	s := &Scatter{bp: bp, off: make([]int32, a.NNZ()), diag: make([]int32, n), mirror: a.Mirrors()}
 	for j := 0; j < n; j++ {
 		pj := perm[j]
 		kj := part.SnodeOf[pj]
@@ -78,6 +81,17 @@ func NewScatter(a *sparse.CSC, perm []int, bp *etree.BlockPattern) (*Scatter, er
 		s.diag[c] = int32(bp.FactorOffset(k, 0, false) + (c-part.Start[k])*(part.Width(k)+1))
 	}
 	return s, nil
+}
+
+// symmetric reports whether val, on s's pattern, is exactly symmetric: the
+// answer of CSC.IsSymmetric(0), the same comparison included.
+func (s *Scatter) symmetric(val []float64) bool {
+	for k, p := range s.mirror {
+		if math.Abs(val[k]-val[p]) > 0 {
+			return false
+		}
+	}
+	return s.mirror != nil
 }
 
 // LU is a supernodal block LU factorization A = L·U on one slab:
@@ -234,7 +248,7 @@ func (lu *LU) Refactorize(a *sparse.CSC, sigma float64, s *Scatter, z complex128
 	if s.bp != lu.BP || len(s.off) != a.NNZ() {
 		return fmt.Errorf("factor: scatter map of another pattern (%d entries, the matrix has %d)", len(s.off), a.NNZ())
 	}
-	lu.Symmetric = a.IsSymmetric(0)
+	lu.Symmetric = s.symmetric(a.Val)
 	lu.reset()
 	lu.scatter(a.Val, sigma, s, z)
 	return lu.eliminate()

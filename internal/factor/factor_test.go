@@ -578,6 +578,40 @@ func TestRefactorizeAllocs(t *testing.T) {
 	}
 }
 
+// TestScatterSymmetry: the scatter map's mirror reads a matrix's symmetry as
+// CSC.IsSymmetric(0) does — exactly symmetric, one ulp off, asymmetric
+// values, a NaN (which that comparison lets pass), a pattern missing one
+// mirror — without allocating.
+func TestScatterSymmetry(t *testing.T) {
+	g := sparse.Grid2D(6, 5, 1)
+	an := analyze(g, etree.Options{MaxWidth: 4})
+	oneSided := &sparse.CSC{N: g.A.N, ColPtr: slices.Clone(g.A.ColPtr)}
+	for j := 0; j < g.A.N; j++ {
+		for p := g.A.ColPtr[j]; p < g.A.ColPtr[j+1]; p++ {
+			if g.A.RowIdx[p] == j+1 && j == 0 { // drop (1, 0), keep (0, 1)
+				continue
+			}
+			oneSided.RowIdx, oneSided.Val = append(oneSided.RowIdx, g.A.RowIdx[p]), append(oneSided.Val, g.A.Val[p])
+		}
+		oneSided.ColPtr[j+1] = len(oneSided.RowIdx)
+	}
+	for _, c := range []struct {
+		name string
+		a    *sparse.CSC
+	}{
+		{"symmetric", g.A}, {"nudged", nudged(g.A)}, {"asymmetrized", sparse.Asymmetrize(g, 3, 0.5).A},
+		{"NaN diagonal", nanAt(g.A, 7)}, {"one-sided pattern", oneSided},
+	} {
+		sc := mustScatter(t, c.a, an.PermTotal, an.BP)
+		if got, want := sc.symmetric(c.a.Val), c.a.IsSymmetric(0); got != want {
+			t.Errorf("%s: scatter reads symmetric=%v, IsSymmetric(0) %v", c.name, got, want)
+		}
+		if n := testing.AllocsPerRun(5, func() { sc.symmetric(c.a.Val) }); n != 0 {
+			t.Errorf("%s: %.0f allocations", c.name, n)
+		}
+	}
+}
+
 // TestAssembleRoundTrip: assembly alone — the caller's values through the
 // scatter map, then the shift — puts every stored entry of A − zI at its
 // permuted position, and nothing else, where the block accessors find it:

@@ -3,6 +3,12 @@
 // (general-graph BFS separators and geometric grid separators), and a
 // quotient-graph minimum-degree ordering.
 //
+// The graph orderings read one CSR adjacency of the pattern and keep their
+// sets in flat arrays, not maps: a stamp for membership, a level per vertex,
+// slices for minimum degree's lists. Degrees are set sizes, ties go to the
+// smallest id, BFS follows adjacency order and splits keep vertex order, so
+// the map-based routines they replaced (the test oracles) agree exactly.
+//
 // A permutation perm is encoded as old index -> new index: row/column v of
 // the original matrix becomes row/column perm[v] of the permuted matrix,
 // matching sparse.CSC.Permute.
@@ -10,6 +16,7 @@ package ordering
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -61,14 +68,14 @@ func Compute(m Method, a *sparse.CSC, geom *sparse.Geometry) []int {
 	case Natural:
 		return Identity(a.N)
 	case RCM:
-		return reverseCuthillMcKee(a.Adjacency())
+		return reverseCuthillMcKee(adjacency(a))
 	case NestedDissection:
 		if geom != nil && geom.Nodes()*geom.DofsPerNode == a.N {
 			return geometricND(geom)
 		}
-		return graphND(a.Adjacency(), 32)
+		return graphND(adjacency(a), 32)
 	case MinimumDegree:
-		return minDegree(a.Adjacency())
+		return minDegree(adjacency(a))
 	}
 	panic(fmt.Sprintf("ordering: unknown method %d", int(m)))
 }
@@ -103,35 +110,99 @@ func Inverse(p []int) []int {
 	return inv
 }
 
+// graph is a symmetric pattern's adjacency in CSR form: v's neighbours are
+// adj[off[v]:off[v+1]], in the order of v's CSC column, without v.
+type graph struct{ off, adj []int }
+
+// adjacency is the graph of a's pattern, which must be structurally symmetric.
+func adjacency(a *sparse.CSC) graph {
+	g := graph{off: make([]int, a.N+1), adj: make([]int, 0, a.NNZ())}
+	for j := 0; j < a.N; j++ {
+		for _, i := range a.RowIdx[a.ColPtr[j]:a.ColPtr[j+1]] {
+			if i != j {
+				g.adj = append(g.adj, i)
+			}
+		}
+		g.off[j+1] = len(g.adj)
+	}
+	return g
+}
+
+func (g graph) n() int           { return len(g.off) - 1 }
+func (g graph) nbrs(v int) []int { return g.adj[g.off[v]:g.off[v+1]] }
+func (g graph) degree(v int) int { return g.off[v+1] - g.off[v] }
+
+// walk is the working memory of the graph walks, sized once per ordering.
+// A walk sees the vertices whose stamp is cur (all of them while cur is 0);
+// level is -1 on every vertex but those of the last walk, left in queue.
+type walk struct {
+	g                        graph
+	stamp, level, queue, tmp []int
+	counts                   []int // vertices per level, for bisect
+	cur                      int
+}
+
+func newWalk(g graph) *walk {
+	n := g.n()
+	w := &walk{g: g, stamp: make([]int, n), level: make([]int, n), queue: make([]int, 0, n), tmp: make([]int, n)}
+	for v := range w.level {
+		w.level[v] = -1
+	}
+	return w
+}
+
+// bfs visits the stamped vertices reachable from root breadth first, in
+// adjacency order, leaving them in queue with their levels set, and returns
+// the farthest: the first reached on the last level or, byDegree, the one of
+// least degree there.
+func (w *walk) bfs(root int, byDegree bool) (far int) {
+	for _, v := range w.queue {
+		w.level[v] = -1
+	}
+	w.queue = append(w.queue[:0], root)
+	w.level[root] = 0
+	far = root
+	for h := 0; h < len(w.queue); h++ {
+		v := w.queue[h]
+		if lv, lf := w.level[v], w.level[far]; lv > lf || byDegree && lv == lf && w.g.degree(v) < w.g.degree(far) {
+			far = v
+		}
+		for _, u := range w.g.nbrs(v) {
+			if w.stamp[u] == w.cur && w.level[u] < 0 {
+				w.level[u] = w.level[v] + 1
+				w.queue = append(w.queue, u)
+			}
+		}
+	}
+	return far
+}
+
 // reverseCuthillMcKee orders the graph breadth-first from a pseudo-
 // peripheral vertex of each connected component, neighbors by increasing
 // degree, then reverses — the classical RCM bandwidth-reducing ordering.
-func reverseCuthillMcKee(adj [][]int) []int {
-	n := len(adj)
+func reverseCuthillMcKee(g graph) []int {
+	n := g.n()
+	w := newWalk(g)
 	visited := make([]bool, n)
-	order := make([]int, 0, n)
-	deg := func(v int) int { return len(adj[v]) }
+	order := make([]int, 0, n) // also the BFS queue: order[head:] is still to visit
+	head := 0
 	for start := 0; start < n; start++ {
 		if visited[start] {
 			continue
 		}
-		root := pseudoPeripheral(adj, start)
-		// BFS from root.
-		queue := []int{root}
+		root := w.pseudoPeripheral(start)
 		visited[root] = true
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			order = append(order, v)
-			nbrs := make([]int, 0, len(adj[v]))
-			for _, w := range adj[v] {
-				if !visited[w] {
-					visited[w] = true
-					nbrs = append(nbrs, w)
+		order = append(order, root)
+		for ; head < len(order); head++ {
+			first := len(order)
+			for _, u := range g.nbrs(order[head]) {
+				if !visited[u] {
+					visited[u] = true
+					order = append(order, u)
 				}
 			}
-			sort.Slice(nbrs, func(i, j int) bool { return deg(nbrs[i]) < deg(nbrs[j]) })
-			queue = append(queue, nbrs...)
+			nbrs := order[first:]
+			sort.Slice(nbrs, func(i, j int) bool { return g.degree(nbrs[i]) < g.degree(nbrs[j]) })
 		}
 	}
 	// Reverse: old vertex order[k] gets new label n-1-k.
@@ -144,214 +215,115 @@ func reverseCuthillMcKee(adj [][]int) []int {
 
 // pseudoPeripheral finds an approximate peripheral vertex of the component
 // containing start by repeated BFS to the farthest minimum-degree vertex.
-func pseudoPeripheral(adj [][]int, start int) int {
-	v := start
-	lastEcc := -1
-	for iter := 0; iter < 8; iter++ {
-		levels, far := bfsLevels(adj, v)
-		ecc := levels[far]
+func (w *walk) pseudoPeripheral(start int) int {
+	v, lastEcc := start, -1
+	for range 8 {
+		far := w.bfs(v, true)
+		ecc := w.level[far]
 		if ecc <= lastEcc {
 			break
 		}
-		lastEcc = ecc
-		v = far
+		lastEcc, v = ecc, far
 	}
 	return v
-}
-
-// bfsLevels returns BFS levels from root (-1 for unreachable) and the
-// farthest reached vertex (ties broken by smallest degree).
-func bfsLevels(adj [][]int, root int) (levels []int, far int) {
-	n := len(adj)
-	levels = make([]int, n)
-	for i := range levels {
-		levels[i] = -1
-	}
-	levels[root] = 0
-	queue := []int{root}
-	far = root
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		if levels[v] > levels[far] ||
-			(levels[v] == levels[far] && len(adj[v]) < len(adj[far])) {
-			far = v
-		}
-		for _, w := range adj[v] {
-			if levels[w] < 0 {
-				levels[w] = levels[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return levels, far
 }
 
 // graphND is a general-graph nested dissection: recursively split each
 // piece with a BFS level-set vertex separator; separator vertices are
 // numbered last. Pieces at or below leafSize are ordered locally with
-// minimum degree.
-func graphND(adj [][]int, leafSize int) []int {
-	n := len(adj)
+// minimum degree. A piece is a range of one vertex array, which a split
+// reorders in place keeping each part in order, so every piece is in
+// ascending id order.
+func graphND(g graph, leafSize int) []int {
+	n := g.n()
+	w, md := newWalk(g), newMinDeg(g)
 	perm := make([]int, n)
 	next := n // numbers are assigned from the back (separators last)
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	var rec func(vertices []int)
-	rec = func(vertices []int) {
-		if len(vertices) == 0 {
-			return
+	var rec func(vs []int)
+	rec = func(vs []int) {
+		nl, nr := 0, 0
+		if len(vs) > leafSize {
+			nl, nr = w.bisect(vs)
 		}
-		if len(vertices) <= leafSize {
-			local := inducedMinDegree(adj, vertices)
-			// local[i] is a position 0..len-1; map into the global range
-			// [next-len, next).
-			base := next - len(vertices)
-			for idx, v := range vertices {
-				perm[v] = base + local[idx]
-			}
-			next = base
-			return
-		}
-		left, right, sep := bisect(adj, vertices)
-		if len(sep) == 0 || len(left) == 0 || len(right) == 0 {
-			// No useful separator (e.g. a clique): fall back to local MD.
-			local := inducedMinDegree(adj, vertices)
-			base := next - len(vertices)
-			for idx, v := range vertices {
-				perm[v] = base + local[idx]
-			}
-			next = base
+		if nl == 0 {
+			// A leaf, or no useful separator (e.g. a clique): local MD
+			// into the range [next-len, next).
+			next -= len(vs)
+			md.order(vs, perm, next)
 			return
 		}
 		// Number separator last, then recurse on halves.
+		sep := vs[nl+nr:]
 		for i := len(sep) - 1; i >= 0; i-- {
 			next--
 			perm[sep[i]] = next
 		}
-		rec(right)
-		rec(left)
+		rec(vs[nl : nl+nr])
+		rec(vs[:nl])
 	}
-	rec(all)
+	rec(Identity(n))
 	if next != 0 {
 		panic("ordering: graphND did not number all vertices")
 	}
 	return perm
 }
 
-// bisect splits the induced subgraph on vertices into (left, right,
-// separator) via a BFS level-set cut at the median level from a
-// pseudo-peripheral vertex. Disconnected leftovers are assigned to the
-// smaller side.
-func bisect(adj [][]int, vertices []int) (left, right, sep []int) {
-	in := make(map[int]bool, len(vertices))
-	for _, v := range vertices {
-		in[v] = true
+// bisect splits the piece vs with a BFS level-set separator: the levels of
+// a BFS from the far end of a first one, cut at the level that best trades
+// separator size against balance. It reorders vs to left, right, separator
+// — each part in vs's order, vertices the BFS did not reach (another
+// component) on the left — and returns the sizes of the first two, or
+// leaves vs as it was and returns 0, 0 when a part would be empty.
+func (w *walk) bisect(vs []int) (nl, nr int) {
+	w.cur++
+	for _, v := range vs {
+		w.stamp[v] = w.cur
 	}
-	// BFS levels within the piece, from a pseudo-peripheral vertex.
-	root := vertices[0]
-	level := make(map[int]int, len(vertices))
-	var bfs func(r int) (map[int]int, int)
-	bfs = func(r int) (map[int]int, int) {
-		lv := map[int]int{r: 0}
-		q := []int{r}
-		far := r
-		for len(q) > 0 {
-			v := q[0]
-			q = q[1:]
-			if lv[v] > lv[far] {
-				far = v
-			}
-			for _, w := range adj[v] {
-				if in[w] {
-					if _, ok := lv[w]; !ok {
-						lv[w] = lv[v] + 1
-						q = append(q, w)
-					}
-				}
-			}
-		}
-		return lv, far
-	}
-	lv, far := bfs(root)
-	lv, far = bfs(far) // second sweep from the far end improves the cut
-	level = lv
-	_ = far
-	// Vertices not reached are a separate component; send them left.
-	maxLv := 0
-	reachedCount := 0
-	for _, l := range level {
-		reachedCount++
-		if l > maxLv {
-			maxLv = l
-		}
-	}
+	far := w.bfs(vs[0], false)
+	w.bfs(far, false) // the second sweep, from the far end, improves the cut
+	reached := len(w.queue)
+	maxLv := w.level[w.queue[reached-1]]
 	if maxLv == 0 {
 		// Single BFS level: likely a clique or star; no separator found.
-		return nil, nil, nil
+		return 0, 0
 	}
-	// Choose the level whose cut best balances the halves.
-	counts := make([]int, maxLv+1)
-	for _, l := range level {
-		counts[l]++
+	counts := slices.Grow(w.counts[:0], maxLv+1)[:maxLv+1]
+	clear(counts)
+	w.counts = counts
+	for _, v := range w.queue {
+		counts[w.level[v]]++
 	}
-	bestLevel, bestScore := -1, 1<<62
-	below := 0
-	for l := 0; l < maxLv; l++ {
+	// Choose the level whose cut best balances the halves. Score: separator
+	// size (counts[l+1]) plus imbalance penalty.
+	bestLevel, bestScore := -1, math.MaxInt
+	for l, below := 0, 0; l < maxLv; l++ {
 		below += counts[l]
-		above := reachedCount - below - counts[l+1]
-		_ = above
-		// Score: separator size (counts[l+1]) plus imbalance penalty.
-		imbalance := absInt((reachedCount - counts[l+1]) - 2*below)
-		score := counts[l+1]*4 + imbalance
-		if score < bestScore {
+		imbalance := reached - counts[l+1] - 2*below
+		if score := counts[l+1]*4 + max(imbalance, -imbalance); score < bestScore {
 			bestScore, bestLevel = score, l
 		}
 	}
 	sepLevel := bestLevel + 1
-	for _, v := range vertices {
-		l, ok := level[v]
-		switch {
-		case !ok: // unreachable component
-			left = append(left, v)
-		case l < sepLevel:
-			left = append(left, v)
-		case l == sepLevel:
-			sep = append(sep, v)
-		default:
-			right = append(right, v)
+	nl = len(vs) - reached
+	for _, c := range counts[:sepLevel] {
+		nl += c
+	}
+	nr = len(vs) - nl - counts[sepLevel]
+	if nr == 0 {
+		return 0, 0
+	}
+	at := [3]int{0, nl, nl + nr} // where the next left, right, separator vertex goes
+	for _, v := range w.tmp[:copy(w.tmp, vs)] {
+		part := 0 // level < sepLevel, or -1: unreached
+		if l := w.level[v]; l == sepLevel {
+			part = 2
+		} else if l > sepLevel {
+			part = 1
 		}
+		vs[at[part]] = v
+		at[part]++
 	}
-	return left, right, sep
-}
-
-func absInt(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
-// inducedMinDegree orders the induced subgraph on vertices with minimum
-// degree and returns positions: result[i] is the position (0-based) of
-// vertices[i] in the local elimination order.
-func inducedMinDegree(adj [][]int, vertices []int) []int {
-	idx := make(map[int]int, len(vertices))
-	for i, v := range vertices {
-		idx[v] = i
-	}
-	local := make([][]int, len(vertices))
-	for i, v := range vertices {
-		for _, w := range adj[v] {
-			if j, ok := idx[w]; ok {
-				local[i] = append(local[i], j)
-			}
-		}
-	}
-	perm := minDegree(local)
-	return perm
+	return nl, nr
 }
 
 // geometricND orders a regular grid with recursive coordinate-plane
@@ -362,58 +334,47 @@ func geometricND(g *sparse.Geometry) []int {
 	perm := make([]int, n*g.DofsPerNode)
 	next := n                                     // node numbers assigned from the back
 	type box struct{ x0, x1, y0, y1, z0, z1 int } // half-open ranges
-	var rec func(b box)
 	assign := func(node int) {
 		next--
 		for d := 0; d < g.DofsPerNode; d++ {
 			perm[node*g.DofsPerNode+d] = next*g.DofsPerNode + d
 		}
 	}
+	fill := func(b box) {
+		for z := b.z1 - 1; z >= b.z0; z-- {
+			for y := b.y1 - 1; y >= b.y0; y-- {
+				for x := b.x1 - 1; x >= b.x0; x-- {
+					assign(g.NodeIndex(x, y, z))
+				}
+			}
+		}
+	}
+	var rec func(b box)
 	rec = func(b box) {
 		dx, dy, dz := b.x1-b.x0, b.y1-b.y0, b.z1-b.z0
 		if dx <= 0 || dy <= 0 || dz <= 0 {
 			return
 		}
 		if dx*dy*dz <= 8 || (dx <= 2 && dy <= 2 && dz <= 2) {
-			for z := b.z1 - 1; z >= b.z0; z-- {
-				for y := b.y1 - 1; y >= b.y0; y-- {
-					for x := b.x1 - 1; x >= b.x0; x-- {
-						assign(g.NodeIndex(x, y, z))
-					}
-				}
-			}
+			fill(b)
 			return
 		}
 		// Split along the longest axis; the separator plane is numbered last.
+		lo, sep, hi := b, b, b
 		switch {
 		case dx >= dy && dx >= dz:
 			mid := b.x0 + dx/2
-			for z := b.z1 - 1; z >= b.z0; z-- {
-				for y := b.y1 - 1; y >= b.y0; y-- {
-					assign(g.NodeIndex(mid, y, z))
-				}
-			}
-			rec(box{mid + 1, b.x1, b.y0, b.y1, b.z0, b.z1})
-			rec(box{b.x0, mid, b.y0, b.y1, b.z0, b.z1})
+			lo.x1, sep.x0, sep.x1, hi.x0 = mid, mid, mid+1, mid+1
 		case dy >= dz:
 			mid := b.y0 + dy/2
-			for z := b.z1 - 1; z >= b.z0; z-- {
-				for x := b.x1 - 1; x >= b.x0; x-- {
-					assign(g.NodeIndex(x, mid, z))
-				}
-			}
-			rec(box{b.x0, b.x1, mid + 1, b.y1, b.z0, b.z1})
-			rec(box{b.x0, b.x1, b.y0, mid, b.z0, b.z1})
+			lo.y1, sep.y0, sep.y1, hi.y0 = mid, mid, mid+1, mid+1
 		default:
 			mid := b.z0 + dz/2
-			for y := b.y1 - 1; y >= b.y0; y-- {
-				for x := b.x1 - 1; x >= b.x0; x-- {
-					assign(g.NodeIndex(x, y, mid))
-				}
-			}
-			rec(box{b.x0, b.x1, b.y0, b.y1, mid + 1, b.z1})
-			rec(box{b.x0, b.x1, b.y0, b.y1, b.z0, mid})
+			lo.z1, sep.z0, sep.z1, hi.z0 = mid, mid, mid+1, mid+1
 		}
+		fill(sep)
+		rec(hi)
+		rec(lo)
 	}
 	rec(box{0, g.NX, 0, g.NY, 0, g.NZ})
 	if next != 0 {
@@ -426,91 +387,108 @@ func geometricND(g *sparse.Geometry) []int {
 // element absorption — the classical MD algorithm (George & Liu) without
 // multiple elimination or supervariable detection. Good fill quality at the
 // scales this repository targets.
-func minDegree(adj [][]int) []int {
-	n := len(adj)
-	perm := make([]int, n)
-	// Quotient graph state: each live variable has variable neighbors
-	// (vnbr) and element neighbors (enbr). Eliminated variables become
-	// elements whose boundary is their live variable list.
-	vnbr := make([]map[int]bool, n)
-	enbr := make([]map[int]bool, n)
-	elemBoundary := make([]map[int]bool, n)
-	eliminated := make([]bool, n)
-	for v := range adj {
-		vnbr[v] = make(map[int]bool, len(adj[v]))
-		enbr[v] = make(map[int]bool)
-		for _, w := range adj[v] {
-			if w != v {
-				vnbr[v][w] = true
-			}
-		}
+func minDegree(g graph) []int {
+	perm := make([]int, g.n())
+	newMinDeg(g).order(Identity(g.n()), perm, 0)
+	return perm
+}
+
+// A minDegree vertex is outside until it is ordered, then a variable until
+// eliminated, then an element until a later element absorbs it.
+const (
+	outside int8 = iota
+	variable
+	element
+	absorbed
+)
+
+// minDeg is minDegree's working memory, by vertex id. graphND orders each
+// leaf piece on one in turn; a piece's vertices leave it eliminated.
+type minDeg struct {
+	g              graph
+	deg, mark, buf []int
+	state          []int8
+	// elems[v] lists the elements on whose boundary variable v lies; an
+	// absorbed one drops out when the list is next read. bnd[e] is element
+	// e's boundary: the variables its elimination reached.
+	elems, bnd [][]int
+	tag        int // mark[v] == tag: v is in the set being built
+}
+
+func newMinDeg(g graph) *minDeg {
+	n := g.n()
+	return &minDeg{g: g, deg: make([]int, n), mark: make([]int, n), state: make([]int8, n),
+		elems: make([][]int, n), bnd: make([][]int, n)}
+}
+
+// order numbers the vertices vs, which must be in ascending order, base,
+// base+1, … in the minimum-degree elimination order of the subgraph they
+// induce. A variable's variable neighbours are its graph neighbours not yet
+// eliminated; its degree is the size of its reach.
+func (m *minDeg) order(vs, perm []int, base int) {
+	for _, v := range vs {
+		m.state[v] = variable
 	}
-	// degree = |reachable set| through variables and element boundaries.
-	reach := func(v int, buf map[int]bool) map[int]bool {
-		for k := range buf {
-			delete(buf, k)
-		}
-		for w := range vnbr[v] {
-			if !eliminated[w] {
-				buf[w] = true
-			}
-		}
-		for e := range enbr[v] {
-			for w := range elemBoundary[e] {
-				if w != v && !eliminated[w] {
-					buf[w] = true
-				}
-			}
-		}
-		return buf
-	}
-	buf := make(map[int]bool)
 	// Cached degrees: a vertex's reachable set only changes when it lies on
 	// the boundary of the element just formed, so degrees are recomputed
-	// lazily for exactly those vertices after each elimination.
-	deg := make([]int, n)
-	for v := 0; v < n; v++ {
-		deg[v] = len(reach(v, buf))
+	// for exactly those vertices after each elimination.
+	for _, v := range vs {
+		m.deg[v] = m.degree(v)
 	}
-	for k := 0; k < n; k++ {
-		// Pick the minimum-degree live variable (ties: smallest id, for
+	for k := range vs {
+		// Pick the minimum-degree variable (ties: smallest id, for
 		// determinism).
-		best, bestDeg := -1, 1<<62
-		for v := 0; v < n; v++ {
-			if eliminated[v] {
-				continue
-			}
-			if deg[v] < bestDeg {
-				best, bestDeg = v, deg[v]
+		v, best := -1, math.MaxInt
+		for _, u := range vs {
+			if m.deg[u] < best && m.state[u] == variable {
+				v, best = u, m.deg[u]
 			}
 		}
-		v := best
-		perm[v] = k
-		eliminated[v] = true
-		// v becomes an element with boundary = its reachable set.
-		bnd := make(map[int]bool)
-		for w := range reach(v, buf) {
-			bnd[w] = true
+		perm[v] = base + k
+		// v becomes an element with boundary = its reachable set, absorbing
+		// the elements it was on (their boundaries are now subsets of its).
+		m.bnd[v] = m.reach(v, nil)
+		m.state[v] = element
+		for _, e := range m.elems[v] {
+			m.state[e], m.bnd[e] = absorbed, nil
 		}
-		elemBoundary[v] = bnd
-		// Absorb v's elements (they are now subsumed by element v).
-		for e := range enbr[v] {
-			for w := range elemBoundary[e] {
-				if !eliminated[w] {
-					delete(enbr[w], e)
-				}
-			}
-			elemBoundary[e] = nil
-		}
-		// Update boundary variables: drop v from their variable lists, add
-		// element v.
-		for w := range bnd {
-			delete(vnbr[w], v)
-			enbr[w][v] = true
-		}
-		for w := range bnd {
-			deg[w] = len(reach(w, buf))
+		for _, u := range m.bnd[v] {
+			m.elems[u] = append(m.elems[u], v)
+			m.deg[u] = m.degree(u)
 		}
 	}
-	return perm
+}
+
+// reach appends to out the variables v reaches — its variable neighbours and
+// the boundaries of its elements — each once and without v, and drops the
+// absorbed elements from v's list.
+func (m *minDeg) reach(v int, out []int) []int {
+	m.tag++
+	m.mark[v] = m.tag
+	for _, u := range m.g.nbrs(v) {
+		if m.state[u] == variable && m.mark[u] != m.tag {
+			m.mark[u] = m.tag
+			out = append(out, u)
+		}
+	}
+	live := m.elems[v][:0]
+	for _, e := range m.elems[v] {
+		if m.state[e] == absorbed {
+			continue
+		}
+		live = append(live, e)
+		for _, u := range m.bnd[e] {
+			if m.state[u] == variable && m.mark[u] != m.tag {
+				m.mark[u] = m.tag
+				out = append(out, u)
+			}
+		}
+	}
+	m.elems[v] = live
+	return out
+}
+
+func (m *minDeg) degree(v int) int {
+	m.buf = m.reach(v, m.buf[:0])
+	return len(m.buf)
 }

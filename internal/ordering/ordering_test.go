@@ -2,6 +2,8 @@ package ordering
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -41,6 +43,24 @@ func fillCount(a *sparse.CSC, perm []int) int {
 		total += len(rows[j])
 	}
 	return total
+}
+
+// TestAdjacencySymmetric: the graph lists each column's off-diagonal rows in
+// storage order, and every edge both ways.
+func TestAdjacencySymmetric(t *testing.T) {
+	a := sparse.Grid3D(3, 3, 2, 1).A
+	g := adjacency(a)
+	for u := range g.n() {
+		want := slices.DeleteFunc(slices.Clone(a.RowIdx[a.ColPtr[u]:a.ColPtr[u+1]]), func(i int) bool { return i == u })
+		if !slices.Equal(g.nbrs(u), want) {
+			t.Fatalf("neighbours of %d = %v, want %v", u, g.nbrs(u), want)
+		}
+		for _, v := range g.nbrs(u) {
+			if !slices.Contains(g.nbrs(v), u) {
+				t.Fatalf("adjacency asymmetric: %d->%d", u, v)
+			}
+		}
+	}
 }
 
 func TestIdentity(t *testing.T) {
@@ -105,7 +125,7 @@ func TestRCMReducesBandwidthOnShuffledBand(t *testing.T) {
 		return b
 	}
 	before := bw(shuffled)
-	perm := reverseCuthillMcKee(shuffled.Adjacency())
+	perm := reverseCuthillMcKee(adjacency(shuffled))
 	after := bw(shuffled.Permute(perm))
 	if after >= before {
 		t.Fatalf("RCM did not reduce bandwidth: %d -> %d", before, after)
@@ -127,7 +147,7 @@ func TestNDReducesFillOn2DGrid(t *testing.T) {
 func TestGraphNDReducesFillOn2DGrid(t *testing.T) {
 	g := sparse.Grid2D(12, 12, 1)
 	natural := fillCount(g.A, Identity(g.A.N))
-	nd := fillCount(g.A, graphND(g.A.Adjacency(), 16))
+	nd := fillCount(g.A, graphND(adjacency(g.A), 16))
 	if nd >= natural {
 		t.Fatalf("graph ND fill %d >= natural fill %d", nd, natural)
 	}
@@ -136,7 +156,7 @@ func TestGraphNDReducesFillOn2DGrid(t *testing.T) {
 func TestMinDegreeReducesFillOnGrid(t *testing.T) {
 	g := sparse.Grid2D(10, 10, 1)
 	natural := fillCount(g.A, Identity(g.A.N))
-	md := fillCount(g.A, minDegree(g.A.Adjacency()))
+	md := fillCount(g.A, minDegree(adjacency(g.A)))
 	if md >= natural {
 		t.Fatalf("MD fill %d >= natural fill %d", md, natural)
 	}
@@ -150,7 +170,7 @@ func TestMinDegreeStar(t *testing.T) {
 		adj[0] = append(adj[0], i)
 		adj[i] = []int{0}
 	}
-	p := minDegree(adj)
+	p := minDegree(fromLists(adj))
 	// The center may tie with the final leaf at external degree 1, but must
 	// be one of the last two vertices eliminated, and the ordering must be
 	// fill-free.
@@ -194,7 +214,7 @@ func TestGeometricNDKeepsDofsContiguous(t *testing.T) {
 func TestRCMHandlesDisconnectedGraph(t *testing.T) {
 	// Two disjoint paths.
 	adj := [][]int{{1}, {0, 2}, {1}, {4}, {3, 5}, {4}}
-	p := reverseCuthillMcKee(adj)
+	p := reverseCuthillMcKee(fromLists(adj))
 	if !IsPermutation(p) {
 		t.Fatal("invalid permutation on disconnected graph")
 	}
@@ -210,7 +230,7 @@ func TestGraphNDHandlesClique(t *testing.T) {
 			}
 		}
 	}
-	p := graphND(adj, 8)
+	p := graphND(fromLists(adj), 8)
 	if !IsPermutation(p) {
 		t.Fatal("graphND failed on clique")
 	}
@@ -218,9 +238,12 @@ func TestGraphNDHandlesClique(t *testing.T) {
 
 func TestGraphNDHandlesDisconnected(t *testing.T) {
 	adj := make([][]int, 50) // fully disconnected
-	p := graphND(adj, 4)
+	p := graphND(fromLists(adj), 4)
 	if !IsPermutation(p) {
 		t.Fatal("graphND failed on edgeless graph")
+	}
+	if p := graphND(fromLists(nil), 4); len(p) != 0 {
+		t.Fatalf("graphND of the empty graph = %v", p)
 	}
 }
 
@@ -279,9 +302,41 @@ func BenchmarkGeometricND(b *testing.B) {
 
 func BenchmarkMinDegreeGrid(b *testing.B) {
 	g := sparse.Grid2D(16, 16, 1)
-	adj := g.A.Adjacency()
+	adj := adjacency(g.A)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		minDegree(adj)
+	}
+}
+
+// uploadPattern is the pattern of the cold upload benchmark's matrix: no
+// geometry, so Compute runs graph nested dissection on it.
+func uploadPattern() *sparse.CSC { return sparse.Grid2D(96, 96, 1).A }
+
+func BenchmarkGraphND(b *testing.B) {
+	a := uploadPattern()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Compute(NestedDissection, a, nil)
+	}
+}
+
+// TestGraphNDAllocBudget holds graph nested dissection on the upload pattern
+// to its flat arrays: 21.8 MB per call while its sets were maps, 2.0 since
+// they are stamps, levels and per-vertex slices over one CSR graph. The
+// budget leaves about twice that, far from what maps take.
+func TestGraphNDAllocBudget(t *testing.T) {
+	const budgetMB, calls = 4.5, 3
+	a := uploadPattern()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		Compute(NestedDissection, a, nil)
+	}
+	runtime.ReadMemStats(&after)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / calls / 1e6; mb > budgetMB {
+		t.Fatalf("graph nested dissection allocates %.2f MB per call, budget %.1f", mb, budgetMB)
+	} else {
+		t.Logf("graph nested dissection: %.2f MB per call", mb)
 	}
 }

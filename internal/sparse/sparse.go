@@ -125,11 +125,21 @@ func (a *CSC) ToDense() *dense.Matrix {
 
 // IsStructurallySymmetric reports whether the pattern of a equals the
 // pattern of aᵀ.
-func (a *CSC) IsStructurallySymmetric() bool { return a.mirrored(false, 0) }
+func (a *CSC) IsStructurallySymmetric() bool { return a.mirrored(false, 0, nil) }
 
 // IsSymmetric reports whether the pattern is symmetric and the values are
 // symmetric within tol.
-func (a *CSC) IsSymmetric(tol float64) bool { return a.mirrored(true, tol) }
+func (a *CSC) IsSymmetric(tol float64) bool { return a.mirrored(true, tol, nil) }
+
+// Mirrors returns, for each stored entry (i, j), the position at which
+// (j, i) is stored, or nil if the pattern is not structurally symmetric.
+func (a *CSC) Mirrors() []int32 {
+	mirror := make([]int32, a.NNZ())
+	if !a.mirrored(false, 0, mirror) {
+		return nil
+	}
+	return mirror
+}
 
 // mirrored matches every entry (i, j) with its mirror (j, i) in one sweep
 // over the columns. next[i] is the first entry of column i not yet claimed
@@ -137,8 +147,8 @@ func (a *CSC) IsSymmetric(tol float64) bool { return a.mirrored(true, tol) }
 // column i's entries are claimed in storage order and the mirror of (i, j),
 // if stored, is exactly the entry next[i] points at. Each of the nnz
 // entries claims one distinct entry, so when no claim fails none is left
-// over.
-func (a *CSC) mirrored(values bool, tol float64) bool {
+// over. A non-nil mirror records each entry's claim.
+func (a *CSC) mirrored(values bool, tol float64, mirror []int32) bool {
 	next := append([]int(nil), a.ColPtr[:a.N]...)
 	for j := 0; j < a.N; j++ {
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
@@ -149,6 +159,9 @@ func (a *CSC) mirrored(values bool, tol float64) bool {
 			}
 			if values && math.Abs(a.Val[k]-a.Val[p]) > tol {
 				return false
+			}
+			if mirror != nil {
+				mirror[k] = int32(p)
 			}
 			next[i] = p + 1
 		}
@@ -242,21 +255,6 @@ func (a *CSC) MakeDoublyDominant(margin float64) {
 	for j := 0; j < a.N; j++ {
 		a.Val[a.mustDiag(j)] = math.Max(rowSum[j], colSum[j]) + margin
 	}
-}
-
-// Adjacency returns the symmetric adjacency lists of the pattern of a
-// (excluding the diagonal). The pattern must be structurally symmetric.
-func (a *CSC) Adjacency() [][]int {
-	adj := make([][]int, a.N)
-	for j := 0; j < a.N; j++ {
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
-			i := a.RowIdx[k]
-			if i != j {
-				adj[j] = append(adj[j], i)
-			}
-		}
-	}
-	return adj
 }
 
 // Density returns nnz / n².

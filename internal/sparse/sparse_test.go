@@ -129,25 +129,6 @@ func TestPermute(t *testing.T) {
 	}
 }
 
-func TestAdjacencySymmetric(t *testing.T) {
-	g := Grid3D(3, 3, 2, 1)
-	adj := g.A.Adjacency()
-	for u, nbrs := range adj {
-		for _, v := range nbrs {
-			found := false
-			for _, w := range adj[v] {
-				if w == u {
-					found = true
-					break
-				}
-			}
-			if !found {
-				t.Fatalf("adjacency asymmetric: %d->%d", u, v)
-			}
-		}
-	}
-}
-
 func TestMatrixMarketRoundTrip(t *testing.T) {
 	g := RandomSym(25, 4, 11)
 	var buf bytes.Buffer
@@ -419,6 +400,20 @@ func TestSymmetryChecksMatchTransposeOracle(t *testing.T) {
 		t.Helper()
 		if got, want := a.IsStructurallySymmetric(), refIsStructurallySymmetric(a); got != want {
 			t.Errorf("%s: IsStructurallySymmetric = %v, oracle %v", what, got, want)
+		}
+		// Mirrors: nil exactly when the pattern is not symmetric, else the
+		// position of each entry's transpose.
+		mirror := a.Mirrors()
+		if (mirror != nil) != refIsStructurallySymmetric(a) {
+			t.Errorf("%s: Mirrors nil = %v", what, mirror == nil)
+		}
+		for j := 0; mirror != nil && j < a.N; j++ {
+			for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+				p := int(mirror[k])
+				if a.RowIdx[p] != j || p < a.ColPtr[a.RowIdx[k]] || p >= a.ColPtr[a.RowIdx[k]+1] {
+					t.Fatalf("%s: Mirrors()[%d] = %d is not entry (%d, %d)", what, k, p, j, a.RowIdx[k])
+				}
+			}
 		}
 		for _, tol := range append(tols, 0, 1e-14) {
 			if got, want := a.IsSymmetric(tol), refIsSymmetric(a, tol); got != want {
