@@ -77,8 +77,8 @@ pipeline:
 	$(GO) test -race -count=1 -run '^FuzzPipeline$$' ./internal/pselinv/
 	$(GO) test ./internal/pselinv/ -run '^$$' -fuzz '^FuzzPipeline$$' -fuzztime $(FUZZTIME)
 
-# Short coverage-guided fuzz runs of the tree constructions, the graph
-# orderings and the symbolic analysis against their oracles, the
+# Short coverage-guided fuzz runs of the tree constructions, the grouped
+# plan, the graph orderings and the symbolic analysis against their oracles, the
 # untrusted-input decoders, and the engine's FuzzPipeline (one target per
 # invocation, as the fuzz engine requires). The server target skips its package's tests (they include the
 # timed plan-cache SLO), the launcher's result-line target the multi-process
@@ -90,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/core/ -fuzz FuzzShiftedTree -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzOpKeyRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -fuzz FuzzTopoShiftedTree -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run '^$$' -fuzz '^FuzzPlanGroups$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/tcptransport/ -fuzz FuzzFrameRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sparse/ -fuzz FuzzReadMatrixMarket -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/etree/ -run '^$$' -fuzz '^FuzzSymbolic$$' -fuzztime $(FUZZTIME)

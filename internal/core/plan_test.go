@@ -38,9 +38,11 @@ func TestPlanCoversEverySupernode(t *testing.T) {
 		if sp.DiagBcast == nil || sp.DiagReduce == nil {
 			t.Fatalf("supernode %d missing diagonal collectives", k)
 		}
-		if len(sp.ColBcasts) != len(sp.C) || len(sp.RowReduces) != len(sp.C) ||
-			len(sp.Cross) != len(sp.C) || len(sp.SymmSends) != len(sp.C) {
-			t.Fatalf("supernode %d op counts inconsistent with |C|=%d", k, len(sp.C))
+		// Every block of C is in exactly one group of each kind, in C order.
+		for _, blks := range [][][]int{collBlks(sp.ColBcasts), collBlks(sp.RowReduces), pointBlks(sp.Cross), pointBlks(sp.SymmSends)} {
+			if err := coversInOrder(blks, sp.C); err != nil {
+				t.Fatalf("supernode %d: %v", k, err)
+			}
 		}
 	}
 }
@@ -63,34 +65,51 @@ func TestPlanRootsAndParticipants(t *testing.T) {
 				}
 			}
 		}
-		for x, i := range sp.C {
-			cb := sp.ColBcasts[x]
-			if cb.Blk != i || cb.Tree.Root != grid.OwnerOfBlock(k, i) {
-				t.Fatalf("K=%d I=%d: ColBcast root/blk wrong", k, i)
+		for _, cb := range sp.ColBcasts {
+			if cb.Blk != cb.Blks[0] {
+				t.Fatalf("K=%d: ColBcast tag block %d is not its group's first %d", k, cb.Blk, cb.Blks[0])
 			}
-			for _, r := range cb.Tree.Participants() {
-				_, col := grid.Coords(r)
-				if col != grid.ProcColOfBlock(i) {
-					t.Fatalf("K=%d I=%d: ColBcast participant %d outside column %d",
-						k, i, r, grid.ProcColOfBlock(i))
+			for _, i := range cb.Blks {
+				if cb.Tree.Root != grid.OwnerOfBlock(k, i) {
+					t.Fatalf("K=%d I=%d: ColBcast root wrong", k, i)
+				}
+				for _, r := range cb.Tree.Participants() {
+					_, col := grid.Coords(r)
+					if col != grid.ProcColOfBlock(i) {
+						t.Fatalf("K=%d I=%d: ColBcast participant %d outside column %d",
+							k, i, r, grid.ProcColOfBlock(i))
+					}
 				}
 			}
-			rr := sp.RowReduces[x]
-			j := sp.C[x]
-			if rr.Blk != j || rr.Tree.Root != grid.OwnerOfBlock(j, k) {
-				t.Fatalf("K=%d J=%d: RowReduce root/blk wrong", k, j)
+		}
+		for _, rr := range sp.RowReduces {
+			if rr.Blk != rr.Blks[0] {
+				t.Fatalf("K=%d: RowReduce tag block %d is not its group's first %d", k, rr.Blk, rr.Blks[0])
 			}
-			for _, r := range rr.Tree.Participants() {
-				row, _ := grid.Coords(r)
-				if row != grid.ProcRowOfBlock(j) {
-					t.Fatalf("K=%d J=%d: RowReduce participant %d outside row group", k, j, r)
+			for _, j := range rr.Blks {
+				if rr.Tree.Root != grid.OwnerOfBlock(j, k) {
+					t.Fatalf("K=%d J=%d: RowReduce root wrong", k, j)
+				}
+				for _, r := range rr.Tree.Participants() {
+					row, _ := grid.Coords(r)
+					if row != grid.ProcRowOfBlock(j) {
+						t.Fatalf("K=%d J=%d: RowReduce participant %d outside row group", k, j, r)
+					}
 				}
 			}
-			if sp.Cross[x].Src != grid.OwnerOfBlock(i, k) || sp.Cross[x].Dst != grid.OwnerOfBlock(k, i) {
-				t.Fatalf("K=%d I=%d: cross send endpoints wrong", k, i)
+		}
+		for _, po := range sp.Cross {
+			for _, i := range po.Blks {
+				if po.Src != grid.OwnerOfBlock(i, k) || po.Dst != grid.OwnerOfBlock(k, i) {
+					t.Fatalf("K=%d I=%d: cross send endpoints wrong", k, i)
+				}
 			}
-			if sp.SymmSends[x].Src != grid.OwnerOfBlock(j, k) || sp.SymmSends[x].Dst != grid.OwnerOfBlock(k, j) {
-				t.Fatalf("K=%d J=%d: symm send endpoints wrong", k, j)
+		}
+		for _, po := range sp.SymmSends {
+			for _, j := range po.Blks {
+				if po.Src != grid.OwnerOfBlock(j, k) || po.Dst != grid.OwnerOfBlock(k, j) {
+					t.Fatalf("K=%d J=%d: symm send endpoints wrong", k, j)
+				}
 			}
 		}
 	}
@@ -162,7 +181,8 @@ func TestPlanManyCollectives(t *testing.T) {
 
 // TestEachOpVisitsEveryOpOnce: the walker reaches every op a supernode holds
 // exactly once, on both plan variants — through the pinned field names, so a
-// field the walker forgot shows up here.
+// field the walker forgot shows up here — and through the ops' groups every
+// block of C exactly once per kind (K once for the diag kinds).
 func TestEachOpVisitsEveryOpOnce(t *testing.T) {
 	bp := testPattern(t)
 	for _, symmetric := range []bool{true, false} {
@@ -175,8 +195,29 @@ func TestEachOpVisitsEveryOpOnce(t *testing.T) {
 					want++
 				}
 			}
-			seen := map[uint64]int{}
-			sp.EachOp(func(op *CollOp) { seen[OpKey(op.Kind, op.K, op.Blk)]++ }, func(op *PointOp) { seen[OpKey(op.Kind, op.K, op.Blk)]++ })
+			seen, blocks := map[uint64]int{}, map[uint64]int{}
+			visit := func(kind OpKind, k, blk int, blks []int) {
+				seen[OpKey(kind, k, blk)]++
+				for _, b := range blks {
+					blocks[OpKey(kind, k, b)]++
+				}
+			}
+			sp.EachOp(func(op *CollOp) { visit(op.Kind, op.K, op.Blk, op.Blks) }, func(op *PointOp) { visit(op.Kind, op.K, op.Blk, op.Blks) })
+			for _, n := range blocks {
+				if n != 1 {
+					t.Fatalf("symmetric=%v K=%d: a block visited %d times in one kind", symmetric, sp.K, n)
+				}
+			}
+			wantBlocks := 0
+			if len(sp.C) > 0 {
+				wantBlocks = 2 + len(sp.C)*4 // the diag kinds, then Cross, ColBcast, RowReduce, SymmSend
+				if !symmetric {
+					wantBlocks = 3 + len(sp.C)*6
+				}
+			}
+			if len(blocks) != wantBlocks {
+				t.Fatalf("symmetric=%v K=%d: groups carry %d (kind, block) pairs, want %d", symmetric, sp.K, len(blocks), wantBlocks)
+			}
 			if len(seen) != want {
 				t.Fatalf("symmetric=%v K=%d: walker visited %d distinct ops, supernode holds %d", symmetric, sp.K, len(seen), want)
 			}
@@ -200,6 +241,14 @@ func TestUpperSideMirrorsLower(t *testing.T) {
 		{OpCrossSendU, OpCrossSend}, {OpDiagBcastRow, OpDiagBcast}}
 	mirrored := func(grid *procgrid.Grid) bool {
 		p := NewPlanConfig(bp, grid, PlanConfig{Scheme: ShiftedBinaryTree, Seed: 5})
+		for _, sp := range p.Snodes { // each side's groups carry every block of C once
+			for _, blks := range [][][]int{collBlks(sp.RowBcasts), collBlks(sp.ColReduces), pointBlks(sp.CrossU),
+				collBlks(sp.ColBcasts), collBlks(sp.RowReduces), pointBlks(sp.Cross)} {
+				if err := coversInOrder(blks, sp.C); err != nil {
+					t.Fatalf("K=%d: %v", sp.K, err)
+				}
+			}
+		}
 		all := true
 		for _, pr := range pairs {
 			up, low := expectedBytes(p, pr[0]), expectedBytes(p, pr[1])
@@ -218,7 +267,20 @@ func TestUpperSideMirrorsLower(t *testing.T) {
 	}
 }
 
+// TestOpKeyUnique: OpKey is injective on (kind, K, block), and on a plan the
+// tags of the groups — the key of each group's first block — are unique.
 func TestOpKeyUnique(t *testing.T) {
+	tags := map[uint64]bool{}
+	for _, sp := range NewPlanConfig(testPattern(t), procgrid.New(3, 4), PlanConfig{Scheme: BinaryTree, Seed: 2}).Snodes {
+		tag := func(kind OpKind, k, blk int, blks []int) {
+			if key := OpKey(kind, k, blk); tags[key] || blks[0] != blk {
+				t.Fatalf("%v K=%d: tag block %d repeats or is not its group's first", kind, k, blk)
+			} else {
+				tags[key] = true
+			}
+		}
+		sp.EachOp(func(op *CollOp) { tag(op.Kind, op.K, op.Blk, op.Blks) }, func(op *PointOp) { tag(op.Kind, op.K, op.Blk, op.Blks) })
+	}
 	seen := map[uint64]bool{}
 	for _, kind := range []OpKind{OpDiagBcast, OpCrossSend, OpColBcast, OpRowReduce, OpDiagReduce, OpSymmSend} {
 		for k := 0; k < 50; k++ {
@@ -239,4 +301,50 @@ func TestOpKindStrings(t *testing.T) {
 			t.Fatal("empty op kind name")
 		}
 	}
+}
+
+func collBlks(ops []CollOp) [][]int {
+	out := make([][]int, len(ops))
+	for g := range ops {
+		out[g] = ops[g].Blks
+	}
+	return out
+}
+
+func pointBlks(ops []PointOp) [][]int {
+	out := make([][]int, len(ops))
+	for g := range ops {
+		out[g] = ops[g].Blks
+	}
+	return out
+}
+
+// coversInOrder checks that groups partition c, each in C order and the
+// groups in the order of their first blocks.
+func coversInOrder(groups [][]int, c []int) error {
+	at := map[int]int{}
+	for x, i := range c {
+		at[i] = x
+	}
+	seen, last := map[int]bool{}, -1
+	for _, g := range groups {
+		if len(g) == 0 {
+			return fmt.Errorf("an empty group")
+		}
+		if x, ok := at[g[0]]; !ok || x < last {
+			return fmt.Errorf("group %v out of C order", g)
+		} else {
+			last = x
+		}
+		for y, b := range g {
+			if _, ok := at[b]; !ok || seen[b] || y > 0 && at[b] < at[g[y-1]] {
+				return fmt.Errorf("group %v: block %d outside C, repeated or out of order", g, b)
+			}
+			seen[b] = true
+		}
+	}
+	if len(seen) != len(c) {
+		return fmt.Errorf("groups cover %d of %d blocks", len(seen), len(c))
+	}
+	return nil
 }

@@ -93,7 +93,7 @@ func planConfig(p *Pipeline, cfg core.PlanConfig, scheme core.Scheme) core.PlanC
 
 // PlanVolumes reads each scheme's per-rank communication volumes on grid
 // off the plan cfg configures (its Scheme and Symmetric are filled in here):
-// every tree edge carries exactly one block, so the byte vectors are a
+// every tree edge carries its op's blocks once, so the byte vectors are a
 // function of the block structure, the grid and the tree shapes alone, and p
 // needs no factorization (PrepareSymbolic suffices). The engine's counters
 // equal these vectors on every rank and class, in every mode and on both

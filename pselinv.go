@@ -377,6 +377,7 @@ func AnalyzePattern(m *Matrix, opt Options) (*Symbolic, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pselinv: %s: %w", m.Name(), err)
 	}
+	an.A = nil // values reach a factor through sc only: the permuted copy of the first matrix's is dead
 	return &Symbolic{
 		opt:     opt,
 		bal:     bal,

@@ -306,3 +306,17 @@ func TestFactorizeRejectsNonFinitePivot(t *testing.T) {
 		t.Fatalf("the clean matrix no longer factorizes: %v", err)
 	}
 }
+
+// TestSymbolicHoldsNoMatrix: a Symbolic keeps the pattern's analysis and the
+// scatter map its factorizations read values through, not the permuted copy
+// of the first matrix that the symbolic phase produced — a plan cache of
+// Symbolics would otherwise hold one matrix of values each.
+func TestSymbolicHoldsNoMatrix(t *testing.T) {
+	sym, err := AnalyzePattern(DG2D(6, 6, 2, 1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sym.an.A != nil {
+		t.Fatalf("the Symbolic holds a %d×%d permuted matrix", sym.an.A.N, sym.an.A.N)
+	}
+}
