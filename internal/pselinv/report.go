@@ -60,7 +60,7 @@ func (e *Engine) postMortem(world *simmpi.World, te *simmpi.TimeoutError) *deadl
 // kinds and tags that name no slot there.
 func (e *Engine) collRole(rank int, kind core.OpKind, k, blk int) *core.CollRole {
 	prog := e.tmpl.programs[rank]
-	v, ok := prog.Slot(kind, k, blk)
+	v, _, ok := prog.Slot(kind, k, blk)
 	if !ok {
 		return nil
 	}
