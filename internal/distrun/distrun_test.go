@@ -74,8 +74,8 @@ func renderVolumes(ms []*exp.VolumeMeasurement) string {
 // rank, the ones exp.PlanVolumes reads off the plan of the same spec — the
 // vectors internal/pselinv's TestMeasuredVolumesMatchPlanExactly ties every
 // in-process run to. TCP = plan = in-process, and no backend (nor a
-// regenerated golden) can drift to shipping anything but one block per tree
-// edge.
+// regenerated golden) can drift to shipping anything but each tree edge's
+// blocks once.
 func requireVolumesArePlan(t *testing.T, gen *sparse.Generated, spec distrun.Spec, remote []*exp.VolumeMeasurement) {
 	t.Helper()
 	bal := core.CyclicBalancer
