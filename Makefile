@@ -18,13 +18,15 @@ build:
 # internal/dense for its pool of task-DAG offload slots, and internal/obs,
 # whose collector every rank goroutine writes — a send updates the
 # destination's queue watermark from the sender's goroutine — and whose
-# goldens drive observed engine runs), plus the library's DAG-mode runs. The
+# goldens drive observed engine runs), internal/core, whose plan builds keep
+# mutable build state (the tree intern table) that the daemon runs for
+# several patterns at once, plus the library's DAG-mode runs. The
 # race run of internal/server also holds the daemon's warm-request
 # allocation budget: its body buffers are a free list no collection empties.
 tier1: vet
 	$(GO) test -race ./internal/simmpi/... ./internal/tcptransport/... \
 		./internal/distrun/... ./internal/pselinv/... ./internal/dense/... \
-		./internal/server/... ./internal/obs/...
+		./internal/server/... ./internal/obs/... ./internal/core/...
 	$(GO) test -race -run 'Dag' .
 
 vet:

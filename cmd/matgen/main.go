@@ -107,7 +107,7 @@ func describe(g *sparse.Generated, analyze bool) {
 		check(fmt.Errorf("%s: empty matrix", g.Name))
 	}
 	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
-	an := etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: 4, MaxWidth: 32})
+	an := etree.AnalyzeOrder(g.A, perm, etree.Options{Relax: 4, MaxWidth: 32})
 	var cs []int
 	for k := 0; k < an.BP.NumSnodes(); k++ {
 		cs = append(cs, len(an.BP.Struct(k)))

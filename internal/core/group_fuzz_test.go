@@ -15,7 +15,8 @@ import (
 // it, and its bytes their sum; a reduction carries one block; no two
 // broadcasts of one (kind, K) share both a tree and the sender of their
 // cross-sends; a cross-send carries its broadcast's blocks and a mirror send
-// one block; and every per-rank, per-kind byte vector is the oracle's.
+// one block; every per-rank, per-kind byte vector is the oracle's; and the
+// plan holds one tree per shape, shared by every op whose tree is equal.
 func FuzzPlanGroups(f *testing.F) {
 	f.Add(uint8(60), uint8(3), int64(1), uint8(4), uint8(4), uint8(2), uint8(0), true, uint64(1), uint8(24))
 	f.Add(uint8(90), uint8(4), int64(2), uint8(2), uint8(8), uint8(1), uint8(1), false, uint64(7), uint8(4))
@@ -30,6 +31,9 @@ func FuzzPlanGroups(f *testing.F) {
 		cfg := PlanConfig{Scheme: all[int(scheme)%len(all)], Balancer: bals[int(balancer)%len(bals)], Symmetric: symmetric,
 			Seed: seed, Topo: Topology{CoresPerNode: 1 + int(cpn)%24}}
 		got, want := NewPlanConfig(bp, grid, cfg), perBlockPlan(bp, grid, cfg)
+		if _, _, err := checkInterned(got); err != nil {
+			t.Fatalf("%v: %v", cfg.Scheme, err)
+		}
 		for k, sp := range got.Snodes {
 			if err := checkGroups(sp, want.Snodes[k], got.Owners.OwnerOfBlock); err != nil {
 				t.Fatalf("%v K=%d: %v", cfg.Scheme, k, err)

@@ -41,18 +41,24 @@ type Program struct {
 }
 
 // CollRole is a rank's part in one collective of the plan, resolved once so
-// that no message handler asks the tree: its neighbours, the block and, for a
-// reduction, how many local products it folds ahead of its children's sums.
+// that no message handler searches the tree: its position in it, its parent,
+// the block and, for a reduction, how many local products it folds ahead of
+// its children's sums.
 type CollRole struct {
 	Op     *CollOp
-	Kids   []int // Op.Tree.Children(rank), the tree's own storage
+	Pos    int32 // the rank's position in Op.Tree.Participants()
 	Parent int32 // Op.Tree.Parent(rank): -1 at the root
 	NLocal int32
 	ID     int32 // block id (Program.First) of the slot's block, one of Op.Blks
 }
 
+// Kids returns the rank's children in the collective's tree, in link order:
+// the tree's own storage.
+func (cr *CollRole) Kids() []int { return cr.Op.Tree.childrenAt(int(cr.Pos)) }
+
 func newCollRole(op *CollOp, rank int, id, nlocal int32) CollRole {
-	return CollRole{Op: op, Kids: op.Tree.Children(rank), Parent: int32(op.Tree.Parent(rank)), NLocal: nlocal, ID: id}
+	pos := op.Tree.Pos(rank)
+	return CollRole{Op: op, Pos: int32(pos), Parent: int32(op.Tree.parentAt(pos)), NLocal: nlocal, ID: id}
 }
 
 // sideRole is a rank's share of one supernode K on one side. The owner map is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -149,4 +150,30 @@ func TestTopoSchemesMinimizeCrossNodeEdges(t *testing.T) {
 			}
 		}
 	}
+}
+
+// ValidateTopology checks the locality invariant of the topology-aware
+// constructions: each occupied node has exactly one entry point — a single
+// rank (its node-group leader) whose parent lives off-node, or the root —
+// so no tree edge crosses nodes unless its child endpoint is that group's
+// leader. This pins the cross-node edge count at its g-1 minimum.
+func (t *Tree) ValidateTopology(topo Topology) error {
+	groups := groupByNode(t.parts, topo)
+	for _, g := range groups {
+		var entries []int
+		for i := g.lo; i < g.hi; i++ {
+			if up := t.up[i]; up < 0 || topo.Node(t.parts[up]) != g.node {
+				entries = append(entries, t.parts[i])
+			}
+		}
+		if len(entries) != 1 {
+			return fmt.Errorf("core: node %d has %d entry points %v (want exactly one group leader)",
+				g.node, len(entries), entries)
+		}
+	}
+	if got, want := t.CrossNodeEdges(topo), len(groups)-1; got != want {
+		return fmt.Errorf("core: %d cross-node edges over %d occupied nodes (want the minimum %d)",
+			got, len(groups), want)
+	}
+	return nil
 }

@@ -19,8 +19,11 @@
 // The package also provides the full per-supernode communication plan of
 // the PSelInv second loop, shared by the goroutine execution engine
 // (internal/pselinv) and the discrete-event timing simulator
-// (internal/netsim) through the per-rank programs Compile derives. The blocks
-// of C(K) whose broadcasts share a tree travel in one message (CollOp.Blks).
+// (internal/netsim) through the per-rank programs Compile derives. A plan
+// holds one tree per shape: its trees are interned by (root, sorted
+// participants, the scheme's remaining input), so collectives with equal
+// trees share one *Tree. The blocks of C(K) whose broadcasts share a tree
+// travel in one message (CollOp.Blks).
 package core
 
 import (
@@ -153,13 +156,9 @@ func (t *Tree) Pos(rank int) int {
 	return -1
 }
 
-// Parent returns the parent of rank (-1 for the root). Panics for
-// non-participants: asking for the parent of an outsider is a plan bug.
-func (t *Tree) Parent(rank int) int {
-	i := t.Pos(rank)
-	if i < 0 {
-		panic(fmt.Sprintf("core: rank %d not in tree rooted at %d", rank, t.Root))
-	}
+// parentAt returns the parent rank of the participant at position i, -1 for
+// the root.
+func (t *Tree) parentAt(i int) int {
 	if up := t.up[i]; up >= 0 {
 		return t.parts[up]
 	}
@@ -213,16 +212,11 @@ func NewTree(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64) *T
 
 // NewTreeTopo is the full constructor: NewTree plus an explicit Hybrid
 // flat/shifted threshold and the rank→node Topology consumed by
-// TopoShiftedTree (the other schemes ignore it).
+// TopoShiftedTree (the other schemes ignore it). The tree is a one-tree
+// plan's: it has storage of its own.
 func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, hybridThreshold int, topo Topology) *Tree {
-	b := treeBuilder{ranks: append([]int(nil), ranks...)}
-	return b.build(scheme, root, seed, opKey, hybridThreshold, topo).clone()
-}
-
-// clone copies a tree out of a builder's scratch into storage of its own.
-func (t *Tree) clone() *Tree {
-	n, ranks, ix := len(t.parts), slices.Concat(t.parts, t.kids), slices.Concat(t.up, t.first)
-	return &Tree{Root: t.Root, parts: ranks[:n:n], kids: ranks[n:], up: ix[:n:n], first: ix[n:]}
+	b := treeBuilder{ranks: append([]int(nil), ranks...), slots: make([]int32, 2)}
+	return b.intern(scheme, root, seed, opKey, hybridThreshold, topo)
 }
 
 // equal reports whether u has t's root, participants, parents and child order.
@@ -231,28 +225,134 @@ func (t *Tree) equal(u *Tree) bool {
 		slices.Equal(t.first, u.first) && slices.Equal(t.kids, u.kids)
 }
 
+// shift is the circular shift ShiftedBinaryTree applies to the m non-root
+// participants of collective opKey.
+func shift(seed, opKey uint64, m int) int {
+	return int(splitmix64(seed^splitmix64(opKey)) % uint64(max(m, 1)))
+}
+
 // treeBuilder is the working memory of tree construction. The schemes link
 // positions, never ranks: sorted rank order is position order, so a shift or
 // permutation of the non-root positions is the same tree as of the ranks. A
-// plan reuses one builder, and its scratch tree, across all its trees.
+// plan reuses one builder, and its scratch tree, across all its trees, and
+// keeps in it the trees it has built (intern).
 type treeBuilder struct {
 	ranks []int   // the next tree's participant list, duplicates allowed
 	rest  []int32 // positions of its participants other than the root
 	up    []int32 // the tree's parent positions, filled by link
 	links []int32 // child positions in link order
 	tree  Tree    // the last tree built, whose storage the next reuses
+
+	slots    []int32 // by key hash, open addressing: 1 + index into interned, 0 when empty
+	interned []internedTree
+	ints     slab[int]   // the interned trees' participants and children
+	ix       slab[int32] // their parents and child offsets
+	trees    slab[Tree]
 }
 
-// build builds the tree over b.ranks, which it sorts in place, as b.tree.
-func (b *treeBuilder) build(scheme Scheme, root int, seed, opKey uint64, hybridThreshold int, topo Topology) *Tree {
+// internedTree is one of a plan's trees with its key's hash and scheme input.
+type internedTree struct {
+	t    *Tree
+	h, x uint32
+}
+
+// intern returns the plan's one tree over b.ranks, rooted at root, for
+// collective opKey, so that equal trees of a plan are one pointer. A tree is
+// a value of its key: the root, the sorted participants and the scheme's
+// remaining input — nothing for Flat and Binary, the shift for Shifted —
+// which is looked up before anything is built; only a miss builds the tree
+// and copies it into the plan's storage. RandomPerm's and TopoShifted's
+// remaining input is a 64-bit mix of which many values give one tree (a
+// three-rank tree has two shapes), so theirs is the built tree itself.
+func (b *treeBuilder) intern(scheme Scheme, root int, seed, opKey uint64, hybridThreshold int, topo Topology) *Tree {
 	slices.Sort(b.ranks)
-	// Deduplicate (a rank owning several blocks participates once).
-	parts := slices.Compact(b.ranks)
-	n := len(parts)
-	rootPos, found := slices.BinarySearch(parts, root)
-	if !found {
+	parts := slices.Compact(b.ranks) // a rank owning several blocks participates once
+	if _, found := slices.BinarySearch(parts, root); !found {
 		panic(fmt.Sprintf("core: root %d not among participants %v", root, parts))
 	}
+	if scheme == Hybrid {
+		scheme = FlatTree
+		if len(parts) > hybridThreshold {
+			scheme = ShiftedBinaryTree
+		}
+	}
+	var built *Tree
+	h, x := fnv(uint64(root), parts), uint32(0)
+	switch scheme {
+	case ShiftedBinaryTree:
+		x = uint32(shift(seed, opKey, len(parts)-1))
+	case RandomPermTree, TopoShiftedTree:
+		built = b.build(parts, root, scheme, seed, opKey, topo)
+		h = fnv(fnv(h, built.up), built.kids)
+	}
+	h = splitmix64(h ^ uint64(x))
+	mask := uint32(len(b.slots) - 1)
+	i := uint32(h) & mask
+	for ; b.slots[i] != 0; i = (i + 1) & mask {
+		if o := b.interned[b.slots[i]-1]; o.h == uint32(h) && o.x == x && o.t.Root == root &&
+			slices.Equal(o.t.parts, parts) && (built == nil || o.t.equal(built)) {
+			return o.t
+		}
+	}
+	if built == nil {
+		built = b.build(parts, root, scheme, seed, opKey, topo)
+	}
+	n := len(parts)
+	ranks, ix, t := b.ints.take(2*n-1), b.ix.take(2*n+1), &b.trees.take(1)[0]
+	copy(ranks[copy(ranks, parts):], built.kids)
+	copy(ix[copy(ix, built.up):], built.first)
+	*t = Tree{Root: root, parts: ranks[:n:n], kids: ranks[n:], up: ix[:n:n], first: ix[n:]}
+	b.interned = append(b.interned, internedTree{t, uint32(h), x})
+	if b.slots[i] = int32(len(b.interned)); 2*len(b.interned) > len(b.slots) {
+		b.grow(2 * len(b.slots))
+	}
+	return t
+}
+
+// grow resizes the intern table to n slots, a power of two.
+func (b *treeBuilder) grow(n int) {
+	b.slots = make([]int32, n)
+	for x, e := range b.interned {
+		i := e.h & uint32(n-1)
+		for ; b.slots[i] != 0; i = (i + 1) & uint32(n-1) {
+		}
+		b.slots[i] = int32(x + 1)
+	}
+}
+
+// fnv mixes s into h, word by word (FNV-1a over words).
+func fnv[T int | int32](h uint64, s []T) uint64 {
+	for _, v := range s {
+		h = (h ^ uint64(v)) * 0x100000001b3
+	}
+	return h
+}
+
+// slab hands out slices carved from shared chunks, each twice the last, up
+// to 64K elements: one allocation for many small slices that live as long as
+// each other.
+type slab[T any] struct {
+	free  []T
+	chunk int
+}
+
+// take returns n elements off the current chunk, first allocating a new one
+// when it is short.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, 1), 1<<16)
+		s.free = make([]T, max(n, s.chunk))
+	}
+	t := s.free[:n:n]
+	s.free = s.free[n:]
+	return t
+}
+
+// build builds the tree of scheme, Hybrid resolved, over the sorted,
+// deduplicated parts as b.tree.
+func (b *treeBuilder) build(parts []int, root int, scheme Scheme, seed, opKey uint64, topo Topology) *Tree {
+	n := len(parts)
+	rootPos, _ := slices.BinarySearch(parts, root)
 	t := &b.tree
 	kids, ix := slices.Grow(t.kids[:0], n-1)[:n-1], slices.Grow(t.first[:0], 2*n+1)[:2*n+1]
 	clear(ix)
@@ -265,12 +365,6 @@ func (b *treeBuilder) build(scheme Scheme, root int, seed, opKey uint64, hybridT
 		}
 	}
 	r, rest := int32(rootPos), b.rest
-	if scheme == Hybrid {
-		scheme = ShiftedBinaryTree
-		if n <= hybridThreshold {
-			scheme = FlatTree
-		}
-	}
 	switch scheme {
 	case FlatTree:
 		for _, c := range rest {
@@ -279,9 +373,7 @@ func (b *treeBuilder) build(scheme Scheme, root int, seed, opKey uint64, hybridT
 	case BinaryTree:
 		b.binary(r, rest)
 	case ShiftedBinaryTree:
-		if len(rest) > 1 {
-			rotate(rest, int(splitmix64(seed^splitmix64(opKey))%uint64(len(rest))))
-		}
+		rotate(rest, shift(seed, opKey, len(rest)))
 		b.binary(r, rest)
 	case RandomPermTree:
 		// Fisher–Yates driven by the same deterministic stream.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -299,4 +300,14 @@ func BenchmarkBuildShiftedTree1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		NewTree(ShiftedBinaryTree, 0, ranks, 1, uint64(i))
 	}
+}
+
+// Parent returns the parent of rank (-1 for the root). Panics for
+// non-participants: asking for the parent of an outsider is a plan bug.
+func (t *Tree) Parent(rank int) int {
+	i := t.Pos(rank)
+	if i < 0 {
+		panic(fmt.Sprintf("core: rank %d not in tree rooted at %d", rank, t.Root))
+	}
+	return t.parentAt(i)
 }

@@ -11,11 +11,9 @@ import (
 	"time"
 
 	"pselinv/internal/core"
-	"pselinv/internal/exp"
 	"pselinv/internal/obs"
 	"pselinv/internal/simmpi"
 	"pselinv/internal/sparse"
-	"pselinv/internal/stats"
 )
 
 // Options tunes how the launcher spawns workers.
@@ -143,10 +141,10 @@ type launchedWorker struct {
 
 // Launch runs the spec across P() worker processes on localhost and
 // aggregates their results. The spec (and the matrix it references) must
-// already be on disk; use StageMatrix/WriteSpec, or MeasureVolumes /
-// MeasureObs for the end-to-end convenience path. On worker failure the returned error
-// includes every failing rank's message — for timeouts that embeds the
-// worker's in-flight snapshot.
+// already be on disk; use StageMatrix/WriteSpec, or MeasureObs for the
+// end-to-end convenience path. On worker failure the returned error includes
+// every failing rank's message — for timeouts that embeds the worker's
+// in-flight snapshot.
 func Launch(specPath string, spec *Spec, opts *Options) (*Outcome, error) {
 	p := spec.P()
 	if p <= 0 {
@@ -360,26 +358,4 @@ func launchPerScheme(gen *sparse.Generated, base Spec, schemes []core.Scheme, op
 		}
 	}
 	return nil
-}
-
-// MeasureVolumes runs base once per scheme across OS processes and reduces
-// the workers' counters to the per-rank MB vectors exp.PlanVolumes derives
-// from the plan. Byte counting is transport-invariant, so for a given
-// matrix, grid and seed the two agree exactly (the cross-backend goldens).
-func MeasureVolumes(gen *sparse.Generated, base Spec, schemes []core.Scheme, opts *Options) ([]*exp.VolumeMeasurement, error) {
-	out := make([]*exp.VolumeMeasurement, 0, len(schemes))
-	err := launchPerScheme(gen, base, schemes, opts, func(scheme core.Scheme, o *Outcome) error {
-		total := make([]float64, len(o.Results))
-		for r := range total {
-			total[r] = stats.MB(o.TotalSent(r))
-		}
-		out = append(out, &exp.VolumeMeasurement{
-			Scheme:        scheme,
-			ColBcastSent:  stats.BytesToMB(o.SentBytes(simmpi.ClassColBcast)),
-			RowReduceRecv: stats.BytesToMB(o.RecvBytes(simmpi.ClassRowReduce)),
-			TotalSent:     total,
-		})
-		return nil
-	})
-	return out, err
 }

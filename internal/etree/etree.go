@@ -13,17 +13,29 @@ import (
 	"pselinv/internal/sparse"
 )
 
-// Parents computes the elimination tree of a structurally symmetric matrix
-// using Liu's algorithm with path compression. parent[j] == -1 marks a root.
-func Parents(a *sparse.CSC) []int {
+// parents computes the elimination tree of a structurally symmetric matrix
+// permuted by order (old→new, nil for none) using Liu's algorithm with path
+// compression; the permuted matrix is never formed. parent[j] == -1 marks a
+// root.
+func parents(a *sparse.CSC, order []int) []int {
 	n := a.N
 	parent := make([]int, n)
 	ancestor := make([]int, n)
+	col := make([]int, n) // col[j]: the column of a that is column j of the permuted matrix
+	for j := range col {
+		col[j] = j
+	}
+	for old, j := range order {
+		col[j] = old
+	}
 	for j := 0; j < n; j++ {
 		parent[j] = -1
 		ancestor[j] = -1
-		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
+		for k := a.ColPtr[col[j]]; k < a.ColPtr[col[j]+1]; k++ {
 			i := a.RowIdx[k]
+			if order != nil {
+				i = order[i]
+			}
 			if i >= j {
 				continue
 			}
@@ -41,10 +53,10 @@ func Parents(a *sparse.CSC) []int {
 	return parent
 }
 
-// Postorder returns a permutation old->new that relabels vertices in a
+// postorder returns a permutation old->new that relabels vertices in a
 // postorder traversal of the forest. Roots and children are visited in
 // ascending order for determinism.
-func Postorder(parent []int) []int {
+func postorder(parent []int) []int {
 	n := len(parent)
 	// Children as linked lists, head[p] -> next[c] -> ...; linking in
 	// descending order leaves each list ascending.
@@ -366,16 +378,33 @@ type Options struct {
 // applied (recorded so PermTotal maps truly-original indices); pass the
 // identity when a is in original order.
 func Analyze(a *sparse.CSC, fillPerm []int, opt Options) *Analysis {
-	parent := Parents(a)
-	post := Postorder(parent)
-	ap := a.Permute(post)
-	parent = Parents(ap)
-	counts := colCounts(ap, parent)
-	part := Supernodes(parent, counts, opt.Relax, opt.MaxWidth)
-	bp := NewBlockPattern(ap, part)
+	return analyze(a, nil, fillPerm, opt)
+}
+
+// AnalyzeOrder is Analyze of a in its original order under the fill ordering
+// fillPerm: it finds the elimination tree of the ordered pattern through the
+// permutation and permutes a once, by PermTotal. Analysis.A is Analyze's of
+// a.Permute(fillPerm), bit for bit.
+func AnalyzeOrder(a *sparse.CSC, fillPerm []int, opt Options) *Analysis {
+	return analyze(a, fillPerm, fillPerm, opt)
+}
+
+// analyze is the symbolic phase of a permuted by order (nil for a already in
+// fill order), whose fill ordering is fillPerm.
+func analyze(a *sparse.CSC, order, fillPerm []int, opt Options) *Analysis {
+	post := postorder(parents(a, order))
 	total := make([]int, len(fillPerm))
 	for orig, mid := range fillPerm {
 		total[orig] = post[mid]
 	}
+	perm := total
+	if order == nil {
+		perm = post
+	}
+	ap := a.Permute(perm)
+	parent := parents(ap, nil)
+	counts := colCounts(ap, parent)
+	part := Supernodes(parent, counts, opt.Relax, opt.MaxWidth)
+	bp := NewBlockPattern(ap, part)
 	return &Analysis{PermTotal: total, A: ap, Parent: parent, ColCount: counts, BP: bp}
 }

@@ -13,7 +13,7 @@ import (
 func TestParentsChain(t *testing.T) {
 	// Tridiagonal matrix: etree is a path 0->1->...->n-1.
 	g := sparse.Banded(8, 1, 1)
-	parent := Parents(g.A)
+	parent := parents(g.A, nil)
 	for j := 0; j < 7; j++ {
 		if parent[j] != j+1 {
 			t.Fatalf("parent[%d] = %d, want %d", j, parent[j], j+1)
@@ -36,7 +36,7 @@ func TestParentsArrowhead(t *testing.T) {
 			sparse.Triplet{Row: i, Col: n - 1, Val: -1})
 	}
 	a := sparse.FromTriplets(n, ts)
-	parent := Parents(a)
+	parent := parents(a, nil)
 	for j := 0; j < n-1; j++ {
 		if parent[j] != n-1 {
 			t.Fatalf("parent[%d] = %d, want %d", j, parent[j], n-1)
@@ -46,7 +46,7 @@ func TestParentsArrowhead(t *testing.T) {
 
 func TestParentsAlwaysGreater(t *testing.T) {
 	g := sparse.RandomSym(50, 5, 2)
-	for j, p := range Parents(g.A) {
+	for j, p := range parents(g.A, nil) {
 		if p != -1 && p <= j {
 			t.Fatalf("parent[%d] = %d not greater than child", j, p)
 		}
@@ -55,8 +55,8 @@ func TestParentsAlwaysGreater(t *testing.T) {
 
 func TestPostorderValid(t *testing.T) {
 	g := sparse.Grid2D(6, 5, 1)
-	parent := Parents(g.A)
-	post := Postorder(parent)
+	parent := parents(g.A, nil)
+	post := postorder(parent)
 	if !ordering.IsPermutation(post) {
 		t.Fatal("postorder not a permutation")
 	}
@@ -71,8 +71,8 @@ func TestPostorderValid(t *testing.T) {
 
 func TestPostorderSubtreesContiguous(t *testing.T) {
 	g := sparse.Grid2D(5, 5, 3)
-	parent := Parents(g.A)
-	post := Postorder(parent)
+	parent := parents(g.A, nil)
+	post := postorder(parent)
 	rel := RelabelParents(parent, post)
 	n := len(rel)
 	// Compute subtree sizes; in a postorder, the descendants of v are
@@ -98,10 +98,10 @@ func TestPostorderSubtreesContiguous(t *testing.T) {
 func TestColPatternsMatchDenseElimination(t *testing.T) {
 	g := sparse.RandomSym(25, 3, 7)
 	a := g.A
-	parent := Parents(a)
-	post := Postorder(parent)
+	parent := parents(a, nil)
+	post := postorder(parent)
 	ap := a.Permute(post)
-	parent = Parents(ap)
+	parent = parents(ap, nil)
 	pat := colPatterns(ap, parent)
 	// Reference: dense symbolic right-looking elimination.
 	n := ap.N

@@ -32,7 +32,7 @@ func TestRelabelParentsSwap(t *testing.T) {
 func TestPostorderForest(t *testing.T) {
 	// Two independent trees: 0->1 (root 1), 2->3 (root 3).
 	parent := []int{1, -1, 3, -1}
-	post := Postorder(parent)
+	post := postorder(parent)
 	if !ordering.IsPermutation(post) {
 		t.Fatal("forest postorder invalid")
 	}

@@ -2,6 +2,7 @@ package etree
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -185,7 +186,7 @@ func checkSymbolic(t *testing.T, in *symbolicInput) {
 	a := g.A.Permute(perm)
 	an := Analyze(a, perm, opt)
 	label := fmt.Sprintf("%s %+v", g.Name, *in)
-	if parent := Parents(a); !slices.Equal(Postorder(parent), postorderOracle(parent)) {
+	if parent := parents(a, nil); !slices.Equal(postorder(parent), postorderOracle(parent)) {
 		t.Fatalf("%s: Postorder differs from its oracle", label)
 	}
 	bp := an.BP
@@ -215,6 +216,15 @@ func checkSymbolic(t *testing.T, in *symbolicInput) {
 		t.Fatalf("%s: %v", label, err)
 	}
 	checkLayout(t, label, bp)
+	// Analysis of the unpermuted matrix under the fill ordering, which
+	// permutes it once, is the same analysis bit for bit.
+	once := AnalyzeOrder(g.A, perm, opt)
+	if !slices.Equal(once.PermTotal, an.PermTotal) || !slices.Equal(once.Parent, an.Parent) ||
+		!slices.Equal(once.ColCount, an.ColCount) || !slices.Equal(once.BP.Part.Start, bp.Part.Start) ||
+		!slices.Equal(once.A.ColPtr, an.A.ColPtr) || !slices.Equal(once.A.RowIdx, an.A.RowIdx) ||
+		!slices.EqualFunc(once.A.Val, an.A.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+		t.Fatalf("%s: AnalyzeOrder differs from Analyze of the permuted matrix", label)
+	}
 }
 
 // symbolicCorpus seeds FuzzSymbolic: every class under every ordering, at

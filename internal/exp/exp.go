@@ -47,7 +47,7 @@ func Prepare(gen *sparse.Generated, relax, maxWidth int) (*Pipeline, error) {
 // allows much larger matrices than the numeric path.
 func PrepareSymbolic(gen *sparse.Generated, relax, maxWidth int) *Pipeline {
 	perm := ordering.Compute(ordering.NestedDissection, gen.A, gen.Geom)
-	an := etree.Analyze(gen.A.Permute(perm), perm, etree.Options{Relax: relax, MaxWidth: maxWidth})
+	an := etree.AnalyzeOrder(gen.A, perm, etree.Options{Relax: relax, MaxWidth: maxWidth})
 	return &Pipeline{Gen: gen, An: an}
 }
 

@@ -273,7 +273,7 @@ func (w *walker) walk() {
 						w.put(a, kMsg, int(cr.Parent), r, cr.Op.Bytes, k)
 						w.edge(a, barrier)
 					}
-					for _, c := range cr.Kids {
+					for _, c := range cr.Kids() {
 						w.edge(a, w.at(w.arr[s], c, cr.Op.Kind, k, k))
 					}
 					for _, cr := range ps.Cross[ro.Hat : ro.Hat+ro.Own] {
@@ -296,7 +296,7 @@ func (w *walker) walk() {
 					} else if cr.Parent >= 0 {
 						w.edge(arr+first, a)
 					}
-					for _, c := range cr.Kids {
+					for _, c := range cr.Kids() {
 						w.edge(a, w.at(w.arr[s], c, cr.Op.Kind, k, cr.Op.Blk))
 					}
 					x := v - ro.Bcast

@@ -381,7 +381,7 @@ func (e *messageError) Error() string {
 // must be a child of this rank in the reduction's tree that has not
 // delivered yet.
 func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
-	pos := int(red.NLocal) + slices.Index(red.Kids, msg.Src)
+	pos := int(red.NLocal) + slices.Index(red.Kids(), msg.Src)
 	switch {
 	case pos < int(red.NLocal):
 		st.refuse(msg, "sender is not a child of the receiver in the collective's tree")
@@ -470,7 +470,7 @@ func (e *Engine) bind(states []*rankState, r *simmpi.Rank) *rankState {
 			red: make([]redState, len(prog.Reds))}
 		for x := range st.red {
 			cr := &prog.Reds[x]
-			st.red[x] = redState{CollRole: cr, n: int(cr.NLocal) + len(cr.Kids),
+			st.red[x] = redState{CollRole: cr, n: int(cr.NLocal) + len(cr.Kids()),
 				packed: e.Plan.Symmetric && cr.Op.Kind == core.OpDiagReduce}
 		}
 		for s, ps := range prog.Side {
@@ -726,7 +726,7 @@ func (st *rankState) diagArrived(s core.Side, k int, payload []float64, dk *dens
 // only the message handling, not the compute it unblocks.
 func (st *rankState) forward(cr *core.CollRole, payload []float64) {
 	t0 := st.spanStart()
-	for _, c := range cr.Kids {
+	for _, c := range cr.Kids() {
 		st.r.Send(c, core.OpKey(cr.Op.Kind, cr.Op.K, cr.Op.Blk), wire[cr.Op.Kind].class, payload)
 	}
 	st.collSpanEnd(cr, t0)
@@ -741,7 +741,7 @@ func (st *rankState) collSpanEnd(cr *core.CollRole, t0 time.Time) {
 	switch {
 	case cr.Parent < 0:
 		role = "root"
-	case len(cr.Kids) > 0:
+	case len(cr.Kids()) > 0:
 		role = "forwarder"
 	}
 	st.spanEnd(wire[cr.Op.Kind].span, cr.Op.K, role, t0)

@@ -33,7 +33,7 @@ func programSends(t *testing.T, label string, plan *core.Plan, visit func(kind c
 		first := func(cr core.CollRole) bool { return plan.BP.RowsOf[cr.Op.K][cr.ID-p.First[cr.Op.K]] == cr.Op.Blk }
 		for _, ps := range p.Side {
 			for _, cr := range ps.Bcasts {
-				for _, c := range cr.Kids {
+				for _, c := range cr.Kids() {
 					if first(cr) {
 						send(cr.Op.Kind, r, c, cr.Op.Bytes)
 					}

@@ -129,7 +129,7 @@ func (d *deadlock) String() string {
 			fmt.Fprintf(&b, "  %3d <- %3d  %-12v %v(K=%d,blk=%d) serial=%d %dB",
 				m.dst, m.src, m.class, m.kind, m.k, m.blk, m.serial, m.bytes)
 			if m.role != nil {
-				fmt.Fprintf(&b, "  tree: parent=%d children=%v", m.role.Parent, m.role.Kids)
+				fmt.Fprintf(&b, "  tree: parent=%d children=%v", m.role.Parent, m.role.Kids())
 			}
 			b.WriteString("\n")
 		}

@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -34,34 +33,6 @@ func (h *histogram) observe(seconds float64) {
 	h.counts[i]++
 	h.sum += seconds
 	h.total++
-}
-
-// quantile returns an estimate of the q-quantile (0<q<1) by linear
-// interpolation within the containing bucket — enough fidelity for the
-// load-test report; Prometheus consumers compute their own from buckets.
-func (h *histogram) quantile(q float64) float64 {
-	if h.total == 0 {
-		return math.NaN()
-	}
-	rank := q * float64(h.total)
-	var seen float64
-	lo := 0.0
-	for i, c := range h.counts {
-		hi := 60.0 * 2 // cap for the +Inf bucket
-		if i < len(histBuckets) {
-			hi = histBuckets[i]
-		}
-		if seen+float64(c) >= rank {
-			if c == 0 {
-				return hi
-			}
-			frac := (rank - seen) / float64(c)
-			return lo + frac*(hi-lo)
-		}
-		seen += float64(c)
-		lo = hi
-	}
-	return lo
 }
 
 // metrics aggregates everything /metrics exposes. All methods are safe for

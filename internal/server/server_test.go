@@ -650,3 +650,31 @@ func TestConcurrentMixedRequests(t *testing.T) {
 		t.Fatalf("hits+coalesced = %d, want 8: %+v", st.Hits+st.Coalesced, st)
 	}
 }
+
+// quantile returns an estimate of the q-quantile (0<q<1) by linear
+// interpolation within the containing bucket, as a Prometheus consumer
+// computes it from the buckets /metrics exposes.
+func (h *histogram) quantile(q float64) float64 {
+	if h.total == 0 {
+		return math.NaN()
+	}
+	rank := q * float64(h.total)
+	var seen float64
+	lo := 0.0
+	for i, c := range h.counts {
+		hi := 60.0 * 2 // cap for the +Inf bucket
+		if i < len(histBuckets) {
+			hi = histBuckets[i]
+		}
+		if seen+float64(c) >= rank {
+			if c == 0 {
+				return hi
+			}
+			frac := (rank - seen) / float64(c)
+			return lo + frac*(hi-lo)
+		}
+		seen += float64(c)
+		lo = hi
+	}
+	return lo
+}

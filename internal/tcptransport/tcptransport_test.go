@@ -1,7 +1,11 @@
 package tcptransport
 
 import (
+	"encoding/binary"
+	"io"
 	"math"
+	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -386,5 +390,40 @@ func TestClockFrameRoundTrip(t *testing.T) {
 	seq, clk, err := decodeClockPong(pong[frameHeader:])
 	if err != nil || seq != 9 || clk != -12345 {
 		t.Fatalf("pong round trip: seq=%d clk=%d err=%v", seq, clk, err)
+	}
+}
+
+// TestSendCopiesPayload holds a link's writer in the write of a first frame
+// that the peer has read only the header of (an unbuffered pipe) while a
+// second message waits in the queue. Its sender overwrites the payload once
+// Send returns, as a rank recycling a sent buffer does; the peer must still
+// receive the words that were sent.
+func TestSendCopiesPayload(t *testing.T) {
+	conn, peer := net.Pipe()
+	defer peer.Close()
+	tr := &Transport{p: 2, links: []*outLink{nil, newOutLink(1, conn)}}
+	tr.wg.Add(1)
+	go tr.writer(tr.links[1])
+	defer tr.wg.Wait()
+	defer tr.links[1].close()
+	tr.Send(simmpi.Message{Src: 0, Dst: 1, Tag: 1, Data: []float64{1, 2}})
+	var hdr [frameHeader]byte
+	if _, err := io.ReadFull(peer, hdr[:]); err != nil { // the writer is now inside the first frame
+		t.Fatal(err)
+	}
+	sent := []float64{3, 4, 5}
+	tr.Send(simmpi.Message{Src: 0, Dst: 1, Tag: 2, Data: sent})
+	for i := range sent {
+		sent[i] = -1
+	}
+	if _, err := io.ReadFull(peer, make([]byte, binary.LittleEndian.Uint32(hdr[:4]))); err != nil {
+		t.Fatal(err)
+	}
+	typ, payload, _, err := readFrame(peer, nil)
+	if err != nil || typ != frameData {
+		t.Fatalf("second frame: type %d, %v", typ, err)
+	}
+	if msg, err := decodeDataPayload(payload); err != nil || !slices.Equal(msg.Data, []float64{3, 4, 5}) {
+		t.Fatalf("second frame carries %v (%v), want the words sent", msg.Data, err)
 	}
 }
