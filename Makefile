@@ -158,9 +158,9 @@ tables:
 
 # The scheme × balancer sweep behind EXPERIMENTS.md "Comparing tree schemes
 # and balancers": every cell's exact plan counts next to its simulated
-# makespan, written to BENCH_width.json (≈7 min and 1.4 GB peak on 2 vCPUs).
+# makespan, written to BENCH_width.json (≈3 min and 1.6 GB peak on 2 vCPUs).
 # QUICK=1 is the nightly smoke: one P and one seed into width-quick.json
-# (≈2 min, 1.2 GB), which must reproduce
+# (≈40 s, 1.3 GB), which must reproduce
 # cmd/scaling/testdata/width-quick.golden.json byte for byte.
 width:
 	$(GO) run ./cmd/scaling -width $(if $(QUICK),-quick -width-out width-quick.json \

@@ -1,7 +1,7 @@
 package pselinv
 
 // Benchmarks of the simulated experiments (§IV-B) and of the end-to-end
-// pipeline. Each Fig8/Fig9/ablation benchmark runs a scaled-down
+// pipeline. Each Fig8/Fig9 benchmark runs a scaled-down
 // configuration of the corresponding cmd/scaling experiment. The §IV-A
 // volume tables and figures have no benchmark: cmd/commvol reads them off
 // the plan, and the engine runs that prove the plan are tests
@@ -9,8 +9,6 @@ package pselinv
 //
 //	BenchmarkFig8_*      — strong-scaling simulation per scheme
 //	BenchmarkFig9        — computation/communication breakdown
-//	BenchmarkHybrid      — §IV-B hybrid-scheme ablation
-//	BenchmarkRandomPerm  — rejected fully-random-permutation ablation
 
 import (
 	"bytes"
@@ -33,8 +31,7 @@ func benchScaling(b *testing.B, scheme core.Scheme) {
 	p := scalingPipeline()
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
-		pts := exp.MeasureScaling(p, []int{64, 576}, []core.Scheme{scheme}, core.PlanConfig{},
-			[]uint64{1, 2}, params)
+		pts := exp.MeasureScaling(p, []int{64, 576}, []core.Scheme{scheme}, []uint64{1, 2}, params)
 		b.ReportMetric(pts[len(pts)-1].Mean, "simSec@576")
 	}
 }
@@ -48,29 +45,9 @@ func BenchmarkFig9_Breakdown(b *testing.B) {
 	params := exp.ScaledEdisonParams()
 	for i := 0; i < b.N; i++ {
 		for _, scheme := range []core.Scheme{core.FlatTree, core.ShiftedBinaryTree} {
-			pts := exp.MeasureScaling(p, []int{256}, []core.Scheme{scheme}, core.PlanConfig{}, []uint64{1}, params)
+			pts := exp.MeasureScaling(p, []int{256}, []core.Scheme{scheme}, []uint64{1}, params)
 			b.ReportMetric(pts[0].Comm/pts[0].Compute, "commOverComp")
 		}
-	}
-}
-
-func BenchmarkHybrid_Ablation(b *testing.B) {
-	p := scalingPipeline()
-	params := exp.ScaledEdisonParams()
-	for i := 0; i < b.N; i++ {
-		pts := exp.MeasureScaling(p, []int{576},
-			[]core.Scheme{core.Hybrid}, core.PlanConfig{}, []uint64{1, 2}, params)
-		b.ReportMetric(pts[0].Mean, "simSec")
-	}
-}
-
-func BenchmarkRandomPerm_Ablation(b *testing.B) {
-	p := scalingPipeline()
-	params := exp.ScaledEdisonParams()
-	for i := 0; i < b.N; i++ {
-		pts := exp.MeasureScaling(p, []int{576},
-			[]core.Scheme{core.RandomPermTree}, core.PlanConfig{}, []uint64{1, 2}, params)
-		b.ReportMetric(pts[0].Mean, "simSec")
 	}
 }
 

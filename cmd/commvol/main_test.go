@@ -105,7 +105,7 @@ func TestFigurePrintersAnySchemeList(t *testing.T) {
 		{core.ShiftedBinaryTree, core.BinaryTree, core.FlatTree},
 		{core.BinaryTree, core.FlatTree},
 		{core.ShiftedBinaryTree},
-		{core.TopoShiftedTree, core.ShiftedBinaryTree, core.RandomPermTree},
+		{core.TopoShiftedTree, core.ShiftedBinaryTree},
 	} {
 		t.Run(fmt.Sprint(schemes), func(t *testing.T) {
 			out := runQuick(t, schemes, "fig4", "fig5", "fig6", "fig7")

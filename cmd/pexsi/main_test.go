@@ -20,9 +20,9 @@ func TestMain(m *testing.M) {
 }
 
 // TestBadSizeIsUsageError: a negative extent, a rank count below one and
-// an unknown scheme or balancer (the retired nnz and subtree included)
-// exit 2 with a message. The generators used to panic on the first, and
-// -procs -2 ran serially, reporting "16 poles × -2 ranks".
+// an unknown scheme or balancer (the retired hybrid, nnz and subtree
+// included) exit 2 with a message. The generators used to panic on the
+// first, and -procs -2 ran serially, reporting "16 poles × -2 ranks".
 func TestBadSizeIsUsageError(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -35,6 +35,7 @@ func TestBadSizeIsUsageError(t *testing.T) {
 		{[]string{"-balancer", "nnz"}, "(valid: cyclic|work)"},
 		{[]string{"-balancer", "subtree", "-batch"}, "(valid: cyclic|work)"},
 		{[]string{"-scheme", "fibonacci"}, "unknown scheme"},
+		{[]string{"-scheme", "hybrid"}, "(valid: flat|binary|shifted|toposhifted)"},
 	} {
 		cmd := exec.Command(os.Args[0], tc.args...)
 		cmd.Env = append(os.Environ(), "PEXSI_RUN_MAIN=1")

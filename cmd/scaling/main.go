@@ -7,8 +7,6 @@
 //	           seeds per point (mean ± std — the paper's error bars);
 //	Figure 9 — computation vs communication time at small vs large P for
 //	           Flat vs Shifted;
-//	-hybrid  — the §IV-B ablation: flat within small groups, shifted for
-//	           large ones, plus the rejected fully random permutation;
 //	-width   — every tree scheme × balancer: the plan's exact count
 //	           metrics next to the simulated makespan (BENCH_width.json).
 //
@@ -37,13 +35,12 @@ import (
 )
 
 var (
-	flagFig8   = flag.Bool("fig8", false, "reproduce Figure 8 strong scaling")
-	flagFig9   = flag.Bool("fig9", false, "reproduce Figure 9 time breakdown")
-	flagHybrid = flag.Bool("hybrid", false, "run the hybrid / random-permutation ablation")
-	flagAsym   = flag.Bool("asym", false, "compare the symmetric path against the general (asymmetric-value) path")
-	flagAll    = flag.Bool("all", false, "run everything")
-	flagQuick  = flag.Bool("quick", false, "fewer processor counts and seeds")
-	flagSeeds  = flag.Int("seeds", 6, "placement seeds per point (paper: 6 runs)")
+	flagFig8  = flag.Bool("fig8", false, "reproduce Figure 8 strong scaling")
+	flagFig9  = flag.Bool("fig9", false, "reproduce Figure 9 time breakdown")
+	flagAsym  = flag.Bool("asym", false, "compare the symmetric path against the general (asymmetric-value) path")
+	flagAll   = flag.Bool("all", false, "run everything")
+	flagQuick = flag.Bool("quick", false, "fewer processor counts and seeds")
+	flagSeeds = flag.Int("seeds", 6, "placement seeds per point (paper: 6 runs)")
 
 	flagWidth    = flag.Bool("width", false, "run the scheme × balancer sweep (exact plan counts + simulated makespan per cell) and write the artifact")
 	flagWidthOut = flag.String("width-out", "BENCH_width.json", "artifact path for -width")
@@ -62,9 +59,9 @@ func main() {
 		}
 	}
 	if *flagAll {
-		*flagFig8, *flagFig9, *flagHybrid, *flagAsym = true, true, true, true
+		*flagFig8, *flagFig9, *flagAsym = true, true, true
 	}
-	if !(*flagFig8 || *flagFig9 || *flagHybrid || *flagAsym) {
+	if !(*flagFig8 || *flagFig9 || *flagAsym) {
 		if *flagWidth {
 			return
 		}
@@ -94,7 +91,7 @@ func main() {
 				g.Name, g.A.N, pipe.An.BP.NumSnodes())
 			fmt.Printf("%7s %15s %15s %15s  (simulated s, mean of %d seeds ± std)\n",
 				"P", "Flat-Tree", "Binary-Tree", "Shifted", len(seeds))
-			pts := exp.MeasureScaling(pipe, procCounts, core.Schemes(), core.PlanConfig{}, seeds, params)
+			pts := exp.MeasureScaling(pipe, procCounts, core.Schemes(), seeds, params)
 			byP := map[int]map[core.Scheme]*exp.ScalingPoint{}
 			for _, pt := range pts {
 				if byP[pt.P] == nil {
@@ -123,7 +120,7 @@ func main() {
 		for _, scheme := range []core.Scheme{core.FlatTree, core.ShiftedBinaryTree} {
 			fmt.Printf("-- %v --\n", scheme)
 			for _, p := range []int{64, 2116} {
-				pt := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{scheme}, core.PlanConfig{}, seeds[:1], params)[0]
+				pt := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{scheme}, seeds[:1], params)[0]
 				fmt.Printf("  P=%-5d computation %8.4fs  communication %8.4fs  (comm/comp = %.2f)\n",
 					p, pt.Compute, pt.Comm, pt.Comm/pt.Compute)
 			}
@@ -134,45 +131,7 @@ func main() {
 	if *flagAsym {
 		runAsymSection(seeds, params)
 	}
-
-	if *flagHybrid {
-		g, relax, mw := exp.ScalingPNFStandin(2)
-		pipe := exp.PrepareSymbolic(g, relax, mw)
-		fmt.Println("== Ablation: Hybrid scheme and fully random permutation ==")
-		schemes := []core.Scheme{core.FlatTree, core.ShiftedBinaryTree, core.Hybrid, core.RandomPermTree}
-		counts := []int{64, 576, 2116}
-		if *flagQuick {
-			counts = []int{64, 2116}
-		}
-		fmt.Printf("%7s", "P")
-		for _, s := range schemes {
-			fmt.Printf(" %20v", s)
-		}
-		fmt.Println(" (simulated seconds)")
-		for _, p := range counts {
-			fmt.Printf("%7d", p)
-			for _, s := range schemes {
-				pt := exp.MeasureScaling(pipe, []int{p}, []core.Scheme{s}, core.PlanConfig{}, seeds, params)[0]
-				fmt.Printf(" %13.4f±%.4f", pt.Mean, pt.Std)
-			}
-			fmt.Println()
-		}
-		fmt.Println("\nhybrid flat/shifted threshold sweep at P=2116:")
-		for _, row := range hybridSweep {
-			pt := exp.MeasureScaling(pipe, []int{2116}, []core.Scheme{core.Hybrid},
-				core.PlanConfig{HybridThreshold: row.threshold}, seeds, params)[0]
-			fmt.Printf("  threshold %-18s %10.4f±%.4f s\n", row.label, pt.Mean, pt.Std)
-		}
-	}
 }
-
-// hybridSweep is -hybrid's threshold sweep. Hybrid builds a flat tree over at
-// most threshold participants, so a negative threshold is pure shifted (a
-// zero one would mean core.DefaultHybridThreshold) and 1<<30 pure flat.
-var hybridSweep = []struct {
-	threshold int
-	label     string
-}{{-1, "none (pure shifted)"}, {8, "8"}, {24, "24"}, {64, "64"}, {1 << 30, "inf (pure flat)"}}
 
 // runWidth runs the scheme × balancer sweep on the hierarchical topology (24
 // ranks per node, as Edison): every scheme × balancer at each P, the plan's
@@ -250,7 +209,7 @@ func runAsymSection(seeds []uint64, params netsim.Params) {
 	fmt.Printf("%7s %18s %18s %10s\n", "P", "symmetric (s)", "general (s)", "overhead")
 	for _, p := range []int{64, 576, 2116} {
 		mean := func(pipe *exp.Pipeline) float64 {
-			return exp.MeasureScaling(pipe, []int{p}, []core.Scheme{core.ShiftedBinaryTree}, core.PlanConfig{}, seeds, params)[0].Mean
+			return exp.MeasureScaling(pipe, []int{p}, []core.Scheme{core.ShiftedBinaryTree}, seeds, params)[0].Mean
 		}
 		s, a := mean(sym), mean(general)
 		fmt.Printf("%7d %18.4f %18.4f %9.2fx\n", p, s, a, a/s)

@@ -4,16 +4,11 @@ import (
 	"errors"
 	"os"
 	"os/exec"
-	"slices"
 	"strings"
 	"testing"
 
 	"pselinv/internal/core"
-	"pselinv/internal/etree"
 	"pselinv/internal/exp"
-	"pselinv/internal/ordering"
-	"pselinv/internal/procgrid"
-	"pselinv/internal/sparse"
 )
 
 // TestMain runs the command itself instead of the tests when
@@ -55,44 +50,4 @@ func TestReportOneSeed(t *testing.T) {
 		}
 	}
 	report(byP, ps)
-}
-
-// TestHybridSweepPureShiftedRow: the sweep's pure-shifted row must plan
-// exactly the trees of the ShiftedBinaryTree plan. It used to pass a zero
-// threshold, which the plan reads as the default 24, so the row repeated
-// the 24 row.
-func TestHybridSweepPureShiftedRow(t *testing.T) {
-	row := hybridSweep[0]
-	if !strings.Contains(row.label, "pure shifted") {
-		t.Fatalf("first sweep row is %q, want the pure-shifted one", row.label)
-	}
-	g := sparse.Grid2D(12, 12, 1)
-	perm := ordering.Compute(ordering.NestedDissection, g.A, g.Geom)
-	bp := etree.Analyze(g.A.Permute(perm), perm, etree.Options{Relax: 2, MaxWidth: 8}).BP
-	grid := procgrid.New(4, 4)
-	hybrid := core.NewPlanConfig(bp, grid, core.PlanConfig{Scheme: core.Hybrid, Seed: 1, HybridThreshold: row.threshold})
-	shifted := core.NewPlanConfig(bp, grid, core.PlanConfig{Scheme: core.ShiftedBinaryTree, Seed: 1})
-	var trees []*core.Tree
-	for _, sp := range shifted.Snodes {
-		sp.EachOp(func(op *core.CollOp) { trees = append(trees, op.Tree) }, func(*core.PointOp) {})
-	}
-	n, wide := 0, 0
-	for _, sp := range hybrid.Snodes {
-		sp.EachOp(func(op *core.CollOp) {
-			want := trees[n]
-			n++
-			if want.Size() > 3 {
-				wide++
-			}
-			for _, r := range want.Participants() {
-				if !slices.Equal(op.Tree.Children(r), want.Children(r)) {
-					t.Fatalf("%v K=%d blk=%d: rank %d has children %v, shifted has %v",
-						op.Kind, op.K, op.Blk, r, op.Tree.Children(r), want.Children(r))
-				}
-			}
-		}, func(*core.PointOp) {})
-	}
-	if n != len(trees) || wide == 0 {
-		t.Fatalf("compared %d of %d trees, %d wider than 3 ranks", n, len(trees), wide)
-	}
 }

@@ -22,7 +22,7 @@ func main() {
 	}
 
 	schemes := []pselinv.Scheme{
-		pselinv.FlatTree, pselinv.BinaryTree, pselinv.ShiftedBinaryTree, pselinv.Hybrid,
+		pselinv.FlatTree, pselinv.BinaryTree, pselinv.ShiftedBinaryTree, pselinv.TopoShiftedTree,
 	}
 
 	// 1. Measured volume balance on 64 simulated ranks.
@@ -67,8 +67,8 @@ func main() {
 	for _, p := range ps {
 		fmt.Printf("  P=%-5d -> %v\n", p, best[p])
 	}
-	fmt.Println("\n(the paper's guidance: flat trees within a node, shifted binary" +
-		"\n trees at scale — the Hybrid scheme encodes exactly that rule)")
+	fmt.Println("\n(the paper's guidance: flat trees suffice while collectives are small;" +
+		"\n shifted binary trees, topology-aware or not, win at scale)")
 }
 
 func minMax(xs []float64) (lo, hi float64) {

@@ -128,14 +128,14 @@ func FuzzTopoShiftedTree(f *testing.F) {
 		ranks := fuzzRanks(data)
 		root := ranks[int(rootSel)%len(ranks)]
 		topo := Topology{CoresPerNode: 1 + int(cpn%24)}
-		tr := NewTreeTopo(TopoShiftedTree, root, ranks, seed, opKey, DefaultHybridThreshold, topo)
+		tr := NewTreeTopo(TopoShiftedTree, root, ranks, seed, opKey, topo)
 		if tr.Size() != uniqueCount(ranks) {
 			t.Fatalf("size %d, want %d distinct participants", tr.Size(), uniqueCount(ranks))
 		}
 		checkTopoTreeInvariants(t, tr, topo, ranks)
 		// Every rank derives the tree independently from (seed, opKey): a
 		// reconstruction must match edge for edge.
-		indep := NewTreeTopo(TopoShiftedTree, root, ranks, seed, opKey, DefaultHybridThreshold, topo)
+		indep := NewTreeTopo(TopoShiftedTree, root, ranks, seed, opKey, topo)
 		for _, r := range tr.Participants() {
 			if indep.Parent(r) != tr.Parent(r) {
 				t.Fatalf("rank %d: parent %d vs %d across reconstructions",

@@ -64,15 +64,11 @@ func expectedBytes(p *Plan, kind OpKind) int64 {
 // point op per block, each over the tree of its own OpKey. Every op carries
 // its one block in Blks.
 func perBlockPlan(bp *etree.BlockPattern, grid *procgrid.Grid, cfg PlanConfig) *Plan {
-	if cfg.HybridThreshold == 0 {
-		cfg.HybridThreshold = DefaultHybridThreshold
-	}
 	if cfg.Topo.CoresPerNode == 0 {
 		cfg.Topo = defaultTopology()
 	}
 	p := &Plan{BP: bp, Grid: grid, Scheme: cfg.Scheme, Seed: cfg.Seed,
-		HybridThreshold: cfg.HybridThreshold, Symmetric: cfg.Symmetric,
-		Topo: cfg.Topo, Balancer: cfg.Balancer,
+		Symmetric: cfg.Symmetric, Topo: cfg.Topo, Balancer: cfg.Balancer,
 		Owners: cfg.Balancer.assign(bp, grid)}
 	ns := bp.NumSnodes()
 	p.Snodes = make([]*SupernodePlan, ns)
@@ -133,5 +129,5 @@ func oracleColl(p *Plan, kind OpKind, k, blk int, bytes int64, root int, c []int
 		ranks = append(ranks, part(x))
 	}
 	return CollOp{Kind: kind, K: k, Blk: blk, Blks: []int{blk}, Bytes: bytes,
-		Tree: NewTreeTopo(p.Scheme, root, ranks, p.Seed, OpKey(kind, k, blk), p.HybridThreshold, p.Topo)}
+		Tree: NewTreeTopo(p.Scheme, root, ranks, p.Seed, OpKey(kind, k, blk), p.Topo)}
 }

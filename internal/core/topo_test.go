@@ -40,8 +40,6 @@ func TestSchemeTable(t *testing.T) {
 		FlatTree:          {"Flat-Tree", "flat"},
 		BinaryTree:        {"Binary-Tree", "binary"},
 		ShiftedBinaryTree: {"Shifted Binary-Tree", "shifted"},
-		RandomPermTree:    {"Random-Perm-Tree", "randperm"},
-		Hybrid:            {"Hybrid", "hybrid"},
 		TopoShiftedTree:   {"Topo-Shifted-Tree", "toposhifted"},
 	}
 	all := AllSchemes()
@@ -67,20 +65,22 @@ func TestSchemeTable(t *testing.T) {
 		if got, err := ParseScheme(strings.ToUpper(" " + w.slug + " ")); err != nil || got != s {
 			t.Errorf("ParseScheme is not case/space insensitive for %q", w.slug)
 		}
-		tr := NewTreeTopo(s, 0, ranksUpTo(20), 1, 2, DefaultHybridThreshold, topo)
+		tr := NewTreeTopo(s, 0, ranksUpTo(20), 1, 2, topo)
 		if err := validateTree(tr); err != nil {
 			t.Errorf("%v: NewTreeTopo built an invalid tree: %v", s, err)
 		}
 	}
 	// "bine" names the Bine-style tree that was removed after the scheme ×
-	// balancer sweep showed it dominated by toposhifted.
-	for _, name := range []string{"bogus", "bine"} {
+	// balancer sweep showed it dominated by toposhifted; "randperm" and
+	// "hybrid" name the ablations removed after the same sweep showed them
+	// no better than shifted and flat.
+	for _, name := range []string{"bogus", "bine", "randperm", "hybrid"} {
 		_, err := ParseScheme(name)
 		if err == nil {
 			t.Fatalf("ParseScheme(%q) must fail", name)
 		}
-		if !strings.Contains(err.Error(), "(valid: flat|binary|shifted|randperm|hybrid|toposhifted)") {
-			t.Errorf("ParseScheme(%q) error %q does not list the six valid slugs", name, err)
+		if !strings.Contains(err.Error(), "(valid: flat|binary|shifted|toposhifted)") {
+			t.Errorf("ParseScheme(%q) error %q does not list the four valid slugs", name, err)
 		}
 	}
 }
@@ -89,7 +89,7 @@ func TestTopoShiftedTreeLocality(t *testing.T) {
 	topo := Topology{CoresPerNode: 24}
 	ranks := ranksUpTo(48)
 	for op := uint64(0); op < 20; op++ {
-		tr := NewTreeTopo(TopoShiftedTree, 30, ranks, 7, op, DefaultHybridThreshold, topo)
+		tr := NewTreeTopo(TopoShiftedTree, 30, ranks, 7, op, topo)
 		if err := validateTree(tr); err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestTopoShiftedRotatesLeaders(t *testing.T) {
 	ranks := ranksUpTo(48)
 	leaders := map[int]bool{}
 	for op := uint64(0); op < 50; op++ {
-		tr := NewTreeTopo(TopoShiftedTree, 0, ranks, 7, op, DefaultHybridThreshold, topo)
+		tr := NewTreeTopo(TopoShiftedTree, 0, ranks, 7, op, topo)
 		for _, r := range ranks[24:] { // node 1's members
 			if topo.Node(tr.Parent(r)) == 0 {
 				leaders[r] = true
@@ -132,7 +132,7 @@ func TestTopoSchemesMinimizeCrossNodeEdges(t *testing.T) {
 		topo := Topology{CoresPerNode: 1 + rng.Intn(32)}
 		seed, op := rng.Uint64(), rng.Uint64()
 		build := func(s Scheme) *Tree {
-			return NewTreeTopo(s, root, ranks, seed, op, DefaultHybridThreshold, topo)
+			return NewTreeTopo(s, root, ranks, seed, op, topo)
 		}
 		floor := numNodes(topo, ranks) - 1
 		tr := build(TopoShiftedTree)

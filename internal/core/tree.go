@@ -43,13 +43,6 @@ const (
 	// ShiftedBinaryTree applies the paper's random circular shift before
 	// the binary construction.
 	ShiftedBinaryTree
-	// RandomPermTree applies a full random permutation before the binary
-	// construction — the alternative the paper rejects for destroying rank
-	// locality; kept for the ablation study.
-	RandomPermTree
-	// Hybrid uses FlatTree for small participant sets and
-	// ShiftedBinaryTree for large ones (§IV-B, final remark).
-	Hybrid
 	// TopoShiftedTree is the shifted binary tree made topology-aware: the
 	// root-dependent shift is applied within node groups, one leader per
 	// occupied node forwards across the inter-node network, and everything
@@ -63,8 +56,6 @@ var schemeNames = [...][2]string{
 	FlatTree:          {"Flat-Tree", "flat"},
 	BinaryTree:        {"Binary-Tree", "binary"},
 	ShiftedBinaryTree: {"Shifted Binary-Tree", "shifted"},
-	RandomPermTree:    {"Random-Perm-Tree", "randperm"},
-	Hybrid:            {"Hybrid", "hybrid"},
 	TopoShiftedTree:   {"Topo-Shifted-Tree", "toposhifted"},
 }
 
@@ -92,8 +83,7 @@ func Schemes() []Scheme { return []Scheme{FlatTree, BinaryTree, ShiftedBinaryTre
 // tests range over it so a new enum value cannot silently miss a switch
 // arm.
 func AllSchemes() []Scheme {
-	return []Scheme{FlatTree, BinaryTree, ShiftedBinaryTree, RandomPermTree,
-		Hybrid, TopoShiftedTree}
+	return []Scheme{FlatTree, BinaryTree, ShiftedBinaryTree, TopoShiftedTree}
 }
 
 // SchemeSlugs lists the flag-facing names of every scheme.
@@ -117,11 +107,6 @@ func ParseScheme(name string) (Scheme, error) {
 	}
 	return 0, fmt.Errorf("unknown scheme %q (valid: %s)", name, strings.Join(SchemeSlugs(), "|"))
 }
-
-// DefaultHybridThreshold is the participant count at or below which Hybrid
-// uses a flat tree. On the paper's platform a node has 24 cores and
-// flat trees win within a node; the same reasoning applies here.
-const DefaultHybridThreshold = 24
 
 // Tree is a rooted communication tree over a set of participant ranks.
 // Broadcast flows root→leaves along the edges; reduction flows
@@ -207,16 +192,15 @@ func splitmix64(x uint64) uint64 {
 // shift of ShiftedBinaryTree deterministically, so every rank constructs
 // the identical tree independently.
 func NewTree(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64) *Tree {
-	return NewTreeTopo(scheme, root, ranks, seed, opKey, DefaultHybridThreshold, defaultTopology())
+	return NewTreeTopo(scheme, root, ranks, seed, opKey, defaultTopology())
 }
 
-// NewTreeTopo is the full constructor: NewTree plus an explicit Hybrid
-// flat/shifted threshold and the rank→node Topology consumed by
-// TopoShiftedTree (the other schemes ignore it). The tree is a one-tree
-// plan's: it has storage of its own.
-func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, hybridThreshold int, topo Topology) *Tree {
+// NewTreeTopo is the full constructor: NewTree plus the rank→node Topology
+// consumed by TopoShiftedTree (the other schemes ignore it). The tree is a
+// one-tree plan's: it has storage of its own.
+func NewTreeTopo(scheme Scheme, root int, ranks []int, seed uint64, opKey uint64, topo Topology) *Tree {
 	b := treeBuilder{ranks: append([]int(nil), ranks...), slots: make([]int32, 2)}
-	return b.intern(scheme, root, seed, opKey, hybridThreshold, topo)
+	return b.intern(scheme, root, seed, opKey, topo)
 }
 
 // equal reports whether u has t's root, participants, parents and child order.
@@ -261,27 +245,21 @@ type internedTree struct {
 // a value of its key: the root, the sorted participants and the scheme's
 // remaining input — nothing for Flat and Binary, the shift for Shifted —
 // which is looked up before anything is built; only a miss builds the tree
-// and copies it into the plan's storage. RandomPerm's and TopoShifted's
-// remaining input is a 64-bit mix of which many values give one tree (a
-// three-rank tree has two shapes), so theirs is the built tree itself.
-func (b *treeBuilder) intern(scheme Scheme, root int, seed, opKey uint64, hybridThreshold int, topo Topology) *Tree {
+// and copies it into the plan's storage. TopoShifted's remaining input is a
+// 64-bit mix of which many values give one tree (a three-rank tree has two
+// shapes), so its key is the built tree itself.
+func (b *treeBuilder) intern(scheme Scheme, root int, seed, opKey uint64, topo Topology) *Tree {
 	slices.Sort(b.ranks)
 	parts := slices.Compact(b.ranks) // a rank owning several blocks participates once
 	if _, found := slices.BinarySearch(parts, root); !found {
 		panic(fmt.Sprintf("core: root %d not among participants %v", root, parts))
-	}
-	if scheme == Hybrid {
-		scheme = FlatTree
-		if len(parts) > hybridThreshold {
-			scheme = ShiftedBinaryTree
-		}
 	}
 	var built *Tree
 	h, x := fnv(uint64(root), parts), uint32(0)
 	switch scheme {
 	case ShiftedBinaryTree:
 		x = uint32(shift(seed, opKey, len(parts)-1))
-	case RandomPermTree, TopoShiftedTree:
+	case TopoShiftedTree:
 		built = b.build(parts, root, scheme, seed, opKey, topo)
 		h = fnv(fnv(h, built.up), built.kids)
 	}
@@ -348,8 +326,8 @@ func (s *slab[T]) take(n int) []T {
 	return t
 }
 
-// build builds the tree of scheme, Hybrid resolved, over the sorted,
-// deduplicated parts as b.tree.
+// build builds the tree of scheme over the sorted, deduplicated parts as
+// b.tree.
 func (b *treeBuilder) build(parts []int, root int, scheme Scheme, seed, opKey uint64, topo Topology) *Tree {
 	n := len(parts)
 	rootPos, _ := slices.BinarySearch(parts, root)
@@ -374,15 +352,6 @@ func (b *treeBuilder) build(parts []int, root int, scheme Scheme, seed, opKey ui
 		b.binary(r, rest)
 	case ShiftedBinaryTree:
 		rotate(rest, shift(seed, opKey, len(rest)))
-		b.binary(r, rest)
-	case RandomPermTree:
-		// Fisher–Yates driven by the same deterministic stream.
-		state := seed ^ splitmix64(opKey) ^ 0xabcdef
-		for i := len(rest) - 1; i > 0; i-- {
-			state = splitmix64(state)
-			j := int(state % uint64(i+1))
-			rest[i], rest[j] = rest[j], rest[i]
-		}
 		b.binary(r, rest)
 	case TopoShiftedTree:
 		b.topoShifted(parts, r, seed, opKey, topo)

@@ -177,22 +177,6 @@ func TestParentOfOutsiderPanics(t *testing.T) {
 	tr.Parent(99)
 }
 
-func TestHybridSwitchesOnSize(t *testing.T) {
-	small := NewTreeTopo(Hybrid, 0, ranksUpTo(10), 1, 1, 24, defaultTopology())
-	if small.Depth() != 1 {
-		t.Fatalf("hybrid small set should be flat, depth %d", small.Depth())
-	}
-	big := NewTreeTopo(Hybrid, 0, ranksUpTo(100), 1, 1, 24, defaultTopology())
-	if big.Depth() <= 2 {
-		t.Fatalf("hybrid large set should be a binary tree, depth %d", big.Depth())
-	}
-	for _, r := range big.Participants() {
-		if len(big.Children(r)) > 2 {
-			t.Fatalf("hybrid large tree has degree-%d node", len(big.Children(r)))
-		}
-	}
-}
-
 func TestHasAndParticipants(t *testing.T) {
 	tr := NewTree(BinaryTree, 4, []int{2, 4, 6, 8}, 1, 1)
 	for _, r := range []int{2, 4, 6, 8} {

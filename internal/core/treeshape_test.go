@@ -28,7 +28,7 @@ func treeShapes() string {
 				parts := NewTree(FlatTree, ranks[0], ranks, 1, 1).Participants()
 				for _, root := range []int{parts[0], parts[len(parts)/2], parts[len(parts)-1]} {
 					for _, so := range pairs {
-						tr := NewTreeTopo(scheme, root, ranks, so[0], so[1], DefaultHybridThreshold, topo)
+						tr := NewTreeTopo(scheme, root, ranks, so[0], so[1], topo)
 						fmt.Fprintf(&b, "%s %d %d %d %d %d |", scheme.Slug(), cpn, so[0], so[1], root, tr.Size())
 						for _, r := range tr.Participants() {
 							fmt.Fprintf(&b, " %d<%d>", r, tr.Parent(r))

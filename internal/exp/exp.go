@@ -164,13 +164,13 @@ func ScalingAudikwStandin(seed int64) (*sparse.Generated, int, int) {
 	return g, 4, 24
 }
 
-// MeasureScaling simulates, at each processor count and scheme, the plan
-// cfg configures (see simPlan) over the given placement seeds.
-func MeasureScaling(p *Pipeline, ps []int, schemes []core.Scheme, cfg core.PlanConfig, seeds []uint64, params netsim.Params) []*ScalingPoint {
+// MeasureScaling simulates, at each processor count and scheme, the default
+// plan (see simPlan) over the given placement seeds.
+func MeasureScaling(p *Pipeline, ps []int, schemes []core.Scheme, seeds []uint64, params netsim.Params) []*ScalingPoint {
 	var out []*ScalingPoint
 	for _, procs := range ps {
 		for _, scheme := range schemes {
-			out = append(out, replay(simPlan(p, procs, cfg, scheme, params), seeds, params))
+			out = append(out, replay(simPlan(p, procs, core.PlanConfig{}, scheme, params), seeds, params))
 		}
 	}
 	return out

@@ -41,7 +41,7 @@ func TestMeasureScalingShapes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts := MeasureScaling(p, []int{4, 16}, core.Schemes(), core.PlanConfig{}, []uint64{1, 2, 3}, netsim.DefaultParams())
+	pts := MeasureScaling(p, []int{4, 16}, core.Schemes(), []uint64{1, 2, 3}, netsim.DefaultParams())
 	if len(pts) != 6 {
 		t.Fatalf("got %d points", len(pts))
 	}
@@ -171,8 +171,7 @@ func TestMeasureScalingFollowsPipelineAndPacking(t *testing.T) {
 			Scheme: core.TopoShiftedTree, Seed: 1, Symmetric: symmetric,
 			Topo: core.Topology{CoresPerNode: 8}})
 		want := netsim.SimulateDAG(netsim.BuildDAG(plan), params).Makespan
-		pt := MeasureScaling(p, []int{48}, []core.Scheme{core.TopoShiftedTree}, core.PlanConfig{},
-			[]uint64{params.Seed}, params)[0]
+		pt := MeasureScaling(p, []int{48}, []core.Scheme{core.TopoShiftedTree}, []uint64{params.Seed}, params)[0]
 		if pt.Mean != want {
 			t.Errorf("symmetric=%v: MeasureScaling makespan %g, the plan's %g", symmetric, pt.Mean, want)
 		}

@@ -236,7 +236,7 @@ func pipelineCorpus() []corpusGroup {
 	// Plan seed 7 on 3×4.
 	all := grid2d(8, 6, 5, 2, 6)
 	all.Pr, all.Pc, all.PlanSeed = 3, 4, 7
-	add("TestParallelMatchesSequentialAllSchemes", withSchemes(one(all), flat, binary, shifted, core.RandomPermTree, core.Hybrid))
+	add("TestParallelMatchesSequentialAllSchemes", withSchemes(one(all), core.AllSchemes()...))
 	// Plan seed 11 on 3×3.
 	add("TestParallelMatchesSequentialMatrixZoo", set(onGrids(zoo(1, 8), [2]uint8{3, 3}), func(in *pipelineInput) { in.PlanSeed = 11 }))
 	// Plan seeds 0..7 on 4×3.
@@ -250,7 +250,7 @@ func pipelineCorpus() []corpusGroup {
 	// RandomAsym(45, 4, 9), plan seed 5 on 3×3.
 	as := randomAsym(45, 4, 9, 0, 6)
 	as.Pr, as.Pc, as.PlanSeed = 3, 3, 5
-	add("TestAsymmetricAllSchemes", withSchemes(one(as), flat, binary, shifted, core.RandomPermTree, core.Hybrid))
+	add("TestAsymmetricAllSchemes", withSchemes(one(as), core.AllSchemes()...))
 	// The quick.Check properties drew fresh random cases each run: random
 	// patterns under minimum degree, relax 0..1, width 1..6, grids up to
 	// 4×4, any plan seed. The fuzzer draws them now; four of each shape stay.
@@ -259,7 +259,7 @@ func pipelineCorpus() []corpusGroup {
 		n, deg, relax, width, pr, pc uint8
 		scheme                       core.Scheme
 	}{
-		{15, 2, 0, 1, 1, 4, flat}, {27, 3, 1, 4, 3, 2, binary}, {39, 4, 0, 6, 4, 4, shifted}, {22, 2, 1, 3, 2, 3, core.Hybrid},
+		{15, 2, 0, 1, 1, 4, flat}, {27, 3, 1, 4, 3, 2, binary}, {39, 4, 0, 6, 4, 4, shifted}, {22, 2, 1, 3, 2, 3, flat},
 	} {
 		sym := mk(genRandomSym, q.n, q.deg, 0, 0, int64(100+x), q.relax, q.width)
 		sym.Order, sym.Pr, sym.Pc, sym.Scheme, sym.PlanSeed = mmd, q.pr, q.pc, uint8(q.scheme), 0x9e3779b97f4a7c15*uint64(x+1)

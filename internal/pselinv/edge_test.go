@@ -1,7 +1,6 @@
 package pselinv
 
 import (
-	"fmt"
 	"testing"
 
 	"pselinv/internal/core"
@@ -82,21 +81,4 @@ func TestParallelMoreRanksThanBlocks(t *testing.T) {
 		t.Skip("matrix produced too many supernodes for this test")
 	}
 	runAndCompare(t, an, lu, ref, procgrid.New(6, 6), core.BinaryTree, 3)
-}
-
-// TestParallelHybridThresholdExtremes: threshold 0 behaves like shifted,
-// huge threshold like flat; both must be numerically identical to the
-// reference.
-func TestParallelHybridThresholdExtremes(t *testing.T) {
-	g := sparse.Grid2D(6, 5, 4)
-	an, lu, ref := prep(t, g, etree.Options{MaxWidth: 6})
-	grid := procgrid.New(4, 3)
-	for _, thr := range []int{0, 1, 1 << 20} {
-		plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: core.Hybrid, Seed: 5, HybridThreshold: thr, Symmetric: true})
-		res, err := NewEngine(plan, lu).Run(testTimeout)
-		if err != nil {
-			t.Fatalf("threshold %d: %v", thr, err)
-		}
-		requireMatchesReference(t, fmt.Sprintf("threshold %d", thr), ref, blocksOf(res), false)
-	}
 }

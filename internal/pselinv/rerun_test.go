@@ -39,33 +39,3 @@ func TestEngineReusableAcrossRuns(t *testing.T) {
 		prevVolumes = vols
 	}
 }
-
-// TestHybridPlanMixesTreeShapes checks that a single Hybrid plan really
-// contains both flat and binary-shaped collectives when participant counts
-// straddle the threshold.
-func TestHybridPlanMixesTreeShapes(t *testing.T) {
-	g := sparse.Grid3D(5, 5, 5, 3)
-	an, _, _ := prep(t, g, etree.Options{Relax: 2, MaxWidth: 8})
-	grid := procgrid.New(8, 8)
-	thr := 4
-	plan := core.NewPlanConfig(an.BP, grid, core.PlanConfig{Scheme: core.Hybrid, Seed: 1, HybridThreshold: thr, Symmetric: true})
-	sawFlat, sawBinary := false, false
-	for _, sp := range plan.Snodes {
-		for x := range sp.ColBcasts {
-			tr := sp.ColBcasts[x].Tree
-			if tr.Size() <= 1 {
-				continue
-			}
-			if tr.Size() <= thr {
-				if tr.Depth() == 1 {
-					sawFlat = true
-				}
-			} else if len(tr.Children(tr.Root)) <= 2 && tr.Size() > 3 {
-				sawBinary = true
-			}
-		}
-	}
-	if !sawFlat || !sawBinary {
-		t.Fatalf("hybrid plan did not mix shapes: flat=%v binary=%v", sawFlat, sawBinary)
-	}
-}

@@ -221,8 +221,7 @@ type Request struct {
 	// Procs is the simulated rank count (default 16).
 	Procs int `json:"procs,omitempty"`
 	// Scheme selects the collective tree (default shifted); any slug from
-	// pselinv.SchemeSlugs is accepted: flat|binary|shifted|randperm|
-	// hybrid|toposhifted.
+	// pselinv.SchemeSlugs is accepted.
 	Scheme string `json:"scheme,omitempty"`
 	// CoresPerNode sets the rank→node packing consumed by toposhifted; 0
 	// keeps the Edison-style default of 24 ranks per node and a negative

@@ -195,26 +195,27 @@ func TestServeTopoSchemes(t *testing.T) {
 			}
 		}
 	}
-	// An unknown scheme — here the removed Bine tree — must name every
-	// valid slug in the error body.
-	body, err := json.Marshal(&Request{
-		Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Scheme: "bine",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hr, err := http.Post(ts.URL+"/v1/selinv", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg, _ := io.ReadAll(hr.Body)
-	hr.Body.Close()
-	if hr.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400", hr.StatusCode)
-	}
-	for _, slug := range pselinv.SchemeSlugs() {
-		if !strings.Contains(string(msg), slug) {
-			t.Fatalf("error %q does not list valid scheme %q", msg, slug)
+	// An unknown scheme — here the removed Bine tree and the removed
+	// random-permutation and hybrid ablations — must name every valid slug
+	// in the error body.
+	for _, retired := range []string{"bine", "randperm", "hybrid"} {
+		body, err := json.Marshal(&Request{
+			Matrix: MatrixSpec{Kind: "grid2d", NX: 5, NY: 5}, Scheme: retired,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr, err := http.Post(ts.URL+"/v1/selinv", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(hr.Body)
+		hr.Body.Close()
+		if hr.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", retired, hr.StatusCode)
+		}
+		if valid := "(valid: " + strings.Join(pselinv.SchemeSlugs(), "|") + ")"; !strings.Contains(string(msg), valid) {
+			t.Fatalf("%s: error %q does not list the valid schemes %s", retired, msg, valid)
 		}
 	}
 }

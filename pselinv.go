@@ -216,20 +216,14 @@ const (
 	BinaryTree = core.BinaryTree
 	// ShiftedBinaryTree is the paper's randomized circular-shift heuristic.
 	ShiftedBinaryTree = core.ShiftedBinaryTree
-	// RandomPermTree fully permutes participants (ablation; rejected by
-	// the paper for destroying locality).
-	RandomPermTree = core.RandomPermTree
-	// Hybrid is flat below a size threshold and shifted above (§IV-B).
-	Hybrid = core.Hybrid
 	// TopoShiftedTree is the shifted binary tree made topology-aware: the
 	// shift rotates forwarders within node groups and one leader per node
 	// crosses the inter-node network (minimal cross-node edges).
 	TopoShiftedTree = core.TopoShiftedTree
 )
 
-// ParseScheme resolves a flag or request value ("flat", "binary",
-// "shifted", "randperm", "hybrid", "toposhifted") to a Scheme; an
-// unknown name is an error listing the valid slugs.
+// ParseScheme resolves a flag or request value (a slug from SchemeSlugs)
+// to a Scheme; an unknown name is an error listing the valid slugs.
 func ParseScheme(name string) (Scheme, error) { return core.ParseScheme(name) }
 
 // SchemeSlugs lists the flag-facing names of every scheme.

@@ -166,7 +166,7 @@ func TestParallelMatchesSequentialPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, _ := sys.SelInv()
-	for _, scheme := range []Scheme{FlatTree, BinaryTree, ShiftedBinaryTree, Hybrid} {
+	for _, scheme := range []Scheme{FlatTree, BinaryTree, ShiftedBinaryTree} {
 		par, err := sys.ParallelSelInv(12, scheme, 5)
 		if err != nil {
 			t.Fatalf("%v: %v", scheme, err)
