@@ -227,6 +227,38 @@ func benchWarmRefactorize(b *testing.B, opts Options) {
 	}
 }
 
+// BenchmarkColdUpload is bench/'s cold_grid2d_p16 op: a MatrixMarket upload
+// of Grid2D 96² parsed, ordered by nested dissection on its graph, analyzed,
+// factorized, planned and inverted on 16 ranks, its diagonal read, then the
+// inverse and the System released — every layer cold but the process's free
+// lists (the dense arena, simmpi's inbox rings). It stays out of the bench
+// gate, whose baseline rows only the CI runner class regenerates.
+func BenchmarkColdUpload(b *testing.B) {
+	var mm bytes.Buffer
+	if err := Grid2D(96, 96, 1).WriteMatrixMarket(&mm); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := FromMatrixMarket(bytes.NewReader(mm.Bytes()), "upload")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sys, err := NewSystem(m, Options{Ordering: OrderNestedDissection})
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := sys.ParallelSelInv(16, ShiftedBinaryTree, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res.Diagonal()
+		res.Release()
+		sys.Release()
+	}
+}
+
 // BenchmarkReadMatrixMarket gates the parse of an uploaded matrix (the
 // daemon's and the TCP workers' first step).
 func BenchmarkReadMatrixMarket(b *testing.B) {

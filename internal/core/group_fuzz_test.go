@@ -18,12 +18,16 @@ import (
 // one block; every per-rank, per-kind byte vector is the oracle's; and the
 // plan holds one tree per shape, shared by every op whose tree is equal.
 func FuzzPlanGroups(f *testing.F) {
-	f.Add(uint8(60), uint8(3), int64(1), uint8(4), uint8(4), uint8(2), uint8(0), true, uint64(1), uint8(24))
-	f.Add(uint8(90), uint8(4), int64(2), uint8(2), uint8(8), uint8(1), uint8(1), false, uint64(7), uint8(4))
-	f.Add(uint8(40), uint8(5), int64(3), uint8(3), uint8(5), uint8(5), uint8(0), false, uint64(3), uint8(3))
-	f.Add(uint8(120), uint8(3), int64(4), uint8(8), uint8(8), uint8(0), uint8(1), true, uint64(2), uint8(8))
-	f.Add(uint8(70), uint8(6), int64(5), uint8(1), uint8(6), uint8(4), uint8(0), true, uint64(9), uint8(2))
-	f.Add(uint8(50), uint8(3), int64(6), uint8(6), uint8(2), uint8(3), uint8(1), false, uint64(5), uint8(1))
+	// Seeds name their scheme and balancer by slug (slugIndex), so a reordered
+	// AllSchemes or AllBalancers moves none of them.
+	scheme := func(slug string) uint8 { return slugIndex(f, AllSchemes(), slug) }
+	bal := func(slug string) uint8 { return slugIndex(f, AllBalancers(), slug) }
+	f.Add(uint8(60), uint8(3), int64(1), uint8(4), uint8(4), scheme("shifted"), bal("cyclic"), true, uint64(1), uint8(24))
+	f.Add(uint8(90), uint8(4), int64(2), uint8(2), uint8(8), scheme("binary"), bal("work"), false, uint64(7), uint8(4))
+	f.Add(uint8(40), uint8(5), int64(3), uint8(3), uint8(5), scheme("binary"), bal("cyclic"), false, uint64(3), uint8(3))
+	f.Add(uint8(120), uint8(3), int64(4), uint8(8), uint8(8), scheme("flat"), bal("work"), true, uint64(2), uint8(8))
+	f.Add(uint8(70), uint8(6), int64(5), uint8(1), uint8(6), scheme("flat"), bal("cyclic"), true, uint64(9), uint8(2))
+	f.Add(uint8(50), uint8(3), int64(6), uint8(6), uint8(2), scheme("toposhifted"), bal("work"), false, uint64(5), uint8(1))
 	f.Fuzz(func(t *testing.T, n, deg uint8, patSeed int64, pr, pc, scheme, balancer uint8, symmetric bool, seed uint64, cpn uint8) {
 		bp := randomPattern(20+int(n)%120, 2+int(deg)%5, patSeed)
 		grid := procgrid.New(1+int(pr)%8, 1+int(pc)%8)
@@ -48,6 +52,19 @@ func FuzzPlanGroups(f *testing.F) {
 			t.Fatalf("%v: per-rank total sent differs from the per-block plan's", cfg.Scheme)
 		}
 	})
+}
+
+// slugIndex is the index of the scheme or balancer named slug in all, as a
+// fuzz input encodes it; an unknown slug fails tb.
+func slugIndex[T interface{ Slug() string }](tb testing.TB, all []T, slug string) uint8 {
+	tb.Helper()
+	for i, x := range all {
+		if x.Slug() == slug {
+			return uint8(i)
+		}
+	}
+	tb.Fatalf("no scheme or balancer %q", slug)
+	return 0
 }
 
 // checkGroups compares one supernode's grouped ops with the oracle's per-block

@@ -83,15 +83,15 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 		return nil, err
 	}
 
-	// Producer: numeric factorizations, in pole order, one queued beyond
-	// the one the consumer holds (pole l+1 is factorized while pole l is
-	// inverted; a deeper queue only grows memory). So at most three LUs
-	// exist — being inverted, queued, being factorized. The consumer hands
-	// each back on spent once its inversion has returned and keeps that of
-	// a failed run, whose ranks may still be reading it. The done channel
+	// Producer: numeric factorizations, in pole order, handed over unbuffered:
+	// pole l+1 is factorized while pole l is inverted, and waits in the
+	// producer until the consumer has handed pole l's LU back on spent and
+	// takes it. So the producer refactorizes that LU for pole l+2, and at most
+	// two LUs exist — being inverted, being factorized. The consumer keeps the
+	// LU of a failed run, whose ranks may still be reading it. The done channel
 	// unblocks the producer when the consumer aborts early.
-	jobs := make(chan facJob, 1)
-	spent := make(chan *factor.LU, 3)
+	jobs := make(chan facJob)
+	spent := make(chan *factor.LU, 2)
 	done := make(chan struct{})
 	defer close(done)
 	go func() {

@@ -58,7 +58,8 @@ func newPoleSolver(h *sparse.Generated, relax, maxWidth, procs int, pc core.Plan
 	if timeout == 0 {
 		timeout = 5 * time.Minute
 	}
-	an := exp.PrepareSymbolic(h, relax, maxWidth).An
+	pattern := &sparse.CSC{N: h.A.N, ColPtr: h.A.ColPtr, RowIdx: h.A.RowIdx} // all the analysis permutes: values reach a factor through sc
+	an := exp.PrepareSymbolic(&sparse.Generated{Name: h.Name, Geom: h.Geom, A: pattern}, relax, maxWidth).An
 	sc, err := factor.NewScatter(h.A, an.PermTotal, an.BP)
 	if err != nil {
 		return nil, fmt.Errorf("pexsi: %s: %w", h.Name, err)

@@ -1,11 +1,32 @@
 package pselinv
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"pselinv/internal/core"
 	"pselinv/internal/ordering"
 )
+
+// scheme and balancer encode a scheme or balancer by its slug as the index
+// FuzzPipeline decodes (into core.AllSchemes, core.AllBalancers), so a
+// reordered list moves no seed; an unknown slug panics, failing every test
+// that builds the corpus.
+func scheme(slug string) uint8   { return slugIndex(core.AllSchemes(), slug) }
+func balancer(slug string) uint8 { return slugIndex(core.AllBalancers(), slug) }
+
+func slugIndex[T interface{ Slug() string }](all []T, slug string) uint8 {
+	for i, x := range all {
+		if x.Slug() == slug {
+			return uint8(i)
+		}
+	}
+	panic(fmt.Sprintf("no scheme or balancer %q", slug))
+}
 
 // vary returns every input of ins n times, the i-th copy changed by set.
 func vary(ins []pipelineInput, n int, set func(in *pipelineInput, i int)) []pipelineInput {
@@ -25,15 +46,15 @@ func onGrids(ins []pipelineInput, dims ...[2]uint8) []pipelineInput {
 	return vary(ins, len(dims), func(in *pipelineInput, i int) { in.Pr, in.Pc = dims[i][0], dims[i][1] })
 }
 
-// withSchemes returns every input of ins under each scheme.
-func withSchemes(ins []pipelineInput, schemes ...core.Scheme) []pipelineInput {
-	return vary(ins, len(schemes), func(in *pipelineInput, i int) { in.Scheme = uint8(schemes[i]) })
+// withSchemes returns every input of ins under each scheme, by slug.
+func withSchemes(ins []pipelineInput, slugs ...string) []pipelineInput {
+	return vary(ins, len(slugs), func(in *pipelineInput, i int) { in.Scheme = scheme(slugs[i]) })
 }
 
 // withBalancers returns every input of ins under each balancer.
 func withBalancers(ins []pipelineInput) []pipelineInput {
-	bs := core.AllBalancers()
-	return vary(ins, len(bs), func(in *pipelineInput, i int) { in.Balancer = uint8(bs[i]) })
+	bs := core.BalancerSlugs()
+	return vary(ins, len(bs), func(in *pipelineInput, i int) { in.Balancer = balancer(bs[i]) })
 }
 
 // chaosSeeds returns every input of ins under the adversary seeds [from, from+n).
@@ -45,7 +66,7 @@ func chaosSeeds(ins []pipelineInput, from uint64, n int) []pipelineInput {
 // and the 8 its CI job ran again with the work-greedy one.
 func chaosSweep(in pipelineInput, from uint64) []pipelineInput {
 	work := in
-	work.Balancer = uint8(core.WorkBalancer)
+	work.Balancer = balancer("work")
 	return append(chaosSeeds([]pipelineInput{in}, from, 16), chaosSeeds([]pipelineInput{work}, from, 8)...)
 }
 
@@ -132,7 +153,7 @@ func pipelineCorpus() []corpusGroup {
 	nd, mmd := uint8(ordering.NestedDissection), uint8(ordering.MinimumDegree)
 	mk := func(gen, d1, d2, d3, d4 uint8, seed int64, relax, width uint8) pipelineInput {
 		return pipelineInput{Gen: gen, D1: d1, D2: d2, D3: d3, D4: d4, MSeed: seed, Order: nd,
-			Relax: relax, Width: width, Scheme: uint8(core.ShiftedBinaryTree), Pr: 1, Pc: 1, PlanSeed: 1}
+			Relax: relax, Width: width, Scheme: scheme("shifted"), Pr: 1, Pc: 1, PlanSeed: 1}
 	}
 	grid2d := func(nx, ny uint8, seed int64, relax, width uint8) pipelineInput {
 		return mk(genGrid2D, nx, ny, 0, 0, seed, relax, width)
@@ -155,7 +176,7 @@ func pipelineCorpus() []corpusGroup {
 	set := func(ins []pipelineInput, f func(in *pipelineInput)) []pipelineInput {
 		return vary(ins, 1, func(in *pipelineInput, _ int) { f(in) })
 	}
-	flat, binary, shifted := core.FlatTree, core.BinaryTree, core.ShiftedBinaryTree
+	flat, binary, shifted := "flat", "binary", "shifted"
 	var out []corpusGroup
 	add := func(name string, ins ...[]pipelineInput) {
 		g := corpusGroup{name: name}
@@ -178,7 +199,7 @@ func pipelineCorpus() []corpusGroup {
 	p64.Pr, p64.Pc, p64.Window = 8, 8, 12
 	add("TestChaosSweepP64", chaosSweep(p64, 3000))
 	topo := grid2d(8, 8, 2, 2, 6)
-	topo.Pr, topo.Pc, topo.Scheme, topo.Cores = 4, 4, uint8(core.TopoShiftedTree), 8
+	topo.Pr, topo.Pc, topo.Scheme, topo.Cores = 4, 4, scheme("toposhifted"), 8
 	add("TestChaosSweepTopoSchemes", chaosSweep(topo, 7000))
 	asym := grid2d(6, 6, 3, 2, 6)
 	asym.ASeed, asym.Eps, asym.Pr, asym.Pc = 11, 0.6, 3, 3
@@ -225,7 +246,7 @@ func pipelineCorpus() []corpusGroup {
 	dagBal := set(one(bal), func(in *pipelineInput) { in.DAG = true })
 	add("TestDagByteIdenticalToSequential", withSchemes(onGrids(dagBal, [2]uint8{1, 1}, [2]uint8{2, 2}, [2]uint8{4, 4}), flat, binary, shifted))
 	add("TestDagByteIdenticalTopoSchemes",
-		set(onGrids(dagBal, [2]uint8{4, 4}), func(in *pipelineInput) { in.Scheme, in.Cores = uint8(core.TopoShiftedTree), 8 }))
+		set(onGrids(dagBal, [2]uint8{4, 4}), func(in *pipelineInput) { in.Scheme, in.Cores = scheme("toposhifted"), 8 }))
 	// RandomAsym(60, 5, 2), plan seed 9.
 	ra := randomAsym(60, 5, 2, 2, 6)
 	ra.Pr, ra.Pc, ra.PlanSeed, ra.DAG = 2, 2, 9, true
@@ -236,7 +257,7 @@ func pipelineCorpus() []corpusGroup {
 	// Plan seed 7 on 3×4.
 	all := grid2d(8, 6, 5, 2, 6)
 	all.Pr, all.Pc, all.PlanSeed = 3, 4, 7
-	add("TestParallelMatchesSequentialAllSchemes", withSchemes(one(all), core.AllSchemes()...))
+	add("TestParallelMatchesSequentialAllSchemes", withSchemes(one(all), core.SchemeSlugs()...))
 	// Plan seed 11 on 3×3.
 	add("TestParallelMatchesSequentialMatrixZoo", set(onGrids(zoo(1, 8), [2]uint8{3, 3}), func(in *pipelineInput) { in.PlanSeed = 11 }))
 	// Plan seeds 0..7 on 4×3.
@@ -250,19 +271,19 @@ func pipelineCorpus() []corpusGroup {
 	// RandomAsym(45, 4, 9), plan seed 5 on 3×3.
 	as := randomAsym(45, 4, 9, 0, 6)
 	as.Pr, as.Pc, as.PlanSeed = 3, 3, 5
-	add("TestAsymmetricAllSchemes", withSchemes(one(as), core.AllSchemes()...))
+	add("TestAsymmetricAllSchemes", withSchemes(one(as), core.SchemeSlugs()...))
 	// The quick.Check properties drew fresh random cases each run: random
 	// patterns under minimum degree, relax 0..1, width 1..6, grids up to
 	// 4×4, any plan seed. The fuzzer draws them now; four of each shape stay.
 	var quickSym, quickAsym []pipelineInput
 	for x, q := range []struct {
 		n, deg, relax, width, pr, pc uint8
-		scheme                       core.Scheme
+		scheme                       string
 	}{
 		{15, 2, 0, 1, 1, 4, flat}, {27, 3, 1, 4, 3, 2, binary}, {39, 4, 0, 6, 4, 4, shifted}, {22, 2, 1, 3, 2, 3, flat},
 	} {
 		sym := mk(genRandomSym, q.n, q.deg, 0, 0, int64(100+x), q.relax, q.width)
-		sym.Order, sym.Pr, sym.Pc, sym.Scheme, sym.PlanSeed = mmd, q.pr, q.pc, uint8(q.scheme), 0x9e3779b97f4a7c15*uint64(x+1)
+		sym.Order, sym.Pr, sym.Pc, sym.Scheme, sym.PlanSeed = mmd, q.pr, q.pc, scheme(q.scheme), 0x9e3779b97f4a7c15*uint64(x+1)
 		asym := sym
 		asym.ASeed, asym.Eps = sym.MSeed+1, 0.8
 		quickSym, quickAsym = append(quickSym, sym), append(quickAsym, asym)
@@ -282,7 +303,47 @@ func pipelineCorpus() []corpusGroup {
 	// internal/distrun ran the adversary on four TCP workers: its problem,
 	// in process.
 	tcp := grid2d(12, 12, 3, 2, 8)
-	tcp.Pr, tcp.Pc, tcp.Scheme, tcp.Chaos = 2, 2, uint8(binary), 7
+	tcp.Pr, tcp.Pc, tcp.Scheme, tcp.Chaos = 2, 2, scheme(binary), 7
 	add("TestDistributedChaosMatchesInProcess", one(tcp))
 	return out
+}
+
+// TestCorpusFileSchemes pins the scheme and balancer each on-disk FuzzPipeline
+// input decodes to. The file stores indices into core.AllSchemes and
+// core.AllBalancers, so a reordered or shortened list would re-target it
+// silently; here it fails, and a new file needs its row.
+func TestCorpusFileSchemes(t *testing.T) {
+	want := map[string][2]string{ // file: scheme and balancer slugs
+		"35b74921f7e852b8": {"shifted", "work"},
+	}
+	dir := filepath.Join("testdata", "fuzz", "FuzzPipeline")
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != len(want) {
+		t.Errorf("%d on-disk inputs, %d rows", len(files), len(want))
+	}
+	schemes, balancers := core.AllSchemes(), core.AllBalancers()
+	for _, f := range files {
+		data, err := os.ReadFile(filepath.Join(dir, f.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A header line, then FuzzPipeline's arguments in order: Scheme is
+		// the 12th, Balancer the 13th, each a byte('…') literal.
+		lines := strings.Split(string(data), "\n")
+		var idx [2]int
+		for x, line := range lines[12:14] {
+			v, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "byte("), ")"))
+			if err != nil || len(v) != 1 {
+				t.Fatalf("%s line %d: %q is not a byte", f.Name(), 12+x, line)
+			}
+			idx[x] = int(v[0])
+		}
+		got := [2]string{schemes[idx[0]%len(schemes)].Slug(), balancers[idx[1]%len(balancers)].Slug()}
+		if w, ok := want[f.Name()]; got != w {
+			t.Errorf("%s decodes to scheme %s, balancer %s; want %v (row present: %v)", f.Name(), got[0], got[1], w, ok)
+		}
+	}
 }

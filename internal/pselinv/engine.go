@@ -21,6 +21,7 @@ package pselinv
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime/pprof"
 	"slices"
 	"strconv"
@@ -149,21 +150,10 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	if e.Obs != nil {
 		world.SetObserver(e.Obs)
 	}
-	// The state goes back to the template only after a successful gather: a
-	// failed or timed-out run leaves anything in it, its ranks maybe running.
-	// The inbox rings travel with it, on an in-process transport: handed to
-	// this world before any rank can send, taken back where the state is
-	// cleared, so they never leave a failed run either.
+	// The state goes back to the template, and an in-process world's inbox
+	// rings to simmpi's free list, only after a successful gather: a failed or
+	// timed-out run leaves anything in them, its ranks maybe running.
 	states := e.tmpl.takeStates()
-	rings, _ := world.Transport().(ringTransport)
-	if rings != nil {
-		for r, st := range states {
-			if st != nil && st.ring != nil {
-				rings.AdoptRing(r, st.ring)
-				st.ring = nil
-			}
-		}
-	}
 	scheme := e.Plan.Scheme.String()
 	// A malformed message fails the run with the detecting rank's
 	// messageError: that rank closes the world, which unblocks its peers,
@@ -235,9 +225,9 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			res.Snapshots = append(res.Snapshots, snap)
 		}
 		st.clear()
-		if rings != nil {
-			st.ring = rings.ReclaimRing(r)
-		}
+	}
+	if tr, ok := world.Transport().(interface{ ReclaimRings() }); ok { // simmpi.InProc, or a transport wrapping one
+		tr.ReclaimRings()
 	}
 	e.tmpl.mu.Lock()
 	if len(e.tmpl.idle) < maxIdleStates {
@@ -245,13 +235,6 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	}
 	e.tmpl.mu.Unlock()
 	return res, nil
-}
-
-// ringTransport is a transport whose inbox ring buffers can move from one
-// world to the next (simmpi.InProc).
-type ringTransport interface {
-	AdoptRing(rank int, ring []simmpi.Message)
-	ReclaimRing(rank int) []simmpi.Message
 }
 
 // takeStates returns a cleared state set off the template's free list, or an
@@ -268,37 +251,44 @@ func (tm *template) takeStates() (set []*rankState) {
 
 // redState tracks one reduction at one rank. Every participant folds the same
 // way: its own contributions in ascending canonical slot (fold positions
-// [0, nlocal)), then its children's partial sums in Tree.Children order
-// (positions [nlocal, n)), and sends the one resulting block to its parent.
+// [0, NLocal)), then its children's partial sums in Tree.Children order
+// (positions [NLocal, n)), and sends the one resulting block to its parent.
 // The bracketing is a property of the plan alone, so the result is
 // bit-identical under any delivery order, chaos seed, DAG pool schedule and
 // transport (DESIGN.md §5e).
 //
-// A contribution that finishes ahead of its turn waits in parts — a local
-// one in the private scratch matrix its GEMM wrote (the race-freedom
-// concurrent DAG tasks need), a child's payload by reference — and the
-// in-order prefix is folded eagerly. The lowest local slot computes straight
-// into sum. sum is arena-backed: taken on the run's first touch (reduction),
-// nil again at completion, when ownership moves to the parent's mailbox, the
-// finalized ainv block (row/col root) or back to the arena (diag root). parts
-// stays with the state once made, all nil between runs.
+// It holds only what a run mutates (32 bytes). A contribution that finishes
+// ahead of its turn waits in parts, one of the rank's spares from the first
+// such arrival to completion — a local one in the private scratch matrix its
+// GEMM wrote (the race-freedom concurrent DAG tasks need), a child's payload
+// by reference — and the in-order prefix is folded eagerly. The lowest local
+// slot computes straight into sum, which is arena-backed: taken on the run's
+// first touch (reduction), nil again at completion, when ownership moves to
+// the parent's mailbox, the finalized ainv block or back to the arena.
 //
 // A packed reduction — a symmetric plan's Diag-Reduce — folds and sends lower
 // triangles: each local contribution is packed in place (dense.PackLower)
-// once computed, so sum's prefix of words() is the packed partial sum.
+// once computed, so sum's prefix of redWords is the packed partial sum.
 type redState struct {
 	*core.CollRole // the plan's reduction, and the rank's place in it
 	sum            *dense.Matrix
-	n              int         // nlocal + children
-	next           int         // first fold position not yet in sum
-	parts          [][]float64 // by fold position; made on the first out-of-turn arrival
-	done           bool
-	packed         bool
+	parts          *[][]float64 // by fold position
+	next           int32        // first fold position not yet in sum; redDone once complete
 }
 
-// words is the length of a contribution as folded and sent.
-func (red *redState) words() int {
-	if red.packed {
+const redDone = math.MaxInt32 // the next fold position of a completed reduction
+
+// n is the reduction's number of fold positions.
+func (red *redState) n() int32 { return red.NLocal + int32(len(red.Kids())) }
+
+// packed reports whether red folds and sends lower triangles.
+func (st *rankState) packed(red *redState) bool {
+	return st.e.Plan.Symmetric && red.Op.Kind == core.OpDiagReduce
+}
+
+// redWords is the length of a contribution to red as folded and sent.
+func (st *rankState) redWords(red *redState) int {
+	if st.packed(red) {
 		return dense.PackedLen(red.sum.Rows) * red.sum.Width()
 	}
 	return len(red.sum.Data)
@@ -307,12 +297,18 @@ func (red *redState) words() int {
 // fold takes the finished contribution at fold position pos — nil for the
 // lowest local slot, which is sum itself — and adds it, with any successors
 // already waiting, to sum when its turn has come. It owns data from here on.
-func (red *redState) fold(pos int, data []float64) {
+func (st *rankState) fold(red *redState, pos int32, data []float64) {
+	n := red.n()
 	if pos != red.next {
 		if red.parts == nil {
-			red.parts = make([][]float64, red.n)
+			if k := len(st.spare); k > 0 {
+				red.parts, st.spare = st.spare[k-1], st.spare[:k-1]
+			} else {
+				red.parts = new([][]float64)
+			}
+			*red.parts = slices.Grow((*red.parts)[:0], int(n))[:n] // entries past any earlier length are nil too
 		}
-		red.parts[pos] = data
+		(*red.parts)[pos] = data
 		return
 	}
 	for {
@@ -323,16 +319,16 @@ func (red *redState) fold(pos int, data []float64) {
 			dense.PutBuf(data)
 		}
 		red.next++
-		if red.parts == nil || red.next == red.n || red.parts[red.next] == nil {
+		if red.parts == nil || red.next == n || (*red.parts)[red.next] == nil {
 			return
 		}
-		data, red.parts[red.next] = red.parts[red.next], nil
+		data, (*red.parts)[red.next] = (*red.parts)[red.next], nil
 	}
 }
 
 // localOut returns the matrix the local contribution at fold position pos
 // accumulates into: sum for the lowest slot, a zeroed scratch otherwise.
-func (red *redState) localOut(pos int) *dense.Matrix {
+func (red *redState) localOut(pos int32) *dense.Matrix {
 	if pos == 0 {
 		return red.sum
 	}
@@ -341,18 +337,18 @@ func (red *redState) localOut(pos int) *dense.Matrix {
 
 // localDone folds a finished local contribution written into out (obtained
 // from localOut for the same pos).
-func (red *redState) localDone(pos int, out *dense.Matrix) {
-	if red.packed {
-		dense.PackLower(out, out.Data[:red.words()])
+func (st *rankState) localDone(red *redState, pos int32, out *dense.Matrix) {
+	if st.packed(red) {
+		dense.PackLower(out, out.Data[:st.redWords(red)])
 	}
 	if pos == 0 {
-		red.fold(0, nil)
+		st.fold(red, 0, nil)
 		return
 	}
-	data := out.Data[:red.words()]
+	data := out.Data[:st.redWords(red)]
 	out.Data = nil
 	dense.PutMatrix(out) // the header only; fold recycles the buffer
-	red.fold(pos, data)
+	st.fold(red, pos, data)
 }
 
 // symmetryError reports a symmetric plan bound to a factorization of
@@ -381,14 +377,14 @@ func (e *messageError) Error() string {
 // must be a child of this rank in the reduction's tree that has not
 // delivered yet.
 func (st *rankState) childArrived(red *redState, msg simmpi.Message) {
-	pos := int(red.NLocal) + slices.Index(red.Kids(), msg.Src)
+	pos := red.NLocal + int32(slices.Index(red.Kids(), msg.Src))
 	switch {
-	case pos < int(red.NLocal):
+	case pos < red.NLocal:
 		st.refuse(msg, "sender is not a child of the receiver in the collective's tree")
-	case pos < red.next || red.parts != nil && red.parts[pos] != nil:
+	case pos < red.next || red.parts != nil && (*red.parts)[pos] != nil:
 		st.refuse(msg, "second payload from this child")
 	}
-	red.fold(pos, msg.Data)
+	st.fold(red, pos, msg.Data)
 }
 
 // refuse fails the run on msg (see messageError).
@@ -456,8 +452,9 @@ type rankState struct {
 	// arena request below is a rows×cols block of it.
 	elem dense.Elem
 
-	// ring is the rank's inbox ring buffer between runs (see RunWorld).
-	ring []simmpi.Message
+	// spare holds the fold-position slices of completed reductions, for the
+	// next reduction whose contributions arrive out of turn (redState.parts).
+	spare []*[][]float64
 }
 
 // bind binds rank r's state in the set to this run, laying it out when no
@@ -469,9 +466,7 @@ func (e *Engine) bind(states []*rankState, r *simmpi.Rank) *rankState {
 		st = &rankState{prog: prog, ainv: make([]*dense.Matrix, len(prog.Ainv)),
 			red: make([]redState, len(prog.Reds))}
 		for x := range st.red {
-			cr := &prog.Reds[x]
-			st.red[x] = redState{CollRole: cr, n: int(cr.NLocal) + len(cr.Kids()),
-				packed: e.Plan.Symmetric && cr.Op.Kind == core.OpDiagReduce}
+			st.red[x] = redState{CollRole: &prog.Reds[x]}
 		}
 		for s, ps := range prog.Side {
 			st.side[s] = sideState{hat: make([]*dense.Matrix, len(ps.Cross)),
@@ -490,7 +485,7 @@ func (e *Engine) bind(states []*rankState, r *simmpi.Rank) *rankState {
 // copies of pass 1 go back to the kernel arena — only now that every rank has
 // finished: the broadcast headers of other ranks alias them zero-copy (and
 // are dropped, not released). The A⁻¹ blocks belong to the RunResult; every
-// reduction has completed, so its sum has moved on and its parts are nil.
+// reduction has completed, so its sum has moved on and its parts are spare.
 func (st *rankState) clear() {
 	for s := range st.side {
 		ss := &st.side[s]
@@ -507,7 +502,7 @@ func (st *rankState) clear() {
 	}
 	st.bufs = st.bufs[:0]
 	for x := range st.red {
-		st.red[x].next, st.red[x].done = 0, false
+		st.red[x].next = 0
 	}
 	st.e, st.r = nil, nil
 }
@@ -554,7 +549,7 @@ type task struct {
 
 	a, b, out *dense.Matrix
 	red       *redState // kGemm: the reduction out contributes to, at fold position pos
-	pos       int
+	pos       int32
 }
 
 // exec runs t: inline on the rank goroutine, or — the one place the engine
@@ -615,7 +610,7 @@ func (st *rankState) compute(t *task) {
 func (st *rankState) finish(t *task) {
 	switch t.kernel {
 	case kGemm:
-		t.red.localDone(t.pos, t.out)
+		st.localDone(t.red, t.pos, t.out)
 		st.maybeComplete(t.red)
 	case kDiagInverse:
 		if t.a != nil {
@@ -880,7 +875,7 @@ func (st *rankState) tryRun(s core.Side, ti int32) {
 	if s == core.Upper {
 		a, b = h, av
 	}
-	red, pos := st.reduction(t.Red), int(t.Pos)
+	red, pos := st.reduction(t.Red), t.Pos
 	st.exec(task{kernel: kGemm, side: s, span: sideNames[s].gemm, k: int(t.K), i: int(t.I), j: int(t.J),
 		a: a, b: b, out: red.localOut(pos), red: red, pos: pos})
 }
@@ -902,7 +897,7 @@ func (st *rankState) tryDiagContrib(h int32) {
 	if u.Data == nil || av == nil {
 		return
 	}
-	red, pos := st.reduction(c.Red), int(c.Pos)
+	red, pos := st.reduction(c.Red), c.Pos
 	st.exec(task{kernel: kGemm, ta: ta, side: core.Upper, span: "gemm", k: int(c.K), i: int(c.I), j: int(c.J),
 		a: u, b: av, out: red.localOut(pos), red: red, pos: pos})
 }
@@ -911,7 +906,7 @@ func (st *rankState) tryDiagContrib(h int32) {
 // its zeroed sum on the run's first touch.
 func (st *rankState) reduction(v int32) *redState {
 	red := &st.red[v]
-	if red.sum == nil && !red.done { // Diag-Reduce has Blk = K
+	if red.sum == nil && red.next != redDone { // Diag-Reduce has Blk = K
 		rows, cols := wire[red.Op.Kind].side.Block(st.width(red.Op.Blk), st.width(red.Op.K))
 		red.sum = dense.GetMatrixElem(rows, cols, st.elem)
 	}
@@ -921,14 +916,16 @@ func (st *rankState) reduction(v int32) *redState {
 // maybeComplete sends a finished partial sum up the reduce tree, or — at the
 // root — finalizes the block the reduction computes.
 func (st *rankState) maybeComplete(red *redState) {
-	if red.done || red.next < red.n {
+	if red.next != red.n() {
 		return
 	}
-	red.done = true
+	if red.parts != nil {
+		st.spare, red.parts = append(st.spare, red.parts), nil
+	}
 	op, k := red.Op, red.Op.K
 	t0 := st.spanStart()
-	m, words := red.sum, red.words()
-	red.sum = nil // ownership moves on: see redState
+	m, words := red.sum, st.redWords(red)
+	red.sum, red.next = nil, redDone // ownership moves on: see redState
 	if red.Parent >= 0 {
 		// The buffer travels up the tree; the parent recycles it.
 		data := m.Data[:words]
@@ -941,7 +938,7 @@ func (st *rankState) maybeComplete(red *redState) {
 	if op.Kind == core.OpDiagReduce {
 		// A⁻¹_{K,K} = A_KK⁻¹ − Σ, both exactly symmetric on a symmetric plan.
 		st.collSpanEnd(red.CollRole, t0)
-		if red.packed {
+		if st.packed(red) {
 			dense.UnpackLower(m.Data[:words], m)
 			dense.MirrorLower(m)
 		}

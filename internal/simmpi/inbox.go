@@ -1,6 +1,9 @@
 package simmpi
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // Inbox is an FIFO of messages backed by a growable ring buffer:
 // steady-state push/pop traffic reuses the same slots instead of appending
@@ -53,16 +56,6 @@ func (in *Inbox) pushLocked(msg Message) {
 	in.count++
 }
 
-// popLocked removes the oldest message, clearing its slot so the ring does
-// not pin the payload past delivery.
-func (in *Inbox) popLocked() Message {
-	msg := in.buf[in.head]
-	in.buf[in.head] = Message{}
-	in.head = (in.head + 1) % len(in.buf)
-	in.count--
-	return msg
-}
-
 // Push enqueues msg and returns the queue depth just after the insert (the
 // observer's queue-depth high-watermark input; callers without an observer
 // ignore it).
@@ -76,7 +69,8 @@ func (in *Inbox) Push(msg Message) int {
 }
 
 // popAtLocked removes the message at FIFO position i, shifting the older
-// prefix toward the tail so the relative order of the rest is preserved.
+// prefix toward the tail so the relative order of the rest is preserved, and
+// clears the freed slot so the ring does not pin the payload past delivery.
 func (in *Inbox) popAtLocked(i int) Message {
 	n := len(in.buf)
 	msg := in.buf[(in.head+i)%n]
@@ -105,54 +99,35 @@ func (in *Inbox) pendingLocked() []Message {
 // Pop blocks until a message arrives or the box is closed. With an
 // adversary installed, the adversary picks which pending message is
 // delivered (and may drop it entirely).
-func (in *Inbox) Pop() (Message, bool) {
+func (in *Inbox) Pop() (Message, bool) { return in.pop(true) }
+
+// TryPop is the non-blocking variant of Pop.
+func (in *Inbox) TryPop() (Message, bool) { return in.pop(false) }
+
+func (in *Inbox) pop(wait bool) (Message, bool) {
 	in.mu.Lock()
 	for {
-		for in.count == 0 && !in.closed {
+		for wait && in.count == 0 && !in.closed {
 			in.notEmpty.Wait()
 		}
 		if in.count == 0 {
 			in.mu.Unlock()
 			return Message{}, false
 		}
-		if in.adv == nil {
-			msg := in.popLocked()
-			in.mu.Unlock()
-			return msg, true
+		adv, idx, drop := in.adv, 0, false
+		if adv != nil {
+			idx, drop = adv.Pick(in.dst, in.pendingLocked())
 		}
-		idx, drop := in.adv.Pick(in.dst, in.pendingLocked())
 		msg := in.popAtLocked(idx)
 		if drop {
 			continue
 		}
-		adv := in.adv
 		in.mu.Unlock()
-		adv.Delivered(in.dst, &msg)
-		return msg, true
-	}
-}
-
-// TryPop is the non-blocking variant of Pop.
-func (in *Inbox) TryPop() (Message, bool) {
-	in.mu.Lock()
-	for {
-		if in.count == 0 {
-			in.mu.Unlock()
-			return Message{}, false
+		if adv != nil {
+			m := msg // only an adversary's delivery takes the message's address
+			adv.Delivered(in.dst, &m)
+			return m, true
 		}
-		if in.adv == nil {
-			msg := in.popLocked()
-			in.mu.Unlock()
-			return msg, true
-		}
-		idx, drop := in.adv.Pick(in.dst, in.pendingLocked())
-		msg := in.popAtLocked(idx)
-		if drop {
-			continue
-		}
-		adv := in.adv
-		in.mu.Unlock()
-		adv.Delivered(in.dst, &msg)
 		return msg, true
 	}
 }
@@ -163,11 +138,7 @@ func (in *Inbox) TryPop() (Message, bool) {
 func (in *Inbox) Pending() []Message {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	out := make([]Message, in.count)
-	for i := range out {
-		out[i] = in.buf[(in.head+i)%len(in.buf)]
-	}
-	return out
+	return slices.Clone(in.pendingLocked())
 }
 
 // Close wakes any blocked Pop (ok = false).

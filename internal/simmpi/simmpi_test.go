@@ -339,41 +339,69 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
-// TestRingHandOff: a drained inbox gives up its ring, every slot cleared (it
-// pins no payload), and leaves the world that used it without one; an inbox
-// with a message pending keeps its ring. A world that adopts the ring fills it
-// before growing its own.
+// TestRingHandOff: ReclaimRings puts a drained inbox's ring on the free list,
+// every slot cleared (it pins no payload), and leaves the inbox without it; an
+// inbox with a message pending keeps its ring, and one past the list's cap
+// is dropped. The next world of the same size starts each rank's inbox on the
+// ring that rank gave back and fills it before growing one of its own.
 func TestRingHandOff(t *testing.T) {
-	tr := NewInProc(2)
+	if n := len(IdleRings()); n > 0 {
+		NewInProc(n) // takes every ring on the list
+	}
+	tr := NewInProc(3)
 	for i := 0; i < 40; i++ {
 		tr.Send(Message{Src: 0, Dst: 1, Data: []float64{float64(i)}})
+		tr.Send(Message{Src: 0, Dst: 2, Data: []float64{float64(i)}})
 	}
-	for i := 0; i < 39; i++ {
+	for i := 0; i < 40; i++ {
 		tr.Recv(1)
 	}
-	if ring := tr.ReclaimRing(1); ring != nil {
-		t.Fatal("took the ring of an inbox with a message pending")
+	for i := 0; i < 39; i++ {
+		tr.Recv(2)
 	}
-	tr.Recv(1)
-	ring := tr.ReclaimRing(1)
-	if len(ring) < 40 {
-		t.Fatalf("reclaimed a ring of %d slots after 40 queued messages", len(ring))
+	r1, r2 := tr.inboxes[1].buf, tr.inboxes[2].buf
+	tr.ReclaimRings()
+	if idle := IdleRings(); len(idle) != 1 || idle[0] != &r1[0] {
+		t.Fatalf("%d rings on the list, want rank 1's alone (rank 0 received nothing, rank 2 has a message pending)", len(idle))
 	}
-	for i := range ring {
-		if ring[i].Data != nil {
-			t.Fatalf("slot %d still holds a payload", i)
+	if tr.inboxes[1].buf != nil || &tr.inboxes[2].buf[0] != &r2[0] {
+		t.Fatal("rank 1 kept the ring it gave up, or rank 2 lost the one it holds")
+	}
+	tr.Recv(2)
+	rings.Lock()
+	rings.slots += maxRingSlots
+	rings.Unlock()
+	tr.ReclaimRings()
+	rings.Lock()
+	rings.slots -= maxRingSlots
+	rings.Unlock()
+	if len(IdleRings()) != 1 {
+		t.Fatal("a ring past the list's cap went on it")
+	}
+	tr.ReclaimRings()
+	if idle := IdleRings(); len(idle) != 2 || idle[1] != &r2[0] {
+		t.Fatalf("%d rings on the list after rank 2 drained, want ranks 1 and 2's", len(idle))
+	}
+	for _, ring := range [][]Message{r1, r2} {
+		if len(ring) < 40 {
+			t.Fatalf("reclaimed a ring of %d slots after 40 queued messages", len(ring))
+		}
+		for i := range ring {
+			if ring[i].Data != nil {
+				t.Fatalf("slot %d still holds a payload", i)
+			}
 		}
 	}
-	if tr.inboxes[1].buf != nil {
-		t.Fatal("the inbox kept the ring it gave up")
-	}
 
-	next := NewInProc(2)
-	next.AdoptRing(1, ring)
+	next := NewInProc(3)
+	if len(IdleRings()) != 0 || next.inboxes[0].buf != nil {
+		t.Fatal("the next world left a ring on the list, or gave rank 0 one")
+	}
 	for i := 0; i < 40; i++ {
 		next.Send(Message{Src: 0, Dst: 1})
+		next.Send(Message{Src: 0, Dst: 2})
 	}
-	if got := next.inboxes[1].buf; &got[0] != &ring[0] {
-		t.Fatal("the adopting inbox grew a ring of its own")
+	if &next.inboxes[1].buf[0] != &r1[0] || &next.inboxes[2].buf[0] != &r2[0] {
+		t.Fatal("the next world's inboxes did not fill the rings their ranks gave back")
 	}
 }

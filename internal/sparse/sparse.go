@@ -172,7 +172,8 @@ func (a *CSC) mirrored(values bool, tol float64, mirror []int32) bool {
 // Permute returns P A Pᵀ where perm maps old index -> new index, i.e. entry
 // (i, j) of a moves to (perm[i], perm[j]). Two bucket passes: the entries
 // are first grouped by new row, then dealt out to their new columns in
-// ascending row order, which leaves every column sorted.
+// ascending row order, which leaves every column sorted. A pattern without
+// values (nil Val) gives one without.
 func (a *CSC) Permute(perm []int) *CSC {
 	if len(perm) != a.N {
 		panic("sparse: permutation length mismatch")
@@ -185,18 +186,22 @@ func (a *CSC) Permute(perm []int) *CSC {
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	type colVal struct {
-		col int
-		val float64
+	// A bucket entry is the new column, followed with values by the value's
+	// bits: one array, so an entry is one scattered write.
+	b, stride := &CSC{N: n, ColPtr: make([]int, n+1), RowIdx: make([]int, nnz)}, 1
+	if a.Val != nil {
+		b.Val, stride = make([]float64, nnz), 2
 	}
-	byRow := make([]colVal, nnz)
-	b := &CSC{N: n, ColPtr: make([]int, n+1), RowIdx: make([]int, nnz), Val: make([]float64, nnz)}
+	byRow := make([]uint64, stride*nnz)
 	for j := 0; j < n; j++ {
 		c := perm[j]
 		b.ColPtr[c+1] = a.ColPtr[j+1] - a.ColPtr[j]
 		for k := a.ColPtr[j]; k < a.ColPtr[j+1]; k++ {
 			r := perm[a.RowIdx[k]]
-			byRow[rowPtr[r]] = colVal{c, a.Val[k]}
+			byRow[stride*rowPtr[r]] = uint64(c)
+			if b.Val != nil {
+				byRow[2*rowPtr[r]+1] = math.Float64bits(a.Val[k])
+			}
 			rowPtr[r]++
 		}
 	}
@@ -207,10 +212,12 @@ func (a *CSC) Permute(perm []int) *CSC {
 	// column c's write cursor until the shift below restores the starts.
 	for r, p := 0, 0; r < n; r++ {
 		for ; p < rowPtr[r]; p++ {
-			e := byRow[p]
-			q := b.ColPtr[e.col]
-			b.RowIdx[q], b.Val[q] = r, e.val
-			b.ColPtr[e.col] = q + 1
+			c := byRow[stride*p]
+			q := b.ColPtr[c]
+			b.RowIdx[q], b.ColPtr[c] = r, q+1
+			if b.Val != nil {
+				b.Val[q] = math.Float64frombits(byRow[2*p+1])
+			}
 		}
 	}
 	copy(b.ColPtr[1:], b.ColPtr[:n])

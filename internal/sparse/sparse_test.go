@@ -376,7 +376,18 @@ func TestFromTripletsMatchesSortOracle(t *testing.T) {
 	}
 }
 
+// TestPermuteMatchesSortOracle holds Permute to a sort-based oracle, and its
+// permute of the pattern alone (nil Val) to the pattern of the full one.
 func TestPermuteMatchesSortOracle(t *testing.T) {
+	check := func(label string, a *CSC, perm []int) {
+		t.Helper()
+		got := a.Permute(perm)
+		sameCSC(t, label, got, refPermute(a, perm))
+		pat := (&CSC{N: a.N, ColPtr: a.ColPtr, RowIdx: a.RowIdx}).Permute(perm)
+		if pat.Val != nil || !slices.Equal(pat.ColPtr, got.ColPtr) || !slices.Equal(pat.RowIdx, got.RowIdx) {
+			t.Fatalf("%s: the pattern-only permute is not the full one's pattern, or has values", label)
+		}
+	}
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{0, 1, 2, 5, 17, 40} {
 		a := refFromTriplets(n, randomTriplets(rng, n, 3*n))
@@ -387,12 +398,12 @@ func TestPermuteMatchesSortOracle(t *testing.T) {
 		for name, perm := range map[string][]int{
 			"identity": identity, "reversal": reversal, "random": rng.Perm(n),
 		} {
-			sameCSC(t, fmt.Sprintf("n=%d %s", n, name), a.Permute(perm), refPermute(a, perm))
+			check(fmt.Sprintf("n=%d %s", n, name), a, perm)
 		}
 	}
 	g := DG2D(5, 4, 3, 7)
 	perm := rng.Perm(g.A.N)
-	sameCSC(t, g.Name, g.A.Permute(perm), refPermute(g.A, perm))
+	check(g.Name, g.A, perm)
 }
 
 func TestSymmetryChecksMatchTransposeOracle(t *testing.T) {

@@ -366,13 +366,13 @@ func AnalyzePattern(m *Matrix, opt Options) (*Symbolic, error) {
 		return nil, fmt.Errorf("pselinv: %s: pattern must be structurally symmetric", m.Name())
 	}
 	perm := ordering.Compute(opt.Ordering, m.gen.A, m.gen.Geom)
-	an := etree.AnalyzeOrder(m.gen.A, perm,
-		etree.Options{Relax: opt.Relax, MaxWidth: opt.MaxWidth})
+	pattern := &sparse.CSC{N: m.N(), ColPtr: m.gen.A.ColPtr, RowIdx: m.gen.A.RowIdx} // all the analysis permutes
+	an := etree.AnalyzeOrder(pattern, perm, etree.Options{Relax: opt.Relax, MaxWidth: opt.MaxWidth})
 	sc, err := factor.NewScatter(m.gen.A, an.PermTotal, an.BP)
 	if err != nil {
 		return nil, fmt.Errorf("pselinv: %s: %w", m.Name(), err)
 	}
-	an.A = nil // values reach a factor through sc only: the permuted copy of the first matrix's is dead
+	an.A = nil // values reach a factor through sc only, and the block pattern holds the structure
 	return &Symbolic{
 		opt:     opt,
 		bal:     bal,

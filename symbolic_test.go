@@ -243,7 +243,7 @@ func TestShiftedSharesPattern(t *testing.T) {
 // map, which adds it — the factorization of the symmetric values stores the
 // lower half of the factor layout only, into the slab the previous op's
 // System.Release handed back, and the engine runs on the template's recycled
-// slot state and inbox rings (6.9 MB/op with a permutation per factorization
+// slot state and on inbox rings off simmpi's free list (6.9 MB/op with a permutation per factorization
 // and a deep-copying Shifted, 3.7 with the copy and rings grown per run, 2.7
 // without, 0.46–0.55 with the slab recycled, 0.32–0.41 since the dense arena
 // keeps its blocks across collections, 0.16–0.19 — with the race detector
