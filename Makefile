@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test tier1 bench bench-smoke bench-baseline \
 	bench-gate serve loadtest selftest vet race pipeline fuzz-smoke tcp-smoke \
-	tcp-obs balancer-smoke pexsi-batch tables width surface surface-gate fmt-check clean
+	tcp-obs balancer-smoke pexsi-batch tables width surface surface-gate fmt-check profile clean
 
 all: build test bench-smoke
 
@@ -210,6 +210,23 @@ bench-gate:
 		-benchtime 300ms ./internal/dense/ ./internal/factor/ ./internal/pexsi/ . | tee $(BENCH_OUT)
 	$(GO) run ./cmd/benchgate -baseline .github/bench-baseline.txt \
 		-new $(BENCH_OUT) -tolerance $(BENCH_TOLERANCE)
+
+# CPU and memory profiles of the cold upload and the warm refactorize loop
+# (root BenchmarkColdUpload and BenchmarkWarmRefactorizeND) under
+# .bench_build/profile/, then each profile's share in the dense arena's shared
+# free lists: the cumulative samples under a freeList frame, lock included.
+PROFILE_DIR = .bench_build/profile
+profile:
+	@mkdir -p $(PROFILE_DIR)
+	@for b in ColdUpload WarmRefactorizeND; do \
+		$(GO) test -run '^$$' -bench "^Benchmark$$b$$" -benchtime 3s -o $(PROFILE_DIR)/pselinv.test \
+			-cpuprofile $(PROFILE_DIR)/$$b.cpu.prof -memprofile $(PROFILE_DIR)/$$b.mem.prof . | grep '^Benchmark' || exit 1; \
+		for p in cpu mem; do \
+			printf '%s %s, dense free lists: ' $$b $$p; \
+			$(GO) tool pprof -top -focus 'dense\.\(\*freeList' $$([ $$p = mem ] && echo -sample_index=alloc_space) \
+				$(PROFILE_DIR)/$$b.$$p.prof 2>/dev/null | sed -n 's/^Showing nodes accounting for //p'; \
+		done; \
+	done
 
 # ---- Persistent service ----------------------------------------------------
 ADDR ?= :8723

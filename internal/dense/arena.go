@@ -16,7 +16,7 @@ import (
 const (
 	minBufClass      = 2        // smallest retained buffer: 4 float64s
 	maxBufClass      = 20       // largest retained buffer: 1M float64s (8 MiB)
-	maxRetainedBytes = 64 << 20 // all lists; a cold P = 16 grid op keeps ≈20 MB
+	maxRetainedBytes = 64 << 20 // lists and reservations; a cold P = 16 grid op keeps ≈20 MB
 	headerBytes      = int(unsafe.Sizeof(Matrix{}))
 )
 
@@ -39,19 +39,28 @@ func (l *freeList[T]) pop(size int) (x T) {
 }
 
 func (l *freeList[T]) push(x T, size int) {
-	if retained.Add(int64(size)) > maxRetainedBytes {
-		retained.Add(int64(-size))
-		return
+	if Reserve(size) {
+		l.Lock()
+		l.free = append(l.free, x)
+		l.Unlock()
 	}
-	l.Lock()
-	l.free = append(l.free, x)
-	l.Unlock()
+}
+
+// Reserve counts n bytes kept aside from the lists — an engine rank's cache
+// in front of them, between runs — against their budget, and reports whether
+// they fit; n that do not are not counted. Reserve(-n) returns them.
+func Reserve(n int) bool {
+	if retained.Add(int64(n)) > maxRetainedBytes && n > 0 {
+		retained.Add(int64(-n))
+		return false
+	}
+	return true
 }
 
 var (
 	bufs     [maxBufClass + 1]freeList[[]float64] // class c holds buffers of cap 1<<c
 	headers  freeList[*Matrix]
-	retained atomic.Int64 // bytes the lists hold or have reserved
+	retained atomic.Int64 // bytes the lists hold, and Reserve's
 )
 
 // GetBuf returns a length-n buffer with undefined contents from the arena.
@@ -103,10 +112,9 @@ func GetMatrixCopy(src *Matrix) *Matrix {
 // PutMatrix returns both the matrix storage and its header to the arena.
 // The matrix must not be used afterwards. nil is a no-op.
 func PutMatrix(m *Matrix) {
-	if m == nil {
-		return
+	if m != nil {
+		PutBuf(m.Data)
+		*m = Matrix{}
+		headers.push(m, headerBytes)
 	}
-	PutBuf(m.Data)
-	*m = Matrix{}
-	headers.push(m, headerBytes)
 }

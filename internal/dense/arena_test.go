@@ -111,3 +111,19 @@ func BenchmarkArenaParallel(b *testing.B) {
 		}
 	})
 }
+
+// TestReserveCountsAgainstBudget reserves bytes beside the lists, wants a
+// reservation past the budget refused and uncounted, and a release to return
+// the arena to where it was.
+func TestReserveCountsAgainstBudget(t *testing.T) {
+	before := retainedNow()
+	if !Reserve(1000) || retainedNow() != before+1000 {
+		t.Fatalf("a 1000-byte reservation: retained %d, want %d", retainedNow(), before+1000)
+	}
+	if Reserve(maxRetainedBytes) || retainedNow() != before+1000 {
+		t.Fatalf("a reservation past the budget was taken: retained %d", retainedNow())
+	}
+	if !Reserve(-1000) || retainedNow() != before {
+		t.Fatalf("after the release the arena retains %d, want %d", retainedNow(), before)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"math"
 	"math/cmplx"
 	"slices"
+	"strings"
 )
 
 // Matrix is a dense column-major matrix. Elem selects the element type:
@@ -259,19 +260,15 @@ func (a *Matrix) IsSymmetric(tol float64) bool {
 
 // String renders the matrix for debugging.
 func (a *Matrix) String() string {
-	s := fmt.Sprintf("%dx%d[", a.Rows, a.Cols)
-	for i := 0; i < a.Rows; i++ {
-		if i > 0 {
-			s += "; "
+	rows := make([]string, a.Rows)
+	for i := range rows {
+		row := make([]string, a.Cols)
+		for j := range row {
+			row[j] = fmt.Sprintf("%.4g", a.At(i, j))
 		}
-		for j := 0; j < a.Cols; j++ {
-			if j > 0 {
-				s += " "
-			}
-			s += fmt.Sprintf("%.4g", a.At(i, j))
-		}
+		rows[i] = strings.Join(row, " ")
 	}
-	return s + "]"
+	return fmt.Sprintf("%dx%d[%s]", a.Rows, a.Cols, strings.Join(rows, "; "))
 }
 
 // GemmFlops returns the floating-point operation count of a GEMM with the

@@ -27,11 +27,8 @@ func (e Elem) Width() int {
 }
 
 func (e Elem) String() string {
-	switch e {
-	case Real:
-		return "real"
-	case Complex:
-		return "complex"
+	if e <= Complex {
+		return [...]string{"real", "complex"}[e]
 	}
 	return fmt.Sprintf("Elem(%d)", uint8(e))
 }

@@ -10,6 +10,4 @@ func microKernel(kc int, alpha float64, a []float64, as int, b []float64, bk, bj
 	microKernelGo(kc, alpha, a, as, b, bk, bj, c, ldc)
 }
 
-func pack1M(n int, src []float64, ld int, dst []float64) {
-	pack1MGo(n, src, ld, dst)
-}
+func pack1M(n int, src []float64, ld int, dst []float64) { pack1MGo(n, src, ld, dst) }

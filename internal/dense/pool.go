@@ -20,9 +20,7 @@ type workerPool struct {
 
 var kernelPool atomic.Pointer[workerPool]
 
-func init() {
-	SetWorkers(0)
-}
+func init() { SetWorkers(0) }
 
 // SetWorkers sets the worker-pool degree and returns the value in effect;
 // n <= 0 resets it to runtime.GOMAXPROCS(0). Safe to call concurrently with

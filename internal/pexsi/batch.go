@@ -2,10 +2,10 @@
 // selected inversions that differ only in the complex shift zₗ, so almost
 // everything is shareable. Like the other drivers RunBatch analyzes once
 // and rebinds one engine template per pole; what it adds is the pipeline —
-// pole l+1 is factorized while pole l is inverted — over three LUs: an
+// pole l+1 is factorized while pole l is inverted — over two LUs: an
 // inverted pole's goes back to the producer, which refactorizes a later pole
 // into it, so from then on a pole allocates only what its inversion does
-// (the engine's per-run state: block maps and matrix headers).
+// (the run's world and result; the engine's rank states are recycled).
 package pexsi
 
 import (
@@ -43,9 +43,9 @@ type BatchPoleStats struct {
 	FactorElapsed time.Duration
 	InvertElapsed time.Duration
 	// AllocBytes is the heap allocated while this pole was being inverted
-	// (including the overlapped factorization of a successor: one of the
-	// batch's three LUs for the first poles — the lower half of the factor
-	// layout when H is symmetric — nothing afterwards, the property the batch
+	// (including the overlapped factorization of a successor: the batch's
+	// second LU for the first poles — the lower half of the factor layout
+	// when H is symmetric — nothing afterwards, the property the batch
 	// allocation test pins).
 	AllocBytes uint64
 }
@@ -66,6 +66,8 @@ type facJob struct {
 	elapsed time.Duration
 	err     error
 }
+
+var newLU = factor.New // makes the batch's LUs; a test counts its calls
 
 // RunBatch evaluates the truncated Fermi-operator expansion for all poles
 // through one shared engine template. The per-pole results are exactly
@@ -102,7 +104,7 @@ func RunBatch(h *sparse.Generated, cfg BatchConfig) (*BatchResult, error) {
 			select {
 			case lu = <-spent:
 			default:
-				lu = factor.New(s.an.BP, dense.Complex)
+				lu = newLU(s.an.BP, dense.Complex)
 			}
 			err := lu.Refactorize(s.h, 0, s.sc, p.Z)
 			j := facJob{l: l, lu: lu, elapsed: time.Since(t0), err: err}

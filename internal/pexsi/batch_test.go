@@ -4,10 +4,14 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"pselinv/internal/core"
+	"pselinv/internal/dense"
+	"pselinv/internal/etree"
+	"pselinv/internal/factor"
 	"pselinv/internal/sparse"
 )
 
@@ -193,6 +197,26 @@ func TestBatchAllocFlat(t *testing.T) {
 	}
 	if min > 40<<10 {
 		t.Errorf("steady-state minimum %.3f MB/pole exceeds the 0.041 MB budget — recycling broke", float64(min)/1e6)
+	}
+}
+
+// TestBatchMakesTwoLUs holds RunBatch to the two factorizations its pipeline
+// needs — one inverted while the next is factorized — by counting its calls of
+// factor.New over eight poles. A job queue with a slot lets the producer run a
+// pole further ahead, and it makes a third.
+func TestBatchMakesTwoLUs(t *testing.T) {
+	var made atomic.Int32
+	defer func(f func(*etree.BlockPattern, dense.Elem) *factor.LU) { newLU = f }(newLU)
+	newLU = func(bp *etree.BlockPattern, elem dense.Elem) *factor.LU {
+		made.Add(1)
+		return factor.New(bp, elem)
+	}
+	poles := mustPoles(t, 8, 2.0, 50.0)
+	if _, err := RunBatch(sparse.RandomSym(400, 4, 3), BatchConfig{Poles: poles, Relax: 4, MaxWidth: 24}); err != nil {
+		t.Fatal(err)
+	}
+	if n := made.Load(); n != 2 {
+		t.Fatalf("a batch of %d poles made %d LUs, want 2", len(poles), n)
 	}
 }
 

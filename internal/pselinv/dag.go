@@ -13,9 +13,10 @@
 package pselinv
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"time"
 
 	"pselinv/internal/dense"
@@ -39,34 +40,19 @@ type dagTask struct {
 	run func() // the worker-side half, built once per object (newTask)
 }
 
-// taskHeap is a max-heap on (prio, -seq).
-type taskHeap []*dagTask
-
-func (h taskHeap) Len() int { return len(h) }
-func (h taskHeap) Less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
-	}
-	return h[i].seq < h[j].seq
-}
-func (h taskHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)   { *h = append(*h, x.(*dagTask)) }
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+// runsAfter orders the ready tasks: a before b when a is dispatched later,
+// lower critical-path height first and later submission breaking ties.
+func runsAfter(a, b *dagTask) int {
+	return cmp.Or(cmp.Compare(a.prio, b.prio), cmp.Compare(b.seq, a.seq))
 }
 
 // dagSched drives one rank's task DAG. All methods run on the rank
 // goroutine; only a task's run closure — its compute half — executes
 // elsewhere. It stays with the rank's state from run to run, and its task
-// objects and heap storage with it.
+// objects and ready queue with it.
 type dagSched struct {
 	st       *rankState
-	ready    taskHeap
+	ready    []*dagTask // by runsAfter: the next to dispatch last
 	free     []*dagTask // finished task objects, reused by submit
 	comp     chan *dagTask
 	inflight int
@@ -98,10 +84,9 @@ func (s *dagSched) submit(t task) {
 	dt.task, dt.prio, dt.seq = t, s.st.e.tmpl.heights[t.k], s.seq
 	s.seq++
 	s.stats.Tasks++
-	heap.Push(&s.ready, dt)
-	if w := len(s.ready) + s.inflight; w > s.stats.MaxWidth {
-		s.stats.MaxWidth = w
-	}
+	i, _ := slices.BinarySearchFunc(s.ready, dt, runsAfter)
+	s.ready = slices.Insert(s.ready, i, dt)
+	s.stats.MaxWidth = max(s.stats.MaxWidth, len(s.ready)+s.inflight)
 	s.dispatch()
 }
 
@@ -109,15 +94,13 @@ func (s *dagSched) submit(t task) {
 // until the pool refuses a slot.
 func (s *dagSched) dispatch() {
 	for len(s.ready) > 0 {
-		if !dense.TrySubmit(s.ready[0].run) {
+		if !dense.TrySubmit(s.ready[len(s.ready)-1].run) {
 			return
 		}
-		heap.Pop(&s.ready)
+		pop(&s.ready)
 		s.inflight++
 		s.stats.Offloaded++
-		if s.inflight > s.stats.MaxInflight {
-			s.stats.MaxInflight = s.inflight
-		}
+		s.stats.MaxInflight = max(s.stats.MaxInflight, s.inflight)
 	}
 }
 
@@ -125,9 +108,7 @@ func (s *dagSched) dispatch() {
 // worker closure: run the compute half, capture any panic, and hand the task
 // back on the completion channel.
 func (s *dagSched) newTask() *dagTask {
-	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
-		s.free = s.free[:n-1]
+	if t := pop(&s.free); t != nil {
 		return t
 	}
 	t := &dagTask{}
@@ -226,7 +207,7 @@ func (s *dagSched) loop(n int) {
 			s.complete(<-s.comp)
 		case len(s.ready) > 0:
 			// Pool saturated and nothing else to do: help out.
-			s.runInline(heap.Pop(&s.ready).(*dagTask))
+			s.runInline(pop(&s.ready))
 		default:
 			st.handle(st.recv())
 			got++

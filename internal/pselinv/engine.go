@@ -15,19 +15,21 @@
 //
 // Nothing is looked up by name during a run: core.Compile numbers what a rank
 // touches into dense slots (its core.Program), and the run state is flat arrays
-// over them, kept on the template and recycled across runs (DESIGN.md §5p).
+// over them, recycled process-wide across runs and templates (DESIGN.md §5p).
 package pselinv
 
 import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime/pprof"
 	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"pselinv/internal/blockmat"
 	"pselinv/internal/core"
@@ -38,15 +40,88 @@ import (
 )
 
 // template is what NewEngine derives from the plan and Rebind shares: the
-// compiled programs (core.Compile) and the run states of finished runs.
+// compiled programs (core.Compile).
 type template struct {
 	programs []*core.Program
 	heights  []int // elimination-tree height per supernode: the DAG dispatch priority
-	mu       sync.Mutex
-	idle     [][]*rankState // cleared state sets of successful runs, at most maxIdleStates
 }
 
-const maxIdleStates = 4
+// states lists the rank states successful runs hand back (recycle), for the
+// next run of any template: a mutex-guarded stack, as simmpi's inbox rings, so
+// a world the size of the last one takes its states rank for rank. A listed
+// state counts against the dense arena's budget (cache.park) or is dropped.
+var states struct {
+	sync.Mutex
+	free []*rankState
+}
+
+// cache is a rank's unsynchronized front to the dense arena, kept with its
+// state: stacks of buffers by the arena's size classes and of matrix headers.
+// A miss takes from the shared lists; what is put back stays until park.
+type cache struct {
+	free    [21][][]float64 // class k: buffers of cap 1<<k, as dense.GetBuf makes
+	low     [21]int         // each class's least depth since the last park
+	headers []*dense.Matrix
+	held    int // bytes park reserved
+	trips   int // misses and spills: trips to the shared lists
+}
+
+func (c *cache) getBuf(n int) []float64 {
+	if k := bits.Len(uint(max(n, 4) - 1)); k < len(c.free) && len(c.free[k]) > 0 {
+		c.low[k] = min(c.low[k], len(c.free[k])-1)
+		return pop(&c.free[k])[:n]
+	}
+	c.trips++
+	return dense.GetBuf(n)
+}
+
+func (c *cache) putBuf(s []float64) {
+	if k := bits.Len(uint(cap(s))) - 1; k >= 2 && k < len(c.free) && cap(s) == 1<<k {
+		c.free[k] = append(c.free[k], s[:cap(s)])
+	}
+}
+
+// getMatrix is dense.GetMatrixUninitElem through the cache.
+func (c *cache) getMatrix(rows, cols int, elem dense.Elem) *dense.Matrix {
+	if m := pop(&c.headers); m != nil {
+		*m = dense.Matrix{Rows: rows, Cols: cols, Elem: elem, Data: c.getBuf(rows * cols * elem.Width())}
+		return m
+	}
+	c.trips++
+	return dense.GetMatrixUninitElem(rows, cols, elem)
+}
+
+// putMatrix keeps m's header and buffer; nil is a no-op.
+func (c *cache) putMatrix(m *dense.Matrix) {
+	if m != nil {
+		c.putBuf(m.Data)
+		*m, c.headers = dense.Matrix{}, append(c.headers, m)
+	}
+}
+
+// park spills to the shared lists each class's buffers not taken since the last
+// park — what the rank received beyond its needs — and reserves the rest, with
+// extra bytes, against the arena's budget (dense.Reserve); false if they do not fit.
+func (c *cache) park(extra int) bool {
+	c.held = extra + len(c.headers)*int(unsafe.Sizeof(dense.Matrix{}))
+	for k := range c.free {
+		for c.trips += c.low[k]; c.low[k] > 0; c.low[k]-- {
+			dense.PutBuf(pop(&c.free[k]))
+		}
+		c.low[k] = len(c.free[k])
+		c.held += c.low[k] * 8 << k
+	}
+	return dense.Reserve(c.held)
+}
+
+// pop takes the top of a stack, the zero value when it is empty.
+func pop[T any](s *[]T) (x T) {
+	if n := len(*s); n > 0 {
+		var zero T
+		x, (*s)[n-1], *s = (*s)[n-1], zero, (*s)[:n-1]
+	}
+	return x
+}
 
 // Engine executes parallel selected inversion for one (plan, factorization)
 // pair. It is safe to Run multiple times, also concurrently: each run has its
@@ -54,7 +129,7 @@ const maxIdleStates = 4
 type Engine struct {
 	Plan *core.Plan
 	LU   *factor.LU
-	tmpl *template // immutable apart from its free list; shared by Rebind
+	tmpl *template // immutable; shared by Rebind
 	// Obs, when non-nil, observes the run: it is installed on the run's
 	// world for per-message telemetry, the rank goroutines append their
 	// spans to it, and the result carries one snapshot per local rank. Its
@@ -75,15 +150,12 @@ func NewEngine(plan *core.Plan, lu *factor.LU) *Engine {
 }
 
 // Rebind returns a copy of the engine bound to a different numeric
-// factorization. The template — the programs, the expensive part of NewEngine,
-// and the run states they lay out — is shared with the receiver; the programs
-// are immutable and every run takes its own state, so rebound engines may run
+// factorization, sharing the template — the immutable programs, the expensive
+// part of NewEngine; every run takes its own states, so rebound engines may run
 // concurrently. This is the warm path of a plan cache: same sparsity pattern,
-// new values. Obs and DAG are reset on the copy so per-run
-// instrumentation and execution modes never leak between requests.
-func (e *Engine) Rebind(lu *factor.LU) *Engine {
-	return &Engine{Plan: e.Plan, LU: lu, tmpl: e.tmpl}
-}
+// new values. Obs and DAG are reset on the copy so per-run instrumentation and
+// execution modes never leak between requests.
+func (e *Engine) Rebind(lu *factor.LU) *Engine { return &Engine{Plan: e.Plan, LU: lu, tmpl: e.tmpl} }
 
 // RunResult carries the outcome of a distributed run.
 type RunResult struct {
@@ -108,11 +180,10 @@ type RunResult struct {
 // Release returns the gathered A⁻¹ blocks to the dense kernel arena. The
 // Ainv field (and any matrix obtained from it) must not be used afterwards.
 func (rr *RunResult) Release() {
-	if rr.Ainv == nil {
-		return
+	if rr.Ainv != nil {
+		rr.Ainv.Release()
+		rr.Ainv = nil
 	}
-	rr.Ainv.Release()
-	rr.Ainv = nil
 }
 
 // Run executes the two passes on a fresh in-process world and gathers the
@@ -150,10 +221,10 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 	if e.Obs != nil {
 		world.SetObserver(e.Obs)
 	}
-	// The state goes back to the template, and an in-process world's inbox
-	// rings to simmpi's free list, only after a successful gather: a failed or
-	// timed-out run leaves anything in them, its ranks maybe running.
-	states := e.tmpl.takeStates()
+	// The states go back on their free list, and an in-process world's inbox
+	// rings on simmpi's, only after a successful gather: a failed or timed-out
+	// run leaves anything in them, its ranks maybe running.
+	set := popStates(world)
 	scheme := e.Plan.Scheme.String()
 	// A malformed message fails the run with the detecting rank's
 	// messageError: that rank closes the world, which unblocks its peers,
@@ -174,7 +245,7 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 		// attribute samples to simulated ranks and tree schemes.
 		labels := pprof.Labels("pselinv_rank", strconv.Itoa(r.ID), "pselinv_scheme", scheme)
 		pprof.Do(context.Background(), labels, func(context.Context) {
-			st := e.bind(states, r)
+			st := e.bind(set, r)
 			st.runPass1()
 			// A refusing rank's Close ends the barrier early: peers may still read pass-1 payloads.
 			if r.Barrier(); bad.Load() == nil {
@@ -191,13 +262,11 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 		// goroutines the report is about.
 		return nil, fmt.Errorf("%w\n%s", err, e.postMortem(world, te))
 	}
+	if err == nil && world.AllLocal() {
+		err = world.CheckConservation()
+	}
 	if err != nil {
 		return nil, err
-	}
-	if world.AllLocal() {
-		if cerr := world.CheckConservation(); cerr != nil {
-			return nil, cerr
-		}
 	}
 	res := &RunResult{Ainv: blockmat.New(e.Plan.BP), World: world, Elapsed: elapsed}
 	var loads []core.RankLoad
@@ -205,7 +274,7 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 		loads = e.Plan.RankLoads()
 	}
 	for _, r := range world.LocalRanks() {
-		st := states[r]
+		st := set[r]
 		for v, m := range st.ainv {
 			i, j := e.Plan.BP.Block(int(st.prog.Ainv[v]))
 			res.Ainv.Set(i, j, m)
@@ -224,29 +293,27 @@ func (e *Engine) RunWorld(world *simmpi.World, timeout time.Duration) (*RunResul
 			}
 			res.Snapshots = append(res.Snapshots, snap)
 		}
-		st.clear()
+		st.recycle()
 	}
 	if tr, ok := world.Transport().(interface{ ReclaimRings() }); ok { // simmpi.InProc, or a transport wrapping one
 		tr.ReclaimRings()
 	}
-	e.tmpl.mu.Lock()
-	if len(e.tmpl.idle) < maxIdleStates {
-		e.tmpl.idle = append(e.tmpl.idle, states)
-	}
-	e.tmpl.mu.Unlock()
 	return res, nil
 }
 
-// takeStates returns a cleared state set off the template's free list, or an
-// empty one: each rank's state is laid out by the first run that needs it.
-func (tm *template) takeStates() (set []*rankState) {
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	if n := len(tm.idle); n > 0 {
-		set, tm.idle = tm.idle[n-1], tm.idle[:n-1]
-		return set
+// popStates returns a state per local rank of world, off the free list while
+// it has any, by rank in a set of the world's size.
+func popStates(world *simmpi.World) []*rankState {
+	set, ranks := make([]*rankState, world.P), world.LocalRanks()
+	states.Lock()
+	defer states.Unlock()
+	for i := len(ranks) - 1; i >= 0; i-- { // the top state to the highest rank: see states
+		if set[ranks[i]] = pop(&states.free); set[ranks[i]] == nil {
+			set[ranks[i]] = new(rankState)
+		}
+		dense.Reserve(-set[ranks[i]].cache.held)
 	}
-	return make([]*rankState, len(tm.programs))
+	return set
 }
 
 // redState tracks one reduction at one rank. Every participant folds the same
@@ -301,12 +368,11 @@ func (st *rankState) fold(red *redState, pos int32, data []float64) {
 	n := red.n()
 	if pos != red.next {
 		if red.parts == nil {
-			if k := len(st.spare); k > 0 {
-				red.parts, st.spare = st.spare[k-1], st.spare[:k-1]
-			} else {
-				red.parts = new([][]float64)
+			if red.parts = pop(&st.spare); red.parts == nil {
+				parts := make([][]float64, st.maxFold)
+				red.parts = &parts
 			}
-			*red.parts = slices.Grow((*red.parts)[:0], int(n))[:n] // entries past any earlier length are nil too
+			*red.parts = (*red.parts)[:n] // all nil: see rankState.spare
 		}
 		(*red.parts)[pos] = data
 		return
@@ -316,7 +382,7 @@ func (st *rankState) fold(red *redState, pos int32, data []float64) {
 			for i, v := range data {
 				red.sum.Data[i] += v
 			}
-			dense.PutBuf(data)
+			st.cache.putBuf(data)
 		}
 		red.next++
 		if red.parts == nil || red.next == n || (*red.parts)[red.next] == nil {
@@ -326,13 +392,15 @@ func (st *rankState) fold(red *redState, pos int32, data []float64) {
 	}
 }
 
-// localOut returns the matrix the local contribution at fold position pos
-// accumulates into: sum for the lowest slot, a zeroed scratch otherwise.
-func (red *redState) localOut(pos int32) *dense.Matrix {
+// localOut returns the matrix the local contribution to red at fold position
+// pos accumulates into: sum for the lowest slot, a zeroed scratch otherwise.
+func (st *rankState) localOut(red *redState, pos int32) *dense.Matrix {
 	if pos == 0 {
 		return red.sum
 	}
-	return dense.GetMatrixElem(red.sum.Rows, red.sum.Cols, red.sum.Elem)
+	out := st.cache.getMatrix(red.sum.Rows, red.sum.Cols, st.elem)
+	out.Zero()
+	return out
 }
 
 // localDone folds a finished local contribution written into out (obtained
@@ -347,7 +415,7 @@ func (st *rankState) localDone(red *redState, pos int32, out *dense.Matrix) {
 	}
 	data := out.Data[:st.redWords(red)]
 	out.Data = nil
-	dense.PutMatrix(out) // the header only; fold recycles the buffer
+	st.cache.putMatrix(out) // the header only; fold recycles the buffer
 	st.fold(red, pos, data)
 }
 
@@ -430,13 +498,15 @@ type sideState struct {
 	taskDone []bool
 }
 
-// rankState is the mutable per-rank runtime state: laid out once per
-// template from the rank's program, bound to a run by Engine.bind, and
-// cleared for the next run after a successful gather.
+// rankState is the mutable per-rank runtime state: laid out for the rank's
+// program by Engine.bind, listed after a successful gather (recycle) for the
+// next run of any template. Every arena get and put of the engine goes through
+// its cache, on the rank goroutine or after the run.
 type rankState struct {
-	e    *Engine // e.tmpl is the template the state was laid out for
-	r    *simmpi.Rank
-	prog *core.Program
+	e     *Engine
+	r     *simmpi.Rank
+	prog  *core.Program
+	cache cache
 
 	side [2]sideState
 	ainv []*dense.Matrix // finalized owned A⁻¹ blocks, nil until final
@@ -445,7 +515,7 @@ type rankState struct {
 
 	// sched, non-nil iff Engine.DAG, detours TRSM/GEMM-sized compute
 	// through the worker-pool task scheduler (see dag.go); dag keeps the
-	// scheduler, with its task free list and heap, for the next DAG run.
+	// scheduler, with its task free list and ready queue, for the next DAG run.
 	sched, dag *dagSched
 
 	// elem caches the factorization's element type: every payload and
@@ -453,44 +523,49 @@ type rankState struct {
 	elem dense.Elem
 
 	// spare holds the fold-position slices of completed reductions, for the
-	// next reduction whose contributions arrive out of turn (redState.parts).
-	spare []*[][]float64
+	// next reduction whose contributions arrive out of turn (redState.parts):
+	// all nil, at the largest fold count of the programs the state served.
+	spare   []*[][]float64
+	maxFold int32
 }
 
-// bind binds rank r's state in the set to this run, laying it out when no
-// earlier run has: slices sized exactly by what the rank touches.
-func (e *Engine) bind(states []*rankState, r *simmpi.Rank) *rankState {
-	st := states[r.ID]
-	if st == nil {
-		prog := e.tmpl.programs[r.ID]
-		st = &rankState{prog: prog, ainv: make([]*dense.Matrix, len(prog.Ainv)),
-			red: make([]redState, len(prog.Reds))}
-		for x := range st.red {
-			st.red[x] = redState{CollRole: &prog.Reds[x]}
+// bind lays rank r's state out for this run: its arrays sized exactly by what
+// the rank's program touches, on whatever capacity the state's last runs left
+// (zero to the end: see recycle), and its roles on the program's reductions.
+func (e *Engine) bind(set []*rankState, r *simmpi.Rank) *rankState {
+	st, prog := set[r.ID], e.tmpl.programs[r.ID]
+	st.e, st.r, st.prog, st.elem, st.sched = e, r, prog, e.LU.Elem, nil
+	st.ainv, st.red = fit(st.ainv, len(prog.Ainv)), fit(st.red, len(prog.Reds))
+	for x := range st.red {
+		st.red[x].CollRole = &prog.Reds[x]
+		if n := st.red[x].n(); n > st.maxFold {
+			st.maxFold, st.spare = n, nil // spares shorter than n are dropped
 		}
-		for s, ps := range prog.Side {
-			st.side[s] = sideState{hat: make([]*dense.Matrix, len(ps.Cross)),
-				bcast: make([]dense.Matrix, len(ps.Bcasts)), taskDone: make([]bool, len(ps.Tasks))}
-		}
-		states[r.ID] = st
 	}
-	st.e, st.r, st.elem, st.sched = e, r, e.LU.Elem, nil
+	for s, ps := range prog.Side {
+		ss := &st.side[s]
+		ss.hat, ss.bcast, ss.taskDone = fit(ss.hat, len(ps.Cross)), fit(ss.bcast, len(ps.Bcasts)), fit(ss.taskDone, len(ps.Tasks))
+	}
 	if e.DAG {
 		st.sched = st.dagSched()
 	}
 	return st
 }
 
-// clear makes the state of a successful run ready for the next one. The L̂/Û
-// copies of pass 1 go back to the kernel arena — only now that every rank has
+// fit returns s at length n, on its own array when that holds n.
+func fit[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// recycle clears the state of a successful run and lists it (states): every
+// array zero to its end, and no pointer into the run's template or plan. The
+// L̂/Û copies of pass 1 go back to the cache — only now that every rank has
 // finished: the broadcast headers of other ranks alias them zero-copy (and
 // are dropped, not released). The A⁻¹ blocks belong to the RunResult; every
 // reduction has completed, so its sum has moved on and its parts are spare.
-func (st *rankState) clear() {
+func (st *rankState) recycle() {
 	for s := range st.side {
 		ss := &st.side[s]
 		for _, m := range ss.hat {
-			dense.PutMatrix(m)
+			st.cache.putMatrix(m)
 		}
 		clear(ss.hat)
 		clear(ss.bcast)
@@ -498,13 +573,21 @@ func (st *rankState) clear() {
 	}
 	clear(st.ainv)
 	for _, b := range st.bufs {
-		dense.PutBuf(b)
+		st.cache.putBuf(b)
 	}
+	clear(st.bufs)
 	st.bufs = st.bufs[:0]
-	for x := range st.red {
-		st.red[x].next = 0
+	clear(st.red)
+	st.e, st.r, st.prog = nil, nil, nil
+	n := int(unsafe.Sizeof(*st)) + int(unsafe.Sizeof(redState{}))*cap(st.red) + 8*cap(st.ainv) + 24*int(st.maxFold)*len(st.spare)
+	for _, ss := range st.side { // what the listed state keeps beside its cache
+		n += 8*cap(ss.hat) + int(unsafe.Sizeof(dense.Matrix{}))*cap(ss.bcast) + cap(ss.taskDone)
 	}
-	st.e, st.r = nil, nil
+	if st.cache.park(n) {
+		states.Lock()
+		states.free = append(states.free, st)
+		states.Unlock()
+	}
 }
 
 func (st *rankState) width(k int) int { return st.e.Plan.BP.Part.Width(k) }
@@ -613,9 +696,7 @@ func (st *rankState) finish(t *task) {
 		st.localDone(t.red, t.pos, t.out)
 		st.maybeComplete(t.red)
 	case kDiagInverse:
-		if t.a != nil {
-			dense.PutMatrix(t.a)
-		}
+		st.cache.putMatrix(t.a) // nil is a no-op
 		st.finalize(st.prog.AinvSlot[core.Lower][st.prog.First[t.k]], t.out)
 	}
 }
@@ -670,7 +751,7 @@ func (st *rankState) runPass1() {
 		for _, s := range st.e.Plan.Sides() {
 			payload := dk.Data
 			if st.e.Plan.Symmetric {
-				payload = dense.GetBuf(dense.PackedLen(dk.Rows) * dk.Width())
+				payload = st.cache.getBuf(dense.PackedLen(dk.Rows) * dk.Width())
 				dense.PackLower(dk, payload)
 				st.side[s].bcast[st.prog.Side[s].Roles[st.prog.Snode[k]].Diag].Data = payload
 			}
@@ -691,7 +772,7 @@ func (st *rankState) diagArrived(s core.Side, k int, payload []float64, dk *dens
 	if dk == nil && ro.Own > 0 {
 		w, slot := st.width(k), &st.side[s].bcast[ro.Diag]
 		if st.e.Plan.Symmetric {
-			*slot = dense.Matrix{Rows: w, Cols: w, Elem: st.elem, Data: dense.GetBuf(w * w * st.elem.Width())}
+			*slot = dense.Matrix{Rows: w, Cols: w, Elem: st.elem, Data: st.cache.getBuf(w * w * st.elem.Width())}
 			dense.UnpackLower(payload, slot)
 		} else {
 			*slot = st.block(w, w, payload)
@@ -702,9 +783,10 @@ func (st *rankState) diagArrived(s core.Side, k int, payload []float64, dk *dens
 		i := ps.Cross[h].Blk
 		var x *dense.Matrix
 		if s == core.Upper {
-			x = st.e.LU.UCopy(k, i) // formed from L_{I,K} when the values are symmetric
+			x = st.e.LU.UCopy(k, i) // formed from L_{I,K} when the values are symmetric; a shared-list trip
 		} else if fb, ok := st.e.LU.LBlock(i, k); ok {
-			x = dense.GetMatrixCopy(fb)
+			x = st.cache.getMatrix(fb.Rows, fb.Cols, fb.Elem)
+			copy(x.Data, fb.Data)
 		}
 		if x == nil {
 			panic(fmt.Sprintf("pselinv: plan references missing factor block (%d,%d) of side %d", i, k, s))
@@ -750,11 +832,11 @@ func (st *rankState) collSpanEnd(cr *core.CollRole, t0 time.Time) {
 func (st *rankState) runPass2() {
 	for _, ro := range st.prog.Side[core.Lower].Roles {
 		if ro.Diag >= 0 && st.e.Plan.Symmetric {
-			dense.PutBuf(st.side[core.Lower].bcast[ro.Diag].Data)
+			st.cache.putBuf(st.side[core.Lower].bcast[ro.Diag].Data)
 		}
 	}
 	for _, k := range st.prog.LeafDiags {
-		inv := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
+		inv := st.cache.getMatrix(st.width(k), st.width(k), st.elem)
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, out: inv})
 	}
 	for _, s := range st.e.Plan.Sides() {
@@ -769,7 +851,7 @@ func (st *rankState) runPass2() {
 				for _, b := range po.Blks {
 					n += len(hat[pos(b)].Data)
 				}
-				data = dense.GetBuf(n)[:0]
+				data = st.cache.getBuf(n)[:0]
 				for _, b := range po.Blks {
 					data = append(data, hat[pos(b)].Data...)
 				}
@@ -838,7 +920,7 @@ func (st *rankState) handle(msg simmpi.Message) {
 			st.refuse(msg, "second payload into a final A⁻¹ block")
 		}
 		low := st.block(st.width(blk), w, msg.Data)
-		up := dense.GetMatrixUninitElem(low.Cols, low.Rows, low.Elem)
+		up := st.cache.getMatrix(low.Cols, low.Rows, low.Elem)
 		low.TransposeInto(up)
 		st.finalize(v, up)
 	}
@@ -877,7 +959,7 @@ func (st *rankState) tryRun(s core.Side, ti int32) {
 	}
 	red, pos := st.reduction(t.Red), t.Pos
 	st.exec(task{kernel: kGemm, side: s, span: sideNames[s].gemm, k: int(t.K), i: int(t.I), j: int(t.J),
-		a: a, b: b, out: red.localOut(pos), red: red, pos: pos})
+		a: a, b: b, out: st.localOut(red, pos), red: red, pos: pos})
 }
 
 // tryDiagContrib fires the diagonal contribution Û_{K,J}·A⁻¹_{J,K} of the
@@ -899,7 +981,7 @@ func (st *rankState) tryDiagContrib(h int32) {
 	}
 	red, pos := st.reduction(c.Red), c.Pos
 	st.exec(task{kernel: kGemm, ta: ta, side: core.Upper, span: "gemm", k: int(c.K), i: int(c.I), j: int(c.J),
-		a: u, b: av, out: red.localOut(pos), red: red, pos: pos})
+		a: u, b: av, out: st.localOut(red, pos), red: red, pos: pos})
 }
 
 // reduction returns this rank's state of the reduction in slot v, giving it
@@ -908,7 +990,8 @@ func (st *rankState) reduction(v int32) *redState {
 	red := &st.red[v]
 	if red.sum == nil && red.next != redDone { // Diag-Reduce has Blk = K
 		rows, cols := wire[red.Op.Kind].side.Block(st.width(red.Op.Blk), st.width(red.Op.K))
-		red.sum = dense.GetMatrixElem(rows, cols, st.elem)
+		red.sum = st.cache.getMatrix(rows, cols, st.elem)
+		red.sum.Zero()
 	}
 	return red
 }
@@ -930,7 +1013,7 @@ func (st *rankState) maybeComplete(red *redState) {
 		// The buffer travels up the tree; the parent recycles it.
 		data := m.Data[:words]
 		m.Data = nil
-		dense.PutMatrix(m) // the header only
+		st.cache.putMatrix(m) // the header only
 		st.r.Send(int(red.Parent), core.OpKey(op.Kind, k, op.Blk), wire[op.Kind].class, data)
 		st.collSpanEnd(red.CollRole, t0)
 		return
@@ -942,7 +1025,7 @@ func (st *rankState) maybeComplete(red *redState) {
 			dense.UnpackLower(m.Data[:words], m)
 			dense.MirrorLower(m)
 		}
-		diag := dense.GetMatrixUninitElem(st.width(k), st.width(k), st.elem)
+		diag := st.cache.getMatrix(st.width(k), st.width(k), st.elem)
 		st.exec(task{kernel: kDiagInverse, span: "diag-inverse", k: k, a: m, out: diag})
 		return
 	}

@@ -57,7 +57,7 @@ func TestEngineBodyRunConserved(t *testing.T) {
 	plan := core.NewPlan(an.BP, procgrid.New(3, 3), core.ShiftedBinaryTree, 5)
 	eng := NewEngine(plan, lu)
 	w := simmpi.NewWorld(plan.Grid.Size())
-	states := eng.tmpl.takeStates()
+	states := popStates(w)
 	simmpi.RunConserved(t, w, testTimeout, func(r *simmpi.Rank) {
 		st := eng.bind(states, r)
 		st.runPass1()
@@ -68,7 +68,7 @@ func TestEngineBodyRunConserved(t *testing.T) {
 		for _, m := range st.ainv {
 			dense.PutMatrix(m)
 		}
-		st.clear()
+		st.recycle()
 	}
 }
 

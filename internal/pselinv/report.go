@@ -1,8 +1,10 @@
 package pselinv
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"pselinv/internal/core"
@@ -84,14 +86,11 @@ func (d *deadlock) String() string {
 	for r, s := range d.states {
 		byState[s] = append(byState[s], r)
 	}
-	states := make([]simmpi.RankState, 0, len(byState))
-	for s := range byState {
-		states = append(states, s)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i] < states[j] })
 	b.WriteString("rank states:\n")
-	for _, s := range states {
-		fmt.Fprintf(&b, "  %-12s %v\n", s, condense(byState[s]))
+	for s := simmpi.StateIdle; s <= simmpi.StatePanicked; s++ {
+		if ranks := byState[s]; ranks != nil {
+			fmt.Fprintf(&b, "  %-12s %v\n", s, condense(ranks))
+		}
 	}
 
 	if len(d.pending) > 0 {
@@ -107,12 +106,7 @@ func (d *deadlock) String() string {
 		for kk := range counts {
 			keys = append(keys, kk)
 		}
-		sort.Slice(keys, func(i, j int) bool {
-			if keys[i].class != keys[j].class {
-				return keys[i].class < keys[j].class
-			}
-			return keys[i].kind < keys[j].kind
-		})
+		slices.SortFunc(keys, func(a, b key) int { return cmp.Or(cmp.Compare(a.class, b.class), cmp.Compare(a.kind, b.kind)) })
 		b.WriteString("in flight by class/op:\n")
 		for _, kk := range keys {
 			fmt.Fprintf(&b, "  %-12v %-12v %d\n", kk.class, kk.kind, counts[kk])
@@ -144,29 +138,18 @@ func (d *deadlock) String() string {
 
 // condense renders a sorted rank list as compact ranges: [0-3 7 9-12].
 func condense(ranks []int) string {
-	if len(ranks) == 0 {
-		return "[]"
-	}
-	sort.Ints(ranks)
-	var b strings.Builder
-	b.WriteByte('[')
-	for i := 0; i < len(ranks); {
+	slices.Sort(ranks)
+	var parts []string
+	for i := 0; i < len(ranks); i++ {
 		j := i
 		for j+1 < len(ranks) && ranks[j+1] == ranks[j]+1 {
 			j++
 		}
-		if i > 0 {
-			b.WriteByte(' ')
-		}
 		if j > i+1 {
-			fmt.Fprintf(&b, "%d-%d", ranks[i], ranks[j])
-		} else if j == i+1 {
-			fmt.Fprintf(&b, "%d %d", ranks[i], ranks[j])
+			parts, i = append(parts, fmt.Sprintf("%d-%d", ranks[i], ranks[j])), j
 		} else {
-			fmt.Fprintf(&b, "%d", ranks[i])
+			parts = append(parts, strconv.Itoa(ranks[i]))
 		}
-		i = j + 1
 	}
-	b.WriteByte(']')
-	return b.String()
+	return "[" + strings.Join(parts, " ") + "]"
 }

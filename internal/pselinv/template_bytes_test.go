@@ -19,13 +19,15 @@ import (
 // under nested dissection on its graph (relax 4, width 48), P = 16, shifted
 // trees, symmetric values — the plan, the compiled programs and the run state
 // a cold request builds. The first of three rounds also fills the kernels'
-// arena and simmpi's free list of inbox rings, so the least is the template's.
-// Measured 16.0–16.1 MB, with the race detector and without (20.1–20.4 MB
+// arena and the free lists of inbox rings and rank states, so the least is
+// the template's. Measured 10.9–11.4 MB, with the race detector and without,
+// since the run lays its program out on the listed states of the round before
+// (16.0–16.1 MB while every template laid out states of its own; 20.1–20.4 MB
 // while a template's first run grew its inbox rings and a reduction's state
 // was 64 bytes; 28.9 MB when every collective copied its own tree and a role
 // its children); the ceiling leaves a tenth on top.
 func TestTemplateBytes(t *testing.T) {
-	const ceilingMB = 17.7
+	const ceilingMB = 12.5
 	g := sparse.Grid2D(96, 96, 1)
 	perm := ordering.Compute(ordering.NestedDissection, g.A, nil)
 	an := etree.AnalyzeOrder(g.A, perm, etree.Options{Relax: 4, MaxWidth: 48})

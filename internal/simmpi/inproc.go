@@ -40,11 +40,7 @@ func NewInProc(p int) *InProc {
 	if p <= 0 {
 		panic("simmpi: non-positive world size")
 	}
-	t := &InProc{
-		p:       p,
-		inboxes: make([]*Inbox, p),
-		local:   make([]int, p),
-	}
+	t := &InProc{p: p, inboxes: make([]*Inbox, p), local: make([]int, p)}
 	rings.Lock()
 	for i := p - 1; i >= 0; i-- { // the top ring to the highest rank: see rings
 		in, n := NewInbox(i), len(rings.free)

@@ -56,25 +56,9 @@ const (
 
 // String names the class.
 func (c Class) String() string {
-	switch c {
-	case ClassOther:
-		return "Other"
-	case ClassDiagBcast:
-		return "Diag-Bcast"
-	case ClassCrossSend:
-		return "Cross-Send"
-	case ClassColBcast:
-		return "Col-Bcast"
-	case ClassRowReduce:
-		return "Row-Reduce"
-	case ClassDiagReduce:
-		return "Diag-Reduce"
-	case ClassSymmSend:
-		return "Symm-Send"
-	case ClassRowBcast:
-		return "Row-Bcast"
-	case ClassColReduce:
-		return "Col-Reduce"
+	if c >= 0 && c < numClasses {
+		return [...]string{"Other", "Diag-Bcast", "Cross-Send", "Col-Bcast", "Row-Reduce", "Diag-Reduce",
+			"Symm-Send", "Row-Bcast", "Col-Reduce"}[c]
 	}
 	return fmt.Sprintf("Class(%d)", int(c))
 }
@@ -160,19 +144,8 @@ const (
 
 // String names the state.
 func (s RankState) String() string {
-	switch s {
-	case StateIdle:
-		return "idle"
-	case StateRunning:
-		return "running"
-	case StateRecvWait:
-		return "recv-wait"
-	case StateBarrierWait:
-		return "barrier-wait"
-	case StateDone:
-		return "done"
-	case StatePanicked:
-		return "panicked"
+	if s >= 0 && s <= StatePanicked {
+		return [...]string{"idle", "running", "recv-wait", "barrier-wait", "done", "panicked"}[s]
 	}
 	return fmt.Sprintf("RankState(%d)", int32(s))
 }
@@ -205,9 +178,7 @@ type World struct {
 }
 
 // NewWorld creates a world with p ranks over the in-process transport.
-func NewWorld(p int) *World {
-	return NewWorldOn(NewInProc(p))
-}
+func NewWorld(p int) *World { return NewWorldOn(NewInProc(p)) }
 
 // NewWorldOn creates a world over an existing transport. The world takes
 // ownership: World.Close closes the transport.
@@ -216,16 +187,9 @@ func NewWorldOn(tr Transport) *World {
 	if p <= 0 {
 		panic("simmpi: non-positive world size")
 	}
-	return &World{
-		P:         p,
-		tr:        tr,
-		local:     tr.LocalRanks(),
-		sentBytes: make([]int64, p*int(numClasses)),
-		recvBytes: make([]int64, p*int(numClasses)),
-		sentMsgs:  make([]int64, p*int(numClasses)),
-		recvMsgs:  make([]int64, p*int(numClasses)),
-		states:    make([]int32, p),
-	}
+	n := p * int(numClasses)
+	return &World{P: p, tr: tr, local: tr.LocalRanks(), states: make([]int32, p),
+		sentBytes: make([]int64, n), recvBytes: make([]int64, n), sentMsgs: make([]int64, n), recvMsgs: make([]int64, n)}
 }
 
 // Transport returns the communication substrate underneath the world.
@@ -258,24 +222,18 @@ func (w *World) SetObserver(o Observer) { w.obs = o }
 // Observer returns the installed telemetry observer, if any.
 func (w *World) Observer() Observer { return w.obs }
 
-func (w *World) setState(rank int, s RankState) {
-	atomic.StoreInt32(&w.states[rank], int32(s))
-}
+func (w *World) setState(rank int, s RankState) { atomic.StoreInt32(&w.states[rank], int32(s)) }
 
 // RankStateOf returns the last observed state of rank. It is safe to call
 // concurrently with a run (the hung-run report reads it after a timeout
 // while stuck goroutines are still blocked).
-func (w *World) RankStateOf(rank int) RankState {
-	return RankState(atomic.LoadInt32(&w.states[rank]))
-}
+func (w *World) RankStateOf(rank int) RankState { return RankState(atomic.LoadInt32(&w.states[rank])) }
 
 // PendingMessages returns a snapshot of the messages queued for dst,
 // oldest-first. The returned messages share payload slices with the queue
 // and must be treated as read-only. For distributed backends only local
 // ranks have a queue to snapshot; other ranks report nil.
-func (w *World) PendingMessages(dst int) []Message {
-	return w.tr.Pending(dst)
-}
+func (w *World) PendingMessages(dst int) []Message { return w.tr.Pending(dst) }
 
 // Rank is the per-goroutine handle to the world.
 type Rank struct {
@@ -481,23 +439,19 @@ func drainPanics(ch chan RankPanic) []RankPanic {
 }
 
 // SentBytes returns bytes sent by rank in class.
-func (w *World) SentBytes(rank int, class Class) int64 {
-	return atomic.LoadInt64(&w.sentBytes[rank*int(numClasses)+int(class)])
-}
+func (w *World) SentBytes(rank int, class Class) int64 { return load(w.sentBytes, rank, class) }
 
 // RecvBytes returns bytes received by rank in class.
-func (w *World) RecvBytes(rank int, class Class) int64 {
-	return atomic.LoadInt64(&w.recvBytes[rank*int(numClasses)+int(class)])
-}
+func (w *World) RecvBytes(rank int, class Class) int64 { return load(w.recvBytes, rank, class) }
 
 // SentMsgs returns the message count sent by rank in class.
-func (w *World) SentMsgs(rank int, class Class) int64 {
-	return atomic.LoadInt64(&w.sentMsgs[rank*int(numClasses)+int(class)])
-}
+func (w *World) SentMsgs(rank int, class Class) int64 { return load(w.sentMsgs, rank, class) }
 
 // RecvMsgs returns the message count received by rank in class.
-func (w *World) RecvMsgs(rank int, class Class) int64 {
-	return atomic.LoadInt64(&w.recvMsgs[rank*int(numClasses)+int(class)])
+func (w *World) RecvMsgs(rank int, class Class) int64 { return load(w.recvMsgs, rank, class) }
+
+func load(ctr []int64, rank int, class Class) int64 {
+	return atomic.LoadInt64(&ctr[rank*int(numClasses)+int(class)])
 }
 
 // TotalSent sums sent bytes over all classes for rank.
@@ -513,13 +467,12 @@ func (w *World) TotalSent(rank int) int64 {
 // direction; the statistics package turns these into the paper's tables,
 // histograms and heat maps.
 func (w *World) VolumeVector(class Class, sent bool) []int64 {
-	out := make([]int64, w.P)
-	for r := 0; r < w.P; r++ {
-		if sent {
-			out[r] = w.SentBytes(r, class)
-		} else {
-			out[r] = w.RecvBytes(r, class)
-		}
+	ctr, out := w.recvBytes, make([]int64, w.P)
+	if sent {
+		ctr = w.sentBytes
+	}
+	for r := range out {
+		out[r] = load(ctr, r, class)
 	}
 	return out
 }
@@ -549,6 +502,4 @@ func (w *World) CheckConservation() error {
 }
 
 // Close closes the transport (wakes any blocked Recv with ok=false).
-func (w *World) Close() {
-	w.tr.Close()
-}
+func (w *World) Close() { w.tr.Close() }
